@@ -201,3 +201,33 @@ func TestPrefixCacheFlow(t *testing.T) {
 		t.Fatal("prefix stats reported with the cache disabled")
 	}
 }
+
+// TestPrefixSessionsVictimChoice pins every eviction victim on a realistic
+// trace: multi-turn chat with cache-aware routing on the paper's testbed
+// (16×H800 as 6+10, 40 models, 0.02 sessions/s per model, 128-token system
+// prompt, 3 min, seed 1), where promotion runs the device tier at its budget.
+// Any change in which entry is evicted moves these counters.
+func TestPrefixSessionsVictimChoice(t *testing.T) {
+	sys, err := New(Config{GPU: "H800", PrefillGPUs: 6, DecodeGPUs: 10, NumModels: 40, Seed: 1, PrefixRouting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := sys.GenerateTrace(TraceSpec{RatePerModel: 0.02, Horizon: 3 * time.Minute,
+		Workload: MultiTurn, SystemPromptTokens: 128})
+	rep, err := sys.Serve(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := rep.Prefix
+	if px == nil {
+		t.Fatal("prefix-enabled run reported no prefix stats")
+	}
+	got := []uint64{sys.EventsProcessed(), px.DeviceEvictions, px.Promotions, px.HostEvictions, uint64(rep.MeanTTFT)}
+	want := []uint64{152_514, 14_742, 16_390, 0, 871_496_849}
+	names := []string{"events", "device evictions", "promotions", "host evictions", "mean TTFT ns"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s = %d, want %d", names[i], got[i], want[i])
+		}
+	}
+}

@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -104,12 +103,15 @@ func (c *CDF) Points(n int) [][2]float64 {
 // SafeCDF is a concurrency-safe quantile tracker for live telemetry (the
 // gateway's TTFT/TBT export): a mutex-guarded CDF with optional reservoir
 // subsampling (algorithm R) so a long-running server's memory stays
-// bounded. The zero value is usable and unbounded.
+// bounded. Reservoir slots come from the tracker's own fixed-seed PRNG, so
+// the same sample sequence always retains the same samples. The zero value
+// is usable and unbounded.
 type SafeCDF struct {
 	mu   sync.Mutex
 	cdf  CDF
 	max  int
 	seen uint64
+	rng  uint64 // splitmix64 state
 }
 
 // NewSafeCDF returns a tracker retaining at most maxSamples via uniform
@@ -128,10 +130,20 @@ func (s *SafeCDF) Add(v float64) {
 	// Reservoir replacement: v displaces a uniformly chosen retained
 	// sample with probability max/seen. The reservoir's ordering is
 	// irrelevant (Quantile sorts), so replacing any slot is unbiased.
-	if j := rand.Int63n(int64(s.seen)); j < int64(s.max) {
+	if j := s.next() % s.seen; j < uint64(s.max) {
 		s.cdf.samples[j] = v
 		s.cdf.sorted = false
 	}
+}
+
+// next advances the reservoir's splitmix64 state and returns its output.
+// Caller holds s.mu.
+func (s *SafeCDF) next() uint64 {
+	s.rng += 0x9e3779b97f4a7c15
+	z := s.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // AddDuration records a duration sample in seconds.

@@ -82,6 +82,33 @@ func TestSafeCDFReservoirStaysInRange(t *testing.T) {
 	}
 }
 
+// TestSafeCDFReservoirDeterministic: two trackers fed the same sequence,
+// three times their capacity, retain the same samples, so quantiles
+// reported from a seeded run reproduce exactly.
+func TestSafeCDFReservoirDeterministic(t *testing.T) {
+	const cap = 512
+	a, b := NewSafeCDF(cap), NewSafeCDF(cap)
+	for i := 0; i < 3*cap; i++ {
+		v := float64((i * 7919) % (3 * cap))
+		a.Add(v)
+		b.Add(v)
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+		if qa, qb := a.Quantile(q), b.Quantile(q); qa != qb {
+			t.Errorf("q%.2f: %v vs %v", q, qa, qb)
+		}
+	}
+	replaced := 0
+	for i, v := range a.Samples() {
+		if v != float64((i*7919)%(3*cap)) {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("reservoir never replaced a sample: the test exercised no subsampling")
+	}
+}
+
 func TestSafeCDFSamplesIsACopy(t *testing.T) {
 	s := NewSafeCDF(8)
 	s.Add(1)

@@ -108,12 +108,20 @@ type entry struct {
 	hits    uint64 // lifetime reuse count (Acquire matches)
 	lastUse sim.Time
 
-	class      string
 	blockBytes int64
 	hostBlock  memory.Block
+	host       heapSlot // place among the host tier's victims
 
-	dev         map[string]memory.Block // instance -> device copy
-	devChildren map[string]int          // instance -> children holding a device copy there
+	dev map[string]*devCopy // instance -> device copy
+}
+
+// devCopy is an entry's copy on one instance's device tier. Device residency
+// is root-contiguous per instance, so a copy's children hold copies only
+// where their parent does.
+type devCopy struct {
+	block    memory.Block
+	children int      // children holding a copy on the same instance
+	slot     heapSlot // place among that instance's device victims
 }
 
 // Cache is the global prefix cache. All methods are safe for concurrent use:
@@ -127,12 +135,18 @@ type Cache struct {
 	devices   map[string]*kvcache.Cache
 	devBudget map[string]int64
 
-	block   int                         // tokens per block
+	block   int                          // tokens per block
 	index   map[string]map[uint64]*entry // model -> chunk hash -> entry
 	classes map[string]classInfo         // model -> host-registered class
 
 	hostBytes int64
 	devBytes  map[string]int64
+
+	// Eviction candidates, kept current on every pin, unpin and touch:
+	// unpinned host leaves, and per attached instance its unpinned device
+	// leaves.
+	hostVictims victimHeap
+	devVictims  map[string]*victimHeap
 
 	st       stats
 	perModel map[string]*ModelStats
@@ -202,17 +216,20 @@ func New(cfg Config, host *kvcache.Cache) *Cache {
 	if cfg.PromoteAfter <= 0 {
 		cfg.PromoteAfter = 1
 	}
-	return &Cache{
-		cfg:       cfg,
-		host:      host,
-		devices:   map[string]*kvcache.Cache{},
-		devBudget: map[string]int64{},
-		block:     host.BlockTokens(),
-		index:     map[string]map[uint64]*entry{},
-		classes:   map[string]classInfo{},
-		devBytes:  map[string]int64{},
-		perModel:  map[string]*ModelStats{},
+	c := &Cache{
+		cfg:        cfg,
+		host:       host,
+		devices:    map[string]*kvcache.Cache{},
+		devBudget:  map[string]int64{},
+		block:      host.BlockTokens(),
+		index:      map[string]map[uint64]*entry{},
+		classes:    map[string]classInfo{},
+		devBytes:   map[string]int64{},
+		devVictims: map[string]*victimHeap{},
+		perModel:   map[string]*ModelStats{},
 	}
+	c.hostVictims.less = c.less
+	return c
 }
 
 // AttachDevice registers an instance's GPU KV cache as a device tier.
@@ -226,6 +243,9 @@ func (c *Cache) AttachDevice(instance string, dev *kvcache.Cache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.devices[instance] = dev
+	if c.devVictims[instance] == nil {
+		c.devVictims[instance] = &victimHeap{less: c.less}
+	}
 	b := c.cfg.DeviceBytes
 	if b <= 0 {
 		b = dev.Pool().Capacity() / 8
@@ -328,6 +348,7 @@ func (c *Cache) Acquire(instance, m string, shape model.KVShape, segs []workload
 		e.refs++
 		e.hits++
 		e.lastUse = now
+		c.refile(e)
 		if i == devDepth {
 			if _, ok := e.dev[instance]; ok {
 				devDepth++
@@ -369,27 +390,28 @@ func (h *Hit) Release(now sim.Time) {
 	c := h.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Promote root-first so device residency stays contiguous from the
+	// prompt start (a device walk stops at the first non-resident block, so
+	// a gap would strand everything after it). The chain stays pinned until
+	// promotion ends, so making room for one entry never evicts the copies
+	// of its ancestors: those copies are what make it reachable.
+	if dev := c.devices[h.instance]; dev != nil {
+		for _, e := range h.chain {
+			if _, ok := e.dev[h.instance]; ok {
+				continue
+			}
+			if e.hits < uint64(c.cfg.PromoteAfter) {
+				break
+			}
+			if !c.promote(e, h.instance, dev, now) {
+				break
+			}
+		}
+	}
 	for _, e := range h.chain {
 		if e.refs > 0 {
 			e.refs--
-		}
-	}
-	// Promote root-first so device residency stays contiguous from the
-	// prompt start (a device walk stops at the first non-resident block, so
-	// a gap would strand everything after it).
-	dev := c.devices[h.instance]
-	if dev == nil {
-		return
-	}
-	for _, e := range h.chain {
-		if _, ok := e.dev[h.instance]; ok {
-			continue
-		}
-		if e.hits < uint64(c.cfg.PromoteAfter) {
-			break
-		}
-		if !c.promote(e, h.instance, dev, now) {
-			break
+			c.refile(e)
 		}
 	}
 }
@@ -400,15 +422,7 @@ func (c *Cache) promote(e *entry, instance string, dev *kvcache.Cache, now sim.T
 	if !ok {
 		return false
 	}
-	// Making room for e must not evict e's own ancestors: their copies were
-	// just promoted (or are what makes e's copy reachable — a device walk is
-	// contiguous from the root), and the pins protecting them were dropped
-	// before this loop ran.
-	exclude := map[*entry]bool{}
-	for a := e.parent; a != nil; a = a.parent {
-		exclude[a] = true
-	}
-	if !c.ensureDeviceRoom(instance, e.blockBytes, exclude) {
+	if !c.ensureDeviceRoom(instance, e.blockBytes) {
 		return false
 	}
 	if _, err := dev.RegisterShape(ci.shape); err != nil {
@@ -421,17 +435,16 @@ func (c *Cache) promote(e *entry, instance string, dev *kvcache.Cache, now sim.T
 		return false
 	}
 	if e.dev == nil {
-		e.dev = map[string]memory.Block{}
+		e.dev = map[string]*devCopy{}
 	}
-	e.dev[instance] = b
+	e.dev[instance] = &devCopy{block: b, slot: heapSlot{e: e}}
 	c.devBytes[instance] += e.blockBytes
-	if e.parent != nil {
-		if e.parent.devChildren == nil {
-			e.parent.devChildren = map[string]int{}
-		}
-		e.parent.devChildren[instance]++
+	if p := e.parent; p != nil {
+		p.dev[instance].children++
+		c.refile(p)
 	}
 	e.lastUse = now
+	c.refile(e)
 	c.st.promotions++
 	return true
 }
@@ -469,6 +482,7 @@ func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg,
 	defer func() {
 		for _, e := range path {
 			e.refs--
+			c.refile(e)
 		}
 	}()
 
@@ -477,6 +491,7 @@ func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg,
 		if e := idx[hsh]; e != nil {
 			e.lastUse = now
 			e.refs++
+			c.refile(e)
 			path = append(path, e)
 			parent = e
 			continue
@@ -502,12 +517,13 @@ func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg,
 			parent:     parent,
 			refs:       1,
 			lastUse:    now,
-			class:      ci.label,
 			blockBytes: ci.blockBytes,
 			hostBlock:  b,
 		}
+		e.host.e = e
 		if parent != nil {
 			parent.children++
+			c.refile(parent)
 		}
 		idx[hsh] = e
 		c.hostBytes += ci.blockBytes
@@ -530,7 +546,7 @@ func (c *Cache) ensureHostRoom(bb int64) bool {
 // evictHostOne removes one unpinned leaf from the host tier (and with it any
 // device copies). Returns false when every entry is pinned or interior.
 func (c *Cache) evictHostOne() bool {
-	v := c.pickVictim(func(e *entry) bool { return e.children == 0 && e.refs == 0 })
+	v := c.hostVictims.min()
 	if v == nil {
 		return false
 	}
@@ -563,21 +579,21 @@ func (c *Cache) journalEviction(tier, instance string, v *entry) {
 		}})
 }
 
-// pickVictim scans every entry passing ok and returns the minimum of the
-// policy's total order. O(entries), deterministic.
-func (c *Cache) pickVictim(ok func(*entry) bool) *entry {
-	var best *entry
-	for _, idx := range c.index {
-		for _, e := range idx {
-			if !ok(e) {
-				continue
-			}
-			if best == nil || c.less(e, best) {
-				best = e
-			}
-		}
+// hostVictim reports whether e may be evicted from the host tier: it is an
+// unpinned leaf.
+func (e *entry) hostVictim() bool { return e.refs == 0 && e.children == 0 }
+
+// devVictim reports whether e's device copy d may be evicted from its
+// instance: e is unpinned and none of its children hold a copy there.
+func (e *entry) devVictim(d *devCopy) bool { return e.refs == 0 && d.children == 0 }
+
+// refile brings e's place in every victim heap up to date after a change to
+// its pins, children, device copies or order key. Caller holds c.mu.
+func (c *Cache) refile(e *entry) {
+	c.hostVictims.file(&e.host, e.hostVictim())
+	for inst, d := range e.dev {
+		c.devVictims[inst].file(&d.slot, e.devVictim(d))
 	}
-	return best
 }
 
 // less is the eviction total order: policy key, then model and hash so ties
@@ -604,19 +620,23 @@ func (c *Cache) removeEntry(e *entry) {
 		panic(fmt.Sprintf("prefixcache: host free: %v", err))
 	}
 	c.hostBytes -= e.blockBytes
-	for inst, b := range e.dev {
+	c.hostVictims.file(&e.host, false)
+	p := e.parent
+	for inst, d := range e.dev {
+		c.devVictims[inst].file(&d.slot, false)
 		if dev := c.devices[inst]; dev != nil {
-			if err := dev.Pool().Free(b); err != nil {
+			if err := dev.Pool().Free(d.block); err != nil {
 				panic(fmt.Sprintf("prefixcache: device free on %s: %v", inst, err))
 			}
 		}
 		c.devBytes[inst] -= e.blockBytes
-		if e.parent != nil {
-			e.parent.devChildren[inst]--
+		if p != nil {
+			p.dev[inst].children--
 		}
 	}
-	if e.parent != nil {
-		e.parent.children--
+	if p != nil {
+		p.children--
+		c.refile(p)
 	}
 	// The model's (possibly now empty) map stays resident: Insert holds a
 	// reference to it across evictions it triggers, so dropping it here would
@@ -625,11 +645,11 @@ func (c *Cache) removeEntry(e *entry) {
 }
 
 // ensureDeviceRoom evicts instance-local device copies until bb more bytes
-// fit that instance's budget, never touching excluded entries.
-func (c *Cache) ensureDeviceRoom(instance string, bb int64, exclude map[*entry]bool) bool {
+// fit that instance's budget.
+func (c *Cache) ensureDeviceRoom(instance string, bb int64) bool {
 	budget := c.devBudget[instance]
 	for c.devBytes[instance]+bb > budget {
-		if !c.evictDeviceOne(instance, exclude) {
+		if !c.evictDeviceOne(instance) {
 			return false
 		}
 	}
@@ -638,45 +658,26 @@ func (c *Cache) ensureDeviceRoom(instance string, bb int64, exclude map[*entry]b
 
 // evictDeviceOne drops one unpinned device-leaf copy from instance. The
 // host copy stays; only the accelerator copy goes.
-func (c *Cache) evictDeviceOne(instance string, exclude map[*entry]bool) bool {
-	v := c.pickVictim(func(e *entry) bool {
-		if e.refs != 0 || exclude[e] {
-			return false
-		}
-		if _, ok := e.dev[instance]; !ok {
-			return false
-		}
-		return e.devChildren[instance] == 0
-	})
+func (c *Cache) evictDeviceOne(instance string) bool {
+	victims := c.devVictims[instance]
+	v := victims.min()
 	if v == nil {
 		return false
 	}
 	c.journalEviction("device_evict", instance, v)
-	c.dropDeviceCopy(v, instance, true)
+	d := v.dev[instance]
+	victims.file(&d.slot, false)
+	if err := c.devices[instance].Pool().Free(d.block); err != nil {
+		panic(fmt.Sprintf("prefixcache: device free on %s: %v", instance, err))
+	}
+	delete(v.dev, instance)
+	c.devBytes[instance] -= v.blockBytes
+	if p := v.parent; p != nil {
+		p.dev[instance].children--
+		c.refile(p)
+	}
 	c.st.deviceEvictions++
 	return true
-}
-
-// dropDeviceCopy removes e's device copy on instance. free=false means the
-// device memory died with the instance (crash) and must not be returned to
-// its pool.
-func (c *Cache) dropDeviceCopy(e *entry, instance string, free bool) {
-	b, ok := e.dev[instance]
-	if !ok {
-		return
-	}
-	if free {
-		if dev := c.devices[instance]; dev != nil {
-			if err := dev.Pool().Free(b); err != nil {
-				panic(fmt.Sprintf("prefixcache: device free on %s: %v", instance, err))
-			}
-		}
-	}
-	delete(e.dev, instance)
-	c.devBytes[instance] -= e.blockBytes
-	if e.parent != nil && e.parent.devChildren != nil {
-		e.parent.devChildren[instance]--
-	}
 }
 
 // EvictDeviceBytes is the serving path's pressure valve: when sequence
@@ -688,7 +689,7 @@ func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
 	var freed int64
 	for freed < n {
 		before := c.devBytes[instance]
-		if !c.evictDeviceOne(instance, nil) {
+		if !c.evictDeviceOne(instance) {
 			break
 		}
 		freed += before - c.devBytes[instance]
@@ -698,14 +699,16 @@ func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
 
 // DropInstance forgets every device copy held by a crashed instance without
 // returning blocks to its pool — the VRAM died with the process. Future
-// promotions to the instance stop until it is re-attached.
+// promotions to the instance stop until it is re-attached. Every copy on the
+// instance goes at once, so the per-copy child counts and the instance's
+// victim heap go with them.
 func (c *Cache) DropInstance(instance string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, idx := range c.index {
 		for _, e := range idx {
 			if _, ok := e.dev[instance]; ok {
-				c.dropDeviceCopy(e, instance, false)
+				delete(e.dev, instance)
 				c.st.deviceDrops++
 			}
 		}
@@ -713,6 +716,7 @@ func (c *Cache) DropInstance(instance string) {
 	c.devBytes[instance] = 0
 	delete(c.devices, instance)
 	delete(c.devBudget, instance)
+	delete(c.devVictims, instance)
 }
 
 // MatchTokensOn reports, without mutating any state, how many prompt tokens
@@ -807,8 +811,10 @@ func (c *Cache) DeviceResidentBytes(instance string) int64 {
 
 // CheckConsistency audits internal invariants and returns human-readable
 // violations (empty when healthy): byte accounting matches entry sums,
-// child/device-child counts match links, every non-root entry's parent is
-// resident, and no refcount is negative.
+// child/device-child counts match links, device residency is root-contiguous,
+// every non-root entry's parent is resident, no refcount is negative, and
+// each victim heap holds exactly its tier's eligible entries, each at the
+// position its slot records, in heap order.
 func (c *Cache) CheckConsistency() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -816,7 +822,11 @@ func (c *Cache) CheckConsistency() []string {
 	var hostSum int64
 	devSum := map[string]int64{}
 	children := map[*entry]int{}
-	devChildren := map[*entry]map[string]int{}
+	type devKey struct {
+		e    *entry
+		inst string
+	}
+	devChildren := map[devKey]int{}
 	var all []*entry
 	for _, idx := range c.index {
 		for _, e := range idx {
@@ -843,10 +853,10 @@ func (c *Cache) CheckConsistency() []string {
 				bad = append(bad, fmt.Sprintf("entry %s/%x depth %d: parent not resident", e.model, e.hash, e.depth))
 			}
 			for inst := range e.dev {
-				if devChildren[e.parent] == nil {
-					devChildren[e.parent] = map[string]int{}
+				devChildren[devKey{e.parent, inst}]++
+				if e.parent.dev[inst] == nil {
+					bad = append(bad, fmt.Sprintf("entry %s/%x depth %d: device copy on %s without its parent's", e.model, e.hash, e.depth, inst))
 				}
-				devChildren[e.parent][inst]++
 			}
 		}
 	}
@@ -854,9 +864,9 @@ func (c *Cache) CheckConsistency() []string {
 		if e.children != children[e] {
 			bad = append(bad, fmt.Sprintf("entry %s/%x: children=%d, actual %d", e.model, e.hash, e.children, children[e]))
 		}
-		for inst, n := range e.devChildren {
-			if n != devChildren[e][inst] {
-				bad = append(bad, fmt.Sprintf("entry %s/%x: devChildren[%s]=%d, actual %d", e.model, e.hash, inst, n, devChildren[e][inst]))
+		for inst, d := range e.dev {
+			if n := devChildren[devKey{e, inst}]; d.children != n {
+				bad = append(bad, fmt.Sprintf("entry %s/%x: device children on %s=%d, actual %d", e.model, e.hash, inst, d.children, n))
 			}
 		}
 	}
@@ -866,6 +876,28 @@ func (c *Cache) CheckConsistency() []string {
 	for inst, b := range c.devBytes {
 		if b != devSum[inst] {
 			bad = append(bad, fmt.Sprintf("device bytes on %s: tracked %d, entries sum %d", inst, b, devSum[inst]))
+		}
+	}
+	bad = append(bad, c.hostVictims.audit("host", all, func(e *entry) (*heapSlot, bool) {
+		return &e.host, e.hostVictim()
+	})...)
+	insts := make([]string, 0, len(c.devVictims))
+	for inst := range c.devVictims {
+		insts = append(insts, inst)
+	}
+	sort.Strings(insts)
+	for _, inst := range insts {
+		bad = append(bad, c.devVictims[inst].audit("device "+inst, all, func(e *entry) (*heapSlot, bool) {
+			d := e.dev[inst]
+			if d == nil {
+				return nil, false
+			}
+			return &d.slot, e.devVictim(d)
+		})...)
+	}
+	for inst := range devSum {
+		if c.devVictims[inst] == nil {
+			bad = append(bad, fmt.Sprintf("device copies on %s, which has no victim heap", inst))
 		}
 	}
 	return bad

@@ -1,10 +1,12 @@
 package prefixcache
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
@@ -429,6 +431,191 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 	}
 	if dev.Pool().UsedBytes() != st.DeviceBytes {
 		t.Fatalf("device pool used %d != cache accounting %d", dev.Pool().UsedBytes(), st.DeviceBytes)
+	}
+}
+
+// scanVictim is the reference the victim heaps replaced: visit every entry
+// and keep the minimum of the eviction order among those passing ok.
+func scanVictim(c *Cache, ok func(*entry) bool) *entry {
+	var best *entry
+	for _, idx := range c.index {
+		for _, e := range idx {
+			if ok(e) && (best == nil || c.less(e, best)) {
+				best = e
+			}
+		}
+	}
+	return best
+}
+
+// victimMismatch compares every heap minimum with scanVictim, deriving
+// eligibility from the parent links rather than the cache's child counters.
+// Caller holds c.mu or owns c outright.
+func victimMismatch(c *Cache) string {
+	if got, want := c.hostVictims.min(), scanVictim(c, func(e *entry) bool {
+		return e.refs == 0 && e.children == 0
+	}); got != want {
+		return fmt.Sprintf("host heap min %s, scan %s", entryName(got), entryName(want))
+	}
+	for inst, h := range c.devVictims {
+		interior := map[*entry]bool{}
+		for _, idx := range c.index {
+			for _, e := range idx {
+				if _, ok := e.dev[inst]; ok && e.parent != nil {
+					interior[e.parent] = true
+				}
+			}
+		}
+		want := scanVictim(c, func(e *entry) bool {
+			_, ok := e.dev[inst]
+			return ok && e.refs == 0 && !interior[e]
+		})
+		if got := h.min(); got != want {
+			return fmt.Sprintf("device %s heap min %s, scan %s", inst, entryName(got), entryName(want))
+		}
+	}
+	return ""
+}
+
+func entryName(e *entry) string {
+	if e == nil {
+		return "none"
+	}
+	return fmt.Sprintf("%s/%x@%d", e.model, e.hash, e.depth)
+}
+
+// TestVictimHeapsMatchScan is the differential test of the victim heaps: a
+// seeded mix of acquires, releases, inserts, the device pressure valve and
+// instance crashes, over two models and two device instances with host and
+// device budgets small enough to evict on both tiers. The journal clock runs
+// under the cache lock at every victim choice, before the victim goes, so it
+// checks each heap minimum against the full scan exactly where an eviction
+// reads it; every step also runs the CheckConsistency heap audit.
+func TestVictimHeapsMatchScan(t *testing.T) {
+	insts := []string{"p0", "p1"}
+	for _, pol := range []Policy{PolicyLRU, PolicyFreq} {
+		var c *Cache
+		checks := 0
+		clock := func() sim.Time {
+			checks++
+			if msg := victimMismatch(c); msg != "" {
+				t.Fatalf("[%v] eviction %d: %s", pol, checks, msg)
+			}
+			return 0
+		}
+		c = New(Config{HostBytes: 24 * testBlockBytes, DeviceBytes: 5 * testBlockBytes, Policy: pol,
+			Journal: decision.New(decision.Options{}), Clock: clock}, newHost())
+		attach := func(inst string) { c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok)) }
+		for _, inst := range insts {
+			attach(inst)
+		}
+
+		rng := rand.New(rand.NewSource(7))
+		// Conversations share a per-model system prompt and grow by whole
+		// blocks, so later turns extend cached chains.
+		prompt := func() (string, []workload.PromptSeg, int) {
+			mi := rng.Intn(2)
+			conv := uint64(rng.Intn(8))
+			n := testBlkTok * (1 + rng.Intn(5))
+			return "ab"[mi : mi+1], []workload.PromptSeg{seg(uint64(100+mi), testBlkTok), seg(conv, n)}, testBlkTok + n
+		}
+		var pins []*Hit
+		now := sim.Time(0)
+		for i := 0; i < 3000; i++ {
+			now += sim.Time(rng.Intn(2)) // equal timestamps exercise the model/hash tie-breaks
+			inst := insts[rng.Intn(len(insts))]
+			switch r := rng.Intn(100); {
+			case r < 35:
+				m, segs, n := prompt()
+				c.Insert(m, testShape, segs, n, now)
+			case r < 60:
+				m, segs, n := prompt()
+				if h := c.Acquire(inst, m, testShape, segs, n+1, now); h != nil {
+					pins = append(pins, h)
+				}
+				if len(pins) > 4 {
+					pins[0].Release(now)
+					pins = pins[1:]
+				}
+			case r < 82:
+				if len(pins) > 0 {
+					k := rng.Intn(len(pins))
+					pins[k].Release(now)
+					pins = append(pins[:k], pins[k+1:]...)
+				}
+			case r < 97:
+				c.EvictDeviceBytes(inst, int64(1+rng.Intn(3))*testBlockBytes)
+			default:
+				c.DropInstance(inst)
+				attach(inst)
+			}
+			if msg := victimMismatch(c); msg != "" {
+				t.Fatalf("[%v] step %d: %s", pol, i, msg)
+			}
+			if bad := c.CheckConsistency(); len(bad) != 0 {
+				t.Fatalf("[%v] step %d: %v", pol, i, bad)
+			}
+		}
+		for _, h := range pins {
+			h.Release(now)
+		}
+		if bad := c.CheckConsistency(); len(bad) != 0 || c.PinnedEntries() != 0 {
+			t.Fatalf("[%v] after drain: pinned %d, %v", pol, c.PinnedEntries(), bad)
+		}
+		st := c.Stats()
+		if st.HostEvictions == 0 || st.DeviceEvictions == 0 || st.DeviceDrops == 0 {
+			t.Fatalf("[%v] stats %+v: a tier never evicted", pol, st)
+		}
+		if n := st.HostEvictions + st.DeviceEvictions; uint64(checks) != n {
+			t.Fatalf("[%v] %d victim checks for %d evictions", pol, checks, n)
+		}
+	}
+}
+
+// BenchmarkPromoteUnderDevicePressure measures one reuse of an 8-block chain
+// whose Release promotes every block into a full device tier: 8 promotions,
+// each evicting the device leaf of another chain, over 4096 cached entries.
+func BenchmarkPromoteUnderDevicePressure(b *testing.B) {
+	const chains, depth = 512, 8
+	c := New(Config{DeviceBytes: 64 * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	c.AttachDevice("p0", kvcache.NewCache("gpu0", 1<<20, 1<<14, testBlkTok))
+	prompts := make([][]workload.PromptSeg, chains)
+	for i := range prompts {
+		prompts[i] = []workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}
+		c.Insert("m", testShape, prompts[i], depth*testBlkTok, sim.Time(i))
+	}
+	now := sim.Time(chains)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now++
+		h := c.Acquire("p0", "m", testShape, prompts[i%chains], depth*testBlkTok+1, now)
+		h.Release(now)
+	}
+	b.StopTimer()
+	if bad := c.CheckConsistency(); len(bad) != 0 {
+		b.Fatal(bad)
+	}
+}
+
+// BenchmarkInsertUnderHostPressure measures inserting a fresh 4-block prompt
+// into a host tier held at its 4096-block budget: 4 host evictions per insert.
+func BenchmarkInsertUnderHostPressure(b *testing.B) {
+	const budget, depth = 4096, 4
+	c := New(Config{HostBytes: budget * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	for i := 0; i < budget/depth; i++ {
+		c.Insert("m", testShape, []workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}, depth*testBlkTok, sim.Time(i))
+	}
+	now := sim.Time(budget)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now++
+		c.Insert("m", testShape, []workload.PromptSeg{seg(uint64(budget+i), depth*testBlkTok)}, depth*testBlkTok, now)
+	}
+	b.StopTimer()
+	if st := c.Stats(); st.HostEvictions != uint64(depth*b.N) {
+		b.Fatalf("%d host evictions for %d inserts", st.HostEvictions, b.N)
 	}
 }
 
