@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -369,12 +370,31 @@ func (c *Collector) TurnEnd(instance, model string, at sim.Time) {
 	c.turnSet[instance] = c.turnSet[instance][:0]
 }
 
+// tokenBatchDetails holds the token-batch detail text for batch sizes below
+// its length, so a decode step formats nothing.
+var tokenBatchDetails = func() (d [256]string) {
+	for n := range d {
+		d[n] = tokenBatchDetailf(n)
+	}
+	return d
+}()
+
+func tokenBatchDetailf(n int) string { return fmt.Sprintf("%d tokens", n) }
+
+func tokenBatchDetail(n int) string {
+	if n < len(tokenBatchDetails) {
+		return tokenBatchDetails[n]
+	}
+	return tokenBatchDetailf(n)
+}
+
 // TokenBatch records one decode step producing a token for each request.
 func (c *Collector) TokenBatch(instance, model string, at sim.Time, reqIDs []string) {
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(at, trace.KindTokenBatch, instance, model, "%d tokens", len(reqIDs))
+	c.ring.Emit(trace.Event{At: at, Kind: trace.KindTokenBatch, Instance: instance, Subject: model,
+		Detail: tokenBatchDetail(len(reqIDs))})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range reqIDs {

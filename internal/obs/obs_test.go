@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -69,6 +70,30 @@ func TestRequestSpanLifecycle(t *testing.T) {
 		if ring.Count(k) == 0 {
 			t.Errorf("ring missing kind %v", k)
 		}
+	}
+}
+
+// TestTokenBatchDetail: the token-batch ring event keeps its "%d tokens"
+// text on both sides of the precomputed table, and a decode step of
+// untracked requests emits without allocating.
+func TestTokenBatchDetail(t *testing.T) {
+	c := New(Options{})
+	sizes := []int{0, 1, 7, 255, 256, 300}
+	for _, n := range sizes {
+		c.TokenBatch("d0", "m", 0, make([]string, n))
+	}
+	events := c.Ring().Events()
+	if len(events) != len(sizes) {
+		t.Fatalf("ring holds %d events, want %d", len(events), len(sizes))
+	}
+	for i, n := range sizes {
+		if want := fmt.Sprintf("%d tokens", n); events[i].Detail != want {
+			t.Errorf("detail for %d tokens = %q, want %q", n, events[i].Detail, want)
+		}
+	}
+	ids := []string{"x1", "x2", "x3"}
+	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", "m", 0, ids) }); allocs != 0 {
+		t.Errorf("TokenBatch allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/sim"
@@ -117,7 +116,7 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.advanceLocked(now)
+	m.advanceLocked(now, nil)
 	if now < m.now {
 		now = m.now
 	}
@@ -125,11 +124,9 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 		SchemaVersion: SchemaVersion,
 		NowSeconds:    now.Seconds(),
 		Objective:     m.cfg.Objective,
-		Windows: []WindowSpec{
-			{Name: "fast", Seconds: m.cfg.FastWindow.Seconds()},
-			{Name: "mid", Seconds: m.cfg.MidWindow.Seconds()},
-			{Name: "slow", Seconds: m.cfg.SlowWindow.Seconds()},
-		},
+	}
+	for i, d := range m.cfg.windows() {
+		out.Windows = append(out.Windows, WindowSpec{Name: windowNames[i], Seconds: d.Seconds()})
 	}
 	out.Fleet = m.scopeSnapshotLocked("", m.fleet, m.fleetCum, now)
 	names := make([]string, 0, len(m.models))
@@ -165,21 +162,15 @@ func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, 
 			Fast: tr.Fast, Mid: tr.Mid, Slow: tr.Slow,
 		})
 	}
-	windows := []struct {
-		name string
-		d    time.Duration
-	}{
-		{"fast", m.cfg.FastWindow}, {"mid", m.cfg.MidWindow}, {"slow", m.cfg.SlowWindow},
-	}
-	for _, w := range windows {
-		met, missed := s.ring.sums(w.d)
+	for i, d := range m.cfg.windows() {
+		met, missed := s.ring.sums(i)
 		ws := WindowStats{
-			Window:     w.name,
-			Seconds:    w.d.Seconds(),
+			Window:     windowNames[i],
+			Seconds:    d.Seconds(),
 			Met:        met,
 			Missed:     missed,
 			Attainment: 1,
-			GoodputTPS: float64(met) / w.d.Seconds(),
+			GoodputTPS: float64(met) / d.Seconds(),
 			BurnRate:   burnRate(met, missed, m.cfg.Objective),
 		}
 		if total := met + missed; total > 0 {

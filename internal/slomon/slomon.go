@@ -95,6 +95,11 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// windows returns the burn-rate window lengths, indexed fastWin..slowWin.
+func (c *Config) windows() [numWindows]time.Duration {
+	return [numWindows]time.Duration{c.FastWindow, c.MidWindow, c.SlowWindow}
+}
+
 // TokenObs is one produced token, judged against its deadline.
 type TokenObs struct {
 	Model    string
@@ -120,10 +125,19 @@ type scope struct {
 
 func newScope(cfg Config) *scope {
 	return &scope{
-		ring: newWindowRing(cfg.Bucket, cfg.SlowWindow),
+		ring: newWindowRing(cfg.Bucket, cfg.windows()),
 		ttft: newEpochSketch(cfg.MidWindow, cfg.QuantileSamples),
 		tbt:  newEpochSketch(cfg.MidWindow, cfg.QuantileSamples),
 	}
+}
+
+// burns returns the scope's burn rate over each window.
+func (s *scope) burns(objective float64) (b [numWindows]float64) {
+	for i := range b {
+		met, missed := s.ring.sums(i)
+		b[i] = burnRate(met, missed, objective)
+	}
+	return b
 }
 
 // Monitor maintains live SLO state. Safe for concurrent use; the zero
@@ -166,6 +180,12 @@ func (m *Monitor) scopeLocked(model string) *scope {
 	s, ok := m.models[model]
 	if !ok {
 		s = newScope(m.cfg)
+		// Start at the monitor clock, where every started ring's head is,
+		// so a first observation judged behind the clock clamps into the
+		// same bucket as the fleet's copy.
+		if m.fleet.ring.head >= 0 {
+			s.ring.advance(m.now)
+		}
 		m.models[model] = s
 	}
 	return s
@@ -199,7 +219,7 @@ func (m *Monitor) ObserveToken(o TokenObs) {
 			s.tbt.add(o.At, o.At-o.Prev)
 		}
 	}
-	m.advanceLocked(o.At)
+	m.advanceLocked(o.At, ms)
 }
 
 // ObserveDropped records one token that will never be generated (failed or
@@ -229,7 +249,7 @@ func (m *Monitor) ObserveDropped(model, request, instance string, arrival, deadl
 		s.missed++
 		s.causes[cause]++
 	}
-	m.advanceLocked(judged)
+	m.advanceLocked(judged, ms)
 }
 
 // ObserveRequest folds one finished request into the cumulative per-model
@@ -251,12 +271,16 @@ func (m *Monitor) Advance(now sim.Time) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.advanceLocked(now)
+	m.advanceLocked(now, nil)
 }
 
-// advanceLocked rotates every ring to now and steps the alert machines
-// whenever the clock crossed into a new bucket.
-func (m *Monitor) advanceLocked(now sim.Time) {
+// advanceLocked moves the clock to now (never backward). Per call it
+// advances only the fleet ring and touched, the model scope just observed
+// (nil for none): every call leaves every started ring's head in the
+// clock's bucket, so the other model rings have nothing to rotate until the
+// clock crosses into a new bucket. Then every ring advances and every alert
+// machine steps.
+func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 	if now < m.now {
 		return
 	}
@@ -264,24 +288,21 @@ func (m *Monitor) advanceLocked(now sim.Time) {
 	m.now = now
 	rotated := m.fleet.ring.head < 0 || int64(now/m.cfg.Bucket) > prevBucket
 	m.fleet.ring.advance(now)
-	for _, s := range m.models {
-		s.ring.advance(now)
+	if touched != nil {
+		touched.ring.advance(now)
 	}
 	if rotated {
+		for _, s := range m.models {
+			s.ring.advance(now)
+		}
 		m.stepAlertsLocked(now)
 	}
 }
 
 func (m *Monitor) stepAlertsLocked(now sim.Time) {
 	step := func(s *scope) {
-		fm, fx := s.ring.sums(m.cfg.FastWindow)
-		mm, mx := s.ring.sums(m.cfg.MidWindow)
-		sm, sx := s.ring.sums(m.cfg.SlowWindow)
-		s.alert.step(now,
-			burnRate(fm, fx, m.cfg.Objective),
-			burnRate(mm, mx, m.cfg.Objective),
-			burnRate(sm, sx, m.cfg.Objective),
-			m.cfg)
+		b := s.burns(m.cfg.Objective)
+		s.alert.step(now, b[fastWin], b[midWin], b[slowWin], m.cfg)
 	}
 	step(m.fleet)
 	for _, s := range m.models {
@@ -300,20 +321,17 @@ func (m *Monitor) FleetAlert() AlertState {
 }
 
 // FleetBurnRates returns the fleet burn rates over the fast, mid, and slow
-// windows as of the last bucket rotation. Zero on a nil monitor. Overload
-// control feeds these into the brownout controller alongside FleetAlert.
+// windows as the live ring holds them now, the current partial bucket
+// included. Zero on a nil monitor. Overload control feeds these into the
+// brownout controller alongside FleetAlert.
 func (m *Monitor) FleetBurnRates() (fast, mid, slow float64) {
 	if m == nil {
 		return 0, 0, 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fm, fx := m.fleet.ring.sums(m.cfg.FastWindow)
-	mm, mx := m.fleet.ring.sums(m.cfg.MidWindow)
-	sm, sx := m.fleet.ring.sums(m.cfg.SlowWindow)
-	return burnRate(fm, fx, m.cfg.Objective),
-		burnRate(mm, mx, m.cfg.Objective),
-		burnRate(sm, sx, m.cfg.Objective)
+	b := m.fleet.burns(m.cfg.Objective)
+	return b[fastWin], b[midWin], b[slowWin]
 }
 
 // Cumulative returns the per-model cumulative trackers (nil on a nil

@@ -3,6 +3,7 @@ package slomon
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -268,5 +269,164 @@ func TestConfigDefaultsAndMonotoneWindows(t *testing.T) {
 	c2 := New(Config{FastWindow: 10 * time.Minute, MidWindow: time.Minute, SlowWindow: time.Second}).Config()
 	if c2.MidWindow < c2.FastWindow || c2.SlowWindow < c2.MidWindow {
 		t.Fatalf("windows not monotone: %v/%v/%v", c2.FastWindow, c2.MidWindow, c2.SlowWindow)
+	}
+}
+
+// windowSums reads a scope's three window sums without advancing anything.
+func windowSums(s *scope) (met, missed [numWindows]uint64) {
+	for i := range met {
+		met[i], missed[i] = s.ring.sums(i)
+	}
+	return met, missed
+}
+
+// checkModelsSumToFleet asserts that, in every window, the fleet's met and
+// missed counts equal the sums over the model scopes.
+func checkModelsSumToFleet(t *testing.T, m *Monitor, label string) {
+	t.Helper()
+	var met, missed [numWindows]uint64
+	for _, s := range m.models {
+		sm, sx := windowSums(s)
+		for i := range met {
+			met[i] += sm[i]
+			missed[i] += sx[i]
+		}
+	}
+	fm, fx := windowSums(m.fleet)
+	for i := range met {
+		if fm[i] != met[i] || fx[i] != missed[i] {
+			t.Fatalf("%s: %s window: fleet %d/%d, models sum to %d/%d",
+				label, windowNames[i], fm[i], fx[i], met[i], missed[i])
+		}
+	}
+}
+
+// TestLateFirstObservationMatchesFleet is a model first seen through a miss
+// judged behind the monitor clock: its copy of the miss must land in the
+// same (clamped) bucket as the fleet's, not in a ring started at the old
+// bucket that the next advance wipes.
+func TestLateFirstObservationMatchesFleet(t *testing.T) {
+	m := New(Config{Bucket: time.Second, FastWindow: 5 * time.Second,
+		MidWindow: 10 * time.Second, SlowWindow: 10 * time.Second})
+	m.ObserveToken(TokenObs{Model: "m0", Request: "r0",
+		Deadline: 21 * time.Second, At: 20 * time.Second})
+	m.ObserveDropped("m1", "r1", "g0", 0, 2*time.Second, 3*time.Second)
+	snap := m.Snapshot(20 * time.Second)
+	for i, fw := range snap.Fleet.Windowed {
+		var met, missed uint64
+		for _, sc := range snap.Models {
+			met += sc.Windowed[i].Met
+			missed += sc.Windowed[i].Missed
+		}
+		if fw.Met != met || fw.Missed != missed {
+			t.Errorf("%s window: fleet %d/%d, models sum to %d/%d", fw.Window, fw.Met, fw.Missed, met, missed)
+		}
+	}
+	if mid := snap.Fleet.Windowed[midWin]; mid.Met != 1 || mid.Missed != 1 {
+		t.Errorf("fleet mid window = %d/%d, want 1/1", mid.Met, mid.Missed)
+	}
+}
+
+// driveMonitor feeds m a seeded random sequence of public calls: tokens on
+// and behind the clock from models that keep appearing, drops judged with
+// deadlines far behind the clock or in the future, Advance calls, idle gaps
+// longer than the ring, and snapshots behind the clock. check runs after
+// every call.
+func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(op string)) {
+	bucket, span := m.cfg.Bucket, m.cfg.SlowWindow
+	jitter := func(d time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(d))) }
+	for i := 0; i < ops; i++ {
+		model := fmt.Sprintf("m%d", rng.Intn(1+i/25))
+		// Mostly just ahead of the clock, sometimes behind it.
+		at := max(m.now+jitter(2*bucket)-bucket/2, 0)
+		var op string
+		switch r := rng.Intn(12); {
+		case r < 6:
+			op = "token"
+			m.ObserveToken(TokenObs{Model: model, Request: "r", Index: rng.Intn(3),
+				Deadline: at + jitter(bucket) - bucket/3, At: at, Prev: at - bucket/10})
+		case r < 8:
+			op = "drop"
+			deadline := max(at-jitter(2*span), 0)
+			if rng.Intn(3) == 0 {
+				deadline = at + span
+			}
+			m.ObserveDropped(model, "r", "g0", 0, deadline, at)
+		case r < 10:
+			op = "advance"
+			m.Advance(at)
+		case r == 10:
+			op = "idle gap"
+			m.Advance(m.now + span + jitter(span))
+		default:
+			op = "stale snapshot"
+			if err := Validate(m.Snapshot(max(m.now-jitter(span), 0))); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		check(op)
+	}
+}
+
+var propertyConfig = Config{Bucket: time.Second, FastWindow: 5 * time.Second,
+	MidWindow: 10 * time.Second, SlowWindow: 20 * time.Second}
+
+// TestFleetWindowsEqualModelSum: every token lands in the fleet scope and in
+// exactly one model scope, so after every call each fleet window must equal
+// the sum of the model windows.
+func TestFleetWindowsEqualModelSum(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		m := New(propertyConfig)
+		step := 0
+		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
+			checkModelsSumToFleet(t, m, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
+			step++
+		})
+	}
+}
+
+// TestRingHeadsTrackClock is the invariant lazy advance rests on: after
+// every public call, every started ring's head is the bucket of the monitor
+// clock, so the rings a call did not touch have nothing to rotate.
+func TestRingHeadsTrackClock(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		m := New(propertyConfig)
+		step := 0
+		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
+			want := int64(m.now / m.cfg.Bucket)
+			if h := m.fleet.ring.head; h >= 0 && h != want {
+				t.Fatalf("seed %d step %d (%s): fleet head %d, clock bucket %d", seed, step, op, h, want)
+			}
+			for name, s := range m.models {
+				if h := s.ring.head; h >= 0 && h != want {
+					t.Fatalf("seed %d step %d (%s): %s head %d, clock bucket %d", seed, step, op, name, h, want)
+				}
+			}
+			step++
+		})
+	}
+}
+
+// BenchmarkObserveToken is the monitor's per-token cost at growing model
+// counts: models take turns, and the clock moves 1ms per token, so a bucket
+// rotation (which steps every scope's alerts) comes once per 1000 tokens.
+// ns/op should stay roughly flat across model counts.
+func BenchmarkObserveToken(b *testing.B) {
+	for _, n := range []int{1, 40, 400} {
+		b.Run(fmt.Sprintf("models=%d", n), func(b *testing.B) {
+			m := New(Config{})
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("m%03d", i)
+				m.ObserveToken(TokenObs{Model: names[i], Request: "r", Deadline: time.Second})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := time.Duration(i) * time.Millisecond
+				m.ObserveToken(TokenObs{Model: names[i%n], Request: "r", Index: 1 + i%64,
+					Deadline: at + time.Second, At: at, Prev: at - time.Millisecond})
+			}
+		})
 	}
 }

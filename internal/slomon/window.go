@@ -7,6 +7,16 @@ import (
 	"aegaeon/internal/sim"
 )
 
+// Burn-rate window indices, in Config order (fast, mid, slow).
+const (
+	fastWin = iota
+	midWin
+	slowWin
+	numWindows
+)
+
+var windowNames = [numWindows]string{"fast", "mid", "slow"}
+
 // windowRing is a ring of fixed-width time buckets over the virtual clock,
 // holding met/missed token counts. Buckets are addressed by absolute bucket
 // index (time / width), so advancing across idle gaps zeroes the skipped
@@ -14,24 +24,35 @@ import (
 // retained span clamp into the oldest bucket — late observations (e.g.
 // Finalize judging never-generated tokens) still land inside the window
 // rather than vanishing.
+//
+// The ring keeps a running met/missed total per burn-rate window: observe
+// adds to every window covering the written bucket, and each advance step
+// subtracts the bucket leaving each window before its slot is reused, so a
+// window sum is a read rather than a scan.
 type windowRing struct {
 	width  time.Duration
 	met    []uint64
 	missed []uint64
 	head   int64 // absolute index of the newest bucket; -1 before first use
+
+	// span[i] is window i's length in buckets; winMet[i]/winMissed[i] total
+	// the buckets (head-span[i], head].
+	span      [numWindows]int64
+	winMet    [numWindows]uint64
+	winMissed [numWindows]uint64
 }
 
-func newWindowRing(width time.Duration, span time.Duration) *windowRing {
-	n := int(span / width)
-	if n < 1 {
-		n = 1
+// newWindowRing builds a ring retaining the longest of the windows.
+func newWindowRing(width time.Duration, windows [numWindows]time.Duration) *windowRing {
+	w := &windowRing{width: width, head: -1}
+	n := int64(1)
+	for i, d := range windows {
+		w.span[i] = max(int64(d/width), 1)
+		n = max(n, w.span[i])
 	}
-	return &windowRing{
-		width:  width,
-		met:    make([]uint64, n),
-		missed: make([]uint64, n),
-		head:   -1,
-	}
+	w.met = make([]uint64, n)
+	w.missed = make([]uint64, n)
+	return w
 }
 
 func (w *windowRing) slot(abs int64) int {
@@ -39,8 +60,8 @@ func (w *windowRing) slot(abs int64) int {
 	return int(((abs % n) + n) % n)
 }
 
-// advance moves the head to the bucket containing now, zeroing every slot
-// the head skips over.
+// advance moves the head to the bucket containing now, retiring every
+// bucket that falls out of a window and zeroing the slots the head reuses.
 func (w *windowRing) advance(now sim.Time) {
 	abs := int64(now / w.width)
 	if w.head < 0 {
@@ -50,15 +71,23 @@ func (w *windowRing) advance(now sim.Time) {
 	if abs <= w.head {
 		return
 	}
-	steps := abs - w.head
-	if steps > int64(len(w.met)) {
-		steps = int64(len(w.met))
+	if abs-w.head >= int64(len(w.met)) {
+		clear(w.met)
+		clear(w.missed)
+		w.winMet, w.winMissed = [numWindows]uint64{}, [numWindows]uint64{}
+		w.head = abs
+		return
 	}
-	for i := int64(1); i <= steps; i++ {
-		s := w.slot(w.head + i)
+	for w.head < abs {
+		w.head++
+		for i, k := range w.span {
+			s := w.slot(w.head - k)
+			w.winMet[i] -= w.met[s]
+			w.winMissed[i] -= w.missed[s]
+		}
+		s := w.slot(w.head)
 		w.met[s], w.missed[s] = 0, 0
 	}
-	w.head = abs
 }
 
 // observe counts one token outcome in the bucket containing at. Times ahead
@@ -73,33 +102,21 @@ func (w *windowRing) observe(at sim.Time, met bool) {
 	if oldest := w.head - int64(len(w.met)) + 1; abs < oldest {
 		abs = oldest
 	}
-	s := w.slot(abs)
+	counts, win := w.missed, &w.winMissed
 	if met {
-		w.met[s]++
-	} else {
-		w.missed[s]++
+		counts, win = w.met, &w.winMet
+	}
+	counts[w.slot(abs)]++
+	for i, k := range w.span {
+		if abs > w.head-k {
+			win[i]++
+		}
 	}
 }
 
-// sums returns the (met, missed) totals over the most recent `window` of
-// buckets ending at the head.
-func (w *windowRing) sums(window time.Duration) (met, missed uint64) {
-	if w.head < 0 {
-		return 0, 0
-	}
-	k := int(window / w.width)
-	if k < 1 {
-		k = 1
-	}
-	if k > len(w.met) {
-		k = len(w.met)
-	}
-	for i := 0; i < k; i++ {
-		s := w.slot(w.head - int64(i))
-		met += w.met[s]
-		missed += w.missed[s]
-	}
-	return met, missed
+// sums returns the (met, missed) totals over window i, ending at the head.
+func (w *windowRing) sums(i int) (met, missed uint64) {
+	return w.winMet[i], w.winMissed[i]
 }
 
 // epochSketch keeps bounded TTFT/TBT quantiles over a sliding epoch pair:

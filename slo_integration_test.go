@@ -1,6 +1,9 @@
 package aegaeon_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -8,6 +11,69 @@ import (
 	"aegaeon"
 	"aegaeon/internal/slomon"
 )
+
+// sloDigest is the sha256 of a snapshot's JSON encoding.
+func sloDigest(t *testing.T, snap *slomon.Snapshot) string {
+	t.Helper()
+	if snap == nil {
+		t.Fatal("no SLO snapshot in report")
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSLOMonitorGolden pins the monitor's full output on two realistic runs,
+// so a refactor of the window or alert machinery that moves a single count,
+// burn rate or transition fails here.
+func TestSLOMonitorGolden(t *testing.T) {
+	t.Run("paper", func(t *testing.T) {
+		// The paper testbed: 16xH800 as 6 prefill + 10 decode, 40 models.
+		sys, err := aegaeon.New(aegaeon.Config{GPU: "H800", PrefillGPUs: 6, DecodeGPUs: 10,
+			NumModels: 40, Seed: 1, SLOMonitor: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sys.Serve(sys.GenerateTrace(aegaeon.TraceSpec{RatePerModel: 0.1, Horizon: 3 * time.Minute}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "bad67b0ab10f20bf7dc47510b8b05124575acba16fa471feac7da3d3779cce24"
+		if got := sloDigest(t, rep.SLO); got != want {
+			t.Errorf("SLO snapshot digest = %s, want %s", got, want)
+		}
+	})
+	t.Run("overload", func(t *testing.T) {
+		// The overload-bench shape: 8 models on 2+2 at 3x load with a 20/30%
+		// high/low priority mix, so the brownout ladder reads the monitor's
+		// burn rates and transitions.
+		build := func() *aegaeon.System {
+			sys, err := aegaeon.New(aegaeon.Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 8,
+				Seed: 1, Overload: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}
+		gen := build()
+		trace := gen.GenerateTrace(aegaeon.TraceSpec{RatePerModel: 0.9, Horizon: time.Minute})
+		gen.AssignPriorities(trace, 0.2, 0.3)
+		rep, err := build().Serve(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "414b5116dc34dd5ada18a6cc76c85df790b430a624ee35ca2826f370556ed122"
+		if got := sloDigest(t, rep.SLO); got != want {
+			t.Errorf("SLO snapshot digest = %s, want %s", got, want)
+		}
+		if rep.OverloadTransitions != 3 {
+			t.Errorf("overload transitions = %d, want 3", rep.OverloadTransitions)
+		}
+	})
+}
 
 // TestSLOMonitorConvergesToTracker runs a steady workload with the live
 // monitor on and cross-checks its windowed attainment against the offline
