@@ -76,13 +76,25 @@ type decodeInstance struct {
 	roundSumInv float64
 
 	batchLimits map[string]int64
+
+	// Decode step state. At most one step is in flight per instance and a
+	// dead instance never steps again, so stepLoop refills these buffers in
+	// place and the step's completion is finishStep, bound once as stepDone.
+	ready       []*Request
+	stepReqs    []*Request // requests the in-flight step produces a token for
+	stepBatch   *dbatch
+	stepTurnEnd sim.Time
+	stepStart   sim.Time
+	stepDone    func()
 }
 
 // dbgTurn is a test hook for turn-event tracing.
 var dbgTurn = func(*decodeInstance, string, *dbatch) {}
 
 func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
-	return &decodeInstance{sys: s, eng: e, batchLimits: map[string]int64{}}
+	d := &decodeInstance{sys: s, eng: e, batchLimits: map[string]int64{}}
+	d.stepDone = d.finishStep
+	return d
 }
 
 // load is the Algorithm 2 dispatch load: work-list size (plus not-yet-
@@ -692,7 +704,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 		d.endTurn()
 		return
 	}
-	var ready []*Request
+	ready := d.ready[:0]
 	var inflight []*gpu.Event
 	var waiting []*Request
 	for _, r := range b.reqs {
@@ -715,6 +727,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 			}
 		}
 	}
+	d.ready = ready
 	if len(ready) == 0 {
 		if len(inflight) == 0 {
 			// Everything deferred by OOM retries; poll.
@@ -737,7 +750,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	}
 	// Grow each ready sequence by the token this step will produce.
 	var ctx int64
-	stepReqs := make([]*Request, 0, len(ready))
+	stepReqs := d.stepReqs[:0]
 	for _, r := range ready {
 		if err := d.eng.KV().AppendTokens(r.Seq, 1); err != nil {
 			if errors.Is(err, memory.ErrOutOfMemory) {
@@ -748,50 +761,58 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 		stepReqs = append(stepReqs, r)
 		ctx += r.ContextTokens()
 	}
+	d.stepReqs = stepReqs
 	if len(stepReqs) == 0 {
 		// KV full: end the turn so the batch rotates out and frees space.
 		d.endTurn()
 		return
 	}
-	stepStart := d.eng.Sim().Now()
-	d.eng.DecodeStep(ctx, func() {
-		if d.dead {
-			// The instance fail-stopped (crash or spot revocation) while this
-			// step was on the GPU. Its requests were orphaned or evacuated and
-			// may already be re-homed with fresh sequences — or none at all —
-			// so the step's tokens must not be recorded against them.
-			d.running = false
-			return
+	d.stepBatch, d.stepTurnEnd, d.stepStart = b, turnEnd, now
+	d.eng.DecodeStep(ctx, d.stepDone)
+}
+
+// finishStep completes the in-flight decode step: every request in stepReqs
+// receives its token, finished requests release their KV, and the loop
+// continues with the step's batch.
+func (d *decodeInstance) finishStep() {
+	if d.dead {
+		// The instance fail-stopped (crash or spot revocation) while this
+		// step was on the GPU. Its requests were orphaned or evacuated and
+		// may already be re-homed with fresh sequences — or none at all —
+		// so the step's tokens must not be recorded against them.
+		d.running = false
+		return
+	}
+	b := d.stepBatch
+	now := d.eng.Sim().Now()
+	stepDur := now - d.stepStart
+	if d.sys.obs != nil {
+		d.sys.obs.TokenBatch(d.eng.Name, b.model, now, requestIDs(d.stepReqs))
+	}
+	finishedAny := false
+	for _, r := range d.stepReqs {
+		n := len(r.TokenTimes)
+		r.recordToken(now)
+		d.sys.noteToken(d.eng.Name, r, n, now)
+		r.decodeExec += stepDur
+		if len(r.TokenTimes) >= r.OutputTokens {
+			if err := d.eng.KV().Free(r.Seq); err != nil {
+				panic("core: free finished sequence: " + err.Error())
+			}
+			d.sys.finishRequest(r)
+			finishedAny = true
 		}
-		stepDur := d.eng.Sim().Now() - stepStart
-		if d.sys.obs != nil {
-			d.sys.obs.TokenBatch(d.eng.Name, b.model, d.eng.Sim().Now(), requestIDs(stepReqs))
-		}
-		finishedAny := false
-		for _, r := range stepReqs {
-			n := len(r.TokenTimes)
-			r.recordToken(d.eng.Sim().Now())
-			d.sys.noteToken(d.eng.Name, r, n, d.eng.Sim().Now())
-			r.decodeExec += stepDur
-			if len(r.TokenTimes) >= r.OutputTokens {
-				if err := d.eng.KV().Free(r.Seq); err != nil {
-					panic("core: free finished sequence: " + err.Error())
-				}
-				d.sys.finishRequest(r)
-				finishedAny = true
+	}
+	if finishedAny {
+		kept := b.reqs[:0]
+		for _, r := range b.reqs {
+			if !r.terminal() {
+				kept = append(kept, r)
 			}
 		}
-		if finishedAny {
-			kept := b.reqs[:0]
-			for _, r := range b.reqs {
-				if !r.terminal() {
-					kept = append(kept, r)
-				}
-			}
-			b.reqs = kept
-		}
-		d.stepLoop(b, turnEnd, true)
-	})
+		b.reqs = kept
+	}
+	d.stepLoop(b, d.stepTurnEnd, true)
 }
 
 func (d *decodeInstance) endTurn() {

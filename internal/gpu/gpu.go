@@ -96,7 +96,9 @@ type Device struct {
 func NewDevice(eng *sim.Engine, name string) *Device {
 	d := &Device{Name: name, eng: eng}
 	for k := range d.engines {
-		d.engines[k] = &executor{eng: eng, dev: d, kind: EngineKind(k)}
+		x := &executor{eng: eng, dev: d, kind: EngineKind(k)}
+		x.retire = x.finish
+		d.engines[k] = x
 	}
 	return d
 }
@@ -146,26 +148,70 @@ func (d *Device) Utilization(k EngineKind, since sim.Time, busyAtSince time.Dura
 // Sim returns the simulation engine the device is attached to.
 func (d *Device) Sim() *sim.Engine { return d.eng }
 
-// op is one unit of stream work.
+// op is one unit of stream work. Engine and Record ops carry their
+// completion event inline, so submitting one costs a single allocation; the
+// *Event handed to callers points into the op.
 type op struct {
 	stream  *Stream
 	kind    EngineKind
 	dur     time.Duration
 	info    OpInfo
-	onDone  []func()
+	onDone  func()
 	barrier *Event // non-nil: wait-for-event op (no engine time)
-	marker  *Event // non-nil: completes when the op completes
+	marker  Event  // completes when the op completes (unused by barrier ops)
 	record  bool   // pure Record marker: no engine work
 	started bool
 	waiting bool // barrier op already registered a completion callback
+}
+
+// newOp returns an op of stream s whose marker event is ready to fire.
+func (s *Stream) newOp() *op {
+	o := &op{stream: s}
+	o.marker.eng = s.dev.eng
+	return o
+}
+
+// opQueue is a FIFO of ops: a slice consumed from a head index. A push that
+// would grow the slice first compacts it when at least half is consumed, so
+// steady-state traffic reuses one backing array and each op is copied O(1)
+// times amortized.
+type opQueue struct {
+	buf  []*op
+	head int
+}
+
+func (q *opQueue) len() int { return len(q.buf) - q.head }
+
+func (q *opQueue) front() *op { return q.buf[q.head] }
+
+func (q *opQueue) push(o *op) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, o)
+}
+
+func (q *opQueue) pop() *op {
+	o := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return o
 }
 
 // Stream is an ordered queue of device operations (a CUDA stream).
 type Stream struct {
 	dev     *Device
 	name    string
-	queue   []*op
+	queue   opQueue
 	pumping bool
+	resume  func() // s.pump, bound on the first barrier wait
 }
 
 // Name returns the stream's diagnostic name.
@@ -175,9 +221,9 @@ func (s *Stream) Name() string { return s.name }
 func (s *Stream) Device() *Device { return s.dev }
 
 // Submit enqueues an operation occupying engine k for dur. onDone callbacks
-// (optional) fire when the operation completes. Returns an Event capturing
-// the operation's completion (equivalent to Submit followed by Record, but
-// cheaper and common enough to fold in).
+// (optional) fire in order when the operation completes. Returns an Event
+// capturing the operation's completion (equivalent to Submit followed by
+// Record, but cheaper and common enough to fold in).
 func (s *Stream) Submit(k EngineKind, dur time.Duration, tag string, onDone ...func()) *Event {
 	return s.SubmitOp(k, dur, OpInfo{Tag: tag}, onDone...)
 }
@@ -189,21 +235,33 @@ func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone .
 	if dur < 0 {
 		panic(fmt.Sprintf("gpu: negative op duration %v (%s)", dur, info.Tag))
 	}
-	ev := newEvent(s.dev.eng)
-	o := &op{stream: s, kind: k, dur: dur, info: info, onDone: onDone, marker: ev}
-	s.queue = append(s.queue, o)
+	o := s.newOp()
+	o.kind, o.dur, o.info = k, dur, info
+	switch len(onDone) {
+	case 0:
+	case 1:
+		o.onDone = onDone[0]
+	default:
+		fns := append([]func(){}, onDone...)
+		o.onDone = func() {
+			for _, fn := range fns {
+				fn()
+			}
+		}
+	}
+	s.queue.push(o)
 	s.pump()
-	return ev
+	return &o.marker
 }
 
 // Record captures all work currently submitted to the stream into an event
 // (cudaEventRecord): the event completes when that work completes.
 func (s *Stream) Record() *Event {
-	ev := newEvent(s.dev.eng)
-	o := &op{stream: s, marker: ev, record: true}
-	s.queue = append(s.queue, o)
+	o := s.newOp()
+	o.record = true
+	s.queue.push(o)
 	s.pump()
-	return ev
+	return &o.marker
 }
 
 // WaitEvent makes all future work on the stream wait for the event
@@ -213,8 +271,7 @@ func (s *Stream) WaitEvent(e *Event) {
 	if e == nil {
 		panic("gpu: WaitEvent(nil)")
 	}
-	o := &op{stream: s, barrier: e}
-	s.queue = append(s.queue, o)
+	s.queue.push(&op{stream: s, barrier: e})
 	s.pump()
 }
 
@@ -225,21 +282,24 @@ func (s *Stream) pump() {
 	}
 	s.pumping = true
 	defer func() { s.pumping = false }()
-	for len(s.queue) > 0 {
-		head := s.queue[0]
+	for s.queue.len() > 0 {
+		head := s.queue.front()
 		switch {
 		case head.barrier != nil:
 			if !head.barrier.Query() {
 				if !head.waiting {
 					head.waiting = true
-					head.barrier.onComplete(func() { s.pump() })
+					if s.resume == nil {
+						s.resume = s.pump
+					}
+					head.barrier.onComplete(s.resume)
 				}
 				return
 			}
-			s.queue = s.queue[1:]
+			s.queue.pop()
 		case head.record:
 			// Pure marker (Record): completes instantly once reached.
-			s.queue = s.queue[1:]
+			s.queue.pop()
 			head.marker.fire()
 		default:
 			if head.started {
@@ -254,66 +314,76 @@ func (s *Stream) pump() {
 
 // complete is called by the executor when the head op finishes.
 func (s *Stream) complete(o *op) {
-	if len(s.queue) == 0 || s.queue[0] != o {
+	if s.queue.len() == 0 || s.queue.front() != o {
 		panic("gpu: completed op is not at stream head")
 	}
-	s.queue = s.queue[1:]
-	for _, fn := range o.onDone {
-		fn()
+	s.queue.pop()
+	// Callers may hold the op's marker long after completion, which keeps
+	// the op alive: drop the callback's captures and the labels now.
+	done := o.onDone
+	o.onDone, o.info = nil, OpInfo{}
+	if done != nil {
+		done()
 	}
-	if o.marker != nil {
-		o.marker.fire()
-	}
+	o.marker.fire()
 	s.pump()
 }
 
 // PendingOps returns the number of operations queued on the stream.
-func (s *Stream) PendingOps() int { return len(s.queue) }
+func (s *Stream) PendingOps() int { return s.queue.len() }
 
-// executor serializes ops on one hardware engine, FIFO by readiness.
+// executor serializes ops on one hardware engine, FIFO by readiness. At most
+// one op (cur) occupies the engine; its completion event calls retire, the
+// executor's finish method bound once at construction, so starting an op
+// schedules no per-op closure.
 type executor struct {
-	eng   *sim.Engine
-	dev   *Device
-	kind  EngineKind
-	queue []*op
-	busy  bool
+	eng    *sim.Engine
+	dev    *Device
+	kind   EngineKind
+	queue  opQueue
+	cur    *op // executing op; nil while idle
+	retire func()
 
 	busyAccum time.Duration
 	busySince sim.Time
 }
 
 func (x *executor) enqueue(o *op) {
-	x.queue = append(x.queue, o)
+	x.queue.push(o)
 	x.kick()
 }
 
 func (x *executor) kick() {
-	if x.busy || len(x.queue) == 0 {
+	if x.cur != nil || x.queue.len() == 0 {
 		return
 	}
-	o := x.queue[0]
-	x.queue = x.queue[1:]
-	x.busy = true
+	o := x.queue.pop()
+	x.cur = o
 	x.busySince = x.eng.Now()
 	if bo := x.dev.busyObs; bo != nil {
 		bo(x.dev, x.kind, o.info, true)
 	}
-	x.eng.After(o.dur, func() {
-		x.busy = false
-		x.busyAccum += x.eng.Now() - x.busySince
-		if bo := x.dev.busyObs; bo != nil {
-			bo(x.dev, x.kind, o.info, false)
-		}
-		if obs := x.dev.observer; obs != nil {
-			obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.busySince, End: x.eng.Now()})
-		}
-		o.stream.complete(o)
-		x.kick()
-	})
+	x.eng.After(o.dur, x.retire)
+}
+
+// finish retires cur: the engine goes idle, observers see the interval, the
+// stream completes the op, and the next queued op starts.
+func (x *executor) finish() {
+	o := x.cur
+	x.cur = nil
+	x.busyAccum += x.eng.Now() - x.busySince
+	if bo := x.dev.busyObs; bo != nil {
+		bo(x.dev, x.kind, o.info, false)
+	}
+	if obs := x.dev.observer; obs != nil {
+		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.busySince, End: x.eng.Now()})
+	}
+	o.stream.complete(o)
+	x.kick()
 }
 
 func (x *executor) busyTotal(now sim.Time) time.Duration {
-	if x.busy {
+	if x.cur != nil {
 		return x.busyAccum + (now - x.busySince)
 	}
 	return x.busyAccum
@@ -327,8 +397,6 @@ type Event struct {
 	at      sim.Time
 	waiters []func()
 }
-
-func newEvent(eng *sim.Engine) *Event { return &Event{eng: eng} }
 
 // NewCompletedEvent returns an event that is already complete — useful as a
 // neutral dependency.
@@ -389,7 +457,7 @@ func OpenEventHandle(h EventHandle) *Event {
 // A convenience not present in CUDA proper (where one would WaitEvent each),
 // used by host-side orchestration code.
 func AfterAll(eng *sim.Engine, events ...*Event) *Event {
-	out := newEvent(eng)
+	out := &Event{eng: eng}
 	remaining := 0
 	for _, e := range events {
 		if !e.Query() {

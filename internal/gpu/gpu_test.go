@@ -340,3 +340,78 @@ func TestRandomDAGProperty(t *testing.T) {
 		}
 	}
 }
+
+// Every onDone callback passed to one Submit fires, in argument order,
+// before the op's completion event.
+func TestSubmitCallbacksInOrder(t *testing.T) {
+	eng, d := newDev(1)
+	var order []string
+	var ev *Event
+	ev = d.NewStream("s").Submit(Compute, time.Millisecond, "k",
+		func() { order = append(order, "a") },
+		func() { order = append(order, "b") },
+		func() {
+			if ev.Query() {
+				t.Error("completion event fired before the callbacks")
+			}
+			order = append(order, "c")
+		})
+	eng.Run()
+	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("callbacks ran as %v, want [a b c]", order)
+	}
+	if !ev.Query() {
+		t.Fatal("completion event did not fire")
+	}
+}
+
+// The op queue stays FIFO through interleaved pushes and pops, and a
+// bounded backlog keeps a bounded backing array.
+func TestOpQueueFIFO(t *testing.T) {
+	var q opQueue
+	var model []*op
+	ops := make([]*op, 64)
+	for i := range ops {
+		ops[i] = &op{}
+	}
+	next := 0
+	for step := 0; step < 10_000; step++ {
+		if step%3 != 2 || len(model) < 8 {
+			if len(model) < 40 {
+				q.push(ops[next%len(ops)])
+				model = append(model, ops[next%len(ops)])
+				next++
+				continue
+			}
+		}
+		if got := q.pop(); got != model[0] {
+			t.Fatalf("step %d: popped the wrong op", step)
+		}
+		model = model[1:]
+		if q.len() != len(model) {
+			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(model))
+		}
+	}
+	// Compaction runs once half the array is consumed, so the array holds
+	// at most twice the backlog before append's growth factor.
+	if c := cap(q.buf); c > 4*40 {
+		t.Fatalf("backing array grew to %d for a backlog of at most 40", c)
+	}
+}
+
+// Submitting an op and running it to completion costs one allocation: the
+// op itself, which carries its completion event.
+func TestSubmitRunAllocs(t *testing.T) {
+	eng, d := newDev(1)
+	s := d.NewStream("s")
+	for i := 0; i < 64; i++ {
+		s.Submit(Compute, time.Microsecond, "op")
+	}
+	eng.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Submit(Compute, time.Microsecond, "op")
+		eng.Run()
+	}); n > 1 {
+		t.Fatalf("Submit+Run allocates %.1f times per op, want <= 1", n)
+	}
+}

@@ -32,7 +32,8 @@ type Cache struct {
 	name        string
 	pool        *memory.SlabPool
 	blockTokens int
-	classes     map[string]int64 // label -> block bytes
+	classes     map[string]int64         // label -> block bytes
+	shapes      map[model.KVShape]string // registered shape -> label
 }
 
 // NewCache builds a tier over capacity bytes with the given slab size and
@@ -46,18 +47,25 @@ func NewCache(name string, capacity, slabSize int64, blockTokens int) *Cache {
 		pool:        memory.NewSlabPool(capacity, slabSize),
 		blockTokens: blockTokens,
 		classes:     map[string]int64{},
+		shapes:      map[model.KVShape]string{},
 	}
 }
 
 // RegisterShape declares the shape class for a model's KV geometry and
-// returns the class label. Models with identical shapes share a class.
+// returns the class label. Models with identical shapes share a class. It
+// runs on every swap-in and new sequence, so a shape registered once is
+// answered from a per-shape memo without formatting its label again.
 func (c *Cache) RegisterShape(s model.KVShape) (string, error) {
+	if label, ok := c.shapes[s]; ok {
+		return label, nil
+	}
 	label := s.String()
 	blockBytes := s.BytesPerToken() * int64(c.blockTokens)
 	if err := c.pool.Register(label, blockBytes); err != nil {
 		return "", err
 	}
 	c.classes[label] = blockBytes
+	c.shapes[s] = label
 	return label, nil
 }
 

@@ -470,3 +470,34 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// RegisterShape answers a known shape from its memo: the label is the
+// shape's String form, repeat calls allocate nothing, and a shape that
+// failed to register fails again.
+func TestRegisterShapeMemo(t *testing.T) {
+	c := NewCache("gpu", 64<<20, 16<<20, 16)
+	shape := model.KVShape{Layers: 28, KVHeads: 4, HeadDim: 128, BytesPerElem: 2}
+	label, err := c.RegisterShape(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if label != shape.String() {
+		t.Fatalf("label = %q, want %q", label, shape.String())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got, _ := c.RegisterShape(shape); got != label {
+			t.Fatalf("memoized label = %q, want %q", got, label)
+		}
+	}); n != 0 {
+		t.Fatalf("repeat RegisterShape allocates %.1f times, want 0", n)
+	}
+	// Same label, different element width: the pool refuses the size clash
+	// every time rather than the memo answering with the first shape's class.
+	wide := shape
+	wide.BytesPerElem = 4
+	for i := 0; i < 2; i++ {
+		if _, err := c.RegisterShape(wide); err == nil {
+			t.Fatalf("call %d: clashing shape registered", i)
+		}
+	}
+}

@@ -19,10 +19,9 @@ type Block struct {
 // free list, so shapes borrow capacity from each other over time.
 type SlabPool struct {
 	slabSize  int64
-	slabCount int
 	freeSlabs []int
 	classes   map[string]*slabClass
-	slabOwner []string // slab id -> class label ("" if free)
+	slabs     []slab // by slab id
 
 	peakAllocated int64 // high-water mark of slab bytes held by classes
 }
@@ -31,17 +30,42 @@ type slabClass struct {
 	label         string
 	blockBytes    int64
 	blocksPerSlab int
-	slabs         map[int]*slab
+	slabs         int     // slabs held
 	freeBlocks    []Block // LIFO free list
 	used          int     // blocks in use
 	peakAllocated int64   // high-water of slab bytes held by this class
 }
 
+// slab is one slab's bookkeeping. state is sized to the owner's
+// blocksPerSlab when the slab is acquired and is all blockFree whenever the
+// slab is back on the free list, so reacquiring it allocates nothing unless
+// the new owner packs more blocks per slab.
 type slab struct {
-	id      int
-	inUse   int
-	live    map[int]bool // indices currently allocated
-	blocked map[int]bool // indices currently unavailable for allocation (move lists)
+	owner   *slabClass // nil while the slab is free
+	inUse   int        // blocks in blockLive
+	blocked int        // blocks in blockBlocked
+	state   []blockState
+}
+
+type blockState uint8
+
+const (
+	blockFree    blockState = iota
+	blockLive               // allocated
+	blockBlocked            // freed but unavailable until Unblock (move lists)
+)
+
+// is reports whether block index i of the slab is in state st.
+func (s *slab) is(i int, st blockState) bool {
+	return i >= 0 && i < len(s.state) && s.state[i] == st
+}
+
+// slabOf returns b's slab if class c holds it, or nil.
+func (p *SlabPool) slabOf(c *slabClass, b Block) *slab {
+	if b.Slab < 0 || b.Slab >= len(p.slabs) || p.slabs[b.Slab].owner != c {
+		return nil
+	}
+	return &p.slabs[b.Slab]
 }
 
 // NewSlabPool divides capacity bytes into slabs of slabSize bytes each.
@@ -51,10 +75,9 @@ func NewSlabPool(capacity, slabSize int64) *SlabPool {
 	}
 	n := int(capacity / slabSize)
 	p := &SlabPool{
-		slabSize:  slabSize,
-		slabCount: n,
-		classes:   map[string]*slabClass{},
-		slabOwner: make([]string, n),
+		slabSize: slabSize,
+		classes:  map[string]*slabClass{},
+		slabs:    make([]slab, n),
 	}
 	// Keep the free list sorted so allocation order is deterministic.
 	p.freeSlabs = make([]int, n)
@@ -85,7 +108,6 @@ func (p *SlabPool) Register(label string, blockBytes int64) error {
 		label:         label,
 		blockBytes:    blockBytes,
 		blocksPerSlab: int(p.slabSize / blockBytes),
-		slabs:         map[int]*slab{},
 	}
 	return nil
 }
@@ -101,17 +123,17 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 	for len(c.freeBlocks) > 0 {
 		b := c.freeBlocks[len(c.freeBlocks)-1]
 		c.freeBlocks = c.freeBlocks[:len(c.freeBlocks)-1]
-		s := c.slabs[b.Slab]
+		s := p.slabOf(c, b)
 		if s == nil {
 			continue // slab was reclaimed; stale free-list entry
 		}
-		if s.blocked[b.Index] {
+		if s.state[b.Index] == blockBlocked {
 			// Block is in a move list (§5.3 rule ❸); skip it for now. It is
 			// re-added to the free list when the transfer completes.
 			continue
 		}
 		s.inUse++
-		s.live[b.Index] = true
+		s.state[b.Index] = blockLive
 		c.used++
 		return b, nil
 	}
@@ -121,9 +143,14 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 	}
 	id := p.freeSlabs[len(p.freeSlabs)-1]
 	p.freeSlabs = p.freeSlabs[:len(p.freeSlabs)-1]
-	s := &slab{id: id, live: map[int]bool{}}
-	c.slabs[id] = s
-	p.slabOwner[id] = label
+	s := &p.slabs[id]
+	s.owner = c
+	if n := c.blocksPerSlab; cap(s.state) >= n {
+		s.state = s.state[:n]
+	} else {
+		s.state = make([]blockState, n)
+	}
+	c.slabs++
 	if alloc := c.allocatedBytes(p.slabSize); alloc > c.peakAllocated {
 		c.peakAllocated = alloc
 	}
@@ -136,7 +163,7 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 		c.freeBlocks = append(c.freeBlocks, Block{Class: label, Slab: id, Index: i})
 	}
 	s.inUse++
-	s.live[0] = true
+	s.state[0] = blockLive
 	c.used++
 	return Block{Class: label, Slab: id, Index: 0}, nil
 }
@@ -148,18 +175,18 @@ func (p *SlabPool) Free(b Block) error {
 	if !ok {
 		return fmt.Errorf("memory: free of block with unknown class %q", b.Class)
 	}
-	s, ok := c.slabs[b.Slab]
-	if !ok {
+	s := p.slabOf(c, b)
+	if s == nil {
 		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, b.Class)
 	}
-	if !s.live[b.Index] {
+	if !s.is(b.Index, blockLive) {
 		return fmt.Errorf("memory: double free of block %v", b)
 	}
-	delete(s.live, b.Index)
+	s.state[b.Index] = blockFree
 	s.inUse--
 	c.used--
-	if s.inUse == 0 && len(s.blocked) == 0 {
-		p.reclaim(c, s)
+	if s.inUse == 0 && s.blocked == 0 {
+		p.reclaim(c, b.Slab)
 		return nil
 	}
 	c.freeBlocks = append(c.freeBlocks, b)
@@ -174,20 +201,17 @@ func (p *SlabPool) FreeBlocked(b Block) error {
 	if !ok {
 		return fmt.Errorf("memory: free of block with unknown class %q", b.Class)
 	}
-	s, ok := c.slabs[b.Slab]
-	if !ok {
+	s := p.slabOf(c, b)
+	if s == nil {
 		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, b.Class)
 	}
-	if !s.live[b.Index] {
+	if !s.is(b.Index, blockLive) {
 		return fmt.Errorf("memory: double free of block %v", b)
 	}
-	delete(s.live, b.Index)
+	s.state[b.Index] = blockBlocked
 	s.inUse--
+	s.blocked++
 	c.used--
-	if s.blocked == nil {
-		s.blocked = map[int]bool{}
-	}
-	s.blocked[b.Index] = true
 	return nil
 }
 
@@ -198,32 +222,34 @@ func (p *SlabPool) Unblock(b Block) error {
 	if !ok {
 		return fmt.Errorf("memory: unblock of block with unknown class %q", b.Class)
 	}
-	s, ok := c.slabs[b.Slab]
-	if !ok {
+	s := p.slabOf(c, b)
+	if s == nil {
 		return fmt.Errorf("memory: unblock of block in unowned slab %d", b.Slab)
 	}
-	if !s.blocked[b.Index] {
+	if !s.is(b.Index, blockBlocked) {
 		return fmt.Errorf("memory: unblock of non-blocked block %v", b)
 	}
-	delete(s.blocked, b.Index)
-	if s.inUse == 0 && len(s.blocked) == 0 {
-		p.reclaim(c, s)
+	s.state[b.Index] = blockFree
+	s.blocked--
+	if s.inUse == 0 && s.blocked == 0 {
+		p.reclaim(c, b.Slab)
 		return nil
 	}
 	c.freeBlocks = append(c.freeBlocks, b)
 	return nil
 }
 
-func (p *SlabPool) reclaim(c *slabClass, s *slab) {
-	delete(c.slabs, s.id)
-	p.slabOwner[s.id] = ""
-	p.freeSlabs = append(p.freeSlabs, s.id)
+// reclaim returns an empty slab (every block free) to the shared pool.
+func (p *SlabPool) reclaim(c *slabClass, id int) {
+	p.slabs[id].owner = nil
+	c.slabs--
+	p.freeSlabs = append(p.freeSlabs, id)
 	// Purge stale free-list entries for the reclaimed slab: if the class
 	// later reacquires the same slab id, leftover entries would alias the
 	// fresh slab's blocks.
 	kept := c.freeBlocks[:0]
 	for _, b := range c.freeBlocks {
-		if b.Slab != s.id {
+		if b.Slab != id {
 			kept = append(kept, b)
 		}
 	}
@@ -231,11 +257,11 @@ func (p *SlabPool) reclaim(c *slabClass, s *slab) {
 }
 
 func (c *slabClass) allocatedBytes(slabSize int64) int64 {
-	return int64(len(c.slabs)) * slabSize
+	return int64(c.slabs) * slabSize
 }
 
 func (p *SlabPool) allocatedBytes() int64 {
-	return int64(p.slabCount-len(p.freeSlabs)) * p.slabSize
+	return int64(len(p.slabs)-len(p.freeSlabs)) * p.slabSize
 }
 
 // ClassStats summarizes one shape class for the fragmentation analysis of
@@ -300,7 +326,7 @@ func (p *SlabPool) FreeSlabCount() int { return len(p.freeSlabs) }
 func (p *SlabPool) SlabSize() int64 { return p.slabSize }
 
 // Capacity returns total pool bytes.
-func (p *SlabPool) Capacity() int64 { return int64(p.slabCount) * p.slabSize }
+func (p *SlabPool) Capacity() int64 { return int64(len(p.slabs)) * p.slabSize }
 
 // UsedBytes returns bytes held in live blocks across all classes.
 func (p *SlabPool) UsedBytes() int64 {

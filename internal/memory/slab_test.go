@@ -317,3 +317,88 @@ func TestSlabAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A slab reclaimed by one shape and reacquired by a denser one gets
+// bookkeeping for every block of the new shape, and forged block ids are
+// rejected instead of indexing out of range.
+func TestSlabReacquiredByDenserShape(t *testing.T) {
+	// One slab, which holds 4 sparse blocks or 16 dense ones.
+	p := NewSlabPool(1<<16, 1<<16)
+	if err := p.Register("sparse", 1<<14); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Register("dense", 1<<12); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, c := range []struct {
+			label string
+			n     int
+		}{{"sparse", 4}, {"dense", 16}} {
+			var held []Block
+			for i := 0; i < c.n; i++ {
+				b, err := p.Alloc(c.label)
+				if err != nil {
+					t.Fatalf("round %d %s block %d: %v", round, c.label, i, err)
+				}
+				held = append(held, b)
+			}
+			if _, err := p.Alloc(c.label); !errors.Is(err, ErrOutOfMemory) {
+				t.Fatalf("%s: slab overfilled: %v", c.label, err)
+			}
+			for _, b := range held {
+				if err := p.Free(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if p.FreeSlabCount() != 1 {
+				t.Fatalf("%s: slab not reclaimed", c.label)
+			}
+		}
+	}
+	b, err := p.Alloc("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forged := range []Block{
+		{Class: "sparse", Slab: b.Slab, Index: 4},
+		{Class: "sparse", Slab: b.Slab, Index: -1},
+		{Class: "sparse", Slab: 1, Index: 0},
+		{Class: "dense", Slab: b.Slab, Index: 0},
+	} {
+		if err := p.Free(forged); err == nil {
+			t.Errorf("Free(%+v) accepted a forged block", forged)
+		}
+		if err := p.FreeBlocked(forged); err == nil {
+			t.Errorf("FreeBlocked(%+v) accepted a forged block", forged)
+		}
+		if err := p.Unblock(forged); err == nil {
+			t.Errorf("Unblock(%+v) accepted a forged block", forged)
+		}
+	}
+}
+
+// Steady-state allocation allocates nothing, including the slab acquire and
+// reclaim each single-block round trip triggers.
+func TestSlabAllocFreeAllocs(t *testing.T) {
+	p := NewSlabPool(8<<20, 1<<20)
+	if err := p.Register("kv", 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		b, err := p.Alloc("kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.FreeBlocked(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unblock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("alloc/free-blocked/unblock allocates %.1f times, want 0", n)
+	}
+}

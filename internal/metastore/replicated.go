@@ -203,8 +203,8 @@ type pendingOp struct {
 	sent          bool
 	done          bool
 	recIdx        int
-	timeoutEv     *sim.Event
-	retryEv       *sim.Event
+	timeoutEv     sim.Event
+	retryEv       sim.Event
 	fin           func(m respMsg, err error)
 }
 
@@ -253,7 +253,7 @@ type replica struct {
 	hbGen      int
 
 	waiting    []opMsg // session reads waiting for applied >= floor
-	electionEv *sim.Event
+	electionEv sim.Event
 	crashes    int
 }
 
@@ -350,19 +350,12 @@ func (r *Replicated) Stop() {
 	}
 	r.stopped = true
 	for _, rp := range r.reps {
-		if rp.electionEv != nil {
-			rp.electionEv.Cancel()
-			rp.electionEv = nil
-		}
+		rp.electionEv.Cancel()
 		rp.hbGen++
 	}
 	for _, po := range r.pend {
-		if po.timeoutEv != nil {
-			po.timeoutEv.Cancel()
-		}
-		if po.retryEv != nil {
-			po.retryEv.Cancel()
-		}
+		po.timeoutEv.Cancel()
+		po.retryEv.Cancel()
 	}
 	r.pend = map[uint64]*pendingOp{}
 	r.deliverWatches(uint64(len(r.commits)))
@@ -550,10 +543,7 @@ func (r *Replicated) CrashReplica(target string, restartAfter sim.Time) error {
 	}
 	rp.down = true
 	rp.crashes++
-	if rp.electionEv != nil {
-		rp.electionEv.Cancel()
-		rp.electionEv = nil
-	}
+	rp.electionEv.Cancel()
 	rp.hbGen++
 	rp.role = roleFollower
 	rp.leaderID = -1
@@ -1166,9 +1156,7 @@ func (r *Replicated) attempt(po *pendingOp, prefer int) {
 	if r.send(client, target, func() { rp.onClientOp(m) }) {
 		po.sent = true
 	}
-	if po.retryEv != nil {
-		po.retryEv.Cancel()
-	}
+	po.retryEv.Cancel()
 	po.retryEv = r.eng.After(r.cfg.RetryDelay, func() { r.attempt(po, -1) })
 }
 
@@ -1177,9 +1165,7 @@ func (r *Replicated) failOp(po *pendingOp) {
 		return
 	}
 	po.done = true
-	if po.retryEv != nil {
-		po.retryEv.Cancel()
-	}
+	po.retryEv.Cancel()
 	delete(r.pend, po.id)
 	r.failed++
 	r.hist.respond(po.recIdx, respMsg{}, false, po.sent, r.eng.Now())
@@ -1201,12 +1187,8 @@ func (r *Replicated) onResp(m respMsg) {
 		return
 	}
 	po.done = true
-	if po.timeoutEv != nil {
-		po.timeoutEv.Cancel()
-	}
-	if po.retryEv != nil {
-		po.retryEv.Cancel()
-	}
+	po.timeoutEv.Cancel()
+	po.retryEv.Cancel()
 	delete(r.pend, po.id)
 	if po.sess != nil {
 		floor := m.index

@@ -4,10 +4,17 @@
 // Engine. Events are executed in strictly non-decreasing time order; ties are
 // broken by scheduling order, which makes every simulation run bit-for-bit
 // reproducible for a fixed seed.
+//
+// The event path allocates nothing in steady state. Callbacks live in a slot
+// table recycled through a free list, and the queue is a value-typed binary
+// heap of (time, sequence, slot) entries. Scheduling hands back an Event: a
+// small value handle naming the slot and the generation it was issued for.
+// A slot's generation advances each time the slot is reused, so a handle
+// kept past its event's firing goes stale: Cancel on it is a no-op and can
+// never reach the slot's next occupant.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -16,59 +23,77 @@ import (
 // Time is a point in virtual time, measured from the start of the simulation.
 type Time = time.Duration
 
-// Event is a scheduled callback. It may be cancelled before it fires.
+// Event is a handle to a scheduled callback; it may be used to cancel the
+// callback before it fires. Handles are values: copy and compare them
+// freely. The zero Event refers to nothing, and Cancel on it is a no-op.
 type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	index  int // heap index; -1 once fired or cancelled
-	cancel bool
+	eng  *Engine
+	at   Time
+	slot int32
+	gen  uint32
 }
 
 // At returns the virtual time at which the event is (or was) scheduled.
-func (e *Event) At() Time { return e.at }
+func (ev Event) At() Time { return ev.at }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
-
-// Cancelled reports whether Cancel has been called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// already-cancelled event, a stale handle or the zero Event is a no-op.
+func (ev Event) Cancel() {
+	if s := ev.live(); s != nil && s.fn != nil {
+		s.fn = nil
+		s.cancelled = true
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// Cancelled reports whether Cancel stopped the event. Once the event's slot
+// has been reused by a later event the handle is stale and reports false.
+func (ev Event) Cancelled() bool {
+	s := ev.live()
+	return s != nil && s.cancelled
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// live returns the handle's slot while it still belongs to this event.
+func (ev Event) live() *slot {
+	if ev.eng == nil {
+		return nil
+	}
+	s := &ev.eng.slots[ev.slot]
+	if s.gen != ev.gen {
+		return nil
+	}
+	return s
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// slot holds one event's callback. fn is non-nil exactly while the event is
+// pending; gen advances each time the slot is handed to a new event.
+type slot struct {
+	fn        func()
+	gen       uint32
+	cancelled bool
+}
+
+// entry is one heap element. (at, seq) is a strict total order, so the pop
+// sequence is fully determined by the schedule.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulation executor with a virtual clock.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now     Time
-	pq      eventHeap
+	heap    []entry
+	slots   []slot
+	free    []int32 // indices of slots not holding a pending event
 	seq     uint64
 	rng     *rand.Rand
 	running bool
@@ -90,23 +115,38 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.pq) }
+// Pending returns the number of events currently scheduled. A cancelled
+// event counts until the clock reaches it.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	s := &e.slots[i]
+	s.gen++
+	s.fn = fn
+	s.cancelled = false
+	e.push(entry{at: t, seq: e.seq, slot: i})
 	e.seq++
-	heap.Push(&e.pq, ev)
-	return ev
+	return Event{eng: e, at: t, slot: i, gen: s.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
+func (e *Engine) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -116,10 +156,10 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 // NextEventTime returns the virtual time of the earliest scheduled event.
 // A cancelled event may still be reported; it is discarded when reached.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.pq) == 0 {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.pq[0].at, true
+	return e.heap[0].at, true
 }
 
 // Run executes events until the queue is empty.
@@ -138,18 +178,8 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.pq) > 0 {
-		next := e.pq[0]
-		if next.at > horizon {
-			break
-		}
-		heap.Pop(&e.pq)
-		if next.cancel {
-			continue
-		}
-		e.now = next.at
-		e.fired++
-		next.fn()
+	for len(e.heap) > 0 && e.heap[0].at <= horizon {
+		e.fireNext()
 	}
 	if horizon != maxTime && horizon > e.now {
 		e.now = horizon
@@ -159,15 +189,74 @@ func (e *Engine) RunUntil(horizon Time) {
 // Step fires exactly one pending (non-cancelled) event and returns true, or
 // returns false if the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		next := heap.Pop(&e.pq).(*Event)
-		if next.cancel {
-			continue
+	for len(e.heap) > 0 {
+		if e.fireNext() {
+			return true
 		}
-		e.now = next.at
-		e.fired++
-		next.fn()
-		return true
 	}
 	return false
+}
+
+// fireNext pops the earliest entry, frees its slot and runs its callback
+// unless it was cancelled; it reports whether a callback ran. The slot is
+// free before the callback runs, so events the callback schedules may reuse
+// it; the fired event's own handle is stale from then on.
+func (e *Engine) fireNext() bool {
+	top := e.pop()
+	s := &e.slots[top.slot]
+	fn := s.fn
+	s.fn = nil
+	e.free = append(e.free, top.slot)
+	if fn == nil {
+		return false // cancelled
+	}
+	e.now = top.at
+	e.fired++
+	fn()
+	return true
+}
+
+// push adds x to the heap, sifting the hole up from the end.
+func (e *Engine) push(x entry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	e.heap = h
+}
+
+// pop removes and returns the earliest entry; the heap must be non-empty.
+func (e *Engine) pop() entry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.heap = h
+	return top
 }

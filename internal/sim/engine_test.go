@@ -182,3 +182,115 @@ func TestEngineProcessedPending(t *testing.T) {
 		t.Fatalf("Processed = %d, want 1 (cancelled event must not count)", e.Processed())
 	}
 }
+
+// A handle outlives its event: once the event fires and a new event reuses
+// its slot, cancelling through the old handle must not touch the newcomer.
+func TestEventStaleHandle(t *testing.T) {
+	e := NewEngine(1)
+	first := e.After(time.Second, func() {})
+	if !e.Step() {
+		t.Fatal("first event did not fire")
+	}
+	fired := false
+	second := e.After(time.Second, func() { fired = true })
+	if second.slot != first.slot {
+		t.Fatalf("second event got slot %d, want the freed slot %d", second.slot, first.slot)
+	}
+	first.Cancel()
+	if second.Cancelled() {
+		t.Fatal("stale Cancel reached the slot's new occupant")
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel stopped the slot's new occupant")
+	}
+
+	// A cancelled handle reports Cancelled until its slot is reused, and
+	// goes stale (false) after.
+	third := e.After(time.Second, func() { t.Error("cancelled event fired") })
+	third.Cancel()
+	e.Run()
+	if !third.Cancelled() {
+		t.Fatal("Cancelled() = false after Cancel and Run")
+	}
+	fourth := e.After(time.Second, func() {})
+	if fourth.slot != third.slot {
+		t.Fatalf("fourth event got slot %d, want %d", fourth.slot, third.slot)
+	}
+	if third.Cancelled() || fourth.Cancelled() {
+		t.Fatal("reused slot still reports the old cancellation")
+	}
+	third.Cancel()
+	if e.Run(); e.Processed() != 3 {
+		t.Fatalf("Processed = %d, want 3", e.Processed())
+	}
+}
+
+func TestEventZeroHandle(t *testing.T) {
+	var ev Event
+	ev.Cancel()
+	if ev.Cancelled() {
+		t.Fatal("zero Event reports Cancelled")
+	}
+	if ev.At() != 0 {
+		t.Fatalf("zero Event At = %v", ev.At())
+	}
+}
+
+// Property: with ties and cancellations mixed in, events fire in (time,
+// scheduling order), skipping exactly the cancelled ones.
+func TestEngineCancelOrderProperty(t *testing.T) {
+	prop := func(delays []uint8, cancelMask []bool) bool {
+		e := NewEngine(3)
+		var fired, want []int
+		evs := make([]Event, len(delays))
+		for i, d := range delays {
+			i := i
+			evs[i] = e.After(time.Duration(d%16)*time.Millisecond, func() { fired = append(fired, i) })
+		}
+		cancelled := make([]bool, len(delays))
+		for i := range delays {
+			if i < len(cancelMask) && cancelMask[i] {
+				evs[i].Cancel()
+				cancelled[i] = true
+			}
+		}
+		for at := 0; at < 16; at++ {
+			for i, d := range delays {
+				if int(d%16) == at && !cancelled[i] {
+					want = append(want, i)
+				}
+			}
+		}
+		e.Run()
+		if len(fired) != len(want) {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Steady-state scheduling and firing allocates nothing: slots, heap and
+// free list are all reused.
+func TestScheduleFireAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(time.Microsecond, fn)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(time.Microsecond, fn)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("After+Step allocates %.1f times per event, want 0", n)
+	}
+}
