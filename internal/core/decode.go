@@ -78,10 +78,13 @@ type decodeInstance struct {
 	batchLimits map[string]int64
 
 	// Decode step state. At most one step is in flight per instance and a
-	// dead instance never steps again, so stepLoop refills these buffers in
-	// place and the step's completion is finishStep, bound once as stepDone.
+	// dead instance never steps again, so stepLoop and finishStep refill
+	// these buffers in place and the step's completion is finishStep, bound
+	// once as stepDone.
 	ready       []*Request
 	stepReqs    []*Request // requests the in-flight step produces a token for
+	stepIDs     []string   // their ids, for the collector's token batch
+	feed        tokenFeed
 	stepBatch   *dbatch
 	stepTurnEnd sim.Time
 	stepStart   sim.Time
@@ -235,10 +238,16 @@ func (d *decodeInstance) computeQuotas() {
 	// c is the round's total auto-scaling overhead (Eq. 2): the effective
 	// weight-switch cost per distinct model plus each batch's KV cache
 	// swap-out + swap-in transfer time — a turn must amortize bringing its
-	// batch's KV across PCIe in both directions.
+	// batch's KV across PCIe in both directions. Switch costs are summed in
+	// work-list order, at each model's first occurrence: in map order the
+	// float sum's last ulp, and so a quota clamped at QMAX, could differ
+	// between runs.
 	var c float64
-	for m := range distinct {
-		c += d.eng.EffectiveSwitchCost(d.sys.models[m]).Seconds()
+	for _, b := range d.workList {
+		if distinct[b.model] {
+			delete(distinct, b.model)
+			c += d.eng.EffectiveSwitchCost(d.sys.models[b.model]).Seconds()
+		}
 	}
 	for _, b := range d.workList {
 		c += d.kvSwapCost(b).Seconds()
@@ -767,13 +776,16 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 		d.endTurn()
 		return
 	}
+	// One fleet KV sample covers the step's appends: they only allocate, so
+	// the last one's usage is the step's peak.
+	d.eng.KV().NoteKV()
 	d.stepBatch, d.stepTurnEnd, d.stepStart = b, turnEnd, now
 	d.eng.DecodeStep(ctx, d.stepDone)
 }
 
 // finishStep completes the in-flight decode step: every request in stepReqs
-// receives its token, finished requests release their KV, and the loop
-// continues with the step's batch.
+// receives its token, each observer is fed the step's tokens once, finished
+// requests release their KV, and the loop continues with the step's batch.
 func (d *decodeInstance) finishStep() {
 	if d.dead {
 		// The instance fail-stopped (crash or spot revocation) while this
@@ -787,14 +799,21 @@ func (d *decodeInstance) finishStep() {
 	now := d.eng.Sim().Now()
 	stepDur := now - d.stepStart
 	if d.sys.obs != nil {
-		d.sys.obs.TokenBatch(d.eng.Name, b.model, now, requestIDs(d.stepReqs))
+		ids := d.stepIDs[:0]
+		for _, r := range d.stepReqs {
+			ids = append(ids, r.ID)
+		}
+		d.stepIDs = ids
+		d.sys.obs.TokenBatch(d.eng.Name, b.model, now, ids)
 	}
+	for _, r := range d.stepReqs {
+		d.feed.record(d.sys, d.eng.Name, r, now)
+		r.decodeExec += stepDur
+	}
+	// A batch is single-model, so one model name covers the step's tokens.
+	d.feed.flush(d.sys, d.eng.Name, b.model)
 	finishedAny := false
 	for _, r := range d.stepReqs {
-		n := len(r.TokenTimes)
-		r.recordToken(now)
-		d.sys.noteToken(d.eng.Name, r, n, now)
-		r.decodeExec += stepDur
 		if len(r.TokenTimes) >= r.OutputTokens {
 			if err := d.eng.KV().Free(r.Seq); err != nil {
 				panic("core: free finished sequence: " + err.Error())

@@ -40,6 +40,7 @@ type prefillInstance struct {
 	running  bool
 	dead     bool
 	inflight *Request // job currently prefilling (crash recovery)
+	feed     tokenFeed
 }
 
 func newPrefillInstance(s *System, e *engine.Engine) *prefillInstance {
@@ -312,10 +313,9 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 		}
 		p.sys.releasePrefix(r)
 		if r.Generated() == 0 {
-			n := len(r.TokenTimes)
-			r.recordToken(now) // token 0
+			p.feed.record(p.sys, p.eng.Name, r, now) // token 0
 			p.sys.obs.Token(r.ID, now)
-			p.sys.noteToken(p.eng.Name, r, n, now)
+			p.feed.flush(p.sys, p.eng.Name, r.Model.Name)
 		}
 		if r.RemainingTokens() <= 0 {
 			// Nothing to decode: the request is complete.

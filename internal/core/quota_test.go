@@ -1,9 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"aegaeon/internal/engine"
+	"aegaeon/internal/model"
+	"aegaeon/internal/sim"
 )
 
 // The worked example of §4.3: three batches, d=0.1s, t_i=0.025s, c=3s,
@@ -128,6 +134,39 @@ func TestEq2HeterogeneousDeadlines(t *testing.T) {
 	q, _ := eq2Quotas(2, 8, []float64{0.05, 0.2}, []float64{0.025, 0.025})
 	if q[0] <= q[1] {
 		t.Fatalf("tight-TBT batch quota %v not larger than loose %v", q[0], q[1])
+	}
+}
+
+// TestComputeQuotasDeterministic: the round's switch overhead c sums one
+// effective switch cost per distinct model, so a sum in map iteration order
+// could differ in its last ulp between calls — and move a quota clamped at
+// QMax by a nanosecond. Recomputing one round many times must give
+// bit-identical c and quotas.
+func TestComputeQuotasDeterministic(t *testing.T) {
+	models := model.MarketMix(12)
+	se := sim.NewEngine(1)
+	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 1, 1))
+	d := sys.decodes[0]
+	for i, m := range models {
+		r := &Request{ID: fmt.Sprintf("r%d", i), Model: m, InputTokens: 300 + 97*i, OutputTokens: 200}
+		d.workList = append(d.workList, &dbatch{model: m.Name, reqs: []*Request{r}})
+	}
+	d.computeQuotas()
+	wantC := math.Float64bits(d.roundC)
+	want := make([]time.Duration, len(d.workList))
+	for i, b := range d.workList {
+		want[i] = b.quota
+	}
+	for rep := 0; rep < 300; rep++ {
+		d.computeQuotas()
+		if got := math.Float64bits(d.roundC); got != wantC {
+			t.Fatalf("rep %d: c = %v, first computed %v", rep, d.roundC, math.Float64frombits(wantC))
+		}
+		for i, b := range d.workList {
+			if b.quota != want[i] {
+				t.Fatalf("rep %d: quota[%d] = %d ns, first computed %d ns", rep, i, b.quota, want[i])
+			}
+		}
 	}
 }
 

@@ -793,36 +793,50 @@ func (s *System) sloFor(modelName string) slo.SLO {
 	return s.cfg.SLO
 }
 
-// noteToken feeds the token the instance just produced for r into the live
-// SLO monitor, judged against its deadline. prevLen is len(r.TokenTimes)
-// before the recordToken call: recordToken no-ops on terminal requests, so
-// an unchanged length means no token was actually emitted.
-func (s *System) noteToken(instance string, r *Request, prevLen int, at sim.Time) {
-	if len(r.TokenTimes) == prevLen {
+// tokenFeed collects the tokens one step of an instance produces, so the
+// fleet ledger and the live SLO monitor each take one call per step instead
+// of one per token. Each instance owns one and reuses its buffer: at most
+// one step is in flight per instance.
+type tokenFeed struct {
+	n      int               // tokens emitted this step
+	judged []slomon.TokenObs // their SLO judgements (monitor on only)
+}
+
+// record stamps r's next token at `at` and adds it to the feed. recordToken
+// no-ops on terminal requests, so a token is fed only if r took it.
+func (f *tokenFeed) record(s *System, instance string, r *Request, at sim.Time) {
+	n := len(r.TokenTimes)
+	r.recordToken(at)
+	if len(r.TokenTimes) == n {
 		return
 	}
-	// Goodput attribution: the token was produced on this device for this
-	// model, regardless of whether the live monitor is on.
-	s.fleet.AddTokens(instance, r.Model.Name, 1)
+	f.n++
 	if s.mon == nil {
 		return
 	}
-	i := len(r.TokenTimes) - 1
-	rslo := s.sloFor(r.Model.Name)
 	var prev sim.Time
-	if i > 0 {
-		prev = r.TokenTimes[i-1]
+	if n > 0 {
+		prev = r.TokenTimes[n-1]
 	}
-	s.mon.ObserveToken(slomon.TokenObs{
+	f.judged = append(f.judged, slomon.TokenObs{
 		Model:    r.Model.Name,
 		Request:  r.ID,
 		Instance: instance,
-		Index:    i,
+		Index:    n,
 		Arrival:  r.Arrival,
-		Deadline: rslo.Deadline(r.Arrival, i),
+		Deadline: s.sloFor(r.Model.Name).Deadline(r.Arrival, n),
 		At:       at,
 		Prev:     prev,
 	})
+}
+
+// flush feeds the step's tokens, all of model and produced on instance, to
+// the observers and empties the feed. Goodput attribution reaches the fleet
+// ledger whether or not the live monitor is on.
+func (f *tokenFeed) flush(s *System, instance, model string) {
+	s.fleet.AddTokens(instance, model, f.n)
+	s.mon.ObserveTokens(f.judged)
+	f.n, f.judged = 0, f.judged[:0]
 }
 
 // noteDroppedTokens feeds the monitor r's never-generated tokens — the

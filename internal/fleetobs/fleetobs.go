@@ -266,16 +266,17 @@ func (l *Ledger) Register(name string) {
 
 // ObserveDevice registers the device in the ledger and attaches occupancy
 // capture to it via gpu.Device.ObserveBusy (a separate slot from the trace
-// collector's Observe, so both coexist).
+// collector's Observe, so both coexist). The observer holds the device's
+// ledger entry, which is never deleted, so an edge needs no name lookup.
 func (l *Ledger) ObserveDevice(dev *gpu.Device) {
 	if l == nil || dev == nil {
 		return
 	}
 	l.mu.Lock()
-	l.register(dev.Name)
+	d := l.register(dev.Name)
 	l.mu.Unlock()
-	dev.ObserveBusy(func(d *gpu.Device, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
-		l.noteOp(d.Name, k, info, busy)
+	dev.ObserveBusy(func(_ *gpu.Device, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
+		l.noteOp(d, k, info, busy)
 	})
 }
 
@@ -326,14 +327,10 @@ func (d *devLedger) retop(now sim.Time) {
 	d.cur, d.curModel = top, model
 }
 
-// noteOp handles one engine occupancy edge.
-func (l *Ledger) noteOp(device string, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
+// noteOp handles one engine occupancy edge on device d.
+func (l *Ledger) noteOp(d *devLedger, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d := l.devices[device]
-	if d == nil {
-		return
-	}
 	now := l.eng.Now()
 	ek := int(k)
 	if busy {
@@ -352,7 +349,7 @@ func (l *Ledger) noteOp(device string, k gpu.EngineKind, info gpu.OpInfo, busy b
 	} else {
 		d.claims[s]--
 		if d.claims[s] < 0 {
-			panic(fmt.Sprintf("fleetobs: negative claim count for %s/%s", device, s))
+			panic(fmt.Sprintf("fleetobs: negative claim count for %s/%s", d.name, s))
 		}
 		if d.claims[s] == 0 {
 			d.claimModel[s] = ""

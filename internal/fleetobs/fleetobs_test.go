@@ -345,3 +345,28 @@ func TestSetRateManyEdges(t *testing.T) {
 		t.Fatalf("cost = $%.6f, want $%.6f", got, want)
 	}
 }
+
+// TestAddTokensAllocs: crediting a decode step's tokens to a model the
+// device has served before allocates nothing.
+func TestAddTokensAllocs(t *testing.T) {
+	eng, l, _ := newLedgerDevice(t)
+	l.AddTokens("dev0", "m1", 8)
+	if n := testing.AllocsPerRun(100, func() { l.AddTokens("dev0", "m1", 8) }); n != 0 {
+		t.Fatalf("AddTokens allocates %.1f times per step, want 0", n)
+	}
+	if got := l.Snapshot(eng.Now()).Devices[0].Tokens; got != 8*102 {
+		t.Fatalf("tokens = %d, want %d", got, 8*102)
+	}
+}
+
+// BenchmarkAddTokens is the ledger's cost per decode step's goodput credit.
+func BenchmarkAddTokens(b *testing.B) {
+	l := New(sim.NewEngine(1))
+	l.Register("dev0")
+	l.AddTokens("dev0", "m1", 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.AddTokens("dev0", "m1", 8)
+	}
+}

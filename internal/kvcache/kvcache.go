@@ -250,8 +250,9 @@ type Manager struct {
 	instance string
 	obsc     *obs.Collector
 
-	// Fleet ledger hook (nil = no accounting): sampled after every pool
-	// mutation so the ledger tracks the GPU KV watermark.
+	// Fleet ledger hook (nil = no accounting): sampled after pool mutations
+	// (a decode step's appends once, through NoteKV) so the ledger tracks
+	// the GPU KV watermark.
 	fleet     *fleetobs.Ledger
 	fleetName string
 }
@@ -301,11 +302,11 @@ func (m *Manager) SetFaults(f *fault.Faults, instance string, c *obs.Collector) 
 func (m *Manager) SetFleet(l *fleetobs.Ledger, device string) {
 	m.fleet = l
 	m.fleetName = device
-	m.noteKV()
+	m.NoteKV()
 }
 
-// noteKV pushes the current GPU pool usage sample to the fleet ledger.
-func (m *Manager) noteKV() {
+// NoteKV pushes the current GPU pool usage sample to the fleet ledger.
+func (m *Manager) NoteKV() {
 	if m.fleet == nil {
 		return
 	}
@@ -338,7 +339,7 @@ func (m *Manager) NewSequence(id string, shape model.KVShape, tokens int) (*Sequ
 		return nil, err
 	}
 	m.control(1)
-	m.noteKV()
+	m.NoteKV()
 	return &Sequence{
 		ID:        id,
 		Class:     class,
@@ -353,7 +354,10 @@ func (m *Manager) NewSequence(id string, shape model.KVShape, tokens int) (*Sequ
 
 // AppendTokens extends a GPU-resident sequence by n tokens, allocating
 // blocks as needed. Fails with memory.ErrOutOfMemory when the GPU tier is
-// full (the caller preempts in response).
+// full (the caller preempts in response). It does not sample the pool into
+// the fleet ledger: a decode step appends to every sequence of its batch
+// and then calls NoteKV once, which records the same final usage and peak
+// because appends only allocate.
 func (m *Manager) AppendTokens(seq *Sequence, n int) error {
 	if seq.state != StateGPU {
 		return fmt.Errorf("kvcache: append to sequence %s in state %s", seq.ID, seq.state)
@@ -368,7 +372,6 @@ func (m *Manager) AppendTokens(seq *Sequence, n int) error {
 		seq.gpuBlocks = append(seq.gpuBlocks, blocks...)
 	}
 	seq.tokens += n
-	m.noteKV()
 	return nil
 }
 
@@ -407,7 +410,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 				if seq.state == StateSwappingOut {
 					seq.state = StateCPU
 				}
-				m.noteKV()
+				m.NoteKV()
 			})
 		seq.lastXfer = ev
 		m.stats.SwapOuts++
@@ -510,7 +513,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 		m.stats.SwapIns++
 		m.stats.BytesIn += bytes
 		m.control(2)
-		m.noteKV()
+		m.NoteKV()
 		return ev, nil
 	}
 	// Transfer-fault path. A failed attempt must NOT park the CPU source
@@ -616,7 +619,7 @@ func (m *Manager) Free(seq *Sequence) error {
 	seq.gpuBlocks, seq.cpuBlocks = nil, nil
 	seq.state = StateFreed
 	m.control(1)
-	m.noteKV()
+	m.NoteKV()
 	return nil
 }
 

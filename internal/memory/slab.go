@@ -23,6 +23,7 @@ type SlabPool struct {
 	classes   map[string]*slabClass
 	slabs     []slab // by slab id
 
+	usedBytes     int64 // bytes in live blocks across all classes
 	peakAllocated int64 // high-water mark of slab bytes held by classes
 }
 
@@ -135,6 +136,7 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 		s.inUse++
 		s.state[b.Index] = blockLive
 		c.used++
+		p.usedBytes += c.blockBytes
 		return b, nil
 	}
 	// Acquire a fresh slab.
@@ -165,6 +167,7 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 	s.inUse++
 	s.state[0] = blockLive
 	c.used++
+	p.usedBytes += c.blockBytes
 	return Block{Class: label, Slab: id, Index: 0}, nil
 }
 
@@ -185,6 +188,7 @@ func (p *SlabPool) Free(b Block) error {
 	s.state[b.Index] = blockFree
 	s.inUse--
 	c.used--
+	p.usedBytes -= c.blockBytes
 	if s.inUse == 0 && s.blocked == 0 {
 		p.reclaim(c, b.Slab)
 		return nil
@@ -212,6 +216,7 @@ func (p *SlabPool) FreeBlocked(b Block) error {
 	s.inUse--
 	s.blocked++
 	c.used--
+	p.usedBytes -= c.blockBytes
 	return nil
 }
 
@@ -328,14 +333,9 @@ func (p *SlabPool) SlabSize() int64 { return p.slabSize }
 // Capacity returns total pool bytes.
 func (p *SlabPool) Capacity() int64 { return int64(len(p.slabs)) * p.slabSize }
 
-// UsedBytes returns bytes held in live blocks across all classes.
-func (p *SlabPool) UsedBytes() int64 {
-	var tot int64
-	for _, c := range p.classes {
-		tot += int64(c.used) * c.blockBytes
-	}
-	return tot
-}
+// UsedBytes returns bytes held in live blocks across all classes. O(1): the
+// pool keeps a running total.
+func (p *SlabPool) UsedBytes() int64 { return p.usedBytes }
 
 // BlocksPerSlab returns how many blocks of the class fit in one slab.
 func (p *SlabPool) BlocksPerSlab(label string) (int, error) {

@@ -318,6 +318,74 @@ func TestSlabAccountingProperty(t *testing.T) {
 	}
 }
 
+// Property: the pool's running used-bytes total equals the sum of the
+// per-class used bytes Stats reports, and the live blocks held, after every
+// operation of a mix over two classes sharing the slabs, with move-list
+// frees (FreeBlocked) and their Unblock interleaved.
+func TestSlabUsedBytesMatchesStatsProperty(t *testing.T) {
+	prop := func(ops []uint8) bool {
+		p := NewSlabPool(4<<16, 1<<16)
+		sizes := map[string]int64{"A": 4 << 10, "B": 16 << 10}
+		for label, size := range sizes {
+			if err := p.Register(label, size); err != nil {
+				return false
+			}
+		}
+		var live, blocked []Block
+		for _, op := range ops {
+			var err error
+			switch op % 5 {
+			case 0, 1: // alloc, A or B
+				label := [2]string{"A", "B"}[op%2]
+				var b Block
+				if b, err = p.Alloc(label); err == nil {
+					live = append(live, b)
+				} else if errors.Is(err, ErrOutOfMemory) {
+					err = nil
+				}
+			case 2, 3: // free or free-blocked, an arbitrary live block
+				if len(live) == 0 {
+					continue
+				}
+				i := int(op/5) % len(live)
+				b := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if op%5 == 2 {
+					err = p.Free(b)
+				} else {
+					err = p.FreeBlocked(b)
+					blocked = append(blocked, b)
+				}
+			case 4: // unblock the oldest blocked block
+				if len(blocked) == 0 {
+					continue
+				}
+				err = p.Unblock(blocked[0])
+				blocked = blocked[1:]
+			}
+			if err != nil {
+				return false
+			}
+			var stats, held int64
+			for _, st := range p.Stats() {
+				if st.Label != "All" {
+					stats += st.UsedBytes
+				}
+			}
+			for _, b := range live {
+				held += sizes[b.Class]
+			}
+			if p.UsedBytes() != stats || p.UsedBytes() != held {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A slab reclaimed by one shape and reacquired by a denser one gets
 // bookkeeping for every block of the new shape, and forged block ids are
 // rejected instead of indexing out of range.

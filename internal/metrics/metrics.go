@@ -100,50 +100,85 @@ func (c *CDF) Points(n int) [][2]float64 {
 	return out
 }
 
-// SafeCDF is a concurrency-safe quantile tracker for live telemetry (the
-// gateway's TTFT/TBT export): a mutex-guarded CDF with optional reservoir
-// subsampling (algorithm R) so a long-running server's memory stays
-// bounded. Reservoir slots come from the tracker's own fixed-seed PRNG, so
-// the same sample sequence always retains the same samples. The zero value
+// Reservoir is a CDF with optional reservoir subsampling (algorithm R), so
+// a long-lived tracker's memory stays bounded. Reservoir slots come from
+// its own fixed-seed PRNG, so the same sample sequence always retains the
+// same samples. It is not synchronized: callers that share one across
+// goroutines hold their own lock (SafeCDF, or a monitor's). The zero value
 // is usable and unbounded.
-type SafeCDF struct {
-	mu   sync.Mutex
+type Reservoir struct {
 	cdf  CDF
 	max  int
 	seen uint64
 	rng  uint64 // splitmix64 state
 }
 
-// NewSafeCDF returns a tracker retaining at most maxSamples via uniform
+// NewReservoir returns a reservoir retaining at most maxSamples via uniform
 // reservoir sampling (maxSamples <= 0 means unbounded).
-func NewSafeCDF(maxSamples int) *SafeCDF { return &SafeCDF{max: maxSamples} }
+func NewReservoir(maxSamples int) *Reservoir { return &Reservoir{max: maxSamples} }
 
 // Add records a sample.
-func (s *SafeCDF) Add(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seen++
-	if s.max <= 0 || len(s.cdf.samples) < s.max {
-		s.cdf.Add(v)
+func (r *Reservoir) Add(v float64) {
+	r.seen++
+	if r.max <= 0 || len(r.cdf.samples) < r.max {
+		r.cdf.Add(v)
 		return
 	}
 	// Reservoir replacement: v displaces a uniformly chosen retained
 	// sample with probability max/seen. The reservoir's ordering is
 	// irrelevant (Quantile sorts), so replacing any slot is unbiased.
-	if j := s.next() % s.seen; j < uint64(s.max) {
-		s.cdf.samples[j] = v
-		s.cdf.sorted = false
+	if j := r.next() % r.seen; j < uint64(r.max) {
+		r.cdf.samples[j] = v
+		r.cdf.sorted = false
 	}
 }
 
 // next advances the reservoir's splitmix64 state and returns its output.
-// Caller holds s.mu.
-func (s *SafeCDF) next() uint64 {
-	s.rng += 0x9e3779b97f4a7c15
-	z := s.rng
+func (r *Reservoir) next() uint64 {
+	r.rng += 0x9e3779b97f4a7c15
+	z := r.rng
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
+}
+
+// AddDuration records a duration sample in seconds.
+func (r *Reservoir) AddDuration(d time.Duration) { r.Add(d.Seconds()) }
+
+// N returns the number of retained samples.
+func (r *Reservoir) N() int { return len(r.cdf.samples) }
+
+// Seen returns the number of samples ever recorded (including subsampled
+// ones).
+func (r *Reservoir) Seen() uint64 { return r.seen }
+
+// Quantile returns the q-th quantile of the retained samples; NaN if empty.
+func (r *Reservoir) Quantile(q float64) float64 { return r.cdf.Quantile(q) }
+
+// Mean returns the retained-sample mean; NaN if empty.
+func (r *Reservoir) Mean() float64 { return r.cdf.Mean() }
+
+// Samples returns a copy of the retained samples, in no particular order —
+// for merging two reservoirs (e.g. rotating epoch sketches) into one CDF.
+func (r *Reservoir) Samples() []float64 { return append([]float64(nil), r.cdf.samples...) }
+
+// SafeCDF is a concurrency-safe quantile tracker for live telemetry (the
+// gateway's TTFT/TBT export): a Reservoir behind a mutex. The zero value is
+// usable and unbounded.
+type SafeCDF struct {
+	mu sync.Mutex
+	r  Reservoir
+}
+
+// NewSafeCDF returns a tracker retaining at most maxSamples via uniform
+// reservoir sampling (maxSamples <= 0 means unbounded).
+func NewSafeCDF(maxSamples int) *SafeCDF { return &SafeCDF{r: Reservoir{max: maxSamples}} }
+
+// Add records a sample.
+func (s *SafeCDF) Add(v float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.Add(v)
 }
 
 // AddDuration records a duration sample in seconds.
@@ -153,7 +188,7 @@ func (s *SafeCDF) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 func (s *SafeCDF) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cdf.samples)
+	return s.r.N()
 }
 
 // Seen returns the number of samples ever recorded (including subsampled
@@ -161,29 +196,28 @@ func (s *SafeCDF) N() int {
 func (s *SafeCDF) Seen() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seen
+	return s.r.Seen()
 }
 
 // Quantile returns the q-th quantile of the retained samples; NaN if empty.
 func (s *SafeCDF) Quantile(q float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cdf.Quantile(q)
+	return s.r.Quantile(q)
 }
 
 // Mean returns the retained-sample mean; NaN if empty.
 func (s *SafeCDF) Mean() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cdf.Mean()
+	return s.r.Mean()
 }
 
-// Samples returns a copy of the retained samples, in no particular order —
-// for merging two reservoirs (e.g. rotating epoch sketches) into one CDF.
+// Samples returns a copy of the retained samples, in no particular order.
 func (s *SafeCDF) Samples() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]float64(nil), s.cdf.samples...)
+	return s.r.Samples()
 }
 
 // TimeSeries samples a value at fixed intervals of virtual time.

@@ -109,6 +109,28 @@ func TestSafeCDFReservoirDeterministic(t *testing.T) {
 	}
 }
 
+// TestReservoirMatchesSafeCDF: the unlocked reservoir and the mutex-guarded
+// tracker draw the same slots, so swapping one for the other never changes
+// which samples a seeded run retains.
+func TestReservoirMatchesSafeCDF(t *testing.T) {
+	const cap = 64
+	r, s := NewReservoir(cap), NewSafeCDF(cap)
+	for i := 0; i < 20*cap; i++ {
+		v := float64((i * 104729) % 997)
+		r.Add(v)
+		s.Add(v)
+	}
+	rs, ss := r.Samples(), s.Samples()
+	if len(rs) != cap || r.Seen() != s.Seen() {
+		t.Fatalf("reservoir kept %d of %d seen, tracker %d of %d", len(rs), r.Seen(), len(ss), s.Seen())
+	}
+	for i := range rs {
+		if rs[i] != ss[i] {
+			t.Fatalf("slot %d: reservoir %v, tracker %v", i, rs[i], ss[i])
+		}
+	}
+}
+
 func TestSafeCDFSamplesIsACopy(t *testing.T) {
 	s := NewSafeCDF(8)
 	s.Add(1)

@@ -198,27 +198,26 @@ func (c *Collector) Ring() *trace.Tracer {
 }
 
 // ObserveDevice registers the collector as d's op observer and creates its
-// timeline. Nil-safe (leaves the device unobserved).
+// timeline. Nil-safe (leaves the device unobserved). The observer holds the
+// timeline, which is never deleted, so an op needs no name lookup.
 func (c *Collector) ObserveDevice(d *gpu.Device) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if _, ok := c.devs[d.Name]; !ok {
-		c.devs[d.Name] = &deviceTimeline{name: d.Name}
+	dt, ok := c.devs[d.Name]
+	if !ok {
+		dt = &deviceTimeline{name: d.Name}
+		c.devs[d.Name] = dt
 		c.devOrder = append(c.devOrder, d.Name)
 	}
 	c.mu.Unlock()
-	d.Observe(c.recordOp)
+	d.Observe(func(_ *gpu.Device, rec gpu.OpRecord) { c.recordOp(dt, rec) })
 }
 
-func (c *Collector) recordOp(d *gpu.Device, rec gpu.OpRecord) {
+func (c *Collector) recordOp(dt *deviceTimeline, rec gpu.OpRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dt := c.devs[d.Name]
-	if dt == nil {
-		return
-	}
 	if int(rec.Engine) < len(dt.engines) {
 		dt.engines[rec.Engine].push(rec, c.opts.MaxOpsPerEngine)
 	}

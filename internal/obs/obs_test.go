@@ -97,6 +97,43 @@ func TestTokenBatchDetail(t *testing.T) {
 	}
 }
 
+// TestTokenBatchAllocs: a decode step of tracked requests whose token stamps
+// are at the cap records without allocating, so the per-step feed costs one
+// lock and no garbage.
+func TestTokenBatchAllocs(t *testing.T) {
+	c := New(Options{MaxTokensPerRequest: 4})
+	ids := []string{"r1", "r2", "r3"}
+	for _, id := range ids {
+		c.RequestArrived(id, "m", 0)
+	}
+	for i := 0; i < 4; i++ {
+		c.TokenBatch("d0", "m", ms(i), ids)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", "m", ms(5), ids) }); allocs != 0 {
+		t.Fatalf("TokenBatch allocates %v times per step, want 0", allocs)
+	}
+	if tl, _ := c.Request("r2"); len(tl.Tokens) != 4 || tl.TokensTotal != 105 {
+		t.Fatalf("r2 keeps %d stamps of %d, want 4 of 105", len(tl.Tokens), tl.TokensTotal)
+	}
+}
+
+// BenchmarkTokenBatch is the collector's cost per decode step of 8 tracked
+// requests past their token-stamp cap (the steady state of a long decode).
+func BenchmarkTokenBatch(b *testing.B) {
+	c := New(Options{MaxTokensPerRequest: 1})
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%d", i)
+		c.RequestArrived(ids[i], "m", 0)
+	}
+	c.TokenBatch("d0", "m", 0, ids)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.TokenBatch("d0", "m", time.Duration(i), ids)
+	}
+}
+
 func TestTurnEndReopensDecodeWait(t *testing.T) {
 	c := New(Options{})
 	c.RequestArrived("r1", "m1", ms(0))

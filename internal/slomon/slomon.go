@@ -4,12 +4,12 @@
 // windows, and root-cause attribution of every missed-deadline token by
 // joining it against the obs span and switch-stage data.
 //
-// The Monitor is fed token-by-token from the serving path (core's token
-// stamp sites), plus request-level observations mirroring the cumulative
-// slo.Tracker sites, so windowed and cumulative attainment share one
-// definition and converge on steady workloads. All methods are nil-safe:
-// a nil *Monitor records nothing, keeping the default serving path free
-// of monitoring overhead.
+// The Monitor judges every token on its own, fed one decode step at a time
+// from the serving path (core's token stamp sites), plus request-level
+// observations mirroring the cumulative slo.Tracker sites, so windowed and
+// cumulative attainment share one definition and converge on steady
+// workloads. All methods are nil-safe: a nil *Monitor records nothing,
+// keeping the default serving path free of monitoring overhead.
 package slomon
 
 import (
@@ -192,34 +192,60 @@ func (m *Monitor) scopeLocked(model string) *scope {
 }
 
 // ObserveToken records one produced token. Nil-safe.
-func (m *Monitor) ObserveToken(o TokenObs) {
-	if m == nil {
+func (m *Monitor) ObserveToken(o TokenObs) { m.ObserveTokens([]TokenObs{o}) }
+
+// ObserveTokens records produced tokens in order, typically the tokens of
+// one decode step, under one lock. The result equals one ObserveToken call
+// per token: each token is judged on its own, and the clock advances after
+// a token only when its time or model differs from the previous token's,
+// since an advance repeating the last one's arguments is a no-op. So alerts
+// still step the moment the first token of a new bucket lands. Nil-safe.
+func (m *Monitor) ObserveTokens(obs []TokenObs) {
+	if m == nil || len(obs) == 0 {
 		return
 	}
-	met := o.At <= o.Deadline
-	var cause Cause
-	if !met {
-		cause = classify(m.cfg.Source, m.cfg.FaultActive,
-			o.Model, o.Request, o.Instance, o.Arrival, o.Deadline, o.At)
+	// Attribute misses before locking: the span join takes the collector's
+	// lock and FaultActive is the caller's code. The stack buffer holds a
+	// typical step's misses.
+	var buf [16]Cause
+	causes := buf[:0]
+	for _, o := range obs {
+		if o.At > o.Deadline {
+			causes = append(causes, classify(m.cfg.Source, m.cfg.FaultActive,
+				o.Model, o.Request, o.Instance, o.Arrival, o.Deadline, o.At))
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ms := m.scopeLocked(o.Model)
-	for _, s := range [2]*scope{m.fleet, ms} {
-		s.ring.observe(o.At, met)
-		if met {
-			s.met++
-		} else {
-			s.missed++
-			s.causes[cause]++
+	var ms *scope
+	for i, o := range obs {
+		same := i > 0 && o.Model == obs[i-1].Model
+		if !same {
+			ms = m.scopeLocked(o.Model)
 		}
-		if o.Index == 0 {
-			s.ttft.add(o.At, o.At-o.Arrival)
-		} else if o.Prev > 0 && o.At >= o.Prev {
-			s.tbt.add(o.At, o.At-o.Prev)
+		met := o.At <= o.Deadline
+		var cause Cause
+		if !met {
+			cause, causes = causes[0], causes[1:]
+		}
+		for _, s := range [2]*scope{m.fleet, ms} {
+			s.ring.observe(o.At, met)
+			if met {
+				s.met++
+			} else {
+				s.missed++
+				s.causes[cause]++
+			}
+			if o.Index == 0 {
+				s.ttft.add(o.At, o.At-o.Arrival)
+			} else if o.Prev > 0 && o.At >= o.Prev {
+				s.tbt.add(o.At, o.At-o.Prev)
+			}
+		}
+		if !same || o.At != obs[i-1].At {
+			m.advanceLocked(o.At, ms)
 		}
 	}
-	m.advanceLocked(o.At, ms)
 }
 
 // ObserveDropped records one token that will never be generated (failed or

@@ -407,6 +407,137 @@ func TestRingHeadsTrackClock(t *testing.T) {
 	}
 }
 
+// randomSteps builds a seeded sequence of decode steps: one model and one
+// time per step, like core's, plus an occasional step that mixes models and
+// times. The clock crosses bucket and epoch boundaries, sometimes jumps past
+// the ring, and sometimes lands behind the last step; the miss rate swings
+// between calm and overloaded phases so alerts page and recover.
+func randomSteps(rng *rand.Rand, steps int) [][]TokenObs {
+	var out [][]TokenObs
+	var clock time.Duration
+	for s := 0; s < steps; s++ {
+		switch r := rng.Intn(40); {
+		case r == 0:
+			clock += 25 * time.Second // idle gap past the slow window
+		case r < 4:
+			clock -= time.Duration(rng.Int63n(int64(2 * time.Second))) // behind the clock
+		default:
+			clock += time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
+		}
+		clock = max(clock, 0)
+		missRate := 0.02
+		if (s/60)%2 == 1 {
+			missRate = 0.6
+		}
+		model := fmt.Sprintf("m%d", rng.Intn(5))
+		step := make([]TokenObs, 1+rng.Intn(8))
+		mixed := rng.Intn(10) == 0
+		for i := range step {
+			at := clock
+			if mixed {
+				model = fmt.Sprintf("m%d", rng.Intn(5))
+				at += time.Duration(rng.Intn(3)) * 700 * time.Millisecond
+			}
+			dl := at + time.Second
+			if rng.Float64() < missRate {
+				dl = at - time.Duration(1+rng.Int63n(int64(time.Second)))
+			}
+			idx := rng.Intn(4) // index 0 feeds TTFT, the rest TBT
+			step[i] = TokenObs{Model: model, Request: fmt.Sprintf("r%d", rng.Intn(50)),
+				Instance: fmt.Sprintf("g%d", rng.Intn(2)), Index: idx,
+				Arrival: max(at-2*time.Second, 0), Deadline: dl, At: at,
+				Prev: max(at-time.Duration(rng.Int63n(int64(200*time.Millisecond))), 0)}
+		}
+		out = append(out, step)
+	}
+	return out
+}
+
+// TestObserveTokensMatchesObserveToken: feeding a step's tokens in one call
+// leaves exactly the state that one call per token leaves — windows, stream
+// totals, causes, quantile reservoirs and alert transitions — checked through
+// the full snapshot after every few steps.
+func TestObserveTokensMatchesObserveToken(t *testing.T) {
+	cfg := propertyConfig
+	cfg.QuantileSamples = 16 // small reservoirs, so replacement is exercised
+	cfg.FaultActive = func(model, instance string) bool { return model == "m1" && instance == "g1" }
+	transitions := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		perToken, perStep := New(cfg), New(cfg)
+		for i, step := range randomSteps(rand.New(rand.NewSource(seed)), 600) {
+			for _, o := range step {
+				perToken.ObserveToken(o)
+			}
+			perStep.ObserveTokens(step)
+			if i%7 != 0 {
+				continue
+			}
+			a, _ := json.Marshal(perToken.Snapshot(0))
+			b, _ := json.Marshal(perStep.Snapshot(0))
+			if string(a) != string(b) {
+				t.Fatalf("seed %d step %d: snapshots differ\nper token: %s\nper step:  %s", seed, i, a, b)
+			}
+		}
+		snap := perStep.Snapshot(0)
+		transitions += len(snap.Fleet.Alert.Transitions)
+		if snap.Fleet.Causes["fault"] == 0 || snap.Fleet.Causes["unknown"] == 0 {
+			t.Fatalf("seed %d: causes %v, want fault and unknown misses", seed, snap.Fleet.Causes)
+		}
+	}
+	if transitions == 0 {
+		t.Fatal("no alert transitions: the sequences never paged")
+	}
+}
+
+// TestObserveTokensAllocs: a warmed monitor judges a step without
+// allocating.
+func TestObserveTokensAllocs(t *testing.T) {
+	m := New(Config{QuantileSamples: 8})
+	step := make([]TokenObs, 16)
+	for i := range step {
+		at := 5 * time.Second
+		step[i] = TokenObs{Model: "m0", Request: "r", Instance: "g0", Index: i % 4,
+			Arrival: time.Second, Deadline: at + time.Duration(i%3-1)*time.Second,
+			At: at, Prev: at - 40*time.Millisecond}
+	}
+	for i := 0; i < 4; i++ {
+		m.ObserveTokens(step) // fill the reservoirs
+	}
+	if n := testing.AllocsPerRun(100, func() { m.ObserveTokens(step) }); n != 0 {
+		t.Fatalf("ObserveTokens allocates %.1f times per step, want 0", n)
+	}
+}
+
+// BenchmarkObserveTokens is the per-step counterpart of BenchmarkObserveToken:
+// one op is one decode step of 8 tokens from one model, models take turns,
+// and the clock moves 1ms per step. ns/token compares with
+// BenchmarkObserveToken's ns/op.
+func BenchmarkObserveTokens(b *testing.B) {
+	const batch = 8
+	for _, n := range []int{1, 40, 400} {
+		b.Run(fmt.Sprintf("models=%d", n), func(b *testing.B) {
+			m := New(Config{})
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprintf("m%03d", i)
+				m.ObserveToken(TokenObs{Model: names[i], Request: "r", Deadline: time.Second})
+			}
+			step := make([]TokenObs, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := time.Duration(i) * time.Millisecond
+				for j := range step {
+					step[j] = TokenObs{Model: names[i%n], Request: "r", Index: 1 + (i+j)%64,
+						Deadline: at + time.Second, At: at, Prev: at - time.Millisecond}
+				}
+				m.ObserveTokens(step)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/token")
+		})
+	}
+}
+
 // BenchmarkObserveToken is the monitor's per-token cost at growing model
 // counts: models take turns, and the clock moves 1ms per token, so a bucket
 // rotation (which steps every scope's alerts) comes once per 1000 tokens.

@@ -122,12 +122,13 @@ func (w *windowRing) sums(i int) (met, missed uint64) {
 // epochSketch keeps bounded TTFT/TBT quantiles over a sliding epoch pair:
 // samples land in the current reservoir, and quantiles merge the current
 // and previous reservoirs, so the estimate always covers between one and
-// two epochs of history with flat memory.
+// two epochs of history with flat memory. The reservoirs are unlocked: the
+// monitor's mutex guards them.
 type epochSketch struct {
 	epoch   time.Duration
 	max     int
-	cur     *metrics.SafeCDF
-	prev    *metrics.SafeCDF
+	cur     *metrics.Reservoir
+	prev    *metrics.Reservoir
 	curIdx  int64
 	started bool
 }
@@ -136,8 +137,8 @@ func newEpochSketch(epoch time.Duration, maxSamples int) *epochSketch {
 	return &epochSketch{
 		epoch: epoch,
 		max:   maxSamples,
-		cur:   metrics.NewSafeCDF(maxSamples),
-		prev:  metrics.NewSafeCDF(maxSamples),
+		cur:   metrics.NewReservoir(maxSamples),
+		prev:  metrics.NewReservoir(maxSamples),
 	}
 }
 
@@ -154,9 +155,9 @@ func (e *epochSketch) rotateTo(now sim.Time) {
 	if idx == e.curIdx+1 {
 		e.prev = e.cur
 	} else {
-		e.prev = metrics.NewSafeCDF(e.max) // gap longer than an epoch: nothing carries over
+		e.prev = metrics.NewReservoir(e.max) // gap longer than an epoch: nothing carries over
 	}
-	e.cur = metrics.NewSafeCDF(e.max)
+	e.cur = metrics.NewReservoir(e.max)
 	e.curIdx = idx
 }
 
