@@ -15,15 +15,14 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
-	"aegaeon/internal/trace"
 	"aegaeon/internal/workload"
 )
 
 func main() {
 	models := model.SmallMix(3)
-	tr := trace.New(1 << 14)
 
 	se := sim.NewEngine(1)
 	sys := core.NewSystem(se, core.Config{
@@ -33,7 +32,7 @@ func main() {
 		NumDecode:  1, // a single decoding GPU shared by all three models
 		Models:     models,
 		SLO:        slo.Default(),
-		Tracer:     tr,
+		Obs:        obs.New(obs.Options{}),
 	})
 
 	// One long request per model, arriving a second apart — the Fig. 2
@@ -55,10 +54,11 @@ func main() {
 	sys.Finalize(se.Now())
 
 	fmt.Println("token-level auto-scaling timeline (decode GPU, first 40 turn events):")
+	tr := sys.Collector().Ring()
 	n := 0
 	for _, e := range tr.Events() {
 		switch e.Kind {
-		case trace.KindTurnStart, trace.KindSwitchStart, trace.KindSwitchDone:
+		case obs.KindTurnStart, obs.KindSwitchStart, obs.KindSwitchDone:
 			fmt.Printf("  %s\n", e)
 			n++
 		}

@@ -9,9 +9,9 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
-	"aegaeon/internal/trace"
 	"aegaeon/internal/workload"
 )
 
@@ -408,8 +408,8 @@ func TestColocationServesStrictSLO(t *testing.T) {
 func TestSchedulerTracing(t *testing.T) {
 	models := model.MarketMix(3)
 	cfg := testConfig(models, engine.AllOptimizations(), 1, 1)
-	tr := trace.New(4096)
-	cfg.Tracer = tr
+	col := obs.New(obs.Options{})
+	cfg.Obs = col
 	var names []string
 	for _, m := range models {
 		names = append(names, m.Name)
@@ -417,22 +417,23 @@ func TestSchedulerTracing(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	traceReqs := workload.PoissonTrace(rng, names, 0.1, 60*time.Second, workload.ShareGPT())
 	sys := runTrace(t, cfg, traceReqs)
-	if sys.Tracer() != tr {
-		t.Fatal("tracer not exposed")
+	if sys.Collector() != col {
+		t.Fatal("collector not exposed")
 	}
-	if tr.Count(trace.KindArrival) != uint64(len(traceReqs)) {
-		t.Fatalf("arrivals traced = %d, want %d", tr.Count(trace.KindArrival), len(traceReqs))
+	tr := col.Ring()
+	if tr.Count(obs.KindArrival) != uint64(len(traceReqs)) {
+		t.Fatalf("arrivals traced = %d, want %d", tr.Count(obs.KindArrival), len(traceReqs))
 	}
-	if tr.Count(trace.KindRequestDone) != uint64(len(traceReqs)) {
-		t.Fatalf("completions traced = %d, want %d", tr.Count(trace.KindRequestDone), len(traceReqs))
+	if tr.Count(obs.KindRequestDone) != uint64(len(traceReqs)) {
+		t.Fatalf("completions traced = %d, want %d", tr.Count(obs.KindRequestDone), len(traceReqs))
 	}
-	for _, k := range []trace.Kind{trace.KindPrefillStart, trace.KindPrefillDone, trace.KindTurnStart, trace.KindTurnEnd} {
+	for _, k := range []obs.Kind{obs.KindPrefillStart, obs.KindPrefillDone, obs.KindTurnStart, obs.KindTurnEnd} {
 		if tr.Count(k) == 0 {
 			t.Errorf("no %v events traced", k)
 		}
 	}
-	if tr.Count(trace.KindSwitchStart) != tr.Count(trace.KindSwitchDone) {
+	if tr.Count(obs.KindSwitchStart) != tr.Count(obs.KindSwitchDone) {
 		t.Errorf("switch start/done mismatch: %d vs %d",
-			tr.Count(trace.KindSwitchStart), tr.Count(trace.KindSwitchDone))
+			tr.Count(obs.KindSwitchStart), tr.Count(obs.KindSwitchDone))
 	}
 }

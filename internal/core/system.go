@@ -20,7 +20,6 @@ import (
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
 	"aegaeon/internal/slomon"
-	"aegaeon/internal/trace"
 	"aegaeon/internal/workload"
 )
 
@@ -60,15 +59,10 @@ type Config struct {
 	// host-memory capacity scales with the node count the pool spans.
 	NodeGPUs int
 
-	// Tracer, when non-nil, records structured scheduler events (arrivals,
-	// switches, turns, swaps, completions) into a ring buffer. When Obs is
-	// nil, a Collector is created around this ring so flat events and span
-	// timelines share one event model.
-	Tracer *trace.Tracer
-
-	// Obs, when non-nil, is the observability collector receiving request
-	// span timelines, device op timelines, and switch-cost attribution. Both
-	// nil leaves observability off with zero overhead.
+	// Obs, when non-nil, is the observability collector receiving flat
+	// scheduler events, request span timelines, device op timelines, and
+	// switch-cost attribution. Nil leaves observability off with zero
+	// overhead.
 	Obs *obs.Collector
 
 	// SLOMon, when non-nil, receives every token's deadline judgement as it
@@ -249,7 +243,6 @@ type System struct {
 	reaperArmed bool
 	mon         *slomon.Monitor
 	fleet       *fleetobs.Ledger
-	tracer      *trace.Tracer
 	obs         *obs.Collector
 	dec         *decision.Journal
 	breakdown   *metrics.Breakdown
@@ -278,14 +271,6 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 	if cfg.NumPrefill < 1 || cfg.NumDecode < 1 {
 		panic("core: need at least one prefill and one decode instance")
 	}
-	// One event model: a configured Tracer becomes the collector's backing
-	// ring, so flat events and span timelines never diverge.
-	if cfg.Obs == nil && cfg.Tracer != nil {
-		cfg.Obs = obs.New(obs.Options{Ring: cfg.Tracer})
-	}
-	if cfg.Tracer == nil && cfg.Obs != nil {
-		cfg.Tracer = cfg.Obs.Ring()
-	}
 	// The pool spans ceil(totalGPUs / NodeGPUs) physical nodes; the model
 	// cache and unified CPU KV cache aggregate their DRAM (Fig. 5 shows one
 	// per node; we model the union, with KV transfers treated as intra-node).
@@ -308,7 +293,6 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 		tracker:     slo.NewTracker(),
 		mon:         cfg.SLOMon,
 		fleet:       cfg.Fleet,
-		tracer:      cfg.Tracer,
 		obs:         cfg.Obs,
 		dec:         cfg.Decisions,
 		breakdown:   &metrics.Breakdown{},
@@ -904,8 +888,9 @@ func (s *System) failRequest(r *Request, reason string) {
 			Request: r.ID, Model: r.Model.Name, Outcome: decision.OutcomeFailed, Reason: reason})
 	}
 	s.cfg.Faults.CountRejected()
-	s.tracer.Emit(trace.Event{At: s.eng.Now(), Kind: trace.KindFailure,
-		Subject: "rejected", Detail: r.ID + ": " + reason})
+	if s.obs != nil {
+		s.obs.Fault("", "rejected", r.ID+": "+reason, s.eng.Now())
+	}
 	if r.live {
 		s.liveOpen--
 		s.tracker.ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
@@ -1152,9 +1137,6 @@ func (s *System) Engines() []*engine.Engine {
 	}
 	return out
 }
-
-// Tracer returns the configured tracer (nil when tracing is disabled).
-func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // Collector returns the observability collector (nil when disabled).
 func (s *System) Collector() *obs.Collector { return s.obs }

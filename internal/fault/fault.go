@@ -13,6 +13,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -92,7 +93,7 @@ func (f Fault) String() string {
 	if f.Duration > 0 {
 		s += "+" + f.Duration.String()
 	}
-	if f.Factor > 0 && f.Factor != 1 {
+	if f.Factor > 0 {
 		s += "*" + strconv.FormatFloat(f.Factor, 'g', -1, 64)
 	}
 	if f.Target != "" {
@@ -164,7 +165,7 @@ func parseItem(item string) (Fault, error) {
 	// rest = at[+duration][*factor]
 	if before, factor, ok := strings.Cut(rest, "*"); ok {
 		v, err := strconv.ParseFloat(factor, 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0 && v < math.Inf(1)) { // rejects NaN and Inf too
 			return f, fmt.Errorf("bad factor %q", factor)
 		}
 		f.Factor = v

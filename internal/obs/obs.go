@@ -7,10 +7,11 @@
 //
 // The Collector is the single sink. It is nil-safe everywhere — a nil
 // *Collector records nothing and allocates nothing, so the serving hot paths
-// pay one pointer comparison when observability is off. The bounded backing
-// store for flat events is the existing trace.Tracer ring (one event model,
-// not two): every collector method that corresponds to a scheduler event
-// also emits the matching trace.Event into the ring.
+// pay one pointer comparison when observability is off. Flat events live in
+// one bounded Ring (ring.go): every collector method that corresponds to a
+// scheduler event also emits the matching Event into it. Faults, recoveries
+// and retries are also kept in a separate small ring, so token-batch traffic
+// never pushes them out of the Perfetto export.
 //
 // Everything the collector retains is bounded: request timelines, per-engine
 // op rings, switch records, and per-request token stamps all have caps, so a
@@ -25,8 +26,10 @@ import (
 
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
+
+// maxFaultEvents bounds the fault ring the Perfetto fault track reads.
+const maxFaultEvents = 4096
 
 // Span is one closed interval of a request's lifecycle. Detail optionally
 // refines the span (a switch-stall span carries the dominant switch stage,
@@ -119,9 +122,7 @@ func (r *opRing) ordered() []gpu.OpRecord {
 
 // Options bounds the collector's retention.
 type Options struct {
-	// Ring is the flat event store. Nil creates one with RingCapacity.
-	Ring *trace.Tracer
-	// RingCapacity sizes the ring when Ring is nil (default 16384).
+	// RingCapacity sizes the flat event ring (default 16384).
 	RingCapacity int
 	// MaxRequests bounds retained request timelines (default 2048). When
 	// full, the oldest completed timeline is evicted (oldest overall if none
@@ -157,8 +158,9 @@ func (o *Options) defaults() {
 // safe on a nil receiver (no-ops) and safe for concurrent use: the
 // simulation goroutine writes while debug handlers snapshot.
 type Collector struct {
-	opts Options
-	ring *trace.Tracer
+	opts   Options
+	ring   *Ring
+	faults *Ring // failure, recovery and retry events only
 
 	mu       sync.Mutex
 	reqs     map[string]*RequestTimeline
@@ -175,13 +177,10 @@ type Collector struct {
 // New builds a collector.
 func New(opts Options) *Collector {
 	opts.defaults()
-	ring := opts.Ring
-	if ring == nil {
-		ring = trace.New(opts.RingCapacity)
-	}
 	return &Collector{
 		opts:    opts,
-		ring:    ring,
+		ring:    newRing(opts.RingCapacity),
+		faults:  newRing(maxFaultEvents),
 		reqs:    map[string]*RequestTimeline{},
 		devs:    map[string]*deviceTimeline{},
 		open:    map[string]*SwitchRecord{},
@@ -190,7 +189,7 @@ func New(opts Options) *Collector {
 }
 
 // Ring returns the flat event store (nil on a nil collector).
-func (c *Collector) Ring() *trace.Tracer {
+func (c *Collector) Ring() *Ring {
 	if c == nil {
 		return nil
 	}
@@ -251,7 +250,7 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindArrival, Subject: id, Detail: model})
+	c.ring.Emit(Event{At: at, Kind: KindArrival, Subject: id, Detail: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.reqs[id]; ok {
@@ -290,7 +289,7 @@ func (c *Collector) PrefillStart(instance, id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindPrefillStart, Instance: instance, Subject: id})
+	c.ring.Emit(Event{At: at, Kind: KindPrefillStart, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.timeline(id); t != nil {
@@ -308,7 +307,8 @@ func (c *Collector) RequestSpan(instance, id, name, detail string, start, end si
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(end, trace.KindPrefix, instance, id, "%s %s", name, detail)
+	c.ring.Emit(Event{At: end, Kind: KindPrefix, Instance: instance, Subject: id,
+		Detail: name + " " + detail})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.timeline(id); t != nil {
@@ -321,7 +321,7 @@ func (c *Collector) PrefillDone(instance, id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindPrefillDone, Instance: instance, Subject: id})
+	c.ring.Emit(Event{At: at, Kind: KindPrefillDone, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.timeline(id); t != nil {
@@ -336,8 +336,8 @@ func (c *Collector) TurnStart(instance, model string, at sim.Time, quota time.Du
 	if c == nil {
 		return
 	}
-	c.ring.Emitf(at, trace.KindTurnStart, instance, model,
-		"%d reqs, quota %.2fs", len(reqIDs), quota.Seconds())
+	c.ring.Emit(Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: model,
+		Detail: fmt.Sprintf("%d reqs, quota %.2fs", len(reqIDs), quota.Seconds())})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.turnSet[instance] = append(c.turnSet[instance][:0], reqIDs...)
@@ -355,7 +355,7 @@ func (c *Collector) TurnEnd(instance, model string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindTurnEnd, Instance: instance, Subject: model})
+	c.ring.Emit(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range c.turnSet[instance] {
@@ -392,7 +392,7 @@ func (c *Collector) TokenBatch(instance, model string, at sim.Time, reqIDs []str
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindTokenBatch, Instance: instance, Subject: model,
+	c.ring.Emit(Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: model,
 		Detail: tokenBatchDetail(len(reqIDs))})
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -427,7 +427,7 @@ func (c *Collector) Evicted(instance, model string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindEvict, Instance: instance, Subject: model})
+	c.ring.Emit(Event{At: at, Kind: KindEvict, Instance: instance, Subject: model})
 }
 
 // RequestDone closes every open span and marks the timeline finished.
@@ -435,7 +435,7 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRequestDone, Subject: id})
+	c.ring.Emit(Event{At: at, Kind: KindRequestDone, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.timeline(id)
@@ -450,29 +450,29 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 }
 
 // Fault records an injected or detected failure (instance crash, transfer
-// error window, fetch failure, store partition) in the flat event ring.
+// error window, fetch failure, store partition, rejected request).
 func (c *Collector) Fault(instance, kind, detail string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindFailure, Instance: instance, Subject: kind, Detail: detail})
+	c.fault(Event{At: at, Kind: KindFailure, Instance: instance, Subject: kind, Detail: detail})
 }
 
 // Recovery records a completed recovery action (failover, orphan
-// re-dispatch, breaker close) in the flat event ring.
+// re-dispatch, breaker close).
 func (c *Collector) Recovery(instance, detail string, at sim.Time) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRecovery, Instance: instance, Detail: detail})
+	c.fault(Event{At: at, Kind: KindRecovery, Instance: instance, Detail: detail})
 }
 
 // Retry records one backoff retry (fetch, transfer, or metastore op).
 func (c *Collector) Retry(instance, what string, at sim.Time) {
+	c.fault(Event{At: at, Kind: KindRetry, Instance: instance, Subject: what})
+}
+
+// fault emits e into the flat ring and the fault ring. Nil-safe.
+func (c *Collector) fault(e Event) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindRetry, Instance: instance, Subject: what})
+	c.ring.Emit(e)
+	c.faults.Emit(e)
 }
 
 // BeginSwitch opens a switch record for the instance. The engine calls it
@@ -482,7 +482,7 @@ func (c *Collector) BeginSwitch(instance, from, to string, at sim.Time, reinitAv
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindSwitchStart, Instance: instance, Subject: to, Detail: "from " + from})
+	c.ring.Emit(Event{At: at, Kind: KindSwitchStart, Instance: instance, Subject: to, Detail: "from " + from})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := &SwitchRecord{Instance: instance, From: from, To: to, Start: at, ReinitAvoided: reinitAvoided}
@@ -535,7 +535,7 @@ func (c *Collector) EndSwitch(instance string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(trace.Event{At: at, Kind: trace.KindSwitchDone, Instance: instance})
+	c.ring.Emit(Event{At: at, Kind: KindSwitchDone, Instance: instance})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.open[instance]

@@ -7,7 +7,6 @@ import (
 
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
 
 func ms(n int) sim.Time { return time.Duration(n) * time.Millisecond }
@@ -64,9 +63,9 @@ func TestRequestSpanLifecycle(t *testing.T) {
 	}
 	// The flat ring saw the matching events (one event model, not two).
 	ring := c.Ring()
-	for _, k := range []trace.Kind{trace.KindArrival, trace.KindPrefillStart,
-		trace.KindPrefillDone, trace.KindTurnStart, trace.KindTurnEnd,
-		trace.KindTokenBatch, trace.KindRequestDone} {
+	for _, k := range []Kind{KindArrival, KindPrefillStart,
+		KindPrefillDone, KindTurnStart, KindTurnEnd,
+		KindTokenBatch, KindRequestDone} {
 		if ring.Count(k) == 0 {
 			t.Errorf("ring missing kind %v", k)
 		}
@@ -386,6 +385,9 @@ func TestNilCollectorIsNoopAndAllocationFree(t *testing.T) {
 		c.SwitchStage("d0", "weight-load", 0, 0)
 		c.SwitchVictims("d0", ids)
 		c.EndSwitch("d0", 0)
+		c.Fault("d0", "crash", "", 0)
+		c.Recovery("d0", "failover", 0)
+		c.Retry("d0", "fetch", 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil collector allocates %v per run", allocs)
@@ -398,17 +400,5 @@ func TestNilCollectorIsNoopAndAllocationFree(t *testing.T) {
 	}
 	if sws, total := c.Switches(); sws != nil || total != 0 {
 		t.Fatal("nil collector has switches")
-	}
-}
-
-func TestCollectorUsesProvidedRing(t *testing.T) {
-	ring := trace.New(64)
-	c := New(Options{Ring: ring})
-	if c.Ring() != ring {
-		t.Fatal("collector did not adopt the provided ring")
-	}
-	c.RequestArrived("r1", "m", ms(0))
-	if ring.Count(trace.KindArrival) != 1 {
-		t.Fatal("collector event did not reach the shared ring")
 	}
 }

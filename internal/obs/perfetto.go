@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"aegaeon/internal/sim"
-	"aegaeon/internal/trace"
 )
 
 // perfetto track layout constants.
@@ -205,24 +204,21 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 	}
 
 	// Fault tracks: instant events for failures, recoveries, and retries,
-	// pulled from the flat event ring onto a shared "faults" process with one
-	// thread per category.
-	faultTids := map[trace.Kind]int{
-		trace.KindFailure:  1,
-		trace.KindRecovery: 2,
-		trace.KindRetry:    3,
+	// read from the fault ring (which token traffic cannot overwrite) onto a
+	// shared "faults" process with one thread per category.
+	faultTids := map[Kind]int{
+		KindFailure:  1,
+		KindRecovery: 2,
+		KindRetry:    3,
 	}
-	faultNames := map[trace.Kind]string{
-		trace.KindFailure:  "failures",
-		trace.KindRecovery: "recoveries",
-		trace.KindRetry:    "retries",
+	faultNames := map[Kind]string{
+		KindFailure:  "failures",
+		KindRecovery: "recoveries",
+		KindRetry:    "retries",
 	}
-	wroteFaultMeta := map[trace.Kind]bool{}
-	for _, ev := range c.Ring().Events() {
-		tid, ok := faultTids[ev.Kind]
-		if !ok {
-			continue
-		}
+	wroteFaultMeta := map[Kind]bool{}
+	for _, ev := range c.faults.Events() {
+		tid := faultTids[ev.Kind]
 		if !wroteFaultMeta[ev.Kind] {
 			if len(wroteFaultMeta) == 0 {
 				events = append(events, metaEvent(pidFaults, 0, "process_name", "faults"))

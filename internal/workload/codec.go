@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -45,13 +46,11 @@ func WriteTrace(w io.Writer, trace []Request) error {
 			ArrivalS: r.Arrival.Seconds(),
 			Input:    r.InputTokens,
 			Output:   r.OutputTokens,
+			Session:  r.SessionID,
+			Turn:     r.Turn,
 		}
 		if r.Priority != PriorityNormal {
 			wr.Priority = r.Priority.String()
-		}
-		if r.SessionID != "" {
-			wr.Session = r.SessionID
-			wr.Turn = r.Turn
 		}
 		for _, s := range r.Segments {
 			wr.Segments = append(wr.Segments, wireSeg{Seed: s.Seed, Len: s.Len})
@@ -80,6 +79,9 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 		}
 		if wr.ArrivalS < 0 {
 			return nil, fmt.Errorf("workload: line %d: negative arrival %f", i+1, wr.ArrivalS)
+		}
+		if wr.ArrivalS*float64(time.Second) >= math.MaxInt64 {
+			return nil, fmt.Errorf("workload: line %d: arrival %g s overflows a duration", i+1, wr.ArrivalS)
 		}
 		if wr.Input < 0 || wr.Output < 1 {
 			return nil, fmt.Errorf("workload: line %d: invalid lengths in=%d out=%d",

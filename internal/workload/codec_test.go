@@ -61,6 +61,7 @@ func TestReadTraceValidation(t *testing.T) {
 	cases := []string{
 		`{"model":"","arrival_s":1,"input_tokens":1,"output_tokens":1}`,
 		`{"model":"m","arrival_s":-1,"input_tokens":1,"output_tokens":1}`,
+		`{"model":"m","arrival_s":1e10,"input_tokens":1,"output_tokens":1}`,
 		`{"model":"m","arrival_s":1,"input_tokens":-1,"output_tokens":1}`,
 		`{"model":"m","arrival_s":1,"input_tokens":1,"output_tokens":0}`,
 		`not json`,

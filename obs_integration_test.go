@@ -102,6 +102,35 @@ func TestPerfettoExportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPerfettoKeepsEarlyFaults: a crash early in a long run must still be on
+// the Perfetto fault track after token traffic has pushed it out of the flat
+// event ring.
+func TestPerfettoKeepsEarlyFaults(t *testing.T) {
+	const crashAt = 20 * time.Second
+	sys, err := aegaeon.New(aegaeon.Config{
+		PrefillGPUs: 1, DecodeGPUs: 2, NumModels: 6, Tracing: true,
+		Faults: "crash@20s:decode0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Serve(sys.GenerateTrace(aegaeon.TraceSpec{RatePerModel: 0.1, Horizon: 8 * time.Minute})); err != nil {
+		t.Fatal(err)
+	}
+	ring := sys.Collector().Ring()
+	if evs := ring.Events(); evs[0].At <= crashAt || ring.Total() <= 16384 {
+		t.Fatalf("ring still reaches back to %v after %d events; the run does not wrap it past the crash",
+			evs[0].At, ring.Total())
+	}
+	var buf bytes.Buffer
+	if err := sys.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name":"crash","ph":"i","ts":20000000,`) {
+		t.Fatal("crash instant missing from the Perfetto fault track")
+	}
+}
+
 // TestWritePerfettoWithoutTracing checks the export fails cleanly when the
 // system was built without Config.Tracing.
 func TestWritePerfettoWithoutTracing(t *testing.T) {
