@@ -25,7 +25,7 @@ func TestPrefixReuseShortensTTFT(t *testing.T) {
 	for turn := 0; turn < 3; turn++ {
 		trace = append(trace, workload.Request{
 			ID: "r" + string(rune('0'+turn)), Model: models[0].Name,
-			Arrival: time.Duration(turn) * 60 * time.Second,
+			Arrival:     time.Duration(turn) * 60 * time.Second,
 			InputTokens: 8192, OutputTokens: 4,
 			SessionID: "s0", Turn: turn, Segments: segs,
 		})
@@ -108,7 +108,7 @@ func TestPrefixRoutingSessionAffinity(t *testing.T) {
 		n := 1024 + 512*turn
 		trace = append(trace, workload.Request{
 			ID: string(rune('a'+turn)) + "0", Model: models[0].Name,
-			Arrival: time.Duration(turn) * 45 * time.Second,
+			Arrival:     time.Duration(turn) * 45 * time.Second,
 			InputTokens: n, OutputTokens: 4,
 			SessionID: "chat", Turn: turn, Segments: segs(n),
 		})

@@ -102,10 +102,14 @@ func newRequest(wr workload.Request, m *model.Model) *Request {
 // All token emission funnels through here so live streaming observes every
 // token exactly once, in order — and so terminal requests (failed or
 // aborted) emit nothing more, even from compute steps already in flight
-// when they became terminal.
+// when they became terminal. The first token sizes TokenTimes for the whole
+// output, so a request's token log is one allocation.
 func (r *Request) recordToken(at sim.Time) {
 	if r.Failed || r.aborted {
 		return
+	}
+	if r.TokenTimes == nil {
+		r.TokenTimes = make([]sim.Time, 0, r.OutputTokens)
 	}
 	r.TokenTimes = append(r.TokenTimes, at)
 	if r.OnToken != nil {

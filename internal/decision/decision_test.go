@@ -13,7 +13,7 @@ import (
 
 func adm(id string, at sim.Time) Record {
 	return Record{At: at, Kind: KindAdmission, Request: id, Outcome: "accept",
-		Inputs: []Term{NsTerm("ttft_estimate", 5 * time.Millisecond)}}
+		Inputs: []Term{NsTerm("ttft_estimate", 5*time.Millisecond)}}
 }
 
 func term(id string, outcome string, at sim.Time) Record {
@@ -32,7 +32,7 @@ func TestChainAndCoverage(t *testing.T) {
 
 	j.Record(adm("r2", 3))
 	j.Record(Record{At: 4, Kind: KindShed, Request: "r2", Outcome: "doomed_on_arrival",
-		Inputs: []Term{NsTerm("estimate", 9 * time.Second)}})
+		Inputs: []Term{NsTerm("estimate", 9*time.Second)}})
 	j.Record(term("r2", OutcomeFailed, 5))
 
 	if got := len(j.Chain("r1")); got != 3 {

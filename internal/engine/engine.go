@@ -163,19 +163,19 @@ type Engine struct {
 // the PCIe link instead of waiting behind a monolithic multi-GB copy.
 const loadChunk = 25 * time.Millisecond
 
-// submitChunked splits a long H2D transfer into loadChunk-sized operations
-// and returns the event of the last chunk.
-func submitChunked(st *gpu.Stream, total time.Duration, info gpu.OpInfo, done func()) *gpu.Event {
+// submitChunked splits a long H2D transfer into loadChunk-sized operations;
+// done fires with the last chunk.
+func submitChunked(st *gpu.Stream, total time.Duration, info gpu.OpInfo, done func()) {
 	if total <= loadChunk {
-		return st.SubmitOp(gpu.H2D, total, info, done)
+		st.SubmitOp(gpu.H2D, total, info, done)
+		return
 	}
 	n := int(total / loadChunk)
 	rem := total - time.Duration(n)*loadChunk
 	for i := 0; i < n-1; i++ {
 		st.SubmitOp(gpu.H2D, loadChunk, info)
 	}
-	last := loadChunk + rem
-	return st.SubmitOp(gpu.H2D, last, info, done)
+	st.SubmitOp(gpu.H2D, loadChunk+rem, info, done)
 }
 
 // New constructs an engine on a fresh device.
@@ -311,11 +311,12 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 				dur = e.CostFor(m).Switch() + fetch
 			}
 			ls := e.eng.Now()
-			r.loading = submitChunked(e.loader, dur, gpu.OpInfo{Tag: "load " + m.Name, Model: m.Name}, func() {
+			submitChunked(e.loader, dur, gpu.OpInfo{Tag: "load " + m.Name, Model: m.Name}, func() {
 				r.loading = nil
 				e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 				finish()
 			})
+			r.loading = e.loader.Record()
 		}
 		if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) {
 			e.awaitFetchable(m, 0, submit)
@@ -735,10 +736,11 @@ func (e *Engine) StartPrefetch(m *model.Model) bool {
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	e.prefetchPending = true
-	e.prefetchReady = submitChunked(e.prefetch, dur,
+	submitChunked(e.prefetch, dur,
 		gpu.OpInfo{Tag: "prefetch " + m.Name, Model: m.Name}, func() {
 			e.prefetchPending = false
 		})
+	e.prefetchReady = e.prefetch.Record()
 	e.prefetched = m
 	return true
 }
@@ -774,10 +776,11 @@ func (e *Engine) prefetchColocated(m *model.Model) bool {
 			time.Duration(float64(m.WeightBytes())/e.cfg.RemoteLoadBPS*float64(time.Second)*e.cfg.Faults.FetchFactor())
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
-	r.loading = submitChunked(e.prefetch, dur,
+	submitChunked(e.prefetch, dur,
 		gpu.OpInfo{Tag: "prefetch " + m.Name, Model: m.Name}, func() {
 			r.loading = nil
 		})
+	r.loading = e.prefetch.Record()
 	return true
 }
 

@@ -18,13 +18,34 @@ func BenchmarkStreamSubmit(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeStepChurn models token-level decode scheduling: each step
+// is one labelled compute op whose onDone issues the next step. Retired ops
+// are reused, so a step allocates nothing.
+func BenchmarkDecodeStepChurn(b *testing.B) {
+	eng := sim.NewEngine(1)
+	s := NewDevice(eng, "gpu0").NewStream("compute")
+	info := OpInfo{Tag: "decode", Model: "m"}
+	left := b.N
+	var step func()
+	step = func() {
+		if left > 0 {
+			left--
+			s.SubmitOp(Compute, time.Millisecond, info, step)
+		}
+	}
+	b.ReportAllocs()
+	step()
+	eng.Run()
+}
+
 func BenchmarkEventFanout(b *testing.B) {
 	eng := sim.NewEngine(1)
 	d := NewDevice(eng, "gpu0")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src := d.NewStream("src")
-		ev := src.Submit(D2H, time.Microsecond, "out")
+		src.Submit(D2H, time.Microsecond, "out")
+		ev := src.Record()
 		for j := 0; j < 8; j++ {
 			w := d.NewStream("w")
 			w.WaitEvent(ev)

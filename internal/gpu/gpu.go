@@ -88,6 +88,7 @@ type Device struct {
 	eng      *sim.Engine
 	engines  [3]*executor
 	streams  []*Stream
+	free     []*op // retired ops, reused LIFO by newOp
 	observer OpObserver
 	busyObs  BusyObserver
 }
@@ -148,9 +149,12 @@ func (d *Device) Utilization(k EngineKind, since sim.Time, busyAtSince time.Dura
 // Sim returns the simulation engine the device is attached to.
 func (d *Device) Sim() *sim.Engine { return d.eng }
 
-// op is one unit of stream work. Engine and Record ops carry their
-// completion event inline, so submitting one costs a single allocation; the
-// *Event handed to callers points into the op.
+// op is one unit of stream work: an engine op, a barrier (WaitEvent) or a
+// Record marker. Ops are recycled per device: an engine op goes back on the
+// device's free list once its onDone callbacks have run, a barrier or marker
+// once it leaves the stream head. Nothing outside the package holds an op;
+// the only *Event a caller gets is the one Record allocates, which outlives
+// the op that fires it.
 type op struct {
 	stream  *Stream
 	kind    EngineKind
@@ -158,17 +162,29 @@ type op struct {
 	info    OpInfo
 	onDone  func()
 	barrier *Event // non-nil: wait-for-event op (no engine time)
-	marker  Event  // completes when the op completes (unused by barrier ops)
-	record  bool   // pure Record marker: no engine work
+	marker  *Event // non-nil: Record marker (no engine time)
 	started bool
 	waiting bool // barrier op already registered a completion callback
 }
 
-// newOp returns an op of stream s whose marker event is ready to fire.
+// newOp returns a zeroed op of stream s, reusing a retired one if any.
 func (s *Stream) newOp() *op {
-	o := &op{stream: s}
-	o.marker.eng = s.dev.eng
-	return o
+	d := s.dev
+	if n := len(d.free); n > 0 {
+		o := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		o.stream = s
+		return o
+	}
+	return &op{stream: s}
+}
+
+// release zeroes a retired op, dropping its callback's captures and its
+// labels, and returns it to the device's free list.
+func (d *Device) release(o *op) {
+	*o = op{}
+	d.free = append(d.free, o)
 }
 
 // opQueue is a FIFO of ops: a slice consumed from a head index. A push that
@@ -221,17 +237,18 @@ func (s *Stream) Name() string { return s.name }
 func (s *Stream) Device() *Device { return s.dev }
 
 // Submit enqueues an operation occupying engine k for dur. onDone callbacks
-// (optional) fire in order when the operation completes. Returns an Event
-// capturing the operation's completion (equivalent to Submit followed by
-// Record, but cheaper and common enough to fold in).
-func (s *Stream) Submit(k EngineKind, dur time.Duration, tag string, onDone ...func()) *Event {
-	return s.SubmitOp(k, dur, OpInfo{Tag: tag}, onDone...)
+// (optional) fire in order when the operation completes. To get an event
+// for the operation's completion, call Record right after Submit: streams
+// are FIFO, so the marker fires as soon as this operation retires, before
+// the stream's next operation starts and at the same virtual time.
+func (s *Stream) Submit(k EngineKind, dur time.Duration, tag string, onDone ...func()) {
+	s.SubmitOp(k, dur, OpInfo{Tag: tag}, onDone...)
 }
 
 // SubmitOp is Submit with full op attribution (model and request labels) for
 // the device timeline. Callers that know which model or request the op
 // serves should prefer it; plain Submit labels the op with only a tag.
-func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) *Event {
+func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) {
 	if dur < 0 {
 		panic(fmt.Sprintf("gpu: negative op duration %v (%s)", dur, info.Tag))
 	}
@@ -251,17 +268,18 @@ func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone .
 	}
 	s.queue.push(o)
 	s.pump()
-	return &o.marker
 }
 
 // Record captures all work currently submitted to the stream into an event
-// (cudaEventRecord): the event completes when that work completes.
+// (cudaEventRecord): the event completes when that work completes. It is the
+// only source of stream completion events.
 func (s *Stream) Record() *Event {
+	ev := &Event{eng: s.dev.eng}
 	o := s.newOp()
-	o.record = true
+	o.marker = ev
 	s.queue.push(o)
 	s.pump()
-	return &o.marker
+	return ev
 }
 
 // WaitEvent makes all future work on the stream wait for the event
@@ -271,7 +289,9 @@ func (s *Stream) WaitEvent(e *Event) {
 	if e == nil {
 		panic("gpu: WaitEvent(nil)")
 	}
-	s.queue.push(&op{stream: s, barrier: e})
+	o := s.newOp()
+	o.barrier = e
+	s.queue.push(o)
 	s.pump()
 }
 
@@ -296,11 +316,13 @@ func (s *Stream) pump() {
 				}
 				return
 			}
+			s.dev.release(s.queue.pop())
+		case head.marker != nil:
+			// Record marker: completes instantly once reached.
 			s.queue.pop()
-		case head.record:
-			// Pure marker (Record): completes instantly once reached.
-			s.queue.pop()
-			head.marker.fire()
+			ev := head.marker
+			s.dev.release(head)
+			ev.fire()
 		default:
 			if head.started {
 				return // already executing on its engine
@@ -318,14 +340,10 @@ func (s *Stream) complete(o *op) {
 		panic("gpu: completed op is not at stream head")
 	}
 	s.queue.pop()
-	// Callers may hold the op's marker long after completion, which keeps
-	// the op alive: drop the callback's captures and the labels now.
-	done := o.onDone
-	o.onDone, o.info = nil, OpInfo{}
-	if done != nil {
-		done()
+	if o.onDone != nil {
+		o.onDone()
 	}
-	o.marker.fire()
+	s.dev.release(o)
 	s.pump()
 }
 

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -125,7 +126,8 @@ func TestMultipleWaitersOneEvent(t *testing.T) {
 func TestOnCompleteHostCallback(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	ev := s.Submit(D2H, 10*time.Millisecond, "copy")
+	s.Submit(D2H, 10*time.Millisecond, "copy")
+	ev := s.Record()
 	var fired sim.Time
 	ev.OnComplete(func() { fired = eng.Now() })
 	eng.Run()
@@ -144,8 +146,10 @@ func TestAfterAll(t *testing.T) {
 	eng, d := newDev(1)
 	s1 := d.NewStream("s1")
 	s2 := d.NewStream("s2")
-	e1 := s1.Submit(Compute, 10*time.Millisecond, "a")
-	e2 := s2.Submit(H2D, 25*time.Millisecond, "b")
+	s1.Submit(Compute, 10*time.Millisecond, "a")
+	e1 := s1.Record()
+	s2.Submit(H2D, 25*time.Millisecond, "b")
+	e2 := s2.Record()
 	all := AfterAll(eng, e1, e2)
 	eng.Run()
 	if !all.Query() || all.CompletedAt() != 25*time.Millisecond {
@@ -253,7 +257,8 @@ func TestFigure10FineGrainedOverlap(t *testing.T) {
 		pOut.Submit(D2H, per, "out")
 		outEv := pOut.Record()
 		dIn.WaitEvent(outEv)
-		swapInDone[i] = dIn.Submit(H2D, per, "in")
+		dIn.Submit(H2D, per, "in")
+		swapInDone[i] = dIn.Record()
 	}
 	var decodeStart sim.Time
 	swapInDone[0].OnComplete(func() {
@@ -302,7 +307,8 @@ func TestRandomDAGProperty(t *testing.T) {
 			}
 			kind := EngineKind(rng.Intn(3))
 			dur := time.Duration(rng.Intn(10)+1) * time.Millisecond
-			ev := s.Submit(kind, dur, "op", func() { r.doneAt = eng.Now() })
+			s.Submit(kind, dur, "op", func() { r.doneAt = eng.Now() })
+			ev := s.Record()
 			events = append(events, ev)
 			recs = append(recs, r)
 		}
@@ -342,12 +348,13 @@ func TestRandomDAGProperty(t *testing.T) {
 }
 
 // Every onDone callback passed to one Submit fires, in argument order,
-// before the op's completion event.
+// before the completion event recorded behind the op.
 func TestSubmitCallbacksInOrder(t *testing.T) {
 	eng, d := newDev(1)
+	s := d.NewStream("s")
 	var order []string
 	var ev *Event
-	ev = d.NewStream("s").Submit(Compute, time.Millisecond, "k",
+	s.Submit(Compute, time.Millisecond, "k",
 		func() { order = append(order, "a") },
 		func() { order = append(order, "b") },
 		func() {
@@ -356,6 +363,7 @@ func TestSubmitCallbacksInOrder(t *testing.T) {
 			}
 			order = append(order, "c")
 		})
+	ev = s.Record()
 	eng.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("callbacks ran as %v, want [a b c]", order)
@@ -399,8 +407,8 @@ func TestOpQueueFIFO(t *testing.T) {
 	}
 }
 
-// Submitting an op and running it to completion costs one allocation: the
-// op itself, which carries its completion event.
+// A retired op goes back on its device's free list, so a warmed Submit+Run
+// allocates nothing.
 func TestSubmitRunAllocs(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
@@ -411,7 +419,173 @@ func TestSubmitRunAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Submit(Compute, time.Microsecond, "op")
 		eng.Run()
-	}); n > 1 {
-		t.Fatalf("Submit+Run allocates %.1f times per op, want <= 1", n)
+	}); n != 0 {
+		t.Fatalf("Submit+Run allocates %.1f times per op, want 0", n)
+	}
+}
+
+// A barrier on an event that is already complete passes at once and its op
+// is recycled: a warmed WaitEvent allocates nothing.
+func TestWaitEventDoneAllocs(t *testing.T) {
+	eng, d := newDev(1)
+	s := d.NewStream("s")
+	done := NewCompletedEvent(eng)
+	s.WaitEvent(done)
+	if n := testing.AllocsPerRun(1000, func() { s.WaitEvent(done) }); n != 0 {
+		t.Fatalf("WaitEvent on a complete event allocates %.1f times, want 0", n)
+	}
+	if s.PendingOps() != 0 {
+		t.Fatalf("satisfied barriers left %d ops queued", s.PendingOps())
+	}
+}
+
+// Record is the only source of completion events: an op's event is Submit
+// followed by Record. Property over 2 devices x 3 streams with random
+// Submit, Record and WaitEvent calls (cross-device barriers included), some
+// issued from inside onDone callbacks at later virtual times:
+//
+//  1. a Record event completes at its stream's tail: the End of the last op
+//     submitted before it, or later only when a barrier between them held
+//     the stream (or the stream was idle when Record was called);
+//  2. its waiters run after that op's onDone and before the stream's next
+//     op starts;
+//  3. no device's free list grows past the peak number of its ops in flight.
+func TestRecordAfterSubmitMatchesOp(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		checkRecordAfterSubmit(t, seed)
+	}
+}
+
+func checkRecordAfterSubmit(t *testing.T, seed int64) {
+	t.Helper()
+	eng := sim.NewEngine(seed)
+	rng := eng.Rand()
+	devs := []*Device{NewDevice(eng, "d0"), NewDevice(eng, "d1")}
+	var streams []*Stream
+	for _, d := range devs {
+		for _, name := range []string{"a", "b", "c"} {
+			streams = append(streams, d.NewStream(name))
+		}
+	}
+
+	// One entry per submission, in per-stream order.
+	type item struct {
+		op       bool     // engine op
+		barrier  bool     // WaitEvent; neither flag set: Record marker
+		ev       *Event   // Record's event, or the barrier's awaited event
+		calledAt sim.Time // virtual time of the call
+		end      sim.Time // op: End, from its onDone
+		doneSeq  int      // op: step of its onDone
+		startSeq int      // op: step it started on its engine (0 = never seen)
+		waitSeq  int      // marker: step its waiter ran
+	}
+	perStream := map[*Stream][]*item{}
+	ops := map[string]*item{}
+	var records []*Event
+	step := 0
+	next := func() int { step++; return step }
+	for _, d := range devs {
+		d.ObserveBusy(func(_ *Device, _ EngineKind, info OpInfo, busy bool) {
+			if busy {
+				ops[info.Tag].startSeq = next()
+			}
+		})
+	}
+
+	// Ops in flight on a device: queued on its streams, plus the one whose
+	// onDone is running (popped, not yet released).
+	peak := map[*Device]int{}
+	inDone := map[*Device]int{}
+	noteCall := func(s *Stream) {
+		n := inDone[s.dev] + 1
+		for _, o := range s.dev.streams {
+			n += o.PendingOps()
+		}
+		peak[s.dev] = max(peak[s.dev], n)
+	}
+
+	budget := 120
+	var act func()
+	act = func() {
+		if budget == 0 {
+			return
+		}
+		budget--
+		s := streams[rng.Intn(len(streams))]
+		it := &item{calledAt: eng.Now()}
+		perStream[s] = append(perStream[s], it)
+		noteCall(s)
+		switch r := rng.Intn(4); {
+		case r < 2:
+			it.op = true
+			tag := fmt.Sprint("op", len(ops))
+			ops[tag] = it
+			dur := time.Duration(rng.Intn(5)) * time.Millisecond
+			s.Submit(EngineKind(rng.Intn(3)), dur, tag, func() {
+				it.end, it.doneSeq = eng.Now(), next()
+				inDone[s.dev]++
+				if rng.Intn(3) == 0 {
+					act()
+				}
+				inDone[s.dev]--
+			})
+		case r == 2:
+			it.ev = s.Record()
+			records = append(records, it.ev)
+			it.ev.OnComplete(func() { it.waitSeq = next() })
+		default:
+			it.barrier = true
+			it.ev = NewCompletedEvent(eng)
+			if len(records) > 0 {
+				it.ev = records[rng.Intn(len(records))]
+			}
+			s.WaitEvent(it.ev)
+		}
+	}
+	for budget > 60 {
+		act()
+	}
+	eng.Run()
+
+	for _, s := range streams {
+		var tail sim.Time // completion time of the previous item
+		var prevOp *item
+		items := perStream[s]
+		for i, it := range items {
+			switch {
+			case it.op:
+				if it.doneSeq == 0 {
+					t.Fatalf("seed %d: op never completed", seed)
+				}
+				tail, prevOp = it.end, it
+			case it.barrier:
+				tail = max(tail, it.calledAt, it.ev.CompletedAt())
+			default:
+				if !it.ev.Query() {
+					t.Fatalf("seed %d: Record event never completed", seed)
+				}
+				if want := max(tail, it.calledAt); it.ev.CompletedAt() != want {
+					t.Fatalf("seed %d, stream %s/%s: Record completed at %v, want %v",
+						seed, s.dev.Name, s.name, it.ev.CompletedAt(), want)
+				}
+				if prevOp != nil && it.waitSeq < prevOp.doneSeq {
+					t.Fatalf("seed %d: Record waiter ran before the op's onDone", seed)
+				}
+				for _, later := range items[i+1:] {
+					if later.op {
+						if later.startSeq < it.waitSeq {
+							t.Fatalf("seed %d: stream's next op started before the Record waiter ran", seed)
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	for _, d := range devs {
+		if len(d.free) > peak[d] {
+			t.Fatalf("seed %d, %s: free list holds %d ops, peak in flight was %d",
+				seed, d.Name, len(d.free), peak[d])
+		}
 	}
 }

@@ -15,6 +15,7 @@ package kvcache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aegaeon/internal/fault"
@@ -107,33 +108,35 @@ func (c *Cache) Pool() *memory.SlabPool { return c.pool }
 // granularity or their shape classes would clash.
 func (c *Cache) BlockTokens() int { return c.blockTokens }
 
-// alloc acquires blocks for tokens of the class. Capacity is pre-checked in
-// O(1) so an oversized request fails fast instead of allocating hundreds of
-// blocks and rolling them back — swap-in retry storms under memory pressure
-// would otherwise turn quadratic.
-func (c *Cache) alloc(class string, tokens int) ([]memory.Block, error) {
+// alloc appends blocks for tokens of the class to dst and returns the
+// extended slice, so a growing sequence extends its block list in place.
+// Capacity is pre-checked in O(1) so an oversized request fails fast instead
+// of allocating hundreds of blocks and rolling them back — swap-in retry
+// storms under memory pressure would otherwise turn quadratic. On failure
+// dst's own blocks are untouched: only the tail this call appended is freed.
+func (c *Cache) alloc(dst []memory.Block, class string, tokens int) ([]memory.Block, error) {
 	n := c.BlocksFor(tokens)
 	if avail, err := c.pool.FreeBlocksAvailable(class); err != nil {
-		return nil, fmt.Errorf("kvcache %s: %w", c.name, err)
+		return dst, fmt.Errorf("kvcache %s: %w", c.name, err)
 	} else if avail < n {
-		return nil, fmt.Errorf("kvcache %s: need %d blocks of %s, %d available: %w",
+		return dst, fmt.Errorf("kvcache %s: need %d blocks of %s, %d available: %w",
 			c.name, n, class, avail, memory.ErrOutOfMemory)
 	}
-	blocks := make([]memory.Block, 0, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		b, err := c.pool.Alloc(class)
 		if err != nil {
-			// Roll back partial allocation.
-			for _, rb := range blocks {
+			for _, rb := range dst[base:] {
 				if ferr := c.pool.Free(rb); ferr != nil {
 					panic(fmt.Sprintf("kvcache: rollback free failed: %v", ferr))
 				}
 			}
-			return nil, fmt.Errorf("kvcache %s: %w", c.name, err)
+			return dst[:base], fmt.Errorf("kvcache %s: %w", c.name, err)
 		}
-		blocks = append(blocks, b)
+		dst = append(dst, b)
 	}
-	return blocks, nil
+	return dst, nil
 }
 
 // State is the residency state of a sequence's KV cache.
@@ -334,7 +337,7 @@ func (m *Manager) NewSequence(id string, shape model.KVShape, tokens int) (*Sequ
 	if _, err := m.CPUCache.RegisterShape(shape); err != nil {
 		return nil, err
 	}
-	blocks, err := m.GPUCache.alloc(class, tokens)
+	blocks, err := m.GPUCache.alloc(nil, class, tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -365,11 +368,11 @@ func (m *Manager) AppendTokens(seq *Sequence, n int) error {
 	cache := seq.gpuCache
 	need := cache.BlocksFor(seq.tokens+n) - len(seq.gpuBlocks)
 	if need > 0 {
-		blocks, err := cache.alloc(seq.Class, need*cache.blockTokens)
+		blocks, err := cache.alloc(seq.gpuBlocks, seq.Class, need*cache.blockTokens)
 		if err != nil {
 			return err
 		}
-		seq.gpuBlocks = append(seq.gpuBlocks, blocks...)
+		seq.gpuBlocks = blocks
 	}
 	seq.tokens += n
 	return nil
@@ -382,7 +385,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	if seq.state != StateGPU {
 		return nil, fmt.Errorf("kvcache: swap-out of sequence %s in state %s", seq.ID, seq.state)
 	}
-	cpuBlocks, err := m.CPUCache.alloc(seq.Class, seq.tokens)
+	cpuBlocks, err := m.CPUCache.alloc(nil, seq.Class, seq.tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +400,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	srcCache := seq.gpuCache
 	seq.gpuBlocks = nil
 	if !m.faults.TransferFailing(m.instance) {
-		ev := m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
+		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
 			gpu.OpInfo{Tag: "kv-out " + seq.ID, Request: seq.ID}, func() {
 				// Source GPU blocks are safe to release once the copy has read them.
 				for _, b := range gpuBlocks {
@@ -412,6 +415,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 				}
 				m.NoteKV()
 			})
+		ev := m.kvOut.Record()
 		seq.lastXfer = ev
 		m.stats.SwapOuts++
 		m.stats.BytesOut += bytes
@@ -428,7 +432,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	submitAttempt := func(attempt int) *gpu.Event {
 		failing := m.faults.TransferFailing(m.instance)
 		var ev *gpu.Event
-		ev = m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
+		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
 			gpu.OpInfo{Tag: "kv-out " + seq.ID, Request: seq.ID}, func() {
 				if failing {
 					m.faults.CountTransferFailure()
@@ -449,6 +453,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 					seq.state = StateCPU
 				}
 			})
+		ev = m.kvOut.Record()
 		return ev
 	}
 	resubmit = func(prev *gpu.Event, attempt int) {
@@ -479,7 +484,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	gpuBlocks, err := m.GPUCache.alloc(class, seq.tokens)
+	gpuBlocks, err := m.GPUCache.alloc(nil, class, seq.tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -492,13 +497,14 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	cpuBlocks := seq.cpuBlocks
 	seq.cpuBlocks = nil
 	if !m.faults.TransferFailing(m.instance) {
-		ev := m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
+		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
 			gpu.OpInfo{Tag: "kv-in " + seq.ID, Request: seq.ID}, func() {
 				// Guard against a crash-recovery Abandon racing the transfer.
 				if seq.state == StateSwappingIn {
 					seq.state = StateGPU
 				}
 			})
+		ev := m.kvIn.Record()
 		// Rule ❸: the CPU copies become garbage once read, but they must not be
 		// reallocated until the read completes. Park them in the move list.
 		for _, b := range cpuBlocks {
@@ -525,7 +531,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	submitAttempt := func(attempt int) *gpu.Event {
 		failing := m.faults.TransferFailing(m.instance)
 		var ev *gpu.Event
-		ev = m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
+		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
 			gpu.OpInfo{Tag: "kv-in " + seq.ID, Request: seq.ID}, func() {
 				if failing {
 					m.faults.CountTransferFailure()
@@ -541,6 +547,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 					seq.state = StateGPU
 				}
 			})
+		ev = m.kvIn.Record()
 		if !failing {
 			for _, b := range cpuBlocks {
 				if err := m.CPUCache.pool.FreeBlocked(b); err != nil {

@@ -2,6 +2,8 @@ package kvcache
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,6 +84,68 @@ func TestAppendTokensGrowsBlocks(t *testing.T) {
 	}
 	if seq.Tokens() != testBlkTok+1 {
 		t.Fatalf("tokens = %d", seq.Tokens())
+	}
+}
+
+// An append the tier cannot hold fails without touching the sequence: its
+// existing blocks, its token count and the pool's statistics stay as they
+// were, and a later append that fits extends the same block list.
+func TestFailedAppendKeepsBlocks(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cpu := NewCache("cpu", 4<<30, testSlab, testBlkTok)
+	g := NewCache("gpu0", testSlab, testSlab, testBlkTok) // one slab
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	mod, _ := model.ByName("Qwen-7B")
+	seq, err := m.NewSequence("r1", mod.KVShape(), 3*testBlkTok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := slices.Clone(seq.gpuBlocks)
+	stats := g.Pool().Stats()
+	if err := m.AppendTokens(seq, 1000*testBlkTok); !errors.Is(err, memory.ErrOutOfMemory) {
+		t.Fatalf("oversized append = %v, want OOM", err)
+	}
+	if !slices.Equal(seq.gpuBlocks, blocks) || seq.Tokens() != 3*testBlkTok {
+		t.Fatalf("failed append changed the sequence: %d blocks, %d tokens", len(seq.gpuBlocks), seq.Tokens())
+	}
+	if got := g.Pool().Stats(); !reflect.DeepEqual(got, stats) {
+		t.Fatalf("failed append changed pool stats:\n got %+v\nwant %+v", got, stats)
+	}
+	if err := m.AppendTokens(seq, testBlkTok); err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.gpuBlocks) != 4 || !slices.Equal(seq.gpuBlocks[:3], blocks) {
+		t.Fatalf("append after a failure did not extend the block list: %v", seq.gpuBlocks)
+	}
+}
+
+// Decode appends extend a sequence's block list in place: with spare
+// capacity in the list and warm pool free lists, 16 appends that each take a
+// new block allocate nothing.
+func TestAppendTokensAllocs(t *testing.T) {
+	f := newFixture(t, 0)
+	seq, err := f.m1.NewSequence("r1", f.mod.KVShape(), testBlkTok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.m1.AppendTokens(seq, 16*testBlkTok); err != nil {
+		t.Fatal(err)
+	}
+	pool := f.m1.GPUCache.Pool()
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range seq.gpuBlocks[1:] {
+			if err := pool.Free(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq.gpuBlocks, seq.tokens = seq.gpuBlocks[:1], testBlkTok
+		for i := 0; i < 16; i++ {
+			if err := f.m1.AppendTokens(seq, testBlkTok); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("16 appends allocate %.1f times, want 0", n)
 	}
 }
 

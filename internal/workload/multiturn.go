@@ -104,7 +104,7 @@ func MultiTurnTrace(rng *rand.Rand, models []string, sessionRate float64, horizo
 					break
 				}
 				at += cfg.ServiceEstimate +
-					time.Duration(rng.ExpFloat64() * float64(cfg.MeanThink))
+					time.Duration(rng.ExpFloat64()*float64(cfg.MeanThink))
 				if at >= horizon {
 					break
 				}
@@ -198,7 +198,7 @@ func AgenticTrace(rng *rand.Rand, models []string, taskRate float64, horizon tim
 					break
 				}
 				at += cfg.ServiceEstimate +
-					time.Duration(rng.ExpFloat64() * float64(cfg.ToolLatency))
+					time.Duration(rng.ExpFloat64()*float64(cfg.ToolLatency))
 				if at >= horizon {
 					break
 				}
