@@ -293,6 +293,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 
 	pc := c.Deployments()[0].System.PrefixCache()
 	sysSegs := []workload.PromptSeg{{Seed: workload.SeedString("system\x00" + names[0]), Len: 128}}
+	sysHashes := prefixcache.ChunkHashes(sysSegs, 128/pc.BlockTokens(), pc.BlockTokens())
 	done := make(chan struct{})
 	probed := make(chan int)
 	go func() {
@@ -301,7 +302,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 		n := 0
 		for {
 			_ = pc.Stats()
-			_, _ = pc.MatchTokensOn("prefill1", names[0], sysSegs, 129)
+			_, _ = pc.MatchTokensOn("prefill1", names[0], sysHashes, 129)
 			_ = pc.HostResidentBytes()
 			if bad := pc.CheckConsistency(); len(bad) != 0 {
 				t.Errorf("mid-run consistency: %v", bad)

@@ -82,8 +82,10 @@ type decodeInstance struct {
 	// these buffers in place and the step's completion is finishStep, bound
 	// once as stepDone.
 	ready       []*Request
-	stepReqs    []*Request // requests the in-flight step produces a token for
-	stepIDs     []string   // their ids, for the collector's token batch
+	inflight    []*gpu.Event // swap-in events a step with no ready request waits on
+	waiting     []*Request   // their requests
+	stepReqs    []*Request   // requests the in-flight step produces a token for
+	stepIDs     []string     // their ids, for the collector's token batch
 	feed        tokenFeed
 	stepBatch   *dbatch
 	stepTurnEnd sim.Time
@@ -713,9 +715,10 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 		d.endTurn()
 		return
 	}
-	ready := d.ready[:0]
-	var inflight []*gpu.Event
-	var waiting []*Request
+	// Reusing inflight and waiting is safe: one stepLoop chain runs per
+	// instance, and the wait callback below reads waiting before it calls
+	// stepLoop again, which is the only writer.
+	ready, inflight, waiting := d.ready[:0], d.inflight[:0], d.waiting[:0]
 	for _, r := range b.reqs {
 		if r.Seq == nil {
 			continue
@@ -736,7 +739,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 			}
 		}
 	}
-	d.ready = ready
+	d.ready, d.inflight, d.waiting = ready, inflight, waiting
 	if len(ready) == 0 {
 		if len(inflight) == 0 {
 			// Everything deferred by OOM retries; poll.

@@ -279,7 +279,7 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 	skip := 0
 	if p.sys.prefix != nil && len(r.Segments) > 0 {
 		if hit := p.sys.prefix.Acquire(p.eng.Name, r.Model.Name, shape,
-			r.Segments, r.InputTokens, r.prefillStart); hit != nil {
+			r.promptHashes(p.sys.prefix.BlockTokens()), r.InputTokens, r.prefillStart); hit != nil {
 			r.prefixHit = hit
 			skip = hit.MatchedTokens
 		}
@@ -305,7 +305,7 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 			// later turns. The host copy piggybacks on the P→C offload below,
 			// so insertion charges no extra transfer. A miss additionally
 			// records the recompute interval for SLO miss attribution.
-			p.sys.prefix.Insert(r.Model.Name, shape, r.Segments, r.InputTokens, now)
+			p.sys.prefix.Insert(r.Model.Name, shape, r.promptHashes(p.sys.prefix.BlockTokens()), r.InputTokens, now)
 			if r.prefixHit == nil {
 				p.sys.obs.RequestSpan(p.eng.Name, r.ID, "prefix-recompute", "cold prefix",
 					r.prefillStart, now)

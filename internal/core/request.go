@@ -71,6 +71,8 @@ type Request struct {
 	// matches prompts through them. Empty Segments means opaque content.
 	SessionID string
 	Segments  []workload.PromptSeg
+	// chunkHashes memoizes the prompt's chained chunk hashes (promptHashes).
+	chunkHashes []uint64
 
 	// prefixHit is the pinned prefix-cache match being reused by the current
 	// prefill attempt (nil when none). PrefixMatched is the matched token
@@ -115,6 +117,18 @@ func (r *Request) recordToken(at sim.Time) {
 	if r.OnToken != nil {
 		r.OnToken(len(r.TokenTimes)-1, at)
 	}
+}
+
+// promptHashes returns the prompt's chained chunk hashes over its
+// InputTokens/block whole blocks, computed on first use. Chained hashes are
+// prefix-stable, so every prefix-cache call for the request — routing's
+// MatchTokensOn on each prefill instance, Acquire and Insert — reads a
+// prefix of this one slice instead of hashing the prompt again.
+func (r *Request) promptHashes(block int) []uint64 {
+	if r.chunkHashes == nil {
+		r.chunkHashes = prefixcache.ChunkHashes(r.Segments, r.InputTokens/block, block)
+	}
+	return r.chunkHashes
 }
 
 // terminal reports whether the request has reached a terminal state: served

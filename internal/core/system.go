@@ -590,6 +590,7 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 	var cands []decision.Candidate
 	bestIdx := -1
 	shape := r.Model.ShardKVShape(s.cfg.TP)
+	hashes := r.promptHashes(s.prefix.BlockTokens())
 	full := 0
 	for _, p := range s.prefills {
 		if p.dead {
@@ -604,7 +605,7 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 			continue // under notice / disqualified; bestPrefill may waive later
 		}
 		score := p.load() + pen
-		matched, onDevice := s.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, r.Segments, r.InputTokens)
+		matched, onDevice := s.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, hashes, r.InputTokens)
 		var saved, copyCost, credit time.Duration
 		if matched > 0 {
 			if full == 0 {

@@ -3,36 +3,21 @@ package kvcache
 import (
 	"fmt"
 	"testing"
-
-	"aegaeon/internal/gpu"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
 )
 
-// BenchmarkSwapCycle measures the full swap-out/swap-in protocol including
-// event synchronization and move-list reclamation.
+// BenchmarkSwapCycle measures one request's warmed lifecycle through the
+// full swap-out/swap-in protocol, including event synchronization and
+// move-list reclamation, at a short and a long sequence length.
 func BenchmarkSwapCycle(b *testing.B) {
-	eng := sim.NewEngine(1)
-	cpu := NewCache("cpu", 64<<30, 64<<20, 16)
-	g := NewCache("gpu", 16<<30, 64<<20, 16)
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
-	mod, _ := model.ByName("Qwen-7B")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		seq, err := m.NewSequence(fmt.Sprint(i), mod.KVShape(), 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.SwapOut(seq); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.SwapIn(seq); err != nil {
-			b.Fatal(err)
-		}
-		eng.Run()
-		if err := m.Free(seq); err != nil {
-			b.Fatal(err)
-		}
+	for _, tokens := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("tokens=%d", tokens), func(b *testing.B) {
+			cycle := newSwapCycle(b, tokens)
+			cycle()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

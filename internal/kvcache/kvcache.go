@@ -29,12 +29,18 @@ import (
 )
 
 // Cache is one tier of unified KV storage.
+//
+// It also keeps a LIFO stack of emptied block lists. Every sequence list
+// allocated in the tier is popped from the stack (or grown from nil when it
+// is empty) and pushed back once all its blocks are released, so swapping a
+// batch out and in reuses the same lists instead of growing new ones. The
+// stack is uncapped: it never holds more lists than the tier once had live.
 type Cache struct {
 	name        string
 	pool        *memory.SlabPool
 	blockTokens int
-	classes     map[string]int64         // label -> block bytes
-	shapes      map[model.KVShape]string // registered shape -> label
+	shapes      map[model.KVShape]memory.ClassID // registered shape -> class
+	spare       [][]memory.Block                 // emptied block lists
 }
 
 // NewCache builds a tier over capacity bytes with the given slab size and
@@ -47,27 +53,25 @@ func NewCache(name string, capacity, slabSize int64, blockTokens int) *Cache {
 		name:        name,
 		pool:        memory.NewSlabPool(capacity, slabSize),
 		blockTokens: blockTokens,
-		classes:     map[string]int64{},
-		shapes:      map[model.KVShape]string{},
+		shapes:      map[model.KVShape]memory.ClassID{},
 	}
 }
 
 // RegisterShape declares the shape class for a model's KV geometry and
-// returns the class label. Models with identical shapes share a class. It
-// runs on every swap-in and new sequence, so a shape registered once is
-// answered from a per-shape memo without formatting its label again.
-func (c *Cache) RegisterShape(s model.KVShape) (string, error) {
-	if label, ok := c.shapes[s]; ok {
-		return label, nil
+// returns its id in this tier's pool. Models with identical shapes share a
+// class. It runs on every swap-in and new sequence, so a shape registered
+// once is answered from a per-shape memo without formatting its label
+// again. An id is valid only in the tier that returned it.
+func (c *Cache) RegisterShape(s model.KVShape) (memory.ClassID, error) {
+	if id, ok := c.shapes[s]; ok {
+		return id, nil
 	}
-	label := s.String()
-	blockBytes := s.BytesPerToken() * int64(c.blockTokens)
-	if err := c.pool.Register(label, blockBytes); err != nil {
-		return "", err
+	id, err := c.pool.Register(s.String(), s.BytesPerToken()*int64(c.blockTokens))
+	if err != nil {
+		return -1, err
 	}
-	c.classes[label] = blockBytes
-	c.shapes[s] = label
-	return label, nil
+	c.shapes[s] = id
+	return id, nil
 }
 
 // BlocksFor returns the number of blocks needed to hold tokens.
@@ -75,13 +79,17 @@ func (c *Cache) BlocksFor(tokens int) int {
 	return (tokens + c.blockTokens - 1) / c.blockTokens
 }
 
-// BlockBytes returns the per-block byte size of a class.
-func (c *Cache) BlockBytes(class string) int64 { return c.classes[class] }
+// BlockBytes returns the per-block byte size of a class (0 for an id the
+// tier never issued).
+func (c *Cache) BlockBytes(class memory.ClassID) int64 {
+	bb, _ := c.pool.BlockBytes(class)
+	return bb
+}
 
 // MaxTokens returns how many tokens of the class the tier could hold if
 // entirely dedicated to it.
-func (c *Cache) MaxTokens(class string) int64 {
-	bb := c.classes[class]
+func (c *Cache) MaxTokens(class memory.ClassID) int64 {
+	bb := c.BlockBytes(class)
 	if bb == 0 {
 		return 0
 	}
@@ -92,7 +100,7 @@ func (c *Cache) MaxTokens(class string) int64 {
 
 // FreeTokensAvailable estimates how many more tokens of the class can be
 // allocated right now.
-func (c *Cache) FreeTokensAvailable(class string) int64 {
+func (c *Cache) FreeTokensAvailable(class memory.ClassID) int64 {
 	n, err := c.pool.FreeBlocksAvailable(class)
 	if err != nil {
 		return 0
@@ -108,19 +116,62 @@ func (c *Cache) Pool() *memory.SlabPool { return c.pool }
 // granularity or their shape classes would clash.
 func (c *Cache) BlockTokens() int { return c.blockTokens }
 
+// retire pushes a block list whose blocks have all been released back on
+// the spare stack. The caller must hold no other reference to it.
+func (c *Cache) retire(l []memory.Block) {
+	if cap(l) > 0 {
+		c.spare = append(c.spare, l[:0])
+	}
+}
+
+// free returns every block of l to the pool and retires l.
+func (c *Cache) free(l []memory.Block) error {
+	for _, b := range l {
+		if err := c.pool.Free(b); err != nil {
+			return err
+		}
+	}
+	c.retire(l)
+	return nil
+}
+
+// release is free for completion callbacks, where a failure is a bug.
+func (c *Cache) release(l []memory.Block, what string) {
+	if err := c.free(l); err != nil {
+		panic(fmt.Sprintf("kvcache: %s: %v", what, err))
+	}
+}
+
+// allocList fills a list popped off the spare stack (nil when it is empty)
+// with blocks for tokens of the class. On failure the list goes straight
+// back on the stack.
+func (c *Cache) allocList(class memory.ClassID, tokens int) ([]memory.Block, error) {
+	var l []memory.Block
+	if n := len(c.spare); n > 0 {
+		l, c.spare[n-1] = c.spare[n-1], nil
+		c.spare = c.spare[:n-1]
+	}
+	l, err := c.alloc(l, class, tokens)
+	if err != nil {
+		c.retire(l)
+		return nil, err
+	}
+	return l, nil
+}
+
 // alloc appends blocks for tokens of the class to dst and returns the
 // extended slice, so a growing sequence extends its block list in place.
 // Capacity is pre-checked in O(1) so an oversized request fails fast instead
 // of allocating hundreds of blocks and rolling them back — swap-in retry
 // storms under memory pressure would otherwise turn quadratic. On failure
 // dst's own blocks are untouched: only the tail this call appended is freed.
-func (c *Cache) alloc(dst []memory.Block, class string, tokens int) ([]memory.Block, error) {
+func (c *Cache) alloc(dst []memory.Block, class memory.ClassID, tokens int) ([]memory.Block, error) {
 	n := c.BlocksFor(tokens)
 	if avail, err := c.pool.FreeBlocksAvailable(class); err != nil {
 		return dst, fmt.Errorf("kvcache %s: %w", c.name, err)
 	} else if avail < n {
 		return dst, fmt.Errorf("kvcache %s: need %d blocks of %s, %d available: %w",
-			c.name, n, class, avail, memory.ErrOutOfMemory)
+			c.name, n, c.pool.Label(class), avail, memory.ErrOutOfMemory)
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, n)
@@ -171,19 +222,23 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Sequence is the KV cache of one request.
+// Sequence is the KV cache of one request. Its block lists hold 12-byte,
+// pointer-free blocks and come from their tier's spare stack. Class ids are
+// per tier, so the sequence keeps its shape's id in its current GPU tier
+// (re-resolved when it swaps in elsewhere) and in the shared CPU tier.
 type Sequence struct {
 	ID    string
-	Class string
 	Shape model.KVShape
 
 	tokens    int
 	state     State
 	gpuBlocks []memory.Block
 	cpuBlocks []memory.Block
-	gpuCache  *Cache // tier currently/last holding the GPU copy
+	gpuCache  *Cache         // tier currently/last holding the GPU copy
+	gpuClass  memory.ClassID // Shape's class in gpuCache
 	cpuCache  *Cache
-	lastXfer  *gpu.Event // most recent transfer touching this sequence (rule ❷)
+	cpuClass  memory.ClassID // Shape's class in cpuCache
+	lastXfer  *gpu.Event     // most recent transfer touching this sequence (rule ❷)
 
 	xferWait time.Duration // cumulative exposed data-plane wait (Fig. 14/15)
 }
@@ -286,7 +341,7 @@ func NewManager(dev *gpu.Device, prof *latency.Profile, gpuCache, cpuCache *Cach
 		kvOut:     dev.NewStream("kv-out"),
 		ctrlDelay: 20 * time.Microsecond,
 	}
-	m.moveList = NewMoveList(dev.Sim(), cpuCache.pool, daemonPoll)
+	m.moveList = NewMoveList(dev.Sim(), cpuCache, daemonPoll)
 	return m
 }
 
@@ -330,14 +385,15 @@ func (m *Manager) control(n int) {
 
 // NewSequence allocates GPU KV for a fresh request (at prefill admission).
 func (m *Manager) NewSequence(id string, shape model.KVShape, tokens int) (*Sequence, error) {
-	class, err := m.GPUCache.RegisterShape(shape)
+	gpuClass, err := m.GPUCache.RegisterShape(shape)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.CPUCache.RegisterShape(shape); err != nil {
+	cpuClass, err := m.CPUCache.RegisterShape(shape)
+	if err != nil {
 		return nil, err
 	}
-	blocks, err := m.GPUCache.alloc(nil, class, tokens)
+	blocks, err := m.GPUCache.allocList(gpuClass, tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -345,13 +401,14 @@ func (m *Manager) NewSequence(id string, shape model.KVShape, tokens int) (*Sequ
 	m.NoteKV()
 	return &Sequence{
 		ID:        id,
-		Class:     class,
 		Shape:     shape,
 		tokens:    tokens,
 		state:     StateGPU,
 		gpuBlocks: blocks,
 		gpuCache:  m.GPUCache,
+		gpuClass:  gpuClass,
 		cpuCache:  m.CPUCache,
+		cpuClass:  cpuClass,
 	}, nil
 }
 
@@ -368,7 +425,7 @@ func (m *Manager) AppendTokens(seq *Sequence, n int) error {
 	cache := seq.gpuCache
 	need := cache.BlocksFor(seq.tokens+n) - len(seq.gpuBlocks)
 	if need > 0 {
-		blocks, err := cache.alloc(seq.gpuBlocks, seq.Class, need*cache.blockTokens)
+		blocks, err := cache.alloc(seq.gpuBlocks, seq.gpuClass, need*cache.blockTokens)
 		if err != nil {
 			return err
 		}
@@ -385,7 +442,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	if seq.state != StateGPU {
 		return nil, fmt.Errorf("kvcache: swap-out of sequence %s in state %s", seq.ID, seq.state)
 	}
-	cpuBlocks, err := m.CPUCache.alloc(nil, seq.Class, seq.tokens)
+	cpuBlocks, err := m.CPUCache.allocList(seq.cpuClass, seq.tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -403,11 +460,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
 			gpu.OpInfo{Tag: "kv-out " + seq.ID, Request: seq.ID}, func() {
 				// Source GPU blocks are safe to release once the copy has read them.
-				for _, b := range gpuBlocks {
-					if err := srcCache.pool.Free(b); err != nil {
-						panic(fmt.Sprintf("kvcache: gpu free after swap-out: %v", err))
-					}
-				}
+				srcCache.release(gpuBlocks, "gpu free after swap-out")
 				// A swap-in may already have been issued against this sequence
 				// (Fig. 10's overlapped handoff); do not clobber its state.
 				if seq.state == StateSwappingOut {
@@ -444,11 +497,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 					})
 					return
 				}
-				for _, b := range gpuBlocks {
-					if err := srcCache.pool.Free(b); err != nil {
-						panic(fmt.Sprintf("kvcache: gpu free after swap-out: %v", err))
-					}
-				}
+				srcCache.release(gpuBlocks, "gpu free after swap-out")
 				if seq.state == StateSwappingOut {
 					seq.state = StateCPU
 				}
@@ -480,11 +529,11 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	if seq.state != StateCPU && seq.state != StateSwappingOut {
 		return nil, fmt.Errorf("kvcache: swap-in of sequence %s in state %s", seq.ID, seq.state)
 	}
-	class, err := m.GPUCache.RegisterShape(seq.Shape)
+	gpuClass, err := m.GPUCache.RegisterShape(seq.Shape)
 	if err != nil {
 		return nil, err
 	}
-	gpuBlocks, err := m.GPUCache.alloc(nil, class, seq.tokens)
+	gpuBlocks, err := m.GPUCache.allocList(gpuClass, seq.tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +563,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 		}
 		m.moveList.Add(cpuBlocks, ev)
 		seq.gpuBlocks = gpuBlocks
-		seq.gpuCache = m.GPUCache
+		seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
 		seq.lastXfer = ev
 		m.stats.SwapIns++
 		m.stats.BytesIn += bytes
@@ -566,7 +615,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	}
 	ev := submitAttempt(0)
 	seq.gpuBlocks = gpuBlocks
-	seq.gpuCache = m.GPUCache
+	seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
 	seq.lastXfer = ev
 	m.stats.SwapIns++
 	m.stats.BytesIn += bytes
@@ -588,16 +637,12 @@ func (m *Manager) Reclaim(seq *Sequence) error {
 func (m *Manager) Free(seq *Sequence) error {
 	switch seq.state {
 	case StateGPU:
-		for _, b := range seq.gpuBlocks {
-			if err := seq.gpuCache.pool.Free(b); err != nil {
-				return err
-			}
+		if err := seq.gpuCache.free(seq.gpuBlocks); err != nil {
+			return err
 		}
 	case StateCPU:
-		for _, b := range seq.cpuBlocks {
-			if err := m.CPUCache.pool.Free(b); err != nil {
-				return err
-			}
+		if err := m.CPUCache.free(seq.cpuBlocks); err != nil {
+			return err
 		}
 	case StateSwappingOut:
 		// GPU blocks are released by the swap-out completion; CPU target
@@ -613,13 +658,7 @@ func (m *Manager) Free(seq *Sequence) error {
 		// the move-list mechanism on the GPU pool via OnComplete.
 		blocks := seq.gpuBlocks
 		cache := seq.gpuCache
-		seq.lastXfer.OnComplete(func() {
-			for _, b := range blocks {
-				if err := cache.pool.Free(b); err != nil {
-					panic(fmt.Sprintf("kvcache: deferred gpu free: %v", err))
-				}
-			}
-		})
+		seq.lastXfer.OnComplete(func() { cache.release(blocks, "deferred gpu free") })
 	case StateFreed:
 		return fmt.Errorf("kvcache: double free of sequence %s", seq.ID)
 	}
@@ -632,10 +671,11 @@ func (m *Manager) Free(seq *Sequence) error {
 
 // MoveList tracks CPU blocks that are logically free but possibly still
 // referenced by in-flight transfers (§5.3). A daemon polls the associated
-// events every poll interval and unblocks completed entries (step ⑧).
+// events every poll interval and unblocks completed entries (step ⑧), then
+// retires each emptied block list to its tier.
 type MoveList struct {
 	eng     *sim.Engine
-	pool    *memory.SlabPool
+	cache   *Cache
 	poll    time.Duration
 	entries []moveEntry
 	armed   bool
@@ -649,8 +689,8 @@ type moveEntry struct {
 // NewMoveList builds a move list with the given daemon poll interval. A
 // non-positive interval reclaims synchronously on event completion
 // (equivalent to an infinitely fast daemon).
-func NewMoveList(eng *sim.Engine, pool *memory.SlabPool, poll time.Duration) *MoveList {
-	return &MoveList{eng: eng, pool: pool, poll: poll}
+func NewMoveList(eng *sim.Engine, cache *Cache, poll time.Duration) *MoveList {
+	return &MoveList{eng: eng, cache: cache, poll: poll}
 }
 
 // Add registers blocks guarded by the transfer event.
@@ -659,13 +699,7 @@ func (l *MoveList) Add(blocks []memory.Block, ev *gpu.Event) {
 		return
 	}
 	if l.poll <= 0 {
-		ev.OnComplete(func() {
-			for _, b := range blocks {
-				if err := l.pool.Unblock(b); err != nil {
-					panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
-				}
-			}
-		})
+		ev.OnComplete(func() { l.unblock(blocks) })
 		return
 	}
 	l.entries = append(l.entries, moveEntry{blocks: blocks, ev: ev})
@@ -680,21 +714,29 @@ func (l *MoveList) daemon() {
 	kept := l.entries[:0]
 	for _, e := range l.entries {
 		if e.ev.Query() {
-			for _, b := range e.blocks {
-				if err := l.pool.Unblock(b); err != nil {
-					panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
-				}
-			}
+			l.unblock(e.blocks)
 			continue
 		}
 		kept = append(kept, e)
 	}
+	clear(l.entries[len(kept):]) // drop references to retired lists
 	l.entries = kept
 	if len(l.entries) > 0 {
 		l.eng.After(l.poll, l.daemon)
 	} else {
 		l.armed = false
 	}
+}
+
+// unblock makes a completed entry's blocks allocatable again and retires
+// its list.
+func (l *MoveList) unblock(blocks []memory.Block) {
+	for _, b := range blocks {
+		if err := l.cache.pool.Unblock(b); err != nil {
+			panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
+		}
+	}
+	l.cache.retire(blocks)
 }
 
 // Len returns the number of pending move-list entries' blocks.

@@ -59,7 +59,7 @@ func TestNewSequenceAllocatesBlocks(t *testing.T) {
 		t.Fatalf("state = %v, want gpu", seq.State())
 	}
 	wantBlocks := (100 + testBlkTok - 1) / testBlkTok
-	if got := int64(wantBlocks) * f.m1.GPUCache.BlockBytes(seq.Class); f.m1.GPUCache.Pool().UsedBytes() != got {
+	if got := int64(wantBlocks) * f.m1.GPUCache.BlockBytes(seq.gpuClass); f.m1.GPUCache.Pool().UsedBytes() != got {
 		t.Fatalf("gpu used = %d, want %d", f.m1.GPUCache.Pool().UsedBytes(), got)
 	}
 	if seq.Bytes() != f.mod.KVShape().BytesPerToken()*100 {
@@ -364,8 +364,9 @@ func TestSharedShapesShareClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Class != s2.Class {
-		t.Errorf("identical shapes got classes %q and %q", s1.Class, s2.Class)
+	if s1.gpuClass != s2.gpuClass || s1.cpuClass != s2.cpuClass {
+		t.Errorf("identical shapes got classes %d/%d and %d/%d",
+			s1.gpuClass, s1.cpuClass, s2.gpuClass, s2.cpuClass)
 	}
 }
 
@@ -535,22 +536,22 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-// RegisterShape answers a known shape from its memo: the label is the
-// shape's String form, repeat calls allocate nothing, and a shape that
-// failed to register fails again.
+// RegisterShape answers a known shape from its memo: the class is labeled
+// with the shape's String form, repeat calls allocate nothing, and a shape
+// that failed to register fails again.
 func TestRegisterShapeMemo(t *testing.T) {
 	c := NewCache("gpu", 64<<20, 16<<20, 16)
 	shape := model.KVShape{Layers: 28, KVHeads: 4, HeadDim: 128, BytesPerElem: 2}
-	label, err := c.RegisterShape(shape)
+	id, err := c.RegisterShape(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if label != shape.String() {
+	if label := c.Pool().Label(id); label != shape.String() {
 		t.Fatalf("label = %q, want %q", label, shape.String())
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if got, _ := c.RegisterShape(shape); got != label {
-			t.Fatalf("memoized label = %q, want %q", got, label)
+		if got, _ := c.RegisterShape(shape); got != id {
+			t.Fatalf("memoized class = %d, want %d", got, id)
 		}
 	}); n != 0 {
 		t.Fatalf("repeat RegisterShape allocates %.1f times, want 0", n)

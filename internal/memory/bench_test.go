@@ -25,12 +25,10 @@ func BenchmarkBumpResetCycle(b *testing.B) {
 
 func BenchmarkSlabAllocFree(b *testing.B) {
 	p := NewSlabPool(8<<30, 64<<20)
-	if err := p.Register("kv", 8<<20); err != nil {
-		b.Fatal(err)
-	}
+	kv := mustRegister(b, p, "kv", 8<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk, err := p.Alloc("kv")
+		blk, err := p.Alloc(kv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,10 +42,9 @@ func BenchmarkSlabChurnMixedShapes(b *testing.B) {
 	p := NewSlabPool(8<<30, 64<<20)
 	shapes := []string{"s0", "s1", "s2", "s3"}
 	sizes := []int64{2 << 20, 8 << 20, 12 << 20, 40 << 20}
+	ids := make([]ClassID, len(shapes))
 	for i, s := range shapes {
-		if err := p.Register(s, sizes[i]); err != nil {
-			b.Fatal(err)
-		}
+		ids[i] = mustRegister(b, p, s, sizes[i])
 	}
 	var live []Block
 	b.ReportAllocs()
@@ -59,7 +56,7 @@ func BenchmarkSlabChurnMixedShapes(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		blk, err := p.Alloc(shapes[i%len(shapes)])
+		blk, err := p.Alloc(ids[i%len(ids)])
 		if err != nil {
 			for _, l := range live {
 				_ = p.Free(l)

@@ -2,14 +2,21 @@ package memory
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
-// Block identifies one KV-cache block inside a SlabPool.
+// ClassID names a shape class registered with a SlabPool: the dense index
+// Register hands out, valid only in the pool that issued it.
+type ClassID int32
+
+// Block identifies one KV-cache block inside a SlabPool. It is 12 bytes and
+// holds no pointers, so a sequence's block list is memory the garbage
+// collector never scans.
 type Block struct {
-	Class string // shape class label
-	Slab  int    // slab id within the pool
-	Index int    // block index within the slab
+	Class ClassID // shape class
+	Slab  int32   // slab id within the pool
+	Index int32   // block index within the slab
 }
 
 // SlabPool implements the unified KV cache allocation of §5.2: a memory
@@ -17,11 +24,15 @@ type Block struct {
 // to one block shape and serves as a pool of fixed-size blocks of that
 // shape. Freeing the last block of a slab returns the slab to the shared
 // free list, so shapes borrow capacity from each other over time.
+//
+// Classes are named by label only at registration; every allocation path
+// takes the ClassID Register returned and finds the class by slice index.
 type SlabPool struct {
 	slabSize  int64
-	freeSlabs []int
-	classes   map[string]*slabClass
-	slabs     []slab // by slab id
+	freeSlabs []int32
+	classes   []*slabClass       // by ClassID
+	byLabel   map[string]ClassID // registration only
+	slabs     []slab             // by slab id
 
 	usedBytes     int64 // bytes in live blocks across all classes
 	peakAllocated int64 // high-water mark of slab bytes held by classes
@@ -57,16 +68,24 @@ const (
 )
 
 // is reports whether block index i of the slab is in state st.
-func (s *slab) is(i int, st blockState) bool {
-	return i >= 0 && i < len(s.state) && s.state[i] == st
+func (s *slab) is(i int32, st blockState) bool {
+	return i >= 0 && int(i) < len(s.state) && s.state[i] == st
 }
 
 // slabOf returns b's slab if class c holds it, or nil.
 func (p *SlabPool) slabOf(c *slabClass, b Block) *slab {
-	if b.Slab < 0 || b.Slab >= len(p.slabs) || p.slabs[b.Slab].owner != c {
+	if b.Slab < 0 || int(b.Slab) >= len(p.slabs) || p.slabs[b.Slab].owner != c {
 		return nil
 	}
 	return &p.slabs[b.Slab]
+}
+
+// class returns the class registered under id.
+func (p *SlabPool) class(id ClassID) (*slabClass, error) {
+	if id < 0 || int(id) >= len(p.classes) {
+		return nil, fmt.Errorf("memory: unregistered class id %d", id)
+	}
+	return p.classes[id], nil
 }
 
 // NewSlabPool divides capacity bytes into slabs of slabSize bytes each.
@@ -77,49 +96,62 @@ func NewSlabPool(capacity, slabSize int64) *SlabPool {
 	n := int(capacity / slabSize)
 	p := &SlabPool{
 		slabSize: slabSize,
-		classes:  map[string]*slabClass{},
+		byLabel:  map[string]ClassID{},
 		slabs:    make([]slab, n),
 	}
 	// Keep the free list sorted so allocation order is deterministic.
-	p.freeSlabs = make([]int, n)
+	p.freeSlabs = make([]int32, n)
 	for i := range p.freeSlabs {
-		p.freeSlabs[i] = n - 1 - i // pop from the end -> ascending slab ids
+		p.freeSlabs[i] = int32(n - 1 - i) // pop from the end -> ascending slab ids
 	}
 	return p
 }
 
-// Register declares a shape class with the given per-block byte size.
-// Registering the same label twice with a different size is an error.
-func (p *SlabPool) Register(label string, blockBytes int64) error {
+// Register declares a shape class with the given per-block byte size and
+// returns its id. Registering a label again returns the same id; registering
+// it with a different size is an error.
+func (p *SlabPool) Register(label string, blockBytes int64) (ClassID, error) {
 	if blockBytes <= 0 {
-		return fmt.Errorf("memory: non-positive block size %d for class %q", blockBytes, label)
+		return -1, fmt.Errorf("memory: non-positive block size %d for class %q", blockBytes, label)
 	}
 	if blockBytes > p.slabSize {
-		return fmt.Errorf("memory: block size %d exceeds slab size %d for class %q",
+		return -1, fmt.Errorf("memory: block size %d exceeds slab size %d for class %q",
 			blockBytes, p.slabSize, label)
 	}
-	if c, ok := p.classes[label]; ok {
-		if c.blockBytes != blockBytes {
-			return fmt.Errorf("memory: class %q re-registered with size %d != %d",
+	if id, ok := p.byLabel[label]; ok {
+		if c := p.classes[id]; c.blockBytes != blockBytes {
+			return -1, fmt.Errorf("memory: class %q re-registered with size %d != %d",
 				label, blockBytes, c.blockBytes)
 		}
-		return nil
+		return id, nil
 	}
-	p.classes[label] = &slabClass{
+	id := ClassID(len(p.classes))
+	p.classes = append(p.classes, &slabClass{
 		label:         label,
 		blockBytes:    blockBytes,
 		blocksPerSlab: int(p.slabSize / blockBytes),
+	})
+	p.byLabel[label] = id
+	return id, nil
+}
+
+// Label returns the label a class was registered under ("" for an unknown
+// id).
+func (p *SlabPool) Label(id ClassID) string {
+	c, err := p.class(id)
+	if err != nil {
+		return ""
 	}
-	return nil
+	return c.label
 }
 
 // Alloc returns a free block of the given class, acquiring a new slab for
 // the class if necessary. It fails with ErrOutOfMemory when the class has no
 // free blocks and no free slabs remain.
-func (p *SlabPool) Alloc(label string) (Block, error) {
-	c, ok := p.classes[label]
-	if !ok {
-		return Block{}, fmt.Errorf("memory: unregistered class %q", label)
+func (p *SlabPool) Alloc(id ClassID) (Block, error) {
+	c, err := p.class(id)
+	if err != nil {
+		return Block{}, err
 	}
 	for len(c.freeBlocks) > 0 {
 		b := c.freeBlocks[len(c.freeBlocks)-1]
@@ -141,11 +173,11 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 	}
 	// Acquire a fresh slab.
 	if len(p.freeSlabs) == 0 {
-		return Block{}, fmt.Errorf("%w: no free slabs for class %q", ErrOutOfMemory, label)
+		return Block{}, fmt.Errorf("%w: no free slabs for class %q", ErrOutOfMemory, c.label)
 	}
-	id := p.freeSlabs[len(p.freeSlabs)-1]
+	sid := p.freeSlabs[len(p.freeSlabs)-1]
 	p.freeSlabs = p.freeSlabs[:len(p.freeSlabs)-1]
-	s := &p.slabs[id]
+	s := &p.slabs[sid]
 	s.owner = c
 	if n := c.blocksPerSlab; cap(s.state) >= n {
 		s.state = s.state[:n]
@@ -162,25 +194,25 @@ func (p *SlabPool) Alloc(label string) (Block, error) {
 	// Push all blocks except index 0 (which we hand out) onto the free list,
 	// in reverse so they pop in ascending order.
 	for i := c.blocksPerSlab - 1; i >= 1; i-- {
-		c.freeBlocks = append(c.freeBlocks, Block{Class: label, Slab: id, Index: i})
+		c.freeBlocks = append(c.freeBlocks, Block{Class: id, Slab: sid, Index: int32(i)})
 	}
 	s.inUse++
 	s.state[0] = blockLive
 	c.used++
 	p.usedBytes += c.blockBytes
-	return Block{Class: label, Slab: id, Index: 0}, nil
+	return Block{Class: id, Slab: sid, Index: 0}, nil
 }
 
 // Free returns a block to its class. If its slab becomes empty (and has no
 // blocked indices), the slab is reclaimed into the shared pool.
 func (p *SlabPool) Free(b Block) error {
-	c, ok := p.classes[b.Class]
-	if !ok {
-		return fmt.Errorf("memory: free of block with unknown class %q", b.Class)
+	c, err := p.class(b.Class)
+	if err != nil {
+		return fmt.Errorf("memory: free of block with unknown class id %d", b.Class)
 	}
 	s := p.slabOf(c, b)
 	if s == nil {
-		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, b.Class)
+		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, c.label)
 	}
 	if !s.is(b.Index, blockLive) {
 		return fmt.Errorf("memory: double free of block %v", b)
@@ -201,13 +233,13 @@ func (p *SlabPool) Free(b Block) error {
 // asynchronous transfer may still be reading or writing it (§5.3 rule ❸,
 // move lists). Unblock must be called once the transfer completes.
 func (p *SlabPool) FreeBlocked(b Block) error {
-	c, ok := p.classes[b.Class]
-	if !ok {
-		return fmt.Errorf("memory: free of block with unknown class %q", b.Class)
+	c, err := p.class(b.Class)
+	if err != nil {
+		return fmt.Errorf("memory: free of block with unknown class id %d", b.Class)
 	}
 	s := p.slabOf(c, b)
 	if s == nil {
-		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, b.Class)
+		return fmt.Errorf("memory: free of block in unowned slab %d (class %q)", b.Slab, c.label)
 	}
 	if !s.is(b.Index, blockLive) {
 		return fmt.Errorf("memory: double free of block %v", b)
@@ -223,9 +255,9 @@ func (p *SlabPool) FreeBlocked(b Block) error {
 // Unblock makes a previously FreeBlocked block allocatable again — the
 // daemon thread's reclamation step (§5.3 step ⑧).
 func (p *SlabPool) Unblock(b Block) error {
-	c, ok := p.classes[b.Class]
-	if !ok {
-		return fmt.Errorf("memory: unblock of block with unknown class %q", b.Class)
+	c, err := p.class(b.Class)
+	if err != nil {
+		return fmt.Errorf("memory: unblock of block with unknown class id %d", b.Class)
 	}
 	s := p.slabOf(c, b)
 	if s == nil {
@@ -245,7 +277,7 @@ func (p *SlabPool) Unblock(b Block) error {
 }
 
 // reclaim returns an empty slab (every block free) to the shared pool.
-func (p *SlabPool) reclaim(c *slabClass, id int) {
+func (p *SlabPool) reclaim(c *slabClass, id int32) {
 	p.slabs[id].owner = nil
 	c.slabs--
 	p.freeSlabs = append(p.freeSlabs, id)
@@ -287,20 +319,16 @@ type ClassStats struct {
 // Stats returns per-class statistics sorted by label, plus a pool-wide
 // aggregate under the label "All".
 func (p *SlabPool) Stats() []ClassStats {
-	labels := make([]string, 0, len(p.classes))
-	for l := range p.classes {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	out := make([]ClassStats, 0, len(labels)+1)
+	classes := slices.Clone(p.classes)
+	slices.SortFunc(classes, func(a, b *slabClass) int { return strings.Compare(a.label, b.label) })
+	out := make([]ClassStats, 0, len(classes)+1)
 	var totUsed int64
-	for _, l := range labels {
-		c := p.classes[l]
+	for _, c := range classes {
 		alloc := c.allocatedBytes(p.slabSize)
 		used := int64(c.used) * c.blockBytes
 		totUsed += used
 		st := ClassStats{
-			Label:          l,
+			Label:          c.label,
 			BlockBytes:     c.blockBytes,
 			UsedBlocks:     c.used,
 			UsedBytes:      used,
@@ -338,12 +366,21 @@ func (p *SlabPool) Capacity() int64 { return int64(len(p.slabs)) * p.slabSize }
 func (p *SlabPool) UsedBytes() int64 { return p.usedBytes }
 
 // BlocksPerSlab returns how many blocks of the class fit in one slab.
-func (p *SlabPool) BlocksPerSlab(label string) (int, error) {
-	c, ok := p.classes[label]
-	if !ok {
-		return 0, fmt.Errorf("memory: unregistered class %q", label)
+func (p *SlabPool) BlocksPerSlab(id ClassID) (int, error) {
+	c, err := p.class(id)
+	if err != nil {
+		return 0, err
 	}
 	return c.blocksPerSlab, nil
+}
+
+// BlockBytes returns the per-block byte size of the class.
+func (p *SlabPool) BlockBytes(id ClassID) (int64, error) {
+	c, err := p.class(id)
+	if err != nil {
+		return 0, err
+	}
+	return c.blockBytes, nil
 }
 
 // FreeBlocksAvailable returns how many more blocks of the class could be
@@ -351,10 +388,10 @@ func (p *SlabPool) BlocksPerSlab(label string) (int, error) {
 // O(1): the class free list holds no stale or blocked entries by
 // construction (reclaim purges stale entries; blocked blocks are only
 // re-listed by Unblock).
-func (p *SlabPool) FreeBlocksAvailable(label string) (int, error) {
-	c, ok := p.classes[label]
-	if !ok {
-		return 0, fmt.Errorf("memory: unregistered class %q", label)
+func (p *SlabPool) FreeBlocksAvailable(id ClassID) (int, error) {
+	c, err := p.class(id)
+	if err != nil {
+		return 0, err
 	}
 	return len(c.freeBlocks) + len(p.freeSlabs)*c.blocksPerSlab, nil
 }

@@ -2,32 +2,50 @@ package memory
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
+)
+
+// Class ids newTestPool registers, in registration order.
+const (
+	s0 ClassID = iota // 8 KiB blocks
+	s1                // 16 KiB
+	s2                // 32 KiB
 )
 
 func newTestPool(t *testing.T) *SlabPool {
 	t.Helper()
 	p := NewSlabPool(1<<20, 1<<16) // 16 slabs of 64 KiB
-	for _, c := range []struct {
+	for i, c := range []struct {
 		label string
 		size  int64
 	}{{"S0", 8 << 10}, {"S1", 16 << 10}, {"S2", 32 << 10}} {
-		if err := p.Register(c.label, c.size); err != nil {
-			t.Fatal(err)
+		if id := mustRegister(t, p, c.label, c.size); id != ClassID(i) {
+			t.Fatalf("class %s got id %d, want %d", c.label, id, i)
 		}
 	}
 	return p
 }
 
-func TestSlabAllocFreeRoundTrip(t *testing.T) {
-	p := newTestPool(t)
-	b, err := p.Alloc("S0")
+func mustRegister(t testing.TB, p *SlabPool, label string, blockBytes int64) ClassID {
+	t.Helper()
+	id, err := p.Register(label, blockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Class != "S0" {
-		t.Fatalf("block class = %q", b.Class)
+	return id
+}
+
+func TestSlabAllocFreeRoundTrip(t *testing.T) {
+	p := newTestPool(t)
+	b, err := p.Alloc(s0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Class != s0 || p.Label(b.Class) != "S0" {
+		t.Fatalf("block class = %d (%q)", b.Class, p.Label(b.Class))
 	}
 	if p.UsedBytes() != 8<<10 {
 		t.Fatalf("used = %d", p.UsedBytes())
@@ -47,7 +65,7 @@ func TestSlabBlocksUniqueWithinSlab(t *testing.T) {
 	p := newTestPool(t)
 	seen := map[Block]bool{}
 	for i := 0; i < 24; i++ { // spans multiple slabs (8 blocks per slab for S0)
-		b, err := p.Alloc("S0")
+		b, err := p.Alloc(s0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,16 +78,14 @@ func TestSlabBlocksUniqueWithinSlab(t *testing.T) {
 
 func TestSlabOOMWhenAllSlabsHeld(t *testing.T) {
 	p := NewSlabPool(2<<16, 1<<16) // 2 slabs
-	if err := p.Register("big", 1<<16); err != nil {
+	big := mustRegister(t, p, "big", 1<<16)
+	if _, err := p.Alloc(big); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc("big"); err != nil {
+	if _, err := p.Alloc(big); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc("big"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Alloc("big"); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := p.Alloc(big); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("alloc on exhausted pool = %v, want ErrOutOfMemory", err)
 	}
 }
@@ -78,31 +94,27 @@ func TestSlabSharingAcrossShapes(t *testing.T) {
 	// A slab freed by one shape must be reusable by another (the point of
 	// unified slab allocation vs fixed per-shape partitions, §5.2).
 	p := NewSlabPool(1<<16, 1<<16) // one slab only
-	if err := p.Register("A", 1<<14); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Register("B", 1<<15); err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Alloc("A")
+	a := mustRegister(t, p, "A", 1<<14)
+	b := mustRegister(t, p, "B", 1<<15)
+	blk, err := p.Alloc(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc("B"); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := p.Alloc(b); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("B alloc while A holds the only slab = %v, want OOM", err)
 	}
-	if err := p.Free(a); err != nil {
+	if err := p.Free(blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc("B"); err != nil {
+	if _, err := p.Alloc(b); err != nil {
 		t.Fatalf("B alloc after slab reclaim failed: %v", err)
 	}
 }
 
 func TestSlabDoubleFree(t *testing.T) {
 	p := newTestPool(t)
-	b, _ := p.Alloc("S0")
-	b2, _ := p.Alloc("S0")
+	b, _ := p.Alloc(s0)
+	b2, _ := p.Alloc(s0)
 	if err := p.Free(b); err != nil {
 		t.Fatal(err)
 	}
@@ -114,46 +126,44 @@ func TestSlabDoubleFree(t *testing.T) {
 
 func TestSlabUnregisteredClass(t *testing.T) {
 	p := newTestPool(t)
-	if _, err := p.Alloc("nope"); err == nil {
+	if _, err := p.Alloc(3); err == nil {
 		t.Error("alloc of unregistered class returned nil error")
 	}
-	if err := p.Register("S0", 999); err == nil {
+	if _, err := p.Register("S0", 999); err == nil {
 		t.Error("conflicting re-registration returned nil error")
 	}
-	if err := p.Register("S0", 8<<10); err != nil {
-		t.Errorf("idempotent re-registration failed: %v", err)
+	if id, err := p.Register("S0", 8<<10); err != nil || id != s0 {
+		t.Errorf("idempotent re-registration = %d, %v; want %d", id, err, s0)
 	}
 }
 
 func TestSlabRegisterValidation(t *testing.T) {
 	p := newTestPool(t)
-	if err := p.Register("zero", 0); err == nil {
+	if _, err := p.Register("zero", 0); err == nil {
 		t.Error("zero block size accepted")
 	}
-	if err := p.Register("huge", 1<<20); err == nil {
+	if _, err := p.Register("huge", 1<<20); err == nil {
 		t.Error("block larger than slab accepted")
 	}
 }
 
 func TestSlabBlockedLifecycle(t *testing.T) {
 	p := NewSlabPool(1<<16, 1<<16)
-	if err := p.Register("A", 1<<15); err != nil { // 2 blocks per slab
-		t.Fatal(err)
-	}
-	b1, _ := p.Alloc("A")
-	b2, _ := p.Alloc("A")
+	a := mustRegister(t, p, "A", 1<<15) // 2 blocks per slab
+	b1, _ := p.Alloc(a)
+	b2, _ := p.Alloc(a)
 	// Free b1 into a move list: it must not be allocatable.
 	if err := p.FreeBlocked(b1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Alloc("A"); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := p.Alloc(a); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("blocked block was allocatable: %v", err)
 	}
 	// Unblock: now it must be allocatable again.
 	if err := p.Unblock(b1); err != nil {
 		t.Fatal(err)
 	}
-	b3, err := p.Alloc("A")
+	b3, err := p.Alloc(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +175,8 @@ func TestSlabBlockedLifecycle(t *testing.T) {
 
 func TestSlabNotReclaimedWhileBlocked(t *testing.T) {
 	p := NewSlabPool(1<<16, 1<<16)
-	if err := p.Register("A", 1<<15); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := p.Alloc("A")
+	a := mustRegister(t, p, "A", 1<<15)
+	b, _ := p.Alloc(a)
 	if err := p.FreeBlocked(b); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +194,7 @@ func TestSlabNotReclaimedWhileBlocked(t *testing.T) {
 
 func TestSlabUnblockErrors(t *testing.T) {
 	p := newTestPool(t)
-	b, _ := p.Alloc("S0")
+	b, _ := p.Alloc(s0)
 	if err := p.Unblock(b); err == nil {
 		t.Error("unblock of live block returned nil error")
 	}
@@ -196,12 +204,10 @@ func TestSlabStaleFreeListAfterReclaim(t *testing.T) {
 	// Regression test: allocate a full slab, free it (reclaiming the slab),
 	// then reallocate — block handles must never be handed out twice.
 	p := NewSlabPool(1<<16, 1<<16)
-	if err := p.Register("A", 1<<14); err != nil { // 4 blocks per slab
-		t.Fatal(err)
-	}
+	a := mustRegister(t, p, "A", 1<<14) // 4 blocks per slab
 	var blocks []Block
 	for i := 0; i < 4; i++ {
-		b, err := p.Alloc("A")
+		b, err := p.Alloc(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +221,7 @@ func TestSlabStaleFreeListAfterReclaim(t *testing.T) {
 	}
 	seen := map[Block]bool{}
 	for i := 0; i < 4; i++ {
-		b, err := p.Alloc("A")
+		b, err := p.Alloc(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +235,11 @@ func TestSlabStaleFreeListAfterReclaim(t *testing.T) {
 func TestSlabStats(t *testing.T) {
 	p := newTestPool(t)
 	for i := 0; i < 3; i++ {
-		if _, err := p.Alloc("S0"); err != nil {
+		if _, err := p.Alloc(s0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.Alloc("S2"); err != nil {
+	if _, err := p.Alloc(s2); err != nil {
 		t.Fatal(err)
 	}
 	stats := p.Stats()
@@ -261,17 +267,15 @@ func TestSlabStats(t *testing.T) {
 
 func TestSlabFreeBlocksAvailable(t *testing.T) {
 	p := NewSlabPool(2<<16, 1<<16)
-	if err := p.Register("A", 1<<15); err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.FreeBlocksAvailable("A")
+	a := mustRegister(t, p, "A", 1<<15)
+	n, err := p.FreeBlocksAvailable(a)
 	if err != nil || n != 4 {
 		t.Fatalf("available = %d (%v), want 4", n, err)
 	}
-	if _, err := p.Alloc("A"); err != nil {
+	if _, err := p.Alloc(a); err != nil {
 		t.Fatal(err)
 	}
-	n, _ = p.FreeBlocksAvailable("A")
+	n, _ = p.FreeBlocksAvailable(a)
 	if n != 3 {
 		t.Fatalf("available after one alloc = %d, want 3", n)
 	}
@@ -283,14 +287,15 @@ func TestSlabFreeBlocksAvailable(t *testing.T) {
 func TestSlabAccountingProperty(t *testing.T) {
 	prop := func(ops []bool) bool {
 		p := NewSlabPool(1<<20, 1<<16)
-		if err := p.Register("A", 4<<10); err != nil {
+		a, err := p.Register("A", 4<<10)
+		if err != nil {
 			return false
 		}
 		live := []Block{}
 		liveSet := map[Block]bool{}
 		for _, isAlloc := range ops {
 			if isAlloc {
-				b, err := p.Alloc("A")
+				b, err := p.Alloc(a)
 				if err != nil {
 					if !errors.Is(err, ErrOutOfMemory) {
 						return false
@@ -325,9 +330,9 @@ func TestSlabAccountingProperty(t *testing.T) {
 func TestSlabUsedBytesMatchesStatsProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		p := NewSlabPool(4<<16, 1<<16)
-		sizes := map[string]int64{"A": 4 << 10, "B": 16 << 10}
-		for label, size := range sizes {
-			if err := p.Register(label, size); err != nil {
+		sizes := []int64{4 << 10, 16 << 10} // by class id
+		for i, size := range sizes {
+			if id, err := p.Register(string(rune('A'+i)), size); err != nil || id != ClassID(i) {
 				return false
 			}
 		}
@@ -336,9 +341,8 @@ func TestSlabUsedBytesMatchesStatsProperty(t *testing.T) {
 			var err error
 			switch op % 5 {
 			case 0, 1: // alloc, A or B
-				label := [2]string{"A", "B"}[op%2]
 				var b Block
-				if b, err = p.Alloc(label); err == nil {
+				if b, err = p.Alloc(ClassID(op % 2)); err == nil {
 					live = append(live, b)
 				} else if errors.Is(err, ErrOutOfMemory) {
 					err = nil
@@ -392,27 +396,23 @@ func TestSlabUsedBytesMatchesStatsProperty(t *testing.T) {
 func TestSlabReacquiredByDenserShape(t *testing.T) {
 	// One slab, which holds 4 sparse blocks or 16 dense ones.
 	p := NewSlabPool(1<<16, 1<<16)
-	if err := p.Register("sparse", 1<<14); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Register("dense", 1<<12); err != nil {
-		t.Fatal(err)
-	}
+	sparse := mustRegister(t, p, "sparse", 1<<14)
+	dense := mustRegister(t, p, "dense", 1<<12)
 	for round := 0; round < 2; round++ {
 		for _, c := range []struct {
-			label string
-			n     int
-		}{{"sparse", 4}, {"dense", 16}} {
+			id ClassID
+			n  int
+		}{{sparse, 4}, {dense, 16}} {
 			var held []Block
 			for i := 0; i < c.n; i++ {
-				b, err := p.Alloc(c.label)
+				b, err := p.Alloc(c.id)
 				if err != nil {
-					t.Fatalf("round %d %s block %d: %v", round, c.label, i, err)
+					t.Fatalf("round %d %s block %d: %v", round, p.Label(c.id), i, err)
 				}
 				held = append(held, b)
 			}
-			if _, err := p.Alloc(c.label); !errors.Is(err, ErrOutOfMemory) {
-				t.Fatalf("%s: slab overfilled: %v", c.label, err)
+			if _, err := p.Alloc(c.id); !errors.Is(err, ErrOutOfMemory) {
+				t.Fatalf("%s: slab overfilled: %v", p.Label(c.id), err)
 			}
 			for _, b := range held {
 				if err := p.Free(b); err != nil {
@@ -420,19 +420,20 @@ func TestSlabReacquiredByDenserShape(t *testing.T) {
 				}
 			}
 			if p.FreeSlabCount() != 1 {
-				t.Fatalf("%s: slab not reclaimed", c.label)
+				t.Fatalf("%s: slab not reclaimed", p.Label(c.id))
 			}
 		}
 	}
-	b, err := p.Alloc("sparse")
+	b, err := p.Alloc(sparse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, forged := range []Block{
-		{Class: "sparse", Slab: b.Slab, Index: 4},
-		{Class: "sparse", Slab: b.Slab, Index: -1},
-		{Class: "sparse", Slab: 1, Index: 0},
-		{Class: "dense", Slab: b.Slab, Index: 0},
+		{Class: sparse, Slab: b.Slab, Index: 4},
+		{Class: sparse, Slab: b.Slab, Index: -1},
+		{Class: sparse, Slab: 1, Index: 0},
+		{Class: dense, Slab: b.Slab, Index: 0},
+		{Class: 2, Slab: b.Slab, Index: 0},
 	} {
 		if err := p.Free(forged); err == nil {
 			t.Errorf("Free(%+v) accepted a forged block", forged)
@@ -450,11 +451,9 @@ func TestSlabReacquiredByDenserShape(t *testing.T) {
 // reclaim each single-block round trip triggers.
 func TestSlabAllocFreeAllocs(t *testing.T) {
 	p := NewSlabPool(8<<20, 1<<20)
-	if err := p.Register("kv", 64<<10); err != nil {
-		t.Fatal(err)
-	}
+	kv := mustRegister(t, p, "kv", 64<<10)
 	cycle := func() {
-		b, err := p.Alloc("kv")
+		b, err := p.Alloc(kv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,5 +467,63 @@ func TestSlabAllocFreeAllocs(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("alloc/free-blocked/unblock allocates %.1f times, want 0", n)
+	}
+}
+
+// A Block is 12 bytes of plain integers, so block lists are memory the
+// garbage collector never scans.
+func TestBlockHasNoPointers(t *testing.T) {
+	if n := unsafe.Sizeof(Block{}); n != 12 {
+		t.Errorf("sizeof(Block) = %d, want 12", n)
+	}
+	var walk func(reflect.Type)
+	walk = func(ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("Block holds pointer kind %s (%s)", ty.Kind(), ty)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(ty.Elem())
+		}
+	}
+	walk(reflect.TypeOf(Block{}))
+}
+
+// Register hands out one stable id per label, refuses a label re-registered
+// with another size, and every id-taking call rejects an id it never issued.
+func TestRegisterStableIDs(t *testing.T) {
+	p := newTestPool(t)
+	for i, label := range []string{"S0", "S1", "S2"} {
+		id, err := p.Register(label, int64(8<<10)<<i)
+		if err != nil || id != ClassID(i) {
+			t.Errorf("re-register %s = %d, %v; want %d", label, id, err, i)
+		}
+		if got := p.Label(id); got != label {
+			t.Errorf("Label(%d) = %q, want %q", id, got, label)
+		}
+	}
+	if id, err := p.Register("S1", 8<<10); err == nil {
+		t.Errorf("S1 re-registered with a different size got id %d", id)
+	}
+	if id := mustRegister(t, p, "S3", 4<<10); id != 3 {
+		t.Errorf("fourth class got id %d, want 3", id)
+	}
+	for _, bad := range []ClassID{-1, 4, 1 << 20} {
+		if _, err := p.Alloc(bad); err == nil {
+			t.Errorf("Alloc(%d) accepted an unknown id", bad)
+		}
+		if err := p.Free(Block{Class: bad}); err == nil {
+			t.Errorf("Free of a block in unknown class %d succeeded", bad)
+		}
+		if _, err := p.FreeBlocksAvailable(bad); err == nil {
+			t.Errorf("FreeBlocksAvailable(%d) accepted an unknown id", bad)
+		}
+		if p.Label(bad) != "" {
+			t.Errorf("Label(%d) = %q, want empty", bad, p.Label(bad))
+		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
-	"aegaeon/internal/workload"
 )
 
 // Policy selects the eviction victim ordering.
@@ -87,9 +86,10 @@ type Config struct {
 }
 
 // classInfo caches per-model registration so promotion does not need the
-// KV shape again.
+// KV shape again. The id is the class in the host tier; promotion resolves
+// the device tier's own id from the shape.
 type classInfo struct {
-	label      string
+	id         memory.ClassID
 	blockBytes int64
 	shape      model.KVShape
 }
@@ -273,24 +273,30 @@ func (c *Cache) ensureClass(m string, shape model.KVShape) (classInfo, error) {
 	if ci, ok := c.classes[m]; ok {
 		return ci, nil
 	}
-	label, err := c.host.RegisterShape(shape)
+	id, err := c.host.RegisterShape(shape)
 	if err != nil {
 		return classInfo{}, err
 	}
-	ci := classInfo{label: label, blockBytes: c.host.BlockBytes(label), shape: shape}
+	ci := classInfo{id: id, blockBytes: c.host.BlockBytes(id), shape: shape}
 	c.classes[m] = ci
 	return ci, nil
 }
 
-// walk returns the resident chain matching the first maxBlocks blocks of the
-// prompt. Leaf-only eviction guarantees the chain is contiguous from the
-// root, so the walk stops at the first absent chunk hash.
-func (c *Cache) walk(m string, segs []workload.PromptSeg, maxBlocks int) []*entry {
+// prefix returns the first n chunk hashes of a prompt (all of them when it
+// has fewer). Chained hashes are prefix-stable, so one ChunkHashes call per
+// prompt serves every lookup and insert at any depth.
+func prefix(hashes []uint64, n int) []uint64 {
+	return hashes[:max(0, min(n, len(hashes)))]
+}
+
+// walk returns the resident chain matching the prompt's chunk hashes.
+// Leaf-only eviction guarantees the chain is contiguous from the root, so
+// the walk stops at the first absent chunk hash.
+func (c *Cache) walk(m string, hashes []uint64) []*entry {
 	idx := c.index[m]
-	if idx == nil || maxBlocks <= 0 {
+	if idx == nil || len(hashes) == 0 {
 		return nil
 	}
-	hashes := ChunkHashes(segs, maxBlocks, c.block)
 	var chain []*entry
 	for _, h := range hashes {
 		e := idx[h]
@@ -324,10 +330,12 @@ type Hit struct {
 }
 
 // Acquire looks up the longest cached prefix of a prompt about to prefill on
-// instance, pins it, and returns it — or nil on a miss. The match is capped
-// one token short of the prompt so at least one token always prefills (the
-// model must produce output, and TTFT stays well-defined).
-func (c *Cache) Acquire(instance, m string, shape model.KVShape, segs []workload.PromptSeg, tokens int, now sim.Time) *Hit {
+// instance, pins it, and returns it — or nil on a miss. hashes are the
+// prompt's ChunkHashes over at least its (tokens-1)/BlockTokens() blocks;
+// any beyond that are ignored. The match is capped one token short of the
+// prompt so at least one token always prefills (the model must produce
+// output, and TTFT stays well-defined).
+func (c *Cache) Acquire(instance, m string, shape model.KVShape, hashes []uint64, tokens int, now sim.Time) *Hit {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -336,8 +344,7 @@ func (c *Cache) Acquire(instance, m string, shape model.KVShape, segs []workload
 	ms := c.modelStats(m)
 	ms.Lookups++
 
-	maxBlocks := (tokens - 1) / c.block
-	chain := c.walk(m, segs, maxBlocks)
+	chain := c.walk(m, prefix(hashes, (tokens-1)/c.block))
 	if len(chain) == 0 {
 		return nil
 	}
@@ -425,10 +432,11 @@ func (c *Cache) promote(e *entry, instance string, dev *kvcache.Cache, now sim.T
 	if !c.ensureDeviceRoom(instance, e.blockBytes) {
 		return false
 	}
-	if _, err := dev.RegisterShape(ci.shape); err != nil {
+	id, err := dev.RegisterShape(ci.shape)
+	if err != nil {
 		return false
 	}
-	b, err := dev.Pool().Alloc(ci.label)
+	b, err := dev.Pool().Alloc(id)
 	if err != nil {
 		// The instance's GPU pool is full of sequence KV; skip promotion
 		// rather than fight the serving path for VRAM.
@@ -449,14 +457,16 @@ func (c *Cache) promote(e *entry, instance string, dev *kvcache.Cache, now sim.T
 	return true
 }
 
-// Insert records the full block-aligned prefix of a freshly computed prompt.
+// Insert records the full block-aligned prefix of a freshly computed prompt,
+// given as its ChunkHashes over tokens/BlockTokens() blocks (extra hashes
+// are ignored).
 // The KV payload is already on the computing instance; the host copy rides
 // along the existing prefill→decode offload path, so insertion charges no
 // additional transfer in the latency model (see DESIGN.md §12). Existing
 // entries along the path are refreshed; missing ones are allocated from the
 // host pool, evicting unpinned leaves as needed. Insertion stops early if
 // the budget cannot be met — the cached chain is still valid, just shorter.
-func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg, tokens int, now sim.Time) {
+func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens int, now sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -468,7 +478,7 @@ func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg,
 	if err != nil {
 		return
 	}
-	hashes := ChunkHashes(segs, nblocks, c.block)
+	hashes = prefix(hashes, nblocks)
 	idx := c.index[m]
 	if idx == nil {
 		idx = map[uint64]*entry{}
@@ -499,14 +509,14 @@ func (c *Cache) Insert(m string, shape model.KVShape, segs []workload.PromptSeg,
 		if !c.ensureHostRoom(ci.blockBytes) {
 			return
 		}
-		b, err := c.host.Pool().Alloc(ci.label)
+		b, err := c.host.Pool().Alloc(ci.id)
 		if err != nil {
 			// Host pool exhausted by sequence swap-outs; make one more
 			// attempt after evicting, then give up on the tail.
 			if !c.evictHostOne() {
 				return
 			}
-			if b, err = c.host.Pool().Alloc(ci.label); err != nil {
+			if b, err = c.host.Pool().Alloc(ci.id); err != nil {
 				return
 			}
 		}
@@ -721,12 +731,12 @@ func (c *Cache) DropInstance(instance string) {
 
 // MatchTokensOn reports, without mutating any state, how many prompt tokens
 // an instance could serve from cache (total) and how many of those are
-// already resident on its device tier. The router's placement score is built
-// from this.
-func (c *Cache) MatchTokensOn(instance, m string, segs []workload.PromptSeg, tokens int) (matched, onDevice int) {
+// already resident on its device tier. hashes are as for Acquire. The
+// router's placement score is built from this.
+func (c *Cache) MatchTokensOn(instance, m string, hashes []uint64, tokens int) (matched, onDevice int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	chain := c.walk(m, segs, (tokens-1)/c.block)
+	chain := c.walk(m, prefix(hashes, (tokens-1)/c.block))
 	devDepth := 0
 	for i, e := range chain {
 		if i == devDepth {

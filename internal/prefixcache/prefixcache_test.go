@@ -3,6 +3,7 @@ package prefixcache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,6 +26,11 @@ func newHost() *kvcache.Cache {
 }
 
 func seg(seed uint64, n int) workload.PromptSeg { return workload.PromptSeg{Seed: seed, Len: n} }
+
+// chunks hashes every whole block of a prompt once, as a request does.
+func chunks(segs []workload.PromptSeg) []uint64 {
+	return ChunkHashes(segs, SegTokens(segs)/testBlkTok, testBlkTok)
+}
 
 // TestChunkHashesGolden pins the chained chunk-hash values so index contents
 // stay stable across refactors, and exercises the partial-match geometry:
@@ -97,18 +103,43 @@ func TestChunkHashesGolden(t *testing.T) {
 	}
 }
 
+// Chained hashes are prefix-stable: hashing n blocks gives the first n
+// hashes of any longer hashing of the same prompt, capped at its whole
+// blocks. A request therefore hashes its prompt once and every lookup or
+// insert reads a prefix of that slice.
+func TestChunkHashesPrefixStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var segs []workload.PromptSeg
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			segs = append(segs, seg(rng.Uint64(), 1+rng.Intn(70)))
+		}
+		block := 1 + rng.Intn(20)
+		full := ChunkHashes(segs, SegTokens(segs)/block+3, block)
+		if len(full) != SegTokens(segs)/block {
+			t.Fatalf("trial %d: %d hashes for %d whole blocks", trial, len(full), SegTokens(segs)/block)
+		}
+		for n := 0; n <= len(full)+2; n++ {
+			got := ChunkHashes(segs, n, block)
+			if want := prefix(full, n); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: ChunkHashes(n=%d) = %x, want prefix %x", trial, n, got, want)
+			}
+		}
+	}
+}
+
 func TestAcquireMissInsertHit(t *testing.T) {
 	c := New(Config{}, newHost())
 	segs := []workload.PromptSeg{seg(7, 64)}
 
-	if h := c.Acquire("p0", "m", testShape, segs, 64, 0); h != nil {
+	if h := c.Acquire("p0", "m", testShape, chunks(segs), 64, 0); h != nil {
 		t.Fatal("hit on empty cache")
 	}
-	c.Insert("m", testShape, segs, 64, 1)
+	c.Insert("m", testShape, chunks(segs), 64, 1)
 
 	// 64-token prompt: the match is capped one token short, so 3 of the 4
 	// cached blocks match.
-	h := c.Acquire("p0", "m", testShape, segs, 64, 2)
+	h := c.Acquire("p0", "m", testShape, chunks(segs), 64, 2)
 	if h == nil {
 		t.Fatal("miss after insert")
 	}
@@ -129,7 +160,7 @@ func TestAcquireMissInsertHit(t *testing.T) {
 
 	// A longer prompt extending the same stream matches all 4 blocks.
 	long := []workload.PromptSeg{seg(7, 96)}
-	h2 := c.Acquire("p0", "m", testShape, long, 96, 4)
+	h2 := c.Acquire("p0", "m", testShape, chunks(long), 96, 4)
 	if h2 == nil || h2.MatchedTokens != 64 {
 		t.Fatalf("extended prompt matched %v, want 64", h2)
 	}
@@ -154,17 +185,17 @@ func TestAcquireMissInsertHit(t *testing.T) {
 // cached chain matches exactly that block.
 func TestPartialMatchDivergentSuffix(t *testing.T) {
 	c := New(Config{}, newHost())
-	c.Insert("m", testShape, []workload.PromptSeg{seg(1, 32)}, 32, 0)
+	c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(1, 32)}), 32, 0)
 
 	div := []workload.PromptSeg{seg(1, 16), seg(2, 16)}
-	h := c.Acquire("p0", "m", testShape, div, 32, 1)
+	h := c.Acquire("p0", "m", testShape, chunks(div), 32, 1)
 	if h == nil || h.MatchedTokens != 16 {
 		t.Fatalf("divergent suffix matched %v, want 16", h)
 	}
 	h.Release(2)
 
 	// Different model namespaces never cross-match.
-	if h := c.Acquire("p0", "other", testShape, []workload.PromptSeg{seg(1, 32)}, 32, 3); h != nil {
+	if h := c.Acquire("p0", "other", testShape, chunks([]workload.PromptSeg{seg(1, 32)}), 32, 3); h != nil {
 		t.Fatal("cross-model hit")
 	}
 }
@@ -190,9 +221,9 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 			switch {
 			case len(pins) < 2 && rng.Intn(3) == 0:
 				segs := []workload.PromptSeg{seg(rng.Uint64(), 48)}
-				c.Insert("m", testShape, segs, 48, now)
+				c.Insert("m", testShape, chunks(segs), 48, now)
 				now++
-				if h := c.Acquire("p0", "m", testShape, segs, 49, now); h != nil {
+				if h := c.Acquire("p0", "m", testShape, chunks(segs), 49, now); h != nil {
 					pins = append(pins, pinned{h, segs})
 				}
 			case len(pins) > 0 && rng.Intn(4) == 0:
@@ -200,7 +231,7 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 				pins = pins[1:]
 			default:
 				n := (1 + rng.Intn(3)) * testBlkTok
-				c.Insert("m", testShape, []workload.PromptSeg{seg(rng.Uint64(), n)}, n, now)
+				c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(rng.Uint64(), n)}), n, now)
 			}
 
 			// Invariants after every step.
@@ -208,7 +239,7 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 				t.Fatalf("[%v] step %d: resident %d exceeds budget %d", pol, i, got, budget)
 			}
 			for _, p := range pins {
-				if m, _ := c.MatchTokensOn("p0", "m", p.segs, 49); m != 48 {
+				if m, _ := c.MatchTokensOn("p0", "m", chunks(p.segs), 49); m != 48 {
 					t.Fatalf("[%v] step %d: pinned chain shrank to %d tokens", pol, i, m)
 				}
 			}
@@ -238,23 +269,23 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 func TestInsertStopsWhenAllPinned(t *testing.T) {
 	c := New(Config{HostBytes: testBlockBytes}, newHost())
 	a := []workload.PromptSeg{seg(1, 16)}
-	c.Insert("m", testShape, a, 16, 0)
-	h := c.Acquire("p0", "m", testShape, a, 17, 1)
+	c.Insert("m", testShape, chunks(a), 16, 0)
+	h := c.Acquire("p0", "m", testShape, chunks(a), 17, 1)
 	if h == nil {
 		t.Fatal("miss on cached block")
 	}
 	b := []workload.PromptSeg{seg(2, 16)}
-	c.Insert("m", testShape, b, 16, 2)
-	if m, _ := c.MatchTokensOn("p0", "m", b, 17); m != 0 {
+	c.Insert("m", testShape, chunks(b), 16, 2)
+	if m, _ := c.MatchTokensOn("p0", "m", chunks(b), 17); m != 0 {
 		t.Fatalf("insert displaced a pinned entry (matched %d)", m)
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", a, 17); m != 16 {
+	if m, _ := c.MatchTokensOn("p0", "m", chunks(a), 17); m != 16 {
 		t.Fatalf("pinned entry gone (matched %d)", m)
 	}
 	h.Release(3)
 	// Unpinned now: the next insert may evict it.
-	c.Insert("m", testShape, b, 16, 4)
-	if m, _ := c.MatchTokensOn("p0", "m", b, 17); m != 16 {
+	c.Insert("m", testShape, chunks(b), 16, 4)
+	if m, _ := c.MatchTokensOn("p0", "m", chunks(b), 17); m != 16 {
 		t.Fatalf("insert still blocked after release (matched %d)", m)
 	}
 }
@@ -263,22 +294,22 @@ func TestFreqPolicyKeepsHotEntry(t *testing.T) {
 	mk := func(pol Policy) *Cache {
 		c := New(Config{HostBytes: 2 * testBlockBytes, Policy: pol, PromoteAfter: 100}, newHost())
 		hot := []workload.PromptSeg{seg(1, 16)}
-		c.Insert("m", testShape, hot, 16, 0)
+		c.Insert("m", testShape, chunks(hot), 16, 0)
 		for i := 0; i < 3; i++ {
-			if h := c.Acquire("p0", "m", testShape, hot, 17, sim.Time(1+i)); h != nil {
+			if h := c.Acquire("p0", "m", testShape, chunks(hot), 17, sim.Time(1+i)); h != nil {
 				h.Release(sim.Time(1 + i))
 			}
 		}
-		c.Insert("m", testShape, []workload.PromptSeg{seg(2, 16)}, 16, 10) // colder but newer
-		c.Insert("m", testShape, []workload.PromptSeg{seg(3, 16)}, 16, 11) // forces one eviction
+		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(2, 16)}), 16, 10) // colder but newer
+		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(3, 16)}), 16, 11) // forces one eviction
 		return c
 	}
 
 	c := mk(PolicyFreq)
-	if m, _ := c.MatchTokensOn("p0", "m", []workload.PromptSeg{seg(1, 16)}, 17); m != 16 {
+	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 16 {
 		t.Error("freq policy evicted the frequently reused entry")
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", []workload.PromptSeg{seg(2, 16)}, 17); m != 0 {
+	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 0 {
 		t.Error("freq policy kept the cold entry over the hot one")
 	}
 
@@ -286,10 +317,10 @@ func TestFreqPolicyKeepsHotEntry(t *testing.T) {
 	// cold insert (t=10), so pure LRU flushes it — exactly the failure mode
 	// PolicyFreq exists to avoid.
 	c = mk(PolicyLRU)
-	if m, _ := c.MatchTokensOn("p0", "m", []workload.PromptSeg{seg(1, 16)}, 17); m != 0 {
+	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 0 {
 		t.Error("lru kept the older entry despite newer residents")
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", []workload.PromptSeg{seg(2, 16)}, 17); m != 16 {
+	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 16 {
 		t.Error("lru evicted the most recently inserted entry")
 	}
 }
@@ -301,11 +332,11 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	c.AttachDevice("p0", dev)
 
 	segs := []workload.PromptSeg{seg(5, 48)}
-	c.Insert("m", testShape, segs, 48, 0)
+	c.Insert("m", testShape, chunks(segs), 48, 0)
 
 	// First reuse: hits reach PromoteAfter (1), so Release promotes
 	// root-first until the 2-block device budget is exhausted.
-	h := c.Acquire("p0", "m", testShape, segs, 49, 1)
+	h := c.Acquire("p0", "m", testShape, chunks(segs), 49, 1)
 	if h == nil || h.DeviceTokens != 0 {
 		t.Fatalf("first hit = %+v", h)
 	}
@@ -318,7 +349,7 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	}
 
 	// Second reuse sees the contiguous device prefix.
-	h = c.Acquire("p0", "m", testShape, segs, 49, 3)
+	h = c.Acquire("p0", "m", testShape, chunks(segs), 49, 3)
 	if h == nil || h.DeviceTokens != 32 || h.DeviceBytes != 2*testBlockBytes {
 		t.Fatalf("second hit = %+v", h)
 	}
@@ -328,7 +359,7 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	h.Release(4)
 
 	// Other instances are blind to p0's copies.
-	if _, onDev := c.MatchTokensOn("p1", "m", segs, 49); onDev != 0 {
+	if _, onDev := c.MatchTokensOn("p1", "m", chunks(segs), 49); onDev != 0 {
 		t.Error("device residency leaked across instances")
 	}
 
@@ -370,7 +401,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 	c.AttachDevice("p0", dev)
 
 	shared := []workload.PromptSeg{seg(0xABCD, 64)}
-	c.Insert("m", testShape, shared, 64, 0)
+	c.Insert("m", testShape, chunks(shared), 64, 0)
 
 	const iters = 400
 	var wg sync.WaitGroup
@@ -380,7 +411,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				now := sim.Time(w*iters + i)
-				if h := c.Acquire("p0", "m", testShape, shared, 65, now); h != nil {
+				if h := c.Acquire("p0", "m", testShape, chunks(shared), 65, now); h != nil {
 					h.Release(now)
 				}
 			}
@@ -392,7 +423,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < iters; i++ {
 			n := (1 + rng.Intn(4)) * testBlkTok
-			c.Insert("m", testShape, []workload.PromptSeg{seg(rng.Uint64(), n)}, n, sim.Time(i))
+			c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(rng.Uint64(), n)}), n, sim.Time(i))
 		}
 	}()
 	wg.Add(1)
@@ -400,7 +431,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			c.EvictDeviceBytes("p0", testBlockBytes)
-			_, _ = c.MatchTokensOn("p0", "m", shared, 65)
+			_, _ = c.MatchTokensOn("p0", "m", chunks(shared), 65)
 		}
 	}()
 	wg.Add(1)
@@ -527,10 +558,10 @@ func TestVictimHeapsMatchScan(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 35:
 				m, segs, n := prompt()
-				c.Insert(m, testShape, segs, n, now)
+				c.Insert(m, testShape, chunks(segs), n, now)
 			case r < 60:
 				m, segs, n := prompt()
-				if h := c.Acquire(inst, m, testShape, segs, n+1, now); h != nil {
+				if h := c.Acquire(inst, m, testShape, chunks(segs), n+1, now); h != nil {
 					pins = append(pins, h)
 				}
 				if len(pins) > 4 {
@@ -579,9 +610,9 @@ func BenchmarkPromoteUnderDevicePressure(b *testing.B) {
 	const chains, depth = 512, 8
 	c := New(Config{DeviceBytes: 64 * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
 	c.AttachDevice("p0", kvcache.NewCache("gpu0", 1<<20, 1<<14, testBlkTok))
-	prompts := make([][]workload.PromptSeg, chains)
+	prompts := make([][]uint64, chains)
 	for i := range prompts {
-		prompts[i] = []workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}
+		prompts[i] = chunks([]workload.PromptSeg{seg(uint64(i), depth*testBlkTok)})
 		c.Insert("m", testShape, prompts[i], depth*testBlkTok, sim.Time(i))
 	}
 	now := sim.Time(chains)
@@ -604,14 +635,14 @@ func BenchmarkInsertUnderHostPressure(b *testing.B) {
 	const budget, depth = 4096, 4
 	c := New(Config{HostBytes: budget * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
 	for i := 0; i < budget/depth; i++ {
-		c.Insert("m", testShape, []workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}, depth*testBlkTok, sim.Time(i))
+		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}), depth*testBlkTok, sim.Time(i))
 	}
 	now := sim.Time(budget)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now++
-		c.Insert("m", testShape, []workload.PromptSeg{seg(uint64(budget+i), depth*testBlkTok)}, depth*testBlkTok, now)
+		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(uint64(budget+i), depth*testBlkTok)}), depth*testBlkTok, now)
 	}
 	b.StopTimer()
 	if st := c.Stats(); st.HostEvictions != uint64(depth*b.N) {
