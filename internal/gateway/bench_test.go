@@ -3,7 +3,9 @@ package gateway
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"aegaeon/internal/sim"
 	"aegaeon/internal/workload"
 )
 
@@ -43,7 +45,10 @@ func BenchmarkGatewayAdmissionParallel(b *testing.B) {
 	})
 }
 
-var sinkStatus int
+var (
+	sinkStatus int
+	sinkFrame  []byte
+)
 
 // BenchmarkGatewayReject measures the shed path: a saturated gateway must
 // turn requests away cheaply.
@@ -59,4 +64,15 @@ func BenchmarkGatewayReject(b *testing.B) {
 		sinkStatus = code
 	}
 	_ = fmt.Sprint(sinkStatus)
+}
+
+// BenchmarkSSEChunk measures encoding one streamed token's SSE frame, the
+// per-token cost of the serving edge. A warmed frame allocates nothing.
+func BenchmarkSSEChunk(b *testing.B) {
+	f := newSSEFrames("cmpl-123456", "Qwen-7B-ft000")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFrame = f.token(i&4095, sim.Time(i)*7919*time.Microsecond)
+	}
 }

@@ -806,18 +806,6 @@ type completionChoice struct {
 	FinishReason *string `json:"finish_reason"`
 }
 
-// completionChunk is one SSE event of a streamed completion.
-type completionChunk struct {
-	ID      string             `json:"id"`
-	Object  string             `json:"object"`
-	Model   string             `json:"model"`
-	Choices []completionChoice `json:"choices"`
-	// TokenIndex orders the stream (-1 on the terminal chunk).
-	TokenIndex int `json:"token_index"`
-	// VirtualTimeS is the virtual emission time of the token.
-	VirtualTimeS float64 `json:"virtual_time_s"`
-}
-
 type tokenEvent struct {
 	i  int
 	at sim.Time
@@ -969,18 +957,21 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream {
-		g.streamCompletion(w, r, id, req.Model, outTok, tokens, done, errCh, abort)
+		g.streamCompletion(w, r, id, req.Model, tokens, done, errCh, abort)
 		return
 	}
 	g.collectCompletion(w, r, id, req.Model, inTok, outTok, tokens, done, errCh, abort)
 }
 
-// tokenText synthesizes the i-th token's text. The simulator models timing,
-// not language; the placeholder keeps streams self-describing.
-func tokenText(i int) string { return fmt.Sprintf(" token%d", i) }
-
+// streamCompletion serves a completion as SSE, one frame per token.
+//
+// Both completion paths end on done, not on the last token. The core
+// journals a request's terminal decision record before it calls OnDone, so
+// once a client holds the response, /debug/why already shows the whole
+// chain. Every token is sent on the event loop before done, so the tokens
+// still buffered when done arrives are the rest of the request.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, model string,
-	outTok int, tokens <-chan tokenEvent, done <-chan *core.Request, errCh <-chan error, abort func()) {
+	tokens <-chan tokenEvent, done <-chan *core.Request, errCh <-chan error, abort func()) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		g.countStatus(http.StatusInternalServerError)
@@ -992,50 +983,28 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 	w.Header().Set("Connection", "keep-alive")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
+	// The headers leave at admission rather than with the first token, so a
+	// client sees the wait for prefill as time after the response began.
+	flusher.Flush()
 	g.countStatus(http.StatusOK)
-	enc := json.NewEncoder(w)
 
-	writeChunk := func(t tokenEvent) {
-		fmt.Fprintf(w, "data: ")
-		_ = enc.Encode(completionChunk{
-			ID: id, Object: "text_completion.chunk", Model: model,
-			Choices:    []completionChoice{{Index: 0, Text: tokenText(t.i)}},
-			TokenIndex: t.i, VirtualTimeS: time.Duration(t.at).Seconds(),
-		})
-		fmt.Fprint(w, "\n")
+	frames := newSSEFrames(id, model)
+	send := func(frame []byte) {
+		_, _ = w.Write(frame) // a gone client shows up as r.Context() ending
 		flusher.Flush()
+	}
+	sendToken := func(t tokenEvent) {
+		send(frames.token(t.i, t.at))
 		g.tokens.Add(1)
 	}
-
-	received := 0
-loop:
-	for received < outTok {
+	var fin *core.Request
+	for fin == nil {
 		select {
 		case t := <-tokens:
-			writeChunk(t)
-			received++
-		case fin := <-done:
-			// Completion raced ahead of our reads: drain what's buffered.
-			for {
-				select {
-				case t := <-tokens:
-					writeChunk(t)
-					received++
-				default:
-					if fin != nil && fin.Failed {
-						// Cleanly rejected mid-flight (e.g. the serving
-						// partition died with no survivors): tell the client
-						// instead of pretending the stream just ended.
-						fmt.Fprintf(w, "data: {\"error\":%q}\n\n", "request failed: "+fin.FailReason)
-						flusher.Flush()
-						return
-					}
-					break loop
-				}
-			}
+			sendToken(t)
+		case fin = <-done:
 		case err := <-errCh:
-			fmt.Fprintf(w, "data: {\"error\":%q}\n\n", err.Error())
-			flusher.Flush()
+			send(frames.errorFrame(err.Error()))
 			return
 		case <-r.Context().Done():
 			// Client went away: abort the simulated request so its KV and
@@ -1044,59 +1013,39 @@ loop:
 			return
 		}
 	}
-	stop := "stop"
-	fmt.Fprintf(w, "data: ")
-	_ = enc.Encode(completionChunk{
-		ID: id, Object: "text_completion.chunk", Model: model,
-		Choices:    []completionChoice{{Index: 0, FinishReason: &stop}},
-		TokenIndex: -1,
-	})
-	fmt.Fprint(w, "\ndata: [DONE]\n\n")
-	flusher.Flush()
+	for len(tokens) > 0 {
+		sendToken(<-tokens)
+	}
+	if fin.Failed {
+		// Cleanly rejected mid-flight (e.g. the serving partition died with
+		// no survivors): tell the client instead of pretending the stream
+		// just ended.
+		send(frames.errorFrame("request failed: " + fin.FailReason))
+		return
+	}
+	send(frames.stop())
 }
 
+// collectCompletion serves a completion as one JSON response.
 func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, model string,
 	inTok, outTok int, tokens <-chan tokenEvent, done <-chan *core.Request, errCh <-chan error, abort func()) {
 	var first, last sim.Time
 	received := 0
-	var text strings.Builder
-	for received < outTok {
+	var text []byte
+	take := func(t tokenEvent) {
+		if received == 0 {
+			first = t.at
+		}
+		last = t.at
+		text = appendTokenText(text, t.i)
+		received++
+	}
+	var fin *core.Request
+	for fin == nil {
 		select {
 		case t := <-tokens:
-			if received == 0 {
-				first = t.at
-			}
-			last = t.at
-			text.WriteString(tokenText(t.i))
-			received++
-		case fin := <-done:
-			for {
-				select {
-				case t := <-tokens:
-					if received == 0 {
-						first = t.at
-					}
-					last = t.at
-					text.WriteString(tokenText(t.i))
-					received++
-					continue
-				default:
-				}
-				break
-			}
-			if fin != nil && fin.Failed {
-				g.countStatus(http.StatusServiceUnavailable)
-				w.Header().Set("Retry-After", "1")
-				writeJSONError(w, http.StatusServiceUnavailable,
-					"request failed after %d/%d tokens: %s", received, outTok, fin.FailReason)
-				return
-			}
-			if received < outTok {
-				g.countStatus(http.StatusInternalServerError)
-				writeJSONError(w, http.StatusInternalServerError,
-					"request finished with %d/%d tokens", received, outTok)
-				return
-			}
+			take(t)
+		case fin = <-done:
 		case err := <-errCh:
 			g.countStatus(http.StatusInternalServerError)
 			writeJSONError(w, http.StatusInternalServerError, "%v", err)
@@ -1105,6 +1054,22 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, 
 			abort()
 			return
 		}
+	}
+	for len(tokens) > 0 {
+		take(<-tokens)
+	}
+	if fin.Failed {
+		g.countStatus(http.StatusServiceUnavailable)
+		w.Header().Set("Retry-After", "1")
+		writeJSONError(w, http.StatusServiceUnavailable,
+			"request failed after %d/%d tokens: %s", received, outTok, fin.FailReason)
+		return
+	}
+	if received < outTok {
+		g.countStatus(http.StatusInternalServerError)
+		writeJSONError(w, http.StatusInternalServerError,
+			"request finished with %d/%d tokens", received, outTok)
+		return
 	}
 	g.tokens.Add(uint64(received))
 	stop := "stop"
@@ -1115,7 +1080,7 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, 
 		"object":  "text_completion",
 		"created": time.Now().Unix(),
 		"model":   model,
-		"choices": []completionChoice{{Index: 0, Text: text.String(), FinishReason: &stop}},
+		"choices": []completionChoice{{Index: 0, Text: string(text), FinishReason: &stop}},
 		"usage": map[string]int{
 			"prompt_tokens":     inTok,
 			"completion_tokens": received,

@@ -21,8 +21,17 @@ import (
 )
 
 // newTestGateway builds a small live cluster (4 market models, 2 prefill +
-// 2 decode GPUs) on a fresh driver. The caller owns shutdown.
+// 2 decode GPUs) on a fresh, started driver. The caller owns shutdown.
 func newTestGateway(t testing.TB, opts Options) (*Gateway, []string) {
+	t.Helper()
+	gw, names := newUnstartedGateway(t, opts)
+	gw.Start()
+	return gw, names
+}
+
+// newUnstartedGateway is newTestGateway without Start, for tests that must
+// configure the driver before its loop runs.
+func newUnstartedGateway(t testing.TB, opts Options) (*Gateway, []string) {
 	t.Helper()
 	prof, err := latency.ProfileByName("H800")
 	if err != nil {
@@ -41,7 +50,6 @@ func newTestGateway(t testing.TB, opts Options) (*Gateway, []string) {
 		t.Fatal(err)
 	}
 	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
 	names := make([]string, len(models))
 	for i, m := range models {
 		names[i] = m.Name
@@ -165,6 +173,32 @@ func TestGatewayStreamCompletesUnderPacing(t *testing.T) {
 	indices, done := parseStream(t, w.Body)
 	if len(indices) != 4 || !done {
 		t.Fatalf("got %d tokens (done=%v), want 4 with [DONE]", len(indices), done)
+	}
+}
+
+// TestStreamHeadersAtAdmission checks that a streamed response's headers
+// reach the client at admission, long before the first token: at this
+// speedup prefill alone takes minutes of wall time.
+func TestStreamHeadersAtAdmission(t *testing.T) {
+	gw, names := newTestGateway(t, Options{Speedup: 1e-3})
+	defer gw.Shutdown(context.Background())
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/completions", strings.NewReader(
+		fmt.Sprintf(`{"model":%q,"input_tokens":16,"max_tokens":4,"stream":true}`, names[0])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("no response headers before the first token: %v", err)
+	}
+	// Closing the body early disconnects the client, which aborts the request.
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
 }
 
