@@ -16,6 +16,8 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"aegaeon"
@@ -207,6 +209,28 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// parsePriorityMix parses "high,low" fractions (e.g. "0.2,0.3"). Empty means
+// an all-normal trace.
+func parsePriorityMix(s string) (high, low float64, err error) {
+	if s == "" {
+		return 0, 0, nil
+	}
+	parts := strings.Split(s, ",")
+	if len(parts) != 2 {
+		return 0, 0, fmt.Errorf(`-priority-mix wants "high,low" fractions, got %q`, s)
+	}
+	if high, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
+		return 0, 0, fmt.Errorf("-priority-mix high fraction: %v", err)
+	}
+	if low, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
+		return 0, 0, fmt.Errorf("-priority-mix low fraction: %v", err)
+	}
+	if high < 0 || low < 0 || high+low > 1 {
+		return 0, 0, fmt.Errorf("-priority-mix fractions must be non-negative and sum to <= 1, got %v+%v", high, low)
+	}
+	return high, low, nil
+}
+
 func main() {
 	var (
 		gpu        = flag.String("gpu", "H800", "GPU profile: H800, A10, H20")
@@ -229,14 +253,9 @@ func main() {
 		sloJSON    = flag.String("slo-json", "", "write the final SLO monitor snapshot as JSON to this file (implies -slo-report)")
 		overloadOn = flag.Bool("overload", false, "enable overload control: SLO-coupled brownout, deadline-aware shedding, priority-aware prefill (aegaeon system only)")
 		prioMix    = flag.String("priority-mix", "", `service-tier mix as "high,low" fractions of the trace, e.g. "0.2,0.3" (rest normal)`)
-		ovlBench   = flag.String("overload-bench", "", "run the three-arm overload benchmark (capacity / uncontrolled / controlled at -overload-factor x) and write BENCH JSON here")
-		ovlFactor  = flag.Float64("overload-factor", 3, "load multiplier for the overloaded arms of -overload-bench")
-		ovlFloor   = flag.Float64("overload-floor", 0, "assert controlled high-priority attainment >= floor, uncontrolled < floor, and controlled throughput >= 90% of capacity (0 = report only)")
 		prefixOn   = flag.Bool("prefix", false, "enable the global prefix cache with cache-aware routing (aegaeon system only)")
 		wlKind     = flag.String("workload", "poisson", "arrival pattern: poisson, multiturn, agentic, sharedprompt (-rps is sessions/tasks per s for the session kinds)")
 		sysToks    = flag.Int("system-prompt-tokens", 0, "shared system prompt length for session workloads (0 = per-kind default)")
-		pfxBench   = flag.String("prefix-bench", "", "run the three-arm prefix benchmark (nocache / cache / cache_routing over multiturn, agentic, sharedprompt) and write BENCH JSON here")
-		pfxFloor   = flag.Float64("prefix-floor", 0, "assert the cache_routing arm saves >= floor of sharedprompt prefill tokens and strictly dominates nocache on TTFT and savings (0 = report only)")
 		fleetOn    = flag.Bool("fleet-report", false, "run the fleet utilization ledger and print the per-device GPU-second accounting; exits non-zero if the conservation invariant breaks (aegaeon system only)")
 		fleetJSON  = flag.String("fleet-json", "", "write the final fleet snapshot as JSON to this file (implies -fleet-report)")
 		fleetCSV   = flag.String("fleet-csv", "", "write the per-device fleet accounting as CSV to this file, comparable against results/figure_8_10.csv exposed switch costs (implies -fleet-report)")
@@ -245,15 +264,12 @@ func main() {
 		mktClasses = flag.String("market-classes", "", `comma-separated device classes cycled across the pool, e.g. "H800,A10,RTX4090" (with -market; empty = homogeneous H800; small-VRAM classes need models that fit)`)
 		mktSpot    = flag.Bool("market-spot", false, "activate spot pricing and reclaim risk (with -market)")
 		mktNaive   = flag.Bool("market-naive", false, "disable preemption-aware placement and KV evacuation: the spot-naive baseline (with -market)")
-		mktBench   = flag.String("market-bench", "", "run the three-arm spot-market benchmark (reliable / spot_naive / spot_aware on one trace) and write BENCH JSON here")
-		mktAssert  = flag.Bool("market-assert", false, "assert the -market-bench floors: spot_aware loses >=50% fewer KV bytes than spot_naive, no attainment or $-per-1k regression")
 		smallMix   = flag.Bool("small-models", false, "serve the 6-8B small-model mix instead of the default 6-15B market mix (fits 24 GB market classes like A10/RTX4090)")
 		whyOn      = flag.Bool("why", false, "enable the decision-provenance journal and print the why-trace summary (aegaeon system only)")
 		whyJSON    = flag.String("why-json", "", "write the decision journal export as JSON to this file, checkable with aegaeon-trace -mode why (implies -why)")
 		chaosOn    = flag.Bool("chaos", false, "run the chaos harness instead of the plain simulation: inject -faults (or a random schedule), then audit recovery and, with -store-replicas > 1, control-plane linearizability; exits non-zero on any violation")
 		storeReps  = flag.Int("store-replicas", 0, "replicate the cluster metadata store across N quorum replicas named ms0..msN-1 (with -chaos; 0 or 1 = single store)")
 		chaosSweep = flag.Int("chaos-sweep", 0, "run N chaos seeds starting at -seed, each with a fresh random fault schedule (with -chaos; overrides -faults)")
-		chaosJSON  = flag.String("chaos-json", "", "write the chaos bench artifact (per-run counters, store op latency p50/p99, unavailability windows, violations) as JSON to this file (with -chaos)")
 	)
 	flag.Parse()
 	if *sloJSON != "" {
@@ -268,48 +284,28 @@ func main() {
 	if *whyJSON != "" {
 		*whyOn = true
 	}
-	if *perfetto != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-perfetto requires -system aegaeon (baselines are not instrumented)")
-		os.Exit(2)
+	for _, c := range []struct {
+		set bool
+		msg string
+	}{
+		{*perfetto != "", "-perfetto requires -system aegaeon (baselines are not instrumented)"},
+		{*faults != "", "-faults requires -system aegaeon (baselines have no fault model)"},
+		{*sloReport, "-slo-report requires -system aegaeon (baselines feed no live monitor)"},
+		{*overloadOn, "-overload requires -system aegaeon (baselines have no overload control)"},
+		{*prefixOn, "-prefix requires -system aegaeon (baselines have no prefix cache)"},
+		{*fleetOn, "-fleet-report requires -system aegaeon (baselines are not instrumented)"},
+		{*kernelJSON != "", "-kernel-json requires -system aegaeon (baselines run a private kernel)"},
+		{*marketOn, "-market requires -system aegaeon (baselines have no market model)"},
+		{*whyOn, "-why requires -system aegaeon (baselines journal no decisions)"},
+		{*chaosOn, "-chaos requires -system aegaeon (baselines have no fault model)"},
+	} {
+		if c.set && *system != "aegaeon" {
+			fmt.Fprintln(os.Stderr, c.msg)
+			os.Exit(2)
+		}
 	}
-	if *faults != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-faults requires -system aegaeon (baselines have no fault model)")
-		os.Exit(2)
-	}
-	if *sloReport && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-slo-report requires -system aegaeon (baselines feed no live monitor)")
-		os.Exit(2)
-	}
-	if *overloadOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-overload requires -system aegaeon (baselines have no overload control)")
-		os.Exit(2)
-	}
-	if *prefixOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-prefix requires -system aegaeon (baselines have no prefix cache)")
-		os.Exit(2)
-	}
-	if *fleetOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-fleet-report requires -system aegaeon (baselines are not instrumented)")
-		os.Exit(2)
-	}
-	if *kernelJSON != "" && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-kernel-json requires -system aegaeon (baselines run a private kernel)")
-		os.Exit(2)
-	}
-	if (*marketOn || *mktBench != "") && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-market requires -system aegaeon (baselines have no market model)")
-		os.Exit(2)
-	}
-	if *whyOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-why requires -system aegaeon (baselines journal no decisions)")
-		os.Exit(2)
-	}
-	if *chaosOn && *system != "aegaeon" {
-		fmt.Fprintln(os.Stderr, "-chaos requires -system aegaeon (baselines have no fault model)")
-		os.Exit(2)
-	}
-	if (*storeReps > 1 || *chaosSweep > 0 || *chaosJSON != "") && !*chaosOn {
-		fmt.Fprintln(os.Stderr, "-store-replicas/-chaos-sweep/-chaos-json require -chaos")
+	if (*storeReps > 1 || *chaosSweep > 0) && !*chaosOn {
+		fmt.Fprintln(os.Stderr, "-store-replicas/-chaos-sweep require -chaos")
 		os.Exit(2)
 	}
 	var wk aegaeon.WorkloadKind
@@ -350,38 +346,7 @@ func main() {
 	if *chaosOn {
 		runChaos(chaosOpts{
 			seed: *seed, horizon: *horizon, spec: *faults,
-			replicas: *storeReps, sweep: *chaosSweep, out: *chaosJSON,
-		})
-		return
-	}
-
-	if *pfxBench != "" {
-		runPrefixBench(prefixBenchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rate: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			floor: *pfxFloor, out: *pfxBench,
-		})
-		return
-	}
-
-	if *mktBench != "" {
-		runMarketBench(marketBenchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rps: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			classes: *mktClasses, assert: *mktAssert, out: *mktBench,
-		})
-		return
-	}
-
-	if *ovlBench != "" {
-		runOverloadBench(benchOpts{
-			gpu: *gpu, tp: *tp, prefill: *prefill, decode: *decode,
-			nModels: *nModels, rps: *rps, horizon: *horizon, dataset: ds,
-			datasetName: *dataset, slo: slo, seed: *seed,
-			factor: *ovlFactor, floor: *ovlFloor,
-			highFrac: highFrac, lowFrac: lowFrac, out: *ovlBench,
+			replicas: *storeReps, sweep: *chaosSweep,
 		})
 		return
 	}

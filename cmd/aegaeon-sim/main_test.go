@@ -1,0 +1,38 @@
+package main
+
+import "testing"
+
+// TestParsePriorityMix covers the -priority-mix grammar: an empty value is an
+// all-normal trace, whitespace around either fraction is tolerated, and
+// anything else that is not two non-negative fractions summing to at most 1
+// is rejected.
+func TestParsePriorityMix(t *testing.T) {
+	for _, tc := range []struct {
+		in        string
+		high, low float64
+		wantErr   bool
+	}{
+		{in: "", high: 0, low: 0},
+		{in: "0.2,0.3", high: 0.2, low: 0.3},
+		{in: " 0.2 , 0.3 ", high: 0.2, low: 0.3},
+		{in: "0.2", wantErr: true},
+		{in: "a,0.3", wantErr: true},
+		{in: "-0.1,0.2", wantErr: true},
+		{in: "0.6,0.5", wantErr: true},
+	} {
+		high, low, err := parsePriorityMix(tc.in)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("parsePriorityMix(%q) = %v, %v; want an error", tc.in, high, low)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("parsePriorityMix(%q): %v", tc.in, err)
+			continue
+		}
+		if high != tc.high || low != tc.low {
+			t.Errorf("parsePriorityMix(%q) = %v, %v; want %v, %v", tc.in, high, low, tc.high, tc.low)
+		}
+	}
+}

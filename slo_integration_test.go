@@ -47,9 +47,9 @@ func TestSLOMonitorGolden(t *testing.T) {
 		}
 	})
 	t.Run("overload", func(t *testing.T) {
-		// The overload-bench shape: 8 models on 2+2 at 3x load with a 20/30%
-		// high/low priority mix, so the brownout ladder reads the monitor's
-		// burn rates and transitions.
+		// TestOverloadControlProtectsHighTier's shape: 8 models on 2+2 at 3x
+		// load with a 20/30% high/low priority mix, so the brownout ladder
+		// reads the monitor's burn rates and transitions.
 		build := func() *aegaeon.System {
 			sys, err := aegaeon.New(aegaeon.Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 8,
 				Seed: 1, Overload: true})
