@@ -61,6 +61,7 @@ type decodeInstance struct {
 	eng *engine.Engine
 
 	workList []*dbatch
+	spare    []*dbatch // reorder's output buffer, the previous work list's array
 	pending  []*Request
 	running  bool
 	dead     bool
@@ -195,16 +196,27 @@ func (d *decodeInstance) admitPending() {
 	d.pending = d.pending[:0]
 }
 
+// firstOfModel reports whether workList[i] is the first batch of its model
+// in the work list. Work lists are short, so the scan beats a set.
+func (d *decodeInstance) firstOfModel(i int) bool {
+	m := d.workList[i].model
+	for _, b := range d.workList[:i] {
+		if b.model == m {
+			return false
+		}
+	}
+	return true
+}
+
 // reorder groups same-model batches adjacently, preserving first-occurrence
-// order (Algorithm 2 line 6).
+// order (Algorithm 2 line 6). The old work list's array becomes the next
+// call's output buffer.
 func (d *decodeInstance) reorder() {
-	var out []*dbatch
-	seen := map[string]bool{}
+	out := d.spare[:0]
 	for i, b := range d.workList {
-		if seen[b.model] {
+		if !d.firstOfModel(i) {
 			continue
 		}
-		seen[b.model] = true
 		out = append(out, b)
 		for _, b2 := range d.workList[i+1:] {
 			if b2.model == b.model {
@@ -212,7 +224,8 @@ func (d *decodeInstance) reorder() {
 			}
 		}
 	}
-	d.workList = out
+	clear(d.workList)
+	d.spare, d.workList = d.workList[:0], out
 }
 
 // computeQuotas assigns Eq. 2 quotas with the Eq. 3 attainment bound.
@@ -224,11 +237,11 @@ func (d *decodeInstance) computeQuotas() {
 		}
 		return
 	}
-	distinct := map[string]bool{}
+	single := true
 	for _, b := range d.workList {
-		distinct[b.model] = true
+		single = single && b.model == d.workList[0].model
 	}
-	if len(distinct) <= 1 {
+	if single {
 		// No switching inside the round: decode each batch up to QMAX, then
 		// re-round to admit arrivals.
 		d.roundC, d.roundAlpha, d.roundSumInv = 0, 0.5, 0
@@ -241,13 +254,12 @@ func (d *decodeInstance) computeQuotas() {
 	// weight-switch cost per distinct model plus each batch's KV cache
 	// swap-out + swap-in transfer time — a turn must amortize bringing its
 	// batch's KV across PCIe in both directions. Switch costs are summed in
-	// work-list order, at each model's first occurrence: in map order the
-	// float sum's last ulp, and so a quota clamped at QMAX, could differ
-	// between runs.
+	// work-list order, at each model's first occurrence: in any other order
+	// (a map's, say) the float sum's last ulp, and so a quota clamped at
+	// QMAX, could differ between runs.
 	var c float64
-	for _, b := range d.workList {
-		if distinct[b.model] {
-			delete(distinct, b.model)
+	for i, b := range d.workList {
+		if d.firstOfModel(i) {
 			c += d.eng.EffectiveSwitchCost(d.sys.models[b.model]).Seconds()
 		}
 	}
@@ -288,12 +300,10 @@ func (d *decodeInstance) computeQuotas() {
 // completely hides the prefetching overhead").
 func (d *decodeInstance) prefetchHideFloor(cur string) float64 {
 	var worst time.Duration
-	seen := map[string]bool{cur: true}
-	for _, b := range d.workList {
-		if seen[b.model] {
+	for i, b := range d.workList {
+		if b.model == cur || !d.firstOfModel(i) {
 			continue
 		}
-		seen[b.model] = true
 		m := d.sys.models[b.model]
 		if d.eng.Options().Colocate && d.eng.IsResident(m) {
 			continue // resident: nothing to hide

@@ -140,6 +140,7 @@ type Engine struct {
 
 	booted  bool
 	current *model.Model
+	curCost *latency.CostModel // CostFor(current), set wherever current is
 	costs   map[string]*latency.CostModel
 
 	prefetched      *model.Model
@@ -255,7 +256,7 @@ const activationDelay = time.Millisecond
 func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 	finish := func() {
 		e.switching = false
-		e.current = m
+		e.current, e.curCost = m, e.CostFor(m)
 		if r := e.residents[m.Name]; r != nil {
 			r.lastUsed = e.eng.Now()
 		}
@@ -311,7 +312,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 				dur = e.CostFor(m).Switch() + fetch
 			}
 			ls := e.eng.Now()
-			submitChunked(e.loader, dur, gpu.OpInfo{Tag: "load " + m.Name, Model: m.Name}, func() {
+			submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: m.Name}, func() {
 				r.loading = nil
 				e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 				finish()
@@ -329,7 +330,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 		load = func() {
 			cs := e.eng.Now()
 			e.compute.SubmitOp(gpu.Compute, compactDur,
-				gpu.OpInfo{Tag: "compact residents", Model: m.Name}, func() {
+				gpu.OpInfo{Kind: gpu.OpCompactResidents, Model: m.Name}, func() {
 					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
 					inner()
 				})
@@ -524,7 +525,7 @@ func (e *Engine) SwitchTo(m *model.Model, done func()) {
 
 	finish := func() {
 		e.switching = false
-		e.current = m
+		e.current, e.curCost = m, e.CostFor(m)
 		e.stats.SwitchLatency.AddDuration(e.eng.Now() - start)
 		e.cfg.Obs.EndSwitch(e.Name, e.eng.Now())
 		done()
@@ -594,7 +595,7 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 			}
 			cs := e.eng.Now()
 			e.compute.SubmitOp(gpu.Compute, copyDur,
-				gpu.OpInfo{Tag: "compact " + m.Name, Model: m.Name}, func() {
+				gpu.OpInfo{Kind: gpu.OpCompact, Model: m.Name}, func() {
 					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
 					done()
 				})
@@ -622,7 +623,7 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 			dur = cost.NaiveLoad()
 		}
 		ls := e.eng.Now()
-		submitChunked(e.loader, dur, gpu.OpInfo{Tag: "load " + m.Name, Model: m.Name}, func() {
+		submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: m.Name}, func() {
 			e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 			done()
 		})
@@ -737,7 +738,7 @@ func (e *Engine) StartPrefetch(m *model.Model) bool {
 	}
 	e.prefetchPending = true
 	submitChunked(e.prefetch, dur,
-		gpu.OpInfo{Tag: "prefetch " + m.Name, Model: m.Name}, func() {
+		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: m.Name}, func() {
 			e.prefetchPending = false
 		})
 	e.prefetchReady = e.prefetch.Record()
@@ -777,7 +778,7 @@ func (e *Engine) prefetchColocated(m *model.Model) bool {
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	submitChunked(e.prefetch, dur,
-		gpu.OpInfo{Tag: "prefetch " + m.Name, Model: m.Name}, func() {
+		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: m.Name}, func() {
 			r.loading = nil
 		})
 	r.loading = e.prefetch.Record()
@@ -800,9 +801,9 @@ func (e *Engine) PrefillFor(reqID string, promptTokens int, done func()) {
 		panic("engine: Prefill with no model loaded")
 	}
 	e.stats.PrefillJobs++
-	dur := e.throttled(e.CostFor(e.current).Prefill(promptTokens))
+	dur := e.throttled(e.curCost.Prefill(promptTokens))
 	e.compute.SubmitOp(gpu.Compute, dur,
-		gpu.OpInfo{Tag: "prefill", Model: e.current.Name, Request: reqID}, done)
+		gpu.OpInfo{Kind: gpu.OpPrefill, Model: e.current.Name, Request: reqID}, done)
 }
 
 // ReusePrefix charges the tier-dependent cost of materializing a cached
@@ -818,9 +819,9 @@ func (e *Engine) ReusePrefix(reqID string, hostBytes, deviceBytes int64, done fu
 	e.stats.PrefixReuses++
 	e.stats.PrefixHostBytes += hostBytes
 	e.stats.PrefixDeviceBytes += deviceBytes
-	dur := e.cfg.Prof.PCIeCopy(hostBytes) + e.CostFor(e.current).OnDeviceCopy(deviceBytes)
+	dur := e.cfg.Prof.PCIeCopy(hostBytes) + e.curCost.OnDeviceCopy(deviceBytes)
 	e.loader.SubmitOp(gpu.H2D, dur,
-		gpu.OpInfo{Tag: "prefix-reuse", Model: e.current.Name, Request: reqID}, done)
+		gpu.OpInfo{Kind: gpu.OpPrefixReuse, Model: e.current.Name, Request: reqID}, done)
 }
 
 // DecodeStep executes one decoding iteration over a batch with the given
@@ -830,9 +831,9 @@ func (e *Engine) DecodeStep(contextTokens int64, done func()) {
 		panic("engine: DecodeStep with no model loaded")
 	}
 	e.stats.DecodeSteps++
-	dur := e.throttled(e.CostFor(e.current).DecodeStep(contextTokens))
+	dur := e.throttled(e.curCost.DecodeStep(contextTokens))
 	e.compute.SubmitOp(gpu.Compute, dur,
-		gpu.OpInfo{Tag: "decode", Model: e.current.Name}, done)
+		gpu.OpInfo{Kind: gpu.OpDecode, Model: e.current.Name}, done)
 }
 
 // SetThrottle sets the thermal-throttle slowdown applied to compute kernels

@@ -365,7 +365,7 @@ func TestChunkedLoadInterleavesDMA(t *testing.T) {
 	// Submit a small H2D op (a KV swap-in) right after the load started.
 	kvStream := e.Device().NewStream("kv-in-test")
 	h.sim.After(time.Millisecond, func() {
-		kvStream.Submit(gpu.H2D, 10*time.Millisecond, "kv", func() { kvDone = h.sim.Now() })
+		kvStream.Submit(gpu.H2D, 10*time.Millisecond, func() { kvDone = h.sim.Now() })
 	})
 	h.sim.Run()
 	loadTime := latency.NewCostModel(latency.H800(), m13, 1).Switch()
@@ -533,4 +533,37 @@ func TestColocatePrefetchNeverEvicts(t *testing.T) {
 		})
 	})
 	h.sim.Run()
+}
+
+// The engine caches the current model's cost model beside current, so the
+// per-step paths skip the name lookup. Both switch paths keep the two in
+// step: plain and colocated, including a switch back to a resident model.
+func TestCurCostTracksCurrent(t *testing.T) {
+	m7 := mustModel(t, "Qwen-7B")
+	yi := mustModel(t, "Yi-6B")
+	for _, colocate := range []bool{false, true} {
+		h := newHarness()
+		opts := AllOptimizations()
+		opts.Colocate = colocate
+		e := h.engine("gpu0", opts, m7.Name, yi.Name)
+		e.WarmBoot()
+		var seen []*model.Model
+		check := func() {
+			seen = append(seen, e.Current())
+			if e.curCost == nil || e.curCost != e.CostFor(e.Current()) {
+				t.Errorf("colocate=%v: curCost is not CostFor(%s)", colocate, e.Current().Name)
+			}
+		}
+		e.SwitchTo(m7, func() {
+			check()
+			e.SwitchTo(yi, func() {
+				check()
+				e.SwitchTo(m7, check)
+			})
+		})
+		h.sim.Run()
+		if len(seen) != 3 || seen[0] != m7 || seen[1] != yi || seen[2] != m7 {
+			t.Fatalf("colocate=%v: switches landed on %v", colocate, seen)
+		}
+	}
 }

@@ -32,7 +32,6 @@ package fleetobs
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -132,28 +131,25 @@ func isSwitch(s State) bool {
 // (the denominator of per-model tokens per GPU-second).
 func isCompute(s State) bool { return s == Prefill || s == Decode || s == Compact }
 
-// Classify maps one engine operation to its ledger state by engine kind and
-// tag. Unrecognized compute kernels count as decode (the dominant compute
-// state); unrecognized DMA counts as KV transfer (the generic PCIe use).
+// Classify maps one engine operation to its ledger state by engine and op
+// kind. Unlabelled or unrecognized compute kernels count as decode (the
+// dominant compute state); DMA other than a weight load or prefetch counts
+// as KV transfer (the generic PCIe use).
 func Classify(k gpu.EngineKind, info gpu.OpInfo) State {
-	switch k {
-	case gpu.Compute:
-		switch {
-		case strings.HasPrefix(info.Tag, "prefill"):
+	if k == gpu.Compute {
+		switch info.Kind {
+		case gpu.OpPrefill:
 			return Prefill
-		case strings.HasPrefix(info.Tag, "compact"):
+		case gpu.OpCompact, gpu.OpCompactResidents:
 			return Compact
-		default:
-			return Decode
 		}
-	default: // H2D, D2H
-		switch {
-		case strings.HasPrefix(info.Tag, "load "), strings.HasPrefix(info.Tag, "prefetch "):
-			return WeightLoad
-		default:
-			return KVTransfer
-		}
+		return Decode
 	}
+	switch info.Kind { // H2D, D2H
+	case gpu.OpLoad, gpu.OpPrefetch:
+		return WeightLoad
+	}
+	return KVTransfer
 }
 
 // DefaultHourlyRate is the per-device cost rate ($/GPU-hour) until SetRate

@@ -32,14 +32,14 @@ func TestConservationExact(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
 
-	s.SubmitOp(gpu.Compute, 30*time.Millisecond, gpu.OpInfo{Tag: "prefill", Model: "m1"})
-	s.SubmitOp(gpu.Compute, 50*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m1"})
+	s.SubmitOp(gpu.Compute, 30*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: "m1"})
+	s.SubmitOp(gpu.Compute, 50*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
 	eng.At(100*time.Millisecond, func() {
 		l.Enter("dev0", Reinit, "m2")
 		eng.After(40*time.Millisecond, func() { l.Exit("dev0", Reinit) })
 	})
 	eng.At(200*time.Millisecond, func() {
-		s.SubmitOp(gpu.H2D, 25*time.Millisecond, gpu.OpInfo{Tag: "load m2", Model: "m2"})
+		s.SubmitOp(gpu.H2D, 25*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: "m2"})
 	})
 	eng.RunUntil(sim.Time(300 * time.Millisecond))
 
@@ -71,7 +71,7 @@ func TestConservationExact(t *testing.T) {
 func TestConservationMidOp(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
-	s.SubmitOp(gpu.Compute, time.Second, gpu.OpInfo{Tag: "decode", Model: "m1"})
+	s.SubmitOp(gpu.Compute, time.Second, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
 	l.Enter("dev0", Fetch, "m2")
 	eng.RunUntil(sim.Time(300 * time.Millisecond))
 	requireConserves(t, l, eng.Now())
@@ -95,8 +95,8 @@ func TestPriorityMasking(t *testing.T) {
 	comp := dev.NewStream("default")
 	pf := dev.NewStream("prefetch")
 
-	comp.SubmitOp(gpu.Compute, 60*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m1"})
-	pf.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Tag: "prefetch m2", Model: "m2"})
+	comp.SubmitOp(gpu.Compute, 60*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+	pf.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefetch, Model: "m2"})
 	eng.Run()
 
 	now := eng.Now()
@@ -114,7 +114,7 @@ func TestPriorityMasking(t *testing.T) {
 func TestFaultedTerminal(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
-	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m1"})
+	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
 	eng.At(40*time.Millisecond, func() { l.Fault("dev0") })
 	eng.RunUntil(sim.Time(250 * time.Millisecond))
 
@@ -160,9 +160,9 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	s := dev.NewStream("s")
 	s2 := dev2.NewStream("s")
 
-	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m1"})
-	s2.SubmitOp(gpu.Compute, 300*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m2"})
-	s2.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Tag: "load m2", Model: "m2"})
+	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+	s2.SubmitOp(gpu.Compute, 300*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m2"})
+	s2.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: "m2"})
 	eng.RunUntil(sim.Time(time.Second))
 	l.AddTokens("dev0", "m1", 50)
 	l.AddTokens("dev1", "m2", 300)
@@ -225,7 +225,7 @@ func TestSegmentCoalescing(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
 	for i := 0; i < 5; i++ {
-		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Tag: "decode", Model: "m1"})
+		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
 	}
 	eng.Run()
 	snap := l.Snapshot(eng.Now())
@@ -247,11 +247,11 @@ func TestSegmentRingBounded(t *testing.T) {
 		if i >= 3*maxSegments {
 			return
 		}
-		tag := "decode"
+		kind := gpu.OpDecode
 		if i%2 == 0 {
-			tag = "prefill"
+			kind = gpu.OpPrefill
 		}
-		s.SubmitOp(gpu.Compute, time.Microsecond, gpu.OpInfo{Tag: tag, Model: "m"}, func() { submit(i + 1) })
+		s.SubmitOp(gpu.Compute, time.Microsecond, gpu.OpInfo{Kind: kind, Model: "m"}, func() { submit(i + 1) })
 	}
 	submit(0)
 	eng.Run()
@@ -273,23 +273,25 @@ func TestSegmentRingBounded(t *testing.T) {
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		k    gpu.EngineKind
-		tag  string
+		kind gpu.OpKind
 		want State
 	}{
-		{gpu.Compute, "prefill", Prefill},
-		{gpu.Compute, "decode", Decode},
-		{gpu.Compute, "compact m1", Compact},
-		{gpu.Compute, "compact residents", Compact},
-		{gpu.Compute, "mystery-kernel", Decode},
-		{gpu.H2D, "load m1", WeightLoad},
-		{gpu.H2D, "prefetch m1", WeightLoad},
-		{gpu.H2D, "kv-in r1", KVTransfer},
-		{gpu.H2D, "prefix-reuse", KVTransfer},
-		{gpu.D2H, "kv-out r1", KVTransfer},
+		{gpu.Compute, gpu.OpPrefill, Prefill},
+		{gpu.Compute, gpu.OpDecode, Decode},
+		{gpu.Compute, gpu.OpCompact, Compact},
+		{gpu.Compute, gpu.OpCompactResidents, Compact},
+		{gpu.Compute, gpu.OpUnlabelled, Decode},
+		{gpu.H2D, gpu.OpLoad, WeightLoad},
+		{gpu.H2D, gpu.OpPrefetch, WeightLoad},
+		{gpu.H2D, gpu.OpKVIn, KVTransfer},
+		{gpu.H2D, gpu.OpPrefixReuse, KVTransfer},
+		{gpu.H2D, gpu.OpUnlabelled, KVTransfer},
+		{gpu.D2H, gpu.OpKVOut, KVTransfer},
 	}
 	for _, c := range cases {
-		if got := Classify(c.k, gpu.OpInfo{Tag: c.tag}); got != c.want {
-			t.Errorf("Classify(%v, %q) = %v, want %v", c.k, c.tag, got, c.want)
+		info := gpu.OpInfo{Kind: c.kind, Model: "m1", Request: "r1"}
+		if got := Classify(c.k, info); got != c.want {
+			t.Errorf("Classify(%v, %q) = %v, want %v", c.k, info.Label(), got, c.want)
 		}
 	}
 }

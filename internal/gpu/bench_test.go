@@ -13,7 +13,7 @@ func BenchmarkStreamSubmit(b *testing.B) {
 	s := d.NewStream("s")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Submit(Compute, time.Microsecond, "op")
+		s.Submit(Compute, time.Microsecond)
 		eng.Run()
 	}
 }
@@ -24,7 +24,7 @@ func BenchmarkStreamSubmit(b *testing.B) {
 func BenchmarkDecodeStepChurn(b *testing.B) {
 	eng := sim.NewEngine(1)
 	s := NewDevice(eng, "gpu0").NewStream("compute")
-	info := OpInfo{Tag: "decode", Model: "m"}
+	info := OpInfo{Kind: OpDecode, Model: "m"}
 	left := b.N
 	var step func()
 	step = func() {
@@ -44,12 +44,12 @@ func BenchmarkEventFanout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		src := d.NewStream("src")
-		src.Submit(D2H, time.Microsecond, "out")
+		src.Submit(D2H, time.Microsecond)
 		ev := src.Record()
 		for j := 0; j < 8; j++ {
 			w := d.NewStream("w")
 			w.WaitEvent(ev)
-			w.Submit(Compute, time.Microsecond, "work")
+			w.Submit(Compute, time.Microsecond)
 		}
 		eng.Run()
 	}

@@ -49,14 +49,65 @@ func (k EngineKind) String() string {
 	return fmt.Sprintf("engine(%d)", int(k))
 }
 
-// OpInfo labels one engine operation for timeline capture: the free-form
-// tag plus optional model and request attribution. Submit fills only Tag;
-// callers that know which model or request an op serves use SubmitOp so the
-// observability layer can build per-model and per-request device timelines.
+// OpKind says what an engine operation does. The zero value is an
+// unlabelled op. A kind is one byte, so labelling an op builds no string;
+// Label formats the human-readable name only when a timeline is exported.
+type OpKind uint8
+
+const (
+	OpUnlabelled OpKind = iota
+	OpPrefill
+	OpPrefixReuse
+	OpDecode
+	OpLoad             // stage-buffer weight load of Model
+	OpPrefetch         // §5.2 prefetch of Model
+	OpCompact          // on-device compaction of a prefetched Model
+	OpCompactResidents // compaction of colocated residents
+	OpKVOut            // KV swap-out of sequence Request
+	OpKVIn             // KV swap-in of sequence Request
+	numOpKinds
+)
+
+// opLabels is each kind's label, or its prefix for the kinds Label
+// suffixes with the op's model or request.
+var opLabels = [numOpKinds]string{
+	OpUnlabelled:       "op",
+	OpPrefill:          "prefill",
+	OpPrefixReuse:      "prefix-reuse",
+	OpDecode:           "decode",
+	OpLoad:             "load ",
+	OpPrefetch:         "prefetch ",
+	OpCompact:          "compact ",
+	OpCompactResidents: "compact residents",
+	OpKVOut:            "kv-out ",
+	OpKVIn:             "kv-in ",
+}
+
+// OpInfo labels one engine operation for timeline capture: its kind plus
+// optional model and request attribution. Plain Submit leaves it zero;
+// callers that know what an op is and which model or request it serves use
+// SubmitOp so the observability layer can build per-model and per-request
+// device timelines.
 type OpInfo struct {
-	Tag     string
+	Kind    OpKind
 	Model   string
 	Request string
+}
+
+// Label returns the op's display name: "load <model>", "kv-out <request>",
+// "decode" and so on, or "op" for an unlabelled op. It allocates for the
+// kinds that name a model or request, so only exports and diagnostics call it.
+func (i OpInfo) Label() string {
+	switch i.Kind {
+	case OpLoad, OpPrefetch, OpCompact:
+		return opLabels[i.Kind] + i.Model
+	case OpKVOut, OpKVIn:
+		return opLabels[i.Kind] + i.Request
+	}
+	if i.Kind < numOpKinds {
+		return opLabels[i.Kind]
+	}
+	return fmt.Sprintf("op(%d)", i.Kind)
 }
 
 // OpRecord is one completed engine interval, reported to the device's
@@ -236,21 +287,21 @@ func (s *Stream) Name() string { return s.name }
 // Device returns the stream's device.
 func (s *Stream) Device() *Device { return s.dev }
 
-// Submit enqueues an operation occupying engine k for dur. onDone callbacks
-// (optional) fire in order when the operation completes. To get an event
-// for the operation's completion, call Record right after Submit: streams
-// are FIFO, so the marker fires as soon as this operation retires, before
-// the stream's next operation starts and at the same virtual time.
-func (s *Stream) Submit(k EngineKind, dur time.Duration, tag string, onDone ...func()) {
-	s.SubmitOp(k, dur, OpInfo{Tag: tag}, onDone...)
+// Submit enqueues an unlabelled operation occupying engine k for dur.
+// onDone callbacks (optional) fire in order when the operation completes.
+// To get an event for the operation's completion, call Record right after
+// Submit: streams are FIFO, so the marker fires as soon as this operation
+// retires, before the stream's next operation starts and at the same
+// virtual time.
+func (s *Stream) Submit(k EngineKind, dur time.Duration, onDone ...func()) {
+	s.SubmitOp(k, dur, OpInfo{}, onDone...)
 }
 
-// SubmitOp is Submit with full op attribution (model and request labels) for
-// the device timeline. Callers that know which model or request the op
-// serves should prefer it; plain Submit labels the op with only a tag.
+// SubmitOp is Submit with full op attribution (kind, model and request) for
+// the device timeline and the fleet ledger's classification.
 func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) {
 	if dur < 0 {
-		panic(fmt.Sprintf("gpu: negative op duration %v (%s)", dur, info.Tag))
+		panic(fmt.Sprintf("gpu: negative op duration %v (%s)", dur, info.Label()))
 	}
 	o := s.newOp()
 	o.kind, o.dur, o.info = k, dur, info
@@ -408,11 +459,14 @@ func (x *executor) busyTotal(now sim.Time) time.Duration {
 }
 
 // Event mirrors a CUDA event: a completion marker shareable across streams
-// and (via IPC handles) across processes/devices.
+// and (via IPC handles) across processes/devices. Most events have a single
+// waiter, so the first one sits in a plain field and only the second and
+// later ones go in a slice.
 type Event struct {
 	eng     *sim.Engine
 	done    bool
 	at      sim.Time
+	first   func()
 	waiters []func()
 }
 
@@ -435,6 +489,10 @@ func (e *Event) onComplete(fn func()) {
 		fn()
 		return
 	}
+	if e.first == nil {
+		e.first = fn
+		return
+	}
 	e.waiters = append(e.waiters, fn)
 }
 
@@ -449,8 +507,11 @@ func (e *Event) fire() {
 	}
 	e.done = true
 	e.at = e.eng.Now()
-	ws := e.waiters
-	e.waiters = nil
+	first, ws := e.first, e.waiters
+	e.first, e.waiters = nil, nil
+	if first != nil {
+		first()
+	}
 	for _, fn := range ws {
 		fn()
 	}

@@ -17,8 +17,8 @@ func TestStreamOrdering(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("default")
 	var order []string
-	s.Submit(Compute, 10*time.Millisecond, "a", func() { order = append(order, "a") })
-	s.Submit(Compute, 5*time.Millisecond, "b", func() { order = append(order, "b") })
+	s.Submit(Compute, 10*time.Millisecond, func() { order = append(order, "a") })
+	s.Submit(Compute, 5*time.Millisecond, func() { order = append(order, "b") })
 	eng.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("stream ops out of order: %v", order)
@@ -33,8 +33,8 @@ func TestEnginesOverlap(t *testing.T) {
 	sc := d.NewStream("compute")
 	sh := d.NewStream("h2d")
 	var tc, th sim.Time
-	sc.Submit(Compute, 10*time.Millisecond, "kernel", func() { tc = eng.Now() })
-	sh.Submit(H2D, 10*time.Millisecond, "copy", func() { th = eng.Now() })
+	sc.Submit(Compute, 10*time.Millisecond, func() { tc = eng.Now() })
+	sh.Submit(H2D, 10*time.Millisecond, func() { th = eng.Now() })
 	eng.Run()
 	if tc != 10*time.Millisecond || th != 10*time.Millisecond {
 		t.Fatalf("compute and copy did not overlap: compute=%v h2d=%v", tc, th)
@@ -46,8 +46,8 @@ func TestSameEngineSerializesAcrossStreams(t *testing.T) {
 	s1 := d.NewStream("s1")
 	s2 := d.NewStream("s2")
 	var t1, t2 sim.Time
-	s1.Submit(H2D, 10*time.Millisecond, "c1", func() { t1 = eng.Now() })
-	s2.Submit(H2D, 10*time.Millisecond, "c2", func() { t2 = eng.Now() })
+	s1.Submit(H2D, 10*time.Millisecond, func() { t1 = eng.Now() })
+	s2.Submit(H2D, 10*time.Millisecond, func() { t2 = eng.Now() })
 	eng.Run()
 	if t1 != 10*time.Millisecond || t2 != 20*time.Millisecond {
 		t.Fatalf("copies on one DMA engine overlapped: t1=%v t2=%v", t1, t2)
@@ -57,7 +57,7 @@ func TestSameEngineSerializesAcrossStreams(t *testing.T) {
 func TestEventRecordAndQuery(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(Compute, 10*time.Millisecond, "k")
+	s.Submit(Compute, 10*time.Millisecond)
 	ev := s.Record()
 	if ev.Query() {
 		t.Fatal("event complete before work ran")
@@ -79,13 +79,13 @@ func TestStreamWaitEvent(t *testing.T) {
 	out := d1.NewStream("kv-out")
 	in := d2.NewStream("kv-in")
 
-	out.Submit(D2H, 30*time.Millisecond, "swap-out R1")
+	out.Submit(D2H, 30*time.Millisecond)
 	evOut := out.Record()
 
 	// Pass the event via an IPC handle as between separate instances.
 	in.WaitEvent(OpenEventHandle(evOut.IPCHandle()))
 	var tin sim.Time
-	in.Submit(H2D, 20*time.Millisecond, "swap-in R1", func() { tin = eng.Now() })
+	in.Submit(H2D, 20*time.Millisecond, func() { tin = eng.Now() })
 	eng.Run()
 	if tin != 50*time.Millisecond {
 		t.Fatalf("swap-in finished at %v, want 50ms (after 30ms swap-out)", tin)
@@ -98,35 +98,37 @@ func TestWaitEventAlreadyDone(t *testing.T) {
 	ev := NewCompletedEvent(eng)
 	s.WaitEvent(ev)
 	done := false
-	s.Submit(Compute, time.Millisecond, "k", func() { done = true })
+	s.Submit(Compute, time.Millisecond, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("op behind satisfied barrier never ran")
 	}
 }
 
+// Three streams wait on one event: the first waiter sits in the event's
+// plain field, the others in its slice, and all fire in registration order
+// (the compute engine then runs their kernels FIFO by readiness).
 func TestMultipleWaitersOneEvent(t *testing.T) {
 	eng, d := newDev(1)
 	src := d.NewStream("src")
-	src.Submit(D2H, 10*time.Millisecond, "out")
+	src.Submit(D2H, 10*time.Millisecond)
 	ev := src.Record()
 	var done []string
 	for _, name := range []string{"a", "b", "c"} {
-		name := name
 		w := d.NewStream(name)
 		w.WaitEvent(ev)
-		w.Submit(Compute, time.Millisecond, name, func() { done = append(done, name) })
+		w.Submit(Compute, time.Millisecond, func() { done = append(done, name) })
 	}
 	eng.Run()
-	if len(done) != 3 {
-		t.Fatalf("only %d of 3 waiters ran: %v", len(done), done)
+	if len(done) != 3 || done[0] != "a" || done[1] != "b" || done[2] != "c" {
+		t.Fatalf("waiters ran as %v, want [a b c]", done)
 	}
 }
 
 func TestOnCompleteHostCallback(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(D2H, 10*time.Millisecond, "copy")
+	s.Submit(D2H, 10*time.Millisecond)
 	ev := s.Record()
 	var fired sim.Time
 	ev.OnComplete(func() { fired = eng.Now() })
@@ -146,9 +148,9 @@ func TestAfterAll(t *testing.T) {
 	eng, d := newDev(1)
 	s1 := d.NewStream("s1")
 	s2 := d.NewStream("s2")
-	s1.Submit(Compute, 10*time.Millisecond, "a")
+	s1.Submit(Compute, 10*time.Millisecond)
 	e1 := s1.Record()
-	s2.Submit(H2D, 25*time.Millisecond, "b")
+	s2.Submit(H2D, 25*time.Millisecond)
 	e2 := s2.Record()
 	all := AfterAll(eng, e1, e2)
 	eng.Run()
@@ -167,9 +169,9 @@ func TestAfterAll(t *testing.T) {
 func TestBusyTimeAccounting(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(Compute, 10*time.Millisecond, "k1")
-	s.Submit(Compute, 20*time.Millisecond, "k2")
-	d.NewStream("c").Submit(H2D, 5*time.Millisecond, "c1")
+	s.Submit(Compute, 10*time.Millisecond)
+	s.Submit(Compute, 20*time.Millisecond)
+	d.NewStream("c").Submit(H2D, 5*time.Millisecond)
 	eng.Run()
 	if got := d.BusyTime(Compute); got != 30*time.Millisecond {
 		t.Fatalf("compute busy = %v, want 30ms", got)
@@ -185,7 +187,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(Compute, 250*time.Millisecond, "k")
+	s.Submit(Compute, 250*time.Millisecond)
 	eng.Run()
 	eng.At(time.Second, func() {}) // advance the clock to 1s
 	eng.Run()
@@ -198,8 +200,8 @@ func TestUtilization(t *testing.T) {
 func TestPendingOps(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(Compute, time.Second, "k1")
-	s.Submit(Compute, time.Second, "k2")
+	s.Submit(Compute, time.Second)
+	s.Submit(Compute, time.Second)
 	if s.PendingOps() != 2 {
 		t.Fatalf("pending = %d, want 2", s.PendingOps())
 	}
@@ -213,7 +215,7 @@ func TestZeroDurationOp(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
 	ran := false
-	s.Submit(Compute, 0, "noop", func() { ran = true })
+	s.Submit(Compute, 0, func() { ran = true })
 	eng.Run()
 	if !ran {
 		t.Fatal("zero-duration op never completed")
@@ -227,7 +229,7 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Error("negative-duration Submit did not panic")
 		}
 	}()
-	d.NewStream("s").Submit(Compute, -time.Second, "bad")
+	d.NewStream("s").Submit(Compute, -time.Second)
 }
 
 func TestWaitNilEventPanics(t *testing.T) {
@@ -254,16 +256,16 @@ func TestFigure10FineGrainedOverlap(t *testing.T) {
 	const per = 10 * time.Millisecond
 	var swapInDone [3]*Event
 	for i := 0; i < 3; i++ {
-		pOut.Submit(D2H, per, "out")
+		pOut.Submit(D2H, per)
 		outEv := pOut.Record()
 		dIn.WaitEvent(outEv)
-		dIn.Submit(H2D, per, "in")
+		dIn.Submit(H2D, per)
 		swapInDone[i] = dIn.Record()
 	}
 	var decodeStart sim.Time
 	swapInDone[0].OnComplete(func() {
 		decodeStart = eng.Now()
-		dCompute.Submit(Compute, 5*time.Millisecond, "decode{R1}")
+		dCompute.Submit(Compute, 5*time.Millisecond)
 	})
 	eng.Run()
 	// R1 out: 10ms, R1 in: 20ms. Decode must start at 20ms, while R2/R3 are
@@ -307,7 +309,7 @@ func TestRandomDAGProperty(t *testing.T) {
 			}
 			kind := EngineKind(rng.Intn(3))
 			dur := time.Duration(rng.Intn(10)+1) * time.Millisecond
-			s.Submit(kind, dur, "op", func() { r.doneAt = eng.Now() })
+			s.Submit(kind, dur, func() { r.doneAt = eng.Now() })
 			ev := s.Record()
 			events = append(events, ev)
 			recs = append(recs, r)
@@ -354,7 +356,7 @@ func TestSubmitCallbacksInOrder(t *testing.T) {
 	s := d.NewStream("s")
 	var order []string
 	var ev *Event
-	s.Submit(Compute, time.Millisecond, "k",
+	s.Submit(Compute, time.Millisecond,
 		func() { order = append(order, "a") },
 		func() { order = append(order, "b") },
 		func() {
@@ -408,19 +410,29 @@ func TestOpQueueFIFO(t *testing.T) {
 }
 
 // A retired op goes back on its device's free list, so a warmed Submit+Run
-// allocates nothing.
+// allocates nothing. Labelling an op costs nothing either: SubmitOp+Run of
+// every kind, with model and request attribution set, allocates 0.
 func TestSubmitRunAllocs(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
 	for i := 0; i < 64; i++ {
-		s.Submit(Compute, time.Microsecond, "op")
+		s.Submit(Compute, time.Microsecond)
 	}
 	eng.Run()
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Submit(Compute, time.Microsecond, "op")
+		s.Submit(Compute, time.Microsecond)
 		eng.Run()
 	}); n != 0 {
 		t.Fatalf("Submit+Run allocates %.1f times per op, want 0", n)
+	}
+	for k := OpUnlabelled + 1; k < numOpKinds; k++ {
+		info := OpInfo{Kind: k, Model: "m1", Request: "r1"}
+		if n := testing.AllocsPerRun(1000, func() {
+			s.SubmitOp(Compute, time.Microsecond, info)
+			eng.Run()
+		}); n != 0 {
+			t.Errorf("SubmitOp+Run of %q allocates %.1f times, want 0", info.Label(), n)
+		}
 	}
 }
 
@@ -487,7 +499,7 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 	for _, d := range devs {
 		d.ObserveBusy(func(_ *Device, _ EngineKind, info OpInfo, busy bool) {
 			if busy {
-				ops[info.Tag].startSeq = next()
+				ops[info.Request].startSeq = next()
 			}
 		})
 	}
@@ -518,10 +530,10 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 		switch r := rng.Intn(4); {
 		case r < 2:
 			it.op = true
-			tag := fmt.Sprint("op", len(ops))
-			ops[tag] = it
+			id := fmt.Sprint("op", len(ops))
+			ops[id] = it
 			dur := time.Duration(rng.Intn(5)) * time.Millisecond
-			s.Submit(EngineKind(rng.Intn(3)), dur, tag, func() {
+			s.SubmitOp(EngineKind(rng.Intn(3)), dur, OpInfo{Request: id}, func() {
 				it.end, it.doneSeq = eng.Now(), next()
 				inDone[s.dev]++
 				if rng.Intn(3) == 0 {
@@ -587,5 +599,53 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 			t.Fatalf("seed %d, %s: free list holds %d ops, peak in flight was %d",
 				seed, d.Name, len(d.free), peak[d])
 		}
+	}
+}
+
+// Each kind's Label is the string its call site built before ops carried a
+// kind, so exported timelines keep their names.
+func TestOpKindLabels(t *testing.T) {
+	cases := []struct {
+		info OpInfo
+		want string
+	}{
+		{OpInfo{}, "op"},
+		{OpInfo{Kind: OpPrefill, Model: "m1", Request: "r1"}, "prefill"},
+		{OpInfo{Kind: OpPrefixReuse, Model: "m1", Request: "r1"}, "prefix-reuse"},
+		{OpInfo{Kind: OpDecode, Model: "m1"}, "decode"},
+		{OpInfo{Kind: OpLoad, Model: "m1"}, "load m1"},
+		{OpInfo{Kind: OpPrefetch, Model: "m1"}, "prefetch m1"},
+		{OpInfo{Kind: OpCompact, Model: "m1"}, "compact m1"},
+		{OpInfo{Kind: OpCompactResidents, Model: "m1"}, "compact residents"},
+		{OpInfo{Kind: OpKVOut, Request: "r1"}, "kv-out r1"},
+		{OpInfo{Kind: OpKVIn, Request: "r1"}, "kv-in r1"},
+		{OpInfo{Kind: numOpKinds}, fmt.Sprintf("op(%d)", numOpKinds)},
+	}
+	for _, c := range cases {
+		if got := c.info.Label(); got != c.want {
+			t.Errorf("Label(%+v) = %q, want %q", c.info, got, c.want)
+		}
+	}
+}
+
+// An event with one waiter needs no waiter slice: Record, one OnComplete and
+// Run allocate exactly once, for the Event itself.
+func TestRecordOneWaiterAllocs(t *testing.T) {
+	eng, d := newDev(1)
+	s := d.NewStream("s")
+	fired := 0
+	waiter := func() { fired++ }
+	s.Submit(Compute, time.Microsecond)
+	s.Record().OnComplete(waiter)
+	eng.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Submit(Compute, time.Microsecond)
+		s.Record().OnComplete(waiter)
+		eng.Run()
+	}); n != 1 {
+		t.Fatalf("Record+OnComplete+Run allocates %.1f times, want 1 (the Event)", n)
+	}
+	if fired != 1002 {
+		t.Fatalf("waiter fired %d times, want 1002", fired)
 	}
 }

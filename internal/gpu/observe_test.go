@@ -8,7 +8,7 @@ import (
 func TestUtilizationClamped(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
-	s.Submit(Compute, 100*time.Millisecond, "k")
+	s.Submit(Compute, 100*time.Millisecond)
 	eng.Run() // now = 100ms, busy 100ms
 
 	// A busyAtSince snapshot predating the window makes the raw ratio
@@ -49,10 +49,10 @@ func TestObserverSeesSerializedEngineOps(t *testing.T) {
 	s1 := d.NewStream("s1")
 	s2 := d.NewStream("s2")
 	for i := 0; i < 5; i++ {
-		s1.SubmitOp(Compute, 7*time.Millisecond, OpInfo{Tag: "k1", Model: "m1"})
-		s2.SubmitOp(Compute, 3*time.Millisecond, OpInfo{Tag: "k2", Model: "m2"})
-		s1.SubmitOp(H2D, 4*time.Millisecond, OpInfo{Tag: "copy-in", Request: "r1"})
-		s2.SubmitOp(D2H, 2*time.Millisecond, OpInfo{Tag: "copy-out"})
+		s1.SubmitOp(Compute, 7*time.Millisecond, OpInfo{Kind: OpPrefill, Model: "m1"})
+		s2.SubmitOp(Compute, 3*time.Millisecond, OpInfo{Kind: OpDecode, Model: "m2"})
+		s1.SubmitOp(H2D, 4*time.Millisecond, OpInfo{Kind: OpKVIn, Request: "r1"})
+		s2.SubmitOp(D2H, 2*time.Millisecond, OpInfo{Kind: OpKVOut})
 	}
 	eng.Run()
 
@@ -70,7 +70,7 @@ func TestObserverSeesSerializedEngineOps(t *testing.T) {
 			if r.End <= r.Start {
 				t.Fatalf("%v op %d has empty interval %v..%v", k, i, r.Start, r.End)
 			}
-			if r.Info.Tag == "" {
+			if r.Info.Kind == OpUnlabelled {
 				t.Fatalf("%v op %d lost its label", k, i)
 			}
 			if i > 0 && r.Start < recs[i-1].End {
@@ -90,7 +90,7 @@ func TestObserveNilDisablesCapture(t *testing.T) {
 	n := 0
 	d.Observe(func(*Device, OpRecord) { n++ })
 	d.Observe(nil)
-	d.NewStream("s").Submit(Compute, time.Millisecond, "k")
+	d.NewStream("s").Submit(Compute, time.Millisecond)
 	eng.Run()
 	if n != 0 {
 		t.Fatalf("disabled observer fired %d times", n)

@@ -458,7 +458,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	seq.gpuBlocks = nil
 	if !m.faults.TransferFailing(m.instance) {
 		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Tag: "kv-out " + seq.ID, Request: seq.ID}, func() {
+			gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}, func() {
 				// Source GPU blocks are safe to release once the copy has read them.
 				srcCache.release(gpuBlocks, "gpu free after swap-out")
 				// A swap-in may already have been issued against this sequence
@@ -486,7 +486,7 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 		failing := m.faults.TransferFailing(m.instance)
 		var ev *gpu.Event
 		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Tag: "kv-out " + seq.ID, Request: seq.ID}, func() {
+			gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}, func() {
 				if failing {
 					m.faults.CountTransferFailure()
 					m.obsc.Fault(m.instance, "xfer", "kv-out "+seq.ID, m.eng.Now())
@@ -547,7 +547,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	seq.cpuBlocks = nil
 	if !m.faults.TransferFailing(m.instance) {
 		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Tag: "kv-in " + seq.ID, Request: seq.ID}, func() {
+			gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}, func() {
 				// Guard against a crash-recovery Abandon racing the transfer.
 				if seq.state == StateSwappingIn {
 					seq.state = StateGPU
@@ -581,7 +581,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 		failing := m.faults.TransferFailing(m.instance)
 		var ev *gpu.Event
 		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Tag: "kv-in " + seq.ID, Request: seq.ID}, func() {
+			gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}, func() {
 				if failing {
 					m.faults.CountTransferFailure()
 					m.obsc.Fault(m.instance, "xfer", "kv-in "+seq.ID, m.eng.Now())

@@ -222,8 +222,8 @@ func (c *Collector) recordOp(dt *deviceTimeline, rec gpu.OpRecord) {
 	}
 }
 
-// timeline returns (creating if asked) the request's timeline. Caller holds
-// c.mu.
+// timeline returns the request's timeline, or nil if the collector holds
+// none (never seen, or evicted). Caller holds c.mu.
 func (c *Collector) timeline(id string) *RequestTimeline {
 	return c.reqs[id]
 }

@@ -306,9 +306,9 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 	c.ObserveDevice(d)
 	s := d.NewStream("s")
 	for i := 0; i < 10; i++ {
-		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Tag: "k", Model: "m1"})
+		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
 	}
-	s.SubmitOp(gpu.H2D, 5*time.Millisecond, gpu.OpInfo{Tag: "copy"})
+	s.SubmitOp(gpu.H2D, 5*time.Millisecond, gpu.OpInfo{Kind: gpu.OpKVIn})
 	se.Run()
 
 	var compute, h2d EngineTimeline
@@ -340,7 +340,7 @@ func TestUtilizations(t *testing.T) {
 	c := New(Options{})
 	c.ObserveDevice(d)
 	s := d.NewStream("s")
-	s.SubmitOp(gpu.Compute, 40*time.Millisecond, gpu.OpInfo{Tag: "k"})
+	s.SubmitOp(gpu.Compute, 40*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode})
 	se.Run() // now = 40ms, compute busy the whole time
 
 	utils := c.Utilizations(se.Now(), 80*time.Millisecond)

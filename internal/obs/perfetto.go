@@ -100,12 +100,8 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 		tid := 1 + int(tl.Engine)
 		events = append(events, metaEvent(pid, tid, "thread_name", tl.Engine.String()))
 		for _, op := range tl.Ops {
-			name := op.Info.Tag
-			if name == "" {
-				name = "op"
-			}
 			ev := traceEvent{
-				Name: name, Ph: "X", Cat: "gpu",
+				Name: op.Info.Label(), Ph: "X", Cat: "gpu",
 				Ts: usec(op.Start), Dur: durUsec(op.Start, op.End),
 				Pid: pid, Tid: tid,
 			}

@@ -14,7 +14,7 @@ import (
 // buildCollector drives a collector through a small synthetic serving episode
 // on a real simulated device: two requests on two models with one attributed
 // switch between them.
-func buildCollector(t *testing.T) *Collector {
+func buildCollector(t testing.TB) *Collector {
 	t.Helper()
 	se := sim.NewEngine(1)
 	d := gpu.NewDevice(se, "prefill0")
@@ -24,7 +24,7 @@ func buildCollector(t *testing.T) *Collector {
 
 	c.RequestArrived("r1", "m1", 0)
 	c.PrefillStart("prefill0", "r1", ms(5))
-	s.SubmitOp(gpu.Compute, 20*time.Millisecond, gpu.OpInfo{Tag: "prefill", Model: "m1", Request: "r1"})
+	s.SubmitOp(gpu.Compute, 20*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: "m1", Request: "r1"})
 	se.Run()
 	c.PrefillDone("prefill0", "r1", ms(25))
 	c.Token("r1", ms(25))
