@@ -104,7 +104,7 @@ func NewSLLM(se *sim.Engine, cfg SLLMConfig) *SLLM {
 			KVRegionBytes:      kvRegion,
 			ModelCache:         modelCache,
 			CPUKV:              cpuKV,
-		})
+		}, nil)
 		e.WarmBoot()
 		s.instances = append(s.instances, &sllmInstance{sys: s, eng: e, modelCache: modelCache})
 	}
@@ -203,7 +203,7 @@ func (in *sllmInstance) scaleTo(r *request) {
 	in.kvPlanned = 0
 	in.admit(r)
 	start := in.eng.Sim().Now()
-	in.eng.SwitchTo(r.model, func() {
+	in.eng.SwitchTo(in.eng.Models().Add(r.model), func() {
 		in.sys.switchLat.AddDuration(in.eng.Sim().Now() - start)
 		in.switching = false
 		in.sys.takeQueued(in, in.current)

@@ -107,7 +107,7 @@ func NewUnified(se *sim.Engine, cfg UnifiedConfig) *Unified {
 			KVRegionBytes:      usable - weights,
 			ModelCache:         modelCache,
 			CPUKV:              cpuKV,
-		})
+		}, nil)
 		e.WarmBoot()
 		s.instances = append(s.instances, &uInstance{
 			sys: s, eng: e, batches: map[string][]*request{},
@@ -205,7 +205,7 @@ func (in *uInstance) runPrefill() {
 		})
 	}
 	if cur := in.eng.Current(); cur == nil || cur.Name != r.model.Name {
-		in.eng.SwitchTo(r.model, exec)
+		in.eng.SwitchTo(in.eng.Models().Add(r.model), exec)
 		return
 	}
 	exec()
@@ -220,7 +220,7 @@ func (in *uInstance) runDecodeSlice() {
 		in.decodeUntil(mName, end)
 	}
 	if cur := in.eng.Current(); cur == nil || cur.Name != mName {
-		in.eng.SwitchTo(m, run)
+		in.eng.SwitchTo(in.eng.Models().Add(m), run)
 		return
 	}
 	run()

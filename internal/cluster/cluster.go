@@ -184,8 +184,11 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 			c.routeMirror[name] = v
 		}
 	})
+	// One registry across deployments: they share the observers, so a model
+	// id must name one model in all of them.
+	ids := model.NewRegistry()
 	for _, dc := range cfg.Deployments {
-		sys := core.NewSystem(se, core.Config{
+		sys := core.NewSystemIn(se, core.Config{
 			Prof:       cfg.Prof,
 			TP:         dc.TP,
 			Opts:       engine.AllOptimizations(),
@@ -201,7 +204,7 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 			Prefix:     cfg.Prefix,
 			Market:     cfg.Market,
 			Decisions:  cfg.Decisions,
-		})
+		}, ids)
 		dep := &Deployment{Name: dc.Name, TP: dc.TP, System: sys, models: map[string]bool{}}
 		for _, m := range dc.Models {
 			if prev, dup := c.route[m.Name]; dup {

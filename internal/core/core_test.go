@@ -326,12 +326,12 @@ func TestGroupSizeBound(t *testing.T) {
 // (Algorithm 2 line 6).
 func TestReorderAdjacency(t *testing.T) {
 	d := &decodeInstance{}
-	mk := func(m string) *dbatch { return &dbatch{model: m, reqs: []*Request{{}}} }
-	d.workList = []*dbatch{mk("a"), mk("b"), mk("a"), mk("c"), mk("b")}
+	mk := func(m model.ID) *dbatch { return &dbatch{mid: m, reqs: []*Request{{}}} }
+	d.workList = []*dbatch{mk(1), mk(2), mk(1), mk(3), mk(2)}
 	d.reorder()
 	got := ""
 	for _, b := range d.workList {
-		got += b.model
+		got += string(rune('a' - 1 + b.mid))
 	}
 	if got != "aabbc" {
 		t.Fatalf("reorder produced %q, want aabbc (first-occurrence order, same models adjacent)", got)

@@ -10,13 +10,14 @@ import (
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 )
 
 // dbatch is one decoding batch: same-model requests decoded together under
 // a per-round time quota (Algorithm 2).
 type dbatch struct {
-	model   string
+	mid     model.ID
 	reqs    []*Request
 	quota   time.Duration
 	lastRun sim.Time // most recent turn start (KV eviction LRU)
@@ -76,7 +77,7 @@ type decodeInstance struct {
 	roundAlpha  float64
 	roundSumInv float64
 
-	batchLimits map[string]int64
+	batchLimits []int64 // indexed by model id; 0 until first derived
 
 	// Decode step state. At most one step is in flight per instance and a
 	// dead instance never steps again, so stepLoop and finishStep refill
@@ -86,7 +87,7 @@ type decodeInstance struct {
 	inflight    []*gpu.Event // swap-in events a step with no ready request waits on
 	waiting     []*Request   // their requests
 	stepReqs    []*Request   // requests the in-flight step produces a token for
-	stepIDs     []string     // their ids, for the collector's token batch
+	stepTLs     []obs.Handle // their timelines, for the collector's token batch
 	feed        tokenFeed
 	stepBatch   *dbatch
 	stepTurnEnd sim.Time
@@ -98,7 +99,8 @@ type decodeInstance struct {
 var dbgTurn = func(*decodeInstance, string, *dbatch) {}
 
 func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
-	d := &decodeInstance{sys: s, eng: e, batchLimits: map[string]int64{}}
+	d := &decodeInstance{sys: s, eng: e}
+	d.feed.dev = s.fleet.Ref(e.Name)
 	d.stepDone = d.finishStep
 	return d
 }
@@ -109,18 +111,18 @@ func (d *decodeInstance) load() int { return len(d.workList) + len(d.pending) }
 
 // batchLimit returns the KV-capacity-derived maximum projected tokens for a
 // batch of the model (Algorithm 2 line 2).
-func (d *decodeInstance) batchLimit(modelName string) int64 {
-	if v, ok := d.batchLimits[modelName]; ok {
-		return v
+func (d *decodeInstance) batchLimit(id model.ID) int64 {
+	if int(id) < len(d.batchLimits) && d.batchLimits[id] != 0 {
+		return d.batchLimits[id]
 	}
-	m := d.sys.models[modelName]
-	shape := m.ShardKVShape(d.sys.cfg.TP)
+	d.batchLimits = model.Grow(d.batchLimits, id)
+	shape := d.sys.ids.Model(id).ShardKVShape(d.sys.cfg.TP)
 	class, err := d.eng.KV().GPUCache.RegisterShape(shape)
 	if err != nil {
 		panic("core: register shape: " + err.Error())
 	}
 	limit := int64(float64(d.eng.KV().GPUCache.MaxTokens(class)) * d.sys.cfg.KVHeadroom)
-	d.batchLimits[modelName] = limit
+	d.batchLimits[id] = limit
 	return limit
 }
 
@@ -128,14 +130,14 @@ func (d *decodeInstance) batchLimit(modelName string) int64 {
 // room exists on this instance (used to prefer co-locating same-model
 // requests across the pool).
 func (d *decodeInstance) hasRoomInModelBatch(r *Request) bool {
-	limit := d.batchLimit(r.Model.Name)
+	limit := d.batchLimit(r.mid)
 	for _, b := range d.workList {
-		if b.model == r.Model.Name && b.projectedTokens()+r.ProjectedTokens() <= limit {
+		if b.mid == r.mid && b.projectedTokens()+r.ProjectedTokens() <= limit {
 			return true
 		}
 	}
 	for _, p := range d.pending {
-		if p.Model.Name == r.Model.Name {
+		if p.mid == r.mid {
 			return true
 		}
 	}
@@ -155,8 +157,8 @@ func (d *decodeInstance) enqueue(r *Request) {
 		d.sys.dispatchDecode(r)
 		return
 	}
-	if d.current != nil && d.current.model == r.Model.Name &&
-		d.current.projectedTokens()+r.ProjectedTokens() <= d.batchLimit(r.Model.Name) {
+	if d.current != nil && d.current.mid == r.mid &&
+		d.current.projectedTokens()+r.ProjectedTokens() <= d.batchLimit(r.mid) {
 		d.current.reqs = append(d.current.reqs, r)
 		d.startSwapIn(r)
 		return
@@ -180,17 +182,17 @@ func (d *decodeInstance) admitPending() {
 		if r.terminal() {
 			continue
 		}
-		limit := d.batchLimit(r.Model.Name)
+		limit := d.batchLimit(r.mid)
 		placed := false
 		for _, b := range d.workList {
-			if b.model == r.Model.Name && b.projectedTokens()+r.ProjectedTokens() <= limit {
+			if b.mid == r.mid && b.projectedTokens()+r.ProjectedTokens() <= limit {
 				b.reqs = append(b.reqs, r)
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			d.workList = append(d.workList, &dbatch{model: r.Model.Name, reqs: []*Request{r}})
+			d.workList = append(d.workList, &dbatch{mid: r.mid, reqs: []*Request{r}})
 		}
 	}
 	d.pending = d.pending[:0]
@@ -199,9 +201,9 @@ func (d *decodeInstance) admitPending() {
 // firstOfModel reports whether workList[i] is the first batch of its model
 // in the work list. Work lists are short, so the scan beats a set.
 func (d *decodeInstance) firstOfModel(i int) bool {
-	m := d.workList[i].model
+	m := d.workList[i].mid
 	for _, b := range d.workList[:i] {
-		if b.model == m {
+		if b.mid == m {
 			return false
 		}
 	}
@@ -219,7 +221,7 @@ func (d *decodeInstance) reorder() {
 		}
 		out = append(out, b)
 		for _, b2 := range d.workList[i+1:] {
-			if b2.model == b.model {
+			if b2.mid == b.mid {
 				out = append(out, b2)
 			}
 		}
@@ -239,7 +241,7 @@ func (d *decodeInstance) computeQuotas() {
 	}
 	single := true
 	for _, b := range d.workList {
-		single = single && b.model == d.workList[0].model
+		single = single && b.mid == d.workList[0].mid
 	}
 	if single {
 		// No switching inside the round: decode each batch up to QMAX, then
@@ -260,7 +262,7 @@ func (d *decodeInstance) computeQuotas() {
 	var c float64
 	for i, b := range d.workList {
 		if d.firstOfModel(i) {
-			c += d.eng.EffectiveSwitchCost(d.sys.models[b.model]).Seconds()
+			c += d.eng.EffectiveSwitchCost(b.mid).Seconds()
 		}
 	}
 	for _, b := range d.workList {
@@ -269,8 +271,8 @@ func (d *decodeInstance) computeQuotas() {
 	steps := make([]float64, len(d.workList))
 	tbts := make([]float64, len(d.workList))
 	for i, b := range d.workList {
-		steps[i] = d.eng.DecodeStepEstimate(d.sys.models[b.model], b.contextTokens()).Seconds()
-		tbts[i] = d.sys.sloFor(b.model).TBT.Seconds()
+		steps[i] = d.eng.DecodeStepEstimate(b.mid, b.contextTokens()).Seconds()
+		tbts[i] = d.sys.sloFor(b.mid).TBT.Seconds()
 	}
 	qmax := d.sys.cfg.QMax.Seconds()
 	_, alpha := eq2Quotas(c, qmax, tbts, steps)
@@ -288,7 +290,7 @@ func (d *decodeInstance) computeQuotas() {
 		if ni < 1.01 {
 			ni = 1.01
 		}
-		b.quota = d.quotaFor(ni, d.sys.models[b.model], b)
+		b.quota = d.quotaFor(ni, b.mid, b)
 	}
 }
 
@@ -298,13 +300,13 @@ func (d *decodeInstance) computeQuotas() {
 // still-streaming prefetch, defeating the cheap effective switch cost the
 // quota formula assumes (§5.2: "the time slice for each turn often
 // completely hides the prefetching overhead").
-func (d *decodeInstance) prefetchHideFloor(cur string) float64 {
+func (d *decodeInstance) prefetchHideFloor(cur model.ID) float64 {
 	var worst time.Duration
 	for i, b := range d.workList {
-		if b.model == cur || !d.firstOfModel(i) {
+		if b.mid == cur || !d.firstOfModel(i) {
 			continue
 		}
-		m := d.sys.models[b.model]
+		m := b.mid
 		if d.eng.Options().Colocate && d.eng.IsResident(m) {
 			continue // resident: nothing to hide
 		}
@@ -318,9 +320,8 @@ func (d *decodeInstance) prefetchHideFloor(cur string) float64 {
 // kvSwapCost estimates the PCIe time to move a batch's KV cache out and
 // back in across a preemption cycle.
 func (d *decodeInstance) kvSwapCost(b *dbatch) time.Duration {
-	m := d.sys.models[b.model]
-	bytes := m.ShardKVShape(d.sys.cfg.TP).BytesPerToken() * b.contextTokens()
-	return 2 * d.eng.CostFor(m).Prof.PCIeCopy(bytes)
+	bytes := d.sys.ids.Model(b.mid).ShardKVShape(d.sys.cfg.TP).BytesPerToken() * b.contextTokens()
+	return 2 * d.eng.CostFor(b.mid).Prof.PCIeCopy(bytes)
 }
 
 // quotaFor evaluates Eq. 2 for one batch given the round parameters. Two
@@ -329,7 +330,7 @@ func (d *decodeInstance) kvSwapCost(b *dbatch) time.Duration {
 // plus the model switch) at a healthy duty ratio — Eq. 2 alone can produce
 // arbitrarily small quotas when the α = 0.5 floor binds with small c,
 // which would let transfer overhead dominate the round.
-func (d *decodeInstance) quotaFor(ni float64, m *model.Model, b *dbatch) time.Duration {
+func (d *decodeInstance) quotaFor(ni float64, m model.ID, b *dbatch) time.Duration {
 	q := d.roundC / (ni * (d.roundAlpha - d.roundSumInv))
 	step := d.eng.DecodeStepEstimate(m, b.contextTokens()).Seconds()
 	if q < step {
@@ -339,7 +340,7 @@ func (d *decodeInstance) quotaFor(ni float64, m *model.Model, b *dbatch) time.Du
 	if floor := 5 * overhead; q < floor {
 		q = floor
 	}
-	if floor := d.prefetchHideFloor(b.model); q < floor {
+	if floor := d.prefetchHideFloor(b.mid); q < floor {
 		q = floor
 	}
 	if max := d.sys.cfg.QMax.Seconds(); q > max {
@@ -385,19 +386,19 @@ func (d *decodeInstance) admitMidRound() {
 		if r.terminal() {
 			continue
 		}
-		limit := d.batchLimit(r.Model.Name)
+		limit := d.batchLimit(r.mid)
 		placed := false
 		for _, b := range d.workList {
-			if b.model == r.Model.Name && b.projectedTokens()+r.ProjectedTokens() <= limit {
+			if b.mid == r.mid && b.projectedTokens()+r.ProjectedTokens() <= limit {
 				b.reqs = append(b.reqs, r)
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			m := d.sys.models[r.Model.Name]
-			nb := &dbatch{model: r.Model.Name, reqs: []*Request{r}}
-			dTBT := d.sys.sloFor(r.Model.Name).TBT.Seconds()
+			m := r.mid
+			nb := &dbatch{mid: r.mid, reqs: []*Request{r}}
+			dTBT := d.sys.sloFor(r.mid).TBT.Seconds()
 			ni := dTBT / d.eng.DecodeStepEstimate(m, nb.contextTokens()).Seconds()
 			if ni < 1.01 {
 				ni = 1.01
@@ -446,10 +447,10 @@ func (d *decodeInstance) runTurn() {
 		d.resident = b
 		b.lastRun = d.eng.Sim().Now()
 		if d.sys.obs != nil {
-			d.sys.obs.TurnStart(d.eng.Name, b.model, b.lastRun, b.quota, requestIDs(b.reqs))
+			d.sys.obs.TurnStart(d.eng.Name, b.mid, b.lastRun, b.quota, requestTLs(b.reqs))
 		}
-		m := d.sys.models[b.model]
-		if cur := d.eng.Current(); cur == nil || cur.Name != m.Name {
+		m := b.mid
+		if cur := d.eng.Current(); cur == nil || d.eng.CurrentID() != m {
 			d.eng.SwitchTo(m, func() {
 				if d.dead {
 					d.running = false
@@ -473,7 +474,7 @@ func (d *decodeInstance) runTurn() {
 				cands := make([]decision.Candidate, 0, len(d.workList))
 				for i, wb := range d.workList {
 					cands = append(cands, decision.Candidate{
-						Name:   wb.model,
+						Name:   d.sys.modelName(wb.mid),
 						Chosen: i == d.turnIdx,
 						Terms: []decision.Term{
 							decision.NsTerm("quota", wb.quota),
@@ -483,7 +484,7 @@ func (d *decodeInstance) runTurn() {
 					})
 				}
 				j.Record(decision.Record{At: b.lastRun, Kind: decision.KindSwitch,
-					Instance: d.eng.Name, Model: m.Name, Outcome: m.Name,
+					Instance: d.eng.Name, Model: d.sys.modelName(m), Outcome: d.sys.modelName(m),
 					Reason:   "decode rotation turn (from " + from + ")",
 					Requests: requestIDs(b.reqs),
 					Inputs: []decision.Term{
@@ -517,6 +518,16 @@ func (d *decodeInstance) runTurn() {
 		return
 	}
 	proceed()
+}
+
+// requestTLs collects the collector timelines of a batch's requests
+// (observability only; callers nil-check the collector first).
+func requestTLs(reqs []*Request) []obs.Handle {
+	tls := make([]obs.Handle, len(reqs))
+	for i, r := range reqs {
+		tls[i] = r.tl
+	}
+	return tls
 }
 
 // requestIDs collects the ids of a batch's requests (observability only;
@@ -558,17 +569,17 @@ func (d *decodeInstance) prefetchUpcoming() {
 	if d.turnIdx >= len(d.workList) {
 		return // work list drained mid-switch (spot evacuation)
 	}
-	cur := d.workList[d.turnIdx].model
+	cur := d.workList[d.turnIdx].mid
 	for i := d.turnIdx + 1; i < len(d.workList); i++ {
-		if d.workList[i].model != cur {
-			d.eng.StartPrefetch(d.sys.models[d.workList[i].model])
+		if d.workList[i].mid != cur {
+			d.eng.StartPrefetch(d.workList[i].mid)
 			return
 		}
 	}
 	// Wrap around to the round's start.
 	for i := 0; i < d.turnIdx; i++ {
-		if d.workList[i].model != cur {
-			d.eng.StartPrefetch(d.sys.models[d.workList[i].model])
+		if d.workList[i].mid != cur {
+			d.eng.StartPrefetch(d.workList[i].mid)
 			return
 		}
 	}
@@ -655,7 +666,7 @@ func (d *decodeInstance) evictKVFor(cur *dbatch) {
 		}
 	}
 	if victim != nil {
-		d.sys.obs.Evicted(d.eng.Name, victim.model, d.eng.Sim().Now())
+		d.sys.obs.Evicted(d.eng.Name, d.sys.modelName(victim.mid), d.eng.Sim().Now())
 		if j := d.sys.dec; j != nil {
 			var cands []decision.Candidate
 			for _, b := range d.workList {
@@ -663,7 +674,7 @@ func (d *decodeInstance) evictKVFor(cur *dbatch) {
 					continue
 				}
 				cands = append(cands, decision.Candidate{
-					Name:   b.model,
+					Name:   d.sys.modelName(b.mid),
 					Score:  float64(b.lastRun),
 					Chosen: b == victim,
 					Terms: []decision.Term{
@@ -673,8 +684,8 @@ func (d *decodeInstance) evictKVFor(cur *dbatch) {
 				})
 			}
 			j.Record(decision.Record{At: d.eng.Sim().Now(), Kind: decision.KindKVEviction,
-				Instance: d.eng.Name, Model: victim.model, Outcome: victim.model,
-				Reason:   "LRU batch evicted for " + cur.model + " swap-in",
+				Instance: d.eng.Name, Model: d.sys.modelName(victim.mid), Outcome: d.sys.modelName(victim.mid),
+				Reason:   "LRU batch evicted for " + d.sys.modelName(cur.mid) + " swap-in",
 				Requests: requestIDs(victim.reqs),
 				Inputs: []decision.Term{
 					decision.NsTerm("victim_last_run", victim.lastRun),
@@ -812,19 +823,19 @@ func (d *decodeInstance) finishStep() {
 	now := d.eng.Sim().Now()
 	stepDur := now - d.stepStart
 	if d.sys.obs != nil {
-		ids := d.stepIDs[:0]
+		tls := d.stepTLs[:0]
 		for _, r := range d.stepReqs {
-			ids = append(ids, r.ID)
+			tls = append(tls, r.tl)
 		}
-		d.stepIDs = ids
-		d.sys.obs.TokenBatch(d.eng.Name, b.model, now, ids)
+		d.stepTLs = tls
+		d.sys.obs.TokenBatch(d.eng.Name, b.mid, now, tls)
 	}
 	for _, r := range d.stepReqs {
 		d.feed.record(d.sys, d.eng.Name, r, now)
 		r.decodeExec += stepDur
 	}
-	// A batch is single-model, so one model name covers the step's tokens.
-	d.feed.flush(d.sys, d.eng.Name, b.model)
+	// A batch is single-model, so one model id covers the step's tokens.
+	d.feed.flush(d.sys, b.mid)
 	finishedAny := false
 	for _, r := range d.stepReqs {
 		if len(r.TokenTimes) >= r.OutputTokens {
@@ -850,7 +861,7 @@ func (d *decodeInstance) finishStep() {
 func (d *decodeInstance) endTurn() {
 	dbgTurn(d, "end-turn", d.current)
 	if d.current != nil {
-		d.sys.obs.TurnEnd(d.eng.Name, d.current.model, d.eng.Sim().Now())
+		d.sys.obs.TurnEnd(d.eng.Name, d.current.mid, d.eng.Sim().Now())
 	}
 	d.current = nil
 	d.turnIdx++

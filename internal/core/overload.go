@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"aegaeon/internal/decision"
+	"aegaeon/internal/model"
 	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slomon"
@@ -71,7 +72,7 @@ func (s *System) admitOverload(r *Request) bool {
 		reject(ShedLowPriority)
 		s.shed(r, ShedLowPriority, nil)
 		return false
-	case ctl.FreezeCold() && !s.modelWarm(r.Model.Name):
+	case ctl.FreezeCold() && !s.modelWarm(r.mid):
 		reject(ShedColdFreeze)
 		s.shed(r, ShedColdFreeze, nil)
 		return false
@@ -207,16 +208,16 @@ func (s *System) shed(r *Request, reason string, extra []decision.Term) {
 // modelWarm reports whether the model is already resident on (or queued
 // toward) some alive instance, so a freeze on cold loads does not shed
 // requests that piggyback on work already under way.
-func (s *System) modelWarm(name string) bool {
+func (s *System) modelWarm(id model.ID) bool {
 	for _, p := range s.prefills {
 		if p.dead {
 			continue
 		}
-		if cur := p.eng.Current(); cur != nil && cur.Name == name {
+		if p.eng.CurrentID() == id {
 			return true
 		}
 		for _, g := range p.queue {
-			if g.model == name {
+			if g.mid == id {
 				return true
 			}
 		}
@@ -225,7 +226,7 @@ func (s *System) modelWarm(name string) bool {
 		if d.dead {
 			continue
 		}
-		if cur := d.eng.Current(); cur != nil && cur.Name == name {
+		if d.eng.CurrentID() == id {
 			return true
 		}
 	}
@@ -261,18 +262,15 @@ func (s *System) estimateTTFT(r *Request) (time.Duration, bool) {
 func (p *prefillInstance) estimateFor(r *Request) time.Duration {
 	rank := r.Priority.Rank()
 	var total time.Duration
-	prev := ""
-	if cur := p.eng.Current(); cur != nil {
-		prev = cur.Name
-	}
+	prev := p.eng.CurrentID()
 	for _, g := range p.queue {
 		if g.rank < rank {
 			continue
 		}
-		m := p.sys.models[g.model]
-		if g.model != prev {
+		m := g.mid
+		if g.mid != prev {
 			total += p.eng.CostFor(m).Switch()
-			prev = g.model
+			prev = g.mid
 		}
 		for _, q := range g.reqs {
 			if q.terminal() {
@@ -280,15 +278,15 @@ func (p *prefillInstance) estimateFor(r *Request) time.Duration {
 			}
 			total += p.eng.PrefillEstimate(m, q.InputTokens)
 		}
-		if g.model == r.Model.Name && g.rank == rank && g.size < p.sys.cfg.MaxGroupSize {
+		if g.mid == r.mid && g.rank == rank && g.size < p.sys.cfg.MaxGroupSize {
 			// r would join this group and run right after its tail.
-			return total + p.eng.PrefillEstimate(r.Model, r.InputTokens)
+			return total + p.eng.PrefillEstimate(r.mid, r.InputTokens)
 		}
 	}
-	if r.Model.Name != prev {
-		total += p.eng.CostFor(r.Model).Switch()
+	if r.mid != prev {
+		total += p.eng.CostFor(r.mid).Switch()
 	}
-	return total + p.eng.PrefillEstimate(r.Model, r.InputTokens)
+	return total + p.eng.PrefillEstimate(r.mid, r.InputTokens)
 }
 
 // armReaper schedules the queue reaper if overload control is on and it is
@@ -331,15 +329,12 @@ func (s *System) reapQueues() {
 		// will actually run, not the raw append order of late arrivals.
 		p.orderQueue()
 		var cum time.Duration
-		prev := ""
-		if cur := p.eng.Current(); cur != nil {
-			prev = cur.Name
-		}
+		prev := p.eng.CurrentID()
 		for _, g := range p.queue {
-			m := p.sys.models[g.model]
-			if g.model != prev {
+			m := g.mid
+			if g.mid != prev {
 				cum += p.eng.CostFor(m).Switch()
-				prev = g.model
+				prev = g.mid
 			}
 			for _, q := range g.reqs {
 				if q.terminal() {

@@ -10,15 +10,16 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/memory"
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
 // group is one prefill scheduling unit of Algorithm 1: up to MAX_GPSIZE
 // same-model jobs served back to back to amortize a model switch.
 type group struct {
-	model string
-	reqs  []*Request
-	size  int // cumulative admissions — never decremented (Algorithm 1 note)
+	mid  model.ID
+	reqs []*Request
+	size int // cumulative admissions — never decremented (Algorithm 1 note)
 
 	// rank is the priority rank shared by every member (joins under overload
 	// control require matching rank, so a group is orderable as a unit);
@@ -44,7 +45,9 @@ type prefillInstance struct {
 }
 
 func newPrefillInstance(s *System, e *engine.Engine) *prefillInstance {
-	return &prefillInstance{sys: s, eng: e}
+	p := &prefillInstance{sys: s, eng: e}
+	p.feed.dev = s.fleet.Ref(e.Name)
+	return p
 }
 
 // tryJoinGroup implements Algorithm 1 lines 4–8: admit r into an existing
@@ -53,7 +56,7 @@ func newPrefillInstance(s *System, e *engine.Engine) *prefillInstance {
 func (p *prefillInstance) tryJoinGroup(r *Request) bool {
 	ordered := p.sys.cfg.Overload != nil
 	for _, g := range p.queue {
-		if g.model != r.Model.Name || g.size >= p.sys.cfg.MaxGroupSize {
+		if g.mid != r.mid || g.size >= p.sys.cfg.MaxGroupSize {
 			continue
 		}
 		// Under overload control groups are ordered by (rank, deadline), so
@@ -76,7 +79,7 @@ func (p *prefillInstance) tryJoinGroup(r *Request) bool {
 // newGroup appends a fresh group for r (Algorithm 1 line 13).
 func (p *prefillInstance) newGroup(r *Request) {
 	p.queue = append(p.queue, &group{
-		model:    r.Model.Name,
+		mid:      r.mid,
 		reqs:     []*Request{r},
 		size:     1,
 		rank:     r.Priority.Rank(),
@@ -89,15 +92,12 @@ func (p *prefillInstance) newGroup(r *Request) {
 // switches plus per-request prefill execution (Appendix A.2).
 func (p *prefillInstance) load() time.Duration {
 	var total time.Duration
-	prev := ""
-	if cur := p.eng.Current(); cur != nil {
-		prev = cur.Name
-	}
+	prev := p.eng.CurrentID()
 	for _, g := range p.queue {
-		m := p.sys.models[g.model]
-		if g.model != prev {
+		m := g.mid
+		if g.mid != prev {
 			total += p.eng.CostFor(m).Switch()
-			prev = g.model
+			prev = g.mid
 		}
 		for _, r := range g.reqs {
 			total += p.eng.PrefillEstimate(m, r.InputTokens)
@@ -157,8 +157,8 @@ func (p *prefillInstance) step() {
 		return
 	}
 	g := p.queue[0]
-	m := p.sys.models[g.model]
-	if cur := p.eng.Current(); cur == nil || cur.Name != m.Name {
+	m := g.mid
+	if cur := p.eng.Current(); cur == nil || p.eng.CurrentID() != m {
 		// Preemptive scale-up for the front group. The next group's model is
 		// prefetched only after the on-demand load completes, so the
 		// prefetch overlaps this group's execution instead of delaying the
@@ -189,7 +189,7 @@ func (p *prefillInstance) step() {
 			cands := make([]decision.Candidate, 0, len(p.queue))
 			for i, qg := range p.queue {
 				cands = append(cands, decision.Candidate{
-					Name:   qg.model,
+					Name:   p.sys.modelName(qg.mid),
 					Chosen: i == 0,
 					Terms: []decision.Term{
 						{Name: "rank", Value: float64(qg.rank)},
@@ -199,7 +199,7 @@ func (p *prefillInstance) step() {
 				})
 			}
 			j.Record(decision.Record{At: p.eng.Sim().Now(), Kind: decision.KindSwitch,
-				Instance: p.eng.Name, Model: m.Name, Outcome: m.Name,
+				Instance: p.eng.Name, Model: p.sys.modelName(m), Outcome: p.sys.modelName(m),
 				Reason:   "prefill front group (from " + from + ")",
 				Requests: ids,
 				Inputs: []decision.Term{
@@ -223,9 +223,9 @@ func (p *prefillInstance) prefetchNext(idx int) {
 	if idx >= len(p.queue) {
 		return
 	}
-	next := p.queue[idx].model
-	if next != p.queue[0].model {
-		p.eng.StartPrefetch(p.sys.models[next])
+	next := p.queue[idx].mid
+	if next != p.queue[0].mid {
+		p.eng.StartPrefetch(next)
 	}
 }
 
@@ -269,7 +269,7 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 	}
 	r.Seq = seq
 	r.prefillStart = p.eng.Sim().Now()
-	p.sys.obs.PrefillStart(p.eng.Name, r.ID, r.prefillStart)
+	p.sys.obs.PrefillStart(p.eng.Name, r.ID, r.tl, r.prefillStart)
 	p.prefetchNextIfGroupEnding()
 
 	// Prefix lookup happens after the sequence allocation succeeded so OOM
@@ -298,7 +298,7 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 			return
 		}
 		now := p.eng.Sim().Now()
-		p.sys.obs.PrefillDone(p.eng.Name, r.ID, now)
+		p.sys.obs.PrefillDone(p.eng.Name, r.ID, r.tl, now)
 		r.prefillEnd = now
 		if p.sys.prefix != nil && len(r.Segments) > 0 {
 			// The full prompt KV now exists on this instance: index it for
@@ -314,8 +314,8 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 		p.sys.releasePrefix(r)
 		if r.Generated() == 0 {
 			p.feed.record(p.sys, p.eng.Name, r, now) // token 0
-			p.sys.obs.Token(r.ID, now)
-			p.feed.flush(p.sys, p.eng.Name, r.Model.Name)
+			p.sys.obs.Token(r.tl, now)
+			p.feed.flush(p.sys, r.mid)
 		}
 		if r.RemainingTokens() <= 0 {
 			// Nothing to decode: the request is complete.

@@ -148,8 +148,9 @@ func TestComputeQuotasDeterministic(t *testing.T) {
 	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 1, 1))
 	d := sys.decodes[0]
 	for i, m := range models {
-		r := &Request{ID: fmt.Sprintf("r%d", i), Model: m, InputTokens: 300 + 97*i, OutputTokens: 200}
-		d.workList = append(d.workList, &dbatch{model: m.Name, reqs: []*Request{r}})
+		id := sys.models[m.Name]
+		r := &Request{ID: fmt.Sprintf("r%d", i), Model: m, mid: id, InputTokens: 300 + 97*i, OutputTokens: 200}
+		d.workList = append(d.workList, &dbatch{mid: id, reqs: []*Request{r}})
 	}
 	d.computeQuotas()
 	wantC := math.Float64bits(d.roundC)

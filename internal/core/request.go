@@ -10,6 +10,7 @@ import (
 
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/workload"
@@ -19,6 +20,11 @@ import (
 type Request struct {
 	ID    string
 	Model *model.Model
+
+	// mid is Model's id in the system's registry; tl is the request's
+	// timeline in the collector (the zero Handle with observability off).
+	mid model.ID
+	tl  obs.Handle
 
 	Arrival      sim.Time
 	InputTokens  int
@@ -87,10 +93,11 @@ type Request struct {
 	finished     sim.Time
 }
 
-func newRequest(wr workload.Request, m *model.Model) *Request {
+func newRequest(wr workload.Request, m *model.Model, id model.ID) *Request {
 	return &Request{
 		ID:           wr.ID,
 		Model:        m,
+		mid:          id,
 		Arrival:      wr.Arrival,
 		InputTokens:  wr.InputTokens,
 		OutputTokens: wr.OutputTokens,

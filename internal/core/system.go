@@ -227,8 +227,10 @@ type System struct {
 
 	modelCache *memory.ModelCache
 	cpuKV      *kvcache.Cache
-	prefix     *prefixcache.Cache // nil when the prefix cache is off
-	models     map[string]*model.Model
+	prefix     *prefixcache.Cache  // nil when the prefix cache is off
+	ids        *model.Registry     // model ids, shared by every system on the same observers
+	models     map[string]model.ID // this system's models, by name
+	slos       []slo.SLO           // per-model SLO, indexed by model id
 
 	prefills []*prefillInstance
 	decodes  []*decodeInstance
@@ -265,8 +267,17 @@ type System struct {
 	kvSyncPerReq metrics.CDF // Fig. 15 right
 }
 
-// NewSystem builds a system on the simulation engine.
+// NewSystem builds a system on the simulation engine, with model ids of its
+// own.
 func NewSystem(se *sim.Engine, cfg Config) *System {
+	return NewSystemIn(se, cfg, model.NewRegistry())
+}
+
+// NewSystemIn builds a system whose models take their ids from ids. Systems
+// that share observers must share one registry, so that an id names one
+// model in every observer; a cluster passes one registry to all of its
+// deployments. The system names its models to the observers in cfg.
+func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	cfg.applyDefaults()
 	if cfg.NumPrefill < 1 || cfg.NumDecode < 1 {
 		panic("core: need at least one prefill and one decode instance")
@@ -286,7 +297,8 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 		modelCache: memory.NewModelCache(int64(float64(dram) * 0.6)),
 		cpuKV: kvcache.NewCache("cpu-kv", int64(float64(dram)*0.3),
 			cfg.KVSlabBytes, cfg.BlockTokens),
-		models:      map[string]*model.Model{},
+		ids:         ids,
+		models:      map[string]model.ID{},
 		orphans:     map[string][]*Request{},
 		evacuating:  map[string]map[*Request]bool{},
 		shedReasons: map[string]int{},
@@ -301,7 +313,16 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 		s.prioTrackers[i] = slo.NewTracker()
 	}
 	for _, m := range cfg.Models {
-		s.models[m.Name] = m
+		id := ids.Add(m)
+		s.models[m.Name] = id
+		s.slos = model.Grow(s.slos, id)
+		s.slos[id] = cfg.SLO
+		if v, ok := cfg.ModelSLOs[m.Name]; ok {
+			s.slos[id] = v
+		}
+		cfg.Obs.NameModel(id, m.Name)
+		cfg.SLOMon.NameModel(id, m.Name)
+		cfg.Fleet.NameModel(id, m.Name)
 		// Pre-warm the host model cache (best effort; misses fall back to
 		// the remote registry path).
 		_ = s.modelCache.Insert(m.Name, m.WeightBytes())
@@ -333,7 +354,7 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 			Obs:                cfg.Obs,
 			Fleet:              cfg.Fleet,
 			Faults:             cfg.Faults,
-		})
+		}, ids)
 	}
 	if cfg.Prefix != nil {
 		// The prefix cache's host tier allocates from the same shared CPU KV
@@ -370,13 +391,13 @@ func NewSystem(se *sim.Engine, cfg Config) *System {
 // before running the simulation.
 func (s *System) Submit(trace []workload.Request) error {
 	for _, wr := range trace {
-		m, ok := s.models[wr.Model]
+		id, ok := s.models[wr.Model]
 		if !ok {
 			return fmt.Errorf("core: request %s targets unknown model %q", wr.ID, wr.Model)
 		}
 		wr := wr
-		r := newRequest(wr, m)
-		r.Deadline = s.sloFor(wr.Model).Deadline(wr.Arrival, 0)
+		r := newRequest(wr, s.ids.Model(id), id)
+		r.Deadline = s.sloFor(id).Deadline(wr.Arrival, 0)
 		s.requests = append(s.requests, r)
 		s.eng.At(wr.Arrival, func() {
 			if s.admitOverload(r) {
@@ -395,7 +416,7 @@ func (s *System) Submit(trace []workload.Request) error {
 // observation folds into the tracker at completion, so a long-running
 // gateway does not accumulate per-request state.
 func (s *System) SubmitLive(wr workload.Request, onToken func(i int, at sim.Time), onDone func(*Request)) (*Request, error) {
-	m, ok := s.models[wr.Model]
+	id, ok := s.models[wr.Model]
 	if !ok {
 		return nil, fmt.Errorf("core: request %s targets unknown model %q", wr.ID, wr.Model)
 	}
@@ -403,8 +424,8 @@ func (s *System) SubmitLive(wr workload.Request, onToken func(i int, at sim.Time
 		return nil, fmt.Errorf("core: request %s has non-positive token counts", wr.ID)
 	}
 	wr.Arrival = s.eng.Now()
-	r := newRequest(wr, m)
-	r.Deadline = s.sloFor(wr.Model).Deadline(wr.Arrival, 0)
+	r := newRequest(wr, s.ids.Model(id), id)
+	r.Deadline = s.sloFor(id).Deadline(wr.Arrival, 0)
 	r.live = true
 	r.OnToken = onToken
 	r.OnDone = onDone
@@ -429,7 +450,7 @@ func (s *System) dispatchPrefill(r *Request) {
 	if r.terminal() {
 		return
 	}
-	s.obs.RequestArrived(r.ID, r.Model.Name, s.eng.Now())
+	r.tl = s.obs.RequestArrived(r.ID, r.Model.Name, s.eng.Now())
 	if s.prefix != nil && s.prefix.Routing() && len(r.Segments) > 0 {
 		if best := s.routePrefix(r); best != nil {
 			if !best.tryJoinGroup(r) {
@@ -478,7 +499,7 @@ func (s *System) bestPrefill(r *Request) *prefillInstance {
 				continue
 			}
 			s.noteHeadroom(p.eng)
-			sw := p.eng.CostFor(r.Model).Switch()
+			sw := p.eng.CostFor(r.mid).Switch()
 			pen, ok := s.marketPenalty(p.eng.Name, sw)
 			if !ok && !waive {
 				if journal {
@@ -597,7 +618,7 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 			continue
 		}
 		s.noteHeadroom(p.eng)
-		pen, ok := s.marketPenalty(p.eng.Name, p.eng.CostFor(r.Model).Switch())
+		pen, ok := s.marketPenalty(p.eng.Name, p.eng.CostFor(r.mid).Switch())
 		if !ok {
 			if journal {
 				cands = append(cands, decision.Candidate{Name: p.eng.Name, Excluded: true})
@@ -611,10 +632,10 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 			if full == 0 {
 				full = r.InputTokens + r.Generated()
 			}
-			saved = p.eng.PrefillEstimate(r.Model, full) - p.eng.PrefillEstimate(r.Model, full-matched)
+			saved = p.eng.PrefillEstimate(r.mid, full) - p.eng.PrefillEstimate(r.mid, full-matched)
 			hostBytes := shape.BytesPerToken() * int64(matched-onDevice)
 			devBytes := shape.BytesPerToken() * int64(onDevice)
-			copyCost = p.eng.CostFor(r.Model).Prof.PCIeCopy(hostBytes) + p.eng.CostFor(r.Model).OnDeviceCopy(devBytes)
+			copyCost = p.eng.CostFor(r.mid).Prof.PCIeCopy(hostBytes) + p.eng.CostFor(r.mid).OnDeviceCopy(devBytes)
 			if benefit := saved - copyCost; benefit > 0 {
 				credit = benefit
 				score -= benefit
@@ -715,7 +736,7 @@ func (s *System) bestDecode(r *Request) *decodeInstance {
 				continue
 			}
 			s.noteHeadroom(d.eng)
-			sw := d.eng.EffectiveSwitchCost(r.Model)
+			sw := d.eng.EffectiveSwitchCost(r.mid)
 			pen, ok := s.cfg.Market.PlacementPenalty(d.eng.Name, sw)
 			if !ok && !waive {
 				if journal {
@@ -770,21 +791,26 @@ func (s *System) bestDecode(r *Request) *decodeInstance {
 	return best
 }
 
-// sloFor returns the SLO governing requests to the named model.
-func (s *System) sloFor(modelName string) slo.SLO {
-	if v, ok := s.cfg.ModelSLOs[modelName]; ok {
-		return v
-	}
-	return s.cfg.SLO
+// ModelID returns the id of the named model if this system serves it.
+func (s *System) ModelID(name string) (model.ID, bool) {
+	id, ok := s.models[name]
+	return id, ok
 }
+
+// sloFor returns the SLO governing requests to model id.
+func (s *System) sloFor(id model.ID) slo.SLO { return s.slos[id] }
+
+// modelName returns the name of model id.
+func (s *System) modelName(id model.ID) string { return s.ids.Model(id).Name }
 
 // tokenFeed collects the tokens one step of an instance produces, so the
 // fleet ledger and the live SLO monitor each take one call per step instead
 // of one per token. Each instance owns one and reuses its buffer: at most
 // one step is in flight per instance.
 type tokenFeed struct {
-	n      int               // tokens emitted this step
-	judged []slomon.TokenObs // their SLO judgements (monitor on only)
+	dev    fleetobs.DeviceRef // the instance's fleet ledger entry
+	n      int                // tokens emitted this step
+	judged []slomon.TokenObs  // their SLO judgements (monitor on only)
 }
 
 // record stamps r's next token at `at` and adds it to the feed. recordToken
@@ -804,22 +830,22 @@ func (f *tokenFeed) record(s *System, instance string, r *Request, at sim.Time) 
 		prev = r.TokenTimes[n-1]
 	}
 	f.judged = append(f.judged, slomon.TokenObs{
-		Model:    r.Model.Name,
+		Model:    r.mid,
 		Request:  r.ID,
 		Instance: instance,
 		Index:    n,
 		Arrival:  r.Arrival,
-		Deadline: s.sloFor(r.Model.Name).Deadline(r.Arrival, n),
+		Deadline: s.sloFor(r.mid).Deadline(r.Arrival, n),
 		At:       at,
 		Prev:     prev,
 	})
 }
 
-// flush feeds the step's tokens, all of model and produced on instance, to
-// the observers and empties the feed. Goodput attribution reaches the fleet
-// ledger whether or not the live monitor is on.
-func (f *tokenFeed) flush(s *System, instance, model string) {
-	s.fleet.AddTokens(instance, model, f.n)
+// flush feeds the step's tokens, all of model m and produced on the
+// feed's device, to the observers and empties the feed. Goodput attribution
+// reaches the fleet ledger whether or not the live monitor is on.
+func (f *tokenFeed) flush(s *System, m model.ID) {
+	s.fleet.AddTokens(f.dev, m, f.n)
 	s.mon.ObserveTokens(f.judged)
 	f.n, f.judged = 0, f.judged[:0]
 }
@@ -834,13 +860,13 @@ func (s *System) noteDroppedTokens(r *Request, judged sim.Time, all bool) {
 	if s.mon == nil {
 		return
 	}
-	rslo := s.sloFor(r.Model.Name)
+	rslo := s.sloFor(r.mid)
 	for i := r.Generated(); i < r.OutputTokens; i++ {
 		dl := rslo.Deadline(r.Arrival, i)
 		if !all && dl > judged {
 			break // deadlines are monotone in i
 		}
-		s.mon.ObserveDropped(r.Model.Name, r.ID, "", r.Arrival, dl, judged)
+		s.mon.ObserveDropped(r.mid, r.ID, "", r.Arrival, dl, judged)
 	}
 }
 
@@ -860,9 +886,9 @@ func (s *System) finishRequest(r *Request) {
 	}
 	if r.live {
 		s.liveOpen--
-		s.tracker.ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
+		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
 	}
 	if r.OnDone != nil {
 		r.OnDone(r)
@@ -894,9 +920,9 @@ func (s *System) failRequest(r *Request, reason string) {
 	}
 	if r.live {
 		s.liveOpen--
-		s.tracker.ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
+		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
 		for i := r.Generated(); i < r.OutputTokens; i++ {
 			s.tracker.ObserveDropped()
 			s.prioTrackers[r.Priority].ObserveDropped()
@@ -909,7 +935,7 @@ func (s *System) failRequest(r *Request, reason string) {
 		// the burst to the end of the run would hide the very overload it
 		// is supposed to react to. The tracker keeps its Finalize-time
 		// accounting; only the windowed monitor is fed early.
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
+		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
 		s.noteDroppedTokens(r, s.eng.Now(), true)
 		r.monFed = true
 	}
@@ -942,9 +968,9 @@ func (s *System) Abort(r *Request) {
 		s.liveOpen--
 		// Tokens delivered before the disconnect still count toward SLO
 		// attainment; the tail the client walked away from does not.
-		s.tracker.ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.Model.Name), r.Arrival, r.TokenTimes)
+		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
 	}
 }
 
@@ -1009,7 +1035,7 @@ func (s *System) Requests() []*Request { return s.requests }
 // generated counts as missed, so overload cannot launder violations.
 func (s *System) Finalize(endTime sim.Time) {
 	for _, r := range s.requests {
-		rslo := s.sloFor(r.Model.Name)
+		rslo := s.sloFor(r.mid)
 		times := make([]time.Duration, len(r.TokenTimes))
 		copy(times, r.TokenTimes)
 		s.tracker.ObserveRequest(rslo, r.Arrival, times)

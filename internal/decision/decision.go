@@ -363,6 +363,9 @@ func (j *Journal) WriteJSON(w io.Writer) error {
 // every chain is non-empty with in-order sequence numbers. It is the gate
 // `aegaeon-trace -mode why` applies before printing.
 func Validate(e *Export) error {
+	if e == nil {
+		return fmt.Errorf("decision: nil export")
+	}
 	if e.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("decision: schema version %d, want %d", e.SchemaVersion, SchemaVersion)
 	}

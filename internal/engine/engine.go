@@ -139,9 +139,11 @@ type Engine struct {
 	kv      *kvcache.Manager
 
 	booted  bool
+	models  *model.Registry // ids of the models the engine serves
 	current *model.Model
-	curCost *latency.CostModel // CostFor(current), set wherever current is
-	costs   map[string]*latency.CostModel
+	curID   model.ID             // current's id
+	curCost *latency.CostModel   // CostFor(curID), set wherever current is
+	costs   []*latency.CostModel // indexed by model id, built on first use
 
 	prefetched      *model.Model
 	prefetchReady   *gpu.Event
@@ -179,8 +181,13 @@ func submitChunked(st *gpu.Stream, total time.Duration, info gpu.OpInfo, done fu
 	st.SubmitOp(gpu.H2D, loadChunk+rem, info, done)
 }
 
-// New constructs an engine on a fresh device.
-func New(se *sim.Engine, name string, cfg Config) *Engine {
+// New constructs an engine on a fresh device. Its model-specific methods
+// take ids from models, the registry of the system it serves in; nil gives
+// the engine a registry of its own.
+func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engine {
+	if models == nil {
+		models = model.NewRegistry()
+	}
 	if cfg.TP < 1 {
 		cfg.TP = 1
 	}
@@ -203,7 +210,7 @@ func New(se *sim.Engine, name string, cfg Config) *Engine {
 		loader:   dev.NewStream("loader"),
 		prefetch: dev.NewStream("prefetch"),
 		weights:  memory.NewBumpArena(cfg.WeightsRegionBytes),
-		costs:    map[string]*latency.CostModel{},
+		models:   models,
 	}
 	if cfg.Opts.Colocate {
 		e.region = memory.NewRegionAlloc(cfg.WeightsRegionBytes)
@@ -212,9 +219,9 @@ func New(se *sim.Engine, name string, cfg Config) *Engine {
 	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, cfg.KVSlabBytes, cfg.BlockTokens)
 	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, cfg.DaemonPoll)
 	e.kv.SetFaults(cfg.Faults, name, cfg.Obs)
-	e.kv.SetFleet(cfg.Fleet, name)
 	cfg.Obs.ObserveDevice(dev)
 	cfg.Fleet.ObserveDevice(dev)
+	e.kv.SetFleet(cfg.Fleet, name) // after ObserveDevice registers the device
 	return e
 }
 
@@ -227,12 +234,22 @@ type resident struct {
 	loading  *gpu.Event // nil once fully loaded
 }
 
-// IsResident reports whether m's weights are (or are becoming) resident.
-func (e *Engine) IsResident(m *model.Model) bool {
-	if e.residents == nil {
-		return e.current != nil && e.current.Name == m.Name
+// model returns the registered model of id, panicking on an unknown id.
+func (e *Engine) model(id model.ID) *model.Model {
+	m := e.models.Model(id)
+	if m == nil {
+		panic(fmt.Sprintf("engine %s: unknown model id %d", e.Name, id))
 	}
-	_, ok := e.residents[m.Name]
+	return m
+}
+
+// IsResident reports whether model id's weights are (or are becoming)
+// resident.
+func (e *Engine) IsResident(id model.ID) bool {
+	if e.residents == nil {
+		return e.current != nil && e.curID == id
+	}
+	_, ok := e.residents[e.model(id).Name]
 	return ok
 }
 
@@ -253,10 +270,10 @@ func (e *Engine) Residents() int {
 const activationDelay = time.Millisecond
 
 // switchColocated performs SwitchTo under the colocation policy.
-func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
+func (e *Engine) switchColocated(id model.ID, m *model.Model, start sim.Time, done func()) {
 	finish := func() {
 		e.switching = false
-		e.current, e.curCost = m, e.CostFor(m)
+		e.current, e.curID, e.curCost = m, id, e.CostFor(id)
 		if r := e.residents[m.Name]; r != nil {
 			r.lastUsed = e.eng.Now()
 		}
@@ -268,7 +285,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 		// Resident (possibly still streaming in): activate once loaded.
 		run := func() {
 			as := e.eng.Now()
-			e.cfg.Fleet.Enter(e.Name, fleetobs.Activate, m.Name)
+			e.cfg.Fleet.Enter(e.Name, fleetobs.Activate, id)
 			e.eng.After(activationDelay, func() {
 				e.cfg.Fleet.Exit(e.Name, fleetobs.Activate)
 				e.cfg.Obs.SwitchStage(e.Name, "activate", as, e.eng.Now())
@@ -289,7 +306,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 	// free space fragmented, as §5.2 does for prefetched models), then
 	// stream it in.
 	shard := m.ShardWeightBytes(e.cfg.TP)
-	compactDur, err := e.makeRoomColocate(shard, m)
+	compactDur, err := e.makeRoomColocate(shard, id, m)
 	if err != nil {
 		panic(fmt.Sprintf("engine %s: %v", e.Name, err))
 	}
@@ -303,16 +320,16 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 		submit := func() {
 			var dur time.Duration
 			if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-				dur = e.CostFor(m).Switch()
+				dur = e.CostFor(id).Switch()
 			} else {
 				e.stats.CacheMisses++
 				fetch := time.Duration(float64(m.WeightBytes()) / e.cfg.RemoteLoadBPS *
 					float64(time.Second) * e.cfg.Faults.FetchFactor())
 				_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-				dur = e.CostFor(m).Switch() + fetch
+				dur = e.CostFor(id).Switch() + fetch
 			}
 			ls := e.eng.Now()
-			submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: m.Name}, func() {
+			submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
 				r.loading = nil
 				e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 				finish()
@@ -330,7 +347,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 		load = func() {
 			cs := e.eng.Now()
 			e.compute.SubmitOp(gpu.Compute, compactDur,
-				gpu.OpInfo{Kind: gpu.OpCompactResidents, Model: m.Name}, func() {
+				gpu.OpInfo{Kind: gpu.OpCompactResidents, Model: id}, func() {
 					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
 					inner()
 				})
@@ -340,7 +357,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 		e.stats.Reinits++
 		p := e.cfg.Prof
 		reinitStart := e.eng.Now()
-		e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, m.Name)
+		e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, id)
 		e.eng.After(p.DistExecInit+p.ProfileOpt+p.KVInit+p.MiscInit, func() {
 			e.booted = true
 			e.cfg.Fleet.Exit(e.Name, fleetobs.Reinit)
@@ -357,7 +374,7 @@ func (e *Engine) switchColocated(m *model.Model, start sim.Time, done func()) {
 // loads are never evicted. If eviction leaves enough total but fragmented
 // space, the survivors are compacted; the returned duration is the
 // on-device copy cost to charge (zero when no compaction was needed).
-func (e *Engine) makeRoomColocate(size int64, keep *model.Model) (time.Duration, error) {
+func (e *Engine) makeRoomColocate(size int64, keepID model.ID, keep *model.Model) (time.Duration, error) {
 	for e.region.LargestFree() < size {
 		var victim *resident
 		for _, r := range e.residents {
@@ -413,7 +430,7 @@ func (e *Engine) makeRoomColocate(size int64, keep *model.Model) (time.Duration,
 		}
 		r.off = off
 	}
-	return e.CostFor(keep).OnDeviceCopy(moved), nil
+	return e.CostFor(keepID).OnDeviceCopy(moved), nil
 }
 
 // WarmBoot marks the engine's persistent components (distributed executor,
@@ -437,16 +454,25 @@ func (e *Engine) Options() Options { return e.cfg.Opts }
 // Current returns the currently loaded model (nil if none).
 func (e *Engine) Current() *model.Model { return e.current }
 
+// CurrentID returns the id of the currently loaded model (model.NoID if
+// none).
+func (e *Engine) CurrentID() model.ID { return e.curID }
+
+// Models returns the registry the engine's model ids come from.
+func (e *Engine) Models() *model.Registry { return e.models }
+
 // Stats returns a pointer to the engine's counters (live view).
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// CostFor returns the (cached) cost model for m on this engine's hardware.
-func (e *Engine) CostFor(m *model.Model) *latency.CostModel {
-	c, ok := e.costs[m.Name]
-	if !ok {
-		c = latency.NewCostModel(e.cfg.Prof, m, e.cfg.TP)
-		e.costs[m.Name] = c
+// CostFor returns the (cached) cost model for model id on this engine's
+// hardware.
+func (e *Engine) CostFor(id model.ID) *latency.CostModel {
+	if int(id) < len(e.costs) && e.costs[id] != nil {
+		return e.costs[id]
 	}
+	e.costs = model.Grow(e.costs, id)
+	c := latency.NewCostModel(e.cfg.Prof, e.model(id), e.cfg.TP)
+	e.costs[id] = c
 	return c
 }
 
@@ -454,18 +480,18 @@ func (e *Engine) CostFor(m *model.Model) *latency.CostModel {
 // (Appendix A.2, Eq. 4), including reinitialization when components are not
 // reused. The estimate ignores prefetch (the scheduler treats prefetch wins
 // as bonus).
-func (e *Engine) SwitchEstimate(m *model.Model) time.Duration {
-	if e.current != nil && e.current.Name == m.Name {
+func (e *Engine) SwitchEstimate(id model.ID) time.Duration {
+	if e.current != nil && e.curID == id {
 		return 0
 	}
-	return e.SwitchCost(m)
+	return e.SwitchCost(id)
 }
 
-// SwitchCost returns the Eq. 4-based cost of scaling up m on this engine,
+// SwitchCost returns the Eq. 4-based cost of scaling up model id on this engine,
 // regardless of what is currently resident. Algorithm 2's quota formula
 // uses it as the per-model auto-scaling overhead c.
-func (e *Engine) SwitchCost(m *model.Model) time.Duration {
-	cost := e.CostFor(m)
+func (e *Engine) SwitchCost(id model.ID) time.Duration {
+	cost := e.CostFor(id)
 	if !e.cfg.Opts.ComponentReuse {
 		d := cost.NaiveInit()
 		if !e.cfg.Opts.ExplicitMemory {
@@ -481,34 +507,36 @@ func (e *Engine) SwitchCost(m *model.Model) time.Duration {
 }
 
 // EffectiveSwitchCost returns the auto-scaling overhead a decode round
-// should budget for scaling up m (Algorithm 2's per-model term in c): with
+// should budget for scaling up model id (Algorithm 2's per-model term in c): with
 // prefetching available, consecutive turns hide the PCIe load and the
 // exposed cost collapses to the on-device compaction copy; otherwise the
 // full Eq. 4 load (plus reinit/GC per the options) is paid.
-func (e *Engine) EffectiveSwitchCost(m *model.Model) time.Duration {
-	if e.cfg.Opts.Colocate && e.IsResident(m) {
+func (e *Engine) EffectiveSwitchCost(id model.ID) time.Duration {
+	if e.cfg.Opts.Colocate && e.IsResident(id) {
 		return activationDelay
 	}
+	m := e.model(id)
 	if e.cfg.Opts.Prefetch && e.weights.Capacity() >= 2*m.ShardWeightBytes(e.cfg.TP) {
-		return e.CostFor(m).OnDeviceCopy(m.ShardWeightBytes(e.cfg.TP)) + 5*time.Millisecond
+		return e.CostFor(id).OnDeviceCopy(m.ShardWeightBytes(e.cfg.TP)) + 5*time.Millisecond
 	}
-	return e.SwitchCost(m)
+	return e.SwitchCost(id)
 }
 
-// SwitchTo performs preemptive scale-up to m: unload the current model
+// SwitchTo performs preemptive scale-up to model id: unload the current model
 // (instant bump reset, or a GC pause without explicit memory management),
 // (re)initialize engine components as the options dictate, and load the new
 // weights (prefetch hit, model-cache hit via the stage buffer, naive slow
-// path, or remote registry fetch). done fires when inference for m may
+// path, or remote registry fetch). done fires when inference for the model may
 // begin. Concurrent switches on one engine are a programming error.
-func (e *Engine) SwitchTo(m *model.Model, done func()) {
+func (e *Engine) SwitchTo(id model.ID, done func()) {
 	if e.switching {
 		panic(fmt.Sprintf("engine %s: concurrent SwitchTo", e.Name))
 	}
-	if e.current != nil && e.current.Name == m.Name {
+	if e.current != nil && e.curID == id {
 		done()
 		return
 	}
+	m := e.model(id)
 	e.switching = true
 	start := e.eng.Now()
 	e.stats.Switches++
@@ -519,13 +547,13 @@ func (e *Engine) SwitchTo(m *model.Model, done func()) {
 	e.cfg.Obs.BeginSwitch(e.Name, from, m.Name, start, e.booted && e.cfg.Opts.ComponentReuse)
 
 	if e.cfg.Opts.Colocate {
-		e.switchColocated(m, start, done)
+		e.switchColocated(id, m, start, done)
 		return
 	}
 
 	finish := func() {
 		e.switching = false
-		e.current, e.curCost = m, e.CostFor(m)
+		e.current, e.curID, e.curCost = m, id, e.CostFor(id)
 		e.stats.SwitchLatency.AddDuration(e.eng.Now() - start)
 		e.cfg.Obs.EndSwitch(e.Name, e.eng.Now())
 		done()
@@ -539,16 +567,16 @@ func (e *Engine) SwitchTo(m *model.Model, done func()) {
 			p := e.cfg.Prof
 			reinit := p.DistExecInit + p.ProfileOpt + p.KVInit + p.MiscInit
 			reinitStart := e.eng.Now()
-			e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, m.Name)
+			e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, id)
 			e.eng.After(reinit, func() {
 				e.booted = true
 				e.cfg.Fleet.Exit(e.Name, fleetobs.Reinit)
 				e.cfg.Obs.SwitchStage(e.Name, "reinit", reinitStart, e.eng.Now())
-				e.loadWeights(m, finish)
+				e.loadWeights(id, m, finish)
 			})
 			return
 		}
-		e.loadWeights(m, finish)
+		e.loadWeights(id, m, finish)
 	}
 
 	// Unload / scale-down of the resident weights.
@@ -568,7 +596,7 @@ func (e *Engine) SwitchTo(m *model.Model, done func()) {
 	e.stats.GCPauses++
 	e.weights.Reset()
 	gcStart := e.eng.Now()
-	e.cfg.Fleet.Enter(e.Name, fleetobs.GCPause, m.Name)
+	e.cfg.Fleet.Enter(e.Name, fleetobs.GCPause, id)
 	e.eng.After(e.cfg.Prof.GCPause, func() {
 		e.cfg.Fleet.Exit(e.Name, fleetobs.GCPause)
 		e.cfg.Obs.SwitchStage(e.Name, "gc-pause", gcStart, e.eng.Now())
@@ -577,8 +605,8 @@ func (e *Engine) SwitchTo(m *model.Model, done func()) {
 }
 
 // loadWeights brings m's weights into VRAM and calls done.
-func (e *Engine) loadWeights(m *model.Model, done func()) {
-	cost := e.CostFor(m)
+func (e *Engine) loadWeights(id model.ID, m *model.Model, done func()) {
+	cost := e.CostFor(id)
 	shard := m.ShardWeightBytes(e.cfg.TP)
 
 	// Prefetch hit: the weights are already on the device; compact them to
@@ -595,7 +623,7 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 			}
 			cs := e.eng.Now()
 			e.compute.SubmitOp(gpu.Compute, copyDur,
-				gpu.OpInfo{Kind: gpu.OpCompact, Model: m.Name}, func() {
+				gpu.OpInfo{Kind: gpu.OpCompact, Model: id}, func() {
 					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
 					done()
 				})
@@ -623,7 +651,7 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 			dur = cost.NaiveLoad()
 		}
 		ls := e.eng.Now()
-		submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: m.Name}, func() {
+		submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
 			e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 			done()
 		})
@@ -636,7 +664,7 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 		}
 		// Remote registry fetch, then cached in host memory.
 		e.stats.CacheMisses++
-		e.fetchRemote(m, 0, loadFromHost)
+		e.fetchRemote(id, m, 0, loadFromHost)
 		return
 	}
 	loadFromHost()
@@ -649,12 +677,12 @@ func (e *Engine) loadWeights(m *model.Model, done func()) {
 // a switch must eventually make progress, never wedge the instance. Injected
 // slowdowns multiply the transfer time. With no fault state attached the
 // timing is identical to a fault-free build.
-func (e *Engine) fetchRemote(m *model.Model, attempt int, done func()) {
+func (e *Engine) fetchRemote(id model.ID, m *model.Model, attempt int, done func()) {
 	e.awaitFetchable(m, attempt, func() {
 		fetch := time.Duration(float64(m.WeightBytes()) / e.cfg.RemoteLoadBPS *
 			float64(time.Second) * e.cfg.Faults.FetchFactor())
 		fs := e.eng.Now()
-		e.cfg.Fleet.Enter(e.Name, fleetobs.Fetch, m.Name)
+		e.cfg.Fleet.Enter(e.Name, fleetobs.Fetch, id)
 		e.eng.After(fetch, func() {
 			e.cfg.Fleet.Exit(e.Name, fleetobs.Fetch)
 			e.cfg.Obs.SwitchStage(e.Name, "fetch", fs, e.eng.Now())
@@ -697,18 +725,19 @@ func (e *Engine) dropPrefetchIfStale(target *model.Model) {
 	}
 }
 
-// StartPrefetch begins loading m into spare weights-region VRAM on the
+// StartPrefetch begins loading model id into spare weights-region VRAM on the
 // prefetch stream (§5.2), if the options allow, space suffices, and no
 // prefetch is already pending. Returns true if a prefetch was started or is
-// already in flight for m.
-func (e *Engine) StartPrefetch(m *model.Model) bool {
+// already in flight for it.
+func (e *Engine) StartPrefetch(id model.ID) bool {
+	m := e.model(id)
 	if e.cfg.Opts.Colocate {
-		return e.prefetchColocated(m)
+		return e.prefetchColocated(id, m)
 	}
 	if !e.cfg.Opts.Prefetch || e.switching {
 		return false
 	}
-	if e.current != nil && e.current.Name == m.Name {
+	if e.current != nil && e.curID == id {
 		return false
 	}
 	if e.prefetched != nil {
@@ -729,16 +758,16 @@ func (e *Engine) StartPrefetch(m *model.Model) bool {
 	}
 	var dur time.Duration
 	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-		dur = e.CostFor(m).Switch()
+		dur = e.CostFor(id).Switch()
 	} else {
 		e.stats.CacheMisses++
-		dur = e.CostFor(m).Switch() +
+		dur = e.CostFor(id).Switch() +
 			time.Duration(float64(m.WeightBytes())/e.cfg.RemoteLoadBPS*float64(time.Second)*e.cfg.Faults.FetchFactor())
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	e.prefetchPending = true
 	submitChunked(e.prefetch, dur,
-		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: m.Name}, func() {
+		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
 			e.prefetchPending = false
 		})
 	e.prefetchReady = e.prefetch.Record()
@@ -748,7 +777,7 @@ func (e *Engine) StartPrefetch(m *model.Model) bool {
 
 // prefetchColocated pre-loads m as a resident if the region has room
 // without evicting anything (prefetch must never displace hotter models).
-func (e *Engine) prefetchColocated(m *model.Model) bool {
+func (e *Engine) prefetchColocated(id model.ID, m *model.Model) bool {
 	if !e.cfg.Opts.Prefetch || e.switching {
 		return false
 	}
@@ -770,15 +799,15 @@ func (e *Engine) prefetchColocated(m *model.Model) bool {
 	e.residents[m.Name] = r
 	var dur time.Duration
 	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-		dur = e.CostFor(m).Switch()
+		dur = e.CostFor(id).Switch()
 	} else {
 		e.stats.CacheMisses++
-		dur = e.CostFor(m).Switch() +
+		dur = e.CostFor(id).Switch() +
 			time.Duration(float64(m.WeightBytes())/e.cfg.RemoteLoadBPS*float64(time.Second)*e.cfg.Faults.FetchFactor())
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	submitChunked(e.prefetch, dur,
-		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: m.Name}, func() {
+		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
 			r.loading = nil
 		})
 	r.loading = e.prefetch.Record()
@@ -803,7 +832,7 @@ func (e *Engine) PrefillFor(reqID string, promptTokens int, done func()) {
 	e.stats.PrefillJobs++
 	dur := e.throttled(e.curCost.Prefill(promptTokens))
 	e.compute.SubmitOp(gpu.Compute, dur,
-		gpu.OpInfo{Kind: gpu.OpPrefill, Model: e.current.Name, Request: reqID}, done)
+		gpu.OpInfo{Kind: gpu.OpPrefill, Model: e.curID, Request: reqID}, done)
 }
 
 // ReusePrefix charges the tier-dependent cost of materializing a cached
@@ -821,7 +850,7 @@ func (e *Engine) ReusePrefix(reqID string, hostBytes, deviceBytes int64, done fu
 	e.stats.PrefixDeviceBytes += deviceBytes
 	dur := e.cfg.Prof.PCIeCopy(hostBytes) + e.curCost.OnDeviceCopy(deviceBytes)
 	e.loader.SubmitOp(gpu.H2D, dur,
-		gpu.OpInfo{Kind: gpu.OpPrefixReuse, Model: e.current.Name, Request: reqID}, done)
+		gpu.OpInfo{Kind: gpu.OpPrefixReuse, Model: e.curID, Request: reqID}, done)
 }
 
 // DecodeStep executes one decoding iteration over a batch with the given
@@ -833,7 +862,7 @@ func (e *Engine) DecodeStep(contextTokens int64, done func()) {
 	e.stats.DecodeSteps++
 	dur := e.throttled(e.curCost.DecodeStep(contextTokens))
 	e.compute.SubmitOp(gpu.Compute, dur,
-		gpu.OpInfo{Kind: gpu.OpDecode, Model: e.current.Name}, done)
+		gpu.OpInfo{Kind: gpu.OpDecode, Model: e.curID}, done)
 }
 
 // SetThrottle sets the thermal-throttle slowdown applied to compute kernels
@@ -857,11 +886,11 @@ func (e *Engine) throttled(d time.Duration) time.Duration {
 
 // DecodeStepEstimate returns the t_k of Eq. 2 for a batch of the model with
 // the given context size.
-func (e *Engine) DecodeStepEstimate(m *model.Model, contextTokens int64) time.Duration {
-	return e.CostFor(m).DecodeStep(contextTokens)
+func (e *Engine) DecodeStepEstimate(id model.ID, contextTokens int64) time.Duration {
+	return e.CostFor(id).DecodeStep(contextTokens)
 }
 
 // PrefillEstimate returns the Eq. 5 estimate used for queue loads.
-func (e *Engine) PrefillEstimate(m *model.Model, promptTokens int) time.Duration {
-	return e.CostFor(m).Prefill(promptTokens)
+func (e *Engine) PrefillEstimate(id model.ID, promptTokens int) time.Duration {
+	return e.CostFor(id).Prefill(promptTokens)
 }

@@ -22,7 +22,7 @@ func faultEngine(h *harness, f *fault.Faults, opts Options) *Engine {
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
 		Faults:             f,
-	})
+	}, nil)
 }
 
 // A fetch-failure window covering the switch start must delay the fetch with
@@ -38,7 +38,7 @@ func TestFetchRetryRecoversAfterWindow(t *testing.T) {
 	f.FailFetch(m7.Name, window)
 
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 
 	if done == 0 {
@@ -76,7 +76,7 @@ func TestFetchRetryExhaustionRearms(t *testing.T) {
 	f.FailFetch(m7.Name, window)
 
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 
 	if done == 0 {
@@ -100,7 +100,7 @@ func TestFetchSlowdownStretchesFetch(t *testing.T) {
 	f.SlowFetch(4, time.Hour)
 
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 
 	fetch := time.Duration(float64(m7.WeightBytes()) / 6e9 * float64(time.Second))
@@ -120,16 +120,16 @@ func TestPrefetchDeclinedDuringFetchFailure(t *testing.T) {
 	e := faultEngine(h, f, Options{ComponentReuse: true, ExplicitMemory: true, Prefetch: true})
 	m13 := mustModel(t, "LLaMA-13B")
 	mustWarm(h, "Qwen-7B")
-	e.SwitchTo(mustModel(t, "Qwen-7B"), func() {})
+	e.SwitchTo(e.Models().Add(mustModel(t, "Qwen-7B")), func() {})
 	h.sim.Run()
 
 	f.FailFetch(m13.Name, time.Second)
-	if e.StartPrefetch(m13) {
+	if e.StartPrefetch(e.Models().Add(m13)) {
 		t.Fatal("prefetch accepted while registry fetch failing")
 	}
 	// After the window closes the same prefetch is accepted.
 	h.sim.After(2*time.Second, func() {
-		if !e.StartPrefetch(m13) {
+		if !e.StartPrefetch(e.Models().Add(m13)) {
 			t.Error("prefetch declined after failure window closed")
 		}
 	})
@@ -156,7 +156,7 @@ func TestColocatedFetchRetry(t *testing.T) {
 	f.FailFetch("*", window)        // wildcard target covers every model
 
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 
 	if done == 0 {

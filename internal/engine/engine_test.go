@@ -45,7 +45,7 @@ func (h *harness) engine(name string, opts Options, warmCache ...string) *Engine
 		KVRegionBytes:      16 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
-	})
+	}, nil)
 }
 
 func mustModel(t *testing.T, name string) *model.Model {
@@ -66,9 +66,9 @@ func TestUnoptimizedSwitchIsT0(t *testing.T) {
 	m7 := mustModel(t, "Qwen-7B")
 
 	var first, second sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		first = h.sim.Now()
-		e.SwitchTo(m13, func() { second = h.sim.Now() })
+		e.SwitchTo(e.Models().Add(m13), func() { second = h.sim.Now() })
 	})
 	h.sim.Run()
 
@@ -91,9 +91,9 @@ func TestComponentReuseIsT1(t *testing.T) {
 	m13 := mustModel(t, "LLaMA-13B")
 	m7 := mustModel(t, "Qwen-7B")
 	var first, second sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		first = h.sim.Now()
-		e.SwitchTo(m13, func() { second = h.sim.Now() })
+		e.SwitchTo(e.Models().Add(m13), func() { second = h.sim.Now() })
 	})
 	h.sim.Run()
 	want := latency.H800().GCPause + latency.NewCostModel(latency.H800(), m13, 1).Switch()
@@ -114,9 +114,9 @@ func TestExplicitMemoryIsT2(t *testing.T) {
 	m13 := mustModel(t, "LLaMA-13B")
 	m7 := mustModel(t, "Qwen-7B")
 	var first, second sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		first = h.sim.Now()
-		e.SwitchTo(m13, func() { second = h.sim.Now() })
+		e.SwitchTo(e.Models().Add(m13), func() { second = h.sim.Now() })
 	})
 	h.sim.Run()
 	want := latency.NewCostModel(latency.H800(), m13, 1).Switch()
@@ -136,14 +136,14 @@ func TestPrefetchHitNearInstant(t *testing.T) {
 	m13 := mustModel(t, "LLaMA-13B")
 	m7 := mustModel(t, "Qwen-7B")
 	var first, second sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		first = h.sim.Now()
-		if !e.StartPrefetch(m13) {
+		if !e.StartPrefetch(e.Models().Add(m13)) {
 			t.Error("prefetch refused despite spare VRAM")
 		}
 		// Give the prefetch time to finish (a decode turn's worth).
 		h.sim.After(4*time.Second, func() {
-			e.SwitchTo(m13, func() { second = h.sim.Now() })
+			e.SwitchTo(e.Models().Add(m13), func() { second = h.sim.Now() })
 		})
 	})
 	h.sim.Run()
@@ -168,14 +168,14 @@ func TestPrefetchRefusedWithoutRoom(t *testing.T) {
 		KVRegionBytes:      4 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
-	})
+	}, nil)
 	m7 := mustModel(t, "Qwen-7B")
 	yi := mustModel(t, "Yi-6B")
 	_ = h.cache.Insert(m7.Name, m7.WeightBytes())
 	_ = h.cache.Insert(yi.Name, yi.WeightBytes())
 	done := false
-	e.SwitchTo(m7, func() {
-		if e.StartPrefetch(yi) {
+	e.SwitchTo(e.Models().Add(m7), func() {
+		if e.StartPrefetch(e.Models().Add(yi)) {
 			t.Error("prefetch accepted without VRAM room")
 		}
 		done = true
@@ -192,10 +192,10 @@ func TestStalePrefetchDropped(t *testing.T) {
 	m13 := mustModel(t, "LLaMA-13B")
 	m7 := mustModel(t, "Qwen-7B")
 	yi := mustModel(t, "Yi-6B")
-	e.SwitchTo(m7, func() {
-		e.StartPrefetch(yi) // prefetch Yi, but switch to 13B instead
+	e.SwitchTo(e.Models().Add(m7), func() {
+		e.StartPrefetch(e.Models().Add(yi)) // prefetch Yi, but switch to 13B instead
 		h.sim.After(2*time.Second, func() {
-			e.SwitchTo(m13, func() {})
+			e.SwitchTo(e.Models().Add(m13), func() {})
 		})
 	})
 	h.sim.Run()
@@ -215,7 +215,7 @@ func TestCacheMissFetchesFromRegistry(t *testing.T) {
 	e := h.engine("gpu0", Options{ComponentReuse: true, ExplicitMemory: true}) // cold cache
 	m7 := mustModel(t, "Qwen-7B")
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 	cost := latency.NewCostModel(latency.H800(), m7, 1)
 	// First boot reinit + NVMe-tier fetch + optimized load.
@@ -237,9 +237,9 @@ func TestSwitchToSameModelIsFree(t *testing.T) {
 	h := newHarness()
 	e := h.engine("gpu0", AllOptimizations(), "Qwen-7B")
 	m7 := mustModel(t, "Qwen-7B")
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		before := h.sim.Now()
-		e.SwitchTo(m7, func() {
+		e.SwitchTo(e.Models().Add(m7), func() {
 			if h.sim.Now() != before {
 				t.Error("same-model switch consumed time")
 			}
@@ -254,13 +254,13 @@ func TestSwitchToSameModelIsFree(t *testing.T) {
 func TestConcurrentSwitchPanics(t *testing.T) {
 	h := newHarness()
 	e := h.engine("gpu0", AllOptimizations(), "Qwen-7B", "Yi-6B")
-	e.SwitchTo(mustModel(t, "Qwen-7B"), func() {})
+	e.SwitchTo(e.Models().Add(mustModel(t, "Qwen-7B")), func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("concurrent SwitchTo did not panic")
 		}
 	}()
-	e.SwitchTo(mustModel(t, "Yi-6B"), func() {})
+	e.SwitchTo(e.Models().Add(mustModel(t, "Yi-6B")), func() {})
 }
 
 func TestPrefillAndDecodeTiming(t *testing.T) {
@@ -269,7 +269,7 @@ func TestPrefillAndDecodeTiming(t *testing.T) {
 	m7 := mustModel(t, "Qwen-7B")
 	cost := latency.NewCostModel(latency.H800(), m7, 1)
 	var t0, t1, t2 sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		t0 = h.sim.Now()
 		e.Prefill(1000, func() {
 			t1 = h.sim.Now()
@@ -307,17 +307,17 @@ func TestSwitchEstimateMatchesReality(t *testing.T) {
 	m7 := mustModel(t, "Qwen-7B")
 	var est, actual time.Duration
 	var first sim.Time
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
 		first = h.sim.Now()
-		est = e.SwitchEstimate(m13)
-		e.SwitchTo(m13, func() { actual = h.sim.Now() - first })
+		est = e.SwitchEstimate(e.Models().Add(m13))
+		e.SwitchTo(e.Models().Add(m13), func() { actual = h.sim.Now() - first })
 	})
 	h.sim.Run()
 	if math.Abs((est - actual).Seconds()) > 0.05 {
 		t.Fatalf("estimate %v vs actual %v", est, actual)
 	}
 	// Same-model estimate is zero.
-	if e.SwitchEstimate(m13) != 0 {
+	if e.SwitchEstimate(e.Models().Add(m13)) != 0 {
 		t.Fatal("same-model estimate non-zero")
 	}
 }
@@ -332,9 +332,9 @@ func TestOptimizationLadder(t *testing.T) {
 		m13 := mustModel(t, "LLaMA-13B")
 		m7 := mustModel(t, "Qwen-7B")
 		var first, second sim.Time
-		e.SwitchTo(m7, func() {
+		e.SwitchTo(e.Models().Add(m7), func() {
 			first = h.sim.Now()
-			e.SwitchTo(m13, func() { second = h.sim.Now() })
+			e.SwitchTo(e.Models().Add(m13), func() { second = h.sim.Now() })
 		})
 		h.sim.Run()
 		return second - first
@@ -361,7 +361,7 @@ func TestChunkedLoadInterleavesDMA(t *testing.T) {
 	e := h.engine("gpu0", AllOptimizations(), "LLaMA-13B")
 	m13 := mustModel(t, "LLaMA-13B")
 	var kvDone sim.Time
-	e.SwitchTo(m13, func() {})
+	e.SwitchTo(e.Models().Add(m13), func() {})
 	// Submit a small H2D op (a KV swap-in) right after the load started.
 	kvStream := e.Device().NewStream("kv-in-test")
 	h.sim.After(time.Millisecond, func() {
@@ -381,16 +381,16 @@ func TestEffectiveSwitchCost(t *testing.T) {
 	h := newHarness()
 	withPrefetch := h.engine("gpu0", AllOptimizations(), "Qwen-7B")
 	m7 := mustModel(t, "Qwen-7B")
-	eff := withPrefetch.EffectiveSwitchCost(m7)
-	full := withPrefetch.SwitchCost(m7)
+	eff := withPrefetch.EffectiveSwitchCost(withPrefetch.Models().Add(m7))
+	full := withPrefetch.SwitchCost(withPrefetch.Models().Add(m7))
 	if eff >= full/10 {
 		t.Fatalf("prefetch-capable effective cost %v not ≪ full cost %v", eff, full)
 	}
 	// Without prefetch (or without room), the effective cost is the full cost.
 	noPf := Options{ComponentReuse: true, ExplicitMemory: true}
 	e2 := h.engine("gpu1", noPf, "Qwen-7B")
-	if got := e2.EffectiveSwitchCost(m7); got != e2.SwitchCost(m7) {
-		t.Fatalf("no-prefetch effective cost %v != switch cost %v", got, e2.SwitchCost(m7))
+	if got := e2.EffectiveSwitchCost(e2.Models().Add(m7)); got != e2.SwitchCost(e2.Models().Add(m7)) {
+		t.Fatalf("no-prefetch effective cost %v != switch cost %v", got, e2.SwitchCost(e2.Models().Add(m7)))
 	}
 }
 
@@ -400,7 +400,7 @@ func TestWarmBootSkipsFirstInit(t *testing.T) {
 	e.WarmBoot()
 	m7 := mustModel(t, "Qwen-7B")
 	var done sim.Time
-	e.SwitchTo(m7, func() { done = h.sim.Now() })
+	e.SwitchTo(e.Models().Add(m7), func() { done = h.sim.Now() })
 	h.sim.Run()
 	want := latency.NewCostModel(latency.H800(), m7, 1).Switch()
 	if done > want+time.Millisecond {
@@ -416,12 +416,12 @@ func TestPrefetchWhileSwitchingRefused(t *testing.T) {
 	e := h.engine("gpu0", AllOptimizations(), "Qwen-7B", "Yi-6B")
 	m7 := mustModel(t, "Qwen-7B")
 	yi := mustModel(t, "Yi-6B")
-	started := e.StartPrefetch(yi) // engine idle, nothing loaded: allowed
+	started := e.StartPrefetch(e.Models().Add(yi)) // engine idle, nothing loaded: allowed
 	if !started {
 		t.Fatal("prefetch refused on idle engine")
 	}
-	e.SwitchTo(m7, func() {})
-	if e.StartPrefetch(yi) {
+	e.SwitchTo(e.Models().Add(m7), func() {})
+	if e.StartPrefetch(e.Models().Add(yi)) {
 		// Already prefetched Yi: StartPrefetch reports true only for the
 		// same model, which is correct.
 		if e.Prefetched() == nil || e.Prefetched().Name != yi.Name {
@@ -443,7 +443,7 @@ func TestColocateResidentSwitchNearFree(t *testing.T) {
 		KVRegionBytes:      10 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
-	})
+	}, nil)
 	e.WarmBoot()
 	m7 := mustModel(t, "Qwen-7B")
 	yi := mustModel(t, "Yi-6B")
@@ -452,11 +452,11 @@ func TestColocateResidentSwitchNearFree(t *testing.T) {
 		_ = h.cache.Insert(m.Name, m.WeightBytes())
 	}
 	var tSwitch time.Duration
-	e.SwitchTo(m7, func() {
-		e.SwitchTo(yi, func() {
+	e.SwitchTo(e.Models().Add(m7), func() {
+		e.SwitchTo(e.Models().Add(yi), func() {
 			// Both now resident: switching back must be ~activation only.
 			start := h.sim.Now()
-			e.SwitchTo(m7, func() {
+			e.SwitchTo(e.Models().Add(m7), func() {
 				tSwitch = h.sim.Now() - start
 			})
 		})
@@ -468,7 +468,7 @@ func TestColocateResidentSwitchNearFree(t *testing.T) {
 	if e.Residents() != 2 {
 		t.Fatalf("residents = %d, want 2", e.Residents())
 	}
-	if !e.IsResident(yi) || !e.IsResident(m7) {
+	if !e.IsResident(e.Models().Add(yi)) || !e.IsResident(e.Models().Add(m7)) {
 		t.Fatal("residency tracking wrong")
 	}
 }
@@ -483,7 +483,7 @@ func TestColocateEvictsLRU(t *testing.T) {
 		KVRegionBytes:      8 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
-	})
+	}, nil)
 	e.WarmBoot()
 	yi := mustModel(t, "Yi-6B")                   // 12.1 GB
 	llama := mustModel(t, "Llama-2-7B")           // 13.5 GB
@@ -491,18 +491,18 @@ func TestColocateEvictsLRU(t *testing.T) {
 	for _, m := range []*model.Model{yi, llama, intern} {
 		_ = h.cache.Insert(m.Name, m.WeightBytes())
 	}
-	e.SwitchTo(yi, func() {
-		e.SwitchTo(llama, func() {
+	e.SwitchTo(e.Models().Add(yi), func() {
+		e.SwitchTo(e.Models().Add(llama), func() {
 			// Region holds yi+llama. Switching to intern must evict yi
 			// (LRU; llama is current).
-			e.SwitchTo(intern, func() {})
+			e.SwitchTo(e.Models().Add(intern), func() {})
 		})
 	})
 	h.sim.Run()
-	if e.IsResident(yi) {
+	if e.IsResident(e.Models().Add(yi)) {
 		t.Fatal("LRU resident not evicted")
 	}
-	if !e.IsResident(llama) || !e.IsResident(intern) {
+	if !e.IsResident(e.Models().Add(llama)) || !e.IsResident(e.Models().Add(intern)) {
 		t.Fatal("wrong eviction victim")
 	}
 }
@@ -517,7 +517,7 @@ func TestColocatePrefetchNeverEvicts(t *testing.T) {
 		KVRegionBytes:      8 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
-	})
+	}, nil)
 	e.WarmBoot()
 	yi := mustModel(t, "Yi-6B")
 	llama := mustModel(t, "Llama-2-7B")
@@ -525,9 +525,9 @@ func TestColocatePrefetchNeverEvicts(t *testing.T) {
 	for _, m := range []*model.Model{yi, llama, intern} {
 		_ = h.cache.Insert(m.Name, m.WeightBytes())
 	}
-	e.SwitchTo(yi, func() {
-		e.SwitchTo(llama, func() {
-			if e.StartPrefetch(intern) {
+	e.SwitchTo(e.Models().Add(yi), func() {
+		e.SwitchTo(e.Models().Add(llama), func() {
+			if e.StartPrefetch(e.Models().Add(intern)) {
 				t.Error("prefetch displaced resident models")
 			}
 		})
@@ -550,15 +550,15 @@ func TestCurCostTracksCurrent(t *testing.T) {
 		var seen []*model.Model
 		check := func() {
 			seen = append(seen, e.Current())
-			if e.curCost == nil || e.curCost != e.CostFor(e.Current()) {
+			if e.curCost == nil || e.curCost != e.CostFor(e.CurrentID()) {
 				t.Errorf("colocate=%v: curCost is not CostFor(%s)", colocate, e.Current().Name)
 			}
 		}
-		e.SwitchTo(m7, func() {
+		e.SwitchTo(e.Models().Add(m7), func() {
 			check()
-			e.SwitchTo(yi, func() {
+			e.SwitchTo(e.Models().Add(yi), func() {
 				check()
-				e.SwitchTo(m7, check)
+				e.SwitchTo(e.Models().Add(m7), check)
 			})
 		})
 		h.sim.Run()

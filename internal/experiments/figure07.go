@@ -103,11 +103,12 @@ func measureSwitch(o Options, opts engine.Options) time.Duration {
 		KVRegionBytes:      12 << 30,
 		ModelCache:         cache,
 		CPUKV:              cpuKV,
-	})
+	}, nil)
 	e.WarmBoot()
+	id7, id13 := e.Models().Add(m7), e.Models().Add(m13)
 
 	var exposed time.Duration
-	e.SwitchTo(m7, func() {
+	e.SwitchTo(id7, func() {
 		// A resident batch of 8 requests x 512 tokens for the current model.
 		var seqs []*kvcache.Sequence
 		for i := 0; i < 8; i++ {
@@ -119,7 +120,7 @@ func measureSwitch(o Options, opts engine.Options) time.Duration {
 		}
 		// Steady-state rotation: the next model was prefetched during the
 		// running turn (a no-op unless opts.Prefetch).
-		e.StartPrefetch(m13)
+		e.StartPrefetch(id13)
 		se.After(4*time.Second, func() { // one QMAX turn elapses
 			start := se.Now()
 			// Preempt: swap the batch out and switch.
@@ -132,11 +133,11 @@ func measureSwitch(o Options, opts engine.Options) time.Duration {
 				// Blocking systems drain the offload first.
 				last := seqs[len(seqs)-1].LastTransfer()
 				last.OnComplete(func() {
-					e.SwitchTo(m13, func() { exposed = se.Now() - start })
+					e.SwitchTo(id13, func() { exposed = se.Now() - start })
 				})
 				return
 			}
-			e.SwitchTo(m13, func() { exposed = se.Now() - start })
+			e.SwitchTo(id13, func() { exposed = se.Now() - start })
 		})
 	})
 	se.Run()

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"aegaeon/internal/gpu"
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -162,10 +163,11 @@ const DefaultHourlyRate = 1.0
 const maxSegments = 2048
 
 // Segment is one closed interval of a device's exclusive state timeline.
-// Adjacent segments with the same state and model are coalesced.
+// Adjacent segments with the same state and model are coalesced. Model is
+// the dense id of the model the state served (model.NoID for none).
 type Segment struct {
 	State State
-	Model string
+	Model model.ID
 	Start sim.Time
 	End   sim.Time
 }
@@ -176,12 +178,12 @@ type devLedger struct {
 	birth sim.Time
 
 	claims     [numStates]int
-	claimModel [numStates]string
+	claimModel [numStates]model.ID
 	cur        State
-	curModel   string
+	curModel   model.ID
 	curSince   sim.Time
 	integral   [numStates]time.Duration
-	modelBusy  map[string]time.Duration // compute seconds per model
+	modelBusy  []time.Duration // compute seconds, indexed by model id
 
 	// Raw per-engine busy mirror (compute, h2d, d2h), maintained from the
 	// same edges as gpu's executor accounting — exact cross-check substrate.
@@ -192,7 +194,7 @@ type devLedger struct {
 	segs     []Segment
 	segsLost uint64
 
-	tokens map[string]uint64 // goodput tokens emitted, per model
+	tokens []uint64 // goodput tokens emitted, indexed by model id
 
 	kvUsed, kvPeak, kvCap int64
 
@@ -219,8 +221,37 @@ func (d *devLedger) costAt(now sim.Time) float64 {
 type Ledger struct {
 	mu      sync.Mutex
 	eng     *sim.Engine
+	models  model.Names
 	devices map[string]*devLedger
 	order   []string
+}
+
+// DeviceRef is a registered device's ledger entry, resolved once by Ref so
+// per-step feeds (AddTokens, NoteKV) need no name lookup. The zero DeviceRef
+// (from a nil ledger or an unregistered name) makes those calls no-ops.
+type DeviceRef struct{ d *devLedger }
+
+// Ref returns the entry of the named device, or the zero DeviceRef if the
+// ledger is nil or the device is not registered yet.
+func (l *Ledger) Ref(device string) DeviceRef {
+	if l == nil {
+		return DeviceRef{}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return DeviceRef{l.devices[device]}
+}
+
+// NameModel records the name of model id; the ledger's feeds carry ids and
+// snapshots resolve them. A system names its models as it is built.
+// Nil-safe.
+func (l *Ledger) NameModel(id model.ID, name string) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.models.Set(id, name)
 }
 
 // New builds a ledger over the simulation clock.
@@ -238,8 +269,6 @@ func (l *Ledger) register(name string) *devLedger {
 			name:      name,
 			birth:     l.eng.Now(),
 			curSince:  l.eng.Now(),
-			modelBusy: map[string]time.Duration{},
-			tokens:    map[string]uint64{},
 			rate:      DefaultHourlyRate,
 			rateSince: l.eng.Now(),
 		}
@@ -281,7 +310,8 @@ func (l *Ledger) ObserveDevice(dev *gpu.Device) {
 func (d *devLedger) close(now sim.Time) {
 	if dt := now - d.curSince; dt > 0 {
 		d.integral[d.cur] += dt
-		if d.curModel != "" && isCompute(d.cur) {
+		if d.curModel != model.NoID && isCompute(d.cur) {
+			d.modelBusy = model.Grow(d.modelBusy, d.curModel)
 			d.modelBusy[d.curModel] += dt
 		}
 		d.pushSeg(Segment{State: d.cur, Model: d.curModel, Start: d.curSince, End: now})
@@ -300,7 +330,7 @@ func (d *devLedger) pushSeg(s Segment) {
 	if len(d.segs) >= maxSegments {
 		keep := maxSegments / 2
 		d.segsLost += uint64(len(d.segs) - keep)
-		d.segs = append(d.segs[:0:0], d.segs[len(d.segs)-keep:]...)
+		d.segs = d.segs[:copy(d.segs, d.segs[len(d.segs)-keep:])]
 	}
 	d.segs = append(d.segs, s)
 }
@@ -309,18 +339,18 @@ func (d *devLedger) pushSeg(s Segment) {
 // segment at the transition instant. Conservation is by construction: every
 // nanosecond between edges lands in exactly one integral.
 func (d *devLedger) retop(now sim.Time) {
-	top, model := Idle, ""
+	top, m := Idle, model.NoID
 	for _, s := range precedence {
 		if d.claims[s] > 0 {
-			top, model = s, d.claimModel[s]
+			top, m = s, d.claimModel[s]
 			break
 		}
 	}
-	if top == d.cur && model == d.curModel {
+	if top == d.cur && m == d.curModel {
 		return
 	}
 	d.close(now)
-	d.cur, d.curModel = top, model
+	d.cur, d.curModel = top, m
 }
 
 // noteOp handles one engine occupancy edge on device d.
@@ -339,7 +369,7 @@ func (l *Ledger) noteOp(d *devLedger, k gpu.EngineKind, info gpu.OpInfo, busy bo
 	s := Classify(k, info)
 	if busy {
 		d.claims[s]++
-		if info.Model != "" {
+		if info.Model != model.NoID {
 			d.claimModel[s] = info.Model
 		}
 	} else {
@@ -348,16 +378,16 @@ func (l *Ledger) noteOp(d *devLedger, k gpu.EngineKind, info gpu.OpInfo, busy bo
 			panic(fmt.Sprintf("fleetobs: negative claim count for %s/%s", d.name, s))
 		}
 		if d.claims[s] == 0 {
-			d.claimModel[s] = ""
+			d.claimModel[s] = model.NoID
 		}
 	}
 	d.retop(now)
 }
 
 // Enter opens a host-side claim on state s for the device (switch stages the
-// engine runs off-device: reinit, gc-pause, fetch, activate). model may be
-// empty. Every Enter must be paired with an Exit.
-func (l *Ledger) Enter(device string, s State, model string) {
+// engine runs off-device: reinit, gc-pause, fetch, activate) on behalf of
+// model m, which may be model.NoID. Every Enter must be paired with an Exit.
+func (l *Ledger) Enter(device string, s State, m model.ID) {
 	if l == nil {
 		return
 	}
@@ -368,8 +398,8 @@ func (l *Ledger) Enter(device string, s State, model string) {
 		return
 	}
 	d.claims[s]++
-	if model != "" {
-		d.claimModel[s] = model
+	if m != model.NoID {
+		d.claimModel[s] = m
 	}
 	d.retop(l.eng.Now())
 }
@@ -390,7 +420,7 @@ func (l *Ledger) Exit(device string, s State) {
 		panic(fmt.Sprintf("fleetobs: negative claim count for %s/%s", device, s))
 	}
 	if d.claims[s] == 0 {
-		d.claimModel[s] = ""
+		d.claimModel[s] = model.NoID
 	}
 	d.retop(l.eng.Now())
 }
@@ -414,32 +444,27 @@ func (l *Ledger) Fault(device string) {
 	d.retop(l.eng.Now())
 }
 
-// AddTokens credits n goodput tokens produced on the device for the model.
-func (l *Ledger) AddTokens(device, model string, n int) {
-	if l == nil || n <= 0 {
+// AddTokens credits n goodput tokens produced on the device for model m.
+func (l *Ledger) AddTokens(dev DeviceRef, m model.ID, n int) {
+	if l == nil || n <= 0 || dev.d == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d := l.devices[device]
-	if d == nil {
-		return
-	}
-	d.tokens[model] += uint64(n)
+	d := dev.d
+	d.tokens = model.Grow(d.tokens, m)
+	d.tokens[m] += uint64(n)
 }
 
 // NoteKV records the device's GPU KV pool usage sample; the peak is the
 // pool-memory watermark surfaced in snapshots and metrics.
-func (l *Ledger) NoteKV(device string, usedBytes, capacityBytes int64) {
-	if l == nil {
+func (l *Ledger) NoteKV(dev DeviceRef, usedBytes, capacityBytes int64) {
+	if l == nil || dev.d == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d := l.devices[device]
-	if d == nil {
-		return
-	}
+	d := dev.d
 	d.kvUsed, d.kvCap = usedBytes, capacityBytes
 	if usedBytes > d.kvPeak {
 		d.kvPeak = usedBytes

@@ -1,11 +1,13 @@
 package fleetobs
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"aegaeon/internal/gpu"
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -13,6 +15,11 @@ func newLedgerDevice(t *testing.T) (*sim.Engine, *Ledger, *gpu.Device) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	l := New(eng)
+	for id, name := range []string{1: "m1", 2: "m2", 3: "m"} {
+		if name != "" {
+			l.NameModel(model.ID(id), name)
+		}
+	}
 	dev := gpu.NewDevice(eng, "dev0")
 	l.ObserveDevice(dev)
 	return eng, l, dev
@@ -32,14 +39,14 @@ func TestConservationExact(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
 
-	s.SubmitOp(gpu.Compute, 30*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: "m1"})
-	s.SubmitOp(gpu.Compute, 50*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+	s.SubmitOp(gpu.Compute, 30*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: 1})
+	s.SubmitOp(gpu.Compute, 50*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
 	eng.At(100*time.Millisecond, func() {
-		l.Enter("dev0", Reinit, "m2")
+		l.Enter("dev0", Reinit, 2)
 		eng.After(40*time.Millisecond, func() { l.Exit("dev0", Reinit) })
 	})
 	eng.At(200*time.Millisecond, func() {
-		s.SubmitOp(gpu.H2D, 25*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: "m2"})
+		s.SubmitOp(gpu.H2D, 25*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: 2})
 	})
 	eng.RunUntil(sim.Time(300 * time.Millisecond))
 
@@ -71,8 +78,8 @@ func TestConservationExact(t *testing.T) {
 func TestConservationMidOp(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
-	s.SubmitOp(gpu.Compute, time.Second, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
-	l.Enter("dev0", Fetch, "m2")
+	s.SubmitOp(gpu.Compute, time.Second, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
+	l.Enter("dev0", Fetch, 2)
 	eng.RunUntil(sim.Time(300 * time.Millisecond))
 	requireConserves(t, l, eng.Now())
 	// Fetch outranks Decode: the whole 300ms must be fetch.
@@ -95,8 +102,8 @@ func TestPriorityMasking(t *testing.T) {
 	comp := dev.NewStream("default")
 	pf := dev.NewStream("prefetch")
 
-	comp.SubmitOp(gpu.Compute, 60*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
-	pf.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefetch, Model: "m2"})
+	comp.SubmitOp(gpu.Compute, 60*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
+	pf.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefetch, Model: 2})
 	eng.Run()
 
 	now := eng.Now()
@@ -114,7 +121,7 @@ func TestPriorityMasking(t *testing.T) {
 func TestFaultedTerminal(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
-	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
 	eng.At(40*time.Millisecond, func() { l.Fault("dev0") })
 	eng.RunUntil(sim.Time(250 * time.Millisecond))
 
@@ -139,11 +146,11 @@ func TestNilLedger(t *testing.T) {
 	var l *Ledger
 	l.Register("x")
 	l.ObserveDevice(nil)
-	l.Enter("x", Reinit, "")
+	l.Enter("x", Reinit, model.NoID)
 	l.Exit("x", Reinit)
 	l.Fault("x")
-	l.AddTokens("x", "m", 5)
-	l.NoteKV("x", 1, 2)
+	l.AddTokens(l.Ref("x"), 3, 5)
+	l.NoteKV(l.Ref("x"), 1, 2)
 	l.SetRate("x", 3)
 	if l.Enabled() {
 		t.Error("nil ledger reports enabled")
@@ -160,14 +167,14 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	s := dev.NewStream("s")
 	s2 := dev2.NewStream("s")
 
-	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
-	s2.SubmitOp(gpu.Compute, 300*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m2"})
-	s2.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: "m2"})
+	s.SubmitOp(gpu.Compute, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
+	s2.SubmitOp(gpu.Compute, 300*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 2})
+	s2.SubmitOp(gpu.H2D, 100*time.Millisecond, gpu.OpInfo{Kind: gpu.OpLoad, Model: 2})
 	eng.RunUntil(sim.Time(time.Second))
-	l.AddTokens("dev0", "m1", 50)
-	l.AddTokens("dev1", "m2", 300)
-	l.NoteKV("dev0", 1<<20, 1<<30)
-	l.NoteKV("dev0", 1<<10, 1<<30) // peak must stick at 1MiB
+	l.AddTokens(l.Ref("dev0"), 1, 50)
+	l.AddTokens(l.Ref("dev1"), 2, 300)
+	l.NoteKV(l.Ref("dev0"), 1<<20, 1<<30)
+	l.NoteKV(l.Ref("dev0"), 1<<10, 1<<30) // peak must stick at 1MiB
 	l.SetRate("dev1", 2.5)
 
 	snap := l.Snapshot(eng.Now())
@@ -225,7 +232,7 @@ func TestSegmentCoalescing(t *testing.T) {
 	eng, l, dev := newLedgerDevice(t)
 	s := dev.NewStream("s")
 	for i := 0; i < 5; i++ {
-		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
 	}
 	eng.Run()
 	snap := l.Snapshot(eng.Now())
@@ -251,7 +258,7 @@ func TestSegmentRingBounded(t *testing.T) {
 		if i%2 == 0 {
 			kind = gpu.OpPrefill
 		}
-		s.SubmitOp(gpu.Compute, time.Microsecond, gpu.OpInfo{Kind: kind, Model: "m"}, func() { submit(i + 1) })
+		s.SubmitOp(gpu.Compute, time.Microsecond, gpu.OpInfo{Kind: kind, Model: 3}, func() { submit(i + 1) })
 	}
 	submit(0)
 	eng.Run()
@@ -267,6 +274,22 @@ func TestSegmentRingBounded(t *testing.T) {
 	last := d.Segments[len(d.Segments)-1]
 	if last.EndS != d.WallS {
 		t.Errorf("most recent history missing: last end %v, wall %v", last.EndS, d.WallS)
+	}
+	// Op i is the segment [i, i+1) µs, prefill when i is even: the ring
+	// holds exactly the newest ones, unchanged by its halvings.
+	if got := uint64(len(d.Segments)) + d.SegmentsLost; got != 3*maxSegments {
+		t.Fatalf("%d segments retained + %d lost, want %d", len(d.Segments), d.SegmentsLost, 3*maxSegments)
+	}
+	for k, sg := range d.Segments {
+		i := int(d.SegmentsLost) + k
+		want := SegmentSnapshot{State: "decode", Model: "m", StartS: float64(i) * 1e-6, EndS: float64(i+1) * 1e-6}
+		if i%2 == 0 {
+			want.State = "prefill"
+		}
+		if sg.State != want.State || sg.Model != want.Model ||
+			math.Abs(sg.StartS-want.StartS) > 1e-12 || math.Abs(sg.EndS-want.EndS) > 1e-12 {
+			t.Fatalf("segment %d (op %d) = %+v, want %+v", k, i, sg, want)
+		}
 	}
 }
 
@@ -289,9 +312,9 @@ func TestClassify(t *testing.T) {
 		{gpu.D2H, gpu.OpKVOut, KVTransfer},
 	}
 	for _, c := range cases {
-		info := gpu.OpInfo{Kind: c.kind, Model: "m1", Request: "r1"}
+		info := gpu.OpInfo{Kind: c.kind, Model: 1, Request: "r1"}
 		if got := Classify(c.k, info); got != c.want {
-			t.Errorf("Classify(%v, %q) = %v, want %v", c.k, info.Label(), got, c.want)
+			t.Errorf("Classify(%v, %q) = %v, want %v", c.k, info.Label("m1"), got, c.want)
 		}
 	}
 }
@@ -352,8 +375,9 @@ func TestSetRateManyEdges(t *testing.T) {
 // device has served before allocates nothing.
 func TestAddTokensAllocs(t *testing.T) {
 	eng, l, _ := newLedgerDevice(t)
-	l.AddTokens("dev0", "m1", 8)
-	if n := testing.AllocsPerRun(100, func() { l.AddTokens("dev0", "m1", 8) }); n != 0 {
+	dev0 := l.Ref("dev0")
+	l.AddTokens(dev0, 1, 8)
+	if n := testing.AllocsPerRun(100, func() { l.AddTokens(dev0, 1, 8) }); n != 0 {
 		t.Fatalf("AddTokens allocates %.1f times per step, want 0", n)
 	}
 	if got := l.Snapshot(eng.Now()).Devices[0].Tokens; got != 8*102 {
@@ -365,10 +389,11 @@ func TestAddTokensAllocs(t *testing.T) {
 func BenchmarkAddTokens(b *testing.B) {
 	l := New(sim.NewEngine(1))
 	l.Register("dev0")
-	l.AddTokens("dev0", "m1", 8)
+	dev0 := l.Ref("dev0")
+	l.AddTokens(dev0, 1, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.AddTokens("dev0", "m1", 8)
+		l.AddTokens(dev0, 1, 8)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -113,8 +114,8 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 	for s := State(0); s < numStates; s++ {
 		snap.Fleet.StatesS[s.String()] = 0
 	}
-	modelTokens := map[string]uint64{}
-	modelCompute := map[string]time.Duration{}
+	var modelTokens []uint64
+	var modelCompute []time.Duration
 	var fleetBusy, fleetSwitch, fleetWall time.Duration
 	for _, name := range l.order {
 		d := l.devices[name]
@@ -157,7 +158,7 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 		for _, sg := range d.segs {
 			ds.Segments = append(ds.Segments, SegmentSnapshot{
 				State:  sg.State.String(),
-				Model:  sg.Model,
+				Model:  l.models.Name(sg.Model),
 				StartS: time.Duration(sg.Start).Seconds(),
 				EndS:   time.Duration(sg.End).Seconds(),
 			})
@@ -166,16 +167,18 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 			// The open segment, closed at the snapshot instant for display.
 			ds.Segments = append(ds.Segments, SegmentSnapshot{
 				State:  d.cur.String(),
-				Model:  d.curModel,
+				Model:  l.models.Name(d.curModel),
 				StartS: time.Duration(d.curSince).Seconds(),
 				EndS:   time.Duration(now).Seconds(),
 			})
 		}
 		for m, n := range d.tokens {
+			modelTokens = model.Grow(modelTokens, model.ID(m))
 			modelTokens[m] += n
 			ds.Tokens += n
 		}
 		for m, t := range d.modelBusy {
+			modelCompute = model.Grow(modelCompute, model.ID(m))
 			modelCompute[m] += t
 		}
 		fleetBusy += busy
@@ -204,20 +207,19 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 	for _, t := range modelCompute {
 		totalCompute += t
 	}
-	names := make([]string, 0, len(modelTokens))
-	seen := map[string]bool{}
-	for m := range modelTokens {
-		names, seen[m] = append(names, m), true
-	}
-	for m := range modelCompute {
-		if !seen[m] {
-			names = append(names, m)
+	// Models with tokens or compute time, ordered by name.
+	n := max(len(modelTokens), len(modelCompute))
+	modelTokens, modelCompute = model.Grow(modelTokens, model.ID(n-1)), model.Grow(modelCompute, model.ID(n-1))
+	var ids []model.ID
+	for m := 0; m < n; m++ {
+		if modelTokens[m] > 0 || modelCompute[m] > 0 {
+			ids = append(ids, model.ID(m))
 		}
 	}
-	sort.Strings(names)
-	for _, m := range names {
+	sort.Slice(ids, func(i, j int) bool { return l.models.Name(ids[i]) < l.models.Name(ids[j]) })
+	for _, m := range ids {
 		ms := ModelSnapshot{
-			Model:    m,
+			Model:    l.models.Name(m),
 			Tokens:   modelTokens[m],
 			ComputeS: modelCompute[m].Seconds(),
 		}
@@ -260,6 +262,9 @@ func (s *Snapshot) CSV() string {
 // the invariant, within one microsecond of rounding slack per device) —
 // usable on deserialized snapshots where the integer ledger is gone.
 func (s *Snapshot) Validate() []string {
+	if s == nil {
+		return []string{"nil snapshot"}
+	}
 	var errs []string
 	if s.SchemaVersion != SchemaVersion {
 		errs = append(errs, fmt.Sprintf("schema version %d, want %d", s.SchemaVersion, SchemaVersion))

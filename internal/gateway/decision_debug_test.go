@@ -117,6 +117,12 @@ func TestDebugWhyEndpoint(t *testing.T) {
 	if out.Chain[0].Reason != "gateway edge admission" {
 		t.Errorf("chain head reason = %q, want the gateway verdict first", out.Chain[0].Reason)
 	}
+	// The edge verdict is stamped from the driver's wall-to-virtual pacing,
+	// not a clock snapshot only scrapes refresh: after virtual zero, and no
+	// later than the scheduler's first record of the request.
+	if head, next := out.Chain[0].At, out.Chain[1].At; head <= 0 || head > next {
+		t.Errorf("edge admission at %v, next record at %v: want 0 < head <= next", head, next)
+	}
 	tail := out.Chain[len(out.Chain)-1]
 	if tail.Kind != decision.KindTerminal || tail.Outcome != decision.OutcomeDone {
 		t.Errorf("chain tail = %s/%s, want terminal/done", tail.Kind, tail.Outcome)

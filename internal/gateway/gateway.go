@@ -591,9 +591,10 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 // evidence the decision actually weighed: occupancy, the per-priority queue
 // depth ahead of the request, and — when overload control is on — the TTFT
 // estimate with its switch-cost and throughput inputs against the target.
-// The timestamp is the last virtual-clock snapshot the wall-clock HTTP path
-// has seen (best effort: edge admissions run off the event loop, so they are
-// excluded from the byte-identical determinism contract). Must be called
+// The timestamp is the virtual instant the driver is pacing toward, mapped
+// from the wall clock (best effort: edge admissions run off the event loop,
+// so they are excluded from the byte-identical determinism contract); the
+// request's later scheduler records are stamped no earlier. Must be called
 // with g.mu held.
 func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 	prio workload.Priority, inTok int, outcome string, estTTFT time.Duration) {
@@ -615,7 +616,7 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		}
 	}
 	j.Record(decision.Record{
-		At:      sim.Time(g.lastVirtual),
+		At:      g.drv.VirtualNow(),
 		Kind:    decision.KindAdmission,
 		Request: id,
 		Model:   model,

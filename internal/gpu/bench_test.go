@@ -24,7 +24,7 @@ func BenchmarkStreamSubmit(b *testing.B) {
 func BenchmarkDecodeStepChurn(b *testing.B) {
 	eng := sim.NewEngine(1)
 	s := NewDevice(eng, "gpu0").NewStream("compute")
-	info := OpInfo{Kind: OpDecode, Model: "m"}
+	info := OpInfo{Kind: OpDecode, Model: 1}
 	left := b.N
 	var step func()
 	step = func() {

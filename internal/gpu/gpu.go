@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -84,23 +85,25 @@ var opLabels = [numOpKinds]string{
 }
 
 // OpInfo labels one engine operation for timeline capture: its kind plus
-// optional model and request attribution. Plain Submit leaves it zero;
-// callers that know what an op is and which model or request it serves use
-// SubmitOp so the observability layer can build per-model and per-request
-// device timelines.
+// optional model and request attribution. The model is its dense id
+// (model.NoID for none); observers resolve the name only at export. Plain
+// Submit leaves it zero; callers that know what an op is and which model or
+// request it serves use SubmitOp so the observability layer can build
+// per-model and per-request device timelines.
 type OpInfo struct {
 	Kind    OpKind
-	Model   string
+	Model   model.ID
 	Request string
 }
 
 // Label returns the op's display name: "load <model>", "kv-out <request>",
-// "decode" and so on, or "op" for an unlabelled op. It allocates for the
-// kinds that name a model or request, so only exports and diagnostics call it.
-func (i OpInfo) Label() string {
+// "decode" and so on, or "op" for an unlabelled op, where modelName is the
+// name of the op's model. It allocates for the kinds that name a model or
+// request, so only exports and diagnostics call it.
+func (i OpInfo) Label(modelName string) string {
 	switch i.Kind {
 	case OpLoad, OpPrefetch, OpCompact:
-		return opLabels[i.Kind] + i.Model
+		return opLabels[i.Kind] + modelName
 	case OpKVOut, OpKVIn:
 		return opLabels[i.Kind] + i.Request
 	}
@@ -301,7 +304,7 @@ func (s *Stream) Submit(k EngineKind, dur time.Duration, onDone ...func()) {
 // the device timeline and the fleet ledger's classification.
 func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) {
 	if dur < 0 {
-		panic(fmt.Sprintf("gpu: negative op duration %v (%s)", dur, info.Label()))
+		panic(fmt.Sprintf("gpu: negative op duration %v (%s, model id %d)", dur, info.Label(""), info.Model))
 	}
 	o := s.newOp()
 	o.kind, o.dur, o.info = k, dur, info

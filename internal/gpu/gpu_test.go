@@ -426,12 +426,12 @@ func TestSubmitRunAllocs(t *testing.T) {
 		t.Fatalf("Submit+Run allocates %.1f times per op, want 0", n)
 	}
 	for k := OpUnlabelled + 1; k < numOpKinds; k++ {
-		info := OpInfo{Kind: k, Model: "m1", Request: "r1"}
+		info := OpInfo{Kind: k, Model: 1, Request: "r1"}
 		if n := testing.AllocsPerRun(1000, func() {
 			s.SubmitOp(Compute, time.Microsecond, info)
 			eng.Run()
 		}); n != 0 {
-			t.Errorf("SubmitOp+Run of %q allocates %.1f times, want 0", info.Label(), n)
+			t.Errorf("SubmitOp+Run of %q allocates %.1f times, want 0", info.Label("m1"), n)
 		}
 	}
 }
@@ -610,19 +610,19 @@ func TestOpKindLabels(t *testing.T) {
 		want string
 	}{
 		{OpInfo{}, "op"},
-		{OpInfo{Kind: OpPrefill, Model: "m1", Request: "r1"}, "prefill"},
-		{OpInfo{Kind: OpPrefixReuse, Model: "m1", Request: "r1"}, "prefix-reuse"},
-		{OpInfo{Kind: OpDecode, Model: "m1"}, "decode"},
-		{OpInfo{Kind: OpLoad, Model: "m1"}, "load m1"},
-		{OpInfo{Kind: OpPrefetch, Model: "m1"}, "prefetch m1"},
-		{OpInfo{Kind: OpCompact, Model: "m1"}, "compact m1"},
-		{OpInfo{Kind: OpCompactResidents, Model: "m1"}, "compact residents"},
+		{OpInfo{Kind: OpPrefill, Model: 1, Request: "r1"}, "prefill"},
+		{OpInfo{Kind: OpPrefixReuse, Model: 1, Request: "r1"}, "prefix-reuse"},
+		{OpInfo{Kind: OpDecode, Model: 1}, "decode"},
+		{OpInfo{Kind: OpLoad, Model: 1}, "load m1"},
+		{OpInfo{Kind: OpPrefetch, Model: 1}, "prefetch m1"},
+		{OpInfo{Kind: OpCompact, Model: 1}, "compact m1"},
+		{OpInfo{Kind: OpCompactResidents, Model: 1}, "compact residents"},
 		{OpInfo{Kind: OpKVOut, Request: "r1"}, "kv-out r1"},
 		{OpInfo{Kind: OpKVIn, Request: "r1"}, "kv-in r1"},
 		{OpInfo{Kind: numOpKinds}, fmt.Sprintf("op(%d)", numOpKinds)},
 	}
 	for _, c := range cases {
-		if got := c.info.Label(); got != c.want {
+		if got := c.info.Label("m1"); got != c.want {
 			t.Errorf("Label(%+v) = %q, want %q", c.info, got, c.want)
 		}
 	}

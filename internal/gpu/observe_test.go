@@ -49,8 +49,8 @@ func TestObserverSeesSerializedEngineOps(t *testing.T) {
 	s1 := d.NewStream("s1")
 	s2 := d.NewStream("s2")
 	for i := 0; i < 5; i++ {
-		s1.SubmitOp(Compute, 7*time.Millisecond, OpInfo{Kind: OpPrefill, Model: "m1"})
-		s2.SubmitOp(Compute, 3*time.Millisecond, OpInfo{Kind: OpDecode, Model: "m2"})
+		s1.SubmitOp(Compute, 7*time.Millisecond, OpInfo{Kind: OpPrefill, Model: 1})
+		s2.SubmitOp(Compute, 3*time.Millisecond, OpInfo{Kind: OpDecode, Model: 2})
 		s1.SubmitOp(H2D, 4*time.Millisecond, OpInfo{Kind: OpKVIn, Request: "r1"})
 		s2.SubmitOp(D2H, 2*time.Millisecond, OpInfo{Kind: OpKVOut})
 	}

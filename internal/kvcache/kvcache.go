@@ -311,8 +311,8 @@ type Manager struct {
 	// Fleet ledger hook (nil = no accounting): sampled after pool mutations
 	// (a decode step's appends once, through NoteKV) so the ledger tracks
 	// the GPU KV watermark.
-	fleet     *fleetobs.Ledger
-	fleetName string
+	fleet    *fleetobs.Ledger
+	fleetDev fleetobs.DeviceRef
 }
 
 // Stats counts data-plane activity for Fig. 14's control/data overhead
@@ -355,11 +355,12 @@ func (m *Manager) SetFaults(f *fault.Faults, instance string, c *obs.Collector) 
 }
 
 // SetFleet attaches the fleet ledger (nil disables) under the given device
-// name; the manager samples its GPU pool into the ledger after mutations so
-// pool-memory watermarks show up in fleet snapshots.
+// name, which must already be registered with it; the manager samples its
+// GPU pool into the ledger after mutations so pool-memory watermarks show
+// up in fleet snapshots.
 func (m *Manager) SetFleet(l *fleetobs.Ledger, device string) {
 	m.fleet = l
-	m.fleetName = device
+	m.fleetDev = l.Ref(device)
 	m.NoteKV()
 }
 
@@ -369,7 +370,7 @@ func (m *Manager) NoteKV() {
 		return
 	}
 	pool := m.GPUCache.Pool()
-	m.fleet.NoteKV(m.fleetName, pool.UsedBytes(), pool.Capacity())
+	m.fleet.NoteKV(m.fleetDev, pool.UsedBytes(), pool.Capacity())
 }
 
 // Stats returns a snapshot of the manager's counters.

@@ -313,8 +313,8 @@ func TestSnapshotClassEconomics(t *testing.T) {
 	// Run one virtual hour so the ledger integrates cost, and credit
 	// goodput so $/1k-tokens is defined.
 	se.At(time.Hour, func() {
-		fl.AddTokens("d0", "m", 4000)
-		fl.AddTokens("d1", "m", 1000)
+		fl.AddTokens(fl.Ref("d0"), 1, 4000)
+		fl.AddTokens(fl.Ref("d1"), 1, 1000)
 	})
 	se.Run()
 	if err := m.Notice("d1", time.Second); err != nil {

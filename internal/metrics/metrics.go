@@ -142,6 +142,14 @@ func (r *Reservoir) next() uint64 {
 	return z ^ z>>31
 }
 
+// Reset empties the reservoir, keeping its sample buffer, and restores the
+// state NewReservoir returns: no samples, nothing seen, the sampling
+// generator at its initial state.
+func (r *Reservoir) Reset() {
+	r.cdf = CDF{samples: r.cdf.samples[:0]}
+	r.seen, r.rng = 0, 0
+}
+
 // AddDuration records a duration sample in seconds.
 func (r *Reservoir) AddDuration(d time.Duration) { r.Add(d.Seconds()) }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -168,5 +169,34 @@ func TestSafeCDFConcurrent(t *testing.T) {
 	wg.Wait()
 	if s.Seen() != 4000 {
 		t.Fatalf("Seen = %d, want 4000", s.Seen())
+	}
+}
+
+// TestReservoirResetMatchesNew: a used reservoir, reset, samples the next
+// stream exactly as a fresh one does, past its capacity where the sampling
+// generator decides which samples stay.
+func TestReservoirResetMatchesNew(t *testing.T) {
+	used := NewReservoir(8)
+	for i := 0; i < 50; i++ {
+		used.Add(float64(i))
+	}
+	_ = used.Quantile(0.5) // leaves the retained samples sorted
+	used.Reset()
+	if used.N() != 0 || used.Seen() != 0 {
+		t.Fatalf("reset reservoir: N=%d Seen=%d, want 0/0", used.N(), used.Seen())
+	}
+	fresh := NewReservoir(8)
+	for i := 0; i < 40; i++ {
+		v := float64(100 + 7*i%13)
+		used.Add(v)
+		fresh.Add(v)
+	}
+	if a, b := used.Samples(), fresh.Samples(); !slices.Equal(a, b) || used.Seen() != fresh.Seen() {
+		t.Fatalf("reset reservoir holds %v (seen %d), fresh one %v (seen %d)", a, used.Seen(), b, fresh.Seen())
+	}
+	for _, q := range []float64{0, 0.5, 0.99} {
+		if a, b := used.Quantile(q), fresh.Quantile(q); a != b {
+			t.Fatalf("q%.2f: reset %v, fresh %v", q, a, b)
+		}
 	}
 }

@@ -201,3 +201,86 @@ func DeploymentMix() (models []*Model, tps []int) {
 	}
 	return models, tps
 }
+
+// ID is a served model's dense index, assigned once per cluster by a
+// Registry so the per-op, per-step and per-token observer paths index
+// slices instead of hashing names. The zero ID names no model: ops that
+// serve no model (KV transfers, plain Submit) carry it, and registered ids
+// start at 1.
+type ID int32
+
+// NoID is the zero ID: no model.
+const NoID ID = 0
+
+// Registry assigns dense ids to served model names. Every system that
+// shares observers must take its ids from one registry, so a cluster builds
+// one across all of its deployments. A registry never writes into the
+// *Model values it is given: callers may share them between systems.
+// It is not safe for concurrent use; ids are assigned while a system is
+// built, before the simulation runs.
+type Registry struct {
+	models []*Model // index id-1
+	ids    map[string]ID
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return &Registry{ids: map[string]ID{}} }
+
+// Add returns m's id, assigning the next one if no model of that name is
+// registered yet.
+func (r *Registry) Add(m *Model) ID {
+	if id, ok := r.ids[m.Name]; ok {
+		return id
+	}
+	r.models = append(r.models, m)
+	id := ID(len(r.models))
+	r.ids[m.Name] = id
+	return id
+}
+
+// Model returns the model registered under id (nil for NoID or an unknown
+// id).
+func (r *Registry) Model(id ID) *Model {
+	if id <= 0 || int(id) > len(r.models) {
+		return nil
+	}
+	return r.models[id-1]
+}
+
+// Grow returns s extended with zero values, if it must be, so that id
+// indexes it. Per-model tables indexed by id make room for a new id with it.
+func Grow[T any](s []T, id ID) []T {
+	if n := int(id) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
+// Names is an id-to-name table an observer keeps so its hot paths carry
+// ids and only its exports resolve names. The zero value is empty.
+type Names struct{ names []string }
+
+// Set records name under id. Naming an id twice with one name is a no-op;
+// two names for one id mean two registries feed one observer, a wiring bug,
+// and panic.
+func (n *Names) Set(id ID, name string) {
+	if id <= 0 {
+		panic(fmt.Sprintf("model: cannot name id %d", id))
+	}
+	n.names = Grow(n.names, id)
+	if old := n.names[id]; old != "" && old != name {
+		panic(fmt.Sprintf("model: id %d names both %q and %q", id, old, name))
+	}
+	n.names[id] = name
+}
+
+// Name returns the name recorded under id, or "" for NoID and unknown ids.
+func (n *Names) Name(id ID) string {
+	if id <= 0 || int(id) >= len(n.names) {
+		return ""
+	}
+	return n.names[id]
+}
+
+// Clone returns an independent copy of the table.
+func (n *Names) Clone() Names { return Names{names: append([]string(nil), n.names...)} }

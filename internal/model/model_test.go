@@ -181,3 +181,32 @@ func TestKVShapeString(t *testing.T) {
 		t.Errorf("shape string = %q", got)
 	}
 }
+
+func TestRegistryAndNames(t *testing.T) {
+	ms := MarketMix(3)
+	r := NewRegistry()
+	for i, m := range ms {
+		if id := r.Add(m); id != ID(i+1) {
+			t.Fatalf("Add(%s) = %d, want %d", m.Name, id, i+1)
+		}
+	}
+	if id := r.Add(ms[1]); id != 2 {
+		t.Fatalf("re-adding %s gave id %d, want 2", ms[1].Name, id)
+	}
+	if r.Model(NoID) != nil || r.Model(4) != nil || r.Model(3) != ms[2] {
+		t.Fatal("Model resolves NoID, an unknown id, or the wrong model")
+	}
+
+	var n Names
+	n.Set(2, ms[1].Name)
+	n.Set(2, ms[1].Name) // same name again: no-op
+	if n.Name(2) != ms[1].Name || n.Name(1) != "" || n.Name(NoID) != "" || n.Name(9) != "" {
+		t.Fatal("Names resolves the wrong names")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("naming one id with two names did not panic")
+		}
+	}()
+	n.Set(2, ms[0].Name)
+}

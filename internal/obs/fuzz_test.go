@@ -33,10 +33,11 @@ func FuzzValidatePerfetto(f *testing.F) {
 		d := gpu.NewDevice(se, "gpu0")
 		c := New(Options{MaxOpsPerEngine: 64})
 		c.ObserveDevice(d)
+		c.NameModel(1, "m1")
 		streams := []*gpu.Stream{d.NewStream("a"), d.NewStream("b")}
 		for i := 0; i+2 < len(in); i += 3 {
 			s := streams[in[i]/3%2]
-			info := gpu.OpInfo{Kind: gpu.OpKind(in[i+1]), Model: "m1", Request: "r1"}
+			info := gpu.OpInfo{Kind: gpu.OpKind(in[i+1]), Model: 1, Request: "r1"}
 			s.SubmitOp(gpu.EngineKind(in[i]%3), time.Duration(in[i+2])*time.Microsecond, info)
 		}
 		se.Run()

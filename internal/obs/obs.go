@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"aegaeon/internal/gpu"
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -57,8 +58,46 @@ type RequestTimeline struct {
 	Done        bool          `json:"done"`
 	Finished    sim.Time      `json:"finished_ns"`
 
-	// open spans by name; nil once closed. Not exported.
-	open map[string]sim.Time
+	// open holds the start of each open span, indexed by kind; a kind is
+	// open when its bit is set in openMask. Not exported.
+	open     [numSpanKinds]sim.Time
+	openMask uint8
+}
+
+// spanKind indexes the spans a timeline opens and closes as the request
+// moves through the scheduler; every other span arrives already closed.
+type spanKind uint8
+
+const (
+	spanQueueWait spanKind = iota
+	spanPrefill
+	spanDecodeWait
+	spanDecodeTurn
+	numSpanKinds
+)
+
+var spanNames = [numSpanKinds]string{
+	spanQueueWait:  "queue-wait",
+	spanPrefill:    "prefill",
+	spanDecodeWait: "decode-wait",
+	spanDecodeTurn: "decode-turn",
+}
+
+// Handle names one request timeline in the collector's bounded timeline
+// table: a slot and the generation the slot had when the timeline took it.
+// Evicting the timeline frees the slot, and reusing the slot advances its
+// generation, so a stale handle resolves to nothing. A handle holds no
+// pointer and keeps no evicted timeline alive. The zero Handle resolves to
+// nothing.
+type Handle struct {
+	slot int32
+	gen  uint32
+}
+
+// tlSlot is one entry of the timeline table.
+type tlSlot struct {
+	gen uint32
+	t   *RequestTimeline // nil while the slot is free
 }
 
 // SwitchStage is one stage of a model switch (§5): reinit (or gc-pause),
@@ -96,27 +135,67 @@ type deviceTimeline struct {
 	engines [3]opRing
 }
 
+// opRec is one retained engine op: 24 bytes with no pointers, so a full
+// ring costs the garbage collector nothing to scan. The engine is implied
+// by the ring. hasReq marks an op whose request name went to the ring's
+// side ring.
+type opRec struct {
+	start, end sim.Time
+	model      model.ID
+	kind       gpu.OpKind
+	hasReq     bool
+}
+
+// opRing is a bounded ring of one engine's ops. Request names live in a
+// side ring of the same capacity that only request-bearing ops push to.
+// Every op pushes at most one name, so at most as many names as ops were
+// pushed after any retained op, and that op's name is still in the side
+// ring: the k-th newest request-bearing retained op owns the k-th newest
+// name.
 type opRing struct {
-	buf   []gpu.OpRecord
+	buf   []opRec
 	next  int
 	total uint64
+	reqs  []string
+	rnext int
 }
 
 func (r *opRing) push(rec gpu.OpRecord, capacity int) {
+	o := opRec{start: rec.Start, end: rec.End, model: rec.Info.Model, kind: rec.Info.Kind,
+		hasReq: rec.Info.Request != ""}
 	if len(r.buf) < capacity {
-		r.buf = append(r.buf, rec)
+		r.buf = append(r.buf, o)
 	} else {
-		r.buf[r.next] = rec
+		r.buf[r.next] = o
 		r.next = (r.next + 1) % capacity
 	}
 	r.total++
+	if o.hasReq {
+		if len(r.reqs) < capacity {
+			r.reqs = append(r.reqs, rec.Info.Request)
+		} else {
+			r.reqs[r.rnext] = rec.Info.Request
+			r.rnext = (r.rnext + 1) % capacity
+		}
+	}
 }
 
-// ordered returns the retained records in emission order.
-func (r *opRing) ordered() []gpu.OpRecord {
-	out := make([]gpu.OpRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+// ordered rebuilds the retained records of engine k in emission order,
+// pairing request-bearing ops with their names newest first.
+func (r *opRing) ordered(k gpu.EngineKind) []gpu.OpRecord {
+	out := make([]gpu.OpRecord, len(r.buf))
+	n := len(r.buf)
+	name := len(r.reqs) - 1 // side-ring position of the newest name, unrotated
+	for i := n - 1; i >= 0; i-- {
+		o := r.buf[(r.next+i)%n]
+		rec := gpu.OpRecord{Engine: k, Start: o.start, End: o.end,
+			Info: gpu.OpInfo{Kind: o.kind, Model: o.model}}
+		if o.hasReq {
+			rec.Info.Request = r.reqs[(r.rnext+name)%len(r.reqs)]
+			name--
+		}
+		out[i] = rec
+	}
 	return out
 }
 
@@ -163,15 +242,18 @@ type Collector struct {
 	faults *Ring // failure, recovery and retry events only
 
 	mu       sync.Mutex
-	reqs     map[string]*RequestTimeline
-	reqOrder []string // admission order, for eviction
+	models   model.Names
+	slots    []tlSlot         // the timeline table
+	freeSlot []int32          // free slots, reused LIFO
+	reqs     map[string]int32 // request id -> slot
+	reqOrder []int32          // slots in admission order, for eviction
 	devs     map[string]*deviceTimeline
 	devOrder []string
 	switches []*SwitchRecord
 	swNext   int
 	swTotal  uint64
 	open     map[string]*SwitchRecord // instance -> in-flight switch
-	turnSet  map[string][]string      // instance -> request ids of current turn
+	turnSet  map[string][]Handle      // instance -> timelines of current turn
 }
 
 // New builds a collector.
@@ -181,11 +263,33 @@ func New(opts Options) *Collector {
 		opts:    opts,
 		ring:    newRing(opts.RingCapacity),
 		faults:  newRing(maxFaultEvents),
-		reqs:    map[string]*RequestTimeline{},
+		reqs:    map[string]int32{},
 		devs:    map[string]*deviceTimeline{},
 		open:    map[string]*SwitchRecord{},
-		turnSet: map[string][]string{},
+		turnSet: map[string][]Handle{},
 	}
+}
+
+// NameModel records the name of model id, which ops, turns and token
+// batches carry instead of the name; exports resolve it. A system names its
+// models as it is built. Nil-safe.
+func (c *Collector) NameModel(id model.ID, name string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.models.Set(id, name)
+}
+
+// ModelName returns the name recorded for model id ("" if none). Nil-safe.
+func (c *Collector) ModelName(id model.ID) string {
+	if c == nil {
+		return ""
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.models.Name(id)
 }
 
 // Ring returns the flat event store (nil on a nil collector).
@@ -225,14 +329,35 @@ func (c *Collector) recordOp(dt *deviceTimeline, rec gpu.OpRecord) {
 // timeline returns the request's timeline, or nil if the collector holds
 // none (never seen, or evicted). Caller holds c.mu.
 func (c *Collector) timeline(id string) *RequestTimeline {
-	return c.reqs[id]
+	slot, ok := c.reqs[id]
+	if !ok {
+		return nil
+	}
+	return c.slots[slot].t
+}
+
+// resolve returns the timeline h names, or nil for a stale or zero handle.
+// Caller holds c.mu.
+func (c *Collector) resolve(h Handle) *RequestTimeline {
+	if h.gen == 0 || int(h.slot) >= len(c.slots) {
+		return nil
+	}
+	if s := &c.slots[h.slot]; s.gen == h.gen {
+		return s.t
+	}
+	return nil
+}
+
+// handleLocked returns the handle of the timeline in slot. Caller holds c.mu.
+func (c *Collector) handleLocked(slot int32) Handle {
+	return Handle{slot: slot, gen: c.slots[slot].gen}
 }
 
 func (c *Collector) evictLocked() {
 	for len(c.reqOrder) > c.opts.MaxRequests {
 		victim := -1
-		for i, id := range c.reqOrder {
-			if t := c.reqs[id]; t == nil || t.Done {
+		for i, slot := range c.reqOrder {
+			if c.slots[slot].t.Done {
 				victim = i
 				break
 			}
@@ -240,61 +365,77 @@ func (c *Collector) evictLocked() {
 		if victim < 0 {
 			victim = 0 // nothing completed: evict the oldest outright
 		}
-		delete(c.reqs, c.reqOrder[victim])
+		slot := c.reqOrder[victim]
+		delete(c.reqs, c.slots[slot].t.ID)
+		c.slots[slot].t = nil
+		c.freeSlot = append(c.freeSlot, slot)
 		c.reqOrder = append(c.reqOrder[:victim], c.reqOrder[victim+1:]...)
 	}
 }
 
-// RequestArrived opens a request timeline and its queue-wait span.
-func (c *Collector) RequestArrived(id, model string, at sim.Time) {
+// RequestArrived opens a request timeline and its queue-wait span, and
+// returns the handle the request's later scheduler events pass. A request
+// re-dispatched after failover keeps its original timeline and handle. A
+// nil collector returns the zero Handle.
+func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 	if c == nil {
-		return
+		return Handle{}
 	}
 	c.ring.Emit(Event{At: at, Kind: KindArrival, Subject: id, Detail: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.reqs[id]; ok {
-		return // re-dispatch after failover: keep the original timeline
+	if slot, ok := c.reqs[id]; ok {
+		return c.handleLocked(slot) // re-dispatch after failover
 	}
-	c.reqs[id] = &RequestTimeline{
-		ID: id, Model: model, Arrival: at,
-		open: map[string]sim.Time{"queue-wait": at},
+	var slot int32
+	if n := len(c.freeSlot); n > 0 {
+		slot = c.freeSlot[n-1]
+		c.freeSlot = c.freeSlot[:n-1]
+	} else {
+		slot = int32(len(c.slots))
+		c.slots = append(c.slots, tlSlot{})
 	}
-	c.reqOrder = append(c.reqOrder, id)
+	t := &RequestTimeline{ID: id, Model: model, Arrival: at}
+	t.openSpan(spanQueueWait, at)
+	c.slots[slot].gen++
+	c.slots[slot].t = t
+	c.reqs[id] = slot
+	c.reqOrder = append(c.reqOrder, slot)
+	h := c.handleLocked(slot)
 	c.evictLocked()
+	return h
 }
 
-// openSpan opens a named span on the request (caller holds c.mu).
-func (t *RequestTimeline) openSpan(name string, at sim.Time) {
-	if t.open == nil {
-		t.open = map[string]sim.Time{}
-	}
-	if _, ok := t.open[name]; !ok {
-		t.open[name] = at
+// openSpan opens a span of kind k on the request unless one is open
+// (caller holds c.mu).
+func (t *RequestTimeline) openSpan(k spanKind, at sim.Time) {
+	if t.openMask&(1<<k) == 0 {
+		t.openMask |= 1 << k
+		t.open[k] = at
 	}
 }
 
-// closeSpan closes a named span if open (caller holds c.mu).
-func (t *RequestTimeline) closeSpan(name string, at sim.Time) {
-	start, ok := t.open[name]
-	if !ok {
+// closeSpan closes the span of kind k if open (caller holds c.mu).
+func (t *RequestTimeline) closeSpan(k spanKind, at sim.Time) {
+	if t.openMask&(1<<k) == 0 {
 		return
 	}
-	delete(t.open, name)
-	t.Spans = append(t.Spans, Span{Name: name, Start: start, End: at})
+	t.openMask &^= 1 << k
+	t.Spans = append(t.Spans, Span{Name: spanNames[k], Start: t.open[k], End: at})
 }
 
-// PrefillStart closes the queue-wait span and opens the prefill span.
-func (c *Collector) PrefillStart(instance, id string, at sim.Time) {
+// PrefillStart closes the queue-wait span and opens the prefill span of the
+// timeline h names; id is the request's id, for the flat event.
+func (c *Collector) PrefillStart(instance, id string, h Handle, at sim.Time) {
 	if c == nil {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindPrefillStart, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t := c.timeline(id); t != nil {
-		t.closeSpan("queue-wait", at)
-		t.openSpan("prefill", at)
+	if t := c.resolve(h); t != nil {
+		t.closeSpan(spanQueueWait, at)
+		t.openSpan(spanPrefill, at)
 	}
 }
 
@@ -316,53 +457,55 @@ func (c *Collector) RequestSpan(instance, id, name, detail string, start, end si
 	}
 }
 
-// PrefillDone closes the prefill span and opens the decode-wait span.
-func (c *Collector) PrefillDone(instance, id string, at sim.Time) {
+// PrefillDone closes the prefill span and opens the decode-wait span of the
+// timeline h names; id is the request's id, for the flat event.
+func (c *Collector) PrefillDone(instance, id string, h Handle, at sim.Time) {
 	if c == nil {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindPrefillDone, Instance: instance, Subject: id})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t := c.timeline(id); t != nil {
-		t.closeSpan("prefill", at)
-		t.openSpan("decode-wait", at)
+	if t := c.resolve(h); t != nil {
+		t.closeSpan(spanPrefill, at)
+		t.openSpan(spanDecodeWait, at)
 	}
 }
 
-// TurnStart records a decode turn: the batch's requests close their
-// decode-wait spans and open per-turn decode spans.
-func (c *Collector) TurnStart(instance, model string, at sim.Time, quota time.Duration, reqIDs []string) {
+// TurnStart records a decode turn of model on the instance: the batch's
+// requests close their decode-wait spans and open per-turn decode spans.
+func (c *Collector) TurnStart(instance string, model model.ID, at sim.Time, quota time.Duration, reqs []Handle) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: model,
-		Detail: fmt.Sprintf("%d reqs, quota %.2fs", len(reqIDs), quota.Seconds())})
+	detail := fmt.Sprintf("%d reqs, quota %.2fs", len(reqs), quota.Seconds())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.turnSet[instance] = append(c.turnSet[instance][:0], reqIDs...)
-	for _, id := range reqIDs {
-		if t := c.timeline(id); t != nil {
-			t.closeSpan("decode-wait", at)
-			t.openSpan("decode-turn", at)
+	c.ring.Emit(Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: c.models.Name(model),
+		Detail: detail})
+	c.turnSet[instance] = append(c.turnSet[instance][:0], reqs...)
+	for _, h := range reqs {
+		if t := c.resolve(h); t != nil {
+			t.closeSpan(spanDecodeWait, at)
+			t.openSpan(spanDecodeTurn, at)
 		}
 	}
 }
 
 // TurnEnd closes the per-turn decode spans of the turn opened by the last
 // TurnStart on the instance and reopens decode-wait for unfinished requests.
-func (c *Collector) TurnEnd(instance, model string, at sim.Time) {
+func (c *Collector) TurnEnd(instance string, model model.ID, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.ring.Emit(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.turnSet[instance] {
-		if t := c.timeline(id); t != nil {
-			t.closeSpan("decode-turn", at)
+	c.ring.Emit(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: c.models.Name(model)})
+	for _, h := range c.turnSet[instance] {
+		if t := c.resolve(h); t != nil {
+			t.closeSpan(spanDecodeTurn, at)
 			if !t.Done {
-				t.openSpan("decode-wait", at)
+				t.openSpan(spanDecodeWait, at)
 			}
 		}
 	}
@@ -387,32 +530,34 @@ func tokenBatchDetail(n int) string {
 	return tokenBatchDetailf(n)
 }
 
-// TokenBatch records one decode step producing a token for each request.
-func (c *Collector) TokenBatch(instance, model string, at sim.Time, reqIDs []string) {
-	if c == nil {
-		return
-	}
-	c.ring.Emit(Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: model,
-		Detail: tokenBatchDetail(len(reqIDs))})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range reqIDs {
-		c.tokenLocked(id, at)
-	}
-}
-
-// Token records a single token completion (prefill's first token).
-func (c *Collector) Token(id string, at sim.Time) {
+// TokenBatch records one decode step of model producing a token for each
+// request timeline in reqs.
+func (c *Collector) TokenBatch(instance string, model model.ID, at sim.Time, reqs []Handle) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tokenLocked(id, at)
+	c.ring.Emit(Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: c.models.Name(model),
+		Detail: tokenBatchDetail(len(reqs))})
+	for _, h := range reqs {
+		c.tokenLocked(h, at)
+	}
 }
 
-func (c *Collector) tokenLocked(id string, at sim.Time) {
-	t := c.timeline(id)
+// Token records a single token completion (prefill's first token) on the
+// timeline h names.
+func (c *Collector) Token(h Handle, at sim.Time) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tokenLocked(h, at)
+}
+
+func (c *Collector) tokenLocked(h Handle, at sim.Time) {
+	t := c.resolve(h)
 	if t == nil {
 		return
 	}
@@ -442,8 +587,8 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	for name := range t.open {
-		t.closeSpan(name, at)
+	for k := spanKind(0); k < numSpanKinds; k++ {
+		t.closeSpan(k, at)
 	}
 	t.Done = true
 	t.Finished = at
@@ -596,13 +741,15 @@ func (c *Collector) Request(id string) (RequestTimeline, bool) {
 
 func (t *RequestTimeline) snapshotLocked() RequestTimeline {
 	out := *t
-	out.open = nil
+	out.open, out.openMask = [numSpanKinds]sim.Time{}, 0
 	out.Spans = append([]Span(nil), t.Spans...)
 	out.Tokens = append([]sim.Time(nil), t.Tokens...)
 	// Include still-open spans as zero-End markers so a live request's
 	// current phase is visible.
-	for name, start := range t.open {
-		out.Spans = append(out.Spans, Span{Name: name + " (open)", Start: start, End: start})
+	for k := spanKind(0); k < numSpanKinds; k++ {
+		if t.openMask&(1<<k) != 0 {
+			out.Spans = append(out.Spans, Span{Name: spanNames[k] + " (open)", Start: t.open[k], End: t.open[k]})
+		}
 	}
 	sort.Slice(out.Spans, func(i, j int) bool { return out.Spans[i].Start < out.Spans[j].Start })
 	return out
@@ -627,9 +774,9 @@ func (c *Collector) VisitSpans(id string, from, to sim.Time, visit func(name, de
 			visit(sp.Name, sp.Detail, sp.Start, sp.End)
 		}
 	}
-	for name, start := range t.open {
-		if start < to {
-			visit(name, "", start, to)
+	for k := spanKind(0); k < numSpanKinds; k++ {
+		if start := t.open[k]; t.openMask&(1<<k) != 0 && start < to {
+			visit(spanNames[k], "", start, to)
 		}
 	}
 	return true
@@ -643,15 +790,13 @@ func (c *Collector) Requests(n int) []RequestTimeline {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.reqOrder
-	if n > 0 && len(ids) > n {
-		ids = ids[len(ids)-n:]
+	slots := c.reqOrder
+	if n > 0 && len(slots) > n {
+		slots = slots[len(slots)-n:]
 	}
-	out := make([]RequestTimeline, 0, len(ids))
-	for _, id := range ids {
-		if t := c.timeline(id); t != nil {
-			out = append(out, t.snapshotLocked())
-		}
+	out := make([]RequestTimeline, 0, len(slots))
+	for _, slot := range slots {
+		out = append(out, c.slots[slot].t.snapshotLocked())
 	}
 	return out
 }
@@ -677,7 +822,8 @@ func (c *Collector) Switches() ([]SwitchRecord, uint64) {
 	return out, c.swTotal
 }
 
-// EngineTimeline is one engine's retained op intervals on one device.
+// EngineTimeline is one engine's retained op intervals on one device. Each
+// op's Info carries its model id; ModelName resolves it.
 type EngineTimeline struct {
 	Device string
 	Engine gpu.EngineKind
@@ -700,7 +846,7 @@ func (c *Collector) DeviceTimelines() []EngineTimeline {
 			out = append(out, EngineTimeline{
 				Device: name,
 				Engine: gpu.EngineKind(k),
-				Ops:    dt.engines[k].ordered(),
+				Ops:    dt.engines[k].ordered(gpu.EngineKind(k)),
 				Total:  dt.engines[k].total,
 			})
 		}
@@ -737,7 +883,7 @@ func (c *Collector) Utilizations(now sim.Time, window time.Duration) []GPUUtiliz
 		for k := range dt.engines {
 			var busy time.Duration
 			for _, op := range dt.engines[k].buf {
-				s, e := op.Start, op.End
+				s, e := op.start, op.end
 				if e <= lo || s >= now {
 					continue
 				}

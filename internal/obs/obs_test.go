@@ -25,14 +25,15 @@ func spanByName(t *testing.T, spans []Span, name string) Span {
 
 func TestRequestSpanLifecycle(t *testing.T) {
 	c := New(Options{})
-	c.RequestArrived("r1", "m1", ms(0))
-	c.PrefillStart("p0", "r1", ms(10))
-	c.PrefillDone("p0", "r1", ms(30))
-	c.Token("r1", ms(30))
-	c.TurnStart("d0", "m1", ms(50), 2*time.Second, []string{"r1"})
-	c.TokenBatch("d0", "m1", ms(60), []string{"r1"})
-	c.TokenBatch("d0", "m1", ms(70), []string{"r1"})
-	c.TurnEnd("d0", "m1", ms(80))
+	c.NameModel(1, "m1")
+	h := c.RequestArrived("r1", "m1", ms(0))
+	c.PrefillStart("p0", "r1", h, ms(10))
+	c.PrefillDone("p0", "r1", h, ms(30))
+	c.Token(h, ms(30))
+	c.TurnStart("d0", 1, ms(50), 2*time.Second, []Handle{h})
+	c.TokenBatch("d0", 1, ms(60), []Handle{h})
+	c.TokenBatch("d0", 1, ms(70), []Handle{h})
+	c.TurnEnd("d0", 1, ms(80))
 	c.RequestDone("r1", ms(80))
 
 	rt, ok := c.Request("r1")
@@ -61,13 +62,19 @@ func TestRequestSpanLifecycle(t *testing.T) {
 	if rt.TokensTotal != 3 || len(rt.Tokens) != 3 {
 		t.Fatalf("tokens = %d/%d", len(rt.Tokens), rt.TokensTotal)
 	}
-	// The flat ring saw the matching events (one event model, not two).
+	// The flat ring saw the matching events (one event model, not two),
+	// with the model id resolved to its name.
 	ring := c.Ring()
 	for _, k := range []Kind{KindArrival, KindPrefillStart,
 		KindPrefillDone, KindTurnStart, KindTurnEnd,
 		KindTokenBatch, KindRequestDone} {
 		if ring.Count(k) == 0 {
 			t.Errorf("ring missing kind %v", k)
+		}
+	}
+	for _, e := range ring.Events() {
+		if (e.Kind == KindTurnStart || e.Kind == KindTokenBatch) && e.Subject != "m1" {
+			t.Errorf("%v event names model %q, want m1", e.Kind, e.Subject)
 		}
 	}
 }
@@ -79,7 +86,7 @@ func TestTokenBatchDetail(t *testing.T) {
 	c := New(Options{})
 	sizes := []int{0, 1, 7, 255, 256, 300}
 	for _, n := range sizes {
-		c.TokenBatch("d0", "m", 0, make([]string, n))
+		c.TokenBatch("d0", 1, 0, make([]Handle, n))
 	}
 	events := c.Ring().Events()
 	if len(events) != len(sizes) {
@@ -90,8 +97,8 @@ func TestTokenBatchDetail(t *testing.T) {
 			t.Errorf("detail for %d tokens = %q, want %q", n, events[i].Detail, want)
 		}
 	}
-	ids := []string{"x1", "x2", "x3"}
-	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", "m", 0, ids) }); allocs != 0 {
+	hs := make([]Handle, 3)
+	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", 1, 0, hs) }); allocs != 0 {
 		t.Errorf("TokenBatch allocates %v times per call, want 0", allocs)
 	}
 }
@@ -101,14 +108,15 @@ func TestTokenBatchDetail(t *testing.T) {
 // lock and no garbage.
 func TestTokenBatchAllocs(t *testing.T) {
 	c := New(Options{MaxTokensPerRequest: 4})
-	ids := []string{"r1", "r2", "r3"}
-	for _, id := range ids {
-		c.RequestArrived(id, "m", 0)
+	c.NameModel(1, "m")
+	var hs []Handle
+	for _, id := range []string{"r1", "r2", "r3"} {
+		hs = append(hs, c.RequestArrived(id, "m", 0))
 	}
 	for i := 0; i < 4; i++ {
-		c.TokenBatch("d0", "m", ms(i), ids)
+		c.TokenBatch("d0", 1, ms(i), hs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", "m", ms(5), ids) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", 1, ms(5), hs) }); allocs != 0 {
 		t.Fatalf("TokenBatch allocates %v times per step, want 0", allocs)
 	}
 	if tl, _ := c.Request("r2"); len(tl.Tokens) != 4 || tl.TokensTotal != 105 {
@@ -120,28 +128,28 @@ func TestTokenBatchAllocs(t *testing.T) {
 // requests past their token-stamp cap (the steady state of a long decode).
 func BenchmarkTokenBatch(b *testing.B) {
 	c := New(Options{MaxTokensPerRequest: 1})
-	ids := make([]string, 8)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("r%d", i)
-		c.RequestArrived(ids[i], "m", 0)
+	c.NameModel(1, "m")
+	hs := make([]Handle, 8)
+	for i := range hs {
+		hs[i] = c.RequestArrived(fmt.Sprintf("r%d", i), "m", 0)
 	}
-	c.TokenBatch("d0", "m", 0, ids)
+	c.TokenBatch("d0", 1, 0, hs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.TokenBatch("d0", "m", time.Duration(i), ids)
+		c.TokenBatch("d0", 1, time.Duration(i), hs)
 	}
 }
 
 func TestTurnEndReopensDecodeWait(t *testing.T) {
 	c := New(Options{})
-	c.RequestArrived("r1", "m1", ms(0))
-	c.PrefillStart("p0", "r1", ms(0))
-	c.PrefillDone("p0", "r1", ms(10))
-	c.TurnStart("d0", "m1", ms(20), time.Second, []string{"r1"})
-	c.TurnEnd("d0", "m1", ms(40))
-	c.TurnStart("d0", "m1", ms(60), time.Second, []string{"r1"})
-	c.TurnEnd("d0", "m1", ms(90))
+	h := c.RequestArrived("r1", "m1", ms(0))
+	c.PrefillStart("p0", "r1", h, ms(0))
+	c.PrefillDone("p0", "r1", h, ms(10))
+	c.TurnStart("d0", 1, ms(20), time.Second, []Handle{h})
+	c.TurnEnd("d0", 1, ms(40))
+	c.TurnStart("d0", 1, ms(60), time.Second, []Handle{h})
+	c.TurnEnd("d0", 1, ms(90))
 	c.RequestDone("r1", ms(90))
 
 	rt, _ := c.Request("r1")
@@ -276,11 +284,42 @@ func TestRequestEvictionPrefersCompleted(t *testing.T) {
 	}
 }
 
+// TestStaleHandleIsNoop: once a timeline is evicted its handle resolves to
+// nothing, even after a new request's timeline reuses the slot.
+func TestStaleHandleIsNoop(t *testing.T) {
+	c := New(Options{MaxRequests: 1})
+	old := c.RequestArrived("r1", "m", ms(0))
+	c.RequestDone("r1", ms(1))
+	c.RequestArrived("r2", "m", ms(2)) // evicts r1, freeing its slot
+	c.RequestDone("r2", ms(3))
+	fresh := c.RequestArrived("r3", "m", ms(4)) // evicts r2, takes r1's slot
+	if old.slot != fresh.slot || old.gen == fresh.gen {
+		t.Fatalf("r3 got %+v, want r1's slot %+v at a new generation", fresh, old)
+	}
+	c.Token(old, ms(5))
+	c.TokenBatch("d0", 1, ms(6), []Handle{old})
+	c.PrefillStart("p0", "r1", old, ms(7))
+	c.TurnStart("d0", 1, ms(8), time.Second, []Handle{old})
+	c.TurnEnd("d0", 1, ms(9))
+	rt, ok := c.Request("r3")
+	if !ok {
+		t.Fatal("r3 timeline missing")
+	}
+	if rt.TokensTotal != 0 || len(rt.Spans) != 1 || rt.Spans[0].Name != "queue-wait (open)" {
+		t.Fatalf("stale handle reached r3: %+v", rt)
+	}
+	if _, ok := c.Request("r1"); ok {
+		t.Fatal("r1 not evicted")
+	}
+}
+
 func TestDuplicateArrivalKeepsOriginal(t *testing.T) {
 	c := New(Options{})
-	c.RequestArrived("r1", "m", ms(0))
-	c.Token("r1", ms(5))
-	c.RequestArrived("r1", "m", ms(100)) // failover re-dispatch
+	h := c.RequestArrived("r1", "m", ms(0))
+	c.Token(h, ms(5))
+	if again := c.RequestArrived("r1", "m", ms(100)); again != h { // failover re-dispatch
+		t.Fatalf("re-dispatch got handle %+v, want the original %+v", again, h)
+	}
 	rt, _ := c.Request("r1")
 	if rt.Arrival != ms(0) || rt.TokensTotal != 1 {
 		t.Fatalf("re-dispatch clobbered the timeline: %+v", rt)
@@ -289,9 +328,9 @@ func TestDuplicateArrivalKeepsOriginal(t *testing.T) {
 
 func TestTokenStampsCapped(t *testing.T) {
 	c := New(Options{MaxTokensPerRequest: 4})
-	c.RequestArrived("r1", "m", ms(0))
+	h := c.RequestArrived("r1", "m", ms(0))
 	for i := 0; i < 10; i++ {
-		c.Token("r1", ms(i))
+		c.Token(h, ms(i))
 	}
 	rt, _ := c.Request("r1")
 	if len(rt.Tokens) != 4 || rt.TokensTotal != 10 {
@@ -306,7 +345,7 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 	c.ObserveDevice(d)
 	s := d.NewStream("s")
 	for i := 0; i < 10; i++ {
-		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: "m1"})
+		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
 	}
 	s.SubmitOp(gpu.H2D, 5*time.Millisecond, gpu.OpInfo{Kind: gpu.OpKVIn})
 	se.Run()
@@ -371,14 +410,15 @@ func TestUtilizations(t *testing.T) {
 func TestNilCollectorIsNoopAndAllocationFree(t *testing.T) {
 	var c *Collector
 	ids := []string{"r1"}
+	hs := []Handle{{}}
 	allocs := testing.AllocsPerRun(100, func() {
-		c.RequestArrived("r1", "m", 0)
-		c.PrefillStart("p0", "r1", 0)
-		c.PrefillDone("p0", "r1", 0)
-		c.TurnStart("d0", "m", 0, time.Second, ids)
-		c.TokenBatch("d0", "m", 0, ids)
-		c.Token("r1", 0)
-		c.TurnEnd("d0", "m", 0)
+		h := c.RequestArrived("r1", "m", 0)
+		c.PrefillStart("p0", "r1", h, 0)
+		c.PrefillDone("p0", "r1", h, 0)
+		c.TurnStart("d0", 1, 0, time.Second, hs)
+		c.TokenBatch("d0", 1, 0, hs)
+		c.Token(h, 0)
+		c.TurnEnd("d0", 1, 0)
 		c.Evicted("d0", "m", 0)
 		c.RequestDone("r1", 0)
 		c.BeginSwitch("d0", "a", "b", 0, false)

@@ -86,6 +86,9 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 
 	// Device tracks: one process per device, one thread per engine.
 	timelines := c.DeviceTimelines()
+	c.mu.Lock()
+	names := c.models.Clone()
+	c.mu.Unlock()
 	devPid := map[string]int{}
 	for _, tl := range timelines {
 		pid, ok := devPid[tl.Device]
@@ -100,15 +103,16 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 		tid := 1 + int(tl.Engine)
 		events = append(events, metaEvent(pid, tid, "thread_name", tl.Engine.String()))
 		for _, op := range tl.Ops {
+			model := names.Name(op.Info.Model)
 			ev := traceEvent{
-				Name: op.Info.Label(), Ph: "X", Cat: "gpu",
+				Name: op.Info.Label(model), Ph: "X", Cat: "gpu",
 				Ts: usec(op.Start), Dur: durUsec(op.Start, op.End),
 				Pid: pid, Tid: tid,
 			}
-			if op.Info.Model != "" || op.Info.Request != "" {
+			if model != "" || op.Info.Request != "" {
 				ev.Args = map[string]any{}
-				if op.Info.Model != "" {
-					ev.Args["model"] = op.Info.Model
+				if model != "" {
+					ev.Args["model"] = model
 				}
 				if op.Info.Request != "" {
 					ev.Args["request"] = op.Info.Request

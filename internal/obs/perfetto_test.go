@@ -22,21 +22,23 @@ func buildCollector(t testing.TB) *Collector {
 	c.ObserveDevice(d)
 	s := d.NewStream("s")
 
-	c.RequestArrived("r1", "m1", 0)
-	c.PrefillStart("prefill0", "r1", ms(5))
-	s.SubmitOp(gpu.Compute, 20*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: "m1", Request: "r1"})
+	c.NameModel(1, "m1")
+	c.NameModel(2, "m2")
+	h1 := c.RequestArrived("r1", "m1", 0)
+	c.PrefillStart("prefill0", "r1", h1, ms(5))
+	s.SubmitOp(gpu.Compute, 20*time.Millisecond, gpu.OpInfo{Kind: gpu.OpPrefill, Model: 1, Request: "r1"})
 	se.Run()
-	c.PrefillDone("prefill0", "r1", ms(25))
-	c.Token("r1", ms(25))
+	c.PrefillDone("prefill0", "r1", h1, ms(25))
+	c.Token(h1, ms(25))
 
-	c.RequestArrived("r2", "m2", ms(10))
+	h2 := c.RequestArrived("r2", "m2", ms(10))
 	c.BeginSwitch("prefill0", "m1", "m2", ms(25), true)
 	c.SwitchStage("prefill0", "weight-load", ms(25), ms(300))
 	c.SwitchVictims("prefill0", []string{"r2"})
 	c.EndSwitch("prefill0", ms(320))
-	c.PrefillStart("prefill0", "r2", ms(320))
-	c.PrefillDone("prefill0", "r2", ms(340))
-	c.Token("r2", ms(340))
+	c.PrefillStart("prefill0", "r2", h2, ms(320))
+	c.PrefillDone("prefill0", "r2", h2, ms(340))
+	c.Token(h2, ms(340))
 	c.RequestDone("r1", ms(400))
 	c.RequestDone("r2", ms(400))
 	return c

@@ -147,7 +147,7 @@ func TestFaultsOutliveRingWrap(t *testing.T) {
 	c.Fault("decode0", "crash", "injected", ms(1))
 	c.Retry("prefill0", "fetch", ms(2))
 	for i := 0; i < 100; i++ {
-		c.TokenBatch("decode1", "m", ms(10+i), nil)
+		c.TokenBatch("decode1", 1, ms(10+i), nil)
 	}
 	if c.Ring().Count(KindFailure) != 1 || c.Ring().Events()[0].Kind != KindTokenBatch {
 		t.Fatal("flat ring did not record the fault and then wrap past it")

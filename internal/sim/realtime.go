@@ -38,10 +38,15 @@ type Driver struct {
 	wake chan struct{}
 	done chan struct{}
 
-	startWall time.Time
-	startVirt Time
+	anchor atomic.Pointer[anchor] // set by Start
 
 	stopOnce sync.Once
+}
+
+// anchor pins one virtual instant to the wall-clock instant it replays at.
+type anchor struct {
+	wall time.Time
+	virt Time
 }
 
 // NewDriver wraps eng for real-time replay at the given speedup (virtual
@@ -62,8 +67,7 @@ func NewDriver(eng *Engine, speedup float64) *Driver {
 // Start anchors virtual time to the current wall clock and launches the
 // event loop goroutine. Start must be called at most once.
 func (d *Driver) Start() {
-	d.startWall = time.Now()
-	d.startVirt = d.eng.Now()
+	d.anchor.Store(&anchor{wall: time.Now(), virt: d.eng.Now()})
 	go d.loop()
 }
 
@@ -138,14 +142,23 @@ func (d *Driver) takePending() []func() {
 	return fns
 }
 
-// virtualNow maps the current wall clock onto virtual time.
-func (d *Driver) virtualNow() Time {
-	return d.startVirt + Time(float64(time.Since(d.startWall))*d.speedup)
+// VirtualNow maps the current wall clock onto virtual time by the pacing
+// the driver replays at: the instant the event loop is paced toward. It is
+// safe to call from any goroutine, and returns 0 before Start. The engine's
+// own clock is never behind it for long while paced, and may run ahead of
+// it once the driver is accelerated.
+func (d *Driver) VirtualNow() Time {
+	a := d.anchor.Load()
+	if a == nil {
+		return 0
+	}
+	return a.virt + Time(float64(time.Since(a.wall))*d.speedup)
 }
 
-// wallFor maps a virtual timestamp back onto the wall clock.
+// wallFor maps a virtual timestamp back onto the wall clock. Loop only.
 func (d *Driver) wallFor(v Time) time.Time {
-	return d.startWall.Add(time.Duration(float64(v-d.startVirt) / d.speedup))
+	a := d.anchor.Load()
+	return a.wall.Add(time.Duration(float64(v-a.virt) / d.speedup))
 }
 
 // advance fires every event due by the present moment. Under pacing the
@@ -157,7 +170,7 @@ func (d *Driver) advance() {
 		d.eng.Run()
 		return
 	}
-	if v := d.virtualNow(); v > d.eng.Now() {
+	if v := d.VirtualNow(); v > d.eng.Now() {
 		d.eng.RunUntil(v)
 	}
 }

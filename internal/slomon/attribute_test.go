@@ -13,11 +13,11 @@ import (
 func buildTimeline(t *testing.T) *obs.Collector {
 	t.Helper()
 	c := obs.New(obs.Options{})
-	c.RequestArrived("r1", "m0", 0)
-	c.PrefillStart("g0", "r1", 2*time.Second)
-	c.PrefillDone("g0", "r1", 5*time.Second)
-	c.TurnStart("g0", "m0", 8*time.Second, time.Second, []string{"r1"})
-	c.TurnEnd("g0", "m0", 12*time.Second)
+	h := c.RequestArrived("r1", "m0", 0)
+	c.PrefillStart("g0", "r1", h, 2*time.Second)
+	c.PrefillDone("g0", "r1", h, 5*time.Second)
+	c.TurnStart("g0", 1, 8*time.Second, time.Second, []obs.Handle{h})
+	c.TurnEnd("g0", 1, 12*time.Second)
 	c.RequestDone("r1", 12*time.Second)
 	return c
 }
@@ -79,12 +79,12 @@ func TestClassifySwitchBeatsWaitOnTie(t *testing.T) {
 	// A switch stall overlapping exactly as much as queue-wait must win:
 	// it is the actionable signal.
 	c := obs.New(obs.Options{})
-	c.RequestArrived("r1", "m0", 0) // queue-wait opens at 0
+	h := c.RequestArrived("r1", "m0", 0) // queue-wait opens at 0
 	c.BeginSwitch("g0", "m1", "m0", 0, false)
 	c.SwitchStage("g0", "weight-load", 0, 4*time.Second)
 	c.SwitchVictims("g0", []string{"r1"})
 	c.EndSwitch("g0", 4*time.Second)
-	c.PrefillStart("g0", "r1", 4*time.Second) // closes queue-wait at 4s
+	c.PrefillStart("g0", "r1", h, 4*time.Second) // closes queue-wait at 4s
 	got := classify(c, nil, "m0", "r1", "g0", 0, 0, 4*time.Second)
 	if got != CauseSwitchWeightLoad {
 		t.Fatalf("tied overlap = %v, want switch_weight_load to win the tie", got)

@@ -35,7 +35,7 @@ func feed(m *Monitor, from, to time.Duration, perSec, missed int) {
 				dl = at - time.Second
 			}
 			m.ObserveToken(TokenObs{
-				Model: "m0", Request: fmt.Sprintf("r-%d", s/time.Second),
+				Model: mid("m0"), Request: fmt.Sprintf("r-%d", s/time.Second),
 				Index: 1, Arrival: 0, Deadline: dl, At: at, Prev: at - 50*time.Millisecond,
 			})
 		}
@@ -47,7 +47,7 @@ func feed(m *Monitor, from, to time.Duration, perSec, missed int) {
 // pages, recovery demotes stepwise (page -> warn -> ok) as the windows
 // drain — never page -> ok directly, and no flapping in between.
 func TestBurnRateAlertGolden(t *testing.T) {
-	m := New(testCfg())
+	m := testMonitor(testCfg())
 	feed(m, 0, 30*time.Second, 10, 0)               // healthy baseline
 	feed(m, 30*time.Second, 50*time.Second, 10, 4)  // moderate: burn 4 -> warn
 	feed(m, 50*time.Second, 65*time.Second, 10, 8)  // heavy: burn 8 -> page

@@ -129,13 +129,16 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 		out.Windows = append(out.Windows, WindowSpec{Name: windowNames[i], Seconds: d.Seconds()})
 	}
 	out.Fleet = m.scopeSnapshotLocked("", m.fleet, m.fleetCum, now)
-	names := make([]string, 0, len(m.models))
-	for name := range m.models {
-		names = append(names, name)
+	var scopes []*scope
+	for _, s := range m.models {
+		if s != nil {
+			scopes = append(scopes, s)
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Models = append(out.Models, m.scopeSnapshotLocked(name, m.models[name], m.cum.Get(name), now))
+	sort.Slice(scopes, func(i, j int) bool { return m.names.Name(scopes[i].id) < m.names.Name(scopes[j].id) })
+	for _, s := range scopes {
+		name := m.names.Name(s.id)
+		out.Models = append(out.Models, m.scopeSnapshotLocked(name, s, m.cum.Get(name), now))
 	}
 	return out
 }

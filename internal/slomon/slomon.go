@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"aegaeon/internal/model"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -100,9 +101,10 @@ func (c *Config) windows() [numWindows]time.Duration {
 	return [numWindows]time.Duration{c.FastWindow, c.MidWindow, c.SlowWindow}
 }
 
-// TokenObs is one produced token, judged against its deadline.
+// TokenObs is one produced token, judged against its deadline. Model is
+// the dense id of the request's model, named to the monitor by NameModel.
 type TokenObs struct {
-	Model    string
+	Model    model.ID
 	Request  string
 	Instance string
 	Index    int      // 0-based token index within the request
@@ -114,6 +116,7 @@ type TokenObs struct {
 
 // scope is the windowed state of one aggregation level (fleet or model).
 type scope struct {
+	id     model.ID // the model's id; model.NoID for the fleet
 	ring   *windowRing
 	ttft   *epochSketch
 	tbt    *epochSketch
@@ -146,8 +149,9 @@ type Monitor struct {
 	cfg Config
 
 	mu     sync.Mutex
+	names  model.Names
 	fleet  *scope
-	models map[string]*scope
+	models []*scope // indexed by model id; nil until the model's first token
 	now    sim.Time // latest time observed or advanced to
 
 	// Cumulative attainment, mirroring the slo.Tracker call sites so the
@@ -162,7 +166,6 @@ func New(cfg Config) *Monitor {
 	return &Monitor{
 		cfg:      cfg,
 		fleet:    newScope(cfg),
-		models:   map[string]*scope{},
 		cum:      slo.NewByModel(),
 		fleetCum: slo.NewTracker(),
 	}
@@ -176,18 +179,39 @@ func (m *Monitor) Config() Config {
 	return m.cfg
 }
 
-func (m *Monitor) scopeLocked(model string) *scope {
-	s, ok := m.models[model]
-	if !ok {
-		s = newScope(m.cfg)
-		// Start at the monitor clock, where every started ring's head is,
-		// so a first observation judged behind the clock clamps into the
-		// same bucket as the fleet's copy.
-		if m.fleet.ring.head >= 0 {
-			s.ring.advance(m.now)
-		}
-		m.models[model] = s
+// NameModel records the name of model id, which token observations carry
+// instead of the name; snapshots and miss attribution resolve it. A system
+// names its models as it is built. Nil-safe.
+func (m *Monitor) NameModel(id model.ID, name string) {
+	if m == nil {
+		return
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.names.Set(id, name)
+}
+
+// modelName resolves id for miss attribution, which runs outside m.mu.
+func (m *Monitor) modelName(id model.ID) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.names.Name(id)
+}
+
+func (m *Monitor) scopeLocked(id model.ID) *scope {
+	if int(id) < len(m.models) && m.models[id] != nil {
+		return m.models[id]
+	}
+	m.models = model.Grow(m.models, id)
+	s := newScope(m.cfg)
+	s.id = id
+	// Start at the monitor clock, where every started ring's head is, so a
+	// first observation judged behind the clock clamps into the same bucket
+	// as the fleet's copy.
+	if m.fleet.ring.head >= 0 {
+		s.ring.advance(m.now)
+	}
+	m.models[id] = s
 	return s
 }
 
@@ -212,7 +236,7 @@ func (m *Monitor) ObserveTokens(obs []TokenObs) {
 	for _, o := range obs {
 		if o.At > o.Deadline {
 			causes = append(causes, classify(m.cfg.Source, m.cfg.FaultActive,
-				o.Model, o.Request, o.Instance, o.Arrival, o.Deadline, o.At))
+				m.modelName(o.Model), o.Request, o.Instance, o.Arrival, o.Deadline, o.At))
 		}
 	}
 	m.mu.Lock()
@@ -255,10 +279,11 @@ func (m *Monitor) ObserveTokens(obs []TokenObs) {
 // into a future bucket. Attribution joins the overrun interval (or, for
 // future deadlines, the request's lifetime so far). Cumulative accounting
 // mirrors slo.Tracker.ObserveDropped. Nil-safe.
-func (m *Monitor) ObserveDropped(model, request, instance string, arrival, deadline, judged sim.Time) {
+func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival, deadline, judged sim.Time) {
 	if m == nil {
 		return
 	}
+	model := m.modelName(id)
 	cause := classify(m.cfg.Source, m.cfg.FaultActive,
 		model, request, instance, arrival, deadline, judged)
 	m.cum.ObserveDropped(model)
@@ -269,7 +294,7 @@ func (m *Monitor) ObserveDropped(model, request, instance string, arrival, deadl
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ms := m.scopeLocked(model)
+	ms := m.scopeLocked(id)
 	for _, s := range [2]*scope{m.fleet, ms} {
 		s.ring.observe(bucketAt, false)
 		s.missed++
@@ -319,7 +344,9 @@ func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 	}
 	if rotated {
 		for _, s := range m.models {
-			s.ring.advance(now)
+			if s != nil {
+				s.ring.advance(now)
+			}
 		}
 		m.stepAlertsLocked(now)
 	}
@@ -332,7 +359,9 @@ func (m *Monitor) stepAlertsLocked(now sim.Time) {
 	}
 	step(m.fleet)
 	for _, s := range m.models {
-		step(s)
+		if s != nil {
+			step(s)
+		}
 	}
 }
 

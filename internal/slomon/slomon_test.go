@@ -8,13 +8,37 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/model"
 	"aegaeon/internal/slo"
 )
 
+// testModels is how many models testMonitor names: m0, m1, ... under ids
+// 1, 2, ....
+const testModels = 256
+
+// testMonitor is New with models m0..m255 named, as a system names its
+// models when it is built.
+func testMonitor(cfg Config) *Monitor {
+	m := New(cfg)
+	for i := 0; i < testModels; i++ {
+		m.NameModel(mid(fmt.Sprintf("m%d", i)), fmt.Sprintf("m%d", i))
+	}
+	return m
+}
+
+// mid returns the id testMonitor names model "m<i>" under.
+func mid(name string) model.ID {
+	var i int
+	if _, err := fmt.Sscanf(name, "m%d", &i); err != nil || i >= testModels {
+		panic("slomon test: bad model name " + name)
+	}
+	return model.ID(i + 1)
+}
+
 func TestNilMonitorIsSafe(t *testing.T) {
 	var m *Monitor
-	m.ObserveToken(TokenObs{Model: "m0"})
-	m.ObserveDropped("m0", "r1", "g0", 0, time.Second, 2*time.Second)
+	m.ObserveToken(TokenObs{Model: mid("m0")})
+	m.ObserveDropped(mid("m0"), "r1", "g0", 0, time.Second, 2*time.Second)
 	m.ObserveRequest("m0", slo.Default(), 0, []time.Duration{time.Second})
 	m.Advance(time.Second)
 	if m.Snapshot(time.Second) != nil {
@@ -29,19 +53,19 @@ func TestNilMonitorIsSafe(t *testing.T) {
 }
 
 func TestMonitorCountsAndCauseSum(t *testing.T) {
-	m := New(Config{Objective: 0.99})
+	m := testMonitor(Config{Objective: 0.99})
 	// 3 met, 2 missed (source nil -> unknown cause), 1 dropped.
 	for i := 0; i < 3; i++ {
 		at := time.Duration(i+1) * time.Second
-		m.ObserveToken(TokenObs{Model: "m0", Request: "r1", Index: i,
+		m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1", Index: i,
 			Deadline: at + time.Second, At: at, Prev: at - time.Second})
 	}
 	for i := 0; i < 2; i++ {
 		at := time.Duration(i+4) * time.Second
-		m.ObserveToken(TokenObs{Model: "m0", Request: "r1", Index: i + 3,
+		m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1", Index: i + 3,
 			Deadline: at - time.Second, At: at, Prev: at - time.Second})
 	}
-	m.ObserveDropped("m0", "r2", "g0", 0, 5*time.Second, 6*time.Second)
+	m.ObserveDropped(mid("m0"), "r2", "g0", 0, 5*time.Second, 6*time.Second)
 
 	snap := m.Snapshot(6 * time.Second)
 	if snap.Fleet.TokensMet != 3 || snap.Fleet.TokensMissed != 3 {
@@ -63,12 +87,12 @@ func TestMonitorCountsAndCauseSum(t *testing.T) {
 }
 
 func TestMonitorTTFTAndTBTSketches(t *testing.T) {
-	m := New(Config{})
+	m := testMonitor(Config{})
 	// Token 0 at 2s after a 0s arrival: TTFT sample of 2s.
-	m.ObserveToken(TokenObs{Model: "m0", Request: "r1", Index: 0,
+	m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1", Index: 0,
 		Arrival: 0, Deadline: 10 * time.Second, At: 2 * time.Second})
 	// Token 1 100ms later: TBT sample of 100ms.
-	m.ObserveToken(TokenObs{Model: "m0", Request: "r1", Index: 1,
+	m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1", Index: 1,
 		Arrival: 0, Deadline: 10 * time.Second, At: 2100 * time.Millisecond, Prev: 2 * time.Second})
 	snap := m.Snapshot(3 * time.Second)
 	if snap.Fleet.TTFT.Count != 1 || snap.Fleet.TTFT.P50S < 1.9 || snap.Fleet.TTFT.P50S > 2.1 {
@@ -83,7 +107,7 @@ func TestMonitorCumulativeMirrorsTracker(t *testing.T) {
 	// The same observations fed to a plain tracker and through the monitor's
 	// request mirror must agree exactly — this is the convergence contract
 	// behind /debug/slo's cumulative block.
-	m := New(Config{})
+	m := testMonitor(Config{})
 	ref := slo.NewTracker()
 	s := slo.Default()
 	times := [][]time.Duration{
@@ -95,7 +119,7 @@ func TestMonitorCumulativeMirrorsTracker(t *testing.T) {
 		m.ObserveRequest("m0", s, 0, ts)
 		ref.ObserveRequest(s, 0, ts)
 	}
-	m.ObserveDropped("m0", "rX", "", 0, time.Second, 2*time.Second)
+	m.ObserveDropped(mid("m0"), "rX", "", 0, time.Second, 2*time.Second)
 	ref.ObserveDropped()
 
 	snap := m.Snapshot(30 * time.Second)
@@ -122,8 +146,8 @@ func TestDroppedFutureDeadlineBucketsAtJudgement(t *testing.T) {
 	// A failed request's future tokens are judged lost *now*; their misses
 	// must land in the current bucket, not a future one the window will
 	// never reach consistently.
-	m := New(Config{Bucket: time.Second, FastWindow: 5 * time.Second})
-	m.ObserveDropped("m0", "r1", "", 0, 100*time.Second, 3*time.Second)
+	m := testMonitor(Config{Bucket: time.Second, FastWindow: 5 * time.Second})
+	m.ObserveDropped(mid("m0"), "r1", "", 0, 100*time.Second, 3*time.Second)
 	snap := m.Snapshot(3 * time.Second)
 	var fast WindowStats
 	for _, w := range snap.Fleet.Windowed {
@@ -137,8 +161,8 @@ func TestDroppedFutureDeadlineBucketsAtJudgement(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	m := New(Config{})
-	m.ObserveToken(TokenObs{Model: "m0", Request: "r1", Index: 0,
+	m := testMonitor(Config{})
+	m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1", Index: 0,
 		Deadline: time.Second, At: 2 * time.Second})
 	snap := m.Snapshot(2 * time.Second)
 	data, err := json.Marshal(snap)
@@ -159,8 +183,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 	good := func() *Snapshot {
-		m := New(Config{})
-		m.ObserveToken(TokenObs{Model: "m0", Request: "r1",
+		m := testMonitor(Config{})
+		m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r1",
 			Deadline: time.Second, At: 2 * time.Second})
 		return m.Snapshot(2 * time.Second)
 	}
@@ -199,7 +223,7 @@ func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 // TestConcurrentObserveAndSnapshot hammers window rotation against snapshot
 // reads; run with -race. Counts must balance exactly at the end.
 func TestConcurrentObserveAndSnapshot(t *testing.T) {
-	m := New(Config{Bucket: time.Millisecond, FastWindow: 10 * time.Millisecond,
+	m := testMonitor(Config{Bucket: time.Millisecond, FastWindow: 10 * time.Millisecond,
 		MidWindow: 50 * time.Millisecond, SlowWindow: 100 * time.Millisecond})
 	const writers = 4
 	const perWriter = 2000
@@ -215,7 +239,7 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 				if i%10 == 0 {
 					dl = at - time.Millisecond
 				}
-				m.ObserveToken(TokenObs{Model: model, Request: "r", Index: i,
+				m.ObserveToken(TokenObs{Model: mid(model), Request: "r", Index: i,
 					Deadline: dl, At: at, Prev: at - time.Microsecond})
 			}
 		}(w)
@@ -258,7 +282,7 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 }
 
 func TestConfigDefaultsAndMonotoneWindows(t *testing.T) {
-	m := New(Config{})
+	m := testMonitor(Config{})
 	cfg := m.Config()
 	if cfg.Objective != 0.99 || cfg.Bucket != time.Second ||
 		cfg.FastWindow != time.Minute || cfg.MidWindow != 5*time.Minute ||
@@ -266,7 +290,7 @@ func TestConfigDefaultsAndMonotoneWindows(t *testing.T) {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Windows are forced monotone: slow >= mid >= fast.
-	c2 := New(Config{FastWindow: 10 * time.Minute, MidWindow: time.Minute, SlowWindow: time.Second}).Config()
+	c2 := testMonitor(Config{FastWindow: 10 * time.Minute, MidWindow: time.Minute, SlowWindow: time.Second}).Config()
 	if c2.MidWindow < c2.FastWindow || c2.SlowWindow < c2.MidWindow {
 		t.Fatalf("windows not monotone: %v/%v/%v", c2.FastWindow, c2.MidWindow, c2.SlowWindow)
 	}
@@ -286,6 +310,9 @@ func checkModelsSumToFleet(t *testing.T, m *Monitor, label string) {
 	t.Helper()
 	var met, missed [numWindows]uint64
 	for _, s := range m.models {
+		if s == nil {
+			continue
+		}
 		sm, sx := windowSums(s)
 		for i := range met {
 			met[i] += sm[i]
@@ -306,11 +333,11 @@ func checkModelsSumToFleet(t *testing.T, m *Monitor, label string) {
 // same (clamped) bucket as the fleet's, not in a ring started at the old
 // bucket that the next advance wipes.
 func TestLateFirstObservationMatchesFleet(t *testing.T) {
-	m := New(Config{Bucket: time.Second, FastWindow: 5 * time.Second,
+	m := testMonitor(Config{Bucket: time.Second, FastWindow: 5 * time.Second,
 		MidWindow: 10 * time.Second, SlowWindow: 10 * time.Second})
-	m.ObserveToken(TokenObs{Model: "m0", Request: "r0",
+	m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r0",
 		Deadline: 21 * time.Second, At: 20 * time.Second})
-	m.ObserveDropped("m1", "r1", "g0", 0, 2*time.Second, 3*time.Second)
+	m.ObserveDropped(mid("m1"), "r1", "g0", 0, 2*time.Second, 3*time.Second)
 	snap := m.Snapshot(20 * time.Second)
 	for i, fw := range snap.Fleet.Windowed {
 		var met, missed uint64
@@ -343,7 +370,7 @@ func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(
 		switch r := rng.Intn(12); {
 		case r < 6:
 			op = "token"
-			m.ObserveToken(TokenObs{Model: model, Request: "r", Index: rng.Intn(3),
+			m.ObserveToken(TokenObs{Model: mid(model), Request: "r", Index: rng.Intn(3),
 				Deadline: at + jitter(bucket) - bucket/3, At: at, Prev: at - bucket/10})
 		case r < 8:
 			op = "drop"
@@ -351,7 +378,7 @@ func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(
 			if rng.Intn(3) == 0 {
 				deadline = at + span
 			}
-			m.ObserveDropped(model, "r", "g0", 0, deadline, at)
+			m.ObserveDropped(mid(model), "r", "g0", 0, deadline, at)
 		case r < 10:
 			op = "advance"
 			m.Advance(at)
@@ -376,7 +403,7 @@ var propertyConfig = Config{Bucket: time.Second, FastWindow: 5 * time.Second,
 // the sum of the model windows.
 func TestFleetWindowsEqualModelSum(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		m := New(propertyConfig)
+		m := testMonitor(propertyConfig)
 		step := 0
 		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
 			checkModelsSumToFleet(t, m, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
@@ -390,16 +417,19 @@ func TestFleetWindowsEqualModelSum(t *testing.T) {
 // clock, so the rings a call did not touch have nothing to rotate.
 func TestRingHeadsTrackClock(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		m := New(propertyConfig)
+		m := testMonitor(propertyConfig)
 		step := 0
 		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
 			want := int64(m.now / m.cfg.Bucket)
 			if h := m.fleet.ring.head; h >= 0 && h != want {
 				t.Fatalf("seed %d step %d (%s): fleet head %d, clock bucket %d", seed, step, op, h, want)
 			}
-			for name, s := range m.models {
+			for _, s := range m.models {
+				if s == nil {
+					continue
+				}
 				if h := s.ring.head; h >= 0 && h != want {
-					t.Fatalf("seed %d step %d (%s): %s head %d, clock bucket %d", seed, step, op, name, h, want)
+					t.Fatalf("seed %d step %d (%s): model %d head %d, clock bucket %d", seed, step, op, s.id, h, want)
 				}
 			}
 			step++
@@ -443,7 +473,7 @@ func randomSteps(rng *rand.Rand, steps int) [][]TokenObs {
 				dl = at - time.Duration(1+rng.Int63n(int64(time.Second)))
 			}
 			idx := rng.Intn(4) // index 0 feeds TTFT, the rest TBT
-			step[i] = TokenObs{Model: model, Request: fmt.Sprintf("r%d", rng.Intn(50)),
+			step[i] = TokenObs{Model: mid(model), Request: fmt.Sprintf("r%d", rng.Intn(50)),
 				Instance: fmt.Sprintf("g%d", rng.Intn(2)), Index: idx,
 				Arrival: max(at-2*time.Second, 0), Deadline: dl, At: at,
 				Prev: max(at-time.Duration(rng.Int63n(int64(200*time.Millisecond))), 0)}
@@ -463,7 +493,7 @@ func TestObserveTokensMatchesObserveToken(t *testing.T) {
 	cfg.FaultActive = func(model, instance string) bool { return model == "m1" && instance == "g1" }
 	transitions := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		perToken, perStep := New(cfg), New(cfg)
+		perToken, perStep := testMonitor(cfg), testMonitor(cfg)
 		for i, step := range randomSteps(rand.New(rand.NewSource(seed)), 600) {
 			for _, o := range step {
 				perToken.ObserveToken(o)
@@ -492,11 +522,11 @@ func TestObserveTokensMatchesObserveToken(t *testing.T) {
 // TestObserveTokensAllocs: a warmed monitor judges a step without
 // allocating.
 func TestObserveTokensAllocs(t *testing.T) {
-	m := New(Config{QuantileSamples: 8})
+	m := testMonitor(Config{QuantileSamples: 8})
 	step := make([]TokenObs, 16)
 	for i := range step {
 		at := 5 * time.Second
-		step[i] = TokenObs{Model: "m0", Request: "r", Instance: "g0", Index: i % 4,
+		step[i] = TokenObs{Model: mid("m0"), Request: "r", Instance: "g0", Index: i % 4,
 			Arrival: time.Second, Deadline: at + time.Duration(i%3-1)*time.Second,
 			At: at, Prev: at - 40*time.Millisecond}
 	}
@@ -517,10 +547,9 @@ func BenchmarkObserveTokens(b *testing.B) {
 	for _, n := range []int{1, 40, 400} {
 		b.Run(fmt.Sprintf("models=%d", n), func(b *testing.B) {
 			m := New(Config{})
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("m%03d", i)
-				m.ObserveToken(TokenObs{Model: names[i], Request: "r", Deadline: time.Second})
+			for i := 1; i <= n; i++ {
+				m.NameModel(model.ID(i), fmt.Sprintf("m%03d", i))
+				m.ObserveToken(TokenObs{Model: model.ID(i), Request: "r", Deadline: time.Second})
 			}
 			step := make([]TokenObs, batch)
 			b.ReportAllocs()
@@ -528,7 +557,7 @@ func BenchmarkObserveTokens(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				at := time.Duration(i) * time.Millisecond
 				for j := range step {
-					step[j] = TokenObs{Model: names[i%n], Request: "r", Index: 1 + (i+j)%64,
+					step[j] = TokenObs{Model: model.ID(1 + i%n), Request: "r", Index: 1 + (i+j)%64,
 						Deadline: at + time.Second, At: at, Prev: at - time.Millisecond}
 				}
 				m.ObserveTokens(step)
@@ -546,16 +575,15 @@ func BenchmarkObserveToken(b *testing.B) {
 	for _, n := range []int{1, 40, 400} {
 		b.Run(fmt.Sprintf("models=%d", n), func(b *testing.B) {
 			m := New(Config{})
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("m%03d", i)
-				m.ObserveToken(TokenObs{Model: names[i], Request: "r", Deadline: time.Second})
+			for i := 1; i <= n; i++ {
+				m.NameModel(model.ID(i), fmt.Sprintf("m%03d", i))
+				m.ObserveToken(TokenObs{Model: model.ID(i), Request: "r", Deadline: time.Second})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				at := time.Duration(i) * time.Millisecond
-				m.ObserveToken(TokenObs{Model: names[i%n], Request: "r", Index: 1 + i%64,
+				m.ObserveToken(TokenObs{Model: model.ID(1 + i%n), Request: "r", Index: 1 + i%64,
 					Deadline: at + time.Second, At: at, Prev: at - time.Millisecond})
 			}
 		})

@@ -126,7 +126,6 @@ func (w *windowRing) sums(i int) (met, missed uint64) {
 // monitor's mutex guards them.
 type epochSketch struct {
 	epoch   time.Duration
-	max     int
 	cur     *metrics.Reservoir
 	prev    *metrics.Reservoir
 	curIdx  int64
@@ -136,7 +135,6 @@ type epochSketch struct {
 func newEpochSketch(epoch time.Duration, maxSamples int) *epochSketch {
 	return &epochSketch{
 		epoch: epoch,
-		max:   maxSamples,
 		cur:   metrics.NewReservoir(maxSamples),
 		prev:  metrics.NewReservoir(maxSamples),
 	}
@@ -152,12 +150,16 @@ func (e *epochSketch) rotateTo(now sim.Time) {
 	if idx <= e.curIdx {
 		return
 	}
+	// The retiring previous reservoir is recycled as the new current one.
+	retired := e.prev
 	if idx == e.curIdx+1 {
 		e.prev = e.cur
 	} else {
-		e.prev = metrics.NewReservoir(e.max) // gap longer than an epoch: nothing carries over
+		e.cur.Reset() // gap longer than an epoch: nothing carries over
+		e.prev = e.cur
 	}
-	e.cur = metrics.NewReservoir(e.max)
+	retired.Reset()
+	e.cur = retired
 	e.curIdx = idx
 }
 
