@@ -128,6 +128,10 @@ type Result struct {
 	Stats      fault.Stats
 	// Sheds counts overload-control rejections by reason (Overload runs only).
 	Sheds map[string]int
+	// SLO is the live monitor's snapshot at the drained instant — windowed
+	// attainment, alert states, and missed tokens by cause, faults included
+	// (Overload runs only).
+	SLO *slomon.Snapshot
 	// Prefix snapshots the cache's end state (Prefix runs only).
 	Prefix *prefixcache.Stats
 	// Fleet is the utilization ledger's snapshot at the drained instant:
@@ -186,7 +190,13 @@ func Run(cfg Config) (*Result, error) {
 		// The brownout controller needs burn-rate signals, which need the
 		// observability collector feeding a monitor.
 		clCfg.Obs = obs.New(obs.Options{})
-		clCfg.SLOMon = slomon.New(slomon.Config{Objective: 0.99, Source: clCfg.Obs})
+		clCfg.SLOMon = slomon.New(slomon.Config{
+			Objective: 0.99,
+			Source:    clCfg.Obs,
+			FaultActive: func(model, instance string) bool {
+				return f.TransferFailing(instance) || f.FetchFailing(model)
+			},
+		})
 		clCfg.Overload = overload.NewController(overload.Config{})
 	}
 	if cfg.Prefix {
@@ -266,6 +276,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Overload {
 		res.Sheds = c.OverloadSheds()
+		res.SLO = c.Monitor().Snapshot(se.Now())
 	}
 	if pc := sys.PrefixCache(); pc != nil {
 		st := pc.Stats()

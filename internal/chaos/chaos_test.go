@@ -570,3 +570,28 @@ func TestSpotChaosSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestOverloadChaosAttributesFaults: on an overload run whose schedule fails
+// KV transfers and model fetches, the SLO monitor must blame some missed
+// tokens on the injected faults — its fault predicate has to see the run's
+// fault runtime, or every fault-window miss is misfiled under queueing.
+func TestOverloadChaosAttributesFaults(t *testing.T) {
+	res, err := Run(Config{
+		Seed: 7, Rate: 1.2, Horizon: 60 * time.Second, Overload: true,
+		Spec: "fetchfail@10s+30s,xfer@20s+20s:chaos/decode0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, viol := range res.Violations {
+		t.Errorf("invariant: %s", viol)
+	}
+	if res.SLO == nil {
+		t.Fatal("overload run reported no SLO snapshot")
+	}
+	causes := res.SLO.Fleet.Causes
+	t.Logf("missed=%d causes=%v", res.SLO.Fleet.TokensMissed, causes)
+	if causes["fault"] == 0 {
+		t.Fatalf("no missed token attributed to fault (causes %v)", causes)
+	}
+}
