@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/baselines"
 	"aegaeon/internal/core"
 	"aegaeon/internal/decision"
@@ -214,13 +215,9 @@ type System struct {
 	sys      *core.System
 	models   []*Model
 	served   bool
-	flt      *fault.Faults
 	sched    []fault.Fault
 	injector *fault.Injector
-	ovl      *overload.Controller
-	fleet    *fleetobs.Ledger
-	mkt      *market.Market
-	dec      *decision.Journal
+	parts    *assemble.Parts // the optional subsystems; nil fields are off
 }
 
 // New builds a system.
@@ -244,14 +241,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	var ovl *overload.Controller
-	if cfg.Overload {
-		// The brownout controller is driven by the monitor's burn-rate
-		// alerts, so overload control implies the live SLO monitor (set
-		// before the collector/monitor construction below keys off it).
-		cfg.SLOMonitor = true
-		ovl = overload.NewController(overload.Config{})
-	}
 	models := cfg.Models
 	if len(models) == 0 {
 		n := cfg.NumModels
@@ -269,81 +258,35 @@ func New(cfg Config) (*System, error) {
 	}
 	opts.Colocate = cfg.Colocate
 	se := sim.NewEngine(cfg.Seed)
-	var col *obs.Collector
-	if cfg.Tracing || cfg.SLOMonitor {
-		col = obs.New(obs.Options{})
-	}
 	var flt *fault.Faults
 	var sched []fault.Fault
 	if cfg.Faults != "" {
-		var err error
-		sched, err = fault.ParseSpec(cfg.Faults)
-		if err != nil {
+		if sched, err = fault.ParseSpec(cfg.Faults); err != nil {
 			return nil, err
 		}
 		flt = fault.New(se, cfg.Seed)
 	}
-	var mon *slomon.Monitor
-	if cfg.SLOMonitor {
-		mcfg := slomon.Config{Objective: 0.99, Source: col}
-		if flt != nil {
-			f := flt
-			mcfg.FaultActive = func(model, instance string) bool {
-				return f.TransferFailing(instance) || f.FetchFailing(model)
-			}
-		}
-		mon = slomon.New(mcfg)
+	parts, err := assemble.Build(se, assemble.Spec{
+		Tracing:         cfg.Tracing,
+		SLOMonitor:      cfg.SLOMonitor,
+		Overload:        cfg.Overload,
+		PrefixCache:     cfg.PrefixCache,
+		PrefixRouting:   cfg.PrefixRouting,
+		FleetAccounting: cfg.FleetAccounting,
+		Market:          cfg.Market,
+		Decisions:       cfg.Decisions,
+		MarketClasses:   cfg.MarketClasses,
+		MarketSpot:      cfg.MarketSpot,
+		MarketNaive:     cfg.MarketNaive,
+		Seed:            cfg.Seed,
+		Models:          models,
+		TP:              cfg.TP,
+		Faults:          flt,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("aegaeon: %w", err)
 	}
-	var pfx *prefixcache.Config
-	if cfg.PrefixCache || cfg.PrefixRouting {
-		pfx = &prefixcache.Config{Routing: cfg.PrefixRouting}
-	}
-	if cfg.Market {
-		// Class economics join against the ledger's cost and goodput
-		// integrals, so the market implies fleet accounting.
-		cfg.FleetAccounting = true
-	}
-	var fleet *fleetobs.Ledger
-	if cfg.FleetAccounting {
-		fleet = fleetobs.New(se)
-	}
-	var mkt *market.Market
-	if cfg.Market {
-		classes, err := market.ParseClasses(cfg.MarketClasses)
-		if err != nil {
-			return nil, err
-		}
-		// Fail early with a usable message when a class's VRAM cannot hold
-		// the largest model shard plus a KV slab; the core would otherwise
-		// panic deriving the per-class VRAM split. SmallModels fits every
-		// built-in class, including 24 GB consumer cards.
-		var maxShard int64
-		biggest := ""
-		for _, m := range models {
-			if s := m.ShardWeightBytes(cfg.TP); s > maxShard {
-				maxShard, biggest = s, m.Name
-			}
-		}
-		for _, c := range classes {
-			usable := int64(float64(c.Prof.VRAMBytes) * 0.9)
-			if usable-(maxShard+maxShard/16) < 64<<20 {
-				return nil, fmt.Errorf(
-					"aegaeon: model %s (%.1f GB shard) does not fit market class %s (%.1f GB VRAM); use smaller models (e.g. SmallModels) or bigger classes",
-					biggest, float64(maxShard)/1e9, c.Name, float64(c.Prof.VRAMBytes)/1e9)
-			}
-		}
-		mkt = market.New(se, fleet, market.Config{
-			Classes: classes,
-			Spot:    cfg.MarketSpot,
-			Aware:   !cfg.MarketNaive,
-			Seed:    cfg.Seed,
-		})
-	}
-	var dec *decision.Journal
-	if cfg.Decisions {
-		dec = decision.New(decision.Options{})
-	}
-	sys := core.NewSystem(se, core.Config{
+	coreCfg := core.Config{
 		Prof:       prof,
 		TP:         cfg.TP,
 		Opts:       opts,
@@ -351,16 +294,10 @@ func New(cfg Config) (*System, error) {
 		NumDecode:  cfg.DecodeGPUs,
 		Models:     models,
 		SLO:        cfg.SLO,
-		Obs:        col,
-		SLOMon:     mon,
-		Fleet:      fleet,
-		Faults:     flt,
-		Overload:   ovl,
-		Prefix:     pfx,
-		Market:     mkt,
-		Decisions:  dec,
-	})
-	return &System{cfg: cfg, eng: se, sys: sys, models: models, flt: flt, sched: sched, ovl: ovl, fleet: fleet, mkt: mkt, dec: dec}, nil
+	}
+	parts.Core(&coreCfg)
+	sys := core.NewSystem(se, coreCfg)
+	return &System{cfg: cfg, eng: se, sys: sys, models: models, sched: sched, parts: parts}, nil
 }
 
 // Models returns the models the system serves.
@@ -505,14 +442,14 @@ func (s *System) Serve(trace []Request) (Report, error) {
 	if err := s.sys.Submit(trace); err != nil {
 		return Report{}, err
 	}
-	if s.mkt != nil {
+	if s.parts.Market != nil {
 		// Price traces must be bounded or the event loop never drains: run
 		// them past the last arrival with slack for the tail to decode.
 		horizon := 2 * time.Minute
 		if len(trace) > 0 {
 			horizon += trace[len(trace)-1].Arrival
 		}
-		s.mkt.Start(horizon)
+		s.parts.Market.Start(horizon)
 	}
 	if len(s.sched) > 0 {
 		s.injector = fault.NewInjector(s.eng, sysSurface{s}, s.sched)
@@ -537,8 +474,8 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		Switches:        switches,
 		Failed:          s.sys.FailedRequests(),
 	}
-	if s.flt != nil {
-		rep.Faults = s.flt.Snapshot()
+	if s.parts.Faults != nil {
+		rep.Faults = s.parts.Faults.Snapshot()
 	}
 	if s.injector != nil {
 		rep.FaultsInjected = s.injector.Injected()
@@ -560,14 +497,14 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		st := pc.Stats()
 		rep.Prefix = &st
 	}
-	if s.fleet != nil {
-		rep.Fleet = s.fleet.Snapshot(s.eng.Now())
+	if s.parts.Fleet != nil {
+		rep.Fleet = s.parts.Fleet.Snapshot(s.eng.Now())
 	}
-	if s.mkt != nil {
-		rep.Market = s.mkt.Snapshot(s.eng.Now(), rep.Fleet)
+	if s.parts.Market != nil {
+		rep.Market = s.parts.Market.Snapshot(s.eng.Now(), rep.Fleet)
 	}
-	if s.ovl != nil {
-		snap := s.ovl.Snapshot()
+	if s.parts.Overload != nil {
+		snap := s.parts.Overload.Snapshot()
 		rep.OverloadLevel = snap.Level
 		rep.OverloadTransitions = len(snap.Transitions)
 		rep.Sheds = s.sys.OverloadSheds()
@@ -593,7 +530,7 @@ func (s *System) AssignPriorities(trace []Request, highFrac, lowFrac float64) {
 
 // Overload returns the brownout controller, or nil unless the system was
 // built with Config.Overload.
-func (s *System) Overload() *overload.Controller { return s.ovl }
+func (s *System) Overload() *overload.Controller { return s.parts.Overload }
 
 // Monitor returns the live SLO monitor, or nil unless the system was built
 // with Config.SLOMonitor.
@@ -601,24 +538,24 @@ func (s *System) Monitor() *slomon.Monitor { return s.sys.Monitor() }
 
 // Fleet returns the fleet utilization ledger, or nil unless the system was
 // built with Config.FleetAccounting.
-func (s *System) Fleet() *fleetobs.Ledger { return s.fleet }
+func (s *System) Fleet() *fleetobs.Ledger { return s.parts.Fleet }
 
 // Market returns the live spot-market model, or nil unless the system was
 // built with Config.Market.
-func (s *System) Market() *market.Market { return s.mkt }
+func (s *System) Market() *market.Market { return s.parts.Market }
 
 // Decisions returns the decision-provenance journal, or nil unless the system
 // was built with Config.Decisions.
-func (s *System) Decisions() *decision.Journal { return s.dec }
+func (s *System) Decisions() *decision.Journal { return s.parts.Decisions }
 
 // WriteDecisions exports the decision journal as versioned, deterministic
 // JSON: the flat record ring in sequence order plus every retained
 // per-request chain. `aegaeon-trace -mode why` reads this format.
 func (s *System) WriteDecisions(w io.Writer) error {
-	if s.dec == nil {
+	if s.parts.Decisions == nil {
 		return fmt.Errorf("aegaeon: decision journal disabled; build the system with Config.Decisions")
 	}
-	return s.dec.WriteJSON(w)
+	return s.parts.Decisions.WriteJSON(w)
 }
 
 // EventsProcessed returns how many discrete events the simulation kernel has
@@ -643,8 +580,8 @@ func (s *System) WritePerfetto(w io.Writer) error {
 		return fmt.Errorf("aegaeon: tracing disabled; build the system with Config.Tracing")
 	}
 	var ann []obs.RequestInstant
-	if s.dec != nil {
-		for _, ch := range s.dec.Chains() {
+	if dec := s.parts.Decisions; dec != nil {
+		for _, ch := range dec.Chains() {
 			for _, rec := range ch.Records {
 				args := map[string]any{"outcome": rec.Outcome}
 				if rec.Reason != "" {
@@ -696,17 +633,17 @@ func (ss sysSurface) Crash(target string) error {
 }
 
 func (ss sysSurface) FailTransfers(target string, d sim.Time) error {
-	ss.s.flt.FailTransfers(target, d)
+	ss.s.parts.Faults.FailTransfers(target, d)
 	return nil
 }
 
 func (ss sysSurface) FailFetch(model string, d sim.Time) error {
-	ss.s.flt.FailFetch(model, d)
+	ss.s.parts.Faults.FailFetch(model, d)
 	return nil
 }
 
 func (ss sysSurface) SlowFetch(factor float64, d sim.Time) error {
-	ss.s.flt.SlowFetch(factor, d)
+	ss.s.parts.Faults.SlowFetch(factor, d)
 	return nil
 }
 

@@ -41,19 +41,13 @@ import (
 	"syscall"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/cluster"
-	"aegaeon/internal/decision"
-	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/gateway"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/market"
 	"aegaeon/internal/model"
-	"aegaeon/internal/obs"
-	"aegaeon/internal/overload"
-	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
-	"aegaeon/internal/slomon"
 )
 
 func main() {
@@ -85,76 +79,39 @@ func main() {
 	storeReplicas := flag.Int("store-replicas", 0, "replicate the cluster metadata store across N quorum replicas named ms0..msN-1 (0 or 1 = single in-process store); adds /debug/metastore replica state and aegaeon_metastore_* leader/term/commit metrics")
 	noWhy := flag.Bool("no-decisions", false, "disable the decision-provenance journal and the /debug/decisions + /debug/why/{id} endpoints")
 	flag.Parse()
-	if *overloadOn {
-		*noSLO = false // brownout steps off burn-rate alerts
-	}
 
 	prof, err := latency.ProfileByName(*gpu)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var col *obs.Collector
-	if !*noTrace || !*noSLO {
-		col = obs.New(obs.Options{})
-	}
-	var mon *slomon.Monitor
-	if !*noSLO {
-		mon = slomon.New(slomon.Config{Objective: *objective, Source: col})
-	}
-	// One brownout controller shared between the scheduler (sheds, reaper,
-	// decode shrink) and the HTTP edge (admission, metrics, /debug/overload),
-	// so both act on the same degradation level.
-	var ovl *overload.Controller
-	if *overloadOn {
-		ovl = overload.NewController(overload.Config{})
-	}
-	var pfx *prefixcache.Config
-	if *prefixOn {
-		pfx = &prefixcache.Config{Routing: true}
-	}
+	models := model.MarketMix(*numModels)
 	se := sim.NewEngine(*seed)
-	// One ledger shared between the cluster (devices register with it) and
-	// the gateway (/debug/fleet, metrics), so scrapes read the one source of
-	// GPU-second truth.
-	if *marketOn {
-		*fleetOn = true // class economics join against the ledger
+	// One set of subsystems shared between the cluster and the gateway: the
+	// brownout controller sheds in the scheduler and at the edge on one
+	// level, the journal's chains span both layers, and the fleet ledger and
+	// market the devices feed are the ones the gateway scrapes.
+	parts, err := assemble.Build(se, assemble.Spec{
+		Tracing:         !*noTrace,
+		SLOMonitor:      !*noSLO,
+		Overload:        *overloadOn,
+		PrefixRouting:   *prefixOn,
+		FleetAccounting: *fleetOn,
+		Market:          *marketOn,
+		Decisions:       !*noWhy,
+		Objective:       *objective,
+		MarketClasses:   *marketClasses,
+		MarketSpot:      *marketSpot,
+		MarketNaive:     *marketNaive,
+		Seed:            *seed,
+		Models:          models,
+		TP:              *tp,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	var fleet *fleetobs.Ledger
-	if *fleetOn {
-		fleet = fleetobs.New(se)
-	}
-	// One market shared between the cluster (devices register, reclaim and
-	// throttle faults resolve) and the gateway (/debug/market, metrics).
-	var mkt *market.Market
-	if *marketOn {
-		classes, err := market.ParseClasses(*marketClasses)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mkt = market.New(se, fleet, market.Config{
-			Classes: classes,
-			Spot:    *marketSpot,
-			Aware:   !*marketNaive,
-			Seed:    *seed,
-		})
-	}
-	// One journal shared between the cluster (routing, switch, eviction, and
-	// terminal records on the event loop) and the gateway (edge admission
-	// verdicts, /debug/why, metrics), so a request's chain spans both layers.
-	var dec *decision.Journal
-	if !*noWhy {
-		dec = decision.New(decision.Options{})
-	}
-	cl, err := cluster.New(se, cluster.Config{
+	clCfg := cluster.Config{
 		Prof:          prof,
 		SLO:           slo.Default(),
-		Obs:           col,
-		SLOMon:        mon,
-		Overload:      ovl,
-		Prefix:        pfx,
-		Fleet:         fleet,
-		Market:        mkt,
-		Decisions:     dec,
 		StoreReplicas: *storeReplicas,
 		StoreSeed:     *seed,
 		Deployments: []cluster.DeploymentConfig{{
@@ -162,19 +119,21 @@ func main() {
 			TP:         *tp,
 			NumPrefill: *prefill,
 			NumDecode:  *decode,
-			Models:     model.MarketMix(*numModels),
+			Models:     models,
 		}},
-	})
+	}
+	parts.Cluster(&clCfg)
+	cl, err := cluster.New(se, clCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Bound the price trace: a live gateway rarely outruns a virtual day,
 	// and an unbounded trace would keep the event queue from draining.
-	mkt.Start(sim.Time(24 * time.Hour))
+	parts.Market.Start(sim.Time(24 * time.Hour))
 	drv := sim.NewDriver(se, *speedup)
 	// The trace debug endpoints stay off under -no-trace even when the
 	// collector exists purely to feed the SLO monitor's attribution join.
-	gwCol := col
+	gwCol := parts.Obs
 	if *noTrace {
 		gwCol = nil
 	}
@@ -185,14 +144,12 @@ func main() {
 		RatePerSec:       *rate,
 		Burst:            *burst,
 		Obs:              gwCol,
-		SLOMon:           mon,
-		Fleet:            fleet,
-		Market:           mkt,
-		Decisions:        dec,
+		SLOMon:           parts.SLOMon,
+		Decisions:        parts.Decisions,
 		Pprof:            *pprofOn,
 	}
 	if *overloadOn {
-		gwOpts.Overload = &gateway.OverloadOptions{Controller: ovl, RetryRatio: *retryRatio}
+		gwOpts.Overload = &gateway.OverloadOptions{Controller: parts.Overload, RetryRatio: *retryRatio}
 	}
 	gw := gateway.New(drv, cl, gwOpts)
 	gw.Start()

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/cluster"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
@@ -21,8 +22,6 @@ import (
 	"aegaeon/internal/market"
 	"aegaeon/internal/metastore"
 	"aegaeon/internal/model"
-	"aegaeon/internal/obs"
-	"aegaeon/internal/overload"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -162,21 +161,35 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
 	se := sim.NewEngine(cfg.Seed)
-	f := fault.New(se, cfg.Seed+1)
 	models := model.SmallMix(cfg.Models)
+	// Every chaos run carries the fleet ledger, so the GPU-second
+	// conservation invariant is audited under crashes and recovery; the
+	// decision journal, so provenance coverage is an audited invariant (each
+	// terminal request needs an admission-to-terminal chain, and every
+	// shed/eviction/evacuation record evidence terms); and a market model, so
+	// random schedules can draw the reclaim/throttle fault kinds. The default
+	// market — homogeneous H800, no spot pricing, aware placement — is
+	// behavior-neutral for crash-only schedules: with no open notices every
+	// device scores capability 1 and penalty 0, so placement is unchanged.
+	parts, err := assemble.Build(se, assemble.Spec{
+		Overload:      cfg.Overload,
+		PrefixRouting: cfg.Prefix,
+		Market:        true,
+		Decisions:     true,
+		MarketClasses: cfg.MarketClasses,
+		MarketSpot:    cfg.Spot,
+		MarketNaive:   cfg.MarketNaive,
+		Seed:          cfg.Seed,
+		Models:        models,
+		TP:            1,
+		Faults:        fault.New(se, cfg.Seed+1),
+	})
+	if err != nil {
+		return nil, err
+	}
 	clCfg := cluster.Config{
-		Prof:   latency.H800(),
-		SLO:    slo.Default(),
-		Faults: f,
-		// Every chaos run carries the fleet ledger so the GPU-second
-		// conservation invariant is audited under crashes and recovery, not
-		// just on clean runs.
-		Fleet: fleetobs.New(se),
-		// Every chaos run carries the decision journal so provenance coverage
-		// is an audited invariant: each terminal request must have an
-		// admission-to-terminal chain, and every shed/eviction/evacuation
-		// record must carry evidence terms.
-		Decisions: decision.New(decision.Options{}),
+		Prof: latency.H800(),
+		SLO:  slo.Default(),
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "chaos", TP: 1,
 			NumPrefill: cfg.NumPrefill, NumDecode: cfg.NumDecode,
@@ -186,37 +199,7 @@ func Run(cfg Config) (*Result, error) {
 		StoreSeed:     cfg.Seed + 4,
 		StoreHistory:  cfg.StoreReplicas > 1,
 	}
-	if cfg.Overload {
-		// The brownout controller needs burn-rate signals, which need the
-		// observability collector feeding a monitor.
-		clCfg.Obs = obs.New(obs.Options{})
-		clCfg.SLOMon = slomon.New(slomon.Config{
-			Objective: 0.99,
-			Source:    clCfg.Obs,
-			FaultActive: func(model, instance string) bool {
-				return f.TransferFailing(instance) || f.FetchFailing(model)
-			},
-		})
-		clCfg.Overload = overload.NewController(overload.Config{})
-	}
-	if cfg.Prefix {
-		clCfg.Prefix = &prefixcache.Config{Routing: true}
-	}
-	// Every run carries a market model so random schedules can draw the
-	// reclaim/throttle fault kinds. The default — homogeneous H800, no spot
-	// pricing, aware placement — is behavior-neutral for crash-only
-	// schedules: with no open notices every device scores capability 1 and
-	// penalty 0, so placement is unchanged.
-	classes, err := market.ParseClasses(cfg.MarketClasses)
-	if err != nil {
-		return nil, err
-	}
-	clCfg.Market = market.New(se, clCfg.Fleet, market.Config{
-		Classes: classes,
-		Spot:    cfg.Spot,
-		Aware:   !cfg.MarketNaive,
-		Seed:    cfg.Seed,
-	})
+	parts.Cluster(&clCfg)
 	c, err := cluster.New(se, clCfg)
 	if err != nil {
 		return nil, err
@@ -253,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Rates feed the fleet cost integral from t=0; price ticks only run when
 	// Spot is on, bounded so the event loop drains.
-	clCfg.Market.Start(2*cfg.Horizon + 60*time.Second)
+	parts.Market.Start(2*cfg.Horizon + 60*time.Second)
 	se.At(0, c.StartHealth)
 	// Long enough for failover of the latest possible crash; serving
 	// continues past it if the tail is still draining.

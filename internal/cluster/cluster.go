@@ -81,18 +81,19 @@ type Config struct {
 	// Fleet, when non-nil, is the shared fleet utilization ledger: every
 	// deployment registers its devices with it so GPU-second accounting,
 	// goodput attribution, and the /debug/fleet surfaces span the whole
-	// cluster. Share the same ledger with the gateway's Options so scrapes
-	// read the one source of truth. Nil keeps serving free of accounting
+	// cluster. The gateway reads it back through Fleet, so scrapes read the
+	// ledger the devices feed. Nil keeps serving free of accounting
 	// overhead.
 	Fleet *fleetobs.Ledger
 
 	// Market, when non-nil, is the shared spot-market model threaded into
 	// every deployment: device classes cycle across the pool in build order,
 	// spot price traces feed the shared fleet ledger, and reclaim/throttle
-	// faults become deliverable through the cluster's fault surface. Like
-	// Fleet, the market keys devices by instance name, so it assumes the
-	// gateway's single-deployment layout (or per-deployment markets). Nil
-	// keeps every deployment market-free and byte-identical.
+	// faults become deliverable through the cluster's fault surface; the
+	// gateway reads it back through Market. Like Fleet, the market keys
+	// devices by instance name, so it assumes the gateway's
+	// single-deployment layout (or per-deployment markets). Nil keeps every
+	// deployment market-free and byte-identical.
 	Market *market.Market
 
 	// Decisions, when non-nil, is the shared decision-provenance journal

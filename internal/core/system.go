@@ -137,7 +137,7 @@ func (c *Config) applyDefaults() {
 		c.BlockTokens = 16
 	}
 	if c.KVSlabBytes <= 0 {
-		c.KVSlabBytes = 64 << 20
+		c.KVSlabBytes = defaultKVSlabBytes
 	}
 	if c.KVHeadroom <= 0 || c.KVHeadroom > 1 {
 		c.KVHeadroom = 0.9
@@ -149,7 +149,10 @@ func (c *Config) applyDefaults() {
 		c.NodeGPUs = 8 // §7.1: eight GPUs per node
 	}
 	if c.WeightsRegionBytes == 0 || c.KVRegionBytes == 0 {
-		w, _, prefetch := c.regionsFor(c.Prof)
+		w, _, prefetch, err := c.regionsFor(c.Prof)
+		if err != nil {
+			panic(err)
+		}
 		c.Opts.Prefetch = prefetch
 		if c.WeightsRegionBytes == 0 {
 			c.WeightsRegionBytes = w
@@ -165,18 +168,39 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// defaultKVSlabBytes is the KV slab size when Config leaves it zero.
+const defaultKVSlabBytes = 64 << 20
+
+// LargestShard returns the model whose tp-way weight shard is largest, and
+// that shard's size in bytes: the model that sizes every weights region.
+func LargestShard(models []*model.Model, tp int) (biggest *model.Model, shard int64) {
+	for _, m := range models {
+		if s := m.ShardWeightBytes(tp); biggest == nil || s > shard {
+			biggest, shard = m, s
+		}
+	}
+	return biggest, shard
+}
+
+// CheckFit reports whether a prof device can hold the largest of models'
+// tp-way shards plus one default KV slab, running the VRAM derivation
+// NewSystem runs for every instance; a non-nil error is the condition
+// under which building the system would panic. Prefetch and colocation are
+// left out: both only widen the weights region when the KV region can spare it.
+func CheckFit(prof *latency.Profile, models []*model.Model, tp int) error {
+	c := Config{TP: tp, Models: models, KVSlabBytes: defaultKVSlabBytes}
+	_, _, _, err := c.regionsFor(prof)
+	return err
+}
+
 // regionsFor derives the VRAM split applyDefaults gives a homogeneous pool,
 // for one device profile: the weights region, the KV region, and whether
 // prefetching a second model fits. Factored out so heterogeneous market
-// classes can size each instance for its own VRAM capacity.
-func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch bool) {
+// classes can size each instance for its own VRAM capacity. It fails when
+// no KV slab is left beside the weights.
+func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch bool, err error) {
 	usable := int64(float64(prof.VRAMBytes) * 0.9) // §5.2: ~10% left to the tensor library
-	var maxShard int64
-	for _, m := range c.Models {
-		if s := m.ShardWeightBytes(c.TP); s > maxShard {
-			maxShard = s
-		}
-	}
+	_, maxShard := LargestShard(c.Models, c.TP)
 	weights = maxShard + maxShard/16 // headroom for alignment
 	if c.Opts.Colocate {
 		// Colocation sizes the weights region for about three resident
@@ -194,10 +218,10 @@ func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch 
 		weights = w
 		kv = usable - weights
 		if kv < c.KVSlabBytes {
-			panic(fmt.Sprintf("core: no VRAM left for KV cache under colocation (weights %d, usable %d)",
-				weights, usable))
+			return 0, 0, false, fmt.Errorf("core: no VRAM left for KV cache under colocation (weights %d, usable %d)",
+				weights, usable)
 		}
-		return weights, kv, c.Opts.Prefetch
+		return weights, kv, c.Opts.Prefetch, nil
 	}
 	// Prefetch needs room for a second resident model, but never at the
 	// cost of starving the KV cache: require at least max(4 GiB, 8% of
@@ -213,10 +237,10 @@ func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch 
 	}
 	kv = usable - weights
 	if kv < c.KVSlabBytes {
-		panic(fmt.Sprintf("core: no VRAM left for KV cache (weights %d, usable %d)",
-			weights, usable))
+		return 0, 0, false, fmt.Errorf("core: no VRAM left for KV cache (weights %d, usable %d)",
+			weights, usable)
 	}
-	return weights, kv, prefetch
+	return weights, kv, prefetch, nil
 }
 
 // System is one Aegaeon deployment: a pool of prefill and decoding
@@ -337,7 +361,10 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 			// prefetch headroom, mirroring §7.4's A10 treatment).
 			prof = cls.Prof
 			var pf bool
-			weights, kvRegion, pf = cfg.regionsFor(prof)
+			var err error
+			if weights, kvRegion, pf, err = cfg.regionsFor(prof); err != nil {
+				panic(err)
+			}
 			opts.Prefetch = opts.Prefetch && pf
 		}
 		return engine.New(se, name, engine.Config{

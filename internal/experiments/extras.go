@@ -4,9 +4,8 @@ import (
 	"math/rand"
 	"time"
 
-	"aegaeon/internal/core"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/slomon"
 	"aegaeon/internal/workload"
 )
 
@@ -86,14 +85,17 @@ func ExtraPerModelAttainment(o Options) Table {
 	models := marketModels(8)
 	rng := rand.New(rand.NewSource(o.Seed))
 	trace := workload.PoissonTrace(rng, modelNames(models), 0.2, o.Horizon, workload.ShareGPT())
-	mon := slomon.New(slomon.Config{Objective: 0.99})
-	runAegaeon(o, models, trace, func(c *core.Config) { c.SLOMon = mon })
+	parts, err := assemble.Build(nil, assemble.Spec{SLOMonitor: true})
+	if err != nil {
+		panic(err)
+	}
+	runAegaeon(o, models, trace, parts.Core)
 	t := Table{
 		ID:     "Extra: per-model attainment",
 		Title:  "Token SLO attainment by model (8 models, RPS 0.2, ShareGPT)",
 		Header: []string{"model", "requests", "attainment", "TTFT p99"},
 	}
-	byModel := mon.Cumulative()
+	byModel := parts.SLOMon.Cumulative()
 	var fleetMet, fleetMissed, fleetReqs uint64
 	for _, name := range byModel.Models() {
 		trk := byModel.Get(name)

@@ -9,51 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/decision"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/obs"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
-
-// newDecisionGateway builds a live cluster with one decision journal shared
-// between the cluster (scheduler-side records on the event loop) and the
-// gateway (edge admission verdicts, /debug/why, metrics), plus an obs
-// collector so /debug/why can join chains against span timelines.
-func newDecisionGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	dec := decision.New(decision.Options{})
-	col := obs.New(obs.Options{})
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
-		SLO:  slo.Default(),
-		Obs:  col,
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-		Decisions: dec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Decisions = dec
-	opts.Obs = col
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // TestDebugDecisions404WithoutJournal: a gateway built without a journal
 // answers 404 on both decision endpoints, mirroring the other gated debug
@@ -78,7 +36,7 @@ func TestDebugDecisions404WithoutJournal(t *testing.T) {
 // gateway's admission verdict, ends with the core's terminal record, and is
 // joined against the request's span timeline.
 func TestDebugWhyEndpoint(t *testing.T) {
-	gw, names := newDecisionGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{Tracing: true, Decisions: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -144,7 +102,7 @@ func TestDebugWhyEndpoint(t *testing.T) {
 // present after traffic, the kind filter narrows to exactly that kind, and
 // the counters cover every journaled kind.
 func TestDebugDecisionsEndpoint(t *testing.T) {
-	gw, names := newDecisionGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{Tracing: true, Decisions: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -230,7 +188,7 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 // counter series appear with kind then outcome labels in sorted order, and
 // the tracked-requests gauge is live.
 func TestMetricsDecisionExposition(t *testing.T) {
-	gw, names := newDecisionGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{Tracing: true, Decisions: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -361,7 +319,7 @@ func TestDebugIndex(t *testing.T) {
 // subsystem is missing, and live ones — answers 405 to non-GET methods, so
 // the debug surface is uniformly read-only.
 func TestDebugNonGET405(t *testing.T) {
-	gw, _ := newDecisionGateway(t, Options{Speedup: 50000})
+	gw, _ := newGateway(t, assemble.Spec{Tracing: true, Decisions: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 

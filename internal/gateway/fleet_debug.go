@@ -8,22 +8,26 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// fleetSnapshot renders the fleet ledger at the current virtual time. The
-// ledger carries its own lock, so only the clock read needs the event loop;
-// after the driver stops the snapshot is still served at the last virtual
-// time seen, matching the SLO endpoints' post-drain behavior.
-func (g *Gateway) fleetSnapshot() *fleetobs.Snapshot {
+// ledgerNow reads the virtual clock for the fleet and market snapshots. Both
+// carry their own locks, so only the clock read needs the event loop; after
+// the driver stops the last virtual time seen is served, matching the SLO
+// endpoints' post-drain behavior.
+func (g *Gateway) ledgerNow() sim.Time {
 	var now sim.Time
-	if err := g.drv.Call(func() { now = g.cl.VirtualNow() }); err != nil {
-		g.mu.Lock()
-		now = g.lastVirtual
-		g.mu.Unlock()
-	} else {
-		g.mu.Lock()
-		g.lastVirtual = now
-		g.mu.Unlock()
+	err := g.drv.Call(func() { now = g.cl.VirtualNow() })
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err != nil {
+		return g.lastVirtual
 	}
-	return g.opts.Fleet.Snapshot(now)
+	g.lastVirtual = now
+	return now
+}
+
+// fleetSnapshot renders the cluster's fleet ledger at the current virtual
+// time.
+func (g *Gateway) fleetSnapshot() *fleetobs.Snapshot {
+	return g.cl.Fleet().Snapshot(g.ledgerNow())
 }
 
 // handleDebugFleet serves GET /debug/fleet: the full fleet utilization
@@ -32,14 +36,14 @@ func (g *Gateway) fleetSnapshot() *fleetobs.Snapshot {
 // goodput and occupancy shares, and fleet rollups (switch-overhead ratio,
 // GPU-hours, cost). conservation_errors is non-empty only if the ledger's
 // accounting invariant broke — it is asserted empty in tests and CI. 404
-// when the gateway was built without a fleet ledger.
+// when the cluster was built without a fleet ledger.
 func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if g.opts.Fleet == nil {
-		writeJSONError(w, http.StatusNotFound, "fleet accounting disabled (gateway built without a fleet ledger)")
+	if g.cl.Fleet() == nil {
+		writeJSONError(w, http.StatusNotFound, "fleet accounting disabled (cluster built without a fleet ledger)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -9,46 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/fleetobs"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
-
-// newFleetGateway builds a live cluster with the fleet utilization ledger
-// shared between the cluster (devices register with it) and the gateway
-// (/debug/fleet and the aegaeon_fleet_* families).
-func newFleetGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	fleet := fleetobs.New(se)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
-		SLO:  slo.Default(),
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-		Fleet: fleet,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Fleet = fleet
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // TestDebugFleet404WithoutLedger: a gateway built without a fleet ledger
 // answers 404 on /debug/fleet, mirroring the other gated debug endpoints.
@@ -70,7 +33,7 @@ func TestDebugFleet404WithoutLedger(t *testing.T) {
 // at the snapshot instant, work visible in the busy integrals and goodput
 // tokens, and the heatmap segment timeline populated.
 func TestDebugFleetEndpoint(t *testing.T) {
-	gw, names := newFleetGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{FleetAccounting: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -129,7 +92,7 @@ func TestDebugFleetEndpoint(t *testing.T) {
 // are typed counter, per-device series appear in sorted device order with
 // the full state label set, and the conservation gauge reads zero.
 func TestMetricsFleetExposition(t *testing.T) {
-	gw, names := newFleetGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{FleetAccounting: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 

@@ -26,8 +26,6 @@ import (
 	"aegaeon/internal/core"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
-	"aegaeon/internal/fleetobs"
-	"aegaeon/internal/market"
 	"aegaeon/internal/metastore"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/obs"
@@ -84,19 +82,6 @@ type Options struct {
 	// retry budget. Share its Controller with cluster.Config.Overload so the
 	// edge and the scheduler degrade in lockstep.
 	Overload *OverloadOptions
-	// Fleet, when non-nil, is the fleet utilization ledger backing
-	// /debug/fleet, the fleet heatmap on /debug/dash, and the
-	// aegaeon_fleet_* metric families. Share the same ledger with
-	// cluster.Config.Fleet so scrapes read the one source of truth. Nil
-	// makes /debug/fleet answer 404 and omits the fleet families.
-	Fleet *fleetobs.Ledger
-	// Market, when non-nil, is the spot-market model backing /debug/market
-	// and the aegaeon_market_* metric families — per-device price and
-	// eligibility, preemption records with evacuated-vs-lost KV accounting,
-	// and per-class economics joined against the fleet ledger. Share the
-	// same market with cluster.Config.Market. Nil makes /debug/market
-	// answer 404 and omits the market families.
-	Market *market.Market
 	// Decisions, when non-nil, is the decision-provenance journal backing
 	// /debug/decisions, /debug/why/{id}, and the aegaeon_decision_* metric
 	// families. Every edge admission verdict (accept or reject, with the TTFT

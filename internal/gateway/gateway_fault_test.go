@@ -11,43 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"aegaeon/internal/cluster"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/fault"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
-
-// newFaultGateway is newTestGateway with fault-injection state and a
-// configurable prefill/decode split.
-func newFaultGateway(t testing.TB, opts Options, nPrefill, nDecode int) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof:   prof,
-		SLO:    slo.Default(),
-		Faults: fault.New(se, 11),
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: nPrefill, NumDecode: nDecode, Models: models,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // A client that disconnects mid-stream aborts its simulated request: the
 // admission slot frees immediately (not when the request would have
@@ -107,7 +73,7 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 // exactly once, in order, with no gap where the crash happened.
 func TestMidStreamCrashYieldsGapFreeStream(t *testing.T) {
 	const wantTokens = 40
-	gw, names := newFaultGateway(t, Options{Speedup: 50, HealthChecks: true}, 1, 2)
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{prefill: 1, decode: 2, faultSeed: 11}, Options{Speedup: 50, HealthChecks: true})
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
 
@@ -196,7 +162,7 @@ func TestMidStreamCrashYieldsGapFreeStream(t *testing.T) {
 // rejected; consecutive failures trip the per-model circuit breaker so
 // follow-on traffic is shed at admission with 503 + Retry-After.
 func TestBreakerOpensAfterPartitionLoss(t *testing.T) {
-	gw, names := newFaultGateway(t, Options{Speedup: 5000}, 1, 1)
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{prefill: 1, decode: 1, faultSeed: 11}, Options{Speedup: 5000})
 	defer gw.Shutdown(context.Background())
 	if err := gw.drv.Post(func() {
 		if err := gw.cl.CrashInstance("live/decode0"); err != nil {

@@ -13,48 +13,85 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/cluster"
+	"aegaeon/internal/fault"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
 )
 
-// newTestGateway builds a small live cluster (4 market models, 2 prefill +
-// 2 decode GPUs) on a fresh, started driver. The caller owns shutdown.
-func newTestGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	gw, names := newUnstartedGateway(t, opts)
-	gw.Start()
-	return gw, names
+// testCluster shapes a test gateway's one-deployment cluster. Zero fields
+// take the defaults: four MarketMix models on 2 prefill + 2 decode
+// instances over a single metadata store, driver paced from the start.
+type testCluster struct {
+	models          []*model.Model
+	prefill, decode int
+	storeReplicas   int
+	// faultSeed, when nonzero, gives the cluster a fault runtime so seeded.
+	faultSeed int64
+	// accelerate runs the driver un-paced from virtual time zero, so token
+	// times depend only on the seed, not on the wall clock.
+	accelerate bool
 }
 
-// newUnstartedGateway is newTestGateway without Start, for tests that must
-// configure the driver before its loop runs.
-func newUnstartedGateway(t testing.TB, opts Options) (*Gateway, []string) {
+// newGateway starts a gateway over a cluster shaped by tc and carrying the
+// subsystems spec names, built by assemble.Build on the cluster's seed-1
+// engine. The gateway shares the built collector, monitor and journal with
+// the cluster; it reads the fleet ledger and market from the cluster itself.
+func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) (*Gateway, []string) {
 	t.Helper()
-	prof, err := latency.ProfileByName("H800")
+	if tc.models == nil {
+		tc.models = model.MarketMix(4)
+	}
+	if tc.prefill == 0 {
+		tc.prefill = 2
+	}
+	if tc.decode == 0 {
+		tc.decode = 2
+	}
+	se := sim.NewEngine(1)
+	if tc.faultSeed != 0 {
+		spec.Faults = fault.New(se, tc.faultSeed)
+	}
+	spec.Models, spec.TP = tc.models, 1
+	parts, err := assemble.Build(se, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
+	cfg := cluster.Config{
+		Prof: latency.H800(),
 		SLO:  slo.Default(),
 		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
+			Name: "live", TP: 1, NumPrefill: tc.prefill, NumDecode: tc.decode, Models: tc.models,
 		}},
-	})
+		StoreReplicas: tc.storeReplicas,
+		StoreSeed:     1,
+	}
+	parts.Cluster(&cfg)
+	cl, err := cluster.New(se, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Obs, opts.SLOMon, opts.Decisions = parts.Obs, parts.SLOMon, parts.Decisions
 	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	names := make([]string, len(models))
-	for i, m := range models {
+	if tc.accelerate {
+		gw.drv.Accelerate()
+	}
+	gw.Start()
+	names := make([]string, len(tc.models))
+	for i, m := range tc.models {
 		names[i] = m.Name
 	}
 	return gw, names
+}
+
+// newTestGateway starts a gateway over a plain cluster: no optional
+// subsystems, default shape.
+func newTestGateway(t testing.TB, opts Options) (*Gateway, []string) {
+	t.Helper()
+	return newGateway(t, assemble.Spec{}, testCluster{}, opts)
 }
 
 func postCompletion(h http.Handler, body string) *httptest.ResponseRecorder {

@@ -4,45 +4,28 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
-	"aegaeon/internal/sim"
 )
 
-// marketSnapshot renders the spot market at the current virtual time, joined
-// against the fleet ledger (when present) for class economics. The market
-// carries its own lock, so only the clock read needs the event loop; after
-// the driver stops the snapshot is served at the last virtual time seen.
+// marketSnapshot renders the cluster's spot market at the current virtual
+// time, joined against the fleet ledger (when present) for class economics.
 func (g *Gateway) marketSnapshot() *market.Snapshot {
-	var now sim.Time
-	if err := g.drv.Call(func() { now = g.cl.VirtualNow() }); err != nil {
-		g.mu.Lock()
-		now = g.lastVirtual
-		g.mu.Unlock()
-	} else {
-		g.mu.Lock()
-		g.lastVirtual = now
-		g.mu.Unlock()
-	}
-	var fleet *fleetobs.Snapshot
-	if g.opts.Fleet != nil {
-		fleet = g.opts.Fleet.Snapshot(now)
-	}
-	return g.opts.Market.Snapshot(now, fleet)
+	now := g.ledgerNow()
+	return g.cl.Market().Snapshot(now, g.cl.Fleet().Snapshot(now))
 }
 
 // handleDebugMarket serves GET /debug/market: the full spot-market snapshot —
 // per-device market state (class, current price, eligibility, open notices),
 // the preemption audit trail with evacuated-vs-lost KV byte accounting, and
 // per-class economics ($-per-1k-tokens joined against the fleet ledger's cost
-// and goodput integrals). 404 when the gateway was built without a market.
+// and goodput integrals). 404 when the cluster was built without a market.
 func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if g.opts.Market == nil {
-		writeJSONError(w, http.StatusNotFound, "spot market disabled (gateway built without a market model)")
+	if g.cl.Market() == nil {
+		writeJSONError(w, http.StatusNotFound, "spot market disabled (cluster built without a market model)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -9,55 +9,14 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
-	"aegaeon/internal/fleetobs"
-	"aegaeon/internal/latency"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/market"
 	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
 
-// newMarketGateway builds a live cluster with the spot market and the fleet
-// ledger shared between the cluster and the gateway (/debug/market and the
-// aegaeon_market_* families join class economics against the ledger).
-func newMarketGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SmallMix fits the 24 GB A10 instances of the heterogeneous pool.
-	models := model.SmallMix(4)
-	se := sim.NewEngine(1)
-	fleet := fleetobs.New(se)
-	classes, err := market.ParseClasses("H800,A10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkt := market.New(se, fleet, market.Config{Classes: classes, Spot: true, Aware: true, Seed: 1})
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
-		SLO:  slo.Default(),
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-		Fleet:  fleet,
-		Market: mkt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Fleet = fleet
-	opts.Market = mkt
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
+// marketSpec is a spot-priced heterogeneous pool; its A10 instances need a
+// model mix that fits 24 GB, such as SmallMix.
+var marketSpec = assemble.Spec{Market: true, MarketClasses: "H800,A10", MarketSpot: true, Seed: 1}
 
 // TestDebugMarket404WithoutMarket: a gateway built without a market model
 // answers 404 on /debug/market, mirroring the other gated debug endpoints.
@@ -79,7 +38,7 @@ func TestDebugMarket404WithoutMarket(t *testing.T) {
 // class, every device eligible (no faults injected), and class economics
 // joined against the fleet ledger's cost integral.
 func TestDebugMarketEndpoint(t *testing.T) {
-	gw, names := newMarketGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, marketSpec, testCluster{models: model.SmallMix(4)}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -140,7 +99,7 @@ func TestDebugMarketEndpoint(t *testing.T) {
 // type, per-device series carry device and class labels, and the KV-outcome
 // counter enumerates all three outcomes.
 func TestMetricsMarketExposition(t *testing.T) {
-	gw, names := newMarketGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, marketSpec, testCluster{models: model.SmallMix(4)}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 

@@ -9,44 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
-	"aegaeon/internal/latency"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/metastore"
-	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 )
-
-// newReplicatedGateway builds a live gateway whose cluster runs the
-// 3-replica quorum metadata store.
-func newReplicatedGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
-		SLO:  slo.Default(),
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-		StoreReplicas: 3,
-		StoreSeed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // /debug/metastore on a single-store gateway reports mode "single" (the
 // endpoint is always live — there is always a metadata store).
@@ -74,7 +39,7 @@ func TestDebugMetastoreSingleMode(t *testing.T) {
 // replicas, a leader, and per-replica applied indexes that advance as the
 // cluster writes routes and serves traffic.
 func TestDebugMetastoreReplicated(t *testing.T) {
-	gw, names := newReplicatedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{storeReplicas: 3}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -116,7 +81,7 @@ func TestDebugMetastoreReplicated(t *testing.T) {
 // The replicated metric families appear on /metrics exactly when the store
 // is replicated, alongside the existing op counters.
 func TestMetricsReplicatedFamilies(t *testing.T) {
-	gw, names := newReplicatedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{storeReplicas: 3}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 

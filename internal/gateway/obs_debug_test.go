@@ -11,58 +11,16 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/obs"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
-	"aegaeon/internal/slomon"
 )
-
-// newObservedGateway is newTestGateway with one collector threaded through
-// both the cluster (signal producers) and the gateway (debug consumers),
-// plus a live SLO monitor joined against the collector.
-func newObservedGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := obs.New(obs.Options{})
-	opts.Obs = col
-	if opts.SLOMon == nil {
-		opts.SLOMon = slomon.New(slomon.Config{Objective: 0.99, Source: col})
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof:   prof,
-		SLO:    slo.Default(),
-		Obs:    col,
-		SLOMon: opts.SLOMon,
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // TestMetricsExpositionFormat is the regression gate on the hand-rolled
 // Prometheus text output: every counter follows the _total naming
 // convention, and the TTFT/TBT histograms render well-formed cumulative
 // buckets consistent with their _count and _sum lines.
 func TestMetricsExpositionFormat(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	for i := 0; i < 3; i++ {
@@ -170,7 +128,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 // serve traffic, then read back the flat trace, one request's span tree, GPU
 // utilization, and a valid Perfetto export.
 func TestDebugEndpoints(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	for i := 0; i < 4; i++ {

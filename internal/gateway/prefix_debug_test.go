@@ -9,43 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"aegaeon/internal/cluster"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/prefixcache"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
+	"aegaeon/internal/assemble"
 )
-
-// newPrefixGateway builds a live cluster with the global prefix cache (and
-// cache-aware routing) enabled in its single deployment.
-func newPrefixGateway(t testing.TB, opts Options) (*Gateway, []string) {
-	t.Helper()
-	prof, err := latency.ProfileByName("H800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := model.MarketMix(4)
-	se := sim.NewEngine(1)
-	cl, err := cluster.New(se, cluster.Config{
-		Prof: prof,
-		SLO:  slo.Default(),
-		Deployments: []cluster.DeploymentConfig{{
-			Name: "live", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
-		}},
-		Prefix: &prefixcache.Config{Routing: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
-	gw.Start()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	return gw, names
-}
 
 // runSession posts n sequential non-streamed turns of one conversation, each
 // re-sending the grown context (the accumulating-context pattern the cache
@@ -81,7 +46,7 @@ func TestDebugPrefix404WithoutCache(t *testing.T) {
 // /debug/prefix JSON reports the reuse: lookups counted, hits and tokens
 // saved strictly positive, and refcounts quiesced (no pins between requests).
 func TestDebugPrefixEndpoint(t *testing.T) {
-	gw, names := newPrefixGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{PrefixRouting: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 
@@ -138,7 +103,7 @@ func TestDebugPrefixEndpoint(t *testing.T) {
 // appear in sorted model order, and the tiered families carry both tier
 // labels. A cache-free gateway must not emit the families at all.
 func TestMetricsPrefixExposition(t *testing.T) {
-	gw, names := newPrefixGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{PrefixRouting: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 

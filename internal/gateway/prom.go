@@ -207,18 +207,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrefixMetrics(&b, prefixSnaps)
 	}
 
-	if g.opts.Fleet != nil {
-		// The ledger carries its own lock; only the virtual clock (already
-		// snapshotted above) needed the event loop.
-		writeFleetMetrics(&b, g.opts.Fleet.Snapshot(virtual))
+	// The ledger and the market carry their own locks; only the virtual
+	// clock (already snapshotted above) needed the event loop.
+	if fleet := g.cl.Fleet(); fleet != nil {
+		writeFleetMetrics(&b, fleet.Snapshot(virtual))
 	}
-
-	if g.opts.Market != nil {
-		var fleetSnap *fleetobs.Snapshot
-		if g.opts.Fleet != nil {
-			fleetSnap = g.opts.Fleet.Snapshot(virtual)
-		}
-		writeMarketMetrics(&b, g.opts.Market.Snapshot(virtual, fleetSnap))
+	if mkt := g.cl.Market(); mkt != nil {
+		writeMarketMetrics(&b, mkt.Snapshot(virtual, g.cl.Fleet().Snapshot(virtual)))
 	}
 
 	if g.opts.Decisions != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/slomon"
 )
 
@@ -31,7 +32,7 @@ func driveSLOTraffic(t *testing.T, h http.Handler, names []string, n int) {
 // traffic and holds it to the schema invariants (cause counters summing to
 // the missed-token count, windowed/cumulative consistency).
 func TestDebugSLOSnapshot(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	driveSLOTraffic(t, h, names, 4)
@@ -72,7 +73,7 @@ func TestDebugSLOSnapshot(t *testing.T) {
 // TestDebugSLOAlerts checks the condensed alert view: fleet scope first,
 // one entry per model, burn rates keyed by window name.
 func TestDebugSLOAlerts(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	driveSLOTraffic(t, h, names, 4)
@@ -118,7 +119,7 @@ func TestDebugSLOAlerts(t *testing.T) {
 // TestDebugSLOStream drives the SSE endpoint with a cancellable request and
 // checks that well-formed snapshot frames come back.
 func TestDebugSLOStream(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	driveSLOTraffic(t, h, names, 2)
@@ -170,7 +171,7 @@ func TestDebugSLOStream(t *testing.T) {
 
 // TestDebugDash checks the dashboard page is served and self-refreshing.
 func TestDebugDash(t *testing.T) {
-	gw, _ := newObservedGateway(t, Options{Speedup: 50000})
+	gw, _ := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	w := get(gw.Handler(), "/debug/dash")
 	if w.Code != http.StatusOK {
@@ -205,7 +206,7 @@ func TestDebugSLOEndpointsWithoutMonitor(t *testing.T) {
 // HELP and TYPE lines, counters end in _total, and per-model series render in
 // stable sorted model order.
 func TestMetricsSLOExposition(t *testing.T) {
-	gw, names := newObservedGateway(t, Options{Speedup: 50000})
+	gw, names := newGateway(t, assemble.Spec{SLOMonitor: true}, testCluster{}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	driveSLOTraffic(t, h, names, 4)

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/core"
 	"aegaeon/internal/sim"
 )
@@ -178,9 +179,7 @@ const streamGolden = "a43e0125e0941745797f9fd3fae39da9fe0118e89f8c2fc7ef5149e4dd
 // gateway.Handler. The driver runs un-paced from virtual time zero, so token
 // times depend only on the seed, not on the wall clock.
 func TestStreamGolden(t *testing.T) {
-	gw, names := newUnstartedGateway(t, Options{Speedup: 1})
-	gw.drv.Accelerate()
-	gw.Start()
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{accelerate: true}, Options{Speedup: 1})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
 	sum := sha256.New()
