@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 )
@@ -12,54 +13,83 @@ import (
 // 6 prefill + 10 decode, 40 models, 0.1 req/s per model, 5 min, seed 1): the
 // kernel's event count, the request and token totals, and the sha256 of every
 // request's token timestamps. A kernel or data-plane change that reorders a
-// single event, or moves a single token by a nanosecond, fails here. Every
-// arm must give the same schedule: observers don't perturb scheduling.
+// single event, or moves a single token by a nanosecond, fails here.
+//
+// It is also the inertness matrix: every subset of the four observers
+// (tracing, SLO monitor, decision journal, fleet ledger) must give the same
+// schedule, clean and under a crash plus a transfer-failure window, because
+// observers record scheduling and never steer it.
 func TestPaperScheduleGolden(t *testing.T) {
-	for _, arm := range []struct {
-		name string
-		cfg  Config
+	for _, sched := range []struct {
+		prefix    string // subtest name prefix
+		faults    string
+		events    uint64
+		completed int
+		tokens    int
+		digest    string
 	}{
-		{"observers-off", Config{}},
-		{"tracing", Config{Tracing: true}},
-		{"all-observers", Config{Tracing: true, SLOMonitor: true, Decisions: true, FleetAccounting: true}},
+		{"", "", 321_466, 1_189, 455_626,
+			"7d243346bde6d6c32d859c7be597054eb14d70cb543f7238a76fc644ad0c0d5d"},
+		{"faulted/", "crash@60s:decode0,xfer@90s+10s:decode1", 299_364, 1_189, 455_626,
+			"aed396820d868b79c16d772d957573b519521453b96c8db8804b2eba9f6f129b"},
 	} {
-		t.Run(arm.name, func(t *testing.T) {
-			cfg := arm.cfg
-			cfg.GPU, cfg.PrefillGPUs, cfg.DecodeGPUs, cfg.NumModels, cfg.Seed = "H800", 6, 10, 40, 1
-			sys, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		for mask := 0; mask < 16; mask++ {
+			cfg := Config{
+				Faults:          sched.faults,
+				Tracing:         mask&1 != 0,
+				SLOMonitor:      mask&2 != 0,
+				Decisions:       mask&4 != 0,
+				FleetAccounting: mask&8 != 0,
 			}
-			rep, err := sys.Serve(sys.GenerateTrace(TraceSpec{RatePerModel: 0.1, Horizon: 5 * time.Minute}))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			h := sha256.New()
-			var buf [8]byte
-			for _, r := range sys.sys.Requests() {
-				h.Write([]byte(r.ID))
-				h.Write([]byte{0})
-				for _, at := range r.TokenTimes {
-					binary.BigEndian.PutUint64(buf[:], uint64(at))
-					h.Write(buf[:])
+			arm := "observers-off"
+			if mask == 15 {
+				arm = "all-observers"
+			} else if mask != 0 {
+				var on []string
+				for i, name := range []string{"tracing", "slo", "decisions", "fleet"} {
+					if mask&(1<<i) != 0 {
+						on = append(on, name)
+					}
 				}
+				arm = strings.Join(on, "+")
 			}
-			digest := hex.EncodeToString(h.Sum(nil))
+			t.Run(sched.prefix+arm, func(t *testing.T) {
+				cfg.GPU, cfg.PrefillGPUs, cfg.DecodeGPUs, cfg.NumModels, cfg.Seed = "H800", 6, 10, 40, 1
+				sys, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := sys.Serve(sys.GenerateTrace(TraceSpec{RatePerModel: 0.1, Horizon: 5 * time.Minute}))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			if got, want := sys.EventsProcessed(), uint64(321_466); got != want {
-				t.Errorf("events = %d, want %d", got, want)
-			}
-			if rep.Requests != 1_189 || rep.Completed != 1_189 {
-				t.Errorf("requests = %d (completed %d), want 1189", rep.Requests, rep.Completed)
-			}
-			if rep.GeneratedTokens != 455_626 {
-				t.Errorf("generated tokens = %d, want 455626", rep.GeneratedTokens)
-			}
-			const want = "7d243346bde6d6c32d859c7be597054eb14d70cb543f7238a76fc644ad0c0d5d"
-			if digest != want {
-				t.Errorf("token-timestamp digest = %s, want %s", digest, want)
-			}
-		})
+				h := sha256.New()
+				var buf [8]byte
+				for _, r := range sys.sys.Requests() {
+					h.Write([]byte(r.ID))
+					h.Write([]byte{0})
+					for _, at := range r.TokenTimes {
+						binary.BigEndian.PutUint64(buf[:], uint64(at))
+						h.Write(buf[:])
+					}
+				}
+				digest := hex.EncodeToString(h.Sum(nil))
+
+				if got := sys.EventsProcessed(); got != sched.events {
+					t.Errorf("events = %d, want %d", got, sched.events)
+				}
+				if rep.Requests != 1_189 || rep.Completed != sched.completed {
+					t.Errorf("requests = %d (completed %d), want 1189 (completed %d)",
+						rep.Requests, rep.Completed, sched.completed)
+				}
+				if rep.GeneratedTokens != sched.tokens {
+					t.Errorf("generated tokens = %d, want %d", rep.GeneratedTokens, sched.tokens)
+				}
+				if digest != sched.digest {
+					t.Errorf("token-timestamp digest = %s, want %s", digest, sched.digest)
+				}
+			})
+		}
 	}
 }
