@@ -54,6 +54,7 @@ func TestPaperScheduleGolden(t *testing.T) {
 				arm = strings.Join(on, "+")
 			}
 			t.Run(sched.prefix+arm, func(t *testing.T) {
+				t.Parallel()
 				cfg.GPU, cfg.PrefillGPUs, cfg.DecodeGPUs, cfg.NumModels, cfg.Seed = "H800", 6, 10, 40, 1
 				sys, err := New(cfg)
 				if err != nil {
