@@ -1,10 +1,9 @@
 // Package assemble is the one place the optional serving subsystems are
-// constructed: the observability collector, the live SLO monitor, the
-// overload controller, the prefix cache, the fleet ledger, the spot market
-// and the decision journal. A caller describes its run as a flat Spec;
-// Build closes the Spec under the implication table, constructs what it
-// names in dependency order, and returns the handles, which Core and
-// Cluster thread into a deployment's or a cluster's config.
+// constructed: the obs collector, the SLO monitor, the overload
+// controller, the prefix cache, the fleet ledger, the spot market and the
+// decision journal. Build closes a Spec under the implication table and
+// constructs what it names in dependency order; Core and Cluster thread
+// the handles into a deployment's or a cluster's config.
 package assemble
 
 import (
@@ -24,31 +23,23 @@ import (
 	"aegaeon/internal/slomon"
 )
 
-// Spec describes which optional subsystems a run carries and how to build
-// them. Build turns on whatever a requested subsystem needs (see closed).
+// Spec is a flat description of a run's optional subsystems. Build also
+// turns on whatever a requested subsystem needs (see closed).
 type Spec struct {
-	Tracing         bool // observability collector
-	SLOMonitor      bool // live SLO monitor
-	Overload        bool // brownout controller
-	PrefixCache     bool // global prefix cache
-	PrefixRouting   bool // cache-aware prefill routing
-	FleetAccounting bool // fleet utilization ledger
-	Market          bool // spot-market fleet model
-	Decisions       bool // decision-provenance journal
+	// Which subsystems to build; Tracing is the obs collector.
+	Tracing, SLOMonitor, Overload bool
+	PrefixCache, PrefixRouting    bool
+	FleetAccounting, Market       bool
+	Decisions                     bool
 
-	// Objective is the SLO monitor's attainment objective (0 = the
-	// monitor's default, 0.99).
-	Objective float64
-	// MarketClasses, MarketSpot and MarketNaive configure the market: the
-	// device-class cycle ("" = homogeneous H800), spot pricing, and the
-	// preemption-unaware baseline arm.
-	MarketClasses string
-	MarketSpot    bool
-	MarketNaive   bool
-	// Seed seeds the market's price traces.
-	Seed int64
-	// Models and TP are the served set, checked against every market class
-	// (TP < 1 means 1).
+	Objective float64 // SLO monitor objective (0 = its default, 0.99)
+	// MarketClasses is the device-class cycle ("" = homogeneous H800);
+	// MarketSpot turns on spot pricing; MarketNaive is the preemption-blind
+	// arm. Seed seeds the market's price traces.
+	MarketClasses           string
+	MarketSpot, MarketNaive bool
+	Seed                    int64
+	// Models and TP (< 1 means 1) are checked against every market class.
 	Models []*model.Model
 	TP     int
 	// Faults is the caller's fault runtime, or nil. When present, the SLO

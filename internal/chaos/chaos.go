@@ -162,15 +162,12 @@ func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
 	se := sim.NewEngine(cfg.Seed)
 	models := model.SmallMix(cfg.Models)
-	// Every chaos run carries the fleet ledger, so the GPU-second
-	// conservation invariant is audited under crashes and recovery; the
-	// decision journal, so provenance coverage is an audited invariant (each
-	// terminal request needs an admission-to-terminal chain, and every
-	// shed/eviction/evacuation record evidence terms); and a market model, so
-	// random schedules can draw the reclaim/throttle fault kinds. The default
-	// market — homogeneous H800, no spot pricing, aware placement — is
-	// behavior-neutral for crash-only schedules: with no open notices every
-	// device scores capability 1 and penalty 0, so placement is unchanged.
+	// Every run carries the fleet ledger (the market implies it), so
+	// GPU-second conservation is audited under crashes; the decision
+	// journal, so provenance coverage is audited; and a market, so random
+	// schedules can draw reclaim/throttle faults. The default market —
+	// homogeneous H800, no spot pricing, aware placement — leaves crash-only
+	// schedules' placement unchanged.
 	parts, err := assemble.Build(se, assemble.Spec{
 		Overload:      cfg.Overload,
 		PrefixRouting: cfg.Prefix,

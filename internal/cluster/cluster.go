@@ -56,57 +56,25 @@ type Config struct {
 	Deployments []DeploymentConfig
 	StoreRTT    time.Duration // metadata store round trip (default 1ms)
 
-	// Obs, when non-nil, collects span timelines, device op timelines, and
-	// switch-cost attribution across every deployment.
-	Obs *obs.Collector
-
-	// SLOMon, when non-nil, receives every deployment's token deadline
-	// judgements for live sliding-window attainment and burn-rate alerting.
-	SLOMon *slomon.Monitor
-
-	// Faults, when non-nil, threads fault-injection state into every
-	// deployment and enables the proxy's retry/recovery accounting. Nil
-	// keeps the cluster byte-identical to a fault-free build.
-	Faults *fault.Faults
-
-	// Overload, when non-nil, is the shared brownout controller threaded
-	// into every deployment's scheduler: one fleet-wide degradation level
-	// drives priority shedding, decode shrinking, cold-model freezing, and
-	// the doomed-request reaper. Share the same controller with the
-	// gateway's OverloadOptions so edge admission and core scheduling agree
-	// on the level. Nil keeps scheduling byte-identical to a build without
-	// overload control.
-	Overload *overload.Controller
-
-	// Fleet, when non-nil, is the shared fleet utilization ledger: every
-	// deployment registers its devices with it so GPU-second accounting,
-	// goodput attribution, and the /debug/fleet surfaces span the whole
-	// cluster. The gateway reads it back through Fleet, so scrapes read the
-	// ledger the devices feed. Nil keeps serving free of accounting
-	// overhead.
-	Fleet *fleetobs.Ledger
-
-	// Market, when non-nil, is the shared spot-market model threaded into
-	// every deployment: device classes cycle across the pool in build order,
-	// spot price traces feed the shared fleet ledger, and reclaim/throttle
-	// faults become deliverable through the cluster's fault surface; the
-	// gateway reads it back through Market. Like Fleet, the market keys
-	// devices by instance name, so it assumes the gateway's
-	// single-deployment layout (or per-deployment markets). Nil keeps every
-	// deployment market-free and byte-identical.
-	Market *market.Market
-
-	// Decisions, when non-nil, is the shared decision-provenance journal
-	// threaded into every deployment: admission, shedding, routing, switch,
-	// eviction, and evacuation choices all record their evidence there. Nil
-	// keeps every policy hot path allocation-free.
+	// The optional subsystems, built by assemble.Build and shared by every
+	// deployment: each field means what the same core.Config field means,
+	// and nil keeps the cluster byte-identical to a build without it. At
+	// cluster level, Faults also enables the proxy's retry and recovery
+	// accounting; Prefix gives each deployment its own cache over its own
+	// CPU KV pool (models are disjoint across deployments); and Fleet and
+	// Market key devices by instance name, so they assume the gateway's
+	// single-deployment layout. The gateway reads the ledger and the market
+	// back through Cluster.Fleet and Cluster.Market, and shares Overload
+	// with its OverloadOptions so the edge and the scheduler degrade on one
+	// level.
+	Obs       *obs.Collector
+	SLOMon    *slomon.Monitor
+	Faults    *fault.Faults
+	Overload  *overload.Controller
+	Fleet     *fleetobs.Ledger
+	Market    *market.Market
 	Decisions *decision.Journal
-
-	// Prefix, when non-nil, enables the global prefix cache in every
-	// deployment (each deployment gets its own cache over its own CPU KV
-	// pool; models are disjoint across deployments, so nothing is lost by
-	// not sharing). Nil keeps serving byte-identical to a cache-free build.
-	Prefix *prefixcache.Config
+	Prefix    *prefixcache.Config
 
 	// LeaseTTL is how long an instance's health lease stays valid without
 	// renewal (default 3s); instances renew every LeaseTTL/2. HealthPoll is

@@ -182,11 +182,11 @@ func LargestShard(models []*model.Model, tp int) (biggest *model.Model, shard in
 	return biggest, shard
 }
 
-// CheckFit reports whether a prof device can hold the largest of models'
-// tp-way shards plus one default KV slab, running the VRAM derivation
-// NewSystem runs for every instance; a non-nil error is the condition
-// under which building the system would panic. Prefetch and colocation are
-// left out: both only widen the weights region when the KV region can spare it.
+// CheckFit returns an error when a prof device cannot hold the largest of
+// models' tp-way shards beside one default KV slab, the case in which the
+// VRAM derivation NewSystem runs per instance would panic. Prefetch and
+// colocation are left out: they only widen the weights region when the KV
+// region can spare it.
 func CheckFit(prof *latency.Profile, models []*model.Model, tp int) error {
 	c := Config{TP: tp, Models: models, KVSlabBytes: defaultKVSlabBytes}
 	_, _, _, err := c.regionsFor(prof)

@@ -21,6 +21,21 @@ import (
 // snapshots are internally synchronized; only simulation-core state (current
 // models, the virtual clock) goes through the driver's Call injection.
 
+// virtualNow reads the simulation clock through the driver for the
+// snapshot endpoints, whose observers carry their own locks. Once the
+// driver has stopped it returns the last virtual time seen.
+func (g *Gateway) virtualNow() time.Duration {
+	var now time.Duration
+	err := g.drv.Call(func() { now = g.cl.VirtualNow() })
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err != nil {
+		return g.lastVirtual
+	}
+	g.lastVirtual = now
+	return now
+}
+
 func (g *Gateway) debugCollectorOr404(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")

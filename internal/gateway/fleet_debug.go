@@ -5,29 +5,12 @@ import (
 	"net/http"
 
 	"aegaeon/internal/fleetobs"
-	"aegaeon/internal/sim"
 )
-
-// ledgerNow reads the virtual clock for the fleet and market snapshots. Both
-// carry their own locks, so only the clock read needs the event loop; after
-// the driver stops the last virtual time seen is served, matching the SLO
-// endpoints' post-drain behavior.
-func (g *Gateway) ledgerNow() sim.Time {
-	var now sim.Time
-	err := g.drv.Call(func() { now = g.cl.VirtualNow() })
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err != nil {
-		return g.lastVirtual
-	}
-	g.lastVirtual = now
-	return now
-}
 
 // fleetSnapshot renders the cluster's fleet ledger at the current virtual
 // time.
 func (g *Gateway) fleetSnapshot() *fleetobs.Snapshot {
-	return g.cl.Fleet().Snapshot(g.ledgerNow())
+	return g.cl.Fleet().Snapshot(g.virtualNow())
 }
 
 // handleDebugFleet serves GET /debug/fleet: the full fleet utilization

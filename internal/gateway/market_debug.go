@@ -10,7 +10,7 @@ import (
 // marketSnapshot renders the cluster's spot market at the current virtual
 // time, joined against the fleet ledger (when present) for class economics.
 func (g *Gateway) marketSnapshot() *market.Snapshot {
-	now := g.ledgerNow()
+	now := g.virtualNow()
 	return g.cl.Market().Snapshot(now, g.cl.Fleet().Snapshot(now))
 }
 

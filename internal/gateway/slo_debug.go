@@ -30,17 +30,9 @@ func (g *Gateway) sloMonitorOr404(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// sloSnapshot renders the monitor at the current virtual time (last known
-// time once the driver has stopped).
+// sloSnapshot renders the monitor at the current virtual time.
 func (g *Gateway) sloSnapshot() *slomon.Snapshot {
-	var virtual time.Duration
-	err := g.drv.Call(func() { virtual = g.cl.VirtualNow() })
-	if err != nil {
-		g.mu.Lock()
-		virtual = g.lastVirtual
-		g.mu.Unlock()
-	}
-	return g.opts.SLOMon.Snapshot(virtual)
+	return g.opts.SLOMon.Snapshot(g.virtualNow())
 }
 
 func (g *Gateway) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
