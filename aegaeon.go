@@ -442,15 +442,13 @@ func (s *System) Serve(trace []Request) (Report, error) {
 	if err := s.sys.Submit(trace); err != nil {
 		return Report{}, err
 	}
-	if s.parts.Market != nil {
-		// Price traces must be bounded or the event loop never drains: run
-		// them past the last arrival with slack for the tail to decode.
-		horizon := 2 * time.Minute
-		if len(trace) > 0 {
-			horizon += trace[len(trace)-1].Arrival
-		}
-		s.parts.Market.Start(horizon)
+	// Price traces must be bounded or the event loop never drains: run them
+	// past the last arrival with slack for the tail to decode.
+	horizon := 2 * time.Minute
+	if len(trace) > 0 {
+		horizon += trace[len(trace)-1].Arrival
 	}
+	s.parts.Market.Start(horizon)
 	if len(s.sched) > 0 {
 		s.injector = fault.NewInjector(s.eng, sysSurface{s}, s.sched)
 		s.injector.Arm()
@@ -473,10 +471,11 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		VirtualDuration: s.eng.Now(),
 		Switches:        switches,
 		Failed:          s.sys.FailedRequests(),
+		Faults:          s.parts.Faults.Snapshot(),
+		SLO:             s.sys.Monitor().Snapshot(s.eng.Now()),
+		Fleet:           s.parts.Fleet.Snapshot(s.eng.Now()),
 	}
-	if s.parts.Faults != nil {
-		rep.Faults = s.parts.Faults.Snapshot()
-	}
+	rep.Market = s.parts.Market.Snapshot(s.eng.Now(), rep.Fleet)
 	if s.injector != nil {
 		rep.FaultsInjected = s.injector.Injected()
 		if errs := s.injector.Errors(); len(errs) > 0 {
@@ -487,21 +486,12 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		rep.SwitchP50 = time.Duration(cdf.Quantile(0.5) * float64(time.Second))
 		rep.SwitchP99 = time.Duration(cdf.Quantile(0.99) * float64(time.Second))
 	}
-	if mon := s.sys.Monitor(); mon != nil {
-		rep.SLO = mon.Snapshot(s.eng.Now())
-	}
 	for _, r := range s.sys.Requests() {
 		rep.GeneratedTokens += len(r.TokenTimes)
 	}
 	if pc := s.sys.PrefixCache(); pc != nil {
 		st := pc.Stats()
 		rep.Prefix = &st
-	}
-	if s.parts.Fleet != nil {
-		rep.Fleet = s.parts.Fleet.Snapshot(s.eng.Now())
-	}
-	if s.parts.Market != nil {
-		rep.Market = s.parts.Market.Snapshot(s.eng.Now(), rep.Fleet)
 	}
 	if s.parts.Overload != nil {
 		snap := s.parts.Overload.Snapshot()

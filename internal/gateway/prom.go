@@ -208,13 +208,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The ledger and the market carry their own locks; only the virtual
-	// clock (already snapshotted above) needed the event loop.
-	if fleet := g.cl.Fleet(); fleet != nil {
-		writeFleetMetrics(&b, fleet.Snapshot(virtual))
-	}
-	if mkt := g.cl.Market(); mkt != nil {
-		writeMarketMetrics(&b, mkt.Snapshot(virtual, g.cl.Fleet().Snapshot(virtual)))
-	}
+	// clock (already snapshotted above) needed the event loop. Both
+	// snapshot to nil, and write nothing, when the cluster has none.
+	fleet := g.cl.Fleet().Snapshot(virtual)
+	writeFleetMetrics(&b, fleet)
+	writeMarketMetrics(&b, g.cl.Market().Snapshot(virtual, fleet))
 
 	if g.opts.Decisions != nil {
 		writeDecisionMetrics(&b, g.opts.Decisions)
