@@ -6,20 +6,10 @@
 //	GET  /v1/models        served model catalog with deployment routing
 //	GET  /metrics          Prometheus text metrics
 //	GET  /healthz          liveness (503 while draining)
-//	GET  /debug/trace      recent events, request timelines, switch records
-//	GET  /debug/requests/X one request's span tree
-//	GET  /debug/gpus       per-engine utilization and occupant models
-//	GET  /debug/perfetto   Chrome trace-event JSON export
-//	GET  /debug/slo        live SLO snapshot: windowed attainment, alerts, causes
-//	GET  /debug/slo/alerts burn-rate alert states only
-//	GET  /debug/overload   brownout level, rejection counters, retry budget (with -overload)
-//	GET  /debug/fleet      fleet utilization ledger: per-device GPU-second accounting (with -fleet)
-//	GET  /debug/market     spot-market state: per-device price/eligibility, preemption records, class economics (with -market)
-//	GET  /debug/pprof/     net/http/pprof profiling handlers (with -pprof)
-//	GET  /debug/dash       dependency-free live HTML dashboard (SSE; fleet heatmap with -fleet)
-//	GET  /debug            index of every registered debug endpoint
-//	GET  /debug/decisions  decision-provenance ring: recent records, kind/outcome counters
-//	GET  /debug/why/X      one request's decision chain joined with its span timeline
+//	GET  /debug            index of every debug endpoint, each with its description
+//
+// A debug endpoint whose subsystem is off answers 404 with a JSON error
+// naming what is missing.
 //
 // Example:
 //

@@ -6,15 +6,19 @@
 //	aegaeon-sim -models 40 -rps 0.1 -horizon 5m
 //	aegaeon-sim -models 40 -rps 0.1 -system serverlessllm
 //	aegaeon-sim -gpu A10 -models 8 -prefill 2 -decode 2 -tbt-scale 2
+//	aegaeon-sim -models 8 -rps 0.15 -horizon 2m -report slo,fleet,why -report-dir out
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,13 +157,112 @@ func printMarketReport(s *market.Snapshot) {
 // were journaled, how many request chains are retained, and the kind/outcome
 // counters — the at-a-glance answer to "what did the schedulers decide, and
 // how often". The full evidence (inputs, candidate scores, chains) goes to
-// -why-json.
+// why.json under -report-dir.
 func printWhyReport(j *decision.Journal) {
 	fmt.Printf("--- decision journal (%d decisions, %d request chains) ---\n",
 		j.Total(), j.TrackedRequests())
 	for _, c := range j.Counts() {
 		fmt.Printf("decision %-20s %-22s %d\n", c.Kind, c.Outcome, c.N)
 	}
+}
+
+// reports are the end-of-run reports -report selects, in print order. Each
+// row turns its subsystem on, prints its summary, and writes its files into
+// -report-dir.
+var reports = []struct {
+	name   string
+	enable func(*aegaeon.Config)
+	print  func(*aegaeon.System, *aegaeon.Report)
+	write  func(dir string, sys *aegaeon.System, rep *aegaeon.Report) error
+}{
+	{"slo", func(c *aegaeon.Config) { c.SLOMonitor = true },
+		func(_ *aegaeon.System, rep *aegaeon.Report) { printSLOReport(rep.SLO) },
+		func(dir string, _ *aegaeon.System, rep *aegaeon.Report) error {
+			if err := slomon.Validate(rep.SLO); err != nil {
+				return fmt.Errorf("slo snapshot failed validation: %v", err)
+			}
+			path := filepath.Join(dir, "slo.json")
+			if err := writeJSON(path, rep.SLO); err != nil {
+				return err
+			}
+			fmt.Printf("slo snapshot      %s (schema v%d)\n", path, rep.SLO.SchemaVersion)
+			return nil
+		}},
+	// The market's class economics join against the fleet ledger, so its
+	// report prints with the ledger's.
+	{"fleet", func(c *aegaeon.Config) { c.FleetAccounting = true },
+		func(_ *aegaeon.System, rep *aegaeon.Report) {
+			printFleetReport(rep.Fleet)
+			if rep.Market != nil {
+				printMarketReport(rep.Market)
+			}
+		},
+		func(dir string, _ *aegaeon.System, rep *aegaeon.Report) error {
+			path := filepath.Join(dir, "fleet.json")
+			if err := writeJSON(path, rep.Fleet); err != nil {
+				return err
+			}
+			fmt.Printf("fleet snapshot    %s (schema v%d)\n", path, rep.Fleet.SchemaVersion)
+			path = filepath.Join(dir, "fleet.csv")
+			if err := os.WriteFile(path, []byte(rep.Fleet.CSV()), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("fleet csv         %s\n", path)
+			return nil
+		}},
+	{"why", func(c *aegaeon.Config) { c.Decisions = true },
+		func(sys *aegaeon.System, _ *aegaeon.Report) { printWhyReport(sys.Decisions()) },
+		func(dir string, sys *aegaeon.System, _ *aegaeon.Report) error {
+			path := filepath.Join(dir, "why.json")
+			if err := writeFile(path, sys.WriteDecisions); err != nil {
+				return err
+			}
+			fmt.Printf("decision journal  %s (schema v%d, check with aegaeon-trace -mode why)\n",
+				path, decision.SchemaVersion)
+			return nil
+		}},
+}
+
+// parseReports parses -report's comma-separated names into the set of rows
+// to run.
+func parseReports(list string) (map[string]bool, error) {
+	var valid []string
+	for _, r := range reports {
+		valid = append(valid, r.name)
+	}
+	on := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("-report: unknown report %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		on[name] = true
+	}
+	return on, nil
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // kernelMetrics are the simulation kernel's self-metrics for one run — the
@@ -202,11 +305,7 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 		km.RequestsPerSec = float64(km.Requests) / wallS
 		km.SpeedupFactor = km.VirtualSeconds / wallS
 	}
-	data, err := json.MarshalIndent(km, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeJSON(path, km)
 }
 
 // parsePriorityMix parses "high,low" fractions (e.g. "0.2,0.3"). Empty means
@@ -249,40 +348,35 @@ func main() {
 		unopt      = flag.Bool("unoptimized", false, "disable the §5 auto-scaling optimizations")
 		perfetto   = flag.String("perfetto", "", "write a Perfetto-loadable trace JSON to this file (aegaeon system only)")
 		faults     = flag.String("faults", "", `fault schedule: "kind@at[+dur][*factor][:target]", comma-separated — e.g. "crash@40s:decode0,fetchslow@60s+30s*4" (aegaeon system only)`)
-		sloReport  = flag.Bool("slo-report", false, "run the live SLO monitor and print windowed attainment, alert state, and missed-token causes (aegaeon system only)")
-		sloJSON    = flag.String("slo-json", "", "write the final SLO monitor snapshot as JSON to this file (implies -slo-report)")
 		overloadOn = flag.Bool("overload", false, "enable overload control: SLO-coupled brownout, deadline-aware shedding, priority-aware prefill (aegaeon system only)")
 		prioMix    = flag.String("priority-mix", "", `service-tier mix as "high,low" fractions of the trace, e.g. "0.2,0.3" (rest normal)`)
 		prefixOn   = flag.Bool("prefix", false, "enable the global prefix cache with cache-aware routing (aegaeon system only)")
 		wlKind     = flag.String("workload", "poisson", "arrival pattern: poisson, multiturn, agentic, sharedprompt (-rps is sessions/tasks per s for the session kinds)")
 		sysToks    = flag.Int("system-prompt-tokens", 0, "shared system prompt length for session workloads (0 = per-kind default)")
-		fleetOn    = flag.Bool("fleet-report", false, "run the fleet utilization ledger and print the per-device GPU-second accounting; exits non-zero if the conservation invariant breaks (aegaeon system only)")
-		fleetJSON  = flag.String("fleet-json", "", "write the final fleet snapshot as JSON to this file (implies -fleet-report)")
-		fleetCSV   = flag.String("fleet-csv", "", "write the per-device fleet accounting as CSV to this file, comparable against results/figure_8_10.csv exposed switch costs (implies -fleet-report)")
 		kernelJSON = flag.String("kernel-json", "", "write simulation-kernel self-metrics (events/sec, requests/sec, heap allocations) as JSON to this file (aegaeon system only)")
-		marketOn   = flag.Bool("market", false, "enable the spot-market fleet model: device classes, price traces, preemption risk (implies -fleet-report; aegaeon system only)")
+		marketOn   = flag.Bool("market", false, "enable the spot-market fleet model: device classes, price traces, preemption risk (prints the fleet report; aegaeon system only)")
 		mktClasses = flag.String("market-classes", "", `comma-separated device classes cycled across the pool, e.g. "H800,A10,RTX4090" (with -market; empty = homogeneous H800; small-VRAM classes need models that fit)`)
 		mktSpot    = flag.Bool("market-spot", false, "activate spot pricing and reclaim risk (with -market)")
 		mktNaive   = flag.Bool("market-naive", false, "disable preemption-aware placement and KV evacuation: the spot-naive baseline (with -market)")
 		smallMix   = flag.Bool("small-models", false, "serve the 6-8B small-model mix instead of the default 6-15B market mix (fits 24 GB market classes like A10/RTX4090)")
-		whyOn      = flag.Bool("why", false, "enable the decision-provenance journal and print the why-trace summary (aegaeon system only)")
-		whyJSON    = flag.String("why-json", "", "write the decision journal export as JSON to this file, checkable with aegaeon-trace -mode why (implies -why)")
+		reportList = flag.String("report", "", "comma-separated end-of-run reports to print (aegaeon system only): slo (live SLO monitor: windowed attainment, alert state, missed-token causes), fleet (fleet utilization ledger's per-device GPU-second accounting; exits non-zero if the conservation invariant breaks), why (decision-provenance journal summary)")
+		reportDir  = flag.String("report-dir", "", "write each selected report's files into this directory: slo.json, fleet.json and fleet.csv (per-device rows comparable against results/figure_8_10.csv exposed switch costs), why.json (checkable with aegaeon-trace -mode why)")
 		chaosOn    = flag.Bool("chaos", false, "run the chaos harness instead of the plain simulation: inject -faults (or a random schedule), then audit recovery and, with -store-replicas > 1, control-plane linearizability; exits non-zero on any violation")
 		storeReps  = flag.Int("store-replicas", 0, "replicate the cluster metadata store across N quorum replicas named ms0..msN-1 (with -chaos; 0 or 1 = single store)")
 		chaosSweep = flag.Int("chaos-sweep", 0, "run N chaos seeds starting at -seed, each with a fresh random fault schedule (with -chaos; overrides -faults)")
 	)
 	flag.Parse()
-	if *sloJSON != "" {
-		*sloReport = true
-	}
-	if *fleetJSON != "" || *fleetCSV != "" {
-		*fleetOn = true
+	reportOn, err := parseReports(*reportList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *marketOn {
-		*fleetOn = true // class economics join against the fleet ledger
+		reportOn["fleet"] = true // class economics join against the fleet ledger
 	}
-	if *whyJSON != "" {
-		*whyOn = true
+	if *reportDir != "" && len(reportOn) == 0 {
+		fmt.Fprintln(os.Stderr, "-report-dir requires -report")
+		os.Exit(2)
 	}
 	for _, c := range []struct {
 		set bool
@@ -290,13 +384,11 @@ func main() {
 	}{
 		{*perfetto != "", "-perfetto requires -system aegaeon (baselines are not instrumented)"},
 		{*faults != "", "-faults requires -system aegaeon (baselines have no fault model)"},
-		{*sloReport, "-slo-report requires -system aegaeon (baselines feed no live monitor)"},
+		{*reportList != "", "-report requires -system aegaeon (baselines are not instrumented)"},
 		{*overloadOn, "-overload requires -system aegaeon (baselines have no overload control)"},
 		{*prefixOn, "-prefix requires -system aegaeon (baselines have no prefix cache)"},
-		{*fleetOn, "-fleet-report requires -system aegaeon (baselines are not instrumented)"},
 		{*kernelJSON != "", "-kernel-json requires -system aegaeon (baselines run a private kernel)"},
 		{*marketOn, "-market requires -system aegaeon (baselines have no market model)"},
-		{*whyOn, "-why requires -system aegaeon (baselines journal no decisions)"},
 		{*chaosOn, "-chaos requires -system aegaeon (baselines have no fault model)"},
 	} {
 		if c.set && *system != "aegaeon" {
@@ -355,7 +447,7 @@ func main() {
 	if *smallMix {
 		modelMix = aegaeon.SmallModels(*nModels)
 	}
-	sys, err := aegaeon.New(aegaeon.Config{
+	cfg := aegaeon.Config{
 		Models:               modelMix,
 		GPU:                  *gpu,
 		TP:                   *tp,
@@ -366,17 +458,20 @@ func main() {
 		Seed:                 *seed,
 		DisableOptimizations: *unopt,
 		Tracing:              *perfetto != "",
-		SLOMonitor:           *sloReport,
 		Overload:             *overloadOn,
 		PrefixRouting:        *prefixOn,
-		FleetAccounting:      *fleetOn,
 		Market:               *marketOn,
 		MarketClasses:        *mktClasses,
 		MarketSpot:           *mktSpot,
 		MarketNaive:          *mktNaive,
 		Faults:               *faults,
-		Decisions:            *whyOn,
-	})
+	}
+	for _, r := range reports {
+		if reportOn[r.name] {
+			r.enable(&cfg)
+		}
+	}
+	sys, err := aegaeon.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -447,69 +542,29 @@ func main() {
 	}
 	fmt.Printf("virtual duration  %v\n", rep.VirtualDuration.Round(time.Second))
 
-	if *sloReport && rep.SLO != nil {
-		printSLOReport(rep.SLO)
-	}
-	if *sloJSON != "" && rep.SLO != nil {
-		if err := slomon.Validate(rep.SLO); err != nil {
-			log.Fatalf("slo snapshot failed validation: %v", err)
-		}
-		data, err := json.MarshalIndent(rep.SLO, "", "  ")
-		if err != nil {
+	if *reportDir != "" {
+		if err := os.MkdirAll(*reportDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*sloJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("slo snapshot      %s (schema v%d)\n", *sloJSON, rep.SLO.SchemaVersion)
 	}
-
-	if *fleetOn && rep.Fleet != nil {
-		printFleetReport(rep.Fleet)
-		if *fleetJSON != "" {
-			data, err := json.MarshalIndent(rep.Fleet, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*fleetJSON, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("fleet snapshot    %s (schema v%d)\n", *fleetJSON, rep.Fleet.SchemaVersion)
+	for _, r := range reports {
+		if !reportOn[r.name] {
+			continue
 		}
-		if *fleetCSV != "" {
-			if err := os.WriteFile(*fleetCSV, []byte(rep.Fleet.CSV()), 0o644); err != nil {
+		r.print(sys, &rep)
+		if *reportDir != "" {
+			if err := r.write(*reportDir, sys, &rep); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("fleet csv         %s\n", *fleetCSV)
 		}
+	}
+	if rep.Fleet != nil {
 		if errs := rep.Fleet.Validate(); len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintf(os.Stderr, "fleet conservation violated: %s\n", e)
 			}
 			os.Exit(1)
 		}
-	}
-
-	if rep.Market != nil {
-		printMarketReport(rep.Market)
-	}
-
-	if *whyOn {
-		printWhyReport(sys.Decisions())
-	}
-	if *whyJSON != "" {
-		f, err := os.Create(*whyJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.WriteDecisions(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("decision journal  %s (schema v%d, check with aegaeon-trace -mode why)\n",
-			*whyJSON, decision.SchemaVersion)
 	}
 
 	if *kernelJSON != "" {
@@ -520,14 +575,7 @@ func main() {
 	}
 
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sys.WritePerfetto(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*perfetto, sys.WritePerfetto); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("perfetto trace    %s (open at https://ui.perfetto.dev)\n", *perfetto)

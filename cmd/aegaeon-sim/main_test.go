@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestParsePriorityMix covers the -priority-mix grammar: an empty value is an
 // all-normal trace, whitespace around either fraction is tolerated, and
@@ -34,5 +37,22 @@ func TestParsePriorityMix(t *testing.T) {
 		if high != tc.high || low != tc.low {
 			t.Errorf("parsePriorityMix(%q) = %v, %v; want %v, %v", tc.in, high, low, tc.high, tc.low)
 		}
+	}
+}
+
+// TestParseReports covers the -report grammar: names from the report table,
+// whitespace tolerated, and an unknown name rejected with the valid list.
+func TestParseReports(t *testing.T) {
+	on, err := parseReports("")
+	if err != nil || len(on) != 0 {
+		t.Fatalf(`parseReports("") = %v, %v; want none`, on, err)
+	}
+	on, err = parseReports(" slo,why ")
+	if err != nil || len(on) != 2 || !on["slo"] || !on["why"] {
+		t.Fatalf(`parseReports(" slo,why ") = %v, %v`, on, err)
+	}
+	_, err = parseReports("fleet,bogus")
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "slo, fleet, why") {
+		t.Fatalf(`parseReports("fleet,bogus") error = %v, want one naming the report and the valid ones`, err)
 	}
 }

@@ -2,9 +2,10 @@
 // the Fig. 1(a) popularity CDF, the Fig. 1(b) burst timeline, and summary
 // statistics of synthesized Poisson traces, optionally emitting the trace
 // as CSV for external tools. It also validates Perfetto execution traces
-// exported by aegaeon-sim (-mode validate -perfetto trace.json), SLO
-// monitor snapshots (-mode validate-slo -slo BENCH_slo.json), and decision
-// journals (-mode why -why journal.json [-request id]), pretty-printing the
+// exported by aegaeon-sim (-mode validate -perfetto trace.json), and the
+// files aegaeon-sim -report slo,why -report-dir DIR writes: SLO monitor
+// snapshots (-mode validate-slo -slo DIR/slo.json) and decision journals
+// (-mode why -why DIR/why.json [-request id]), pretty-printing the
 // why-trace after the structural gate passes.
 package main
 

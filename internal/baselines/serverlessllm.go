@@ -314,9 +314,6 @@ func (s *SLLM) Tracker() *slo.Tracker { return s.tracker }
 // SwitchLatencyCDF exposes exposed switch latencies.
 func (s *SLLM) SwitchLatencyCDF() *switchCDF { return &s.switchLat }
 
-// QueueLen returns the global unassigned-queue length (diagnostics).
-func (s *SLLM) QueueLen() int { return len(s.queue) }
-
 var _ Server = (*SLLM)(nil)
 
 // newNodeCPUKV builds the host KV tier baselines hand to their engines (the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"aegaeon/internal/kvcache"
 )
@@ -145,22 +144,6 @@ func (s *System) RecoverOrphansOf(name string) (resumed, recomputed int) {
 	}
 	s.cfg.Faults.CountRecovery(resumed, recomputed)
 	s.obs.Recovery(name, fmt.Sprintf("resumed %d, recomputed %d", resumed, recomputed), s.eng.Now())
-	return resumed, recomputed
-}
-
-// RecoverOrphans re-dispatches every stashed orphan (all crashed instances,
-// in deterministic name order).
-func (s *System) RecoverOrphans() (resumed, recomputed int) {
-	names := make([]string, 0, len(s.orphans))
-	for name := range s.orphans {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		res, rec := s.RecoverOrphansOf(name)
-		resumed += res
-		recomputed += rec
-	}
 	return resumed, recomputed
 }
 

@@ -8,50 +8,71 @@ import (
 	"time"
 
 	"aegaeon/internal/cluster"
+	"aegaeon/internal/fault"
+	"aegaeon/internal/fleetobs"
+	"aegaeon/internal/market"
+	"aegaeon/internal/metastore"
+	"aegaeon/internal/prefixcache"
 )
 
-// The /debug endpoints surface the observability collector live:
-//
-//	GET /debug/trace?last=N    recent flat events + request span timelines
-//	GET /debug/requests/{id}   one request's full span tree
-//	GET /debug/gpus            per-engine utilization + current occupant model
-//	GET /debug/perfetto        full Chrome trace-event JSON export
-//
-// All answer 404 when the gateway was built without a collector. Collector
-// snapshots are internally synchronized; only simulation-core state (current
-// models, the virtual clock) goes through the driver's Call injection.
+// The /debug endpoints are registered from the debugEndpoints table, which
+// also gates each on its subsystem. Observer snapshots (collector, monitor,
+// ledger, market, journal) are internally synchronized; only state the event
+// loop owns goes through loopSnapshot.
 
-// virtualNow reads the simulation clock through the driver for the
-// snapshot endpoints, whose observers carry their own locks. Once the
-// driver has stopped it returns the last virtual time seen.
-func (g *Gateway) virtualNow() time.Duration {
-	var now time.Duration
-	err := g.drv.Call(func() { now = g.cl.VirtualNow() })
+// loopState is the event-loop-owned state the operator surfaces read.
+type loopState struct {
+	virtual             time.Duration
+	switches            uint64
+	gets, sets, deletes uint64 // metadata store operations
+	failedOps           uint64
+	store               metastore.ControlView
+	faults              fault.Stats
+	failovers           int
+	gpus                []cluster.GPUInfo
+	prefix              map[string]prefixcache.Stats // by deployment; nil without a cache
+}
+
+// loopSnapshot collects the loop-owned state in one driver Call and caches
+// it. Once the driver has stopped it returns the cached copy, which Shutdown
+// refreshes just before the stop, so counters never go backwards. Callers
+// must not mutate the returned maps and slices: they are shared.
+func (g *Gateway) loopSnapshot() loopState {
+	var s loopState
+	err := g.drv.Call(func() {
+		s.virtual = g.cl.VirtualNow()
+		s.switches = g.cl.Switches()
+		s.gets, s.sets, s.deletes = g.cl.Store().Ops()
+		s.failedOps = g.cl.Store().FailedOps()
+		s.store = g.cl.StoreView()
+		s.faults = g.cl.FaultStats()
+		s.failovers = g.cl.Failovers()
+		s.gpus = g.cl.GPUInfos()
+		if caches := g.cl.PrefixCaches(); len(caches) > 0 {
+			s.prefix = make(map[string]prefixcache.Stats, len(caches))
+			for name, pc := range caches {
+				s.prefix[name] = pc.Stats()
+			}
+		}
+	})
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err != nil {
-		return g.lastVirtual
+		return g.loop
 	}
-	g.lastVirtual = now
-	return now
+	g.loop = s
+	return s
 }
 
-func (g *Gateway) debugCollectorOr404(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
-		return false
-	}
-	if g.opts.Obs == nil {
-		writeJSONError(w, http.StatusNotFound, "observability disabled (no collector configured)")
-		return false
-	}
-	return true
+// fleetAt snapshots the cluster's fleet ledger and spot market at virtual
+// time now, the market joined against the ledger for class economics. Each
+// is nil when the cluster has none.
+func (g *Gateway) fleetAt(now time.Duration) (*fleetobs.Snapshot, *market.Snapshot) {
+	fleet := g.cl.Fleet().Snapshot(now)
+	return fleet, g.cl.Market().Snapshot(now, fleet)
 }
 
 func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if !g.debugCollectorOr404(w, r) {
-		return
-	}
 	last := 100
 	if v := r.URL.Query().Get("last"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -93,9 +114,6 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
-	if !g.debugCollectorOr404(w, r) {
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/requests/")
 	if id == "" || strings.Contains(id, "/") {
 		writeJSONError(w, http.StatusBadRequest, "usage: /debug/requests/{id}")
@@ -111,9 +129,6 @@ func (g *Gateway) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleDebugGPUs(w http.ResponseWriter, r *http.Request) {
-	if !g.debugCollectorOr404(w, r) {
-		return
-	}
 	window := 10 * time.Second
 	if v := r.URL.Query().Get("window"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -123,37 +138,66 @@ func (g *Gateway) handleDebugGPUs(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	// Occupant models and the virtual clock live in simulation-core state:
-	// snapshot them on the event loop.
-	var infos []cluster.GPUInfo
-	var virtual time.Duration
-	err := g.drv.Call(func() {
-		virtual = g.cl.VirtualNow()
-		infos = g.cl.GPUInfos()
-	})
-	if err != nil {
-		g.mu.Lock()
-		virtual = g.lastVirtual
-		g.mu.Unlock()
-	}
-	utils := g.opts.Obs.Utilizations(virtual, window)
+	s := g.loopSnapshot()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"virtual_time_s": virtual.Seconds(),
+		"virtual_time_s": s.virtual.Seconds(),
 		"window_s":       window.Seconds(),
-		"instances":      infos,
-		"engines":        utils,
+		"instances":      s.gpus,
+		"engines":        g.opts.Obs.Utilizations(s.virtual, window),
 	})
 }
 
 func (g *Gateway) handleDebugPerfetto(w http.ResponseWriter, r *http.Request) {
-	if !g.debugCollectorOr404(w, r) {
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="aegaeon-trace.json"`)
-	if err := g.opts.Obs.WritePerfetto(w); err != nil {
-		// Headers are gone; best effort.
-		return
+	// Headers are gone once the export starts; an error is best effort.
+	_ = g.opts.Obs.WritePerfetto(w)
+}
+
+// handleDebugPrefix serves per-deployment prefix-cache statistics: hit
+// ratio, tokens saved, tier residency, eviction and promotion activity.
+func (g *Gateway) handleDebugPrefix(w http.ResponseWriter, r *http.Request) {
+	type deployment struct {
+		Deployment string  `json:"deployment"`
+		HitRatio   float64 `json:"hit_ratio"`
+		SavedRatio float64 `json:"saved_ratio"`
+		prefixcache.Stats
 	}
+	snaps := g.loopSnapshot().prefix
+	out := make([]deployment, 0, len(snaps))
+	for _, name := range sortedStringKeys(snaps) {
+		st := snaps[name]
+		out = append(out, deployment{name, st.HitRatio(), st.SavedRatio(), st})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(map[string]any{"deployments": out})
+}
+
+// handleDebugFleet serves the fleet utilization snapshot: per-device state
+// integrals (every GPU-second classified), the recent state-segment timeline
+// behind the dashboard heatmap, per-model goodput and occupancy shares, and
+// fleet rollups. conservation_errors is non-empty only if the ledger's
+// accounting invariant broke; tests and CI assert it absent.
+func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
+	fleet, _ := g.fleetAt(g.loopSnapshot().virtual)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(fleet)
+}
+
+// handleDebugMarket serves the spot-market snapshot: per-device market state
+// (class, current price, eligibility, open notices), the preemption audit
+// trail with evacuated-vs-lost KV byte accounting, and per-class economics.
+func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
+	_, mkt := g.fleetAt(g.loopSnapshot().virtual)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(mkt)
+}
+
+// handleDebugMetastore serves the control-plane view: store mode (single or
+// replicated), and in replicated mode the per-replica role, term, commit and
+// applied state, the current leader, leader changes, and the op counters.
+func (g *Gateway) handleDebugMetastore(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(g.loopSnapshot().store)
 }

@@ -13,25 +13,10 @@ import (
 //	GET /debug/why/{id}                     one request's decision chain,
 //	                                        joined with its span timeline
 //
-// Both answer 404 when the gateway was built without a journal. The journal
-// is internally synchronized; nothing here touches the event loop.
-
-func (g *Gateway) debugDecisionsOr404(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
-		return false
-	}
-	if g.opts.Decisions == nil {
-		writeJSONError(w, http.StatusNotFound, "decision journal disabled (no journal configured)")
-		return false
-	}
-	return true
-}
+// The journal is internally synchronized; nothing here touches the event
+// loop.
 
 func (g *Gateway) handleDebugDecisions(w http.ResponseWriter, r *http.Request) {
-	if !g.debugDecisionsOr404(w, r) {
-		return
-	}
 	last := 100
 	if v := r.URL.Query().Get("last"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -69,9 +54,6 @@ func (g *Gateway) handleDebugDecisions(w http.ResponseWriter, r *http.Request) {
 // observability collector is also configured — with its span timeline, so
 // the decisions line up against what actually executed.
 func (g *Gateway) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
-	if !g.debugDecisionsOr404(w, r) {
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/why/")
 	if id == "" || strings.Contains(id, "/") {
 		writeJSONError(w, http.StatusBadRequest, "usage: /debug/why/{id}")

@@ -13,24 +13,6 @@ import (
 	"aegaeon/internal/decision"
 )
 
-// TestDebugDecisions404WithoutJournal: a gateway built without a journal
-// answers 404 on both decision endpoints, mirroring the other gated debug
-// endpoints.
-func TestDebugDecisions404WithoutJournal(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-
-	for _, path := range []string{"/debug/decisions", "/debug/why/cmpl-1"} {
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusNotFound {
-			t.Fatalf("%s without journal: status %d, want 404", path, w.Code)
-		}
-	}
-}
-
 // TestDebugWhyEndpoint serves a completion and checks the live why-trace:
 // the chain is queryable under the request's completion ID, starts with the
 // gateway's admission verdict, ends with the core's terminal record, and is

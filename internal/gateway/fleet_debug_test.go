@@ -13,21 +13,6 @@ import (
 	"aegaeon/internal/fleetobs"
 )
 
-// TestDebugFleet404WithoutLedger: a gateway built without a fleet ledger
-// answers 404 on /debug/fleet, mirroring the other gated debug endpoints.
-func TestDebugFleet404WithoutLedger(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-
-	req := httptest.NewRequest(http.MethodGet, "/debug/fleet", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("/debug/fleet without ledger: status %d, want 404", w.Code)
-	}
-}
-
 // TestDebugFleetEndpoint serves a few completions and checks the
 // /debug/fleet JSON: one entry per device, the conservation invariant clean
 // at the snapshot instant, work visible in the busy integrals and goodput

@@ -26,7 +26,6 @@ import (
 	"aegaeon/internal/core"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
-	"aegaeon/internal/metastore"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/overload"
@@ -216,10 +215,8 @@ type Gateway struct {
 	brownStop      chan struct{}
 	brownOnce      sync.Once
 
-	// Snapshot cache for /metrics after the driver has stopped.
-	lastSwitches  uint64
-	lastVirtual   time.Duration
-	lastStoreView *metastore.ControlView
+	// loop is the last loopSnapshot, served once the driver has stopped.
+	loop loopState
 
 	ttft *metrics.SafeCDF
 	tbt  *metrics.SafeCDF
@@ -304,43 +301,62 @@ func (g *Gateway) brownoutLoop(ov *OverloadOptions) {
 }
 
 // debugEndpoint is one row of the /debug registration table: a path, the
-// one-line description the index page shows, and the handler. Registering
-// through the table (instead of a hand-maintained HandleFunc list) keeps the
-// index page complete by construction.
+// one-line description the index page shows, the subsystem gate, and the
+// handler. Registering through the table keeps the index page complete by
+// construction, and Handler applies the gate and the GET-only check to every
+// row, so no handler repeats them.
 type debugEndpoint struct {
 	Path string `json:"path"`
 	Desc string `json:"desc"`
+	gate gate
 	h    http.HandlerFunc
+}
+
+// gate says whether a debug route's subsystem is present, and the message
+// its 404 names when it is not.
+type gate struct {
+	on  bool
+	off string
 }
 
 // debugEndpoints is the full /debug surface. Entries whose backing subsystem
 // was not configured still register (they answer 404 with a message naming
 // the missing option), so the index enumerates everything the gateway can do.
 func (g *Gateway) debugEndpoints() []debugEndpoint {
+	var (
+		always      = gate{on: true}
+		collector   = gate{g.opts.Obs != nil, "observability disabled (no collector configured)"}
+		monitor     = gate{g.opts.SLOMon != nil, "SLO monitoring disabled (no monitor configured)"}
+		brownout    = gate{g.opts.Overload != nil, "overload control disabled (no overload options configured)"}
+		prefixCache = gate{len(g.cl.PrefixCaches()) > 0, "prefix cache disabled (no deployment configured with one)"}
+		ledger      = gate{g.cl.Fleet() != nil, "fleet accounting disabled (cluster built without a fleet ledger)"}
+		spotMarket  = gate{g.cl.Market() != nil, "spot market disabled (cluster built without a market model)"}
+		journal     = gate{g.opts.Decisions != nil, "decision journal disabled (no journal configured)"}
+	)
 	eps := []debugEndpoint{
-		{"/debug/trace", "recent flat events + request span timelines (?last=N)", g.handleDebugTrace},
-		{"/debug/requests/{id}", "one request's full span tree", g.handleDebugRequest},
-		{"/debug/gpus", "per-engine utilization + current occupant model (?window=30s)", g.handleDebugGPUs},
-		{"/debug/perfetto", "Chrome trace-event JSON export (load in ui.perfetto.dev)", g.handleDebugPerfetto},
-		{"/debug/slo", "live SLO attainment, burn rates, error budgets", g.handleDebugSLO},
-		{"/debug/slo/alerts", "burn-rate alert states", g.handleDebugSLOAlerts},
-		{"/debug/slo/stream", "SSE stream of SLO snapshots", g.handleDebugSLOStream},
-		{"/debug/dash", "HTML dashboard (SLO + fleet heatmap)", g.handleDebugDash},
-		{"/debug/overload", "brownout controller level and signals", g.handleDebugOverload},
-		{"/debug/prefix", "global prefix cache stats and residency", g.handleDebugPrefix},
-		{"/debug/fleet", "fleet utilization ledger snapshot", g.handleDebugFleet},
-		{"/debug/market", "spot-market prices, notices, preemption economics", g.handleDebugMarket},
-		{"/debug/decisions", "decision-provenance ring (?kind=shed&last=N)", g.handleDebugDecisions},
-		{"/debug/why/{id}", "one request's decision chain joined with its spans", g.handleDebugWhy},
-		{"/debug/metastore", "control-plane view: store mode, replicas, leader, terms", g.handleDebugMetastore},
+		{"/debug/trace", "recent flat events + request span timelines (?last=N)", collector, g.handleDebugTrace},
+		{"/debug/requests/{id}", "one request's full span tree", collector, g.handleDebugRequest},
+		{"/debug/gpus", "per-engine utilization + current occupant model (?window=30s)", collector, g.handleDebugGPUs},
+		{"/debug/perfetto", "Chrome trace-event JSON export (load in ui.perfetto.dev)", collector, g.handleDebugPerfetto},
+		{"/debug/slo", "live SLO attainment, burn rates, error budgets", monitor, g.handleDebugSLO},
+		{"/debug/slo/alerts", "burn-rate alert states", monitor, g.handleDebugSLOAlerts},
+		{"/debug/slo/stream", "SSE stream of SLO snapshots", monitor, g.handleDebugSLOStream},
+		{"/debug/dash", "HTML dashboard (SLO + fleet heatmap)", monitor, g.handleDebugDash},
+		{"/debug/overload", "brownout controller level and signals", brownout, g.handleDebugOverload},
+		{"/debug/prefix", "global prefix cache stats and residency", prefixCache, g.handleDebugPrefix},
+		{"/debug/fleet", "fleet utilization ledger snapshot", ledger, g.handleDebugFleet},
+		{"/debug/market", "spot-market prices, notices, preemption economics", spotMarket, g.handleDebugMarket},
+		{"/debug/decisions", "decision-provenance ring (?kind=shed&last=N)", journal, g.handleDebugDecisions},
+		{"/debug/why/{id}", "one request's decision chain joined with its spans", journal, g.handleDebugWhy},
+		{"/debug/metastore", "control-plane view: store mode, replicas, leader, terms", always, g.handleDebugMetastore},
 	}
 	if g.opts.Pprof {
 		eps = append(eps,
-			debugEndpoint{"/debug/pprof/", "net/http/pprof profile index", pprof.Index},
-			debugEndpoint{"/debug/pprof/cmdline", "process command line", pprof.Cmdline},
-			debugEndpoint{"/debug/pprof/profile", "CPU profile (?seconds=N)", pprof.Profile},
-			debugEndpoint{"/debug/pprof/symbol", "symbol lookup", pprof.Symbol},
-			debugEndpoint{"/debug/pprof/trace", "execution trace (?seconds=N)", pprof.Trace},
+			debugEndpoint{"/debug/pprof/", "net/http/pprof profile index", always, pprof.Index},
+			debugEndpoint{"/debug/pprof/cmdline", "process command line", always, pprof.Cmdline},
+			debugEndpoint{"/debug/pprof/profile", "CPU profile (?seconds=N)", always, pprof.Profile},
+			debugEndpoint{"/debug/pprof/symbol", "symbol lookup", always, pprof.Symbol},
+			debugEndpoint{"/debug/pprof/trace", "execution trace (?seconds=N)", always, pprof.Trace},
 		)
 	}
 	return eps
@@ -371,17 +387,8 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 // handleDebugIndex lists every registered /debug endpoint with its
 // description — the human entry point to the debug surface.
 func (g *Gateway) handleDebugIndex(w http.ResponseWriter, r *http.Request) {
-	eps := g.debugEndpoints()
-	type entry struct {
-		Path string `json:"path"`
-		Desc string `json:"desc"`
-	}
-	out := make([]entry, len(eps))
-	for i, ep := range eps {
-		out[i] = entry{Path: ep.Path, Desc: ep.Desc}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"endpoints": out})
+	_ = json.NewEncoder(w).Encode(map[string]any{"endpoints": g.debugEndpoints()})
 }
 
 // Handler returns the gateway's HTTP mux:
@@ -402,6 +409,12 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/debug/", getOnly(g.handleDebugIndex))
 	for _, ep := range g.debugEndpoints() {
 		h := ep.h
+		if !ep.gate.on {
+			off := ep.gate.off
+			h = func(w http.ResponseWriter, r *http.Request) {
+				writeJSONError(w, http.StatusNotFound, "%s", off)
+			}
+		}
 		if ep.Path != "/debug/pprof/symbol" {
 			h = getOnly(h)
 		}
@@ -433,6 +446,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
+	g.loopSnapshot() // the final state every surface serves after the stop
 	g.drv.Stop()
 	return err
 }

@@ -18,21 +18,6 @@ import (
 // model mix that fits 24 GB, such as SmallMix.
 var marketSpec = assemble.Spec{Market: true, MarketClasses: "H800,A10", MarketSpot: true, Seed: 1}
 
-// TestDebugMarket404WithoutMarket: a gateway built without a market model
-// answers 404 on /debug/market, mirroring the other gated debug endpoints.
-func TestDebugMarket404WithoutMarket(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-
-	req := httptest.NewRequest(http.MethodGet, "/debug/market", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("/debug/market without market: status %d, want 404", w.Code)
-	}
-}
-
 // TestDebugMarketEndpoint serves completions on a heterogeneous spot pool and
 // checks the /debug/market JSON: one entry per device with its round-robin
 // class, every device eligible (no faults injected), and class economics

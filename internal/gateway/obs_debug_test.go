@@ -236,16 +236,3 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("perfetto export invalid: %v", err)
 	}
 }
-
-// TestDebugEndpointsWithoutCollector checks the 404 contract when the
-// gateway runs with observability off.
-func TestDebugEndpointsWithoutCollector(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-	for _, path := range []string{"/debug/trace", "/debug/requests/x", "/debug/gpus", "/debug/perfetto"} {
-		if w := get(h, path); w.Code != http.StatusNotFound {
-			t.Errorf("%s: status %d, want 404", path, w.Code)
-		}
-	}
-}

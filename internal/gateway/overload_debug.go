@@ -7,14 +7,9 @@ import (
 
 // handleDebugOverload reports the overload-control plane: brownout level and
 // transition history, the predictive estimator's live inputs, the retry
-// budget, and rejection counts by overload reason. 404 when overload control
-// is off.
+// budget, and rejection counts by overload reason.
 func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
 	ov := g.opts.Overload
-	if ov == nil {
-		http.NotFound(w, r)
-		return
-	}
 	g.mu.Lock()
 	est := EstimateTTFT(g.depthAtLocked(0), g.switchEst, g.tput, 150, ov.GroupSize)
 	estimator := map[string]any{

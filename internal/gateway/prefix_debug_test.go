@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aegaeon/internal/assemble"
+	"aegaeon/internal/prefixcache"
 )
 
 // runSession posts n sequential non-streamed turns of one conversation, each
@@ -24,21 +25,6 @@ func runSession(t *testing.T, h http.Handler, model, session string, turns, base
 		if w.Code != http.StatusOK {
 			t.Fatalf("turn %d of %s: status %d: %s", turn, session, w.Code, w.Body.String())
 		}
-	}
-}
-
-// TestDebugPrefix404WithoutCache: a gateway over a cache-free cluster answers
-// 404 on /debug/prefix, mirroring the other gated debug endpoints.
-func TestDebugPrefix404WithoutCache(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-
-	req := httptest.NewRequest(http.MethodGet, "/debug/prefix", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("/debug/prefix without cache: status %d, want 404", w.Code)
 	}
 }
 
@@ -62,7 +48,11 @@ func TestDebugPrefixEndpoint(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	var resp struct {
-		Deployments []prefixDebug `json:"deployments"`
+		Deployments []struct {
+			Deployment string  `json:"deployment"`
+			HitRatio   float64 `json:"hit_ratio"`
+			prefixcache.Stats
+		} `json:"deployments"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("bad JSON: %v", err)

@@ -15,30 +15,13 @@ import (
 //	GET /debug/slo/alerts  just the burn-rate alert states + burn rates
 //	GET /debug/slo/stream  SSE stream of snapshots (refresh= interval)
 //	GET /debug/dash        dependency-free live HTML dashboard
-//
-// All answer 404 when the gateway was built without a monitor.
-
-func (g *Gateway) sloMonitorOr404(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
-		return false
-	}
-	if g.opts.SLOMon == nil {
-		writeJSONError(w, http.StatusNotFound, "SLO monitoring disabled (no monitor configured)")
-		return false
-	}
-	return true
-}
 
 // sloSnapshot renders the monitor at the current virtual time.
 func (g *Gateway) sloSnapshot() *slomon.Snapshot {
-	return g.opts.SLOMon.Snapshot(g.virtualNow())
+	return g.opts.SLOMon.Snapshot(g.loopSnapshot().virtual)
 }
 
 func (g *Gateway) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if !g.sloMonitorOr404(w, r) {
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(g.sloSnapshot())
 }
@@ -75,9 +58,6 @@ func alertView(scope string, sc slomon.ScopeSnapshot) sloAlertView {
 }
 
 func (g *Gateway) handleDebugSLOAlerts(w http.ResponseWriter, r *http.Request) {
-	if !g.sloMonitorOr404(w, r) {
-		return
-	}
 	snap := g.sloSnapshot()
 	out := []sloAlertView{alertView("fleet", snap.Fleet)}
 	for _, sc := range snap.Models {
@@ -93,9 +73,6 @@ func (g *Gateway) handleDebugSLOAlerts(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugSLOStream pushes snapshots over SSE until the client leaves.
 func (g *Gateway) handleDebugSLOStream(w http.ResponseWriter, r *http.Request) {
-	if !g.sloMonitorOr404(w, r) {
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSONError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -131,9 +108,6 @@ func (g *Gateway) handleDebugSLOStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleDebugDash(w http.ResponseWriter, r *http.Request) {
-	if !g.sloMonitorOr404(w, r) {
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(dashHTML))
 }

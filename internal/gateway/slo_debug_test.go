@@ -188,19 +188,6 @@ func TestDebugDash(t *testing.T) {
 	}
 }
 
-// TestDebugSLOEndpointsWithoutMonitor checks the 404 contract when the
-// gateway runs without a monitor.
-func TestDebugSLOEndpointsWithoutMonitor(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{Speedup: 50000})
-	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
-	for _, path := range []string{"/debug/slo", "/debug/slo/alerts", "/debug/slo/stream", "/debug/dash"} {
-		if w := get(h, path); w.Code != http.StatusNotFound {
-			t.Errorf("%s: status %d, want 404", path, w.Code)
-		}
-	}
-}
-
 // TestMetricsSLOExposition extends the exposition regression gate to the SLO
 // families: every aegaeon_slo_* sample belongs to a declared family with both
 // HELP and TYPE lines, counters end in _total, and per-model series render in

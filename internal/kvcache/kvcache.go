@@ -748,7 +748,3 @@ func (l *MoveList) Len() int {
 	}
 	return n
 }
-
-// DebugGPUBlocks returns the count of GPU blocks currently attached to the
-// sequence (test diagnostics only).
-func (s *Sequence) DebugGPUBlocks() int { return len(s.gpuBlocks) }

@@ -365,15 +365,6 @@ func (p *SlabPool) Capacity() int64 { return int64(len(p.slabs)) * p.slabSize }
 // pool keeps a running total.
 func (p *SlabPool) UsedBytes() int64 { return p.usedBytes }
 
-// BlocksPerSlab returns how many blocks of the class fit in one slab.
-func (p *SlabPool) BlocksPerSlab(id ClassID) (int, error) {
-	c, err := p.class(id)
-	if err != nil {
-		return 0, err
-	}
-	return c.blocksPerSlab, nil
-}
-
 // BlockBytes returns the per-block byte size of the class.
 func (p *SlabPool) BlockBytes(id ClassID) (int64, error) {
 	c, err := p.class(id)

@@ -167,28 +167,64 @@ type ModelStats struct {
 	TokensSaved uint64
 }
 
-// Stats is a point-in-time snapshot of the cache.
+// Stats is a point-in-time snapshot of the cache. Its JSON form is the body
+// of one deployment in the gateway's /debug/prefix.
 type Stats struct {
-	Lookups       uint64
-	Hits          uint64
-	TokensSaved   uint64
-	PrefillTokens uint64
-	Inserts       uint64
+	Lookups       uint64 `json:"lookups"`
+	Hits          uint64 `json:"hits"`
+	TokensSaved   uint64 `json:"tokens_saved"`
+	PrefillTokens uint64 `json:"prefill_tokens"`
+	Inserts       uint64 `json:"inserts"`
 
-	HostEvictions   uint64
-	DeviceEvictions uint64
-	Promotions      uint64
-	DeviceDrops     uint64
+	HostEvictions   uint64 `json:"host_evictions"`
+	DeviceEvictions uint64 `json:"device_evictions"`
+	Promotions      uint64 `json:"promotions"`
+	DeviceDrops     uint64 `json:"device_drops"`
 
-	HostEntries   int
-	DeviceCopies  int
-	PinnedEntries int
+	HostEntries   int `json:"host_entries"`
+	DeviceCopies  int `json:"device_copies"`
+	PinnedEntries int `json:"pinned_entries"`
 
-	HostBytes   int64
-	DeviceBytes int64
+	HostBytes   int64 `json:"host_bytes"`
+	DeviceBytes int64 `json:"device_bytes"`
 
-	PerModel              map[string]ModelStats
-	DeviceBytesByInstance map[string]int64
+	PerModel              map[string]ModelStats `json:"per_model,omitempty"`
+	DeviceBytesByInstance map[string]int64      `json:"device_bytes_by_instance,omitempty"`
+}
+
+// Add accumulates o into s: counters and residency sum, and the per-model
+// and per-instance maps merge into maps s owns, so o's stay untouched.
+func (s *Stats) Add(o Stats) {
+	s.Lookups += o.Lookups
+	s.Hits += o.Hits
+	s.TokensSaved += o.TokensSaved
+	s.PrefillTokens += o.PrefillTokens
+	s.Inserts += o.Inserts
+	s.HostEvictions += o.HostEvictions
+	s.DeviceEvictions += o.DeviceEvictions
+	s.Promotions += o.Promotions
+	s.DeviceDrops += o.DeviceDrops
+	s.HostEntries += o.HostEntries
+	s.DeviceCopies += o.DeviceCopies
+	s.PinnedEntries += o.PinnedEntries
+	s.HostBytes += o.HostBytes
+	s.DeviceBytes += o.DeviceBytes
+	if s.PerModel == nil {
+		s.PerModel = map[string]ModelStats{}
+	}
+	for m, ms := range o.PerModel {
+		agg := s.PerModel[m]
+		agg.Lookups += ms.Lookups
+		agg.Hits += ms.Hits
+		agg.TokensSaved += ms.TokensSaved
+		s.PerModel[m] = agg
+	}
+	if s.DeviceBytesByInstance == nil {
+		s.DeviceBytesByInstance = map[string]int64{}
+	}
+	for inst, n := range o.DeviceBytesByInstance {
+		s.DeviceBytesByInstance[inst] += n
+	}
 }
 
 // HitRatio returns Hits/Lookups (0 with no lookups).
