@@ -22,15 +22,13 @@ import (
 
 // loopState is the event-loop-owned state the operator surfaces read.
 type loopState struct {
-	virtual             time.Duration
-	switches            uint64
-	gets, sets, deletes uint64 // metadata store operations
-	failedOps           uint64
-	store               metastore.ControlView
-	faults              fault.Stats
-	failovers           int
-	gpus                []cluster.GPUInfo
-	prefix              map[string]prefixcache.Stats // by deployment; nil without a cache
+	virtual   time.Duration
+	switches  uint64
+	store     metastore.ControlView // mode, op counters, replica state
+	faults    fault.Stats
+	failovers int
+	gpus      []cluster.GPUInfo
+	prefix    map[string]prefixcache.Stats // by deployment; nil without a cache
 }
 
 // loopSnapshot collects the loop-owned state in one driver Call and caches
@@ -42,8 +40,6 @@ func (g *Gateway) loopSnapshot() loopState {
 	err := g.drv.Call(func() {
 		s.virtual = g.cl.VirtualNow()
 		s.switches = g.cl.Switches()
-		s.gets, s.sets, s.deletes = g.cl.Store().Ops()
-		s.failedOps = g.cl.Store().FailedOps()
 		s.store = g.cl.StoreView()
 		s.faults = g.cl.FaultStats()
 		s.failovers = g.cl.Failovers()

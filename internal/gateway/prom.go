@@ -10,6 +10,7 @@ import (
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
+	"aegaeon/internal/metastore"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/slomon"
@@ -86,7 +87,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	family(b, "counter", "aegaeon_model_switches_total", "Preemptive auto-scaling model switches across instances.")
 	fmt.Fprintf(b, "aegaeon_model_switches_total %d\n", s.switches)
-	writeStoreMetrics(b, s)
+	writeStoreMetrics(b, s.store)
 
 	family(b, "counter", "aegaeon_gateway_failed_total", "Admitted requests that finished cleanly rejected.")
 	fmt.Fprintf(b, "aegaeon_gateway_failed_total %d\n", failedReqs)
@@ -241,22 +242,22 @@ func writeSLOMetrics(b *strings.Builder, snap *slomon.Snapshot) {
 
 // writeStoreMetrics renders the metadata store's families: op counters in
 // both modes, and term, leader and per-replica state when replicated.
-func writeStoreMetrics(b *strings.Builder, s loopState) {
+func writeStoreMetrics(b *strings.Builder, v metastore.ControlView) {
 	family(b, "counter", "aegaeon_metastore_ops_total", "Metadata store operations by kind.")
-	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"get\"} %d\n", s.gets)
-	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"set\"} %d\n", s.sets)
-	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"delete\"} %d\n", s.deletes)
+	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"get\"} %d\n", v.Gets)
+	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"set\"} %d\n", v.Sets)
+	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"delete\"} %d\n", v.Deletes)
 	family(b, "counter", "aegaeon_metastore_failed_ops_total", "Metadata store operations dropped by partitions.")
-	fmt.Fprintf(b, "aegaeon_metastore_failed_ops_total %d\n", s.failedOps)
-	if s.store.Mode == "replicated" {
+	fmt.Fprintf(b, "aegaeon_metastore_failed_ops_total %d\n", v.FailedOps)
+	if v.Mode == "replicated" {
 		family(b, "gauge", "aegaeon_metastore_term", "Current replication term of the quorum metadata store.")
-		fmt.Fprintf(b, "aegaeon_metastore_term %d\n", s.store.Term)
+		fmt.Fprintf(b, "aegaeon_metastore_term %d\n", v.Term)
 		family(b, "counter", "aegaeon_metastore_leader_changes_total", "Metadata store leader elections that won a new leader.")
-		fmt.Fprintf(b, "aegaeon_metastore_leader_changes_total %d\n", s.store.LeaderChanges)
+		fmt.Fprintf(b, "aegaeon_metastore_leader_changes_total %d\n", v.LeaderChanges)
 		family(b, "gauge", "aegaeon_metastore_commit_index", "Quorum-committed log index of the metadata store.")
-		fmt.Fprintf(b, "aegaeon_metastore_commit_index %d\n", s.store.CommitIndex)
+		fmt.Fprintf(b, "aegaeon_metastore_commit_index %d\n", v.CommitIndex)
 		family(b, "gauge", "aegaeon_metastore_replica_up", "Per-replica liveness of the metadata store quorum group.")
-		for _, rv := range s.store.Replicas {
+		for _, rv := range v.Replicas {
 			up := 0
 			if rv.Up {
 				up = 1
@@ -264,7 +265,7 @@ func writeStoreMetrics(b *strings.Builder, s loopState) {
 			fmt.Fprintf(b, "aegaeon_metastore_replica_up{replica=%q} %d\n", rv.Name, up)
 		}
 		family(b, "gauge", "aegaeon_metastore_replica_applied_index", "Per-replica applied log index of the metadata store quorum group.")
-		for _, rv := range s.store.Replicas {
+		for _, rv := range v.Replicas {
 			fmt.Fprintf(b, "aegaeon_metastore_replica_applied_index{replica=%q} %d\n", rv.Name, rv.Applied)
 		}
 	}

@@ -69,10 +69,11 @@ const familiesGolden = "ab81f2e58a5bd9a6edf8bacb0c8ff799b9ca930bd7121d1dcb16280b
 // family writers on fixed snapshots. The surface golden's gateway runs
 // neither: with both on, the un-paced engine never goes idle.
 func TestMarketAndStoreFamiliesGolden(t *testing.T) {
-	store := loopState{gets: 11, sets: 8, deletes: 3, failedOps: 1, store: metastore.ControlView{
+	store := metastore.ControlView{
 		Mode: "replicated", Term: 3, LeaderChanges: 2, CommitIndex: 19,
+		Gets: 11, Sets: 8, Deletes: 3, FailedOps: 1,
 		Replicas: []metastore.ReplicaView{{Name: "ms0", Up: true, Applied: 19}, {Name: "ms1", Applied: 17}},
-	}}
+	}
 	mkt := &market.Snapshot{
 		Spot: true, Aware: true,
 		Devices: []market.DeviceState{
