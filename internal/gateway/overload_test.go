@@ -274,7 +274,7 @@ func TestCompletionPriorityValidation(t *testing.T) {
 
 // TestDebugOverloadEndpoint reads /debug/overload back and holds it to its
 // schema: controller snapshot, live estimator inputs, retry budget, and the
-// preseeded rejection counters.
+// preseeded rejection counters. Without overload control the path is a 404.
 func TestDebugOverloadEndpoint(t *testing.T) {
 	gw, names := newTestGateway(t, Options{
 		Speedup:  50000,
@@ -325,6 +325,8 @@ func TestDebugOverloadEndpoint(t *testing.T) {
 	}
 
 	gw.releaseAdmission(names[0], workload.PriorityNormal)
+
+	assertGated404(t, "overload control disabled (no overload options configured)", "/debug/overload")
 }
 
 // TestMetricsOverloadExposition is the exposition-format regression gate for

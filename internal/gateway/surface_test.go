@@ -96,35 +96,15 @@ func TestMarketAndStoreFamiliesGolden(t *testing.T) {
 	}
 }
 
-// TestDebugRoutes404WithoutSubsystem: on a gateway with no optional
-// subsystem, every gated route answers 404 with the JSON error naming what
-// is missing.
-func TestDebugRoutes404WithoutSubsystem(t *testing.T) {
+// assertGated404 asks a gateway with no optional subsystem for each path and
+// wants the 404 JSON error carrying msg, which names what is missing.
+func assertGated404(t *testing.T, msg string, paths ...string) {
+	t.Helper()
 	gw, _ := newTestGateway(t, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
-	const (
-		collector = "observability disabled (no collector configured)"
-		monitor   = "SLO monitoring disabled (no monitor configured)"
-		journal   = "decision journal disabled (no journal configured)"
-	)
-	for _, c := range []struct{ path, msg string }{
-		{"/debug/trace", collector},
-		{"/debug/requests/x", collector},
-		{"/debug/gpus", collector},
-		{"/debug/perfetto", collector},
-		{"/debug/slo", monitor},
-		{"/debug/slo/alerts", monitor},
-		{"/debug/slo/stream", monitor},
-		{"/debug/dash", monitor},
-		{"/debug/overload", "overload control disabled (no overload options configured)"},
-		{"/debug/prefix", "prefix cache disabled (no deployment configured with one)"},
-		{"/debug/fleet", "fleet accounting disabled (cluster built without a fleet ledger)"},
-		{"/debug/market", "spot market disabled (cluster built without a market model)"},
-		{"/debug/decisions", journal},
-		{"/debug/why/cmpl-1", journal},
-	} {
-		w := get(h, c.path)
+	for _, path := range paths {
+		w := get(h, path)
 		var body struct {
 			Error struct {
 				Message string `json:"message"`
@@ -132,10 +112,36 @@ func TestDebugRoutes404WithoutSubsystem(t *testing.T) {
 			} `json:"error"`
 		}
 		err := json.Unmarshal(w.Body.Bytes(), &body)
-		if w.Code != http.StatusNotFound || err != nil || body.Error.Message != c.msg || body.Error.Code != http.StatusNotFound {
-			t.Errorf("%s: status %d body %q, want 404 with message %q", c.path, w.Code, w.Body.String(), c.msg)
+		if w.Code != http.StatusNotFound || err != nil || body.Error.Message != msg || body.Error.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d body %q, want 404 with message %q", path, w.Code, w.Body.String(), msg)
 		}
 	}
+}
+
+func TestDebugEndpointsWithoutCollector(t *testing.T) {
+	assertGated404(t, "observability disabled (no collector configured)",
+		"/debug/trace", "/debug/requests/x", "/debug/gpus", "/debug/perfetto")
+}
+
+func TestDebugSLOEndpointsWithoutMonitor(t *testing.T) {
+	assertGated404(t, "SLO monitoring disabled (no monitor configured)",
+		"/debug/slo", "/debug/slo/alerts", "/debug/slo/stream", "/debug/dash")
+}
+
+func TestDebugPrefix404WithoutCache(t *testing.T) {
+	assertGated404(t, "prefix cache disabled (no deployment configured with one)", "/debug/prefix")
+}
+
+func TestDebugFleet404WithoutLedger(t *testing.T) {
+	assertGated404(t, "fleet accounting disabled (cluster built without a fleet ledger)", "/debug/fleet")
+}
+
+func TestDebugMarket404WithoutMarket(t *testing.T) {
+	assertGated404(t, "spot market disabled (cluster built without a market model)", "/debug/market")
+}
+
+func TestDebugDecisions404WithoutJournal(t *testing.T) {
+	assertGated404(t, "decision journal disabled (no journal configured)", "/debug/decisions", "/debug/why/cmpl-1")
 }
 
 // TestMetricsHoldAcrossShutdown scrapes /metrics before and after a drain:
