@@ -1063,12 +1063,10 @@ func (s *System) Requests() []*Request { return s.requests }
 func (s *System) Finalize(endTime sim.Time) {
 	for _, r := range s.requests {
 		rslo := s.sloFor(r.mid)
-		times := make([]time.Duration, len(r.TokenTimes))
-		copy(times, r.TokenTimes)
-		s.tracker.ObserveRequest(rslo, r.Arrival, times)
-		s.prioTrackers[r.Priority].ObserveRequest(rslo, r.Arrival, times)
+		s.tracker.ObserveRequest(rslo, r.Arrival, r.TokenTimes)
+		s.prioTrackers[r.Priority].ObserveRequest(rslo, r.Arrival, r.TokenTimes)
 		if !r.monFed {
-			s.mon.ObserveRequest(r.Model.Name, rslo, r.Arrival, times)
+			s.mon.ObserveRequest(r.Model.Name, rslo, r.Arrival, r.TokenTimes)
 		}
 		if !r.Done {
 			for i := len(r.TokenTimes); i < r.OutputTokens; i++ {

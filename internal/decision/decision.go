@@ -140,7 +140,7 @@ type Journal struct {
 
 	mu         sync.Mutex
 	seq        uint64
-	ring       []Record
+	ring       []Record // allocated at MaxRecords by the first Record
 	next       int
 	total      uint64
 	chains     map[string][]Record
@@ -173,6 +173,9 @@ func (j *Journal) Record(r Record) {
 	defer j.mu.Unlock()
 	j.seq++
 	r.Seq = j.seq
+	if j.ring == nil {
+		j.ring = make([]Record, 0, j.opts.MaxRecords)
+	}
 	if len(j.ring) < j.opts.MaxRecords {
 		j.ring = append(j.ring, r)
 	} else {
@@ -196,6 +199,11 @@ func (j *Journal) Record(r Record) {
 	}
 }
 
+// newChainCap is the capacity a new chain starts at: most chains hold a
+// handful of records (admission, routing, placement, terminal), so they
+// rarely regrow.
+const newChainCap = 8
+
 func (j *Journal) linkLocked(id string, r Record) {
 	chain, ok := j.chains[id]
 	if !ok {
@@ -204,6 +212,7 @@ func (j *Journal) linkLocked(id string, r Record) {
 			j.chainOrder = j.chainOrder[1:]
 		}
 		j.chainOrder = append(j.chainOrder, id)
+		chain = make([]Record, 0, min(newChainCap, j.opts.MaxPerChain))
 	}
 	if len(chain) >= j.opts.MaxPerChain {
 		// Keep the head (admission) and the recent tail.

@@ -3,6 +3,7 @@ package decision
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +116,29 @@ func TestChainHeadSurvivesCap(t *testing.T) {
 	}
 	if v := j.CheckCoverage([]RequestState{{"r1", OutcomeDone}}); len(v) != 0 {
 		t.Fatalf("capped chain fails coverage: %v", v)
+	}
+}
+
+// TestChainIsACopy: a chain returned by Chain does not alias the journal's
+// chain, which later records append to and, once the chain is at its cap,
+// shift in place.
+func TestChainIsACopy(t *testing.T) {
+	j := New(Options{MaxPerChain: 4})
+	j.Record(adm("r1", 0))
+	for i := 0; i < 3; i++ {
+		j.Record(Record{At: sim.Time(i + 1), Kind: KindPrefillRouting, Request: "r1", Outcome: "p0"})
+	}
+	j.Chain("r1")[1].Outcome = "changed"
+	got := j.Chain("r1")
+	if got[1].Outcome != "p0" {
+		t.Fatal("writing a returned chain changed the journal's chain")
+	}
+	want := append([]Record(nil), got...)
+	for i := 0; i < 5; i++ {
+		j.Record(Record{At: sim.Time(10 + i), Kind: KindDecodePlacement, Request: "r1", Outcome: "d0"})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("later records changed a returned chain:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -85,19 +85,20 @@ var spanNames = [numSpanKinds]string{
 
 // Handle names one request timeline in the collector's bounded timeline
 // table: a slot and the generation the slot had when the timeline took it.
-// Evicting the timeline frees the slot, and reusing the slot advances its
-// generation, so a stale handle resolves to nothing. A handle holds no
-// pointer and keeps no evicted timeline alive. The zero Handle resolves to
-// nothing.
+// Evicting the timeline frees the slot and advances its generation, so a
+// stale handle resolves to nothing. A handle holds no pointer. The zero
+// Handle resolves to nothing.
 type Handle struct {
 	slot int32
 	gen  uint32
 }
 
-// tlSlot is one entry of the timeline table.
+// tlSlot is one entry of the timeline table. A free slot keeps its evicted
+// timeline, whose span and token buffers the slot's next request reuses;
+// snapshots copy, so nothing outside the collector aliases them.
 type tlSlot struct {
-	gen uint32
-	t   *RequestTimeline // nil while the slot is free
+	gen uint32 // from 1; a slot is free when it is on freeSlot
+	t   *RequestTimeline
 }
 
 // SwitchStage is one stage of a model switch (§5): reinit (or gc-pause),
@@ -151,7 +152,8 @@ type opRec struct {
 // Every op pushes at most one name, so at most as many names as ops were
 // pushed after any retained op, and that op's name is still in the side
 // ring: the k-th newest request-bearing retained op owns the k-th newest
-// name.
+// name. Each ring is allocated at its capacity on its first push, so an
+// engine that never runs an op costs nothing and a busy one never regrows.
 type opRing struct {
 	buf   []opRec
 	next  int
@@ -163,6 +165,9 @@ type opRing struct {
 func (r *opRing) push(rec gpu.OpRecord, capacity int) {
 	o := opRec{start: rec.Start, end: rec.End, model: rec.Info.Model, kind: rec.Info.Kind,
 		hasReq: rec.Info.Request != ""}
+	if r.buf == nil {
+		r.buf = make([]opRec, 0, capacity)
+	}
 	if len(r.buf) < capacity {
 		r.buf = append(r.buf, o)
 	} else {
@@ -171,6 +176,9 @@ func (r *opRing) push(rec gpu.OpRecord, capacity int) {
 	}
 	r.total++
 	if o.hasReq {
+		if r.reqs == nil {
+			r.reqs = make([]string, 0, capacity)
+		}
 		if len(r.reqs) < capacity {
 			r.reqs = append(r.reqs, rec.Info.Request)
 		} else {
@@ -367,7 +375,7 @@ func (c *Collector) evictLocked() {
 		}
 		slot := c.reqOrder[victim]
 		delete(c.reqs, c.slots[slot].t.ID)
-		c.slots[slot].t = nil
+		c.slots[slot].gen++
 		c.freeSlot = append(c.freeSlot, slot)
 		c.reqOrder = append(c.reqOrder[:victim], c.reqOrder[victim+1:]...)
 	}
@@ -393,12 +401,11 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 		c.freeSlot = c.freeSlot[:n-1]
 	} else {
 		slot = int32(len(c.slots))
-		c.slots = append(c.slots, tlSlot{})
+		c.slots = append(c.slots, tlSlot{gen: 1, t: &RequestTimeline{}})
 	}
-	t := &RequestTimeline{ID: id, Model: model, Arrival: at}
+	t := c.slots[slot].t
+	*t = RequestTimeline{ID: id, Model: model, Arrival: at, Spans: t.Spans[:0], Tokens: t.Tokens[:0]}
 	t.openSpan(spanQueueWait, at)
-	c.slots[slot].gen++
-	c.slots[slot].t = t
 	c.reqs[id] = slot
 	c.reqOrder = append(c.reqOrder, slot)
 	h := c.handleLocked(slot)

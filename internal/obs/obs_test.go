@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,6 +312,65 @@ func TestStaleHandleIsNoop(t *testing.T) {
 	}
 	if _, ok := c.Request("r1"); ok {
 		t.Fatal("r1 not evicted")
+	}
+}
+
+// TestEvictedTimelineIsRecycled: a slot's next request reuses the evicted
+// timeline and its buffers, starts with no spans and no tokens, and still
+// exports a null token list; a snapshot taken before the eviction is not
+// changed by the reuse.
+func TestEvictedTimelineIsRecycled(t *testing.T) {
+	c := New(Options{MaxRequests: 1})
+	h1 := c.RequestArrived("r1", "m", ms(0))
+	c.PrefillStart("p0", "r1", h1, ms(1))
+	c.Token(h1, ms(2))
+	c.PrefillDone("p0", "r1", h1, ms(2))
+	c.TurnStart("d0", 1, ms(3), time.Second, []Handle{h1})
+	for i := 4; i < 40; i++ {
+		c.TokenBatch("d0", 1, ms(i), []Handle{h1})
+	}
+	c.TurnEnd("d0", 1, ms(40))
+	c.RequestDone("r1", ms(41))
+	snap, ok := c.Request("r1")
+	if !ok {
+		t.Fatal("r1 timeline missing")
+	}
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := c.slots[h1.slot].t
+
+	c.RequestArrived("r2", "m", ms(50)) // evicts r1
+	c.RequestDone("r2", ms(51))
+	h3 := c.RequestArrived("r3", "m", ms(60)) // evicts r2, takes r1's slot
+	if h3.slot != h1.slot || c.slots[h3.slot].t != old {
+		t.Fatal("r3 did not reuse r1's slot and timeline")
+	}
+	rt, ok := c.Request("r3")
+	if !ok {
+		t.Fatal("r3 timeline missing")
+	}
+	if rt.TokensTotal != 0 || rt.Tokens != nil || rt.SwitchStall != 0 || rt.Done ||
+		len(rt.Spans) != 1 || rt.Spans[0].Name != "queue-wait (open)" {
+		t.Fatalf("reused timeline kept r1's state: %+v", rt)
+	}
+	b, err := json.Marshal(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"tokens_ns":null`) {
+		t.Fatalf("tokenless reused timeline exports %s, want \"tokens_ns\":null", b)
+	}
+
+	// Writing r3 over r1's buffers leaves the r1 snapshot as it was.
+	c.PrefillStart("p0", "r3", h3, ms(61))
+	for i := 62; i < 70; i++ {
+		c.Token(h3, ms(i))
+	}
+	c.RequestDone("r3", ms(70))
+	if got, err := json.Marshal(snap); err != nil || string(got) != string(want) {
+		t.Fatalf("r1 snapshot changed by its slot's reuse:\n got %s\nwant %s", got, want)
 	}
 }
 

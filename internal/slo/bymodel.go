@@ -32,7 +32,9 @@ func (b *ByModel) Get(model string) *Tracker {
 	return t
 }
 
-// ObserveRequest records one request's token times under its model.
+// ObserveRequest records one request's token times under its model. Like
+// Tracker.ObserveRequest it reads times, never modifies it and never
+// retains it.
 func (b *ByModel) ObserveRequest(model string, s SLO, arrival time.Duration, times []time.Duration) {
 	b.Get(model).ObserveRequest(s, arrival, times)
 }

@@ -74,7 +74,9 @@ func NewTracker() *Tracker { return &Tracker{} }
 
 // ObserveRequest records all token generation times of one completed (or
 // partially completed) request against the SLO. times[i] is the completion
-// time of token i; arrival is the request arrival time.
+// time of token i; arrival is the request arrival time. times is read, never
+// modified and never retained, so a caller may pass a slice it keeps
+// writing.
 func (t *Tracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

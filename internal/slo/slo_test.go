@@ -163,3 +163,53 @@ func TestTTFTQuantiles(t *testing.T) {
 		t.Fatal("empty tracker quantile != 0")
 	}
 }
+
+// TestObserveRequestDoesNotRetainTimes: ObserveRequest reads times without
+// modifying it, and overwriting the slice afterwards changes nothing the
+// tracker reports, so a caller may pass a buffer it keeps writing.
+func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
+	s := Default()
+	tr, by := NewTracker(), NewByModel()
+	var bufs [][]time.Duration
+	for i := 0; i < 50; i++ {
+		times := make([]time.Duration, 1+i%7)
+		for k := range times {
+			// Every fifth request misses its first deadline.
+			times[k] = time.Duration(i%5*3+k) * time.Second
+		}
+		want := append([]time.Duration(nil), times...)
+		tr.ObserveRequest(s, 0, times)
+		by.ObserveRequest("m", s, 0, times)
+		for k := range times {
+			if times[k] != want[k] {
+				t.Fatalf("request %d: ObserveRequest modified times[%d]: %v, want %v", i, k, times[k], want[k])
+			}
+		}
+		bufs = append(bufs, times)
+	}
+	type view struct {
+		att, reqAtt, ttftAtt float64
+		met, missed          uint64
+		mean, p50, p99       time.Duration
+	}
+	read := func(tr *Tracker) view {
+		met, missed := tr.Tokens()
+		return view{tr.Attainment(), tr.RequestAttainment(), tr.TTFTAttainment(), met, missed,
+			tr.MeanTTFT(), tr.TTFTQuantile(0.5), tr.TTFTQuantile(0.99)}
+	}
+	before, beforeBy := read(tr), read(by.Get("m"))
+	if before.missed == 0 || before.met == 0 {
+		t.Fatalf("want both met and missed tokens, got %+v", before)
+	}
+	for _, times := range bufs {
+		for k := range times {
+			times[k] = time.Hour
+		}
+	}
+	if after := read(tr); after != before {
+		t.Fatalf("tracker changed after its inputs were overwritten:\n got %+v\nwant %+v", after, before)
+	}
+	if after := read(by.Get("m")); after != beforeBy {
+		t.Fatalf("per-model tracker changed after its inputs were overwritten:\n got %+v\nwant %+v", after, beforeBy)
+	}
+}

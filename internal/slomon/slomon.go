@@ -153,6 +153,7 @@ type Monitor struct {
 	fleet  *scope
 	models []*scope // indexed by model id; nil until the model's first token
 	now    sim.Time // latest time observed or advanced to
+	nowEnd sim.Time // end of now's bucket
 
 	// Cumulative attainment, mirroring the slo.Tracker call sites so the
 	// windowed and offline paths share one definition.
@@ -165,6 +166,7 @@ func New(cfg Config) *Monitor {
 	cfg.applyDefaults()
 	return &Monitor{
 		cfg:      cfg,
+		nowEnd:   cfg.Bucket, // the clock starts in bucket 0
 		fleet:    newScope(cfg),
 		cum:      slo.NewByModel(),
 		fleetCum: slo.NewTracker(),
@@ -304,7 +306,8 @@ func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival,
 }
 
 // ObserveRequest folds one finished request into the cumulative per-model
-// and fleet trackers, mirroring the core slo.Tracker sites. Nil-safe.
+// and fleet trackers, mirroring the core slo.Tracker sites. times is read,
+// never modified and never retained. Nil-safe.
 func (m *Monitor) ObserveRequest(model string, s slo.SLO, arrival sim.Time, times []sim.Time) {
 	if m == nil {
 		return
@@ -335,9 +338,11 @@ func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 	if now < m.now {
 		return
 	}
-	prevBucket := int64(m.now / m.cfg.Bucket)
 	m.now = now
-	rotated := m.fleet.ring.head < 0 || int64(now/m.cfg.Bucket) > prevBucket
+	rotated := m.fleet.ring.head < 0 || now >= m.nowEnd
+	if now >= m.nowEnd {
+		_, m.nowEnd = bucketSpan(int64(now/m.cfg.Bucket), m.cfg.Bucket)
+	}
 	m.fleet.ring.advance(now)
 	if touched != nil {
 		touched.ring.advance(now)

@@ -1,6 +1,7 @@
 package slomon
 
 import (
+	"math"
 	"time"
 
 	"aegaeon/internal/metrics"
@@ -29,11 +30,21 @@ var windowNames = [numWindows]string{"fast", "mid", "slow"}
 // adds to every window covering the written bucket, and each advance step
 // subtracts the bucket leaving each window before its slot is reused, so a
 // window sum is a read rather than a scan.
+//
+// Nearly every write lands in the head bucket, so the ring caches the
+// head's slot and time span: a write or advance inside the head bucket
+// costs two compares and no division.
 type windowRing struct {
 	width  time.Duration
 	met    []uint64
 	missed []uint64
 	head   int64 // absolute index of the newest bucket; -1 before first use
+
+	// hslot is the head's slot and [lo, hi) its time span; the span is
+	// empty while the head is negative, so every call then takes the
+	// general path.
+	hslot  int
+	lo, hi sim.Time
 
 	// span[i] is window i's length in buckets; winMet[i]/winMissed[i] total
 	// the buckets (head-span[i], head].
@@ -44,7 +55,7 @@ type windowRing struct {
 
 // newWindowRing builds a ring retaining the longest of the windows.
 func newWindowRing(width time.Duration, windows [numWindows]time.Duration) *windowRing {
-	w := &windowRing{width: width, head: -1}
+	w := &windowRing{width: width}
 	n := int64(1)
 	for i, d := range windows {
 		w.span[i] = max(int64(d/width), 1)
@@ -52,7 +63,32 @@ func newWindowRing(width time.Duration, windows [numWindows]time.Duration) *wind
 	}
 	w.met = make([]uint64, n)
 	w.missed = make([]uint64, n)
+	w.setHead(-1)
 	return w
+}
+
+// minTime is the earliest representable virtual time.
+const minTime = sim.Time(math.MinInt64)
+
+// bucketSpan returns the span [lo, hi) of bucket idx of the given width, hi
+// saturating at the largest time. A negative idx returns an empty span at
+// minTime, so no time falls in it and no time lies before its end.
+func bucketSpan(idx int64, width time.Duration) (lo, hi sim.Time) {
+	if idx < 0 {
+		return minTime, minTime
+	}
+	lo = sim.Time(idx) * width
+	if hi = lo + width; hi < lo {
+		hi = math.MaxInt64
+	}
+	return lo, hi
+}
+
+// setHead moves the head to bucket abs and refreshes its cached slot and
+// span.
+func (w *windowRing) setHead(abs int64) {
+	w.head, w.hslot = abs, w.slot(abs)
+	w.lo, w.hi = bucketSpan(abs, w.width)
 }
 
 func (w *windowRing) slot(abs int64) int {
@@ -63,9 +99,12 @@ func (w *windowRing) slot(abs int64) int {
 // advance moves the head to the bucket containing now, retiring every
 // bucket that falls out of a window and zeroing the slots the head reuses.
 func (w *windowRing) advance(now sim.Time) {
+	if now < w.hi {
+		return // at or behind the started head's bucket
+	}
 	abs := int64(now / w.width)
 	if w.head < 0 {
-		w.head = abs
+		w.setHead(abs)
 		return
 	}
 	if abs <= w.head {
@@ -75,7 +114,7 @@ func (w *windowRing) advance(now sim.Time) {
 		clear(w.met)
 		clear(w.missed)
 		w.winMet, w.winMissed = [numWindows]uint64{}, [numWindows]uint64{}
-		w.head = abs
+		w.setHead(abs)
 		return
 	}
 	for w.head < abs {
@@ -88,12 +127,28 @@ func (w *windowRing) advance(now sim.Time) {
 		s := w.slot(w.head)
 		w.met[s], w.missed[s] = 0, 0
 	}
+	w.setHead(abs)
 }
 
 // observe counts one token outcome in the bucket containing at. Times ahead
 // of the head advance it; times behind the retained span clamp to the
 // oldest bucket.
 func (w *windowRing) observe(at sim.Time, met bool) {
+	if at >= w.lo && at < w.hi {
+		// The head bucket: every window covers it.
+		if met {
+			w.met[w.hslot]++
+			for i := range w.winMet {
+				w.winMet[i]++
+			}
+		} else {
+			w.missed[w.hslot]++
+			for i := range w.winMissed {
+				w.winMissed[i]++
+			}
+		}
+		return
+	}
 	abs := int64(at / w.width)
 	if w.head < 0 || abs > w.head {
 		w.advance(at)
@@ -129,21 +184,26 @@ type epochSketch struct {
 	cur     *metrics.Reservoir
 	prev    *metrics.Reservoir
 	curIdx  int64
+	curEnd  sim.Time // end of the current epoch; minTime before the first add or while curIdx < 0
 	started bool
 }
 
 func newEpochSketch(epoch time.Duration, maxSamples int) *epochSketch {
 	return &epochSketch{
-		epoch: epoch,
-		cur:   metrics.NewReservoir(maxSamples),
-		prev:  metrics.NewReservoir(maxSamples),
+		epoch:  epoch,
+		cur:    metrics.NewReservoir(maxSamples),
+		prev:   metrics.NewReservoir(maxSamples),
+		curEnd: minTime,
 	}
 }
 
 func (e *epochSketch) rotateTo(now sim.Time) {
+	if now < e.curEnd {
+		return
+	}
 	idx := int64(now / e.epoch)
 	if !e.started {
-		e.curIdx = idx
+		e.setEpoch(idx)
 		e.started = true
 		return
 	}
@@ -160,7 +220,13 @@ func (e *epochSketch) rotateTo(now sim.Time) {
 	}
 	retired.Reset()
 	e.cur = retired
+	e.setEpoch(idx)
+}
+
+// setEpoch makes idx the current epoch and caches its end.
+func (e *epochSketch) setEpoch(idx int64) {
 	e.curIdx = idx
+	_, e.curEnd = bucketSpan(idx, e.epoch)
 }
 
 func (e *epochSketch) add(now sim.Time, d time.Duration) {

@@ -1,9 +1,13 @@
 package slomon
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"aegaeon/internal/sim"
 )
 
 // fiveSecondWindows gives a ring retaining five 1s buckets.
@@ -147,6 +151,153 @@ func TestWindowRingRunningSumsMatchScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refWindowRing is the reference for windowRing: the ring as it was before
+// it cached the head bucket, finding every bucket by division.
+type refWindowRing struct {
+	width     time.Duration
+	met       []uint64
+	missed    []uint64
+	head      int64
+	span      [numWindows]int64
+	winMet    [numWindows]uint64
+	winMissed [numWindows]uint64
+}
+
+func newRefWindowRing(width time.Duration, windows [numWindows]time.Duration) *refWindowRing {
+	w := &refWindowRing{width: width, head: -1}
+	n := int64(1)
+	for i, d := range windows {
+		w.span[i] = max(int64(d/width), 1)
+		n = max(n, w.span[i])
+	}
+	w.met = make([]uint64, n)
+	w.missed = make([]uint64, n)
+	return w
+}
+
+func (w *refWindowRing) slot(abs int64) int {
+	n := int64(len(w.met))
+	return int(((abs % n) + n) % n)
+}
+
+func (w *refWindowRing) advance(now sim.Time) {
+	abs := int64(now / w.width)
+	if w.head < 0 {
+		w.head = abs
+		return
+	}
+	if abs <= w.head {
+		return
+	}
+	if abs-w.head >= int64(len(w.met)) {
+		clear(w.met)
+		clear(w.missed)
+		w.winMet, w.winMissed = [numWindows]uint64{}, [numWindows]uint64{}
+		w.head = abs
+		return
+	}
+	for w.head < abs {
+		w.head++
+		for i, k := range w.span {
+			s := w.slot(w.head - k)
+			w.winMet[i] -= w.met[s]
+			w.winMissed[i] -= w.missed[s]
+		}
+		s := w.slot(w.head)
+		w.met[s], w.missed[s] = 0, 0
+	}
+}
+
+func (w *refWindowRing) observe(at sim.Time, met bool) {
+	abs := int64(at / w.width)
+	if w.head < 0 || abs > w.head {
+		w.advance(at)
+		abs = w.head
+	}
+	if oldest := w.head - int64(len(w.met)) + 1; abs < oldest {
+		abs = oldest
+	}
+	counts, win := w.missed, &w.winMissed
+	if met {
+		counts, win = w.met, &w.winMet
+	}
+	counts[w.slot(abs)]++
+	for i, k := range w.span {
+		if abs > w.head-k {
+			win[i]++
+		}
+	}
+}
+
+// FuzzWindowRing drives arbitrary observe/advance sequences through a
+// windowRing and the division-based reference ring and checks after every
+// step that the heads, every bucket and every window sum agree. The same
+// times rotate an epochSketch, whose epoch must match the reference rule.
+// Each step is two bytes, op and arg: op%4 picks how the time moves (arg
+// nanoseconds forward, arg buckets forward, arg buckets back, or to the
+// next eight bytes read as any int64, negative and near-overflow times
+// included) and op/4%3 what to do at it (count a met token, count a missed
+// one, or advance).
+func FuzzWindowRing(f *testing.F) {
+	f.Add(uint64(time.Second), uint8(1), uint8(5), uint8(10), []byte{0, 200, 4, 1, 9, 3, 2, 2, 1, 40, 6, 1})
+	f.Add(uint64(250*time.Millisecond), uint8(4), uint8(10), uint8(16), []byte{1, 0, 4, 255, 2, 7, 5, 1, 10, 3})
+	f.Add(uint64(7), uint8(0), uint8(3), uint8(2),
+		append([]byte{3, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 0, 1, 4, 9}, 3, 0x80, 0, 0, 0, 0, 0, 0, 3, 8, 1))
+	f.Fuzz(func(t *testing.T, width uint64, w0, w1, w2 uint8, ops []byte) {
+		wd := time.Duration(1 + width%(1<<40)) // keeps every window and the epoch positive
+		windows := [numWindows]time.Duration{wd * time.Duration(w0%32), wd * time.Duration(w1%32), wd * time.Duration(w2%32)}
+		w, ref := newWindowRing(wd, windows), newRefWindowRing(wd, windows)
+		e := newEpochSketch(3*wd, 4)
+		var epoch int64
+		started := false
+		var at sim.Time
+		for step := 0; len(ops) >= 2; step++ {
+			op, arg := ops[0], ops[1]
+			ops = ops[2:]
+			switch op % 4 {
+			case 0:
+				at += sim.Time(arg)
+			case 1:
+				at += sim.Time(arg) * wd
+			case 2:
+				at -= sim.Time(arg) * wd
+			default:
+				if len(ops) < 7 {
+					return
+				}
+				at = sim.Time(binary.BigEndian.Uint64(append([]byte{arg}, ops[:7]...)))
+				ops = ops[7:]
+			}
+			switch op / 4 % 3 {
+			case 0:
+				w.observe(at, true)
+				ref.observe(at, true)
+			case 1:
+				w.observe(at, false)
+				ref.observe(at, false)
+			default:
+				w.advance(at)
+				ref.advance(at)
+			}
+			if w.head != ref.head || !slices.Equal(w.met, ref.met) || !slices.Equal(w.missed, ref.missed) ||
+				w.winMet != ref.winMet || w.winMissed != ref.winMissed {
+				t.Fatalf("step %d (op %d at %d): ring head %d buckets %v/%v sums %v/%v; reference head %d buckets %v/%v sums %v/%v",
+					step, op, at, w.head, w.met, w.missed, w.winMet, w.winMissed,
+					ref.head, ref.met, ref.missed, ref.winMet, ref.winMissed)
+			}
+			e.rotateTo(at)
+			if idx := int64(at / (3 * wd)); !started {
+				epoch, started = idx, true
+			} else if idx > epoch {
+				epoch = idx
+			}
+			if e.curIdx != epoch {
+				t.Fatalf("step %d (at %d): epoch %d, want %d", step, at, e.curIdx, epoch)
+			}
+		}
+	})
 }
 
 func TestEpochSketchRotation(t *testing.T) {
