@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"fmt"
 	"time"
 
 	"aegaeon/internal/metrics"
@@ -40,6 +41,26 @@ type request struct {
 	kvTokens     int64 // GPU KV footprint in tokens while active
 	done         bool
 	prefilled    bool
+}
+
+// newRequests builds the runtime requests for trace and their arrival
+// times, for one Submit feed. It fails on the first request whose model is
+// not in models, having built nothing the caller keeps.
+func newRequests(models map[string]*model.Model, trace []workload.Request) ([]*request, []sim.Time, error) {
+	reqs := make([]*request, len(trace))
+	times := make([]sim.Time, len(trace))
+	for i, wr := range trace {
+		m, ok := models[wr.Model]
+		if !ok {
+			return nil, nil, fmt.Errorf("baselines: unknown model %q", wr.Model)
+		}
+		reqs[i] = &request{
+			id: wr.ID, model: m, arrival: wr.Arrival,
+			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
+		}
+		times[i] = wr.Arrival
+	}
+	return reqs, times, nil
 }
 
 func (r *request) contextTokens() int64 {

@@ -197,18 +197,35 @@ func TestBaselineDeterminism(t *testing.T) {
 	}
 }
 
+// A trace naming an unknown model is rejected whole by every baseline: the
+// good request before it is neither queued nor recorded.
 func TestSubmitUnknownModelBaselines(t *testing.T) {
 	models := model.MarketMix(1)
-	bad := []workload.Request{{ID: "r0", Model: "ghost", OutputTokens: 1}}
+	trace := []workload.Request{
+		{ID: "good", Model: models[0].Name, InputTokens: 16, OutputTokens: 4},
+		{ID: "bad", Model: "ghost", InputTokens: 16, OutputTokens: 4},
+	}
 	se := sim.NewEngine(1)
-	if err := NewSLLM(se, SLLMConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()}).Submit(bad); err == nil {
-		t.Error("SLLM accepted unknown model")
-	}
-	if err := NewMux(se, MuxConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()}).Submit(bad); err == nil {
-		t.Error("Mux accepted unknown model")
-	}
-	if err := NewUnified(se, UnifiedConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()}).Submit(bad); err == nil {
-		t.Error("Unified accepted unknown model")
+	sllm := NewSLLM(se, SLLMConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()})
+	mux := NewMux(se, MuxConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()})
+	unified := NewUnified(se, UnifiedConfig{Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default()})
+	for _, c := range []struct {
+		name     string
+		s        Server
+		recorded func() int
+	}{
+		{"SLLM", sllm, func() int { return len(sllm.requests) }},
+		{"Mux", mux, func() int { return len(mux.requests) + mux.rejected }},
+		{"Unified", unified, func() int { return len(unified.requests) }},
+	} {
+		pending := se.Pending()
+		if err := c.s.Submit(trace); err == nil {
+			t.Errorf("%s accepted unknown model", c.name)
+		}
+		if se.Pending() != pending || c.recorded() != 0 {
+			t.Errorf("%s: rejected Submit queued %d events and recorded %d requests",
+				c.name, se.Pending()-pending, c.recorded())
+		}
 	}
 }
 

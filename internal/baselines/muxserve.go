@@ -153,28 +153,38 @@ func (s *Mux) MaxModelsPerGPU() int {
 	return max
 }
 
-// Submit schedules the trace. Requests for unplaced models are rejected at
-// arrival (they count as fully violated).
+// Submit schedules the placed models' requests as one feed. Requests for
+// unplaced models are rejected at arrival (they count as fully violated).
+// A trace naming an unknown model is rejected whole: nothing is scheduled
+// or recorded.
 func (s *Mux) Submit(trace []workload.Request) error {
 	for _, wr := range trace {
-		mm, ok := s.placement[wr.Model]
-		if !ok {
+		if _, ok := s.placement[wr.Model]; !ok {
 			return fmt.Errorf("baselines: unknown model %q", wr.Model)
 		}
+	}
+	type arrival struct {
+		mm *muxModel
+		r  *request
+	}
+	var placed []arrival
+	var times []sim.Time
+	for _, wr := range trace {
+		mm := s.placement[wr.Model]
 		r := &request{
 			id: wr.ID, model: nil, arrival: wr.Arrival,
 			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
-		}
-		if mm != nil {
-			r.model = mm.m
 		}
 		s.requests = append(s.requests, r)
 		if mm == nil {
 			s.rejected++
 			continue // never generates tokens; Finalize marks it violated
 		}
-		s.eng.At(wr.Arrival, func() { mm.arrive(r) })
+		r.model = mm.m
+		placed = append(placed, arrival{mm, r})
+		times = append(times, wr.Arrival)
 	}
+	s.eng.Feed(times, func(i int) { placed[i].mm.arrive(placed[i].r) })
 	return nil
 }
 

@@ -111,20 +111,15 @@ func NewSLLM(se *sim.Engine, cfg SLLMConfig) *SLLM {
 	return s
 }
 
-// Submit schedules the trace.
+// Submit schedules the trace as one feed. A trace naming an unknown model
+// is rejected whole: nothing is scheduled or recorded.
 func (s *SLLM) Submit(trace []workload.Request) error {
-	for _, wr := range trace {
-		m, ok := s.models[wr.Model]
-		if !ok {
-			return fmt.Errorf("baselines: unknown model %q", wr.Model)
-		}
-		r := &request{
-			id: wr.ID, model: m, arrival: wr.Arrival,
-			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
-		}
-		s.requests = append(s.requests, r)
-		s.eng.At(wr.Arrival, func() { s.arrive(r) })
+	reqs, times, err := newRequests(s.models, trace)
+	if err != nil {
+		return err
 	}
+	s.requests = append(s.requests, reqs...)
+	s.eng.Feed(times, func(i int) { s.arrive(reqs[i]) })
 	return nil
 }
 

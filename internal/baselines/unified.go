@@ -116,20 +116,15 @@ func NewUnified(se *sim.Engine, cfg UnifiedConfig) *Unified {
 	return s
 }
 
-// Submit schedules the trace.
+// Submit schedules the trace as one feed. A trace naming an unknown model
+// is rejected whole: nothing is scheduled or recorded.
 func (s *Unified) Submit(trace []workload.Request) error {
-	for _, wr := range trace {
-		m, ok := s.models[wr.Model]
-		if !ok {
-			return fmt.Errorf("baselines: unknown model %q", wr.Model)
-		}
-		r := &request{
-			id: wr.ID, model: m, arrival: wr.Arrival,
-			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
-		}
-		s.requests = append(s.requests, r)
-		s.eng.At(wr.Arrival, func() { s.dispatch(r) })
+	reqs, times, err := newRequests(s.models, trace)
+	if err != nil {
+		return err
 	}
+	s.requests = append(s.requests, reqs...)
+	s.eng.Feed(times, func(i int) { s.dispatch(reqs[i]) })
 	return nil
 }
 

@@ -247,23 +247,29 @@ func (c *Cluster) Faults() *fault.Faults { return c.cfg.Faults }
 func (c *Cluster) Deployments() []*Deployment { return c.deps }
 
 // Submit routes the trace through the proxy: each request's assignment is
-// recorded in the metadata store (status sync, Fig. 5 ①②⑥) and forwarded
-// to the owning deployment.
+// recorded in the metadata store at its arrival (status sync, Fig. 5 ①②⑥)
+// and forwarded to the owning deployment. Deployments queue their arrivals
+// in deployment order, so same-instant arrivals on different deployments
+// tie-break the same way every run. A trace naming an unserved model is
+// rejected whole: nothing is scheduled.
 func (c *Cluster) Submit(trace []workload.Request) error {
-	perDep := map[*Deployment][]workload.Request{}
-	for _, r := range trace {
+	type assignment struct{ id, dep string }
+	assigned := make([]assignment, len(trace))
+	times := make([]sim.Time, len(trace))
+	perDep := make(map[*Deployment][]workload.Request, len(c.deps))
+	for i, r := range trace {
 		dep, ok := c.route[r.Model]
 		if !ok {
 			return fmt.Errorf("cluster: no deployment serves model %q", r.Model)
 		}
+		assigned[i], times[i] = assignment{r.ID, dep.Name}, r.Arrival
 		perDep[dep] = append(perDep[dep], r)
-		r, dep := r, dep
-		c.eng.At(r.Arrival, func() {
-			c.store.Set("req/"+r.ID, dep.Name)
-		})
 	}
-	for dep, reqs := range perDep {
-		if err := dep.System.Submit(reqs); err != nil {
+	c.eng.Feed(times, func(i int) {
+		c.store.Set("req/"+assigned[i].id, assigned[i].dep)
+	})
+	for _, dep := range c.deps {
+		if err := dep.System.Submit(perDep[dep]); err != nil {
 			return err
 		}
 	}

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
@@ -13,6 +16,13 @@ import (
 )
 
 func testCluster(t *testing.T) (*Cluster, *sim.Engine, []*model.Model, []*model.Model) {
+	t.Helper()
+	return testClusterWith(t, nil)
+}
+
+// testClusterWith builds testCluster's two deployments, journaling their
+// decisions into dec (nil for none).
+func testClusterWith(t *testing.T, dec *decision.Journal) (*Cluster, *sim.Engine, []*model.Model, []*model.Model) {
 	t.Helper()
 	small := model.SmallMix(4)
 	large := model.LargeMix(2)
@@ -24,6 +34,7 @@ func testCluster(t *testing.T) (*Cluster, *sim.Engine, []*model.Model, []*model.
 			{Name: "tp1", TP: 1, NumPrefill: 1, NumDecode: 2, Models: small},
 			{Name: "tp4", TP: 4, NumPrefill: 1, NumDecode: 1, Models: large},
 		},
+		Decisions: dec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +70,56 @@ func TestMixedParallelismRouting(t *testing.T) {
 	}
 }
 
+// A trace with an unserved model is rejected whole: the good request before
+// it is neither queued nor recorded.
 func TestUnknownModelRejected(t *testing.T) {
-	c, _, _, _ := testCluster(t)
-	err := c.Submit([]workload.Request{{ID: "r0", Model: "ghost", OutputTokens: 1}})
+	c, se, small, _ := testCluster(t)
+	pending := se.Pending()
+	err := c.Submit([]workload.Request{
+		{ID: "good", Model: small[0].Name, InputTokens: 16, OutputTokens: 4},
+		{ID: "bad", Model: "ghost", InputTokens: 16, OutputTokens: 4},
+	})
 	if err == nil {
 		t.Fatal("unknown model accepted")
+	}
+	if se.Pending() != pending {
+		t.Fatalf("rejected Submit queued %d events", se.Pending()-pending)
+	}
+	se.Run()
+	c.Finalize(se.Now())
+	if n := len(c.Store().Keys("req/")); n != 0 || c.Completed() != 0 {
+		t.Fatalf("rejected Submit recorded %d routes and completed %d requests", n, c.Completed())
+	}
+}
+
+// Same-instant arrivals on different deployments tie-break the same way on
+// every run, so the decision journal is byte-identical.
+func TestSubmitTiedArrivalsDeterministic(t *testing.T) {
+	export := func() []byte {
+		dec := decision.New(decision.Options{})
+		c, se, small, large := testClusterWith(t, dec)
+		var trace []workload.Request
+		for k := 0; k < 6; k++ {
+			at := time.Duration(k) * 300 * time.Millisecond
+			trace = append(trace,
+				workload.Request{ID: fmt.Sprintf("s%d", k), Model: small[k%len(small)].Name, Arrival: at, InputTokens: 256, OutputTokens: 8},
+				workload.Request{ID: fmt.Sprintf("l%d", k), Model: large[k%len(large)].Name, Arrival: at, InputTokens: 256, OutputTokens: 8})
+		}
+		if err := c.Submit(trace); err != nil {
+			t.Fatal(err)
+		}
+		se.Run()
+		var buf bytes.Buffer
+		if err := dec.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := export()
+	for run := 1; run < 20; run++ {
+		if got := export(); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: decision journal differs from run 0", run)
+		}
 	}
 }
 

@@ -239,12 +239,47 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
+// A trace naming an unknown model is rejected whole: the good request
+// before it is neither queued nor recorded.
 func TestSubmitUnknownModel(t *testing.T) {
 	se := sim.NewEngine(1)
-	sys := NewSystem(se, testConfig(model.MarketMix(1), engine.AllOptimizations(), 1, 1))
-	err := sys.Submit([]workload.Request{{ID: "r0", Model: "ghost", OutputTokens: 1}})
+	models := model.MarketMix(1)
+	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 1, 1))
+	pending := se.Pending()
+	err := sys.Submit([]workload.Request{
+		{ID: "good", Model: models[0].Name, InputTokens: 16, OutputTokens: 4},
+		{ID: "bad", Model: "ghost", InputTokens: 16, OutputTokens: 4},
+	})
 	if err == nil {
 		t.Fatal("unknown model accepted")
+	}
+	if se.Pending() != pending || len(sys.Requests()) != 0 {
+		t.Fatalf("rejected Submit queued %d events and recorded %d requests",
+			se.Pending()-pending, len(sys.Requests()))
+	}
+}
+
+// Submit feeds a trace's arrivals to the kernel one at a time: the paper
+// testbed's five-minute trace grows the event queue by one entry, not one
+// per request.
+func TestSubmitQueuesOneArrival(t *testing.T) {
+	se := sim.NewEngine(1)
+	models := model.MarketMix(40)
+	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 6, 10))
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	trace := workload.PoissonTrace(se.Rand(), names, 0.1, 5*time.Minute, workload.ShareGPT())
+	if len(trace) != 1189 {
+		t.Fatalf("trace has %d requests, want the paper testbed's 1189", len(trace))
+	}
+	pending := se.Pending()
+	if err := sys.Submit(trace); err != nil {
+		t.Fatal(err)
+	}
+	if grew := se.Pending() - pending; grew != 1 {
+		t.Fatalf("Submit of %d requests grew the event queue by %d, want 1", len(trace), grew)
 	}
 }
 

@@ -414,24 +414,27 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	return s
 }
 
-// Submit schedules the trace's arrivals into the simulation. Must be called
-// before running the simulation.
+// Submit schedules the trace's arrivals into the simulation as one feed.
+// Must be called before running the simulation. A trace naming an unknown
+// model is rejected whole: nothing is scheduled or recorded.
 func (s *System) Submit(trace []workload.Request) error {
-	for _, wr := range trace {
+	reqs := make([]*Request, len(trace))
+	times := make([]sim.Time, len(trace))
+	for i, wr := range trace {
 		id, ok := s.models[wr.Model]
 		if !ok {
 			return fmt.Errorf("core: request %s targets unknown model %q", wr.ID, wr.Model)
 		}
-		wr := wr
 		r := newRequest(wr, s.ids.Model(id), id)
 		r.Deadline = s.sloFor(id).Deadline(wr.Arrival, 0)
-		s.requests = append(s.requests, r)
-		s.eng.At(wr.Arrival, func() {
-			if s.admitOverload(r) {
-				s.dispatchPrefill(r)
-			}
-		})
+		reqs[i], times[i] = r, wr.Arrival
 	}
+	s.requests = append(s.requests, reqs...)
+	s.eng.Feed(times, func(i int) {
+		if r := reqs[i]; s.admitOverload(r) {
+			s.dispatchPrefill(r)
+		}
+	})
 	return nil
 }
 

@@ -12,11 +12,19 @@
 // A slot's generation advances each time the slot is reused, so a handle
 // kept past its event's firing goes stale: Cancel on it is a no-op and can
 // never reach the slot's next occupant.
+//
+// A trace's arrivals enter through Feed rather than one At per arrival.
+// A feed reserves the sequence numbers those At calls would have taken but
+// keeps only its next arrival queued, so the heap holds the events that can
+// fire soon instead of every arrival the clock has not reached, and the
+// firing order is the one the At calls would give.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -64,12 +72,39 @@ func (ev Event) live() *slot {
 	return s
 }
 
-// slot holds one event's callback. fn is non-nil exactly while the event is
-// pending; gen advances each time the slot is handed to a new event.
+// slot holds one event's callback, or the feed whose next entry it carries.
+// fn is non-nil exactly while an At event is pending, feed exactly while a
+// feed has entries left; gen advances each time the slot is handed out.
 type slot struct {
 	fn        func()
+	feed      *feed
 	gen       uint32
 	cancelled bool
+}
+
+// feed is a batch of arrivals queued one entry at a time. Index i fires at
+// times[i] under sequence number base+i; next is the firing position of the
+// entry currently in the heap.
+type feed struct {
+	times []Time
+	order []int // indices in firing order; nil when times is already sorted
+	base  uint64
+	next  int
+	fn    func(i int)
+}
+
+// index returns the trace index at firing position k.
+func (f *feed) index(k int) int {
+	if f.order == nil {
+		return k
+	}
+	return f.order[k]
+}
+
+// entry returns the heap entry for the feed's next firing position.
+func (f *feed) entry(slot int32) entry {
+	i := f.index(f.next)
+	return entry{at: f.times[i], seq: f.base + uint64(i), slot: slot}
 }
 
 // entry is one heap element. (at, seq) is a strict total order, so the pop
@@ -115,8 +150,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled. A cancelled
-// event counts until the clock reaches it.
+// Pending returns the number of events currently queued. A cancelled
+// event counts until the clock reaches it; an unfinished feed counts as one.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -128,6 +163,62 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
+	i := e.takeSlot()
+	s := &e.slots[i]
+	s.fn = fn
+	s.cancelled = false
+	e.push(entry{at: t, seq: e.reserve(1), slot: i})
+	return Event{eng: e, at: t, slot: i, gen: s.gen}
+}
+
+// Feed schedules fn(i) at times[i] for every index of times. It fires
+// exactly as len(times) At calls made now in index order would: it takes
+// the same sequence numbers, so same-instant arrivals keep index order and
+// events scheduled later still break ties after them. Only the earliest
+// unfired entry is queued at a time; when it fires the next one is queued
+// under its reserved number before fn runs. Feed keeps times until the last
+// entry fires, so the caller must not modify it. A time before now panics
+// before anything is scheduled. Feed entries cannot be cancelled.
+func (e *Engine) Feed(times []Time, fn func(i int)) {
+	if fn == nil {
+		panic("sim: nil feed callback")
+	}
+	sorted := true
+	for i, t := range times {
+		if t < e.now {
+			panic(fmt.Sprintf("sim: feeding arrival %d at %v before now %v", i, t, e.now))
+		}
+		if i > 0 && t < times[i-1] {
+			sorted = false
+		}
+	}
+	base := e.reserve(len(times))
+	if len(times) == 0 {
+		return
+	}
+	f := &feed{times: times, base: base, fn: fn}
+	if !sorted {
+		f.order = make([]int, len(times))
+		for i := range f.order {
+			f.order[i] = i
+		}
+		slices.SortStableFunc(f.order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+	}
+	i := e.takeSlot()
+	e.slots[i].feed = f
+	e.push(f.entry(i))
+}
+
+// reserve hands out n consecutive sequence numbers and returns the first.
+func (e *Engine) reserve(n int) uint64 {
+	seq := e.seq
+	e.seq += uint64(n)
+	return seq
+}
+
+// takeSlot returns a free slot, advancing its generation so handles issued
+// for its previous occupants go stale.
+func (e *Engine) takeSlot() int32 {
 	var i int32
 	if n := len(e.free); n > 0 {
 		i = e.free[n-1]
@@ -136,13 +227,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 		i = int32(len(e.slots))
 		e.slots = append(e.slots, slot{})
 	}
-	s := &e.slots[i]
-	s.gen++
-	s.fn = fn
-	s.cancelled = false
-	e.push(entry{at: t, seq: e.seq, slot: i})
-	e.seq++
-	return Event{eng: e, at: t, slot: i, gen: s.gen}
+	e.slots[i].gen++
+	return i
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -200,10 +286,26 @@ func (e *Engine) Step() bool {
 // fireNext pops the earliest entry, frees its slot and runs its callback
 // unless it was cancelled; it reports whether a callback ran. The slot is
 // free before the callback runs, so events the callback schedules may reuse
-// it; the fired event's own handle is stale from then on.
+// it; the fired event's own handle is stale from then on. A feed's entry
+// instead queues the feed's next entry in the same slot, freeing the slot
+// only after the last one.
 func (e *Engine) fireNext() bool {
 	top := e.pop()
 	s := &e.slots[top.slot]
+	if f := s.feed; f != nil {
+		i := f.index(f.next)
+		f.next++
+		if f.next < len(f.times) {
+			e.push(f.entry(top.slot))
+		} else {
+			s.feed = nil
+			e.free = append(e.free, top.slot)
+		}
+		e.now = top.at
+		e.fired++
+		f.fn(i)
+		return true
+	}
 	fn := s.fn
 	s.fn = nil
 	e.free = append(e.free, top.slot)
