@@ -72,10 +72,12 @@ type decodeInstance struct {
 	current  *dbatch // batch executing the current turn (nil between turns)
 
 	// Round parameters (Eqs. 2–3), kept so batches admitted mid-round can
-	// receive consistent quotas.
-	roundC      float64
-	roundAlpha  float64
-	roundSumInv float64
+	// receive consistent quotas, and the round's t_k, d_k and q_k, refilled
+	// in place by each multi-model round.
+	round  eq2Round
+	steps  []float64
+	tbts   []float64
+	quotas []float64
 
 	batchLimits []int64 // indexed by model id; 0 until first derived
 
@@ -232,21 +234,15 @@ func (d *decodeInstance) reorder() {
 
 // computeQuotas assigns Eq. 2 quotas with the Eq. 3 attainment bound.
 func (d *decodeInstance) computeQuotas() {
-	if d.sys.cfg.FixedQuota {
-		d.roundC, d.roundAlpha, d.roundSumInv = 0, 0.5, 0
-		for _, b := range d.workList {
-			b.quota = d.sys.cfg.QMax
-		}
-		return
-	}
 	single := true
 	for _, b := range d.workList {
 		single = single && b.mid == d.workList[0].mid
 	}
-	if single {
-		// No switching inside the round: decode each batch up to QMAX, then
-		// re-round to admit arrivals.
-		d.roundC, d.roundAlpha, d.roundSumInv = 0, 0.5, 0
+	if single || d.sys.cfg.FixedQuota {
+		// No switching inside a single-model round: decode each batch up to
+		// QMAX, then re-round to admit arrivals. FixedQuota gives every
+		// round that flat turn.
+		d.round = eq2Round{alpha: 0.5}
 		for _, b := range d.workList {
 			b.quota = d.sys.cfg.QMax
 		}
@@ -268,29 +264,14 @@ func (d *decodeInstance) computeQuotas() {
 	for _, b := range d.workList {
 		c += d.kvSwapCost(b).Seconds()
 	}
-	steps := make([]float64, len(d.workList))
-	tbts := make([]float64, len(d.workList))
-	for i, b := range d.workList {
-		steps[i] = d.eng.DecodeStepEstimate(b.mid, b.contextTokens()).Seconds()
-		tbts[i] = d.sys.sloFor(b.mid).TBT.Seconds()
+	d.steps, d.tbts = d.steps[:0], d.tbts[:0]
+	for _, b := range d.workList {
+		d.steps = append(d.steps, d.eng.DecodeStepEstimate(b.mid, b.contextTokens()).Seconds())
+		d.tbts = append(d.tbts, d.sys.sloFor(b.mid).TBT.Seconds())
 	}
-	qmax := d.sys.cfg.QMax.Seconds()
-	_, alpha := eq2Quotas(c, qmax, tbts, steps)
-	sumInv := 0.0
-	for i, ti := range steps {
-		ni := tbts[i] / ti
-		if ni < 1.01 {
-			ni = 1.01
-		}
-		sumInv += 1 / ni
-	}
-	d.roundC, d.roundAlpha, d.roundSumInv = c, alpha, sumInv
+	d.quotas, d.round = eq2Quotas(d.quotas[:0], c, d.sys.cfg.QMax.Seconds(), d.tbts, d.steps)
 	for i, b := range d.workList {
-		ni := tbts[i] / steps[i]
-		if ni < 1.01 {
-			ni = 1.01
-		}
-		b.quota = d.quotaFor(ni, b.mid, b)
+		b.quota = d.quotaFor(d.quotas[i], d.steps[i], b)
 	}
 }
 
@@ -324,19 +305,17 @@ func (d *decodeInstance) kvSwapCost(b *dbatch) time.Duration {
 	return 2 * d.eng.CostFor(b.mid).Prof.PCIeCopy(bytes)
 }
 
-// quotaFor evaluates Eq. 2 for one batch given the round parameters. Two
-// clamps keep turns productive: a turn always fits at least one decoding
-// step, and it must amortize its own preemption cost (KV swap both ways
-// plus the model switch) at a healthy duty ratio — Eq. 2 alone can produce
-// arbitrarily small quotas when the α = 0.5 floor binds with small c,
+// quotaFor clamps batch b's Eq. 2 quota q, given its decode step, both in
+// seconds. Two clamps keep turns productive: a turn always fits at least one
+// decoding step, and it must amortize its own preemption cost (KV swap both
+// ways plus the model switch) at a healthy duty ratio — Eq. 2 alone can
+// produce arbitrarily small quotas when the α = 0.5 floor binds with small c,
 // which would let transfer overhead dominate the round.
-func (d *decodeInstance) quotaFor(ni float64, m model.ID, b *dbatch) time.Duration {
-	q := d.roundC / (ni * (d.roundAlpha - d.roundSumInv))
-	step := d.eng.DecodeStepEstimate(m, b.contextTokens()).Seconds()
+func (d *decodeInstance) quotaFor(q, step float64, b *dbatch) time.Duration {
 	if q < step {
 		q = step
 	}
-	overhead := d.kvSwapCost(b).Seconds() + d.eng.EffectiveSwitchCost(m).Seconds()
+	overhead := d.kvSwapCost(b).Seconds() + d.eng.EffectiveSwitchCost(b.mid).Seconds()
 	if floor := 5 * overhead; q < floor {
 		q = floor
 	}
@@ -396,17 +375,12 @@ func (d *decodeInstance) admitMidRound() {
 			}
 		}
 		if !placed {
-			m := r.mid
 			nb := &dbatch{mid: r.mid, reqs: []*Request{r}}
-			dTBT := d.sys.sloFor(r.mid).TBT.Seconds()
-			ni := dTBT / d.eng.DecodeStepEstimate(m, nb.contextTokens()).Seconds()
-			if ni < 1.01 {
-				ni = 1.01
-			}
-			if d.roundAlpha <= d.roundSumInv {
+			if d.round.alpha <= d.round.sumInv {
 				nb.quota = d.sys.cfg.QMax
 			} else {
-				nb.quota = d.quotaFor(ni, m, nb)
+				step := d.eng.DecodeStepEstimate(r.mid, nb.contextTokens()).Seconds()
+				nb.quota = d.quotaFor(d.round.quota(d.sys.sloFor(r.mid).TBT.Seconds(), step), step, nb)
 			}
 			d.workList = append(d.workList, nb)
 		}
@@ -530,8 +504,8 @@ func requestTLs(reqs []*Request) []obs.Handle {
 	return tls
 }
 
-// requestIDs collects the ids of a batch's requests (observability only;
-// callers nil-check the collector first so the disabled path never
+// requestIDs collects the ids of the requests (observers and the journal
+// only; callers nil-check theirs first so the disabled path never
 // allocates).
 func requestIDs(reqs []*Request) []string {
 	ids := make([]string, len(reqs))

@@ -203,32 +203,37 @@ func (s *System) recoverRequest(r *Request) bool {
 // CrashInstanceNamed fail-stops the instance with the given engine name
 // (prefill or decode); the cluster proxy addresses instances by name.
 func (s *System) CrashInstanceNamed(name string) error {
-	for i, p := range s.prefills {
-		if p.eng.Name == name {
-			return s.CrashPrefillInstance(i)
-		}
-	}
-	for i, d := range s.decodes {
-		if d.eng.Name == name {
-			return s.CrashDecodeInstance(i)
-		}
+	p, d, i := s.instanceNamed(name)
+	switch {
+	case p != nil:
+		return s.CrashPrefillInstance(i)
+	case d != nil:
+		return s.CrashDecodeInstance(i)
 	}
 	return fmt.Errorf("core: no instance named %q", name)
 }
 
 // AliveNamed reports whether the named instance exists and has not crashed.
 func (s *System) AliveNamed(name string) bool {
-	for _, p := range s.prefills {
+	p, d, _ := s.instanceNamed(name)
+	return (p != nil && !p.dead) || (d != nil && !d.dead)
+}
+
+// instanceNamed finds the instance with the given engine name: its prefill
+// or decode record (the other nil) and its index in that pool. Both are nil
+// when no instance has the name.
+func (s *System) instanceNamed(name string) (*prefillInstance, *decodeInstance, int) {
+	for i, p := range s.prefills {
 		if p.eng.Name == name {
-			return !p.dead
+			return p, nil, i
 		}
 	}
-	for _, d := range s.decodes {
+	for i, d := range s.decodes {
 		if d.eng.Name == name {
-			return !d.dead
+			return nil, d, i
 		}
 	}
-	return false
+	return nil, nil, -1
 }
 
 // InstanceNames returns every instance engine name, prefill then decode.

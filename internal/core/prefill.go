@@ -169,11 +169,7 @@ func (p *prefillInstance) step() {
 			p.step()
 		})
 		if p.sys.obs != nil {
-			ids := make([]string, 0, len(g.reqs))
-			for _, wr := range g.reqs {
-				ids = append(ids, wr.ID)
-			}
-			p.sys.obs.SwitchVictims(p.eng.Name, ids)
+			p.sys.obs.SwitchVictims(p.eng.Name, requestIDs(g.reqs))
 		}
 		if j := p.sys.dec; j != nil {
 			// The front group forced the switch; the journal still shows what
@@ -181,10 +177,6 @@ func (p *prefillInstance) step() {
 			from := ""
 			if cur != nil {
 				from = cur.Name
-			}
-			ids := make([]string, 0, len(g.reqs))
-			for _, wr := range g.reqs {
-				ids = append(ids, wr.ID)
 			}
 			cands := make([]decision.Candidate, 0, len(p.queue))
 			for i, qg := range p.queue {
@@ -201,7 +193,7 @@ func (p *prefillInstance) step() {
 			j.Record(decision.Record{At: p.eng.Sim().Now(), Kind: decision.KindSwitch,
 				Instance: p.eng.Name, Model: p.sys.modelName(m), Outcome: p.sys.modelName(m),
 				Reason:   "prefill front group (from " + from + ")",
-				Requests: ids,
+				Requests: requestIDs(g.reqs),
 				Inputs: []decision.Term{
 					decision.NsTerm("switch_cost", p.eng.CostFor(m).Switch()),
 					{Name: "queued_groups", Value: float64(len(p.queue))},

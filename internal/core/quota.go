@@ -13,45 +13,51 @@ import "math"
 // round's total auto-scaling overhead, and QMAX the quota ceiling. The
 // paper states the formulas for a uniform TBT d; passing per-batch d_k
 // generalizes them to heterogeneous per-model SLOs (each batch's buffered
-// window scales with its own deadline). The returned alpha's reciprocal is
-// the round's estimated SLO attainment.
+// window scales with its own deadline). The quotas are appended to dst; the
+// returned round carries c, α and Σ_k 1/n_k, and α's reciprocal is the
+// round's estimated SLO attainment.
 //
 // Degenerate inputs are clamped: t_k > d_k (the SLO is unmeetable for that
 // batch) clamps n_k slightly above 1 so the round still schedules it.
-func eq2Quotas(c, qmax float64, d, t []float64) (q []float64, alpha float64) {
+func eq2Quotas(dst []float64, c, qmax float64, d, t []float64) ([]float64, eq2Round) {
 	if len(d) != len(t) {
 		panic("core: eq2Quotas deadline/step length mismatch")
 	}
-	n := make([]float64, len(t))
-	sumInv := 0.0
+	r := eq2Round{c: c}
 	minN := math.Inf(1)
-	for i, ti := range t {
-		ni := d[i] / ti
-		if ni < 1.01 {
-			ni = 1.01
-		}
-		n[i] = ni
-		sumInv += 1 / ni
-		if ni < minN {
-			minN = ni
-		}
-	}
-	alpha = c/(minN*qmax) + sumInv
-	if alpha < 0.5 {
-		alpha = 0.5
-	}
-	q = make([]float64, len(t))
 	for i := range t {
-		q[i] = c / (n[i] * (alpha - sumInv))
+		n := eq2N(d[i], t[i])
+		r.sumInv += 1 / n
+		if n < minN {
+			minN = n
+		}
 	}
-	return q, alpha
+	r.alpha = c/(minN*qmax) + r.sumInv
+	if r.alpha < 0.5 {
+		r.alpha = 0.5
+	}
+	for i := range t {
+		dst = append(dst, r.quota(d[i], t[i]))
+	}
+	return dst, r
 }
 
-// uniform returns a slice of n copies of v (the paper's single-SLO case).
-func uniform(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
+// eq2Round is one round's Eq. 2–3 parameters.
+type eq2Round struct {
+	c, alpha, sumInv float64 // overhead c, α, and Σ_k 1/n_k
+}
+
+// quota is Eq. 2 for one batch with TBT target d and decode step t under the
+// round's parameters; batches admitted mid-round get theirs from it too.
+func (r eq2Round) quota(d, t float64) float64 {
+	return r.c / (eq2N(d, t) * (r.alpha - r.sumInv))
+}
+
+// eq2N is n_k = d_k/t_k, clamped slightly above 1.
+func eq2N(d, t float64) float64 {
+	n := d / t
+	if n < 1.01 {
+		n = 1.01
 	}
-	return out
+	return n
 }

@@ -66,8 +66,13 @@ func (s *System) ReclaimInstance(name string, grace sim.Time) error {
 // prices the slowdown into its score. The throttle clears itself when the
 // window ends.
 func (s *System) ThrottleInstance(name string, factor float64, d sim.Time) error {
-	e := s.engineNamed(name)
-	if e == nil {
+	var e *engine.Engine
+	switch pi, di, _ := s.instanceNamed(name); {
+	case pi != nil:
+		e = pi.eng
+	case di != nil:
+		e = di.eng
+	default:
 		return fmt.Errorf("core: no instance named %q", name)
 	}
 	if factor < 1 {
@@ -85,34 +90,13 @@ func (s *System) ThrottleInstance(name string, factor float64, d sim.Time) error
 	return nil
 }
 
-// engineNamed returns the engine of the named instance (nil if unknown).
-func (s *System) engineNamed(name string) *engine.Engine {
-	for _, p := range s.prefills {
-		if p.eng.Name == name {
-			return p.eng
-		}
-	}
-	for _, d := range s.decodes {
-		if d.eng.Name == name {
-			return d.eng
-		}
-	}
-	return nil
-}
-
 // evacuateInstance starts the aware-mode drain of a noticed instance.
 func (s *System) evacuateInstance(name string) {
-	for _, p := range s.prefills {
-		if p.eng.Name == name {
-			s.evacuatePrefill(p)
-			return
-		}
-	}
-	for _, d := range s.decodes {
-		if d.eng.Name == name {
-			s.evacuateDecode(d)
-			return
-		}
+	switch p, d, _ := s.instanceNamed(name); {
+	case p != nil:
+		s.evacuatePrefill(p)
+	case d != nil:
+		s.evacuateDecode(d)
 	}
 }
 
@@ -140,14 +124,10 @@ func (s *System) evacuatePrefill(p *prefillInstance) {
 		}
 	}
 	if j := s.dec; j != nil {
-		ids := make([]string, 0, len(owned))
-		for _, r := range owned {
-			ids = append(ids, r.ID)
-		}
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: p.eng.Name, Outcome: "drain_prefill",
 			Reason:   "re-home queued groups; drop device prefix copies",
-			Requests: ids,
+			Requests: requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "rehomed_requests", Value: float64(len(owned))},
 				{Name: "rehomed_prefix_bytes", Value: float64(rehomed)},
@@ -202,10 +182,8 @@ func (s *System) evacuateDecode(d *decodeInstance) {
 		// The evacuation order is the collection order: work-list batches
 		// first, then the executing batch, then pending — the journal records
 		// it so a lost-KV post-mortem can see who was queued behind whom.
-		ids := make([]string, 0, len(owned))
 		var gpuResident int
 		for _, r := range owned {
-			ids = append(ids, r.ID)
 			if r.Seq != nil && r.Seq.State() != kvcache.StateCPU {
 				gpuResident++
 			}
@@ -213,7 +191,7 @@ func (s *System) evacuateDecode(d *decodeInstance) {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: d.eng.Name, Outcome: "drain_decode",
 			Reason:   "offload KV to host tier; re-dispatch as transfers land",
-			Requests: ids,
+			Requests: requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "owned_requests", Value: float64(len(owned))},
 				{Name: "gpu_resident", Value: float64(gpuResident)},
@@ -340,10 +318,7 @@ func (s *System) revokeInstance(name string) {
 	}
 	mkt.NoteLostKV(name, lost)
 	if j := s.dec; j != nil {
-		var ids []string
-		for _, r := range s.ownedRequests(name) {
-			ids = append(ids, r.ID)
-		}
+		ids := requestIDs(s.ownedRequests(name))
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: name, Outcome: "revoked",
 			Reason:   "grace deadline; stragglers recover via crash path",

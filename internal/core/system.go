@@ -514,74 +514,91 @@ func (s *System) dispatchPrefill(r *Request) {
 // a reclaim notice, disqualified, or VRAM-starved) the exclusions are waived:
 // serving on a risky device beats failing the request.
 func (s *System) bestPrefill(r *Request) *prefillInstance {
-	journal := s.dec != nil
-	var cands []decision.Candidate
-	bestIdx := -1
-	pick := func(waive bool) *prefillInstance {
-		if journal {
-			cands = cands[:0]
-			bestIdx = -1
+	i := s.choose(r, decision.KindPrefillRouting, "", true, len(s.prefills), func(i int) bid {
+		p := s.prefills[i]
+		if p.dead {
+			return bid{}
 		}
-		var best *prefillInstance
-		var bestScore time.Duration
-		for _, p := range s.prefills {
-			if p.dead {
-				continue
-			}
-			s.noteHeadroom(p.eng)
-			sw := p.eng.CostFor(r.mid).Switch()
-			pen, ok := s.marketPenalty(p.eng.Name, sw)
-			if !ok && !waive {
-				if journal {
-					cands = append(cands, decision.Candidate{Name: p.eng.Name, Excluded: true})
-				}
-				continue
-			}
-			capab := s.marketCapability(p.eng.Name)
-			score := time.Duration(float64(p.load())/capab) + pen
-			if journal {
-				cands = append(cands, decision.Candidate{
-					Name: p.eng.Name, Score: float64(score),
-					Terms: []decision.Term{
-						decision.NsTerm("load", p.load()),
-						{Name: "capability", Value: capab},
-						decision.NsTerm("market_penalty", pen),
-						decision.NsTerm("switch_cost", sw),
-					},
-				})
-			}
-			if best == nil || score < bestScore {
-				best, bestScore = p, score
-				if journal {
-					bestIdx = len(cands) - 1
-				}
+		sw := p.eng.CostFor(r.mid).Switch()
+		penS, ok := s.marketPenalty(p.eng, sw)
+		pen := time.Duration(penS * float64(time.Second))
+		capab := s.marketCapability(p.eng.Name)
+		load := p.load()
+		score := time.Duration(float64(load)/capab) + pen
+		b := bid{eng: p.eng, score: float64(score), ok: ok}
+		if s.dec != nil {
+			b.terms = []decision.Term{
+				decision.NsTerm("load", load),
+				{Name: "capability", Value: capab},
+				decision.NsTerm("market_penalty", pen),
+				decision.NsTerm("switch_cost", sw),
 			}
 		}
-		return best
+		return b
+	})
+	if i < 0 {
+		return nil
 	}
-	best := pick(false)
-	waived := false
-	if best == nil {
-		best = pick(true)
-		waived = true
+	return s.prefills[i]
+}
+
+// bid is one instance's entry in a placement decision.
+type bid struct {
+	eng   *engine.Engine  // nil when the instance is dead
+	score float64         // lower wins
+	ok    bool            // the market allows placement on the instance
+	terms []decision.Term // the score's journal terms; nil when the journal is off
+}
+
+// choose is the one placement argmin behind Algorithms 1 and 2: it returns
+// the index of the live, market-allowed instance with the lowest score among
+// the n that score bids for, or -1 when there is none. With waivable set and
+// every survivor excluded, a second pass waives the exclusions. When the
+// journal is on, the decision lands in it as one record of kind, with every
+// live instance as a candidate (excluded ones flagged) and the winner marked.
+func (s *System) choose(r *Request, kind, reason string, waivable bool, n int, score func(i int) bid) int {
+	best, chosen, cands := s.scan(n, score, false, nil)
+	if best < 0 && waivable {
+		reason = "market exclusions waived"
+		best, chosen, cands = s.scan(n, score, true, cands[:0])
 	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindPrefillRouting,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none",
-			Candidates: append([]decision.Candidate(nil), cands...)}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
-			}
-		}
-		if waived {
-			rec.Reason = "market exclusions waived"
+	if s.dec != nil {
+		rec := decision.Record{At: s.eng.Now(), Kind: kind, Request: r.ID, Model: r.Model.Name,
+			Outcome: "none", Reason: reason, Candidates: cands}
+		if best >= 0 {
+			cands[chosen].Chosen = true
+			rec.Outcome, rec.Instance = cands[chosen].Name, cands[chosen].Name
 		}
 		s.dec.Record(rec)
 	}
 	return best
+}
+
+// scan is one pass of choose. It returns the winning index, the winner's
+// position in cands, and cands with this pass's candidates appended (only
+// when the journal is on).
+func (s *System) scan(n int, score func(i int) bid, waive bool, cands []decision.Candidate) (best, chosen int, _ []decision.Candidate) {
+	best, chosen = -1, -1
+	var bestScore float64
+	for i := 0; i < n; i++ {
+		b := score(i)
+		if b.eng == nil {
+			continue
+		}
+		if !b.ok && !waive {
+			if s.dec != nil {
+				cands = append(cands, decision.Candidate{Name: b.eng.Name, Excluded: true})
+			}
+			continue
+		}
+		if s.dec != nil {
+			cands = append(cands, decision.Candidate{Name: b.eng.Name, Score: b.score, Terms: b.terms})
+		}
+		if best < 0 || b.score < bestScore {
+			best, chosen, bestScore = i, len(cands)-1, b.score
+		}
+	}
+	return best, chosen, cands
 }
 
 // marketCapability is the capability divisor aware placement normalizes load
@@ -599,32 +616,27 @@ func (s *System) marketCapability(name string) float64 {
 	return 1
 }
 
-// marketPenalty converts the market's placement risk for an instance into
-// load-score units (one penalty point ≈ one second of queued work);
-// ok=false means aware placement excludes the device. A nil market yields
-// (0, true), keeping dispatch byte-identical to the market-free build.
-func (s *System) marketPenalty(name string, switchCost time.Duration) (time.Duration, bool) {
-	pen, ok := s.cfg.Market.PlacementPenalty(name, switchCost)
-	return time.Duration(pen * float64(time.Second)), ok
+// marketPenalty refreshes the market's VRAM-headroom view of an instance from
+// its GPU KV pool occupancy (feeding the capability-scoring
+// disqualification), then prices its placement risk in load-score units
+// (one penalty point ≈ one second of queued work); ok=false means aware
+// placement excludes the device. A nil market yields (0, true), keeping
+// dispatch byte-identical to the market-free build.
+func (s *System) marketPenalty(e *engine.Engine, switchCost time.Duration) (float64, bool) {
+	if s.cfg.Market.Enabled() {
+		pool := e.KV().GPUCache.Pool()
+		if c := pool.Capacity(); c > 0 {
+			s.cfg.Market.NoteHeadroom(e.Name, 1-float64(pool.UsedBytes())/float64(c))
+		}
+	}
+	return s.cfg.Market.PlacementPenalty(e.Name, switchCost)
 }
 
 // marketAllows reports whether aware placement may target the instance (the
-// fast-path join check; exclusions are waived only through best* fallbacks).
+// fast-path join check; exclusions are waived only through choose).
 func (s *System) marketAllows(name string) bool {
 	_, ok := s.cfg.Market.PlacementPenalty(name, 0)
 	return ok
-}
-
-// noteHeadroom refreshes the market's VRAM-headroom view of an instance from
-// its GPU KV pool occupancy, feeding the capability-scoring disqualification.
-func (s *System) noteHeadroom(e *engine.Engine) {
-	if !s.cfg.Market.Enabled() {
-		return
-	}
-	pool := e.KV().GPUCache.Pool()
-	if c := pool.Capacity(); c > 0 {
-		s.cfg.Market.NoteHeadroom(e.Name, 1-float64(pool.UsedBytes())/float64(c))
-	}
 }
 
 // routePrefix scores every live prefill instance as (queue load − expected
@@ -635,27 +647,21 @@ func (s *System) noteHeadroom(e *engine.Engine) {
 // when recomputing is faster than waiting, which keeps cache affinity
 // subordinate to the PR 5 overload machinery.
 func (s *System) routePrefix(r *Request) *prefillInstance {
-	var best *prefillInstance
-	var bestScore time.Duration
-	journal := s.dec != nil
-	var cands []decision.Candidate
-	bestIdx := -1
 	shape := r.Model.ShardKVShape(s.cfg.TP)
 	hashes := r.promptHashes(s.prefix.BlockTokens())
 	full := 0
-	for _, p := range s.prefills {
+	i := s.choose(r, decision.KindPrefillRouting, "cache-aware", false, len(s.prefills), func(i int) bid {
+		p := s.prefills[i]
 		if p.dead {
-			continue
+			return bid{}
 		}
-		s.noteHeadroom(p.eng)
-		pen, ok := s.marketPenalty(p.eng.Name, p.eng.CostFor(r.mid).Switch())
+		penS, ok := s.marketPenalty(p.eng, p.eng.CostFor(r.mid).Switch())
 		if !ok {
-			if journal {
-				cands = append(cands, decision.Candidate{Name: p.eng.Name, Excluded: true})
-			}
-			continue // under notice / disqualified; bestPrefill may waive later
+			return bid{eng: p.eng} // under notice / disqualified; bestPrefill may waive later
 		}
-		score := p.load() + pen
+		pen := time.Duration(penS * float64(time.Second))
+		load := p.load()
+		score := load + pen
 		matched, onDevice := s.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, hashes, r.InputTokens)
 		var saved, copyCost, credit time.Duration
 		if matched > 0 {
@@ -671,41 +677,24 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 				score -= benefit
 			}
 		}
-		if journal {
-			cands = append(cands, decision.Candidate{
-				Name: p.eng.Name, Score: float64(score),
-				Terms: []decision.Term{
-					decision.NsTerm("load", p.load()),
-					decision.NsTerm("market_penalty", pen),
-					{Name: "matched_tokens", Value: float64(matched)},
-					{Name: "on_device_tokens", Value: float64(onDevice)},
-					decision.NsTerm("prefill_saved", saved),
-					decision.NsTerm("copy_cost", copyCost),
-					decision.NsTerm("prefix_credit", credit),
-				},
-			})
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = p, score
-			if journal {
-				bestIdx = len(cands) - 1
+		b := bid{eng: p.eng, score: float64(score), ok: true}
+		if s.dec != nil {
+			b.terms = []decision.Term{
+				decision.NsTerm("load", load),
+				decision.NsTerm("market_penalty", pen),
+				{Name: "matched_tokens", Value: float64(matched)},
+				{Name: "on_device_tokens", Value: float64(onDevice)},
+				decision.NsTerm("prefill_saved", saved),
+				decision.NsTerm("copy_cost", copyCost),
+				decision.NsTerm("prefix_credit", credit),
 			}
 		}
+		return b
+	})
+	if i < 0 {
+		return nil
 	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindPrefillRouting,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none", Reason: "cache-aware",
-			Candidates: cands}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
-			}
-		}
-		s.dec.Record(rec)
-	}
-	return best
+	return s.prefills[i]
 }
 
 // releasePrefix unpins the request's prefix-cache hit, if any. Safe on every
@@ -751,74 +740,30 @@ func (s *System) dispatchDecode(r *Request) {
 // load plus the market's risk penalty, waiving exclusions only when every
 // survivor is excluded.
 func (s *System) bestDecode(r *Request) *decodeInstance {
-	journal := s.dec != nil
-	var cands []decision.Candidate
-	bestIdx := -1
-	pick := func(waive bool) *decodeInstance {
-		if journal {
-			cands = cands[:0]
-			bestIdx = -1
+	i := s.choose(r, decision.KindDecodePlacement, "", true, len(s.decodes), func(i int) bid {
+		d := s.decodes[i]
+		if d.dead {
+			return bid{}
 		}
-		var best *decodeInstance
-		var bestScore float64
-		for _, d := range s.decodes {
-			if d.dead {
-				continue
-			}
-			s.noteHeadroom(d.eng)
-			sw := d.eng.EffectiveSwitchCost(r.mid)
-			pen, ok := s.cfg.Market.PlacementPenalty(d.eng.Name, sw)
-			if !ok && !waive {
-				if journal {
-					cands = append(cands, decision.Candidate{Name: d.eng.Name, Excluded: true})
-				}
-				continue
-			}
-			capab := s.marketCapability(d.eng.Name)
-			score := float64(d.load())/capab + pen
-			if journal {
-				cands = append(cands, decision.Candidate{
-					Name: d.eng.Name, Score: score,
-					Terms: []decision.Term{
-						{Name: "load", Value: float64(d.load())},
-						{Name: "capability", Value: capab},
-						{Name: "market_penalty", Value: pen},
-						decision.NsTerm("switch_cost", sw),
-					},
-				})
-			}
-			if best == nil || score < bestScore {
-				best, bestScore = d, score
-				if journal {
-					bestIdx = len(cands) - 1
-				}
+		sw := d.eng.EffectiveSwitchCost(r.mid)
+		pen, ok := s.marketPenalty(d.eng, sw)
+		capab := s.marketCapability(d.eng.Name)
+		load := float64(d.load())
+		b := bid{eng: d.eng, score: load/capab + pen, ok: ok}
+		if s.dec != nil {
+			b.terms = []decision.Term{
+				{Name: "load", Value: load},
+				{Name: "capability", Value: capab},
+				{Name: "market_penalty", Value: pen},
+				decision.NsTerm("switch_cost", sw),
 			}
 		}
-		return best
+		return b
+	})
+	if i < 0 {
+		return nil
 	}
-	best := pick(false)
-	waived := false
-	if best == nil {
-		best = pick(true)
-		waived = true
-	}
-	if journal {
-		rec := decision.Record{At: s.eng.Now(), Kind: decision.KindDecodePlacement,
-			Request: r.ID, Model: r.Model.Name, Outcome: "none",
-			Candidates: append([]decision.Candidate(nil), cands...)}
-		if best != nil {
-			rec.Outcome = best.eng.Name
-			rec.Instance = best.eng.Name
-			if bestIdx >= 0 {
-				rec.Candidates[bestIdx].Chosen = true
-			}
-		}
-		if waived {
-			rec.Reason = "market exclusions waived"
-		}
-		s.dec.Record(rec)
-	}
-	return best
+	return s.decodes[i]
 }
 
 // ModelID returns the id of the named model if this system serves it.
