@@ -356,7 +356,8 @@ func (d *decodeInstance) startRound() {
 // admitMidRound folds pending requests in at a turn boundary: same-model
 // requests join an existing batch with room; new models open batches
 // appended after the current turn index so they are served this round,
-// with Eq. 2 quotas from the round's parameters.
+// with Eq. 2 quotas from the round's parameters (a flat QMAX turn under
+// FixedQuota).
 func (d *decodeInstance) admitMidRound() {
 	if len(d.pending) == 0 {
 		return
@@ -376,7 +377,7 @@ func (d *decodeInstance) admitMidRound() {
 		}
 		if !placed {
 			nb := &dbatch{mid: r.mid, reqs: []*Request{r}}
-			if d.round.alpha <= d.round.sumInv {
+			if d.sys.cfg.FixedQuota || d.round.alpha <= d.round.sumInv {
 				nb.quota = d.sys.cfg.QMax
 			} else {
 				step := d.eng.DecodeStepEstimate(r.mid, nb.contextTokens()).Seconds()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"aegaeon/internal/engine"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
+	"aegaeon/internal/workload"
 )
 
 // The worked example of §4.3: three batches, d=0.1s, t_i=0.025s, c=3s,
@@ -248,4 +250,36 @@ func uniform(v float64, n int) []float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// TestFixedQuotaEveryTurn: Config.FixedQuota promises every batch a flat
+// QMAX turn, including the batches admitted mid-round, which a round with
+// no Eq. 2 parameters would otherwise leave at the quota floors.
+func TestFixedQuotaEveryTurn(t *testing.T) {
+	models := model.MarketMix(8)
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	trace := workload.PoissonTrace(rand.New(rand.NewSource(3)), names, 0.2, 300*time.Second, workload.ShareGPT())
+	cfg := testConfig(models, engine.AllOptimizations(), 1, 2)
+	cfg.FixedQuota = true
+	turns, short := 0, 0
+	defer func(hook func(*decodeInstance, string, *dbatch)) { dbgTurn = hook }(dbgTurn)
+	dbgTurn = func(d *decodeInstance, ev string, b *dbatch) {
+		if ev != "turn-prep" {
+			return
+		}
+		turns++
+		if b.quota != d.sys.cfg.QMax {
+			short++
+		}
+	}
+	runTrace(t, cfg, trace)
+	if turns == 0 {
+		t.Fatal("no decode turns ran")
+	}
+	if short > 0 {
+		t.Errorf("%d of %d turns ran below QMAX under FixedQuota", short, turns)
+	}
 }
