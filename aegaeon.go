@@ -112,10 +112,6 @@ type Config struct {
 	// DisableOptimizations turns off the §5 auto-scaling optimizations
 	// (useful for ablation; production config leaves this false).
 	DisableOptimizations bool
-	// Colocate enables the §8 extension: keep several models' weights
-	// resident and switch between them with ~1ms activations (weights
-	// residency trades against KV capacity; see the §8 ablation).
-	Colocate bool
 	// Tracing enables the observability collector: per-request span
 	// timelines, per-device-engine op timelines, and switch-cost
 	// attribution, exportable as Perfetto-loadable Chrome trace JSON via
@@ -256,7 +252,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.DisableOptimizations {
 		opts = engine.Unoptimized()
 	}
-	opts.Colocate = cfg.Colocate
 	se := sim.NewEngine(cfg.Seed)
 	var flt *fault.Faults
 	var sched []fault.Fault

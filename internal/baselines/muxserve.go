@@ -19,14 +19,14 @@ type MuxConfig struct {
 	GPUs   int
 	Models []*model.Model
 	SLO    slo.SLO
-
-	// MinKVBytesPerModel is the KV budget the placement optimizer reserves
-	// for each colocated model (MuxServe refuses placements that starve a
-	// model's KV cache and hence its throughput). The 12 GiB default
-	// reproduces the paper's observation that at most two 6–14B FP16 models
-	// share an 80 GB GPU (§2.3, §7.2).
-	MinKVBytesPerModel int64
 }
+
+// minKVBytesPerModel is the KV budget the placement optimizer reserves for
+// each colocated model (MuxServe refuses placements that starve a model's
+// KV cache and hence its throughput). 12 GiB reproduces the paper's
+// observation that at most two 6–14B FP16 models share an 80 GB GPU (§2.3,
+// §7.2).
+const minKVBytesPerModel int64 = 12 << 30
 
 // Mux models MuxServe [20]: models are statically placed onto GPUs
 // (weights permanently resident) and colocated models share each GPU
@@ -68,9 +68,6 @@ func NewMux(se *sim.Engine, cfg MuxConfig) *Mux {
 	if cfg.TP < 1 {
 		cfg.TP = 1
 	}
-	if cfg.MinKVBytesPerModel <= 0 {
-		cfg.MinKVBytesPerModel = 12 << 30
-	}
 	if cfg.GPUs < 1 {
 		panic("baselines: Mux needs at least one GPU")
 	}
@@ -95,7 +92,7 @@ func (s *Mux) place() {
 		shard := m.ShardWeightBytes(s.cfg.TP)
 		placed := false
 		for gi, g := range s.gpus {
-			need := shard + s.cfg.MinKVBytesPerModel
+			need := shard + minKVBytesPerModel
 			if used[gi]+need <= usable {
 				used[gi] += need
 				mm := &muxModel{
@@ -104,7 +101,7 @@ func (s *Mux) place() {
 					cost: latency.NewCostModel(s.cfg.Prof, m, s.cfg.TP),
 				}
 				shape := m.ShardKVShape(s.cfg.TP)
-				mm.kvLimit = s.cfg.MinKVBytesPerModel / shape.BytesPerToken()
+				mm.kvLimit = minKVBytesPerModel / shape.BytesPerToken()
 				g.models = append(g.models, mm)
 				s.placement[m.Name] = mm
 				placed = true

@@ -24,10 +24,10 @@ type SLLMConfig struct {
 
 	// SJF enables the oracle shortest-job-first queue of ServerlessLLM+.
 	SJF bool
-
-	// KVHeadroom caps batch KV planning (default 0.9).
-	KVHeadroom float64
 }
+
+// kvHeadroom caps batch KV planning at this fraction of the KV region.
+const kvHeadroom = 0.9
 
 // SLLM models ServerlessLLM [21]: serverless auto-scaling with fast
 // checkpoint loading. We grant it an optimized load path and persistent
@@ -68,9 +68,6 @@ type sllmInstance struct {
 func NewSLLM(se *sim.Engine, cfg SLLMConfig) *SLLM {
 	if cfg.TP < 1 {
 		cfg.TP = 1
-	}
-	if cfg.KVHeadroom <= 0 || cfg.KVHeadroom > 1 {
-		cfg.KVHeadroom = 0.9
 	}
 	if cfg.GPUs < 1 {
 		panic("baselines: SLLM needs at least one GPU instance")
@@ -194,7 +191,7 @@ func (in *sllmInstance) scaleTo(r *request) {
 	if err != nil {
 		panic(err)
 	}
-	in.kvLimit = int64(float64(in.eng.KV().GPUCache.MaxTokens(class)) * in.sys.cfg.KVHeadroom)
+	in.kvLimit = int64(float64(in.eng.KV().GPUCache.MaxTokens(class)) * kvHeadroom)
 	in.kvPlanned = 0
 	in.admit(r)
 	start := in.eng.Sim().Now()

@@ -39,10 +39,6 @@ type Config struct {
 	// Horizon is the arrival window (default 120s); faults land inside it
 	// and the run continues until the system drains.
 	Horizon time.Duration
-	// NumPrefill / NumDecode size the single deployment (defaults 2 / 2, so
-	// single-instance crashes have somewhere to fail over to).
-	NumPrefill int
-	NumDecode  int
 	// Spec is an explicit fault schedule ("kind@at[+dur][*factor][:target]",
 	// comma-separated). Empty draws RandomFaults faults from the seed.
 	Spec string
@@ -50,12 +46,10 @@ type Config struct {
 	// (default 4).
 	RandomFaults int
 	// Overload enables overload control for the run: a brownout controller
-	// on the cluster, priorities on the trace (HighFrac/LowFrac, defaulting
-	// to 0.2/0.3), and the deadline reaper — so fault schedules are audited
-	// with load shedding active, not just failover.
+	// on the cluster, priorities on the trace (highFrac/lowFrac), and the
+	// deadline reaper — so fault schedules are audited with load shedding
+	// active, not just failover.
 	Overload bool
-	// HighFrac / LowFrac set the priority mix when Overload is on.
-	HighFrac, LowFrac float64
 	// Prefix enables the global prefix cache (with cache-aware routing) and
 	// switches the workload to multi-turn chat over a shared system prompt,
 	// so crash recovery is audited with prefix pins, device copies, and
@@ -77,15 +71,23 @@ type Config struct {
 	// audit — per-key linearizability, at-most-one-leader-per-term,
 	// no-acknowledged-write-lost, watch replay in commit order — into
 	// VerifyInvariants. Random schedules then also draw the replica fault
-	// kinds (partition:replica, netsplit, netdelay, rcrash).
+	// kinds (partition:replica, netsplit, netdelay, rcrash), and
+	// storeClients synthetic sessions load the store.
 	StoreReplicas int
-	// StoreClients is the number of synthetic store sessions issuing mixed
-	// Set/Get/CAS/Delete traffic against a small shared keyspace, so the
-	// linearizability audit sees real read/write contention beyond the
-	// cluster's own lease and failover ops (default 3 when StoreReplicas >
-	// 1; 0 otherwise).
-	StoreClients int
 }
+
+const (
+	// numPrefill and numDecode size the single deployment, so
+	// single-instance crashes have somewhere to fail over to.
+	numPrefill, numDecode = 2, 2
+	// highFrac and lowFrac set the priority mix when Overload is on.
+	highFrac, lowFrac = 0.2, 0.3
+	// storeClients is the number of synthetic store sessions a replicated
+	// run starts, issuing mixed Set/Get/CAS/Delete traffic against a small
+	// shared keyspace, so the linearizability audit sees real read/write
+	// contention beyond the cluster's own lease and failover ops.
+	storeClients = 3
+)
 
 func (c *Config) defaults() {
 	if c.Models <= 0 {
@@ -97,20 +99,8 @@ func (c *Config) defaults() {
 	if c.Horizon <= 0 {
 		c.Horizon = 120 * time.Second
 	}
-	if c.NumPrefill <= 0 {
-		c.NumPrefill = 2
-	}
-	if c.NumDecode <= 0 {
-		c.NumDecode = 2
-	}
 	if c.RandomFaults <= 0 {
 		c.RandomFaults = 4
-	}
-	if c.Overload && c.HighFrac == 0 && c.LowFrac == 0 {
-		c.HighFrac, c.LowFrac = 0.2, 0.3
-	}
-	if c.StoreReplicas > 1 && c.StoreClients == 0 {
-		c.StoreClients = 3
 	}
 }
 
@@ -189,7 +179,7 @@ func Run(cfg Config) (*Result, error) {
 		SLO:  slo.Default(),
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "chaos", TP: 1,
-			NumPrefill: cfg.NumPrefill, NumDecode: cfg.NumDecode,
+			NumPrefill: numPrefill, NumDecode: numDecode,
 			Models: models,
 		}},
 		StoreReplicas: cfg.StoreReplicas,
@@ -214,7 +204,7 @@ func Run(cfg Config) (*Result, error) {
 		trace = workload.PoissonTrace(rng, names, cfg.Rate, cfg.Horizon, workload.ShareGPT())
 	}
 	if cfg.Overload {
-		workload.AssignPriorities(rng, trace, cfg.HighFrac, cfg.LowFrac)
+		workload.AssignPriorities(rng, trace, highFrac, lowFrac)
 	}
 	if err := c.Submit(trace); err != nil {
 		return nil, err
@@ -227,7 +217,7 @@ func Run(cfg Config) (*Result, error) {
 	in := fault.NewInjector(se, c, sched)
 	in.Arm()
 
-	if cfg.StoreClients > 0 && c.Replicated() != nil {
+	if c.Replicated() != nil {
 		startStoreClients(se, c, cfg)
 	}
 
@@ -274,14 +264,14 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// startStoreClients arms the synthetic store workload: StoreClients seeded
+// startStoreClients arms the synthetic store workload: storeClients seeded
 // sessions issuing mixed ops on a 4-key space from t=2s to the horizon.
 // Writes carry session-unique values so the linearizability witness search
 // can tell every write apart; CAS guesses chase each session's last
 // observed value, so swaps genuinely race across sessions.
 func startStoreClients(se *sim.Engine, c *cluster.Cluster, cfg Config) {
 	rep := c.Replicated()
-	for i := 0; i < cfg.StoreClients; i++ {
+	for i := 0; i < storeClients; i++ {
 		i := i
 		sess := rep.Session(fmt.Sprintf("cli%d", i))
 		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(i)))

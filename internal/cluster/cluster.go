@@ -54,7 +54,6 @@ type Config struct {
 	Prof        *latency.Profile
 	SLO         slo.SLO
 	Deployments []DeploymentConfig
-	StoreRTT    time.Duration // metadata store round trip (default 1ms)
 
 	// The optional subsystems, built by assemble.Build and shared by every
 	// deployment: each field means what the same core.Config field means,
@@ -76,13 +75,6 @@ type Config struct {
 	Decisions *decision.Journal
 	Prefix    *prefixcache.Config
 
-	// LeaseTTL is how long an instance's health lease stays valid without
-	// renewal (default 3s); instances renew every LeaseTTL/2. HealthPoll is
-	// the proxy's monitor interval (default 1s). Both only matter once
-	// StartHealth is called.
-	LeaseTTL   time.Duration
-	HealthPoll time.Duration
-
 	// StoreReplicas promotes the metadata store to an N-replica quorum store
 	// (ms0..msN-1): lease-based leadership, majority-acknowledged writes,
 	// and survival of any minority of replica crashes or partitions. 0 or 1
@@ -98,6 +90,9 @@ type Config struct {
 	// off in long-lived servers (the history grows without bound).
 	StoreHistory bool
 }
+
+// storeRTT is the metadata store's round trip.
+const storeRTT = time.Millisecond
 
 // Cluster is the proxy plus its deployments.
 type Cluster struct {
@@ -124,10 +119,6 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 	if len(cfg.Deployments) == 0 {
 		return nil, fmt.Errorf("cluster: no deployments configured")
 	}
-	rtt := cfg.StoreRTT
-	if rtt == 0 {
-		rtt = time.Millisecond
-	}
 	c := &Cluster{
 		eng:         se,
 		cfg:         cfg,
@@ -137,13 +128,13 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 	if cfg.StoreReplicas > 1 {
 		c.rep = metastore.NewReplicated(se, metastore.RepConfig{
 			Replicas:      cfg.StoreReplicas,
-			RTT:           rtt,
+			RTT:           storeRTT,
 			Seed:          cfg.StoreSeed,
 			RecordHistory: cfg.StoreHistory,
 		})
 		c.store = c.rep
 	} else {
-		c.store = metastore.New(se, rtt)
+		c.store = metastore.New(se, storeRTT)
 	}
 	c.store.Watch("route/", func(k, v string) {
 		name := strings.TrimPrefix(k, "route/")

@@ -32,19 +32,13 @@ var (
 // start it must eventually call StopHealth (the live gateway does so on
 // shutdown; batch harnesses schedule it at the horizon).
 
-func (c *Cluster) leaseTTL() time.Duration {
-	if c.cfg.LeaseTTL > 0 {
-		return c.cfg.LeaseTTL
-	}
-	return 3 * time.Second
-}
-
-func (c *Cluster) healthPoll() time.Duration {
-	if c.cfg.HealthPoll > 0 {
-		return c.cfg.HealthPoll
-	}
-	return time.Second
-}
+// Health timings, which only matter once StartHealth is called.
+const (
+	// leaseTTL is how long an instance's health lease stays valid without
+	// renewal; instances renew every leaseTTL/2.
+	leaseTTL   = 3 * time.Second
+	healthPoll = time.Second // the proxy's monitor interval
+)
 
 func leaseKey(dep, instance string) string    { return "lease/" + dep + "/" + instance }
 func failoverKey(dep, instance string) string { return "failover/" + dep + "/" + instance }
@@ -92,7 +86,7 @@ func (c *Cluster) renewLease(dep *Deployment, name string, attempt int) {
 	if c.healthStop || !dep.System.AliveNamed(name) {
 		return
 	}
-	expiry := c.eng.Now() + c.leaseTTL()
+	expiry := c.eng.Now() + leaseTTL
 	c.store.SetE(leaseKey(dep.Name, name), strconv.FormatInt(int64(expiry), 10), func(err error) {
 		if c.healthStop || !dep.System.AliveNamed(name) {
 			return
@@ -109,13 +103,13 @@ func (c *Cluster) renewLease(dep *Deployment, name string, attempt int) {
 			c.eng.After(delay, func() { c.renewLease(dep, name, next) })
 			return
 		}
-		c.eng.After(c.leaseTTL()/2, func() { c.renewLease(dep, name, 0) })
+		c.eng.After(leaseTTL/2, func() { c.renewLease(dep, name, 0) })
 	})
 }
 
 // monitor is the proxy's health poll: scan every lease, and for each expired
 // one whose instance is confirmed dead, claim the failover via CAS and
-// recover the orphans. Runs every HealthPoll until StopHealth.
+// recover the orphans. Runs every healthPoll until StopHealth.
 func (c *Cluster) monitor() {
 	if c.healthStop {
 		return
@@ -176,7 +170,7 @@ func (c *Cluster) monitor() {
 			})
 		}
 	}
-	c.eng.After(c.healthPoll(), func() { c.monitor() })
+	c.eng.After(healthPoll, func() { c.monitor() })
 }
 
 // CrashInstance fail-stops an instance. Target is either

@@ -123,7 +123,7 @@ func (d *decodeInstance) batchLimit(id model.ID) int64 {
 	if err != nil {
 		panic("core: register shape: " + err.Error())
 	}
-	limit := int64(float64(d.eng.KV().GPUCache.MaxTokens(class)) * d.sys.cfg.KVHeadroom)
+	limit := int64(float64(d.eng.KV().GPUCache.MaxTokens(class)) * kvHeadroom)
 	d.batchLimits[id] = limit
 	return limit
 }

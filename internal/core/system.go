@@ -40,24 +40,12 @@ type Config struct {
 	ModelSLOs map[string]slo.SLO
 
 	// Scheduler constants (§4.2, §4.3).
-	MaxGroupSize int           // MAX_GPSIZE, default 8
+	MaxGroupSize int           // MAX_GPSIZE, default DefaultMaxGroupSize
 	QMax         time.Duration // QMAX, default 4s
 
-	// Memory geometry. Zero values are auto-derived from the profile and
-	// model set.
-	WeightsRegionBytes int64
-	KVRegionBytes      int64
-	KVSlabBytes        int64
-	BlockTokens        int
-	HostDRAMBytes      int64
-
-	// KVHeadroom is the fraction of the GPU KV region the batch-size
-	// derivation may plan to fill (default 0.9).
-	KVHeadroom float64
-
-	// NodeGPUs is the number of GPUs per physical node (default 8, §7.1);
-	// host-memory capacity scales with the node count the pool spans.
-	NodeGPUs int
+	// Memory geometry.
+	BlockTokens   int
+	HostDRAMBytes int64
 
 	// Obs, when non-nil, is the observability collector receiving flat
 	// scheduler events, request span timelines, device op timelines, and
@@ -120,15 +108,29 @@ type Config struct {
 	// path byte-identical to a market-free build.
 	Market *market.Market
 
-	DaemonPoll time.Duration
+	// The VRAM split applyDefaults derives from the profile and model set:
+	// the weights region and the GPU KV region of every instance.
+	weightsRegion, kvRegion int64
 }
+
+// DefaultMaxGroupSize is MAX_GPSIZE (§4.2) when Config leaves it zero.
+const DefaultMaxGroupSize = 8
+
+const (
+	// kvHeadroom is the fraction of the GPU KV region the batch-size
+	// derivation may plan to fill.
+	kvHeadroom = 0.9
+	// nodeGPUs is the number of GPUs per physical node (§7.1); host-memory
+	// capacity scales with the node count the pool spans.
+	nodeGPUs = 8
+)
 
 func (c *Config) applyDefaults() {
 	if c.TP < 1 {
 		c.TP = 1
 	}
 	if c.MaxGroupSize <= 0 {
-		c.MaxGroupSize = 8
+		c.MaxGroupSize = DefaultMaxGroupSize
 	}
 	if c.QMax <= 0 {
 		c.QMax = 4 * time.Second
@@ -136,40 +138,14 @@ func (c *Config) applyDefaults() {
 	if c.BlockTokens <= 0 {
 		c.BlockTokens = 16
 	}
-	if c.KVSlabBytes <= 0 {
-		c.KVSlabBytes = defaultKVSlabBytes
-	}
-	if c.KVHeadroom <= 0 || c.KVHeadroom > 1 {
-		c.KVHeadroom = 0.9
-	}
 	if c.HostDRAMBytes <= 0 {
 		c.HostDRAMBytes = 2 << 40 // §7.1: 2 TB per node
 	}
-	if c.NodeGPUs <= 0 {
-		c.NodeGPUs = 8 // §7.1: eight GPUs per node
-	}
-	if c.WeightsRegionBytes == 0 || c.KVRegionBytes == 0 {
-		w, _, prefetch, err := c.regionsFor(c.Prof)
-		if err != nil {
-			panic(err)
-		}
-		c.Opts.Prefetch = prefetch
-		if c.WeightsRegionBytes == 0 {
-			c.WeightsRegionBytes = w
-		}
-		if c.KVRegionBytes == 0 {
-			usable := int64(float64(c.Prof.VRAMBytes) * 0.9)
-			c.KVRegionBytes = usable - c.WeightsRegionBytes
-			if c.KVRegionBytes < c.KVSlabBytes {
-				panic(fmt.Sprintf("core: no VRAM left for KV cache (weights %d, usable %d)",
-					c.WeightsRegionBytes, usable))
-			}
-		}
+	var err error
+	if c.weightsRegion, c.kvRegion, c.Opts.Prefetch, err = c.regionsFor(c.Prof); err != nil {
+		panic(err)
 	}
 }
-
-// defaultKVSlabBytes is the KV slab size when Config leaves it zero.
-const defaultKVSlabBytes = 64 << 20
 
 // LargestShard returns the model whose tp-way weight shard is largest, and
 // that shard's size in bytes: the model that sizes every weights region.
@@ -188,7 +164,7 @@ func LargestShard(models []*model.Model, tp int) (biggest *model.Model, shard in
 // colocation are left out: they only widen the weights region when the KV
 // region can spare it.
 func CheckFit(prof *latency.Profile, models []*model.Model, tp int) error {
-	c := Config{TP: tp, Models: models, KVSlabBytes: defaultKVSlabBytes}
+	c := Config{TP: tp, Models: models}
 	_, _, _, err := c.regionsFor(prof)
 	return err
 }
@@ -217,7 +193,7 @@ func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch 
 		}
 		weights = w
 		kv = usable - weights
-		if kv < c.KVSlabBytes {
+		if kv < engine.KVSlabBytes {
 			return 0, 0, false, fmt.Errorf("core: no VRAM left for KV cache under colocation (weights %d, usable %d)",
 				weights, usable)
 		}
@@ -236,7 +212,7 @@ func (c *Config) regionsFor(prof *latency.Profile) (weights, kv int64, prefetch 
 		prefetch = true
 	}
 	kv = usable - weights
-	if kv < c.KVSlabBytes {
+	if kv < engine.KVSlabBytes {
 		return 0, 0, false, fmt.Errorf("core: no VRAM left for KV cache (weights %d, usable %d)",
 			weights, usable)
 	}
@@ -306,11 +282,11 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	if cfg.NumPrefill < 1 || cfg.NumDecode < 1 {
 		panic("core: need at least one prefill and one decode instance")
 	}
-	// The pool spans ceil(totalGPUs / NodeGPUs) physical nodes; the model
+	// The pool spans ceil(totalGPUs / nodeGPUs) physical nodes; the model
 	// cache and unified CPU KV cache aggregate their DRAM (Fig. 5 shows one
 	// per node; we model the union, with KV transfers treated as intra-node).
 	totalGPUs := (cfg.NumPrefill + cfg.NumDecode) * cfg.TP
-	nodes := (totalGPUs + cfg.NodeGPUs - 1) / cfg.NodeGPUs
+	nodes := (totalGPUs + nodeGPUs - 1) / nodeGPUs
 	if nodes < 1 {
 		nodes = 1
 	}
@@ -320,7 +296,7 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 		cfg:        cfg,
 		modelCache: memory.NewModelCache(int64(float64(dram) * 0.6)),
 		cpuKV: kvcache.NewCache("cpu-kv", int64(float64(dram)*0.3),
-			cfg.KVSlabBytes, cfg.BlockTokens),
+			engine.KVSlabBytes, cfg.BlockTokens),
 		ids:         ids,
 		models:      map[string]model.ID{},
 		orphans:     map[string][]*Request{},
@@ -353,7 +329,7 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	}
 	mkEngine := func(name string) *engine.Engine {
 		prof, opts := cfg.Prof, cfg.Opts
-		weights, kvRegion := cfg.WeightsRegionBytes, cfg.KVRegionBytes
+		weights, kvRegion := cfg.weightsRegion, cfg.kvRegion
 		if cls := cfg.Market.Register(name); cls != nil && cls.Prof != nil && cls.Prof.Name != prof.Name {
 			// Heterogeneous pool: the instance runs its market class's
 			// hardware, with a VRAM split derived for that class's capacity
@@ -373,11 +349,9 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 			Opts:               opts,
 			WeightsRegionBytes: weights,
 			KVRegionBytes:      kvRegion,
-			KVSlabBytes:        cfg.KVSlabBytes,
 			BlockTokens:        cfg.BlockTokens,
 			ModelCache:         s.modelCache,
 			CPUKV:              s.cpuKV,
-			DaemonPoll:         cfg.DaemonPoll,
 			Obs:                cfg.Obs,
 			Fleet:              cfg.Fleet,
 			Faults:             cfg.Faults,

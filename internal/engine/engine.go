@@ -64,6 +64,15 @@ func AllOptimizations() Options {
 // Unoptimized returns the default preemptive auto-scaling process (T0).
 func Unoptimized() Options { return Options{} }
 
+// KVSlabBytes is the slab size of every KV cache, GPU and host alike.
+const KVSlabBytes = 64 << 20
+
+// remoteLoadBPS is the bandwidth of the tier below the host model cache
+// (bytes/s): production nodes keep provisioned model checkpoints on local
+// NVMe (§2.3 — auto-scaling loads weights "from host memory or SSDs"); a
+// genuinely remote registry would be slower.
+const remoteLoadBPS = 6e9
+
 // Config parameterizes an engine instance.
 type Config struct {
 	Prof *latency.Profile
@@ -74,21 +83,11 @@ type Config struct {
 	// unified GPU KV cache region (Fig. 9).
 	WeightsRegionBytes int64
 	KVRegionBytes      int64
-	KVSlabBytes        int64
 	BlockTokens        int
 
 	// Node-shared resources.
 	ModelCache *memory.ModelCache
 	CPUKV      *kvcache.Cache
-
-	// RemoteLoadBPS is the bandwidth of the tier below the host model cache
-	// (bytes/s). Default 6 GB/s: production nodes keep provisioned model
-	// checkpoints on local NVMe (§2.3 — auto-scaling loads weights "from
-	// host memory or SSDs"); a genuinely remote registry would be slower.
-	RemoteLoadBPS float64
-
-	// Move-list daemon poll interval (0 = reclaim on completion).
-	DaemonPoll time.Duration
 
 	// Obs receives device op timelines and switch-cost attribution. Nil
 	// disables capture at zero overhead.
@@ -194,12 +193,6 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 	if cfg.BlockTokens <= 0 {
 		cfg.BlockTokens = 16
 	}
-	if cfg.KVSlabBytes <= 0 {
-		cfg.KVSlabBytes = 64 << 20
-	}
-	if cfg.RemoteLoadBPS <= 0 {
-		cfg.RemoteLoadBPS = 6e9 // local NVMe tier
-	}
 	dev := gpu.NewDevice(se, name)
 	e := &Engine{
 		Name:     name,
@@ -216,8 +209,8 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 		e.region = memory.NewRegionAlloc(cfg.WeightsRegionBytes)
 		e.residents = map[string]*resident{}
 	}
-	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, cfg.KVSlabBytes, cfg.BlockTokens)
-	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, cfg.DaemonPoll)
+	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, KVSlabBytes, cfg.BlockTokens)
+	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, 0)
 	e.kv.SetFaults(cfg.Faults, name, cfg.Obs)
 	cfg.Obs.ObserveDevice(dev)
 	cfg.Fleet.ObserveDevice(dev)
@@ -323,10 +316,8 @@ func (e *Engine) switchColocated(id model.ID, m *model.Model, start sim.Time, do
 				dur = e.CostFor(id).Switch()
 			} else {
 				e.stats.CacheMisses++
-				fetch := time.Duration(float64(m.WeightBytes()) / e.cfg.RemoteLoadBPS *
-					float64(time.Second) * e.cfg.Faults.FetchFactor())
 				_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-				dur = e.CostFor(id).Switch() + fetch
+				dur = e.CostFor(id).Switch() + e.fetchTime(m)
 			}
 			ls := e.eng.Now()
 			submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
@@ -670,6 +661,12 @@ func (e *Engine) loadWeights(id model.ID, m *model.Model, done func()) {
 	loadFromHost()
 }
 
+// fetchTime is how long m's weights take to arrive from the tier below the
+// host model cache, under any injected fetch slowdown.
+func (e *Engine) fetchTime(m *model.Model) time.Duration {
+	return time.Duration(float64(m.WeightBytes()) / remoteLoadBPS * float64(time.Second) * e.cfg.Faults.FetchFactor())
+}
+
 // fetchRemote pulls m's weights from the tier below the host model cache and
 // fires done once they are cached. Injected fetch failures retry with
 // jittered exponential backoff; when the bounded attempt budget is exhausted
@@ -679,8 +676,7 @@ func (e *Engine) loadWeights(id model.ID, m *model.Model, done func()) {
 // timing is identical to a fault-free build.
 func (e *Engine) fetchRemote(id model.ID, m *model.Model, attempt int, done func()) {
 	e.awaitFetchable(m, attempt, func() {
-		fetch := time.Duration(float64(m.WeightBytes()) / e.cfg.RemoteLoadBPS *
-			float64(time.Second) * e.cfg.Faults.FetchFactor())
+		fetch := e.fetchTime(m)
 		fs := e.eng.Now()
 		e.cfg.Fleet.Enter(e.Name, fleetobs.Fetch, id)
 		e.eng.After(fetch, func() {
@@ -761,8 +757,7 @@ func (e *Engine) StartPrefetch(id model.ID) bool {
 		dur = e.CostFor(id).Switch()
 	} else {
 		e.stats.CacheMisses++
-		dur = e.CostFor(id).Switch() +
-			time.Duration(float64(m.WeightBytes())/e.cfg.RemoteLoadBPS*float64(time.Second)*e.cfg.Faults.FetchFactor())
+		dur = e.CostFor(id).Switch() + e.fetchTime(m)
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	e.prefetchPending = true
@@ -802,8 +797,7 @@ func (e *Engine) prefetchColocated(id model.ID, m *model.Model) bool {
 		dur = e.CostFor(id).Switch()
 	} else {
 		e.stats.CacheMisses++
-		dur = e.CostFor(id).Switch() +
-			time.Duration(float64(m.WeightBytes())/e.cfg.RemoteLoadBPS*float64(time.Second)*e.cfg.Faults.FetchFactor())
+		dur = e.CostFor(id).Switch() + e.fetchTime(m)
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	submitChunked(e.prefetch, dur,

@@ -51,8 +51,6 @@ type Options struct {
 	Burst int
 	// MaxTokensCap caps per-request max_tokens (default 4096).
 	MaxTokensCap int
-	// QuantileSamples bounds the TTFT/TBT reservoirs (default 8192).
-	QuantileSamples int
 	// Obs, when non-nil, is the observability collector backing the /debug
 	// endpoints. A nil collector keeps the serving hot path allocation-free
 	// and makes /debug/* answer 404.
@@ -61,12 +59,6 @@ type Options struct {
 	// /debug/slo/alerts, the /debug/dash dashboard, and the per-model SLO
 	// families on /metrics. Nil makes those endpoints answer 404.
 	SLOMon *slomon.Monitor
-	// BreakerThreshold trips a model's circuit breaker after that many
-	// consecutive failures (default 3); BreakerCooldown is how long it stays
-	// open before a probe (default 5s). Breakers guard HTTP admission on the
-	// wall clock.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// ShedFraction is the occupancy (fraction of MaxInFlight) above which
 	// the gateway degrades gracefully: requests to cold models — those with
 	// no admitted work, whose service would force an extra model switch —
@@ -95,6 +87,18 @@ type Options struct {
 	Pprof bool
 }
 
+const (
+	quantileSamples = 8192 // bound of the TTFT/TBT reservoirs
+	// breakerThreshold trips a model's circuit breaker after that many
+	// consecutive failures; breakerCooldown is how long it stays open
+	// before a probe. Breakers guard HTTP admission on the wall clock.
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+	// switchCostHint seeds predictive admission's per-switch cost until
+	// observed switch records exist.
+	switchCostHint = 300 * time.Millisecond
+)
+
 // OverloadOptions tunes the gateway side of overload control.
 type OverloadOptions struct {
 	// Controller is the brownout state machine (created if nil). The
@@ -104,12 +108,6 @@ type OverloadOptions struct {
 	// TTFT is the first-token target predictive admission defends
 	// (default 10s, the paper's production TTFT SLO).
 	TTFT time.Duration
-	// GroupSize is the scheduler's prefill group size, which sets how many
-	// queued requests amortize one model switch in the estimate (default 8).
-	GroupSize int
-	// SwitchCostHint seeds the per-switch cost until observed switch records
-	// exist (default 300ms).
-	SwitchCostHint time.Duration
 	// ThroughputFloor clamps the prefill-throughput estimate (tokens/s,
 	// default 2000). The estimate is derived from observed TTFTs, which
 	// include queueing, so it is biased low; the floor keeps that honest
@@ -128,12 +126,6 @@ func (o *OverloadOptions) defaults() {
 	}
 	if o.TTFT <= 0 {
 		o.TTFT = 10 * time.Second
-	}
-	if o.GroupSize <= 0 {
-		o.GroupSize = 8
-	}
-	if o.SwitchCostHint <= 0 {
-		o.SwitchCostHint = 300 * time.Millisecond
 	}
 	if o.ThroughputFloor <= 0 {
 		o.ThroughputFloor = 2000
@@ -168,9 +160,6 @@ func (o *Options) defaults() {
 	}
 	if o.MaxTokensCap <= 0 {
 		o.MaxTokensCap = 4096
-	}
-	if o.QuantileSamples <= 0 {
-		o.QuantileSamples = 8192
 	}
 	if o.ShedFraction <= 0 || o.ShedFraction > 1 {
 		o.ShedFraction = 0.9
@@ -241,8 +230,8 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 		bucket:    newTokenBucket(opts.RatePerSec, opts.Burst, time.Now()),
 		brownStop: make(chan struct{}),
 		drained:   make(chan struct{}),
-		ttft:      metrics.NewSafeCDF(opts.QuantileSamples),
-		tbt:       metrics.NewSafeCDF(opts.QuantileSamples),
+		ttft:      metrics.NewSafeCDF(quantileSamples),
+		tbt:       metrics.NewSafeCDF(quantileSamples),
 		// 10ms..~41s and 2.5ms..~10s: wide enough to bucket both snappy
 		// token streams and deeply queued overload tails.
 		ttftHist: metrics.NewHistogram(metrics.ExponentialBounds(0.01, 2, 12)...),
@@ -250,7 +239,7 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 	}
 	if ov := opts.Overload; ov != nil {
 		g.tput = ov.ThroughputFloor
-		g.switchEst = ov.SwitchCostHint
+		g.switchEst = switchCostHint
 		g.retry = newRetryBudget(ov.RetryRatio, ov.RetryBurst)
 		g.ovlRejected = make(map[string]uint64, len(overloadReasons))
 		for _, r := range overloadReasons {
@@ -475,7 +464,7 @@ func (g *Gateway) Admitted() uint64 {
 func (g *Gateway) breakerFor(model string) *fault.Breaker {
 	br := g.breakers[model]
 	if br == nil {
-		br = fault.NewBreaker(g.opts.BreakerThreshold, g.opts.BreakerCooldown)
+		br = fault.NewBreaker(breakerThreshold, breakerCooldown)
 		g.breakers[model] = br
 	}
 	return br
@@ -550,7 +539,7 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 				for rank := prio.Rank(); rank < workload.NumPriorities; rank++ {
 					depth += g.queuedPrio[rank]
 				}
-				est := EstimateTTFT(depth, g.switchEstLocked(time.Now()), g.tput, inTok, ov.GroupSize)
+				est := EstimateTTFT(depth, g.switchEstLocked(time.Now()), g.tput, inTok, core.DefaultMaxGroupSize)
 				estTTFT = est
 				if est > ov.TTFT {
 					code, reason = http.StatusServiceUnavailable, "predicted_ttft_miss"

@@ -3,6 +3,8 @@ package gateway
 import (
 	"encoding/json"
 	"net/http"
+
+	"aegaeon/internal/core"
 )
 
 // handleDebugOverload reports the overload-control plane: brownout level and
@@ -11,12 +13,12 @@ import (
 func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
 	ov := g.opts.Overload
 	g.mu.Lock()
-	est := EstimateTTFT(g.depthAtLocked(0), g.switchEst, g.tput, 150, ov.GroupSize)
+	est := EstimateTTFT(g.depthAtLocked(0), g.switchEst, g.tput, 150, core.DefaultMaxGroupSize)
 	estimator := map[string]any{
 		"queue_depth":          g.inflight,
 		"throughput_tok_per_s": g.tput,
 		"switch_cost_s":        g.switchEst.Seconds(),
-		"group_size":           ov.GroupSize,
+		"group_size":           core.DefaultMaxGroupSize,
 		"ttft_target_s":        ov.TTFT.Seconds(),
 		"est_ttft_150tok_s":    est.Seconds(),
 	}

@@ -32,16 +32,18 @@ type Config struct {
 	Seed int64
 	// Tick is the price-trace tick period (default 10s).
 	Tick sim.Time
-	// MinHeadroomFrac disqualifies a device while its free-VRAM fraction
-	// in the KV pool is below this floor (default 0.02).
-	MinHeadroomFrac float64
-	// ErrorEvict disqualifies a device after this many recorded errors
-	// (default 3).
-	ErrorEvict int
-	// RiskWeight scales the preemption-risk placement penalty into
-	// queue-depth units (default 8).
-	RiskWeight float64
 }
+
+const (
+	// minHeadroomFrac disqualifies a device while its free-VRAM fraction
+	// in the KV pool is below this floor.
+	minHeadroomFrac = 0.02
+	// errorEvict disqualifies a device after this many recorded errors.
+	errorEvict = 3
+	// riskWeight scales the preemption-risk placement penalty into
+	// queue-depth units.
+	riskWeight = 8
+)
 
 func (c *Config) applyDefaults() {
 	if len(c.Classes) == 0 {
@@ -52,15 +54,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Tick <= 0 {
 		c.Tick = 10 * time.Second
-	}
-	if c.MinHeadroomFrac <= 0 {
-		c.MinHeadroomFrac = 0.02
-	}
-	if c.ErrorEvict <= 0 {
-		c.ErrorEvict = 3
-	}
-	if c.RiskWeight <= 0 {
-		c.RiskWeight = 8
 	}
 }
 
@@ -434,7 +427,7 @@ func (m *Market) NoteError(name string) {
 		return
 	}
 	d.errors++
-	if d.errors >= m.cfg.ErrorEvict && !d.disqualified {
+	if d.errors >= errorEvict && !d.disqualified {
 		d.disqualified = true
 		m.stats.Disqualifications++
 	}
@@ -449,7 +442,7 @@ func (m *Market) NoteHeadroom(name string, freeFrac float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
-		d.lowHeadroom = freeFrac < m.cfg.MinHeadroomFrac
+		d.lowHeadroom = freeFrac < minHeadroomFrac
 	}
 }
 
@@ -506,7 +499,7 @@ func (m *Market) CapabilityScore(name string) float64 {
 //
 // The risk model: the probability the device is reclaimed while the switch
 // investment amortizes is 1 - exp(-switchCost/MTBF) (exponential lifetime);
-// scaled by RiskWeight and topped with the throttle slowdown, weaker and
+// scaled by riskWeight and topped with the throttle slowdown, weaker and
 // riskier devices lose ties unless the load imbalance pays for the risk.
 func (m *Market) PlacementPenalty(name string, switchCost sim.Time) (float64, bool) {
 	if m == nil || !m.cfg.Aware {
@@ -524,7 +517,7 @@ func (m *Market) PlacementPenalty(name string, switchCost sim.Time) (float64, bo
 	penalty := 0.0
 	if m.cfg.Spot && d.class.ReclaimMTBF > 0 {
 		risk := 1 - math.Exp(-switchCost.Seconds()/d.class.ReclaimMTBF.Seconds())
-		penalty += m.cfg.RiskWeight * risk
+		penalty += riskWeight * risk
 	}
 	if d.throttle > 1 {
 		penalty += d.throttle - 1

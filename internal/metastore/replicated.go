@@ -11,9 +11,9 @@
 //     commit directly (predecessors commit implicitly).
 //   - Each new leader appends a no-op barrier entry and serves linearizable
 //     reads only once that barrier is applied AND its lease is valid. The
-//     lease extends to roundStart+LeaseSpan when a majority acks a
-//     heartbeat round; voters hold votes for ElectionTimeout after hearing
-//     a leader (and after restarting), and LeaseSpan < ElectionTimeout, so
+//     lease extends to roundStart+leaseSpan when a majority acks a
+//     heartbeat round; voters hold votes for electionTimeout after hearing
+//     a leader (and after restarting), and leaseSpan < electionTimeout, so
 //     a stale leader's lease always expires before a new leader can rise.
 //   - GetSession is the weaker read-your-writes read: served by the
 //     session's home replica once it has applied past the session's floor
@@ -37,19 +37,28 @@ import (
 type RepConfig struct {
 	Replicas int           // quorum group size (default 3)
 	RTT      time.Duration // client<->replica round trip (default 1ms)
-	LinkRTT  time.Duration // replica<->replica round trip (default 500µs)
-
-	Heartbeat       time.Duration // leader heartbeat interval (default 100ms)
-	LeaseSpan       time.Duration // leader lease per acked round (default 240ms)
-	ElectionTimeout time.Duration // min election timeout; jitter adds up to
-	// the same again (default 400ms). Must exceed LeaseSpan or lease reads
-	// are unsafe; defaults() enforces it.
-	OpTimeout  time.Duration // client-side op deadline (default 1s)
-	RetryDelay time.Duration // client re-probe interval (default 100ms)
 
 	Seed          int64 // election jitter seed (default 1)
 	RecordHistory bool  // record every client op for the linearizability audit
 }
+
+// Replication timings.
+const (
+	linkRTT   = 500 * time.Microsecond // replica<->replica round trip
+	heartbeat = 100 * time.Millisecond // leader heartbeat interval
+	leaseSpan = 240 * time.Millisecond // leader lease per acked round
+	// electionTimeout is the minimum election timeout; jitter adds up to
+	// the same again.
+	electionTimeout = 400 * time.Millisecond
+	opTimeout       = time.Second            // client-side op deadline
+	retryDelay      = 100 * time.Millisecond // client re-probe interval
+)
+
+// Lease reads are safe only while a deposed leader's lease lapses before
+// any voter can elect its successor (DESIGN.md §16), so electionTimeout
+// must exceed leaseSpan. This constant overflows, failing the build, if it
+// does not.
+const _ = uint64(electionTimeout - leaseSpan - 1)
 
 func (c *RepConfig) defaults() {
 	if c.Replicas <= 0 {
@@ -57,27 +66,6 @@ func (c *RepConfig) defaults() {
 	}
 	if c.RTT <= 0 {
 		c.RTT = time.Millisecond
-	}
-	if c.LinkRTT <= 0 {
-		c.LinkRTT = 500 * time.Microsecond
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 100 * time.Millisecond
-	}
-	if c.LeaseSpan <= 0 {
-		c.LeaseSpan = 240 * time.Millisecond
-	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 400 * time.Millisecond
-	}
-	if c.ElectionTimeout <= c.LeaseSpan {
-		c.ElectionTimeout = c.LeaseSpan + c.LeaseSpan/2
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = time.Second
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 100 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -364,7 +352,7 @@ func (r *Replicated) Stop() {
 func (r *Replicated) quorum() int { return len(r.reps)/2 + 1 }
 
 func (r *Replicated) drawTimeout() sim.Time {
-	et := int64(r.cfg.ElectionTimeout)
+	et := int64(electionTimeout)
 	return sim.Time(et + r.rng.Int63n(et))
 }
 
@@ -409,7 +397,7 @@ func (r *Replicated) up(from, to int) bool {
 }
 
 func (r *Replicated) linkDelay(from, to int) time.Duration {
-	base := r.cfg.LinkRTT / 2
+	base := linkRTT / 2
 	if from == client || to == client {
 		base = r.cfg.RTT / 2
 	}
@@ -569,7 +557,7 @@ func (r *Replicated) restartReplica(rp *replica) {
 	// Hold votes for a full election timeout: this replica may have acked a
 	// lease round just before crashing, and granting instantly could elect
 	// a new leader while that lease is still valid.
-	rp.holdUntil = r.eng.Now() + r.cfg.ElectionTimeout
+	rp.holdUntil = r.eng.Now() + electionTimeout
 	rp.armElection()
 }
 
@@ -710,7 +698,7 @@ func (rp *replica) becomeLeader() {
 			return
 		}
 		rp.broadcastAppend()
-		r.eng.After(r.cfg.Heartbeat, tick)
+		r.eng.After(heartbeat, tick)
 	}
 	tick()
 	if n == 1 {
@@ -761,7 +749,7 @@ func (rp *replica) broadcastAppend() {
 		rp.rounds[now] = 0
 	}
 	for k := range rp.rounds {
-		if k < now-4*sim.Time(r.cfg.LeaseSpan) {
+		if k < now-4*sim.Time(leaseSpan) {
 			delete(rp.rounds, k)
 		}
 	}
@@ -813,7 +801,7 @@ func (rp *replica) onAppend(m aeMsg, reply func(aeResp)) {
 	}
 	rp.leaderID = m.leader
 	rp.lastHeard = r.eng.Now()
-	rp.holdUntil = r.eng.Now() + r.cfg.ElectionTimeout
+	rp.holdUntil = r.eng.Now() + electionTimeout
 	if m.prevIdx > uint64(len(rp.log)) ||
 		(m.prevIdx > 0 && rp.log[m.prevIdx-1].term != m.prevTerm) {
 		hint := uint64(len(rp.log))
@@ -898,7 +886,7 @@ func (rp *replica) onAppendResp(m aeResp) {
 	if n, ok := rp.rounds[m.round]; ok {
 		n++
 		if n+1 >= r.quorum() {
-			if until := m.round + sim.Time(r.cfg.LeaseSpan); until > rp.leaseUntil {
+			if until := m.round + sim.Time(leaseSpan); until > rp.leaseUntil {
 				rp.leaseUntil = until
 			}
 			delete(rp.rounds, m.round)
@@ -1126,7 +1114,7 @@ func (r *Replicated) submit(kind opc, key, val, old string, sess *Session, fin f
 	}
 	r.pend[po.id] = po
 	po.recIdx = r.hist.invoke(po.id, sess.name, kind, key, val, old, po.floor, r.eng.Now())
-	po.timeoutEv = r.eng.After(r.cfg.OpTimeout, func() { r.failOp(po) })
+	po.timeoutEv = r.eng.After(opTimeout, func() { r.failOp(po) })
 	r.attempt(po, -1)
 }
 
@@ -1157,7 +1145,7 @@ func (r *Replicated) attempt(po *pendingOp, prefer int) {
 		po.sent = true
 	}
 	po.retryEv.Cancel()
-	po.retryEv = r.eng.After(r.cfg.RetryDelay, func() { r.attempt(po, -1) })
+	po.retryEv = r.eng.After(retryDelay, func() { r.attempt(po, -1) })
 }
 
 func (r *Replicated) failOp(po *pendingOp) {

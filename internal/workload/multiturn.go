@@ -33,27 +33,24 @@ func systemSeed(model string) uint64 { return SeedString("system\x00" + model) }
 type MultiTurnConfig struct {
 	// MeanTurns is the mean conversation length (geometric). Default 5.
 	MeanTurns float64
-	// MeanThink is the mean user think time between turns (exponential).
-	// Default 20s — humans read the answer before replying.
-	MeanThink time.Duration
 	// SystemPromptTokens prepends a per-model shared system prompt to every
 	// turn. Zero means none.
 	SystemPromptTokens int
-	// ServiceEstimate approximates a turn's completion latency when placing
-	// the next turn's arrival (the generator is open-loop and cannot observe
-	// real completions). Default 8s.
-	ServiceEstimate time.Duration
 }
+
+const (
+	// chatThink is the mean user think time between turns (exponential):
+	// humans read the answer before replying.
+	chatThink = 20 * time.Second
+	// chatService approximates a turn's completion latency when placing
+	// the next turn's arrival (the generator is open-loop and cannot
+	// observe real completions).
+	chatService = 8 * time.Second
+)
 
 func (c *MultiTurnConfig) defaults() {
 	if c.MeanTurns <= 1 {
 		c.MeanTurns = 5
-	}
-	if c.MeanThink <= 0 {
-		c.MeanThink = 20 * time.Second
-	}
-	if c.ServiceEstimate <= 0 {
-		c.ServiceEstimate = 8 * time.Second
 	}
 }
 
@@ -103,8 +100,8 @@ func MultiTurnTrace(rng *rand.Rand, models []string, sessionRate float64, horizo
 				if rng.Float64() >= pCont {
 					break
 				}
-				at += cfg.ServiceEstimate +
-					time.Duration(rng.ExpFloat64()*float64(cfg.MeanThink))
+				at += chatService +
+					time.Duration(rng.ExpFloat64()*float64(chatThink))
 				if at >= horizon {
 					break
 				}
@@ -117,38 +114,29 @@ func MultiTurnTrace(rng *rand.Rand, models []string, sessionRate float64, horizo
 
 // AgenticConfig parameterizes AgenticTrace.
 type AgenticConfig struct {
-	// MeanCalls is the mean number of tool-call iterations per task
-	// (geometric). Default 6.
-	MeanCalls float64
-	// ToolLatency is the mean gap between a response and the follow-up
-	// request carrying the tool result (exponential). Default 2s — tool
-	// execution, not human thinking, so much tighter than chat.
-	ToolLatency time.Duration
-	// ToolResultTokens is the mean size of an injected tool result
-	// (exponential, min 8). Default 256.
-	ToolResultTokens int
 	// SystemPromptTokens prepends a per-model agent scaffold prompt.
 	// Default 512 — agent harnesses carry large tool schemas.
 	SystemPromptTokens int
-	// ServiceEstimate approximates a step's completion latency. Default 6s.
-	ServiceEstimate time.Duration
 }
 
+const (
+	// agentCalls is the mean number of tool-call iterations per task
+	// (geometric). A float, so 1/agentCalls is not integer division.
+	agentCalls float64 = 6
+	// toolLatency is the mean gap between a response and the follow-up
+	// request carrying the tool result (exponential): tool execution, not
+	// human thinking, so much tighter than chat.
+	toolLatency = 2 * time.Second
+	// toolResultTokens is the mean size of an injected tool result
+	// (exponential, min 8).
+	toolResultTokens = 256
+	// agentService approximates a step's completion latency.
+	agentService = 6 * time.Second
+)
+
 func (c *AgenticConfig) defaults() {
-	if c.MeanCalls <= 1 {
-		c.MeanCalls = 6
-	}
-	if c.ToolLatency <= 0 {
-		c.ToolLatency = 2 * time.Second
-	}
-	if c.ToolResultTokens <= 0 {
-		c.ToolResultTokens = 256
-	}
 	if c.SystemPromptTokens <= 0 {
 		c.SystemPromptTokens = 512
-	}
-	if c.ServiceEstimate <= 0 {
-		c.ServiceEstimate = 6 * time.Second
 	}
 }
 
@@ -160,7 +148,7 @@ func (c *AgenticConfig) defaults() {
 // prefix reusers.
 func AgenticTrace(rng *rand.Rand, models []string, taskRate float64, horizon time.Duration, ds Dataset, cfg AgenticConfig) []Request {
 	cfg.defaults()
-	pCont := 1 - 1/cfg.MeanCalls
+	pCont := 1 - 1/agentCalls
 	var out []Request
 	task := 0
 	for _, m := range models {
@@ -192,13 +180,13 @@ func AgenticTrace(rng *rand.Rand, models []string, taskRate float64, horizon tim
 						{Seed: streamSeed, Len: ctx},
 					},
 				})
-				toolResult := 8 + int(rng.ExpFloat64()*float64(cfg.ToolResultTokens))
+				toolResult := 8 + int(rng.ExpFloat64()*float64(toolResultTokens))
 				ctx += o + toolResult
 				if rng.Float64() >= pCont {
 					break
 				}
-				at += cfg.ServiceEstimate +
-					time.Duration(rng.ExpFloat64()*float64(cfg.ToolLatency))
+				at += agentService +
+					time.Duration(rng.ExpFloat64()*float64(toolLatency))
 				if at >= horizon {
 					break
 				}
