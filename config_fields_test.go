@@ -79,7 +79,7 @@ var configFieldsSetOnlyByTests = map[string]string{
 // Packages are type-checked from source with every standard-library import
 // left empty, so a selector the checker cannot resolve counts as a write to
 // every config field of that name: a name collision can hide an unset
-// field, but a set field is never reported.
+// field, but a field some non-test statement writes is never reported.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	m := loadModule(t)
 	fields, byName := m.configFields()
@@ -111,7 +111,7 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 }
 
 type modulePkg struct {
-	path, dir string
+	path      string
 	files     []*ast.File
 	imports   []string
 	testFiles []string
@@ -145,7 +145,7 @@ func loadModule(t *testing.T) *moduleSrc {
 			}
 			return err
 		}
-		p := &modulePkg{path: path.Join("aegaeon", filepath.ToSlash(dir)), dir: dir, imports: bp.Imports}
+		p := &modulePkg{path: path.Join("aegaeon", filepath.ToSlash(dir)), imports: bp.Imports}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
 			if err != nil {

@@ -210,7 +210,7 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 		e.residents = map[string]*resident{}
 	}
 	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, KVSlabBytes, cfg.BlockTokens)
-	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, 0)
+	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, 0) // reclaim on completion, no daemon poll
 	e.kv.SetFaults(cfg.Faults, name, cfg.Obs)
 	cfg.Obs.ObserveDevice(dev)
 	cfg.Fleet.ObserveDevice(dev)
