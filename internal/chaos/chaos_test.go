@@ -302,7 +302,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 		n := 0
 		for {
 			_ = pc.Stats()
-			_, _ = pc.MatchTokensOn("prefill1", names[0], sysHashes, 129)
+			_, _ = pc.Match(names[0], sysHashes, 129, nil)
 			_ = pc.HostResidentBytes()
 			if bad := pc.CheckConsistency(); len(bad) != 0 {
 				t.Errorf("mid-run consistency: %v", bad)

@@ -42,6 +42,7 @@ type prefillInstance struct {
 	dead     bool
 	inflight *Request // job currently prefilling (crash recovery)
 	feed     tokenFeed
+	tier     int // the instance's device tier in the prefix cache
 }
 
 func newPrefillInstance(s *System, e *engine.Engine) *prefillInstance {

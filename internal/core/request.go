@@ -129,8 +129,8 @@ func (r *Request) recordToken(at sim.Time) {
 // promptHashes returns the prompt's chained chunk hashes over its
 // InputTokens/block whole blocks, computed on first use. Chained hashes are
 // prefix-stable, so every prefix-cache call for the request — routing's
-// MatchTokensOn on each prefill instance, Acquire and Insert — reads a
-// prefix of this one slice instead of hashing the prompt again.
+// Match, Acquire and Insert — reads a prefix of this one slice instead of
+// hashing the prompt again.
 func (r *Request) promptHashes(block int) []uint64 {
 	if r.chunkHashes == nil {
 		r.chunkHashes = prefixcache.ChunkHashes(r.Segments, r.InputTokens/block, block)

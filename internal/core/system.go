@@ -235,6 +235,10 @@ type System struct {
 	prefills []*prefillInstance
 	decodes  []*decodeInstance
 
+	// prefixOnDevice is routing's per-tier device-resident prompt tokens,
+	// refilled by every prefix-cache Match call.
+	prefixOnDevice []int
+
 	tracker *slo.Tracker
 	// prioTrackers mirrors every tracker observation per service tier,
 	// indexed by workload.Priority, so overload reports can show that
@@ -372,12 +376,13 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	for i := 0; i < cfg.NumPrefill; i++ {
 		e := mkEngine(fmt.Sprintf("prefill%d", i))
 		e.WarmBoot() // instances are long-running; experiments start warm
-		s.prefills = append(s.prefills, newPrefillInstance(s, e))
+		p := newPrefillInstance(s, e)
+		s.prefills = append(s.prefills, p)
 		if s.prefix != nil {
 			// Only prefill instances hold device copies: that is where prompt
 			// KV is produced and reused. Decode instances receive KV through
 			// the existing swap-in path.
-			s.prefix.AttachDevice(e.Name, e.KV().GPUCache)
+			p.tier = s.prefix.AttachDevice(e.Name, e.KV().GPUCache)
 		}
 	}
 	for i := 0; i < cfg.NumDecode; i++ {
@@ -622,7 +627,9 @@ func (s *System) marketAllows(name string) bool {
 // subordinate to the PR 5 overload machinery.
 func (s *System) routePrefix(r *Request) *prefillInstance {
 	shape := r.Model.ShardKVShape(s.cfg.TP)
-	hashes := r.promptHashes(s.prefix.BlockTokens())
+	var matched int
+	matched, s.prefixOnDevice = s.prefix.Match(r.Model.Name, r.promptHashes(s.prefix.BlockTokens()),
+		r.InputTokens, s.prefixOnDevice)
 	full := 0
 	i := s.choose(r, decision.KindPrefillRouting, "cache-aware", false, len(s.prefills), func(i int) bid {
 		p := s.prefills[i]
@@ -636,7 +643,7 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 		pen := time.Duration(penS * float64(time.Second))
 		load := p.load()
 		score := load + pen
-		matched, onDevice := s.prefix.MatchTokensOn(p.eng.Name, r.Model.Name, hashes, r.InputTokens)
+		onDevice := s.prefixOnDevice[p.tier]
 		var saved, copyCost, credit time.Duration
 		if matched > 0 {
 			if full == 0 {

@@ -18,19 +18,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// tokenAt returns the deterministic token value at absolute position pos of
-// the prompt described by segs. Positions beyond the segments return 0s —
-// callers bound their walks by the segment sum.
-func tokenAt(segs []workload.PromptSeg, pos int) uint64 {
-	for _, s := range segs {
-		if pos < s.Len {
-			return splitmix64(s.Seed ^ splitmix64(uint64(pos)+1))
-		}
-		pos -= s.Len
-	}
-	return 0
-}
-
 // SegTokens returns the total token count described by the segments.
 func SegTokens(segs []workload.PromptSeg) int {
 	n := 0
@@ -54,11 +41,19 @@ func ChunkHashes(segs []workload.PromptSeg, nblocks, block int) []uint64 {
 	}
 	out := make([]uint64, 0, nblocks)
 	h := uint64(0x61656761656f6e00) // chain seed; arbitrary but fixed
-	pos := 0
+	// One pass over the segments: si is the current segment and off the
+	// next token's offset inside it. Empty segments are stepped over.
+	si, off := 0, 0
 	for k := 0; k < nblocks; k++ {
 		for i := 0; i < block; i++ {
-			h = splitmix64(h ^ tokenAt(segs, pos))
-			pos++
+			for off >= segs[si].Len {
+				si, off = si+1, 0
+			}
+			// A token depends on its segment's seed and its offset there
+			// only, so segments with one seed agree over their common
+			// length: that is how a later turn re-reads an earlier one.
+			h = splitmix64(h ^ splitmix64(segs[si].Seed^splitmix64(uint64(off)+1)))
+			off++
 		}
 		out = append(out, h)
 	}

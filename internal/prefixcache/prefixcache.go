@@ -19,6 +19,7 @@ package prefixcache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,7 +113,15 @@ type entry struct {
 	hostBlock  memory.Block
 	host       heapSlot // place among the host tier's victims
 
-	dev map[string]*devCopy // instance -> device copy
+	dev []*devCopy // by device tier index; nil where the tier holds no copy
+}
+
+// copyOn returns e's copy on device tier t, or nil.
+func (e *entry) copyOn(t int) *devCopy {
+	if t < 0 || t >= len(e.dev) {
+		return nil
+	}
+	return e.dev[t]
 }
 
 // devCopy is an entry's copy on one instance's device tier. Device residency
@@ -124,6 +133,44 @@ type devCopy struct {
 	slot     heapSlot // place among that instance's device victims
 }
 
+// devTier is one prefill instance's device tier. Tiers are numbered densely
+// in attach order; an entry's copies are indexed by that number.
+type devTier struct {
+	name    string
+	cache   *kvcache.Cache // nil once the instance is dropped, until re-attached
+	budget  int64
+	bytes   int64
+	victims victimHeap // unpinned device leaves on this tier
+}
+
+// arenaChunk is how many entries, copies or copy slots one arena refill
+// allocates.
+const arenaChunk = 256
+
+// recycler hands out objects from a free list, refilled from arena chunks,
+// so a cache at steady state allocates nothing. Callers zero what they put
+// back or overwrite what they get.
+type recycler[T any] struct {
+	free  []*T
+	arena []T
+}
+
+func (r *recycler[T]) get() *T {
+	if n := len(r.free); n > 0 {
+		x := r.free[n-1]
+		r.free = r.free[:n-1]
+		return x
+	}
+	if len(r.arena) == 0 {
+		r.arena = make([]T, arenaChunk)
+	}
+	x := &r.arena[0]
+	r.arena = r.arena[1:]
+	return x
+}
+
+func (r *recycler[T]) put(x *T) { r.free = append(r.free, x) }
+
 // Cache is the global prefix cache. All methods are safe for concurrent use:
 // the simulator core runs single-threaded, but gateway scrape handlers and
 // race tests touch the cache from other goroutines.
@@ -132,21 +179,26 @@ type Cache struct {
 	cfg  Config
 	host *kvcache.Cache
 
-	devices   map[string]*kvcache.Cache
-	devBudget map[string]int64
+	tiers  []devTier
+	tierOf map[string]int // instance -> index into tiers
 
 	block   int                          // tokens per block
 	index   map[string]map[uint64]*entry // model -> chunk hash -> entry
 	classes map[string]classInfo         // model -> host-registered class
 
 	hostBytes int64
-	devBytes  map[string]int64
 
-	// Eviction candidates, kept current on every pin, unpin and touch:
-	// unpinned host leaves, and per attached instance its unpinned device
-	// leaves.
+	// Eviction candidates among unpinned host leaves, kept current on every
+	// pin, unpin and touch. Each device tier keeps its own.
 	hostVictims victimHeap
-	devVictims  map[string]*victimHeap
+
+	// Recycled storage: host-evicted entries, evicted or dropped device
+	// copies, and the unused tail of the arena that entries' copy slots are
+	// carved from. scratch holds the chain of the current walk or insert.
+	entries   recycler[entry]
+	copies    recycler[devCopy]
+	slotArena []*devCopy
+	scratch   []*entry
 
 	st       stats
 	perModel map[string]*ModelStats
@@ -253,40 +305,75 @@ func New(cfg Config, host *kvcache.Cache) *Cache {
 		cfg.PromoteAfter = 1
 	}
 	c := &Cache{
-		cfg:        cfg,
-		host:       host,
-		devices:    map[string]*kvcache.Cache{},
-		devBudget:  map[string]int64{},
-		block:      host.BlockTokens(),
-		index:      map[string]map[uint64]*entry{},
-		classes:    map[string]classInfo{},
-		devBytes:   map[string]int64{},
-		devVictims: map[string]*victimHeap{},
-		perModel:   map[string]*ModelStats{},
+		cfg:      cfg,
+		host:     host,
+		tierOf:   map[string]int{},
+		block:    host.BlockTokens(),
+		index:    map[string]map[uint64]*entry{},
+		classes:  map[string]classInfo{},
+		perModel: map[string]*ModelStats{},
 	}
 	c.hostVictims.less = c.less
 	return c
 }
 
-// AttachDevice registers an instance's GPU KV cache as a device tier.
-// Promotions for that instance allocate from it. The granularity must match
-// the host tier's.
-func (c *Cache) AttachDevice(instance string, dev *kvcache.Cache) {
+// AttachDevice registers an instance's GPU KV cache as a device tier and
+// returns the tier's index, the position of its device-resident depth in
+// Match's result. Promotions for that instance allocate from it. Attaching
+// a name again (after DropInstance) reuses its index. The granularity must
+// match the host tier's.
+func (c *Cache) AttachDevice(instance string, dev *kvcache.Cache) int {
 	if dev.BlockTokens() != c.block {
 		panic(fmt.Sprintf("prefixcache: device tier %s block tokens %d != host %d",
 			instance, dev.BlockTokens(), c.block))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.devices[instance] = dev
-	if c.devVictims[instance] == nil {
-		c.devVictims[instance] = &victimHeap{less: c.less}
+	t, ok := c.tierOf[instance]
+	if !ok {
+		t = len(c.tiers)
+		c.tierOf[instance] = t
+		c.tiers = append(c.tiers, devTier{name: instance, victims: victimHeap{less: c.less}})
 	}
-	b := c.cfg.DeviceBytes
-	if b <= 0 {
-		b = dev.Pool().Capacity() / 8
+	tier := &c.tiers[t]
+	tier.cache = dev
+	tier.budget = c.cfg.DeviceBytes
+	if tier.budget <= 0 {
+		tier.budget = dev.Pool().Capacity() / 8
 	}
-	c.devBudget[instance] = b
+	return t
+}
+
+// tierIndex returns the instance's device tier index, or -1 when it was
+// never attached.
+func (c *Cache) tierIndex(instance string) int {
+	if t, ok := c.tierOf[instance]; ok {
+		return t
+	}
+	return -1
+}
+
+// freeCopy zeroes and recycles a device copy that has left its heap.
+func (c *Cache) freeCopy(d *devCopy) {
+	*d = devCopy{}
+	c.copies.put(d)
+}
+
+// setCopy records d as e's copy on tier t, first giving e one slot per
+// attached tier if it has fewer. Slots are carved from an arena, and a
+// recycled entry keeps its own.
+func (c *Cache) setCopy(e *entry, t int, d *devCopy) {
+	if t >= len(e.dev) {
+		n := len(c.tiers)
+		if len(c.slotArena) < n {
+			c.slotArena = make([]*devCopy, max(arenaChunk, n))
+		}
+		slots := c.slotArena[:n:n]
+		c.slotArena = c.slotArena[n:]
+		copy(slots, e.dev)
+		e.dev = slots
+	}
+	e.dev[t] = d
 }
 
 // Routing reports whether cache-aware placement is enabled.
@@ -327,20 +414,20 @@ func prefix(hashes []uint64, n int) []uint64 {
 
 // walk returns the resident chain matching the prompt's chunk hashes.
 // Leaf-only eviction guarantees the chain is contiguous from the root, so
-// the walk stops at the first absent chunk hash.
+// the walk stops at the first absent chunk hash. The chain lives in the
+// cache's scratch buffer and is valid until the next walk or insert.
 func (c *Cache) walk(m string, hashes []uint64) []*entry {
-	idx := c.index[m]
-	if idx == nil || len(hashes) == 0 {
-		return nil
-	}
-	var chain []*entry
-	for _, h := range hashes {
-		e := idx[h]
-		if e == nil {
-			break
+	chain := c.scratch[:0]
+	if idx := c.index[m]; idx != nil {
+		for _, h := range hashes {
+			e := idx[h]
+			if e == nil {
+				break
+			}
+			chain = append(chain, e)
 		}
-		chain = append(chain, e)
 	}
+	c.scratch = chain
 	return chain
 }
 
@@ -380,22 +467,23 @@ func (c *Cache) Acquire(instance, m string, shape model.KVShape, hashes []uint64
 	ms := c.modelStats(m)
 	ms.Lookups++
 
-	chain := c.walk(m, prefix(hashes, (tokens-1)/c.block))
-	if len(chain) == 0 {
+	walked := c.walk(m, prefix(hashes, (tokens-1)/c.block))
+	if len(walked) == 0 {
 		return nil
 	}
 
+	chain := make([]*entry, len(walked))
+	copy(chain, walked)
 	h := &Hit{c: c, instance: instance, chain: chain}
+	t := c.tierIndex(instance)
 	devDepth := 0
 	for i, e := range chain {
 		e.refs++
 		e.hits++
 		e.lastUse = now
 		c.refile(e)
-		if i == devDepth {
-			if _, ok := e.dev[instance]; ok {
-				devDepth++
-			}
+		if i == devDepth && e.copyOn(t) != nil {
+			devDepth++
 		}
 	}
 	h.MatchedTokens = len(chain) * c.block
@@ -424,7 +512,8 @@ func (c *Cache) Acquire(instance, m string, shape model.KVShape, hashes []uint64
 
 // Release unpins the hit's chain and promotes reused entries to the
 // consuming instance's device tier, budget permitting. Safe to call more
-// than once; only the first call acts.
+// than once; only the first call acts. It drops the hit's chain: once
+// unpinned, its entries may be evicted and recycled.
 func (h *Hit) Release(now sim.Time) {
 	if h == nil || h.released {
 		return
@@ -438,15 +527,15 @@ func (h *Hit) Release(now sim.Time) {
 	// a gap would strand everything after it). The chain stays pinned until
 	// promotion ends, so making room for one entry never evicts the copies
 	// of its ancestors: those copies are what make it reachable.
-	if dev := c.devices[h.instance]; dev != nil {
+	if t := c.tierIndex(h.instance); t >= 0 && c.tiers[t].cache != nil {
 		for _, e := range h.chain {
-			if _, ok := e.dev[h.instance]; ok {
+			if e.copyOn(t) != nil {
 				continue
 			}
 			if e.hits < uint64(c.cfg.PromoteAfter) {
 				break
 			}
-			if !c.promote(e, h.instance, dev, now) {
+			if !c.promote(e, t, now) {
 				break
 			}
 		}
@@ -457,34 +546,35 @@ func (h *Hit) Release(now sim.Time) {
 			c.refile(e)
 		}
 	}
+	h.chain = nil
 }
 
-// promote gives e a device copy on instance. Caller holds c.mu.
-func (c *Cache) promote(e *entry, instance string, dev *kvcache.Cache, now sim.Time) bool {
+// promote gives e a device copy on tier t. Caller holds c.mu.
+func (c *Cache) promote(e *entry, t int, now sim.Time) bool {
 	ci, ok := c.classes[e.model]
 	if !ok {
 		return false
 	}
-	if !c.ensureDeviceRoom(instance, e.blockBytes) {
+	if !c.ensureDeviceRoom(t, e.blockBytes) {
 		return false
 	}
-	id, err := dev.RegisterShape(ci.shape)
+	tier := &c.tiers[t]
+	id, err := tier.cache.RegisterShape(ci.shape)
 	if err != nil {
 		return false
 	}
-	b, err := dev.Pool().Alloc(id)
+	b, err := tier.cache.Pool().Alloc(id)
 	if err != nil {
 		// The instance's GPU pool is full of sequence KV; skip promotion
 		// rather than fight the serving path for VRAM.
 		return false
 	}
-	if e.dev == nil {
-		e.dev = map[string]*devCopy{}
-	}
-	e.dev[instance] = &devCopy{block: b, slot: heapSlot{e: e}}
-	c.devBytes[instance] += e.blockBytes
+	d := c.copies.get()
+	*d = devCopy{block: b, slot: heapSlot{e: e}}
+	c.setCopy(e, t, d)
+	tier.bytes += e.blockBytes
 	if p := e.parent; p != nil {
-		p.dev[instance].children++
+		p.dev[t].children++
 		c.refile(p)
 	}
 	e.lastUse = now
@@ -523,13 +613,15 @@ func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens in
 	c.st.inserts++
 
 	// Pin the path as it is walked/built so eviction triggered for block k
-	// cannot reclaim the blocks 0..k-1 just traversed or created.
-	var path []*entry
+	// cannot reclaim the blocks 0..k-1 just traversed or created. The path
+	// lives in the scratch buffer; nothing below walks.
+	path := c.scratch[:0]
 	defer func() {
 		for _, e := range path {
 			e.refs--
 			c.refile(e)
 		}
+		c.scratch = path
 	}()
 
 	var parent *entry
@@ -556,16 +648,10 @@ func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens in
 				return
 			}
 		}
-		e := &entry{
-			model:      m,
-			hash:       hsh,
-			depth:      k + 1,
-			parent:     parent,
-			refs:       1,
-			lastUse:    now,
-			blockBytes: ci.blockBytes,
-			hostBlock:  b,
-		}
+		// A recycled entry keeps its copy slots, all nil since its removal.
+		e := c.entries.get()
+		*e = entry{model: m, hash: hsh, depth: k + 1, parent: parent, refs: 1, lastUse: now,
+			blockBytes: ci.blockBytes, hostBlock: b, dev: e.dev}
 		e.host.e = e
 		if parent != nil {
 			parent.children++
@@ -637,8 +723,10 @@ func (e *entry) devVictim(d *devCopy) bool { return e.refs == 0 && d.children ==
 // its pins, children, device copies or order key. Caller holds c.mu.
 func (c *Cache) refile(e *entry) {
 	c.hostVictims.file(&e.host, e.hostVictim())
-	for inst, d := range e.dev {
-		c.devVictims[inst].file(&d.slot, e.devVictim(d))
+	for t, d := range e.dev {
+		if d != nil {
+			c.tiers[t].victims.file(&d.slot, e.devVictim(d))
+		}
 	}
 }
 
@@ -659,8 +747,8 @@ func (c *Cache) less(a, b *entry) bool {
 	return a.hash < b.hash
 }
 
-// removeEntry frees an unpinned leaf's host block and device copies and
-// unlinks it. Caller holds c.mu.
+// removeEntry frees an unpinned leaf's host block and device copies,
+// unlinks it and recycles it. Caller holds c.mu.
 func (c *Cache) removeEntry(e *entry) {
 	if err := c.host.Pool().Free(e.hostBlock); err != nil {
 		panic(fmt.Sprintf("prefixcache: host free: %v", err))
@@ -668,17 +756,23 @@ func (c *Cache) removeEntry(e *entry) {
 	c.hostBytes -= e.blockBytes
 	c.hostVictims.file(&e.host, false)
 	p := e.parent
-	for inst, d := range e.dev {
-		c.devVictims[inst].file(&d.slot, false)
-		if dev := c.devices[inst]; dev != nil {
-			if err := dev.Pool().Free(d.block); err != nil {
-				panic(fmt.Sprintf("prefixcache: device free on %s: %v", inst, err))
+	for t, d := range e.dev {
+		if d == nil {
+			continue
+		}
+		tier := &c.tiers[t]
+		tier.victims.file(&d.slot, false)
+		if tier.cache != nil {
+			if err := tier.cache.Pool().Free(d.block); err != nil {
+				panic(fmt.Sprintf("prefixcache: device free on %s: %v", tier.name, err))
 			}
 		}
-		c.devBytes[inst] -= e.blockBytes
+		tier.bytes -= e.blockBytes
 		if p != nil {
-			p.dev[inst].children--
+			p.dev[t].children--
 		}
+		e.dev[t] = nil
+		c.freeCopy(d)
 	}
 	if p != nil {
 		p.children--
@@ -688,38 +782,41 @@ func (c *Cache) removeEntry(e *entry) {
 	// reference to it across evictions it triggers, so dropping it here would
 	// orphan the map and lose the entries inserted after the eviction.
 	delete(c.index[e.model], e.hash)
+	*e = entry{dev: e.dev}
+	c.entries.put(e)
 }
 
-// ensureDeviceRoom evicts instance-local device copies until bb more bytes
-// fit that instance's budget.
-func (c *Cache) ensureDeviceRoom(instance string, bb int64) bool {
-	budget := c.devBudget[instance]
-	for c.devBytes[instance]+bb > budget {
-		if !c.evictDeviceOne(instance) {
+// ensureDeviceRoom evicts tier-local device copies until bb more bytes fit
+// that tier's budget.
+func (c *Cache) ensureDeviceRoom(t int, bb int64) bool {
+	tier := &c.tiers[t]
+	for tier.bytes+bb > tier.budget {
+		if !c.evictDeviceOne(t) {
 			return false
 		}
 	}
 	return true
 }
 
-// evictDeviceOne drops one unpinned device-leaf copy from instance. The
-// host copy stays; only the accelerator copy goes.
-func (c *Cache) evictDeviceOne(instance string) bool {
-	victims := c.devVictims[instance]
-	v := victims.min()
+// evictDeviceOne drops one unpinned device-leaf copy from tier t and
+// recycles it. The host copy stays; only the accelerator copy goes.
+func (c *Cache) evictDeviceOne(t int) bool {
+	tier := &c.tiers[t]
+	v := tier.victims.min()
 	if v == nil {
 		return false
 	}
-	c.journalEviction("device_evict", instance, v)
-	d := v.dev[instance]
-	victims.file(&d.slot, false)
-	if err := c.devices[instance].Pool().Free(d.block); err != nil {
-		panic(fmt.Sprintf("prefixcache: device free on %s: %v", instance, err))
+	c.journalEviction("device_evict", tier.name, v)
+	d := v.dev[t]
+	tier.victims.file(&d.slot, false)
+	if err := tier.cache.Pool().Free(d.block); err != nil {
+		panic(fmt.Sprintf("prefixcache: device free on %s: %v", tier.name, err))
 	}
-	delete(v.dev, instance)
-	c.devBytes[instance] -= v.blockBytes
+	v.dev[t] = nil
+	c.freeCopy(d)
+	tier.bytes -= v.blockBytes
 	if p := v.parent; p != nil {
-		p.dev[instance].children--
+		p.dev[t].children--
 		c.refile(p)
 	}
 	c.st.deviceEvictions++
@@ -732,13 +829,17 @@ func (c *Cache) evictDeviceOne(instance string) bool {
 func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	t := c.tierIndex(instance)
+	if t < 0 {
+		return 0
+	}
 	var freed int64
 	for freed < n {
-		before := c.devBytes[instance]
-		if !c.evictDeviceOne(instance) {
+		before := c.tiers[t].bytes
+		if !c.evictDeviceOne(t) {
 			break
 		}
-		freed += before - c.devBytes[instance]
+		freed += before - c.tiers[t].bytes
 	}
 	return freed
 }
@@ -746,42 +847,62 @@ func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
 // DropInstance forgets every device copy held by a crashed instance without
 // returning blocks to its pool — the VRAM died with the process. Future
 // promotions to the instance stop until it is re-attached. Every copy on the
-// instance goes at once, so the per-copy child counts and the instance's
-// victim heap go with them.
+// instance goes at once, so the per-copy child counts and the tier's victim
+// heap go with them; the tier keeps its index.
 func (c *Cache) DropInstance(instance string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	t := c.tierIndex(instance)
+	if t < 0 {
+		return
+	}
 	for _, idx := range c.index {
 		for _, e := range idx {
-			if _, ok := e.dev[instance]; ok {
-				delete(e.dev, instance)
+			if d := e.copyOn(t); d != nil {
+				e.dev[t] = nil
+				c.freeCopy(d)
 				c.st.deviceDrops++
 			}
 		}
 	}
-	c.devBytes[instance] = 0
-	delete(c.devices, instance)
-	delete(c.devBudget, instance)
-	delete(c.devVictims, instance)
+	tier := &c.tiers[t]
+	tier.cache = nil
+	tier.bytes = 0
+	clear(tier.victims.slots)
+	tier.victims.slots = tier.victims.slots[:0]
 }
 
-// MatchTokensOn reports, without mutating any state, how many prompt tokens
-// an instance could serve from cache (total) and how many of those are
-// already resident on its device tier. hashes are as for Acquire. The
-// router's placement score is built from this.
-func (c *Cache) MatchTokensOn(instance, m string, hashes []uint64, tokens int) (matched, onDevice int) {
+// Match reports, without touching any entry, how many prompt tokens the
+// cache could serve (matched) and how many of those are already resident
+// on each device tier, contiguous from the prompt start: onDevice[t] for the
+// tier AttachDevice numbered t. One walk serves every tier. onDevice is
+// reused when it has room, so a caller that keeps the returned slice
+// allocates nothing. hashes and tokens are as for Acquire. The router's
+// placement score is built from this.
+func (c *Cache) Match(m string, hashes []uint64, tokens int, onDevice []int) (matched int, _ []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	chain := c.walk(m, prefix(hashes, (tokens-1)/c.block))
-	devDepth := 0
+	onDevice = slices.Grow(onDevice[:0], len(c.tiers))[:len(c.tiers)]
+	clear(onDevice)
+	// onDevice counts blocks until the end: a tier is still contiguous at
+	// chain position i exactly when it holds i blocks.
 	for i, e := range chain {
-		if i == devDepth {
-			if _, ok := e.dev[instance]; ok {
-				devDepth++
+		extended := false
+		for t, d := range e.dev {
+			if d != nil && onDevice[t] == i {
+				onDevice[t]++
+				extended = true
 			}
 		}
+		if !extended {
+			break
+		}
 	}
-	return len(chain) * c.block, devDepth * c.block
+	for t := range onDevice {
+		onDevice[t] *= c.block
+	}
+	return len(chain) * c.block, onDevice
 }
 
 // Stats snapshots the cache.
@@ -805,16 +926,20 @@ func (c *Cache) Stats() Stats {
 	for m, ms := range c.perModel {
 		s.PerModel[m] = *ms
 	}
-	for inst, b := range c.devBytes {
-		if b != 0 {
-			s.DeviceBytesByInstance[inst] = b
+	for _, tier := range c.tiers {
+		if tier.bytes != 0 {
+			s.DeviceBytesByInstance[tier.name] = tier.bytes
 		}
-		s.DeviceBytes += b
+		s.DeviceBytes += tier.bytes
 	}
 	for _, idx := range c.index {
 		for _, e := range idx {
 			s.HostEntries++
-			s.DeviceCopies += len(e.dev)
+			for _, d := range e.dev {
+				if d != nil {
+					s.DeviceCopies++
+				}
+			}
 			if e.refs > 0 {
 				s.PinnedEntries++
 			}
@@ -852,25 +977,29 @@ func (c *Cache) HostResidentBytes() int64 {
 func (c *Cache) DeviceResidentBytes(instance string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.devBytes[instance]
+	if t := c.tierIndex(instance); t >= 0 {
+		return c.tiers[t].bytes
+	}
+	return 0
 }
 
 // CheckConsistency audits internal invariants and returns human-readable
 // violations (empty when healthy): byte accounting matches entry sums,
 // child/device-child counts match links, device residency is root-contiguous,
-// every non-root entry's parent is resident, no refcount is negative, and
-// each victim heap holds exactly its tier's eligible entries, each at the
-// position its slot records, in heap order.
+// every non-root entry's parent is resident, no refcount is negative, no
+// copy sits on a detached tier, and each victim heap holds exactly its
+// tier's eligible entries, each at the position its slot records, in heap
+// order.
 func (c *Cache) CheckConsistency() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var bad []string
 	var hostSum int64
-	devSum := map[string]int64{}
+	devSum := make([]int64, len(c.tiers))
 	children := map[*entry]int{}
 	type devKey struct {
-		e    *entry
-		inst string
+		e *entry
+		t int
 	}
 	devChildren := map[devKey]int{}
 	var all []*entry
@@ -887,8 +1016,18 @@ func (c *Cache) CheckConsistency() []string {
 	})
 	for _, e := range all {
 		hostSum += e.blockBytes
-		for inst := range e.dev {
-			devSum[inst] += e.blockBytes
+		if len(e.dev) > len(c.tiers) {
+			bad = append(bad, fmt.Sprintf("entry %s/%x: %d copy slots for %d tiers", e.model, e.hash, len(e.dev), len(c.tiers)))
+			continue
+		}
+		for t, d := range e.dev {
+			if d == nil {
+				continue
+			}
+			devSum[t] += e.blockBytes
+			if c.tiers[t].cache == nil {
+				bad = append(bad, fmt.Sprintf("entry %s/%x: device copy on %s, which is detached", e.model, e.hash, c.tiers[t].name))
+			}
 		}
 		if e.refs < 0 {
 			bad = append(bad, fmt.Sprintf("entry %s/%x: negative refcount %d", e.model, e.hash, e.refs))
@@ -898,10 +1037,13 @@ func (c *Cache) CheckConsistency() []string {
 			if c.index[e.parent.model][e.parent.hash] != e.parent {
 				bad = append(bad, fmt.Sprintf("entry %s/%x depth %d: parent not resident", e.model, e.hash, e.depth))
 			}
-			for inst := range e.dev {
-				devChildren[devKey{e.parent, inst}]++
-				if e.parent.dev[inst] == nil {
-					bad = append(bad, fmt.Sprintf("entry %s/%x depth %d: device copy on %s without its parent's", e.model, e.hash, e.depth, inst))
+			for t, d := range e.dev {
+				if d == nil {
+					continue
+				}
+				devChildren[devKey{e.parent, t}]++
+				if e.parent.copyOn(t) == nil {
+					bad = append(bad, fmt.Sprintf("entry %s/%x depth %d: device copy on %s without its parent's", e.model, e.hash, e.depth, c.tiers[t].name))
 				}
 			}
 		}
@@ -910,41 +1052,34 @@ func (c *Cache) CheckConsistency() []string {
 		if e.children != children[e] {
 			bad = append(bad, fmt.Sprintf("entry %s/%x: children=%d, actual %d", e.model, e.hash, e.children, children[e]))
 		}
-		for inst, d := range e.dev {
-			if n := devChildren[devKey{e, inst}]; d.children != n {
-				bad = append(bad, fmt.Sprintf("entry %s/%x: device children on %s=%d, actual %d", e.model, e.hash, inst, d.children, n))
+		for t, d := range e.dev {
+			if d == nil {
+				continue
+			}
+			if n := devChildren[devKey{e, t}]; d.children != n {
+				bad = append(bad, fmt.Sprintf("entry %s/%x: device children on %s=%d, actual %d", e.model, e.hash, c.tiers[t].name, d.children, n))
 			}
 		}
 	}
 	if hostSum != c.hostBytes {
 		bad = append(bad, fmt.Sprintf("host bytes: tracked %d, entries sum %d", c.hostBytes, hostSum))
 	}
-	for inst, b := range c.devBytes {
-		if b != devSum[inst] {
-			bad = append(bad, fmt.Sprintf("device bytes on %s: tracked %d, entries sum %d", inst, b, devSum[inst]))
+	for t := range c.tiers {
+		if b := c.tiers[t].bytes; b != devSum[t] {
+			bad = append(bad, fmt.Sprintf("device bytes on %s: tracked %d, entries sum %d", c.tiers[t].name, b, devSum[t]))
 		}
 	}
 	bad = append(bad, c.hostVictims.audit("host", all, func(e *entry) (*heapSlot, bool) {
 		return &e.host, e.hostVictim()
 	})...)
-	insts := make([]string, 0, len(c.devVictims))
-	for inst := range c.devVictims {
-		insts = append(insts, inst)
-	}
-	sort.Strings(insts)
-	for _, inst := range insts {
-		bad = append(bad, c.devVictims[inst].audit("device "+inst, all, func(e *entry) (*heapSlot, bool) {
-			d := e.dev[inst]
+	for t := range c.tiers {
+		bad = append(bad, c.tiers[t].victims.audit("device "+c.tiers[t].name, all, func(e *entry) (*heapSlot, bool) {
+			d := e.copyOn(t)
 			if d == nil {
 				return nil, false
 			}
 			return &d.slot, e.devVictim(d)
 		})...)
-	}
-	for inst := range devSum {
-		if c.devVictims[inst] == nil {
-			bad = append(bad, fmt.Sprintf("device copies on %s, which has no victim heap", inst))
-		}
 	}
 	return bad
 }

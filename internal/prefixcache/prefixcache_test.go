@@ -1,6 +1,7 @@
 package prefixcache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -30,6 +31,19 @@ func seg(seed uint64, n int) workload.PromptSeg { return workload.PromptSeg{Seed
 // chunks hashes every whole block of a prompt once, as a request does.
 func chunks(segs []workload.PromptSeg) []uint64 {
 	return ChunkHashes(segs, SegTokens(segs)/testBlkTok, testBlkTok)
+}
+
+// matchOn is one instance's view of Match: the tokens the cache could
+// serve, and how many of those are already on the instance's device tier.
+func matchOn(c *Cache, instance, m string, hashes []uint64, tokens int) (matched, onDevice int) {
+	matched, dev := c.Match(m, hashes, tokens, nil)
+	c.mu.Lock()
+	t := c.tierIndex(instance)
+	c.mu.Unlock()
+	if t >= 0 {
+		onDevice = dev[t]
+	}
+	return matched, onDevice
 }
 
 // TestChunkHashesGolden pins the chained chunk-hash values so index contents
@@ -124,6 +138,59 @@ func TestChunkHashesPrefixStable(t *testing.T) {
 			if want := prefix(full, n); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: ChunkHashes(n=%d) = %x, want prefix %x", trial, n, got, want)
 			}
+		}
+	}
+}
+
+// tokenAtRef is the reference for ChunkHashes' one-pass segment walk: it
+// finds each position's token by rescanning the segment list from the
+// start. Positions beyond the segments return 0.
+func tokenAtRef(segs []workload.PromptSeg, pos int) uint64 {
+	for _, s := range segs {
+		if pos < s.Len {
+			return splitmix64(s.Seed ^ splitmix64(uint64(pos)+1))
+		}
+		pos -= s.Len
+	}
+	return 0
+}
+
+// chunkHashesRef is ChunkHashes over tokenAtRef.
+func chunkHashesRef(segs []workload.PromptSeg, nblocks, block int) []uint64 {
+	if nblocks <= 0 || block <= 0 {
+		return nil
+	}
+	nblocks = min(nblocks, SegTokens(segs)/block)
+	out := make([]uint64, 0, nblocks)
+	h := uint64(0x61656761656f6e00)
+	for pos := 0; pos < nblocks*block; pos++ {
+		h = splitmix64(h ^ tokenAtRef(segs, pos))
+		if (pos+1)%block == 0 {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestChunkHashesMatchesReference is the differential test of the one-pass
+// segment walk: random lists of positive-length segments, some cut to whole
+// blocks so boundaries fall between segments as well as inside them.
+func TestChunkHashesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 500; trial++ {
+		block := 1 + rng.Intn(20)
+		var segs []workload.PromptSeg
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			n := 1 + rng.Intn(3*block)
+			if rng.Intn(3) == 0 {
+				n = block * (1 + rng.Intn(3)) // whole blocks: runs of these end on boundaries
+			}
+			segs = append(segs, seg(rng.Uint64(), n))
+		}
+		nblocks := rng.Intn(SegTokens(segs)/block + 2)
+		got, want := ChunkHashes(segs, nblocks, block), chunkHashesRef(segs, nblocks, block)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: segs %v block %d nblocks %d: got %x, want %x", trial, segs, block, nblocks, got, want)
 		}
 	}
 }
@@ -239,7 +306,7 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 				t.Fatalf("[%v] step %d: resident %d exceeds budget %d", pol, i, got, budget)
 			}
 			for _, p := range pins {
-				if m, _ := c.MatchTokensOn("p0", "m", chunks(p.segs), 49); m != 48 {
+				if m, _ := matchOn(c, "p0", "m", chunks(p.segs), 49); m != 48 {
 					t.Fatalf("[%v] step %d: pinned chain shrank to %d tokens", pol, i, m)
 				}
 			}
@@ -276,16 +343,16 @@ func TestInsertStopsWhenAllPinned(t *testing.T) {
 	}
 	b := []workload.PromptSeg{seg(2, 16)}
 	c.Insert("m", testShape, chunks(b), 16, 2)
-	if m, _ := c.MatchTokensOn("p0", "m", chunks(b), 17); m != 0 {
+	if m, _ := matchOn(c, "p0", "m", chunks(b), 17); m != 0 {
 		t.Fatalf("insert displaced a pinned entry (matched %d)", m)
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", chunks(a), 17); m != 16 {
+	if m, _ := matchOn(c, "p0", "m", chunks(a), 17); m != 16 {
 		t.Fatalf("pinned entry gone (matched %d)", m)
 	}
 	h.Release(3)
 	// Unpinned now: the next insert may evict it.
 	c.Insert("m", testShape, chunks(b), 16, 4)
-	if m, _ := c.MatchTokensOn("p0", "m", chunks(b), 17); m != 16 {
+	if m, _ := matchOn(c, "p0", "m", chunks(b), 17); m != 16 {
 		t.Fatalf("insert still blocked after release (matched %d)", m)
 	}
 }
@@ -306,10 +373,10 @@ func TestFreqPolicyKeepsHotEntry(t *testing.T) {
 	}
 
 	c := mk(PolicyFreq)
-	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 16 {
+	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 16 {
 		t.Error("freq policy evicted the frequently reused entry")
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 0 {
+	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 0 {
 		t.Error("freq policy kept the cold entry over the hot one")
 	}
 
@@ -317,10 +384,10 @@ func TestFreqPolicyKeepsHotEntry(t *testing.T) {
 	// cold insert (t=10), so pure LRU flushes it — exactly the failure mode
 	// PolicyFreq exists to avoid.
 	c = mk(PolicyLRU)
-	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 0 {
+	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 0 {
 		t.Error("lru kept the older entry despite newer residents")
 	}
-	if m, _ := c.MatchTokensOn("p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 16 {
+	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 16 {
 		t.Error("lru evicted the most recently inserted entry")
 	}
 }
@@ -359,7 +426,7 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	h.Release(4)
 
 	// Other instances are blind to p0's copies.
-	if _, onDev := c.MatchTokensOn("p1", "m", chunks(segs), 49); onDev != 0 {
+	if _, onDev := matchOn(c, "p1", "m", chunks(segs), 49); onDev != 0 {
 		t.Error("device residency leaked across instances")
 	}
 
@@ -431,7 +498,7 @@ func TestConcurrentLookupInsertEvict(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			c.EvictDeviceBytes("p0", testBlockBytes)
-			_, _ = c.MatchTokensOn("p0", "m", chunks(shared), 65)
+			_, _ = matchOn(c, "p0", "m", chunks(shared), 65)
 		}
 	}()
 	wg.Add(1)
@@ -488,21 +555,20 @@ func victimMismatch(c *Cache) string {
 	}); got != want {
 		return fmt.Sprintf("host heap min %s, scan %s", entryName(got), entryName(want))
 	}
-	for inst, h := range c.devVictims {
+	for t := range c.tiers {
 		interior := map[*entry]bool{}
 		for _, idx := range c.index {
 			for _, e := range idx {
-				if _, ok := e.dev[inst]; ok && e.parent != nil {
+				if e.copyOn(t) != nil && e.parent != nil {
 					interior[e.parent] = true
 				}
 			}
 		}
 		want := scanVictim(c, func(e *entry) bool {
-			_, ok := e.dev[inst]
-			return ok && e.refs == 0 && !interior[e]
+			return e.copyOn(t) != nil && e.refs == 0 && !interior[e]
 		})
-		if got := h.min(); got != want {
-			return fmt.Sprintf("device %s heap min %s, scan %s", inst, entryName(got), entryName(want))
+		if got := c.tiers[t].victims.min(); got != want {
+			return fmt.Sprintf("device %s heap min %s, scan %s", c.tiers[t].name, entryName(got), entryName(want))
 		}
 	}
 	return ""
@@ -600,6 +666,284 @@ func TestVictimHeapsMatchScan(t *testing.T) {
 		if n := st.HostEvictions + st.DeviceEvictions; uint64(checks) != n {
 			t.Fatalf("[%v] %d victim checks for %d evictions", pol, checks, n)
 		}
+	}
+}
+
+// refOnDevice is the per-tier reference for Match: for one tier at a time,
+// a fresh walk down the index counting the device copies contiguous from
+// the prompt start.
+func refOnDevice(c *Cache, m string, hashes []uint64, tokens int) (matched int, onDevice []int) {
+	hashes = prefix(hashes, (tokens-1)/c.block)
+	idx := c.index[m]
+	for _, h := range hashes {
+		if idx[h] == nil {
+			break
+		}
+		matched += c.block
+	}
+	for t := range c.tiers {
+		n := 0
+		for _, h := range hashes {
+			e := idx[h]
+			if e == nil || e.copyOn(t) == nil {
+				break
+			}
+			n += c.block
+		}
+		onDevice = append(onDevice, n)
+	}
+	return matched, onDevice
+}
+
+// TestPrefixCacheSteadyStateAllocs is the allocation gate on the cache's hot
+// path. Once warm, a reuse whose release promotes under device pressure
+// allocates only the Hit and its chain; re-inserting a cached prompt,
+// inserting a fresh one under host pressure (its evicted entries are
+// recycled), and the one-walk routing match allocate nothing.
+func TestPrefixCacheSteadyStateAllocs(t *testing.T) {
+	const chains, depth = 64, 8
+	c := New(Config{HostBytes: (chains + 8) * depth * testBlockBytes, DeviceBytes: 16 * testBlockBytes},
+		kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	insts := []string{"p0", "p1", "p2"}
+	for _, inst := range insts {
+		c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok))
+	}
+	prompts := make([][]uint64, chains+256)
+	for i := range prompts {
+		prompts[i] = chunks([]workload.PromptSeg{seg(uint64(i), depth*testBlkTok)})
+	}
+	now := sim.Time(0)
+	for _, p := range prompts[:chains] {
+		now++
+		c.Insert("m", testShape, p, depth*testBlkTok, now)
+	}
+	i := 0
+	reuse := func() {
+		now++
+		h := c.Acquire(insts[i%len(insts)], "m", testShape, prompts[i%chains], depth*testBlkTok+1, now)
+		if h == nil {
+			t.Fatalf("reuse %d missed", i)
+		}
+		h.Release(now)
+		i++
+	}
+	for range 4 * chains {
+		reuse()
+	}
+	before := c.Stats()
+	if a := testing.AllocsPerRun(200, reuse); a > 2 {
+		t.Errorf("Acquire+Release under device pressure: %v allocs, want <= 2", a)
+	}
+	if st := c.Stats(); st.Promotions == before.Promotions || st.DeviceEvictions == before.DeviceEvictions {
+		t.Fatalf("no device pressure: %d promotions, %d device evictions", st.Promotions-before.Promotions,
+			st.DeviceEvictions-before.DeviceEvictions)
+	}
+
+	if a := testing.AllocsPerRun(200, func() {
+		now++
+		c.Insert("m", testShape, prompts[i%chains], depth*testBlkTok, now)
+		i++
+	}); a != 0 {
+		t.Errorf("re-insert of a cached prompt: %v allocs, want 0", a)
+	}
+
+	// Fresh prompts fill the host budget's 8 spare chains, then each
+	// evicts a chain's worth of the least recently used entries.
+	fresh := chains
+	insertFresh := func() {
+		now++
+		c.Insert("m", testShape, prompts[fresh], depth*testBlkTok, now)
+		fresh++
+	}
+	for range 16 {
+		insertFresh()
+	}
+	evicted := c.Stats().HostEvictions
+	if a := testing.AllocsPerRun(100, insertFresh); a != 0 {
+		t.Errorf("insert under host pressure: %v allocs, want 0", a)
+	}
+	if c.Stats().HostEvictions == evicted {
+		t.Fatal("fresh inserts evicted nothing")
+	}
+
+	var onDevice []int
+	if a := testing.AllocsPerRun(200, func() {
+		_, onDevice = c.Match("m", prompts[fresh-1-i%chains], depth*testBlkTok+1, onDevice)
+		i++
+	}); a != 0 {
+		t.Errorf("Match: %v allocs, want 0", a)
+	}
+	if bad := c.CheckConsistency(); len(bad) != 0 {
+		t.Fatal(bad)
+	}
+}
+
+// TestReleasedHitSurvivesRecycling: releasing a hit drops its chain, so once
+// host eviction recycles the chain's entries into other prompts' blocks, a
+// second Release of the old hit touches none of them.
+func TestReleasedHitSurvivesRecycling(t *testing.T) {
+	c := New(Config{HostBytes: 4 * testBlockBytes}, newHost())
+	old := chunks([]workload.PromptSeg{seg(1, 64)})
+	c.Insert("m", testShape, old, 64, 0)
+	h := c.Acquire("p0", "m", testShape, old, 65, 1)
+	if h == nil || h.MatchedTokens != 64 {
+		t.Fatalf("hit = %+v, want 64 tokens", h)
+	}
+	oldEntries := slices.Clone(h.chain)
+	h.Release(2)
+	if h.chain != nil {
+		t.Fatal("Release kept the hit's chain")
+	}
+
+	// Four one-block prompts evict the old chain leaf first and take over
+	// its entries; pin them all.
+	var pins []*Hit
+	for i := 0; i < 4; i++ {
+		p := chunks([]workload.PromptSeg{seg(uint64(100+i), 16)})
+		c.Insert("m", testShape, p, 16, sim.Time(3+i))
+		hp := c.Acquire("p0", "m", testShape, p, 17, sim.Time(3+i))
+		if hp == nil {
+			t.Fatalf("prompt %d not cached", i)
+		}
+		pins = append(pins, hp)
+	}
+	if m, _ := matchOn(c, "p0", "m", old, 65); m != 0 {
+		t.Fatalf("old chain still matches %d tokens", m)
+	}
+	for _, p := range pins {
+		if !slices.Contains(oldEntries, p.chain[0]) {
+			t.Fatal("a new prompt's entry was not recycled from the evicted chain")
+		}
+	}
+
+	h.Release(10)
+	if got := c.PinnedEntries(); got != 4 {
+		t.Fatalf("second Release of a stale hit unpinned recycled entries: %d pinned, want 4", got)
+	}
+	if bad := c.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("consistency: %v", bad)
+	}
+	for _, p := range pins {
+		p.Release(11)
+	}
+	if bad := c.CheckConsistency(); len(bad) != 0 || c.PinnedEntries() != 0 {
+		t.Fatalf("after drain: pinned %d, %v", c.PinnedEntries(), bad)
+	}
+}
+
+// FuzzPrefixCacheOps drives the cache with a byte-coded mix of acquires,
+// releases, inserts, the device pressure valve, instance crashes and
+// re-attaches over two models and three device tiers. After every op the
+// cache must be consistent, every victim heap must agree with a full scan,
+// and Match must agree with a per-tier reference walk for every prompt.
+func FuzzPrefixCacheOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	// Insert, reuse on p2 (promoting), evict there, reuse again, crash p2
+	// with copies resident, re-attach it, reuse, and re-attach live p0.
+	f.Add([]byte("10A0B0C1A0B0Y0Z0A0B0L0"))
+	f.Add([]byte{0x10, 0x31, 0x52, 0x10, 0x31, 0x31, 0x63, 0x84, 0xa5, 0x31, 0x22, 0x10})
+	f.Add(bytes.Repeat([]byte{0x41, 0x07, 0x91, 0x33, 0x28, 0xc2, 0x5e}, 12))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		insts := []string{"p0", "p1", "p2"}
+		devs := make([]*kvcache.Cache, len(insts)) // nil while dropped
+		c := New(Config{HostBytes: 12 * testBlockBytes, DeviceBytes: 4 * testBlockBytes}, newHost())
+		for i, inst := range insts {
+			devs[i] = kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok)
+			c.AttachDevice(inst, devs[i])
+		}
+		// A prompt is a per-model system block and a conversation stream of
+		// one to five blocks; b picks all three.
+		prompt := func(b byte) (string, []uint64, int) {
+			mi, conv, n := int(b&1), uint64(b>>1&3), testBlkTok*(1+int(b>>3)%5)
+			segs := []workload.PromptSeg{seg(uint64(100+mi), testBlkTok), seg(conv, n)}
+			return "ab"[mi : mi+1], chunks(segs), testBlkTok + n
+		}
+		var pins []*Hit
+		var onDevice []int
+		now := sim.Time(0)
+		for k := 0; k+1 < len(ops); k += 2 {
+			op, arg := ops[k], ops[k+1]
+			now += sim.Time(op >> 7)
+			ti := int(op>>3) % len(insts)
+			switch op % 7 {
+			case 0, 1:
+				m, hashes, n := prompt(arg)
+				c.Insert(m, testShape, hashes, n, now)
+			case 2:
+				m, hashes, n := prompt(arg)
+				if h := c.Acquire(insts[ti], m, testShape, hashes, n+1, now); h != nil {
+					pins = append(pins, h)
+				}
+			case 3:
+				if len(pins) > 0 {
+					j := int(arg) % len(pins)
+					pins[j].Release(now)
+					pins = append(pins[:j], pins[j+1:]...)
+				}
+			case 4:
+				c.EvictDeviceBytes(insts[ti], int64(1+arg%3)*testBlockBytes)
+			case 5:
+				c.DropInstance(insts[ti])
+				devs[ti] = nil
+			case 6:
+				if devs[ti] == nil {
+					devs[ti] = kvcache.NewCache(insts[ti], 1<<20, 1<<14, testBlkTok)
+				}
+				if got := c.AttachDevice(insts[ti], devs[ti]); got != ti {
+					t.Fatalf("op %d: re-attach of %s got tier %d, want %d", k/2, insts[ti], got, ti)
+				}
+			}
+			if bad := c.CheckConsistency(); len(bad) != 0 {
+				t.Fatalf("op %d: %v", k/2, bad)
+			}
+			if msg := victimMismatch(c); msg != "" {
+				t.Fatalf("op %d: %s", k/2, msg)
+			}
+			for b := 0; b < 16; b++ {
+				m, hashes, n := prompt(byte(b) | 4<<3) // the longest prompt of each conversation
+				var matched int
+				matched, onDevice = c.Match(m, hashes, n+1, onDevice)
+				wantMatched, want := refOnDevice(c, m, hashes, n+1)
+				if matched != wantMatched || !slices.Equal(onDevice, want) {
+					t.Fatalf("op %d: Match(%s, conv %d) = %d %v, reference %d %v",
+						k/2, m, b>>1&3, matched, onDevice, wantMatched, want)
+				}
+			}
+		}
+		for _, h := range pins {
+			h.Release(now)
+		}
+		if bad := c.CheckConsistency(); len(bad) != 0 || c.PinnedEntries() != 0 {
+			t.Fatalf("after drain: pinned %d, %v", c.PinnedEntries(), bad)
+		}
+	})
+}
+
+// BenchmarkRouteMatch measures routing's prefix lookup for one request: the
+// one walk that fills the device-resident depth of six tiers, down an
+// 82-block chain (a 1,309-token prompt at 16 tokens per block). Tier t holds
+// the first (t+1)/6 of the chain.
+func BenchmarkRouteMatch(b *testing.B) {
+	const tiers, depth = 6, 82
+	c := New(Config{DeviceBytes: depth * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	hashes := chunks([]workload.PromptSeg{seg(1, depth*testBlkTok)})
+	c.Insert("m", testShape, hashes, depth*testBlkTok, 0)
+	for t := 0; t < tiers; t++ {
+		inst := fmt.Sprintf("p%d", t)
+		c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok))
+		blocks := depth * (t + 1) / tiers
+		c.Acquire(inst, "m", testShape, hashes, blocks*testBlkTok+1, 1).Release(1)
+	}
+	tokens := depth*testBlkTok + 1
+	var onDevice []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, onDevice = c.Match("m", hashes, tokens, onDevice)
+	}
+	b.StopTimer()
+	if want := depth * testBlkTok; onDevice[tiers-1] != want {
+		b.Fatalf("last tier holds %d tokens, want %d", onDevice[tiers-1], want)
 	}
 }
 
