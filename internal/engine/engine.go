@@ -159,26 +159,13 @@ type Engine struct {
 	throttle float64
 }
 
-// loadChunk bounds the duration of a single DMA operation for weight loads:
-// the stage buffer streams weights in chunks (§5.2, "multi-threaded,
-// chunked, and pipelined"), so concurrent KV-cache transfers interleave on
-// the PCIe link instead of waiting behind a monolithic multi-GB copy.
+// loadChunk is the chunk of every weight load and prefetch: the stage buffer
+// streams weights in chunks (§5.2, "multi-threaded, chunked, and
+// pipelined"), so a concurrent KV-cache transfer waits on the PCIe link for
+// at most one chunk, not behind a monolithic multi-GB copy. The transfer is
+// one gpu.Stream.SubmitChunked op, which yields the engine at a chunk
+// boundary only when another op is waiting for it.
 const loadChunk = 25 * time.Millisecond
-
-// submitChunked splits a long H2D transfer into loadChunk-sized operations;
-// done fires with the last chunk.
-func submitChunked(st *gpu.Stream, total time.Duration, info gpu.OpInfo, done func()) {
-	if total <= loadChunk {
-		st.SubmitOp(gpu.H2D, total, info, done)
-		return
-	}
-	n := int(total / loadChunk)
-	rem := total - time.Duration(n)*loadChunk
-	for i := 0; i < n-1; i++ {
-		st.SubmitOp(gpu.H2D, loadChunk, info)
-	}
-	st.SubmitOp(gpu.H2D, loadChunk+rem, info, done)
-}
 
 // New constructs an engine on a fresh device. Its model-specific methods
 // take ids from models, the registry of the system it serves in; nil gives
@@ -320,7 +307,7 @@ func (e *Engine) switchColocated(id model.ID, m *model.Model, start sim.Time, do
 				dur = e.CostFor(id).Switch() + e.fetchTime(m)
 			}
 			ls := e.eng.Now()
-			submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
+			e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
 				r.loading = nil
 				e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 				finish()
@@ -642,7 +629,7 @@ func (e *Engine) loadWeights(id model.ID, m *model.Model, done func()) {
 			dur = cost.NaiveLoad()
 		}
 		ls := e.eng.Now()
-		submitChunked(e.loader, dur, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
+		e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
 			e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
 			done()
 		})
@@ -761,7 +748,7 @@ func (e *Engine) StartPrefetch(id model.ID) bool {
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
 	e.prefetchPending = true
-	submitChunked(e.prefetch, dur,
+	e.prefetch.SubmitChunked(gpu.H2D, dur, loadChunk,
 		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
 			e.prefetchPending = false
 		})
@@ -800,7 +787,7 @@ func (e *Engine) prefetchColocated(id model.ID, m *model.Model) bool {
 		dur = e.CostFor(id).Switch() + e.fetchTime(m)
 		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
 	}
-	submitChunked(e.prefetch, dur,
+	e.prefetch.SubmitChunked(gpu.H2D, dur, loadChunk,
 		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
 			r.loading = nil
 		})

@@ -360,20 +360,33 @@ func TestChunkedLoadInterleavesDMA(t *testing.T) {
 	h := newHarness()
 	e := h.engine("gpu0", AllOptimizations(), "LLaMA-13B")
 	m13 := mustModel(t, "LLaMA-13B")
-	var kvDone sim.Time
-	e.SwitchTo(e.Models().Add(m13), func() {})
-	// Submit a small H2D op (a KV swap-in) right after the load started.
+	// The load starts only after the engine's reinit, so the KV op is timed
+	// from the load's first H2D busy edge: it arrives 1 ms into the first
+	// chunk and must run at that chunk's end, not after the whole load.
 	kvStream := e.Device().NewStream("kv-in-test")
-	h.sim.After(time.Millisecond, func() {
-		kvStream.Submit(gpu.H2D, 10*time.Millisecond, func() { kvDone = h.sim.Now() })
+	var loadStart, kvDone, switched sim.Time
+	started := false
+	e.Device().ObserveBusy(func(_ *gpu.Device, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
+		if started || !busy || k != gpu.H2D || info.Kind != gpu.OpLoad {
+			return
+		}
+		started = true
+		loadStart = h.sim.Now()
+		h.sim.After(time.Millisecond, func() {
+			kvStream.Submit(gpu.H2D, 10*time.Millisecond, func() { kvDone = h.sim.Now() })
+		})
 	})
+	e.SwitchTo(e.Models().Add(m13), func() { switched = h.sim.Now() })
 	h.sim.Run()
-	loadTime := latency.NewCostModel(latency.H800(), m13, 1).Switch()
-	if kvDone >= loadTime {
-		t.Fatalf("KV transfer finished at %v, after the whole %v load — no interleaving", kvDone, loadTime)
+	if !started {
+		t.Fatal("the switch never started a weight load")
 	}
-	if kvDone < 11*time.Millisecond {
-		t.Fatalf("KV transfer at %v finished impossibly early", kvDone)
+	if want := loadStart + loadChunk + 10*time.Millisecond; kvDone != want {
+		t.Fatalf("KV op finished at %v, want %v: the end of the load's first chunk plus its 10ms", kvDone, want)
+	}
+	loadTime := latency.NewCostModel(latency.H800(), m13, 1).Switch()
+	if want := loadStart + loadTime + 10*time.Millisecond; switched != want {
+		t.Fatalf("switch finished at %v, want %v: the load plus the interleaved 10ms KV op", switched, want)
 	}
 }
 

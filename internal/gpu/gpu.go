@@ -14,6 +14,13 @@
 // serialized FIFO by readiness; operations on different engines overlap.
 // Durations are supplied by callers (the latency package knows bandwidths);
 // this package enforces ordering and accounts busy time.
+//
+// A chunked transfer (SubmitChunked) is one op that yields its engine at a
+// chunk boundary only when another op is waiting there. Observers see it as
+// the per-chunk sequence it replaces: OpObserver gets one OpRecord per
+// chunk, with that chunk's own start and end, delivered no later than the
+// transfer's next kernel event; BusyObserver gets one busy interval per
+// uninterrupted run; PendingOps counts the transfer once.
 package gpu
 
 import (
@@ -124,15 +131,17 @@ type OpRecord struct {
 
 // OpObserver receives every completed engine operation on a device. It runs
 // synchronously on the simulation goroutine as each op retires; it must not
-// re-enter the device.
+// re-enter the device. Each chunk of a chunked transfer is reported as its
+// own op, at the transfer's next kernel event at or after the chunk's end.
 type OpObserver func(d *Device, r OpRecord)
 
 // BusyObserver receives engine occupancy edges as they happen: busy=true the
 // instant an operation starts executing on an engine, busy=false when it
 // retires. Unlike OpObserver (which sees only completed intervals), the
 // paired edges let an accounting layer integrate occupancy incrementally and
-// classify the op while it runs. It runs synchronously on the simulation
-// goroutine; it must not re-enter the device.
+// classify the op while it runs. A chunked transfer raises one pair per
+// uninterrupted run, not one per chunk. It runs synchronously on the
+// simulation goroutine; it must not re-enter the device.
 type BusyObserver func(d *Device, k EngineKind, info OpInfo, busy bool)
 
 // Device is one simulated GPU.
@@ -152,7 +161,7 @@ func NewDevice(eng *sim.Engine, name string) *Device {
 	d := &Device{Name: name, eng: eng}
 	for k := range d.engines {
 		x := &executor{eng: eng, dev: d, kind: EngineKind(k)}
-		x.retire = x.finish
+		x.retire, x.split = x.finish, x.boundary
 		d.engines[k] = x
 	}
 	return d
@@ -212,7 +221,9 @@ func (d *Device) Sim() *sim.Engine { return d.eng }
 type op struct {
 	stream  *Stream
 	kind    EngineKind
-	dur     time.Duration
+	dur     time.Duration // engine time left; a chunked transfer's shrinks as it yields
+	chunk   time.Duration // chunked transfer's chunk length; 0 for a plain op
+	queued  sim.Time      // when the op last joined its executor's queue
 	info    OpInfo
 	onDone  func()
 	barrier *Event // non-nil: wait-for-event op (no engine time)
@@ -264,6 +275,18 @@ func (q *opQueue) push(o *op) {
 	q.buf = append(q.buf, o)
 }
 
+// requeue queues o at instant at, behind every queued op except those
+// queued at that same instant, which o goes ahead of.
+func (q *opQueue) requeue(o *op, at sim.Time) {
+	o.queued = at
+	q.push(o)
+	i := len(q.buf) - 1
+	for ; i > q.head && q.buf[i-1].queued == at; i-- {
+		q.buf[i] = q.buf[i-1]
+	}
+	q.buf[i] = o
+}
+
 func (q *opQueue) pop() *op {
 	o := q.buf[q.head]
 	q.buf[q.head] = nil
@@ -303,23 +326,48 @@ func (s *Stream) Submit(k EngineKind, dur time.Duration, onDone ...func()) {
 // SubmitOp is Submit with full op attribution (kind, model and request) for
 // the device timeline and the fleet ledger's classification.
 func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) {
-	if dur < 0 {
-		panic(fmt.Sprintf("gpu: negative op duration %v (%s, model id %d)", dur, info.Label(""), info.Model))
-	}
-	o := s.newOp()
-	o.kind, o.dur, o.info = k, dur, info
+	var done func()
 	switch len(onDone) {
 	case 0:
 	case 1:
-		o.onDone = onDone[0]
+		done = onDone[0]
 	default:
 		fns := append([]func(){}, onDone...)
-		o.onDone = func() {
+		done = func() {
 			for _, fn := range fns {
 				fn()
 			}
 		}
 	}
+	s.submit(k, dur, 0, info, done)
+}
+
+// SubmitChunked enqueues a transfer of total engine time on k that runs as
+// back-to-back chunks: total/chunk of them, the last one also taking the
+// remainder (a total under two chunks is one op). done (optional) fires
+// when the last chunk ends.
+//
+// It behaves like submitting each chunk with SubmitOp, at a fraction of the
+// kernel events: the transfer gives up its engine at a chunk boundary only
+// when another op is waiting there. An op that joins the engine's queue
+// before a boundary runs before the next chunk; one that joins at the
+// boundary instant itself runs after it. So an uncontended transfer costs
+// two kernel events, one at the start of its last chunk and one at its
+// end, whatever its length.
+func (s *Stream) SubmitChunked(k EngineKind, total, chunk time.Duration, info OpInfo, done func()) {
+	if chunk <= 0 {
+		panic(fmt.Sprintf("gpu: non-positive chunk %v (%s, model id %d)", chunk, info.Label(""), info.Model))
+	}
+	s.submit(k, total, chunk, info, done)
+}
+
+// submit enqueues an engine op; chunk is 0 for a plain op.
+func (s *Stream) submit(k EngineKind, dur, chunk time.Duration, info OpInfo, done func()) {
+	if dur < 0 {
+		panic(fmt.Sprintf("gpu: negative op duration %v (%s, model id %d)", dur, info.Label(""), info.Model))
+	}
+	o := s.newOp()
+	o.kind, o.dur, o.chunk, o.info, o.onDone = k, dur, chunk, info, done
 	s.queue.push(o)
 	s.pump()
 }
@@ -401,13 +449,20 @@ func (s *Stream) complete(o *op) {
 	s.pump()
 }
 
-// PendingOps returns the number of operations queued on the stream.
+// PendingOps returns the number of operations queued on the stream. A
+// chunked transfer counts as one operation until its last chunk ends.
 func (s *Stream) PendingOps() int { return s.queue.len() }
 
 // executor serializes ops on one hardware engine, FIFO by readiness. At most
 // one op (cur) occupies the engine; its completion event calls retire, the
 // executor's finish method bound once at construction, so starting an op
 // schedules no per-op closure.
+//
+// A chunked transfer runs as a run of chunks from busySince. Its one pending
+// event is at the start of its last chunk (split, which then schedules
+// retire), or, once an op has joined the queue, at the end of the chunk in
+// flight (split again, where the run yields). Chunk boundaries in between
+// fire nothing.
 type executor struct {
 	eng    *sim.Engine
 	dev    *Device
@@ -415,14 +470,24 @@ type executor struct {
 	queue  opQueue
 	cur    *op // executing op; nil while idle
 	retire func()
+	split  func() // boundary, bound once like retire
+
+	pending sim.Event // cur's next event
+	yieldAt sim.Time  // boundary where cur yields to a queued op; 0 for none
+	mark    sim.Time  // start of cur's first chunk not yet reported
 
 	busyAccum time.Duration
 	busySince sim.Time
 }
 
 func (x *executor) enqueue(o *op) {
+	o.queued = x.eng.Now()
 	x.queue.push(o)
-	x.kick()
+	if x.cur == nil {
+		x.kick()
+	} else if x.cur.chunk > 0 && x.yieldAt == 0 {
+		x.preempt()
+	}
 }
 
 func (x *executor) kick() {
@@ -431,15 +496,72 @@ func (x *executor) kick() {
 	}
 	o := x.queue.pop()
 	x.cur = o
-	x.busySince = x.eng.Now()
+	now := x.eng.Now()
+	x.busySince, x.mark = now, now
 	if bo := x.dev.busyObs; bo != nil {
 		bo(x.dev, x.kind, o.info, true)
 	}
-	x.eng.After(o.dur, x.retire)
+	if o.chunk == 0 || o.dur < 2*o.chunk {
+		x.pending = x.eng.After(o.dur, x.retire)
+		return
+	}
+	x.pending = x.eng.At(now+o.dur/o.chunk*o.chunk-o.chunk, x.split)
+	if x.queue.len() > 0 {
+		x.preempt()
+	}
 }
 
-// finish retires cur: the engine goes idle, observers see the interval, the
-// stream completes the op, and the next queued op starts.
+// preempt makes the running chunked transfer yield at the end of the chunk
+// in flight, the first boundary after now, unless that chunk is its last. A
+// boundary at now itself does not count: its chunk has already begun.
+func (x *executor) preempt() {
+	o, now := x.cur, x.eng.Now()
+	j := (now-x.busySince)/o.chunk + 1
+	if j >= o.dur/o.chunk {
+		return
+	}
+	x.yieldAt = x.busySince + j*o.chunk
+	if x.yieldAt < x.pending.At() {
+		x.pending.Cancel()
+		x.pending = x.eng.At(x.yieldAt, x.split)
+	}
+}
+
+// boundary runs at a chunk boundary of the running transfer: where it
+// yields to the queue, or else at the start of its last chunk, where it
+// schedules its end.
+func (x *executor) boundary() {
+	o, now := x.cur, x.eng.Now()
+	x.report(o, now)
+	ran := now - x.busySince
+	if x.yieldAt != now {
+		x.pending = x.eng.After(o.dur-ran, x.retire)
+		return
+	}
+	x.yieldAt = 0
+	x.cur = nil
+	x.busyAccum += ran
+	o.dur -= ran
+	if bo := x.dev.busyObs; bo != nil {
+		bo(x.dev, x.kind, o.info, false)
+	}
+	x.queue.requeue(o, now)
+	x.kick()
+}
+
+// report hands the observer every whole chunk of o from mark to until.
+func (x *executor) report(o *op, until sim.Time) {
+	if obs := x.dev.observer; obs != nil {
+		for t := x.mark; t < until; t += o.chunk {
+			obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: t, End: t + o.chunk})
+		}
+	}
+	x.mark = until
+}
+
+// finish retires cur: the engine goes idle, observers see the interval (a
+// chunked transfer's last chunk), the stream completes the op, and the next
+// queued op starts.
 func (x *executor) finish() {
 	o := x.cur
 	x.cur = nil
@@ -448,7 +570,7 @@ func (x *executor) finish() {
 		bo(x.dev, x.kind, o.info, false)
 	}
 	if obs := x.dev.observer; obs != nil {
-		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.busySince, End: x.eng.Now()})
+		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.mark, End: x.eng.Now()})
 	}
 	o.stream.complete(o)
 	x.kick()

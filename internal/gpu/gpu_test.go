@@ -649,3 +649,71 @@ func TestRecordOneWaiterAllocs(t *testing.T) {
 		t.Fatalf("waiter fired %d times, want 1002", fired)
 	}
 }
+
+// TestChunkedTransferTwoEvents: an uncontended chunked transfer fires one
+// kernel event at the start of its last chunk and one at its end, and its
+// observer still sees every chunk.
+func TestChunkedTransferTwoEvents(t *testing.T) {
+	eng, d := newDev(1)
+	var recs []OpRecord
+	d.Observe(func(_ *Device, r OpRecord) { recs = append(recs, r) })
+	var done sim.Time
+	// 110 ms in 25 ms chunks: three of 25 ms and a last one of 35 ms.
+	d.NewStream("load").SubmitChunked(H2D, 110*time.Millisecond, 25*time.Millisecond, OpInfo{Kind: OpLoad, Model: 1}, func() { done = eng.Now() })
+	eng.Run()
+	if done != 110*time.Millisecond || eng.Processed() != 2 {
+		t.Fatalf("transfer done at %v after %d events, want 110ms after 2", done, eng.Processed())
+	}
+	ends := []sim.Time{25 * time.Millisecond, 50 * time.Millisecond, 75 * time.Millisecond, 110 * time.Millisecond}
+	if len(recs) != len(ends) {
+		t.Fatalf("observer saw %d chunks, want %d: %v", len(recs), len(ends), recs)
+	}
+	start := sim.Time(0)
+	for i, r := range recs {
+		if r.Start != start || r.End != ends[i] || r.Info.Kind != OpLoad {
+			t.Fatalf("chunk %d = %+v, want [%v, %v) labelled load", i, r, start, ends[i])
+		}
+		start = r.End
+	}
+	if d.BusyTime(H2D) != 110*time.Millisecond {
+		t.Fatalf("busy %v, want 110ms", d.BusyTime(H2D))
+	}
+}
+
+// TestChunkBoundaryInstant pins where an op that joins the engine's queue
+// during a 100 ms transfer of four 25 ms chunks runs. One that joins before
+// a boundary runs at it. One that joins at the boundary instant runs after
+// the chunk that starts there, even when its submission was scheduled more
+// than a chunk earlier (per-chunk ops would have run it first then). One
+// that joins during the last chunk, or at its start, waits for the end.
+func TestChunkBoundaryInstant(t *testing.T) {
+	const c = 25 * time.Millisecond
+	for _, tc := range []struct {
+		name         string
+		scheduledAt  sim.Time // when the submitting event is scheduled
+		at           sim.Time // when it fires and submits the 10 ms op
+		opEnd, xfEnd sim.Time
+	}{
+		{"1ns before the boundary", 40 * time.Millisecond, 2*c - 1, 2*c + 10*time.Millisecond, 110 * time.Millisecond},
+		{"at the boundary, scheduled within a chunk", 30 * time.Millisecond, 2 * c, 3*c + 10*time.Millisecond, 110 * time.Millisecond},
+		{"at the boundary, scheduled two chunks before", 0, 2 * c, 3*c + 10*time.Millisecond, 110 * time.Millisecond},
+		{"at the start of the last chunk", 0, 3 * c, 110 * time.Millisecond, 100 * time.Millisecond},
+		{"inside the last chunk", 0, 3*c + 1, 110 * time.Millisecond, 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, d := newDev(1)
+			var opEnd, xfEnd sim.Time
+			kv := d.NewStream("kv")
+			eng.At(tc.scheduledAt, func() {
+				eng.At(tc.at, func() {
+					kv.SubmitOp(H2D, 10*time.Millisecond, OpInfo{Kind: OpKVIn}, func() { opEnd = eng.Now() })
+				})
+			})
+			d.NewStream("load").SubmitChunked(H2D, 4*c, c, OpInfo{Kind: OpLoad}, func() { xfEnd = eng.Now() })
+			eng.Run()
+			if opEnd != tc.opEnd || xfEnd != tc.xfEnd {
+				t.Fatalf("op done at %v, transfer at %v; want %v and %v", opEnd, xfEnd, tc.opEnd, tc.xfEnd)
+			}
+		})
+	}
+}

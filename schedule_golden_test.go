@@ -28,9 +28,9 @@ func TestPaperScheduleGolden(t *testing.T) {
 		tokens    int
 		digest    string
 	}{
-		{"", "", 321_466, 1_189, 455_626,
+		{"", "", 233_096, 1_189, 455_626,
 			"7d243346bde6d6c32d859c7be597054eb14d70cb543f7238a76fc644ad0c0d5d"},
-		{"faulted/", "crash@60s:decode0,xfer@90s+10s:decode1", 299_364, 1_189, 455_626,
+		{"faulted/", "crash@60s:decode0,xfer@90s+10s:decode1", 218_899, 1_189, 455_626,
 			"aed396820d868b79c16d772d957573b519521453b96c8db8804b2eba9f6f129b"},
 	} {
 		for mask := 0; mask < 16; mask++ {
