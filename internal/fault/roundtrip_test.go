@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,6 +72,28 @@ func TestRandomScheduleCoversAllKinds(t *testing.T) {
 		if f.Kind == KindPartition && f.Target != "" {
 			t.Error("partition drew a replica target without replicas")
 		}
+	}
+}
+
+// randomScheduleDigest is the sha256 of the schedules RandomSchedule draws
+// for seeds 0-7 over the chaos harness's shape: its four instances, its four
+// small models, a 120s horizon and four faults, one formatted spec per line.
+const randomScheduleDigest = "2a71eaaf7f693f0c084a007e7db69e745f37842e6f855df2e5219868d204a16a"
+
+// TestRandomScheduleDigest pins the generator's draws. Chaos random schedules
+// come from it, and no chaos golden pins the draws themselves.
+func TestRandomScheduleDigest(t *testing.T) {
+	insts := []string{"chaos/prefill0", "chaos/prefill1", "chaos/decode0", "chaos/decode1"}
+	models := []string{"Qwen-7B-ft000", "InternLM2.5-7B-chat-ft001", "Yi-6B-ft002", "Llama-2-7B-ft003"}
+	var b strings.Builder
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b.WriteString(FormatSpec(RandomSchedule(rng, 120*time.Second, insts, models, nil, 4)))
+		b.WriteByte('\n')
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	if got := hex.EncodeToString(sum[:]); got != randomScheduleDigest {
+		t.Errorf("schedule digest %s, want %s\n%s", got, randomScheduleDigest, b.String())
 	}
 }
 

@@ -61,6 +61,63 @@ func TestOperatorSurfaceGolden(t *testing.T) {
 	}
 }
 
+// marketFamiliesGolden and storeFamiliesGolden are the sha256 of the
+// families TestMarketFamiliesGolden and TestStoreFamiliesGolden render.
+const (
+	marketFamiliesGolden = "50e15598a76aa6634072a371c5ded55bdf93f4064a2c580f15fbb00cc7d43615"
+	storeFamiliesGolden  = "37422afbaae36e9842e28829527fa201065231ef965d175c62ab6f5de7cf3bbd"
+)
+
+// goldenMarket is a fixed two-class spot-market snapshot.
+func goldenMarket() *market.Snapshot {
+	return &market.Snapshot{
+		Spot: true, Aware: true,
+		Devices: []market.DeviceState{
+			{Device: "gpu0", Class: "H800", RateDollarsPerHour: 2.5, Eligible: true, CapabilityScore: 1},
+			{Device: "gpu1", Class: "A10", RateDollarsPerHour: 0.75, UnderNotice: true, CapabilityScore: 0.25},
+		},
+		Classes: []market.ClassEconomics{
+			{Class: "A10", Devices: 1, MeanRate: 0.75, CostDollars: 0.125, DollarsPer1KTokens: 0.5, Preemptions: 1},
+			{Class: "H800", Devices: 1, MeanRate: 2.5, CostDollars: 1.5, DollarsPer1KTokens: 0.25},
+		},
+		Stats: market.Stats{Preemptions: 1, Revocations: 1, EvacuatedKVBytes: 1 << 20, LostKVBytes: 4096,
+			RehomedPrefixBytes: 512, Throttles: 2, PriceTicks: 7},
+	}
+}
+
+// assertFamiliesDigest renders families into a fresh builder and compares
+// the sha256 of the text with want.
+func assertFamiliesDigest(t *testing.T, want string, families func(b *strings.Builder)) {
+	t.Helper()
+	b := &strings.Builder{}
+	families(b)
+	sum := sha256.Sum256([]byte(b.String()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("families digest %s, want %s\n%s", got, want, b.String())
+	}
+}
+
+// TestMarketFamiliesGolden pins the market family writer on a fixed
+// snapshot. The surface golden's gateway runs no market: with one on, the
+// un-paced engine never goes idle.
+func TestMarketFamiliesGolden(t *testing.T) {
+	assertFamiliesDigest(t, marketFamiliesGolden, func(b *strings.Builder) {
+		writeMarketMetrics(b, goldenMarket())
+	})
+}
+
+// TestStoreFamiliesGolden pins the metadata store's families on a fixed
+// single-store view.
+func TestStoreFamiliesGolden(t *testing.T) {
+	store := metastore.ControlView{
+		SchemaVersion: 1, Mode: "single",
+		Gets: 11, Sets: 8, Deletes: 3, FailedOps: 1, Watches: 2, Available: true,
+	}
+	assertFamiliesDigest(t, storeFamiliesGolden, func(b *strings.Builder) {
+		writeStoreMetrics(b, store)
+	})
+}
+
 // familiesGolden is the sha256 of the market and replicated-store families
 // TestMarketAndStoreFamiliesGolden renders.
 const familiesGolden = "ab81f2e58a5bd9a6edf8bacb0c8ff799b9ca930bd7121d1dcb16280b8ee3221c"
@@ -74,19 +131,7 @@ func TestMarketAndStoreFamiliesGolden(t *testing.T) {
 		Gets: 11, Sets: 8, Deletes: 3, FailedOps: 1,
 		Replicas: []metastore.ReplicaView{{Name: "ms0", Up: true, Applied: 19}, {Name: "ms1", Applied: 17}},
 	}
-	mkt := &market.Snapshot{
-		Spot: true, Aware: true,
-		Devices: []market.DeviceState{
-			{Device: "gpu0", Class: "H800", RateDollarsPerHour: 2.5, Eligible: true, CapabilityScore: 1},
-			{Device: "gpu1", Class: "A10", RateDollarsPerHour: 0.75, UnderNotice: true, CapabilityScore: 0.25},
-		},
-		Classes: []market.ClassEconomics{
-			{Class: "A10", Devices: 1, MeanRate: 0.75, CostDollars: 0.125, DollarsPer1KTokens: 0.5, Preemptions: 1},
-			{Class: "H800", Devices: 1, MeanRate: 2.5, CostDollars: 1.5, DollarsPer1KTokens: 0.25},
-		},
-		Stats: market.Stats{Preemptions: 1, Revocations: 1, EvacuatedKVBytes: 1 << 20, LostKVBytes: 4096,
-			RehomedPrefixBytes: 512, Throttles: 2, PriceTicks: 7},
-	}
+	mkt := goldenMarket()
 	b := &strings.Builder{}
 	writeStoreMetrics(b, store)
 	writeMarketMetrics(b, mkt)
