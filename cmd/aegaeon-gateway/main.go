@@ -66,7 +66,6 @@ func main() {
 	marketSpot := flag.Bool("market-spot", false, "activate spot pricing and reclaim risk (with -market)")
 	marketNaive := flag.Bool("market-naive", false, "disable preemption-aware placement and KV evacuation: the spot-naive baseline arm (with -market)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-	storeReplicas := flag.Int("store-replicas", 0, "replicate the cluster metadata store across N quorum replicas named ms0..msN-1 (0 or 1 = single in-process store); adds /debug/metastore replica state and aegaeon_metastore_* leader/term/commit metrics")
 	noWhy := flag.Bool("no-decisions", false, "disable the decision-provenance journal and the /debug/decisions + /debug/why/{id} endpoints")
 	flag.Parse()
 
@@ -100,10 +99,8 @@ func main() {
 		log.Fatal(err)
 	}
 	clCfg := cluster.Config{
-		Prof:          prof,
-		SLO:           slo.Default(),
-		StoreReplicas: *storeReplicas,
-		StoreSeed:     *seed,
+		Prof: prof,
+		SLO:  slo.Default(),
 		Deployments: []cluster.DeploymentConfig{{
 			Name:       "live",
 			TP:         *tp,

@@ -9,18 +9,15 @@ import (
 )
 
 type chaosOpts struct {
-	seed     int64
-	horizon  time.Duration
-	spec     string
-	replicas int
-	sweep    int
+	seed    int64
+	horizon time.Duration
+	spec    string
+	sweep   int
 }
 
 // runChaos executes -chaos mode: one seeded chaos run (explicit -faults spec
 // or a random schedule), or a -chaos-sweep of consecutive seeds, printing a
-// per-run summary. Exits non-zero if any run breaks an invariant — the
-// recovery audit and, with -store-replicas > 1, the control-plane
-// linearizability audit.
+// per-run summary. Exits non-zero if any run breaks a recovery invariant.
 func runChaos(o chaosOpts) {
 	runs := o.sweep
 	if runs <= 0 {
@@ -34,11 +31,10 @@ func runChaos(o chaosOpts) {
 			spec = "" // sweep runs draw random schedules per seed
 		}
 		res, err := chaos.Run(chaos.Config{
-			Seed:          seed,
-			Horizon:       o.horizon,
-			Spec:          spec,
-			StoreReplicas: o.replicas,
-			RandomFaults:  5,
+			Seed:         seed,
+			Horizon:      o.horizon,
+			Spec:         spec,
+			RandomFaults: 5,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos seed %d: %v\n", seed, err)
@@ -49,15 +45,6 @@ func runChaos(o chaosOpts) {
 		fmt.Printf("chaos seed %-4d   %d/%d completed, %d failed, %d faults, %d failovers\n",
 			seed, res.Completed, res.Requests, res.Failed, res.Injected, res.Failovers)
 		fmt.Printf("chaos schedule    %s\n", res.Spec)
-		if res.Store != nil {
-			fmt.Printf("control plane     %d replicas, leader %s, term %d, %d leader changes, commit %d\n",
-				len(res.Store.Replicas), res.Store.Leader, res.Store.Term,
-				res.Store.LeaderChanges, res.Store.CommitIndex)
-			fmt.Printf("store ops         %d acked (p50 %v, p99 %v), unavailability %d windows / %v\n",
-				res.StoreOpsAcked, res.StoreOpP50.Round(time.Microsecond),
-				res.StoreOpP99.Round(time.Microsecond), res.UnavailWindows,
-				res.UnavailTotal.Round(time.Millisecond))
-		}
 		for _, v := range res.Violations {
 			fmt.Fprintf(os.Stderr, "chaos VIOLATION   seed %d: %s\n", seed, v)
 		}

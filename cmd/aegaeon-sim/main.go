@@ -361,8 +361,7 @@ func main() {
 		smallMix   = flag.Bool("small-models", false, "serve the 6-8B small-model mix instead of the default 6-15B market mix (fits 24 GB market classes like A10/RTX4090)")
 		reportList = flag.String("report", "", "comma-separated end-of-run reports to print (aegaeon system only): slo (live SLO monitor: windowed attainment, alert state, missed-token causes), fleet (fleet utilization ledger's per-device GPU-second accounting; exits non-zero if the conservation invariant breaks), why (decision-provenance journal summary)")
 		reportDir  = flag.String("report-dir", "", "write each selected report's files into this directory: slo.json, fleet.json and fleet.csv (per-device rows comparable against results/figure_8_10.csv exposed switch costs), why.json (checkable with aegaeon-trace -mode why)")
-		chaosOn    = flag.Bool("chaos", false, "run the chaos harness instead of the plain simulation: inject -faults (or a random schedule), then audit recovery and, with -store-replicas > 1, control-plane linearizability; exits non-zero on any violation")
-		storeReps  = flag.Int("store-replicas", 0, "replicate the cluster metadata store across N quorum replicas named ms0..msN-1 (with -chaos; 0 or 1 = single store)")
+		chaosOn    = flag.Bool("chaos", false, "run the chaos harness instead of the plain simulation: inject -faults (or a random schedule), then audit recovery; exits non-zero on any violation")
 		chaosSweep = flag.Int("chaos-sweep", 0, "run N chaos seeds starting at -seed, each with a fresh random fault schedule (with -chaos; overrides -faults)")
 	)
 	flag.Parse()
@@ -396,8 +395,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if (*storeReps > 1 || *chaosSweep > 0) && !*chaosOn {
-		fmt.Fprintln(os.Stderr, "-store-replicas/-chaos-sweep require -chaos")
+	if *chaosSweep > 0 && !*chaosOn {
+		fmt.Fprintln(os.Stderr, "-chaos-sweep requires -chaos")
 		os.Exit(2)
 	}
 	var wk aegaeon.WorkloadKind
@@ -436,10 +435,7 @@ func main() {
 	slo := aegaeon.DefaultSLO().Scale(*sloScale).ScaleTTFT(*ttftScale).ScaleTBT(*tbtScale)
 
 	if *chaosOn {
-		runChaos(chaosOpts{
-			seed: *seed, horizon: *horizon, spec: *faults,
-			replicas: *storeReps, sweep: *chaosSweep,
-		})
+		runChaos(chaosOpts{seed: *seed, horizon: *horizon, spec: *faults, sweep: *chaosSweep})
 		return
 	}
 

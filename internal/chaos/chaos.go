@@ -20,7 +20,6 @@ import (
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/market"
-	"aegaeon/internal/metastore"
 	"aegaeon/internal/model"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
@@ -66,14 +65,6 @@ type Config struct {
 	// MarketNaive disables preemption-aware placement and KV evacuation, so
 	// reclaims are audited through the bare crash path (the naive arm).
 	MarketNaive bool
-	// StoreReplicas runs the metadata store as an N-replica quorum store
-	// (ms0..msN-1), records every client op, and folds the control-plane
-	// audit — per-key linearizability, at-most-one-leader-per-term,
-	// no-acknowledged-write-lost, watch replay in commit order — into
-	// VerifyInvariants. Random schedules then also draw the replica fault
-	// kinds (partition:replica, netsplit, netdelay, rcrash), and
-	// storeClients synthetic sessions load the store.
-	StoreReplicas int
 }
 
 const (
@@ -82,11 +73,6 @@ const (
 	numPrefill, numDecode = 2, 2
 	// highFrac and lowFrac set the priority mix when Overload is on.
 	highFrac, lowFrac = 0.2, 0.3
-	// storeClients is the number of synthetic store sessions a replicated
-	// run starts, issuing mixed Set/Get/CAS/Delete traffic against a small
-	// shared keyspace, so the linearizability audit sees real read/write
-	// contention beyond the cluster's own lease and failover ops.
-	storeClients = 3
 )
 
 func (c *Config) defaults() {
@@ -132,17 +118,6 @@ type Result struct {
 	// Decisions is the run's provenance journal: every admission, routing,
 	// switch, shed, eviction, and evacuation decision with its evidence.
 	Decisions *decision.Journal
-	// Store snapshots the control plane at drain (StoreReplicas runs only).
-	Store *metastore.ControlView
-	// StoreOpsAcked / StoreOpP50 / StoreOpP99 summarize client-op latency
-	// from the recorded history (StoreReplicas runs only).
-	StoreOpsAcked          int
-	StoreOpP50, StoreOpP99 time.Duration
-	// UnavailWindows / UnavailTotal cluster the failed-op windows: the
-	// measured client-visible unavailability bought by partitions and
-	// leader churn (StoreReplicas runs only).
-	UnavailWindows int
-	UnavailTotal   time.Duration
 	// Violations lists every broken invariant (empty on a clean run).
 	Violations []string
 }
@@ -182,9 +157,6 @@ func Run(cfg Config) (*Result, error) {
 			NumPrefill: numPrefill, NumDecode: numDecode,
 			Models: models,
 		}},
-		StoreReplicas: cfg.StoreReplicas,
-		StoreSeed:     cfg.Seed + 4,
-		StoreHistory:  cfg.StoreReplicas > 1,
 	}
 	parts.Cluster(&clCfg)
 	c, err := cluster.New(se, clCfg)
@@ -216,10 +188,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	in := fault.NewInjector(se, c, sched)
 	in.Arm()
-
-	if c.Replicated() != nil {
-		startStoreClients(se, c, cfg)
-	}
 
 	// Rates feed the fleet cost integral from t=0; price ticks only run when
 	// Spot is on, bounded so the event loop drains.
@@ -255,74 +223,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Fleet = c.Fleet().Snapshot(se.Now())
 	res.Market = c.Market().Snapshot(se.Now(), res.Fleet)
 	res.Decisions = c.Decisions()
-	if rep := c.Replicated(); rep != nil {
-		view := rep.View()
-		res.Store = &view
-		res.StoreOpsAcked, res.StoreOpP50, res.StoreOpP99 = rep.OpLatency()
-		res.UnavailWindows, res.UnavailTotal = rep.Unavailability(time.Second)
-	}
 	return res, nil
-}
-
-// startStoreClients arms the synthetic store workload: storeClients seeded
-// sessions issuing mixed ops on a 4-key space from t=2s to the horizon.
-// Writes carry session-unique values so the linearizability witness search
-// can tell every write apart; CAS guesses chase each session's last
-// observed value, so swaps genuinely race across sessions.
-func startStoreClients(se *sim.Engine, c *cluster.Cluster, cfg Config) {
-	rep := c.Replicated()
-	for i := 0; i < storeClients; i++ {
-		i := i
-		sess := rep.Session(fmt.Sprintf("cli%d", i))
-		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(i)))
-		lastSeen := map[string]string{}
-		seq := 0
-		var step func()
-		step = func() {
-			if se.Now() > cfg.Horizon {
-				return
-			}
-			key := fmt.Sprintf("lin/k%d", rng.Intn(4))
-			switch p := rng.Float64(); {
-			case p < 0.40:
-				seq++
-				val := fmt.Sprintf("c%d-%d", i, seq)
-				sess.SetE(key, val, func(err error) {
-					if err == nil {
-						lastSeen[key] = val
-					}
-				})
-			case p < 0.65:
-				sess.GetE(key, func(v string, ok bool, err error) {
-					if err == nil && ok {
-						lastSeen[key] = v
-					}
-				})
-			case p < 0.80:
-				sess.GetSession(key, func(v string, ok bool, err error) {
-					if err == nil && ok {
-						lastSeen[key] = v
-					}
-				})
-			case p < 0.93:
-				seq++
-				val := fmt.Sprintf("c%d-%d", i, seq)
-				sess.CompareAndSwap(key, lastSeen[key], val, func(swapped bool, err error) {
-					if err == nil && swapped {
-						lastSeen[key] = val
-					}
-				})
-			default:
-				sess.DeleteE(key, func(err error) {
-					if err == nil {
-						delete(lastSeen, key)
-					}
-				})
-			}
-			se.After(200*time.Millisecond+time.Duration(rng.Int63n(int64(400*time.Millisecond))), step)
-		}
-		se.At(2*time.Second+time.Duration(i)*50*time.Millisecond, step)
-	}
 }
 
 // schedule resolves the fault schedule for a run: the explicit spec, or a
@@ -337,12 +238,8 @@ func schedule(cfg Config, c *cluster.Cluster, names []string) ([]fault.Fault, er
 			instances = append(instances, d.Name+"/"+n)
 		}
 	}
-	var replicas []string
-	if rep := c.Replicated(); rep != nil {
-		replicas = rep.ReplicaNames()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
-	return fault.RandomSchedule(rng, cfg.Horizon, instances, names, replicas, cfg.RandomFaults), nil
+	return fault.RandomSchedule(rng, cfg.Horizon, instances, names, cfg.RandomFaults), nil
 }
 
 // VerifyInvariants audits a drained cluster against the recovery guarantees.
@@ -437,13 +334,9 @@ func VerifyInvariants(c *cluster.Cluster) []string {
 	return v
 }
 
-// verifyControlPlane audits the metadata store after a chaos run. In both
-// store modes the cluster's watch-fed route mirror must have converged to the
-// store's committed routing table. With a replicated store it also replays
-// the recorded history through the full control-plane checker: per-key
-// linearizability against a legal sequential witness, at most one leader per
-// term, no acknowledged write lost, gapless commit sequence, watch delivery
-// in commit order, and session reads at or above their floor.
+// verifyControlPlane audits the metadata store after a chaos run: the
+// cluster's watch-fed route mirror must have converged to the store's
+// routing table.
 func verifyControlPlane(c *cluster.Cluster) []string {
 	var v []string
 	routes := c.Routes()
@@ -456,11 +349,6 @@ func verifyControlPlane(c *cluster.Cluster) []string {
 	for m := range mirror {
 		if _, ok := routes[m]; !ok {
 			v = append(v, fmt.Sprintf("store: route mirror holds %s but the store does not", m))
-		}
-	}
-	if rep := c.Replicated(); rep != nil {
-		for _, bad := range rep.CheckControlPlane() {
-			v = append(v, "store: "+bad)
 		}
 	}
 	return v

@@ -595,3 +595,23 @@ func TestOverloadChaosAttributesFaults(t *testing.T) {
 		t.Fatalf("no missed token attributed to fault (causes %v)", causes)
 	}
 }
+
+// The seed-5 partition-plus-crash schedule, which CI's chaos smoke job also
+// runs through aegaeon-sim -chaos: every request completes through one
+// failover.
+func TestSingleStoreGoldenUnchanged(t *testing.T) {
+	res, err := Run(Config{
+		Seed:    5,
+		Horizon: 120 * time.Second,
+		Spec:    "partition@38s+6s,crash@40s:chaos/decode1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	if res.Completed != 59 || res.Failovers != 1 {
+		t.Fatalf("completed=%d failovers=%d, want 59/1", res.Completed, res.Failovers)
+	}
+}

@@ -75,20 +75,10 @@ type Config struct {
 	Decisions *decision.Journal
 	Prefix    *prefixcache.Config
 
-	// StoreReplicas promotes the metadata store to an N-replica quorum store
-	// (ms0..msN-1): lease-based leadership, majority-acknowledged writes,
-	// and survival of any minority of replica crashes or partitions. 0 or 1
-	// keeps the classic single-replica store. The quorum protocol runs
-	// heartbeat and election timers on the sim clock, so callers MUST pair it
-	// with the StartHealth/StopHealth lifecycle (StopHealth stops the
-	// store's timers too) or sim.Engine.Run will never drain.
-	StoreReplicas int
-	// StoreSeed seeds the quorum store's election jitter (default 1).
+	// StoreSeed has no effect: the metadata store draws no randomness.
+	// bench/perf/gateway.go still sets it, so it stays until that caller
+	// drops it.
 	StoreSeed int64
-	// StoreHistory records every store client op so chaos harnesses can run
-	// the control-plane linearizability audit. Replicated store only; leave
-	// off in long-lived servers (the history grows without bound).
-	StoreHistory bool
 }
 
 // storeRTT is the metadata store's round trip.
@@ -98,8 +88,7 @@ const storeRTT = time.Millisecond
 type Cluster struct {
 	eng   *sim.Engine
 	cfg   Config
-	store metastore.API
-	rep   *metastore.Replicated // non-nil iff StoreReplicas > 1
+	store *metastore.Store
 	deps  []*Deployment
 	route map[string]*Deployment // model name -> deployment
 
@@ -124,17 +113,7 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 		cfg:         cfg,
 		route:       map[string]*Deployment{},
 		routeMirror: map[string]string{},
-	}
-	if cfg.StoreReplicas > 1 {
-		c.rep = metastore.NewReplicated(se, metastore.RepConfig{
-			Replicas:      cfg.StoreReplicas,
-			RTT:           storeRTT,
-			Seed:          cfg.StoreSeed,
-			RecordHistory: cfg.StoreHistory,
-		})
-		c.store = c.rep
-	} else {
-		c.store = metastore.New(se, storeRTT)
+		store:       metastore.New(se, storeRTT),
 	}
 	c.store.Watch("route/", func(k, v string) {
 		name := strings.TrimPrefix(k, "route/")
@@ -181,9 +160,9 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 }
 
 // putRoute writes one routing-table entry, retrying with a fixed backoff
-// until acknowledged. On the quorum store the first leader election may not
-// have finished when New runs, so a bounded retry loop (rather than the
-// single store's fire-and-forget Set) is what guarantees the table lands.
+// until acknowledged. A write submitted inside a partition window is
+// dropped, so a bounded retry loop (rather than a fire-and-forget Set) is
+// what guarantees the table lands.
 func (c *Cluster) putRoute(model, dep string, attempt int) {
 	c.store.SetE("route/"+model, dep, func(err error) {
 		if err == nil || attempt >= 20 || c.healthStop {
@@ -194,10 +173,7 @@ func (c *Cluster) putRoute(model, dep string, attempt int) {
 }
 
 // Store exposes the metadata store.
-func (c *Cluster) Store() metastore.API { return c.store }
-
-// Replicated exposes the quorum store (nil when StoreReplicas <= 1).
-func (c *Cluster) Replicated() *metastore.Replicated { return c.rep }
+func (c *Cluster) Store() *metastore.Store { return c.store }
 
 // RouteMirror returns the proxy's watch-maintained routing-table copy.
 func (c *Cluster) RouteMirror() map[string]string {
@@ -206,25 +182,6 @@ func (c *Cluster) RouteMirror() map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// StoreView snapshots the control plane for /debug/metastore. Must run on
-// the simulation goroutine.
-func (c *Cluster) StoreView() metastore.ControlView {
-	if c.rep != nil {
-		return c.rep.View()
-	}
-	g, s, d := c.store.Ops()
-	return metastore.ControlView{
-		SchemaVersion: 1,
-		Mode:          "single",
-		Gets:          g,
-		Sets:          s,
-		Deletes:       d,
-		FailedOps:     c.store.FailedOps(),
-		Watches:       c.store.Watches(),
-		Available:     c.store.Available(),
-	}
 }
 
 // FaultStats snapshots the shared fault counters (zero value when the

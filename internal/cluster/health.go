@@ -11,9 +11,8 @@ import (
 )
 
 var (
-	_ fault.Surface        = (*Cluster)(nil)
-	_ fault.SpotSurface    = (*Cluster)(nil)
-	_ fault.ReplicaSurface = (*Cluster)(nil)
+	_ fault.Surface     = (*Cluster)(nil)
+	_ fault.SpotSurface = (*Cluster)(nil)
 )
 
 // Health monitoring and failover (Fig. 5: the proxy's metadata sync exists
@@ -62,15 +61,10 @@ func (c *Cluster) StartHealth() {
 
 // StopHealth halts lease renewal and monitoring: the already-scheduled loop
 // events fire once more and return without rescheduling, so the event queue
-// drains. With a replicated store it also stops the quorum protocol's
-// heartbeat and election timers — the other half of keeping Run finite.
-// Must run on the simulation goroutine.
+// drains. Must run on the simulation goroutine.
 func (c *Cluster) StopHealth() {
 	c.healthStop = true
 	c.healthOn = false
-	if c.rep != nil {
-		c.rep.Stop()
-	}
 }
 
 // Failovers returns how many instance failovers the proxy has claimed and
@@ -117,7 +111,7 @@ func (c *Cluster) monitor() {
 	for _, d := range c.deps {
 		for _, name := range d.System.InstanceNames() {
 			d, name := d, name
-			c.store.GetSession(leaseKey(d.Name, name), func(v string, ok bool, err error) {
+			c.store.GetE(leaseKey(d.Name, name), func(v string, ok bool, err error) {
 				if c.healthStop {
 					return
 				}
@@ -145,12 +139,10 @@ func (c *Cluster) monitor() {
 							return
 						}
 						if !swapped {
-							// The claim may already be ours: a previous CAS can
-							// commit while its acknowledgment dies with a store
-							// leader crash or partition. Recovery is idempotent
-							// (an empty orphan stash is a no-op), so the owner
-							// re-enters instead of wedging with the orphans
-							// stranded forever.
+							// The claim may already be ours from an earlier
+							// poll. Recovery is idempotent (an empty orphan
+							// stash is a no-op), so the owner re-enters instead
+							// of leaving later orphans stranded forever.
 							c.store.GetE(failoverKey(d.Name, name),
 								func(v string, ok bool, err error) {
 									if err != nil || !ok || v != "proxy" || c.healthStop {
@@ -291,38 +283,4 @@ func (c *Cluster) PartitionStore(d sim.Time) error {
 func (c *Cluster) SlowStore(factor float64, d sim.Time) error {
 	c.store.SlowBy(factor, d)
 	return nil
-}
-
-// --- fault.ReplicaSurface: control-plane faults need the quorum store ---
-
-// PartitionReplica implements fault.ReplicaSurface.
-func (c *Cluster) PartitionReplica(target string, d sim.Time) error {
-	if c.rep == nil {
-		return fmt.Errorf("cluster: replica faults need StoreReplicas > 1")
-	}
-	return c.rep.PartitionReplica(target, d)
-}
-
-// Netsplit implements fault.ReplicaSurface.
-func (c *Cluster) Netsplit(from, to []string, d sim.Time) error {
-	if c.rep == nil {
-		return fmt.Errorf("cluster: replica faults need StoreReplicas > 1")
-	}
-	return c.rep.Netsplit(from, to, d)
-}
-
-// SlowLinks implements fault.ReplicaSurface.
-func (c *Cluster) SlowLinks(target string, factor float64, d sim.Time) error {
-	if c.rep == nil {
-		return fmt.Errorf("cluster: replica faults need StoreReplicas > 1")
-	}
-	return c.rep.SlowLinks(target, factor, d)
-}
-
-// CrashReplica implements fault.ReplicaSurface.
-func (c *Cluster) CrashReplica(target string, restartAfter sim.Time) error {
-	if c.rep == nil {
-		return fmt.Errorf("cluster: replica faults need StoreReplicas > 1")
-	}
-	return c.rep.CrashReplica(target, restartAfter)
 }

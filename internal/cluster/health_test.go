@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,5 +177,27 @@ func TestHealthIsOptIn(t *testing.T) {
 	}
 	if got := len(c.Store().Keys("lease/")); got != 0 {
 		t.Fatalf("%d leases written without StartHealth", got)
+	}
+}
+
+// A route write submitted inside a store partition is dropped and retried
+// until it lands, so the watch-fed route mirror still converges to the
+// routing table.
+func TestRouteMirrorConverges(t *testing.T) {
+	se := sim.NewEngine(1)
+	c, small := healthCluster(t, se, fault.New(se, 7))
+	se.Run() // the routes New wrote land
+	var landed []sim.Time
+	c.Store().Watch("route/"+small[0].Name, func(string, string) { landed = append(landed, se.Now()) })
+	end := se.Now() + 2*time.Second
+	c.Store().Partition(2 * time.Second)
+	c.putRoute(small[0].Name, "tp1", 0)
+	se.Run()
+	if len(landed) != 1 || landed[0] < end {
+		t.Fatalf("route write landed at %v, want once after the partition ends at %v", landed, end)
+	}
+	routes, mirror := c.Routes(), c.RouteMirror()
+	if len(routes) != len(small) || !reflect.DeepEqual(routes, mirror) {
+		t.Fatalf("mirror %v, routes %v", mirror, routes)
 	}
 }

@@ -37,10 +37,8 @@ const (
 	KindFetchFail Kind = "fetchfail"
 	// KindFetchSlow multiplies remote fetch latency by Factor for Duration.
 	KindFetchSlow Kind = "fetchslow"
-	// KindPartition severs metadata-store connectivity for Duration. With no
-	// target the proxy's client link blacks out (the single-store legacy
-	// behavior); with a :replica target that store replica is isolated from
-	// both its peers and the clients.
+	// KindPartition severs metadata-store connectivity for Duration: every
+	// store operation submitted inside the window fails.
 	KindPartition Kind = "partition"
 	// KindStoreSlow multiplies metadata store RTT by Factor for Duration.
 	KindStoreSlow Kind = "storeslow"
@@ -51,32 +49,18 @@ const (
 	// KindThrottle thermal-throttles the target device: compute slows by
 	// Factor for Duration. Requires a target.
 	KindThrottle Kind = "throttle"
-	// KindNetsplit cuts replica-store links asymmetrically: the target has
-	// the form A~B where A and B are '|'-joined groups of replica names, and
-	// messages from A to B are dropped for Duration (B can still reach A).
-	// Requires a target.
-	KindNetsplit Kind = "netsplit"
-	// KindNetDelay multiplies latency on every store link touching the
-	// target replica by Factor for Duration ("" or "*" slows all links).
-	KindNetDelay Kind = "netdelay"
-	// KindReplicaCrash fail-stops the target store replica. Duration is the
-	// restart delay; 0 means the replica never comes back. Requires a target.
-	KindReplicaCrash Kind = "rcrash"
 )
 
 // knownKinds maps spec tokens to kinds; also doubles as the validation set.
 var knownKinds = map[string]Kind{
-	string(KindCrash):        KindCrash,
-	string(KindTransfer):     KindTransfer,
-	string(KindFetchFail):    KindFetchFail,
-	string(KindFetchSlow):    KindFetchSlow,
-	string(KindPartition):    KindPartition,
-	string(KindStoreSlow):    KindStoreSlow,
-	string(KindReclaim):      KindReclaim,
-	string(KindThrottle):     KindThrottle,
-	string(KindNetsplit):     KindNetsplit,
-	string(KindNetDelay):     KindNetDelay,
-	string(KindReplicaCrash): KindReplicaCrash,
+	string(KindCrash):     KindCrash,
+	string(KindTransfer):  KindTransfer,
+	string(KindFetchFail): KindFetchFail,
+	string(KindFetchSlow): KindFetchSlow,
+	string(KindPartition): KindPartition,
+	string(KindStoreSlow): KindStoreSlow,
+	string(KindReclaim):   KindReclaim,
+	string(KindThrottle):  KindThrottle,
 }
 
 // Fault is one scheduled failure.
@@ -224,62 +208,11 @@ func parseItem(item string) (Fault, error) {
 		if f.Target == "" {
 			return f, fmt.Errorf("throttle needs a :device target")
 		}
-	case KindNetsplit:
-		if f.Factor != 0 {
-			return f, fmt.Errorf("netsplit takes no factor")
-		}
-		if f.Duration == 0 {
-			f.Duration = defaultWindow
-		}
-		if _, _, err := ParseNetsplitTarget(f.Target); err != nil {
-			return f, err
-		}
-	case KindNetDelay:
-		if f.Duration == 0 {
-			f.Duration = defaultWindow
-		}
-		if f.Factor == 0 {
-			f.Factor = defaultFactor
-		}
-	case KindReplicaCrash:
-		if f.Factor != 0 {
-			return f, fmt.Errorf("rcrash takes no factor")
-		}
-		if f.Target == "" {
-			return f, fmt.Errorf("rcrash needs a :replica target")
-		}
 	}
-	if f.Kind == KindStoreSlow && f.Target != "" {
+	if (f.Kind == KindPartition || f.Kind == KindStoreSlow) && f.Target != "" {
 		return f, fmt.Errorf("%s takes no target", f.Kind)
 	}
 	return f, nil
-}
-
-// ParseNetsplitTarget splits a netsplit fault target "A~B" into its two
-// replica groups, where each group is one or more '|'-joined replica names.
-func ParseNetsplitTarget(target string) (from, to []string, err error) {
-	a, b, ok := strings.Cut(target, "~")
-	if !ok {
-		return nil, nil, fmt.Errorf("netsplit target must have the form A~B")
-	}
-	group := func(s string) ([]string, error) {
-		var out []string
-		for _, p := range strings.Split(s, "|") {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				return nil, fmt.Errorf("netsplit group has an empty replica name in %q", s)
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	}
-	if from, err = group(a); err != nil {
-		return nil, nil, err
-	}
-	if to, err = group(b); err != nil {
-		return nil, nil, err
-	}
-	return from, to, nil
 }
 
 // FormatSpec renders a schedule back into the ParseSpec grammar.
@@ -291,14 +224,11 @@ func FormatSpec(sched []Fault) string {
 	return strings.Join(parts, ",")
 }
 
-// RandomSchedule draws n faults from rng, targeting the given instance,
-// model, and store-replica names, with injection times in
-// [horizon/20, 4*horizon/5] so every fault lands while load is still
-// arriving and recovery has room to finish. Replica crashes drawn here
-// always restart (a permanent quorum loss would wedge every later fault's
-// recovery); permanent crashes are for explicit specs. The result is sorted
-// by time and fully determined by the rng state.
-func RandomSchedule(rng *rand.Rand, horizon time.Duration, instances, models, replicas []string, n int) []Fault {
+// RandomSchedule draws n faults from rng, targeting the given instance and
+// model names, with injection times in [horizon/20, 4*horizon/5] so every
+// fault lands while load is still arriving and recovery has room to finish.
+// The result is sorted by time and fully determined by the rng state.
+func RandomSchedule(rng *rand.Rand, horizon time.Duration, instances, models []string, n int) []Fault {
 	if n <= 0 || horizon <= 0 {
 		return nil
 	}
@@ -316,12 +246,6 @@ func RandomSchedule(rng *rand.Rand, horizon time.Duration, instances, models, re
 	if len(instances) > 0 {
 		// The spot-market kinds need a concrete device target.
 		kinds = append(kinds, KindReclaim, KindThrottle)
-	}
-	if len(replicas) > 0 {
-		kinds = append(kinds, KindNetDelay, KindReplicaCrash)
-	}
-	if len(replicas) >= 2 {
-		kinds = append(kinds, KindNetsplit)
 	}
 	out := make([]Fault, 0, n)
 	for i := 0; i < n; i++ {
@@ -344,13 +268,6 @@ func RandomSchedule(rng *rand.Rand, horizon time.Duration, instances, models, re
 			f.Factor = 2 + 6*rng.Float64()
 		case KindPartition:
 			f.Duration = time.Duration(1+rng.Intn(5)) * time.Second
-			if len(replicas) > 0 {
-				// Half the partitions isolate one replica; the rest keep
-				// the legacy client blackout.
-				if j := rng.Intn(len(replicas) + 1); j < len(replicas) {
-					f.Target = replicas[j]
-				}
-			}
 		case KindStoreSlow:
 			f.Duration = time.Duration(1+rng.Intn(10)) * time.Second
 			f.Factor = 2 + 8*rng.Float64()
@@ -361,17 +278,6 @@ func RandomSchedule(rng *rand.Rand, horizon time.Duration, instances, models, re
 			f.Target = pick(instances)
 			f.Duration = time.Duration(2+rng.Intn(20)) * time.Second
 			f.Factor = 1.5 + 4*rng.Float64()
-		case KindNetsplit:
-			p := 1 + rng.Intn(len(replicas)-1)
-			f.Target = strings.Join(replicas[:p], "|") + "~" + strings.Join(replicas[p:], "|")
-			f.Duration = time.Duration(1+rng.Intn(6)) * time.Second
-		case KindNetDelay:
-			f.Target = pick(replicas)
-			f.Duration = time.Duration(1+rng.Intn(10)) * time.Second
-			f.Factor = 2 + 6*rng.Float64()
-		case KindReplicaCrash:
-			f.Target = pick(replicas)
-			f.Duration = time.Duration(2+rng.Intn(9)) * time.Second
 		}
 		out = append(out, f)
 	}

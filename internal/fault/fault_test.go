@@ -179,8 +179,8 @@ func TestInjectorReplaysSchedule(t *testing.T) {
 func TestRandomScheduleDeterministic(t *testing.T) {
 	insts := []string{"prefill0", "decode0", "decode1"}
 	models := []string{"m1", "m2"}
-	a := RandomSchedule(rand.New(rand.NewSource(9)), time.Minute, insts, models, nil, 8)
-	b := RandomSchedule(rand.New(rand.NewSource(9)), time.Minute, insts, models, nil, 8)
+	a := RandomSchedule(rand.New(rand.NewSource(9)), time.Minute, insts, models, 8)
+	b := RandomSchedule(rand.New(rand.NewSource(9)), time.Minute, insts, models, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different schedules")
 	}

@@ -12,7 +12,7 @@ import (
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, spec := range []string{
 		"fetchslow@10s+30s*4,xfer@30s+10s:decode0,crash@45s:decode1",
-		"partition@40s+5s:ms0,netsplit@50s+6s:ms0~ms1|ms2,netdelay@60s+4s*3:ms1,rcrash@70s+10s:ms2,rcrash@80s:ms0",
+		"partition@40s+5s,storeslow@50s+6s*3",
 		"reclaim@40s+8s:decode0,throttle@10s+30s*2.5:prefill1,reclaim@90s:decode1",
 		// A factor of 1 must survive formatting rather than fall back to the
 		// default; NaN and Inf factors are rejected.
@@ -24,7 +24,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f.Add(FormatSpec(RandomSchedule(rng, 5*time.Minute, []string{"decode0"}, []string{"m"}, []string{"ms0", "ms1"}, 6)))
+		f.Add(FormatSpec(RandomSchedule(rng, 5*time.Minute, []string{"decode0"}, []string{"m"}, 6)))
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		sched, err := ParseSpec(spec)

@@ -36,25 +36,6 @@ type SpotSurface interface {
 	Throttle(target string, factor float64, d sim.Time) error
 }
 
-// ReplicaSurface is the optional extension surfaces implement to accept the
-// replicated-control-plane fault kinds. The injector type-asserts for it
-// when a replica-targeted partition, netsplit, netdelay, or rcrash fault
-// fires; surfaces without it reject those kinds.
-type ReplicaSurface interface {
-	// PartitionReplica isolates the named store replica from its peers and
-	// from clients, both directions, for d.
-	PartitionReplica(target string, d sim.Time) error
-	// Netsplit drops messages from replicas in group from to replicas in
-	// group to (one direction only) for d.
-	Netsplit(from, to []string, d sim.Time) error
-	// SlowLinks multiplies latency on every store link touching the named
-	// replica ("" or "*" = all links) by factor for d.
-	SlowLinks(target string, factor float64, d sim.Time) error
-	// CrashReplica fail-stops the named store replica; it restarts after
-	// restartAfter (0 = never).
-	CrashReplica(target string, restartAfter sim.Time) error
-}
-
 // Injector replays a fault schedule against a Surface on the sim clock.
 type Injector struct {
 	eng      *sim.Engine
@@ -95,13 +76,7 @@ func (in *Injector) fire(f Fault) {
 	case KindFetchSlow:
 		err = in.surface.SlowFetch(f.Factor, f.Duration)
 	case KindPartition:
-		if f.Target == "" {
-			err = in.surface.PartitionStore(f.Duration)
-		} else if rs, ok := in.surface.(ReplicaSurface); ok {
-			err = rs.PartitionReplica(f.Target, f.Duration)
-		} else {
-			err = fmt.Errorf("surface does not support replica faults")
-		}
+		err = in.surface.PartitionStore(f.Duration)
 	case KindStoreSlow:
 		err = in.surface.SlowStore(f.Factor, f.Duration)
 	case KindReclaim:
@@ -115,28 +90,6 @@ func (in *Injector) fire(f Fault) {
 			err = ss.Throttle(f.Target, f.Factor, f.Duration)
 		} else {
 			err = fmt.Errorf("surface does not support spot faults")
-		}
-	case KindNetsplit:
-		if rs, ok := in.surface.(ReplicaSurface); ok {
-			var from, to []string
-			from, to, err = ParseNetsplitTarget(f.Target)
-			if err == nil {
-				err = rs.Netsplit(from, to, f.Duration)
-			}
-		} else {
-			err = fmt.Errorf("surface does not support replica faults")
-		}
-	case KindNetDelay:
-		if rs, ok := in.surface.(ReplicaSurface); ok {
-			err = rs.SlowLinks(f.Target, f.Factor, f.Duration)
-		} else {
-			err = fmt.Errorf("surface does not support replica faults")
-		}
-	case KindReplicaCrash:
-		if rs, ok := in.surface.(ReplicaSurface); ok {
-			err = rs.CrashReplica(f.Target, f.Duration)
-		} else {
-			err = fmt.Errorf("surface does not support replica faults")
 		}
 	default:
 		err = fmt.Errorf("fault: unknown kind %q", f.Kind)

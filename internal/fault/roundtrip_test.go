@@ -18,17 +18,9 @@ import (
 func TestSpecRoundTripProperty(t *testing.T) {
 	instances := []string{"prefill0", "decode0", "decode1", "chaos/decode2"}
 	models := []string{"llama-7b", "qwen-14b"}
-	replicas := []string{"ms0", "ms1", "ms2"}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// Odd seeds draw over the replica set too, so the control-plane kinds
-		// (partition:replica, netsplit, netdelay, rcrash) are exercised by the
-		// same identity property as the original grammar.
-		reps := replicas
-		if seed%2 == 0 {
-			reps = nil
-		}
-		sched := RandomSchedule(rng, 5*time.Minute, instances, models, reps, 1+rng.Intn(12))
+		sched := RandomSchedule(rng, 5*time.Minute, instances, models, 1+rng.Intn(12))
 		spec := FormatSpec(sched)
 		back, err := ParseSpec(spec)
 		if err != nil {
@@ -46,8 +38,7 @@ func TestSpecRoundTripProperty(t *testing.T) {
 func TestRandomScheduleCoversAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	seen := map[Kind]bool{}
-	sched := RandomSchedule(rng, 10*time.Minute, []string{"decode0"}, []string{"m"},
-		[]string{"ms0", "ms1", "ms2"}, 800)
+	sched := RandomSchedule(rng, 10*time.Minute, []string{"decode0"}, []string{"m"}, 800)
 	for _, f := range sched {
 		seen[f.Kind] = true
 	}
@@ -59,19 +50,11 @@ func TestRandomScheduleCoversAllKinds(t *testing.T) {
 	// Without instances, the device-targeted spot kinds must not be drawn
 	// (they would produce untargetable faults).
 	seen = map[Kind]bool{}
-	for _, f := range RandomSchedule(rng, 10*time.Minute, nil, []string{"m"}, nil, 500) {
+	for _, f := range RandomSchedule(rng, 10*time.Minute, nil, []string{"m"}, 500) {
 		seen[f.Kind] = true
 	}
 	if seen[KindReclaim] || seen[KindThrottle] {
 		t.Error("spot kinds drawn without instance targets")
-	}
-	if seen[KindNetsplit] || seen[KindNetDelay] || seen[KindReplicaCrash] {
-		t.Error("replica kinds drawn without replica targets")
-	}
-	for _, f := range RandomSchedule(rng, 10*time.Minute, nil, []string{"m"}, nil, 500) {
-		if f.Kind == KindPartition && f.Target != "" {
-			t.Error("partition drew a replica target without replicas")
-		}
 	}
 }
 
@@ -88,82 +71,12 @@ func TestRandomScheduleDigest(t *testing.T) {
 	var b strings.Builder
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b.WriteString(FormatSpec(RandomSchedule(rng, 120*time.Second, insts, models, nil, 4)))
+		b.WriteString(FormatSpec(RandomSchedule(rng, 120*time.Second, insts, models, 4)))
 		b.WriteByte('\n')
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	if got := hex.EncodeToString(sum[:]); got != randomScheduleDigest {
 		t.Errorf("schedule digest %s, want %s\n%s", got, randomScheduleDigest, b.String())
-	}
-}
-
-// The draw sequence with an empty replica set must be byte-identical to the
-// pre-replica generator: chaos goldens pin schedules drawn from fixed seeds,
-// and adding the control-plane kinds must not perturb them.
-func TestRandomScheduleStableWithoutReplicas(t *testing.T) {
-	insts := []string{"prefill0", "decode0", "decode1"}
-	models := []string{"m1", "m2"}
-	a := RandomSchedule(rand.New(rand.NewSource(7)), 2*time.Minute, insts, models, nil, 12)
-	b := RandomSchedule(rand.New(rand.NewSource(7)), 2*time.Minute, insts, models, []string{}, 12)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("nil vs empty replica slice changed the draw sequence")
-	}
-	for _, f := range a {
-		switch f.Kind {
-		case KindNetsplit, KindNetDelay, KindReplicaCrash:
-			t.Fatalf("replica kind %s drawn with no replicas", f.Kind)
-		}
-	}
-}
-
-func TestParseReplicaKinds(t *testing.T) {
-	sched, err := ParseSpec("partition@40s+5s:ms0,netsplit@50s+6s:ms0~ms1|ms2,netdelay@60s+4s*3:ms1,rcrash@70s+10s:ms2,rcrash@80s:ms0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched) != 5 {
-		t.Fatalf("%d faults", len(sched))
-	}
-	p := sched[0]
-	if p.Kind != KindPartition || p.Target != "ms0" || p.Duration != 5*time.Second {
-		t.Fatalf("partition parsed as %+v", p)
-	}
-	ns := sched[1]
-	if ns.Kind != KindNetsplit || ns.Target != "ms0~ms1|ms2" {
-		t.Fatalf("netsplit parsed as %+v", ns)
-	}
-	from, to, err := ParseNetsplitTarget(ns.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(from, []string{"ms0"}) || !reflect.DeepEqual(to, []string{"ms1", "ms2"}) {
-		t.Fatalf("netsplit groups = %v ~ %v", from, to)
-	}
-	nd := sched[2]
-	if nd.Kind != KindNetDelay || nd.Factor != 3 || nd.Target != "ms1" {
-		t.Fatalf("netdelay parsed as %+v", nd)
-	}
-	rc := sched[3]
-	if rc.Kind != KindReplicaCrash || rc.Duration != 10*time.Second || rc.Target != "ms2" {
-		t.Fatalf("rcrash parsed as %+v", rc)
-	}
-	// Duration omitted: permanent crash (no restart).
-	if sched[4].Duration != 0 {
-		t.Fatalf("permanent rcrash parsed with duration %v", sched[4].Duration)
-	}
-
-	for _, bad := range []string{
-		"netsplit@40s+5s",           // no target
-		"netsplit@40s+5s:ms0",       // no ~ separator
-		"netsplit@40s+5s:~ms1",      // empty group
-		"netsplit@40s+5s:ms0~ms1|",  // empty member
-		"netsplit@40s+5s*2:ms0~ms1", // factor on netsplit
-		"rcrash@40s+5s",             // no target
-		"rcrash@40s*2:ms0",          // factor on rcrash
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) should fail", bad)
-		}
 	}
 }
 
@@ -192,9 +105,13 @@ func TestParseReclaimThrottle(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"reclaim@40s",           // no target
-		"throttle@40s",          // no target
-		"reclaim@40s*2:decode0", // factor on reclaim
+		"reclaim@40s",             // no target
+		"throttle@40s",            // no target
+		"reclaim@40s*2:decode0",   // factor on reclaim
+		"partition@40s+5s:ms0",    // partition takes no target
+		"netsplit@50s+6s:ms0~ms1", // kinds of the retired replicated store
+		"netdelay@60s+4s*3:ms1",
+		"rcrash@70s+10s:ms2",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)

@@ -24,7 +24,7 @@ import (
 type loopState struct {
 	virtual   time.Duration
 	switches  uint64
-	store     metastore.ControlView // mode, op counters, replica state
+	store     metastore.ControlView // op counters and availability
 	faults    fault.Stats
 	failovers int
 	gpus      []cluster.GPUInfo
@@ -40,7 +40,7 @@ func (g *Gateway) loopSnapshot() loopState {
 	err := g.drv.Call(func() {
 		s.virtual = g.cl.VirtualNow()
 		s.switches = g.cl.Switches()
-		s.store = g.cl.StoreView()
+		s.store = g.cl.Store().View()
 		s.faults = g.cl.FaultStats()
 		s.failovers = g.cl.Failovers()
 		s.gpus = g.cl.GPUInfos()
@@ -190,9 +190,8 @@ func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(mkt)
 }
 
-// handleDebugMetastore serves the control-plane view: store mode (single or
-// replicated), and in replicated mode the per-replica role, term, commit and
-// applied state, the current leader, leader changes, and the op counters.
+// handleDebugMetastore serves the metadata store's view: its op counters,
+// watches and availability.
 func (g *Gateway) handleDebugMetastore(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(g.loopSnapshot().store)

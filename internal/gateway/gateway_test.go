@@ -28,7 +28,6 @@ import (
 type testCluster struct {
 	models          []*model.Model
 	prefill, decode int
-	storeReplicas   int
 	// faultSeed, when nonzero, gives the cluster a fault runtime so seeded.
 	faultSeed int64
 	// accelerate runs the driver un-paced from virtual time zero, so token
@@ -66,8 +65,6 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "live", TP: 1, NumPrefill: tc.prefill, NumDecode: tc.decode, Models: tc.models,
 		}},
-		StoreReplicas: tc.storeReplicas,
-		StoreSeed:     1,
 	}
 	parts.Cluster(&cfg)
 	cl, err := cluster.New(se, cfg)

@@ -240,8 +240,7 @@ func writeSLOMetrics(b *strings.Builder, snap *slomon.Snapshot) {
 	}
 }
 
-// writeStoreMetrics renders the metadata store's families: op counters in
-// both modes, and term, leader and per-replica state when replicated.
+// writeStoreMetrics renders the metadata store's op counter families.
 func writeStoreMetrics(b *strings.Builder, v metastore.ControlView) {
 	family(b, "counter", "aegaeon_metastore_ops_total", "Metadata store operations by kind.")
 	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"get\"} %d\n", v.Gets)
@@ -249,26 +248,6 @@ func writeStoreMetrics(b *strings.Builder, v metastore.ControlView) {
 	fmt.Fprintf(b, "aegaeon_metastore_ops_total{op=\"delete\"} %d\n", v.Deletes)
 	family(b, "counter", "aegaeon_metastore_failed_ops_total", "Metadata store operations dropped by partitions.")
 	fmt.Fprintf(b, "aegaeon_metastore_failed_ops_total %d\n", v.FailedOps)
-	if v.Mode == "replicated" {
-		family(b, "gauge", "aegaeon_metastore_term", "Current replication term of the quorum metadata store.")
-		fmt.Fprintf(b, "aegaeon_metastore_term %d\n", v.Term)
-		family(b, "counter", "aegaeon_metastore_leader_changes_total", "Metadata store leader elections that won a new leader.")
-		fmt.Fprintf(b, "aegaeon_metastore_leader_changes_total %d\n", v.LeaderChanges)
-		family(b, "gauge", "aegaeon_metastore_commit_index", "Quorum-committed log index of the metadata store.")
-		fmt.Fprintf(b, "aegaeon_metastore_commit_index %d\n", v.CommitIndex)
-		family(b, "gauge", "aegaeon_metastore_replica_up", "Per-replica liveness of the metadata store quorum group.")
-		for _, rv := range v.Replicas {
-			up := 0
-			if rv.Up {
-				up = 1
-			}
-			fmt.Fprintf(b, "aegaeon_metastore_replica_up{replica=%q} %d\n", rv.Name, up)
-		}
-		family(b, "gauge", "aegaeon_metastore_replica_applied_index", "Per-replica applied log index of the metadata store quorum group.")
-		for _, rv := range v.Replicas {
-			fmt.Fprintf(b, "aegaeon_metastore_replica_applied_index{replica=%q} %d\n", rv.Name, rv.Applied)
-		}
-	}
 }
 
 // writePrefixMetrics renders the global prefix cache's families, summed

@@ -118,29 +118,6 @@ func TestStoreFamiliesGolden(t *testing.T) {
 	})
 }
 
-// familiesGolden is the sha256 of the market and replicated-store families
-// TestMarketAndStoreFamiliesGolden renders.
-const familiesGolden = "ab81f2e58a5bd9a6edf8bacb0c8ff799b9ca930bd7121d1dcb16280b8ee3221c"
-
-// TestMarketAndStoreFamiliesGolden pins the market and replicated-store
-// family writers on fixed snapshots. The surface golden's gateway runs
-// neither: with both on, the un-paced engine never goes idle.
-func TestMarketAndStoreFamiliesGolden(t *testing.T) {
-	store := metastore.ControlView{
-		Mode: "replicated", Term: 3, LeaderChanges: 2, CommitIndex: 19,
-		Gets: 11, Sets: 8, Deletes: 3, FailedOps: 1,
-		Replicas: []metastore.ReplicaView{{Name: "ms0", Up: true, Applied: 19}, {Name: "ms1", Applied: 17}},
-	}
-	mkt := goldenMarket()
-	b := &strings.Builder{}
-	writeStoreMetrics(b, store)
-	writeMarketMetrics(b, mkt)
-	sum := sha256.Sum256([]byte(b.String()))
-	if got := hex.EncodeToString(sum[:]); got != familiesGolden {
-		t.Errorf("families digest %s, want %s\n%s", got, familiesGolden, b.String())
-	}
-}
-
 // assertGated404 asks a gateway with no optional subsystem for each path and
 // wants the 404 JSON error carrying msg, which names what is missing.
 func assertGated404(t *testing.T, msg string, paths ...string) {

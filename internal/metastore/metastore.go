@@ -187,14 +187,6 @@ func (s *Store) GetE(key string, fn func(value string, ok bool, err error)) {
 	})
 }
 
-// GetSession is the session-consistent (read-your-writes) read. On the
-// single-replica store every read is already linearizable, so it aliases
-// GetE; the replicated store serves it from the session's home replica once
-// that replica has caught up to the session's floor.
-func (s *Store) GetSession(key string, fn func(value string, ok bool, err error)) {
-	s.GetE(key, fn)
-}
-
 // CompareAndSwap atomically replaces key's value with new iff the current
 // value equals old (an absent key compares as ""). The comparison and the
 // write happen in the same event after the RTT, so concurrent claimants
@@ -276,9 +268,6 @@ func (s *Store) Watch(prefix string, fn func(key, value string)) (cancel func())
 	}
 }
 
-// Watches returns the number of registered (non-cancelled) watches.
-func (s *Store) Watches() int { return len(s.watches) }
-
 // Keys returns the sorted keys under prefix (synchronous; diagnostics).
 func (s *Store) Keys(prefix string) []string {
 	var out []string
@@ -294,8 +283,32 @@ func (s *Store) Keys(prefix string) []string {
 // Version returns the monotone write counter for a key (0 if never set).
 func (s *Store) Version(key string) uint64 { return s.version[key] }
 
-// Ops returns cumulative (gets, sets, deletes).
-func (s *Store) Ops() (gets, sets, deletes uint64) { return s.gets, s.sets, s.deletes }
+// ControlView is the /debug/metastore snapshot. Term, LeaderChanges and
+// CommitIndex are always zero: the keys stay so the endpoint's schema holds.
+type ControlView struct {
+	SchemaVersion int    `json:"schema_version"`
+	Mode          string `json:"mode"` // always "single"
+	Term          uint64 `json:"term"`
+	LeaderChanges int    `json:"leader_changes"`
+	CommitIndex   uint64 `json:"commit_index"`
+	Gets          uint64 `json:"gets"`
+	Sets          uint64 `json:"sets"`
+	Deletes       uint64 `json:"deletes"`
+	FailedOps     uint64 `json:"failed_ops"`
+	Watches       int    `json:"watches"`
+	Available     bool   `json:"available"`
+}
 
-// FailedOps returns how many operations a partition window dropped.
-func (s *Store) FailedOps() uint64 { return s.failed }
+// View snapshots the store for the debug endpoint and metrics.
+func (s *Store) View() ControlView {
+	return ControlView{
+		SchemaVersion: 1,
+		Mode:          "single",
+		Gets:          s.gets,
+		Sets:          s.sets,
+		Deletes:       s.deletes,
+		FailedOps:     s.failed,
+		Watches:       len(s.watches),
+		Available:     s.Available(),
+	}
+}

@@ -80,9 +80,8 @@ func TestKeysAndVersion(t *testing.T) {
 	if s.Version("a/1") != 2 {
 		t.Fatalf("version = %d", s.Version("a/1"))
 	}
-	g, st, d := s.Ops()
-	if g != 0 || st != 4 || d != 0 {
-		t.Fatalf("ops = %d/%d/%d", g, st, d)
+	if v := s.View(); v.Gets != 0 || v.Sets != 4 || v.Deletes != 0 {
+		t.Fatalf("ops = %d/%d/%d", v.Gets, v.Sets, v.Deletes)
 	}
 }
 
@@ -96,15 +95,15 @@ func TestWatchCancelCompacts(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		cancels = append(cancels, s.Watch("k/", func(string, string) {}))
 	}
-	if got := s.Watches(); got != 64 {
-		t.Fatalf("Watches() = %d, want 64", got)
+	if got := s.View().Watches; got != 64 {
+		t.Fatalf("watches = %d, want 64", got)
 	}
 	for _, c := range cancels {
 		c()
 		c() // idempotent
 	}
-	if got := s.Watches(); got != 0 {
-		t.Fatalf("Watches() = %d after cancelling all, want 0", got)
+	if got := s.View().Watches; got != 0 {
+		t.Fatalf("watches = %d after cancelling all, want 0", got)
 	}
 }
 
@@ -129,8 +128,8 @@ func TestWatchCancelDuringSweep(t *testing.T) {
 	if fired["sibling"] != 2 {
 		t.Fatalf("sibling watch fired %d times, want 2", fired["sibling"])
 	}
-	if got := s.Watches(); got != 1 {
-		t.Fatalf("Watches() = %d, want 1", got)
+	if got := s.View().Watches; got != 1 {
+		t.Fatalf("watches = %d, want 1", got)
 	}
 }
 
@@ -233,8 +232,8 @@ func TestPartitionDropsOps(t *testing.T) {
 	if v, ok := s.GetNow("k"); !ok || v != "v0" {
 		t.Fatalf("partitioned write mutated store: (%q,%v)", v, ok)
 	}
-	if s.FailedOps() != 5 {
-		t.Fatalf("FailedOps = %d", s.FailedOps())
+	if got := s.View().FailedOps; got != 5 {
+		t.Fatalf("failed ops = %d", got)
 	}
 
 	// After the window the store heals.
@@ -272,5 +271,31 @@ func TestSlowByStretchesRTT(t *testing.T) {
 	eng.Run()
 	if ack2 != 66*time.Millisecond {
 		t.Fatalf("post-window ack at %v, want 66ms", ack2)
+	}
+}
+
+// Regression: the store's watch notifications must fire in
+// submission order — which is Version() order — even when a latency spike
+// expires between two submissions. Before the FIFO fix the slowed op landed
+// after the fast one and the watch replayed history backwards.
+func TestStoreWatchOrderMatchesVersion(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := New(eng, time.Millisecond)
+	var order []string
+	s.Watch("k", func(k, v string) { order = append(order, v) })
+	s.SlowBy(10, 500*time.Microsecond) // first op completes at 10ms
+	s.Set("k", "first")                // submitted under the spike
+	eng.At(2*time.Millisecond, func() {
+		s.Set("k", "second") // spike expired: raw latency would land at 3ms
+	})
+	eng.Run()
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("notification order = %v, want [first second]", order)
+	}
+	if s.Version("k") != 2 {
+		t.Fatalf("version = %d", s.Version("k"))
+	}
+	if v, _ := s.GetNow("k"); v != "second" {
+		t.Fatalf("final value = %q, want the later submission", v)
 	}
 }
