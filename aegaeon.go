@@ -134,17 +134,16 @@ type Config struct {
 	// AssignPriorities. The controller's arc and shed accounting land in
 	// the Report.
 	Overload bool
-	// PrefixCache enables the global prefix cache: prompt prefixes computed
-	// by earlier requests are indexed (chunked block-aligned hashing, so
-	// partial matches hit) over a host tier in the unified CPU KV pool with
-	// per-instance device copies earned by reuse, and prefill skips matched
-	// tokens, charging the tier-dependent copy instead. Multi-turn and
-	// shared-system-prompt traces (see TraceSpec.Workload) are where it pays.
-	PrefixCache bool
-	// PrefixRouting additionally makes prefill dispatch cache-aware: requests
-	// are steered toward the instance whose device tier holds their longest
-	// prefix, as a bounded credit against queue depth — never an override of
-	// load balance or admission control. Implies PrefixCache.
+	// PrefixRouting enables the global prefix cache with cache-aware prefill
+	// dispatch. Prompt prefixes computed by earlier requests are indexed
+	// (chunked block-aligned hashing, so partial matches hit) over a host
+	// tier in the unified CPU KV pool with per-instance device copies earned
+	// by reuse, and prefill skips matched tokens, charging the tier-dependent
+	// copy instead. Requests are steered toward the instance whose device
+	// tier holds their longest prefix, as a bounded credit against queue
+	// depth — never an override of load balance or admission control.
+	// Multi-turn and shared-system-prompt traces (see TraceSpec.Workload)
+	// are where it pays.
 	PrefixRouting bool
 	// Decisions enables the decision-provenance journal: every policy
 	// decision — admission, overload ladder transitions, shedding, prefill
@@ -265,7 +264,6 @@ func New(cfg Config) (*System, error) {
 		Tracing:         cfg.Tracing,
 		SLOMonitor:      cfg.SLOMonitor,
 		Overload:        cfg.Overload,
-		PrefixCache:     cfg.PrefixCache,
 		PrefixRouting:   cfg.PrefixRouting,
 		FleetAccounting: cfg.FleetAccounting,
 		Market:          cfg.Market,
@@ -412,7 +410,7 @@ type Report struct {
 	AttainmentByPriority map[string]float64
 	// Prefix is the global prefix cache's final counters — hit ratio, prefill
 	// tokens saved, tier residency and evictions. Nil without
-	// Config.PrefixCache/PrefixRouting.
+	// Config.PrefixRouting.
 	Prefix *PrefixStats
 	// Fleet is the fleet utilization ledger's final snapshot: per-device
 	// state integrals summing exactly to wall time, goodput tokens per

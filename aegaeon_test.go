@@ -5,6 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
+	"aegaeon/internal/core"
+	"aegaeon/internal/engine"
+	"aegaeon/internal/latency"
+	"aegaeon/internal/model"
+	"aegaeon/internal/sim"
+	"aegaeon/internal/slo"
 	"aegaeon/internal/workload"
 )
 
@@ -205,6 +212,24 @@ func TestPrefixCacheFlow(t *testing.T) {
 	}
 }
 
+// cacheWithoutRouting builds, below the facade, the system New builds for
+// cfg (H800, TP 1, default SLO, market models) with a prefix cache whose
+// prefill dispatch ignores it: the facade only offers the cache together
+// with cache-aware routing.
+func cacheWithoutRouting(t *testing.T, cfg Config) *System {
+	t.Helper()
+	se := sim.NewEngine(cfg.Seed)
+	models := model.MarketMix(cfg.NumModels)
+	parts, err := assemble.Build(se, assemble.Spec{PrefixCache: true, Seed: cfg.Seed, Models: models, TP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreCfg := core.Config{Prof: latency.H800(), TP: 1, Opts: engine.AllOptimizations(),
+		NumPrefill: cfg.PrefillGPUs, NumDecode: cfg.DecodeGPUs, Models: models, SLO: slo.Default()}
+	parts.Core(&coreCfg)
+	return &System{cfg: cfg, eng: se, sys: core.NewSystem(se, coreCfg), models: models, parts: parts}
+}
+
 // TestPrefixRoutingDominatesNoCache serves three prefix-heavy workloads on
 // three arms over byte-identical traces: the prefix cache off (nocache), on
 // with load-balanced routing (cache), and on with cache-aware prefill routing
@@ -220,8 +245,11 @@ func TestPrefixRoutingDominatesNoCache(t *testing.T) {
 		floor   = 0.3
 	)
 	build := func(cache, routing bool) *System {
-		sys, err := New(Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 4, Seed: 1,
-			PrefixCache: cache, PrefixRouting: routing})
+		cfg := Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 4, Seed: 1, PrefixRouting: routing}
+		if cache && !routing {
+			return cacheWithoutRouting(t, cfg)
+		}
+		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

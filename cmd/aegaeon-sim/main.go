@@ -365,6 +365,25 @@ func main() {
 		chaosSweep = flag.Int("chaos-sweep", 0, "run N chaos seeds starting at -seed, each with a fresh random fault schedule (with -chaos; overrides -faults)")
 	)
 	flag.Parse()
+	if *chaosOn {
+		if *system != "aegaeon" {
+			fmt.Fprintln(os.Stderr, "-chaos requires -system aegaeon (baselines have no fault model)")
+			os.Exit(2)
+		}
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		cfg, err := chaosConfig(chaosFlags{
+			seed: *seed, horizon: *horizon, faults: *faults, models: *nModels, rps: *rps,
+			overload: *overloadOn, prefix: *prefixOn,
+			marketClasses: *mktClasses, marketSpot: *mktSpot, marketNaive: *mktNaive,
+		}, set)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		runChaos(cfg, *chaosSweep)
+		return
+	}
 	reportOn, err := parseReports(*reportList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -388,14 +407,13 @@ func main() {
 		{*prefixOn, "-prefix requires -system aegaeon (baselines have no prefix cache)"},
 		{*kernelJSON != "", "-kernel-json requires -system aegaeon (baselines run a private kernel)"},
 		{*marketOn, "-market requires -system aegaeon (baselines have no market model)"},
-		{*chaosOn, "-chaos requires -system aegaeon (baselines have no fault model)"},
 	} {
 		if c.set && *system != "aegaeon" {
 			fmt.Fprintln(os.Stderr, c.msg)
 			os.Exit(2)
 		}
 	}
-	if *chaosSweep > 0 && !*chaosOn {
+	if *chaosSweep > 0 {
 		fmt.Fprintln(os.Stderr, "-chaos-sweep requires -chaos")
 		os.Exit(2)
 	}
@@ -433,11 +451,6 @@ func main() {
 	}
 
 	slo := aegaeon.DefaultSLO().Scale(*sloScale).ScaleTTFT(*ttftScale).ScaleTBT(*tbtScale)
-
-	if *chaosOn {
-		runChaos(chaosOpts{seed: *seed, horizon: *horizon, spec: *faults, sweep: *chaosSweep})
-		return
-	}
 
 	var modelMix []*aegaeon.Model
 	if *smallMix {

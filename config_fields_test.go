@@ -19,48 +19,7 @@ import (
 // non-test file sets, each with a test that sets it. A field that no test
 // sets either has one value in use and belongs in a constant instead.
 var configFieldsSetOnlyByTests = map[string]string{
-	"aegaeon.Config.PrefixCache":              "TestPrefixRoutingDominatesNoCache",
-	"baselines.UnifiedConfig.DecodeSlice":     "TestUnifiedDecodeSliceConfigurable",
-	"chaos.Config.MarketClasses":              "TestSpotChaosSweep",
-	"chaos.Config.MarketNaive":                "TestSpotChaosSweep",
-	"chaos.Config.Models":                     "TestDecisionCoverageSwitchHeavy",
-	"chaos.Config.Overload":                   "TestDecisionCoverageSwitchHeavy",
-	"chaos.Config.Prefix":                     "TestPrefixChaosInvariants",
-	"chaos.Config.Rate":                       "TestDecisionCoverageSwitchHeavy",
-	"chaos.Config.Spot":                       "TestDecisionCoverageSwitchHeavy",
-	"core.Config.HostDRAMBytes":               "TestCPUKVCacheExhaustionBackpressure",
-	"core.Config.ModelSLOs":                   "TestPerModelSLOs",
-	"decision.Options.MaxPerChain":            "TestChainHeadSurvivesCap",
-	"decision.Options.MaxRecords":             "TestRingBoundAndFilter",
-	"decision.Options.MaxRequests":            "TestChainEviction",
-	"gateway.Options.HealthChecks":            "TestMidStreamCrashYieldsGapFreeStream",
-	"gateway.Options.MaxTokensCap":            "FuzzCompletionRequest",
-	"gateway.Options.ShedFraction":            "TestShedColdModelNearSaturation",
-	"gateway.OverloadOptions.RetryBurst":      "TestRetryBudget",
-	"gateway.OverloadOptions.TTFT":            "TestAdmissionBrownoutLevels",
-	"gateway.OverloadOptions.ThroughputFloor": "TestPredictiveRejection",
-	"market.Config.Tick":                      "TestPriceWalkBoundedDeterministic",
-	"market.Config.Trace":                     "TestStepTraceAlternates",
-	"obs.Options.MaxOpsPerEngine":             "TestObserveDeviceRecordsBoundedOps",
-	"obs.Options.MaxRequests":                 "TestRequestEvictionPrefersCompleted",
-	"obs.Options.MaxSwitches":                 "TestSwitchRingWraps",
-	"obs.Options.MaxTokensPerRequest":         "TestTokenBatchAllocs",
-	"obs.Options.RingCapacity":                "TestFaultsOutliveRingWrap",
-	"overload.Config.EscalateHold":            "TestEscalateRecoverArc",
-	"overload.Config.RecoverHold":             "TestEscalateRecoverArc",
-	"overload.Config.ShrinkScale":             "TestPolicyGetters",
-	"prefixcache.Config.DeviceBytes":          "TestPromotionDeviceTierAndCrash",
-	"prefixcache.Config.HostBytes":            "TestEvictionNeverReclaimsPinned",
-	"prefixcache.Config.Policy":               "TestEvictionNeverReclaimsPinned",
-	"prefixcache.Config.PromoteAfter":         "TestFreqPolicyKeepsHotEntry",
-	"slomon.Config.Bucket":                    "TestBurnRateAlertGolden",
-	"slomon.Config.FastWindow":                "TestBurnRateAlertGolden",
-	"slomon.Config.Hysteresis":                "TestBurnRateAlertGolden",
-	"slomon.Config.MidWindow":                 "TestBurnRateAlertGolden",
-	"slomon.Config.PageBurn":                  "TestBurnRateAlertGolden",
-	"slomon.Config.QuantileSamples":           "TestObserveTokensMatchesObserveToken",
-	"slomon.Config.SlowWindow":                "TestBurnRateAlertGolden",
-	"slomon.Config.WarnBurn":                  "TestBurnRateAlertGolden",
+	"core.Config.ModelSLOs": "TestPerModelSLOs",
 }
 
 // TestConfigFieldsHaveCallers fails on every exported field of a

@@ -100,7 +100,7 @@ func Build(se *sim.Engine, spec Spec) (*Parts, error) {
 		p.SLOMon = slomon.New(cfg)
 	}
 	if spec.Overload {
-		p.Overload = overload.NewController(overload.Config{})
+		p.Overload = overload.NewController()
 	}
 	if spec.PrefixCache {
 		p.Prefix = &prefixcache.Config{Routing: spec.PrefixRouting}

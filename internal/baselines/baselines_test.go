@@ -280,18 +280,3 @@ func TestMuxTradeoffShape(t *testing.T) {
 			fewAtt, manyAtt)
 	}
 }
-
-// Unified decode-slice parameter controls preemption granularity.
-func TestUnifiedDecodeSliceConfigurable(t *testing.T) {
-	models := model.MarketMix(3)
-	trace := marketTrace(23, models, 0.1, 90*time.Second)
-	se := sim.NewEngine(1)
-	s := NewUnified(se, UnifiedConfig{
-		Prof: latency.H800(), GPUs: 1, Models: models, SLO: slo.Default(),
-		Mode: DecodeFirst, DecodeSlice: 100 * time.Millisecond,
-	})
-	runServer(t, se, s, trace)
-	if s.Completed() != len(trace) {
-		t.Fatalf("completed %d/%d", s.Completed(), len(trace))
-	}
-}

@@ -41,11 +41,11 @@ type UnifiedConfig struct {
 	Models []*model.Model
 	SLO    slo.SLO
 	Mode   UnifiedMode
-
-	// DecodeSlice is how long a decode batch runs before the scheduler
-	// re-evaluates priorities (token-level granularity).
-	DecodeSlice time.Duration
 }
+
+// decodeSlice is how long a decode batch runs before the unified scheduler
+// re-evaluates priorities (token-level granularity).
+const decodeSlice = 500 * time.Millisecond
 
 // Unified is the token-level but non-disaggregated scheduler used in §4.1
 // to motivate prefill/decoding disaggregation: every GPU serves both
@@ -81,9 +81,6 @@ func NewUnified(se *sim.Engine, cfg UnifiedConfig) *Unified {
 	}
 	if cfg.GPUs < 1 {
 		panic("baselines: Unified needs at least one GPU")
-	}
-	if cfg.DecodeSlice <= 0 {
-		cfg.DecodeSlice = 500 * time.Millisecond
 	}
 	s := &Unified{eng: se, cfg: cfg, models: map[string]*model.Model{}, tracker: slo.NewTracker()}
 	modelCache := memory.NewModelCache(1 << 40)
@@ -211,7 +208,7 @@ func (in *uInstance) runDecodeSlice() {
 	mName := in.nextDecodeModel()
 	m := in.sys.models[mName]
 	run := func() {
-		end := in.sys.eng.Now() + in.sys.cfg.DecodeSlice
+		end := in.sys.eng.Now() + decodeSlice
 		in.decodeUntil(mName, end)
 	}
 	if cur := in.eng.Current(); cur == nil || cur.Name != mName {

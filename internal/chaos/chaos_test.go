@@ -250,11 +250,12 @@ func TestPrefixChaosInvariants(t *testing.T) {
 	}
 }
 
-// TestPrefixEvictionRacesReuse is the seeded -race schedule: a tiny host
-// budget keeps the cache under constant eviction pressure while multi-turn
-// sessions reuse chains and a prefill crash drops a device tier mid-run, and
-// a concurrent prober reads the cache's synchronized surface the whole time
-// (as the live gateway's scrape handlers do). Run under -race in CI.
+// TestPrefixEvictionRacesReuse is the seeded -race schedule: a host tier
+// filled to its cap before the run keeps the cache under constant eviction
+// pressure while multi-turn sessions reuse chains and a prefill crash drops
+// a device tier mid-run, and a concurrent prober reads the cache's
+// synchronized surface the whole time (as the live gateway's scrape
+// handlers do). Run under -race in CI.
 func TestPrefixEvictionRacesReuse(t *testing.T) {
 	const seed = 21
 	se := sim.NewEngine(seed)
@@ -267,8 +268,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "chaos", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
 		}},
-		// Budgets a few blocks deep: every few inserts must evict.
-		Prefix: &prefixcache.Config{HostBytes: 64 << 20, DeviceBytes: 32 << 20, Routing: true},
+		Prefix: &prefixcache.Config{Routing: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +292,15 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	se.At(300*time.Second, c.StopHealth)
 
 	pc := c.Deployments()[0].System.PrefixCache()
+	// Fill the host tier to its cap with filler chains no request shares,
+	// so every block the run inserts must evict one.
+	filler := make([]uint64, 4096)
+	for i := uint64(1); pc.Stats().HostEvictions == 0; i++ {
+		for k := range filler {
+			filler[k] = i<<32 | uint64(k)
+		}
+		pc.Insert(names[3], models[3].KVShape(), filler, len(filler)*pc.BlockTokens(), 0)
+	}
 	sysSegs := []workload.PromptSeg{{Seed: workload.SeedString("system\x00" + names[0]), Len: 128}}
 	sysHashes := prefixcache.ChunkHashes(sysSegs, 128/pc.BlockTokens(), pc.BlockTokens())
 	done := make(chan struct{})

@@ -258,6 +258,9 @@ func (c *Cluster) Abort(r *core.Request) {
 	c.store.Delete("req/" + r.ID)
 }
 
+// SLO returns the latency targets every deployment serves against.
+func (c *Cluster) SLO() slo.SLO { return c.cfg.SLO }
+
 // Monitor exposes the live SLO monitor (nil when monitoring is off).
 func (c *Cluster) Monitor() *slomon.Monitor { return c.cfg.SLOMon }
 

@@ -379,7 +379,7 @@ func TestReorderAdjacency(t *testing.T) {
 func TestCPUKVCacheExhaustionBackpressure(t *testing.T) {
 	models := model.MarketMix(4)
 	cfg := testConfig(models, engine.AllOptimizations(), 1, 1)
-	cfg.HostDRAMBytes = 48 << 30 // tiny: ~14 GB CPU KV for the whole node
+	cfg.hostDRAM = 48 << 30 // tiny: ~14 GB CPU KV for the whole node
 	var names []string
 	for _, m := range models {
 		names = append(names, m.Name)

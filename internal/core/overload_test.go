@@ -15,14 +15,12 @@ import (
 )
 
 // pinController returns a controller escalated to the given level and pinned
-// there (recovery hold far beyond any test horizon).
+// there: it escalates at a virtual time far past any test horizon, so the
+// run's own steps, all earlier, can neither escalate nor recover it.
 func pinController(level overload.Level) *overload.Controller {
-	ctl := overload.NewController(overload.Config{
-		EscalateHold: time.Nanosecond,
-		RecoverHold:  24 * time.Hour,
-	})
-	for i := 1; ctl.Level() < level; i++ {
-		ctl.Step(sim.Time(i), overload.Signals{Page: true})
+	ctl := overload.NewController()
+	for at := sim.Time(1 << 62); ctl.Level() < level; at += time.Minute {
+		ctl.Step(at, overload.Signals{Page: true})
 	}
 	return ctl
 }
@@ -172,10 +170,7 @@ func TestFreezeAndAdmitNoneLevels(t *testing.T) {
 	models := model.MarketMix(2)
 	se := sim.NewEngine(1)
 	cfg := testConfig(models, engine.AllOptimizations(), 1, 1)
-	ctl := overload.NewController(overload.Config{
-		EscalateHold: time.Nanosecond,
-		RecoverHold:  24 * time.Hour,
-	})
+	ctl := overload.NewController()
 	cfg.Overload = ctl
 	sys := NewSystem(se, cfg)
 
@@ -188,8 +183,9 @@ func TestFreezeAndAdmitNoneLevels(t *testing.T) {
 		}
 	})
 	se.At(20*time.Second, func() {
-		for i := 1; ctl.Level() < overload.LevelFreeze; i++ {
-			ctl.Step(se.Now()-sim.Time(10-i), overload.Signals{Page: true})
+		// One page per escalation hold, all before now.
+		for at := 5 * time.Second; ctl.Level() < overload.LevelFreeze; at += 5 * time.Second {
+			ctl.Step(at, overload.Signals{Page: true})
 		}
 		warm, err := sys.SubmitLive(workload.Request{
 			ID: "warm", Model: models[0].Name, InputTokens: 64, OutputTokens: 4,
@@ -253,7 +249,7 @@ func TestReaperShedsDoomedInQueue(t *testing.T) {
 	se := sim.NewEngine(1)
 	cfg := testConfig(models, engine.AllOptimizations(), 1, 1)
 	cfg.SLO = slo.SLO{TTFT: 3 * time.Second, TBT: 100 * time.Millisecond}
-	cfg.Overload = overload.NewController(overload.Config{})
+	cfg.Overload = overload.NewController()
 	sys := NewSystem(se, cfg)
 	if err := sys.Submit(trace); err != nil {
 		t.Fatal(err)

@@ -44,8 +44,10 @@ type Config struct {
 	QMax         time.Duration // QMAX, default 4s
 
 	// Memory geometry.
-	BlockTokens   int
-	HostDRAMBytes int64
+	BlockTokens int
+	// hostDRAM overrides hostDRAMBytes for tests that need CPU memory
+	// pressure (0 = the constant).
+	hostDRAM int64
 
 	// Obs, when non-nil, is the observability collector receiving flat
 	// scheduler events, request span timelines, device op timelines, and
@@ -123,6 +125,8 @@ const (
 	// nodeGPUs is the number of GPUs per physical node (§7.1); host-memory
 	// capacity scales with the node count the pool spans.
 	nodeGPUs = 8
+	// hostDRAMBytes is each node's host DRAM (§7.1: 2 TB per node).
+	hostDRAMBytes = 2 << 40
 )
 
 func (c *Config) applyDefaults() {
@@ -138,8 +142,8 @@ func (c *Config) applyDefaults() {
 	if c.BlockTokens <= 0 {
 		c.BlockTokens = 16
 	}
-	if c.HostDRAMBytes <= 0 {
-		c.HostDRAMBytes = 2 << 40 // §7.1: 2 TB per node
+	if c.hostDRAM <= 0 {
+		c.hostDRAM = hostDRAMBytes
 	}
 	var err error
 	if c.weightsRegion, c.kvRegion, c.Opts.Prefetch, err = c.regionsFor(c.Prof); err != nil {
@@ -294,7 +298,7 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	if nodes < 1 {
 		nodes = 1
 	}
-	dram := cfg.HostDRAMBytes * int64(nodes)
+	dram := cfg.hostDRAM * int64(nodes)
 	s := &System{
 		eng:        se,
 		cfg:        cfg,

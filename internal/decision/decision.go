@@ -107,40 +107,31 @@ type Record struct {
 	Requests   []string    `json:"requests,omitempty"`
 }
 
-// Options bounds the journal's retention.
-type Options struct {
-	// MaxRecords bounds the flat record ring (default 16384).
-	MaxRecords int
-	// MaxRequests bounds the per-request chain index; when full, the oldest
-	// chain is evicted whole (default 4096).
-	MaxRequests int
-	// MaxPerChain bounds one request's chain. When full, the record after
-	// the chain head is dropped — the head (admission) and the tail
-	// (terminal) survive, so coverage audits stay meaningful (default 256).
-	MaxPerChain int
-}
+// Options has no fields: the journal's retention bounds are constants.
+// bench/perf/gateway.go still passes an Options{}, so the type stays until
+// that caller drops it.
+type Options struct{}
 
-func (o *Options) defaults() {
-	if o.MaxRecords <= 0 {
-		o.MaxRecords = 16384
-	}
-	if o.MaxRequests <= 0 {
-		o.MaxRequests = 4096
-	}
-	if o.MaxPerChain <= 0 {
-		o.MaxPerChain = 256
-	}
-}
+// Retention bounds.
+const (
+	// maxRecords bounds the flat record ring.
+	maxRecords = 16384
+	// maxRequests bounds the per-request chain index; when full, the oldest
+	// chain is evicted whole.
+	maxRequests = 4096
+	// maxPerChain bounds one request's chain. When full, the record after
+	// the chain head is dropped: the head (admission) and the tail
+	// (terminal) survive, so coverage audits stay meaningful.
+	maxPerChain = 256
+)
 
 // Journal receives decision records from every policy site. All methods are
 // safe on a nil receiver (no-ops) and safe for concurrent use: the
 // simulation goroutine writes while debug handlers snapshot.
 type Journal struct {
-	opts Options
-
 	mu         sync.Mutex
 	seq        uint64
-	ring       []Record // allocated at MaxRecords by the first Record
+	ring       []Record // allocated at maxRecords by the first Record
 	next       int
 	total      uint64
 	chains     map[string][]Record
@@ -149,10 +140,8 @@ type Journal struct {
 }
 
 // New builds a journal.
-func New(opts Options) *Journal {
-	opts.defaults()
+func New(Options) *Journal {
 	return &Journal{
-		opts:   opts,
 		chains: map[string][]Record{},
 		counts: map[string]map[string]uint64{},
 	}
@@ -174,13 +163,13 @@ func (j *Journal) Record(r Record) {
 	j.seq++
 	r.Seq = j.seq
 	if j.ring == nil {
-		j.ring = make([]Record, 0, j.opts.MaxRecords)
+		j.ring = make([]Record, 0, maxRecords)
 	}
-	if len(j.ring) < j.opts.MaxRecords {
+	if len(j.ring) < maxRecords {
 		j.ring = append(j.ring, r)
 	} else {
 		j.ring[j.next] = r
-		j.next = (j.next + 1) % j.opts.MaxRecords
+		j.next = (j.next + 1) % maxRecords
 	}
 	j.total++
 	m := j.counts[r.Kind]
@@ -207,14 +196,14 @@ const newChainCap = 8
 func (j *Journal) linkLocked(id string, r Record) {
 	chain, ok := j.chains[id]
 	if !ok {
-		for len(j.chainOrder) >= j.opts.MaxRequests {
+		for len(j.chainOrder) >= maxRequests {
 			delete(j.chains, j.chainOrder[0])
 			j.chainOrder = j.chainOrder[1:]
 		}
 		j.chainOrder = append(j.chainOrder, id)
-		chain = make([]Record, 0, min(newChainCap, j.opts.MaxPerChain))
+		chain = make([]Record, 0, min(newChainCap, maxPerChain))
 	}
-	if len(chain) >= j.opts.MaxPerChain {
+	if len(chain) >= maxPerChain {
 		// Keep the head (admission) and the recent tail.
 		chain = append(chain[:1], chain[2:]...)
 	}

@@ -3,6 +3,7 @@ package decision
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -65,8 +66,9 @@ func TestEvidenceRequired(t *testing.T) {
 }
 
 func TestRingBoundAndFilter(t *testing.T) {
-	j := New(Options{MaxRecords: 4})
-	for i := 0; i < 10; i++ {
+	j := New(Options{})
+	const n = maxRecords + 6
+	for i := 0; i < n; i++ {
 		kind := KindSwitch
 		if i%2 == 0 {
 			kind = KindKVEviction
@@ -74,12 +76,15 @@ func TestRingBoundAndFilter(t *testing.T) {
 		j.Record(Record{At: sim.Time(i), Kind: kind, Outcome: "x",
 			Inputs: []Term{{Name: "i", Value: float64(i)}}})
 	}
-	if j.Total() != 10 {
-		t.Fatalf("total = %d, want 10", j.Total())
+	if j.Total() != n {
+		t.Fatalf("total = %d, want %d", j.Total(), n)
 	}
 	recent := j.Recent(0, "")
-	if len(recent) != 4 {
-		t.Fatalf("retained = %d, want 4", len(recent))
+	if len(recent) != maxRecords {
+		t.Fatalf("retained = %d, want %d", len(recent), maxRecords)
+	}
+	if recent[0].Seq != n-maxRecords+1 {
+		t.Fatalf("oldest retained seq = %d, want %d", recent[0].Seq, n-maxRecords+1)
 	}
 	for i := 1; i < len(recent); i++ {
 		if recent[i].Seq <= recent[i-1].Seq {
@@ -92,21 +97,21 @@ func TestRingBoundAndFilter(t *testing.T) {
 			t.Fatalf("filter leaked kind %s", r.Kind)
 		}
 	}
-	if got := j.Recent(1, ""); len(got) != 1 || got[0].Seq != recent[3].Seq {
+	if got := j.Recent(1, ""); len(got) != 1 || got[0].Seq != recent[len(recent)-1].Seq {
 		t.Fatalf("Recent(1) = %v, want newest record", got)
 	}
 }
 
 func TestChainHeadSurvivesCap(t *testing.T) {
-	j := New(Options{MaxPerChain: 4})
+	j := New(Options{})
 	j.Record(adm("r1", 0))
-	for i := 0; i < 20; i++ {
+	for i := 0; i < maxPerChain+16; i++ {
 		j.Record(Record{At: sim.Time(i + 1), Kind: KindPrefillRouting, Request: "r1", Outcome: "p0"})
 	}
-	j.Record(term("r1", OutcomeDone, 100))
+	j.Record(term("r1", OutcomeDone, maxPerChain+100))
 	chain := j.Chain("r1")
-	if len(chain) != 4 {
-		t.Fatalf("chain length = %d, want 4", len(chain))
+	if len(chain) != maxPerChain {
+		t.Fatalf("chain length = %d, want %d", len(chain), maxPerChain)
 	}
 	if chain[0].Kind != KindAdmission {
 		t.Fatalf("chain head = %s, want admission", chain[0].Kind)
@@ -123,9 +128,9 @@ func TestChainHeadSurvivesCap(t *testing.T) {
 // chain, which later records append to and, once the chain is at its cap,
 // shift in place.
 func TestChainIsACopy(t *testing.T) {
-	j := New(Options{MaxPerChain: 4})
+	j := New(Options{})
 	j.Record(adm("r1", 0))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxPerChain-1; i++ {
 		j.Record(Record{At: sim.Time(i + 1), Kind: KindPrefillRouting, Request: "r1", Outcome: "p0"})
 	}
 	j.Chain("r1")[1].Outcome = "changed"
@@ -135,7 +140,7 @@ func TestChainIsACopy(t *testing.T) {
 	}
 	want := append([]Record(nil), got...)
 	for i := 0; i < 5; i++ {
-		j.Record(Record{At: sim.Time(10 + i), Kind: KindDecodePlacement, Request: "r1", Outcome: "d0"})
+		j.Record(Record{At: sim.Time(maxPerChain + i), Kind: KindDecodePlacement, Request: "r1", Outcome: "d0"})
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("later records changed a returned chain:\n got %+v\nwant %+v", got, want)
@@ -143,15 +148,18 @@ func TestChainIsACopy(t *testing.T) {
 }
 
 func TestChainEviction(t *testing.T) {
-	j := New(Options{MaxRequests: 2})
-	j.Record(adm("r1", 0))
-	j.Record(adm("r2", 1))
-	j.Record(adm("r3", 2))
-	if j.Chain("r1") != nil {
+	j := New(Options{})
+	for i := 0; i <= maxRequests; i++ {
+		j.Record(adm(fmt.Sprintf("r%d", i), sim.Time(i)))
+	}
+	if j.Chain("r0") != nil {
 		t.Fatal("oldest chain not evicted")
 	}
-	if j.TrackedRequests() != 2 {
-		t.Fatalf("tracked = %d, want 2", j.TrackedRequests())
+	if j.Chain("r1") == nil {
+		t.Fatal("second-oldest chain evicted")
+	}
+	if j.TrackedRequests() != maxRequests {
+		t.Fatalf("tracked = %d, want %d", j.TrackedRequests(), maxRequests)
 	}
 }
 
@@ -266,24 +274,32 @@ func TestNilJournalSafe(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	j := New(Options{MaxRecords: 64, MaxRequests: 32})
+	j := New(Options{})
+	// Together the writers wrap the ring; each reads back every 1024 records.
+	const perWriter = maxRecords/4 + 256
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				j.Record(Record{Kind: KindSwitch, Outcome: "m", Request: "r"})
-				_ = j.Recent(8, "")
-				_ = j.Chain("r")
-				_ = j.Counts()
-				_ = j.Snapshot()
+			for i := 0; i < perWriter; i++ {
+				rec := Record{Kind: KindSwitch, Outcome: "m"}
+				if i%64 == 0 {
+					rec.Request = "r"
+				}
+				j.Record(rec)
+				if i%1024 == 0 {
+					_ = j.Recent(8, "")
+					_ = j.Chain("r")
+					_ = j.Counts()
+					_ = j.Snapshot()
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if j.Total() != 800 {
-		t.Fatalf("total = %d, want 800", j.Total())
+	if j.Total() != 4*perWriter {
+		t.Fatalf("total = %d, want %d", j.Total(), 4*perWriter)
 	}
 }
 

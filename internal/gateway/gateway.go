@@ -49,8 +49,6 @@ type Options struct {
 	RatePerSec float64
 	// Burst is the token bucket capacity (default 16).
 	Burst int
-	// MaxTokensCap caps per-request max_tokens (default 4096).
-	MaxTokensCap int
 	// Obs, when non-nil, is the observability collector backing the /debug
 	// endpoints. A nil collector keeps the serving hot path allocation-free
 	// and makes /debug/* answer 404.
@@ -59,14 +57,6 @@ type Options struct {
 	// /debug/slo/alerts, the /debug/dash dashboard, and the per-model SLO
 	// families on /metrics. Nil makes those endpoints answer 404.
 	SLOMon *slomon.Monitor
-	// ShedFraction is the occupancy (fraction of MaxInFlight) above which
-	// the gateway degrades gracefully: requests to cold models — those with
-	// no admitted work, whose service would force an extra model switch —
-	// are shed with 503 while warm models keep flowing (default 0.9).
-	ShedFraction float64
-	// HealthChecks starts the cluster's lease renewal and failover monitor
-	// with the event loop (StopHealth is always posted on Shutdown).
-	HealthChecks bool
 	// Overload, when non-nil, enables overload control at the HTTP edge:
 	// predictive admission (estimated TTFT vs target, honest Retry-After),
 	// brownout-level shedding driven by the SLO monitor's burn rates, and a
@@ -97,44 +87,40 @@ const (
 	// switchCostHint seeds predictive admission's per-switch cost until
 	// observed switch records exist.
 	switchCostHint = 300 * time.Millisecond
+	// maxTokensCap caps per-request max_tokens.
+	maxTokensCap = 4096
+	// shedFraction is the occupancy (fraction of MaxInFlight) above which
+	// the gateway degrades gracefully: requests to cold models — those with
+	// no admitted work, whose service would force an extra model switch —
+	// are shed with 503 while warm models keep flowing.
+	shedFraction = 0.9
+	// throughputFloor clamps the overload estimator's prefill-throughput
+	// estimate (tokens/s). The estimate is derived from observed TTFTs,
+	// which include queueing, so it is biased low; the floor keeps that
+	// honest bias from rejecting everything during a backlog spike.
+	throughputFloor = 2000
+	// retryBurst is the overload retry budget's capacity.
+	retryBurst = 32
 )
 
-// OverloadOptions tunes the gateway side of overload control.
+// OverloadOptions tunes the gateway side of overload control. Predictive
+// admission defends the cluster's own TTFT target.
 type OverloadOptions struct {
 	// Controller is the brownout state machine (created if nil). The
 	// gateway's wall-clock loop steps it from the SLO monitor's fleet alert;
 	// sharing it with the cluster lets the scheduler see the same level.
 	Controller *overload.Controller
-	// TTFT is the first-token target predictive admission defends
-	// (default 10s, the paper's production TTFT SLO).
-	TTFT time.Duration
-	// ThroughputFloor clamps the prefill-throughput estimate (tokens/s,
-	// default 2000). The estimate is derived from observed TTFTs, which
-	// include queueing, so it is biased low; the floor keeps that honest
-	// bias from rejecting everything during a backlog spike.
-	ThroughputFloor float64
 	// RetryRatio is the retry-budget deposit per fresh request (default
 	// 0.1: retries may be at most ~10% of fresh traffic in steady state).
 	RetryRatio float64
-	// RetryBurst is the retry budget's capacity (default 32).
-	RetryBurst int
 }
 
 func (o *OverloadOptions) defaults() {
 	if o.Controller == nil {
-		o.Controller = overload.NewController(overload.Config{})
-	}
-	if o.TTFT <= 0 {
-		o.TTFT = 10 * time.Second
-	}
-	if o.ThroughputFloor <= 0 {
-		o.ThroughputFloor = 2000
+		o.Controller = overload.NewController()
 	}
 	if o.RetryRatio <= 0 {
 		o.RetryRatio = 0.1
-	}
-	if o.RetryBurst <= 0 {
-		o.RetryBurst = 32
 	}
 }
 
@@ -157,12 +143,6 @@ func (o *Options) defaults() {
 	}
 	if o.Burst <= 0 {
 		o.Burst = 16
-	}
-	if o.MaxTokensCap <= 0 {
-		o.MaxTokensCap = 4096
-	}
-	if o.ShedFraction <= 0 || o.ShedFraction > 1 {
-		o.ShedFraction = 0.9
 	}
 	if o.Overload != nil {
 		o.Overload.defaults()
@@ -193,7 +173,9 @@ type Gateway struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	// Overload-control state (all but brownStop guarded by mu).
+	// Overload-control state (all but ttftTarget and brownStop guarded by
+	// mu). ttftTarget is the cluster's TTFT SLO.
+	ttftTarget     time.Duration
 	queuedPrio     [workload.NumPriorities]int // indexed by Priority.Rank()
 	tput           float64                     // prefill tokens/s EWMA for the TTFT estimator
 	switchEst      time.Duration               // cached per-switch cost estimate
@@ -238,9 +220,10 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 		tbtHist:  metrics.NewHistogram(metrics.ExponentialBounds(0.0025, 2, 12)...),
 	}
 	if ov := opts.Overload; ov != nil {
-		g.tput = ov.ThroughputFloor
+		g.ttftTarget = cl.SLO().TTFT
+		g.tput = throughputFloor
 		g.switchEst = switchCostHint
-		g.retry = newRetryBudget(ov.RetryRatio, ov.RetryBurst)
+		g.retry = newRetryBudget(ov.RetryRatio, retryBurst)
 		g.ovlRejected = make(map[string]uint64, len(overloadReasons))
 		for _, r := range overloadReasons {
 			g.ovlRejected[r] = 0
@@ -253,9 +236,6 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 // cluster's health-lease machinery and the brownout controller loop on it).
 func (g *Gateway) Start() {
 	g.drv.Start()
-	if g.opts.HealthChecks {
-		_ = g.drv.Post(g.cl.StartHealth)
-	}
 	if ov := g.opts.Overload; ov != nil {
 		go g.brownoutLoop(ov)
 	}
@@ -487,7 +467,7 @@ func (g *Gateway) tryAdmit(model string) (ok bool, code int, reason string, retr
 func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, retryAttempt int) (ok bool, code int, reason string, retryAfter time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	shed := int(float64(g.opts.MaxInFlight) * g.opts.ShedFraction)
+	shed := int(float64(g.opts.MaxInFlight) * shedFraction)
 	retryAfter = time.Second
 	var estTTFT time.Duration
 	ov := g.opts.Overload
@@ -541,9 +521,9 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 				}
 				est := EstimateTTFT(depth, g.switchEstLocked(time.Now()), g.tput, inTok, core.DefaultMaxGroupSize)
 				estTTFT = est
-				if est > ov.TTFT {
+				if est > g.ttftTarget {
 					code, reason = http.StatusServiceUnavailable, "predicted_ttft_miss"
-					retryAfter = RetryAfter(est, ov.TTFT)
+					retryAfter = RetryAfter(est, g.ttftTarget)
 					g.ovlRejected[reason]++
 					break
 				}
@@ -596,7 +576,7 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		inputs = append(inputs,
 			decision.NsTerm("switch_est", sim.Time(g.switchEst)),
 			decision.Term{Name: "tput_tokens_per_s", Value: g.tput},
-			decision.NsTerm("ttft_target", sim.Time(ov.TTFT)),
+			decision.NsTerm("ttft_target", sim.Time(g.ttftTarget)),
 			decision.Term{Name: "overload_level", Value: float64(ov.Controller.Level())},
 		)
 		if estTTFT > 0 {
@@ -681,11 +661,8 @@ func (g *Gateway) finish(model string, r *core.Request) {
 	g.inflight--
 	g.queued[model]--
 	g.queuedPrio[r.Priority.Rank()]--
-	if ov := g.opts.Overload; ov != nil && tputSample > 0 {
-		g.tput = 0.8*g.tput + 0.2*tputSample
-		if g.tput < ov.ThroughputFloor {
-			g.tput = ov.ThroughputFloor
-		}
+	if g.opts.Overload != nil && tputSample > 0 {
+		g.tput = max(0.8*g.tput+0.2*tputSample, throughputFloor)
 	}
 	if r.Failed {
 		g.failed++
@@ -845,9 +822,7 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	if outTok == 0 {
 		outTok = 64
 	}
-	if outTok > g.opts.MaxTokensCap {
-		outTok = g.opts.MaxTokensCap
-	}
+	outTok = min(outTok, maxTokensCap)
 	if ov := g.opts.Overload; ov != nil {
 		// Brownout decode shrinking is applied here, before the stream is
 		// set up, so the client is promised exactly the tokens the core

@@ -73,7 +73,10 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 // exactly once, in order, with no gap where the crash happened.
 func TestMidStreamCrashYieldsGapFreeStream(t *testing.T) {
 	const wantTokens = 40
-	gw, names := newGateway(t, assemble.Spec{}, testCluster{prefill: 1, decode: 2, faultSeed: 11}, Options{Speedup: 50, HealthChecks: true})
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{prefill: 1, decode: 2, faultSeed: 11}, Options{Speedup: 50})
+	if err := gw.drv.Post(gw.cl.StartHealth); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
 
@@ -214,9 +217,10 @@ func TestBreakerOpensAfterPartitionLoss(t *testing.T) {
 // admission would force an extra model switch) are shed while warm models
 // keep flowing.
 func TestShedColdModelNearSaturation(t *testing.T) {
-	gw, names := newTestGateway(t, Options{Speedup: 1e-6, MaxInFlight: 10, ShedFraction: 0.5})
+	// At 10 in flight the shed threshold is 9.
+	gw, names := newTestGateway(t, Options{Speedup: 1e-6, MaxInFlight: 10})
 	defer gw.drv.Stop()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 9; i++ {
 		if ok, code, reason, _ := gw.tryAdmit(names[0]); !ok {
 			t.Fatalf("warm admission %d rejected: %d %s", i, code, reason)
 		}

@@ -24,10 +24,12 @@ import (
 
 // testCluster shapes a test gateway's one-deployment cluster. Zero fields
 // take the defaults: four MarketMix models on 2 prefill + 2 decode
-// instances over a single metadata store, driver paced from the start.
+// instances serving slo.Default() over a single metadata store, driver
+// paced from the start.
 type testCluster struct {
 	models          []*model.Model
 	prefill, decode int
+	slo             slo.SLO
 	// faultSeed, when nonzero, gives the cluster a fault runtime so seeded.
 	faultSeed int64
 	// accelerate runs the driver un-paced from virtual time zero, so token
@@ -50,6 +52,9 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 	if tc.decode == 0 {
 		tc.decode = 2
 	}
+	if tc.slo == (slo.SLO{}) {
+		tc.slo = slo.Default()
+	}
 	se := sim.NewEngine(1)
 	if tc.faultSeed != 0 {
 		spec.Faults = fault.New(se, tc.faultSeed)
@@ -61,7 +66,7 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 	}
 	cfg := cluster.Config{
 		Prof: latency.H800(),
-		SLO:  slo.Default(),
+		SLO:  tc.slo,
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "live", TP: 1, NumPrefill: tc.prefill, NumDecode: tc.decode, Models: tc.models,
 		}},

@@ -19,7 +19,7 @@ func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
 		"throughput_tok_per_s": g.tput,
 		"switch_cost_s":        g.switchEst.Seconds(),
 		"group_size":           core.DefaultMaxGroupSize,
-		"ttft_target_s":        ov.TTFT.Seconds(),
+		"ttft_target_s":        g.ttftTarget.Seconds(),
 		"est_ttft_150tok_s":    est.Seconds(),
 	}
 	budget := map[string]any{

@@ -10,21 +10,24 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
+	"aegaeon/internal/slo"
 	"aegaeon/internal/workload"
 )
 
-// pinGatewayController returns a controller frozen at level: instant
-// escalation got it there, and a 24h recover hold keeps it there for the
-// duration of any test.
+// hourTTFT is a TTFT target no test's estimate reaches, so predictive
+// admission never rejects.
+var hourTTFT = slo.SLO{TTFT: time.Hour, TBT: 100 * time.Millisecond}
+
+// pinGatewayController returns a controller frozen at level: it escalates at
+// a virtual time far past any test horizon, so the brownout loop's steps,
+// all earlier, can neither escalate nor recover it.
 func pinGatewayController(level overload.Level) *overload.Controller {
-	ctl := overload.NewController(overload.Config{
-		EscalateHold: time.Nanosecond,
-		RecoverHold:  24 * time.Hour,
-	})
-	for i := 1; ctl.Level() < level; i++ {
-		ctl.Step(sim.Time(i), overload.Signals{Page: true})
+	ctl := overload.NewController()
+	for at := sim.Time(1 << 62); ctl.Level() < level; at += time.Minute {
+		ctl.Step(at, overload.Signals{Page: true})
 	}
 	return ctl
 }
@@ -135,9 +138,9 @@ func TestEstimatorProperties(t *testing.T) {
 // each with the right typed reason and a counted overload rejection.
 func TestAdmissionBrownoutLevels(t *testing.T) {
 	newGW := func(ctl *overload.Controller) (*Gateway, []string) {
-		return newTestGateway(t, Options{
+		return newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
 			Speedup:  50000,
-			Overload: &OverloadOptions{Controller: ctl, TTFT: time.Hour},
+			Overload: &OverloadOptions{Controller: ctl},
 		})
 	}
 
@@ -185,12 +188,10 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 // and checks the typed rejection plus an honest (≥1s, estimate-derived)
 // Retry-After both at the admission layer and on the HTTP surface.
 func TestPredictiveRejection(t *testing.T) {
-	gw, names := newTestGateway(t, Options{
-		Speedup: 50000,
-		// ThroughputFloor 1 tok/s with a 1-token prompt → est ≈ 1s+switch,
-		// far past the 1ns target, so every request is predicted to miss.
-		Overload: &OverloadOptions{TTFT: time.Nanosecond, ThroughputFloor: 1},
-	})
+	// Any estimate (the switch cost alone is 300ms) is far past a 1ns
+	// target, so every request is predicted to miss.
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: slo.SLO{TTFT: time.Nanosecond, TBT: 100 * time.Millisecond}},
+		Options{Speedup: 50000, Overload: &OverloadOptions{}})
 	defer gw.Shutdown(context.Background())
 
 	ok, code, reason, ra := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0)
@@ -217,21 +218,21 @@ func TestPredictiveRejection(t *testing.T) {
 // tokens from a budget that fresh traffic refills fractionally, so once the
 // burst is gone a pure retry storm is rejected outright.
 func TestRetryBudget(t *testing.T) {
-	gw, names := newTestGateway(t, Options{
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
 		Speedup: 50000,
 		// RetryRatio is effectively zero (no fresh traffic in this test
-		// deposits anyway) and the burst allows exactly two retries.
-		Overload: &OverloadOptions{TTFT: time.Hour, RetryRatio: 1e-9, RetryBurst: 2},
+		// deposits anyway), so the burst allows exactly retryBurst retries.
+		Overload: &OverloadOptions{RetryRatio: 1e-9},
 	})
 	defer gw.Shutdown(context.Background())
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < retryBurst; i++ {
 		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, i+1); !ok {
 			t.Fatalf("retry %d rejected within budget: %q", i+1, reason)
 		}
 		gw.releaseAdmission(names[0], workload.PriorityNormal)
 	}
-	ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 3)
+	ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, retryBurst+1)
 	if ok || code != http.StatusServiceUnavailable || reason != "retry_budget" {
 		t.Fatalf("exhausted budget: ok=%v code=%d reason=%q", ok, code, reason)
 	}
@@ -276,9 +277,9 @@ func TestCompletionPriorityValidation(t *testing.T) {
 // schema: controller snapshot, live estimator inputs, retry budget, and the
 // preseeded rejection counters. Without overload control the path is a 404.
 func TestDebugOverloadEndpoint(t *testing.T) {
-	gw, names := newTestGateway(t, Options{
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
 		Speedup:  50000,
-		Overload: &OverloadOptions{TTFT: time.Hour},
+		Overload: &OverloadOptions{},
 	})
 	defer gw.Shutdown(context.Background())
 	h := gw.Handler()
@@ -334,9 +335,9 @@ func TestDebugOverloadEndpoint(t *testing.T) {
 // _total, every rejection reason renders as a zero-initialized series, and
 // none of the families appear when overload control is off.
 func TestMetricsOverloadExposition(t *testing.T) {
-	gw, _ := newTestGateway(t, Options{
+	gw, _ := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
 		Speedup:  50000,
-		Overload: &OverloadOptions{TTFT: time.Hour},
+		Overload: &OverloadOptions{},
 	})
 	defer gw.Shutdown(context.Background())
 

@@ -25,13 +25,8 @@ type Config struct {
 	// spot-naive: reclaims revoke with no advance reaction (the baseline
 	// arm).
 	Aware bool
-	// Trace selects the price trace shape: "walk" (seeded random walk,
-	// default) or "step" (square wave between low and high).
-	Trace string
 	// Seed drives the price walk; the same seed reproduces bit-for-bit.
 	Seed int64
-	// Tick is the price-trace tick period (default 10s).
-	Tick sim.Time
 }
 
 const (
@@ -43,17 +38,13 @@ const (
 	// riskWeight scales the preemption-risk placement penalty into
 	// queue-depth units.
 	riskWeight = 8
+	// tickPeriod is the price walk's period.
+	tickPeriod = 10 * time.Second
 )
 
 func (c *Config) applyDefaults() {
 	if len(c.Classes) == 0 {
 		c.Classes, _ = ParseClasses("H800")
-	}
-	if c.Trace == "" {
-		c.Trace = "walk"
-	}
-	if c.Tick <= 0 {
-		c.Tick = 10 * time.Second
 	}
 }
 
@@ -75,8 +66,6 @@ type device struct {
 	errors       int
 	lowHeadroom  bool
 	disqualified bool
-
-	stepPhase int // square-wave phase for the step trace
 }
 
 // Market is the live marketplace state for one fleet. Construct with New,
@@ -183,8 +172,8 @@ func (m *Market) Start(until sim.Time) {
 	for _, d := range devs {
 		m.fleet.SetRate(d.name, d.rate)
 	}
-	if m.cfg.Spot && until > m.cfg.Tick {
-		m.scheduleTick(m.eng.Now()+m.cfg.Tick, until)
+	if m.cfg.Spot && until > tickPeriod {
+		m.scheduleTick(m.eng.Now()+tickPeriod, until)
 	}
 }
 
@@ -194,11 +183,11 @@ func (m *Market) scheduleTick(at, until sim.Time) {
 	}
 	m.eng.At(at, func() {
 		m.tick()
-		m.scheduleTick(at+m.cfg.Tick, until)
+		m.scheduleTick(at+tickPeriod, until)
 	})
 }
 
-// tick advances every device's price trace one step and feeds the new rate
+// tick advances every device's price walk one step and feeds the new rate
 // into the fleet ledger (piecewise, thanks to the edge-integrated SetRate).
 func (m *Market) tick() {
 	m.mu.Lock()
@@ -207,22 +196,11 @@ func (m *Market) tick() {
 		rate float64
 	}
 	var ups []upd
-	for idx, n := range m.order {
+	for _, n := range m.order {
 		d := m.devices[n]
 		base := d.class.SpotBase
-		switch m.cfg.Trace {
-		case "step":
-			// Square wave: 6 ticks low, 6 ticks high, phase-offset per device.
-			d.stepPhase++
-			if (d.stepPhase/6+idx)%2 == 0 {
-				d.rate = base * 0.6
-			} else {
-				d.rate = base * 1.6
-			}
-		default: // walk
-			d.rate += m.rng.NormFloat64() * d.class.Volatility * base
-			d.rate = math.Max(0.25*base, math.Min(4*base, d.rate))
-		}
+		d.rate += m.rng.NormFloat64() * d.class.Volatility * base
+		d.rate = math.Max(0.25*base, math.Min(4*base, d.rate))
 		ups = append(ups, upd{d.name, d.rate})
 	}
 	m.stats.PriceTicks++

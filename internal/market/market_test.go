@@ -74,15 +74,12 @@ func TestPriceWalkBoundedDeterministic(t *testing.T) {
 		se := sim.NewEngine(1)
 		fl := fleetobs.New(se)
 		fl.Register("d0")
-		m := New(se, fl, Config{
-			Classes: mustClasses(t, "A10"), Spot: true, Seed: seed,
-			Tick: time.Second,
-		})
+		m := New(se, fl, Config{Classes: mustClasses(t, "A10"), Spot: true, Seed: seed})
 		m.Register("d0")
-		m.Start(2 * time.Minute)
+		m.Start(120 * tickPeriod)
 		var rates []float64
 		for i := 1; i <= 120; i++ {
-			se.At(time.Duration(i)*time.Second+time.Millisecond, func() {
+			se.At(time.Duration(i)*tickPeriod+time.Millisecond, func() {
 				rates = append(rates, m.Rate("d0"))
 			})
 		}
@@ -118,27 +115,6 @@ func TestPriceWalkBoundedDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different seeds produced identical walks")
-	}
-}
-
-func TestStepTraceAlternates(t *testing.T) {
-	se := sim.NewEngine(1)
-	m := New(se, nil, Config{
-		Classes: mustClasses(t, "H20"), Spot: true, Trace: "step",
-		Tick: time.Second,
-	})
-	m.Register("d0")
-	m.Start(30 * time.Second)
-	seen := map[float64]bool{}
-	for i := 1; i <= 29; i++ {
-		se.At(time.Duration(i)*time.Second+time.Millisecond, func() {
-			seen[m.Rate("d0")] = true
-		})
-	}
-	se.Run()
-	base := mustClasses(t, "H20")[0].SpotBase
-	if !seen[0.6*base] || !seen[1.6*base] {
-		t.Fatalf("step trace levels seen: %v", seen)
 	}
 }
 

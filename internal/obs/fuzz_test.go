@@ -31,7 +31,7 @@ func FuzzValidatePerfetto(f *testing.F) {
 
 		se := sim.NewEngine(1)
 		d := gpu.NewDevice(se, "gpu0")
-		c := New(Options{MaxOpsPerEngine: 64})
+		c := New(Options{})
 		c.ObserveDevice(d)
 		c.NameModel(1, "m1")
 		streams := []*gpu.Stream{d.NewStream("a"), d.NewStream("b")}

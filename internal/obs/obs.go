@@ -207,45 +207,30 @@ func (r *opRing) ordered(k gpu.EngineKind) []gpu.OpRecord {
 	return out
 }
 
-// Options bounds the collector's retention.
-type Options struct {
-	// RingCapacity sizes the flat event ring (default 16384).
-	RingCapacity int
-	// MaxRequests bounds retained request timelines (default 2048). When
-	// full, the oldest completed timeline is evicted (oldest overall if none
-	// completed).
-	MaxRequests int
-	// MaxOpsPerEngine bounds each device engine's op ring (default 8192).
-	MaxOpsPerEngine int
-	// MaxTokensPerRequest bounds per-request token stamps (default 256).
-	MaxTokensPerRequest int
-	// MaxSwitches bounds retained switch records (default 2048).
-	MaxSwitches int
-}
+// Options has no fields: the collector's retention bounds are constants.
+// bench/perf/gateway.go still passes an Options{}, so the type stays until
+// that caller drops it.
+type Options struct{}
 
-func (o *Options) defaults() {
-	if o.RingCapacity <= 0 {
-		o.RingCapacity = 16384
-	}
-	if o.MaxRequests <= 0 {
-		o.MaxRequests = 2048
-	}
-	if o.MaxOpsPerEngine <= 0 {
-		o.MaxOpsPerEngine = 8192
-	}
-	if o.MaxTokensPerRequest <= 0 {
-		o.MaxTokensPerRequest = 256
-	}
-	if o.MaxSwitches <= 0 {
-		o.MaxSwitches = 2048
-	}
-}
+// Retention bounds.
+const (
+	// ringCapacity sizes the flat event ring.
+	ringCapacity = 16384
+	// maxRequests bounds retained request timelines. When full, the oldest
+	// completed timeline is evicted (oldest overall if none completed).
+	maxRequests = 2048
+	// maxOpsPerEngine bounds each device engine's op ring.
+	maxOpsPerEngine = 8192
+	// maxTokensPerRequest bounds per-request token stamps.
+	maxTokensPerRequest = 256
+	// maxSwitches bounds retained switch records.
+	maxSwitches = 2048
+)
 
 // Collector receives observability signals from every layer. All methods are
 // safe on a nil receiver (no-ops) and safe for concurrent use: the
 // simulation goroutine writes while debug handlers snapshot.
 type Collector struct {
-	opts   Options
 	ring   *Ring
 	faults *Ring // failure, recovery and retry events only
 
@@ -265,11 +250,9 @@ type Collector struct {
 }
 
 // New builds a collector.
-func New(opts Options) *Collector {
-	opts.defaults()
+func New(Options) *Collector {
 	return &Collector{
-		opts:    opts,
-		ring:    newRing(opts.RingCapacity),
+		ring:    newRing(ringCapacity),
 		faults:  newRing(maxFaultEvents),
 		reqs:    map[string]int32{},
 		devs:    map[string]*deviceTimeline{},
@@ -330,7 +313,7 @@ func (c *Collector) recordOp(dt *deviceTimeline, rec gpu.OpRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if int(rec.Engine) < len(dt.engines) {
-		dt.engines[rec.Engine].push(rec, c.opts.MaxOpsPerEngine)
+		dt.engines[rec.Engine].push(rec, maxOpsPerEngine)
 	}
 }
 
@@ -362,7 +345,7 @@ func (c *Collector) handleLocked(slot int32) Handle {
 }
 
 func (c *Collector) evictLocked() {
-	for len(c.reqOrder) > c.opts.MaxRequests {
+	for len(c.reqOrder) > maxRequests {
 		victim := -1
 		for i, slot := range c.reqOrder {
 			if c.slots[slot].t.Done {
@@ -568,7 +551,7 @@ func (c *Collector) tokenLocked(h Handle, at sim.Time) {
 	if t == nil {
 		return
 	}
-	if len(t.Tokens) < c.opts.MaxTokensPerRequest {
+	if len(t.Tokens) < maxTokensPerRequest {
 		t.Tokens = append(t.Tokens, at)
 	}
 	t.TokensTotal++
@@ -639,11 +622,11 @@ func (c *Collector) BeginSwitch(instance, from, to string, at sim.Time, reinitAv
 	defer c.mu.Unlock()
 	rec := &SwitchRecord{Instance: instance, From: from, To: to, Start: at, ReinitAvoided: reinitAvoided}
 	c.open[instance] = rec
-	if len(c.switches) < c.opts.MaxSwitches {
+	if len(c.switches) < maxSwitches {
 		c.switches = append(c.switches, rec)
 	} else {
 		c.switches[c.swNext] = rec
-		c.swNext = (c.swNext + 1) % c.opts.MaxSwitches
+		c.swNext = (c.swNext + 1) % maxSwitches
 	}
 	c.swTotal++
 }

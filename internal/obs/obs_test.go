@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -109,33 +110,38 @@ func TestTokenBatchDetail(t *testing.T) {
 // are at the cap records without allocating, so the per-step feed costs one
 // lock and no garbage.
 func TestTokenBatchAllocs(t *testing.T) {
-	c := New(Options{MaxTokensPerRequest: 4})
+	c := New(Options{})
 	c.NameModel(1, "m")
 	var hs []Handle
 	for _, id := range []string{"r1", "r2", "r3"} {
 		hs = append(hs, c.RequestArrived(id, "m", 0))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxTokensPerRequest; i++ {
 		c.TokenBatch("d0", 1, ms(i), hs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", 1, ms(5), hs) }); allocs != 0 {
+	at := ms(maxTokensPerRequest + 1)
+	if allocs := testing.AllocsPerRun(100, func() { c.TokenBatch("d0", 1, at, hs) }); allocs != 0 {
 		t.Fatalf("TokenBatch allocates %v times per step, want 0", allocs)
 	}
-	if tl, _ := c.Request("r2"); len(tl.Tokens) != 4 || tl.TokensTotal != 105 {
-		t.Fatalf("r2 keeps %d stamps of %d, want 4 of 105", len(tl.Tokens), tl.TokensTotal)
+	// AllocsPerRun makes one warm-up call before its 100 runs.
+	if tl, _ := c.Request("r2"); len(tl.Tokens) != maxTokensPerRequest || tl.TokensTotal != maxTokensPerRequest+101 {
+		t.Fatalf("r2 keeps %d stamps of %d, want %d of %d",
+			len(tl.Tokens), tl.TokensTotal, maxTokensPerRequest, maxTokensPerRequest+101)
 	}
 }
 
 // BenchmarkTokenBatch is the collector's cost per decode step of 8 tracked
 // requests past their token-stamp cap (the steady state of a long decode).
 func BenchmarkTokenBatch(b *testing.B) {
-	c := New(Options{MaxTokensPerRequest: 1})
+	c := New(Options{})
 	c.NameModel(1, "m")
 	hs := make([]Handle, 8)
 	for i := range hs {
 		hs[i] = c.RequestArrived(fmt.Sprintf("r%d", i), "m", 0)
 	}
-	c.TokenBatch("d0", 1, 0, hs)
+	for i := 0; i < maxTokensPerRequest; i++ {
+		c.TokenBatch("d0", 1, 0, hs)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,14 +252,15 @@ func TestVictimsAfterEndAreIgnored(t *testing.T) {
 }
 
 func TestSwitchRingWraps(t *testing.T) {
-	c := New(Options{MaxSwitches: 4})
-	for i := 0; i < 10; i++ {
+	c := New(Options{})
+	const n = maxSwitches + 6
+	for i := 0; i < n; i++ {
 		c.BeginSwitch("d0", "a", "b", ms(i*10), false)
 		c.EndSwitch("d0", ms(i*10+5))
 	}
 	sws, total := c.Switches()
-	if total != 10 || len(sws) != 4 {
-		t.Fatalf("switches = %d/%d, want 4/10", len(sws), total)
+	if total != n || len(sws) != maxSwitches {
+		t.Fatalf("switches = %d/%d, want %d/%d", len(sws), total, maxSwitches, n)
 	}
 	for i, sw := range sws {
 		if want := ms((6 + i) * 10); sw.Start != want {
@@ -262,11 +269,19 @@ func TestSwitchRingWraps(t *testing.T) {
 	}
 }
 
+// arriveLive fills n timeline slots with requests that never complete.
+func arriveLive(c *Collector, n int) {
+	for i := 0; i < n; i++ {
+		c.RequestArrived(fmt.Sprintf("live%d", i), "m", 0)
+	}
+}
+
 func TestRequestEvictionPrefersCompleted(t *testing.T) {
-	c := New(Options{MaxRequests: 3})
+	c := New(Options{})
 	c.RequestArrived("r1", "m", ms(0))
 	c.RequestArrived("r2", "m", ms(1))
 	c.RequestDone("r2", ms(2))
+	arriveLive(c, maxRequests-3)
 	c.RequestArrived("r3", "m", ms(3))
 	c.RequestArrived("r4", "m", ms(4)) // over cap: evicts r2 (completed)
 
@@ -289,9 +304,10 @@ func TestRequestEvictionPrefersCompleted(t *testing.T) {
 // TestStaleHandleIsNoop: once a timeline is evicted its handle resolves to
 // nothing, even after a new request's timeline reuses the slot.
 func TestStaleHandleIsNoop(t *testing.T) {
-	c := New(Options{MaxRequests: 1})
+	c := New(Options{})
 	old := c.RequestArrived("r1", "m", ms(0))
 	c.RequestDone("r1", ms(1))
+	arriveLive(c, maxRequests-1)
 	c.RequestArrived("r2", "m", ms(2)) // evicts r1, freeing its slot
 	c.RequestDone("r2", ms(3))
 	fresh := c.RequestArrived("r3", "m", ms(4)) // evicts r2, takes r1's slot
@@ -320,7 +336,7 @@ func TestStaleHandleIsNoop(t *testing.T) {
 // exports a null token list; a snapshot taken before the eviction is not
 // changed by the reuse.
 func TestEvictedTimelineIsRecycled(t *testing.T) {
-	c := New(Options{MaxRequests: 1})
+	c := New(Options{})
 	h1 := c.RequestArrived("r1", "m", ms(0))
 	c.PrefillStart("p0", "r1", h1, ms(1))
 	c.Token(h1, ms(2))
@@ -341,6 +357,7 @@ func TestEvictedTimelineIsRecycled(t *testing.T) {
 	}
 	old := c.slots[h1.slot].t
 
+	arriveLive(c, maxRequests-1)
 	c.RequestArrived("r2", "m", ms(50)) // evicts r1
 	c.RequestDone("r2", ms(51))
 	h3 := c.RequestArrived("r3", "m", ms(60)) // evicts r2, takes r1's slot
@@ -388,24 +405,26 @@ func TestDuplicateArrivalKeepsOriginal(t *testing.T) {
 }
 
 func TestTokenStampsCapped(t *testing.T) {
-	c := New(Options{MaxTokensPerRequest: 4})
+	c := New(Options{})
 	h := c.RequestArrived("r1", "m", ms(0))
-	for i := 0; i < 10; i++ {
+	const n = maxTokensPerRequest + 6
+	for i := 0; i < n; i++ {
 		c.Token(h, ms(i))
 	}
 	rt, _ := c.Request("r1")
-	if len(rt.Tokens) != 4 || rt.TokensTotal != 10 {
-		t.Fatalf("tokens = %d retained / %d total, want 4/10", len(rt.Tokens), rt.TokensTotal)
+	if len(rt.Tokens) != maxTokensPerRequest || rt.TokensTotal != n {
+		t.Fatalf("tokens = %d retained / %d total, want %d/%d", len(rt.Tokens), rt.TokensTotal, maxTokensPerRequest, n)
 	}
 }
 
 func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 	se := sim.NewEngine(1)
 	d := gpu.NewDevice(se, "gpu0")
-	c := New(Options{MaxOpsPerEngine: 4})
+	c := New(Options{})
 	c.ObserveDevice(d)
 	s := d.NewStream("s")
-	for i := 0; i < 10; i++ {
+	const n = maxOpsPerEngine + 6
+	for i := 0; i < n; i++ {
 		s.SubmitOp(gpu.Compute, 10*time.Millisecond, gpu.OpInfo{Kind: gpu.OpDecode, Model: 1})
 	}
 	s.SubmitOp(gpu.H2D, 5*time.Millisecond, gpu.OpInfo{Kind: gpu.OpKVIn})
@@ -420,8 +439,8 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 			h2d = tl
 		}
 	}
-	if len(compute.Ops) != 4 || compute.Total != 10 {
-		t.Fatalf("compute ring = %d retained / %d total, want 4/10", len(compute.Ops), compute.Total)
+	if len(compute.Ops) != maxOpsPerEngine || compute.Total != n {
+		t.Fatalf("compute ring = %d retained / %d total, want %d/%d", len(compute.Ops), compute.Total, maxOpsPerEngine, n)
 	}
 	if h2d.Total != 1 {
 		t.Fatalf("h2d total = %d", h2d.Total)
@@ -431,6 +450,14 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 		if compute.Ops[i].Start < compute.Ops[i-1].End {
 			t.Fatalf("compute ops overlap: %+v then %+v", compute.Ops[i-1], compute.Ops[i])
 		}
+	}
+	// The export of a wrapped ring validates.
+	var buf bytes.Buffer
+	if err := c.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidatePerfetto(&buf); err != nil {
+		t.Fatalf("export of a wrapped op ring does not validate: %v", err)
 	}
 }
 

@@ -87,7 +87,7 @@ func pointerPath(t reflect.Type) string {
 func TestObservedOpAllocs(t *testing.T) {
 	se := sim.NewEngine(1)
 	dev := gpu.NewDevice(se, "gpu0")
-	c := New(Options{MaxOpsPerEngine: 64})
+	c := New(Options{})
 	l := fleetobs.New(se)
 	c.ObserveDevice(dev)
 	l.ObserveDevice(dev)
@@ -103,7 +103,7 @@ func TestObservedOpAllocs(t *testing.T) {
 		se.Run()
 	}
 	// Fill both rings and the ledger's segment ring past its first halving.
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < maxOpsPerEngine+100; i++ {
 		run(infos[i%len(infos)])
 	}
 	for _, info := range infos {

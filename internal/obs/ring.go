@@ -13,16 +13,12 @@ type Kind uint8
 // Event kinds emitted by the serving stack.
 const (
 	KindArrival Kind = iota
-	KindPrefillEnqueue
 	KindPrefillStart
 	KindPrefillDone
-	KindDecodeEnqueue
 	KindTurnStart
 	KindTurnEnd
 	KindSwitchStart
 	KindSwitchDone
-	KindSwapOut
-	KindSwapIn
 	KindTokenBatch
 	KindRequestDone
 	KindEvict
@@ -36,10 +32,9 @@ const (
 // kindNames are printed by the Perfetto export and /debug/trace; they are
 // part of both outputs.
 var kindNames = [...]string{
-	"arrival", "prefill-enqueue", "prefill-start", "prefill-done",
-	"decode-enqueue", "turn-start", "turn-end", "switch-start",
-	"switch-done", "swap-out", "swap-in", "token-batch", "request-done",
-	"evict", "failure", "recovery", "retry", "prefix",
+	"arrival", "prefill-start", "prefill-done", "turn-start", "turn-end",
+	"switch-start", "switch-done", "token-batch", "request-done", "evict",
+	"failure", "recovery", "retry", "prefix",
 }
 
 func (k Kind) String() string {

@@ -56,9 +56,9 @@ func TestRingSummary(t *testing.T) {
 // TestKindStrings pins every kind name: the Perfetto export and /debug/trace
 // print them.
 func TestKindStrings(t *testing.T) {
-	want := "arrival prefill-enqueue prefill-start prefill-done decode-enqueue " +
-		"turn-start turn-end switch-start switch-done swap-out swap-in " +
-		"token-batch request-done evict failure recovery retry prefix"
+	want := "arrival prefill-start prefill-done turn-start turn-end " +
+		"switch-start switch-done token-batch request-done evict failure " +
+		"recovery retry prefix"
 	var names []string
 	for k := Kind(0); k < numKinds; k++ {
 		names = append(names, k.String())
@@ -143,10 +143,10 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 // TestFaultsOutliveRingWrap: a fault recorded before the flat ring wraps
 // still reaches the Perfetto fault track.
 func TestFaultsOutliveRingWrap(t *testing.T) {
-	c := New(Options{RingCapacity: 8})
+	c := New(Options{})
 	c.Fault("decode0", "crash", "injected", ms(1))
 	c.Retry("prefill0", "fetch", ms(2))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < ringCapacity+92; i++ {
 		c.TokenBatch("decode1", 1, ms(10+i), nil)
 	}
 	if c.Ring().Count(KindFailure) != 1 || c.Ring().Events()[0].Kind != KindTokenBatch {

@@ -57,37 +57,25 @@ func (l Level) String() string {
 	return "unknown"
 }
 
-// Config parameterizes the controller. Zero values take the defaults noted.
-type Config struct {
-	// EscalateHold is the minimum dwell time at a level before the next
-	// page signal may push it one rung higher (default 5s). The first
-	// escalation out of LevelNormal is immediate: when the fleet starts
-	// paging there is no reason to wait before shedding the cheapest tier.
-	EscalateHold time.Duration
-	// RecoverHold is how long the burn signal must stay clear (neither
-	// page nor warn) before the controller steps down one rung — and how
-	// long it then waits again before the next step (default 15s).
-	// Recovery is deliberately slower than escalation: re-admitting load
-	// into a fleet that just stopped burning is how incidents relapse.
-	RecoverHold time.Duration
-	// ShrinkScale is the fraction of the requested decode length granted
-	// at LevelShrink and above, in (0,1] (default 0.75: decode is rarely the
-	// bottleneck under switch-dominated overload, so a gentle trim preserves
-	// goodput while still signalling degradation).
-	ShrinkScale float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.EscalateHold <= 0 {
-		c.EscalateHold = 5 * time.Second
-	}
-	if c.RecoverHold <= 0 {
-		c.RecoverHold = 15 * time.Second
-	}
-	if c.ShrinkScale <= 0 || c.ShrinkScale > 1 {
-		c.ShrinkScale = 0.75
-	}
-}
+// Hysteresis holds and the shrink factor.
+const (
+	// escalateHold is the minimum dwell time at a level before the next
+	// page signal may push it one rung higher. The first escalation out of
+	// LevelNormal is immediate: when the fleet starts paging there is no
+	// reason to wait before shedding the cheapest tier.
+	escalateHold = 5 * time.Second
+	// recoverHold is how long the burn signal must stay clear (neither page
+	// nor warn) before the controller steps down one rung, and how long it
+	// then waits again before the next step. Recovery is deliberately
+	// slower than escalation: re-admitting load into a fleet that just
+	// stopped burning is how incidents relapse.
+	recoverHold = 15 * time.Second
+	// shrinkScale is the fraction of the requested decode length granted at
+	// LevelShrink and above: decode is rarely the bottleneck under
+	// switch-dominated overload, so a gentle trim preserves goodput while
+	// still signalling degradation.
+	shrinkScale = 0.75
+)
 
 // Signals is one observation of fleet pressure, fed to Step.
 type Signals struct {
@@ -118,8 +106,7 @@ const maxTransitions = 64
 // Controller is the brownout state machine. Safe for concurrent use; all
 // methods are nil-safe (a nil controller reads as LevelNormal).
 type Controller struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
 	level       Level
 	lastChange  sim.Time // when level last changed
@@ -130,18 +117,7 @@ type Controller struct {
 }
 
 // NewController builds a controller at LevelNormal.
-func NewController(cfg Config) *Controller {
-	cfg.applyDefaults()
-	return &Controller{cfg: cfg}
-}
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config {
-	if c == nil {
-		return Config{}
-	}
-	return c.cfg
-}
+func NewController() *Controller { return &Controller{} }
 
 // Step feeds one pressure observation and returns the (possibly updated)
 // level. Time must be monotone across calls; out-of-order observations are
@@ -162,13 +138,13 @@ func (c *Controller) Step(now sim.Time, sig Signals) Level {
 	switch {
 	case sig.Page && c.level < maxLevel:
 		// Escalate: immediately out of Normal, then one rung per
-		// EscalateHold while the page persists.
-		if c.level == LevelNormal || now-c.lastChange >= sim.Time(c.cfg.EscalateHold) {
+		// escalateHold while the page persists.
+		if c.level == LevelNormal || now-c.lastChange >= escalateHold {
 			c.setLevelLocked(now, c.level+1, sig.FastBurn)
 		}
 	case c.calm && c.level > LevelNormal:
-		// Recover: one rung per RecoverHold of sustained clear signal.
-		if now-c.calmSince >= sim.Time(c.cfg.RecoverHold) && now-c.lastChange >= sim.Time(c.cfg.RecoverHold) {
+		// Recover: one rung per recoverHold of sustained clear signal.
+		if now-c.calmSince >= recoverHold && now-c.lastChange >= recoverHold {
 			c.setLevelLocked(now, c.level-1, sig.FastBurn)
 		}
 	}
@@ -213,17 +189,11 @@ func (c *Controller) OutputCap(requested int) int {
 	if c == nil || requested <= 1 {
 		return requested
 	}
-	c.mu.Lock()
-	level, scale := c.level, c.cfg.ShrinkScale
-	c.mu.Unlock()
-	if level < LevelShrink {
+	if c.Level() < LevelShrink {
 		return requested
 	}
-	capped := int(float64(requested) * scale)
-	if capped < 1 {
-		capped = 1
-	}
-	return capped
+	// requested >= 2, so the grant is at least one token.
+	return int(float64(requested) * shrinkScale)
 }
 
 // Snapshot is the controller's externally visible state, served by

@@ -11,9 +11,9 @@ func sec(s int) time.Duration { return time.Duration(s) * time.Second }
 // TestEscalateRecoverArc is the golden transition test: a sustained page
 // climbs the full ladder one hysteresis hold at a time, a warn plateau holds
 // the level without escalating further, and a sustained clear signal walks
-// back down to normal one RecoverHold per rung.
+// back down to normal one recoverHold per rung.
 func TestEscalateRecoverArc(t *testing.T) {
-	c := NewController(Config{EscalateHold: 5 * time.Second, RecoverHold: 15 * time.Second})
+	c := NewController()
 	page := Signals{Page: true, Warn: true, FastBurn: 20}
 	warn := Signals{Warn: true, FastBurn: 5}
 	clear := Signals{FastBurn: 0.1}
@@ -25,7 +25,7 @@ func TestEscalateRecoverArc(t *testing.T) {
 	}{
 		{sec(0), clear, LevelNormal},
 		{sec(1), page, LevelShedLow}, // first page escalates immediately
-		{sec(2), page, LevelShedLow}, // EscalateHold not yet elapsed
+		{sec(2), page, LevelShedLow}, // escalateHold not yet elapsed
 		{sec(6), page, LevelShrink},
 		{sec(8), page, LevelShrink},
 		{sec(11), page, LevelFreeze},
@@ -34,7 +34,7 @@ func TestEscalateRecoverArc(t *testing.T) {
 		{sec(22), warn, LevelAdmitNone}, // warn holds, never escalates
 		{sec(30), warn, LevelAdmitNone},
 		{sec(31), clear, LevelAdmitNone}, // clear streak starts
-		{sec(40), clear, LevelAdmitNone}, // 9s clear < RecoverHold
+		{sec(40), clear, LevelAdmitNone}, // 9s clear < recoverHold
 		{sec(46), clear, LevelFreeze},    // 15s clear: step down
 		{sec(50), clear, LevelFreeze},
 		{sec(61), clear, LevelShrink},
@@ -80,14 +80,14 @@ func TestEscalateRecoverArc(t *testing.T) {
 // happens once, and recovery never starts because the clear streak keeps
 // being reset.
 func TestFlappingSignalHeldByHysteresis(t *testing.T) {
-	c := NewController(Config{EscalateHold: 5 * time.Second, RecoverHold: 15 * time.Second})
+	c := NewController()
 	for s := 0; s < 60; s++ {
 		sig := Signals{Page: s%2 == 0}
 		c.Step(sec(s), sig)
 	}
 	// Pages every other second: each page arrives with only 1s of clear
 	// before it, so recovery never fires; escalation proceeds one rung per
-	// EscalateHold on the paging half of the signal.
+	// escalateHold on the paging half of the signal.
 	if got := c.Level(); got != LevelAdmitNone {
 		t.Fatalf("level after sustained flapping = %v, want %v", got, LevelAdmitNone)
 	}
@@ -112,7 +112,7 @@ func TestPolicyGetters(t *testing.T) {
 		t.Fatal("nil Step must return LevelNormal")
 	}
 
-	c := NewController(Config{ShrinkScale: 0.25})
+	c := NewController()
 	cases := []struct {
 		level   Level
 		shedLow bool
@@ -122,9 +122,9 @@ func TestPolicyGetters(t *testing.T) {
 	}{
 		{LevelNormal, false, false, false, 100},
 		{LevelShedLow, true, false, false, 100},
-		{LevelShrink, true, false, false, 25},
-		{LevelFreeze, true, true, false, 25},
-		{LevelAdmitNone, true, true, true, 25},
+		{LevelShrink, true, false, false, 75},
+		{LevelFreeze, true, true, false, 75},
+		{LevelAdmitNone, true, true, true, 75},
 	}
 	for _, tc := range cases {
 		c.mu.Lock()
@@ -146,7 +146,7 @@ func TestPolicyGetters(t *testing.T) {
 // TestControllerConcurrency exercises Step and the getters under the race
 // detector.
 func TestControllerConcurrency(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w

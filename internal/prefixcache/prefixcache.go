@@ -13,7 +13,7 @@
 // eviction pressure. Eviction is leaf-only (an entry with cached descendants
 // is never removed, keeping every indexed chain contiguous from the prompt
 // start) and deterministic: victims are chosen by a total order over
-// (policy key, model, hash), never by map iteration order, so simulations
+// (last use, model, hash), never by map iteration order, so simulations
 // replay identically.
 package prefixcache
 
@@ -30,51 +30,8 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// Policy selects the eviction victim ordering.
-type Policy int
-
-const (
-	// PolicyLRU evicts the least-recently-used unpinned leaf.
-	PolicyLRU Policy = iota
-	// PolicyFreq evicts the leaf with the fewest lifetime hits, breaking
-	// ties by recency — it keeps a frequently reused system prompt resident
-	// through a burst of one-off conversations that would flush pure LRU.
-	PolicyFreq
-)
-
-func (p Policy) String() string {
-	if p == PolicyFreq {
-		return "freq"
-	}
-	return "lru"
-}
-
-// ParsePolicy parses "lru", "freq", or "" (lru).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "lru":
-		return PolicyLRU, nil
-	case "freq":
-		return PolicyFreq, nil
-	}
-	return PolicyLRU, fmt.Errorf("prefixcache: unknown policy %q", s)
-}
-
 // Config parameterizes the cache.
 type Config struct {
-	// HostBytes caps host-tier residency. Zero defaults to a quarter of the
-	// host KV pool: the pool is shared with sequence swap-out, and the cache
-	// must not starve it.
-	HostBytes int64
-	// DeviceBytes caps per-instance device-tier residency. Zero defaults to
-	// an eighth of the instance's GPU KV pool.
-	DeviceBytes int64
-	// Policy is the eviction policy.
-	Policy Policy
-	// PromoteAfter is the hit count at which an entry earns a device copy on
-	// the instance that reused it. Zero defaults to 1 (promote on first
-	// reuse).
-	PromoteAfter int
 	// Routing enables cache-aware placement in the serving layer. The cache
 	// itself only records the flag; internal/core consults it.
 	Routing bool
@@ -85,6 +42,17 @@ type Config struct {
 	// Clock supplies virtual time for journal records (nil stamps zero).
 	Clock func() sim.Time
 }
+
+// Residency caps.
+const (
+	// hostShare caps host-tier residency at 1/hostShare of the host KV pool:
+	// the pool is shared with sequence swap-out, and the cache must not
+	// starve it.
+	hostShare = 4
+	// deviceShare caps each device tier at 1/deviceShare of the instance's
+	// GPU KV pool.
+	deviceShare = 8
+)
 
 // classInfo caches per-model registration so promotion does not need the
 // KV shape again. The id is the class in the host tier; promotion resolves
@@ -175,9 +143,10 @@ func (r *recycler[T]) put(x *T) { r.free = append(r.free, x) }
 // the simulator core runs single-threaded, but gateway scrape handlers and
 // race tests touch the cache from other goroutines.
 type Cache struct {
-	mu   sync.Mutex
-	cfg  Config
-	host *kvcache.Cache
+	mu      sync.Mutex
+	cfg     Config
+	host    *kvcache.Cache
+	hostCap int64 // host-tier residency cap
 
 	tiers  []devTier
 	tierOf map[string]int // instance -> index into tiers
@@ -298,22 +267,16 @@ func (s Stats) SavedRatio() float64 {
 // New builds a prefix cache whose host tier allocates from the given CPU KV
 // cache. Block granularity is inherited from the host tier.
 func New(cfg Config, host *kvcache.Cache) *Cache {
-	if cfg.HostBytes <= 0 {
-		cfg.HostBytes = host.Pool().Capacity() / 4
-	}
-	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = 1
-	}
 	c := &Cache{
 		cfg:      cfg,
 		host:     host,
+		hostCap:  host.Pool().Capacity() / hostShare,
 		tierOf:   map[string]int{},
 		block:    host.BlockTokens(),
 		index:    map[string]map[uint64]*entry{},
 		classes:  map[string]classInfo{},
 		perModel: map[string]*ModelStats{},
 	}
-	c.hostVictims.less = c.less
 	return c
 }
 
@@ -333,14 +296,11 @@ func (c *Cache) AttachDevice(instance string, dev *kvcache.Cache) int {
 	if !ok {
 		t = len(c.tiers)
 		c.tierOf[instance] = t
-		c.tiers = append(c.tiers, devTier{name: instance, victims: victimHeap{less: c.less}})
+		c.tiers = append(c.tiers, devTier{name: instance})
 	}
 	tier := &c.tiers[t]
 	tier.cache = dev
-	tier.budget = c.cfg.DeviceBytes
-	if tier.budget <= 0 {
-		tier.budget = dev.Pool().Capacity() / 8
-	}
+	tier.budget = dev.Pool().Capacity() / deviceShare
 	return t
 }
 
@@ -532,9 +492,6 @@ func (h *Hit) Release(now sim.Time) {
 			if e.copyOn(t) != nil {
 				continue
 			}
-			if e.hits < uint64(c.cfg.PromoteAfter) {
-				break
-			}
 			if !c.promote(e, t, now) {
 				break
 			}
@@ -667,7 +624,7 @@ func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens in
 
 // ensureHostRoom evicts until one more block of size bb fits the budget.
 func (c *Cache) ensureHostRoom(bb int64) bool {
-	for c.hostBytes+bb > c.cfg.HostBytes {
+	for c.hostBytes+bb > c.hostCap {
 		if !c.evictHostOne() {
 			return false
 		}
@@ -702,7 +659,7 @@ func (c *Cache) journalEviction(tier, instance string, v *entry) {
 	j.Record(decision.Record{At: at, Kind: decision.KindPrefixEviction,
 		Instance: instance, Model: v.model,
 		Outcome: tier,
-		Reason:  c.cfg.Policy.String() + " victim " + fmt.Sprintf("%x@%d", v.hash, v.depth),
+		Reason:  fmt.Sprintf("lru victim %x@%d", v.hash, v.depth),
 		Inputs: []decision.Term{
 			{Name: "depth", Value: float64(v.depth)},
 			{Name: "hits", Value: float64(v.hits)},
@@ -728,23 +685,6 @@ func (c *Cache) refile(e *entry) {
 			c.tiers[t].victims.file(&d.slot, e.devVictim(d))
 		}
 	}
-}
-
-// less is the eviction total order: policy key, then model and hash so ties
-// never fall back to map iteration order.
-func (c *Cache) less(a, b *entry) bool {
-	if c.cfg.Policy == PolicyFreq {
-		if a.hits != b.hits {
-			return a.hits < b.hits
-		}
-	}
-	if a.lastUse != b.lastUse {
-		return a.lastUse < b.lastUse
-	}
-	if a.model != b.model {
-		return a.model < b.model
-	}
-	return a.hash < b.hash
 }
 
 // removeEntry frees an unpinned leaf's host block and device copies,

@@ -26,6 +26,18 @@ func newHost() *kvcache.Cache {
 	return kvcache.NewCache("cpu", 1<<20, 1<<14, testBlkTok)
 }
 
+// hostFor returns a host tier whose prefix-cache cap, a quarter of the pool,
+// is the given number of blocks.
+func hostFor(blocks int) *kvcache.Cache {
+	return kvcache.NewCache("cpu", int64(blocks)*hostShare*testBlockBytes, testBlockBytes, testBlkTok)
+}
+
+// deviceFor returns a device tier whose prefix-cache cap, an eighth of the
+// pool, is the given number of blocks.
+func deviceFor(name string, blocks int) *kvcache.Cache {
+	return kvcache.NewCache(name, int64(blocks)*deviceShare*testBlockBytes, testBlockBytes, testBlkTok)
+}
+
 func seg(seed uint64, n int) workload.PromptSeg { return workload.PromptSeg{Seed: seed, Len: n} }
 
 // chunks hashes every whole block of a prompt once, as a request does.
@@ -272,69 +284,67 @@ func TestPartialMatchDivergentSuffix(t *testing.T) {
 // in-flight hits survive intact, byte accounting matches, and the budget
 // holds. Deterministically seeded.
 func TestEvictionNeverReclaimsPinned(t *testing.T) {
-	for _, pol := range []Policy{PolicyLRU, PolicyFreq} {
-		budget := 6 * testBlockBytes
-		c := New(Config{HostBytes: budget, Policy: pol}, newHost())
-		rng := rand.New(rand.NewSource(11))
+	budget := 6 * testBlockBytes
+	c := New(Config{}, hostFor(6))
+	rng := rand.New(rand.NewSource(11))
 
-		type pinned struct {
-			h    *Hit
-			segs []workload.PromptSeg
-		}
-		var pins []pinned
-		now := sim.Time(0)
-		for i := 0; i < 300; i++ {
+	type pinned struct {
+		h    *Hit
+		segs []workload.PromptSeg
+	}
+	var pins []pinned
+	now := sim.Time(0)
+	for i := 0; i < 300; i++ {
+		now++
+		switch {
+		case len(pins) < 2 && rng.Intn(3) == 0:
+			segs := []workload.PromptSeg{seg(rng.Uint64(), 48)}
+			c.Insert("m", testShape, chunks(segs), 48, now)
 			now++
-			switch {
-			case len(pins) < 2 && rng.Intn(3) == 0:
-				segs := []workload.PromptSeg{seg(rng.Uint64(), 48)}
-				c.Insert("m", testShape, chunks(segs), 48, now)
-				now++
-				if h := c.Acquire("p0", "m", testShape, chunks(segs), 49, now); h != nil {
-					pins = append(pins, pinned{h, segs})
-				}
-			case len(pins) > 0 && rng.Intn(4) == 0:
-				pins[0].h.Release(now)
-				pins = pins[1:]
-			default:
-				n := (1 + rng.Intn(3)) * testBlkTok
-				c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(rng.Uint64(), n)}), n, now)
+			if h := c.Acquire("p0", "m", testShape, chunks(segs), 49, now); h != nil {
+				pins = append(pins, pinned{h, segs})
 			}
+		case len(pins) > 0 && rng.Intn(4) == 0:
+			pins[0].h.Release(now)
+			pins = pins[1:]
+		default:
+			n := (1 + rng.Intn(3)) * testBlkTok
+			c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(rng.Uint64(), n)}), n, now)
+		}
 
-			// Invariants after every step.
-			if got := c.HostResidentBytes(); got > budget {
-				t.Fatalf("[%v] step %d: resident %d exceeds budget %d", pol, i, got, budget)
-			}
-			for _, p := range pins {
-				if m, _ := matchOn(c, "p0", "m", chunks(p.segs), 49); m != 48 {
-					t.Fatalf("[%v] step %d: pinned chain shrank to %d tokens", pol, i, m)
-				}
-			}
-			if i%25 == 0 {
-				if bad := c.CheckConsistency(); len(bad) != 0 {
-					t.Fatalf("[%v] step %d: %v", pol, i, bad)
-				}
-			}
+		// Invariants after every step.
+		if got := c.HostResidentBytes(); got > budget {
+			t.Fatalf("step %d: resident %d exceeds budget %d", i, got, budget)
 		}
 		for _, p := range pins {
-			p.h.Release(now)
+			if m, _ := matchOn(c, "p0", "m", chunks(p.segs), 49); m != 48 {
+				t.Fatalf("step %d: pinned chain shrank to %d tokens", i, m)
+			}
 		}
-		if got := c.PinnedEntries(); got != 0 {
-			t.Fatalf("[%v] pinned = %d after drain", pol, got)
+		if i%25 == 0 {
+			if bad := c.CheckConsistency(); len(bad) != 0 {
+				t.Fatalf("step %d: %v", i, bad)
+			}
 		}
-		if bad := c.CheckConsistency(); len(bad) != 0 {
-			t.Fatalf("[%v] final consistency: %v", pol, bad)
-		}
-		if st := c.Stats(); st.HostEvictions == 0 {
-			t.Fatalf("[%v] no evictions — pressure test exerted no pressure", pol)
-		}
+	}
+	for _, p := range pins {
+		p.h.Release(now)
+	}
+	if got := c.PinnedEntries(); got != 0 {
+		t.Fatalf("pinned = %d after drain", got)
+	}
+	if bad := c.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("final consistency: %v", bad)
+	}
+	if st := c.Stats(); st.HostEvictions == 0 {
+		t.Fatalf("no evictions — pressure test exerted no pressure")
 	}
 }
 
 // TestInsertStopsWhenAllPinned: insertion degrades to a shorter cached chain
 // rather than evicting pinned entries.
 func TestInsertStopsWhenAllPinned(t *testing.T) {
-	c := New(Config{HostBytes: testBlockBytes}, newHost())
+	c := New(Config{}, hostFor(1))
 	a := []workload.PromptSeg{seg(1, 16)}
 	c.Insert("m", testShape, chunks(a), 16, 0)
 	h := c.Acquire("p0", "m", testShape, chunks(a), 17, 1)
@@ -357,52 +367,17 @@ func TestInsertStopsWhenAllPinned(t *testing.T) {
 	}
 }
 
-func TestFreqPolicyKeepsHotEntry(t *testing.T) {
-	mk := func(pol Policy) *Cache {
-		c := New(Config{HostBytes: 2 * testBlockBytes, Policy: pol, PromoteAfter: 100}, newHost())
-		hot := []workload.PromptSeg{seg(1, 16)}
-		c.Insert("m", testShape, chunks(hot), 16, 0)
-		for i := 0; i < 3; i++ {
-			if h := c.Acquire("p0", "m", testShape, chunks(hot), 17, sim.Time(1+i)); h != nil {
-				h.Release(sim.Time(1 + i))
-			}
-		}
-		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(2, 16)}), 16, 10) // colder but newer
-		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(3, 16)}), 16, 11) // forces one eviction
-		return c
-	}
-
-	c := mk(PolicyFreq)
-	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 16 {
-		t.Error("freq policy evicted the frequently reused entry")
-	}
-	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 0 {
-		t.Error("freq policy kept the cold entry over the hot one")
-	}
-
-	// LRU sees only recency: the hot entry's last use (t=3) predates the
-	// cold insert (t=10), so pure LRU flushes it — exactly the failure mode
-	// PolicyFreq exists to avoid.
-	c = mk(PolicyLRU)
-	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(1, 16)}), 17); m != 0 {
-		t.Error("lru kept the older entry despite newer residents")
-	}
-	if m, _ := matchOn(c, "p0", "m", chunks([]workload.PromptSeg{seg(2, 16)}), 17); m != 16 {
-		t.Error("lru evicted the most recently inserted entry")
-	}
-}
-
 func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	host := newHost()
-	dev := kvcache.NewCache("gpu0", 1<<20, 1<<14, testBlkTok)
-	c := New(Config{DeviceBytes: 2 * testBlockBytes}, host)
+	dev := deviceFor("gpu0", 2)
+	c := New(Config{}, host)
 	c.AttachDevice("p0", dev)
 
 	segs := []workload.PromptSeg{seg(5, 48)}
 	c.Insert("m", testShape, chunks(segs), 48, 0)
 
-	// First reuse: hits reach PromoteAfter (1), so Release promotes
-	// root-first until the 2-block device budget is exhausted.
+	// First reuse: Release promotes root-first until the 2-block device
+	// budget is exhausted.
 	h := c.Acquire("p0", "m", testShape, chunks(segs), 49, 1)
 	if h == nil || h.DeviceTokens != 0 {
 		t.Fatalf("first hit = %+v", h)
@@ -462,9 +437,9 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 // the device pressure valve, and stats/consistency readers — and must pass
 // under -race. Refcounts must return to zero and accounting must balance.
 func TestConcurrentLookupInsertEvict(t *testing.T) {
-	host := newHost()
-	dev := kvcache.NewCache("gpu0", 1<<20, 1<<14, testBlkTok)
-	c := New(Config{HostBytes: 32 * testBlockBytes, DeviceBytes: 8 * testBlockBytes}, host)
+	host := hostFor(32)
+	dev := deviceFor("gpu0", 8)
+	c := New(Config{}, host)
 	c.AttachDevice("p0", dev)
 
 	shared := []workload.PromptSeg{seg(0xABCD, 64)}
@@ -538,7 +513,7 @@ func scanVictim(c *Cache, ok func(*entry) bool) *entry {
 	var best *entry
 	for _, idx := range c.index {
 		for _, e := range idx {
-			if ok(e) && (best == nil || c.less(e, best)) {
+			if ok(e) && (best == nil || less(e, best)) {
 				best = e
 			}
 		}
@@ -590,82 +565,79 @@ func entryName(e *entry) string {
 // reads it; every step also runs the CheckConsistency heap audit.
 func TestVictimHeapsMatchScan(t *testing.T) {
 	insts := []string{"p0", "p1"}
-	for _, pol := range []Policy{PolicyLRU, PolicyFreq} {
-		var c *Cache
-		checks := 0
-		clock := func() sim.Time {
-			checks++
-			if msg := victimMismatch(c); msg != "" {
-				t.Fatalf("[%v] eviction %d: %s", pol, checks, msg)
-			}
-			return 0
+	var c *Cache
+	checks := 0
+	clock := func() sim.Time {
+		checks++
+		if msg := victimMismatch(c); msg != "" {
+			t.Fatalf("eviction %d: %s", checks, msg)
 		}
-		c = New(Config{HostBytes: 24 * testBlockBytes, DeviceBytes: 5 * testBlockBytes, Policy: pol,
-			Journal: decision.New(decision.Options{}), Clock: clock}, newHost())
-		attach := func(inst string) { c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok)) }
-		for _, inst := range insts {
+		return 0
+	}
+	c = New(Config{Journal: decision.New(decision.Options{}), Clock: clock}, hostFor(24))
+	attach := func(inst string) { c.AttachDevice(inst, deviceFor(inst, 5)) }
+	for _, inst := range insts {
+		attach(inst)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	// Conversations share a per-model system prompt and grow by whole
+	// blocks, so later turns extend cached chains.
+	prompt := func() (string, []workload.PromptSeg, int) {
+		mi := rng.Intn(2)
+		conv := uint64(rng.Intn(8))
+		n := testBlkTok * (1 + rng.Intn(5))
+		return "ab"[mi : mi+1], []workload.PromptSeg{seg(uint64(100+mi), testBlkTok), seg(conv, n)}, testBlkTok + n
+	}
+	var pins []*Hit
+	now := sim.Time(0)
+	for i := 0; i < 3000; i++ {
+		now += sim.Time(rng.Intn(2)) // equal timestamps exercise the model/hash tie-breaks
+		inst := insts[rng.Intn(len(insts))]
+		switch r := rng.Intn(100); {
+		case r < 35:
+			m, segs, n := prompt()
+			c.Insert(m, testShape, chunks(segs), n, now)
+		case r < 60:
+			m, segs, n := prompt()
+			if h := c.Acquire(inst, m, testShape, chunks(segs), n+1, now); h != nil {
+				pins = append(pins, h)
+			}
+			if len(pins) > 4 {
+				pins[0].Release(now)
+				pins = pins[1:]
+			}
+		case r < 82:
+			if len(pins) > 0 {
+				k := rng.Intn(len(pins))
+				pins[k].Release(now)
+				pins = append(pins[:k], pins[k+1:]...)
+			}
+		case r < 97:
+			c.EvictDeviceBytes(inst, int64(1+rng.Intn(3))*testBlockBytes)
+		default:
+			c.DropInstance(inst)
 			attach(inst)
 		}
-
-		rng := rand.New(rand.NewSource(7))
-		// Conversations share a per-model system prompt and grow by whole
-		// blocks, so later turns extend cached chains.
-		prompt := func() (string, []workload.PromptSeg, int) {
-			mi := rng.Intn(2)
-			conv := uint64(rng.Intn(8))
-			n := testBlkTok * (1 + rng.Intn(5))
-			return "ab"[mi : mi+1], []workload.PromptSeg{seg(uint64(100+mi), testBlkTok), seg(conv, n)}, testBlkTok + n
+		if msg := victimMismatch(c); msg != "" {
+			t.Fatalf("step %d: %s", i, msg)
 		}
-		var pins []*Hit
-		now := sim.Time(0)
-		for i := 0; i < 3000; i++ {
-			now += sim.Time(rng.Intn(2)) // equal timestamps exercise the model/hash tie-breaks
-			inst := insts[rng.Intn(len(insts))]
-			switch r := rng.Intn(100); {
-			case r < 35:
-				m, segs, n := prompt()
-				c.Insert(m, testShape, chunks(segs), n, now)
-			case r < 60:
-				m, segs, n := prompt()
-				if h := c.Acquire(inst, m, testShape, chunks(segs), n+1, now); h != nil {
-					pins = append(pins, h)
-				}
-				if len(pins) > 4 {
-					pins[0].Release(now)
-					pins = pins[1:]
-				}
-			case r < 82:
-				if len(pins) > 0 {
-					k := rng.Intn(len(pins))
-					pins[k].Release(now)
-					pins = append(pins[:k], pins[k+1:]...)
-				}
-			case r < 97:
-				c.EvictDeviceBytes(inst, int64(1+rng.Intn(3))*testBlockBytes)
-			default:
-				c.DropInstance(inst)
-				attach(inst)
-			}
-			if msg := victimMismatch(c); msg != "" {
-				t.Fatalf("[%v] step %d: %s", pol, i, msg)
-			}
-			if bad := c.CheckConsistency(); len(bad) != 0 {
-				t.Fatalf("[%v] step %d: %v", pol, i, bad)
-			}
+		if bad := c.CheckConsistency(); len(bad) != 0 {
+			t.Fatalf("step %d: %v", i, bad)
 		}
-		for _, h := range pins {
-			h.Release(now)
-		}
-		if bad := c.CheckConsistency(); len(bad) != 0 || c.PinnedEntries() != 0 {
-			t.Fatalf("[%v] after drain: pinned %d, %v", pol, c.PinnedEntries(), bad)
-		}
-		st := c.Stats()
-		if st.HostEvictions == 0 || st.DeviceEvictions == 0 || st.DeviceDrops == 0 {
-			t.Fatalf("[%v] stats %+v: a tier never evicted", pol, st)
-		}
-		if n := st.HostEvictions + st.DeviceEvictions; uint64(checks) != n {
-			t.Fatalf("[%v] %d victim checks for %d evictions", pol, checks, n)
-		}
+	}
+	for _, h := range pins {
+		h.Release(now)
+	}
+	if bad := c.CheckConsistency(); len(bad) != 0 || c.PinnedEntries() != 0 {
+		t.Fatalf("after drain: pinned %d, %v", c.PinnedEntries(), bad)
+	}
+	st := c.Stats()
+	if st.HostEvictions == 0 || st.DeviceEvictions == 0 || st.DeviceDrops == 0 {
+		t.Fatalf("stats %+v: a tier never evicted", st)
+	}
+	if n := st.HostEvictions + st.DeviceEvictions; uint64(checks) != n {
+		t.Fatalf("%d victim checks for %d evictions", checks, n)
 	}
 }
 
@@ -702,11 +674,10 @@ func refOnDevice(c *Cache, m string, hashes []uint64, tokens int) (matched int, 
 // recycled), and the one-walk routing match allocate nothing.
 func TestPrefixCacheSteadyStateAllocs(t *testing.T) {
 	const chains, depth = 64, 8
-	c := New(Config{HostBytes: (chains + 8) * depth * testBlockBytes, DeviceBytes: 16 * testBlockBytes},
-		kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	c := New(Config{}, hostFor((chains+8)*depth))
 	insts := []string{"p0", "p1", "p2"}
 	for _, inst := range insts {
-		c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok))
+		c.AttachDevice(inst, deviceFor(inst, 16))
 	}
 	prompts := make([][]uint64, chains+256)
 	for i := range prompts {
@@ -782,7 +753,7 @@ func TestPrefixCacheSteadyStateAllocs(t *testing.T) {
 // host eviction recycles the chain's entries into other prompts' blocks, a
 // second Release of the old hit touches none of them.
 func TestReleasedHitSurvivesRecycling(t *testing.T) {
-	c := New(Config{HostBytes: 4 * testBlockBytes}, newHost())
+	c := New(Config{}, hostFor(4))
 	old := chunks([]workload.PromptSeg{seg(1, 64)})
 	c.Insert("m", testShape, old, 64, 0)
 	h := c.Acquire("p0", "m", testShape, old, 65, 1)
@@ -846,9 +817,9 @@ func FuzzPrefixCacheOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		insts := []string{"p0", "p1", "p2"}
 		devs := make([]*kvcache.Cache, len(insts)) // nil while dropped
-		c := New(Config{HostBytes: 12 * testBlockBytes, DeviceBytes: 4 * testBlockBytes}, newHost())
+		c := New(Config{}, hostFor(12))
 		for i, inst := range insts {
-			devs[i] = kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok)
+			devs[i] = deviceFor(inst, 4)
 			c.AttachDevice(inst, devs[i])
 		}
 		// A prompt is a per-model system block and a conversation stream of
@@ -887,7 +858,7 @@ func FuzzPrefixCacheOps(f *testing.F) {
 				devs[ti] = nil
 			case 6:
 				if devs[ti] == nil {
-					devs[ti] = kvcache.NewCache(insts[ti], 1<<20, 1<<14, testBlkTok)
+					devs[ti] = deviceFor(insts[ti], 4)
 				}
 				if got := c.AttachDevice(insts[ti], devs[ti]); got != ti {
 					t.Fatalf("op %d: re-attach of %s got tier %d, want %d", k/2, insts[ti], got, ti)
@@ -925,12 +896,12 @@ func FuzzPrefixCacheOps(f *testing.F) {
 // the first (t+1)/6 of the chain.
 func BenchmarkRouteMatch(b *testing.B) {
 	const tiers, depth = 6, 82
-	c := New(Config{DeviceBytes: depth * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	c := New(Config{}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
 	hashes := chunks([]workload.PromptSeg{seg(1, depth*testBlkTok)})
 	c.Insert("m", testShape, hashes, depth*testBlkTok, 0)
 	for t := 0; t < tiers; t++ {
 		inst := fmt.Sprintf("p%d", t)
-		c.AttachDevice(inst, kvcache.NewCache(inst, 1<<20, 1<<14, testBlkTok))
+		c.AttachDevice(inst, deviceFor(inst, depth))
 		blocks := depth * (t + 1) / tiers
 		c.Acquire(inst, "m", testShape, hashes, blocks*testBlkTok+1, 1).Release(1)
 	}
@@ -952,8 +923,8 @@ func BenchmarkRouteMatch(b *testing.B) {
 // each evicting the device leaf of another chain, over 4096 cached entries.
 func BenchmarkPromoteUnderDevicePressure(b *testing.B) {
 	const chains, depth = 512, 8
-	c := New(Config{DeviceBytes: 64 * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
-	c.AttachDevice("p0", kvcache.NewCache("gpu0", 1<<20, 1<<14, testBlkTok))
+	c := New(Config{}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	c.AttachDevice("p0", deviceFor("gpu0", 64))
 	prompts := make([][]uint64, chains)
 	for i := range prompts {
 		prompts[i] = chunks([]workload.PromptSeg{seg(uint64(i), depth*testBlkTok)})
@@ -977,7 +948,7 @@ func BenchmarkPromoteUnderDevicePressure(b *testing.B) {
 // into a host tier held at its 4096-block budget: 4 host evictions per insert.
 func BenchmarkInsertUnderHostPressure(b *testing.B) {
 	const budget, depth = 4096, 4
-	c := New(Config{HostBytes: budget * testBlockBytes}, kvcache.NewCache("cpu", 16<<20, 1<<14, testBlkTok))
+	c := New(Config{}, hostFor(budget))
 	for i := 0; i < budget/depth; i++ {
 		c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(uint64(i), depth*testBlkTok)}), depth*testBlkTok, sim.Time(i))
 	}
@@ -991,17 +962,5 @@ func BenchmarkInsertUnderHostPressure(b *testing.B) {
 	b.StopTimer()
 	if st := c.Stats(); st.HostEvictions != uint64(depth*b.N) {
 		b.Fatalf("%d host evictions for %d inserts", st.HostEvictions, b.N)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"": PolicyLRU, "lru": PolicyLRU, "freq": PolicyFreq} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
 	}
 }

@@ -14,15 +14,26 @@ type heapSlot struct {
 }
 
 // victimHeap is an indexed min-heap of one tier's eviction candidates under
-// the cache's total order. The order is total, so the minimum is exactly the
+// the eviction order. The order is total, so the minimum is exactly the
 // entry a scan of every candidate would pick.
 type victimHeap struct {
-	less  func(a, b *entry) bool
 	slots []*heapSlot
 }
 
+// less is the eviction total order: least recently used first, then model
+// and hash so ties never fall back to map iteration order.
+func less(a, b *entry) bool {
+	if a.lastUse != b.lastUse {
+		return a.lastUse < b.lastUse
+	}
+	if a.model != b.model {
+		return a.model < b.model
+	}
+	return a.hash < b.hash
+}
+
 func (h *victimHeap) Len() int           { return len(h.slots) }
-func (h *victimHeap) Less(i, j int) bool { return h.less(h.slots[i].e, h.slots[j].e) }
+func (h *victimHeap) Less(i, j int) bool { return less(h.slots[i].e, h.slots[j].e) }
 
 func (h *victimHeap) Swap(i, j int) {
 	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
@@ -76,7 +87,7 @@ func (h *victimHeap) audit(tier string, all []*entry, member func(*entry) (*heap
 		if s.at != i+1 {
 			bad = append(bad, fmt.Sprintf("%s victims: slot %d records position %d", tier, i, s.at-1))
 		}
-		if i > 0 && h.less(s.e, h.slots[(i-1)/2].e) {
+		if i > 0 && less(s.e, h.slots[(i-1)/2].e) {
 			bad = append(bad, fmt.Sprintf("%s victims: slot %d sorts before its parent", tier, i))
 		}
 	}

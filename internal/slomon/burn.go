@@ -66,11 +66,11 @@ type alertMachine struct {
 	transitions []Transition
 }
 
-func (a *alertMachine) step(now sim.Time, fast, mid, slow float64, cfg Config) {
-	pageCond := fast >= cfg.PageBurn && mid >= cfg.PageBurn
-	warnCond := slow >= cfg.WarnBurn && mid >= cfg.WarnBurn
-	holdPage := fast >= cfg.PageBurn*cfg.Hysteresis && mid >= cfg.PageBurn*cfg.Hysteresis
-	holdWarn := slow >= cfg.WarnBurn*cfg.Hysteresis && mid >= cfg.WarnBurn*cfg.Hysteresis
+func (a *alertMachine) step(now sim.Time, fast, mid, slow float64) {
+	pageCond := fast >= pageBurn && mid >= pageBurn
+	warnCond := slow >= warnBurn && mid >= warnBurn
+	holdPage := fast >= pageBurn*hysteresis && mid >= pageBurn*hysteresis
+	holdWarn := slow >= warnBurn*hysteresis && mid >= warnBurn*hysteresis
 
 	next := a.state
 	switch a.state {

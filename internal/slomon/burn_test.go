@@ -9,21 +9,6 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// testCfg is a compressed alerting config so a golden scenario fits in ~100
-// virtual seconds: windows 5s/15s/30s, page at burn 5, warn at burn 2.
-func testCfg() Config {
-	return Config{
-		Objective:  0.9,
-		Bucket:     time.Second,
-		FastWindow: 5 * time.Second,
-		MidWindow:  15 * time.Second,
-		SlowWindow: 30 * time.Second,
-		PageBurn:   5,
-		WarnBurn:   2,
-		Hysteresis: 0.8,
-	}
-}
-
 // feed pushes `perSec` tokens per second over [from, to), `missed` of which
 // miss their deadline each second.
 func feed(m *Monitor, from, to time.Duration, perSec, missed int) {
@@ -45,15 +30,16 @@ func feed(m *Monitor, from, to time.Duration, perSec, missed int) {
 // TestBurnRateAlertGolden drives the canonical incident arc and pins the
 // exact alert transition sequence: a moderate burn warns, a heavy burn
 // pages, recovery demotes stepwise (page -> warn -> ok) as the windows
-// drain — never page -> ok directly, and no flapping in between.
+// drain — never page -> ok directly, and no flapping in between. At the
+// 0.99 objective one miss in ten tokens is burn 10.
 func TestBurnRateAlertGolden(t *testing.T) {
-	m := testMonitor(testCfg())
-	feed(m, 0, 30*time.Second, 10, 0)               // healthy baseline
-	feed(m, 30*time.Second, 50*time.Second, 10, 4)  // moderate: burn 4 -> warn
-	feed(m, 50*time.Second, 65*time.Second, 10, 8)  // heavy: burn 8 -> page
-	feed(m, 65*time.Second, 110*time.Second, 10, 0) // recovery
-	m.Advance(110 * time.Second)                    // let the slow window drain
-	snap := m.Snapshot(110 * time.Second)
+	m := testMonitor(Config{})
+	feed(m, 0, 30*time.Minute, 10, 0)              // healthy baseline
+	feed(m, 30*time.Minute, 45*time.Minute, 10, 1) // moderate: burn 10 -> warn
+	feed(m, 45*time.Minute, 50*time.Minute, 10, 2) // heavy: burn 20 -> page
+	feed(m, 50*time.Minute, 90*time.Minute, 10, 0) // recovery
+	m.Advance(90 * time.Minute)                    // let the slow window drain
+	snap := m.Snapshot(90 * time.Minute)
 
 	var seq []string
 	for _, tr := range snap.Fleet.Alert.Transitions {
@@ -70,8 +56,8 @@ func TestBurnRateAlertGolden(t *testing.T) {
 	// Transitions carry the burns that drove them: the page must show a hot
 	// fast window, the recovery demotion a cooled one.
 	page := snap.Fleet.Alert.Transitions[1]
-	if page.Fast < 5 || page.Mid < 5 {
-		t.Fatalf("page transition burns fast=%.2f mid=%.2f, want both >= 5", page.Fast, page.Mid)
+	if page.Fast < pageBurn || page.Mid < pageBurn {
+		t.Fatalf("page transition burns fast=%.2f mid=%.2f, want both >= %v", page.Fast, page.Mid, pageBurn)
 	}
 	// The per-model scope went through the same arc.
 	if len(snap.Models) != 1 || snap.Models[0].Alert.State != "ok" {
@@ -85,31 +71,30 @@ func TestBurnRateAlertGolden(t *testing.T) {
 // TestAlertHysteresisHoldsActiveState checks the hold band: an active page
 // persists while burn sits between hysteresis x threshold and threshold.
 func TestAlertHysteresisHoldsActiveState(t *testing.T) {
-	cfg := testCfg()
 	var a alertMachine
 	step := func(at time.Duration, fast, mid, slow float64) AlertState {
-		a.step(sim.Time(at), fast, mid, slow, cfg)
+		a.step(sim.Time(at), fast, mid, slow)
 		return a.state
 	}
-	if got := step(1*time.Second, 6, 6, 6); got != AlertPage {
-		t.Fatalf("burn 6 from ok = %v, want page", got)
+	if got := step(1*time.Second, 15, 15, 15); got != AlertPage {
+		t.Fatalf("burn 15 from ok = %v, want page", got)
 	}
-	// Page threshold is 5, hysteresis 0.8 -> hold band [4, 5).
-	if got := step(2*time.Second, 4.5, 4.5, 4.5); got != AlertPage {
-		t.Fatalf("burn 4.5 inside hold band = %v, want page held", got)
+	// Page threshold is 14.4, hysteresis 0.8 -> hold band [11.52, 14.4).
+	if got := step(2*time.Second, 12, 12, 12); got != AlertPage {
+		t.Fatalf("burn 12 inside hold band = %v, want page held", got)
 	}
-	if got := step(3*time.Second, 3.9, 3.9, 3.9); got != AlertWarn {
-		t.Fatalf("burn 3.9 below hold band = %v, want stepwise demotion to warn", got)
+	if got := step(3*time.Second, 11, 11, 11); got != AlertWarn {
+		t.Fatalf("burn 11 below hold band = %v, want stepwise demotion to warn", got)
 	}
-	// Warn threshold 2, hold band [1.6, 2).
-	if got := step(4*time.Second, 1.7, 1.7, 1.7); got != AlertWarn {
-		t.Fatalf("burn 1.7 inside warn hold band = %v, want warn held", got)
+	// Warn threshold 3, hold band [2.4, 3).
+	if got := step(4*time.Second, 2.5, 2.5, 2.5); got != AlertWarn {
+		t.Fatalf("burn 2.5 inside warn hold band = %v, want warn held", got)
 	}
 	if got := step(5*time.Second, 0.5, 0.5, 0.5); got != AlertOK {
 		t.Fatalf("burn 0.5 = %v, want ok", got)
 	}
 	// Both windows must be hot to page: a fast blip alone stays ok.
-	if got := step(6*time.Second, 20, 0.1, 0.1); got != AlertOK {
+	if got := step(6*time.Second, 50, 0.1, 0.1); got != AlertOK {
 		t.Fatalf("fast-only blip = %v, want ok (multi-window guard)", got)
 	}
 }
@@ -117,14 +102,13 @@ func TestAlertHysteresisHoldsActiveState(t *testing.T) {
 // TestAlertTransitionHistoryBounded keeps the retained history flat under a
 // pathological flapping workload.
 func TestAlertTransitionHistoryBounded(t *testing.T) {
-	cfg := testCfg()
 	var a alertMachine
 	for i := 0; i < 10*maxTransitions; i++ {
 		burn := 0.0
 		if i%2 == 0 {
-			burn = 10
+			burn = 20
 		}
-		a.step(sim.Time(i)*sim.Time(time.Second), burn, burn, burn, cfg)
+		a.step(sim.Time(i)*sim.Time(time.Second), burn, burn, burn)
 	}
 	if len(a.transitions) > maxTransitions {
 		t.Fatalf("%d transitions retained, cap %d", len(a.transitions), maxTransitions)

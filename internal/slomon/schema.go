@@ -125,7 +125,7 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 		NowSeconds:    now.Seconds(),
 		Objective:     m.cfg.Objective,
 	}
-	for i, d := range m.cfg.windows() {
+	for i, d := range windows {
 		out.Windows = append(out.Windows, WindowSpec{Name: windowNames[i], Seconds: d.Seconds()})
 	}
 	out.Fleet = m.scopeSnapshotLocked("", m.fleet, m.fleetCum, now)
@@ -165,7 +165,7 @@ func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, 
 			Fast: tr.Fast, Mid: tr.Mid, Slow: tr.Slow,
 		})
 	}
-	for i, d := range m.cfg.windows() {
+	for i, d := range windows {
 		met, missed := s.ring.sums(i)
 		ws := WindowStats{
 			Window:     windowNames[i],

@@ -22,33 +22,11 @@ import (
 	"aegaeon/internal/slo"
 )
 
-// Config parameterizes the monitor. Zero values take the defaults noted.
+// Config parameterizes the monitor. A zero Objective takes the default.
 type Config struct {
 	// Objective is the attainment target the error budget is measured
 	// against (default 0.99: up to 1% of tokens may miss their deadlines).
 	Objective float64
-
-	// Bucket is the sliding-window bucket width (default 1s).
-	Bucket time.Duration
-
-	// FastWindow/MidWindow/SlowWindow are the burn-rate windows
-	// (defaults 1m / 5m / 30m). SlowWindow bounds ring retention.
-	FastWindow time.Duration
-	MidWindow  time.Duration
-	SlowWindow time.Duration
-
-	// PageBurn and WarnBurn are the burn-rate alert thresholds
-	// (defaults 14.4 and 3, the SRE workbook's 2%-of-budget-per-hour and
-	// 10%-per-day pages for a 30-day budget).
-	PageBurn float64
-	WarnBurn float64
-
-	// Hysteresis scales the thresholds for holding an active alert
-	// (default 0.8: a page persists until burn < 0.8 x PageBurn).
-	Hysteresis float64
-
-	// QuantileSamples bounds each TTFT/TBT reservoir epoch (default 2048).
-	QuantileSamples int
 
 	// Source is the obs collector joined against for miss attribution.
 	// Nil disables attribution (misses classify as unknown).
@@ -60,46 +38,29 @@ type Config struct {
 	FaultActive func(model, instance string) bool
 }
 
-func (c *Config) applyDefaults() {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.99
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = time.Second
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
-	}
-	if c.MidWindow <= 0 {
-		c.MidWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 30 * time.Minute
-	}
-	if c.MidWindow < c.FastWindow {
-		c.MidWindow = c.FastWindow
-	}
-	if c.SlowWindow < c.MidWindow {
-		c.SlowWindow = c.MidWindow
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 14.4
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 3
-	}
-	if c.Hysteresis <= 0 || c.Hysteresis > 1 {
-		c.Hysteresis = 0.8
-	}
-	if c.QuantileSamples <= 0 {
-		c.QuantileSamples = 2048
-	}
-}
+// Windowing and alerting constants.
+const (
+	// bucket is the sliding-window bucket width.
+	bucket = time.Second
+	// fastWindow, midWindow and slowWindow are the burn-rate windows;
+	// slowWindow bounds ring retention.
+	fastWindow = time.Minute
+	midWindow  = 5 * time.Minute
+	slowWindow = 30 * time.Minute
+	// pageBurn and warnBurn are the burn-rate alert thresholds: the SRE
+	// workbook's 2%-of-budget-per-hour and 10%-per-day pages for a 30-day
+	// budget.
+	pageBurn = 14.4
+	warnBurn = 3
+	// hysteresis scales the thresholds for holding an active alert: a page
+	// persists until burn < 0.8 x pageBurn.
+	hysteresis = 0.8
+	// quantileSamples bounds each TTFT/TBT reservoir epoch.
+	quantileSamples = 2048
+)
 
-// windows returns the burn-rate window lengths, indexed fastWin..slowWin.
-func (c *Config) windows() [numWindows]time.Duration {
-	return [numWindows]time.Duration{c.FastWindow, c.MidWindow, c.SlowWindow}
-}
+// windows holds the burn-rate window lengths, indexed fastWin..slowWin.
+var windows = [numWindows]time.Duration{fastWindow, midWindow, slowWindow}
 
 // TokenObs is one produced token, judged against its deadline. Model is
 // the dense id of the request's model, named to the monitor by NameModel.
@@ -126,11 +87,11 @@ type scope struct {
 	missed uint64
 }
 
-func newScope(cfg Config) *scope {
+func newScope(samples int) *scope {
 	return &scope{
-		ring: newWindowRing(cfg.Bucket, cfg.windows()),
-		ttft: newEpochSketch(cfg.MidWindow, cfg.QuantileSamples),
-		tbt:  newEpochSketch(cfg.MidWindow, cfg.QuantileSamples),
+		ring: newWindowRing(bucket, windows),
+		ttft: newEpochSketch(midWindow, samples),
+		tbt:  newEpochSketch(midWindow, samples),
 	}
 }
 
@@ -146,7 +107,8 @@ func (s *scope) burns(objective float64) (b [numWindows]float64) {
 // Monitor maintains live SLO state. Safe for concurrent use; the zero
 // value is not usable — call New.
 type Monitor struct {
-	cfg Config
+	cfg     Config
+	samples int // reservoir bound of each new scope's sketches; tests shrink it
 
 	mu     sync.Mutex
 	names  model.Names
@@ -161,19 +123,25 @@ type Monitor struct {
 	fleetCum *slo.Tracker
 }
 
-// New builds a monitor. Config zero values take defaults.
-func New(cfg Config) *Monitor {
-	cfg.applyDefaults()
+// New builds a monitor. A zero Objective takes the default.
+func New(cfg Config) *Monitor { return newMonitor(cfg, quantileSamples) }
+
+// newMonitor builds a monitor whose reservoirs hold samples each.
+func newMonitor(cfg Config, samples int) *Monitor {
+	if cfg.Objective <= 0 || cfg.Objective >= 1 {
+		cfg.Objective = 0.99
+	}
 	return &Monitor{
 		cfg:      cfg,
-		nowEnd:   cfg.Bucket, // the clock starts in bucket 0
-		fleet:    newScope(cfg),
+		samples:  samples,
+		nowEnd:   bucket, // the clock starts in bucket 0
+		fleet:    newScope(samples),
 		cum:      slo.NewByModel(),
 		fleetCum: slo.NewTracker(),
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
+// Config returns the configuration, its Objective defaulted.
 func (m *Monitor) Config() Config {
 	if m == nil {
 		return Config{}
@@ -205,7 +173,7 @@ func (m *Monitor) scopeLocked(id model.ID) *scope {
 		return m.models[id]
 	}
 	m.models = model.Grow(m.models, id)
-	s := newScope(m.cfg)
+	s := newScope(m.samples)
 	s.id = id
 	// Start at the monitor clock, where every started ring's head is, so a
 	// first observation judged behind the clock clamps into the same bucket
@@ -341,7 +309,7 @@ func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 	m.now = now
 	rotated := m.fleet.ring.head < 0 || now >= m.nowEnd
 	if now >= m.nowEnd {
-		_, m.nowEnd = bucketSpan(int64(now/m.cfg.Bucket), m.cfg.Bucket)
+		_, m.nowEnd = bucketSpan(int64(now/bucket), bucket)
 	}
 	m.fleet.ring.advance(now)
 	if touched != nil {
@@ -360,7 +328,7 @@ func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 func (m *Monitor) stepAlertsLocked(now sim.Time) {
 	step := func(s *scope) {
 		b := s.burns(m.cfg.Objective)
-		s.alert.step(now, b[fastWin], b[midWin], b[slowWin], m.cfg)
+		s.alert.step(now, b[fastWin], b[midWin], b[slowWin])
 	}
 	step(m.fleet)
 	for _, s := range m.models {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +19,11 @@ const testModels = 256
 
 // testMonitor is New with models m0..m255 named, as a system names its
 // models when it is built.
-func testMonitor(cfg Config) *Monitor {
-	m := New(cfg)
+func testMonitor(cfg Config) *Monitor { return testMonitorSamples(cfg, quantileSamples) }
+
+// testMonitorSamples is testMonitor with reservoirs of the given size.
+func testMonitorSamples(cfg Config, samples int) *Monitor {
+	m := newMonitor(cfg, samples)
 	for i := 0; i < testModels; i++ {
 		m.NameModel(mid(fmt.Sprintf("m%d", i)), fmt.Sprintf("m%d", i))
 	}
@@ -146,7 +150,7 @@ func TestDroppedFutureDeadlineBucketsAtJudgement(t *testing.T) {
 	// A failed request's future tokens are judged lost *now*; their misses
 	// must land in the current bucket, not a future one the window will
 	// never reach consistently.
-	m := testMonitor(Config{Bucket: time.Second, FastWindow: 5 * time.Second})
+	m := testMonitor(Config{})
 	m.ObserveDropped(mid("m0"), "r1", "", 0, 100*time.Second, 3*time.Second)
 	snap := m.Snapshot(3 * time.Second)
 	var fast WindowStats
@@ -223,8 +227,7 @@ func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 // TestConcurrentObserveAndSnapshot hammers window rotation against snapshot
 // reads; run with -race. Counts must balance exactly at the end.
 func TestConcurrentObserveAndSnapshot(t *testing.T) {
-	m := testMonitor(Config{Bucket: time.Millisecond, FastWindow: 10 * time.Millisecond,
-		MidWindow: 50 * time.Millisecond, SlowWindow: 100 * time.Millisecond})
+	m := testMonitor(Config{})
 	const writers = 4
 	const perWriter = 2000
 	var wg sync.WaitGroup
@@ -233,8 +236,10 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			model := fmt.Sprintf("m%d", w%2)
+			// One token a second: every token rotates the rings, and the
+			// run outlasts the slow window.
 			for i := 0; i < perWriter; i++ {
-				at := time.Duration(i) * 100 * time.Microsecond
+				at := time.Duration(i) * time.Second
 				dl := at + time.Millisecond
 				if i%10 == 0 {
 					dl = at - time.Millisecond
@@ -281,18 +286,19 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestConfigDefaultsAndMonotoneWindows: a zero objective defaults to 0.99,
+// and a snapshot reports the 1m/5m/30m burn-rate windows, fast to slow.
 func TestConfigDefaultsAndMonotoneWindows(t *testing.T) {
 	m := testMonitor(Config{})
-	cfg := m.Config()
-	if cfg.Objective != 0.99 || cfg.Bucket != time.Second ||
-		cfg.FastWindow != time.Minute || cfg.MidWindow != 5*time.Minute ||
-		cfg.SlowWindow != 30*time.Minute || cfg.PageBurn != 14.4 || cfg.WarnBurn != 3 {
-		t.Fatalf("defaults = %+v", cfg)
+	if got := m.Config().Objective; got != 0.99 {
+		t.Fatalf("default objective = %v, want 0.99", got)
 	}
-	// Windows are forced monotone: slow >= mid >= fast.
-	c2 := testMonitor(Config{FastWindow: 10 * time.Minute, MidWindow: time.Minute, SlowWindow: time.Second}).Config()
-	if c2.MidWindow < c2.FastWindow || c2.SlowWindow < c2.MidWindow {
-		t.Fatalf("windows not monotone: %v/%v/%v", c2.FastWindow, c2.MidWindow, c2.SlowWindow)
+	var got []float64
+	for _, w := range m.Snapshot(0).Windows {
+		got = append(got, w.Seconds)
+	}
+	if want := []float64{60, 300, 1800}; !slices.Equal(got, want) {
+		t.Fatalf("window lengths = %v s, want %v", got, want)
 	}
 }
 
@@ -333,12 +339,11 @@ func checkModelsSumToFleet(t *testing.T, m *Monitor, label string) {
 // same (clamped) bucket as the fleet's, not in a ring started at the old
 // bucket that the next advance wipes.
 func TestLateFirstObservationMatchesFleet(t *testing.T) {
-	m := testMonitor(Config{Bucket: time.Second, FastWindow: 5 * time.Second,
-		MidWindow: 10 * time.Second, SlowWindow: 10 * time.Second})
+	m := testMonitor(Config{})
 	m.ObserveToken(TokenObs{Model: mid("m0"), Request: "r0",
-		Deadline: 21 * time.Second, At: 20 * time.Second})
+		Deadline: 41 * time.Minute, At: 40 * time.Minute})
 	m.ObserveDropped(mid("m1"), "r1", "g0", 0, 2*time.Second, 3*time.Second)
-	snap := m.Snapshot(20 * time.Second)
+	snap := m.Snapshot(40 * time.Minute)
 	for i, fw := range snap.Fleet.Windowed {
 		var met, missed uint64
 		for _, sc := range snap.Models {
@@ -349,8 +354,10 @@ func TestLateFirstObservationMatchesFleet(t *testing.T) {
 			t.Errorf("%s window: fleet %d/%d, models sum to %d/%d", fw.Window, fw.Met, fw.Missed, met, missed)
 		}
 	}
-	if mid := snap.Fleet.Windowed[midWin]; mid.Met != 1 || mid.Missed != 1 {
-		t.Errorf("fleet mid window = %d/%d, want 1/1", mid.Met, mid.Missed)
+	// The miss clamps into the oldest retained bucket, which only the slow
+	// window covers.
+	if slow := snap.Fleet.Windowed[slowWin]; slow.Met != 1 || slow.Missed != 1 {
+		t.Errorf("fleet slow window = %d/%d, want 1/1", slow.Met, slow.Missed)
 	}
 }
 
@@ -360,7 +367,7 @@ func TestLateFirstObservationMatchesFleet(t *testing.T) {
 // longer than the ring, and snapshots behind the clock. check runs after
 // every call.
 func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(op string)) {
-	bucket, span := m.cfg.Bucket, m.cfg.SlowWindow
+	span := slowWindow
 	jitter := func(d time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(d))) }
 	for i := 0; i < ops; i++ {
 		model := fmt.Sprintf("m%d", rng.Intn(1+i/25))
@@ -395,15 +402,12 @@ func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(
 	}
 }
 
-var propertyConfig = Config{Bucket: time.Second, FastWindow: 5 * time.Second,
-	MidWindow: 10 * time.Second, SlowWindow: 20 * time.Second}
-
 // TestFleetWindowsEqualModelSum: every token lands in the fleet scope and in
 // exactly one model scope, so after every call each fleet window must equal
 // the sum of the model windows.
 func TestFleetWindowsEqualModelSum(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		m := testMonitor(propertyConfig)
+		m := testMonitor(Config{})
 		step := 0
 		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
 			checkModelsSumToFleet(t, m, fmt.Sprintf("seed %d step %d (%s)", seed, step, op))
@@ -417,10 +421,10 @@ func TestFleetWindowsEqualModelSum(t *testing.T) {
 // clock, so the rings a call did not touch have nothing to rotate.
 func TestRingHeadsTrackClock(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
-		m := testMonitor(propertyConfig)
+		m := testMonitor(Config{})
 		step := 0
 		driveMonitor(t, rand.New(rand.NewSource(seed)), m, 400, func(op string) {
-			want := int64(m.now / m.cfg.Bucket)
+			want := int64(m.now / bucket)
 			if h := m.fleet.ring.head; h >= 0 && h != want {
 				t.Fatalf("seed %d step %d (%s): fleet head %d, clock bucket %d", seed, step, op, h, want)
 			}
@@ -448,11 +452,11 @@ func randomSteps(rng *rand.Rand, steps int) [][]TokenObs {
 	for s := 0; s < steps; s++ {
 		switch r := rng.Intn(40); {
 		case r == 0:
-			clock += 25 * time.Second // idle gap past the slow window
+			clock += slowWindow + time.Minute // idle gap past the slow window
 		case r < 4:
 			clock -= time.Duration(rng.Int63n(int64(2 * time.Second))) // behind the clock
 		default:
-			clock += time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
+			clock += time.Duration(rng.Int63n(int64(4 * time.Second)))
 		}
 		clock = max(clock, 0)
 		missRate := 0.02
@@ -488,12 +492,11 @@ func randomSteps(rng *rand.Rand, steps int) [][]TokenObs {
 // totals, causes, quantile reservoirs and alert transitions — checked through
 // the full snapshot after every few steps.
 func TestObserveTokensMatchesObserveToken(t *testing.T) {
-	cfg := propertyConfig
-	cfg.QuantileSamples = 16 // small reservoirs, so replacement is exercised
-	cfg.FaultActive = func(model, instance string) bool { return model == "m1" && instance == "g1" }
+	cfg := Config{FaultActive: func(model, instance string) bool { return model == "m1" && instance == "g1" }}
 	transitions := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		perToken, perStep := testMonitor(cfg), testMonitor(cfg)
+		// Small reservoirs, so replacement is exercised.
+		perToken, perStep := testMonitorSamples(cfg, 16), testMonitorSamples(cfg, 16)
 		for i, step := range randomSteps(rand.New(rand.NewSource(seed)), 600) {
 			for _, o := range step {
 				perToken.ObserveToken(o)
@@ -522,7 +525,7 @@ func TestObserveTokensMatchesObserveToken(t *testing.T) {
 // TestObserveTokensAllocs: a warmed monitor judges a step without
 // allocating.
 func TestObserveTokensAllocs(t *testing.T) {
-	m := testMonitor(Config{QuantileSamples: 8})
+	m := testMonitor(Config{})
 	step := make([]TokenObs, 16)
 	for i := range step {
 		at := 5 * time.Second
@@ -530,7 +533,7 @@ func TestObserveTokensAllocs(t *testing.T) {
 			Arrival: time.Second, Deadline: at + time.Duration(i%3-1)*time.Second,
 			At: at, Prev: at - 40*time.Millisecond}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < quantileSamples; i++ {
 		m.ObserveTokens(step) // fill the reservoirs
 	}
 	if n := testing.AllocsPerRun(100, func() { m.ObserveTokens(step) }); n != 0 {

@@ -8,7 +8,7 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// Burn-rate window indices, in Config order (fast, mid, slow).
+// Burn-rate window indices: fast, mid, slow.
 const (
 	fastWin = iota
 	midWin

@@ -61,7 +61,7 @@ func TestPlacementJournalGolden(t *testing.T) {
 		{
 			name: "prefix",
 			cfg: aegaeon.Config{PrefillGPUs: 2, DecodeGPUs: 3, Models: aegaeon.SmallModels(6),
-				PrefixCache: true, PrefixRouting: true},
+				PrefixRouting: true},
 			workload: aegaeon.MultiTurn,
 			count: func(rec decision.Record) int {
 				if rec.Reason == "cache-aware" {
