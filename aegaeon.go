@@ -216,7 +216,12 @@ type System struct {
 }
 
 // New builds a system.
-func New(cfg Config) (*System, error) {
+func New(cfg Config) (*System, error) { return newSystem(cfg, nil) }
+
+// newSystem builds the system New builds for cfg, with edit, when non-nil,
+// applied to the assembly spec derived from cfg. Tests use it to assemble
+// subsystem combinations the facade does not offer on the same fleet.
+func newSystem(cfg Config, edit func(*assemble.Spec)) (*System, error) {
 	if cfg.GPU == "" {
 		cfg.GPU = "H800"
 	}
@@ -260,7 +265,7 @@ func New(cfg Config) (*System, error) {
 		}
 		flt = fault.New(se, cfg.Seed)
 	}
-	parts, err := assemble.Build(se, assemble.Spec{
+	spec := assemble.Spec{
 		Tracing:         cfg.Tracing,
 		SLOMonitor:      cfg.SLOMonitor,
 		Overload:        cfg.Overload,
@@ -275,7 +280,11 @@ func New(cfg Config) (*System, error) {
 		Models:          models,
 		TP:              cfg.TP,
 		Faults:          flt,
-	})
+	}
+	if edit != nil {
+		edit(&spec)
+	}
+	parts, err := assemble.Build(se, spec)
 	if err != nil {
 		return nil, fmt.Errorf("aegaeon: %w", err)
 	}

@@ -6,12 +6,6 @@ import (
 	"time"
 
 	"aegaeon/internal/assemble"
-	"aegaeon/internal/core"
-	"aegaeon/internal/engine"
-	"aegaeon/internal/latency"
-	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
-	"aegaeon/internal/slo"
 	"aegaeon/internal/workload"
 )
 
@@ -212,24 +206,6 @@ func TestPrefixCacheFlow(t *testing.T) {
 	}
 }
 
-// cacheWithoutRouting builds, below the facade, the system New builds for
-// cfg (H800, TP 1, default SLO, market models) with a prefix cache whose
-// prefill dispatch ignores it: the facade only offers the cache together
-// with cache-aware routing.
-func cacheWithoutRouting(t *testing.T, cfg Config) *System {
-	t.Helper()
-	se := sim.NewEngine(cfg.Seed)
-	models := model.MarketMix(cfg.NumModels)
-	parts, err := assemble.Build(se, assemble.Spec{PrefixCache: true, Seed: cfg.Seed, Models: models, TP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreCfg := core.Config{Prof: latency.H800(), TP: 1, Opts: engine.AllOptimizations(),
-		NumPrefill: cfg.PrefillGPUs, NumDecode: cfg.DecodeGPUs, Models: models, SLO: slo.Default()}
-	parts.Core(&coreCfg)
-	return &System{cfg: cfg, eng: se, sys: core.NewSystem(se, coreCfg), models: models, parts: parts}
-}
-
 // TestPrefixRoutingDominatesNoCache serves three prefix-heavy workloads on
 // three arms over byte-identical traces: the prefix cache off (nocache), on
 // with load-balanced routing (cache), and on with cache-aware prefill routing
@@ -245,11 +221,10 @@ func TestPrefixRoutingDominatesNoCache(t *testing.T) {
 		floor   = 0.3
 	)
 	build := func(cache, routing bool) *System {
-		cfg := Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 4, Seed: 1, PrefixRouting: routing}
-		if cache && !routing {
-			return cacheWithoutRouting(t, cfg)
-		}
-		sys, err := New(cfg)
+		// The facade offers the cache only with cache-aware routing, so the
+		// cache arm turns it on in the assembly spec.
+		sys, err := newSystem(Config{PrefillGPUs: 2, DecodeGPUs: 2, NumModels: 4, Seed: 1, PrefixRouting: routing},
+			func(s *assemble.Spec) { s.PrefixCache = cache })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,12 +250,12 @@ func TestPrefixChaosInvariants(t *testing.T) {
 	}
 }
 
-// TestPrefixEvictionRacesReuse is the seeded -race schedule: a host tier
-// filled to its cap before the run keeps the cache under constant eviction
-// pressure while multi-turn sessions reuse chains and a prefill crash drops
-// a device tier mid-run, and a concurrent prober reads the cache's
-// synchronized surface the whole time (as the live gateway's scrape
-// handlers do). Run under -race in CI.
+// TestPrefixEvictionRacesReuse is the seeded -race schedule: filler chains
+// pinned for the whole run leave the host tier only a few blocks of room, so
+// the run's own chains evict each other while multi-turn sessions reuse them
+// and a prefill crash drops a device tier mid-run, and a concurrent prober
+// reads the cache's synchronized surface the whole time (as the live
+// gateway's scrape handlers do). Run under -race in CI.
 func TestPrefixEvictionRacesReuse(t *testing.T) {
 	const seed = 21
 	se := sim.NewEngine(seed)
@@ -292,15 +292,8 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	se.At(300*time.Second, c.StopHealth)
 
 	pc := c.Deployments()[0].System.PrefixCache()
-	// Fill the host tier to its cap with filler chains no request shares,
-	// so every block the run inserts must evict one.
-	filler := make([]uint64, 4096)
-	for i := uint64(1); pc.Stats().HostEvictions == 0; i++ {
-		for k := range filler {
-			filler[k] = i<<32 | uint64(k)
-		}
-		pc.Insert(names[3], models[3].KVShape(), filler, len(filler)*pc.BlockTokens(), 0)
-	}
+	pins, filler := pinFiller(t, pc, names[3], models[3].KVShape())
+	base := pc.Stats()
 	sysSegs := []workload.PromptSeg{{Seed: workload.SeedString("system\x00" + names[0]), Len: 128}}
 	sysHashes := prefixcache.ChunkHashes(sysSegs, 128/pc.BlockTokens(), pc.BlockTokens())
 	done := make(chan struct{})
@@ -334,19 +327,74 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	if n := <-probed; n == 0 {
 		t.Error("prober never ran")
 	}
+	for _, h := range pins {
+		h.Release(se.Now())
+	}
 
 	for _, viol := range VerifyInvariants(c) {
 		t.Errorf("invariant: %s", viol)
 	}
 	st := pc.Stats()
-	t.Logf("hits=%d saved=%d hostEvictions=%d devEvictions=%d drops=%d",
-		st.Hits, st.TokensSaved, st.HostEvictions, st.DeviceEvictions, st.DeviceDrops)
-	if st.Hits == 0 {
+	hostEv := st.HostEvictions - base.HostEvictions
+	t.Logf("hits=%d saved=%d hostEvictions=%d (unpinned filler %d blocks) devEvictions=%d drops=%d",
+		st.Hits-base.Hits, st.TokensSaved-base.TokensSaved, hostEv, filler,
+		st.DeviceEvictions-base.DeviceEvictions, st.DeviceDrops)
+	if st.Hits == base.Hits {
 		t.Error("no prefix reuse under the seeded schedule")
 	}
-	if st.HostEvictions == 0 {
-		t.Error("tiny budget never forced a host eviction — no eviction/reuse race exercised")
+	// Eviction is LRU and the filler was last used at time 0, so the
+	// unpinned filler goes first: any eviction beyond it took a chain the
+	// run inserted.
+	if hostEv <= filler {
+		t.Errorf("%d host evictions never got past the %d unpinned filler blocks — no eviction/reuse race exercised",
+			hostEv, filler)
 	}
+}
+
+// pinFiller fills pc's host tier to its cap with filler chains of model m
+// that no request shares, and pins all but hostHeadroom of them under an
+// instance that is never attached. The caller holds the returned hits for
+// the whole run and releases them before auditing. unpinned counts the
+// filler blocks left evictable.
+func pinFiller(t *testing.T, pc *prefixcache.Cache, m string, shape model.KVShape) (pins []*prefixcache.Hit, unpinned uint64) {
+	t.Helper()
+	const (
+		hostHeadroom = 64 << 20
+		chainLen     = 4096
+	)
+	block := pc.BlockTokens()
+	// Whole chains until an insert evicts, which takes the first chain's
+	// tail (eviction is LRU, then by hash).
+	var chains [][]uint64
+	for i := uint64(1); pc.Stats().HostEvictions == 0; i++ {
+		chain := make([]uint64, chainLen)
+		for k := range chain {
+			chain[k] = i<<32 | uint64(k)
+		}
+		pc.Insert(m, shape, chain, chainLen*block, 0)
+		chains = append(chains, chain)
+	}
+	st := pc.Stats()
+	bb := st.HostBytes / int64(st.HostEntries)
+
+	// Pin newest chain first; the first chain, the partial one, goes last.
+	first := st.HostEntries - (len(chains)-1)*chainLen
+	toPin := st.HostEntries - int(hostHeadroom/bb)
+	unpinned = uint64(st.HostEntries - toPin)
+	for i := len(chains) - 1; toPin > 0; i-- {
+		n := chainLen
+		if i == 0 {
+			n = first
+		}
+		n = min(toPin, n)
+		h := pc.Acquire("filler", m, shape, chains[i][:n], n*block+1, 0)
+		if h == nil || h.MatchedTokens != n*block {
+			t.Fatalf("filler pin matched %v, want %d blocks", h, n)
+		}
+		pins = append(pins, h)
+		toPin -= n
+	}
+	return pins, unpinned
 }
 
 // TestOverloadChaosInvariants runs fault schedules with overload control

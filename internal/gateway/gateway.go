@@ -232,8 +232,8 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 	return g
 }
 
-// Start launches the real-time event loop (and, when configured, the
-// cluster's health-lease machinery and the brownout controller loop on it).
+// Start launches the real-time event loop and, with overload control, the
+// brownout controller loop.
 func (g *Gateway) Start() {
 	g.drv.Start()
 	if ov := g.opts.Overload; ov != nil {
