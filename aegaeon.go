@@ -554,6 +554,19 @@ func (s *System) WriteDecisions(w io.Writer) error {
 // fired — the numerator of the kernel's events/sec self-metric.
 func (s *System) EventsProcessed() uint64 { return s.eng.Processed() }
 
+// DecodeSteps returns how many decoding iterations the decode instances have
+// started, and how many runs (compute ops of back-to-back iterations) they
+// ran them as. Each run is one kernel event, so steps minus runs is the
+// events coalescing saved.
+func (s *System) DecodeSteps() (steps, runs uint64) {
+	for _, e := range s.sys.Engines() {
+		st := e.Stats()
+		steps += st.DecodeSteps
+		runs += st.DecodeRuns
+	}
+	return steps, runs
+}
+
 // Breakdown returns the request latency breakdown after Serve (Fig. 14).
 func (s *System) Breakdown() *metrics.Breakdown { return s.sys.Breakdown() }
 

@@ -318,7 +318,7 @@ func TestPrefixSessionsVictimChoice(t *testing.T) {
 		t.Fatal("prefix-enabled run reported no prefix stats")
 	}
 	got := []uint64{sys.EventsProcessed(), px.DeviceEvictions, px.Promotions, px.HostEvictions, uint64(rep.MeanTTFT)}
-	want := []uint64{108_601, 14_742, 16_390, 0, 871_496_849}
+	want := []uint64{11_771, 14_742, 16_390, 0, 871_496_849}
 	names := []string{"events", "device evictions", "promotions", "host evictions", "mean TTFT ns"}
 	for i := range want {
 		if got[i] != want[i] {

@@ -267,9 +267,13 @@ func writeFile(path string, write func(io.Writer) error) error {
 
 // kernelMetrics are the simulation kernel's self-metrics for one run — the
 // substrate's own throughput, independent of what the simulated fleet did.
+// Schema 2 added the decode steps and the runs they ran as: each run is one
+// kernel event, so their ratio is how far decode turns coalesced.
 type kernelMetrics struct {
 	SchemaVersion   int     `json:"schema_version"`
 	Events          uint64  `json:"events"`
+	DecodeSteps     uint64  `json:"decode_steps"`
+	DecodeRuns      uint64  `json:"decode_runs"`
 	EventsPerSec    float64 `json:"events_per_sec"`
 	Requests        int     `json:"requests"`
 	RequestsPerSec  float64 `json:"requests_per_sec"`
@@ -289,7 +293,7 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 	runtime.ReadMemStats(&ms)
 	wallS := wall.Seconds()
 	km := kernelMetrics{
-		SchemaVersion:   1,
+		SchemaVersion:   2,
 		Events:          sys.EventsProcessed(),
 		Requests:        rep.Requests,
 		TokensGenerated: rep.GeneratedTokens,
@@ -300,6 +304,7 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 		Mallocs:         ms.Mallocs,
 		NumGC:           ms.NumGC,
 	}
+	km.DecodeSteps, km.DecodeRuns = sys.DecodeSteps()
 	if wallS > 0 {
 		km.EventsPerSec = float64(km.Events) / wallS
 		km.RequestsPerSec = float64(km.Requests) / wallS

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"time"
 
 	"aegaeon/internal/decision"
@@ -81,29 +83,39 @@ type decodeInstance struct {
 
 	batchLimits []int64 // indexed by model id; 0 until first derived
 
-	// Decode step state. At most one step is in flight per instance and a
-	// dead instance never steps again, so stepLoop and finishStep refill
-	// these buffers in place and the step's completion is finishStep, bound
-	// once as stepDone.
-	ready       []*Request
-	inflight    []*gpu.Event // swap-in events a step with no ready request waits on
-	waiting     []*Request   // their requests
-	stepReqs    []*Request   // requests the in-flight step produces a token for
-	stepTLs     []obs.Handle // their timelines, for the collector's token batch
-	feed        tokenFeed
-	stepBatch   *dbatch
-	stepTurnEnd sim.Time
-	stepStart   sim.Time
-	stepDone    func()
+	// Decode run state (DESIGN.md §6, decode runs). A run is back-to-back
+	// steps over one step set, runReqs, submitted as one compute op. At most
+	// one run is in flight per instance and a dead instance never steps
+	// again, so stepLoop, settleStep and finishRun refill these buffers in
+	// place and the run's completion is finishRun, bound once as runDone.
+	// run is the plan of a run of more than one step (Ends is empty for a
+	// one-step run), whose boundaries the system's settler settles, and
+	// runNeed[i] the KV blocks its steps 1..i append.
+	ready      []*Request
+	inflight   []*gpu.Event // swap-in events a step with no ready request waits on
+	waiting    []*Request   // their requests
+	runReqs    []*Request   // requests each step of the run produces a token for
+	run        gpu.Run
+	runNeed    []int
+	stepTLs    []obs.Handle // the step set's timelines, for the collector's token batch
+	feed       tokenFeed
+	runBatch   *dbatch
+	runTurnEnd sim.Time
+	runStart   sim.Time // the run's submission, where its first step starts unless queued
+	runDone    func()
 }
 
 // dbgTurn is a test hook for turn-event tracing.
 var dbgTurn = func(*decodeInstance, string, *dbatch) {}
 
+// maxRunSteps caps a decode run's length: a test hook that checks runs
+// against the one-step runs they coalesce.
+var maxRunSteps = math.MaxInt
+
 func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
 	d := &decodeInstance{sys: s, eng: e}
 	d.feed.dev = s.fleet.Ref(e.Name)
-	d.stepDone = d.finishStep
+	d.runDone = d.finishRun
 	return d
 }
 
@@ -161,6 +173,7 @@ func (d *decodeInstance) enqueue(r *Request) {
 	}
 	if d.current != nil && d.current.mid == r.mid &&
 		d.current.projectedTokens()+r.ProjectedTokens() <= d.batchLimit(r.mid) {
+		d.cut() // the next step must see the new member
 		d.current.reqs = append(d.current.reqs, r)
 		d.startSwapIn(r)
 		return
@@ -621,6 +634,7 @@ func (d *decodeInstance) swapInIfNeeded(r *Request, b *dbatch) *gpu.Event {
 			}
 			panic("core: decode swap-in failed: " + err.Error())
 		}
+		d.checkRunRoom()
 		return ev
 	default:
 		return nil
@@ -713,15 +727,21 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	}
 	// Reusing inflight and waiting is safe: one stepLoop chain runs per
 	// instance, and the wait callback below reads waiting before it calls
-	// stepLoop again, which is the only writer.
+	// stepLoop again, which is the only writer. steady records whether the
+	// step set can hold for more than one step: every member is ready and
+	// takes its append, and none streams its tokens (OnToken).
 	ready, inflight, waiting := d.ready[:0], d.inflight[:0], d.waiting[:0]
+	steady := true
 	for _, r := range b.reqs {
 		if r.Seq == nil {
+			steady = false
 			continue
 		}
 		switch r.Seq.State() {
 		case kvcache.StateGPU:
 			ready = append(ready, r)
+			steady = steady && r.OnToken == nil
+			continue
 		case kvcache.StateSwappingIn, kvcache.StateSwappingOut:
 			if ev := r.Seq.LastTransfer(); ev != nil && !ev.Query() {
 				inflight = append(inflight, ev)
@@ -734,6 +754,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 				waiting = append(waiting, r)
 			}
 		}
+		steady = false
 	}
 	d.ready, d.inflight, d.waiting = ready, inflight, waiting
 	if len(ready) == 0 {
@@ -758,19 +779,20 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	}
 	// Grow each ready sequence by the token this step will produce.
 	var ctx int64
-	stepReqs := d.stepReqs[:0]
+	reqs := d.runReqs[:0]
 	for _, r := range ready {
 		if err := d.eng.KV().AppendTokens(r.Seq, 1); err != nil {
 			if errors.Is(err, memory.ErrOutOfMemory) {
+				steady = false
 				continue // skip this step; capacity frees as others finish
 			}
 			panic("core: append token: " + err.Error())
 		}
-		stepReqs = append(stepReqs, r)
+		reqs = append(reqs, r)
 		ctx += r.ContextTokens()
 	}
-	d.stepReqs = stepReqs
-	if len(stepReqs) == 0 {
+	d.runReqs = reqs
+	if len(reqs) == 0 {
 		// KV full: end the turn so the batch rotates out and frees space.
 		d.endTurn()
 		return
@@ -778,41 +800,212 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	// One fleet KV sample covers the step's appends: they only allocate, so
 	// the last one's usage is the step's peak.
 	d.eng.KV().NoteKV()
-	d.stepBatch, d.stepTurnEnd, d.stepStart = b, turnEnd, now
-	d.eng.DecodeStep(ctx, d.stepDone)
-}
-
-// finishStep completes the in-flight decode step: every request in stepReqs
-// receives its token, each observer is fed the step's tokens once, finished
-// requests release their KV, and the loop continues with the step's batch.
-func (d *decodeInstance) finishStep() {
-	if d.dead {
-		// The instance fail-stopped (crash or spot revocation) while this
-		// step was on the GPU. Its requests were orphaned or evacuated and
-		// may already be re-homed with fresh sequences — or none at all —
-		// so the step's tokens must not be recorded against them.
-		d.running = false
+	d.runBatch, d.runTurnEnd, d.runStart = b, turnEnd, now
+	if steady && d.eng.ComputeIdle() && d.planRun(ctx) {
+		d.sys.runs.add(d)
+		d.eng.DecodeRun(&d.run, d.runDone)
 		return
 	}
-	b := d.stepBatch
-	now := d.eng.Sim().Now()
-	stepDur := now - d.stepStart
+	d.eng.DecodeStep(ctx, d.runDone)
+}
+
+// planRun plans a run over runReqs, whose first step's appends are applied
+// and whose context totals ctx tokens, into d.run and reports whether it
+// has more than one step. The run takes every step the one-step loop would
+// take over the same step set, back to back: a step follows while no
+// member has finished, the previous step ended before the turn's end, and
+// the appends of every step so far fit in the blocks the KV pool has free
+// for the batch's shape class. How it plans never depends on observers.
+func (d *decodeInstance) planRun(ctx int64) bool {
+	k := maxRunSteps
+	for _, r := range d.runReqs {
+		k = min(k, r.OutputTokens-len(r.TokenTimes))
+	}
+	if k < 2 {
+		return false
+	}
+	kv := d.eng.KV()
+	free := kv.FreeBlocks(d.runReqs[0].Seq)
+	block := kv.GPUCache.BlockTokens()
+	ends := append(d.run.Ends[:0], d.runStart+d.eng.StepTime(ctx))
+	need := append(d.runNeed[:0], 0)
+	for len(ends) < k && ends[len(ends)-1] < d.runTurnEnd {
+		// Step i appends one token to each sequence, which holds
+		// Tokens()+i-1 before it (Tokens counts the first step's append).
+		// When those fill its blocks exactly, the append takes a new one.
+		i := len(ends)
+		n := need[i-1]
+		for _, r := range d.runReqs {
+			if (r.Seq.Tokens()+i-1)%block == 0 {
+				n++
+			}
+		}
+		if n > free {
+			break
+		}
+		ctx += int64(len(d.runReqs))
+		ends = append(ends, ends[i-1]+d.eng.StepTime(ctx))
+		need = append(need, n)
+	}
+	d.run.Ends, d.runNeed = ends, need
+	if len(ends) == 1 {
+		d.run.Ends = ends[:0]
+		return false
+	}
+	return true
+}
+
+// due returns the earliest step boundary of the run in flight that the
+// settler has yet to settle: every one but the run's end, which finishRun
+// handles as the run's kernel event.
+func (d *decodeInstance) due() (sim.Time, bool) {
+	if r := &d.run; r.Settled < len(r.Ends)-1 {
+		return r.Ends[r.Settled], true
+	}
+	return 0, false
+}
+
+// settleStep settles the run's next step boundary, where the clock now
+// stands, doing what finishRun and then stepLoop do at the end of a
+// one-step run, in the same order: the step's op record, its tokens and
+// their observer feed, then the next step's appends and KV sample. The
+// plan already made every check that loop makes, so settling changes
+// nothing about it.
+func (d *decodeInstance) settleStep() {
+	i, planned := d.run.Settled, len(d.run.Ends)
+	start := d.runStart
+	if i > 0 {
+		start = d.run.Ends[i-1]
+	}
+	d.eng.SettleStep()
+	d.stampStep(start, d.run.Ends[i])
+	kv := d.eng.KV()
+	for _, r := range d.runReqs {
+		if err := kv.AppendTokens(r.Seq, 1); err != nil {
+			panic("core: append token in a decode run: " + err.Error())
+		}
+	}
+	kv.NoteKV()
+	if len(d.run.Ends) != planned || d.run.Settled != i+1 {
+		panic("core: settling a decode run changed its plan")
+	}
+}
+
+// stampStep records the tokens of the step of runReqs that ran over
+// [start, end): every request in the step set receives its token, credited
+// with the step's time, and each observer is fed the step's tokens once.
+func (d *decodeInstance) stampStep(start, end sim.Time) {
+	mid := d.runBatch.mid
 	if d.sys.obs != nil {
 		tls := d.stepTLs[:0]
-		for _, r := range d.stepReqs {
+		for _, r := range d.runReqs {
 			tls = append(tls, r.tl)
 		}
 		d.stepTLs = tls
-		d.sys.obs.TokenBatch(d.eng.Name, b.mid, now, tls)
+		d.sys.obs.TokenBatch(d.eng.Name, mid, end, tls)
 	}
-	for _, r := range d.stepReqs {
-		d.feed.record(d.sys, d.eng.Name, r, now)
-		r.decodeExec += stepDur
+	for _, r := range d.runReqs {
+		d.feed.record(d.sys, d.eng.Name, r, end)
+		r.decodeExec += end - start
 	}
 	// A batch is single-model, so one model id covers the step's tokens.
-	d.feed.flush(d.sys, b.mid)
+	d.feed.flush(d.sys, mid)
+}
+
+// runSettler is the system's sim.Settler: it settles the step boundaries of
+// every decode run in flight, earliest first across instances (the first
+// listed on a tie), so the kernel fires one event per run while every
+// event, read and observer call sees the state the per-step loop leaves.
+type runSettler struct {
+	runs []*decodeInstance // instances with a run of more than one step in flight
+	next *decodeInstance   // the instance Due picked
+}
+
+func (s *runSettler) add(d *decodeInstance) { s.runs = append(s.runs, d) }
+
+func (s *runSettler) remove(d *decodeInstance) {
+	for i, x := range s.runs {
+		if x == d {
+			s.runs = append(s.runs[:i], s.runs[i+1:]...)
+			return
+		}
+	}
+}
+
+// Due returns the earliest unsettled step boundary of any run in flight.
+func (s *runSettler) Due() (sim.Time, bool) {
+	var at sim.Time
+	s.next = nil
+	for _, d := range s.runs {
+		if t, ok := d.due(); ok && (s.next == nil || t < at) {
+			s.next, at = d, t
+		}
+	}
+	return at, s.next != nil
+}
+
+// Settle settles the boundary Due returned.
+func (s *runSettler) Settle() { s.next.settleStep() }
+
+// cutFor cuts the run r steps in, if any: r is about to go terminal, so
+// the steps after the one in flight go without it.
+func (s *runSettler) cutFor(r *Request) {
+	for _, d := range s.runs {
+		if slices.Contains(d.runReqs, r) {
+			d.cut()
+		}
+	}
+}
+
+// cut ends the run in flight at the end of its step in flight: something
+// changed what the next step does (a join, an abort, a crash, a pool
+// allocation). Settling has already brought the run up to now. Outside a
+// run of more than one step it does nothing.
+func (d *decodeInstance) cut() {
+	if len(d.run.Ends) > 1 {
+		d.eng.CutRun()
+	}
+}
+
+// checkRunRoom cuts the run in flight when the KV pool no longer has the
+// blocks its steps after the one in flight append: an allocation took them.
+func (d *decodeInstance) checkRunRoom() {
+	r := &d.run
+	if len(r.Ends) <= 1 {
+		return
+	}
+	if d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < d.runNeed[len(r.Ends)-1]-d.runNeed[r.Settled] {
+		d.cut()
+	}
+}
+
+// finishRun is the run's end, its one kernel event: the last step's tokens
+// land, finished requests release their KV, and the loop continues with the
+// run's batch.
+func (d *decodeInstance) finishRun() {
+	start := d.runStart
+	if n := len(d.run.Ends); n > 0 {
+		if d.run.Settled != n-1 {
+			panic("core: a decode run ended with unsettled steps")
+		}
+		if n > 1 {
+			start = d.run.Ends[n-2]
+		}
+		d.run.Ends = d.run.Ends[:0]
+		d.sys.runs.remove(d)
+	}
+	if d.dead {
+		// The instance fail-stopped (crash or spot revocation) while this
+		// run was on the GPU. Its requests were orphaned or evacuated and
+		// may already be re-homed with fresh sequences — or none at all —
+		// so the tokens of the step in flight must not be recorded.
+		d.running = false
+		return
+	}
+	b := d.runBatch
+	d.stampStep(start, d.eng.Sim().Now())
 	finishedAny := false
-	for _, r := range d.stepReqs {
+	for _, r := range d.runReqs {
 		if len(r.TokenTimes) >= r.OutputTokens {
 			if err := d.eng.KV().Free(r.Seq); err != nil {
 				panic("core: free finished sequence: " + err.Error())
@@ -830,7 +1023,7 @@ func (d *decodeInstance) finishStep() {
 		}
 		b.reqs = kept
 	}
-	d.stepLoop(b, d.stepTurnEnd, true)
+	d.stepLoop(b, d.runTurnEnd, true)
 }
 
 func (d *decodeInstance) endTurn() {

@@ -38,6 +38,9 @@ func (s *System) CrashDecodeInstance(idx int) error {
 	if d.dead {
 		return fmt.Errorf("core: decode instance %d already failed", idx)
 	}
+	// The steps that ended before the crash keep their tokens; the one in
+	// flight dies with the instance, and the run ends with it.
+	d.cut()
 	d.dead = true
 	s.cfg.Faults.CountCrash()
 	s.obs.Fault(d.eng.Name, "crash", "decode instance fail-stop", s.eng.Now())

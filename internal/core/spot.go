@@ -146,6 +146,7 @@ func (s *System) evacuatePrefill(p *prefillInstance) {
 // the batches are empty; anything still in flight at the deadline is
 // revokeInstance's problem.
 func (s *System) evacuateDecode(d *decodeInstance) {
+	d.cut() // the run's members leave its batch
 	var owned []*Request
 	seen := map[*Request]bool{}
 	collect := func(r *Request) {

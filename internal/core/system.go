@@ -238,6 +238,7 @@ type System struct {
 
 	prefills []*prefillInstance
 	decodes  []*decodeInstance
+	runs     runSettler // the decode runs in flight, settled step by step
 
 	// prefixOnDevice is routing's per-tier device-resident prompt tokens,
 	// refilled by every prefix-cache Match call.
@@ -320,6 +321,7 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 	for i := range s.prioTrackers {
 		s.prioTrackers[i] = slo.NewTracker()
 	}
+	se.AddSettler(&s.runs)
 	for _, m := range cfg.Models {
 		id := ids.Add(m)
 		s.models[m.Name] = id
@@ -864,6 +866,7 @@ func (s *System) failRequest(r *Request, reason string) {
 	if r.terminal() {
 		return
 	}
+	s.runs.cutFor(r)
 	s.releasePrefix(r)
 	s.freeSeq(r)
 	r.Failed = true
@@ -913,6 +916,7 @@ func (s *System) Abort(r *Request) {
 	if r == nil || r.terminal() {
 		return
 	}
+	s.runs.cutFor(r)
 	r.aborted = true
 	r.finished = s.eng.Now()
 	s.aborted++

@@ -112,7 +112,8 @@ type Stats struct {
 	GCPauses      uint64
 	Reinits       uint64
 	PrefillJobs   uint64
-	DecodeSteps   uint64
+	DecodeSteps   uint64      // decoding iterations started
+	DecodeRuns    uint64      // compute ops they ran as: one per run of back-to-back steps
 	SwitchLatency metrics.CDF // exposed scale-up latency per switch (Fig. 15)
 	// Prefix-cache reuse activity (PR 6): copies charged instead of
 	// recomputed prefill.
@@ -835,26 +836,69 @@ func (e *Engine) ReusePrefix(reqID string, hostBytes, deviceBytes int64, done fu
 }
 
 // DecodeStep executes one decoding iteration over a batch with the given
-// total context tokens and fires done on completion.
+// total context tokens and fires done on completion: a run of one step,
+// queued behind any compute work in flight.
 func (e *Engine) DecodeStep(contextTokens int64, done func()) {
-	if e.current == nil {
-		panic("engine: DecodeStep with no model loaded")
-	}
+	dur := e.StepTime(contextTokens)
 	e.stats.DecodeSteps++
-	dur := e.throttled(e.curCost.DecodeStep(contextTokens))
+	e.stats.DecodeRuns++
 	e.compute.SubmitOp(gpu.Compute, dur,
 		gpu.OpInfo{Kind: gpu.OpDecode, Model: e.curID}, done)
+}
+
+// StepTime returns the compute time of one decoding iteration of the current
+// model over the given total context tokens, under the live throttle.
+func (e *Engine) StepTime(contextTokens int64) time.Duration {
+	if e.current == nil {
+		panic("engine: decode with no model loaded")
+	}
+	return e.throttled(e.curCost.DecodeStep(contextTokens))
+}
+
+// DecodeRun executes the decoding iterations r plans, whose ends are sums of
+// StepTimes from now, back to back as one compute op, and fires done when
+// the last one ends. The compute engine must be idle (ComputeIdle). Each
+// iteration but the last ends when SettleStep settles it; the next starts
+// there. CutRun, a throttle change or other compute work ends the run early,
+// at the end of the iteration in flight.
+func (e *Engine) DecodeRun(r *gpu.Run, done func()) {
+	if e.current == nil {
+		panic("engine: decode with no model loaded")
+	}
+	e.stats.DecodeSteps++
+	e.stats.DecodeRuns++
+	e.compute.SubmitRun(gpu.Compute, r, gpu.OpInfo{Kind: gpu.OpDecode, Model: e.curID}, done)
+}
+
+// SettleStep ends the earliest unsettled iteration of the run in flight,
+// delivering its op record, and starts the next.
+func (e *Engine) SettleStep() {
+	e.compute.SettleStep()
+	e.stats.DecodeSteps++
+}
+
+// CutRun ends the run in flight, if any, at the end of its iteration in
+// flight.
+func (e *Engine) CutRun() { e.compute.CutRun() }
+
+// ComputeIdle reports whether the compute stream and engine have no work
+// queued or running, so a run submitted now starts now.
+func (e *Engine) ComputeIdle() bool {
+	return e.compute.PendingOps() == 0 && !e.dev.Busy(gpu.Compute)
 }
 
 // SetThrottle sets the thermal-throttle slowdown applied to compute kernels
 // (factor > 1 = slower; <= 1 restores nominal speed). Estimates are left
 // unthrottled on purpose: schedulers plan against nominal capability, the
-// market's capability score is what steers work away from hot devices.
+// market's capability score is what steers work away from hot devices. A
+// decode run in flight is cut at the end of its iteration in flight, so the
+// iterations after it take the new speed.
 func (e *Engine) SetThrottle(factor float64) {
 	if factor < 1 {
 		factor = 0
 	}
 	e.throttle = factor
+	e.CutRun()
 }
 
 // throttled scales a compute duration by the live throttle factor.

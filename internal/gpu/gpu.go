@@ -21,6 +21,14 @@
 // chunk, with that chunk's own start and end, delivered no later than the
 // transfer's next kernel event; BusyObserver gets one busy interval per
 // uninterrupted run; PendingOps counts the transfer once.
+//
+// A run (SubmitRun) is one op of back-to-back steps whose ends are planned
+// when it starts. Observers see it as the steps it replaces: OpObserver
+// gets one OpRecord per step, each earlier step's when the caller settles
+// it (SettleStep) and the last one's when the op retires; BusyObserver gets
+// one busy interval for the whole run. Work that joins the run's stream or
+// engine while it runs cuts it at the end of the step in flight, as CutRun
+// does, so that work starts where it would have behind the one step.
 package gpu
 
 import (
@@ -144,6 +152,16 @@ type OpObserver func(d *Device, r OpRecord)
 // simulation goroutine; it must not re-enter the device.
 type BusyObserver func(d *Device, k EngineKind, info OpInfo, busy bool)
 
+// Run is the plan of a run op: steps back to back on one engine, step i
+// ending at Ends[i], strictly increasing. The caller fills Ends and passes
+// the Run to SubmitRun; from then until the op retires the stream owns it:
+// it shortens Ends when it cuts the run and advances Settled, the number of
+// steps whose OpRecord SettleStep has delivered. The caller may read both.
+type Run struct {
+	Ends    []sim.Time
+	Settled int
+}
+
 // Device is one simulated GPU.
 type Device struct {
 	Name string
@@ -223,6 +241,7 @@ type op struct {
 	kind    EngineKind
 	dur     time.Duration // engine time left; a chunked transfer's shrinks as it yields
 	chunk   time.Duration // chunked transfer's chunk length; 0 for a plain op
+	run     *Run          // a run's plan; nil for any other op
 	queued  sim.Time      // when the op last joined its executor's queue
 	info    OpInfo
 	onDone  func()
@@ -368,6 +387,71 @@ func (s *Stream) submit(k EngineKind, dur, chunk time.Duration, info OpInfo, don
 	}
 	o := s.newOp()
 	o.kind, o.dur, o.chunk, o.info, o.onDone = k, dur, chunk, info, done
+	s.push(o)
+}
+
+// SubmitRun enqueues the run r plans as one op on engine k: its steps run
+// back to back from now, and done (optional) fires when the last one ends.
+// The stream and the engine must be idle, so the first step starts now, and
+// r.Ends must hold at least one end, strictly increasing and after now.
+func (s *Stream) SubmitRun(k EngineKind, r *Run, info OpInfo, done func()) {
+	now := s.dev.eng.Now()
+	for i, end := range r.Ends {
+		if end <= now || (i > 0 && end <= r.Ends[i-1]) {
+			panic(fmt.Sprintf("gpu: run step %d ends at %v (now %v, ends %v)", i, end, now, r.Ends))
+		}
+	}
+	if len(r.Ends) == 0 || s.queue.len() > 0 || s.dev.Busy(k) {
+		panic(fmt.Sprintf("gpu: run of %d steps submitted to a busy %s engine or stream", len(r.Ends), k))
+	}
+	r.Settled = 0
+	o := s.newOp()
+	o.kind, o.dur, o.run, o.info, o.onDone = k, r.Ends[len(r.Ends)-1]-now, r, info, done
+	s.push(o)
+}
+
+// SettleStep delivers the OpRecord of the earliest step of the run at the
+// stream's head that is not its last and has not been settled: the step has
+// ended and the next one starts. The clock must have reached the step's end.
+func (s *Stream) SettleStep() {
+	o, x := s.runningRun()
+	r := o.run
+	if r.Settled >= len(r.Ends)-1 || r.Ends[r.Settled] > x.eng.Now() {
+		panic(fmt.Sprintf("gpu: SettleStep of step %d of %d at %v (ends %v)", r.Settled, len(r.Ends), x.eng.Now(), r.Ends))
+	}
+	x.reportStep(o)
+}
+
+// CutRun ends the run at the stream's head at the end of its step in
+// flight, the first step ending after now: the op retires there, as if it
+// had been submitted with that step last. It does nothing when the head is
+// not a running run or its step in flight is its last.
+func (s *Stream) CutRun() {
+	if s.queue.len() == 0 {
+		return
+	}
+	if o := s.queue.front(); o.run != nil && o.started {
+		s.dev.engines[o.kind].cutRun()
+	}
+}
+
+// runningRun returns the run op executing at the stream's head and its
+// executor, panicking when there is none.
+func (s *Stream) runningRun() (*op, *executor) {
+	if s.queue.len() > 0 {
+		if o := s.queue.front(); o.run != nil {
+			if x := s.dev.engines[o.kind]; x.cur == o {
+				return o, x
+			}
+		}
+	}
+	panic("gpu: no run executing at stream " + s.name + "'s head")
+}
+
+// push queues o on the stream and advances its head. Work queued behind a
+// running run cuts it.
+func (s *Stream) push(o *op) {
+	s.CutRun()
 	s.queue.push(o)
 	s.pump()
 }
@@ -379,8 +463,7 @@ func (s *Stream) Record() *Event {
 	ev := &Event{eng: s.dev.eng}
 	o := s.newOp()
 	o.marker = ev
-	s.queue.push(o)
-	s.pump()
+	s.push(o)
 	return ev
 }
 
@@ -393,8 +476,7 @@ func (s *Stream) WaitEvent(e *Event) {
 	}
 	o := s.newOp()
 	o.barrier = e
-	s.queue.push(o)
-	s.pump()
+	s.push(o)
 }
 
 // pump advances the stream head as far as possible.
@@ -453,6 +535,12 @@ func (s *Stream) complete(o *op) {
 // chunked transfer counts as one operation until its last chunk ends.
 func (s *Stream) PendingOps() int { return s.queue.len() }
 
+// Busy reports whether engine k is executing an op or has one queued.
+func (d *Device) Busy(k EngineKind) bool {
+	x := d.engines[k]
+	return x.cur != nil || x.queue.len() > 0
+}
+
 // executor serializes ops on one hardware engine, FIFO by readiness. At most
 // one op (cur) occupies the engine; its completion event calls retire, the
 // executor's finish method bound once at construction, so starting an op
@@ -483,11 +571,45 @@ type executor struct {
 func (x *executor) enqueue(o *op) {
 	o.queued = x.eng.Now()
 	x.queue.push(o)
-	if x.cur == nil {
+	switch {
+	case x.cur == nil:
 		x.kick()
-	} else if x.cur.chunk > 0 && x.yieldAt == 0 {
+	case x.cur.run != nil:
+		x.cutRun()
+	case x.cur.chunk > 0 && x.yieldAt == 0:
 		x.preempt()
 	}
+}
+
+// cutRun ends the running run at the end of its step in flight: the first
+// step ending after now, since a step that ends now has ended and the one
+// starting now is in flight. The op's completion moves there.
+func (x *executor) cutRun() {
+	o, now := x.cur, x.eng.Now()
+	r := o.run
+	i := r.Settled
+	for i < len(r.Ends)-1 && r.Ends[i] <= now {
+		i++
+	}
+	if i == len(r.Ends)-1 {
+		return
+	}
+	r.Ends = r.Ends[:i+1]
+	x.pending.Cancel()
+	x.pending = x.eng.At(r.Ends[i], x.retire)
+	o.dur = r.Ends[i] - x.busySince
+}
+
+// reportStep hands the observer the run's next unsettled step, from mark
+// to its end, and settles it.
+func (x *executor) reportStep(o *op) {
+	r := o.run
+	end := r.Ends[r.Settled]
+	if obs := x.dev.observer; obs != nil {
+		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.mark, End: end})
+	}
+	x.mark = end
+	r.Settled++
 }
 
 func (x *executor) kick() {
@@ -560,10 +682,16 @@ func (x *executor) report(o *op, until sim.Time) {
 }
 
 // finish retires cur: the engine goes idle, observers see the interval (a
-// chunked transfer's last chunk), the stream completes the op, and the next
-// queued op starts.
+// chunked transfer's last chunk, a run's last step, after any step its
+// caller left unsettled), the stream completes the op, and the next queued
+// op starts.
 func (x *executor) finish() {
 	o := x.cur
+	if o.run != nil {
+		for o.run.Settled < len(o.run.Ends)-1 {
+			x.reportStep(o)
+		}
+	}
 	x.cur = nil
 	x.busyAccum += x.eng.Now() - x.busySince
 	if bo := x.dev.busyObs; bo != nil {

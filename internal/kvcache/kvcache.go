@@ -436,6 +436,13 @@ func (m *Manager) AppendTokens(seq *Sequence, n int) error {
 	return nil
 }
 
+// FreeBlocks returns how many more blocks of seq's shape class its GPU tier
+// could allocate now: what appends to seq and its same-shape peers may take.
+func (m *Manager) FreeBlocks(seq *Sequence) int {
+	n, _ := seq.gpuCache.pool.FreeBlocksAvailable(seq.gpuClass)
+	return n
+}
+
 // SwapOut starts offloading the sequence to the CPU tier (scale-down path).
 // The transfer waits for the sequence's previous transfer (rule ❷). GPU
 // blocks are released when the copy completes. Returns the transfer event.

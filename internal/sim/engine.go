@@ -18,6 +18,13 @@
 // keeps only its next arrival queued, so the heap holds the events that can
 // fire soon instead of every arrival the clock has not reached, and the
 // firing order is the one the At calls would give.
+//
+// Work that advances between events without events of its own (a decode
+// run's step boundaries) registers a Settler. Before an event fires at t,
+// and before RunUntil moves the clock to its horizon, the engine settles
+// every point the settler has due at or before t, in time order, with the
+// clock at each point's time. So every event, and every read made between
+// runs, sees the state those points leave. Settling may not schedule.
 package sim
 
 import (
@@ -125,14 +132,15 @@ func (a entry) before(b entry) bool {
 // Engine is a discrete-event simulation executor with a virtual clock.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	heap    []entry
-	slots   []slot
-	free    []int32 // indices of slots not holding a pending event
-	seq     uint64
-	rng     *rand.Rand
-	running bool
-	fired   uint64
+	now      Time
+	heap     []entry
+	slots    []slot
+	free     []int32 // indices of slots not holding a pending event
+	seq      uint64
+	rng      *rand.Rand
+	running  bool
+	fired    uint64
+	settlers []Settler
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
@@ -209,6 +217,48 @@ func (e *Engine) Feed(times []Time, fn func(i int)) {
 	e.push(f.entry(i))
 }
 
+// Settler is work that advances at points in virtual time that are not
+// events: the engine settles each point before anything at or after its
+// time happens. Settle follows the settler's Due call with no event in
+// between; it must not schedule an event: the engine panics if it does.
+type Settler interface {
+	// Due returns the time of the earliest point not yet settled, or false
+	// when none is pending.
+	Due() (Time, bool)
+	// Settle settles the point Due returned. The clock reads its time.
+	Settle()
+}
+
+// AddSettler registers s with the engine. Several settlers share the
+// clock: their points settle in time order, the earlier registered first
+// on a tie.
+func (e *Engine) AddSettler(s Settler) { e.settlers = append(e.settlers, s) }
+
+// settleTo settles every point due at or before t, earliest first.
+func (e *Engine) settleTo(t Time) {
+	for len(e.settlers) > 0 {
+		var next Settler
+		at := t
+		for _, s := range e.settlers {
+			if p, ok := s.Due(); ok && p <= at && (next == nil || p < at) {
+				next, at = s, p
+			}
+		}
+		if next == nil {
+			return
+		}
+		if at < e.now {
+			panic(fmt.Sprintf("sim: settle point %v before now %v", at, e.now))
+		}
+		e.now = at
+		seq := e.seq
+		next.Settle()
+		if e.seq != seq {
+			panic(fmt.Sprintf("sim: settling the point at %v scheduled an event", at))
+		}
+	}
+}
+
 // reserve hands out n consecutive sequence numbers and returns the first.
 func (e *Engine) reserve(n int) uint64 {
 	seq := e.seq
@@ -257,7 +307,8 @@ const maxTime = Time(1<<63 - 1)
 
 // RunUntil executes events with timestamps <= horizon and advances the clock
 // to horizon (or to the last event time if the queue empties first; the clock
-// never moves past horizon).
+// never moves past horizon). Moving the clock to horizon settles the points
+// due by then.
 func (e *Engine) RunUntil(horizon Time) {
 	if e.running {
 		panic("sim: re-entrant Run")
@@ -268,6 +319,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		e.fireNext()
 	}
 	if horizon != maxTime && horizon > e.now {
+		e.settleTo(horizon)
 		e.now = horizon
 	}
 }
@@ -288,7 +340,8 @@ func (e *Engine) Step() bool {
 // free before the callback runs, so events the callback schedules may reuse
 // it; the fired event's own handle is stale from then on. A feed's entry
 // instead queues the feed's next entry in the same slot, freeing the slot
-// only after the last one.
+// only after the last one. Points due by the entry's time settle before its
+// callback runs; a cancelled entry settles nothing.
 func (e *Engine) fireNext() bool {
 	top := e.pop()
 	s := &e.slots[top.slot]
@@ -301,6 +354,7 @@ func (e *Engine) fireNext() bool {
 			s.feed = nil
 			e.free = append(e.free, top.slot)
 		}
+		e.settleTo(top.at)
 		e.now = top.at
 		e.fired++
 		f.fn(i)
@@ -312,6 +366,7 @@ func (e *Engine) fireNext() bool {
 	if fn == nil {
 		return false // cancelled
 	}
+	e.settleTo(top.at)
 	e.now = top.at
 	e.fired++
 	fn()

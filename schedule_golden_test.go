@@ -17,25 +17,38 @@ import (
 //
 // It is also the inertness matrix: every subset of the four observers
 // (tracing, SLO monitor, decision journal, fleet ledger) must give the same
-// schedule, clean and under a crash plus a transfer-failure window, because
-// observers record scheduling and never steer it.
+// schedule, with one event pin for all of them, because observers record
+// scheduling and never steer it. It checks three schedules: the clean one,
+// one under a crash plus a transfer-failure window, and the sessions shape
+// (multi-turn chat at 0.02 req/s per model for 3 min, routed by cached
+// prefix).
 func TestPaperScheduleGolden(t *testing.T) {
+	paper := TraceSpec{RatePerModel: 0.1, Horizon: 5 * time.Minute}
 	for _, sched := range []struct {
 		prefix    string // subtest name prefix
 		faults    string
+		sessions  bool // the sessions shape instead of the paper trace
 		events    uint64
+		requests  int
 		completed int
 		tokens    int
 		digest    string
 	}{
-		{"", "", 233_096, 1_189, 455_626,
+		{"", "", false, 30_607, 1_189, 1_189, 455_626,
 			"7d243346bde6d6c32d859c7be597054eb14d70cb543f7238a76fc644ad0c0d5d"},
-		{"faulted/", "crash@60s:decode0,xfer@90s+10s:decode1", 218_899, 1_189, 455_626,
+		{"faulted/", "crash@60s:decode0,xfer@90s+10s:decode1", false, 28_812, 1_189, 1_189, 455_626,
 			"aed396820d868b79c16d772d957573b519521453b96c8db8804b2eba9f6f129b"},
+		{"sessions/", "", true, 11_771, 414, 414, 133_454,
+			"f2f4bfe0e2abe67864bcd298359153cb88ca927f724d3a6f9ae417900f5cc5b8"},
 	} {
+		spec := paper
+		if sched.sessions {
+			spec = TraceSpec{RatePerModel: 0.02, Horizon: 3 * time.Minute, Workload: MultiTurn, SystemPromptTokens: 128}
+		}
 		for mask := 0; mask < 16; mask++ {
 			cfg := Config{
 				Faults:          sched.faults,
+				PrefixRouting:   sched.sessions,
 				Tracing:         mask&1 != 0,
 				SLOMonitor:      mask&2 != 0,
 				Decisions:       mask&4 != 0,
@@ -60,7 +73,7 @@ func TestPaperScheduleGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := sys.Serve(sys.GenerateTrace(TraceSpec{RatePerModel: 0.1, Horizon: 5 * time.Minute}))
+				rep, err := sys.Serve(sys.GenerateTrace(spec))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,9 +93,9 @@ func TestPaperScheduleGolden(t *testing.T) {
 				if got := sys.EventsProcessed(); got != sched.events {
 					t.Errorf("events = %d, want %d", got, sched.events)
 				}
-				if rep.Requests != 1_189 || rep.Completed != sched.completed {
-					t.Errorf("requests = %d (completed %d), want 1189 (completed %d)",
-						rep.Requests, rep.Completed, sched.completed)
+				if rep.Requests != sched.requests || rep.Completed != sched.completed {
+					t.Errorf("requests = %d (completed %d), want %d (completed %d)",
+						rep.Requests, rep.Completed, sched.requests, sched.completed)
 				}
 				if rep.GeneratedTokens != sched.tokens {
 					t.Errorf("generated tokens = %d, want %d", rep.GeneratedTokens, sched.tokens)
