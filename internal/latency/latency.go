@@ -145,11 +145,19 @@ func (p *Profile) effFLOPS() float64 { return p.PeakFLOPS * p.FLOPSEff }
 func (p *Profile) effHBM() float64   { return p.HBMBytesPS * p.HBMEff }
 
 // CostModel predicts execution latencies for one model running on one GPU
-// SKU under tensor parallelism tp.
+// SKU under tensor parallelism tp. Build it with NewCostModel and leave its
+// fields, and the profile and model they point to, as they are: it caches
+// Eq. 6's terms from them.
 type CostModel struct {
 	Prof  *Profile
 	Model *model.Model
 	TP    int
+
+	// Eq. 6 as fixed + perToken·t: C4·(4h²+2hm) and C5·3·h, each computed
+	// in the operation order of the uncached form, so every step time is
+	// bit-identical to it. A decode step is priced per step, so this saves
+	// recomputing both coefficients each time.
+	decodeFixed, decodePerToken float64
 }
 
 // NewCostModel builds a cost model; tp must be >= 1.
@@ -157,7 +165,11 @@ func NewCostModel(p *Profile, m *model.Model, tp int) *CostModel {
 	if tp < 1 {
 		panic("latency: tensor parallel degree must be >= 1")
 	}
-	return &CostModel{Prof: p, Model: m, TP: tp}
+	c := &CostModel{Prof: p, Model: m, TP: tp}
+	h, mm := float64(m.Hidden), float64(m.FFN)
+	c.decodeFixed = c.eq6C4() * (4*h*h + 2*h*mm)
+	c.decodePerToken = c.eq6C5() * 3 * h
+	return c
 }
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -195,10 +207,7 @@ func (c *CostModel) Prefill(promptLens ...int) time.Duration {
 // with the given total context length in tokens (Eq. 6: a constant
 // weight-read term plus a term linear in context tokens).
 func (c *CostModel) DecodeStep(contextTokens int64) time.Duration {
-	m := c.Model
-	h, mm := float64(m.Hidden), float64(m.FFN)
-	t := float64(contextTokens)
-	return secs(c.eq6C4()*(4*h*h+2*h*mm) + c.eq6C5()*3*h*t)
+	return secs(c.decodeFixed + c.decodePerToken*float64(contextTokens))
 }
 
 // Eq. 5/6 coefficients, derived from first principles:

@@ -2,6 +2,7 @@ package latency
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -111,6 +112,32 @@ func TestEq6FormMatchesDecode(t *testing.T) {
 		got := cm.DecodeStep(ctx).Seconds()
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("DecodeStep(%d) = %.9f, Eq.6 form = %.9f", ctx, got, want)
+		}
+	}
+}
+
+// DecodeStep's cached Eq. 6 terms must give the very durations the formula
+// gives when it derives both coefficients on every call, for every catalog
+// model on every GPU profile at TP 1, 2 and 4.
+func TestDecodeStepCachedTermsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range []*Profile{H800(), A10(), H20()} {
+		for _, m := range model.Catalog() {
+			for _, tp := range []int{1, 2, 4} {
+				cm := NewCostModel(p, m, tp)
+				h, mm := float64(m.Hidden), float64(m.FFN)
+				for i := 0; i < 200; i++ {
+					ctx := rng.Int63n(1 << 20)
+					if i == 0 {
+						ctx = 0
+					}
+					want := secs(cm.eq6C4()*(4*h*h+2*h*mm) + cm.eq6C5()*3*h*float64(ctx))
+					if got := cm.DecodeStep(ctx); got != want {
+						t.Fatalf("%s on %s at TP %d: DecodeStep(%d) = %d ns, formula %d ns",
+							m.Name, p.Name, tp, ctx, got, want)
+					}
+				}
+			}
 		}
 	}
 }
