@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"slices"
 	"time"
 
 	"aegaeon/internal/decision"
@@ -62,6 +61,7 @@ func (b *dbatch) projectedTokens() int64 {
 type decodeInstance struct {
 	sys *System
 	eng *engine.Engine
+	idx int // position among the system's decode instances
 
 	workList []*dbatch
 	spare    []*dbatch // reorder's output buffer, the previous work list's array
@@ -97,12 +97,14 @@ type decodeInstance struct {
 	runReqs    []*Request   // requests each step of the run produces a token for
 	run        gpu.Run
 	runNeed    []int
+	runFill    []int        // planRun's per-residue block counts
 	stepTLs    []obs.Handle // the step set's timelines, for the collector's token batch
 	feed       tokenFeed
 	runBatch   *dbatch
 	runTurnEnd sim.Time
 	runStart   sim.Time // the run's submission, where its first step starts unless queued
 	runDone    func()
+	settling   bool // in the settler's heap (see runSettler)
 }
 
 // dbgTurn is a test hook for turn-event tracing.
@@ -113,7 +115,7 @@ var dbgTurn = func(*decodeInstance, string, *dbatch) {}
 var maxRunSteps = math.MaxInt
 
 func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
-	d := &decodeInstance{sys: s, eng: e}
+	d := &decodeInstance{sys: s, eng: e, idx: len(s.decodes)}
 	d.feed.dev = s.fleet.Ref(e.Name)
 	d.runDone = d.finishRun
 	return d
@@ -826,20 +828,25 @@ func (d *decodeInstance) planRun(ctx int64) bool {
 	}
 	kv := d.eng.KV()
 	free := kv.FreeBlocks(d.runReqs[0].Seq)
+	// Step i appends one token to each sequence, which holds Tokens()+i-1
+	// before it (Tokens counts the first step's append). When those fill
+	// its blocks exactly, the append takes a new one: at the steps i with
+	// i ≡ -(Tokens()-1) mod block. fill[c] counts the sequences whose steps
+	// that need a block are those with i mod block = c.
 	block := kv.GPUCache.BlockTokens()
+	fill := d.runFill[:0]
+	for range block {
+		fill = append(fill, 0)
+	}
+	for _, r := range d.runReqs {
+		fill[(block-(r.Seq.Tokens()-1)%block)%block]++
+	}
+	d.runFill = fill
 	ends := append(d.run.Ends[:0], d.runStart+d.eng.StepTime(ctx))
 	need := append(d.runNeed[:0], 0)
 	for len(ends) < k && ends[len(ends)-1] < d.runTurnEnd {
-		// Step i appends one token to each sequence, which holds
-		// Tokens()+i-1 before it (Tokens counts the first step's append).
-		// When those fill its blocks exactly, the append takes a new one.
 		i := len(ends)
-		n := need[i-1]
-		for _, r := range d.runReqs {
-			if (r.Seq.Tokens()+i-1)%block == 0 {
-				n++
-			}
-		}
+		n := need[i-1] + fill[i%block]
 		if n > free {
 			break
 		}
@@ -912,51 +919,6 @@ func (d *decodeInstance) stampStep(start, end sim.Time) {
 	d.feed.flush(d.sys, mid)
 }
 
-// runSettler is the system's sim.Settler: it settles the step boundaries of
-// every decode run in flight, earliest first across instances (the first
-// listed on a tie), so the kernel fires one event per run while every
-// event, read and observer call sees the state the per-step loop leaves.
-type runSettler struct {
-	runs []*decodeInstance // instances with a run of more than one step in flight
-	next *decodeInstance   // the instance Due picked
-}
-
-func (s *runSettler) add(d *decodeInstance) { s.runs = append(s.runs, d) }
-
-func (s *runSettler) remove(d *decodeInstance) {
-	for i, x := range s.runs {
-		if x == d {
-			s.runs = append(s.runs[:i], s.runs[i+1:]...)
-			return
-		}
-	}
-}
-
-// Due returns the earliest unsettled step boundary of any run in flight.
-func (s *runSettler) Due() (sim.Time, bool) {
-	var at sim.Time
-	s.next = nil
-	for _, d := range s.runs {
-		if t, ok := d.due(); ok && (s.next == nil || t < at) {
-			s.next, at = d, t
-		}
-	}
-	return at, s.next != nil
-}
-
-// Settle settles the boundary Due returned.
-func (s *runSettler) Settle() { s.next.settleStep() }
-
-// cutFor cuts the run r steps in, if any: r is about to go terminal, so
-// the steps after the one in flight go without it.
-func (s *runSettler) cutFor(r *Request) {
-	for _, d := range s.runs {
-		if slices.Contains(d.runReqs, r) {
-			d.cut()
-		}
-	}
-}
-
 // cut ends the run in flight at the end of its step in flight: something
 // changed what the next step does (a join, an abort, a crash, a pool
 // allocation). Settling has already brought the run up to now. Outside a
@@ -992,7 +954,6 @@ func (d *decodeInstance) finishRun() {
 			start = d.run.Ends[n-2]
 		}
 		d.run.Ends = d.run.Ends[:0]
-		d.sys.runs.remove(d)
 	}
 	if d.dead {
 		// The instance fail-stopped (crash or spot revocation) while this

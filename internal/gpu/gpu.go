@@ -324,6 +324,7 @@ type Stream struct {
 	queue   opQueue
 	pumping bool
 	resume  func() // s.pump, bound on the first barrier wait
+	run     *op    // the run executing at the head; nil when none is
 }
 
 // Name returns the stream's diagnostic name.
@@ -408,14 +409,18 @@ func (s *Stream) SubmitRun(k EngineKind, r *Run, info OpInfo, done func()) {
 	o := s.newOp()
 	o.kind, o.dur, o.run, o.info, o.onDone = k, r.Ends[len(r.Ends)-1]-now, r, info, done
 	s.push(o)
+	s.run = o
 }
 
 // SettleStep delivers the OpRecord of the earliest step of the run at the
 // stream's head that is not its last and has not been settled: the step has
 // ended and the next one starts. The clock must have reached the step's end.
 func (s *Stream) SettleStep() {
-	o, x := s.runningRun()
-	r := o.run
+	o := s.run
+	if o == nil {
+		panic("gpu: SettleStep with no run executing at stream " + s.name + "'s head")
+	}
+	x, r := s.dev.engines[o.kind], o.run
 	if r.Settled >= len(r.Ends)-1 || r.Ends[r.Settled] > x.eng.Now() {
 		panic(fmt.Sprintf("gpu: SettleStep of step %d of %d at %v (ends %v)", r.Settled, len(r.Ends), x.eng.Now(), r.Ends))
 	}
@@ -424,28 +429,12 @@ func (s *Stream) SettleStep() {
 
 // CutRun ends the run at the stream's head at the end of its step in
 // flight, the first step ending after now: the op retires there, as if it
-// had been submitted with that step last. It does nothing when the head is
-// not a running run or its step in flight is its last.
+// had been submitted with that step last. It does nothing when no run is
+// executing at the head or its step in flight is its last.
 func (s *Stream) CutRun() {
-	if s.queue.len() == 0 {
-		return
-	}
-	if o := s.queue.front(); o.run != nil && o.started {
+	if o := s.run; o != nil {
 		s.dev.engines[o.kind].cutRun()
 	}
-}
-
-// runningRun returns the run op executing at the stream's head and its
-// executor, panicking when there is none.
-func (s *Stream) runningRun() (*op, *executor) {
-	if s.queue.len() > 0 {
-		if o := s.queue.front(); o.run != nil {
-			if x := s.dev.engines[o.kind]; x.cur == o {
-				return o, x
-			}
-		}
-	}
-	panic("gpu: no run executing at stream " + s.name + "'s head")
 }
 
 // push queues o on the stream and advances its head. Work queued behind a
@@ -524,6 +513,9 @@ func (s *Stream) complete(o *op) {
 		panic("gpu: completed op is not at stream head")
 	}
 	s.queue.pop()
+	if o == s.run {
+		s.run = nil
+	}
 	if o.onDone != nil {
 		o.onDone()
 	}
