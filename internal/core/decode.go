@@ -936,7 +936,7 @@ func (d *decodeInstance) checkRunRoom() {
 	if len(r.Ends) <= 1 {
 		return
 	}
-	if d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < d.runNeed[len(r.Ends)-1]-d.runNeed[r.Settled] {
+	if need := d.runNeed[len(r.Ends)-1] - d.runNeed[r.Settled]; need > 0 && d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < need {
 		d.cut()
 	}
 }
