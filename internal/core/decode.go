@@ -90,14 +90,14 @@ type decodeInstance struct {
 	// place and the run's completion is finishRun, bound once as runDone.
 	// run is the plan of a run of more than one step (Ends is empty for a
 	// one-step run), whose boundaries the system's settler settles, and
-	// runNeed[i] the KV blocks its steps 1..i append.
+	// runFill[c] how many of its sequences take a new KV block at each step
+	// i with i mod block = c (see planRun).
 	ready      []*Request
 	inflight   []*gpu.Event // swap-in events a step with no ready request waits on
 	waiting    []*Request   // their requests
 	runReqs    []*Request   // requests each step of the run produces a token for
 	run        gpu.Run
-	runNeed    []int
-	runFill    []int        // planRun's per-residue block counts
+	runFill    []int
 	stepTLs    []obs.Handle // the step set's timelines, for the collector's token batch
 	feed       tokenFeed
 	runBatch   *dbatch
@@ -843,18 +843,15 @@ func (d *decodeInstance) planRun(ctx int64) bool {
 	}
 	d.runFill = fill
 	ends := append(d.run.Ends[:0], d.runStart+d.eng.StepTime(ctx))
-	need := append(d.runNeed[:0], 0)
 	for len(ends) < k && ends[len(ends)-1] < d.runTurnEnd {
 		i := len(ends)
-		n := need[i-1] + fill[i%block]
-		if n > free {
+		if free -= fill[i%block]; free < 0 {
 			break
 		}
 		ctx += int64(len(d.runReqs))
 		ends = append(ends, ends[i-1]+d.eng.StepTime(ctx))
-		need = append(need, n)
 	}
-	d.run.Ends, d.runNeed = ends, need
+	d.run.Ends = ends
 	if len(ends) == 1 {
 		d.run.Ends = ends[:0]
 		return false
@@ -936,7 +933,11 @@ func (d *decodeInstance) checkRunRoom() {
 	if len(r.Ends) <= 1 {
 		return
 	}
-	if need := d.runNeed[len(r.Ends)-1] - d.runNeed[r.Settled]; need > 0 && d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < need {
+	need, block := 0, len(d.runFill)
+	for i := r.Settled + 1; i < len(r.Ends); i++ {
+		need += d.runFill[i%block]
+	}
+	if need > 0 && d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < need {
 		d.cut()
 	}
 }
