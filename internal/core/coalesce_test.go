@@ -246,28 +246,30 @@ func TestRunBoundaryInstant(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := sys.decodes[0]
-			for len(d.run.Ends) < 3 || len(d.runReqs) < 2 {
+			for d.runSteps < 3 || d.runStep > 0 || d.run.Next == d.run.End || len(d.runReqs) < 2 {
 				if !se.Step() {
 					t.Fatal("drained before a run of three steps over both requests")
 				}
 			}
-			if se.Now() != d.runStart {
-				t.Fatalf("run started at %v, observed at %v", d.runStart, se.Now())
+			if se.Now() != d.stepStart {
+				t.Fatalf("run started at %v, observed at %v", d.stepStart, se.Now())
 			}
 			members := slices.Clone(d.runReqs)
-			ends := slices.Clone(d.run.Ends)
+			first := d.run.Next
 			tokens, kv := map[*Request]int{}, map[*Request]int{}
 			for _, r := range members {
 				tokens[r], kv[r] = len(r.TokenTimes), r.Seq.Tokens()
 			}
-			at := d.runStart
+			at := d.stepStart
 			if tc.boundary == 1 {
-				at = ends[0]
+				at = first
 			}
 			started, stamped := 1+tc.boundary, tc.boundary
 			victim := members[0]
 			var joiner *Request
+			var cutEnd sim.Time
 			se.At(at, func() {
+				cutEnd = d.run.Next // the end of the step in flight
 				if tc.join {
 					joiner = prefilledAt(t, sys, m, at)
 					sys.dispatchDecode(joiner)
@@ -277,16 +279,16 @@ func TestRunBoundaryInstant(t *testing.T) {
 				} else {
 					sys.Abort(victim)
 				}
-				if d.run.Settled != stamped || len(d.run.Ends) != started {
-					t.Errorf("after the touch: %d steps settled, run of %d; want %d, %d",
-						d.run.Settled, len(d.run.Ends), stamped, started)
+				if d.runStep != stamped || d.run.End != cutEnd {
+					t.Errorf("after the touch: step %d in flight, run to %v; want step %d, cut at %v",
+						d.runStep, d.run.End, stamped, cutEnd)
 				}
 				for _, r := range members {
 					if len(r.TokenTimes) != tokens[r]+stamped {
 						t.Errorf("%s: %d tokens after the touch, want %d", r.ID, len(r.TokenTimes), tokens[r]+stamped)
 					}
-					if stamped > 0 && r.TokenTimes[len(r.TokenTimes)-1] != ends[0] {
-						t.Errorf("%s: step 1's token at %v, want %v", r.ID, r.TokenTimes[len(r.TokenTimes)-1], ends[0])
+					if stamped > 0 && r.TokenTimes[len(r.TokenTimes)-1] != first {
+						t.Errorf("%s: step 1's token at %v, want %v", r.ID, r.TokenTimes[len(r.TokenTimes)-1], first)
 					}
 					if !r.terminal() && r.Seq.Tokens() != kv[r]+started-1 {
 						t.Errorf("%s: %d KV tokens after the touch, want %d", r.ID, r.Seq.Tokens(), kv[r]+started-1)
@@ -297,7 +299,6 @@ func TestRunBoundaryInstant(t *testing.T) {
 			}
 			sys.Finalize(se.Now())
 
-			cutEnd := ends[started-1]
 			for _, r := range members {
 				if r == victim && !tc.join {
 					if !r.aborted || len(r.TokenTimes) != tokens[r]+stamped {

@@ -88,21 +88,25 @@ type decodeInstance struct {
 	// one run is in flight per instance and a dead instance never steps
 	// again, so stepLoop, settleStep and finishRun refill these buffers in
 	// place and the run's completion is finishRun, bound once as runDone.
-	// run is the plan of a run of more than one step (Ends is empty for a
-	// one-step run), whose boundaries the system's settler settles, and
-	// runFill[c] how many of its sequences take a new KV block at each step
-	// i with i mod block = c (see planRun).
+	// run is the plan of a run of more than one step (zero for a one-step
+	// run), whose boundaries the system's settler settles: runSteps steps,
+	// of which step runStep is in flight, over stepCtx context tokens since
+	// stepStart. runFill[c] counts the sequences that take a new KV block at
+	// each step i with i mod block = c (see planRun).
 	ready      []*Request
 	inflight   []*gpu.Event // swap-in events a step with no ready request waits on
 	waiting    []*Request   // their requests
 	runReqs    []*Request   // requests each step of the run produces a token for
 	run        gpu.Run
+	runSteps   int
+	runStep    int
 	runFill    []int
+	stepCtx    int64
+	stepStart  sim.Time     // for a one-step run, its submission
 	stepTLs    []obs.Handle // the step set's timelines, for the collector's token batch
 	feed       tokenFeed
 	runBatch   *dbatch
 	runTurnEnd sim.Time
-	runStart   sim.Time // the run's submission, where its first step starts unless queued
 	runDone    func()
 	settling   bool // in the settler's heap (see runSettler)
 }
@@ -802,8 +806,8 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	// One fleet KV sample covers the step's appends: they only allocate, so
 	// the last one's usage is the step's peak.
 	d.eng.KV().NoteKV()
-	d.runBatch, d.runTurnEnd, d.runStart = b, turnEnd, now
-	if steady && d.eng.ComputeIdle() && d.planRun(ctx) {
+	d.runBatch, d.runTurnEnd, d.stepStart, d.stepCtx = b, turnEnd, now, ctx
+	if steady && d.eng.ComputeIdle() && d.planRun() {
 		d.sys.runs.add(d)
 		d.eng.DecodeRun(&d.run, d.runDone)
 		return
@@ -811,14 +815,14 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	d.eng.DecodeStep(ctx, d.runDone)
 }
 
-// planRun plans a run over runReqs, whose first step's appends are applied
-// and whose context totals ctx tokens, into d.run and reports whether it
-// has more than one step. The run takes every step the one-step loop would
-// take over the same step set, back to back: a step follows while no
-// member has finished, the previous step ended before the turn's end, and
-// the appends of every step so far fit in the blocks the KV pool has free
-// for the batch's shape class. How it plans never depends on observers.
-func (d *decodeInstance) planRun(ctx int64) bool {
+// planRun plans a run over runReqs, whose first step's appends are applied,
+// into d.run and reports whether it has more than one step. The run takes
+// every step the one-step loop would take over the same step set, back to
+// back: a step follows while no member has finished, the previous step
+// ended before the turn's end, and the appends of every step so far fit in
+// the blocks the KV pool has free for the batch's shape class. How it plans
+// never depends on observers.
+func (d *decodeInstance) planRun() bool {
 	k := maxRunSteps
 	for _, r := range d.runReqs {
 		k = min(k, r.OutputTokens-len(r.TokenTimes))
@@ -831,8 +835,7 @@ func (d *decodeInstance) planRun(ctx int64) bool {
 	// Step i appends one token to each sequence, which holds Tokens()+i-1
 	// before it (Tokens counts the first step's append). When those fill
 	// its blocks exactly, the append takes a new one: at the steps i with
-	// i ≡ -(Tokens()-1) mod block. fill[c] counts the sequences whose steps
-	// that need a block are those with i mod block = c.
+	// i ≡ -(Tokens()-1) mod block.
 	block := kv.GPUCache.BlockTokens()
 	fill := d.runFill[:0]
 	for range block {
@@ -842,20 +845,22 @@ func (d *decodeInstance) planRun(ctx int64) bool {
 		fill[(block-(r.Seq.Tokens()-1)%block)%block]++
 	}
 	d.runFill = fill
-	ends := append(d.run.Ends[:0], d.runStart+d.eng.StepTime(ctx))
-	for len(ends) < k && ends[len(ends)-1] < d.runTurnEnd {
-		i := len(ends)
-		if free -= fill[i%block]; free < 0 {
+	ctx, n := d.stepCtx, 1
+	first := d.stepStart + d.eng.StepTime(ctx)
+	end := first
+	for n < k && end < d.runTurnEnd {
+		if free -= fill[n%block]; free < 0 {
 			break
 		}
 		ctx += int64(len(d.runReqs))
-		ends = append(ends, ends[i-1]+d.eng.StepTime(ctx))
+		end += d.eng.StepTime(ctx)
+		n++
 	}
-	d.run.Ends = ends
-	if len(ends) == 1 {
-		d.run.Ends = ends[:0]
+	if n == 1 {
 		return false
 	}
+	d.run = gpu.Run{Next: first, End: end}
+	d.runSteps, d.runStep = n, 0
 	return true
 }
 
@@ -863,10 +868,7 @@ func (d *decodeInstance) planRun(ctx int64) bool {
 // settler has yet to settle: every one but the run's end, which finishRun
 // handles as the run's kernel event.
 func (d *decodeInstance) due() (sim.Time, bool) {
-	if r := &d.run; r.Settled < len(r.Ends)-1 {
-		return r.Ends[r.Settled], true
-	}
-	return 0, false
+	return d.run.Next, d.run.Next < d.run.End
 }
 
 // settleStep settles the run's next step boundary, where the clock now
@@ -874,15 +876,13 @@ func (d *decodeInstance) due() (sim.Time, bool) {
 // one-step run, in the same order: the step's op record, its tokens and
 // their observer feed, then the next step's appends and KV sample. The
 // plan already made every check that loop makes, so settling changes
-// nothing about it.
+// nothing about it: the next step's end is recomputed as planned.
 func (d *decodeInstance) settleStep() {
-	i, planned := d.run.Settled, len(d.run.Ends)
-	start := d.runStart
-	if i > 0 {
-		start = d.run.Ends[i-1]
-	}
-	d.eng.SettleStep()
-	d.stampStep(start, d.run.Ends[i])
+	end := d.run.Next
+	d.stepCtx += int64(len(d.runReqs))
+	next := end + d.eng.StepTime(d.stepCtx)
+	d.eng.SettleStep(next)
+	d.stampStep(d.stepStart, end)
 	kv := d.eng.KV()
 	for _, r := range d.runReqs {
 		if err := kv.AppendTokens(r.Seq, 1); err != nil {
@@ -890,7 +890,9 @@ func (d *decodeInstance) settleStep() {
 		}
 	}
 	kv.NoteKV()
-	if len(d.run.Ends) != planned || d.run.Settled != i+1 {
+	d.stepStart = end
+	d.runStep++
+	if (next == d.run.End) != (d.runStep == d.runSteps-1) {
 		panic("core: settling a decode run changed its plan")
 	}
 }
@@ -919,9 +921,9 @@ func (d *decodeInstance) stampStep(start, end sim.Time) {
 // cut ends the run in flight at the end of its step in flight: something
 // changed what the next step does (a join, an abort, a crash, a pool
 // allocation). Settling has already brought the run up to now. Outside a
-// run of more than one step it does nothing.
+// run of more than one step, or in its last step, it does nothing.
 func (d *decodeInstance) cut() {
-	if len(d.run.Ends) > 1 {
+	if d.run.Next < d.run.End {
 		d.eng.CutRun()
 	}
 }
@@ -929,12 +931,11 @@ func (d *decodeInstance) cut() {
 // checkRunRoom cuts the run in flight when the KV pool no longer has the
 // blocks its steps after the one in flight append: an allocation took them.
 func (d *decodeInstance) checkRunRoom() {
-	r := &d.run
-	if len(r.Ends) <= 1 {
+	if d.run.Next == d.run.End {
 		return
 	}
 	need, block := 0, len(d.runFill)
-	for i := r.Settled + 1; i < len(r.Ends); i++ {
+	for i := d.runStep + 1; i < d.runSteps; i++ {
 		need += d.runFill[i%block]
 	}
 	if need > 0 && d.eng.KV().FreeBlocks(d.runReqs[0].Seq) < need {
@@ -946,16 +947,7 @@ func (d *decodeInstance) checkRunRoom() {
 // land, finished requests release their KV, and the loop continues with the
 // run's batch.
 func (d *decodeInstance) finishRun() {
-	start := d.runStart
-	if n := len(d.run.Ends); n > 0 {
-		if d.run.Settled != n-1 {
-			panic("core: a decode run ended with unsettled steps")
-		}
-		if n > 1 {
-			start = d.run.Ends[n-2]
-		}
-		d.run.Ends = d.run.Ends[:0]
-	}
+	d.run = gpu.Run{}
 	if d.dead {
 		// The instance fail-stopped (crash or spot revocation) while this
 		// run was on the GPU. Its requests were orphaned or evacuated and
@@ -965,7 +957,7 @@ func (d *decodeInstance) finishRun() {
 		return
 	}
 	b := d.runBatch
-	d.stampStep(start, d.eng.Sim().Now())
+	d.stampStep(d.stepStart, d.eng.Sim().Now())
 	finishedAny := false
 	for _, r := range d.runReqs {
 		if len(r.TokenTimes) >= r.OutputTokens {

@@ -38,7 +38,7 @@ func (s *runSettler) add(d *decodeInstance) {
 		return
 	}
 	d.settling = true
-	s.heap = append(s.heap, runKey{d.run.Ends[0], d.idx, d})
+	s.heap = append(s.heap, runKey{d.run.Next, d.idx, d})
 	for i := len(s.heap) - 1; i > 0; {
 		p := (i - 1) / 2
 		if !s.heap[i].before(s.heap[p]) {

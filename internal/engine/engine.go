@@ -870,10 +870,10 @@ func (e *Engine) DecodeRun(r *gpu.Run, done func()) {
 	e.compute.SubmitRun(gpu.Compute, r, gpu.OpInfo{Kind: gpu.OpDecode, Model: e.curID}, done)
 }
 
-// SettleStep ends the earliest unsettled iteration of the run in flight,
-// delivering its op record, and starts the next.
-func (e *Engine) SettleStep() {
-	e.compute.SettleStep()
+// SettleStep ends the iteration in flight of the run in flight, delivering
+// its op record, and starts the next, which ends at next.
+func (e *Engine) SettleStep(next sim.Time) {
+	e.compute.SettleStep(next)
 	e.stats.DecodeSteps++
 }
 

@@ -22,7 +22,7 @@
 // transfer's next kernel event; BusyObserver gets one busy interval per
 // uninterrupted run; PendingOps counts the transfer once.
 //
-// A run (SubmitRun) is one op of back-to-back steps whose ends are planned
+// A run (SubmitRun) is one op of back-to-back steps whose end is planned
 // when it starts. Observers see it as the steps it replaces: OpObserver
 // gets one OpRecord per step, each earlier step's when the caller settles
 // it (SettleStep) and the last one's when the op retires; BusyObserver gets
@@ -152,14 +152,15 @@ type OpObserver func(d *Device, r OpRecord)
 // simulation goroutine; it must not re-enter the device.
 type BusyObserver func(d *Device, k EngineKind, info OpInfo, busy bool)
 
-// Run is the plan of a run op: steps back to back on one engine, step i
-// ending at Ends[i], strictly increasing. The caller fills Ends and passes
-// the Run to SubmitRun; from then until the op retires the stream owns it:
-// it shortens Ends when it cuts the run and advances Settled, the number of
-// steps whose OpRecord SettleStep has delivered. The caller may read both.
+// Run is the plan of a run op: steps back to back on one engine. Next is
+// the end of the step in flight, the earliest one not yet settled, and End
+// the end of the last. The caller fills both and passes the Run to
+// SubmitRun; from then until the op retires the stream owns it: SettleStep
+// moves Next to the following step's end, and a cut moves End back to
+// Next. The caller may read both. Every step boundary before End must be
+// settled before anything at or after its instant happens on the device.
 type Run struct {
-	Ends    []sim.Time
-	Settled int
+	Next, End sim.Time
 }
 
 // Device is one simulated GPU.
@@ -392,39 +393,39 @@ func (s *Stream) submit(k EngineKind, dur, chunk time.Duration, info OpInfo, don
 }
 
 // SubmitRun enqueues the run r plans as one op on engine k: its steps run
-// back to back from now, and done (optional) fires when the last one ends.
-// The stream and the engine must be idle, so the first step starts now, and
-// r.Ends must hold at least one end, strictly increasing and after now.
+// back to back from now, the first ending at r.Next, and done (optional)
+// fires when the last one ends, at r.End. The stream and the engine must be
+// idle, so the first step starts now, and now < r.Next <= r.End.
 func (s *Stream) SubmitRun(k EngineKind, r *Run, info OpInfo, done func()) {
 	now := s.dev.eng.Now()
-	for i, end := range r.Ends {
-		if end <= now || (i > 0 && end <= r.Ends[i-1]) {
-			panic(fmt.Sprintf("gpu: run step %d ends at %v (now %v, ends %v)", i, end, now, r.Ends))
-		}
+	if r.Next <= now || r.End < r.Next || s.queue.len() > 0 || s.dev.Busy(k) {
+		panic(fmt.Sprintf("gpu: run to %v (first step to %v) at %v on a busy %s engine or stream, or out of order",
+			r.End, r.Next, now, k))
 	}
-	if len(r.Ends) == 0 || s.queue.len() > 0 || s.dev.Busy(k) {
-		panic(fmt.Sprintf("gpu: run of %d steps submitted to a busy %s engine or stream", len(r.Ends), k))
-	}
-	r.Settled = 0
 	o := s.newOp()
-	o.kind, o.dur, o.run, o.info, o.onDone = k, r.Ends[len(r.Ends)-1]-now, r, info, done
+	o.kind, o.dur, o.run, o.info, o.onDone = k, r.End-now, r, info, done
 	s.push(o)
 	s.run = o
 }
 
-// SettleStep delivers the OpRecord of the earliest step of the run at the
-// stream's head that is not its last and has not been settled: the step has
-// ended and the next one starts. The clock must have reached the step's end.
-func (s *Stream) SettleStep() {
+// SettleStep settles the step in flight of the run at the stream's head,
+// which ends at r.Next, where the clock stands, and is not the run's last:
+// it delivers the step's OpRecord, and the following step, which starts
+// there, ends at next, r.Next < next <= r.End.
+func (s *Stream) SettleStep(next sim.Time) {
 	o := s.run
 	if o == nil {
 		panic("gpu: SettleStep with no run executing at stream " + s.name + "'s head")
 	}
 	x, r := s.dev.engines[o.kind], o.run
-	if r.Settled >= len(r.Ends)-1 || r.Ends[r.Settled] > x.eng.Now() {
-		panic(fmt.Sprintf("gpu: SettleStep of step %d of %d at %v (ends %v)", r.Settled, len(r.Ends), x.eng.Now(), r.Ends))
+	if r.Next >= r.End || r.Next != x.eng.Now() || next <= r.Next || next > r.End {
+		panic(fmt.Sprintf("gpu: SettleStep at %v of the step ending %v, next to %v, in a run to %v",
+			x.eng.Now(), r.Next, next, r.End))
 	}
-	x.reportStep(o)
+	if obs := x.dev.observer; obs != nil {
+		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.mark, End: r.Next})
+	}
+	x.mark, r.Next = r.Next, next
 }
 
 // CutRun ends the run at the stream's head at the end of its step in
@@ -573,35 +574,22 @@ func (x *executor) enqueue(o *op) {
 	}
 }
 
-// cutRun ends the running run at the end of its step in flight: the first
-// step ending after now, since a step that ends now has ended and the one
-// starting now is in flight. The op's completion moves there.
+// cutRun ends the running run at the end of its step in flight, r.Next:
+// a boundary at now has been settled, so the step starting now is the one
+// in flight. The op's completion moves there.
 func (x *executor) cutRun() {
 	o, now := x.cur, x.eng.Now()
 	r := o.run
-	i := r.Settled
-	for i < len(r.Ends)-1 && r.Ends[i] <= now {
-		i++
-	}
-	if i == len(r.Ends)-1 {
+	if r.Next == r.End {
 		return
 	}
-	r.Ends = r.Ends[:i+1]
-	x.pending.Cancel()
-	x.pending = x.eng.At(r.Ends[i], x.retire)
-	o.dur = r.Ends[i] - x.busySince
-}
-
-// reportStep hands the observer the run's next unsettled step, from mark
-// to its end, and settles it.
-func (x *executor) reportStep(o *op) {
-	r := o.run
-	end := r.Ends[r.Settled]
-	if obs := x.dev.observer; obs != nil {
-		obs(x.dev, OpRecord{Engine: x.kind, Info: o.info, Start: x.mark, End: end})
+	if r.Next <= now {
+		panic(fmt.Sprintf("gpu: run cut at %v with its step ending %v unsettled", now, r.Next))
 	}
-	x.mark = end
-	r.Settled++
+	r.End = r.Next
+	x.pending.Cancel()
+	x.pending = x.eng.At(r.End, x.retire)
+	o.dur = r.End - x.busySince
 }
 
 func (x *executor) kick() {
@@ -674,15 +662,12 @@ func (x *executor) report(o *op, until sim.Time) {
 }
 
 // finish retires cur: the engine goes idle, observers see the interval (a
-// chunked transfer's last chunk, a run's last step, after any step its
-// caller left unsettled), the stream completes the op, and the next queued
-// op starts.
+// chunked transfer's last chunk, a run's last step), the stream completes
+// the op, and the next queued op starts.
 func (x *executor) finish() {
 	o := x.cur
-	if o.run != nil {
-		for o.run.Settled < len(o.run.Ends)-1 {
-			x.reportStep(o)
-		}
+	if r := o.run; r != nil && r.Next != r.End {
+		panic(fmt.Sprintf("gpu: run retired at %v with its step ending %v unsettled", x.eng.Now(), r.Next))
 	}
 	x.cur = nil
 	x.busyAccum += x.eng.Now() - x.busySince
