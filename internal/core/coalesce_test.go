@@ -346,3 +346,71 @@ func prefilledAt(t *testing.T, sys *System, m *model.Model, now sim.Time) *Reque
 	}
 	return r
 }
+
+// TestRunCutByAllocation checks that a KV allocation on the instance in
+// the middle of a run cuts it at the end of the step in flight exactly when
+// it leaves the pool short of the blocks the run's later steps append, and
+// that the run's members then finish as planned.
+func TestRunCutByAllocation(t *testing.T) {
+	for _, short := range []bool{false, true} {
+		t.Run(fmt.Sprintf("short=%v", short), func(t *testing.T) {
+			m := model.MarketMix(1)[0]
+			se := sim.NewEngine(1)
+			sys := NewSystem(se, testConfig([]*model.Model{m}, engine.AllOptimizations(), 1, 1))
+			if err := sys.Submit([]workload.Request{
+				{ID: "a", Model: m.Name, InputTokens: 64, OutputTokens: 200},
+				{ID: "b", Model: m.Name, Arrival: 2 * sim.Time(time.Second), InputTokens: 96, OutputTokens: 200},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			d := sys.decodes[0]
+			for d.runSteps < 40 || d.runStep > 0 || d.run.Next == d.run.End || len(d.runReqs) < 2 {
+				if !se.Step() {
+					t.Fatal("drained before a run of forty steps over both requests")
+				}
+			}
+			members := slices.Clone(d.runReqs)
+			inFlight := d.run.Next
+			kv := d.eng.KV()
+			need, block := 0, len(d.runFill)
+			for i := 1; i < d.runSteps; i++ {
+				need += d.runFill[i%block]
+			}
+			if need == 0 {
+				t.Fatal("the run appends no block after its first step")
+			}
+			// A sequence that takes all the free blocks but need, or one more.
+			blocks := kv.FreeBlocks(members[0].Seq) - need
+			if short {
+				blocks++
+			}
+			pkv := sys.prefills[0].eng.KV()
+			seq, err := pkv.NewSequence("foreign", m.ShardKVShape(sys.cfg.TP), blocks*kv.GPUCache.BlockTokens())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pkv.SwapOut(seq); err != nil {
+				t.Fatal(err)
+			}
+			planned := d.run.End
+			foreign := &Request{ID: "foreign", Seq: seq}
+			se.At(se.Now()+1, func() {
+				d.swapInIfNeeded(foreign, d.current)
+				want := planned
+				if short {
+					want = inFlight
+				}
+				if d.run.End != want {
+					t.Errorf("run ends at %v after the swap-in, want %v (planned %v)", d.run.End, want, planned)
+				}
+			})
+			for se.Step() {
+			}
+			for _, r := range members {
+				if !r.Done || len(r.TokenTimes) != r.OutputTokens {
+					t.Errorf("%s: done=%v with %d of %d tokens", r.ID, r.Done, len(r.TokenTimes), r.OutputTokens)
+				}
+			}
+		})
+	}
+}

@@ -108,7 +108,7 @@ type decodeInstance struct {
 	runBatch   *dbatch
 	runTurnEnd sim.Time
 	runDone    func()
-	settling   bool // in the settler's heap (see runSettler)
+	inSettler  bool // in the settler's heap (see runSettler)
 }
 
 // dbgTurn is a test hook for turn-event tracing.

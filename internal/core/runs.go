@@ -34,10 +34,10 @@ func (k runKey) before(o runKey) bool {
 // add files d, whose run of more than one step has just started. An entry
 // d still has from an earlier run is re-keyed when it reaches the top.
 func (s *runSettler) add(d *decodeInstance) {
-	if d.settling {
+	if d.inSettler {
 		return
 	}
-	d.settling = true
+	d.inSettler = true
 	s.heap = append(s.heap, runKey{d.run.Next, d.idx, d})
 	for i := len(s.heap) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -75,7 +75,7 @@ func (s *runSettler) Due() (sim.Time, bool) {
 		t, ok := top.d.due()
 		switch {
 		case !ok:
-			top.d.settling = false
+			top.d.inSettler = false
 			n := len(s.heap) - 1
 			s.heap[0], s.heap[n] = s.heap[n], runKey{}
 			s.heap = s.heap[:n]
