@@ -24,8 +24,12 @@ func TestByModelKeysTrackers(t *testing.T) {
 	if att := b.Get("b").Attainment(); att != 1 {
 		t.Fatalf("model b attainment = %v, want 1", att)
 	}
-	if reqs := b.Get("c").Requests(); reqs != 1 {
-		t.Fatalf("model c requests = %d, want 1", reqs)
+	// A dropped token is a missed token, never a request of its own.
+	if reqs := b.Get("c").Requests(); reqs != 0 {
+		t.Fatalf("model c requests = %d, want 0", reqs)
+	}
+	if met, missed := b.Get("c").Tokens(); met != 0 || missed != 1 {
+		t.Fatalf("model c tokens = %d met, %d missed, want 0/1", met, missed)
 	}
 	// Get returns the same tracker instance for the same key.
 	if b.Get("a") != b.Get("a") {
@@ -53,7 +57,7 @@ func TestByModelEachVisitsSorted(t *testing.T) {
 func TestByModelZeroValueUsable(t *testing.T) {
 	var b ByModel
 	b.ObserveDropped("m")
-	if b.Get("m").Requests() != 1 {
+	if _, missed := b.Get("m").Tokens(); missed != 1 {
 		t.Fatal("zero-value ByModel lost an observation")
 	}
 }

@@ -109,14 +109,14 @@ func (t *Tracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Dura
 	}
 }
 
-// ObserveDropped records a request that never produced any tokens within
-// the measurement window (e.g. rejected or starved): it counts as a fully
-// violated request with one missed token, so saturated systems cannot
-// launder failures by never finishing work.
+// ObserveDropped records one token of an observed request that was never
+// generated within the measurement window (e.g. its request was rejected or
+// starved): it counts as one missed token, so saturated systems cannot
+// launder failures by never finishing work. The request itself was counted
+// by its ObserveRequest call.
 func (t *Tracker) ObserveDropped() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.requests++
 	t.tokensMissed++
 }
 

@@ -90,12 +90,19 @@ func TestMixedAttainment(t *testing.T) {
 
 func TestObserveDropped(t *testing.T) {
 	tr := NewTracker()
+	tr.ObserveRequest(Default(), 0, nil)
+	tr.ObserveDropped()
 	tr.ObserveDropped()
 	if tr.Attainment() != 0 {
 		t.Fatalf("dropped request attainment = %.3f, want 0", tr.Attainment())
 	}
+	if met, missed := tr.Tokens(); met != 0 || missed != 2 {
+		t.Fatalf("tokens = %d met, %d missed, want 0/2", met, missed)
+	}
+	// Dropped tokens are tokens of the request already observed, not
+	// requests of their own.
 	if tr.Requests() != 1 {
-		t.Fatalf("requests = %d", tr.Requests())
+		t.Fatalf("requests = %d, want 1", tr.Requests())
 	}
 }
 

@@ -65,9 +65,14 @@ func TestSLOMonitorGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const want = "414b5116dc34dd5ada18a6cc76c85df790b430a624ee35ca2826f370556ed122"
+		const want = "e30ce052aac5aed81b6b663bf7fe608f1811067b211cb969a33935a3b2f2dfb4"
 		if got := sloDigest(t, rep.SLO); got != want {
 			t.Errorf("SLO snapshot digest = %s, want %s", got, want)
+		}
+		// Each submitted request is counted once, however many of its
+		// tokens were dropped.
+		if c := rep.SLO.Fleet.Cumulative; c == nil || c.Requests != uint64(len(trace)) || len(trace) != 460 {
+			t.Errorf("fleet cumulative %+v for %d submitted requests, want 460 requests", c, len(trace))
 		}
 		if rep.OverloadTransitions != 3 {
 			t.Errorf("overload transitions = %d, want 3", rep.OverloadTransitions)
