@@ -8,7 +8,6 @@ package baselines
 
 import (
 	"fmt"
-	"time"
 
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/model"
@@ -74,9 +73,7 @@ func (r *request) projectedTokens() int64 {
 // observeAll finalizes SLO accounting for a request set.
 func observeAll(tr *slo.Tracker, s slo.SLO, reqs []*request, end sim.Time) {
 	for _, r := range reqs {
-		times := make([]time.Duration, len(r.tokenTimes))
-		copy(times, r.tokenTimes)
-		tr.ObserveRequest(s, r.arrival, times)
+		tr.ObserveRequest(s, r.arrival, r.tokenTimes)
 		if !r.done {
 			for i := len(r.tokenTimes); i < r.outputTokens; i++ {
 				if s.Deadline(r.arrival, i) <= end {
