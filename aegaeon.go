@@ -501,13 +501,8 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		rep.OverloadTransitions = len(snap.Transitions)
 		rep.Sheds = s.sys.OverloadSheds()
 		rep.AttainmentByPriority = make(map[string]float64, workload.NumPriorities)
-		for p := workload.Priority(0); p < workload.NumPriorities; p++ {
-			met, missed := s.sys.PriorityTracker(p).Tokens()
-			att := 1.0
-			if met+missed > 0 {
-				att = float64(met) / float64(met+missed)
-			}
-			rep.AttainmentByPriority[p.String()] = att
+		for p, c := range s.sys.TierTokens() {
+			rep.AttainmentByPriority[workload.Priority(p).String()] = c.Attainment()
 		}
 	}
 	return rep, nil

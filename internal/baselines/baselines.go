@@ -73,14 +73,15 @@ func (r *request) projectedTokens() int64 {
 // observeAll finalizes SLO accounting for a request set.
 func observeAll(tr *slo.Tracker, s slo.SLO, reqs []*request, end sim.Time) {
 	for _, r := range reqs {
-		tr.ObserveRequest(s, r.arrival, r.tokenTimes)
+		v := slo.Judge(s, r.arrival, r.tokenTimes)
 		if !r.done {
 			for i := len(r.tokenTimes); i < r.outputTokens; i++ {
 				if s.Deadline(r.arrival, i) <= end {
-					tr.ObserveDropped()
+					v.Dropped++
 				}
 			}
 		}
+		tr.Add(v)
 	}
 }
 

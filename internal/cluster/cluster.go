@@ -341,16 +341,13 @@ func (c *Cluster) Finalize(end sim.Time) {
 // Attainment returns the request-weighted token attainment across
 // deployments.
 func (c *Cluster) Attainment() float64 {
-	var met, missed float64
+	var sum slo.Counts
 	for _, d := range c.deps {
-		m, x := d.System.Tracker().Tokens()
-		met += float64(m)
-		missed += float64(x)
+		met, missed := d.System.Tracker().Tokens()
+		sum.Met += met
+		sum.Missed += missed
 	}
-	if met+missed == 0 {
-		return 1
-	}
-	return met / (met + missed)
+	return sum.Attainment()
 }
 
 // Completed sums completions.
@@ -374,27 +371,6 @@ func (c *Cluster) PrefixCaches() map[string]*prefixcache.Cache {
 		if pc := d.System.PrefixCache(); pc != nil {
 			out[d.Name] = pc
 		}
-	}
-	return out
-}
-
-// AttainmentByPriority returns token attainment per service tier, merged
-// across deployments. Tiers that judged no tokens report 1 (vacuous
-// attainment, matching Attainment's empty-fleet convention).
-func (c *Cluster) AttainmentByPriority() map[string]float64 {
-	out := make(map[string]float64, workload.NumPriorities)
-	for p := workload.Priority(0); p < workload.NumPriorities; p++ {
-		var met, missed float64
-		for _, d := range c.deps {
-			m, x := d.System.PriorityTracker(p).Tokens()
-			met += float64(m)
-			missed += float64(x)
-		}
-		att := 1.0
-		if met+missed > 0 {
-			att = met / (met + missed)
-		}
-		out[p.String()] = att
 	}
 	return out
 }

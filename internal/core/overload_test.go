@@ -153,10 +153,10 @@ func TestShedLowPriorityTier(t *testing.T) {
 	if got := sys.OverloadSheds()[ShedLowPriority]; got != 1 {
 		t.Fatalf("sheds[%s] = %d, want 1", ShedLowPriority, got)
 	}
-	if met, missed := sys.PriorityTracker(workload.PriorityLow).Tokens(); met != 0 || missed == 0 {
-		t.Fatalf("low-tier tracker (met=%d, missed=%d): shed tokens must count as misses", met, missed)
+	if low := sys.tiers[workload.PriorityLow]; low.Met != 0 || low.Missed == 0 {
+		t.Fatalf("low-tier tokens (met=%d, missed=%d): shed tokens must count as misses", low.Met, low.Missed)
 	}
-	if _, missed := sys.PriorityTracker(workload.PriorityHigh).Tokens(); missed != 0 {
+	if missed := sys.tiers[workload.PriorityHigh].Missed; missed != 0 {
 		t.Fatalf("high tier charged %d misses while protected", missed)
 	}
 	if sys.LiveInFlight() != 0 {

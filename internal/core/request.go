@@ -13,6 +13,7 @@ import (
 	"aegaeon/internal/obs"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
+	"aegaeon/internal/slo"
 	"aegaeon/internal/workload"
 )
 
@@ -67,10 +68,11 @@ type Request struct {
 	// for batch Finalize reporting; their SLO observation folds into the
 	// tracker at completion so a long-running server stays bounded.
 	live bool
-	// monFed marks batch requests whose SLO judgement already reached the
-	// live monitor mid-run (failRequest feeds sheds immediately so burn
-	// rates reflect overload as it happens); Finalize must not re-feed them.
-	monFed bool
+	// verdict is the SLO verdict of a batch request that failed while the
+	// monitor was on: failRequest feeds it to the monitor at once, so burn
+	// rates reflect overload as it happens, and Finalize folds it into the
+	// tracker without judging the request again.
+	verdict *slo.Verdict
 
 	// SessionID and Segments carry the conversation identity and the
 	// deterministic prompt content from the workload layer; the prefix cache

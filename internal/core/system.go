@@ -245,10 +245,10 @@ type System struct {
 	prefixOnDevice []int
 
 	tracker *slo.Tracker
-	// prioTrackers mirrors every tracker observation per service tier,
-	// indexed by workload.Priority, so overload reports can show that
-	// shedding protected high-tier attainment instead of laundering misses.
-	prioTrackers [workload.NumPriorities]*slo.Tracker
+	// tiers splits the tracker's tokens by service tier, indexed by
+	// workload.Priority, so overload reports can show that shedding
+	// protected high-tier attainment instead of laundering misses.
+	tiers [workload.NumPriorities]slo.Counts
 	// shedReasons counts overload sheds by typed reason.
 	shedReasons map[string]int
 	reaperArmed bool
@@ -317,9 +317,6 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 		obs:         cfg.Obs,
 		dec:         cfg.Decisions,
 		breakdown:   &metrics.Breakdown{},
-	}
-	for i := range s.prioTrackers {
-		s.prioTrackers[i] = slo.NewTracker()
 	}
 	se.AddSettler(&s.runs)
 	for _, m := range cfg.Models {
@@ -812,12 +809,11 @@ func (f *tokenFeed) flush(s *System, m model.ID) {
 	f.n, f.judged = 0, f.judged[:0]
 }
 
-// noteDroppedTokens feeds the monitor r's never-generated tokens — the
-// mirror of the tracker's ObserveDropped accounting. With all set (the
-// failRequest path) every unproduced token counts, matching the tracker's
-// judgement that a dead request's remaining tokens can no longer meet any
-// deadline; otherwise (the Finalize path) only tokens whose deadline has
-// passed by judged count.
+// noteDroppedTokens feeds the monitor's windows r's never-generated tokens,
+// the ones r's verdict counts as dropped. With all set (the failRequest
+// path) every unproduced token counts: a dead request's remaining tokens
+// can no longer meet any deadline. Otherwise (the Finalize path) only
+// tokens whose deadline has passed by judged count.
 func (s *System) noteDroppedTokens(r *Request, judged sim.Time, all bool) {
 	if s.mon == nil {
 		return
@@ -848,12 +844,36 @@ func (s *System) finishRequest(r *Request) {
 	}
 	if r.live {
 		s.liveOpen--
-		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.fold(r, s.judge(r, 0))
 	}
 	if r.OnDone != nil {
 		r.OnDone(r)
+	}
+}
+
+// judge returns r's SLO verdict, with dropped never-generated tokens
+// counted missed. slo.Judge runs once per request: a batch request that
+// failed while the monitor was on keeps the verdict failRequest gave it.
+func (s *System) judge(r *Request, dropped int) slo.Verdict {
+	var v slo.Verdict
+	if r.verdict != nil {
+		v = *r.verdict
+	} else {
+		v = slo.Judge(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+	}
+	v.Dropped = uint64(dropped)
+	return v
+}
+
+// fold counts v, the verdict of r, in the tracker and r's service tier, and
+// in the monitor unless the monitor took it when r failed.
+func (s *System) fold(r *Request, v slo.Verdict) {
+	s.tracker.Add(v)
+	t := &s.tiers[r.Priority]
+	t.Met += v.Met
+	t.Missed += v.Missed + v.Dropped
+	if r.verdict == nil {
+		s.mon.ObserveVerdict(r.mid, v)
 	}
 }
 
@@ -883,13 +903,7 @@ func (s *System) failRequest(r *Request, reason string) {
 	}
 	if r.live {
 		s.liveOpen--
-		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		for i := r.Generated(); i < r.OutputTokens; i++ {
-			s.tracker.ObserveDropped()
-			s.prioTrackers[r.Priority].ObserveDropped()
-		}
+		s.fold(r, s.judge(r, r.RemainingTokens()))
 		s.noteDroppedTokens(r, s.eng.Now(), true)
 	} else if s.mon != nil {
 		// Batch requests are normally judged at Finalize, but a failed
@@ -897,10 +911,12 @@ func (s *System) failRequest(r *Request, reason string) {
 		// the brownout controller reads burn rates mid-run, and deferring
 		// the burst to the end of the run would hide the very overload it
 		// is supposed to react to. The tracker keeps its Finalize-time
-		// accounting; only the windowed monitor is fed early.
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		// accounting: Finalize folds this verdict, with its own dropped
+		// count, into the tracker and tier only.
+		v := s.judge(r, r.RemainingTokens())
+		s.mon.ObserveVerdict(r.mid, v)
 		s.noteDroppedTokens(r, s.eng.Now(), true)
-		r.monFed = true
+		r.verdict = &v
 	}
 	if r.OnDone != nil {
 		r.OnDone(r)
@@ -932,9 +948,7 @@ func (s *System) Abort(r *Request) {
 		s.liveOpen--
 		// Tokens delivered before the disconnect still count toward SLO
 		// attainment; the tail the client walked away from does not.
-		s.tracker.ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-		s.mon.ObserveRequest(r.Model.Name, s.sloFor(r.mid), r.Arrival, r.TokenTimes)
+		s.fold(r, s.judge(r, 0))
 	}
 }
 
@@ -999,23 +1013,19 @@ func (s *System) Requests() []*Request { return s.requests }
 // generated counts as missed, so overload cannot launder violations.
 func (s *System) Finalize(endTime sim.Time) {
 	for _, r := range s.requests {
-		rslo := s.sloFor(r.mid)
-		s.tracker.ObserveRequest(rslo, r.Arrival, r.TokenTimes)
-		s.prioTrackers[r.Priority].ObserveRequest(rslo, r.Arrival, r.TokenTimes)
-		if !r.monFed {
-			s.mon.ObserveRequest(r.Model.Name, rslo, r.Arrival, r.TokenTimes)
-		}
+		dropped := 0
 		if !r.Done {
+			rslo := s.sloFor(r.mid)
 			for i := len(r.TokenTimes); i < r.OutputTokens; i++ {
 				if rslo.Deadline(r.Arrival, i) <= endTime {
-					s.tracker.ObserveDropped() // one missed token each
-					s.prioTrackers[r.Priority].ObserveDropped()
+					dropped++
 				}
 			}
-			if !r.monFed {
+			if r.verdict == nil {
 				s.noteDroppedTokens(r, endTime, false)
 			}
 		}
+		s.fold(r, s.judge(r, dropped))
 		// Breakdown (Fig. 14).
 		if len(r.TokenTimes) == 0 {
 			s.breakdown.Add(metrics.PrefillWaiting, endTime-r.Arrival)
@@ -1054,11 +1064,9 @@ func (s *System) Finalize(endTime sim.Time) {
 // Attainment returns the token-level SLO attainment (call Finalize first).
 func (s *System) Attainment() float64 { return s.tracker.Attainment() }
 
-// PriorityTracker returns the per-tier SLO tracker for p, mirroring every
-// observation the main tracker receives.
-func (s *System) PriorityTracker(p workload.Priority) *slo.Tracker {
-	return s.prioTrackers[p]
-}
+// TierTokens returns the judged tokens of each service tier, indexed by
+// workload.Priority. They sum to the tracker's tokens.
+func (s *System) TierTokens() [workload.NumPriorities]slo.Counts { return s.tiers }
 
 // OverloadSheds returns overload shed counts by typed reason (a copy).
 func (s *System) OverloadSheds() map[string]int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -80,7 +81,7 @@ func ExtraWorkloadPatterns(o Options) Table {
 // ExtraPerModelAttainment breaks the headline attainment number down by
 // model: the fleet number hides whether misses concentrate on a few unlucky
 // models or spread evenly. It attaches a live SLO monitor to the offline
-// run and reads its per-model slo.ByModel cumulative trackers.
+// run and reads the per-model cumulative blocks of its snapshot.
 func ExtraPerModelAttainment(o Options) Table {
 	models := marketModels(8)
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -95,24 +96,20 @@ func ExtraPerModelAttainment(o Options) Table {
 		Title:  "Token SLO attainment by model (8 models, RPS 0.2, ShareGPT)",
 		Header: []string{"model", "requests", "attainment", "TTFT p99"},
 	}
-	byModel := parts.SLOMon.Cumulative()
-	var fleetMet, fleetMissed, fleetReqs uint64
-	for _, name := range byModel.Models() {
-		trk := byModel.Get(name)
-		met, missed := trk.Tokens()
-		fleetMet += met
-		fleetMissed += missed
-		fleetReqs += trk.Requests()
-		t.Rows = append(t.Rows, []string{
-			name, itoa(int(trk.Requests())), fmtPct(trk.Attainment()),
-			trk.TTFTQuantile(0.99).Round(time.Millisecond).String(),
-		})
+	// Only the cumulative blocks are read, so the snapshot may stand at the
+	// monitor's own clock.
+	snap := parts.SLOMon.Snapshot(0)
+	for _, sc := range snap.Models {
+		if c := sc.Cumulative; c != nil {
+			p99 := time.Duration(math.Round(c.P99TTFTS * float64(time.Second)))
+			t.Rows = append(t.Rows, []string{
+				sc.Model, itoa(int(c.Requests)), fmtPct(c.Attainment),
+				p99.Round(time.Millisecond).String(),
+			})
+		}
 	}
-	fleet := 1.0
-	if fleetMet+fleetMissed > 0 {
-		fleet = float64(fleetMet) / float64(fleetMet+fleetMissed)
-	}
-	t.Rows = append(t.Rows, []string{"(fleet)", itoa(int(fleetReqs)), fmtPct(fleet), "-"})
-	t.Notes = "per-model trackers come from the same slo.ByModel the live monitor serves on /debug/slo"
+	fleet := snap.Fleet.Cumulative
+	t.Rows = append(t.Rows, []string{"(fleet)", itoa(int(fleet.Requests)), fmtPct(fleet.Attainment), "-"})
+	t.Notes = "per-model rows are the cumulative blocks the live monitor serves on /debug/slo"
 	return t
 }

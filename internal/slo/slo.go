@@ -48,6 +48,53 @@ func (s SLO) Deadline(arrival time.Duration, i int) time.Duration {
 	return arrival + s.TTFT + time.Duration(i)*s.TBT
 }
 
+// Counts tallies judged tokens.
+type Counts struct{ Met, Missed uint64 }
+
+// Attainment returns the fraction of tokens that met their deadlines in
+// [0,1]: the paper's SLO attainment. With no tokens it returns 1.
+func (c Counts) Attainment() float64 {
+	total := c.Met + c.Missed
+	if total == 0 {
+		return 1
+	}
+	return float64(c.Met) / float64(total)
+}
+
+// Verdict is the judgement of one request's tokens against its SLO. Judge
+// fills every field but Dropped, which the caller sets.
+type Verdict struct {
+	Counts                // the generated tokens
+	AllMet  bool          // a token was generated, and every one met its deadline
+	TTFT    time.Duration // the first token's latency (0 when none was generated)
+	TTFTMet bool          // the first token met the TTFT target
+	// Dropped counts never-generated tokens the caller judges missed (a
+	// failed request's tail, a starved one's overdue tokens), so saturated
+	// systems cannot launder failures by never finishing work.
+	Dropped uint64
+}
+
+// Judge judges one completed (or partially completed) request: times[i] is
+// the completion time of token i and arrival the request's arrival time.
+// times is read, never modified and never retained, so a caller may pass a
+// slice it keeps writing.
+func Judge(s SLO, arrival time.Duration, times []time.Duration) Verdict {
+	var v Verdict
+	for i, at := range times {
+		if at <= s.Deadline(arrival, i) {
+			v.Met++
+		} else {
+			v.Missed++
+		}
+	}
+	if len(times) > 0 {
+		v.AllMet = v.Missed == 0
+		v.TTFT = times[0] - arrival
+		v.TTFTMet = v.TTFT <= s.TTFT
+	}
+	return v
+}
+
 // maxTTFTSamples bounds the tracker's TTFT quantile reservoir so long-lived
 // trackers (the live monitoring path observes them for the whole life of a
 // gateway) hold flat memory.
@@ -57,11 +104,10 @@ const maxTTFTSamples = 8192
 // for concurrent use: the simulation goroutine observes while HTTP debug
 // handlers read attainment live. The zero value is ready to use.
 type Tracker struct {
-	mu           sync.Mutex
-	tokensMet    uint64
-	tokensMissed uint64
-	requests     uint64
-	reqAllMet    uint64
+	mu        sync.Mutex
+	tokens    Counts
+	requests  uint64
+	reqAllMet uint64
 
 	ttftSum   time.Duration
 	ttftCount uint64
@@ -72,52 +118,29 @@ type Tracker struct {
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// ObserveRequest records all token generation times of one completed (or
-// partially completed) request against the SLO. times[i] is the completion
-// time of token i; arrival is the request arrival time. times is read, never
-// modified and never retained, so a caller may pass a slice it keeps
-// writing.
-func (t *Tracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Duration) {
+// Add counts one judged request: its generated tokens, its dropped tokens
+// as missed ones, and its first token's latency.
+func (t *Tracker) Add(v Verdict) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.requests++
-	allMet := true
-	for i, at := range times {
-		if at <= s.Deadline(arrival, i) {
-			t.tokensMet++
-		} else {
-			t.tokensMissed++
-			allMet = false
-		}
-	}
-	if len(times) > 0 {
-		ttft := times[0] - arrival
-		t.ttftSum += ttft
-		t.ttftCount++
-		if t.ttftCDF == nil {
-			t.ttftCDF = metrics.NewSafeCDF(maxTTFTSamples)
-		}
-		t.ttftCDF.AddDuration(ttft)
-		if ttft <= s.TTFT {
-			t.ttftMet++
-		}
-	} else {
-		allMet = false // request produced nothing: count as violated
-	}
-	if allMet {
+	t.tokens.Met += v.Met
+	t.tokens.Missed += v.Missed + v.Dropped
+	if v.AllMet {
 		t.reqAllMet++
 	}
-}
-
-// ObserveDropped records one token of an observed request that was never
-// generated within the measurement window (e.g. its request was rejected or
-// starved): it counts as one missed token, so saturated systems cannot
-// launder failures by never finishing work. The request itself was counted
-// by its ObserveRequest call.
-func (t *Tracker) ObserveDropped() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tokensMissed++
+	if v.Met+v.Missed == 0 {
+		return // no first token
+	}
+	t.ttftSum += v.TTFT
+	t.ttftCount++
+	if t.ttftCDF == nil {
+		t.ttftCDF = metrics.NewSafeCDF(maxTTFTSamples)
+	}
+	t.ttftCDF.AddDuration(v.TTFT)
+	if v.TTFTMet {
+		t.ttftMet++
+	}
 }
 
 // Attainment returns the fraction of tokens that met their deadlines in
@@ -125,11 +148,7 @@ func (t *Tracker) ObserveDropped() {
 func (t *Tracker) Attainment() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	total := t.tokensMet + t.tokensMissed
-	if total == 0 {
-		return 1
-	}
-	return float64(t.tokensMet) / float64(total)
+	return t.tokens.Attainment()
 }
 
 // RequestAttainment returns the fraction of requests with every token on
@@ -181,7 +200,7 @@ func (t *Tracker) TTFTQuantile(q float64) time.Duration {
 func (t *Tracker) Tokens() (met, missed uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tokensMet, t.tokensMissed
+	return t.tokens.Met, t.tokens.Missed
 }
 
 // Requests returns the number of requests observed.

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,7 +52,7 @@ func TestBufferedOutputSemantics(t *testing.T) {
 		times[i] = 500 * time.Millisecond // all early
 	}
 	times[10] = 500*time.Millisecond + 900*time.Millisecond
-	tr.ObserveRequest(s, 0, times)
+	tr.Add(Judge(s, 0, times))
 	if tr.Attainment() != 1 {
 		t.Fatalf("attainment = %.3f, want 1 (buffered output hides stall)", tr.Attainment())
 	}
@@ -60,7 +61,7 @@ func TestBufferedOutputSemantics(t *testing.T) {
 func TestLateFirstTokenViolates(t *testing.T) {
 	s := SLO{TTFT: time.Second, TBT: 100 * time.Millisecond}
 	tr := NewTracker()
-	tr.ObserveRequest(s, 0, []time.Duration{1500 * time.Millisecond})
+	tr.Add(Judge(s, 0, []time.Duration{1500 * time.Millisecond}))
 	if tr.Attainment() != 0 {
 		t.Fatalf("attainment = %.3f, want 0", tr.Attainment())
 	}
@@ -74,8 +75,8 @@ func TestMixedAttainment(t *testing.T) {
 	tr := NewTracker()
 	// 3 tokens: deadlines at 1.0, 1.1, 1.2. Times: 0.9 (met), 1.05 (met),
 	// 1.5 (missed).
-	tr.ObserveRequest(s, 0, []time.Duration{
-		900 * time.Millisecond, 1050 * time.Millisecond, 1500 * time.Millisecond})
+	tr.Add(Judge(s, 0, []time.Duration{
+		900 * time.Millisecond, 1050 * time.Millisecond, 1500 * time.Millisecond}))
 	if got := tr.Attainment(); got < 0.66 || got > 0.67 {
 		t.Fatalf("attainment = %.3f, want 2/3", got)
 	}
@@ -90,17 +91,16 @@ func TestMixedAttainment(t *testing.T) {
 
 func TestObserveDropped(t *testing.T) {
 	tr := NewTracker()
-	tr.ObserveRequest(Default(), 0, nil)
-	tr.ObserveDropped()
-	tr.ObserveDropped()
+	v := Judge(Default(), 0, nil)
+	v.Dropped = 2
+	tr.Add(v)
 	if tr.Attainment() != 0 {
 		t.Fatalf("dropped request attainment = %.3f, want 0", tr.Attainment())
 	}
 	if met, missed := tr.Tokens(); met != 0 || missed != 2 {
 		t.Fatalf("tokens = %d met, %d missed, want 0/2", met, missed)
 	}
-	// Dropped tokens are tokens of the request already observed, not
-	// requests of their own.
+	// Dropped tokens are tokens of the request, not requests of their own.
 	if tr.Requests() != 1 {
 		t.Fatalf("requests = %d, want 1", tr.Requests())
 	}
@@ -119,8 +119,8 @@ func TestEmptyTrackerIsPerfect(t *testing.T) {
 func TestMeanTTFT(t *testing.T) {
 	s := Default()
 	tr := NewTracker()
-	tr.ObserveRequest(s, time.Second, []time.Duration{3 * time.Second})
-	tr.ObserveRequest(s, time.Second, []time.Duration{5 * time.Second})
+	tr.Add(Judge(s, time.Second, []time.Duration{3 * time.Second}))
+	tr.Add(Judge(s, time.Second, []time.Duration{5 * time.Second}))
 	if got := tr.MeanTTFT(); got != 3*time.Second {
 		t.Fatalf("mean TTFT = %v, want 3s", got)
 	}
@@ -144,8 +144,8 @@ func TestAttainmentMonotoneProperty(t *testing.T) {
 			shifted[i] = d
 		}
 		t1, t2 := NewTracker(), NewTracker()
-		t1.ObserveRequest(s, 0, times)
-		t2.ObserveRequest(s, 0, shifted)
+		t1.Add(Judge(s, 0, times))
+		t2.Add(Judge(s, 0, shifted))
 		a1, a2 := t1.Attainment(), t2.Attainment()
 		return a1 >= 0 && a1 <= 1 && a2 >= a1-1e-12
 	}
@@ -158,7 +158,7 @@ func TestTTFTQuantiles(t *testing.T) {
 	s := Default()
 	tr := NewTracker()
 	for i := 1; i <= 100; i++ {
-		tr.ObserveRequest(s, 0, []time.Duration{time.Duration(i) * time.Second})
+		tr.Add(Judge(s, 0, []time.Duration{time.Duration(i) * time.Second}))
 	}
 	if p50 := tr.TTFTQuantile(0.5); p50 < 50*time.Second || p50 > 51*time.Second {
 		t.Fatalf("p50 TTFT = %v", p50)
@@ -171,12 +171,12 @@ func TestTTFTQuantiles(t *testing.T) {
 	}
 }
 
-// TestObserveRequestDoesNotRetainTimes: ObserveRequest reads times without
-// modifying it, and overwriting the slice afterwards changes nothing the
-// tracker reports, so a caller may pass a buffer it keeps writing.
+// TestObserveRequestDoesNotRetainTimes: Judge reads times without modifying
+// it, and overwriting the slice afterwards changes nothing the tracker
+// reports, so a caller may pass a buffer it keeps writing.
 func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
 	s := Default()
-	tr, by := NewTracker(), NewByModel()
+	tr := NewTracker()
 	var bufs [][]time.Duration
 	for i := 0; i < 50; i++ {
 		times := make([]time.Duration, 1+i%7)
@@ -185,11 +185,10 @@ func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
 			times[k] = time.Duration(i%5*3+k) * time.Second
 		}
 		want := append([]time.Duration(nil), times...)
-		tr.ObserveRequest(s, 0, times)
-		by.ObserveRequest("m", s, 0, times)
+		tr.Add(Judge(s, 0, times))
 		for k := range times {
 			if times[k] != want[k] {
-				t.Fatalf("request %d: ObserveRequest modified times[%d]: %v, want %v", i, k, times[k], want[k])
+				t.Fatalf("request %d: Judge modified times[%d]: %v, want %v", i, k, times[k], want[k])
 			}
 		}
 		bufs = append(bufs, times)
@@ -204,7 +203,7 @@ func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
 		return view{tr.Attainment(), tr.RequestAttainment(), tr.TTFTAttainment(), met, missed,
 			tr.MeanTTFT(), tr.TTFTQuantile(0.5), tr.TTFTQuantile(0.99)}
 	}
-	before, beforeBy := read(tr), read(by.Get("m"))
+	before := read(tr)
 	if before.missed == 0 || before.met == 0 {
 		t.Fatalf("want both met and missed tokens, got %+v", before)
 	}
@@ -216,7 +215,46 @@ func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
 	if after := read(tr); after != before {
 		t.Fatalf("tracker changed after its inputs were overwritten:\n got %+v\nwant %+v", after, before)
 	}
-	if after := read(by.Get("m")); after != beforeBy {
-		t.Fatalf("per-model tracker changed after its inputs were overwritten:\n got %+v\nwant %+v", after, beforeBy)
+}
+
+// TestTrackerConcurrent verifies the Tracker itself under concurrent
+// observation and reads (the live gateway reads attainment while the
+// simulation goroutine observes).
+func TestTrackerConcurrent(t *testing.T) {
+	tr := NewTracker()
+	s := Default()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				tr.Add(Judge(s, 0, []time.Duration{time.Duration(i) * time.Millisecond}))
+				_ = tr.Attainment()
+				_ = tr.TTFTQuantile(0.99)
+				_ = tr.MeanTTFT()
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.Requests() != 4000 {
+		t.Fatalf("requests = %d, want 4000", tr.Requests())
+	}
+}
+
+// TestTrackerTTFTQuantileBounded checks that the reservoir-backed quantile
+// stays sane far past the retention cap.
+func TestTrackerTTFTQuantileBounded(t *testing.T) {
+	tr := NewTracker()
+	s := Default()
+	// 3x the reservoir cap, all TTFTs exactly 1s: any reservoir subsample
+	// still yields exactly 1s at every quantile.
+	for i := 0; i < 3*maxTTFTSamples; i++ {
+		tr.Add(Judge(s, 0, []time.Duration{time.Second}))
+	}
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := tr.TTFTQuantile(q); got != time.Second {
+			t.Fatalf("TTFTQuantile(%v) = %v, want 1s", q, got)
+		}
 	}
 }

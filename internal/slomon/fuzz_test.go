@@ -23,7 +23,7 @@ func FuzzValidateSLO(f *testing.F) {
 			Deadline: deadline, At: at, Prev: at - 300*time.Millisecond})
 	}
 	m.ObserveDropped(mid("m1"), "r2", "g0", 0, time.Second, 7*time.Second)
-	m.ObserveRequest("m0", slo.Default(), 0, []time.Duration{time.Second, 2 * time.Second})
+	m.ObserveVerdict(mid("m0"), slo.Judge(slo.Default(), 0, []time.Duration{time.Second, 2 * time.Second}))
 	snap := m.Snapshot(8 * time.Second)
 	if err := Validate(snap); err != nil {
 		f.Fatalf("real snapshot does not validate: %v", err)

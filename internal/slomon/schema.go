@@ -54,8 +54,9 @@ type ScopeSnapshot struct {
 	// values sum to TokensMissed.
 	Causes map[string]uint64 `json:"causes"`
 
-	// Cumulative mirrors the offline slo.Tracker definition (absent for
-	// scopes that saw only windowed drops before any request finished).
+	// Cumulative folds the verdicts of the scope's finished requests, as
+	// the offline slo.Tracker does (absent for scopes that saw only windowed
+	// drops before any request finished).
 	Cumulative *CumulativeStats `json:"cumulative,omitempty"`
 }
 
@@ -137,8 +138,11 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	}
 	sort.Slice(scopes, func(i, j int) bool { return m.names.Name(scopes[i].id) < m.names.Name(scopes[j].id) })
 	for _, s := range scopes {
-		name := m.names.Name(s.id)
-		out.Models = append(out.Models, m.scopeSnapshotLocked(name, s, m.cum.Get(name), now))
+		var cum *slo.Tracker
+		if int(s.id) < len(m.cum) {
+			cum = m.cum[s.id]
+		}
+		out.Models = append(out.Models, m.scopeSnapshotLocked(m.names.Name(s.id), s, cum, now))
 	}
 	return out
 }
@@ -167,19 +171,15 @@ func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, 
 	}
 	for i, d := range windows {
 		met, missed := s.ring.sums(i)
-		ws := WindowStats{
+		out.Windowed = append(out.Windowed, WindowStats{
 			Window:     windowNames[i],
 			Seconds:    d.Seconds(),
 			Met:        met,
 			Missed:     missed,
-			Attainment: 1,
+			Attainment: slo.Counts{Met: met, Missed: missed}.Attainment(),
 			GoodputTPS: float64(met) / d.Seconds(),
 			BurnRate:   burnRate(met, missed, m.cfg.Objective),
-		}
-		if total := met + missed; total > 0 {
-			ws.Attainment = float64(met) / float64(total)
-		}
-		out.Windowed = append(out.Windowed, ws)
+		})
 	}
 	slowBurn := out.Windowed[len(out.Windowed)-1].BurnRate
 	out.ErrorBudgetRemaining = clamp01(1 - slowBurn)
@@ -290,8 +290,8 @@ func validateScope(label string, sc ScopeSnapshot) error {
 		if w.Attainment < 0 || w.Attainment > 1 {
 			return fmt.Errorf("slomon: %s: window %s attainment %v outside [0,1]", label, w.Window, w.Attainment)
 		}
-		if total := w.Met + w.Missed; total > 0 {
-			want := float64(w.Met) / float64(total)
+		if w.Met+w.Missed > 0 {
+			want := slo.Counts{Met: w.Met, Missed: w.Missed}.Attainment()
 			if math.Abs(w.Attainment-want) > 1e-9 {
 				return fmt.Errorf("slomon: %s: window %s attainment %v inconsistent with met/missed %d/%d",
 					label, w.Window, w.Attainment, w.Met, w.Missed)

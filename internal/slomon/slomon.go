@@ -5,10 +5,10 @@
 // joining it against the obs span and switch-stage data.
 //
 // The Monitor judges every token on its own, fed one decode step at a time
-// from the serving path (core's token stamp sites), plus request-level
-// observations mirroring the cumulative slo.Tracker sites, so windowed and
-// cumulative attainment share one definition and converge on steady
-// workloads. All methods are nil-safe: a nil *Monitor records nothing,
+// from the serving path (core's token stamp sites), and folds the verdict
+// core's slo.Judge gave each finished request into its cumulative trackers,
+// so windowed and cumulative attainment share one definition and converge
+// on steady workloads. All methods are nil-safe: a nil *Monitor records nothing,
 // keeping the default serving path free of monitoring overhead.
 package slomon
 
@@ -117,9 +117,10 @@ type Monitor struct {
 	now    sim.Time // latest time observed or advanced to
 	nowEnd sim.Time // end of now's bucket
 
-	// Cumulative attainment, mirroring the slo.Tracker call sites so the
-	// windowed and offline paths share one definition.
-	cum      *slo.ByModel
+	// Cumulative attainment from core's request verdicts, per model
+	// (indexed by model id; nil until the model's first verdict) and for
+	// the fleet.
+	cum      []*slo.Tracker
 	fleetCum *slo.Tracker
 }
 
@@ -136,7 +137,6 @@ func newMonitor(cfg Config, samples int) *Monitor {
 		samples:  samples,
 		nowEnd:   bucket, // the clock starts in bucket 0
 		fleet:    newScope(samples),
-		cum:      slo.NewByModel(),
 		fleetCum: slo.NewTracker(),
 	}
 }
@@ -247,8 +247,8 @@ func (m *Monitor) ObserveTokens(obs []TokenObs) {
 // has already passed, else in the bucket of the judgement time — a dead
 // request's future tokens are known lost now, but a miss cannot be filed
 // into a future bucket. Attribution joins the overrun interval (or, for
-// future deadlines, the request's lifetime so far). Cumulative accounting
-// mirrors slo.Tracker.ObserveDropped. Nil-safe.
+// future deadlines, the request's lifetime so far). The cumulative trackers
+// take the request's dropped tokens from its verdict. Nil-safe.
 func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival, deadline, judged sim.Time) {
 	if m == nil {
 		return
@@ -256,8 +256,6 @@ func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival,
 	model := m.modelName(id)
 	cause := classify(m.cfg.Source, m.cfg.FaultActive,
 		model, request, instance, arrival, deadline, judged)
-	m.cum.ObserveDropped(model)
-	m.fleetCum.ObserveDropped()
 	bucketAt := deadline
 	if judged < bucketAt {
 		bucketAt = judged
@@ -273,15 +271,20 @@ func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival,
 	m.advanceLocked(judged, ms)
 }
 
-// ObserveRequest folds one finished request into the cumulative per-model
-// and fleet trackers, mirroring the core slo.Tracker sites. times is read,
-// never modified and never retained. Nil-safe.
-func (m *Monitor) ObserveRequest(model string, s slo.SLO, arrival sim.Time, times []sim.Time) {
+// ObserveVerdict folds the verdict of one finished request of model id into
+// the cumulative per-model and fleet trackers. Nil-safe.
+func (m *Monitor) ObserveVerdict(id model.ID, v slo.Verdict) {
 	if m == nil {
 		return
 	}
-	m.cum.ObserveRequest(model, s, arrival, times)
-	m.fleetCum.ObserveRequest(s, arrival, times)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.cum = model.Grow(m.cum, id)
+	if m.cum[id] == nil {
+		m.cum[id] = slo.NewTracker()
+	}
+	m.cum[id].Add(v)
+	m.fleetCum.Add(v)
 }
 
 // Advance moves the monitor's clock forward (rotating window buckets and
@@ -360,13 +363,4 @@ func (m *Monitor) FleetBurnRates() (fast, mid, slow float64) {
 	defer m.mu.Unlock()
 	b := m.fleet.burns(m.cfg.Objective)
 	return b[fastWin], b[midWin], b[slowWin]
-}
-
-// Cumulative returns the per-model cumulative trackers (nil on a nil
-// monitor) — the same attainment definition as the offline slo.Tracker.
-func (m *Monitor) Cumulative() *slo.ByModel {
-	if m == nil {
-		return nil
-	}
-	return m.cum
 }

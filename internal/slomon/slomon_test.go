@@ -43,16 +43,13 @@ func TestNilMonitorIsSafe(t *testing.T) {
 	var m *Monitor
 	m.ObserveToken(TokenObs{Model: mid("m0")})
 	m.ObserveDropped(mid("m0"), "r1", "g0", 0, time.Second, 2*time.Second)
-	m.ObserveRequest("m0", slo.Default(), 0, []time.Duration{time.Second})
+	m.ObserveVerdict(mid("m0"), slo.Judge(slo.Default(), 0, []time.Duration{time.Second}))
 	m.Advance(time.Second)
 	if m.Snapshot(time.Second) != nil {
 		t.Fatal("nil monitor snapshot != nil")
 	}
 	if m.FleetAlert() != AlertOK {
 		t.Fatal("nil monitor alert != ok")
-	}
-	if m.Cumulative() != nil {
-		t.Fatal("nil monitor cumulative != nil")
 	}
 }
 
@@ -108,9 +105,9 @@ func TestMonitorTTFTAndTBTSketches(t *testing.T) {
 }
 
 func TestMonitorCumulativeMirrorsTracker(t *testing.T) {
-	// The same observations fed to a plain tracker and through the monitor's
-	// request mirror must agree exactly — this is the convergence contract
-	// behind /debug/slo's cumulative block.
+	// The same verdicts folded into a plain tracker and into the monitor
+	// must agree exactly — this is the convergence contract behind
+	// /debug/slo's cumulative block.
 	m := testMonitor(Config{})
 	ref := slo.NewTracker()
 	s := slo.Default()
@@ -118,13 +115,17 @@ func TestMonitorCumulativeMirrorsTracker(t *testing.T) {
 		{time.Second, 1100 * time.Millisecond},
 		{20 * time.Second}, // TTFT miss
 		{500 * time.Millisecond, 600 * time.Millisecond, 700 * time.Millisecond},
+		nil, // failed before its first token
 	}
-	for _, ts := range times {
-		m.ObserveRequest("m0", s, 0, ts)
-		ref.ObserveRequest(s, 0, ts)
+	for i, ts := range times {
+		v := slo.Judge(s, 0, ts)
+		if ts == nil {
+			v.Dropped = 1
+			m.ObserveDropped(mid("m0"), "rX", "", 0, time.Second, 2*time.Second)
+		}
+		m.ObserveVerdict(mid(fmt.Sprintf("m%d", i%2)), v)
+		ref.Add(v)
 	}
-	m.ObserveDropped(mid("m0"), "rX", "", 0, time.Second, 2*time.Second)
-	ref.ObserveDropped()
 
 	snap := m.Snapshot(30 * time.Second)
 	cum := snap.Fleet.Cumulative
@@ -283,6 +284,97 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 	}
 	if err := Validate(snap); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCumulativeByModel: verdicts land in their model's cumulative block
+// and in the fleet's, snapshots list the models sorted by name, and a
+// dropped token is a missed token of its request, never a request of its
+// own.
+func TestCumulativeByModel(t *testing.T) {
+	m := testMonitor(Config{})
+	s := slo.Default()
+	dropped := slo.Judge(s, 0, nil)
+	dropped.Dropped = 1
+	for _, o := range []struct {
+		model string
+		v     slo.Verdict
+	}{
+		{"m2", dropped},
+		{"m0", slo.Judge(s, 0, []time.Duration{time.Second})},
+		{"m0", slo.Judge(s, 0, []time.Duration{20 * time.Second})}, // miss
+		{"m1", slo.Judge(s, 0, []time.Duration{time.Second})},
+	} {
+		// Core feeds the windows every token it judges; they open the
+		// model's scope.
+		m.ObserveToken(TokenObs{Model: mid(o.model), At: time.Second, Deadline: 10 * time.Second})
+		m.ObserveVerdict(mid(o.model), o.v)
+	}
+	snap := m.Snapshot(time.Second)
+	var order []string
+	for _, sc := range snap.Models {
+		order = append(order, sc.Model)
+	}
+	if !slices.Equal(order, []string{"m0", "m1", "m2"}) {
+		t.Fatalf("model scopes = %v, want sorted [m0 m1 m2]", order)
+	}
+	for i, want := range []CumulativeStats{
+		{Requests: 2, TokensMet: 1, TokensMissed: 1, Attainment: 0.5},
+		{Requests: 1, TokensMet: 1, Attainment: 1},
+		{Requests: 1, TokensMissed: 1, Attainment: 0},
+	} {
+		c := snap.Models[i].Cumulative
+		if c == nil || c.Requests != want.Requests || c.TokensMet != want.TokensMet ||
+			c.TokensMissed != want.TokensMissed || c.Attainment != want.Attainment {
+			t.Errorf("%s cumulative = %+v, want %+v", order[i], c, want)
+		}
+	}
+	if c := snap.Fleet.Cumulative; c == nil || c.Requests != 4 || c.TokensMet != 2 || c.TokensMissed != 2 {
+		t.Errorf("fleet cumulative = %+v, want 4 requests, 2 met, 2 missed", c)
+	}
+}
+
+// TestConcurrentObserveVerdictAndSnapshot hammers per-model verdicts
+// against snapshot reads; run with -race. The per-model and fleet request
+// totals must balance exactly.
+func TestConcurrentObserveVerdictAndSnapshot(t *testing.T) {
+	m := testMonitor(Config{})
+	s := slo.Default()
+	const writers = 8
+	const perWriter = 500
+	for i := 0; i < 4; i++ {
+		m.ObserveToken(TokenObs{Model: mid(fmt.Sprintf("m%d", i)), At: time.Second, Deadline: time.Second})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := mid(fmt.Sprintf("m%d", w%4))
+			for i := 0; i < perWriter; i++ {
+				m.ObserveVerdict(id, slo.Judge(s, 0, []time.Duration{time.Second}))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := Validate(m.Snapshot(time.Second)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	snap := m.Snapshot(time.Second)
+	var total uint64
+	for _, sc := range snap.Models {
+		total += sc.Cumulative.Requests
+	}
+	if total != writers*perWriter || snap.Fleet.Cumulative.Requests != writers*perWriter {
+		t.Fatalf("requests: models sum to %d, fleet %d, want %d", total, snap.Fleet.Cumulative.Requests, writers*perWriter)
 	}
 }
 
