@@ -46,34 +46,7 @@ func (s *System) CrashDecodeInstance(idx int) error {
 	s.obs.Fault(d.eng.Name, "crash", "decode instance fail-stop", s.eng.Now())
 	s.fleet.Fault(d.eng.Name)
 
-	var owned []*Request
-	seen := map[*Request]bool{}
-	for _, b := range d.workList {
-		for _, r := range b.reqs {
-			if !r.terminal() && !seen[r] {
-				seen[r] = true
-				owned = append(owned, r)
-			}
-		}
-	}
-	// The executing batch is normally a member of the work list, but a spot
-	// evacuation detaches it (the list is rebuilt while the turn is still in
-	// flight) and re-homed requests can rejoin it when the noticed instance
-	// is the last survivor — sweep it explicitly or they orphan nowhere.
-	if b := d.current; b != nil {
-		for _, r := range b.reqs {
-			if !r.terminal() && !seen[r] {
-				seen[r] = true
-				owned = append(owned, r)
-			}
-		}
-	}
-	for _, r := range d.pending {
-		if !r.terminal() && !seen[r] {
-			seen[r] = true
-			owned = append(owned, r)
-		}
-	}
+	owned := d.owned()
 	d.workList = nil
 	d.pending = nil
 	d.current = nil
@@ -99,19 +72,7 @@ func (s *System) CrashPrefillInstance(idx int) error {
 	s.obs.Fault(p.eng.Name, "crash", "prefill instance fail-stop", s.eng.Now())
 	s.fleet.Fault(p.eng.Name)
 
-	var owned []*Request
-	seen := map[*Request]bool{}
-	for _, g := range p.queue {
-		for _, r := range g.reqs {
-			if !r.terminal() && !seen[r] {
-				seen[r] = true
-				owned = append(owned, r)
-			}
-		}
-	}
-	if r := p.inflight; r != nil && !r.terminal() && !seen[r] {
-		owned = append(owned, r)
-	}
+	owned := p.owned()
 	p.queue = nil
 	p.inflight = nil
 	p.running = false

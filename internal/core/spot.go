@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aegaeon/internal/decision"
@@ -106,13 +107,8 @@ func (s *System) evacuateInstance(name string) {
 // the grace window, and prefix-cache device copies are evicted — their
 // host-tier copies keep serving hits, so the bytes are re-homed, not lost.
 func (s *System) evacuatePrefill(p *prefillInstance) {
-	var owned []*Request
+	owned := slices.DeleteFunc(p.owned(), func(r *Request) bool { return r == p.inflight })
 	for _, g := range p.queue {
-		for _, r := range g.reqs {
-			if !r.terminal() && r != p.inflight {
-				owned = append(owned, r)
-			}
-		}
 		g.reqs = nil
 	}
 	p.queue = nil
@@ -147,28 +143,12 @@ func (s *System) evacuatePrefill(p *prefillInstance) {
 // revokeInstance's problem.
 func (s *System) evacuateDecode(d *decodeInstance) {
 	d.cut() // the run's members leave its batch
-	var owned []*Request
-	seen := map[*Request]bool{}
-	collect := func(r *Request) {
-		if r != nil && !r.terminal() && !seen[r] {
-			seen[r] = true
-			owned = append(owned, r)
-		}
-	}
+	owned := d.owned()
 	for _, b := range d.workList {
-		for _, r := range b.reqs {
-			collect(r)
-		}
 		b.reqs = nil
 	}
 	if b := d.current; b != nil {
-		for _, r := range b.reqs {
-			collect(r)
-		}
 		b.reqs = nil
-	}
-	for _, r := range d.pending {
-		collect(r)
 	}
 	d.workList = nil
 	d.pending = nil
@@ -314,12 +294,13 @@ func (s *System) revokeInstance(name string) {
 		delete(s.evacuating[name], r)
 	}
 	delete(s.evacuating, name)
-	for _, r := range s.ownedRequests(name) {
+	stragglers := s.ownedRequests(name)
+	for _, r := range stragglers {
 		countLost(r)
 	}
 	mkt.NoteLostKV(name, lost)
 	if j := s.dec; j != nil {
-		ids := requestIDs(s.ownedRequests(name))
+		ids := requestIDs(stragglers)
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: name, Outcome: "revoked",
 			Reason:   "grace deadline; stragglers recover via crash path",
@@ -348,45 +329,64 @@ func (s *System) EvacuatingRequests() int {
 	return n
 }
 
-// ownedRequests lists the non-terminal requests currently owned by the named
-// instance (queued, batched, or in flight).
+// ownedRequests lists the live requests of the named instance (queued,
+// batched, or in flight).
 func (s *System) ownedRequests(name string) []*Request {
-	var out []*Request
-	seen := map[*Request]bool{}
-	add := func(r *Request) {
-		if r != nil && !r.terminal() && !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
+	switch p, d, _ := s.instanceNamed(name); {
+	case p != nil:
+		return p.owned()
+	case d != nil:
+		return d.owned()
 	}
-	for _, p := range s.prefills {
-		if p.eng.Name != name {
+	return nil
+}
+
+// owned lists p's live requests once each: its queued groups in order, then
+// the in-flight job.
+func (p *prefillInstance) owned() []*Request {
+	var w ownerWalk
+	for _, g := range p.queue {
+		w.add(g.reqs...)
+	}
+	w.add(p.inflight)
+	return w.reqs
+}
+
+// owned lists d's live requests once each, in the order crash recovery
+// re-dispatches them: the work-list batches, the executing batch, then
+// pending. The executing batch is normally a member of the work list, but
+// a spot evacuation detaches it (the list is rebuilt while the turn is
+// still in flight) and re-homed requests can rejoin it when the noticed
+// instance is the last survivor, so it is swept explicitly or they orphan
+// nowhere.
+func (d *decodeInstance) owned() []*Request {
+	var w ownerWalk
+	for _, b := range d.workList {
+		w.add(b.reqs...)
+	}
+	if d.current != nil {
+		w.add(d.current.reqs...)
+	}
+	w.add(d.pending...)
+	return w.reqs
+}
+
+// ownerWalk collects an instance's live requests, each once, in the order
+// they are added.
+type ownerWalk struct {
+	reqs []*Request
+	seen map[*Request]bool
+}
+
+func (w *ownerWalk) add(rs ...*Request) {
+	for _, r := range rs {
+		if r == nil || r.terminal() || w.seen[r] {
 			continue
 		}
-		for _, g := range p.queue {
-			for _, r := range g.reqs {
-				add(r)
-			}
+		if w.seen == nil {
+			w.seen = map[*Request]bool{}
 		}
-		add(p.inflight)
+		w.seen[r] = true
+		w.reqs = append(w.reqs, r)
 	}
-	for _, d := range s.decodes {
-		if d.eng.Name != name {
-			continue
-		}
-		for _, b := range d.workList {
-			for _, r := range b.reqs {
-				add(r)
-			}
-		}
-		if d.current != nil {
-			for _, r := range d.current.reqs {
-				add(r)
-			}
-		}
-		for _, r := range d.pending {
-			add(r)
-		}
-	}
-	return out
 }
