@@ -151,8 +151,8 @@ func (t *Tracker) Attainment() float64 {
 	return t.tokens.Attainment()
 }
 
-// RequestAttainment returns the fraction of requests with every token on
-// time.
+// RequestAttainment returns the fraction of requests whose verdict is
+// AllMet: every generated token on time. Dropped tokens do not change it.
 func (t *Tracker) RequestAttainment() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -8,8 +8,8 @@
 // from the serving path (core's token stamp sites), and folds the verdict
 // core's slo.Judge gave each finished request into its cumulative trackers,
 // so windowed and cumulative attainment share one definition and converge
-// on steady workloads. All methods are nil-safe: a nil *Monitor records nothing,
-// keeping the default serving path free of monitoring overhead.
+// on steady workloads. All methods are nil-safe: a nil *Monitor records
+// nothing, keeping the default serving path free of monitoring overhead.
 package slomon
 
 import (
@@ -253,9 +253,8 @@ func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival,
 	if m == nil {
 		return
 	}
-	model := m.modelName(id)
 	cause := classify(m.cfg.Source, m.cfg.FaultActive,
-		model, request, instance, arrival, deadline, judged)
+		m.modelName(id), request, instance, arrival, deadline, judged)
 	bucketAt := deadline
 	if judged < bucketAt {
 		bucketAt = judged
