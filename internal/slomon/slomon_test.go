@@ -288,9 +288,8 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 }
 
 // TestCumulativeByModel: verdicts land in their model's cumulative block
-// and in the fleet's, snapshots list the models sorted by name, and a
-// dropped token is a missed token of its request, never a request of its
-// own.
+// and in the fleet's, and a dropped token is a missed token of its
+// request, never a request of its own.
 func TestCumulativeByModel(t *testing.T) {
 	m := testMonitor(Config{})
 	s := slo.Default()
@@ -311,26 +310,41 @@ func TestCumulativeByModel(t *testing.T) {
 		m.ObserveVerdict(mid(o.model), o.v)
 	}
 	snap := m.Snapshot(time.Second)
-	var order []string
+	got := make(map[string]*CumulativeStats)
 	for _, sc := range snap.Models {
-		order = append(order, sc.Model)
+		got[sc.Model] = sc.Cumulative
 	}
-	if !slices.Equal(order, []string{"m0", "m1", "m2"}) {
-		t.Fatalf("model scopes = %v, want sorted [m0 m1 m2]", order)
-	}
-	for i, want := range []CumulativeStats{
-		{Requests: 2, TokensMet: 1, TokensMissed: 1, Attainment: 0.5},
-		{Requests: 1, TokensMet: 1, Attainment: 1},
-		{Requests: 1, TokensMissed: 1, Attainment: 0},
+	for model, want := range map[string]CumulativeStats{
+		"m0": {Requests: 2, TokensMet: 1, TokensMissed: 1, Attainment: 0.5},
+		"m1": {Requests: 1, TokensMet: 1, Attainment: 1},
+		"m2": {Requests: 1, TokensMissed: 1, Attainment: 0},
 	} {
-		c := snap.Models[i].Cumulative
+		c := got[model]
 		if c == nil || c.Requests != want.Requests || c.TokensMet != want.TokensMet ||
 			c.TokensMissed != want.TokensMissed || c.Attainment != want.Attainment {
-			t.Errorf("%s cumulative = %+v, want %+v", order[i], c, want)
+			t.Errorf("%s cumulative = %+v, want %+v", model, c, want)
 		}
 	}
 	if c := snap.Fleet.Cumulative; c == nil || c.Requests != 4 || c.TokensMet != 2 || c.TokensMissed != 2 {
 		t.Errorf("fleet cumulative = %+v, want 4 requests, 2 met, 2 missed", c)
+	}
+}
+
+// TestSnapshotModelsSorted: a snapshot lists every model scope once,
+// sorted by name, whatever order the models were first seen in.
+func TestSnapshotModelsSorted(t *testing.T) {
+	m := testMonitor(Config{})
+	s := slo.Default()
+	for _, model := range []string{"m2", "m0", "m3", "m1", "m0"} {
+		m.ObserveToken(TokenObs{Model: mid(model), At: time.Second, Deadline: 10 * time.Second})
+		m.ObserveVerdict(mid(model), slo.Judge(s, 0, []time.Duration{time.Second}))
+	}
+	var order []string
+	for _, sc := range m.Snapshot(time.Second).Models {
+		order = append(order, sc.Model)
+	}
+	if want := []string{"m0", "m1", "m2", "m3"}; !slices.Equal(order, want) {
+		t.Fatalf("model scopes = %v, want sorted %v", order, want)
 	}
 }
 
