@@ -9,7 +9,10 @@ package baselines
 import (
 	"fmt"
 
-	"aegaeon/internal/metrics"
+	"aegaeon/internal/engine"
+	"aegaeon/internal/kvcache"
+	"aegaeon/internal/latency"
+	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -37,29 +40,8 @@ type request struct {
 	inputTokens  int
 	outputTokens int
 	tokenTimes   []sim.Time
-	kvTokens     int64 // GPU KV footprint in tokens while active
 	done         bool
 	prefilled    bool
-}
-
-// newRequests builds the runtime requests for trace and their arrival
-// times, for one Submit feed. It fails on the first request whose model is
-// not in models, having built nothing the caller keeps.
-func newRequests(models map[string]*model.Model, trace []workload.Request) ([]*request, []sim.Time, error) {
-	reqs := make([]*request, len(trace))
-	times := make([]sim.Time, len(trace))
-	for i, wr := range trace {
-		m, ok := models[wr.Model]
-		if !ok {
-			return nil, nil, fmt.Errorf("baselines: unknown model %q", wr.Model)
-		}
-		reqs[i] = &request{
-			id: wr.ID, model: m, arrival: wr.Arrival,
-			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
-		}
-		times[i] = wr.Arrival
-	}
-	return reqs, times, nil
 }
 
 func (r *request) contextTokens() int64 {
@@ -70,20 +52,99 @@ func (r *request) projectedTokens() int64 {
 	return int64(r.inputTokens + r.outputTokens)
 }
 
-// observeAll finalizes SLO accounting for a request set.
-func observeAll(tr *slo.Tracker, s slo.SLO, reqs []*request, end sim.Time) {
-	for _, r := range reqs {
-		v := slo.Judge(s, r.arrival, r.tokenTimes)
+// base is what every baseline keeps the same way: the simulation it runs
+// in, the requests it was given, judged against one SLO, and how many it
+// completed. Embedding it provides Server's Finalize, Attainment and
+// Completed, and Tracker.
+type base struct {
+	eng       *sim.Engine
+	slo       slo.SLO
+	requests  []*request
+	tracker   *slo.Tracker
+	completed int
+}
+
+func newBase(se *sim.Engine, s slo.SLO) base {
+	return base{eng: se, slo: s, tracker: slo.NewTracker()}
+}
+
+// submit builds the runtime requests for trace and schedules them as one
+// feed calling arrive. It fails on the first request whose model is not in
+// models, having scheduled and recorded nothing.
+func (b *base) submit(models map[string]*model.Model, trace []workload.Request, arrive func(*request)) error {
+	reqs := make([]*request, len(trace))
+	times := make([]sim.Time, len(trace))
+	for i, wr := range trace {
+		m, ok := models[wr.Model]
+		if !ok {
+			return fmt.Errorf("baselines: unknown model %q", wr.Model)
+		}
+		reqs[i] = &request{
+			id: wr.ID, model: m, arrival: wr.Arrival,
+			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
+		}
+		times[i] = wr.Arrival
+	}
+	b.requests = append(b.requests, reqs...)
+	b.eng.Feed(times, func(i int) { arrive(reqs[i]) })
+	return nil
+}
+
+// Finalize judges every request. An unfinished request's missing tokens
+// whose deadlines passed by end count as dropped.
+func (b *base) Finalize(end sim.Time) {
+	for _, r := range b.requests {
+		v := slo.Judge(b.slo, r.arrival, r.tokenTimes)
 		if !r.done {
 			for i := len(r.tokenTimes); i < r.outputTokens; i++ {
-				if s.Deadline(r.arrival, i) <= end {
+				if b.slo.Deadline(r.arrival, i) <= end {
 					v.Dropped++
 				}
 			}
 		}
-		tr.Add(v)
+		b.tracker.Add(v)
 	}
 }
 
-// switchCDF collects exposed model-switch latencies for comparison plots.
-type switchCDF = metrics.CDF
+// Attainment returns token-level SLO attainment.
+func (b *base) Attainment() float64 { return b.tracker.Attainment() }
+
+// Completed returns fully served requests.
+func (b *base) Completed() int { return b.completed }
+
+// Tracker exposes the SLO tracker.
+func (b *base) Tracker() *slo.Tracker { return b.tracker }
+
+// enginePool builds n warm-booted engines named prefix0, prefix1, … for
+// models at TP degree tp, and indexes models by name. The engines share one
+// model cache holding every model and one host KV tier, which the baselines
+// never swap to but the engine requires. Each reserves a weights region for
+// the largest shard plus 1/16, and gives the rest of 90% of VRAM to KV.
+func enginePool(se *sim.Engine, prefix string, n int, prof *latency.Profile, tp int,
+	models []*model.Model, opts engine.Options) ([]*engine.Engine, map[string]*model.Model) {
+	byName := map[string]*model.Model{}
+	modelCache := memory.NewModelCache(1 << 40)
+	cpuKV := kvcache.NewCache("cpu-kv", 640<<30, 64<<20, 16)
+	var maxShard int64
+	for _, m := range models {
+		byName[m.Name] = m
+		_ = modelCache.Insert(m.Name, m.WeightBytes())
+		maxShard = max(maxShard, m.ShardWeightBytes(tp))
+	}
+	usable := int64(float64(prof.VRAMBytes) * 0.9)
+	weights := maxShard + maxShard/16
+	engines := make([]*engine.Engine, n)
+	for i := range engines {
+		engines[i] = engine.New(se, fmt.Sprintf("%s%d", prefix, i), engine.Config{
+			Prof:               prof,
+			TP:                 tp,
+			Opts:               opts,
+			WeightsRegionBytes: weights,
+			KVRegionBytes:      usable - weights,
+			ModelCache:         modelCache,
+			CPUKV:              cpuKV,
+		}, nil)
+		engines[i].WarmBoot()
+	}
+	return engines, byName
+}

@@ -35,14 +35,11 @@ const minKVBytesPerModel int64 = 12 << 30
 // models that cannot be placed are rejected outright, exactly as the
 // paper's MuxServe placement optimizer refuses them (§7.2).
 type Mux struct {
-	eng *sim.Engine
+	base
 	cfg MuxConfig
 
 	gpus      []*muxGPU
 	placement map[string]*muxModel // model name -> placed runtime (nil if rejected)
-	requests  []*request
-	tracker   *slo.Tracker
-	completed int
 	rejected  int
 }
 
@@ -54,13 +51,11 @@ type muxGPU struct {
 }
 
 type muxModel struct {
-	gpu      *muxGPU
-	m        *model.Model
-	cost     *latency.CostModel
-	kvLimit  int64 // tokens
-	admitted []*request
-	queue    []*request
-	running  bool
+	gpu   *muxGPU
+	m     *model.Model
+	cost  *latency.CostModel
+	loop  batchLoop
+	queue []*request
 }
 
 // NewMux builds the deployment and runs placement.
@@ -71,7 +66,7 @@ func NewMux(se *sim.Engine, cfg MuxConfig) *Mux {
 	if cfg.GPUs < 1 {
 		panic("baselines: Mux needs at least one GPU")
 	}
-	s := &Mux{eng: se, cfg: cfg, placement: map[string]*muxModel{}, tracker: slo.NewTracker()}
+	s := &Mux{base: newBase(se, cfg.SLO), cfg: cfg, placement: map[string]*muxModel{}}
 	for i := 0; i < cfg.GPUs; i++ {
 		s.gpus = append(s.gpus, &muxGPU{sys: s, id: i})
 	}
@@ -101,7 +96,7 @@ func (s *Mux) place() {
 					cost: latency.NewCostModel(s.cfg.Prof, m, s.cfg.TP),
 				}
 				shape := m.ShardKVShape(s.cfg.TP)
-				mm.kvLimit = minKVBytesPerModel / shape.BytesPerToken()
+				mm.loop = batchLoop{host: mm, book: &s.base, kvLimit: minKVBytesPerModel / shape.BytesPerToken()}
 				g.models = append(g.models, mm)
 				s.placement[m.Name] = mm
 				placed = true
@@ -123,7 +118,7 @@ func (s *Mux) place() {
 		}
 		for _, mm := range g.models {
 			shape := mm.m.ShardKVShape(s.cfg.TP)
-			mm.kvLimit += extra / shape.BytesPerToken()
+			mm.loop.kvLimit += extra / shape.BytesPerToken()
 		}
 	}
 }
@@ -187,20 +182,17 @@ func (s *Mux) Submit(trace []workload.Request) error {
 
 func (mm *muxModel) arrive(r *request) {
 	mm.queue = append(mm.queue, r)
-	mm.admitFromQueue()
-	mm.wake()
+	mm.refill()
+	mm.loop.start()
 }
 
-func (mm *muxModel) admitFromQueue() {
-	var live int64
-	for _, a := range mm.admitted {
-		live += a.projectedTokens()
-	}
+// refill admits every queued request, in queue order, that fits the KV
+// budget beside those already admitted.
+func (mm *muxModel) refill() {
 	kept := mm.queue[:0]
 	for _, r := range mm.queue {
-		if live+r.projectedTokens() <= mm.kvLimit {
-			live += r.projectedTokens()
-			mm.admitted = append(mm.admitted, r)
+		if mm.loop.fits(r) {
+			mm.loop.admit(r)
 		} else {
 			kept = append(kept, r)
 		}
@@ -208,13 +200,14 @@ func (mm *muxModel) admitFromQueue() {
 	mm.queue = kept
 }
 
-func (mm *muxModel) wake() {
-	if mm.running || len(mm.admitted) == 0 {
-		return
+// busy counts the model among its GPU's executing models while its loop
+// runs.
+func (mm *muxModel) busy(on bool) {
+	if on {
+		mm.gpu.active++
+	} else {
+		mm.gpu.active--
 	}
-	mm.running = true
-	mm.gpu.active++
-	mm.step()
 }
 
 // contention returns the spatial-sharing slowdown: with k colocated models
@@ -226,76 +219,17 @@ func (g *muxGPU) contention() float64 {
 	return float64(g.active)
 }
 
-// step runs one continuous-batching iteration for this model's virtual
-// engine, slowed by the GPU's current contention.
-func (mm *muxModel) step() {
-	if len(mm.admitted) == 0 {
-		mm.running = false
-		mm.gpu.active--
-		return
-	}
-	g := mm.gpu
-	for _, r := range mm.admitted {
-		if !r.prefilled {
-			r.prefilled = true
-			dur := time.Duration(float64(mm.cost.Prefill(r.inputTokens)) * g.contention())
-			g.sys.eng.After(dur, func() {
-				r.tokenTimes = append(r.tokenTimes, g.sys.eng.Now())
-				if r.outputTokens <= 1 {
-					mm.finish(r)
-				}
-				mm.step()
-			})
-			return
-		}
-	}
-	var ctx int64
-	batch := make([]*request, 0, len(mm.admitted))
-	for _, r := range mm.admitted {
-		ctx += r.contextTokens()
-		batch = append(batch, r)
-	}
-	dur := time.Duration(float64(mm.cost.DecodeStep(ctx)) * g.contention())
-	g.sys.eng.After(dur, func() {
-		now := g.sys.eng.Now()
-		for _, r := range batch {
-			r.tokenTimes = append(r.tokenTimes, now)
-			if len(r.tokenTimes) >= r.outputTokens {
-				mm.finish(r)
-			}
-		}
-		mm.step()
-	})
+// prefill and decode run one step of this model's virtual engine, slowed by
+// the GPU's contention when the step starts.
+func (mm *muxModel) prefill(r *request, done func()) {
+	mm.gpu.sys.eng.After(time.Duration(float64(mm.cost.Prefill(r.inputTokens))*mm.gpu.contention()), done)
 }
 
-func (mm *muxModel) finish(r *request) {
-	r.done = true
-	mm.gpu.sys.completed++
-	kept := mm.admitted[:0]
-	for _, a := range mm.admitted {
-		if !a.done {
-			kept = append(kept, a)
-		}
-	}
-	mm.admitted = kept
-	mm.admitFromQueue()
+func (mm *muxModel) decode(ctx int64, done func()) {
+	mm.gpu.sys.eng.After(time.Duration(float64(mm.cost.DecodeStep(ctx))*mm.gpu.contention()), done)
 }
-
-// Finalize computes attainment (rejected requests count as violated).
-func (s *Mux) Finalize(end sim.Time) {
-	observeAll(s.tracker, s.cfg.SLO, s.requests, end)
-}
-
-// Attainment returns token-level SLO attainment.
-func (s *Mux) Attainment() float64 { return s.tracker.Attainment() }
-
-// Completed returns fully served requests.
-func (s *Mux) Completed() int { return s.completed }
 
 // Rejected returns requests refused because their model was not placed.
 func (s *Mux) Rejected() int { return s.rejected }
-
-// Tracker exposes the SLO tracker.
-func (s *Mux) Tracker() *slo.Tracker { return s.tracker }
 
 var _ Server = (*Mux)(nil)

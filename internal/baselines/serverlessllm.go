@@ -1,13 +1,10 @@
 package baselines
 
 import (
-	"fmt"
 	"sort"
 
 	"aegaeon/internal/engine"
-	"aegaeon/internal/kvcache"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -39,29 +36,22 @@ const kvHeadroom = 0.9
 // an instance switches models only when it has drained, so queued requests
 // for other models suffer head-of-line blocking (§3.1).
 type SLLM struct {
-	eng *sim.Engine
+	base
 	cfg SLLMConfig
 
 	instances []*sllmInstance
 	queue     []*request // global queue of unassigned requests
-	requests  []*request
 	models    map[string]*model.Model
-	tracker   *slo.Tracker
-	completed int
-	switchLat switchCDF
 }
 
 type sllmInstance struct {
-	sys *SLLM
-	eng *engine.Engine
+	sys  *SLLM
+	eng  *engine.Engine
+	loop batchLoop
 
-	current    string // model being served ("" if idle)
-	switching  bool
-	admitted   []*request // requests assigned, prefilled or not
-	running    bool
-	kvLimit    int64
-	kvPlanned  int64
-	modelCache *memory.ModelCache
+	current   string // model being served ("" if idle)
+	switching bool
+	kvPlanned int64
 }
 
 // NewSLLM builds the baseline system.
@@ -72,38 +62,14 @@ func NewSLLM(se *sim.Engine, cfg SLLMConfig) *SLLM {
 	if cfg.GPUs < 1 {
 		panic("baselines: SLLM needs at least one GPU instance")
 	}
-	s := &SLLM{
-		eng:     se,
-		cfg:     cfg,
-		models:  map[string]*model.Model{},
-		tracker: slo.NewTracker(),
-	}
-	modelCache := memory.NewModelCache(1 << 40)
-	cpuKV := newNodeCPUKV()
-	var maxShard int64
-	for _, m := range cfg.Models {
-		s.models[m.Name] = m
-		_ = modelCache.Insert(m.Name, m.WeightBytes())
-		if sh := m.ShardWeightBytes(cfg.TP); sh > maxShard {
-			maxShard = sh
-		}
-	}
-	usable := int64(float64(cfg.Prof.VRAMBytes) * 0.9)
-	weights := maxShard + maxShard/16
-	kvRegion := usable - weights
-	opts := engine.Options{ComponentReuse: true}
-	for i := 0; i < cfg.GPUs; i++ {
-		e := engine.New(se, fmt.Sprintf("sllm%d", i), engine.Config{
-			Prof:               cfg.Prof,
-			TP:                 cfg.TP,
-			Opts:               opts,
-			WeightsRegionBytes: weights,
-			KVRegionBytes:      kvRegion,
-			ModelCache:         modelCache,
-			CPUKV:              cpuKV,
-		}, nil)
-		e.WarmBoot()
-		s.instances = append(s.instances, &sllmInstance{sys: s, eng: e, modelCache: modelCache})
+	s := &SLLM{base: newBase(se, cfg.SLO), cfg: cfg}
+	engines, models := enginePool(se, "sllm", cfg.GPUs, cfg.Prof, cfg.TP, cfg.Models,
+		engine.Options{ComponentReuse: true})
+	s.models = models
+	for _, e := range engines {
+		in := &sllmInstance{sys: s, eng: e}
+		in.loop = batchLoop{host: in, book: &s.base}
+		s.instances = append(s.instances, in)
 	}
 	return s
 }
@@ -111,13 +77,7 @@ func NewSLLM(se *sim.Engine, cfg SLLMConfig) *SLLM {
 // Submit schedules the trace as one feed. A trace naming an unknown model
 // is rejected whole: nothing is scheduled or recorded.
 func (s *SLLM) Submit(trace []workload.Request) error {
-	reqs, times, err := newRequests(s.models, trace)
-	if err != nil {
-		return err
-	}
-	s.requests = append(s.requests, reqs...)
-	s.eng.Feed(times, func(i int) { s.arrive(reqs[i]) })
-	return nil
+	return s.submit(s.models, trace, s.arrive)
 }
 
 func (s *SLLM) arrive(r *request) {
@@ -174,11 +134,11 @@ func (s *SLLM) takeQueued(in *sllmInstance, modelName string) {
 }
 
 func (in *sllmInstance) idle() bool {
-	return !in.switching && len(in.admitted) == 0
+	return !in.switching && len(in.loop.admitted) == 0
 }
 
 func (in *sllmInstance) hasRoom(r *request) bool {
-	return in.kvPlanned+r.projectedTokens() <= in.kvLimit
+	return in.kvPlanned+r.projectedTokens() <= in.loop.kvLimit
 }
 
 // scaleTo switches the instance to the request's model (the request-level
@@ -191,125 +151,38 @@ func (in *sllmInstance) scaleTo(r *request) {
 	if err != nil {
 		panic(err)
 	}
-	in.kvLimit = int64(float64(in.eng.KV().GPUCache.MaxTokens(class)) * kvHeadroom)
+	in.loop.kvLimit = int64(float64(in.eng.KV().GPUCache.MaxTokens(class)) * kvHeadroom)
 	in.kvPlanned = 0
 	in.admit(r)
-	start := in.eng.Sim().Now()
 	in.eng.SwitchTo(in.eng.Models().Add(r.model), func() {
-		in.sys.switchLat.AddDuration(in.eng.Sim().Now() - start)
 		in.switching = false
 		in.sys.takeQueued(in, in.current)
-		in.wake()
+		in.loop.start()
 	})
 }
 
+// admit adds r to the batch and runs the loop unless a switch holds it.
 func (in *sllmInstance) admit(r *request) {
-	in.admitted = append(in.admitted, r)
+	in.loop.admit(r)
 	in.kvPlanned += r.projectedTokens()
-	in.wake()
-}
-
-func (in *sllmInstance) wake() {
-	if in.running || in.switching {
-		return
+	if !in.switching {
+		in.loop.start()
 	}
-	in.running = true
-	in.step()
 }
 
-// step is a continuous-batching iteration: prefill one pending request if
-// any (prefill-prioritized admission, as in vLLM), else run one decode step
-// over all prefilled requests.
-func (in *sllmInstance) step() {
-	if len(in.admitted) == 0 {
-		in.running = false
+func (in *sllmInstance) prefill(r *request, done func()) { in.eng.Prefill(r.inputTokens, done) }
+
+func (in *sllmInstance) decode(ctx int64, done func()) { in.eng.DecodeStep(ctx, done) }
+
+// refill pulls in queued same-model requests.
+func (in *sllmInstance) refill() { in.sys.takeQueued(in, in.current) }
+
+// busy, when the instance drains, frees it for the queue head's model.
+func (in *sllmInstance) busy(on bool) {
+	if !on {
 		in.current = ""
 		in.sys.feedIdleInstances()
-		return
 	}
-	// Prefill pending requests first.
-	for _, r := range in.admitted {
-		if !r.prefilled {
-			in.runPrefill(r)
-			return
-		}
-	}
-	// Decode step over the whole batch.
-	var ctx int64
-	batch := make([]*request, 0, len(in.admitted))
-	for _, r := range in.admitted {
-		r.kvTokens++
-		ctx += r.contextTokens()
-		batch = append(batch, r)
-	}
-	in.eng.DecodeStep(ctx, func() {
-		now := in.eng.Sim().Now()
-		finished := false
-		for _, r := range batch {
-			r.tokenTimes = append(r.tokenTimes, now)
-			if len(r.tokenTimes) >= r.outputTokens {
-				r.done = true
-				finished = true
-				in.sys.completed++
-			}
-		}
-		if finished {
-			kept := in.admitted[:0]
-			for _, r := range in.admitted {
-				if !r.done {
-					kept = append(kept, r)
-				}
-			}
-			in.admitted = kept
-			// Capacity freed: pull in queued same-model requests.
-			in.sys.takeQueued(in, in.current)
-		}
-		in.step()
-	})
 }
-
-func (in *sllmInstance) runPrefill(r *request) {
-	r.prefilled = true
-	r.kvTokens = int64(r.inputTokens + 1)
-	in.eng.Prefill(r.inputTokens, func() {
-		now := in.eng.Sim().Now()
-		r.tokenTimes = append(r.tokenTimes, now)
-		if r.outputTokens <= 1 {
-			r.done = true
-			in.sys.completed++
-			kept := in.admitted[:0]
-			for _, q := range in.admitted {
-				if !q.done {
-					kept = append(kept, q)
-				}
-			}
-			in.admitted = kept
-		}
-		in.step()
-	})
-}
-
-// Finalize computes attainment.
-func (s *SLLM) Finalize(end sim.Time) {
-	observeAll(s.tracker, s.cfg.SLO, s.requests, end)
-}
-
-// Attainment returns token-level SLO attainment.
-func (s *SLLM) Attainment() float64 { return s.tracker.Attainment() }
-
-// Completed returns fully served requests.
-func (s *SLLM) Completed() int { return s.completed }
-
-// Tracker exposes the SLO tracker.
-func (s *SLLM) Tracker() *slo.Tracker { return s.tracker }
-
-// SwitchLatencyCDF exposes exposed switch latencies.
-func (s *SLLM) SwitchLatencyCDF() *switchCDF { return &s.switchLat }
 
 var _ Server = (*SLLM)(nil)
-
-// newNodeCPUKV builds the host KV tier baselines hand to their engines (the
-// request-level systems never swap KV, but the engine requires a tier).
-func newNodeCPUKV() *kvcache.Cache {
-	return kvcache.NewCache("cpu-kv", 640<<30, 64<<20, 16)
-}

@@ -1,12 +1,10 @@
 package baselines
 
 import (
-	"fmt"
 	"time"
 
 	"aegaeon/internal/engine"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -54,14 +52,11 @@ const decodeSlice = 500 * time.Millisecond
 // its KV-transfer machinery — switches charge the Eq. 4 weight load only,
 // which favors the unified schedulers if anything.
 type Unified struct {
-	eng *sim.Engine
+	base
 	cfg UnifiedConfig
 
 	instances []*uInstance
-	requests  []*request
 	models    map[string]*model.Model
-	tracker   *slo.Tracker
-	completed int
 }
 
 type uInstance struct {
@@ -82,33 +77,12 @@ func NewUnified(se *sim.Engine, cfg UnifiedConfig) *Unified {
 	if cfg.GPUs < 1 {
 		panic("baselines: Unified needs at least one GPU")
 	}
-	s := &Unified{eng: se, cfg: cfg, models: map[string]*model.Model{}, tracker: slo.NewTracker()}
-	modelCache := memory.NewModelCache(1 << 40)
-	cpuKV := newNodeCPUKV()
-	var maxShard int64
-	for _, m := range cfg.Models {
-		s.models[m.Name] = m
-		_ = modelCache.Insert(m.Name, m.WeightBytes())
-		if sh := m.ShardWeightBytes(cfg.TP); sh > maxShard {
-			maxShard = sh
-		}
-	}
-	usable := int64(float64(cfg.Prof.VRAMBytes) * 0.9)
-	weights := maxShard + maxShard/16
-	for i := 0; i < cfg.GPUs; i++ {
-		e := engine.New(se, fmt.Sprintf("unified%d", i), engine.Config{
-			Prof:               cfg.Prof,
-			TP:                 cfg.TP,
-			Opts:               engine.Options{ComponentReuse: true, ExplicitMemory: true},
-			WeightsRegionBytes: weights,
-			KVRegionBytes:      usable - weights,
-			ModelCache:         modelCache,
-			CPUKV:              cpuKV,
-		}, nil)
-		e.WarmBoot()
-		s.instances = append(s.instances, &uInstance{
-			sys: s, eng: e, batches: map[string][]*request{},
-		})
+	s := &Unified{base: newBase(se, cfg.SLO), cfg: cfg}
+	engines, models := enginePool(se, "unified", cfg.GPUs, cfg.Prof, cfg.TP, cfg.Models,
+		engine.Options{ComponentReuse: true, ExplicitMemory: true})
+	s.models = models
+	for _, e := range engines {
+		s.instances = append(s.instances, &uInstance{sys: s, eng: e, batches: map[string][]*request{}})
 	}
 	return s
 }
@@ -116,13 +90,7 @@ func NewUnified(se *sim.Engine, cfg UnifiedConfig) *Unified {
 // Submit schedules the trace as one feed. A trace naming an unknown model
 // is rejected whole: nothing is scheduled or recorded.
 func (s *Unified) Submit(trace []workload.Request) error {
-	reqs, times, err := newRequests(s.models, trace)
-	if err != nil {
-		return err
-	}
-	s.requests = append(s.requests, reqs...)
-	s.eng.Feed(times, func(i int) { s.dispatch(reqs[i]) })
-	return nil
+	return s.submit(s.models, trace, s.dispatch)
 }
 
 func (s *Unified) dispatch(r *request) {
@@ -254,19 +222,5 @@ func (in *uInstance) decodeUntil(mName string, end sim.Time) {
 		in.decodeUntil(mName, end)
 	})
 }
-
-// Finalize computes attainment.
-func (s *Unified) Finalize(end sim.Time) {
-	observeAll(s.tracker, s.cfg.SLO, s.requests, end)
-}
-
-// Attainment returns token-level SLO attainment.
-func (s *Unified) Attainment() float64 { return s.tracker.Attainment() }
-
-// Completed returns fully served requests.
-func (s *Unified) Completed() int { return s.completed }
-
-// Tracker exposes the SLO tracker.
-func (s *Unified) Tracker() *slo.Tracker { return s.tracker }
 
 var _ Server = (*Unified)(nil)
