@@ -280,3 +280,33 @@ func TestMuxTradeoffShape(t *testing.T) {
 			fewAtt, manyAtt)
 	}
 }
+
+// A finished request returns its KV to ServerlessLLM's budget at once: with
+// room for two of three same-model requests, the third is admitted when the
+// shorter of the first two finishes, not when the instance drains.
+func TestSLLMRefillsFreedKV(t *testing.T) {
+	m := model.MarketMix(1)[0]
+	se := sim.NewEngine(1)
+	s := NewSLLM(se, SLLMConfig{Prof: tightProfile(m), GPUs: 1, Models: []*model.Model{m}, SLO: slo.Default()})
+	gpuKV := s.instances[0].eng.KV().GPUCache
+	class, err := gpuKV.RegisterShape(m.ShardKVShape(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := int(float64(gpuKV.MaxTokens(class)) * kvHeadroom)
+	// Each request takes two fifths of the budget.
+	trace := []workload.Request{
+		{ID: "short", Model: m.Name, InputTokens: budget*2/5 - 32, OutputTokens: 32},
+		{ID: "long", Model: m.Name, InputTokens: budget*2/5 - 256, OutputTokens: 256},
+		{ID: "third", Model: m.Name, InputTokens: budget*2/5 - 16, OutputTokens: 16},
+	}
+	runServer(t, se, s, trace)
+	if s.Completed() != 3 {
+		t.Fatalf("completed %d of 3", s.Completed())
+	}
+	long, third := s.requests[1].tokenTimes, s.requests[2].tokenTimes
+	if third[0] >= long[len(long)-1] {
+		t.Fatalf("third request's first token at %v, after the long request finished at %v",
+			third[0], long[len(long)-1])
+	}
+}

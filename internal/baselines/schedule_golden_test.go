@@ -98,9 +98,9 @@ func TestBaselineScheduleGolden(t *testing.T) {
 		{"market", "MuxServe", 93, 32_971,
 			"171cc9e293998bb59c44778e36d11117943d23af8a084a1a60d5b623ba6425f0"},
 		{"burst", "ServerlessLLM", 24, 456,
-			"f91c88635e5559ba512f9ea00bc20211a8fee6ab36b1a3a350f0d4fa5793d102"},
+			"efbafe1a94f0da051b8741b6fb6043a3269f265295728b2bd3320c2f1da7bda8"},
 		{"burst", "ServerlessLLM+", 24, 456,
-			"2340031d31f6d8f55b7ef859dffdf51ec089edf11b034e46fa19135af6f91c96"},
+			"f258345325a4a516382f0f87ae875cbb1ce21ee6b673d9dc496278c60377ba60"},
 		{"burst", "MuxServe", 24, 456,
 			"1446539a0b32de24781bf11bbe6f75fa9e839c2e21d16903c8315248b4a70165"},
 	} {

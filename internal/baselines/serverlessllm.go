@@ -51,7 +51,6 @@ type sllmInstance struct {
 
 	current   string // model being served ("" if idle)
 	switching bool
-	kvPlanned int64
 }
 
 // NewSLLM builds the baseline system.
@@ -84,7 +83,7 @@ func (s *SLLM) arrive(r *request) {
 	// Route to an instance already serving (or switching to) the model with
 	// KV room — request-level systems do batch same-model requests.
 	for _, in := range s.instances {
-		if in.current == r.model.Name && in.hasRoom(r) {
+		if in.current == r.model.Name && in.loop.fits(r) {
 			in.admit(r)
 			return
 		}
@@ -124,7 +123,7 @@ func (s *SLLM) feedIdleInstances() {
 func (s *SLLM) takeQueued(in *sllmInstance, modelName string) {
 	kept := s.queue[:0]
 	for _, r := range s.queue {
-		if r.model.Name == modelName && in.hasRoom(r) {
+		if r.model.Name == modelName && in.loop.fits(r) {
 			in.admit(r)
 		} else {
 			kept = append(kept, r)
@@ -135,10 +134,6 @@ func (s *SLLM) takeQueued(in *sllmInstance, modelName string) {
 
 func (in *sllmInstance) idle() bool {
 	return !in.switching && len(in.loop.admitted) == 0
-}
-
-func (in *sllmInstance) hasRoom(r *request) bool {
-	return in.kvPlanned+r.projectedTokens() <= in.loop.kvLimit
 }
 
 // scaleTo switches the instance to the request's model (the request-level
@@ -152,7 +147,6 @@ func (in *sllmInstance) scaleTo(r *request) {
 		panic(err)
 	}
 	in.loop.kvLimit = int64(float64(in.eng.KV().GPUCache.MaxTokens(class)) * kvHeadroom)
-	in.kvPlanned = 0
 	in.admit(r)
 	in.eng.SwitchTo(in.eng.Models().Add(r.model), func() {
 		in.switching = false
@@ -164,7 +158,6 @@ func (in *sllmInstance) scaleTo(r *request) {
 // admit adds r to the batch and runs the loop unless a switch holds it.
 func (in *sllmInstance) admit(r *request) {
 	in.loop.admit(r)
-	in.kvPlanned += r.projectedTokens()
 	if !in.switching {
 		in.loop.start()
 	}
@@ -174,7 +167,8 @@ func (in *sllmInstance) prefill(r *request, done func()) { in.eng.Prefill(r.inpu
 
 func (in *sllmInstance) decode(ctx int64, done func()) { in.eng.DecodeStep(ctx, done) }
 
-// refill pulls in queued same-model requests.
+// refill pulls in the queued same-model requests that fit now that a
+// finished request has returned its KV.
 func (in *sllmInstance) refill() { in.sys.takeQueued(in, in.current) }
 
 // busy, when the instance drains, frees it for the queue head's model.
