@@ -45,7 +45,6 @@ type Mux struct {
 
 type muxGPU struct {
 	sys    *Mux
-	id     int
 	models []*muxModel
 	active int // colocated models currently executing (spatial contention)
 }
@@ -68,7 +67,7 @@ func NewMux(se *sim.Engine, cfg MuxConfig) *Mux {
 	}
 	s := &Mux{base: newBase(se, cfg.SLO), cfg: cfg, placement: map[string]*muxModel{}}
 	for i := 0; i < cfg.GPUs; i++ {
-		s.gpus = append(s.gpus, &muxGPU{sys: s, id: i})
+		s.gpus = append(s.gpus, &muxGPU{sys: s})
 	}
 	s.place()
 	return s
