@@ -452,7 +452,7 @@ func (s *System) Serve(trace []Request) (Report, error) {
 	}
 	s.parts.Market.Start(horizon)
 	if len(s.sched) > 0 {
-		s.injector = fault.NewInjector(s.eng, sysSurface{s}, s.sched)
+		s.injector = fault.NewInjector(s.eng, sysSurface{s}, s.parts.Faults, s.sched)
 		s.injector.Arm()
 	}
 	s.eng.Run()
@@ -607,87 +607,72 @@ func (s *System) WritePerfetto(w io.Writer) error {
 // orphans sit undispatched this long before recovery begins.
 const crashDetectionDelay = time.Second
 
-// sysSurface adapts a single System to the fault injector. Store faults
-// (partition, storeslow) need the cluster proxy's metadata store and are
-// rejected; everything else maps onto the core runtime directly.
+// sysSurface adapts a single System to the fault injector. Targets may be
+// cluster-style "deployment/instance" names, so specs carry over from the
+// cluster harness. Store faults (partition, storeslow) need the cluster
+// proxy's metadata store and are rejected.
 type sysSurface struct{ s *System }
 
-var (
-	_ fault.Surface     = sysSurface{}
-	_ fault.SpotSurface = sysSurface{}
-)
+var _ fault.Surface = sysSurface{}
 
-func (ss sysSurface) Crash(target string) error {
-	// Accept cluster-style "deployment/instance" targets for spec reuse.
+// instance strips a cluster-style "deployment/" prefix from a target.
+func (sysSurface) instance(target string) string {
 	if _, inst, ok := strings.Cut(target, "/"); ok {
-		target = inst
+		return inst
 	}
-	if err := ss.s.sys.CrashInstanceNamed(target); err != nil {
+	return target
+}
+
+// Crash fail-stops the instance and recovers its orphans after the
+// emulated detection delay.
+func (ss sysSurface) Crash(target string) error {
+	name := ss.instance(target)
+	if err := ss.s.sys.CrashInstance(name); err != nil {
 		return err
 	}
-	name := target
-	ss.s.eng.After(crashDetectionDelay, func() {
-		ss.s.sys.RecoverOrphansOf(name)
-	})
-	return nil
-}
-
-func (ss sysSurface) FailTransfers(target string, d sim.Time) error {
-	ss.s.parts.Faults.FailTransfers(target, d)
-	return nil
-}
-
-func (ss sysSurface) FailFetch(model string, d sim.Time) error {
-	ss.s.parts.Faults.FailFetch(model, d)
-	return nil
-}
-
-func (ss sysSurface) SlowFetch(factor float64, d sim.Time) error {
-	ss.s.parts.Faults.SlowFetch(factor, d)
+	ss.s.eng.After(crashDetectionDelay, func() { ss.s.sys.RecoverOrphansOf(name) })
 	return nil
 }
 
 func (ss sysSurface) Reclaim(target string, grace sim.Time) error {
-	if _, inst, ok := strings.Cut(target, "/"); ok {
-		target = inst
-	}
-	return ss.s.sys.ReclaimInstance(target, grace)
+	return ss.s.sys.ReclaimInstance(ss.instance(target), grace)
 }
 
 func (ss sysSurface) Throttle(target string, factor float64, d sim.Time) error {
-	if _, inst, ok := strings.Cut(target, "/"); ok {
-		target = inst
-	}
-	return ss.s.sys.ThrottleInstance(target, factor, d)
+	return ss.s.sys.ThrottleInstance(ss.instance(target), factor, d)
 }
 
-func (ss sysSurface) PartitionStore(sim.Time) error {
+func (sysSurface) PartitionStore(sim.Time) error {
 	return fmt.Errorf("no metadata store in single-system mode; partition faults need the cluster gateway")
 }
 
-func (ss sysSurface) SlowStore(float64, sim.Time) error {
+func (sysSurface) SlowStore(float64, sim.Time) error {
 	return fmt.Errorf("no metadata store in single-system mode; storeslow faults need the cluster gateway")
 }
 
 // InjectDecodeFailure schedules a crash of decoding instance idx at the
 // given virtual time (before calling Serve). The instance's requests are
-// recovered onto survivors: sequences whose KV lives in the unified CPU
-// cache resume; the rest recompute via prefill. Fig. 5's fault tolerance.
+// recovered onto survivors at once: sequences whose KV lives in the unified
+// CPU cache resume; the rest recompute via prefill. Fig. 5's fault
+// tolerance.
 func (s *System) InjectDecodeFailure(at time.Duration, idx int) {
-	s.eng.At(at, func() {
-		if _, _, err := s.sys.FailDecodeInstance(idx); err != nil {
-			panic(err)
-		}
-	})
+	s.injectFailure(at, fmt.Sprintf("decode%d", idx))
 }
 
 // InjectPrefillFailure schedules a crash of prefill instance idx at the
-// given virtual time (before calling Serve).
+// given virtual time (before calling Serve), recovered at once.
 func (s *System) InjectPrefillFailure(at time.Duration, idx int) {
+	s.injectFailure(at, fmt.Sprintf("prefill%d", idx))
+}
+
+// injectFailure crashes the named instance at the given virtual time and
+// recovers its orphans with no detection delay.
+func (s *System) injectFailure(at time.Duration, name string) {
 	s.eng.At(at, func() {
-		if _, err := s.sys.FailPrefillInstance(idx); err != nil {
+		if err := s.sys.CrashInstance(name); err != nil {
 			panic(err)
 		}
+		s.sys.RecoverOrphansOf(name)
 	})
 }
 

@@ -136,7 +136,7 @@ func main() {
 		Pprof:            *pprofOn,
 	}
 	if *overloadOn {
-		gwOpts.Overload = &gateway.OverloadOptions{Controller: parts.Overload, RetryRatio: *retryRatio}
+		gwOpts.Overload = &gateway.OverloadOptions{RetryRatio: *retryRatio}
 	}
 	gw := gateway.New(drv, cl, gwOpts)
 	gw.Start()

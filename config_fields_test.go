@@ -146,6 +146,7 @@ func (m *moduleSrc) check(p *modulePkg) {
 	p.info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: m, Error: func(error) {}, FakeImportC: true}

@@ -122,28 +122,6 @@ func (s *Mux) place() {
 	}
 }
 
-// PlacedModels returns how many models the placement accepted.
-func (s *Mux) PlacedModels() int {
-	n := 0
-	for _, mm := range s.placement {
-		if mm != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxModelsPerGPU returns the largest colocation degree achieved.
-func (s *Mux) MaxModelsPerGPU() int {
-	max := 0
-	for _, g := range s.gpus {
-		if len(g.models) > max {
-			max = len(g.models)
-		}
-	}
-	return max
-}
-
 // Submit schedules the placed models' requests as one feed. Requests for
 // unplaced models are rejected at arrival (they count as fully violated).
 // A trace naming an unknown model is rejected whole: nothing is scheduled
@@ -227,8 +205,5 @@ func (mm *muxModel) prefill(r *request, done func()) {
 func (mm *muxModel) decode(ctx int64, done func()) {
 	mm.gpu.sys.eng.After(time.Duration(float64(mm.cost.DecodeStep(ctx))*mm.gpu.contention()), done)
 }
-
-// Rejected returns requests refused because their model was not placed.
-func (s *Mux) Rejected() int { return s.rejected }
 
 var _ Server = (*Mux)(nil)

@@ -186,7 +186,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := fault.NewInjector(se, c, sched)
+	in := fault.NewInjector(se, c, parts.Faults, sched)
 	in.Arm()
 
 	// Rates feed the fleet cost integral from t=0; price ticks only run when
@@ -300,9 +300,6 @@ func VerifyInvariants(c *cluster.Cluster) []string {
 				v = append(v, fmt.Sprintf("%s/%s GPU KV pool holds %d bytes, prefix cache accounts %d (leak or double-free)",
 					d.Name, e.Name, used, wantGPU))
 			}
-			if n := e.KV().MoveListLen(); n != 0 {
-				v = append(v, fmt.Sprintf("%s/%s move list still holds %d entries", d.Name, e.Name, n))
-			}
 		}
 		// The unified CPU KV cache is shared; any engine's manager sees it.
 		if es := sys.Engines(); len(es) > 0 {
@@ -310,9 +307,15 @@ func VerifyInvariants(c *cluster.Cluster) []string {
 			if pc != nil {
 				wantCPU = pc.HostResidentBytes()
 			}
-			if used := es[0].KV().CPUCache.Pool().UsedBytes(); used != wantCPU {
+			pool := es[0].KV().CPUCache.Pool()
+			if used := pool.UsedBytes(); used != wantCPU {
 				v = append(v, fmt.Sprintf("%s CPU KV pool holds %d bytes, prefix cache accounts %d (leak or double-free)",
 					d.Name, used, wantCPU))
+			}
+			// Every transfer has completed, so the move list must be empty.
+			if n := pool.BlockedBlocks(); n != 0 {
+				v = append(v, fmt.Sprintf("%s CPU KV pool still blocks %d blocks after drain (move list never unblocked them)",
+					d.Name, n))
 			}
 		}
 		if pc != nil {

@@ -287,7 +287,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.NewInjector(se, c, sched).Arm()
+	fault.NewInjector(se, c, f, sched).Arm()
 	se.At(0, c.StartHealth)
 	se.At(300*time.Second, c.StopHealth)
 

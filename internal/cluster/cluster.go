@@ -44,11 +44,6 @@ type Deployment struct {
 	models map[string]bool
 }
 
-// GPUs returns the GPU count the deployment occupies.
-func (d *Deployment) GPUs(cfg DeploymentConfig) int {
-	return (cfg.NumPrefill + cfg.NumDecode) * cfg.TP
-}
-
 // Config parameterizes the whole cluster.
 type Config struct {
 	Prof        *latency.Profile
@@ -188,9 +183,6 @@ func (c *Cluster) RouteMirror() map[string]string {
 // cluster was built without fault state).
 func (c *Cluster) FaultStats() fault.Stats { return c.cfg.Faults.Snapshot() }
 
-// Faults exposes the shared fault-injection state (nil when not configured).
-func (c *Cluster) Faults() *fault.Faults { return c.cfg.Faults }
-
 // Deployments returns the running deployments.
 func (c *Cluster) Deployments() []*Deployment { return c.deps }
 
@@ -322,15 +314,6 @@ func (c *Cluster) GPUInfos() []GPUInfo {
 	return out
 }
 
-// LiveInFlight sums live-submitted, not-yet-finished requests.
-func (c *Cluster) LiveInFlight() int {
-	n := 0
-	for _, d := range c.deps {
-		n += d.System.LiveInFlight()
-	}
-	return n
-}
-
 // Finalize finalizes all deployments at end.
 func (c *Cluster) Finalize(end sim.Time) {
 	for _, d := range c.deps {
@@ -362,6 +345,26 @@ func (c *Cluster) Completed() int {
 // Overload exposes the shared brownout controller (nil when overload
 // control is not configured).
 func (c *Cluster) Overload() *overload.Controller { return c.cfg.Overload }
+
+// StepOverload steps the shared brownout controller once, from the backlog
+// summed over every deployment, under the rule each deployment's admission
+// path steps it by (core.OverloadSignals). The live gateway calls it on a
+// wall-clock tick so the level escalates and recovers even when no
+// admissions arrive. Without a controller or a monitor it does nothing.
+// Must run on the simulation goroutine.
+func (c *Cluster) StepOverload() {
+	if c.cfg.Overload == nil || c.cfg.SLOMon == nil {
+		return
+	}
+	var queued, limit int
+	for _, d := range c.deps {
+		q, l := d.System.PrefillBacklog()
+		queued += q
+		limit += l
+	}
+	sig, _ := core.OverloadSignals(c.cfg.SLOMon, queued, limit)
+	c.cfg.Overload.Step(c.eng.Now(), sig)
+}
 
 // PrefixCaches returns each deployment's prefix cache keyed by deployment
 // name (empty map when the prefix cache is disabled).

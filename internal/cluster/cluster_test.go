@@ -154,7 +154,7 @@ func TestDeploymentGPUs(t *testing.T) {
 		}
 		cfg := cfgs[d.Name]
 		want := (cfg.NumPrefill + cfg.NumDecode) * cfg.TP
-		if got := d.GPUs(cfg); got != want {
+		if got := len(d.System.Engines()) * d.TP; got != want {
 			t.Fatalf("%s GPUs = %d, want %d", d.Name, got, want)
 		}
 	}

@@ -10,10 +10,8 @@ import (
 	"aegaeon/internal/sim"
 )
 
-var (
-	_ fault.Surface     = (*Cluster)(nil)
-	_ fault.SpotSurface = (*Cluster)(nil)
-)
+// The cluster is the injection seam for chaos harnesses.
+var _ fault.Surface = (*Cluster)(nil)
 
 // Health monitoring and failover (Fig. 5: the proxy's metadata sync exists
 // "to ensure load balancing and fault tolerance"). Every instance maintains a
@@ -165,30 +163,10 @@ func (c *Cluster) monitor() {
 	c.eng.After(healthPoll, func() { c.monitor() })
 }
 
-// CrashInstance fail-stops an instance. Target is either
-// "deployment/instance" (e.g. "tp1/decode0") or a bare instance name, which
-// matches the first deployment owning an instance of that name.
-func (c *Cluster) CrashInstance(target string) error {
-	if dep, inst, ok := strings.Cut(target, "/"); ok {
-		for _, d := range c.deps {
-			if d.Name == dep {
-				return d.System.CrashInstanceNamed(inst)
-			}
-		}
-		return fmt.Errorf("cluster: no deployment %q", dep)
-	}
-	for _, d := range c.deps {
-		for _, name := range d.System.InstanceNames() {
-			if name == target {
-				return d.System.CrashInstanceNamed(target)
-			}
-		}
-	}
-	return fmt.Errorf("cluster: no instance %q", target)
-}
-
-// resolveInstance maps a "deployment/instance" or bare-instance target to the
-// owning deployment, mirroring CrashInstance's resolution rules.
+// resolveInstance maps a fault target to its owning deployment and instance
+// name. Target is either "deployment/instance" (e.g. "tp1/decode0") or a
+// bare instance name, which matches the first deployment owning an instance
+// of that name.
 func (c *Cluster) resolveInstance(target string) (*Deployment, string, error) {
 	if dep, inst, ok := strings.Cut(target, "/"); ok {
 		for _, d := range c.deps {
@@ -208,10 +186,19 @@ func (c *Cluster) resolveInstance(target string) (*Deployment, string, error) {
 	return nil, "", fmt.Errorf("cluster: no instance %q", target)
 }
 
-// ReclaimInstance delivers a spot preemption notice: grace to evacuate, then
-// hard revocation. Needs Config.Market. Target resolution matches
-// CrashInstance.
-func (c *Cluster) ReclaimInstance(target string, grace sim.Time) error {
+// Crash fail-stops an instance; the health monitor recovers its orphans
+// once the instance's lease expires.
+func (c *Cluster) Crash(target string) error {
+	d, inst, err := c.resolveInstance(target)
+	if err != nil {
+		return err
+	}
+	return d.System.CrashInstance(inst)
+}
+
+// Reclaim delivers a spot preemption notice: grace to evacuate, then hard
+// revocation. Needs Config.Market.
+func (c *Cluster) Reclaim(target string, grace sim.Time) error {
 	if c.cfg.Market == nil {
 		return fmt.Errorf("cluster: no market model configured")
 	}
@@ -222,8 +209,8 @@ func (c *Cluster) ReclaimInstance(target string, grace sim.Time) error {
 	return d.System.ReclaimInstance(inst, grace)
 }
 
-// ThrottleInstance applies a thermal-throttle slowdown to one instance for d.
-func (c *Cluster) ThrottleInstance(target string, factor float64, d sim.Time) error {
+// Throttle applies a thermal-throttle slowdown to one instance for d.
+func (c *Cluster) Throttle(target string, factor float64, d sim.Time) error {
 	dep, inst, err := c.resolveInstance(target)
 	if err != nil {
 		return err
@@ -231,55 +218,13 @@ func (c *Cluster) ThrottleInstance(target string, factor float64, d sim.Time) er
 	return dep.System.ThrottleInstance(inst, factor, d)
 }
 
-// --- fault.Surface: the cluster is the injection seam for chaos harnesses ---
-
-// Crash implements fault.Surface.
-func (c *Cluster) Crash(target string) error { return c.CrashInstance(target) }
-
-// Reclaim implements fault.SpotSurface.
-func (c *Cluster) Reclaim(target string, grace sim.Time) error {
-	return c.ReclaimInstance(target, grace)
-}
-
-// Throttle implements fault.SpotSurface.
-func (c *Cluster) Throttle(target string, factor float64, d sim.Time) error {
-	return c.ThrottleInstance(target, factor, d)
-}
-
-// FailTransfers implements fault.Surface.
-func (c *Cluster) FailTransfers(target string, d sim.Time) error {
-	if c.cfg.Faults == nil {
-		return fmt.Errorf("cluster: no fault state configured")
-	}
-	c.cfg.Faults.FailTransfers(target, d)
-	return nil
-}
-
-// FailFetch implements fault.Surface.
-func (c *Cluster) FailFetch(model string, d sim.Time) error {
-	if c.cfg.Faults == nil {
-		return fmt.Errorf("cluster: no fault state configured")
-	}
-	c.cfg.Faults.FailFetch(model, d)
-	return nil
-}
-
-// SlowFetch implements fault.Surface.
-func (c *Cluster) SlowFetch(factor float64, d sim.Time) error {
-	if c.cfg.Faults == nil {
-		return fmt.Errorf("cluster: no fault state configured")
-	}
-	c.cfg.Faults.SlowFetch(factor, d)
-	return nil
-}
-
-// PartitionStore implements fault.Surface.
+// PartitionStore makes the metadata store unreachable for d.
 func (c *Cluster) PartitionStore(d sim.Time) error {
 	c.store.Partition(d)
 	return nil
 }
 
-// SlowStore implements fault.Surface.
+// SlowStore multiplies the metadata store's RTT by factor for d.
 func (c *Cluster) SlowStore(factor float64, d sim.Time) error {
 	c.store.SlowBy(factor, d)
 	return nil

@@ -50,7 +50,7 @@ func TestLeaseExpiryTriggersFailover(t *testing.T) {
 	se.At(0, c.StartHealth)
 	crashAt := 45 * time.Second
 	se.At(crashAt, func() {
-		if err := c.CrashInstance("tp1/decode1"); err != nil {
+		if err := c.Crash("tp1/decode1"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -144,7 +144,7 @@ func TestInjectorDrivesClusterSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(se, c, sched)
+	in := fault.NewInjector(se, c, f, sched)
 	in.Arm()
 	se.At(0, c.StartHealth)
 	se.At(240*time.Second, c.StopHealth)

@@ -146,12 +146,11 @@ func coalesceCase(t *testing.T, seed int64, observed bool) caseResult {
 			t.Error(err)
 		}
 	})
-	target := rng.Intn(nDecode)
-	name := fmt.Sprintf("decode%d", target)
+	name := fmt.Sprintf("decode%d", rng.Intn(nDecode))
 	if rng.Intn(2) == 0 {
 		crashAt := at()
 		se.At(crashAt, func() {
-			if err := sys.CrashDecodeInstance(target); err != nil {
+			if err := sys.CrashInstance(name); err != nil {
 				t.Error(err)
 			}
 		})

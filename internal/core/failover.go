@@ -20,23 +20,31 @@ import (
 //     where it left off. Already-delivered tokens are never re-emitted.
 //
 // Crash and recovery are split into two steps so the cluster proxy can model
-// a detection delay: CrashDecodeInstance / CrashPrefillInstance fail-stop
-// the instance and stash its in-flight requests as orphans; the orphans wait
-// — making no progress, exactly as they would while a real failure goes
-// undetected — until RecoverOrphansOf re-dispatches them (normally when the
-// proxy's health monitor notices the expired lease). FailDecodeInstance /
-// FailPrefillInstance compose the two for callers that want the legacy
-// crash-with-instant-recovery behavior.
+// a detection delay: CrashInstance fail-stops the named instance and stashes
+// its in-flight requests as orphans; the orphans wait — making no progress,
+// exactly as they would while a real failure goes undetected — until
+// RecoverOrphansOf re-dispatches them (normally when the proxy's health
+// monitor notices the expired lease, or after the single-system facade's
+// fixed detection delay). Callers that want an instant recovery call the
+// two back to back.
 
-// CrashDecodeInstance fail-stops decoding instance idx at the current
-// virtual time. Its requests become orphans awaiting RecoverOrphansOf.
-func (s *System) CrashDecodeInstance(idx int) error {
-	if idx < 0 || idx >= len(s.decodes) {
-		return fmt.Errorf("core: no decode instance %d", idx)
+// CrashInstance fail-stops the instance with the given engine name (prefill
+// or decode) at the current virtual time. Its requests become orphans
+// awaiting RecoverOrphansOf.
+func (s *System) CrashInstance(name string) error {
+	switch p, d := s.instanceNamed(name); {
+	case p != nil:
+		return s.crashPrefill(p)
+	case d != nil:
+		return s.crashDecode(d)
 	}
-	d := s.decodes[idx]
+	return fmt.Errorf("core: no instance named %q", name)
+}
+
+// crashDecode fail-stops decoding instance d.
+func (s *System) crashDecode(d *decodeInstance) error {
 	if d.dead {
-		return fmt.Errorf("core: decode instance %d already failed", idx)
+		return fmt.Errorf("core: decode instance %s already failed", d.eng.Name)
 	}
 	// The steps that ended before the crash keep their tokens; the one in
 	// flight dies with the instance, and the run ends with it.
@@ -56,16 +64,12 @@ func (s *System) CrashDecodeInstance(idx int) error {
 	return nil
 }
 
-// CrashPrefillInstance fail-stops prefill instance idx. Queued jobs and the
-// in-flight prefill (including one waiting out its KV handoff transfer)
-// become orphans awaiting RecoverOrphansOf.
-func (s *System) CrashPrefillInstance(idx int) error {
-	if idx < 0 || idx >= len(s.prefills) {
-		return fmt.Errorf("core: no prefill instance %d", idx)
-	}
-	p := s.prefills[idx]
+// crashPrefill fail-stops prefill instance p. Queued jobs and the in-flight
+// prefill (including one waiting out its KV handoff transfer) become
+// orphans.
+func (s *System) crashPrefill(p *prefillInstance) error {
 	if p.dead {
-		return fmt.Errorf("core: prefill instance %d already failed", idx)
+		return fmt.Errorf("core: prefill instance %s already failed", p.eng.Name)
 	}
 	p.dead = true
 	s.cfg.Faults.CountCrash()
@@ -125,27 +129,6 @@ func (s *System) OrphanedRequests() int {
 	return n
 }
 
-// FailDecodeInstance simulates a crash of decoding instance idx with
-// immediate recovery (zero detection delay). Returns the number of requests
-// recovered via CPU KV and via recompute, respectively.
-func (s *System) FailDecodeInstance(idx int) (resumed, recomputed int, err error) {
-	if err := s.CrashDecodeInstance(idx); err != nil {
-		return 0, 0, err
-	}
-	resumed, recomputed = s.RecoverOrphansOf(s.decodes[idx].eng.Name)
-	return resumed, recomputed, nil
-}
-
-// FailPrefillInstance simulates a crash of prefill instance idx with
-// immediate recovery. Returns the number of re-dispatched requests.
-func (s *System) FailPrefillInstance(idx int) (int, error) {
-	if err := s.CrashPrefillInstance(idx); err != nil {
-		return 0, err
-	}
-	resumed, recomputed := s.RecoverOrphansOf(s.prefills[idx].eng.Name)
-	return resumed + recomputed, nil
-}
-
 // recoverRequest routes an orphan from a dead instance. Returns true if its
 // KV survived in the CPU tier (resume decoding), false if it must be
 // recomputed via prefill — including requests that never reached prefill.
@@ -164,40 +147,27 @@ func (s *System) recoverRequest(r *Request) bool {
 	return false
 }
 
-// CrashInstanceNamed fail-stops the instance with the given engine name
-// (prefill or decode); the cluster proxy addresses instances by name.
-func (s *System) CrashInstanceNamed(name string) error {
-	p, d, i := s.instanceNamed(name)
-	switch {
-	case p != nil:
-		return s.CrashPrefillInstance(i)
-	case d != nil:
-		return s.CrashDecodeInstance(i)
-	}
-	return fmt.Errorf("core: no instance named %q", name)
-}
-
 // AliveNamed reports whether the named instance exists and has not crashed.
 func (s *System) AliveNamed(name string) bool {
-	p, d, _ := s.instanceNamed(name)
+	p, d := s.instanceNamed(name)
 	return (p != nil && !p.dead) || (d != nil && !d.dead)
 }
 
 // instanceNamed finds the instance with the given engine name: its prefill
-// or decode record (the other nil) and its index in that pool. Both are nil
-// when no instance has the name.
-func (s *System) instanceNamed(name string) (*prefillInstance, *decodeInstance, int) {
-	for i, p := range s.prefills {
+// or decode record, the other nil. Both are nil when no instance has the
+// name.
+func (s *System) instanceNamed(name string) (*prefillInstance, *decodeInstance) {
+	for _, p := range s.prefills {
 		if p.eng.Name == name {
-			return p, nil, i
+			return p, nil
 		}
 	}
-	for i, d := range s.decodes {
+	for _, d := range s.decodes {
 		if d.eng.Name == name {
-			return nil, d, i
+			return nil, d
 		}
 	}
-	return nil, nil, -1
+	return nil, nil
 }
 
 // InstanceNames returns every instance engine name, prefill then decode.
@@ -210,28 +180,6 @@ func (s *System) InstanceNames() []string {
 		names = append(names, d.eng.Name)
 	}
 	return names
-}
-
-// AliveDecodeInstances returns the number of non-failed decoding instances.
-func (s *System) AliveDecodeInstances() int {
-	n := 0
-	for _, d := range s.decodes {
-		if !d.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// AlivePrefillInstances returns the number of non-failed prefill instances.
-func (s *System) AlivePrefillInstances() int {
-	n := 0
-	for _, p := range s.prefills {
-		if !p.dead {
-			n++
-		}
-	}
-	return n
 }
 
 // freeSeq releases a terminal request's KV through whichever state it is in,

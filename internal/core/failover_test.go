@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,20 +29,40 @@ func failoverFixture(t *testing.T, nPrefill, nDecode int) (*System, *sim.Engine,
 	return sys, se, trace
 }
 
+// failInstance crashes the named instance and recovers its orphans at once.
+func failInstance(sys *System, name string) (resumed, recomputed int, err error) {
+	if err := sys.CrashInstance(name); err != nil {
+		return 0, 0, err
+	}
+	resumed, recomputed = sys.RecoverOrphansOf(name)
+	return resumed, recomputed, nil
+}
+
+// aliveInstances counts the live instances whose names start with prefix.
+func aliveInstances(sys *System, prefix string) int {
+	n := 0
+	for _, name := range sys.InstanceNames() {
+		if strings.HasPrefix(name, prefix) && sys.AliveNamed(name) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestDecodeInstanceCrashRecovery(t *testing.T) {
 	sys, se, trace := failoverFixture(t, 1, 3)
 	var resumed, recomputed int
 	se.At(45*time.Second, func() {
 		var err error
-		resumed, recomputed, err = sys.FailDecodeInstance(1)
+		resumed, recomputed, err = failInstance(sys, "decode1")
 		if err != nil {
 			t.Error(err)
 		}
 	})
 	se.Run()
 	sys.Finalize(se.Now())
-	if sys.AliveDecodeInstances() != 2 {
-		t.Fatalf("alive decode instances = %d", sys.AliveDecodeInstances())
+	if n := aliveInstances(sys, "decode"); n != 2 {
+		t.Fatalf("alive decode instances = %d", n)
 	}
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d/%d after crash", sys.Completed(), len(trace))
@@ -65,14 +86,14 @@ func TestDecodeInstanceCrashRecovery(t *testing.T) {
 func TestPrefillInstanceCrashRecovery(t *testing.T) {
 	sys, se, trace := failoverFixture(t, 2, 2)
 	se.At(30*time.Second, func() {
-		if _, err := sys.FailPrefillInstance(0); err != nil {
+		if _, _, err := failInstance(sys, "prefill0"); err != nil {
 			t.Error(err)
 		}
 	})
 	se.Run()
 	sys.Finalize(se.Now())
-	if sys.AlivePrefillInstances() != 1 {
-		t.Fatalf("alive prefill instances = %d", sys.AlivePrefillInstances())
+	if n := aliveInstances(sys, "prefill"); n != 1 {
+		t.Fatalf("alive prefill instances = %d", n)
 	}
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d/%d after prefill crash", sys.Completed(), len(trace))
@@ -92,14 +113,14 @@ func TestPrefillInstanceCrashRecovery(t *testing.T) {
 func TestDoubleFailureRejected(t *testing.T) {
 	sys, se, _ := failoverFixture(t, 1, 2)
 	se.At(10*time.Second, func() {
-		if _, _, err := sys.FailDecodeInstance(0); err != nil {
+		if _, _, err := failInstance(sys, "decode0"); err != nil {
 			t.Error(err)
 		}
-		if _, _, err := sys.FailDecodeInstance(0); err == nil {
+		if _, _, err := failInstance(sys, "decode0"); err == nil {
 			t.Error("double failure accepted")
 		}
-		if _, _, err := sys.FailDecodeInstance(99); err == nil {
-			t.Error("out-of-range failure accepted")
+		if _, _, err := failInstance(sys, "decode99"); err == nil {
+			t.Error("failure of an unknown instance accepted")
 		}
 	})
 	se.Run()
@@ -109,14 +130,14 @@ func TestCascadingDecodeFailures(t *testing.T) {
 	// Fail 2 of 3 decode instances at different times; the last one must
 	// finish everything.
 	sys, se, trace := failoverFixture(t, 1, 3)
-	se.At(30*time.Second, func() { _, _, _ = sys.FailDecodeInstance(0) })
-	se.At(60*time.Second, func() { _, _, _ = sys.FailDecodeInstance(2) })
+	se.At(30*time.Second, func() { _, _, _ = failInstance(sys, "decode0") })
+	se.At(60*time.Second, func() { _, _, _ = failInstance(sys, "decode2") })
 	se.Run()
 	sys.Finalize(se.Now())
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d/%d after cascading failures", sys.Completed(), len(trace))
 	}
-	if sys.AliveDecodeInstances() != 1 {
-		t.Fatalf("alive = %d", sys.AliveDecodeInstances())
+	if n := aliveInstances(sys, "decode"); n != 1 {
+		t.Fatalf("alive = %d", n)
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestCrashThenDelayedRecovery(t *testing.T) {
 	sys, se, trace := failoverFixture(t, 1, 3)
 	se.At(45*time.Second, func() {
-		if err := sys.CrashDecodeInstance(1); err != nil {
+		if err := sys.CrashInstance("decode1"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -68,7 +68,7 @@ func TestTotalDecodeLossRejectsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.At(20*time.Second, func() {
-		if _, _, err := sys.FailDecodeInstance(0); err != nil {
+		if _, _, err := failInstance(sys, "decode0"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -89,9 +89,9 @@ func TestTotalDecodeLossRejectsCleanly(t *testing.T) {
 			t.Fatalf("request %s failed without a reason", r.ID)
 		}
 	}
-	if sys.Faults().Snapshot().Rejected != uint64(sys.FailedRequests()) {
+	if cfg.Faults.Snapshot().Rejected != uint64(sys.FailedRequests()) {
 		t.Fatalf("fault stats Rejected=%d, FailedRequests=%d",
-			sys.Faults().Snapshot().Rejected, sys.FailedRequests())
+			cfg.Faults.Snapshot().Rejected, sys.FailedRequests())
 	}
 }
 

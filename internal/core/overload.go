@@ -118,41 +118,56 @@ func (s *System) admitOverload(r *Request) bool {
 // judged insufficient and the controller may climb another rung.
 const escalateBacklog = 2
 
-// stepOverload advances the brownout controller from the monitor's fleet
-// alert state and fast burn rate, both gated on real queue pressure.
-// Escalation needs a paging SLO and a backlog the current level is failing
-// to contain; holding the level needs a hot alert and at least some backlog.
+// OverloadSignals is the brownout controller's one signal rule: the
+// monitor's fleet alert and fast burn rate, both gated on real queue
+// pressure. queued counts requests waiting in alive prefill queues and limit
+// is the backlog beyond which the current level is judged insufficient (zero
+// with no alive instance). Escalation needs a paging SLO and a backlog over
+// the limit; holding the level needs a hot alert and at least some backlog.
 // The gates matter because sheds are honestly counted as misses: without
 // them, the controller's own shedding keeps the burn rate above the page
 // threshold forever, so it ratchets to admit-none and — with the alert now
 // pegged by the sheds it is itself causing — never comes back. Queue depth
 // is the one signal the control loop cannot poison: an empty queue with a
 // hot alert means the misses are echoes of past sheds, not current load.
+// deep reports the backlog gate on its own.
+func OverloadSignals(mon *slomon.Monitor, queued, limit int) (sig overload.Signals, deep bool) {
+	st := mon.FleetAlert()
+	fast, _, _ := mon.FleetBurnRates()
+	deep = limit > 0 && queued > limit
+	return overload.Signals{
+		Page:     st == slomon.AlertPage && deep,
+		Warn:     st >= slomon.AlertWarn && queued > 0,
+		FastBurn: fast,
+	}, deep
+}
+
+// PrefillBacklog returns the requests waiting in alive prefill queues and
+// the backlog limit OverloadSignals gates escalation on.
+func (s *System) PrefillBacklog() (queued, limit int) {
+	queued, alive := s.queuedPrefillLoad()
+	return queued, escalateBacklog * s.cfg.MaxGroupSize * alive
+}
+
+// stepOverload advances the brownout controller under OverloadSignals.
 func (s *System) stepOverload(now sim.Time) {
 	if s.mon == nil {
 		// No monitor, no burn-rate signal: the brownout ladder stays put, but
 		// deadline-aware admission and the reaper still work off estimates.
 		return
 	}
-	st := s.mon.FleetAlert()
-	fast, _, _ := s.mon.FleetBurnRates()
-	hot := st >= slomon.AlertWarn
 	queued, alive := s.queuedPrefillLoad()
-	deep := alive > 0 && queued > escalateBacklog*s.cfg.MaxGroupSize*alive
+	sig, deep := OverloadSignals(s.mon, queued, escalateBacklog*s.cfg.MaxGroupSize*alive)
 	ctl := s.cfg.Overload
 	before := ctl.Level()
-	after := ctl.Step(now, overload.Signals{
-		Page:     st == slomon.AlertPage && deep,
-		Warn:     hot && queued > 0,
-		FastBurn: fast,
-	})
+	after := ctl.Step(now, sig)
 	if j := s.dec; j != nil && after != before {
 		j.Record(decision.Record{At: now, Kind: decision.KindOverload,
 			Outcome: after.String(), Reason: before.String() + " -> " + after.String(),
 			Inputs: []decision.Term{
-				decision.BoolTerm("page", st == slomon.AlertPage && deep),
-				decision.BoolTerm("warn", hot && queued > 0),
-				{Name: "fast_burn", Value: fast},
+				decision.BoolTerm("page", sig.Page),
+				decision.BoolTerm("warn", sig.Warn),
+				{Name: "fast_burn", Value: sig.FastBurn},
 				{Name: "queued", Value: float64(queued)},
 				{Name: "alive", Value: float64(alive)},
 				decision.BoolTerm("deep_backlog", deep),

@@ -160,11 +160,11 @@ func TestPrefixCrashDropsDeviceAndReleasesPins(t *testing.T) {
 	// Crash whichever prefill instance served the session, right as turn 2
 	// arrives (its routed dispatch may be in flight on the dead instance).
 	se.At(80*time.Second+time.Millisecond, func() {
-		idx := 0
+		name := "prefill0"
 		if sys.prefills[1].eng.Stats().PrefixReuses > 0 {
-			idx = 1
+			name = "prefill1"
 		}
-		if _, err := sys.FailPrefillInstance(idx); err != nil {
+		if _, _, err := failInstance(sys, name); err != nil {
 			t.Errorf("crash: %v", err)
 		}
 	})

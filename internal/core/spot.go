@@ -27,7 +27,7 @@ import (
 //   - spot-naive: no advance action. Everything GPU-resident at the deadline
 //     is lost and recovers through the crash path (full context recompute).
 //
-// Either way the revocation itself reuses CrashInstanceNamed, so a missed
+// Either way the revocation itself reuses CrashInstance, so a missed
 // evacuation deadline degrades gracefully into the existing recovery
 // machinery rather than a distinct failure mode.
 
@@ -68,7 +68,7 @@ func (s *System) ReclaimInstance(name string, grace sim.Time) error {
 // window ends.
 func (s *System) ThrottleInstance(name string, factor float64, d sim.Time) error {
 	var e *engine.Engine
-	switch pi, di, _ := s.instanceNamed(name); {
+	switch pi, di := s.instanceNamed(name); {
 	case pi != nil:
 		e = pi.eng
 	case di != nil:
@@ -93,7 +93,7 @@ func (s *System) ThrottleInstance(name string, factor float64, d sim.Time) error
 
 // evacuateInstance starts the aware-mode drain of a noticed instance.
 func (s *System) evacuateInstance(name string) {
-	switch p, d, _ := s.instanceNamed(name); {
+	switch p, d := s.instanceNamed(name); {
 	case p != nil:
 		s.evacuatePrefill(p)
 	case d != nil:
@@ -310,7 +310,7 @@ func (s *System) revokeInstance(name string) {
 				{Name: "straggler_requests", Value: float64(len(ids))},
 			}})
 	}
-	if err := s.CrashInstanceNamed(name); err != nil {
+	if err := s.CrashInstance(name); err != nil {
 		return
 	}
 	mkt.Revoked(name)
@@ -332,7 +332,7 @@ func (s *System) EvacuatingRequests() int {
 // ownedRequests lists the live requests of the named instance (queued,
 // batched, or in flight).
 func (s *System) ownedRequests(name string) []*Request {
-	switch p, d, _ := s.instanceNamed(name); {
+	switch p, d := s.instanceNamed(name); {
 	case p != nil:
 		return p.owned()
 	case d != nil:

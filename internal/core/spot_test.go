@@ -51,8 +51,8 @@ func TestReclaimAwareEvacuation(t *testing.T) {
 	se.Run()
 	sys.Finalize(se.Now())
 
-	if sys.AliveDecodeInstances() != 2 {
-		t.Fatalf("alive decode instances = %d", sys.AliveDecodeInstances())
+	if n := aliveInstances(sys, "decode"); n != 2 {
+		t.Fatalf("alive decode instances = %d", n)
 	}
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d/%d after reclaim", sys.Completed(), len(trace))
@@ -133,18 +133,28 @@ func TestReclaimUnknownAndDoubleNotice(t *testing.T) {
 	se.Run()
 }
 
+// marketDevice returns the named device's state in a market snapshot.
+func marketDevice(mkt *market.Market, now sim.Time, name string) market.DeviceState {
+	for _, d := range mkt.Snapshot(now, nil).Devices {
+		if d.Device == name {
+			return d
+		}
+	}
+	return market.DeviceState{}
+}
+
 func TestThrottleInstanceSlowsAndClears(t *testing.T) {
 	sys, se, trace, mkt := spotFixture(t, "H800", true)
 	se.At(20*time.Second, func() {
 		if err := sys.ThrottleInstance("decode0", 4.0, 30*time.Second); err != nil {
 			t.Error(err)
 		}
-		if f := mkt.ThrottleFactor("decode0"); f != 4.0 {
+		if f := marketDevice(mkt, se.Now(), "decode0").ThrottleFactor; f != 4.0 {
 			t.Errorf("throttle factor = %v during window", f)
 		}
 	})
 	se.At(55*time.Second, func() {
-		if f := mkt.ThrottleFactor("decode0"); f != 1 {
+		if f := marketDevice(mkt, se.Now(), "decode0").ThrottleFactor; f != 0 {
 			t.Errorf("throttle factor = %v after window", f)
 		}
 	})
@@ -161,7 +171,7 @@ func TestHeterogeneousClassGeometry(t *testing.T) {
 	sys, se, trace, mkt := spotFixture(t, "H800,A10", true)
 	classes := map[string]string{}
 	for _, name := range sys.InstanceNames() {
-		classes[name] = mkt.ClassFor(name).Name
+		classes[name] = marketDevice(mkt, se.Now(), name).Class
 	}
 	// Round-robin over pool-build order: prefill0, decode0, decode1, decode2.
 	want := map[string]string{"prefill0": "H800", "decode0": "A10", "decode1": "H800", "decode2": "A10"}

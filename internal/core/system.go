@@ -998,12 +998,6 @@ func (s *System) Completed() int { return s.completed }
 // FailedRequests returns the number of cleanly rejected requests.
 func (s *System) FailedRequests() int { return s.failed }
 
-// AbortedRequests returns the number of client-cancelled requests.
-func (s *System) AbortedRequests() int { return s.aborted }
-
-// Faults exposes the system's fault-injection state (nil when not faulted).
-func (s *System) Faults() *fault.Faults { return s.cfg.Faults }
-
 // Requests returns all submitted requests (live view).
 func (s *System) Requests() []*Request { return s.requests }
 
@@ -1077,24 +1071,11 @@ func (s *System) OverloadSheds() map[string]int {
 	return out
 }
 
-// Overload exposes the brownout controller (nil when overload control is
-// off).
-func (s *System) Overload() *overload.Controller { return s.cfg.Overload }
-
 // Tracker exposes the SLO tracker.
 func (s *System) Tracker() *slo.Tracker { return s.tracker }
 
 // Monitor exposes the live SLO monitor (nil when monitoring is off).
 func (s *System) Monitor() *slomon.Monitor { return s.mon }
-
-// Fleet exposes the fleet utilization ledger (nil when accounting is off).
-func (s *System) Fleet() *fleetobs.Ledger { return s.fleet }
-
-// Market exposes the spot-market model (nil when the market is off).
-func (s *System) Market() *market.Market { return s.cfg.Market }
-
-// Decisions exposes the decision-provenance journal (nil when off).
-func (s *System) Decisions() *decision.Journal { return s.dec }
 
 // Breakdown exposes the latency breakdown (call Finalize first).
 func (s *System) Breakdown() *metrics.Breakdown { return s.breakdown }

@@ -147,10 +147,6 @@ func New(Options) *Journal {
 	}
 }
 
-// Enabled reports whether the journal is live (non-nil). Call sites use the
-// nil check directly so the disabled path never builds record slices.
-func (j *Journal) Enabled() bool { return j != nil }
-
 // Record journals one decision: assigns its sequence number, pushes it into
 // the ring, bumps the kind/outcome counter, and appends it to the chain of
 // every linked request.

@@ -261,7 +261,7 @@ func TestNilJournalSafe(t *testing.T) {
 	if j.Chain("r1") != nil || j.Recent(5, "") != nil || j.Counts() != nil {
 		t.Fatal("nil journal returned data")
 	}
-	if j.Total() != 0 || j.TrackedRequests() != 0 || j.Enabled() {
+	if j.Total() != 0 || j.TrackedRequests() != 0 {
 		t.Fatal("nil journal not inert")
 	}
 	if v := j.CheckCoverage([]RequestState{{"r1", OutcomeDone}}); v != nil {

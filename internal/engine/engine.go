@@ -198,7 +198,7 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 		e.residents = map[string]*resident{}
 	}
 	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, KVSlabBytes, cfg.BlockTokens)
-	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV, 0) // reclaim on completion, no daemon poll
+	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV)
 	e.kv.SetFaults(cfg.Faults, name, cfg.Obs)
 	cfg.Obs.ObserveDevice(dev)
 	cfg.Fleet.ObserveDevice(dev)
@@ -453,17 +453,6 @@ func (e *Engine) CostFor(id model.ID) *latency.CostModel {
 	c := latency.NewCostModel(e.cfg.Prof, e.model(id), e.cfg.TP)
 	e.costs[id] = c
 	return c
-}
-
-// SwitchEstimate returns the scheduler's model-switch latency estimate
-// (Appendix A.2, Eq. 4), including reinitialization when components are not
-// reused. The estimate ignores prefetch (the scheduler treats prefetch wins
-// as bonus).
-func (e *Engine) SwitchEstimate(id model.ID) time.Duration {
-	if e.current != nil && e.curID == id {
-		return 0
-	}
-	return e.SwitchCost(id)
 }
 
 // SwitchCost returns the Eq. 4-based cost of scaling up model id on this engine,
@@ -795,9 +784,6 @@ func (e *Engine) prefetchColocated(id model.ID, m *model.Model) bool {
 	r.loading = e.prefetch.Record()
 	return true
 }
-
-// Prefetched returns the model currently prefetched (nil if none).
-func (e *Engine) Prefetched() *model.Model { return e.prefetched }
 
 // Prefill executes one prefill job (batch size 1, §4.2) for the current
 // model and fires done on completion.

@@ -58,7 +58,7 @@ func TestFetchRetryRecoversAfterWindow(t *testing.T) {
 	if e.Stats().CacheMisses != 1 {
 		t.Fatalf("cache misses = %d, want 1 (retries must not re-count)", e.Stats().CacheMisses)
 	}
-	if !h.cache.Peek(m7.Name) {
+	if !h.cache.Contains(m7.Name) {
 		t.Fatal("fetched model not inserted into cache after recovery")
 	}
 }

@@ -202,7 +202,7 @@ func TestStalePrefetchDropped(t *testing.T) {
 	if e.Stats().PrefetchHits != 0 {
 		t.Fatal("stale prefetch counted as hit")
 	}
-	if e.Prefetched() != nil {
+	if e.prefetched != nil {
 		t.Fatal("stale prefetch not dropped")
 	}
 	if e.Current().Name != m13.Name {
@@ -228,7 +228,7 @@ func TestCacheMissFetchesFromRegistry(t *testing.T) {
 		t.Fatalf("cache misses = %d", e.Stats().CacheMisses)
 	}
 	// Second engine hits the now-populated cache.
-	if !h.cache.Peek(m7.Name) {
+	if !h.cache.Contains(m7.Name) {
 		t.Fatal("fetched model not inserted into cache")
 	}
 }
@@ -373,7 +373,7 @@ func TestChunkedLoadInterleavesDMA(t *testing.T) {
 		started = true
 		loadStart = h.sim.Now()
 		h.sim.After(time.Millisecond, func() {
-			kvStream.Submit(gpu.H2D, 10*time.Millisecond, func() { kvDone = h.sim.Now() })
+			kvStream.SubmitOp(gpu.H2D, 10*time.Millisecond, gpu.OpInfo{}, func() { kvDone = h.sim.Now() })
 		})
 	})
 	e.SwitchTo(e.Models().Add(m13), func() { switched = h.sim.Now() })
@@ -437,7 +437,7 @@ func TestPrefetchWhileSwitchingRefused(t *testing.T) {
 	if e.StartPrefetch(e.Models().Add(yi)) {
 		// Already prefetched Yi: StartPrefetch reports true only for the
 		// same model, which is correct.
-		if e.Prefetched() == nil || e.Prefetched().Name != yi.Name {
+		if e.prefetched == nil || e.prefetched.Name != yi.Name {
 			t.Fatal("prefetch state inconsistent")
 		}
 	}

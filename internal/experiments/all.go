@@ -53,14 +53,6 @@ func Registry() []registryEntry {
 	}
 }
 
-// All runs every experiment whose ID starts with filter (empty = all), in
-// paper order. Filtered-out experiments are not executed.
-func All(o Options, filter string) []Table {
-	var out []Table
-	Run(o, filter, func(t Table) { out = append(out, t) })
-	return out
-}
-
 // Run streams experiment tables through emit as they complete, so callers
 // can print progressively during long suites.
 func Run(o Options, filter string, emit func(Table)) {

@@ -192,7 +192,8 @@ func TestAblationOptimizationsOrdering(t *testing.T) {
 }
 
 func TestRegistryFiltering(t *testing.T) {
-	got := All(tinyOptions(), "Table 1")
+	var got []Table
+	Run(tinyOptions(), "Table 1", func(t Table) { got = append(got, t) })
 	if len(got) != 1 || got[0].ID != "Table 1" {
 		t.Fatalf("filter returned %d tables", len(got))
 	}

@@ -56,13 +56,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 
-// SetClock replaces the time source (tests only).
-func (b *Breaker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	b.now = now
-	b.mu.Unlock()
-}
-
 // Allow reports whether a request may proceed. When it returns false,
 // retryAfter is the suggested client wait (the remaining cooldown, floored
 // at one second for header friendliness).

@@ -152,11 +152,10 @@ func (r *recordSurface) Crash(t string) error {
 	r.calls++
 	return nil
 }
-func (r *recordSurface) FailTransfers(string, sim.Time) error { r.calls++; return nil }
-func (r *recordSurface) FailFetch(string, sim.Time) error     { r.calls++; return nil }
-func (r *recordSurface) SlowFetch(float64, sim.Time) error    { r.calls++; return nil }
-func (r *recordSurface) PartitionStore(sim.Time) error        { r.calls++; return nil }
-func (r *recordSurface) SlowStore(float64, sim.Time) error    { r.calls++; return nil }
+func (r *recordSurface) Reclaim(string, sim.Time) error           { r.calls++; return nil }
+func (r *recordSurface) Throttle(string, float64, sim.Time) error { r.calls++; return nil }
+func (r *recordSurface) PartitionStore(sim.Time) error            { r.calls++; return nil }
+func (r *recordSurface) SlowStore(float64, sim.Time) error        { r.calls++; return nil }
 
 func TestInjectorReplaysSchedule(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -165,14 +164,37 @@ func TestInjectorReplaysSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rs recordSurface
-	in := NewInjector(eng, &rs, sched)
+	f := New(eng, 1)
+	in := NewInjector(eng, &rs, f, sched)
 	in.Arm()
+	eng.At(1500*time.Millisecond, func() {
+		if !f.TransferFailing("decode0") || f.TransferFailing("decode1") {
+			t.Error("xfer fault did not open its window on decode0 alone")
+		}
+	})
 	eng.Run()
-	if rs.calls != 3 || in.Injected() != 3 || len(in.Errors()) != 0 {
+	if rs.calls != 2 || in.Injected() != 3 || len(in.Errors()) != 0 {
 		t.Fatalf("calls=%d injected=%d errs=%v", rs.calls, in.Injected(), in.Errors())
 	}
 	if len(rs.crashed) != 1 || rs.crashed[0] != "decode1" {
 		t.Fatalf("crashed = %v", rs.crashed)
+	}
+}
+
+// Without fault state the runtime-window kinds cannot inject: each is an
+// error, and the surface kinds still fire.
+func TestInjectorWithoutFaultsRejectsWindows(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sched, err := ParseSpec("xfer@1s+2s,fetchfail@1s,fetchslow@1s,crash@2s:decode0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs recordSurface
+	in := NewInjector(eng, &rs, nil, sched)
+	in.Arm()
+	eng.Run()
+	if in.Injected() != 1 || len(in.Errors()) != 3 || rs.calls != 1 {
+		t.Fatalf("injected=%d calls=%d errs=%v", in.Injected(), rs.calls, in.Errors())
 	}
 }
 
@@ -197,7 +219,7 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 func TestBreaker(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(3, 5*time.Second)
-	b.SetClock(func() time.Time { return now })
+	b.now = func() time.Time { return now }
 
 	if ok, _ := b.Allow(); !ok {
 		t.Fatal("closed breaker rejected")

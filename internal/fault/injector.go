@@ -6,49 +6,42 @@ import (
 	"aegaeon/internal/sim"
 )
 
-// Surface is what an Injector drives: the seam between a fault schedule and
-// the component that can actually make the failure happen. The cluster proxy
-// implements the full interface; narrower harnesses may return an error from
-// the operations they cannot model.
+// Surface is what an Injector drives for the fault kinds that need an
+// instance or the metadata store: the seam between a fault schedule and the
+// component that can actually make the failure happen. The runtime windows
+// (xfer, fetchfail, fetchslow) need neither; the injector opens them on its
+// *Faults directly. A surface that cannot model a kind returns an error.
 type Surface interface {
 	// Crash fail-stops the named instance (e.g. "decode1", "prefill0").
 	Crash(target string) error
-	// FailTransfers poisons KV transfers on target ("" = all) for d.
-	FailTransfers(target string, d sim.Time) error
-	// FailFetch makes remote fetches of model ("" = all) fail for d.
-	FailFetch(model string, d sim.Time) error
-	// SlowFetch multiplies remote fetch latency by factor for d.
-	SlowFetch(factor float64, d sim.Time) error
+	// Reclaim delivers a spot preemption notice for the device: grace to
+	// evacuate, then hard revocation.
+	Reclaim(target string, grace sim.Time) error
+	// Throttle slows the device's compute by factor for d.
+	Throttle(target string, factor float64, d sim.Time) error
 	// PartitionStore makes the metadata store unreachable for d.
 	PartitionStore(d sim.Time) error
 	// SlowStore multiplies metadata store RTT by factor for d.
 	SlowStore(factor float64, d sim.Time) error
 }
 
-// SpotSurface is the optional extension surfaces implement to accept the
-// spot-market fault kinds. The injector type-asserts for it when a reclaim
-// or throttle fault fires; surfaces without it reject those kinds.
-type SpotSurface interface {
-	// Reclaim delivers a spot preemption notice for the device: grace to
-	// evacuate, then hard revocation.
-	Reclaim(target string, grace sim.Time) error
-	// Throttle slows the device's compute by factor for d.
-	Throttle(target string, factor float64, d sim.Time) error
-}
-
-// Injector replays a fault schedule against a Surface on the sim clock.
+// Injector replays a fault schedule against a Surface and a *Faults on the
+// sim clock.
 type Injector struct {
 	eng      *sim.Engine
 	surface  Surface
+	faults   *Faults
 	sched    []Fault
 	injected int
 	errs     []error
 }
 
-// NewInjector binds a schedule to a surface. Arm must be called (before or
-// during the run) to schedule the injections.
-func NewInjector(eng *sim.Engine, surface Surface, sched []Fault) *Injector {
-	return &Injector{eng: eng, surface: surface, sched: sched}
+// NewInjector binds a schedule to a surface and the fault runtime the
+// surface's components read; a nil faults makes every runtime-window kind
+// an injection error. Arm must be called (before or during the run) to
+// schedule the injections.
+func NewInjector(eng *sim.Engine, surface Surface, faults *Faults, sched []Fault) *Injector {
+	return &Injector{eng: eng, surface: surface, faults: faults, sched: sched}
 }
 
 // Arm schedules every fault at its virtual time. Faults whose time is
@@ -69,28 +62,16 @@ func (in *Injector) fire(f Fault) {
 	switch f.Kind {
 	case KindCrash:
 		err = in.surface.Crash(f.Target)
-	case KindTransfer:
-		err = in.surface.FailTransfers(f.Target, f.Duration)
-	case KindFetchFail:
-		err = in.surface.FailFetch(f.Target, f.Duration)
-	case KindFetchSlow:
-		err = in.surface.SlowFetch(f.Factor, f.Duration)
+	case KindTransfer, KindFetchFail, KindFetchSlow:
+		err = in.openWindow(f)
 	case KindPartition:
 		err = in.surface.PartitionStore(f.Duration)
 	case KindStoreSlow:
 		err = in.surface.SlowStore(f.Factor, f.Duration)
 	case KindReclaim:
-		if ss, ok := in.surface.(SpotSurface); ok {
-			err = ss.Reclaim(f.Target, f.Duration)
-		} else {
-			err = fmt.Errorf("surface does not support spot faults")
-		}
+		err = in.surface.Reclaim(f.Target, f.Duration)
 	case KindThrottle:
-		if ss, ok := in.surface.(SpotSurface); ok {
-			err = ss.Throttle(f.Target, f.Factor, f.Duration)
-		} else {
-			err = fmt.Errorf("surface does not support spot faults")
-		}
+		err = in.surface.Throttle(f.Target, f.Factor, f.Duration)
 	default:
 		err = fmt.Errorf("fault: unknown kind %q", f.Kind)
 	}
@@ -99,6 +80,22 @@ func (in *Injector) fire(f Fault) {
 		return
 	}
 	in.injected++
+}
+
+// openWindow opens a runtime fault window on the injector's *Faults.
+func (in *Injector) openWindow(f Fault) error {
+	if in.faults == nil {
+		return fmt.Errorf("no fault state configured")
+	}
+	switch f.Kind {
+	case KindTransfer:
+		in.faults.FailTransfers(f.Target, f.Duration)
+	case KindFetchFail:
+		in.faults.FailFetch(f.Target, f.Duration)
+	case KindFetchSlow:
+		in.faults.SlowFetch(f.Factor, f.Duration)
+	}
+	return nil
 }
 
 // Injected returns how many faults fired successfully so far.

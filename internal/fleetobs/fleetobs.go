@@ -259,9 +259,6 @@ func New(eng *sim.Engine) *Ledger {
 	return &Ledger{eng: eng, devices: map[string]*devLedger{}}
 }
 
-// Enabled reports whether the ledger is live (non-nil).
-func (l *Ledger) Enabled() bool { return l != nil }
-
 func (l *Ledger) register(name string) *devLedger {
 	d, ok := l.devices[name]
 	if !ok {
@@ -276,17 +273,6 @@ func (l *Ledger) register(name string) *devLedger {
 		l.order = append(l.order, name)
 	}
 	return d
-}
-
-// Register adds a device by name without attaching occupancy capture (used
-// by tests and by layers that only report host-side states for it).
-func (l *Ledger) Register(name string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.register(name)
 }
 
 // ObserveDevice registers the device in the ledger and attaches occupancy
@@ -489,16 +475,6 @@ func (l *Ledger) SetRate(device string, dollarsPerHour float64) {
 	d.costAccum += (now - d.rateSince).Hours() * d.rate
 	d.rateSince = now
 	d.rate = dollarsPerHour
-}
-
-// Devices returns the registered device names in registration order.
-func (l *Ledger) Devices() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.order...)
 }
 
 // wall and partition of one device at instant now, including the open

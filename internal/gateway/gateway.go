@@ -106,19 +106,12 @@ const (
 // OverloadOptions tunes the gateway side of overload control. Predictive
 // admission defends the cluster's own TTFT target.
 type OverloadOptions struct {
-	// Controller is the brownout state machine (created if nil). The
-	// gateway's wall-clock loop steps it from the SLO monitor's fleet alert;
-	// sharing it with the cluster lets the scheduler see the same level.
-	Controller *overload.Controller
 	// RetryRatio is the retry-budget deposit per fresh request (default
 	// 0.1: retries may be at most ~10% of fresh traffic in steady state).
 	RetryRatio float64
 }
 
 func (o *OverloadOptions) defaults() {
-	if o.Controller == nil {
-		o.Controller = overload.NewController()
-	}
 	if o.RetryRatio <= 0 {
 		o.RetryRatio = 0.1
 	}
@@ -173,8 +166,11 @@ type Gateway struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	// Overload-control state (all but ttftTarget and brownStop guarded by
-	// mu). ttftTarget is the cluster's TTFT SLO.
+	// Overload-control state (all but ctl, ttftTarget and brownStop guarded
+	// by mu). ctl is the cluster's brownout controller, shared with the
+	// scheduler so the edge and the core degrade on one level; ttftTarget is
+	// the cluster's TTFT SLO.
+	ctl            *overload.Controller
 	ttftTarget     time.Duration
 	queuedPrio     [workload.NumPriorities]int // indexed by Priority.Rank()
 	tput           float64                     // prefill tokens/s EWMA for the TTFT estimator
@@ -220,6 +216,9 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 		tbtHist:  metrics.NewHistogram(metrics.ExponentialBounds(0.0025, 2, 12)...),
 	}
 	if ov := opts.Overload; ov != nil {
+		if g.ctl = cl.Overload(); g.ctl == nil {
+			panic("gateway: edge overload control needs a cluster built with an overload controller")
+		}
 		g.ttftTarget = cl.SLO().TTFT
 		g.tput = throughputFloor
 		g.switchEst = switchCostHint
@@ -236,17 +235,17 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 // brownout controller loop.
 func (g *Gateway) Start() {
 	g.drv.Start()
-	if ov := g.opts.Overload; ov != nil {
-		go g.brownoutLoop(ov)
+	if g.opts.Overload != nil {
+		go g.brownoutLoop()
 	}
 }
 
-// brownoutLoop steps the brownout controller on the wall clock from the SLO
-// monitor's fleet alert and burn-rate state, so the level escalates and
-// recovers even when no admissions arrive to step it. Virtual time comes
-// from the event loop (a Call), keeping controller hysteresis in the same
-// clock domain as the scheduler's admission-path steps.
-func (g *Gateway) brownoutLoop(ov *OverloadOptions) {
+// brownoutLoop steps the cluster's brownout controller on the wall clock,
+// so the level escalates and recovers even when no admissions arrive to
+// step it. The step runs on the event loop (a Call), keeping controller
+// hysteresis in the same clock domain as the scheduler's admission-path
+// steps, and under the same signal rule.
+func (g *Gateway) brownoutLoop() {
 	tick := time.NewTicker(200 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -254,17 +253,9 @@ func (g *Gateway) brownoutLoop(ov *OverloadOptions) {
 		case <-g.brownStop:
 			return
 		case <-tick.C:
-			st := g.opts.SLOMon.FleetAlert()
-			fast, _, _ := g.opts.SLOMon.FleetBurnRates()
-			var now sim.Time
-			if err := g.drv.Call(func() { now = g.cl.VirtualNow() }); err != nil {
+			if err := g.drv.Call(g.cl.StepOverload); err != nil {
 				return // driver stopped
 			}
-			ov.Controller.Step(now, overload.Signals{
-				Page:     st == slomon.AlertPage,
-				Warn:     st >= slomon.AlertWarn,
-				FastBurn: fast,
-			})
 		}
 	}
 }
@@ -425,20 +416,6 @@ func (g *Gateway) closeDrained() {
 	g.drainOnce.Do(func() { close(g.drained) })
 }
 
-// InFlight returns the number of admitted, unfinished requests.
-func (g *Gateway) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}
-
-// Admitted returns the total number of requests ever admitted.
-func (g *Gateway) Admitted() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted
-}
-
 // breakerFor returns model's circuit breaker, creating it closed. Must be
 // called with g.mu held.
 func (g *Gateway) breakerFor(model string) *fault.Breaker {
@@ -484,7 +461,7 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 		if ov != nil {
 			// Brownout-level policy first: the controller's word overrides
 			// per-model heuristics.
-			ctl := ov.Controller
+			ctl := g.ctl
 			switch {
 			case ctl.AdmitNone():
 				code, reason = http.StatusServiceUnavailable, "admit_none"
@@ -572,12 +549,12 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		{Name: "priority", Value: float64(prio)},
 		{Name: "input_tokens", Value: float64(inTok)},
 	}
-	if ov := g.opts.Overload; ov != nil {
+	if g.opts.Overload != nil {
 		inputs = append(inputs,
 			decision.NsTerm("switch_est", sim.Time(g.switchEst)),
 			decision.Term{Name: "tput_tokens_per_s", Value: g.tput},
 			decision.NsTerm("ttft_target", sim.Time(g.ttftTarget)),
-			decision.Term{Name: "overload_level", Value: float64(ov.Controller.Level())},
+			decision.Term{Name: "overload_level", Value: float64(g.ctl.Level())},
 		)
 		if estTTFT > 0 {
 			inputs = append(inputs, decision.NsTerm("ttft_estimate", sim.Time(estTTFT)))
@@ -823,11 +800,11 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		outTok = 64
 	}
 	outTok = min(outTok, maxTokensCap)
-	if ov := g.opts.Overload; ov != nil {
+	if g.opts.Overload != nil {
 		// Brownout decode shrinking is applied here, before the stream is
 		// set up, so the client is promised exactly the tokens the core
 		// will produce.
-		outTok = ov.Controller.OutputCap(outTok)
+		outTok = g.ctl.OutputCap(outTok)
 	}
 	inTok := req.InputTokens
 	if inTok <= 0 {

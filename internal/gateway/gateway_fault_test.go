@@ -56,7 +56,11 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 		t.Fatalf("aborted = %d, want 1", aborted)
 	}
 	var live int
-	if err := gw.drv.Call(func() { live = gw.cl.LiveInFlight() }); err != nil {
+	if err := gw.drv.Call(func() {
+		for _, d := range gw.cl.Deployments() {
+			live += d.System.LiveInFlight()
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if live != 0 {
@@ -116,7 +120,7 @@ func TestMidStreamCrashYieldsGapFreeStream(t *testing.T) {
 		if !crashed && chunk.TokenIndex >= 5 {
 			crashed = true
 			if perr := gw.drv.Post(func() {
-				if err := gw.cl.CrashInstance("live/decode0"); err != nil {
+				if err := gw.cl.Crash("live/decode0"); err != nil {
 					t.Error(err)
 				}
 			}); perr != nil {
@@ -168,7 +172,7 @@ func TestBreakerOpensAfterPartitionLoss(t *testing.T) {
 	gw, names := newGateway(t, assemble.Spec{}, testCluster{prefill: 1, decode: 1, faultSeed: 11}, Options{Speedup: 5000})
 	defer gw.Shutdown(context.Background())
 	if err := gw.drv.Post(func() {
-		if err := gw.cl.CrashInstance("live/decode0"); err != nil {
+		if err := gw.cl.Crash("live/decode0"); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {

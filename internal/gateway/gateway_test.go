@@ -18,6 +18,7 @@ import (
 	"aegaeon/internal/fault"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
+	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
 )
@@ -35,6 +36,9 @@ type testCluster struct {
 	// accelerate runs the driver un-paced from virtual time zero, so token
 	// times depend only on the seed, not on the wall clock.
 	accelerate bool
+	// ctl, when set, is the cluster's brownout controller. With edge
+	// overload on and no controller from spec, the cluster gets a fresh one.
+	ctl *overload.Controller
 }
 
 // newGateway starts a gateway over a cluster shaped by tc and carrying the
@@ -72,6 +76,11 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 		}},
 	}
 	parts.Cluster(&cfg)
+	if tc.ctl != nil {
+		cfg.Overload = tc.ctl
+	} else if opts.Overload != nil && cfg.Overload == nil {
+		cfg.Overload = overload.NewController()
+	}
 	cl, err := cluster.New(se, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 // transition history, the predictive estimator's live inputs, the retry
 // budget, and rejection counts by overload reason.
 func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
-	ov := g.opts.Overload
 	g.mu.Lock()
 	est := EstimateTTFT(g.depthAtLocked(0), g.switchEst, g.tput, 150, core.DefaultMaxGroupSize)
 	estimator := map[string]any{
@@ -36,7 +35,7 @@ func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"controller":   ov.Controller.Snapshot(),
+		"controller":   g.ctl.Snapshot(),
 		"estimator":    estimator,
 		"retry_budget": budget,
 		"rejected":     rejected,
@@ -56,8 +55,8 @@ func (g *Gateway) depthAtLocked(rank int) int {
 // overloadLevel returns the controller's numeric level for /metrics (0 when
 // overload control is off).
 func (g *Gateway) overloadLevel() int {
-	if g.opts.Overload == nil {
+	if g.ctl == nil {
 		return 0
 	}
-	return int(g.opts.Overload.Controller.Level())
+	return int(g.ctl.Level())
 }

@@ -14,6 +14,7 @@ import (
 	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
+	"aegaeon/internal/slomon"
 	"aegaeon/internal/workload"
 )
 
@@ -138,9 +139,9 @@ func TestEstimatorProperties(t *testing.T) {
 // each with the right typed reason and a counted overload rejection.
 func TestAdmissionBrownoutLevels(t *testing.T) {
 	newGW := func(ctl *overload.Controller) (*Gateway, []string) {
-		return newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
+		return newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: ctl}, Options{
 			Speedup:  50000,
-			Overload: &OverloadOptions{Controller: ctl},
+			Overload: &OverloadOptions{},
 		})
 	}
 
@@ -182,6 +183,36 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		}
 		gw.releaseAdmission(names[0], workload.PriorityNormal)
 	})
+}
+
+// TestBrownoutTickHoldsOnEmptyQueues checks that the wall-clock brownout
+// tick steps the controller under the scheduler's signal rule: with the
+// fleet alert paging but every prefill queue empty, the misses are echoes of
+// past sheds, not current load, so a tick must leave the level at normal.
+func TestBrownoutTickHoldsOnEmptyQueues(t *testing.T) {
+	gw, _ := newGateway(t, assemble.Spec{Overload: true}, testCluster{slo: hourTTFT}, Options{
+		Speedup:  50000,
+		Overload: &OverloadOptions{},
+	})
+	defer gw.Shutdown(context.Background())
+	mon := gw.opts.SLOMon
+	// A minute of tokens, every one past its deadline.
+	obs := make([]slomon.TokenObs, 600)
+	for i := range obs {
+		obs[i] = slomon.TokenObs{Model: 1, Request: "r0", Index: i, At: sim.Time(i+1) * 100 * time.Millisecond}
+	}
+	if err := gw.drv.Call(func() { mon.ObserveTokens(obs) }); err != nil {
+		t.Fatal(err)
+	}
+	if st := mon.FleetAlert(); st != slomon.AlertPage {
+		t.Fatalf("fleet alert = %v, want page", st)
+	}
+	if err := gw.drv.Call(gw.cl.StepOverload); err != nil {
+		t.Fatal(err)
+	}
+	if lvl := gw.cl.Overload().Level(); lvl != overload.LevelNormal {
+		t.Fatalf("level after a tick with empty queues = %v, want normal", lvl)
+	}
 }
 
 // TestPredictiveRejection forces the TTFT estimate over an impossible target

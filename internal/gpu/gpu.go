@@ -328,22 +328,6 @@ type Stream struct {
 	run     *op    // the run executing at the head; nil when none is
 }
 
-// Name returns the stream's diagnostic name.
-func (s *Stream) Name() string { return s.name }
-
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
-
-// Submit enqueues an unlabelled operation occupying engine k for dur.
-// onDone callbacks (optional) fire in order when the operation completes.
-// To get an event for the operation's completion, call Record right after
-// Submit: streams are FIFO, so the marker fires as soon as this operation
-// retires, before the stream's next operation starts and at the same
-// virtual time.
-func (s *Stream) Submit(k EngineKind, dur time.Duration, onDone ...func()) {
-	s.SubmitOp(k, dur, OpInfo{}, onDone...)
-}
-
 // SubmitOp is Submit with full op attribution (kind, model and request) for
 // the device timeline and the fleet ledger's classification.
 func (s *Stream) SubmitOp(k EngineKind, dur time.Duration, info OpInfo, onDone ...func()) {
@@ -698,12 +682,6 @@ type Event struct {
 	at      sim.Time
 	first   func()
 	waiters []func()
-}
-
-// NewCompletedEvent returns an event that is already complete — useful as a
-// neutral dependency.
-func NewCompletedEvent(eng *sim.Engine) *Event {
-	return &Event{eng: eng, done: true, at: eng.Now()}
 }
 
 // Query reports completion (cudaEventQuery).

@@ -98,16 +98,6 @@ func (c *Cache) MaxTokens(class memory.ClassID) int64 {
 	return slabs * perSlab * int64(c.blockTokens)
 }
 
-// FreeTokensAvailable estimates how many more tokens of the class can be
-// allocated right now.
-func (c *Cache) FreeTokensAvailable(class memory.ClassID) int64 {
-	n, err := c.pool.FreeBlocksAvailable(class)
-	if err != nil {
-		return 0
-	}
-	return int64(n) * int64(c.blockTokens)
-}
-
 // Pool exposes the underlying slab pool (for fragmentation statistics).
 func (c *Cache) Pool() *memory.SlabPool { return c.pool }
 
@@ -298,7 +288,6 @@ type Manager struct {
 
 	kvIn, kvOut *gpu.Stream
 
-	moveList  *MoveList
 	stats     Stats
 	ctrlDelay time.Duration // per control operation (index/event bookkeeping)
 
@@ -330,7 +319,7 @@ type Stats struct {
 }
 
 // NewManager builds a transfer manager for dev, using the shared CPU cache.
-func NewManager(dev *gpu.Device, prof *latency.Profile, gpuCache, cpuCache *Cache, daemonPoll time.Duration) *Manager {
+func NewManager(dev *gpu.Device, prof *latency.Profile, gpuCache, cpuCache *Cache) *Manager {
 	m := &Manager{
 		eng:       dev.Sim(),
 		dev:       dev,
@@ -341,7 +330,6 @@ func NewManager(dev *gpu.Device, prof *latency.Profile, gpuCache, cpuCache *Cach
 		kvOut:     dev.NewStream("kv-out"),
 		ctrlDelay: 20 * time.Microsecond,
 	}
-	m.moveList = NewMoveList(dev.Sim(), cpuCache, daemonPoll)
 	return m
 }
 
@@ -375,9 +363,6 @@ func (m *Manager) NoteKV() {
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// MoveListLen returns the number of CPU blocks awaiting daemon reclamation.
-func (m *Manager) MoveListLen() int { return m.moveList.Len() }
 
 func (m *Manager) control(n int) {
 	m.stats.ControlOps += uint64(n)
@@ -564,12 +549,9 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 		ev := m.kvIn.Record()
 		// Rule ❸: the CPU copies become garbage once read, but they must not be
 		// reallocated until the read completes. Park them in the move list.
-		for _, b := range cpuBlocks {
-			if err := m.CPUCache.pool.FreeBlocked(b); err != nil {
-				panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
-			}
+		if err := m.park(cpuBlocks, ev); err != nil {
+			panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
 		}
-		m.moveList.Add(cpuBlocks, ev)
 		seq.gpuBlocks = gpuBlocks
 		seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
 		seq.lastXfer = ev
@@ -606,12 +588,9 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 			})
 		ev = m.kvIn.Record()
 		if !failing {
-			for _, b := range cpuBlocks {
-				if err := m.CPUCache.pool.FreeBlocked(b); err != nil {
-					panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
-				}
+			if err := m.park(cpuBlocks, ev); err != nil {
+				panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
 			}
-			m.moveList.Add(cpuBlocks, ev)
 		}
 		return ev
 	}
@@ -655,12 +634,9 @@ func (m *Manager) Free(seq *Sequence) error {
 	case StateSwappingOut:
 		// GPU blocks are released by the swap-out completion; CPU target
 		// blocks must survive until the write completes.
-		for _, b := range seq.cpuBlocks {
-			if err := m.CPUCache.pool.FreeBlocked(b); err != nil {
-				return err
-			}
+		if err := m.park(seq.cpuBlocks, seq.lastXfer); err != nil {
+			return err
 		}
-		m.moveList.Add(seq.cpuBlocks, seq.lastXfer)
 	case StateSwappingIn:
 		// GPU target blocks must survive until the write completes; reuse
 		// the move-list mechanism on the GPU pool via OnComplete.
@@ -677,81 +653,27 @@ func (m *Manager) Free(seq *Sequence) error {
 	return nil
 }
 
-// MoveList tracks CPU blocks that are logically free but possibly still
-// referenced by in-flight transfers (§5.3). A daemon polls the associated
-// events every poll interval and unblocks completed entries (step ⑧), then
-// retires each emptied block list to its tier.
-type MoveList struct {
-	eng     *sim.Engine
-	cache   *Cache
-	poll    time.Duration
-	entries []moveEntry
-	armed   bool
-}
-
-type moveEntry struct {
-	blocks []memory.Block
-	ev     *gpu.Event
-}
-
-// NewMoveList builds a move list with the given daemon poll interval. A
-// non-positive interval reclaims synchronously on event completion
-// (equivalent to an infinitely fast daemon).
-func NewMoveList(eng *sim.Engine, cache *Cache, poll time.Duration) *MoveList {
-	return &MoveList{eng: eng, cache: cache, poll: poll}
-}
-
-// Add registers blocks guarded by the transfer event.
-func (l *MoveList) Add(blocks []memory.Block, ev *gpu.Event) {
+// park puts CPU blocks that are logically free, but still read or written
+// by the transfer ev, on the move list (§5.3): they stay blocked, so no
+// allocation can reuse them, until ev completes (step ⑧). Then they become
+// allocatable again and the emptied list retires to its tier.
+func (m *Manager) park(blocks []memory.Block, ev *gpu.Event) error {
 	if len(blocks) == 0 {
-		return
+		return nil
 	}
-	if l.poll <= 0 {
-		ev.OnComplete(func() { l.unblock(blocks) })
-		return
-	}
-	l.entries = append(l.entries, moveEntry{blocks: blocks, ev: ev})
-	if !l.armed {
-		l.armed = true
-		l.eng.After(l.poll, l.daemon)
-	}
-}
-
-// daemon is the periodic reclamation pass.
-func (l *MoveList) daemon() {
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		if e.ev.Query() {
-			l.unblock(e.blocks)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	clear(l.entries[len(kept):]) // drop references to retired lists
-	l.entries = kept
-	if len(l.entries) > 0 {
-		l.eng.After(l.poll, l.daemon)
-	} else {
-		l.armed = false
-	}
-}
-
-// unblock makes a completed entry's blocks allocatable again and retires
-// its list.
-func (l *MoveList) unblock(blocks []memory.Block) {
+	cache := m.CPUCache
 	for _, b := range blocks {
-		if err := l.cache.pool.Unblock(b); err != nil {
-			panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
+		if err := cache.pool.FreeBlocked(b); err != nil {
+			return err
 		}
 	}
-	l.cache.retire(blocks)
-}
-
-// Len returns the number of pending move-list entries' blocks.
-func (l *MoveList) Len() int {
-	n := 0
-	for _, e := range l.entries {
-		n += len(e.blocks)
-	}
-	return n
+	ev.OnComplete(func() {
+		for _, b := range blocks {
+			if err := cache.pool.Unblock(b); err != nil {
+				panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
+			}
+		}
+		cache.retire(blocks)
+	})
+	return nil
 }

@@ -12,7 +12,7 @@ import (
 // fail, and resubmit with backoff until an attempt lands outside the window.
 // GPU source blocks are released exactly once, by the successful attempt.
 func TestSwapOutRetriesThroughFaultWindow(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	fts := fault.New(f.eng, 3)
 	f.m1.SetFaults(fts, "gpu0", nil)
 
@@ -56,7 +56,7 @@ func TestSwapOutRetriesThroughFaultWindow(t *testing.T) {
 // succeeds: the data is still needed. After recovery the move list drains
 // and the CPU tier returns to empty — nothing leaks.
 func TestSwapInRetriesWithoutLeakingCPU(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	fts := fault.New(f.eng, 3)
 	f.m1.SetFaults(fts, "gpu0", nil)
 
@@ -97,8 +97,8 @@ func TestSwapInRetriesWithoutLeakingCPU(t *testing.T) {
 	if f.cpu.Pool().UsedBytes() != 0 {
 		t.Fatal("cpu blocks leaked after retried swap-in")
 	}
-	if f.m1.MoveListLen() != 0 {
-		t.Fatalf("move list not drained: %d", f.m1.MoveListLen())
+	if n := f.cpu.Pool().BlockedBlocks(); n != 0 {
+		t.Fatalf("move list not drained: %d blocks", n)
 	}
 	st := fts.Snapshot()
 	if st.TransferFailures == 0 || st.TransferRetries != st.TransferFailures {
@@ -109,7 +109,7 @@ func TestSwapInRetriesWithoutLeakingCPU(t *testing.T) {
 // With no fault state attached (nil *Faults) the retry machinery must be
 // invisible: timing identical to the fault-free build.
 func TestNilFaultsKeepsTimingIdentical(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	ev, err := f.m1.SwapOut(seq)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/latency"
@@ -27,7 +26,7 @@ type fixture struct {
 	mod *model.Model
 }
 
-func newFixture(t *testing.T, daemonPoll time.Duration) *fixture {
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 4<<30, testSlab, testBlkTok)
@@ -43,14 +42,14 @@ func newFixture(t *testing.T, daemonPoll time.Duration) *fixture {
 	return &fixture{
 		eng: eng,
 		cpu: cpu,
-		m1:  NewManager(d1, prof, g1, cpu, daemonPoll),
-		m2:  NewManager(d2, prof, g2, cpu, daemonPoll),
+		m1:  NewManager(d1, prof, g1, cpu),
+		m2:  NewManager(d2, prof, g2, cpu),
 		mod: mod,
 	}
 }
 
 func TestNewSequenceAllocatesBlocks(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, err := f.m1.NewSequence("r1", f.mod.KVShape(), 100)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestNewSequenceAllocatesBlocks(t *testing.T) {
 }
 
 func TestAppendTokensGrowsBlocks(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, err := f.m1.NewSequence("r1", f.mod.KVShape(), testBlkTok)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestFailedAppendKeepsBlocks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 4<<30, testSlab, testBlkTok)
 	g := NewCache("gpu0", testSlab, testSlab, testBlkTok) // one slab
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu)
 	mod, _ := model.ByName("Qwen-7B")
 	seq, err := m.NewSequence("r1", mod.KVShape(), 3*testBlkTok)
 	if err != nil {
@@ -123,7 +122,7 @@ func TestFailedAppendKeepsBlocks(t *testing.T) {
 // capacity in the list and warm pool free lists, 16 appends that each take a
 // new block allocate nothing.
 func TestAppendTokensAllocs(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, err := f.m1.NewSequence("r1", f.mod.KVShape(), testBlkTok)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,7 @@ func TestAppendTokensAllocs(t *testing.T) {
 }
 
 func TestAppendRequiresGPUResidency(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 10)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -161,7 +160,7 @@ func TestAppendRequiresGPUResidency(t *testing.T) {
 }
 
 func TestSwapOutMovesToCPU(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	ev, err := f.m1.SwapOut(seq)
 	if err != nil {
@@ -190,7 +189,7 @@ func TestSwapOutMovesToCPU(t *testing.T) {
 func TestSwapInWaitsForSwapOut(t *testing.T) {
 	// The Fig. 10 scenario: decode instance swaps in a sequence that a
 	// prefill instance is still offloading. Rule ❷ forces serialization.
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	outEv, err := f.m1.SwapOut(seq)
 	if err != nil {
@@ -221,7 +220,7 @@ func TestSwapInWaitsForSwapOut(t *testing.T) {
 }
 
 func TestSwapInFromWrongStateFails(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 10)
 	if _, err := f.m2.SwapIn(seq); err == nil {
 		t.Error("swap-in of GPU-resident sequence returned nil error")
@@ -231,7 +230,7 @@ func TestSwapInFromWrongStateFails(t *testing.T) {
 func TestMoveListBlocksCPUReuse(t *testing.T) {
 	// Rule ❸: CPU blocks freed by a swap-in must not be reallocated while
 	// the read is in flight.
-	f := newFixture(t, 10*time.Millisecond)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -246,42 +245,19 @@ func TestMoveListBlocksCPUReuse(t *testing.T) {
 		t.Fatalf("cpu used = %d after logical free, want 0", f.cpu.Pool().UsedBytes())
 	}
 	// ...but parked in the move list, not allocatable.
-	if f.m2.MoveListLen() == 0 {
+	if f.cpu.Pool().BlockedBlocks() == 0 {
 		t.Fatal("move list empty during in-flight swap-in")
 	}
 	_ = cpuUsedBefore
 	f.eng.Run()
-	// Daemon reclaimed everything after the transfer completed.
-	if f.m2.MoveListLen() != 0 {
-		t.Fatalf("move list not drained: %d blocks", f.m2.MoveListLen())
-	}
-}
-
-func TestMoveListDaemonDelay(t *testing.T) {
-	// With a slow daemon, reclamation happens at the next poll tick after
-	// transfer completion, never before it.
-	poll := 500 * time.Millisecond
-	f := newFixture(t, poll)
-	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
-	if _, err := f.m1.SwapOut(seq); err != nil {
-		t.Fatal(err)
-	}
-	f.eng.Run()
-	inEv, err := f.m2.SwapIn(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.eng.Run()
-	if f.m2.MoveListLen() != 0 {
-		t.Fatal("daemon never reclaimed blocks")
-	}
-	if f.eng.Now() < inEv.CompletedAt() {
-		t.Fatal("clock went backwards?!")
+	// The transfer's completion reclaimed everything.
+	if n := f.cpu.Pool().BlockedBlocks(); n != 0 {
+		t.Fatalf("move list not drained: %d blocks", n)
 	}
 }
 
 func TestFreeOnGPU(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 100)
 	if err := f.m1.Free(seq); err != nil {
 		t.Fatal(err)
@@ -295,7 +271,7 @@ func TestFreeOnGPU(t *testing.T) {
 }
 
 func TestFreeDuringSwapOutDefersCPURelease(t *testing.T) {
-	f := newFixture(t, time.Millisecond)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -303,11 +279,11 @@ func TestFreeDuringSwapOutDefersCPURelease(t *testing.T) {
 	if err := f.m1.Free(seq); err != nil {
 		t.Fatal(err)
 	}
-	if f.m1.MoveListLen() == 0 {
+	if f.cpu.Pool().BlockedBlocks() == 0 {
 		t.Fatal("freed-during-swap-out blocks not in move list")
 	}
 	f.eng.Run()
-	if f.m1.MoveListLen() != 0 || f.cpu.Pool().UsedBytes() != 0 {
+	if f.cpu.Pool().BlockedBlocks() != 0 || f.cpu.Pool().UsedBytes() != 0 {
 		t.Fatal("blocks not reclaimed after aborted request's transfer")
 	}
 }
@@ -316,7 +292,7 @@ func TestOOMOnTinyGPUCache(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 4<<30, testSlab, testBlkTok)
 	g := NewCache("gpu0", testSlab, testSlab, testBlkTok) // one slab only
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu)
 	mod, _ := model.ByName("Qwen-72B") // 2560 KB/token -> 40 MiB blocks
 	seq, err := m.NewSequence("r1", mod.KVShape(), 16)
 	if err != nil {
@@ -330,7 +306,7 @@ func TestOOMOnTinyGPUCache(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -353,7 +329,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestSharedShapesShareClass(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	qwen, _ := model.ByName("Qwen-7B")
 	llama, _ := model.ByName("Llama-2-7B") // same (32,2,32,128) shape
 	s1, err := f.m1.NewSequence("a", qwen.KVShape(), 10)
@@ -371,7 +347,7 @@ func TestSharedShapesShareClass(t *testing.T) {
 }
 
 func TestMaxTokensAndFreeTokens(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	class, err := f.m1.GPUCache.RegisterShape(f.mod.KVShape())
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +371,7 @@ func TestMaxTokensAndFreeTokens(t *testing.T) {
 // Chain of custody: out -> in -> out -> in across two instances, with every
 // transfer waiting on the previous (repeated preemption of one request).
 func TestRepeatedMigration(t *testing.T) {
-	f := newFixture(t, time.Millisecond)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 500)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -432,7 +408,7 @@ func TestRepeatedMigration(t *testing.T) {
 }
 
 func TestAbandonReleasesCPUOnly(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 500)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -451,7 +427,7 @@ func TestAbandonReleasesCPUOnly(t *testing.T) {
 }
 
 func TestSurvivesHostOnlyStates(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 100)
 	if seq.SurvivesHostOnly() {
 		t.Fatal("GPU-resident sequence claimed host-survivable")
@@ -469,7 +445,7 @@ func TestSwapOutCPUOOM(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", testSlab, testSlab, testBlkTok) // one slab
 	g := NewCache("gpu0", 1<<30, testSlab, testBlkTok)
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu)
 	mod, _ := model.ByName("Qwen-7B") // 8 MiB blocks -> 8 per slab
 	seq, err := m.NewSequence("big", mod.KVShape(), 16*testBlkTok)
 	if err != nil {
@@ -488,7 +464,7 @@ func TestSwapOutCPUOOM(t *testing.T) {
 }
 
 func TestFreeDuringSwapIn(t *testing.T) {
-	f := newFixture(t, 0)
+	f := newFixture(t)
 	seq, _ := f.m1.NewSequence("r1", f.mod.KVShape(), 300)
 	if _, err := f.m1.SwapOut(seq); err != nil {
 		t.Fatal(err)
@@ -514,7 +490,7 @@ func TestCacheAllocPrecheckFailsFast(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 4<<30, testSlab, testBlkTok)
 	g := NewCache("gpu0", testSlab, testSlab, testBlkTok) // 8 blocks of Qwen-7B
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu)
 	mod, _ := model.ByName("Qwen-7B")
 	// Request far beyond capacity: must fail without leaving partial state.
 	if _, err := m.NewSequence("huge", mod.KVShape(), 1000*testBlkTok); !errors.Is(err, memory.ErrOutOfMemory) {

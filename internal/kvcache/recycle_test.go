@@ -108,7 +108,7 @@ func (a *recycleAudit) drop(old, now []memory.Block) {
 func TestBlockListRecycling(t *testing.T) {
 	for _, poll := range []time.Duration{0, time.Millisecond} {
 		t.Run(fmt.Sprintf("poll=%v", poll), func(t *testing.T) {
-			f := newFixture(t, poll)
+			f := newFixture(t)
 			managers := []*Manager{f.m1, f.m2}
 			audits := map[*Cache]*recycleAudit{}
 			for _, c := range []*Cache{f.m1.GPUCache, f.m2.GPUCache, f.cpu} {
@@ -246,7 +246,7 @@ func newSwapCycle(tb testing.TB, tokens int) func() {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 64<<30, 64<<20, 16)
 	g := NewCache("gpu", 16<<30, 64<<20, 16)
-	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu, 0)
+	m := NewManager(gpu.NewDevice(eng, "gpu0"), latency.H800(), g, cpu)
 	mod, err := model.ByName("Qwen-7B")
 	if err != nil {
 		tb.Fatal(err)

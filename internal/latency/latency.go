@@ -247,11 +247,6 @@ func (c *CostModel) eq6C5() float64 {
 	return bytesPerTok / (c.Prof.effHBM() * c.tpScale()) / (3 * float64(m.Hidden))
 }
 
-// Coefficients returns (C1..C5) in the units of Appendix A.2, for reporting.
-func (c *CostModel) Coefficients() (c1, c2, c3, c4, c5 float64) {
-	return c.eq5C1(), c.eq5C2(), c.eq5C3(), c.eq6C4(), c.eq6C5()
-}
-
 // Switch returns the optimized model-switch (weight-loading) latency of
 // Eq. 4: per-GPU shard bytes over β-derated PCIe bandwidth. All TP shards
 // load in parallel over their own links.

@@ -103,9 +103,6 @@ func (m *Market) Enabled() bool { return m != nil }
 // Aware reports whether preemption-aware placement and evacuation are on.
 func (m *Market) Aware() bool { return m != nil && m.cfg.Aware }
 
-// Spot reports whether spot pricing (and so reclaim risk) is active.
-func (m *Market) Spot() bool { return m != nil && m.cfg.Spot }
-
 // Register assigns the next class in the cycle to the named device and
 // returns it. Devices register in pool-build order, so the class layout is
 // deterministic. Registering an already-known device returns its class.
@@ -126,29 +123,6 @@ func (m *Market) Register(name string) *Class {
 	m.devices[name] = &device{name: name, class: cls, rate: rate, throttle: 1, rec: -1}
 	m.order = append(m.order, name)
 	return cls
-}
-
-// ClassFor returns the registered device's class, or nil if unknown.
-func (m *Market) ClassFor(name string) *Class {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d := m.devices[name]; d != nil {
-		return d.class
-	}
-	return nil
-}
-
-// Devices returns the registered device names in registration order.
-func (m *Market) Devices() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
 }
 
 // Start pushes the initial per-class rates into the fleet ledger and, under
@@ -210,19 +184,6 @@ func (m *Market) tick() {
 	}
 }
 
-// Rate returns the device's current $/GPU-hour, or 0 if unknown.
-func (m *Market) Rate(name string) float64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d := m.devices[name]; d != nil {
-		return d.rate
-	}
-	return 0
-}
-
 // Notice records a spot preemption notice for the device: revocation is due
 // at now+grace. Placement immediately stops targeting the device (aware
 // mode). Errors on unknown, already-noticed, or already-revoked devices.
@@ -277,30 +238,6 @@ func (m *Market) Revoked(name string) {
 		r := &m.recs[d.rec]
 		r.RevokedAtS = time.Duration(m.eng.Now()).Seconds()
 	}
-}
-
-// UnderNotice reports whether the device has an open preemption notice.
-func (m *Market) UnderNotice(name string) bool {
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := m.devices[name]
-	return d != nil && d.underNotice
-}
-
-// Deadline returns the device's revocation deadline while under notice.
-func (m *Market) Deadline(name string) (sim.Time, bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d := m.devices[name]; d != nil && d.underNotice {
-		return d.deadline, true
-	}
-	return 0, false
 }
 
 // noteBytes adds evacuation accounting to the device's open (or just-closed)
@@ -376,38 +313,6 @@ func (m *Market) ClearThrottle(name string) {
 	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
 		d.throttle = 1
-	}
-}
-
-// ThrottleFactor returns the device's current compute slowdown (1 = none).
-func (m *Market) ThrottleFactor(name string) float64 {
-	if m == nil {
-		return 1
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d := m.devices[name]; d != nil && d.throttle > 1 {
-		return d.throttle
-	}
-	return 1
-}
-
-// NoteError records a device error; at the configured threshold the device
-// is disqualified from placement (error-rate eviction).
-func (m *Market) NoteError(name string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := m.devices[name]
-	if d == nil {
-		return
-	}
-	d.errors++
-	if d.errors >= errorEvict && !d.disqualified {
-		d.disqualified = true
-		m.stats.Disqualifications++
 	}
 }
 

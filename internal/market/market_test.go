@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aegaeon/internal/fleetobs"
+	"aegaeon/internal/gpu"
 	"aegaeon/internal/sim"
 )
 
@@ -73,7 +74,7 @@ func TestPriceWalkBoundedDeterministic(t *testing.T) {
 	run := func(seed int64) []float64 {
 		se := sim.NewEngine(1)
 		fl := fleetobs.New(se)
-		fl.Register("d0")
+		fl.ObserveDevice(gpu.NewDevice(se, "d0"))
 		m := New(se, fl, Config{Classes: mustClasses(t, "A10"), Spot: true, Seed: seed})
 		m.Register("d0")
 		m.Start(120 * tickPeriod)
@@ -282,7 +283,7 @@ func TestSnapshotClassEconomics(t *testing.T) {
 	fl := fleetobs.New(se)
 	m := New(se, fl, Config{Classes: mustClasses(t, "H800,A10"), Spot: true, Aware: true})
 	for _, n := range []string{"d0", "d1", "d2", "d3"} {
-		fl.Register(n)
+		fl.ObserveDevice(gpu.NewDevice(se, n))
 		m.Register(n)
 	}
 	m.Start(0)

@@ -61,9 +61,6 @@ func (a *BumpArena) Alloc(size, align int64) (int64, error) {
 	return off, nil
 }
 
-// Mark returns the current bump pointer, for later ResetTo.
-func (a *BumpArena) Mark() int64 { return a.offset }
-
 // ResetTo pops the arena back to a previous Mark, instantly freeing every
 // allocation made after it. mark must come from Mark on this arena.
 func (a *BumpArena) ResetTo(mark int64) {
@@ -78,20 +75,8 @@ func (a *BumpArena) ResetTo(mark int64) {
 // replaces the garbage-collection stage during preemptive scale-down.
 func (a *BumpArena) Reset() { a.ResetTo(0) }
 
-// Used returns bytes currently allocated.
-func (a *BumpArena) Used() int64 { return a.offset }
-
 // Free returns bytes remaining.
 func (a *BumpArena) Free() int64 { return a.capacity - a.offset }
 
 // Capacity returns the total arena size.
 func (a *BumpArena) Capacity() int64 { return a.capacity }
-
-// HighWater returns the historical maximum of Used.
-func (a *BumpArena) HighWater() int64 { return a.highWater }
-
-// Allocs returns the number of successful allocations made.
-func (a *BumpArena) Allocs() uint64 { return a.allocs }
-
-// Resets returns the number of Reset/ResetTo calls made.
-func (a *BumpArena) Resets() uint64 { return a.resets }

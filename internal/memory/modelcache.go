@@ -49,12 +49,6 @@ func (c *ModelCache) Contains(name string) bool {
 	return false
 }
 
-// Peek reports residency without touching LRU order or counters.
-func (c *ModelCache) Peek(name string) bool {
-	_, ok := c.entries[name]
-	return ok
-}
-
 // Insert adds a model of the given size, evicting least-recently-used
 // unpinned models as needed. It fails if the model cannot fit even after
 // evicting everything evictable.
@@ -97,77 +91,5 @@ func (c *ModelCache) evictOne() bool {
 	return false
 }
 
-// Pin marks the model as in use by an active weight load, protecting it
-// from eviction. Returns an error if the model is not resident.
-func (c *ModelCache) Pin(name string) error {
-	el, ok := c.entries[name]
-	if !ok {
-		return fmt.Errorf("memory: pin of non-resident model %q", name)
-	}
-	el.Value.(*cacheEntry).pinned++
-	return nil
-}
-
-// Unpin releases one Pin reference.
-func (c *ModelCache) Unpin(name string) error {
-	el, ok := c.entries[name]
-	if !ok {
-		return fmt.Errorf("memory: unpin of non-resident model %q", name)
-	}
-	e := el.Value.(*cacheEntry)
-	if e.pinned <= 0 {
-		return fmt.Errorf("memory: unpin of unpinned model %q", name)
-	}
-	e.pinned--
-	return nil
-}
-
-// Used returns resident bytes; Capacity the configured limit.
-func (c *ModelCache) Used() int64     { return c.used }
-func (c *ModelCache) Capacity() int64 { return c.capacity }
-
-// Stats returns cumulative hit, miss, and eviction counts.
-func (c *ModelCache) Stats() (hits, misses, evictions uint64) {
-	return c.hits, c.misses, c.evictions
-}
-
 // Len returns the number of resident models.
 func (c *ModelCache) Len() int { return len(c.entries) }
-
-// HostLayout is the per-node DRAM layout of Fig. 9: a model cache region, a
-// unified CPU KV cache region, and one pinned stage buffer per GPU.
-type HostLayout struct {
-	ModelCache     *ModelCache
-	CPUKV          *SlabPool
-	StageBufBytes  int64
-	StageBufCount  int
-	TotalDRAMBytes int64
-}
-
-// NewHostLayout builds the layout with the paper's exemplar proportions:
-// Fig. 9 shows a 640 GB model cache, a 320 GB unified CPU KV cache, and
-// 2 GB stage buffers. slabSize controls KV pool granularity.
-func NewHostLayout(totalDRAM int64, gpus int, slabSize int64) *HostLayout {
-	if totalDRAM <= 0 || gpus <= 0 {
-		panic("memory: invalid host layout parameters")
-	}
-	stage := int64(2 << 30)
-	// Reserve stage buffers, then split the rest 2:1 between model cache and
-	// CPU KV cache, mirroring Fig. 9's 640:320 proportion.
-	rest := totalDRAM - stage*int64(gpus)
-	if rest <= 0 {
-		panic("memory: DRAM too small for stage buffers")
-	}
-	mc := rest * 2 / 3
-	kv := rest - mc
-	if kv < slabSize {
-		kv = slabSize
-	}
-	return &HostLayout{
-		ModelCache:     NewModelCache(mc),
-		CPUKV:          NewSlabPool(kv, slabSize),
-		StageBufBytes:  stage,
-		StageBufCount:  gpus,
-		TotalDRAMBytes: totalDRAM,
-	}
-}

@@ -98,30 +98,3 @@ func TestModelCachePinErrors(t *testing.T) {
 		t.Error("unpin of unpinned model returned nil error")
 	}
 }
-
-func TestHostLayoutProportions(t *testing.T) {
-	// §7.1 testbed: 2 TB DRAM, 8 GPUs per node.
-	h := NewHostLayout(2<<40, 8, 64<<20)
-	if h.StageBufBytes != 2<<30 || h.StageBufCount != 8 {
-		t.Fatalf("stage buffers = %d x %d bytes", h.StageBufCount, h.StageBufBytes)
-	}
-	total := h.ModelCache.Capacity() + h.CPUKV.Capacity() +
-		h.StageBufBytes*int64(h.StageBufCount)
-	if total > h.TotalDRAMBytes {
-		t.Fatalf("layout oversubscribes DRAM: %d > %d", total, h.TotalDRAMBytes)
-	}
-	// Model cache should be roughly 2x the CPU KV region (Fig. 9: 640 vs 320 GB).
-	ratio := float64(h.ModelCache.Capacity()) / float64(h.CPUKV.Capacity())
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("model-cache:KV ratio = %.2f, want ~2", ratio)
-	}
-}
-
-func TestHostLayoutPanicsWhenTooSmall(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("tiny DRAM layout did not panic")
-		}
-	}()
-	NewHostLayout(1<<30, 8, 64<<20) // 1 GB cannot hold 8 x 2 GB stage buffers
-}

@@ -79,9 +79,6 @@ func (r *RegionAlloc) Free(off int64) error {
 	return nil
 }
 
-// Used returns bytes currently allocated.
-func (r *RegionAlloc) Used() int64 { return r.used }
-
 // Free bytes remaining (possibly fragmented).
 func (r *RegionAlloc) FreeBytes() int64 { return r.capacity - r.used }
 
@@ -95,10 +92,3 @@ func (r *RegionAlloc) LargestFree() int64 {
 	}
 	return max
 }
-
-// Capacity returns the managed size.
-func (r *RegionAlloc) Capacity() int64 { return r.capacity }
-
-// Fragments returns the number of free spans (1 when fully coalesced or
-// empty of allocations at the tail).
-func (r *RegionAlloc) Fragments() int { return len(r.free) }

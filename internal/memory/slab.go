@@ -352,8 +352,16 @@ func (p *SlabPool) Stats() []ClassStats {
 	return append(out, all)
 }
 
-// FreeSlabCount returns the number of slabs not assigned to any class.
-func (p *SlabPool) FreeSlabCount() int { return len(p.freeSlabs) }
+// BlockedBlocks returns how many blocks are freed but still blocked: parked
+// on a move list behind a transfer that has not completed. Once every
+// transfer has completed it must be zero, or a block was never unblocked.
+func (p *SlabPool) BlockedBlocks() int {
+	n := 0
+	for i := range p.slabs {
+		n += p.slabs[i].blocked
+	}
+	return n
+}
 
 // SlabSize returns the configured slab size in bytes.
 func (p *SlabPool) SlabSize() int64 { return p.slabSize }

@@ -159,9 +159,15 @@ func TestSlabBlockedLifecycle(t *testing.T) {
 	if _, err := p.Alloc(a); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("blocked block was allocatable: %v", err)
 	}
+	if n := p.BlockedBlocks(); n != 1 {
+		t.Fatalf("blocked blocks = %d, want 1", n)
+	}
 	// Unblock: now it must be allocatable again.
 	if err := p.Unblock(b1); err != nil {
 		t.Fatal(err)
+	}
+	if n := p.BlockedBlocks(); n != 0 {
+		t.Fatalf("blocked blocks after unblock = %d, want 0", n)
 	}
 	b3, err := p.Alloc(a)
 	if err != nil {

@@ -159,20 +159,6 @@ func (s *Store) SetE(key, value string, done func(err error)) {
 	})
 }
 
-// Get reads a key via callback after the RTT. During a partition the read
-// reports absence; error-aware callers use GetE.
-func (s *Store) Get(key string, fn func(value string, ok bool)) {
-	s.gets++
-	s.run(func(err error) {
-		if err != nil {
-			fn("", false)
-			return
-		}
-		v, ok := s.data[key]
-		fn(v, ok)
-	})
-}
-
 // GetE is Get with failure reporting: err is ErrUnavailable when the store
 // was partitioned at submission time (value/ok are zero then).
 func (s *Store) GetE(key string, fn func(value string, ok bool, err error)) {
@@ -279,9 +265,6 @@ func (s *Store) Keys(prefix string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Version returns the monotone write counter for a key (0 if never set).
-func (s *Store) Version(key string) uint64 { return s.version[key] }
 
 // ControlView is the /debug/metastore snapshot. Term, LeaderChanges and
 // CommitIndex are always zero: the keys stay so the endpoint's schema holds.

@@ -163,9 +163,6 @@ func (r *Reservoir) Seen() uint64 { return r.seen }
 // Quantile returns the q-th quantile of the retained samples; NaN if empty.
 func (r *Reservoir) Quantile(q float64) float64 { return r.cdf.Quantile(q) }
 
-// Mean returns the retained-sample mean; NaN if empty.
-func (r *Reservoir) Mean() float64 { return r.cdf.Mean() }
-
 // Samples returns a copy of the retained samples, in no particular order —
 // for merging two reservoirs (e.g. rotating epoch sketches) into one CDF.
 func (r *Reservoir) Samples() []float64 { return append([]float64(nil), r.cdf.samples...) }
@@ -212,20 +209,6 @@ func (s *SafeCDF) Quantile(q float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.r.Quantile(q)
-}
-
-// Mean returns the retained-sample mean; NaN if empty.
-func (s *SafeCDF) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Mean()
-}
-
-// Samples returns a copy of the retained samples, in no particular order.
-func (s *SafeCDF) Samples() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Samples()
 }
 
 // TimeSeries samples a value at fixed intervals of virtual time.

@@ -60,13 +60,6 @@ func (ev Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel stopped the event. Once the event's slot
-// has been reused by a later event the handle is stale and reports false.
-func (ev Event) Cancelled() bool {
-	s := ev.live()
-	return s != nil && s.cancelled
-}
-
 // live returns the handle's slot while it still belongs to this event.
 func (ev Event) live() *slot {
 	if ev.eng == nil {

@@ -123,9 +123,6 @@ func (d *Driver) Stop() {
 	<-d.done
 }
 
-// Done is closed once the loop goroutine has exited.
-func (d *Driver) Done() <-chan struct{} { return d.done }
-
 // kick wakes the loop without blocking.
 func (d *Driver) kick() {
 	select {

@@ -43,9 +43,6 @@ func (c Cause) String() string {
 	return "invalid"
 }
 
-// Causes returns all cause labels in enum order.
-func Causes() []string { return append([]string(nil), causeNames[:]...) }
-
 // causePriority breaks overlap ties: switch stalls are the scarce, actionable
 // signal (the paper's whole contribution is shrinking them), so they win over
 // the generic wait families; execution overrun is the weakest claim.

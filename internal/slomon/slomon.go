@@ -185,9 +185,6 @@ func (m *Monitor) scopeLocked(id model.ID) *scope {
 	return s
 }
 
-// ObserveToken records one produced token. Nil-safe.
-func (m *Monitor) ObserveToken(o TokenObs) { m.ObserveTokens([]TokenObs{o}) }
-
 // ObserveTokens records produced tokens in order, typically the tokens of
 // one decode step, under one lock. The result equals one ObserveToken call
 // per token: each token is judged on its own, and the clock advances after
@@ -284,18 +281,6 @@ func (m *Monitor) ObserveVerdict(id model.ID, v slo.Verdict) {
 	}
 	m.cum[id].Add(v)
 	m.fleetCum.Add(v)
-}
-
-// Advance moves the monitor's clock forward (rotating window buckets and
-// re-evaluating alert states) without recording any token. Call it
-// periodically on idle systems so alerts decay as windows drain. Nil-safe.
-func (m *Monitor) Advance(now sim.Time) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.advanceLocked(now, nil)
 }
 
 // advanceLocked moves the clock to now (never backward). Per call it

@@ -31,9 +31,6 @@ func Diurnal(period time.Duration, trough float64) RateFunc {
 	}
 }
 
-// Constant returns the flat pattern (always the peak rate).
-func Constant() RateFunc { return func(time.Duration) float64 { return 1 } }
-
 // ModulatedPoissonTrace draws a non-homogeneous Poisson trace by thinning:
 // each model arrives at peakRate·rate(t) requests/second.
 func ModulatedPoissonTrace(rng *rand.Rand, models []string, peakRate float64, rate RateFunc, horizon time.Duration, ds Dataset) []Request {
