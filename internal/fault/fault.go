@@ -5,10 +5,11 @@
 //
 // A fault schedule is a list of timed Fault values, either parsed from the
 // compact spec grammar (see ParseSpec) or drawn from a seeded RNG
-// (RandomSchedule). An Injector replays the schedule against a Surface — the
-// component that knows how to actually crash an instance, poison a transfer
-// window, or partition the metadata store — on the simulation clock, so a
-// given (seed, schedule) pair reproduces bit-for-bit.
+// (RandomSchedule). An Injector replays the schedule on the simulation
+// clock, so a given (seed, schedule) pair reproduces bit-for-bit: it opens
+// transfer and fetch fault windows on the shared *Faults, and drives a
+// Surface — the component that knows how to actually crash an instance or
+// partition the metadata store — for the rest.
 package fault
 
 import (
