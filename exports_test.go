@@ -54,11 +54,11 @@ var stdlibMethods = map[string]bool{
 // are part of its declaration. Struct fields are out of scope: encoding
 // reads them by reflection.
 //
-// A method is exempt when its receiver implements a module interface that
-// declares it (types.Implements, not a name match), or when its name is
-// one of stdlibMethods. A selector the checker cannot resolve counts as a
-// use of every method of that name, so a name collision can hide an unused
-// method, but a method some non-test call reaches is never reported.
+// A method is exempt when a module type that selects it, directly or
+// through an embedded field, implements a module interface declaring it
+// (types.Implements, not a name match), or when its name is one of
+// stdlibMethods. The scan fails closed: a call the stubbed checker cannot
+// resolve is not seen, so its method is reported until it is allowlisted.
 func TestExportsHaveCallers(t *testing.T) {
 	m := loadModule(t)
 	exports := m.internalExports()
@@ -101,8 +101,8 @@ type export struct {
 type span struct{ pos, end token.Pos }
 
 // exempt reports whether e is a method that an interface declares: some
-// module type whose method set selects it, directly or promoted through an
-// embedded field, implements a module interface with a method of its name.
+// module type whose method set selects it implements a module interface
+// with a method of its name.
 func (e *export) exempt(ifaces []*types.Interface, named []types.Type) bool {
 	fn, ok := e.obj.(*types.Func)
 	if !ok || fn.Type().(*types.Signature).Recv() == nil {
@@ -126,6 +126,7 @@ func (e *export) exempt(ifaces []*types.Interface, named []types.Type) bool {
 	return false
 }
 
+// declares reports whether the interface has a method of the given name.
 func declares(it *types.Interface, name string) bool {
 	for i := 0; i < it.NumMethods(); i++ {
 		if it.Method(i).Name() == name {
@@ -140,15 +141,12 @@ func declares(it *types.Interface, name string) bool {
 func (m *moduleSrc) internalExports() map[string]*export {
 	out := map[string]*export{}
 	byObj := map[types.Object]*export{}
-	add := func(p *modulePkg, id *ast.Ident, n ast.Node, qual string) *export {
-		obj := p.info.Defs[id]
-		if obj == nil || !id.IsExported() {
-			return nil
+	add := func(p *modulePkg, id *ast.Ident, n ast.Node, qual string) {
+		if obj := p.info.Defs[id]; obj != nil && id.IsExported() {
+			e := &export{obj: obj, decl: []span{{n.Pos(), n.End()}}}
+			out[path.Base(p.path)+"."+qual+id.Name] = e
+			byObj[obj] = e
 		}
-		e := &export{obj: obj, decl: []span{{n.Pos(), n.End()}}}
-		out[path.Base(p.path)+"."+qual+id.Name] = e
-		byObj[obj] = e
-		return e
 	}
 	for _, p := range m.order {
 		if !strings.HasPrefix(p.path, "aegaeon/internal/") {
@@ -217,12 +215,8 @@ func recvTypeName(info *types.Info, d *ast.FuncDecl) *types.TypeName {
 // their own declarations.
 func (m *moduleSrc) exportUses(exports map[string]*export) map[types.Object]bool {
 	byObj := map[types.Object]*export{}
-	methodsByName := map[string][]types.Object{}
 	for _, e := range exports {
 		byObj[e.obj] = e
-		if fn, ok := e.obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-			methodsByName[fn.Name()] = append(methodsByName[fn.Name()], fn)
-		}
 	}
 	used := map[types.Object]bool{}
 	for _, p := range m.order {
