@@ -145,12 +145,12 @@ type Engine struct {
 	curCost *latency.CostModel   // CostFor(curID), set wherever current is
 	costs   []*latency.CostModel // indexed by model id, built on first use
 
-	prefetched      *model.Model
+	prefetched      model.ID // model.NoID when none
 	prefetchReady   *gpu.Event
 	prefetchPending bool
 
 	// Colocation state: resident models and their region offsets.
-	residents map[string]*resident
+	residents map[model.ID]*resident
 
 	switching bool
 	stats     Stats
@@ -195,7 +195,7 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 	}
 	if cfg.Opts.Colocate {
 		e.region = memory.NewRegionAlloc(cfg.WeightsRegionBytes)
-		e.residents = map[string]*resident{}
+		e.residents = map[model.ID]*resident{}
 	}
 	gpuKV := kvcache.NewCache(name+"/kv", cfg.KVRegionBytes, KVSlabBytes, cfg.BlockTokens)
 	e.kv = kvcache.NewManager(dev, cfg.Prof, gpuKV, cfg.CPUKV)
@@ -208,6 +208,7 @@ func New(se *sim.Engine, name string, cfg Config, models *model.Registry) *Engin
 
 // resident tracks one colocated model's placement in the weights region.
 type resident struct {
+	id       model.ID
 	m        *model.Model
 	off      int64
 	size     int64
@@ -230,8 +231,7 @@ func (e *Engine) IsResident(id model.ID) bool {
 	if e.residents == nil {
 		return e.current != nil && e.curID == id
 	}
-	_, ok := e.residents[e.model(id).Name]
-	return ok
+	return e.residents[id] != nil
 }
 
 // Residents returns the number of models currently resident (1 at most
@@ -246,121 +246,31 @@ func (e *Engine) Residents() int {
 	return len(e.residents)
 }
 
+// admit places m's shard in the colocation region as a resident.
+func (e *Engine) admit(id model.ID, m *model.Model, shard int64) (*resident, error) {
+	off, err := e.region.Alloc(shard)
+	if err != nil {
+		return nil, err
+	}
+	r := &resident{id: id, m: m, off: off, size: shard, lastUsed: e.eng.Now()}
+	e.residents[id] = r
+	return r, nil
+}
+
 // activationDelay is the cost of switching between two already-resident
 // models under colocation: rebinding the execution context, no data motion.
 const activationDelay = time.Millisecond
 
-// switchColocated performs SwitchTo under the colocation policy.
-func (e *Engine) switchColocated(id model.ID, m *model.Model, start sim.Time, done func()) {
-	finish := func() {
-		e.switching = false
-		e.current, e.curID, e.curCost = m, id, e.CostFor(id)
-		if r := e.residents[m.Name]; r != nil {
-			r.lastUsed = e.eng.Now()
-		}
-		e.stats.SwitchLatency.AddDuration(e.eng.Now() - start)
-		e.cfg.Obs.EndSwitch(e.Name, e.eng.Now())
-		done()
-	}
-	if r, ok := e.residents[m.Name]; ok {
-		// Resident (possibly still streaming in): activate once loaded.
-		run := func() {
-			as := e.eng.Now()
-			e.cfg.Fleet.Enter(e.Name, fleetobs.Activate, id)
-			e.eng.After(activationDelay, func() {
-				e.cfg.Fleet.Exit(e.Name, fleetobs.Activate)
-				e.cfg.Obs.SwitchStage(e.Name, "activate", as, e.eng.Now())
-				finish()
-			})
-		}
-		if r.loading != nil && !r.loading.Query() {
-			e.stats.PrefetchHits++
-			r.loading.OnComplete(run)
-			return
-		}
-		e.stats.PrefetchHits++
-		run()
-		return
-	}
-	// Not resident: evict LRU residents until the shard fits (compacting
-	// survivors with a cheap on-device copy when eviction alone leaves the
-	// free space fragmented, as §5.2 does for prefetched models), then
-	// stream it in.
-	shard := m.ShardWeightBytes(e.cfg.TP)
-	compactDur, err := e.makeRoomColocate(shard, id, m)
-	if err != nil {
-		panic(fmt.Sprintf("engine %s: %v", e.Name, err))
-	}
-	off, err := e.region.Alloc(shard)
-	if err != nil {
-		panic(fmt.Sprintf("engine %s: colocate alloc after eviction: %v", e.Name, err))
-	}
-	r := &resident{m: m, off: off, size: shard, lastUsed: e.eng.Now()}
-	e.residents[m.Name] = r
-	load := func() {
-		submit := func() {
-			var dur time.Duration
-			if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-				dur = e.CostFor(id).Switch()
-			} else {
-				e.stats.CacheMisses++
-				_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-				dur = e.CostFor(id).Switch() + e.fetchTime(m)
-			}
-			ls := e.eng.Now()
-			e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
-				r.loading = nil
-				e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
-				finish()
-			})
-			r.loading = e.loader.Record()
-		}
-		if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) {
-			e.awaitFetchable(m, 0, submit)
-		} else {
-			submit()
-		}
-	}
-	if compactDur > 0 {
-		inner := load
-		load = func() {
-			cs := e.eng.Now()
-			e.compute.SubmitOp(gpu.Compute, compactDur,
-				gpu.OpInfo{Kind: gpu.OpCompactResidents, Model: id}, func() {
-					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
-					inner()
-				})
-		}
-	}
-	if !e.booted || !e.cfg.Opts.ComponentReuse {
-		e.stats.Reinits++
-		p := e.cfg.Prof
-		reinitStart := e.eng.Now()
-		e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, id)
-		e.eng.After(p.DistExecInit+p.ProfileOpt+p.KVInit+p.MiscInit, func() {
-			e.booted = true
-			e.cfg.Fleet.Exit(e.Name, fleetobs.Reinit)
-			e.cfg.Obs.SwitchStage(e.Name, "reinit", reinitStart, e.eng.Now())
-			load()
-		})
-		return
-	}
-	load()
-}
-
 // makeRoomColocate frees least-recently-used residents until size bytes
-// fit. The target model, the current model, and residents with in-flight
-// loads are never evicted. If eviction leaves enough total but fragmented
-// space, the survivors are compacted; the returned duration is the
-// on-device copy cost to charge (zero when no compaction was needed).
-func (e *Engine) makeRoomColocate(size int64, keepID model.ID, keep *model.Model) (time.Duration, error) {
+// fit. The target model keep, the current model, and residents with
+// in-flight loads are never evicted. If eviction leaves enough total but
+// fragmented space, the survivors are compacted; the returned duration is
+// the on-device copy cost to charge (zero when no compaction was needed).
+func (e *Engine) makeRoomColocate(size int64, keep model.ID) (time.Duration, error) {
 	for e.region.LargestFree() < size {
 		var victim *resident
 		for _, r := range e.residents {
-			if r.m.Name == keep.Name || r.loading != nil {
-				continue
-			}
-			if e.current != nil && r.m.Name == e.current.Name {
+			if r.id == keep || r.id == e.curID || r.loading != nil {
 				continue
 			}
 			if victim == nil || r.lastUsed < victim.lastUsed ||
@@ -374,14 +284,14 @@ func (e *Engine) makeRoomColocate(size int64, keepID model.ID, keep *model.Model
 		if err := e.region.Free(victim.off); err != nil {
 			return 0, err
 		}
-		delete(e.residents, victim.m.Name)
+		delete(e.residents, victim.id)
 	}
 	if e.region.LargestFree() >= size {
 		return 0, nil
 	}
 	if e.region.FreeBytes() < size {
 		return 0, fmt.Errorf("colocate: cannot fit %d bytes for %s: %d free after eviction",
-			size, keep.Name, e.region.FreeBytes())
+			size, e.model(keep).Name, e.region.FreeBytes())
 	}
 	// Compact: survivors with in-flight loads cannot move.
 	var moved int64
@@ -409,7 +319,7 @@ func (e *Engine) makeRoomColocate(size int64, keepID model.ID, keep *model.Model
 		}
 		r.off = off
 	}
-	return e.CostFor(keepID).OnDeviceCopy(moved), nil
+	return e.CostFor(keep).OnDeviceCopy(moved), nil
 }
 
 // WarmBoot marks the engine's persistent components (distributed executor,
@@ -490,21 +400,34 @@ func (e *Engine) EffectiveSwitchCost(id model.ID) time.Duration {
 	return e.SwitchCost(id)
 }
 
-// SwitchTo performs preemptive scale-up to model id: unload the current model
-// (instant bump reset, or a GC pause without explicit memory management),
-// (re)initialize engine components as the options dictate, and load the new
-// weights (prefetch hit, model-cache hit via the stage buffer, naive slow
-// path, or remote registry fetch). done fires when inference for the model may
-// begin. Concurrent switches on one engine are a programming error.
+// SwitchTo performs preemptive scale-up to model id and fires done when
+// inference for the model may begin. Concurrent switches on one engine are a
+// programming error. Every switch climbs one ladder of stages, each run only
+// when the options and the engine's state call for it:
+//
+//  1. gc-pause: scale the current model down (§5.2). Explicit memory resets
+//     the bump arena at once; the tensor-library path pays a garbage
+//     collection pass.
+//  2. reinit: reinitialize the engine components unless they are reused
+//     (§5.1, Fig. 7).
+//  3. compact: copy a prefetched model into place on the device (§5.2 step
+//     3.b), or move surviving residents together.
+//  4. fetch: pull weights the host model cache lacks from the tier below.
+//  5. weight-load: stream the weights through the stage buffer (H2D).
+//  6. activate: rebind the execution context to a resident model.
+//
+// Colocation (§8) is a placement variant of the same ladder: the weights go
+// to a region slot among the residents instead of the bump arena, nothing
+// is scaled down, and a resident model needs only the activate stage.
 func (e *Engine) SwitchTo(id model.ID, done func()) {
 	if e.switching {
 		panic(fmt.Sprintf("engine %s: concurrent SwitchTo", e.Name))
 	}
-	if e.current != nil && e.curID == id {
+	m := e.model(id)
+	if e.curID == id {
 		done()
 		return
 	}
-	m := e.model(id)
 	e.switching = true
 	start := e.eng.Now()
 	e.stats.Switches++
@@ -513,129 +436,186 @@ func (e *Engine) SwitchTo(id model.ID, done func()) {
 		from = e.current.Name
 	}
 	e.cfg.Obs.BeginSwitch(e.Name, from, m.Name, start, e.booted && e.cfg.Opts.ComponentReuse)
-
-	if e.cfg.Opts.Colocate {
-		e.switchColocated(id, m, start, done)
-		return
-	}
-
 	finish := func() {
 		e.switching = false
 		e.current, e.curID, e.curCost = m, id, e.CostFor(id)
+		if r := e.residents[id]; r != nil {
+			r.lastUsed = e.eng.Now()
+		}
 		e.stats.SwitchLatency.AddDuration(e.eng.Now() - start)
 		e.cfg.Obs.EndSwitch(e.Name, e.eng.Now())
 		done()
 	}
 
-	afterUnload := func() {
-		if !e.booted || !e.cfg.Opts.ComponentReuse {
-			// Full engine (re)initialization: distributed executor,
-			// profiling, KV pinning, misc (Fig. 7).
-			e.stats.Reinits++
-			p := e.cfg.Prof
-			reinit := p.DistExecInit + p.ProfileOpt + p.KVInit + p.MiscInit
-			reinitStart := e.eng.Now()
-			e.cfg.Fleet.Enter(e.Name, fleetobs.Reinit, id)
-			e.eng.After(reinit, func() {
-				e.booted = true
-				e.cfg.Fleet.Exit(e.Name, fleetobs.Reinit)
-				e.cfg.Obs.SwitchStage(e.Name, "reinit", reinitStart, e.eng.Now())
-				e.loadWeights(id, m, finish)
-			})
-			return
+	if r := e.residents[id]; r != nil {
+		// Resident, possibly still streaming in: activate once loaded.
+		e.stats.PrefetchHits++
+		activate := func() { e.hostStage(fleetobs.Activate, id, activationDelay, finish) }
+		if r.loading == nil {
+			activate()
+		} else {
+			r.loading.OnComplete(activate)
 		}
-		e.loadWeights(id, m, finish)
+		return
 	}
 
-	// Unload / scale-down of the resident weights.
-	e.dropPrefetchIfStale(m)
-	if e.current == nil {
-		afterUnload()
+	shard := m.ShardWeightBytes(e.cfg.TP)
+	r, copyDur, ready := e.place(id, m, shard)
+	climb := func() {
+		switch {
+		case ready != nil: // the compacted prefetch needs no load
+			e.stats.PrefetchHits++
+			ready.OnComplete(func() { e.compact(gpu.OpCompact, id, e.CostFor(id).OnDeviceCopy(shard), finish) })
+		case copyDur > 0:
+			e.compact(gpu.OpCompactResidents, id, copyDur, func() { e.loadWeights(id, m, r, finish) })
+		default:
+			e.loadWeights(id, m, r, finish)
+		}
+	}
+	if r == nil && e.current != nil && !e.cfg.Opts.ExplicitMemory {
+		e.stats.GCPauses++
+		e.hostStage(fleetobs.GCPause, id, e.cfg.Prof.GCPause, func() { e.reinit(id, climb) })
 		return
 	}
-	if e.cfg.Opts.ExplicitMemory {
-		// O(1) bump reset — the prefetched copy (if for m) survives
-		// logically: we model compaction as an on-device copy below.
-		e.weights.Reset()
-		afterUnload()
-		return
-	}
-	// Tensor-library path: a garbage collection pass reclaims VRAM.
-	e.stats.GCPauses++
-	e.weights.Reset()
-	gcStart := e.eng.Now()
-	e.cfg.Fleet.Enter(e.Name, fleetobs.GCPause, id)
-	e.eng.After(e.cfg.Prof.GCPause, func() {
-		e.cfg.Fleet.Exit(e.Name, fleetobs.GCPause)
-		e.cfg.Obs.SwitchStage(e.Name, "gc-pause", gcStart, e.eng.Now())
-		afterUnload()
-	})
+	e.reinit(id, climb)
 }
 
-// loadWeights brings m's weights into VRAM and calls done.
-func (e *Engine) loadWeights(id model.ID, m *model.Model, done func()) {
-	cost := e.CostFor(id)
-	shard := m.ShardWeightBytes(e.cfg.TP)
-
-	// Prefetch hit: the weights are already on the device; compact them to
-	// the start of the buffer with a cheap on-device copy (§5.2 step 3.b).
-	if e.cfg.Opts.Prefetch && e.prefetched != nil && e.prefetched.Name == m.Name {
-		ready := e.prefetchReady
-		e.prefetched = nil
-		e.prefetchReady = nil
-		e.stats.PrefetchHits++
-		copyDur := cost.OnDeviceCopy(shard)
-		run := func() {
-			if _, err := e.weights.Alloc(shard, 256); err != nil {
-				panic(fmt.Sprintf("engine %s: weights region cannot hold compacted model: %v", e.Name, err))
-			}
-			cs := e.eng.Now()
-			e.compute.SubmitOp(gpu.Compute, copyDur,
-				gpu.OpInfo{Kind: gpu.OpCompact, Model: id}, func() {
-					e.cfg.Obs.SwitchStage(e.Name, "compact", cs, e.eng.Now())
-					done()
-				})
+// place makes room for m's shard and claims it. Colocation evicts LRU
+// residents until the shard fits, returning the compaction the surviving
+// residents then need, and admits m as resident r. The bump arena drops the
+// old model and any prefetch of another one; when m itself was prefetched,
+// ready is that prefetch, whose copy is compacted into place instead of
+// loaded.
+func (e *Engine) place(id model.ID, m *model.Model, shard int64) (r *resident, copyDur time.Duration, ready *gpu.Event) {
+	if e.residents != nil {
+		var err error
+		if copyDur, err = e.makeRoomColocate(shard, id); err != nil {
+			panic(fmt.Sprintf("engine %s: %v", e.Name, err))
 		}
-		if ready.Query() {
-			run()
-		} else {
-			ready.OnComplete(run)
+		if r, err = e.admit(id, m, shard); err != nil {
+			panic(fmt.Sprintf("engine %s: colocate alloc after eviction: %v", e.Name, err))
 		}
-		return
+		return r, copyDur, nil
 	}
-
+	if e.prefetched == id {
+		ready = e.prefetchReady
+	}
+	e.prefetched, e.prefetchReady = model.NoID, nil
+	if e.current != nil {
+		// O(1) bump reset: a prefetched copy of m survives logically, and
+		// the compact stage models moving it to the start of the buffer.
+		e.weights.Reset()
+	}
 	if _, err := e.weights.Alloc(shard, 256); err != nil {
 		panic(fmt.Sprintf("engine %s: weights region too small for %s: %v", e.Name, m.Name, err))
 	}
+	return nil, 0, ready
+}
 
-	loadFromHost := func() {
-		var dur time.Duration
-		if e.cfg.Opts.ComponentReuse {
-			// Optimized multi-threaded, chunked, pipelined stage-buffer copy
-			// (§5.2): achieves the Eq. 4 β-derated PCIe bandwidth.
-			dur = cost.Switch()
-		} else {
-			// Naive engine loading path (Fig. 7: 2.83 GB/s).
-			dur = cost.NaiveLoad()
-		}
-		ls := e.eng.Now()
-		e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
-			e.cfg.Obs.SwitchStage(e.Name, "weight-load", ls, e.eng.Now())
-			done()
-		})
-	}
+// hostStage charges one switch stage that occupies no device engine (reinit,
+// gc-pause, fetch, activate) to the fleet ledger and the switch record for
+// d, then calls then.
+func (e *Engine) hostStage(s fleetobs.State, id model.ID, d time.Duration, then func()) {
+	start := e.eng.Now()
+	e.cfg.Fleet.Enter(e.Name, s, id)
+	e.eng.After(d, func() {
+		e.cfg.Fleet.Exit(e.Name, s)
+		e.cfg.Obs.SwitchStage(e.Name, s.String(), start, e.eng.Now())
+		then()
+	})
+}
 
-	if e.cfg.ModelCache != nil {
-		if e.cfg.ModelCache.Contains(m.Name) {
-			loadFromHost()
-			return
-		}
-		// Remote registry fetch, then cached in host memory.
-		e.stats.CacheMisses++
-		e.fetchRemote(id, m, 0, loadFromHost)
+// reinit runs the full engine (re)initialization — distributed executor,
+// profiling, KV pinning, misc (Fig. 7) — unless components are reused and
+// already up, then calls then.
+func (e *Engine) reinit(id model.ID, then func()) {
+	if e.booted && e.cfg.Opts.ComponentReuse {
+		then()
 		return
 	}
-	loadFromHost()
+	e.stats.Reinits++
+	p := e.cfg.Prof
+	e.hostStage(fleetobs.Reinit, id, p.DistExecInit+p.ProfileOpt+p.KVInit+p.MiscInit, func() {
+		e.booted = true
+		then()
+	})
+}
+
+// compact runs an on-device weights copy of d as the compact stage, then
+// calls then.
+func (e *Engine) compact(kind gpu.OpKind, id model.ID, d time.Duration, then func()) {
+	start := e.eng.Now()
+	e.compute.SubmitOp(gpu.Compute, d, gpu.OpInfo{Kind: kind, Model: id}, func() {
+		e.cfg.Obs.SwitchStage(e.Name, "compact", start, e.eng.Now())
+		then()
+	})
+}
+
+// loadWeights runs the fetch and weight-load stages of m into its placed
+// region (r under colocation, the bump arena when r is nil), then calls
+// done. A weight that misses the host model cache waits out any registry
+// fetch failure; the bump arena then fetches it as a stage of its own, while
+// a resident folds the fetch into its H2D copy.
+func (e *Engine) loadWeights(id model.ID, m *model.Model, r *resident, done func()) {
+	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
+		e.h2dLoad(id, m, r, done)
+		return
+	}
+	load := func() { e.h2dLoad(id, m, r, done) }
+	if r != nil {
+		e.awaitFetchable(m, 0, load)
+		return
+	}
+	e.stats.CacheMisses++
+	e.awaitFetchable(m, 0, func() {
+		e.hostStage(fleetobs.Fetch, id, e.fetchTime(m), func() {
+			// A full cache is tolerable: the fetched weights stream through
+			// the stage buffer regardless; only future hits are lost.
+			_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
+			load()
+		})
+	})
+}
+
+// h2dLoad streams m's weights to the device on the loader stream as the
+// weight-load stage, then calls done. The optimized multi-threaded,
+// chunked, pipelined stage-buffer copy (§5.2) achieves the Eq. 4 β-derated
+// PCIe bandwidth; without component reuse the bump arena takes the naive
+// engine loading path (Fig. 7: 2.83 GB/s).
+func (e *Engine) h2dLoad(id model.ID, m *model.Model, r *resident, done func()) {
+	var dur time.Duration
+	switch {
+	case r != nil:
+		dur = e.foldedLoadTime(id, m)
+	case e.cfg.Opts.ComponentReuse:
+		dur = e.CostFor(id).Switch()
+	default:
+		dur = e.CostFor(id).NaiveLoad()
+	}
+	start := e.eng.Now()
+	e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
+		if r != nil {
+			r.loading = nil
+		}
+		e.cfg.Obs.SwitchStage(e.Name, "weight-load", start, e.eng.Now())
+		done()
+	})
+	if r != nil {
+		r.loading = e.loader.Record()
+	}
+}
+
+// foldedLoadTime is the H2D time of m's weights through the stage buffer
+// with any registry fetch folded in: a host model cache miss is counted,
+// the weights are cached, and the fetch time is added.
+func (e *Engine) foldedLoadTime(id model.ID, m *model.Model) time.Duration {
+	d := e.CostFor(id).Switch()
+	if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) {
+		e.stats.CacheMisses++
+		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
+		d += e.fetchTime(m)
+	}
+	return d
 }
 
 // fetchTime is how long m's weights take to arrive from the tier below the
@@ -644,32 +624,12 @@ func (e *Engine) fetchTime(m *model.Model) time.Duration {
 	return time.Duration(float64(m.WeightBytes()) / remoteLoadBPS * float64(time.Second) * e.cfg.Faults.FetchFactor())
 }
 
-// fetchRemote pulls m's weights from the tier below the host model cache and
-// fires done once they are cached. Injected fetch failures retry with
-// jittered exponential backoff; when the bounded attempt budget is exhausted
-// the counter is recorded and the budget re-arms after one more backoff —
-// a switch must eventually make progress, never wedge the instance. Injected
-// slowdowns multiply the transfer time. With no fault state attached the
-// timing is identical to a fault-free build.
-func (e *Engine) fetchRemote(id model.ID, m *model.Model, attempt int, done func()) {
-	e.awaitFetchable(m, attempt, func() {
-		fetch := e.fetchTime(m)
-		fs := e.eng.Now()
-		e.cfg.Fleet.Enter(e.Name, fleetobs.Fetch, id)
-		e.eng.After(fetch, func() {
-			e.cfg.Fleet.Exit(e.Name, fleetobs.Fetch)
-			e.cfg.Obs.SwitchStage(e.Name, "fetch", fs, e.eng.Now())
-			// A full cache is tolerable: the fetched weights stream through
-			// the stage buffer regardless; only future hits are lost.
-			_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-			done()
-		})
-	})
-}
-
-// awaitFetchable delays then with jittered backoff while remote fetches of m
-// are failing; with no active fault window (in particular with nil fault
-// state) it calls then synchronously.
+// awaitFetchable delays then while remote fetches of m are failing, and
+// calls it synchronously when no fault window is active (in particular with
+// nil fault state). Each failed attempt retries with jittered exponential
+// backoff; when the bounded attempt budget is exhausted the counter is
+// recorded and the budget re-arms after one more backoff — a switch must
+// eventually make progress, never wedge the instance.
 func (e *Engine) awaitFetchable(m *model.Model, attempt int, then func()) {
 	f := e.cfg.Faults
 	if !f.FetchFailing(m.Name) {
@@ -689,99 +649,55 @@ func (e *Engine) awaitFetchable(m *model.Model, attempt int, then func()) {
 	e.eng.After(delay, func() { e.awaitFetchable(m, next, then) })
 }
 
-// dropPrefetchIfStale discards a prefetched model that is not the switch
-// target (its arena space is reclaimed by the imminent reset).
-func (e *Engine) dropPrefetchIfStale(target *model.Model) {
-	if e.prefetched != nil && e.prefetched.Name != target.Name {
-		e.prefetched = nil
-		e.prefetchReady = nil
-	}
-}
-
 // StartPrefetch begins loading model id into spare weights-region VRAM on the
 // prefetch stream (§5.2), if the options allow, space suffices, and no
-// prefetch is already pending. Returns true if a prefetch was started or is
-// already in flight for it.
+// prefetch is already pending. Under colocation the model becomes a resident,
+// but only in space free as is: a prefetch never displaces a hotter model.
+// Returns true if a prefetch was started or the model is already prefetched
+// or resident.
 func (e *Engine) StartPrefetch(id model.ID) bool {
 	m := e.model(id)
-	if e.cfg.Opts.Colocate {
-		return e.prefetchColocated(id, m)
-	}
 	if !e.cfg.Opts.Prefetch || e.switching {
 		return false
 	}
-	if e.current != nil && e.curID == id {
+	switch {
+	case e.residents != nil:
+		if e.residents[id] != nil {
+			return true
+		}
+	case e.curID == id:
 		return false
-	}
-	if e.prefetched != nil {
-		return e.prefetched.Name == m.Name
-	}
-	if e.prefetchPending {
+	case e.prefetched != model.NoID:
+		return e.prefetched == id
+	case e.prefetchPending:
 		return false
 	}
 	if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) && e.cfg.Faults.FetchFailing(m.Name) {
 		return false // prefetch is opportunistic: skip while the registry is down
 	}
 	shard := m.ShardWeightBytes(e.cfg.TP)
+	info := gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}
+	if e.residents != nil {
+		if e.region.LargestFree() < shard {
+			return false
+		}
+		r, err := e.admit(id, m, shard)
+		if err != nil {
+			return false
+		}
+		e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, func() { r.loading = nil })
+		r.loading = e.prefetch.Record()
+		return true
+	}
 	if e.weights.Free() < shard {
 		return false // e.g. A10: no room for a second model (§7.4)
 	}
 	if _, err := e.weights.Alloc(shard, 256); err != nil {
 		return false
 	}
-	var dur time.Duration
-	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-		dur = e.CostFor(id).Switch()
-	} else {
-		e.stats.CacheMisses++
-		dur = e.CostFor(id).Switch() + e.fetchTime(m)
-		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-	}
 	e.prefetchPending = true
-	e.prefetch.SubmitChunked(gpu.H2D, dur, loadChunk,
-		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
-			e.prefetchPending = false
-		})
-	e.prefetchReady = e.prefetch.Record()
-	e.prefetched = m
-	return true
-}
-
-// prefetchColocated pre-loads m as a resident if the region has room
-// without evicting anything (prefetch must never displace hotter models).
-func (e *Engine) prefetchColocated(id model.ID, m *model.Model) bool {
-	if !e.cfg.Opts.Prefetch || e.switching {
-		return false
-	}
-	if _, ok := e.residents[m.Name]; ok {
-		return true
-	}
-	if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) && e.cfg.Faults.FetchFailing(m.Name) {
-		return false // prefetch is opportunistic: skip while the registry is down
-	}
-	shard := m.ShardWeightBytes(e.cfg.TP)
-	if e.region.LargestFree() < shard {
-		return false
-	}
-	off, err := e.region.Alloc(shard)
-	if err != nil {
-		return false
-	}
-	r := &resident{m: m, off: off, size: shard, lastUsed: e.eng.Now()}
-	e.residents[m.Name] = r
-	var dur time.Duration
-	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-		dur = e.CostFor(id).Switch()
-	} else {
-		e.stats.CacheMisses++
-		dur = e.CostFor(id).Switch() + e.fetchTime(m)
-		_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-	}
-	e.prefetch.SubmitChunked(gpu.H2D, dur, loadChunk,
-		gpu.OpInfo{Kind: gpu.OpPrefetch, Model: id}, func() {
-			r.loading = nil
-		})
-	r.loading = e.prefetch.Record()
+	e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, func() { e.prefetchPending = false })
+	e.prefetched, e.prefetchReady = id, e.prefetch.Record()
 	return true
 }
 

@@ -10,6 +10,7 @@ import (
 	"aegaeon/internal/latency"
 	"aegaeon/internal/memory"
 	"aegaeon/internal/model"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/sim"
 )
 
@@ -202,7 +203,7 @@ func TestStalePrefetchDropped(t *testing.T) {
 	if e.Stats().PrefetchHits != 0 {
 		t.Fatal("stale prefetch counted as hit")
 	}
-	if e.prefetched != nil {
+	if e.prefetched != model.NoID {
 		t.Fatal("stale prefetch not dropped")
 	}
 	if e.Current().Name != m13.Name {
@@ -437,7 +438,7 @@ func TestPrefetchWhileSwitchingRefused(t *testing.T) {
 	if e.StartPrefetch(e.Models().Add(yi)) {
 		// Already prefetched Yi: StartPrefetch reports true only for the
 		// same model, which is correct.
-		if e.prefetched == nil || e.prefetched.Name != yi.Name {
+		if e.prefetched != e.Models().Add(yi) {
 			t.Fatal("prefetch state inconsistent")
 		}
 	}
@@ -486,16 +487,21 @@ func TestColocateResidentSwitchNearFree(t *testing.T) {
 	}
 }
 
+// Evicting the LRU resident can leave enough free space in two fragments
+// but no single hole for the incoming model: the survivor is then compacted
+// to offset 0 with one on-device copy before the load starts.
 func TestColocateEvictsLRU(t *testing.T) {
 	h := newHarness()
 	opts := AllOptimizations()
 	opts.Colocate = true
+	col := obs.New(obs.Options{})
 	e := New(h.sim, "gpu0", Config{
 		Prof: latency.H800(), TP: 1, Opts: opts,
 		WeightsRegionBytes: 30 << 30, // fits two ~13GB models, not three
 		KVRegionBytes:      8 << 30,
 		ModelCache:         h.cache,
 		CPUKV:              h.cpuKV,
+		Obs:                col,
 	}, nil)
 	e.WarmBoot()
 	yi := mustModel(t, "Yi-6B")                   // 12.1 GB
@@ -517,6 +523,38 @@ func TestColocateEvictsLRU(t *testing.T) {
 	}
 	if !e.IsResident(e.Models().Add(llama)) || !e.IsResident(e.Models().Add(intern)) {
 		t.Fatal("wrong eviction victim")
+	}
+
+	// Yi's eviction leaves its hole and the tail free, neither big enough
+	// for intern: llama moves to offset 0 with one compaction op.
+	wantCopy := e.CostFor(e.Models().Add(intern)).OnDeviceCopy(llama.ShardWeightBytes(1))
+	var compacts []gpu.OpRecord
+	for _, tl := range col.DeviceTimelines() {
+		for _, op := range tl.Ops {
+			if op.Info.Kind == gpu.OpCompactResidents {
+				compacts = append(compacts, op)
+			}
+		}
+	}
+	if len(compacts) != 1 || compacts[0].Engine != gpu.Compute ||
+		compacts[0].End-compacts[0].Start != wantCopy {
+		t.Fatalf("compaction ops = %+v, want one %v compute op", compacts, wantCopy)
+	}
+	recs, _ := col.Switches()
+	last := recs[len(recs)-1]
+	if last.To != intern.Name || len(last.Stages) != 2 || last.Stages[0].Name != "compact" ||
+		last.Stages[0].End-last.Stages[0].Start != wantCopy || last.Stages[1].Name != "weight-load" {
+		t.Fatalf("switch to %s recorded stages %+v, want compact (%v) then weight-load",
+			intern.Name, last.Stages, wantCopy)
+	}
+	off := int64(-1)
+	for _, r := range e.residents {
+		if r.m.Name == llama.Name {
+			off = r.off
+		}
+	}
+	if off != 0 {
+		t.Fatalf("survivor %s at offset %d after compaction, want 0", llama.Name, off)
 	}
 }
 

@@ -224,6 +224,7 @@ type Ledger struct {
 	models  model.Names
 	devices map[string]*devLedger
 	order   []string
+	last    sim.Time // the latest instant an edge was charged at
 }
 
 // DeviceRef is a registered device's ledger entry, resolved once by Ref so
@@ -259,15 +260,33 @@ func New(eng *sim.Engine) *Ledger {
 	return &Ledger{eng: eng, devices: map[string]*devLedger{}}
 }
 
+// edgeTime returns the instant of an edge being charged now and records it
+// as the latest. Callers hold l.mu.
+func (l *Ledger) edgeTime() sim.Time {
+	l.last = l.eng.Now()
+	return l.last
+}
+
+// renderAt returns the instant a reader asking for now renders at: never
+// earlier than the last edge charged, which a reader holding a stale clock
+// reading would otherwise see as negative time. Callers hold l.mu.
+func (l *Ledger) renderAt(now sim.Time) sim.Time {
+	if now < l.last {
+		return l.last
+	}
+	return now
+}
+
 func (l *Ledger) register(name string) *devLedger {
 	d, ok := l.devices[name]
 	if !ok {
+		now := l.edgeTime()
 		d = &devLedger{
 			name:      name,
-			birth:     l.eng.Now(),
-			curSince:  l.eng.Now(),
+			birth:     now,
+			curSince:  now,
 			rate:      DefaultHourlyRate,
-			rateSince: l.eng.Now(),
+			rateSince: now,
 		}
 		l.devices[name] = d
 		l.order = append(l.order, name)
@@ -343,7 +362,7 @@ func (d *devLedger) retop(now sim.Time) {
 func (l *Ledger) noteOp(d *devLedger, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.eng.Now()
+	now := l.edgeTime()
 	ek := int(k)
 	if busy {
 		d.rawOn[ek] = true
@@ -387,7 +406,7 @@ func (l *Ledger) Enter(device string, s State, m model.ID) {
 	if m != model.NoID {
 		d.claimModel[s] = m
 	}
-	d.retop(l.eng.Now())
+	d.retop(l.edgeTime())
 }
 
 // Exit closes a host-side claim opened by Enter.
@@ -408,7 +427,7 @@ func (l *Ledger) Exit(device string, s State) {
 	if d.claims[s] == 0 {
 		d.claimModel[s] = model.NoID
 	}
-	d.retop(l.eng.Now())
+	d.retop(l.edgeTime())
 }
 
 // Fault marks the device as crashed: from this instant on, all of its time
@@ -427,7 +446,7 @@ func (l *Ledger) Fault(device string) {
 	}
 	d.faulted = true
 	d.claims[Faulted]++
-	d.retop(l.eng.Now())
+	d.retop(l.edgeTime())
 }
 
 // AddTokens credits n goodput tokens produced on the device for model m.
@@ -471,7 +490,7 @@ func (l *Ledger) SetRate(device string, dollarsPerHour float64) {
 	if d == nil {
 		return
 	}
-	now := l.eng.Now()
+	now := l.edgeTime()
 	d.costAccum += (now - d.rateSince).Hours() * d.rate
 	d.rateSince = now
 	d.rate = dollarsPerHour
@@ -504,6 +523,12 @@ func (l *Ledger) CheckConservation(now sim.Time) []string {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.checkLocked(l.renderAt(now))
+}
+
+// checkLocked is CheckConservation at an instant already rendered, with l.mu
+// held.
+func (l *Ledger) checkLocked(now sim.Time) []string {
 	var errs []string
 	for _, name := range l.order {
 		d := l.devices[name]
@@ -545,6 +570,7 @@ func (l *Ledger) RawBusy(device string, k gpu.EngineKind, now sim.Time) time.Dur
 	if d == nil {
 		return 0
 	}
+	now = l.renderAt(now)
 	return d.rawBusyAt(int(k), now)
 }
 
@@ -560,6 +586,7 @@ func (l *Ledger) StateSeconds(device string, s State, now sim.Time) float64 {
 	if d == nil {
 		return 0
 	}
+	now = l.renderAt(now)
 	_, states := d.partition(now)
 	return states[s].Seconds()
 }

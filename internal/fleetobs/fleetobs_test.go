@@ -95,6 +95,37 @@ func TestConservationMidOp(t *testing.T) {
 	}
 }
 
+// An off-loop reader (the gateway) reads the virtual clock, then renders
+// the ledger after the loop has charged more edges. The ledger renders at
+// no earlier than its last edge, so a stale instant never yields negative
+// state time or a raw busy integral outside [0, wall].
+func TestSnapshotNeverRewinds(t *testing.T) {
+	eng, l, dev := newLedgerDevice(t)
+	s := dev.NewStream("s")
+	eng.At(sim.Time(100*time.Millisecond), func() {
+		s.SubmitOp(gpu.H2D, 50*time.Millisecond, gpu.OpInfo{Kind: gpu.OpKVIn, Model: 1, Request: "r"})
+	})
+	eng.RunUntil(sim.Time(110 * time.Millisecond))
+
+	stale := sim.Time(90 * time.Millisecond)
+	requireConserves(t, l, stale)
+	snap := l.Snapshot(stale)
+	if len(snap.ConservationErrors) > 0 {
+		t.Fatalf("snapshot at a stale instant: %v", snap.ConservationErrors)
+	}
+	if snap.NowSeconds != 0.1 {
+		t.Errorf("rendered at %vs, want the last edge at 0.1s", snap.NowSeconds)
+	}
+	for st, sec := range snap.Devices[0].StatesS {
+		if sec < 0 {
+			t.Errorf("state %s at %vs", st, sec)
+		}
+	}
+	if got := l.RawBusy("dev0", gpu.H2D, stale); got != 0 {
+		t.Errorf("raw h2d busy %v at a stale instant, want 0 (the op started at the last edge)", got)
+	}
+}
+
 // Compute masks DMA: a prefetch hidden under decode is charged to decode
 // (hidden, as §5.2 intends); only its exposed tail is weight-load.
 func TestPriorityMasking(t *testing.T) {

@@ -102,9 +102,10 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 	if l == nil {
 		return nil
 	}
-	errs := l.CheckConservation(now)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now = l.renderAt(now)
+	errs := l.checkLocked(now)
 	snap := &Snapshot{
 		SchemaVersion:      SchemaVersion,
 		NowSeconds:         time.Duration(now).Seconds(),
