@@ -12,16 +12,20 @@ import (
 	"time"
 
 	"aegaeon/internal/assemble"
+	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
 )
 
 // A client that disconnects mid-stream aborts its simulated request: the
 // admission slot frees immediately (not when the request would have
-// finished) and the core releases the request's KV.
+// finished) and the core releases the request's KV. The abort is its own
+// outcome everywhere: the proxy clears the request's metadata entry, the
+// gateway counts an abort (not a completion) and takes no latency samples
+// or breaker verdict from it, and the journal closes its chain as aborted.
 func TestClientDisconnectAbortsRequest(t *testing.T) {
 	// Real time: a 512-token request takes minutes of wall clock, so the
 	// only way InFlight can reach zero quickly is via the abort path.
-	gw, names := newTestGateway(t, Options{Speedup: 1})
+	gw, names := newGateway(t, assemble.Spec{Decisions: true}, testCluster{}, Options{Speedup: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodPost, "/v1/completions", strings.NewReader(fmt.Sprintf(
 		`{"model":%q,"input_tokens":32,"max_tokens":512,"stream":true}`, names[0],
@@ -65,6 +69,50 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 	}
 	if live != 0 {
 		t.Fatalf("cluster still tracks %d live requests after abort", live)
+	}
+	// The metadata delete lands one store RTT after the abort.
+	id := fmt.Sprintf("cmpl-%d", gw.nextID.Load())
+	for {
+		var keys []string
+		if err := gw.drv.Call(func() { keys = gw.cl.Store().Keys("req/") }); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("store still holds %v after the abort of %s", keys, id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	mw := httptest.NewRecorder()
+	gw.Handler().ServeHTTP(mw, mreq)
+	for _, line := range []string{"aegaeon_gateway_aborted_total 1", "aegaeon_gateway_completions_total 0"} {
+		if !strings.Contains(mw.Body.String(), "\n"+line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if n := gw.ttftHist.Snapshot().Count; n != 0 {
+		t.Errorf("TTFT histogram counted %d samples from an aborted request", n)
+	}
+	if n := gw.tbtHist.Snapshot().Count; n != 0 {
+		t.Errorf("TBT histogram counted %d samples from an aborted request", n)
+	}
+	gw.mu.Lock()
+	state := gw.breakerFor(names[0]).State()
+	gw.mu.Unlock()
+	if state != fault.BreakerClosed {
+		t.Errorf("breaker of %s is %v after an abort, want closed", names[0], state)
+	}
+	chain := gw.cl.Decisions().Chain(id)
+	if len(chain) == 0 {
+		t.Fatalf("no journal chain for %s", id)
+	}
+	if last := chain[len(chain)-1]; last.Kind != decision.KindTerminal || last.Outcome != decision.OutcomeAborted {
+		t.Errorf("chain of %s ends in %s/%s, want %s/%s", id, last.Kind, last.Outcome,
+			decision.KindTerminal, decision.OutcomeAborted)
 	}
 	if err := gw.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
