@@ -253,23 +253,21 @@ func VerifyInvariants(c *cluster.Cluster) []string {
 		}
 		done, failed := 0, 0
 		for _, r := range sys.Requests() {
-			switch {
-			case r.Done && r.Failed:
-				v = append(v, fmt.Sprintf("request %s is both Done and Failed", r.ID))
-			case r.Done:
+			switch r.Outcome {
+			case decision.OutcomeDone:
 				done++
 				if len(r.TokenTimes) != r.OutputTokens {
 					v = append(v, fmt.Sprintf("request %s completed with %d/%d tokens (lost or duplicated)",
 						r.ID, len(r.TokenTimes), r.OutputTokens))
 				}
-			case r.Failed:
+			case decision.OutcomeFailed:
 				failed++
 				if r.FailReason == "" {
 					v = append(v, fmt.Sprintf("request %s failed without a reason", r.ID))
 				}
-			case r.Aborted():
-				// Client-cancelled (or reaped) requests are a valid terminal
-				// state; their KV leak check happens below like everyone's.
+			case decision.OutcomeAborted:
+				// Client-cancelled requests are a valid terminal state; their
+				// KV leak check happens below like everyone's.
 			default:
 				v = append(v, fmt.Sprintf("request %s reached no terminal state", r.ID))
 			}
@@ -370,15 +368,10 @@ func verifyDecisions(c *cluster.Cluster) []string {
 	var states []decision.RequestState
 	for _, d := range c.Deployments() {
 		for _, r := range d.System.Requests() {
-			switch {
-			case r.Done:
-				states = append(states, decision.RequestState{ID: r.ID, Outcome: decision.OutcomeDone})
-			case r.Failed:
-				states = append(states, decision.RequestState{ID: r.ID, Outcome: decision.OutcomeFailed})
-			case r.Aborted():
-				states = append(states, decision.RequestState{ID: r.ID, Outcome: decision.OutcomeAborted})
-				// Non-terminal requests are already flagged by the terminal-state
-				// audit above; the journal has nothing to say about them.
+			// Non-terminal requests are already flagged by the terminal-state
+			// audit above; the journal has nothing to say about them.
+			if o := r.Outcome; o != "" {
+				states = append(states, decision.RequestState{ID: r.ID, Outcome: o})
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 // dropped, so a bounded retry loop (rather than a fire-and-forget Set) is
 // what guarantees the table lands.
 func (c *Cluster) putRoute(model, dep string, attempt int) {
-	c.store.SetE("route/"+model, dep, func(err error) {
+	c.store.Set("route/"+model, dep, func(err error) {
 		if err == nil || attempt >= 20 || c.healthStop {
 			return
 		}
@@ -206,7 +206,7 @@ func (c *Cluster) Submit(trace []workload.Request) error {
 		perDep[dep] = append(perDep[dep], r)
 	}
 	c.eng.Feed(times, func(i int) {
-		c.store.Set("req/"+assigned[i].id, assigned[i].dep)
+		c.store.Set("req/"+assigned[i].id, assigned[i].dep, nil)
 	})
 	for _, dep := range c.deps {
 		if err := dep.System.Submit(perDep[dep]); err != nil {
@@ -225,9 +225,9 @@ func (c *Cluster) SubmitLive(wr workload.Request, onToken func(i int, at sim.Tim
 	if !ok {
 		return nil, fmt.Errorf("cluster: no deployment serves model %q", wr.Model)
 	}
-	c.store.Set("req/"+wr.ID, dep.Name)
+	c.store.Set("req/"+wr.ID, dep.Name, nil)
 	return dep.System.SubmitLive(wr, onToken, func(r *core.Request) {
-		c.store.Delete("req/" + wr.ID)
+		c.store.Delete("req/"+wr.ID, nil)
 		if onDone != nil {
 			onDone(r)
 		}
@@ -235,19 +235,16 @@ func (c *Cluster) SubmitLive(wr workload.Request, onToken func(i int, at sim.Tim
 }
 
 // Abort cancels a live request whose client has disconnected: the owning
-// deployment releases its KV and queue slots and its metadata entry is
-// cleared (Abort does not fire OnDone, so the SubmitLive wrapper's cleanup
-// never runs). Must run on the simulation goroutine.
+// deployment releases its KV and queue slots. Like every other ending, the
+// abort fires OnDone, so the SubmitLive wrapper clears the request's
+// metadata entry. Must run on the simulation goroutine.
 func (c *Cluster) Abort(r *core.Request) {
 	if r == nil {
 		return
 	}
-	dep, ok := c.route[r.Model.Name]
-	if !ok {
-		return
+	if dep, ok := c.route[r.Model.Name]; ok {
+		dep.System.Abort(r)
 	}
-	dep.System.Abort(r)
-	c.store.Delete("req/" + r.ID)
 }
 
 // SLO returns the latency targets every deployment serves against.

@@ -79,7 +79,7 @@ func (c *Cluster) renewLease(dep *Deployment, name string, attempt int) {
 		return
 	}
 	expiry := c.eng.Now() + leaseTTL
-	c.store.SetE(leaseKey(dep.Name, name), strconv.FormatInt(int64(expiry), 10), func(err error) {
+	c.store.Set(leaseKey(dep.Name, name), strconv.FormatInt(int64(expiry), 10), func(err error) {
 		if c.healthStop || !dep.System.AliveNamed(name) {
 			return
 		}

@@ -170,8 +170,8 @@ func coalesceCase(t *testing.T, seed int64, observed bool) caseResult {
 	var res caseResult
 	var b strings.Builder
 	for _, r := range sys.Requests() {
-		fmt.Fprintf(&b, "%s done=%v failed=%v aborted=%v finished=%d exec=%d tokens=%v\n",
-			r.ID, r.Done, r.Failed, r.aborted, r.finished, r.decodeExec, r.TokenTimes)
+		fmt.Fprintf(&b, "%s outcome=%s finished=%d exec=%d tokens=%v\n",
+			r.ID, r.Outcome, r.finished, r.decodeExec, r.TokenTimes)
 	}
 	fmt.Fprintf(&b, "end=%d completed=%d failed=%d aborted=%d orphans=%d attainment=%v\n",
 		se.Now(), sys.Completed(), sys.FailedRequests(), sys.AbortedRequests(), sys.OrphanedRequests(), sys.Attainment())
@@ -300,21 +300,21 @@ func TestRunBoundaryInstant(t *testing.T) {
 
 			for _, r := range members {
 				if r == victim && !tc.join {
-					if !r.aborted || len(r.TokenTimes) != tokens[r]+stamped {
-						t.Errorf("victim: aborted=%v with %d tokens, want %d", r.aborted, len(r.TokenTimes), tokens[r]+stamped)
+					if r.Outcome != decision.OutcomeAborted || len(r.TokenTimes) != tokens[r]+stamped {
+						t.Errorf("victim: outcome %q with %d tokens, want %d", r.Outcome, len(r.TokenTimes), tokens[r]+stamped)
 					}
 					continue
 				}
-				if !r.Done || len(r.TokenTimes) != r.OutputTokens {
-					t.Fatalf("%s: done=%v with %d of %d tokens", r.ID, r.Done, len(r.TokenTimes), r.OutputTokens)
+				if r.Outcome != decision.OutcomeDone || len(r.TokenTimes) != r.OutputTokens {
+					t.Fatalf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, len(r.TokenTimes), r.OutputTokens)
 				}
 				if got := r.TokenTimes[tokens[r]+started-1]; got != cutEnd {
 					t.Errorf("%s: the step in flight's token at %v, want the cut run's end %v", r.ID, got, cutEnd)
 				}
 			}
 			if tc.join {
-				if !joiner.Done || len(joiner.TokenTimes) != joiner.OutputTokens {
-					t.Fatalf("joiner: done=%v with %d of %d tokens", joiner.Done, len(joiner.TokenTimes), joiner.OutputTokens)
+				if joiner.Outcome != decision.OutcomeDone || len(joiner.TokenTimes) != joiner.OutputTokens {
+					t.Fatalf("joiner: outcome %q with %d of %d tokens", joiner.Outcome, len(joiner.TokenTimes), joiner.OutputTokens)
 				}
 				if joiner.TokenTimes[1] <= cutEnd {
 					t.Errorf("joiner's first decode token at %v, inside the cut run ending %v", joiner.TokenTimes[1], cutEnd)
@@ -406,8 +406,8 @@ func TestRunCutByAllocation(t *testing.T) {
 			for se.Step() {
 			}
 			for _, r := range members {
-				if !r.Done || len(r.TokenTimes) != r.OutputTokens {
-					t.Errorf("%s: done=%v with %d of %d tokens", r.ID, r.Done, len(r.TokenTimes), r.OutputTokens)
+				if r.Outcome != decision.OutcomeDone || len(r.TokenTimes) != r.OutputTokens {
+					t.Errorf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, len(r.TokenTimes), r.OutputTokens)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/model"
@@ -116,7 +117,7 @@ func TestEveryTokenAccounted(t *testing.T) {
 	}
 	sys := runTrace(t, testConfig(models, engine.AllOptimizations(), 1, 1), trace)
 	for _, r := range sys.Requests() {
-		if !r.Done {
+		if r.Outcome != decision.OutcomeDone {
 			t.Fatalf("request %s not done", r.ID)
 		}
 		if len(r.TokenTimes) != r.OutputTokens {

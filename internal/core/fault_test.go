@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/fault"
 	"aegaeon/internal/model"
@@ -81,11 +82,10 @@ func TestTotalDecodeLossRejectsCleanly(t *testing.T) {
 		t.Fatalf("completed+failed = %d, want %d (no request may hang)", got, len(trace))
 	}
 	for _, r := range sys.Requests() {
-		if r.Done == r.Failed {
-			t.Fatalf("request %s: Done=%v Failed=%v — want exactly one terminal state",
-				r.ID, r.Done, r.Failed)
+		if r.Outcome != decision.OutcomeDone && r.Outcome != decision.OutcomeFailed {
+			t.Fatalf("request %s: outcome %q, want done or failed", r.ID, r.Outcome)
 		}
-		if r.Failed && r.FailReason == "" {
+		if r.Outcome == decision.OutcomeFailed && r.FailReason == "" {
 			t.Fatalf("request %s failed without a reason", r.ID)
 		}
 	}
@@ -95,21 +95,26 @@ func TestTotalDecodeLossRejectsCleanly(t *testing.T) {
 	}
 }
 
-// Aborting a live request releases its KV, stops token emission, and leaves
-// the rest of the workload unaffected.
+// Aborting a live request releases its KV, stops token emission, fires
+// OnDone once with the aborted outcome, and leaves the rest of the workload
+// unaffected. A second Abort does nothing and fires nothing.
 func TestAbortReleasesAndSilences(t *testing.T) {
 	models := model.MarketMix(2)
 	se := sim.NewEngine(1)
 	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 1, 1))
 
-	var tokens int
-	var doneFired bool
+	var tokens, doneFired int
 	var r *Request
 	se.At(0, func() {
 		var err error
 		r, err = sys.SubmitLive(workload.Request{
 			ID: "live-0", Model: models[0].Name, InputTokens: 512, OutputTokens: 4000,
-		}, func(i int, at sim.Time) { tokens++ }, func(*Request) { doneFired = true })
+		}, func(i int, at sim.Time) { tokens++ }, func(d *Request) {
+			doneFired++
+			if d.Outcome != decision.OutcomeAborted {
+				t.Errorf("OnDone saw outcome %q, want aborted", d.Outcome)
+			}
+		})
 		if err != nil {
 			t.Error(err)
 		}
@@ -120,15 +125,18 @@ func TestAbortReleasesAndSilences(t *testing.T) {
 			t.Error("request produced no tokens before the abort point")
 		}
 		sys.Abort(r)
-		sys.Abort(r) // idempotent
+		if doneFired != 1 {
+			t.Errorf("OnDone fired %d times by the abort, want 1", doneFired)
+		}
+		sys.Abort(r) // a no-op: the request has ended
 	})
 	se.Run()
 
-	if !r.Aborted() || r.Done || r.Failed {
-		t.Fatalf("terminal state: aborted=%v done=%v failed=%v", r.Aborted(), r.Done, r.Failed)
+	if r.Outcome != decision.OutcomeAborted {
+		t.Fatalf("outcome %q, want aborted", r.Outcome)
 	}
-	if doneFired {
-		t.Fatal("OnDone fired for an aborted request")
+	if doneFired != 1 {
+		t.Fatalf("OnDone fired %d times for an aborted request, want 1", doneFired)
 	}
 	if tokens != r.Generated() || tokens >= 4000 {
 		t.Fatalf("tokens streamed = %d, generated = %d", tokens, r.Generated())
@@ -182,7 +190,7 @@ func TestAbortBeforePrefill(t *testing.T) {
 	if tokens != 0 {
 		t.Fatalf("aborted-before-prefill request streamed %d tokens", tokens)
 	}
-	if !r.Aborted() {
+	if r.Outcome != decision.OutcomeAborted {
 		t.Fatal("request not aborted")
 	}
 	if sys.LiveInFlight() != 0 {

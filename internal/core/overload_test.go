@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/model"
 	"aegaeon/internal/overload"
@@ -72,15 +73,8 @@ func TestAbortWhileQueuedReleasesEverything(t *testing.T) {
 	se.Run()
 
 	for _, r := range []*Request{queued, decoding} {
-		states := 0
-		for _, b := range []bool{r.Done, r.Failed, r.Aborted()} {
-			if b {
-				states++
-			}
-		}
-		if states != 1 || !r.Aborted() {
-			t.Fatalf("%s: done=%v failed=%v aborted=%v — want exactly aborted",
-				r.ID, r.Done, r.Failed, r.Aborted())
+		if r.Outcome != decision.OutcomeAborted {
+			t.Fatalf("%s: outcome %q, want aborted", r.ID, r.Outcome)
 		}
 		if r.Seq != nil {
 			t.Fatalf("%s still holds a KV sequence", r.ID)
@@ -128,7 +122,7 @@ func TestShedLowPriorityTier(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if !r.Failed {
+		if r.Outcome != decision.OutcomeFailed {
 			t.Error("low-priority request admitted at shed-low")
 		}
 		hi, err := sys.SubmitLive(workload.Request{
@@ -138,7 +132,7 @@ func TestShedLowPriorityTier(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if hi.Failed {
+		if hi.Outcome == decision.OutcomeFailed {
 			t.Errorf("high-priority request shed at shed-low: %s", hi.FailReason)
 		}
 	})
@@ -193,7 +187,7 @@ func TestFreezeAndAdmitNoneLevels(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if warm.Failed {
+		if warm.Outcome == decision.OutcomeFailed {
 			t.Errorf("warm-model request shed at freeze: %s", warm.FailReason)
 		}
 		cold, err := sys.SubmitLive(workload.Request{
@@ -202,8 +196,8 @@ func TestFreezeAndAdmitNoneLevels(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if !cold.Failed || !strings.Contains(cold.FailReason, ShedColdFreeze) {
-			t.Errorf("cold-model request not frozen out: failed=%v reason=%q", cold.Failed, cold.FailReason)
+		if cold.Outcome != decision.OutcomeFailed || !strings.Contains(cold.FailReason, ShedColdFreeze) {
+			t.Errorf("cold-model request not frozen out: outcome %q reason=%q", cold.Outcome, cold.FailReason)
 		}
 	})
 	se.Run()
@@ -220,8 +214,8 @@ func TestFreezeAndAdmitNoneLevels(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if !r.Failed || !strings.Contains(r.FailReason, ShedAdmitNone) {
-			t.Errorf("admit-none let a request through: failed=%v reason=%q", r.Failed, r.FailReason)
+		if r.Outcome != decision.OutcomeFailed || !strings.Contains(r.FailReason, ShedAdmitNone) {
+			t.Errorf("admit-none let a request through: outcome %q reason=%q", r.Outcome, r.FailReason)
 		}
 	})
 	se2.Run()
@@ -263,17 +257,10 @@ func TestReaperShedsDoomedInQueue(t *testing.T) {
 	}
 	total := 0
 	for _, r := range sys.Requests() {
-		states := 0
-		for _, b := range []bool{r.Done, r.Failed, r.Aborted()} {
-			if b {
-				states++
-			}
+		if r.Outcome == "" {
+			t.Fatalf("%s reached no terminal state", r.ID)
 		}
-		if states != 1 {
-			t.Fatalf("%s: done=%v failed=%v aborted=%v — want exactly one terminal state",
-				r.ID, r.Done, r.Failed, r.Aborted())
-		}
-		if r.Seq != nil && r.Failed {
+		if r.Seq != nil && r.Outcome == decision.OutcomeFailed {
 			t.Fatalf("%s shed but still holds KV", r.ID)
 		}
 		total++

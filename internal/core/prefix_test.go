@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/model"
 	"aegaeon/internal/prefixcache"
@@ -172,8 +173,8 @@ func TestPrefixCrashDropsDeviceAndReleasesPins(t *testing.T) {
 	sys.Finalize(se.Now())
 
 	for _, r := range sys.Requests() {
-		if !r.Done {
-			t.Errorf("request %s not completed after failover (failed=%v %q)", r.ID, r.Failed, r.FailReason)
+		if r.Outcome != decision.OutcomeDone {
+			t.Errorf("request %s not completed after failover (outcome %q %q)", r.ID, r.Outcome, r.FailReason)
 		}
 	}
 	pc := sys.PrefixCache()

@@ -43,25 +43,24 @@ type Request struct {
 	// by prefill; tokens 1..OutputTokens-1 by decoding steps.
 	TokenTimes []sim.Time
 
-	Seq  *kvcache.Sequence
-	Done bool
+	Seq *kvcache.Sequence
 
-	// Failed marks a request the system gave up on (no surviving capacity
-	// after a crash): it is terminal, cleanly rejected, and never emits
-	// further tokens. FailReason says why.
-	Failed     bool
+	// Outcome is how the request ended: "" while it is in flight, else the
+	// journal's decision.OutcomeDone (served), OutcomeFailed (cleanly
+	// rejected: the system gave up on it, e.g. no surviving capacity after
+	// a crash; FailReason says why) or OutcomeAborted (its client went
+	// away). The system sets it once, in one place, which also fires OnDone
+	// for every outcome. A request with an outcome emits no more tokens.
+	Outcome    string
 	FailReason string
-
-	// aborted marks a request whose client went away (gateway disconnect).
-	// Terminal like Failed, but initiated from outside the scheduler.
-	aborted bool
 
 	// OnToken, when non-nil, is invoked synchronously on the simulation
 	// goroutine as each token's completion time is recorded: token 0 from
 	// prefill, the rest from decoding steps. Callbacks must not block —
 	// the live gateway hands tokens off to a buffered channel.
 	OnToken func(i int, at sim.Time)
-	// OnDone, when non-nil, is invoked once when the request finishes.
+	// OnDone, when non-nil, is invoked once when the request ends, whatever
+	// its outcome: served, failed or aborted.
 	OnDone func(r *Request)
 
 	// live marks requests admitted via SubmitLive: they are not retained
@@ -116,7 +115,7 @@ func newRequest(wr workload.Request, m *model.Model, id model.ID) *Request {
 // when they became terminal. The first token sizes TokenTimes for the whole
 // output, so a request's token log is one allocation.
 func (r *Request) recordToken(at sim.Time) {
-	if r.Failed || r.aborted {
+	if r.terminal() {
 		return
 	}
 	if r.TokenTimes == nil {
@@ -140,13 +139,8 @@ func (r *Request) promptHashes(block int) []uint64 {
 	return r.chunkHashes
 }
 
-// terminal reports whether the request has reached a terminal state: served
-// (Done), cleanly rejected (Failed), or cancelled by its client (aborted).
-// Exactly one of the three holds for a terminal request.
-func (r *Request) terminal() bool { return r.Done || r.Failed || r.aborted }
-
-// Aborted reports whether the request was cancelled by its client.
-func (r *Request) Aborted() bool { return r.aborted }
+// terminal reports whether the request has ended.
+func (r *Request) terminal() bool { return r.Outcome != "" }
 
 // Generated returns the number of tokens produced so far.
 func (r *Request) Generated() int { return len(r.TokenTimes) }

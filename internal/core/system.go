@@ -835,16 +835,35 @@ func (s *System) finishRequest(r *Request) {
 	}
 	s.releasePrefix(r) // safety net; the prefill path normally released it
 	s.obs.RequestDone(r.ID, s.eng.Now())
-	r.Done = true
-	r.finished = s.eng.Now()
 	s.completed++
+	s.end(r, decision.OutcomeDone, "")
+}
+
+// end makes r terminal with outcome and does what every outcome shares: it
+// stamps the finish, writes the terminal journal record, folds a live
+// request's verdict and fires OnDone. A failed request's never-generated
+// tokens count as dropped; an aborted request's tail, which its client
+// walked away from, does not. An abort releases what the request holds
+// after its terminal record, failures and completions before theirs, so
+// the journal keeps one order for each.
+func (s *System) end(r *Request, outcome, reason string) {
+	r.Outcome = outcome
+	r.finished = s.eng.Now()
 	if j := s.dec; j != nil {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindTerminal,
-			Request: r.ID, Model: r.Model.Name, Outcome: decision.OutcomeDone})
+			Request: r.ID, Model: r.Model.Name, Outcome: outcome, Reason: reason})
+	}
+	dropped := 0
+	switch outcome {
+	case decision.OutcomeFailed:
+		dropped = r.RemainingTokens()
+	case decision.OutcomeAborted:
+		s.releasePrefix(r)
+		s.freeSeq(r)
 	}
 	if r.live {
 		s.liveOpen--
-		s.fold(r, s.judge(r, 0))
+		s.fold(r, s.judge(r, dropped))
 	}
 	if r.OnDone != nil {
 		r.OnDone(r)
@@ -880,8 +899,9 @@ func (s *System) fold(r *Request, v slo.Verdict) {
 // failRequest cleanly rejects a request the system can no longer serve
 // (typically: every instance of a partition has crashed). The request is
 // terminal; its KV is released; live submitters are notified through OnDone
-// with Failed set, and their SLO observation records every unproduced token
-// as a miss — graceful degradation must not launder violations.
+// with the failed outcome, and the SLO observation records every
+// unproduced token as a miss — graceful degradation must not launder
+// violations.
 func (s *System) failRequest(r *Request, reason string) {
 	if r.terminal() {
 		return
@@ -889,23 +909,13 @@ func (s *System) failRequest(r *Request, reason string) {
 	s.runs.cutFor(r)
 	s.releasePrefix(r)
 	s.freeSeq(r)
-	r.Failed = true
 	r.FailReason = reason
-	r.finished = s.eng.Now()
 	s.failed++
-	if j := s.dec; j != nil {
-		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindTerminal,
-			Request: r.ID, Model: r.Model.Name, Outcome: decision.OutcomeFailed, Reason: reason})
-	}
 	s.cfg.Faults.CountRejected()
 	if s.obs != nil {
 		s.obs.Fault("", "rejected", r.ID+": "+reason, s.eng.Now())
 	}
-	if r.live {
-		s.liveOpen--
-		s.fold(r, s.judge(r, r.RemainingTokens()))
-		s.noteDroppedTokens(r, s.eng.Now(), true)
-	} else if s.mon != nil {
+	if !r.live && s.mon != nil {
 		// Batch requests are normally judged at Finalize, but a failed
 		// request's misses must reach the live monitor when they happen:
 		// the brownout controller reads burn rates mid-run, and deferring
@@ -915,41 +925,26 @@ func (s *System) failRequest(r *Request, reason string) {
 		// count, into the tracker and tier only.
 		v := s.judge(r, r.RemainingTokens())
 		s.mon.ObserveVerdict(r.mid, v)
-		s.noteDroppedTokens(r, s.eng.Now(), true)
 		r.verdict = &v
 	}
-	if r.OnDone != nil {
-		r.OnDone(r)
-	}
+	s.noteDroppedTokens(r, s.eng.Now(), true)
+	s.end(r, decision.OutcomeFailed, reason)
 }
 
 // Abort cancels a request whose client has gone away (gateway disconnect).
 // It is removed from every queue, its KV is released, and no further tokens
 // are emitted — compute steps already in flight complete against the
 // simulated hardware but their token for this request is discarded. OnDone
-// is not fired: the caller initiated the abort and the client is gone.
+// fires with the aborted outcome, as for every other ending; an Abort of a
+// request that has already ended does nothing and fires nothing.
 func (s *System) Abort(r *Request) {
 	if r == nil || r.terminal() {
 		return
 	}
 	s.runs.cutFor(r)
-	r.aborted = true
-	r.finished = s.eng.Now()
-	s.aborted++
-	if j := s.dec; j != nil {
-		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindTerminal,
-			Request: r.ID, Model: r.Model.Name, Outcome: decision.OutcomeAborted,
-			Reason: "client disconnect"})
-	}
 	s.removeFromQueues(r)
-	s.releasePrefix(r)
-	s.freeSeq(r)
-	if r.live {
-		s.liveOpen--
-		// Tokens delivered before the disconnect still count toward SLO
-		// attainment; the tail the client walked away from does not.
-		s.fold(r, s.judge(r, 0))
-	}
+	s.aborted++
+	s.end(r, decision.OutcomeAborted, "client disconnect")
 }
 
 // removeFromQueues eagerly deletes r from prefill group queues and decode
@@ -1008,7 +1003,7 @@ func (s *System) Requests() []*Request { return s.requests }
 func (s *System) Finalize(endTime sim.Time) {
 	for _, r := range s.requests {
 		dropped := 0
-		if !r.Done {
+		if r.Outcome != decision.OutcomeDone {
 			rslo := s.sloFor(r.mid)
 			for i := len(r.TokenTimes); i < r.OutputTokens; i++ {
 				if rslo.Deadline(r.Arrival, i) <= endTime {
@@ -1028,7 +1023,7 @@ func (s *System) Finalize(endTime sim.Time) {
 		s.breakdown.Add(metrics.PrefillWaiting, r.prefillStart-r.Arrival)
 		s.breakdown.Add(metrics.PrefillExecution, r.prefillEnd-r.prefillStart)
 		end := r.finished
-		if !r.Done {
+		if r.Outcome != decision.OutcomeDone {
 			end = endTime
 		}
 		var dataWait time.Duration

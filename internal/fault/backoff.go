@@ -6,63 +6,31 @@ import (
 	"time"
 )
 
-// Backoff is an exponential-backoff policy with decorrelating jitter and a
-// bounded attempt budget. It is a value type: copies are independent and the
-// zero value is normalized to DefaultBackoff by Delay.
-type Backoff struct {
-	Base        time.Duration // delay before the first retry
-	Max         time.Duration // cap applied after exponentiation
-	Factor      float64       // multiplier per attempt (>= 1)
-	Jitter      float64       // fraction of the delay randomized, in [0, 1)
-	MaxAttempts int           // attempts before the caller gives up (or re-arms)
-}
+// The retry policy used across the stack: 50ms, 100ms, 200ms, ... capped at
+// 2s, with ±20% decorrelating jitter, and six attempts before a caller
+// gives up (or re-arms).
+const (
+	retryBase   = 50 * time.Millisecond // delay before the first retry
+	retryMax    = 2 * time.Second       // cap applied after exponentiation
+	retryFactor = 2                     // multiplier per attempt
+	retryJitter = 0.2                   // fraction of the delay randomized
+	maxAttempts = 6
+)
 
-// DefaultBackoff is the policy used across the stack unless overridden:
-// 50ms, 100ms, 200ms, ... capped at 2s, ±20% jitter, six attempts.
-func DefaultBackoff() Backoff {
-	return Backoff{
-		Base:        50 * time.Millisecond,
-		Max:         2 * time.Second,
-		Factor:      2,
-		Jitter:      0.2,
-		MaxAttempts: 6,
-	}
-}
-
-func (b Backoff) normalized() Backoff {
-	d := DefaultBackoff()
-	if b.Base <= 0 {
-		b.Base = d.Base
-	}
-	if b.Max <= 0 {
-		b.Max = d.Max
-	}
-	if b.Factor < 1 {
-		b.Factor = d.Factor
-	}
-	if b.Jitter < 0 || b.Jitter >= 1 {
-		b.Jitter = d.Jitter
-	}
-	if b.MaxAttempts <= 0 {
-		b.MaxAttempts = d.MaxAttempts
-	}
-	return b
-}
-
-// Delay returns the wait before retry number attempt (0-based). With a nil
-// rng the jitter term is omitted, which keeps the value deterministic for
-// callers outside the seeded simulation.
-func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	b = b.normalized()
+// backoffDelay returns the wait before retry number attempt (0-based). With
+// a nil rng the jitter term is omitted, which keeps the value deterministic
+// for callers outside the seeded simulation; otherwise it draws exactly one
+// value from rng.
+func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
 	if attempt < 0 {
 		attempt = 0
 	}
-	d := float64(b.Base) * math.Pow(b.Factor, float64(attempt))
-	if d > float64(b.Max) {
-		d = float64(b.Max)
+	d := float64(retryBase) * math.Pow(retryFactor, float64(attempt))
+	if d > float64(retryMax) {
+		d = float64(retryMax)
 	}
-	if b.Jitter > 0 && rng != nil {
-		d *= 1 - b.Jitter + 2*b.Jitter*rng.Float64()
+	if rng != nil {
+		d *= 1 - retryJitter + 2*retryJitter*rng.Float64()
 	}
 	if d < 1 {
 		d = 1

@@ -76,25 +76,23 @@ func TestFormatSpecRoundTrip(t *testing.T) {
 }
 
 func TestBackoffDelay(t *testing.T) {
-	b := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0, MaxAttempts: 6}
 	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for i, w := range want {
-		if got := b.Delay(i, nil); got != w*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, w*time.Millisecond)
+		if got := backoffDelay(i, nil); got != w*time.Millisecond {
+			t.Errorf("backoffDelay(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
 	// Jitter stays within ±20% and is deterministic for a fixed seed.
-	bj := DefaultBackoff()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
-		d := bj.Delay(2, rng)
+		d := backoffDelay(2, rng)
 		base := 200 * time.Millisecond
 		if d < time.Duration(float64(base)*0.8) || d > time.Duration(float64(base)*1.2) {
 			t.Fatalf("jittered delay %v outside ±20%% of %v", d, base)
 		}
 	}
 	r1, r2 := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	if bj.Delay(1, r1) != bj.Delay(1, r2) {
+	if backoffDelay(1, r1) != backoffDelay(1, r2) {
 		t.Fatal("same seed produced different jittered delays")
 	}
 }
@@ -108,7 +106,7 @@ func TestFaultsWindowsNilSafe(t *testing.T) {
 	if nilF.RetryDelay(0) <= 0 {
 		t.Fatal("nil RetryDelay not positive")
 	}
-	if nilF.MaxAttempts() != DefaultBackoff().MaxAttempts {
+	if nilF.MaxAttempts() != maxAttempts {
 		t.Fatal("nil MaxAttempts mismatch")
 	}
 

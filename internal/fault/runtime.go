@@ -24,7 +24,7 @@ type Stats struct {
 	Rejected         uint64 // requests cleanly failed (no capacity after crash)
 }
 
-// Faults holds the live fault windows and retry policy for one simulation.
+// Faults holds the live fault windows for one simulation.
 // It is bound to the sim clock: windows are compared against eng.Now(), and
 // retry jitter draws from a dedicated seeded rng so fault handling does not
 // perturb the workload's random stream.
@@ -33,9 +33,8 @@ type Stats struct {
 // every counter increment is a no-op, so components thread the pointer
 // unconditionally.
 type Faults struct {
-	eng   *sim.Engine
-	rng   *rand.Rand
-	Retry Backoff
+	eng *sim.Engine
+	rng *rand.Rand
 
 	xferFailUntil  map[string]sim.Time // instance -> window end
 	fetchFailUntil map[string]sim.Time // model -> window end ("*" = all)
@@ -50,7 +49,6 @@ func New(eng *sim.Engine, seed int64) *Faults {
 	return &Faults{
 		eng:            eng,
 		rng:            rand.New(rand.NewSource(seed)),
-		Retry:          DefaultBackoff(),
 		xferFailUntil:  map[string]sim.Time{},
 		fetchFailUntil: map[string]sim.Time{},
 	}
@@ -134,18 +132,13 @@ func (f *Faults) FetchFactor() float64 {
 // attempt. Callable on nil (no jitter) so retry loops need no guard.
 func (f *Faults) RetryDelay(attempt int) time.Duration {
 	if f == nil {
-		return DefaultBackoff().Delay(attempt, nil)
+		return backoffDelay(attempt, nil)
 	}
-	return f.Retry.Delay(attempt, f.rng)
+	return backoffDelay(attempt, f.rng)
 }
 
 // MaxAttempts returns the bounded retry budget.
-func (f *Faults) MaxAttempts() int {
-	if f == nil {
-		return DefaultBackoff().MaxAttempts
-	}
-	return f.Retry.normalized().MaxAttempts
-}
+func (f *Faults) MaxAttempts() int { return maxAttempts }
 
 // --- counters (nil-safe) ---
 

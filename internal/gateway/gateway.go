@@ -436,9 +436,9 @@ func (g *Gateway) tryAdmit(model string) (ok bool, code int, reason string, retr
 // admitRequest runs admission control for one request to model. id is the
 // request's pre-assigned completion ID (empty when the caller has none), the
 // causal key the decision journal chains the verdict under. On success the
-// caller owns one admission slot and must release it via finish (normal
-// completion), releaseAdmission (submission failure), or abortRelease
-// (client disconnect). retryAfter accompanies 503s (graceful degradation:
+// caller owns one admission slot and must release it via finish (the
+// request ended: served, failed or aborted) or releaseAdmission (submission
+// failure). retryAfter accompanies 503s (graceful degradation:
 // shed load tells clients when to come back — for predictive rejections it
 // is computed from the TTFT estimate, not a constant).
 func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, retryAttempt int) (ok bool, code int, reason string, retryAfter time.Duration) {
@@ -605,6 +605,13 @@ func (g *Gateway) switchEstLocked(now time.Time) time.Duration {
 func (g *Gateway) releaseAdmission(model string, prio workload.Priority) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.releaseSlotLocked(model, prio)
+}
+
+// releaseSlotLocked frees one admission slot of model at prio and, when
+// the gateway is draining, signals the last one. Must be called with g.mu
+// held.
+func (g *Gateway) releaseSlotLocked(model string, prio workload.Priority) {
 	g.inflight--
 	g.queued[model]--
 	g.queuedPrio[prio.Rank()]--
@@ -613,13 +620,15 @@ func (g *Gateway) releaseAdmission(model string, prio workload.Priority) {
 	}
 }
 
-// finish records a finished request — completed or cleanly failed. Runs on
-// the simulation goroutine. The outcome feeds the model's circuit breaker:
-// consecutive failures trip it open so follow-on traffic is shed at
-// admission instead of queueing behind a dead partition.
+// finish records a request that ended and frees its admission slot. Runs
+// on the simulation goroutine. A served or failed request feeds the
+// model's circuit breaker (consecutive failures trip it open so follow-on
+// traffic is shed at admission instead of queueing behind a dead
+// partition) and the latency samples; an aborted one, whose client went
+// away, is only counted.
 func (g *Gateway) finish(model string, r *core.Request) {
 	var tputSample float64
-	if n := len(r.TokenTimes); n > 0 {
+	if n := len(r.TokenTimes); n > 0 && r.Outcome != decision.OutcomeAborted {
 		ttft := r.TokenTimes[0] - r.Arrival
 		g.ttft.AddDuration(ttft)
 		g.ttftHist.ObserveDuration(ttft)
@@ -635,37 +644,20 @@ func (g *Gateway) finish(model string, r *core.Request) {
 		}
 	}
 	g.mu.Lock()
-	g.inflight--
-	g.queued[model]--
-	g.queuedPrio[r.Priority.Rank()]--
 	if g.opts.Overload != nil && tputSample > 0 {
 		g.tput = max(0.8*g.tput+0.2*tputSample, throughputFloor)
 	}
-	if r.Failed {
+	switch r.Outcome {
+	case decision.OutcomeFailed:
 		g.failed++
 		g.breakerFor(model).Failure()
-	} else {
+	case decision.OutcomeAborted:
+		g.aborted++
+	default:
 		g.completed++
 		g.breakerFor(model).Success()
 	}
-	if g.draining && g.inflight == 0 {
-		g.closeDrained()
-	}
-	g.mu.Unlock()
-}
-
-// abortRelease releases an admission slot for a client-disconnected request
-// and counts the abort. Runs on the simulation goroutine (after the abort
-// took effect).
-func (g *Gateway) abortRelease(model string, prio workload.Priority) {
-	g.mu.Lock()
-	g.inflight--
-	g.queued[model]--
-	g.queuedPrio[prio.Rank()]--
-	g.aborted++
-	if g.draining && g.inflight == 0 {
-		g.closeDrained()
-	}
+	g.releaseSlotLocked(model, r.Priority)
 	g.mu.Unlock()
 }
 
@@ -885,16 +877,10 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 
 	// abort cancels the simulated request when the client disconnects: the
 	// core releases its KV and queue slots, no further tokens are produced,
-	// and the admission slot frees immediately instead of when the request
-	// would have finished. Aborts that race normal completion are no-ops.
+	// and the request ends (through finish) now instead of when it would
+	// have finished. Aborts that race the request's end are no-ops.
 	abort := func() {
-		_ = g.drv.Post(func() {
-			if cr == nil || cr.Done || cr.Failed || cr.Aborted() {
-				return
-			}
-			g.cl.Abort(cr)
-			g.abortRelease(req.Model, prio)
-		})
+		_ = g.drv.Post(func() { g.cl.Abort(cr) })
 	}
 
 	if req.Stream {
@@ -957,7 +943,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 	for len(tokens) > 0 {
 		sendToken(<-tokens)
 	}
-	if fin.Failed {
+	if fin.Outcome == decision.OutcomeFailed {
 		// Cleanly rejected mid-flight (e.g. the serving partition died with
 		// no survivors): tell the client instead of pretending the stream
 		// just ended.
@@ -999,7 +985,7 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, 
 	for len(tokens) > 0 {
 		take(<-tokens)
 	}
-	if fin.Failed {
+	if fin.Outcome == decision.OutcomeFailed {
 		g.countStatus(http.StatusServiceUnavailable)
 		w.Header().Set("Retry-After", "1")
 		writeJSONError(w, http.StatusServiceUnavailable,

@@ -19,6 +19,7 @@ import (
 
 	"aegaeon/internal/assemble"
 	"aegaeon/internal/core"
+	"aegaeon/internal/decision"
 	"aegaeon/internal/sim"
 )
 
@@ -209,7 +210,7 @@ func TestStreamErrorFramesAreJSON(t *testing.T) {
 	}{
 		{"failed", func(tokens chan tokenEvent, done chan *core.Request, _ chan error) {
 			tokens <- tokenEvent{0, time.Millisecond}
-			done <- &core.Request{Failed: true, FailReason: reason}
+			done <- &core.Request{Outcome: decision.OutcomeFailed, FailReason: reason}
 		}, "request failed: " + reason},
 		{"submit", func(_ chan tokenEvent, _ chan *core.Request, errCh chan error) {
 			errCh <- errors.New(reason)

@@ -41,6 +41,12 @@ type Cache struct {
 	blockTokens int
 	shapes      map[model.KVShape]memory.ClassID // registered shape -> class
 	spare       [][]memory.Block                 // emptied block lists
+
+	// Fleet ledger hook of a GPU tier (nil = no accounting): the tier's
+	// usage is sampled after pool mutations (a decode step's appends once,
+	// through Manager.NoteKV) so the ledger tracks the GPU KV watermark.
+	fleet    *fleetobs.Ledger
+	fleetDev fleetobs.DeviceRef
 }
 
 // NewCache builds a tier over capacity bytes with the given slab size and
@@ -123,6 +129,13 @@ func (c *Cache) free(l []memory.Block) error {
 	}
 	c.retire(l)
 	return nil
+}
+
+// noteKV pushes the tier's current usage sample to its fleet ledger.
+func (c *Cache) noteKV() {
+	if c.fleet != nil {
+		c.fleet.NoteKV(c.fleetDev, c.pool.UsedBytes(), c.pool.Capacity())
+	}
 }
 
 // release is free for completion callbacks, where a failure is a bug.
@@ -296,12 +309,6 @@ type Manager struct {
 	faults   *fault.Faults
 	instance string
 	obsc     *obs.Collector
-
-	// Fleet ledger hook (nil = no accounting): sampled after pool mutations
-	// (a decode step's appends once, through NoteKV) so the ledger tracks
-	// the GPU KV watermark.
-	fleet    *fleetobs.Ledger
-	fleetDev fleetobs.DeviceRef
 }
 
 // Stats counts data-plane activity for Fig. 14's control/data overhead
@@ -347,19 +354,13 @@ func (m *Manager) SetFaults(f *fault.Faults, instance string, c *obs.Collector) 
 // GPU pool into the ledger after mutations so pool-memory watermarks show
 // up in fleet snapshots.
 func (m *Manager) SetFleet(l *fleetobs.Ledger, device string) {
-	m.fleet = l
-	m.fleetDev = l.Ref(device)
+	m.GPUCache.fleet = l
+	m.GPUCache.fleetDev = l.Ref(device)
 	m.NoteKV()
 }
 
 // NoteKV pushes the current GPU pool usage sample to the fleet ledger.
-func (m *Manager) NoteKV() {
-	if m.fleet == nil {
-		return
-	}
-	pool := m.GPUCache.Pool()
-	m.fleet.NoteKV(m.fleetDev, pool.UsedBytes(), pool.Capacity())
-}
+func (m *Manager) NoteKV() { m.GPUCache.noteKV() }
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -447,69 +448,61 @@ func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
 	}
 	bytes := seq.Bytes()
 	gpuBlocks := seq.gpuBlocks
-	srcCache := seq.gpuCache
 	seq.gpuBlocks = nil
-	if !m.faults.TransferFailing(m.instance) {
-		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}, func() {
-				// Source GPU blocks are safe to release once the copy has read them.
-				srcCache.release(gpuBlocks, "gpu free after swap-out")
-				// A swap-in may already have been issued against this sequence
-				// (Fig. 10's overlapped handoff); do not clobber its state.
-				if seq.state == StateSwappingOut {
-					seq.state = StateCPU
-				}
-				m.NoteKV()
-			})
-		ev := m.kvOut.Record()
-		seq.lastXfer = ev
-		m.stats.SwapOuts++
-		m.stats.BytesOut += bytes
-		m.control(2) // event record + block index updates
-		return ev, nil
-	}
-	// Transfer-fault path: an attempt submitted inside a fault window
-	// occupies the KV-out stream for the full copy and then fails; each
-	// failure schedules a resubmission after jittered backoff. The window is
-	// finite, so a later attempt succeeds and performs the one-and-only GPU
-	// block release and state transition. seq.lastXfer follows the live
-	// attempt unless a newer transfer (an overlapped swap-in) superseded it.
-	var resubmit func(prev *gpu.Event, attempt int)
-	submitAttempt := func(attempt int) *gpu.Event {
-		failing := m.faults.TransferFailing(m.instance)
-		var ev *gpu.Event
-		m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}, func() {
-				if failing {
-					m.faults.CountTransferFailure()
-					m.obsc.Fault(m.instance, "xfer", "kv-out "+seq.ID, m.eng.Now())
-					m.faults.CountTransferRetry()
-					m.obsc.Retry(m.instance, "kv-out "+seq.ID, m.eng.Now())
-					m.eng.After(m.faults.RetryDelay(attempt), func() {
-						resubmit(ev, attempt+1)
-					})
-					return
-				}
-				srcCache.release(gpuBlocks, "gpu free after swap-out")
-				if seq.state == StateSwappingOut {
-					seq.state = StateCPU
-				}
-			})
-		ev = m.kvOut.Record()
-		return ev
-	}
-	resubmit = func(prev *gpu.Event, attempt int) {
-		ev := submitAttempt(attempt)
-		if seq.lastXfer == prev {
-			seq.lastXfer = ev
-		}
-	}
-	ev := submitAttempt(0)
+	ev := m.swapOutAttempt(seq, seq.gpuCache, gpuBlocks, bytes, 0)
 	seq.lastXfer = ev
 	m.stats.SwapOuts++
 	m.stats.BytesOut += bytes
-	m.control(2)
+	m.control(2) // event record + block index updates
 	return ev, nil
+}
+
+// swapOutAttempt submits one attempt of seq's swap-out copy on the KV-out
+// stream and returns its event. The attempt that lands releases the source
+// GPU blocks once the copy has read them; one submitted inside a
+// transfer-fault window fails instead (failAttempt).
+func (m *Manager) swapOutAttempt(seq *Sequence, src *Cache, gpuBlocks []memory.Block, bytes int64, attempt int) *gpu.Event {
+	info := gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}
+	if m.faults.TransferFailing(m.instance) {
+		return m.failAttempt(m.kvOut, gpu.D2H, info, seq, bytes, attempt, func(next int) *gpu.Event {
+			return m.swapOutAttempt(seq, src, gpuBlocks, bytes, next)
+		})
+	}
+	m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes), info, func() {
+		src.release(gpuBlocks, "gpu free after swap-out")
+		// A swap-in may already have been issued against this sequence
+		// (Fig. 10's overlapped handoff); do not clobber its state.
+		if seq.state == StateSwappingOut {
+			seq.state = StateCPU
+		}
+		m.NoteKV()
+	})
+	return m.kvOut.Record()
+}
+
+// failAttempt submits a transfer attempt made inside a fault window: it
+// occupies the stream for the full copy, then fails, and after jittered
+// backoff retry submits the next attempt. Windows are finite, so some
+// attempt lands. seq.lastXfer follows the live attempt unless a newer
+// transfer (an overlapped swap-in) superseded it.
+func (m *Manager) failAttempt(s *gpu.Stream, k gpu.EngineKind, info gpu.OpInfo,
+	seq *Sequence, bytes int64, attempt int, retry func(next int) *gpu.Event) *gpu.Event {
+	var ev *gpu.Event
+	s.SubmitOp(k, m.prof.PCIeCopy(bytes), info, func() {
+		what := info.Label("") // "kv-out <request>"
+		m.faults.CountTransferFailure()
+		m.obsc.Fault(m.instance, "xfer", what, m.eng.Now())
+		m.faults.CountTransferRetry()
+		m.obsc.Retry(m.instance, what, m.eng.Now())
+		m.eng.After(m.faults.RetryDelay(attempt), func() {
+			next := retry(attempt + 1)
+			if seq.lastXfer == ev {
+				seq.lastXfer = next
+			}
+		})
+	})
+	ev = s.Record()
+	return ev
 }
 
 // SwapIn starts loading the sequence back into this manager's GPU tier
@@ -538,69 +531,7 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	bytes := seq.Bytes()
 	cpuBlocks := seq.cpuBlocks
 	seq.cpuBlocks = nil
-	if !m.faults.TransferFailing(m.instance) {
-		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}, func() {
-				// Guard against a crash-recovery Abandon racing the transfer.
-				if seq.state == StateSwappingIn {
-					seq.state = StateGPU
-				}
-			})
-		ev := m.kvIn.Record()
-		// Rule ❸: the CPU copies become garbage once read, but they must not be
-		// reallocated until the read completes. Park them in the move list.
-		if err := m.park(cpuBlocks, ev); err != nil {
-			panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
-		}
-		seq.gpuBlocks = gpuBlocks
-		seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
-		seq.lastXfer = ev
-		m.stats.SwapIns++
-		m.stats.BytesIn += bytes
-		m.control(2)
-		m.NoteKV()
-		return ev, nil
-	}
-	// Transfer-fault path. A failed attempt must NOT park the CPU source
-	// blocks: the data is still needed for the retry. Only the attempt
-	// submitted outside the fault window (guaranteed to exist — windows are
-	// finite) parks them under rule ❸, so the blocks are released exactly
-	// once no matter how many attempts it takes.
-	var resubmit func(prev *gpu.Event, attempt int)
-	submitAttempt := func(attempt int) *gpu.Event {
-		failing := m.faults.TransferFailing(m.instance)
-		var ev *gpu.Event
-		m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes),
-			gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}, func() {
-				if failing {
-					m.faults.CountTransferFailure()
-					m.obsc.Fault(m.instance, "xfer", "kv-in "+seq.ID, m.eng.Now())
-					m.faults.CountTransferRetry()
-					m.obsc.Retry(m.instance, "kv-in "+seq.ID, m.eng.Now())
-					m.eng.After(m.faults.RetryDelay(attempt), func() {
-						resubmit(ev, attempt+1)
-					})
-					return
-				}
-				if seq.state == StateSwappingIn {
-					seq.state = StateGPU
-				}
-			})
-		ev = m.kvIn.Record()
-		if !failing {
-			if err := m.park(cpuBlocks, ev); err != nil {
-				panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
-			}
-		}
-		return ev
-	}
-	resubmit = func(prev *gpu.Event, attempt int) {
-		ev := submitAttempt(attempt)
-		if seq.lastXfer == prev {
-			seq.lastXfer = ev
-		}
-	}
-	ev := submitAttempt(0)
+	ev := m.swapInAttempt(seq, cpuBlocks, bytes, 0)
 	seq.gpuBlocks = gpuBlocks
 	seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
 	seq.lastXfer = ev
@@ -608,6 +539,34 @@ func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
 	m.stats.BytesIn += bytes
 	m.control(2)
 	return ev, nil
+}
+
+// swapInAttempt submits one attempt of seq's swap-in copy on the KV-in
+// stream and returns its event. Only the attempt that lands parks the CPU
+// source blocks (rule ❸), so they are released exactly once however many
+// attempts it takes: a failed attempt (failAttempt) leaves them held for
+// its retry.
+func (m *Manager) swapInAttempt(seq *Sequence, cpuBlocks []memory.Block, bytes int64, attempt int) *gpu.Event {
+	info := gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}
+	if m.faults.TransferFailing(m.instance) {
+		return m.failAttempt(m.kvIn, gpu.H2D, info, seq, bytes, attempt, func(next int) *gpu.Event {
+			return m.swapInAttempt(seq, cpuBlocks, bytes, next)
+		})
+	}
+	m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes), info, func() {
+		// Guard against a crash-recovery Abandon racing the transfer.
+		if seq.state == StateSwappingIn {
+			seq.state = StateGPU
+		}
+	})
+	ev := m.kvIn.Record()
+	// Rule ❸: the CPU copies become garbage once read, but they must not be
+	// reallocated until the read completes. Park them in the move list.
+	if err := m.park(cpuBlocks, ev); err != nil {
+		panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
+	}
+	m.NoteKV()
+	return ev
 }
 
 // Reclaim releases the blocks of a sequence whose request was shed or
@@ -642,7 +601,10 @@ func (m *Manager) Free(seq *Sequence) error {
 		// the move-list mechanism on the GPU pool via OnComplete.
 		blocks := seq.gpuBlocks
 		cache := seq.gpuCache
-		seq.lastXfer.OnComplete(func() { cache.release(blocks, "deferred gpu free") })
+		seq.lastXfer.OnComplete(func() {
+			cache.release(blocks, "deferred gpu free")
+			cache.noteKV()
+		})
 	case StateFreed:
 		return fmt.Errorf("kvcache: double free of sequence %s", seq.ID)
 	}

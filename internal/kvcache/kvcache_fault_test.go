@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aegaeon/internal/fault"
+	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/latency"
 )
 
@@ -118,5 +119,41 @@ func TestNilFaultsKeepsTimingIdentical(t *testing.T) {
 	f.eng.Run()
 	if want := latency.H800().PCIeCopy(seq.Bytes()); ev.CompletedAt() != want {
 		t.Fatalf("nil-faults swap-out at %v, want %v", ev.CompletedAt(), want)
+	}
+}
+
+// A transfer that retried through a fault window samples the fleet ledger
+// when it lands, as a clean one does: afterwards the ledger's GPU KV usage
+// is the pool's, for a swap-out and for a swap-in.
+func TestRetriedTransferSamplesFleetKV(t *testing.T) {
+	f := newFixture(t)
+	fts := fault.New(f.eng, 3)
+	ledger := fleetobs.New(f.eng)
+	ledger.ObserveDevice(f.m1.dev)
+	f.m1.SetFaults(fts, "gpu0", nil)
+	f.m1.SetFleet(ledger, "gpu0")
+	kvUsed := func() int64 { return ledger.Snapshot(f.eng.Now()).Devices[0].KVUsedBytes }
+
+	seq, err := f.m1.NewSequence("r1", f.mod.KVShape(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyDur := latency.H800().PCIeCopy(seq.Bytes())
+	fts.FailTransfers("gpu0", copyDur+10*time.Millisecond)
+	if _, err := f.m1.SwapOut(seq); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.Run()
+	if got, want := kvUsed(), f.m1.GPUCache.Pool().UsedBytes(); got != want {
+		t.Fatalf("after a retried swap-out the ledger reads %d B of GPU KV, the pool %d B", got, want)
+	}
+
+	fts.FailTransfers("gpu0", copyDur+10*time.Millisecond)
+	if _, err := f.m1.SwapIn(seq); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.Run()
+	if got, want := kvUsed(), f.m1.GPUCache.Pool().UsedBytes(); got != want || want == 0 {
+		t.Fatalf("after a retried swap-in the ledger reads %d B of GPU KV, the pool %d B", got, want)
 	}
 }

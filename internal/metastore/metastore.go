@@ -27,8 +27,8 @@ type Store struct {
 	watches []*watch
 
 	// Fault windows, driven by the injection layer. While partitioned every
-	// operation fails with ErrUnavailable (legacy callbacks observe a dropped
-	// write / missing read); while slowed the RTT is multiplied.
+	// operation fails with ErrUnavailable; while slowed the RTT is
+	// multiplied.
 	partitionedUntil sim.Time
 	slowUntil        sim.Time
 	slowFactor       float64
@@ -58,8 +58,8 @@ func New(eng *sim.Engine, rtt time.Duration) *Store {
 }
 
 // Partition makes the store unreachable for d: every operation submitted
-// while the window is open fails with ErrUnavailable (legacy callers observe
-// a dropped write or a missing read). Overlapping windows extend.
+// while the window is open fails with ErrUnavailable. Overlapping windows
+// extend.
 func (s *Store) Partition(d time.Duration) {
 	if d <= 0 {
 		return
@@ -131,23 +131,9 @@ func (s *Store) applySet(key, value string) {
 }
 
 // Set writes key=value and notifies watchers after the RTT elapses. done
-// (optional) fires when the write is acknowledged. During a partition the
-// write is dropped silently; error-aware callers use SetE.
-func (s *Store) Set(key, value string, done ...func()) {
-	s.sets++
-	s.run(func(err error) {
-		if err == nil {
-			s.applySet(key, value)
-		}
-		for _, d := range done {
-			d()
-		}
-	})
-}
-
-// SetE is Set with failure reporting: done receives ErrUnavailable when the
-// write was dropped by a partition.
-func (s *Store) SetE(key, value string, done func(err error)) {
+// (nil allowed) fires when the write is acknowledged, with ErrUnavailable
+// when a partition dropped it.
+func (s *Store) Set(key, value string, done func(err error)) {
 	s.sets++
 	s.run(func(err error) {
 		if err == nil {
@@ -206,9 +192,10 @@ func (s *Store) GetNow(key string) (string, bool) {
 	return v, ok
 }
 
-// Delete removes a key and notifies watchers with an empty value. During a
-// partition the delete is dropped silently.
-func (s *Store) Delete(key string, done ...func()) {
+// Delete removes a key and notifies watchers with an empty value. done (nil
+// allowed) fires when the delete is acknowledged, with ErrUnavailable when a
+// partition dropped it.
+func (s *Store) Delete(key string, done func(err error)) {
 	s.deletes++
 	s.run(func(err error) {
 		if err == nil {
@@ -222,8 +209,8 @@ func (s *Store) Delete(key string, done ...func()) {
 				}
 			}
 		}
-		for _, d := range done {
-			d()
+		if done != nil {
+			done(err)
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 func TestSetGetSync(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, 0)
-	s.Set("req/1", "prefill0")
+	s.Set("req/1", "prefill0", nil)
 	if v, ok := s.GetNow("req/1"); !ok || v != "prefill0" {
 		t.Fatalf("GetNow = (%q,%v)", v, ok)
 	}
@@ -20,7 +20,7 @@ func TestRTTDelaysVisibility(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, 2*time.Millisecond)
 	acked := sim.Time(0)
-	s.Set("k", "v", func() { acked = eng.Now() })
+	s.Set("k", "v", func(error) { acked = eng.Now() })
 	if _, ok := s.GetNow("k"); ok {
 		t.Fatal("write visible before RTT")
 	}
@@ -41,15 +41,15 @@ func TestWatchPrefix(t *testing.T) {
 	s := New(eng, time.Millisecond)
 	var events []string
 	cancel := s.Watch("req/", func(k, v string) { events = append(events, k+"="+v) })
-	s.Set("req/1", "a")
-	s.Set("other/2", "b")
-	s.Delete("req/1")
+	s.Set("req/1", "a", nil)
+	s.Set("other/2", "b", nil)
+	s.Delete("req/1", nil)
 	eng.Run()
 	if len(events) != 2 || events[0] != "req/1=a" || events[1] != "req/1=" {
 		t.Fatalf("events = %v", events)
 	}
 	cancel()
-	s.Set("req/3", "c")
+	s.Set("req/3", "c", nil)
 	eng.Run()
 	if len(events) != 2 {
 		t.Fatal("cancelled watch still fired")
@@ -60,7 +60,7 @@ func TestDeleteMissingKey(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, 0)
 	done := false
-	s.Delete("ghost", func() { done = true })
+	s.Delete("ghost", func(error) { done = true })
 	if !done {
 		t.Fatal("delete of missing key did not ack")
 	}
@@ -69,14 +69,14 @@ func TestDeleteMissingKey(t *testing.T) {
 func TestKeysAndVersion(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, 0)
-	s.Set("a/2", "x")
-	s.Set("a/1", "y")
-	s.Set("b/1", "z")
+	s.Set("a/2", "x", nil)
+	s.Set("a/1", "y", nil)
+	s.Set("b/1", "z", nil)
 	keys := s.Keys("a/")
 	if len(keys) != 2 || keys[0] != "a/1" || keys[1] != "a/2" {
 		t.Fatalf("keys = %v", keys)
 	}
-	s.Set("a/1", "y2")
+	s.Set("a/1", "y2", nil)
 	if s.Version("a/1") != 2 {
 		t.Fatalf("version = %d", s.Version("a/1"))
 	}
@@ -120,8 +120,8 @@ func TestWatchCancelDuringSweep(t *testing.T) {
 		cancelSelf()
 	})
 	s.Watch("a/", func(k, _ string) { fired["sibling"]++ })
-	s.Set("a/x", "1")
-	s.Set("a/y", "2")
+	s.Set("a/x", "1", nil)
+	s.Set("a/y", "2", nil)
 	if fired["self"] != 1 {
 		t.Fatalf("self-cancelling watch fired %d times, want 1", fired["self"])
 	}
@@ -145,9 +145,9 @@ func TestDeleteNotifiesWatchersRegression(t *testing.T) {
 	}
 	var got []ev
 	s.Watch("lease/", func(k, v string) { got = append(got, ev{k, v, eng.Now()}) })
-	s.Set("lease/decode0", "alive")
+	s.Set("lease/decode0", "alive", nil)
 	eng.Run()
-	s.Delete("lease/decode0")
+	s.Delete("lease/decode0", nil)
 	eng.Run()
 	if len(got) != 2 {
 		t.Fatalf("events = %v", got)
@@ -206,7 +206,7 @@ func TestCompareAndSwap(t *testing.T) {
 func TestPartitionDropsOps(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, time.Millisecond)
-	s.Set("k", "v0")
+	s.Set("k", "v0", nil)
 	eng.Run()
 
 	s.Partition(10 * time.Millisecond)
@@ -215,13 +215,13 @@ func TestPartitionDropsOps(t *testing.T) {
 	}
 	var setErr, getErr, casErr error
 	var gotOK bool
-	s.SetE("k", "v1", func(err error) { setErr = err })
+	s.Set("k", "v1", func(err error) { setErr = err })
 	s.GetE("k", func(v string, ok bool, err error) { gotOK, getErr = ok, err })
 	s.CompareAndSwap("k", "v0", "v2", func(sw bool, err error) { casErr = err })
 	var legacy string
 	var legacyOK bool
 	s.Get("k", func(v string, ok bool) { legacy, legacyOK = v, ok })
-	s.Delete("k")
+	s.Delete("k", nil)
 	eng.Run()
 	if setErr != ErrUnavailable || getErr != ErrUnavailable || casErr != ErrUnavailable {
 		t.Fatalf("errors: set=%v get=%v cas=%v", setErr, getErr, casErr)
@@ -243,7 +243,7 @@ func TestPartitionDropsOps(t *testing.T) {
 		t.Fatal("store still partitioned after window")
 	}
 	var err2 error
-	s.SetE("k", "v3", func(err error) { err2 = err })
+	s.Set("k", "v3", func(err error) { err2 = err })
 	eng.Run()
 	if err2 != nil {
 		t.Fatalf("post-heal SetE err: %v", err2)
@@ -258,7 +258,7 @@ func TestSlowByStretchesRTT(t *testing.T) {
 	s := New(eng, time.Millisecond)
 	s.SlowBy(5, 50*time.Millisecond)
 	var ackAt sim.Time
-	s.SetE("k", "v", func(err error) { ackAt = eng.Now() })
+	s.Set("k", "v", func(err error) { ackAt = eng.Now() })
 	eng.Run()
 	if ackAt != 5*time.Millisecond {
 		t.Fatalf("slowed ack at %v, want 5ms", ackAt)
@@ -266,7 +266,7 @@ func TestSlowByStretchesRTT(t *testing.T) {
 	// Window expiry restores the base RTT (the submit lands at 5ms+60ms).
 	var ack2 sim.Time
 	eng.After(60*time.Millisecond, func() {
-		s.SetE("k", "v2", func(err error) { ack2 = eng.Now() })
+		s.Set("k", "v2", func(err error) { ack2 = eng.Now() })
 	})
 	eng.Run()
 	if ack2 != 66*time.Millisecond {
@@ -284,9 +284,9 @@ func TestStoreWatchOrderMatchesVersion(t *testing.T) {
 	var order []string
 	s.Watch("k", func(k, v string) { order = append(order, v) })
 	s.SlowBy(10, 500*time.Microsecond) // first op completes at 10ms
-	s.Set("k", "first")                // submitted under the spike
+	s.Set("k", "first", nil)           // submitted under the spike
 	eng.At(2*time.Millisecond, func() {
-		s.Set("k", "second") // spike expired: raw latency would land at 3ms
+		s.Set("k", "second", nil) // spike expired: raw latency would land at 3ms
 	})
 	eng.Run()
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
