@@ -489,7 +489,7 @@ func (s *System) Serve(trace []Request) (Report, error) {
 		rep.SwitchP99 = time.Duration(cdf.Quantile(0.99) * float64(time.Second))
 	}
 	for _, r := range s.sys.Requests() {
-		rep.GeneratedTokens += len(r.TokenTimes)
+		rep.GeneratedTokens += r.Generated()
 	}
 	if pc := s.sys.PrefixCache(); pc != nil {
 		st := pc.Stats()

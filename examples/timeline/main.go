@@ -72,9 +72,9 @@ func main() {
 	for _, r := range sys.Requests() {
 		fmt.Printf("  %s (%s): TTFT %7v, last token at %7v, %d tokens\n",
 			r.ID, r.Model.Name,
-			(r.TokenTimes[0] - r.Arrival).Round(time.Millisecond),
-			(r.TokenTimes[len(r.TokenTimes)-1] - r.Arrival).Round(time.Millisecond),
-			len(r.TokenTimes))
+			(r.FirstToken() - r.Arrival).Round(time.Millisecond),
+			(r.LastToken() - r.Arrival).Round(time.Millisecond),
+			r.Generated())
 	}
 	fmt.Printf("\ntoken SLO attainment: %.1f%% — request-level scaling would serve\n", 100*sys.Attainment())
 	fmt.Println("B and C only after A's ~400-token decode finished (Fig. 2a's HOL blocking)")

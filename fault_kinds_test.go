@@ -31,6 +31,7 @@ func TestFaultKindsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.sys.LogTokens()
 		rep, err := sys.Serve(sys.GenerateTrace(TraceSpec{RatePerModel: 0.02, Horizon: 3 * time.Minute}))
 		if err != nil {
 			t.Fatal(err)

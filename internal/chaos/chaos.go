@@ -163,6 +163,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The token-order audit reads every request's token log.
+	for _, d := range c.Deployments() {
+		d.System.LogTokens()
+	}
 	names := make([]string, len(models))
 	for i, m := range models {
 		names[i] = m.Name
@@ -243,7 +247,8 @@ func schedule(cfg Config, c *cluster.Cluster, names []string) ([]fault.Fault, er
 }
 
 // VerifyInvariants audits a drained cluster against the recovery guarantees.
-// Call after the simulation has run to completion.
+// Call after the simulation has run to completion. Token order is audited
+// only on systems whose token log was on (core.System.LogTokens).
 func VerifyInvariants(c *cluster.Cluster) []string {
 	var v []string
 	for _, d := range c.Deployments() {
@@ -256,9 +261,9 @@ func VerifyInvariants(c *cluster.Cluster) []string {
 			switch r.Outcome {
 			case decision.OutcomeDone:
 				done++
-				if len(r.TokenTimes) != r.OutputTokens {
+				if r.Generated() != r.OutputTokens {
 					v = append(v, fmt.Sprintf("request %s completed with %d/%d tokens (lost or duplicated)",
-						r.ID, len(r.TokenTimes), r.OutputTokens))
+						r.ID, r.Generated(), r.OutputTokens))
 				}
 			case decision.OutcomeFailed:
 				failed++

@@ -273,6 +273,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Deployments()[0].System.LogTokens()
 	names := make([]string, len(models))
 	for i, m := range models {
 		names[i] = m.Name

@@ -120,6 +120,7 @@ func coalesceCase(t *testing.T, seed int64, observed bool) caseResult {
 		cfg.Fleet = fleetobs.New(se)
 	}
 	sys := NewSystem(se, cfg)
+	sys.LogTokens() // the digest holds every token's time
 
 	horizon := 8 * time.Second
 	at := func() sim.Time { return sim.Time(rng.Int63n(int64(horizon))) }
@@ -238,6 +239,7 @@ func TestRunBoundaryInstant(t *testing.T) {
 			m := model.MarketMix(1)[0]
 			se := sim.NewEngine(1)
 			sys := NewSystem(se, testConfig([]*model.Model{m}, engine.AllOptimizations(), 1, 1))
+			sys.LogTokens()
 			if err := sys.Submit([]workload.Request{
 				{ID: "a", Model: m.Name, InputTokens: 64, OutputTokens: 200},
 				{ID: "b", Model: m.Name, Arrival: 2 * sim.Time(time.Second), InputTokens: 96, OutputTokens: 200},
@@ -257,7 +259,7 @@ func TestRunBoundaryInstant(t *testing.T) {
 			first := d.run.Next
 			tokens, kv := map[*Request]int{}, map[*Request]int{}
 			for _, r := range members {
-				tokens[r], kv[r] = len(r.TokenTimes), r.Seq.Tokens()
+				tokens[r], kv[r] = r.Generated(), r.Seq.Tokens()
 			}
 			at := d.stepStart
 			if tc.boundary == 1 {
@@ -283,11 +285,11 @@ func TestRunBoundaryInstant(t *testing.T) {
 						d.runStep, d.run.End, stamped, cutEnd)
 				}
 				for _, r := range members {
-					if len(r.TokenTimes) != tokens[r]+stamped {
-						t.Errorf("%s: %d tokens after the touch, want %d", r.ID, len(r.TokenTimes), tokens[r]+stamped)
+					if r.Generated() != tokens[r]+stamped {
+						t.Errorf("%s: %d tokens after the touch, want %d", r.ID, r.Generated(), tokens[r]+stamped)
 					}
-					if stamped > 0 && r.TokenTimes[len(r.TokenTimes)-1] != first {
-						t.Errorf("%s: step 1's token at %v, want %v", r.ID, r.TokenTimes[len(r.TokenTimes)-1], first)
+					if stamped > 0 && r.LastToken() != first {
+						t.Errorf("%s: step 1's token at %v, want %v", r.ID, r.LastToken(), first)
 					}
 					if !r.terminal() && r.Seq.Tokens() != kv[r]+started-1 {
 						t.Errorf("%s: %d KV tokens after the touch, want %d", r.ID, r.Seq.Tokens(), kv[r]+started-1)
@@ -300,21 +302,21 @@ func TestRunBoundaryInstant(t *testing.T) {
 
 			for _, r := range members {
 				if r == victim && !tc.join {
-					if r.Outcome != decision.OutcomeAborted || len(r.TokenTimes) != tokens[r]+stamped {
-						t.Errorf("victim: outcome %q with %d tokens, want %d", r.Outcome, len(r.TokenTimes), tokens[r]+stamped)
+					if r.Outcome != decision.OutcomeAborted || r.Generated() != tokens[r]+stamped {
+						t.Errorf("victim: outcome %q with %d tokens, want %d", r.Outcome, r.Generated(), tokens[r]+stamped)
 					}
 					continue
 				}
-				if r.Outcome != decision.OutcomeDone || len(r.TokenTimes) != r.OutputTokens {
-					t.Fatalf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, len(r.TokenTimes), r.OutputTokens)
+				if r.Outcome != decision.OutcomeDone || r.Generated() != r.OutputTokens {
+					t.Fatalf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, r.Generated(), r.OutputTokens)
 				}
 				if got := r.TokenTimes[tokens[r]+started-1]; got != cutEnd {
 					t.Errorf("%s: the step in flight's token at %v, want the cut run's end %v", r.ID, got, cutEnd)
 				}
 			}
 			if tc.join {
-				if joiner.Outcome != decision.OutcomeDone || len(joiner.TokenTimes) != joiner.OutputTokens {
-					t.Fatalf("joiner: outcome %q with %d of %d tokens", joiner.Outcome, len(joiner.TokenTimes), joiner.OutputTokens)
+				if joiner.Outcome != decision.OutcomeDone || joiner.Generated() != joiner.OutputTokens {
+					t.Fatalf("joiner: outcome %q with %d of %d tokens", joiner.Outcome, joiner.Generated(), joiner.OutputTokens)
 				}
 				if joiner.TokenTimes[1] <= cutEnd {
 					t.Errorf("joiner's first decode token at %v, inside the cut run ending %v", joiner.TokenTimes[1], cutEnd)
@@ -339,7 +341,7 @@ func prefilledAt(t *testing.T, sys *System, m *model.Model, now sim.Time) *Reque
 		t.Fatal(err)
 	}
 	r.Seq = seq
-	r.recordToken(now)
+	r.recordToken(sys, now)
 	if _, err := kv.SwapOut(seq); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +408,8 @@ func TestRunCutByAllocation(t *testing.T) {
 			for se.Step() {
 			}
 			for _, r := range members {
-				if r.Outcome != decision.OutcomeDone || len(r.TokenTimes) != r.OutputTokens {
-					t.Errorf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, len(r.TokenTimes), r.OutputTokens)
+				if r.Outcome != decision.OutcomeDone || r.Generated() != r.OutputTokens {
+					t.Errorf("%s: outcome %q with %d of %d tokens", r.ID, r.Outcome, r.Generated(), r.OutputTokens)
 				}
 			}
 		})

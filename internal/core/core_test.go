@@ -115,20 +115,32 @@ func TestEveryTokenAccounted(t *testing.T) {
 		{ID: "r1", Model: models[1].Name, Arrival: time.Second, InputTokens: 100, OutputTokens: 30},
 		{ID: "r2", Model: models[0].Name, Arrival: 2 * time.Second, InputTokens: 300, OutputTokens: 1},
 	}
-	sys := runTrace(t, testConfig(models, engine.AllOptimizations(), 1, 1), trace)
+	se := sim.NewEngine(1)
+	sys := NewSystem(se, testConfig(models, engine.AllOptimizations(), 1, 1))
+	sys.LogTokens()
+	if err := sys.Submit(trace); err != nil {
+		t.Fatal(err)
+	}
+	se.Run()
+	sys.Finalize(se.Now())
 	for _, r := range sys.Requests() {
 		if r.Outcome != decision.OutcomeDone {
 			t.Fatalf("request %s not done", r.ID)
 		}
-		if len(r.TokenTimes) != r.OutputTokens {
-			t.Fatalf("request %s produced %d tokens, want %d", r.ID, len(r.TokenTimes), r.OutputTokens)
+		if r.Generated() != r.OutputTokens || len(r.TokenTimes) != r.OutputTokens {
+			t.Fatalf("request %s produced %d tokens (%d logged), want %d",
+				r.ID, r.Generated(), len(r.TokenTimes), r.OutputTokens)
 		}
 		for i := 1; i < len(r.TokenTimes); i++ {
 			if r.TokenTimes[i] < r.TokenTimes[i-1] {
 				t.Fatalf("request %s token times not monotone", r.ID)
 			}
 		}
-		if r.TokenTimes[0] < r.Arrival {
+		if r.FirstToken() != r.TokenTimes[0] || r.LastToken() != r.TokenTimes[len(r.TokenTimes)-1] {
+			t.Fatalf("request %s: first/last token %v/%v, log has %v/%v", r.ID,
+				r.FirstToken(), r.LastToken(), r.TokenTimes[0], r.TokenTimes[len(r.TokenTimes)-1])
+		}
+		if r.FirstToken() < r.Arrival {
 			t.Fatalf("request %s first token before arrival", r.ID)
 		}
 	}

@@ -825,7 +825,7 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 func (d *decodeInstance) planRun() bool {
 	k := maxRunSteps
 	for _, r := range d.runReqs {
-		k = min(k, r.OutputTokens-len(r.TokenTimes))
+		k = min(k, r.RemainingTokens())
 	}
 	if k < 2 {
 		return false
@@ -960,7 +960,7 @@ func (d *decodeInstance) finishRun() {
 	d.stampStep(d.stepStart, d.eng.Sim().Now())
 	finishedAny := false
 	for _, r := range d.runReqs {
-		if len(r.TokenTimes) >= r.OutputTokens {
+		if r.RemainingTokens() <= 0 {
 			if err := d.eng.KV().Free(r.Seq); err != nil {
 				panic("core: free finished sequence: " + err.Error())
 			}

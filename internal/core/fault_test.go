@@ -45,8 +45,8 @@ func TestCrashThenDelayedRecovery(t *testing.T) {
 		t.Fatalf("completed %d/%d after delayed recovery", sys.Completed(), len(trace))
 	}
 	for _, r := range sys.Requests() {
-		if len(r.TokenTimes) != r.OutputTokens {
-			t.Fatalf("request %s has %d tokens, want %d", r.ID, len(r.TokenTimes), r.OutputTokens)
+		if r.Generated() != r.OutputTokens {
+			t.Fatalf("request %s has %d tokens, want %d", r.ID, r.Generated(), r.OutputTokens)
 		}
 	}
 }

@@ -38,6 +38,7 @@ func observedDigest(t *testing.T, models []*model.Model, trace []workload.Reques
 	se := sim.NewEngine(1)
 	cfg := observedConfig(se, models)
 	sys := NewSystem(se, cfg)
+	sys.LogTokens()
 	if err := sys.Submit(trace); err != nil {
 		t.Error(err)
 		return ""

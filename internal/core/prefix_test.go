@@ -12,7 +12,7 @@ import (
 	"aegaeon/internal/workload"
 )
 
-func ttft(r *Request) time.Duration { return time.Duration(r.TokenTimes[0] - r.Arrival) }
+func ttft(r *Request) time.Duration { return time.Duration(r.FirstToken() - r.Arrival) }
 
 // TestPrefixReuseShortensTTFT submits the same long prompt three times, far
 // enough apart that each has fully drained. Turn 2 reuses the host tier

@@ -39,8 +39,15 @@ type Request struct {
 	// ordering and the overload reaper.
 	Deadline sim.Time
 
-	// TokenTimes[i] is the completion time of token i. Token 0 is produced
-	// by prefill; tokens 1..OutputTokens-1 by decoding steps.
+	// judged is the SLO judgement of the tokens produced so far, each judged
+	// as it lands; its count is the tokens generated. firstToken and
+	// lastToken are the completion times of the first and latest of them.
+	// Token 0 is produced by prefill; tokens 1..OutputTokens-1 by decoding
+	// steps.
+	judged                slo.Stream
+	firstToken, lastToken sim.Time
+	// TokenTimes[i] is the completion time of token i, kept only while the
+	// system's token log is on (System.LogTokens); nil otherwise.
 	TokenTimes []sim.Time
 
 	Seq *kvcache.Sequence
@@ -67,11 +74,11 @@ type Request struct {
 	// for batch Finalize reporting; their SLO observation folds into the
 	// tracker at completion so a long-running server stays bounded.
 	live bool
-	// verdict is the SLO verdict of a batch request that failed while the
-	// monitor was on: failRequest feeds it to the monitor at once, so burn
-	// rates reflect overload as it happens, and Finalize folds it into the
-	// tracker without judging the request again.
-	verdict *slo.Verdict
+	// monitored marks a batch request that failed while the monitor was
+	// on: failRequest fed its verdict to the monitor at once, so burn rates
+	// reflect overload as it happens, and Finalize folds the verdict into
+	// the tracker only.
+	monitored bool
 
 	// SessionID and Segments carry the conversation identity and the
 	// deterministic prompt content from the workload layer; the prefix cache
@@ -108,22 +115,31 @@ func newRequest(wr workload.Request, m *model.Model, id model.ID) *Request {
 	}
 }
 
-// recordToken appends a token completion time and fires the OnToken hook.
-// All token emission funnels through here so live streaming observes every
-// token exactly once, in order — and so terminal requests (failed or
-// aborted) emit nothing more, even from compute steps already in flight
-// when they became terminal. The first token sizes TokenTimes for the whole
-// output, so a request's token log is one allocation.
-func (r *Request) recordToken(at sim.Time) {
+// recordToken judges a token completed at `at`, keeps its time when the
+// system's token log is on, and fires the OnToken hook. All token emission
+// funnels through here so live streaming observes every token exactly
+// once, in order — and so terminal requests (failed or aborted) emit
+// nothing more, even from compute steps already in flight when they became
+// terminal. The first logged token sizes TokenTimes for the whole output,
+// so a request's token log is one allocation.
+func (r *Request) recordToken(s *System, at sim.Time) {
 	if r.terminal() {
 		return
 	}
-	if r.TokenTimes == nil {
-		r.TokenTimes = make([]sim.Time, 0, r.OutputTokens)
+	i := r.judged.N()
+	r.judged.Add(s.sloFor(r.mid), r.Arrival, at)
+	if i == 0 {
+		r.firstToken = at
 	}
-	r.TokenTimes = append(r.TokenTimes, at)
+	r.lastToken = at
+	if s.logTokens {
+		if r.TokenTimes == nil {
+			r.TokenTimes = make([]sim.Time, 0, r.OutputTokens)
+		}
+		r.TokenTimes = append(r.TokenTimes, at)
+	}
 	if r.OnToken != nil {
-		r.OnToken(len(r.TokenTimes)-1, at)
+		r.OnToken(i, at)
 	}
 }
 
@@ -143,15 +159,22 @@ func (r *Request) promptHashes(block int) []uint64 {
 func (r *Request) terminal() bool { return r.Outcome != "" }
 
 // Generated returns the number of tokens produced so far.
-func (r *Request) Generated() int { return len(r.TokenTimes) }
+func (r *Request) Generated() int { return r.judged.N() }
+
+// FirstToken returns the completion time of token 0 (0 before it lands).
+func (r *Request) FirstToken() sim.Time { return r.firstToken }
+
+// LastToken returns the completion time of the latest token (0 before the
+// first lands).
+func (r *Request) LastToken() sim.Time { return r.lastToken }
 
 // RemainingTokens returns how many tokens are still to be produced.
-func (r *Request) RemainingTokens() int { return r.OutputTokens - len(r.TokenTimes) }
+func (r *Request) RemainingTokens() int { return r.OutputTokens - r.Generated() }
 
 // ContextTokens returns the current attention context length (prompt plus
 // generated tokens), which drives the Eq. 6 decode cost.
 func (r *Request) ContextTokens() int64 {
-	return int64(r.InputTokens + len(r.TokenTimes))
+	return int64(r.InputTokens + r.Generated())
 }
 
 // ProjectedTokens returns the KV footprint in tokens the request will reach

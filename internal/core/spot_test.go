@@ -60,8 +60,8 @@ func TestReclaimAwareEvacuation(t *testing.T) {
 	// Exactly the right token counts: evacuation re-homing must never
 	// double-decode a request that moved instances.
 	for _, r := range sys.Requests() {
-		if len(r.TokenTimes) != r.OutputTokens {
-			t.Fatalf("request %s has %d tokens, want %d", r.ID, len(r.TokenTimes), r.OutputTokens)
+		if r.Generated() != r.OutputTokens {
+			t.Fatalf("request %s has %d tokens, want %d", r.ID, r.Generated(), r.OutputTokens)
 		}
 	}
 	st := mkt.Stats()

@@ -63,6 +63,7 @@ func runLadder(t *testing.T, opts engine.Options, cold bool) (ladderDigests, map
 		se.At(50*time.Second, func() { cfg.Faults.SlowFetch(3, 20*time.Second) })
 	}
 	sys := NewSystem(se, cfg)
+	sys.LogTokens()
 	if err := sys.Submit(trace); err != nil {
 		t.Fatal(err)
 	}

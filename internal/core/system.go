@@ -262,6 +262,9 @@ type System struct {
 	failed      int
 	aborted     int
 	liveOpen    int // live-submitted requests not yet finished
+	// logTokens keeps every request's token times in TokenTimes; off, a
+	// request keeps only its verdict, token count and end times.
+	logTokens bool
 
 	// orphans stashes the in-flight requests of crashed instances, keyed by
 	// engine name, until RecoverOrphansOf re-dispatches them.
@@ -447,6 +450,12 @@ func (s *System) SubmitLive(wr workload.Request, onToken func(i int, at sim.Time
 	}
 	return r, nil
 }
+
+// LogTokens turns on the token log: from now on every request keeps each
+// token's completion time in TokenTimes, for audits and tests that read a
+// whole stream. It changes nothing else the system does. Call it before
+// requests are submitted.
+func (s *System) LogTokens() { s.logTokens = true }
 
 // LiveInFlight returns the number of live-submitted requests not yet
 // finished.
@@ -775,18 +784,14 @@ type tokenFeed struct {
 // record stamps r's next token at `at` and adds it to the feed. recordToken
 // no-ops on terminal requests, so a token is fed only if r took it.
 func (f *tokenFeed) record(s *System, instance string, r *Request, at sim.Time) {
-	n := len(r.TokenTimes)
-	r.recordToken(at)
-	if len(r.TokenTimes) == n {
+	n, prev := r.Generated(), r.lastToken
+	r.recordToken(s, at)
+	if r.Generated() == n {
 		return
 	}
 	f.n++
 	if s.mon == nil {
 		return
-	}
-	var prev sim.Time
-	if n > 0 {
-		prev = r.TokenTimes[n-1]
 	}
 	f.judged = append(f.judged, slomon.TokenObs{
 		Model:    r.mid,
@@ -870,16 +875,11 @@ func (s *System) end(r *Request, outcome, reason string) {
 	}
 }
 
-// judge returns r's SLO verdict, with dropped never-generated tokens
-// counted missed. slo.Judge runs once per request: a batch request that
-// failed while the monitor was on keeps the verdict failRequest gave it.
+// judge returns r's SLO verdict, the one its tokens built as they landed,
+// with dropped never-generated tokens counted missed. A terminal request
+// takes no more tokens, so its verdict no longer changes.
 func (s *System) judge(r *Request, dropped int) slo.Verdict {
-	var v slo.Verdict
-	if r.verdict != nil {
-		v = *r.verdict
-	} else {
-		v = slo.Judge(s.sloFor(r.mid), r.Arrival, r.TokenTimes)
-	}
+	v := r.judged.Verdict()
 	v.Dropped = uint64(dropped)
 	return v
 }
@@ -891,7 +891,7 @@ func (s *System) fold(r *Request, v slo.Verdict) {
 	t := &s.tiers[r.Priority]
 	t.Met += v.Met
 	t.Missed += v.Missed + v.Dropped
-	if r.verdict == nil {
+	if !r.monitored {
 		s.mon.ObserveVerdict(r.mid, v)
 	}
 }
@@ -925,7 +925,7 @@ func (s *System) failRequest(r *Request, reason string) {
 		// count, into the tracker and tier only.
 		v := s.judge(r, r.RemainingTokens())
 		s.mon.ObserveVerdict(r.mid, v)
-		r.verdict = &v
+		r.monitored = true
 	}
 	s.noteDroppedTokens(r, s.eng.Now(), true)
 	s.end(r, decision.OutcomeFailed, reason)
@@ -1005,18 +1005,18 @@ func (s *System) Finalize(endTime sim.Time) {
 		dropped := 0
 		if r.Outcome != decision.OutcomeDone {
 			rslo := s.sloFor(r.mid)
-			for i := len(r.TokenTimes); i < r.OutputTokens; i++ {
+			for i := r.Generated(); i < r.OutputTokens; i++ {
 				if rslo.Deadline(r.Arrival, i) <= endTime {
 					dropped++
 				}
 			}
-			if r.verdict == nil {
+			if !r.monitored {
 				s.noteDroppedTokens(r, endTime, false)
 			}
 		}
 		s.fold(r, s.judge(r, dropped))
 		// Breakdown (Fig. 14).
-		if len(r.TokenTimes) == 0 {
+		if r.Generated() == 0 {
 			s.breakdown.Add(metrics.PrefillWaiting, endTime-r.Arrival)
 			continue
 		}

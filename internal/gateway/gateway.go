@@ -624,17 +624,17 @@ func (g *Gateway) releaseSlotLocked(model string, prio workload.Priority) {
 // on the simulation goroutine. A served or failed request feeds the
 // model's circuit breaker (consecutive failures trip it open so follow-on
 // traffic is shed at admission instead of queueing behind a dead
-// partition) and the latency samples; an aborted one, whose client went
-// away, is only counted.
-func (g *Gateway) finish(model string, r *core.Request) {
+// partition) and the latency samples, taken from times, its token times;
+// an aborted one, whose client went away, is only counted.
+func (g *Gateway) finish(model string, r *core.Request, times []sim.Time) {
 	var tputSample float64
-	if n := len(r.TokenTimes); n > 0 && r.Outcome != decision.OutcomeAborted {
-		ttft := r.TokenTimes[0] - r.Arrival
+	if len(times) > 0 && r.Outcome != decision.OutcomeAborted {
+		ttft := times[0] - r.Arrival
 		g.ttft.AddDuration(ttft)
 		g.ttftHist.ObserveDuration(ttft)
-		for i := 1; i < n; i++ {
-			g.tbt.AddDuration(r.TokenTimes[i] - r.TokenTimes[i-1])
-			g.tbtHist.ObserveDuration(r.TokenTimes[i] - r.TokenTimes[i-1])
+		for i := 1; i < len(times); i++ {
+			g.tbt.AddDuration(times[i] - times[i-1])
+			g.tbtHist.ObserveDuration(times[i] - times[i-1])
 		}
 		if ttft > 0 {
 			// Prefill throughput sample for the admission estimator. TTFT
@@ -845,17 +845,24 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	err := g.drv.Post(func() {
+		// times keeps the request's token times for finish's latency
+		// samples; the core judges tokens as they land and keeps none.
+		var times []sim.Time
 		sub, err := g.cl.SubmitLive(
 			workload.Request{ID: id, Model: req.Model, InputTokens: inTok, OutputTokens: outTok,
 				Priority: prio, SessionID: req.SessionID, Turn: req.Turn, Segments: segs},
 			func(i int, at sim.Time) {
+				if times == nil {
+					times = make([]sim.Time, 0, outTok)
+				}
+				times = append(times, at)
 				select {
 				case tokens <- tokenEvent{i, at}:
 				default: // never reached: the buffer covers all tokens
 				}
 			},
 			func(fin *core.Request) {
-				g.finish(req.Model, fin)
+				g.finish(req.Model, fin, times)
 				done <- fin
 				close(done)
 			},

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/binary"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -52,6 +53,37 @@ func (t *refTracker) ObserveRequest(s SLO, arrival time.Duration, times []time.D
 
 func (t *refTracker) ObserveDropped() { t.tokensMissed++ }
 
+// refVerdict reads one request's verdict off the reference: what a fresh
+// refTracker holds after observing only that request.
+func refVerdict(s SLO, arrival time.Duration, times []time.Duration) Verdict {
+	var t refTracker
+	t.ObserveRequest(s, arrival, times)
+	return Verdict{Counts: Counts{Met: t.tokensMet, Missed: t.tokensMissed},
+		AllMet: t.reqAllMet == 1, TTFT: t.ttftSum, TTFTMet: t.ttftMet == 1}
+}
+
+// checkStream feeds times to a Stream in random per-step batches, as decode
+// steps land, and holds the verdict after every batch to the reference's
+// verdict on the tokens fed so far.
+func checkStream(t *testing.T, s SLO, arrival time.Duration, times []time.Duration) {
+	rng := rand.New(rand.NewPCG(uint64(arrival), uint64(len(times))))
+	var a Stream
+	for fed := 0; fed < len(times); {
+		step := min(fed+1+rng.IntN(4), len(times))
+		for _, at := range times[fed:step] {
+			a.Add(s, arrival, at)
+		}
+		fed = step
+		if got, want := a.Verdict(), refVerdict(s, arrival, times[:fed]); got != want {
+			t.Fatalf("stream after %d of %v (SLO %v, arrival %v):\n got %+v\nwant %+v",
+				fed, times, s, arrival, got, want)
+		}
+	}
+	if got, want := a.Verdict(), refVerdict(s, arrival, times); got != want {
+		t.Fatalf("stream of %v (SLO %v, arrival %v):\n got %+v\nwant %+v", times, s, arrival, got, want)
+	}
+}
+
 // trackerView is everything a Tracker reports.
 type trackerView struct {
 	att, reqAtt, ttftAtt float64
@@ -98,11 +130,13 @@ func viewOfRef(t *refTracker) trackerView {
 }
 
 // FuzzJudge: Judge and Tracker.Add report exactly what the per-token
-// reference does, through every Tracker reader, for any SLO and any
-// requests, whose token times may be empty, out of order, or earlier than
-// their arrival. The input is read as an SLO (TTFT and TBT, 2 bytes each)
-// then requests: an arrival (2 bytes), a token count and a dropped count
-// (1 byte each), then 2 bytes per token time. Every unit is a millisecond.
+// reference does, through every Tracker reader, and a Stream fed the same
+// times step by step gives the reference's verdict at every step, for any
+// SLO and any requests, whose token times may be empty, out of order, or
+// earlier than their arrival. The input is read as an SLO (TTFT and TBT,
+// 2 bytes each) then requests: an arrival (2 bytes), a token count and a
+// dropped count (1 byte each), then 2 bytes per token time. Every unit is
+// a millisecond.
 func FuzzJudge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x27, 0x10, 0, 100, 0, 0, 3, 0, 0x03, 0xe8, 0x04, 0x4c, 0x05, 0xdc})
@@ -135,6 +169,7 @@ func FuzzJudge(f *testing.F) {
 			for i := range times {
 				times[i] = ms()
 			}
+			checkStream(t, s, arrival, times)
 			v := Judge(s, arrival, times)
 			v.Dropped = uint64(dropped)
 			tr.Add(v)

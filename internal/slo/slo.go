@@ -62,7 +62,7 @@ func (c Counts) Attainment() float64 {
 }
 
 // Verdict is the judgement of one request's tokens against its SLO. Judge
-// fills every field but Dropped, which the caller sets.
+// and Stream fill every field but Dropped, which the caller sets.
 type Verdict struct {
 	Counts                // the generated tokens
 	AllMet  bool          // a token was generated, and every one met its deadline
@@ -74,25 +74,49 @@ type Verdict struct {
 	Dropped uint64
 }
 
+// Stream judges one request's tokens as they land, in order, each against
+// its own deadline, so judging a request keeps a few counts instead of every
+// token's time. The zero value has judged no token.
+type Stream struct {
+	Counts                // the tokens judged so far
+	ttft    time.Duration // the first token's latency (0 before it lands)
+	ttftMet bool          // the first token met the TTFT target
+}
+
+// Add judges the request's next token, completed at `at`, under s for a
+// request that arrived at arrival.
+func (a *Stream) Add(s SLO, arrival, at time.Duration) {
+	i := a.N()
+	if i == 0 {
+		a.ttft = at - arrival
+		a.ttftMet = a.ttft <= s.TTFT
+	}
+	if at <= s.Deadline(arrival, i) {
+		a.Met++
+	} else {
+		a.Missed++
+	}
+}
+
+// N returns the number of tokens judged.
+func (a *Stream) N() int { return int(a.Met + a.Missed) }
+
+// Verdict returns the judgement of the tokens added so far, with Dropped
+// left for the caller.
+func (a *Stream) Verdict() Verdict {
+	return Verdict{Counts: a.Counts, AllMet: a.N() > 0 && a.Missed == 0, TTFT: a.ttft, TTFTMet: a.ttftMet}
+}
+
 // Judge judges one completed (or partially completed) request: times[i] is
 // the completion time of token i and arrival the request's arrival time.
-// times is read, never modified and never retained, so a caller may pass a
-// slice it keeps writing.
+// It is Stream's fold over times, which it reads and never retains, so a
+// caller may pass a slice it keeps writing.
 func Judge(s SLO, arrival time.Duration, times []time.Duration) Verdict {
-	var v Verdict
-	for i, at := range times {
-		if at <= s.Deadline(arrival, i) {
-			v.Met++
-		} else {
-			v.Missed++
-		}
+	var a Stream
+	for _, at := range times {
+		a.Add(s, arrival, at)
 	}
-	if len(times) > 0 {
-		v.AllMet = v.Missed == 0
-		v.TTFT = times[0] - arrival
-		v.TTFTMet = v.TTFT <= s.TTFT
-	}
-	return v
+	return a.Verdict()
 }
 
 // maxTTFTSamples bounds the tracker's TTFT quantile reservoir so long-lived

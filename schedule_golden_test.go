@@ -73,6 +73,7 @@ func TestPaperScheduleGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				sys.sys.LogTokens()
 				rep, err := sys.Serve(sys.GenerateTrace(spec))
 				if err != nil {
 					t.Fatal(err)
