@@ -9,24 +9,31 @@ import (
 // TestObserverAllocBudget serves the paper testbed (16 H800s as 6+10, 40
 // models at 0.1 req/s) on a five-minute horizon with the collector, the SLO
 // monitor, the decision journal and the fleet ledger on, then with all of
-// them off, and holds the heap bytes Serve allocates per request under a
-// budget. The simulator is deterministic, so the bytes repeat to within the
-// runtime's own allocations; each budget is the measured figure plus 10%.
-// The observers' bounded buffers are allocated once at their bounds, and
-// the five-minute horizon spreads that fixed cost over about 1,200
-// requests, so it dominates the observers-on budget: a buffer that regrows
-// or is rebuilt per request shows. The observers-off budget is tight enough
-// that storing every token's time again (about 3 KiB per request) fails it.
-// Not parallel: the process-wide
-// allocation counter would count other tests' work.
+// them off, and holds the heap bytes and the heap objects Serve allocates
+// per request under budgets. The simulator is deterministic, so both repeat
+// to within the runtime's own allocations. Each budget is the figure
+// measured under the race detector, whose runtime allocates a little more
+// per request (2.23 KiB and 11.1 objects against 2.00 and 10.2 with
+// observers off), plus 10%. The observers' bounded buffers are allocated once at
+// their bounds, and the five-minute horizon spreads that fixed cost over
+// about 1,200 requests, so it dominates the observers-on budgets: a buffer
+// that regrows or is rebuilt per request shows. With observers off the
+// switch and KV-swap path allocates nothing once warm, so the few objects
+// left per request are the request's own (its record, KV sequence and
+// prefill completion) plus pools growing to their peak: a closure or event
+// allocated again per switch, swap or decode turn fails the objects budget,
+// and storing every token's time again (about 3 KiB per request) fails the
+// bytes budget. Not parallel: the process-wide allocation counters would
+// count other tests' work.
 func TestObserverAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		observers bool
 		maxKiB    float64 // heap KiB per request
+		maxAllocs float64 // heap objects per request
 	}{
-		{"observers on", true, 37.77 * 1.1},
-		{"observers off", false, 3.75 * 1.1},
+		{"observers on", true, 36.37 * 1.1, 74.6 * 1.1},
+		{"observers off", false, 2.23 * 1.1, 11.1 * 1.1},
 	} {
 		sys, err := New(Config{GPU: "H800", PrefillGPUs: 6, DecodeGPUs: 10, NumModels: 40, Seed: 1,
 			Tracing: c.observers, SLOMonitor: c.observers, Decisions: c.observers, FleetAccounting: c.observers})
@@ -41,10 +48,13 @@ func TestObserverAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(trace))
-		t.Logf("%s: %d requests, %.2f KiB/req, %.1f allocs/req", c.name, len(trace), kib,
-			float64(after.Mallocs-before.Mallocs)/float64(len(trace)))
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(len(trace))
+		t.Logf("%s: %d requests, %.2f KiB/req, %.1f allocs/req", c.name, len(trace), kib, allocs)
 		if kib > c.maxKiB {
 			t.Errorf("%s: Serve allocated %.2f KiB per request, budget %.2f", c.name, kib, c.maxKiB)
+		}
+		if allocs > c.maxAllocs {
+			t.Errorf("%s: Serve allocated %.1f objects per request, budget %.1f", c.name, allocs, c.maxAllocs)
 		}
 	}
 }

@@ -83,32 +83,53 @@ type decodeInstance struct {
 
 	batchLimits []int64 // indexed by model id; 0 until first derived
 
+	// Turn state. An instance prepares, switches to and steps one turn at a
+	// time, so the turn's callbacks are methods bound once in
+	// newDecodeInstance (switchDone, syncDone, readyDone, stepNext) that
+	// read the turn from these fields: turn is its batch, turnEnd the end
+	// of its quota, pushed back by the waits that do not consume it, and
+	// stepped whether it has made a decoding step. outgoing and incoming
+	// hold the swap events of its preparation; a transfer wait started at
+	// waitStart, and syncOut says a blocking sync waits on outgoing (else
+	// on incoming). waits is the free list of eventWait records.
+	turn       *dbatch
+	turnEnd    sim.Time
+	stepped    bool
+	outgoing   []gpu.Event
+	incoming   []gpu.Event
+	waitStart  sim.Time
+	syncOut    bool
+	waits      []*eventWait
+	switchDone func() // d.switched
+	syncDone   func() // d.synced
+	readyDone  func() // d.readied
+	stepNext   func() // d.stepLoop
+
 	// Decode run state (DESIGN.md §6, decode runs). A run is back-to-back
 	// steps over one step set, runReqs, submitted as one compute op. At most
 	// one run is in flight per instance and a dead instance never steps
 	// again, so stepLoop, settleStep and finishRun refill these buffers in
 	// place and the run's completion is finishRun, bound once as runDone.
+	// A run belongs to the turn's batch and ends by the turn's end.
 	// run is the plan of a run of more than one step (zero for a one-step
 	// run), whose boundaries the system's settler settles: runSteps steps,
 	// of which step runStep is in flight, over stepCtx context tokens since
 	// stepStart. runFill[c] counts the sequences that take a new KV block at
 	// each step i with i mod block = c (see planRun).
-	ready      []*Request
-	inflight   []*gpu.Event // swap-in events a step with no ready request waits on
-	waiting    []*Request   // their requests
-	runReqs    []*Request   // requests each step of the run produces a token for
-	run        gpu.Run
-	runSteps   int
-	runStep    int
-	runFill    []int
-	stepCtx    int64
-	stepStart  sim.Time     // for a one-step run, its submission
-	stepTLs    []obs.Handle // the step set's timelines, for the collector's token batch
-	feed       tokenFeed
-	runBatch   *dbatch
-	runTurnEnd sim.Time
-	runDone    func()
-	inSettler  bool // in the settler's heap (see runSettler)
+	ready     []*Request
+	inflight  []gpu.Event // swap-in events a step with no ready request waits on
+	waiting   []*Request  // their requests
+	runReqs   []*Request  // requests each step of the run produces a token for
+	run       gpu.Run
+	runSteps  int
+	runStep   int
+	runFill   []int
+	stepCtx   int64
+	stepStart sim.Time     // for a one-step run, its submission
+	stepTLs   []obs.Handle // the step set's timelines, for the collector's token batch
+	feed      tokenFeed
+	runDone   func()
+	inSettler bool // in the settler's heap (see runSettler)
 }
 
 // dbgTurn is a test hook for turn-event tracing.
@@ -122,6 +143,7 @@ func newDecodeInstance(s *System, e *engine.Engine) *decodeInstance {
 	d := &decodeInstance{sys: s, eng: e, idx: len(s.decodes)}
 	d.feed.dev = s.fleet.Ref(e.Name)
 	d.runDone = d.finishRun
+	d.switchDone, d.syncDone, d.readyDone, d.stepNext = d.switched, d.synced, d.readied, d.stepLoop
 	return d
 }
 
@@ -426,92 +448,153 @@ func (d *decodeInstance) runTurn() {
 		return
 	}
 
-	var outgoing []*gpu.Event
+	d.outgoing = d.outgoing[:0]
 	if d.resident != nil && d.resident != b {
-		outgoing = d.swapOutBatch(d.resident)
+		d.swapOutBatch(d.resident)
 		d.resident = nil
 	}
-
+	d.turn = b
 	dbgTurn(d, "turn-prep", b)
-	proceed := func() {
-		if d.dead {
-			d.running = false
-			return
-		}
-		d.resident = b
-		b.lastRun = d.eng.Sim().Now()
-		if d.sys.obs != nil {
-			d.sys.obs.TurnStart(d.eng.Name, b.mid, b.lastRun, b.quota, requestTLs(b.reqs))
-		}
-		m := b.mid
-		if cur := d.eng.Current(); cur == nil || d.eng.CurrentID() != m {
-			d.eng.SwitchTo(m, func() {
-				if d.dead {
-					d.running = false
-					return // crashed while the switch was in flight
-				}
-				// Prefetch the rotation's next model once the DMA engine is
-				// clear; the turn's time slice hides it (§5.2).
-				d.prefetchUpcoming()
-				d.beginDecoding(b)
-			})
-			// The batch stalls until the scale-up completes: it is the
-			// switch's victim set.
-			if d.sys.obs != nil {
-				d.sys.obs.SwitchVictims(d.eng.Name, requestIDs(b.reqs))
-			}
-			if j := d.sys.dec; j != nil {
-				from := ""
-				if cur != nil {
-					from = cur.Name
-				}
-				cands := make([]decision.Candidate, 0, len(d.workList))
-				for i, wb := range d.workList {
-					cands = append(cands, decision.Candidate{
-						Name:   d.sys.modelName(wb.mid),
-						Chosen: i == d.turnIdx,
-						Terms: []decision.Term{
-							decision.NsTerm("quota", wb.quota),
-							decision.NsTerm("last_run", wb.lastRun),
-							{Name: "batch_size", Value: float64(len(wb.reqs))},
-						},
-					})
-				}
-				j.Record(decision.Record{At: b.lastRun, Kind: decision.KindSwitch,
-					Instance: d.eng.Name, Model: d.sys.modelName(m), Outcome: d.sys.modelName(m),
-					Reason:   "decode rotation turn (from " + from + ")",
-					Requests: requestIDs(b.reqs),
-					Inputs: []decision.Term{
-						decision.NsTerm("switch_cost", d.eng.EffectiveSwitchCost(m)),
-						decision.NsTerm("quota", b.quota),
-						{Name: "turn_index", Value: float64(d.turnIdx)},
-					},
-					Candidates: cands,
-				})
-			}
-			return
-		}
-		d.prefetchUpcoming()
-		d.beginDecoding(b)
-	}
-
-	if !d.eng.Options().FineGrainedSync && len(outgoing) > 0 {
+	if !d.eng.Options().FineGrainedSync && len(d.outgoing) > 0 {
 		// Blocking path: drain all outgoing transfers before touching the
 		// engine (the naive synchronization of §3.2).
-		start := d.eng.Sim().Now()
-		gpu.AfterAll(d.eng.Sim(), outgoing...).OnComplete(func() {
-			if d.dead {
-				d.running = false
-				return
-			}
-			now := d.eng.Sim().Now()
-			d.chargeWait(b, now-start)
-			d.sys.obs.SwitchStage(d.eng.Name, "kv-sync", start, now)
-			proceed()
-		})
+		d.waitStart, d.syncOut = d.eng.Sim().Now(), true
+		d.wait(d.outgoing, len(d.outgoing), d.syncDone)
 		return
 	}
-	proceed()
+	d.proceed()
+}
+
+// proceed starts the turn's batch on the engine: it switches model first
+// when the batch's is not current.
+func (d *decodeInstance) proceed() {
+	if d.dead {
+		d.running = false
+		return
+	}
+	b := d.turn
+	d.resident = b
+	b.lastRun = d.eng.Sim().Now()
+	if d.sys.obs != nil {
+		d.sys.obs.TurnStart(d.eng.Name, b.mid, b.lastRun, b.quota, requestTLs(b.reqs))
+	}
+	m := b.mid
+	if cur := d.eng.Current(); cur == nil || d.eng.CurrentID() != m {
+		d.eng.SwitchTo(m, d.switchDone)
+		// The batch stalls until the scale-up completes: it is the
+		// switch's victim set.
+		if d.sys.obs != nil {
+			d.sys.obs.SwitchVictims(d.eng.Name, requestIDs(b.reqs))
+		}
+		if j := d.sys.dec; j != nil {
+			from := ""
+			if cur != nil {
+				from = cur.Name
+			}
+			cands := make([]decision.Candidate, 0, len(d.workList))
+			for i, wb := range d.workList {
+				cands = append(cands, decision.Candidate{
+					Name:   d.sys.modelName(wb.mid),
+					Chosen: i == d.turnIdx,
+					Terms: []decision.Term{
+						decision.NsTerm("quota", wb.quota),
+						decision.NsTerm("last_run", wb.lastRun),
+						{Name: "batch_size", Value: float64(len(wb.reqs))},
+					},
+				})
+			}
+			j.Record(decision.Record{At: b.lastRun, Kind: decision.KindSwitch,
+				Instance: d.eng.Name, Model: d.sys.modelName(m), Outcome: d.sys.modelName(m),
+				Reason:   "decode rotation turn (from " + from + ")",
+				Requests: requestIDs(b.reqs),
+				Inputs: []decision.Term{
+					decision.NsTerm("switch_cost", d.eng.EffectiveSwitchCost(m)),
+					decision.NsTerm("quota", b.quota),
+					{Name: "turn_index", Value: float64(d.turnIdx)},
+				},
+				Candidates: cands,
+			})
+		}
+		return
+	}
+	d.prefetchUpcoming()
+	d.beginDecoding()
+}
+
+// switched continues the turn once its model switch lands.
+func (d *decodeInstance) switched() {
+	if d.dead {
+		d.running = false
+		return // crashed while the switch was in flight
+	}
+	// Prefetch the rotation's next model once the DMA engine is clear; the
+	// turn's time slice hides it (§5.2).
+	d.prefetchUpcoming()
+	d.beginDecoding()
+}
+
+// synced continues the turn after a blocking sync (no fine-grained
+// synchronization): the wait is charged to the batch as data overhead, and
+// the quota starts after it.
+func (d *decodeInstance) synced() {
+	if d.dead {
+		d.running = false
+		return
+	}
+	now := d.eng.Sim().Now()
+	d.chargeWait(d.turn, now-d.waitStart)
+	d.sys.obs.SwitchStage(d.eng.Name, "kv-sync", d.waitStart, now)
+	if d.syncOut {
+		d.proceed()
+		return
+	}
+	d.turnEnd += now - d.waitStart
+	d.stepLoop()
+}
+
+// eventWait is one wait of a decode turn on transfer events: once need of
+// the events it is registered on have fired it calls then, exactly once.
+// Need 1 waits for the earliest (§5.3 step ⑥), need all for every one (a
+// blocking sync). It stays registered on the others, so it returns to its
+// instance's free list only when all of them have fired: a later wait
+// never takes a record that an earlier wait's events still call.
+type eventWait struct {
+	d    *decodeInstance
+	need int // fires still to come before then runs
+	refs int // registered events yet to fire
+	then func()
+	fire func() // w.fired, bound once
+}
+
+// wait registers a wait for need of evs, then calls then.
+func (d *decodeInstance) wait(evs []gpu.Event, need int, then func()) {
+	var w *eventWait
+	if n := len(d.waits); n > 0 {
+		w = d.waits[n-1]
+		d.waits[n-1] = nil
+		d.waits = d.waits[:n-1]
+	} else {
+		w = &eventWait{d: d}
+		w.fire = w.fired
+	}
+	w.need, w.refs, w.then = need, len(evs), then
+	for _, ev := range evs {
+		ev.OnComplete(w.fire)
+	}
+}
+
+// fired counts one of the wait's events.
+func (w *eventWait) fired() {
+	w.refs--
+	if w.need > 0 {
+		if w.need--; w.need == 0 {
+			w.then()
+		}
+	}
+	if w.refs == 0 {
+		w.then = nil
+		w.d.waits = append(w.d.waits, w)
+	}
 }
 
 // requestTLs collects the collector timelines of a batch's requests
@@ -535,13 +618,13 @@ func requestIDs(reqs []*Request) []string {
 	return ids
 }
 
-// swapOutBatch offloads every GPU-resident sequence of the batch, returning
-// the transfer events. If the unified CPU cache itself is exhausted (deep
-// overload: a large backlog of prefilled-but-undecoded requests pins host
-// memory), the sequence simply stays GPU-resident — it decodes on its
-// batch's next turn and host capacity recycles as requests complete.
-func (d *decodeInstance) swapOutBatch(b *dbatch) []*gpu.Event {
-	var evs []*gpu.Event
+// swapOutBatch offloads every GPU-resident sequence of the batch, appending
+// the transfer events to d.outgoing. If the unified CPU cache itself is
+// exhausted (deep overload: a large backlog of prefilled-but-undecoded
+// requests pins host memory), the sequence simply stays GPU-resident — it
+// decodes on its batch's next turn and host capacity recycles as requests
+// complete.
+func (d *decodeInstance) swapOutBatch(b *dbatch) {
 	for _, r := range b.reqs {
 		if r.Seq != nil && r.Seq.State() == kvcache.StateGPU {
 			ev, err := d.eng.KV().SwapOut(r.Seq)
@@ -551,10 +634,9 @@ func (d *decodeInstance) swapOutBatch(b *dbatch) []*gpu.Event {
 				}
 				panic("core: decode swap-out failed: " + err.Error())
 			}
-			evs = append(evs, ev)
+			d.outgoing = append(d.outgoing, ev)
 		}
 	}
-	return evs
 }
 
 // prefetchUpcoming prefetches the next different model in the rotation
@@ -579,36 +661,28 @@ func (d *decodeInstance) prefetchUpcoming() {
 	}
 }
 
-// beginDecoding swaps the batch's sequences in and enters the step loop.
-func (d *decodeInstance) beginDecoding(b *dbatch) {
+// beginDecoding swaps the turn's batch in and enters the step loop.
+func (d *decodeInstance) beginDecoding() {
 	if d.dead {
 		d.running = false
 		return
 	}
+	b := d.turn
 	dbgTurn(d, "begin-decode", b)
 	d.current = b
-	var incoming []*gpu.Event
+	d.incoming = d.incoming[:0]
 	for _, r := range b.reqs {
-		if ev := d.swapInIfNeeded(r, b); ev != nil {
-			incoming = append(incoming, ev)
+		if ev, ok := d.swapInIfNeeded(r, b); ok {
+			d.incoming = append(d.incoming, ev)
 		}
 	}
-	turnEnd := d.eng.Sim().Now() + b.quota
-	if !d.eng.Options().FineGrainedSync && len(incoming) > 0 {
-		start := d.eng.Sim().Now()
-		gpu.AfterAll(d.eng.Sim(), incoming...).OnComplete(func() {
-			if d.dead {
-				d.running = false
-				return
-			}
-			now := d.eng.Sim().Now()
-			d.chargeWait(b, now-start)
-			d.sys.obs.SwitchStage(d.eng.Name, "kv-sync", start, now)
-			d.stepLoop(b, turnEnd+now-start, false)
-		})
+	d.turnEnd, d.stepped = d.eng.Sim().Now()+b.quota, false
+	if !d.eng.Options().FineGrainedSync && len(d.incoming) > 0 {
+		d.waitStart, d.syncOut = d.eng.Sim().Now(), false
+		d.wait(d.incoming, len(d.incoming), d.syncDone)
 		return
 	}
-	d.stepLoop(b, turnEnd, false)
+	d.stepLoop()
 }
 
 // startSwapIn issues a swap-in for a request joining the current batch
@@ -621,9 +695,9 @@ func (d *decodeInstance) startSwapIn(r *Request) { d.swapInIfNeeded(r, d.current
 // unscoped retries would keep swapping in sequences for batches that
 // already rotated out, stealing KV from the running batch and collapsing
 // it into tiny decode subsets.
-func (d *decodeInstance) swapInIfNeeded(r *Request, b *dbatch) *gpu.Event {
+func (d *decodeInstance) swapInIfNeeded(r *Request, b *dbatch) (gpu.Event, bool) {
 	if r.Seq == nil {
-		return nil
+		return gpu.Event{}, false
 	}
 	switch r.Seq.State() {
 	case kvcache.StateCPU, kvcache.StateSwappingOut:
@@ -636,14 +710,14 @@ func (d *decodeInstance) swapInIfNeeded(r *Request, b *dbatch) *gpu.Event {
 						d.swapInIfNeeded(r, b)
 					}
 				})
-				return nil
+				return gpu.Event{}, false
 			}
 			panic("core: decode swap-in failed: " + err.Error())
 		}
 		d.checkRunRoom()
-		return ev
+		return ev, true
 	default:
-		return nil
+		return gpu.Event{}, false
 	}
 }
 
@@ -703,20 +777,19 @@ func (d *decodeInstance) chargeWait(b *dbatch, w time.Duration) {
 	}
 }
 
-// stepLoop runs decoding steps for the batch until its quota expires or the
-// batch drains. Only GPU-resident sequences decode (rule ❶); if none are
-// ready, the loop waits for the earliest swap-in to complete, accruing data
-// overhead (§5.3 step ⑥: cudaEventQuery per request, start as soon as one
-// is loaded).
-// stepped reports whether the turn has completed at least one decoding
-// step; a turn never ends before making progress (otherwise small quotas
-// combined with swap-in latency could rotate batches forever without
-// generating tokens).
-func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
+// stepLoop runs decoding steps for the turn's batch until its quota expires
+// or the batch drains. Only GPU-resident sequences decode (rule ❶); if none
+// are ready, the loop waits for the earliest swap-in to complete, accruing
+// data overhead (§5.3 step ⑥: cudaEventQuery per request, start as soon as
+// one is loaded). A turn never ends before making progress (d.stepped):
+// otherwise small quotas combined with swap-in latency could rotate batches
+// forever without generating tokens.
+func (d *decodeInstance) stepLoop() {
 	if d.dead {
 		d.running = false
 		return
 	}
+	b := d.turn
 	now := d.eng.Sim().Now()
 	// Drop requests that went terminal since the last step (client aborts
 	// land between steps; their KV is already released).
@@ -727,13 +800,13 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 		}
 	}
 	b.reqs = kept
-	if len(b.reqs) == 0 || (now >= turnEnd && stepped) {
+	if len(b.reqs) == 0 || (now >= d.turnEnd && d.stepped) {
 		d.endTurn()
 		return
 	}
 	// Reusing inflight and waiting is safe: one stepLoop chain runs per
-	// instance, and the wait callback below reads waiting before it calls
-	// stepLoop again, which is the only writer. steady records whether the
+	// instance, and readied reads waiting before it calls stepLoop again,
+	// which is the only writer. steady records whether the
 	// step set can hold for more than one step: every member is ready and
 	// takes its append, and none streams its tokens (OnToken).
 	ready, inflight, waiting := d.ready[:0], d.inflight[:0], d.waiting[:0]
@@ -749,13 +822,13 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 			steady = steady && r.OnToken == nil
 			continue
 		case kvcache.StateSwappingIn, kvcache.StateSwappingOut:
-			if ev := r.Seq.LastTransfer(); ev != nil && !ev.Query() {
+			if ev := r.Seq.LastTransfer(); !ev.Query() {
 				inflight = append(inflight, ev)
 				waiting = append(waiting, r)
 			}
 		case kvcache.StateCPU:
 			// Swap-in previously deferred by OOM; try again.
-			if ev := d.swapInIfNeeded(r, b); ev != nil {
+			if ev, ok := d.swapInIfNeeded(r, b); ok {
 				inflight = append(inflight, ev)
 				waiting = append(waiting, r)
 			}
@@ -766,21 +839,12 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	if len(ready) == 0 {
 		if len(inflight) == 0 {
 			// Everything deferred by OOM retries; poll.
-			d.eng.Sim().After(10*time.Millisecond, func() {
-				d.stepLoop(b, turnEnd+10*time.Millisecond, stepped)
-			})
+			d.turnEnd += 10 * time.Millisecond
+			d.eng.Sim().After(10*time.Millisecond, d.stepNext)
 			return
 		}
-		waitStart := now
-		earliestOnComplete(d.eng, inflight, func() {
-			w := d.eng.Sim().Now() - waitStart
-			for _, r := range waiting {
-				r.Seq.AddTransferWait(w)
-			}
-			d.sys.obs.SwitchStage(d.eng.Name, "kv-sync", waitStart, d.eng.Sim().Now())
-			// The readiness wait does not consume quota.
-			d.stepLoop(b, turnEnd+w, stepped)
-		})
+		d.waitStart = now
+		d.wait(inflight, 1, d.readyDone)
 		return
 	}
 	// Grow each ready sequence by the token this step will produce.
@@ -806,13 +870,27 @@ func (d *decodeInstance) stepLoop(b *dbatch, turnEnd sim.Time, stepped bool) {
 	// One fleet KV sample covers the step's appends: they only allocate, so
 	// the last one's usage is the step's peak.
 	d.eng.KV().NoteKV()
-	d.runBatch, d.runTurnEnd, d.stepStart, d.stepCtx = b, turnEnd, now, ctx
+	d.stepStart, d.stepCtx = now, ctx
 	if steady && d.eng.ComputeIdle() && d.planRun() {
 		d.sys.runs.add(d)
 		d.eng.DecodeRun(&d.run, d.runDone)
 		return
 	}
 	d.eng.DecodeStep(ctx, d.runDone)
+}
+
+// readied continues the step loop once the earliest awaited swap-in lands:
+// the wait is charged to the requests that waited, and it does not consume
+// quota.
+func (d *decodeInstance) readied() {
+	now := d.eng.Sim().Now()
+	w := now - d.waitStart
+	for _, r := range d.waiting {
+		r.Seq.AddTransferWait(w)
+	}
+	d.sys.obs.SwitchStage(d.eng.Name, "kv-sync", d.waitStart, now)
+	d.turnEnd += w
+	d.stepLoop()
 }
 
 // planRun plans a run over runReqs, whose first step's appends are applied,
@@ -848,7 +926,7 @@ func (d *decodeInstance) planRun() bool {
 	ctx, n := d.stepCtx, 1
 	first := d.stepStart + d.eng.StepTime(ctx)
 	end := first
-	for n < k && end < d.runTurnEnd {
+	for n < k && end < d.turnEnd {
 		if free -= fill[n%block]; free < 0 {
 			break
 		}
@@ -901,7 +979,7 @@ func (d *decodeInstance) settleStep() {
 // [start, end): every request in the step set receives its token, credited
 // with the step's time, and each observer is fed the step's tokens once.
 func (d *decodeInstance) stampStep(start, end sim.Time) {
-	mid := d.runBatch.mid
+	mid := d.turn.mid
 	if d.sys.obs != nil {
 		tls := d.stepTLs[:0]
 		for _, r := range d.runReqs {
@@ -956,7 +1034,7 @@ func (d *decodeInstance) finishRun() {
 		d.running = false
 		return
 	}
-	b := d.runBatch
+	b := d.turn
 	d.stampStep(d.stepStart, d.eng.Sim().Now())
 	finishedAny := false
 	for _, r := range d.runReqs {
@@ -977,7 +1055,8 @@ func (d *decodeInstance) finishRun() {
 		}
 		b.reqs = kept
 	}
-	d.stepLoop(b, d.runTurnEnd, true)
+	d.stepped = true
+	d.stepLoop()
 }
 
 func (d *decodeInstance) endTurn() {
@@ -988,18 +1067,4 @@ func (d *decodeInstance) endTurn() {
 	d.current = nil
 	d.turnIdx++
 	d.runTurn()
-}
-
-// earliestOnComplete fires fn when the first of the events completes.
-func earliestOnComplete(e *engine.Engine, evs []*gpu.Event, fn func()) {
-	fired := false
-	once := func() {
-		if !fired {
-			fired = true
-			fn()
-		}
-	}
-	for _, ev := range evs {
-		ev.OnComplete(once)
-	}
 }

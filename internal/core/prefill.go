@@ -37,17 +37,20 @@ type prefillInstance struct {
 	sys *System
 	eng *engine.Engine
 
-	queue    []*group
-	running  bool
-	dead     bool
-	inflight *Request // job currently prefilling (crash recovery)
-	feed     tokenFeed
-	tier     int // the instance's device tier in the prefix cache
+	queue      []*group
+	spare      []*group // served groups, reused LIFO by newGroup
+	running    bool
+	dead       bool
+	inflight   *Request // job currently prefilling (crash recovery)
+	feed       tokenFeed
+	tier       int    // the instance's device tier in the prefix cache
+	switchDone func() // p.switched, the front group's switch callback
 }
 
 func newPrefillInstance(s *System, e *engine.Engine) *prefillInstance {
 	p := &prefillInstance{sys: s, eng: e}
 	p.feed.dev = s.fleet.Ref(e.Name)
+	p.switchDone = p.switched
 	return p
 }
 
@@ -77,16 +80,43 @@ func (p *prefillInstance) tryJoinGroup(r *Request) bool {
 	return false
 }
 
-// newGroup appends a fresh group for r (Algorithm 1 line 13).
+// newGroup appends a fresh group for r (Algorithm 1 line 13), reusing a
+// served group and its request slice when there is one.
 func (p *prefillInstance) newGroup(r *Request) {
-	p.queue = append(p.queue, &group{
-		mid:      r.mid,
-		reqs:     []*Request{r},
-		size:     1,
-		rank:     r.Priority.Rank(),
-		deadline: r.Deadline,
-	})
+	var g *group
+	if n := len(p.spare); n > 0 {
+		g = p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+	} else {
+		g = &group{}
+	}
+	g.mid, g.reqs, g.size = r.mid, append(g.reqs, r), 1
+	g.rank, g.deadline = r.Priority.Rank(), r.Deadline
+	p.queue = append(p.queue, g)
 	p.wake()
+}
+
+// popFront removes the front group from the queue and keeps it for reuse.
+// The queue and the group's slice shift down in place rather than
+// reslicing, so both keep their arrays.
+func (p *prefillInstance) popFront() {
+	g := p.queue[0]
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
+	clear(g.reqs[:cap(g.reqs)])
+	g.reqs = g.reqs[:0]
+	p.spare = append(p.spare, g)
+}
+
+// popReq removes and returns g's first request.
+func (g *group) popReq() *Request {
+	r := g.reqs[0]
+	n := copy(g.reqs, g.reqs[1:])
+	g.reqs[n] = nil
+	g.reqs = g.reqs[:n]
+	return r
 }
 
 // load estimates the total time to finish all pending groups: model
@@ -145,10 +175,10 @@ func (p *prefillInstance) step() {
 		// Terminal requests (aborted clients, rejected work) are skipped, not
 		// served; the eager queue sweep usually removed them already.
 		for len(front.reqs) > 0 && front.reqs[0].terminal() {
-			front.reqs = front.reqs[1:]
+			front.popReq()
 		}
 		if len(front.reqs) == 0 {
-			p.queue = p.queue[1:]
+			p.popFront()
 			continue
 		}
 		break
@@ -165,10 +195,7 @@ func (p *prefillInstance) step() {
 		// prefetch overlaps this group's execution instead of delaying the
 		// load on the DMA engine. The engine emits the switch events and the
 		// stage breakdown; we attribute the stall to the waiting group.
-		p.eng.SwitchTo(m, func() {
-			p.prefetchNext(1)
-			p.step()
-		})
+		p.eng.SwitchTo(m, p.switchDone)
 		if p.sys.obs != nil {
 			p.sys.obs.SwitchVictims(p.eng.Name, requestIDs(g.reqs))
 		}
@@ -204,10 +231,16 @@ func (p *prefillInstance) step() {
 		}
 		return
 	}
-	r := g.reqs[0]
-	g.reqs = g.reqs[1:]
+	r := g.popReq()
 	p.inflight = r // owned by this instance until completion (crash recovery)
 	p.runPrefill(r, 0)
+}
+
+// switched serves the front group once its model switch lands, after
+// starting the next group's prefetch.
+func (p *prefillInstance) switched() {
+	p.prefetchNext(1)
+	p.step()
 }
 
 // prefetchNext prefetches the model of queue[idx] if it differs from the

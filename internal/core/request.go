@@ -50,6 +50,9 @@ type Request struct {
 	// system's token log is on (System.LogTokens); nil otherwise.
 	TokenTimes []sim.Time
 
+	// Seq is the request's KV cache while it is in flight. A request lets
+	// go of it when it ends; Finalize's breakdown then reads the transfer
+	// wait the sequence had accrued from xferWait.
 	Seq *kvcache.Sequence
 
 	// Outcome is how the request ended: "" while it is in flight, else the
@@ -98,7 +101,17 @@ type Request struct {
 	prefillStart sim.Time
 	prefillEnd   sim.Time
 	decodeExec   time.Duration
+	xferWait     time.Duration // Seq's transfer wait, kept when Seq is released
 	finished     sim.Time
+}
+
+// transferWait returns the exposed data-plane wait of r's KV transfers: its
+// sequence's while it holds one, else what it kept when it let go of it.
+func (r *Request) transferWait() time.Duration {
+	if r.Seq != nil {
+		return r.Seq.TransferWait()
+	}
+	return r.xferWait
 }
 
 func newRequest(wr workload.Request, m *model.Model, id model.ID) *Request {

@@ -226,7 +226,7 @@ func (s *System) evacuateSeq(d *decodeInstance, pend map[*Request]bool, r *Reque
 		ev.OnComplete(func() { s.evacuated(d, pend, r) })
 	case kvcache.StateSwappingOut, kvcache.StateSwappingIn:
 		pend[r] = true
-		if ev := seq.LastTransfer(); ev != nil && !ev.Query() {
+		if ev := seq.LastTransfer(); !ev.Query() {
 			ev.OnComplete(func() { s.evacuated(d, pend, r) })
 		} else {
 			// Transfer already complete; the state settles on the next turn.

@@ -866,6 +866,11 @@ func (s *System) end(r *Request, outcome, reason string) {
 		s.releasePrefix(r)
 		s.freeSeq(r)
 	}
+	if r.Seq != nil {
+		// A served request's KV is already free: keep its transfer wait and
+		// let the sequence go, so finished requests do not hold theirs.
+		r.xferWait, r.Seq = r.Seq.TransferWait(), nil
+	}
 	if r.live {
 		s.liveOpen--
 		s.fold(r, s.judge(r, dropped))
@@ -1026,10 +1031,7 @@ func (s *System) Finalize(endTime sim.Time) {
 		if r.Outcome != decision.OutcomeDone {
 			end = endTime
 		}
-		var dataWait time.Duration
-		if r.Seq != nil {
-			dataWait = r.Seq.TransferWait()
-		}
+		dataWait := r.transferWait()
 		decodeSpan := end - r.prefillEnd
 		wait := decodeSpan - r.decodeExec - dataWait
 		if wait < 0 {

@@ -145,14 +145,15 @@ type Engine struct {
 	curCost *latency.CostModel   // CostFor(curID), set wherever current is
 	costs   []*latency.CostModel // indexed by model id, built on first use
 
-	prefetched      model.ID // model.NoID when none
-	prefetchReady   *gpu.Event
-	prefetchPending bool
+	prefetched model.ID  // model.NoID when none
+	prefetchEv gpu.Event // the latest prefetch's event: fired once it has landed
 
 	// Colocation state: resident models and their region offsets.
 	residents map[model.ID]*resident
 
 	switching bool
+	sw        switchState // the switch in flight
+	advanceFn func()      // e.advance, bound on the first switch
 	stats     Stats
 
 	// throttle is the thermal-throttle slowdown on compute kernels (spot
@@ -213,8 +214,11 @@ type resident struct {
 	off      int64
 	size     int64
 	lastUsed sim.Time
-	loading  *gpu.Event // nil once fully loaded
+	loading  gpu.Event // the load's event: fired (or zero) once fully loaded
 }
+
+// loaded reports whether the resident's weights are fully in place.
+func (r *resident) loaded() bool { return r.loading.Query() }
 
 // model returns the registered model of id, panicking on an unknown id.
 func (e *Engine) model(id model.ID) *model.Model {
@@ -270,7 +274,7 @@ func (e *Engine) makeRoomColocate(size int64, keep model.ID) (time.Duration, err
 	for e.region.LargestFree() < size {
 		var victim *resident
 		for _, r := range e.residents {
-			if r.id == keep || r.id == e.curID || r.loading != nil {
+			if r.id == keep || r.id == e.curID || !r.loaded() {
 				continue
 			}
 			if victim == nil || r.lastUsed < victim.lastUsed ||
@@ -296,7 +300,7 @@ func (e *Engine) makeRoomColocate(size int64, keep model.ID) (time.Duration, err
 	// Compact: survivors with in-flight loads cannot move.
 	var moved int64
 	for _, r := range e.residents {
-		if r.loading != nil {
+		if !r.loaded() {
 			return 0, fmt.Errorf("colocate: cannot compact around in-flight load of %s", r.m.Name)
 		}
 		moved += r.size
@@ -419,6 +423,9 @@ func (e *Engine) EffectiveSwitchCost(id model.ID) time.Duration {
 // Colocation (§8) is a placement variant of the same ladder: the weights go
 // to a region slot among the residents instead of the bump arena, nothing
 // is scaled down, and a resident model needs only the activate stage.
+//
+// The switch's state lives in e.sw, and every stage that waits on virtual
+// time completes through advance, bound once, so a switch allocates nothing.
 func (e *Engine) SwitchTo(id model.ID, done func()) {
 	if e.switching {
 		panic(fmt.Sprintf("engine %s: concurrent SwitchTo", e.Name))
@@ -436,172 +443,259 @@ func (e *Engine) SwitchTo(id model.ID, done func()) {
 		from = e.current.Name
 	}
 	e.cfg.Obs.BeginSwitch(e.Name, from, m.Name, start, e.booted && e.cfg.Opts.ComponentReuse)
-	finish := func() {
-		e.switching = false
-		e.current, e.curID, e.curCost = m, id, e.CostFor(id)
-		if r := e.residents[id]; r != nil {
-			r.lastUsed = e.eng.Now()
-		}
-		e.stats.SwitchLatency.AddDuration(e.eng.Now() - start)
-		e.cfg.Obs.EndSwitch(e.Name, e.eng.Now())
-		done()
+	if e.advanceFn == nil {
+		e.advanceFn = e.advance
 	}
-
+	e.sw = switchState{id: id, m: m, start: start, done: done}
+	s := &e.sw
 	if r := e.residents[id]; r != nil {
 		// Resident, possibly still streaming in: activate once loaded.
 		e.stats.PrefetchHits++
-		activate := func() { e.hostStage(fleetobs.Activate, id, activationDelay, finish) }
-		if r.loading == nil {
-			activate()
-		} else {
-			r.loading.OnComplete(activate)
-		}
+		s.next = stageActivate
+		r.loading.OnComplete(e.advanceFn)
 		return
 	}
-
-	shard := m.ShardWeightBytes(e.cfg.TP)
-	r, copyDur, ready := e.place(id, m, shard)
-	climb := func() {
-		switch {
-		case ready != nil: // the compacted prefetch needs no load
-			e.stats.PrefetchHits++
-			ready.OnComplete(func() { e.compact(gpu.OpCompact, id, e.CostFor(id).OnDeviceCopy(shard), finish) })
-		case copyDur > 0:
-			e.compact(gpu.OpCompactResidents, id, copyDur, func() { e.loadWeights(id, m, r, finish) })
-		default:
-			e.loadWeights(id, m, r, finish)
-		}
+	s.shard = m.ShardWeightBytes(e.cfg.TP)
+	e.place(s)
+	s.next = stageReinit
+	if s.r == nil && e.current != nil && !e.cfg.Opts.ExplicitMemory {
+		s.next = stageGCPause
 	}
-	if r == nil && e.current != nil && !e.cfg.Opts.ExplicitMemory {
-		e.stats.GCPauses++
-		e.hostStage(fleetobs.GCPause, id, e.cfg.Prof.GCPause, func() { e.reinit(id, climb) })
-		return
-	}
-	e.reinit(id, climb)
+	e.advance()
 }
 
-// place makes room for m's shard and claims it. Colocation evicts LRU
-// residents until the shard fits, returning the compaction the surviving
-// residents then need, and admits m as resident r. The bump arena drops the
-// old model and any prefetch of another one; when m itself was prefetched,
-// ready is that prefetch, whose copy is compacted into place instead of
-// loaded.
-func (e *Engine) place(id model.ID, m *model.Model, shard int64) (r *resident, copyDur time.Duration, ready *gpu.Event) {
+// stage is a rung of the switch ladder.
+type stage uint8
+
+const (
+	stageGCPause stage = iota
+	stageReinit
+	stageClimb   // pick the compaction or load the placement calls for
+	stageCompact // the prefetched model's compaction, or the residents'
+	stageLoad    // fetch if the host model cache misses, then weight-load
+	stageAwaitFetch
+	stageFetch
+	stageWeightLoad
+	stageActivate
+	stageFinish
+)
+
+// switchState is the switch in flight: what it loads and where (place
+// fills the placement), the ladder's next stage, and the stage in flight,
+// which advance closes when it ends.
+type switchState struct {
+	id    model.ID
+	m     *model.Model
+	shard int64
+	start sim.Time
+	done  func()
+
+	r       *resident     // colocation slot; nil in the bump arena
+	copyDur time.Duration // compaction the surviving residents need
+	hit     bool          // m was prefetched: compact ready into place
+	ready   gpu.Event     // that prefetch's event
+
+	next       stage
+	open       openStage      // the stage in flight, which advance closes
+	host       fleetobs.State // a host stage's fleet state
+	stageStart sim.Time
+	attempt    int // the fetch attempt awaitFetchable is on
+}
+
+// openStage is the kind of switch stage in flight, for advance to close
+// when it ends.
+type openStage uint8
+
+const (
+	openNone openStage = iota
+	openHost
+	openCompact
+	openWeightLoad
+)
+
+// advance climbs the switch ladder from e.sw.next until a stage waits on
+// virtual time, first closing the stage whose end called it. It is the one
+// completion every stage waits with.
+func (e *Engine) advance() {
+	s := &e.sw
+	now := e.eng.Now()
+	if st := s.open; st != openNone {
+		s.open = openNone
+		switch st {
+		case openCompact:
+			e.cfg.Obs.SwitchStage(e.Name, "compact", s.stageStart, now)
+		case openWeightLoad:
+			if s.r != nil {
+				s.r.loading = gpu.Event{}
+			}
+			e.cfg.Obs.SwitchStage(e.Name, "weight-load", s.stageStart, now)
+		case openHost:
+			e.cfg.Fleet.Exit(e.Name, s.host)
+			e.cfg.Obs.SwitchStage(e.Name, s.host.String(), s.stageStart, now)
+			switch s.host {
+			case fleetobs.Reinit:
+				e.booted = true
+			case fleetobs.Fetch:
+				// A full cache is tolerable: the fetched weights stream
+				// through the stage buffer regardless; only future hits are
+				// lost.
+				_ = e.cfg.ModelCache.Insert(s.m.Name, s.m.WeightBytes())
+			}
+		}
+	}
+	for {
+		switch s.next {
+		case stageGCPause:
+			e.stats.GCPauses++
+			s.next = stageReinit
+			e.hostStage(fleetobs.GCPause, e.cfg.Prof.GCPause)
+			return
+		case stageReinit:
+			s.next = stageClimb
+			if !e.booted || !e.cfg.Opts.ComponentReuse {
+				e.stats.Reinits++
+				p := e.cfg.Prof
+				e.hostStage(fleetobs.Reinit, p.DistExecInit+p.ProfileOpt+p.KVInit+p.MiscInit)
+				return
+			}
+		case stageClimb:
+			switch {
+			case s.hit: // the compacted prefetch needs no load
+				e.stats.PrefetchHits++
+				s.next = stageCompact
+				s.ready.OnComplete(e.advanceFn)
+				return
+			case s.copyDur > 0:
+				s.next = stageCompact
+			default:
+				s.next = stageLoad
+			}
+		case stageCompact:
+			kind, d := gpu.OpCompactResidents, s.copyDur
+			s.next = stageLoad
+			if s.hit {
+				kind, d = gpu.OpCompact, e.CostFor(s.id).OnDeviceCopy(s.shard)
+				s.next = stageFinish
+			}
+			s.open, s.stageStart = openCompact, now
+			e.compute.SubmitOp(gpu.Compute, d, gpu.OpInfo{Kind: kind, Model: s.id}, e.advanceFn)
+			return
+		case stageLoad:
+			// A weight that misses the host model cache waits out any
+			// registry fetch failure; the bump arena then fetches it as a
+			// stage of its own, while a resident folds the fetch into its
+			// H2D copy.
+			s.next = stageWeightLoad
+			if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(s.m.Name) {
+				if s.r == nil {
+					e.stats.CacheMisses++
+				}
+				s.next, s.attempt = stageAwaitFetch, 0
+			}
+		case stageAwaitFetch:
+			if e.awaitFetchable() {
+				return
+			}
+			s.next = stageWeightLoad
+			if s.r == nil {
+				s.next = stageFetch
+			}
+		case stageFetch:
+			s.next = stageWeightLoad
+			e.hostStage(fleetobs.Fetch, e.fetchTime(s.m))
+			return
+		case stageWeightLoad:
+			s.next = stageFinish
+			e.weightLoad(now)
+			return
+		case stageActivate:
+			s.next = stageFinish
+			e.hostStage(fleetobs.Activate, activationDelay)
+			return
+		case stageFinish:
+			e.finishSwitch(now)
+			return
+		}
+	}
+}
+
+// finishSwitch makes the switch's model current, records its latency and
+// fires its done callback.
+func (e *Engine) finishSwitch(now sim.Time) {
+	s := &e.sw
+	id, done := s.id, s.done
+	e.switching = false
+	e.current, e.curID, e.curCost = s.m, id, e.CostFor(id)
+	if r := e.residents[id]; r != nil {
+		r.lastUsed = now
+	}
+	e.stats.SwitchLatency.AddDuration(now - s.start)
+	e.cfg.Obs.EndSwitch(e.Name, now)
+	e.sw = switchState{}
+	done()
+}
+
+// place makes room for the switch's shard and claims it. Colocation evicts
+// LRU residents until the shard fits, sets the compaction the surviving
+// residents then need, and admits the model as resident s.r. The bump
+// arena drops the old model and any prefetch of another one; when the model
+// itself was prefetched, s.hit is set and s.ready is that prefetch, whose
+// copy is compacted into place instead of loaded.
+func (e *Engine) place(s *switchState) {
 	if e.residents != nil {
 		var err error
-		if copyDur, err = e.makeRoomColocate(shard, id); err != nil {
+		if s.copyDur, err = e.makeRoomColocate(s.shard, s.id); err != nil {
 			panic(fmt.Sprintf("engine %s: %v", e.Name, err))
 		}
-		if r, err = e.admit(id, m, shard); err != nil {
+		if s.r, err = e.admit(s.id, s.m, s.shard); err != nil {
 			panic(fmt.Sprintf("engine %s: colocate alloc after eviction: %v", e.Name, err))
 		}
-		return r, copyDur, nil
+		return
 	}
-	if e.prefetched == id {
-		ready = e.prefetchReady
+	if e.prefetched == s.id {
+		s.hit, s.ready = true, e.prefetchEv
 	}
-	e.prefetched, e.prefetchReady = model.NoID, nil
+	e.prefetched = model.NoID
 	if e.current != nil {
 		// O(1) bump reset: a prefetched copy of m survives logically, and
 		// the compact stage models moving it to the start of the buffer.
 		e.weights.Reset()
 	}
-	if _, err := e.weights.Alloc(shard, 256); err != nil {
-		panic(fmt.Sprintf("engine %s: weights region too small for %s: %v", e.Name, m.Name, err))
+	if _, err := e.weights.Alloc(s.shard, 256); err != nil {
+		panic(fmt.Sprintf("engine %s: weights region too small for %s: %v", e.Name, s.m.Name, err))
 	}
-	return nil, 0, ready
 }
 
-// hostStage charges one switch stage that occupies no device engine (reinit,
-// gc-pause, fetch, activate) to the fleet ledger and the switch record for
-// d, then calls then.
-func (e *Engine) hostStage(s fleetobs.State, id model.ID, d time.Duration, then func()) {
-	start := e.eng.Now()
-	e.cfg.Fleet.Enter(e.Name, s, id)
-	e.eng.After(d, func() {
-		e.cfg.Fleet.Exit(e.Name, s)
-		e.cfg.Obs.SwitchStage(e.Name, s.String(), start, e.eng.Now())
-		then()
-	})
+// hostStage starts one switch stage that occupies no device engine (reinit,
+// gc-pause, fetch, activate), charged to the fleet ledger and the switch
+// record for d when advance closes it.
+func (e *Engine) hostStage(st fleetobs.State, d time.Duration) {
+	s := &e.sw
+	s.open, s.host, s.stageStart = openHost, st, e.eng.Now()
+	e.cfg.Fleet.Enter(e.Name, st, s.id)
+	e.eng.After(d, e.advanceFn)
 }
 
-// reinit runs the full engine (re)initialization — distributed executor,
-// profiling, KV pinning, misc (Fig. 7) — unless components are reused and
-// already up, then calls then.
-func (e *Engine) reinit(id model.ID, then func()) {
-	if e.booted && e.cfg.Opts.ComponentReuse {
-		then()
-		return
-	}
-	e.stats.Reinits++
-	p := e.cfg.Prof
-	e.hostStage(fleetobs.Reinit, id, p.DistExecInit+p.ProfileOpt+p.KVInit+p.MiscInit, func() {
-		e.booted = true
-		then()
-	})
-}
-
-// compact runs an on-device weights copy of d as the compact stage, then
-// calls then.
-func (e *Engine) compact(kind gpu.OpKind, id model.ID, d time.Duration, then func()) {
-	start := e.eng.Now()
-	e.compute.SubmitOp(gpu.Compute, d, gpu.OpInfo{Kind: kind, Model: id}, func() {
-		e.cfg.Obs.SwitchStage(e.Name, "compact", start, e.eng.Now())
-		then()
-	})
-}
-
-// loadWeights runs the fetch and weight-load stages of m into its placed
-// region (r under colocation, the bump arena when r is nil), then calls
-// done. A weight that misses the host model cache waits out any registry
-// fetch failure; the bump arena then fetches it as a stage of its own, while
-// a resident folds the fetch into its H2D copy.
-func (e *Engine) loadWeights(id model.ID, m *model.Model, r *resident, done func()) {
-	if e.cfg.ModelCache == nil || e.cfg.ModelCache.Contains(m.Name) {
-		e.h2dLoad(id, m, r, done)
-		return
-	}
-	load := func() { e.h2dLoad(id, m, r, done) }
-	if r != nil {
-		e.awaitFetchable(m, 0, load)
-		return
-	}
-	e.stats.CacheMisses++
-	e.awaitFetchable(m, 0, func() {
-		e.hostStage(fleetobs.Fetch, id, e.fetchTime(m), func() {
-			// A full cache is tolerable: the fetched weights stream through
-			// the stage buffer regardless; only future hits are lost.
-			_ = e.cfg.ModelCache.Insert(m.Name, m.WeightBytes())
-			load()
-		})
-	})
-}
-
-// h2dLoad streams m's weights to the device on the loader stream as the
-// weight-load stage, then calls done. The optimized multi-threaded,
-// chunked, pipelined stage-buffer copy (§5.2) achieves the Eq. 4 β-derated
-// PCIe bandwidth; without component reuse the bump arena takes the naive
-// engine loading path (Fig. 7: 2.83 GB/s).
-func (e *Engine) h2dLoad(id model.ID, m *model.Model, r *resident, done func()) {
+// weightLoad streams the switch's weights to the device on the loader
+// stream as the weight-load stage. The optimized multi-threaded, chunked,
+// pipelined stage-buffer copy (§5.2) achieves the Eq. 4 β-derated PCIe
+// bandwidth; without component reuse the bump arena takes the naive engine
+// loading path (Fig. 7: 2.83 GB/s).
+func (e *Engine) weightLoad(now sim.Time) {
+	s := &e.sw
 	var dur time.Duration
 	switch {
-	case r != nil:
-		dur = e.foldedLoadTime(id, m)
+	case s.r != nil:
+		dur = e.foldedLoadTime(s.id, s.m)
 	case e.cfg.Opts.ComponentReuse:
-		dur = e.CostFor(id).Switch()
+		dur = e.CostFor(s.id).Switch()
 	default:
-		dur = e.CostFor(id).NaiveLoad()
+		dur = e.CostFor(s.id).NaiveLoad()
 	}
-	start := e.eng.Now()
-	e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: id}, func() {
-		if r != nil {
-			r.loading = nil
-		}
-		e.cfg.Obs.SwitchStage(e.Name, "weight-load", start, e.eng.Now())
-		done()
-	})
-	if r != nil {
-		r.loading = e.loader.Record()
+	s.open, s.stageStart = openWeightLoad, now
+	e.loader.SubmitChunked(gpu.H2D, dur, loadChunk, gpu.OpInfo{Kind: gpu.OpLoad, Model: s.id}, e.advanceFn)
+	if s.r != nil {
+		s.r.loading = e.loader.Record()
 	}
 }
 
@@ -624,29 +718,31 @@ func (e *Engine) fetchTime(m *model.Model) time.Duration {
 	return time.Duration(float64(m.WeightBytes()) / remoteLoadBPS * float64(time.Second) * e.cfg.Faults.FetchFactor())
 }
 
-// awaitFetchable delays then while remote fetches of m are failing, and
-// calls it synchronously when no fault window is active (in particular with
-// nil fault state). Each failed attempt retries with jittered exponential
-// backoff; when the bounded attempt budget is exhausted the counter is
-// recorded and the budget re-arms after one more backoff — a switch must
-// eventually make progress, never wedge the instance.
-func (e *Engine) awaitFetchable(m *model.Model, attempt int, then func()) {
-	f := e.cfg.Faults
-	if !f.FetchFailing(m.Name) {
-		then()
-		return
+// awaitFetchable holds the switch while remote fetches of its model are
+// failing, and reports whether it did: when no fault window is active (in
+// particular with nil fault state) the switch goes on at once. Each failed
+// attempt retries with jittered exponential backoff; when the bounded
+// attempt budget is exhausted the counter is recorded and the budget
+// re-arms after one more backoff — a switch must eventually make progress,
+// never wedge the instance.
+func (e *Engine) awaitFetchable() bool {
+	s, f := &e.sw, e.cfg.Faults
+	if !f.FetchFailing(s.m.Name) {
+		return false
 	}
 	f.CountFetchFailure()
-	e.cfg.Obs.Fault(e.Name, "fetchfail", m.Name, e.eng.Now())
-	next := attempt + 1
+	e.cfg.Obs.Fault(e.Name, "fetchfail", s.m.Name, e.eng.Now())
+	next := s.attempt + 1
 	if next >= f.MaxAttempts() {
 		f.CountFetchExhausted()
 		next = 0
 	}
-	delay := f.RetryDelay(attempt)
+	delay := f.RetryDelay(s.attempt)
 	f.CountFetchRetry()
-	e.cfg.Obs.Retry(e.Name, "fetch "+m.Name, e.eng.Now())
-	e.eng.After(delay, func() { e.awaitFetchable(m, next, then) })
+	e.cfg.Obs.Retry(e.Name, "fetch "+s.m.Name, e.eng.Now())
+	s.attempt = next
+	e.eng.After(delay, e.advanceFn)
+	return true
 }
 
 // StartPrefetch begins loading model id into spare weights-region VRAM on the
@@ -669,8 +765,8 @@ func (e *Engine) StartPrefetch(id model.ID) bool {
 		return false
 	case e.prefetched != model.NoID:
 		return e.prefetched == id
-	case e.prefetchPending:
-		return false
+	case !e.prefetchEv.Query():
+		return false // a dropped prefetch is still streaming
 	}
 	if e.cfg.ModelCache != nil && !e.cfg.ModelCache.Contains(m.Name) && e.cfg.Faults.FetchFailing(m.Name) {
 		return false // prefetch is opportunistic: skip while the registry is down
@@ -685,7 +781,7 @@ func (e *Engine) StartPrefetch(id model.ID) bool {
 		if err != nil {
 			return false
 		}
-		e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, func() { r.loading = nil })
+		e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, nil)
 		r.loading = e.prefetch.Record()
 		return true
 	}
@@ -695,9 +791,8 @@ func (e *Engine) StartPrefetch(id model.ID) bool {
 	if _, err := e.weights.Alloc(shard, 256); err != nil {
 		return false
 	}
-	e.prefetchPending = true
-	e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, func() { e.prefetchPending = false })
-	e.prefetched, e.prefetchReady = id, e.prefetch.Record()
+	e.prefetch.SubmitChunked(gpu.H2D, e.foldedLoadTime(id, m), loadChunk, info, nil)
+	e.prefetched, e.prefetchEv = id, e.prefetch.Record()
 	return true
 }
 

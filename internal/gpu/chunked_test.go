@@ -28,8 +28,15 @@ type chunkWorld struct {
 	ledger  *fleetobs.Ledger
 	records [2][3][]gpu.OpRecord // per device and engine, in delivery order
 	done    []sim.Time           // per op, when its onDone ran
-	marks   []*gpu.Event         // every Record, in call order
-	waits   []*gpu.Event         // Records on plain streams, for WaitEvent
+	marks   []sim.Time           // every Record's completion time, in call order; -1 until it fires
+	waits   []gpu.Event          // Records on plain streams, for WaitEvent
+}
+
+// mark records ev's completion time as the next entry of marks.
+func (w *chunkWorld) mark(ev gpu.Event) {
+	i := len(w.marks)
+	w.marks = append(w.marks, -1)
+	ev.OnComplete(func() { w.marks[i] = w.eng.Now() })
 }
 
 func newChunkWorld(ledger bool) *chunkWorld {
@@ -116,7 +123,7 @@ func runChunkSchedule(data []byte, perChunk bool) *chunkWorld {
 				s.SubmitOp(k, time.Duration(b[2]/3%25)*time.Millisecond, info(k, gpu.OpKind(b[1]/4%10), id), finish)
 			case 2:
 				ev := s.Record()
-				w.marks = append(w.marks, ev)
+				w.mark(ev)
 				w.waits = append(w.waits, ev)
 			case 3:
 				if len(w.waits) > 0 {
@@ -130,7 +137,7 @@ func runChunkSchedule(data []byte, perChunk bool) *chunkWorld {
 				total := time.Duration(b[2]) * time.Millisecond
 				submitTransfer(s, k, total, info(k, gpu.OpKind(b[1]/4%10), id), perChunk, finish)
 			case 2:
-				w.marks = append(w.marks, s.Record())
+				w.mark(s.Record())
 			case 3:
 				if len(w.waits) > 0 {
 					s.WaitEvent(w.waits[int(b[2])%len(w.waits)])
@@ -168,12 +175,8 @@ func checkChunkedMatchesPerChunk(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(got.done, want.done) {
 		t.Fatalf("op completion times differ:\n got %v\nwant %v", got.done, want.done)
 	}
-	for i, ev := range got.marks {
-		wv := want.marks[i]
-		if ev.Query() != wv.Query() || ev.Query() && ev.CompletedAt() != wv.CompletedAt() {
-			t.Fatalf("Record %d: done %v at %v, per-chunk done %v at %v",
-				i, ev.Query(), ev.CompletedAt(), wv.Query(), wv.CompletedAt())
-		}
+	if !reflect.DeepEqual(got.marks, want.marks) {
+		t.Fatalf("Record completion times differ (-1: never fired):\n got %v\nwant %v", got.marks, want.marks)
 	}
 	if g, w := got.ledger.Snapshot(got.eng.Now()), want.ledger.Snapshot(want.eng.Now()); !reflect.DeepEqual(g, w) {
 		t.Fatalf("fleet snapshots differ:\n got %+v\nwant %+v", g, w)

@@ -7,9 +7,9 @@ import (
 )
 
 // NewCompletedEvent returns an event that is already complete — useful as a
-// neutral dependency.
-func NewCompletedEvent(eng *sim.Engine) *Event {
-	return &Event{eng: eng, done: true, at: eng.Now()}
+// neutral dependency. No device owns it, so it is never reused.
+func NewCompletedEvent(eng *sim.Engine) Event {
+	return Event{e: &event{done: true, at: eng.Now()}}
 }
 
 // Submit enqueues an unlabelled operation occupying engine k for dur.

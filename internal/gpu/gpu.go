@@ -170,7 +170,8 @@ type Device struct {
 	eng      *sim.Engine
 	engines  [3]*executor
 	streams  []*Stream
-	free     []*op // retired ops, reused LIFO by newOp
+	free     []*op    // retired ops, reused LIFO by newOp
+	events   []*event // fired events, reused LIFO by Record
 	observer OpObserver
 	busyObs  BusyObserver
 }
@@ -234,9 +235,10 @@ func (d *Device) Sim() *sim.Engine { return d.eng }
 // op is one unit of stream work: an engine op, a barrier (WaitEvent) or a
 // Record marker. Ops are recycled per device: an engine op goes back on the
 // device's free list once its onDone callbacks have run, a barrier or marker
-// once it leaves the stream head. Nothing outside the package holds an op;
-// the only *Event a caller gets is the one Record allocates, which outlives
-// the op that fires it.
+// once it leaves the stream head. Nothing outside the package holds an op:
+// a caller holds an Event, a handle to the event record the marker fires,
+// which the device recycles too. A handle outlives its record's reuse by
+// reading as fired (see Event).
 type op struct {
 	stream  *Stream
 	kind    EngineKind
@@ -246,8 +248,8 @@ type op struct {
 	queued  sim.Time      // when the op last joined its executor's queue
 	info    OpInfo
 	onDone  func()
-	barrier *Event // non-nil: wait-for-event op (no engine time)
-	marker  *Event // non-nil: Record marker (no engine time)
+	barrier Event  // non-zero: wait-for-event op (no engine time)
+	marker  *event // non-nil: Record marker (no engine time)
 	started bool
 	waiting bool // barrier op already registered a completion callback
 }
@@ -433,20 +435,22 @@ func (s *Stream) push(o *op) {
 // Record captures all work currently submitted to the stream into an event
 // (cudaEventRecord): the event completes when that work completes. It is the
 // only source of stream completion events.
-func (s *Stream) Record() *Event {
-	ev := &Event{eng: s.dev.eng}
+func (s *Stream) Record() Event {
+	ev := s.dev.newEvent()
 	o := s.newOp()
 	o.marker = ev
 	s.push(o)
-	return ev
+	return Event{e: ev, gen: ev.gen}
 }
 
 // WaitEvent makes all future work on the stream wait for the event
 // (cudaStreamWaitEvent). Events from other devices are accepted, mirroring
-// the IPC event usage between prefill and decoding instances.
-func (s *Stream) WaitEvent(e *Event) {
-	if e == nil {
-		panic("gpu: WaitEvent(nil)")
+// the IPC event usage between prefill and decoding instances. A fired or
+// stale event lets the stream pass; the zero Event, which no Record
+// returned, panics.
+func (s *Stream) WaitEvent(e Event) {
+	if e.e == nil {
+		panic("gpu: WaitEvent on the zero Event")
 	}
 	o := s.newOp()
 	o.barrier = e
@@ -463,14 +467,14 @@ func (s *Stream) pump() {
 	for s.queue.len() > 0 {
 		head := s.queue.front()
 		switch {
-		case head.barrier != nil:
+		case head.barrier.e != nil:
 			if !head.barrier.Query() {
 				if !head.waiting {
 					head.waiting = true
 					if s.resume == nil {
 						s.resume = s.pump
 					}
-					head.barrier.onComplete(s.resume)
+					head.barrier.OnComplete(s.resume)
 				}
 				return
 			}
@@ -673,98 +677,116 @@ func (x *executor) busyTotal(now sim.Time) time.Duration {
 }
 
 // Event mirrors a CUDA event: a completion marker shareable across streams
-// and (via IPC handles) across processes/devices. Most events have a single
-// waiter, so the first one sits in a plain field and only the second and
-// later ones go in a slice.
+// and (via IPC handles) across processes/devices. It is a small value
+// handle to an event record that its device recycles: once an event has
+// fired and run its waiters, the record goes on the device's free list, and
+// the next Record on that device takes it under a new generation. A handle
+// whose generation no longer matches is stale, and since a record is only
+// reused after it fired, a stale handle reads as fired: Query is true,
+// OnComplete runs its callback at once and WaitEvent passes. So a handle
+// held past its event (a sequence's last transfer, a resident's load)
+// never reaches the record's next occupant. The zero Event refers to no
+// event and also reads as fired.
 type Event struct {
-	eng     *sim.Engine
+	e   *event
+	gen uint32
+}
+
+// event is one recorded event's state. Its waiters slice keeps its
+// capacity across reuses, so a warmed event registers waiters without
+// allocating.
+type event struct {
+	dev     *Device // the recycling device; nil for one that is never reused
+	gen     uint32
 	done    bool
 	at      sim.Time
-	first   func()
 	waiters []func()
 }
 
-// Query reports completion (cudaEventQuery).
-func (e *Event) Query() bool { return e.done }
+// newEvent takes a fired event off the device's free list, or allocates one
+// when the list is empty, and advances its generation so handles to its
+// previous occupant go stale.
+func (d *Device) newEvent() *event {
+	var ev *event
+	if n := len(d.events); n > 0 {
+		ev = d.events[n-1]
+		d.events[n-1] = nil
+		d.events = d.events[:n-1]
+	} else {
+		ev = &event{dev: d}
+	}
+	ev.gen++
+	ev.done, ev.at = false, 0
+	return ev
+}
+
+// live returns the handle's event while it still belongs to this handle.
+func (h Event) live() *event {
+	if h.e == nil || h.e.gen != h.gen {
+		return nil
+	}
+	return h.e
+}
+
+// Query reports completion (cudaEventQuery). A stale or zero handle reads
+// as complete.
+func (h Event) Query() bool {
+	ev := h.live()
+	return ev == nil || ev.done
+}
 
 // CompletedAt returns the virtual time the event fired; valid only when
-// Query is true.
-func (e *Event) CompletedAt() sim.Time { return e.at }
-
-// onComplete registers fn to run when the event fires (immediately if done).
-func (e *Event) onComplete(fn func()) {
-	if e.done {
-		fn()
-		return
+// Query is true and the handle is not stale (its device has not recorded
+// over the event yet). A caller that needs the time later records it from
+// OnComplete. It panics on a stale or zero handle, whose time is gone.
+func (h Event) CompletedAt() sim.Time {
+	ev := h.live()
+	if ev == nil {
+		panic("gpu: CompletedAt on a stale or zero Event")
 	}
-	if e.first == nil {
-		e.first = fn
-		return
-	}
-	e.waiters = append(e.waiters, fn)
+	return ev.at
 }
 
 // OnComplete registers a host-side callback for the event's completion,
 // firing immediately if the event is already done. This models a host
 // thread polling cudaEventQuery (§5.3's daemon thread) without busy-wait.
-func (e *Event) OnComplete(fn func()) { e.onComplete(fn) }
+func (h Event) OnComplete(fn func()) {
+	ev := h.live()
+	if ev == nil || ev.done {
+		fn()
+		return
+	}
+	ev.waiters = append(ev.waiters, fn)
+}
 
-func (e *Event) fire() {
-	if e.done {
+// fire completes the event, runs its waiters in registration order and
+// returns it to its device's free list. A waiter registered during fire
+// runs at once, so the list does not grow while it is walked.
+func (ev *event) fire() {
+	if ev.done {
 		panic("gpu: event fired twice")
 	}
-	e.done = true
-	e.at = e.eng.Now()
-	first, ws := e.first, e.waiters
-	e.first, e.waiters = nil, nil
-	if first != nil {
-		first()
-	}
-	for _, fn := range ws {
+	ev.done = true
+	ev.at = ev.dev.eng.Now()
+	for _, fn := range ev.waiters {
 		fn()
 	}
+	clear(ev.waiters)
+	ev.waiters = ev.waiters[:0]
+	ev.dev.events = append(ev.dev.events, ev)
 }
 
 // EventHandle is the IPC-shareable form of an event
 // (cudaIpcGetEventHandle / cudaIpcOpenEventHandle).
-type EventHandle struct{ e *Event }
+type EventHandle struct{ e Event }
 
 // IPCHandle exports the event for another instance.
-func (e *Event) IPCHandle() EventHandle { return EventHandle{e: e} }
+func (h Event) IPCHandle() EventHandle { return EventHandle{e: h} }
 
 // OpenEventHandle reconstructs an event from an IPC handle.
-func OpenEventHandle(h EventHandle) *Event {
-	if h.e == nil {
+func OpenEventHandle(h EventHandle) Event {
+	if h.e.e == nil {
 		panic("gpu: OpenEventHandle on zero handle")
 	}
 	return h.e
-}
-
-// AfterAll returns an event that completes when all input events complete.
-// A convenience not present in CUDA proper (where one would WaitEvent each),
-// used by host-side orchestration code.
-func AfterAll(eng *sim.Engine, events ...*Event) *Event {
-	out := &Event{eng: eng}
-	remaining := 0
-	for _, e := range events {
-		if !e.Query() {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		out.done = true
-		out.at = eng.Now()
-		return out
-	}
-	for _, e := range events {
-		if !e.Query() {
-			e.onComplete(func() {
-				remaining--
-				if remaining == 0 {
-					out.fire()
-				}
-			})
-		}
-	}
-	return out
 }

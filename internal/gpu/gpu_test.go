@@ -144,28 +144,6 @@ func TestOnCompleteHostCallback(t *testing.T) {
 	}
 }
 
-func TestAfterAll(t *testing.T) {
-	eng, d := newDev(1)
-	s1 := d.NewStream("s1")
-	s2 := d.NewStream("s2")
-	s1.Submit(Compute, 10*time.Millisecond)
-	e1 := s1.Record()
-	s2.Submit(H2D, 25*time.Millisecond)
-	e2 := s2.Record()
-	all := AfterAll(eng, e1, e2)
-	eng.Run()
-	if !all.Query() || all.CompletedAt() != 25*time.Millisecond {
-		t.Fatalf("AfterAll completed at %v, want 25ms", all.CompletedAt())
-	}
-	// Empty and already-done cases.
-	if !AfterAll(eng).Query() {
-		t.Fatal("AfterAll() not immediately done")
-	}
-	if !AfterAll(eng, e1, e2).Query() {
-		t.Fatal("AfterAll(done, done) not immediately done")
-	}
-}
-
 func TestBusyTimeAccounting(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
@@ -236,10 +214,10 @@ func TestWaitNilEventPanics(t *testing.T) {
 	_, d := newDev(1)
 	defer func() {
 		if recover() == nil {
-			t.Error("WaitEvent(nil) did not panic")
+			t.Error("WaitEvent on the zero Event did not panic")
 		}
 	}()
-	d.NewStream("s").WaitEvent(nil)
+	d.NewStream("s").WaitEvent(Event{})
 }
 
 // The Figure 10 scenario end to end: prefill offloads R1..R3 while a decode
@@ -254,7 +232,7 @@ func TestFigure10FineGrainedOverlap(t *testing.T) {
 	dCompute := decode.NewStream("default")
 
 	const per = 10 * time.Millisecond
-	var swapInDone [3]*Event
+	var swapInDone [3]Event
 	for i := 0; i < 3; i++ {
 		pOut.Submit(D2H, per)
 		outEv := pOut.Record()
@@ -293,10 +271,10 @@ func TestRandomDAGProperty(t *testing.T) {
 		type rec struct {
 			stream  int
 			doneAt  sim.Time
-			waitFor []*Event
+			waitFor []Event
 		}
 		var recs []*rec
-		var events []*Event
+		var events []Event
 		for i := 0; i < 40; i++ {
 			si := rng.Intn(len(streams))
 			s := streams[si]
@@ -355,7 +333,7 @@ func TestSubmitCallbacksInOrder(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
 	var order []string
-	var ev *Event
+	var ev Event
 	s.Submit(Compute, time.Millisecond,
 		func() { order = append(order, "a") },
 		func() { order = append(order, "b") },
@@ -454,21 +432,31 @@ func TestWaitEventDoneAllocs(t *testing.T) {
 // Record is the only source of completion events: an op's event is Submit
 // followed by Record. Property over 2 devices x 3 streams with random
 // Submit, Record and WaitEvent calls (cross-device barriers included), some
-// issued from inside onDone callbacks at later virtual times:
+// issued from inside onDone callbacks at later virtual times, so later
+// Records reuse the event records of earlier ones that fired:
 //
 //  1. a Record event completes at its stream's tail: the End of the last op
 //     submitted before it, or later only when a barrier between them held
 //     the stream (or the stream was idle when Record was called);
 //  2. its waiters run after that op's onDone and before the stream's next
 //     op starts;
-//  3. no device's free list grows past the peak number of its ops in flight.
+//  3. no device's free lists grow past the peak number of its ops, or of
+//     its events, in flight;
+//  4. after the run every handle reads as fired, stale or not, and a late
+//     OnComplete on it runs at once.
 func TestRecordAfterSubmitMatchesOp(t *testing.T) {
+	stale := 0
 	for seed := int64(1); seed <= 100; seed++ {
-		checkRecordAfterSubmit(t, seed)
+		stale += checkRecordAfterSubmit(t, seed)
+	}
+	if stale == 0 {
+		t.Fatal("no Record reused a fired event's record")
 	}
 }
 
-func checkRecordAfterSubmit(t *testing.T, seed int64) {
+// checkRecordAfterSubmit runs one seed and returns how many of its Record
+// handles went stale.
+func checkRecordAfterSubmit(t *testing.T, seed int64) int {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	rng := eng.Rand()
@@ -484,16 +472,18 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 	type item struct {
 		op       bool     // engine op
 		barrier  bool     // WaitEvent; neither flag set: Record marker
-		ev       *Event   // Record's event, or the barrier's awaited event
+		ev       Event    // Record's event, or the barrier's awaited event
+		src      *item    // barrier: the Record it awaits; nil for a complete event
 		calledAt sim.Time // virtual time of the call
 		end      sim.Time // op: End, from its onDone
 		doneSeq  int      // op: step of its onDone
 		startSeq int      // op: step it started on its engine (0 = never seen)
 		waitSeq  int      // marker: step its waiter ran
+		firedAt  sim.Time // marker: when its waiter ran
 	}
 	perStream := map[*Stream][]*item{}
 	ops := map[string]*item{}
-	var records []*Event
+	var records []*item
 	step := 0
 	next := func() int { step++; return step }
 	for _, d := range devs {
@@ -505,9 +495,10 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 	}
 
 	// Ops in flight on a device: queued on its streams, plus the one whose
-	// onDone is running (popped, not yet released).
-	peak := map[*Device]int{}
-	inDone := map[*Device]int{}
+	// onDone is running (popped, not yet released). Events in flight:
+	// recorded and not yet fired.
+	peak, peakEv := map[*Device]int{}, map[*Device]int{}
+	inDone, inFlightEv := map[*Device]int{}, map[*Device]int{}
 	noteCall := func(s *Stream) {
 		n := inDone[s.dev] + 1
 		for _, o := range s.dev.streams {
@@ -542,14 +533,22 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 				inDone[s.dev]--
 			})
 		case r == 2:
+			// Counted before the call: a Record made inside an onDone fires
+			// the markers queued behind that op within the call.
+			inFlightEv[s.dev]++
+			peakEv[s.dev] = max(peakEv[s.dev], inFlightEv[s.dev])
 			it.ev = s.Record()
-			records = append(records, it.ev)
-			it.ev.OnComplete(func() { it.waitSeq = next() })
+			records = append(records, it)
+			it.ev.OnComplete(func() {
+				it.waitSeq, it.firedAt = next(), eng.Now()
+				inFlightEv[s.dev]--
+			})
 		default:
 			it.barrier = true
 			it.ev = NewCompletedEvent(eng)
 			if len(records) > 0 {
-				it.ev = records[rng.Intn(len(records))]
+				it.src = records[rng.Intn(len(records))]
+				it.ev = it.src.ev
 			}
 			s.WaitEvent(it.ev)
 		}
@@ -571,14 +570,17 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 				}
 				tail, prevOp = it.end, it
 			case it.barrier:
-				tail = max(tail, it.calledAt, it.ev.CompletedAt())
+				tail = max(tail, it.calledAt)
+				if it.src != nil {
+					tail = max(tail, it.src.firedAt)
+				}
 			default:
-				if !it.ev.Query() {
+				if it.waitSeq == 0 {
 					t.Fatalf("seed %d: Record event never completed", seed)
 				}
-				if want := max(tail, it.calledAt); it.ev.CompletedAt() != want {
+				if want := max(tail, it.calledAt); it.firedAt != want {
 					t.Fatalf("seed %d, stream %s/%s: Record completed at %v, want %v",
-						seed, s.dev.Name, s.name, it.ev.CompletedAt(), want)
+						seed, s.dev.Name, s.name, it.firedAt, want)
 				}
 				if prevOp != nil && it.waitSeq < prevOp.doneSeq {
 					t.Fatalf("seed %d: Record waiter ran before the op's onDone", seed)
@@ -599,7 +601,26 @@ func checkRecordAfterSubmit(t *testing.T, seed int64) {
 			t.Fatalf("seed %d, %s: free list holds %d ops, peak in flight was %d",
 				seed, d.Name, len(d.free), peak[d])
 		}
+		if len(d.events) > peakEv[d] {
+			t.Fatalf("seed %d, %s: free list holds %d events, peak in flight was %d",
+				seed, d.Name, len(d.events), peakEv[d])
+		}
 	}
+	stale := 0
+	for _, it := range records {
+		if it.ev.live() == nil {
+			stale++
+		}
+		if !it.ev.Query() {
+			t.Fatalf("seed %d: a fired event's handle reads as pending", seed)
+		}
+		late := false
+		it.ev.OnComplete(func() { late = true })
+		if !late {
+			t.Fatalf("seed %d: OnComplete on a fired event's handle did not run at once", seed)
+		}
+	}
+	return stale
 }
 
 // Each kind's Label is the string its call site built before ops carried a
@@ -628,26 +649,82 @@ func TestOpKindLabels(t *testing.T) {
 	}
 }
 
-// An event with one waiter needs no waiter slice: Record, one OnComplete and
-// Run allocate exactly once, for the Event itself.
+// A fired event's record is reused by the device's next Record, and keeps
+// its waiter slice's capacity: a warmed Record, three OnCompletes and Run
+// allocate nothing.
 func TestRecordOneWaiterAllocs(t *testing.T) {
 	eng, d := newDev(1)
 	s := d.NewStream("s")
 	fired := 0
 	waiter := func() { fired++ }
-	s.Submit(Compute, time.Microsecond)
-	s.Record().OnComplete(waiter)
-	eng.Run()
-	if n := testing.AllocsPerRun(1000, func() {
+	cycle := func() {
 		s.Submit(Compute, time.Microsecond)
-		s.Record().OnComplete(waiter)
+		ev := s.Record()
+		for range 3 {
+			ev.OnComplete(waiter)
+		}
 		eng.Run()
-	}); n != 1 {
-		t.Fatalf("Record+OnComplete+Run allocates %.1f times, want 1 (the Event)", n)
 	}
-	if fired != 1002 {
-		t.Fatalf("waiter fired %d times, want 1002", fired)
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("Record+OnComplete+Run allocates %.1f times, want 0", n)
 	}
+	if fired != 3*1002 {
+		t.Fatalf("waiter fired %d times, want %d", fired, 3*1002)
+	}
+}
+
+// Stale handles: many Records through one event record, every old handle
+// kept. Each reads as fired, runs a late OnComplete at once, lets a
+// WaitEvent pass, and never sees the record's next occupant: callbacks
+// registered on an old handle never run when the occupant fires, and the
+// occupant's own waiters run exactly once.
+func TestStaleEventHandles(t *testing.T) {
+	eng, d := newDev(1)
+	s, w := d.NewStream("s"), d.NewStream("w")
+	var old []Event
+	for i := range 50 {
+		s.Submit(Compute, time.Millisecond)
+		ev := s.Record()
+		if i > 0 && ev.e != old[0].e {
+			t.Fatalf("Record %d took a new event record; want the fired one reused", i)
+		}
+		for _, h := range old {
+			if !h.Query() {
+				t.Fatalf("Record %d: an old handle reads as pending", i)
+			}
+			ran := false
+			h.OnComplete(func() { ran = true })
+			if !ran {
+				t.Fatalf("Record %d: OnComplete on an old handle did not run at once", i)
+			}
+			// A barrier on the old handle passes while ev is pending.
+			w.WaitEvent(h)
+			if w.PendingOps() != 0 {
+				t.Fatalf("Record %d: a barrier on an old handle held the stream", i)
+			}
+		}
+		if ev.Query() {
+			t.Fatalf("Record %d: fresh event reads as fired before its work ran", i)
+		}
+		fired := 0
+		ev.OnComplete(func() { fired++ })
+		eng.Run()
+		if fired != 1 || ev.CompletedAt() != eng.Now() {
+			t.Fatalf("Record %d: waiter ran %d times, event at %v; want once at %v",
+				i, fired, ev.CompletedAt(), eng.Now())
+		}
+		old = append(old, ev)
+	}
+	if len(d.events) != 1 {
+		t.Fatalf("device holds %d event records, want 1", len(d.events))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CompletedAt on a stale handle did not panic")
+		}
+	}()
+	old[0].CompletedAt()
 }
 
 // TestChunkedTransferTwoEvents: an uncontended chunked transfer fires one

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkSwapCycle measures one request's warmed lifecycle through the
-// full swap-out/swap-in protocol, including event synchronization and
+// BenchmarkSwapCycle measures one warmed swap-out/swap-in cycle of a
+// sequence through the full protocol, including event synchronization and
 // move-list reclamation, at a short and a long sequence length.
 func BenchmarkSwapCycle(b *testing.B) {
 	for _, tokens := range []int{64, 4096} {

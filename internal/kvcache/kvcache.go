@@ -241,7 +241,7 @@ type Sequence struct {
 	gpuClass  memory.ClassID // Shape's class in gpuCache
 	cpuCache  *Cache
 	cpuClass  memory.ClassID // Shape's class in cpuCache
-	lastXfer  *gpu.Event     // most recent transfer touching this sequence (rule ❷)
+	lastXfer  gpu.Event      // most recent transfer touching this sequence (rule ❷)
 
 	xferWait time.Duration // cumulative exposed data-plane wait (Fig. 14/15)
 }
@@ -258,8 +258,9 @@ func (s *Sequence) Bytes() int64 {
 }
 
 // LastTransfer returns the event of the sequence's most recent transfer
-// (nil if none). Shareable across instances via IPC handles.
-func (s *Sequence) LastTransfer() *gpu.Event { return s.lastXfer }
+// (the zero Event, which reads as fired, if none). Shareable across
+// instances via IPC handles.
+func (s *Sequence) LastTransfer() gpu.Event { return s.lastXfer }
 
 // TransferWait returns the cumulative exposed wait attributed to this
 // sequence's KV transfers.
@@ -300,6 +301,11 @@ type Manager struct {
 	CPUCache *Cache
 
 	kvIn, kvOut *gpu.Stream
+
+	// Recycled completion records: transfers whose copy has landed and move
+	// lists whose transfer completed, reused LIFO.
+	xfers []*xfer
+	moves []*moveList
 
 	stats     Stats
 	ctrlDelay time.Duration // per control operation (index/event bookkeeping)
@@ -432,77 +438,147 @@ func (m *Manager) FreeBlocks(seq *Sequence) int {
 // SwapOut starts offloading the sequence to the CPU tier (scale-down path).
 // The transfer waits for the sequence's previous transfer (rule ❷). GPU
 // blocks are released when the copy completes. Returns the transfer event.
-func (m *Manager) SwapOut(seq *Sequence) (*gpu.Event, error) {
+func (m *Manager) SwapOut(seq *Sequence) (gpu.Event, error) {
 	if seq.state != StateGPU {
-		return nil, fmt.Errorf("kvcache: swap-out of sequence %s in state %s", seq.ID, seq.state)
+		return gpu.Event{}, fmt.Errorf("kvcache: swap-out of sequence %s in state %s", seq.ID, seq.state)
 	}
 	cpuBlocks, err := m.CPUCache.allocList(seq.cpuClass, seq.tokens)
 	if err != nil {
-		return nil, err
+		return gpu.Event{}, err
 	}
 	seq.cpuBlocks = cpuBlocks
 	seq.state = StateSwappingOut
-	if seq.lastXfer != nil && !seq.lastXfer.Query() {
+	if !seq.lastXfer.Query() {
 		m.kvOut.WaitEvent(seq.lastXfer) // rule ❷
 		m.control(1)
 	}
-	bytes := seq.Bytes()
-	gpuBlocks := seq.gpuBlocks
+	x := m.newXfer(seq, false, seq.gpuBlocks)
+	x.src = seq.gpuCache
 	seq.gpuBlocks = nil
-	ev := m.swapOutAttempt(seq, seq.gpuCache, gpuBlocks, bytes, 0)
-	seq.lastXfer = ev
+	m.submit(x)
+	seq.lastXfer = x.ev
 	m.stats.SwapOuts++
-	m.stats.BytesOut += bytes
+	m.stats.BytesOut += x.bytes
 	m.control(2) // event record + block index updates
-	return ev, nil
+	return seq.lastXfer, nil
 }
 
-// swapOutAttempt submits one attempt of seq's swap-out copy on the KV-out
-// stream and returns its event. The attempt that lands releases the source
-// GPU blocks once the copy has read them; one submitted inside a
-// transfer-fault window fails instead (failAttempt).
-func (m *Manager) swapOutAttempt(seq *Sequence, src *Cache, gpuBlocks []memory.Block, bytes int64, attempt int) *gpu.Event {
-	info := gpu.OpInfo{Kind: gpu.OpKVOut, Request: seq.ID}
-	if m.faults.TransferFailing(m.instance) {
-		return m.failAttempt(m.kvOut, gpu.D2H, info, seq, bytes, attempt, func(next int) *gpu.Event {
-			return m.swapOutAttempt(seq, src, gpuBlocks, bytes, next)
-		})
+// xfer is one KV transfer of a sequence, a swap-out or a swap-in, from its
+// first attempt until one lands. It is recycled through its manager's free
+// list, and its completions are methods bound once when it is allocated, so
+// a transfer and its retries allocate nothing once the list is warm.
+type xfer struct {
+	m      *Manager
+	seq    *Sequence
+	in     bool           // swap-in; false for a swap-out
+	src    *Cache         // swap-out: the GPU tier its source blocks return to
+	blocks []memory.Block // source blocks: GPU for a swap-out, CPU for a swap-in
+	bytes  int64
+	n      int       // attempt number, 0 for the first
+	ev     gpu.Event // the latest attempt's event
+
+	land, fail, retry func() // x.landed, x.failed and x.resubmit
+}
+
+// newXfer returns a transfer of seq's bytes that reads blocks: out of the
+// GPU tier, or into it when in is set. It comes off the free list when the
+// list has one.
+func (m *Manager) newXfer(seq *Sequence, in bool, blocks []memory.Block) *xfer {
+	var x *xfer
+	if n := len(m.xfers); n > 0 {
+		x = m.xfers[n-1]
+		m.xfers[n-1] = nil
+		m.xfers = m.xfers[:n-1]
+	} else {
+		x = &xfer{m: m}
+		x.land, x.fail, x.retry = x.landed, x.failed, x.resubmit
 	}
-	m.kvOut.SubmitOp(gpu.D2H, m.prof.PCIeCopy(bytes), info, func() {
-		src.release(gpuBlocks, "gpu free after swap-out")
+	x.seq, x.in, x.blocks, x.bytes = seq, in, blocks, seq.Bytes()
+	return x
+}
+
+// op returns the stream, engine and label of the transfer's copies: "kv-out
+// <request>" on the D2H engine, or "kv-in <request>" on the H2D engine.
+func (x *xfer) op() (*gpu.Stream, gpu.EngineKind, gpu.OpInfo) {
+	if x.in {
+		return x.m.kvIn, gpu.H2D, gpu.OpInfo{Kind: gpu.OpKVIn, Request: x.seq.ID}
+	}
+	return x.m.kvOut, gpu.D2H, gpu.OpInfo{Kind: gpu.OpKVOut, Request: x.seq.ID}
+}
+
+// submit submits the transfer's next attempt on its stream and records its
+// event in x.ev. An attempt submitted inside a transfer-fault window
+// occupies the stream for the full copy and then fails (failed). The one
+// that lands completes through landed; a swap-in's also parks its CPU
+// source blocks on the move list (rule ❸), so they are released exactly
+// once however many attempts it takes.
+func (m *Manager) submit(x *xfer) {
+	s, k, info := x.op()
+	failing := m.faults.TransferFailing(m.instance)
+	done := x.land
+	if failing {
+		done = x.fail
+	}
+	s.SubmitOp(k, m.prof.PCIeCopy(x.bytes), info, done)
+	x.ev = s.Record()
+	if !x.in || failing {
+		return
+	}
+	// Rule ❸: the CPU copies become garbage once read, but they must not be
+	// reallocated until the read completes. Park them in the move list.
+	if err := m.park(x.blocks, x.ev); err != nil {
+		panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
+	}
+	m.NoteKV()
+}
+
+// landed completes the attempt that lands. A swap-out releases the source
+// GPU blocks, the copy having read them; a swap-in's sequence becomes
+// GPU-resident. The transfer then goes back on the free list.
+func (x *xfer) landed() {
+	m, seq := x.m, x.seq
+	if x.in {
+		// Guard against a crash-recovery Abandon racing the transfer.
+		if seq.state == StateSwappingIn {
+			seq.state = StateGPU
+		}
+	} else {
+		x.src.release(x.blocks, "gpu free after swap-out")
 		// A swap-in may already have been issued against this sequence
 		// (Fig. 10's overlapped handoff); do not clobber its state.
 		if seq.state == StateSwappingOut {
 			seq.state = StateCPU
 		}
 		m.NoteKV()
-	})
-	return m.kvOut.Record()
+	}
+	*x = xfer{m: m, land: x.land, fail: x.fail, retry: x.retry}
+	m.xfers = append(m.xfers, x)
 }
 
-// failAttempt submits a transfer attempt made inside a fault window: it
-// occupies the stream for the full copy, then fails, and after jittered
-// backoff retry submits the next attempt. Windows are finite, so some
-// attempt lands. seq.lastXfer follows the live attempt unless a newer
-// transfer (an overlapped swap-in) superseded it.
-func (m *Manager) failAttempt(s *gpu.Stream, k gpu.EngineKind, info gpu.OpInfo,
-	seq *Sequence, bytes int64, attempt int, retry func(next int) *gpu.Event) *gpu.Event {
-	var ev *gpu.Event
-	s.SubmitOp(k, m.prof.PCIeCopy(bytes), info, func() {
-		what := info.Label("") // "kv-out <request>"
-		m.faults.CountTransferFailure()
-		m.obsc.Fault(m.instance, "xfer", what, m.eng.Now())
-		m.faults.CountTransferRetry()
-		m.obsc.Retry(m.instance, what, m.eng.Now())
-		m.eng.After(m.faults.RetryDelay(attempt), func() {
-			next := retry(attempt + 1)
-			if seq.lastXfer == ev {
-				seq.lastXfer = next
-			}
-		})
-	})
-	ev = s.Record()
-	return ev
+// failed completes an attempt made inside a fault window: it counts and
+// traces the failure and the retry, then resubmits after jittered backoff.
+// Windows are finite, so some attempt lands.
+func (x *xfer) failed() {
+	m := x.m
+	_, _, info := x.op()
+	what := info.Label("") // "kv-out <request>"
+	m.faults.CountTransferFailure()
+	m.obsc.Fault(m.instance, "xfer", what, m.eng.Now())
+	m.faults.CountTransferRetry()
+	m.obsc.Retry(m.instance, what, m.eng.Now())
+	m.eng.After(m.faults.RetryDelay(x.n), x.retry)
+}
+
+// resubmit submits the transfer's next attempt. seq.lastXfer follows the
+// live attempt unless a newer transfer (an overlapped swap-in) superseded
+// it.
+func (x *xfer) resubmit() {
+	prev := x.ev
+	x.n++
+	x.m.submit(x)
+	if x.seq.lastXfer == prev {
+		x.seq.lastXfer = x.ev
+	}
 }
 
 // SwapIn starts loading the sequence back into this manager's GPU tier
@@ -511,62 +587,33 @@ func (m *Manager) failAttempt(s *gpu.Stream, k gpu.EngineKind, info gpu.OpInfo,
 // sequence's last transfer event (rule ❷, cross-instance via IPC events).
 // The CPU source blocks are logically freed immediately but parked in the
 // move list until the daemon observes the transfer complete (rule ❸).
-func (m *Manager) SwapIn(seq *Sequence) (*gpu.Event, error) {
+func (m *Manager) SwapIn(seq *Sequence) (gpu.Event, error) {
 	if seq.state != StateCPU && seq.state != StateSwappingOut {
-		return nil, fmt.Errorf("kvcache: swap-in of sequence %s in state %s", seq.ID, seq.state)
+		return gpu.Event{}, fmt.Errorf("kvcache: swap-in of sequence %s in state %s", seq.ID, seq.state)
 	}
 	gpuClass, err := m.GPUCache.RegisterShape(seq.Shape)
 	if err != nil {
-		return nil, err
+		return gpu.Event{}, err
 	}
 	gpuBlocks, err := m.GPUCache.allocList(gpuClass, seq.tokens)
 	if err != nil {
-		return nil, err
+		return gpu.Event{}, err
 	}
-	if seq.lastXfer != nil && !seq.lastXfer.Query() {
+	if !seq.lastXfer.Query() {
 		m.kvIn.WaitEvent(seq.lastXfer) // rule ❷
 		m.control(1)
 	}
 	seq.state = StateSwappingIn
-	bytes := seq.Bytes()
-	cpuBlocks := seq.cpuBlocks
+	x := m.newXfer(seq, true, seq.cpuBlocks)
 	seq.cpuBlocks = nil
-	ev := m.swapInAttempt(seq, cpuBlocks, bytes, 0)
+	m.submit(x)
 	seq.gpuBlocks = gpuBlocks
 	seq.gpuCache, seq.gpuClass = m.GPUCache, gpuClass
-	seq.lastXfer = ev
+	seq.lastXfer = x.ev
 	m.stats.SwapIns++
-	m.stats.BytesIn += bytes
+	m.stats.BytesIn += x.bytes
 	m.control(2)
-	return ev, nil
-}
-
-// swapInAttempt submits one attempt of seq's swap-in copy on the KV-in
-// stream and returns its event. Only the attempt that lands parks the CPU
-// source blocks (rule ❸), so they are released exactly once however many
-// attempts it takes: a failed attempt (failAttempt) leaves them held for
-// its retry.
-func (m *Manager) swapInAttempt(seq *Sequence, cpuBlocks []memory.Block, bytes int64, attempt int) *gpu.Event {
-	info := gpu.OpInfo{Kind: gpu.OpKVIn, Request: seq.ID}
-	if m.faults.TransferFailing(m.instance) {
-		return m.failAttempt(m.kvIn, gpu.H2D, info, seq, bytes, attempt, func(next int) *gpu.Event {
-			return m.swapInAttempt(seq, cpuBlocks, bytes, next)
-		})
-	}
-	m.kvIn.SubmitOp(gpu.H2D, m.prof.PCIeCopy(bytes), info, func() {
-		// Guard against a crash-recovery Abandon racing the transfer.
-		if seq.state == StateSwappingIn {
-			seq.state = StateGPU
-		}
-	})
-	ev := m.kvIn.Record()
-	// Rule ❸: the CPU copies become garbage once read, but they must not be
-	// reallocated until the read completes. Park them in the move list.
-	if err := m.park(cpuBlocks, ev); err != nil {
-		panic(fmt.Sprintf("kvcache: cpu free-blocked: %v", err))
-	}
-	m.NoteKV()
-	return ev
+	return seq.lastXfer, nil
 }
 
 // Reclaim releases the blocks of a sequence whose request was shed or
@@ -615,27 +662,52 @@ func (m *Manager) Free(seq *Sequence) error {
 	return nil
 }
 
+// moveList is a list of CPU blocks parked on the move list until the
+// transfer that reads or writes them completes (§5.3). It is recycled
+// through its manager's free list; unblock, bound once, is its completion.
+type moveList struct {
+	m       *Manager
+	blocks  []memory.Block
+	unblock func() // l.release
+}
+
 // park puts CPU blocks that are logically free, but still read or written
 // by the transfer ev, on the move list (§5.3): they stay blocked, so no
 // allocation can reuse them, until ev completes (step ⑧). Then they become
 // allocatable again and the emptied list retires to its tier.
-func (m *Manager) park(blocks []memory.Block, ev *gpu.Event) error {
+func (m *Manager) park(blocks []memory.Block, ev gpu.Event) error {
 	if len(blocks) == 0 {
 		return nil
 	}
-	cache := m.CPUCache
 	for _, b := range blocks {
-		if err := cache.pool.FreeBlocked(b); err != nil {
+		if err := m.CPUCache.pool.FreeBlocked(b); err != nil {
 			return err
 		}
 	}
-	ev.OnComplete(func() {
-		for _, b := range blocks {
-			if err := cache.pool.Unblock(b); err != nil {
-				panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
-			}
-		}
-		cache.retire(blocks)
-	})
+	var l *moveList
+	if n := len(m.moves); n > 0 {
+		l = m.moves[n-1]
+		m.moves[n-1] = nil
+		m.moves = m.moves[:n-1]
+	} else {
+		l = &moveList{m: m}
+		l.unblock = l.release
+	}
+	l.blocks = blocks
+	ev.OnComplete(l.unblock)
 	return nil
+}
+
+// release unblocks the list's blocks, retires the list to the CPU tier and
+// returns the record to the free list.
+func (l *moveList) release() {
+	cache := l.m.CPUCache
+	for _, b := range l.blocks {
+		if err := cache.pool.Unblock(b); err != nil {
+			panic(fmt.Sprintf("kvcache: move list unblock: %v", err))
+		}
+	}
+	cache.retire(l.blocks)
+	l.blocks = nil
+	l.m.moves = append(l.m.moves, l)
 }

@@ -239,9 +239,11 @@ func audit(t *testing.T, step int, f *fixture, audits map[*Cache]*recycleAudit, 
 	}
 }
 
-// newSwapCycle returns one request's full lifecycle on a fresh manager:
-// allocate tokens of KV, swap it out and back in, run the transfers, and
-// reclaim it.
+// newSwapCycle returns one swap cycle of a sequence of tokens on a fresh
+// manager: swap it out and back in and run the transfers, so each cycle
+// allocates and frees both tiers' block lists, waits on the swap-out's
+// event (rule ❷) and unblocks the move list (rule ❸). The sequence itself
+// is allocated once, as a request's is.
 func newSwapCycle(tb testing.TB, tokens int) func() {
 	eng := sim.NewEngine(1)
 	cpu := NewCache("cpu", 64<<30, 64<<20, 16)
@@ -251,11 +253,11 @@ func newSwapCycle(tb testing.TB, tokens int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	seq, err := m.NewSequence("r", mod.KVShape(), tokens)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return func() {
-		seq, err := m.NewSequence("r", mod.KVShape(), tokens)
-		if err != nil {
-			tb.Fatal(err)
-		}
 		if _, err := m.SwapOut(seq); err != nil {
 			tb.Fatal(err)
 		}
@@ -263,8 +265,21 @@ func newSwapCycle(tb testing.TB, tokens int) func() {
 			tb.Fatal(err)
 		}
 		eng.Run()
-		if err := m.Reclaim(seq); err != nil {
-			tb.Fatal(err)
+		if seq.State() != StateGPU || cpu.pool.UsedBytes() != 0 {
+			tb.Fatalf("after a swap cycle the sequence is %s and the CPU tier holds %d bytes",
+				seq.State(), cpu.pool.UsedBytes())
+		}
+	}
+}
+
+// A warmed swap cycle allocates nothing: its block lists come from the
+// spare stacks, its events and completion records from free lists.
+func TestSwapSteadyStateAllocs(t *testing.T) {
+	for _, tokens := range []int{64, 4096} {
+		cycle := newSwapCycle(t, tokens)
+		cycle()
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("swap cycle of %d tokens allocates %.1f times, want 0", tokens, n)
 		}
 	}
 }
