@@ -57,8 +57,7 @@ func main() {
 	noTrace := flag.Bool("no-trace", false, "disable the observability collector and /debug endpoints")
 	noSLO := flag.Bool("no-slo", false, "disable the live SLO monitor and /debug/slo + /debug/dash endpoints")
 	objective := flag.Float64("slo-objective", 0.99, "SLO attainment objective for burn-rate alerting, in (0,1)")
-	overloadOn := flag.Bool("overload", false, "enable overload control: predictive admission, priority shedding, brownout (implies SLO monitoring)")
-	retryRatio := flag.Float64("retry-ratio", 0.1, "retry budget deposit per fresh admission (with -overload)")
+	overloadOn := flag.Bool("overload", false, "enable overload control: the scheduler sheds doomed and low-tier arrivals and steps a brownout ladder, the gateway answers with its verdict and budgets retries (implies SLO monitoring)")
 	prefixOn := flag.Bool("prefix", false, "enable the global prefix cache with cache-aware routing: pass session_id/turn on completions to reuse earlier turns' KV; adds /debug/prefix and aegaeon_prefix_* metrics")
 	fleetOn := flag.Bool("fleet", false, "enable the fleet utilization ledger: every GPU-second classified by state with goodput attribution; adds /debug/fleet, the dashboard heatmap, and aegaeon_fleet_* metrics")
 	marketOn := flag.Bool("market", false, "enable the spot-market fleet model: device classes, price traces, preemption-aware placement; adds /debug/market and aegaeon_market_* metrics (implies -fleet)")
@@ -76,9 +75,10 @@ func main() {
 	models := model.MarketMix(*numModels)
 	se := sim.NewEngine(*seed)
 	// One set of subsystems shared between the cluster and the gateway: the
-	// brownout controller sheds in the scheduler and at the edge on one
-	// level, the journal's chains span both layers, and the fleet ledger and
-	// market the devices feed are the ones the gateway scrapes.
+	// brownout controller the scheduler sheds by is the one the gateway
+	// ticks and reports, the journal's chains span both layers, and the
+	// fleet ledger and market the devices feed are the ones the gateway
+	// scrapes.
 	parts, err := assemble.Build(se, assemble.Spec{
 		Tracing:         !*noTrace,
 		SLOMonitor:      !*noSLO,
@@ -124,7 +124,7 @@ func main() {
 	if *noTrace {
 		gwCol = nil
 	}
-	gwOpts := gateway.Options{
+	gw := gateway.New(drv, cl, gateway.Options{
 		Speedup:          *speedup,
 		MaxQueuePerModel: *maxQueue,
 		MaxInFlight:      *maxInflight,
@@ -134,11 +134,7 @@ func main() {
 		SLOMon:           parts.SLOMon,
 		Decisions:        parts.Decisions,
 		Pprof:            *pprofOn,
-	}
-	if *overloadOn {
-		gwOpts.Overload = &gateway.OverloadOptions{RetryRatio: *retryRatio}
-	}
-	gw := gateway.New(drv, cl, gwOpts)
+	})
 	gw.Start()
 
 	srv := &http.Server{

@@ -57,10 +57,10 @@ type Config struct {
 	// accounting; Prefix gives each deployment its own cache over its own
 	// CPU KV pool (models are disjoint across deployments); and Fleet and
 	// Market key devices by instance name, so they assume the gateway's
-	// single-deployment layout. The gateway reads the ledger and the market
-	// back through Cluster.Fleet and Cluster.Market, and shares Overload
-	// with its OverloadOptions so the edge and the scheduler degrade on one
-	// level.
+	// single-deployment layout. The gateway reads the ledger, the market and
+	// the brownout controller back through Cluster.Fleet, Cluster.Market and
+	// Cluster.Overload; a controller there turns on overload control in the
+	// scheduler and, with it, the gateway's retry budget and brownout tick.
 	Obs       *obs.Collector
 	SLOMon    *slomon.Monitor
 	Faults    *fault.Faults
@@ -246,9 +246,6 @@ func (c *Cluster) Abort(r *core.Request) {
 		dep.System.Abort(r)
 	}
 }
-
-// SLO returns the latency targets every deployment serves against.
-func (c *Cluster) SLO() slo.SLO { return c.cfg.SLO }
 
 // Monitor exposes the live SLO monitor (nil when monitoring is off).
 func (c *Cluster) Monitor() *slomon.Monitor { return c.cfg.SLOMon }

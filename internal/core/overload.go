@@ -11,14 +11,17 @@ import (
 	"aegaeon/internal/workload"
 )
 
-// Typed overload shed reasons. FailReason is "overload: <reason>", so the
-// gateway and chaos audits can distinguish load shedding from capacity loss.
+// Typed overload shed reasons. FailReason is shedPrefix + reason, so the
+// gateway and chaos audits can tell load shedding from capacity loss
+// (Request.ShedReason).
 const (
 	ShedAdmitNone   = "admit_none"        // brownout at admit-none: nothing enters
 	ShedLowPriority = "low_priority"      // brownout at shed-low: low tier rejected
 	ShedColdFreeze  = "cold_model_frozen" // brownout at freeze: model not resident
 	ShedDoomed      = "doomed_on_arrival" // predicted first token past its deadline
 	ShedReaped      = "doomed_in_queue"   // reaper: queued past any chance of its deadline
+
+	shedPrefix = "overload: "
 )
 
 const (
@@ -34,7 +37,8 @@ const (
 // It steps the brownout controller from the live monitor's burn-rate state,
 // applies the controller's level policy (shed tiers, freeze cold models,
 // admit none), sheds requests whose first token is already predicted past
-// its deadline, shrinks batch decode lengths, and arms the queue reaper.
+// its deadline, shrinks decode lengths, and arms the queue reaper. It is the
+// only overload gate: the live gateway answers each request with its verdict.
 // Returns false when the request was shed (it is terminal; do not dispatch).
 // With no controller configured it admits everything untouched.
 func (s *System) admitOverload(r *Request) bool {
@@ -79,6 +83,7 @@ func (s *System) admitOverload(r *Request) bool {
 	}
 	est, estOK := s.estimateTTFT(r)
 	if estOK && now+est > r.Deadline+doomGrace {
+		r.Overshoot = now + est - r.Deadline
 		reject(ShedDoomed)
 		var ev []decision.Term
 		if s.dec != nil {
@@ -92,11 +97,7 @@ func (s *System) admitOverload(r *Request) bool {
 		s.shed(r, ShedDoomed, ev)
 		return false
 	}
-	if !r.live {
-		// Live requests are capped by the gateway before submission, so the
-		// stream contract (exactly OutputTokens tokens) is set up front.
-		r.OutputTokens = ctl.OutputCap(r.OutputTokens)
-	}
+	r.OutputTokens = ctl.OutputCap(r.OutputTokens)
 	if j := s.dec; j != nil {
 		inputs := []decision.Term{
 			{Name: "level", Value: float64(ctl.Level())},
@@ -217,7 +218,7 @@ func (s *System) shed(r *Request, reason string, extra []decision.Term) {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindShed,
 			Request: r.ID, Model: r.Model.Name, Outcome: reason, Inputs: inputs})
 	}
-	s.failRequest(r, "overload: "+reason)
+	s.failRequest(r, shedPrefix+reason)
 }
 
 // modelWarm reports whether the model is already resident on (or queued

@@ -6,8 +6,10 @@
 package core
 
 import (
+	"strings"
 	"time"
 
+	"aegaeon/internal/decision"
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/model"
 	"aegaeon/internal/obs"
@@ -63,6 +65,9 @@ type Request struct {
 	// for every outcome. A request with an outcome emits no more tokens.
 	Outcome    string
 	FailReason string
+	// Overshoot is how far past its deadline admission projected the first
+	// token of a request it shed as doomed on arrival; zero otherwise.
+	Overshoot time.Duration
 
 	// OnToken, when non-nil, is invoked synchronously on the simulation
 	// goroutine as each token's completion time is recorded: token 0 from
@@ -170,6 +175,15 @@ func (r *Request) promptHashes(block int) []uint64 {
 
 // terminal reports whether the request has ended.
 func (r *Request) terminal() bool { return r.Outcome != "" }
+
+// ShedReason reports the typed reason overload control shed r for (one of
+// the Shed* constants), and whether it shed r at all.
+func (r *Request) ShedReason() (string, bool) {
+	if r.Outcome != decision.OutcomeFailed {
+		return "", false
+	}
+	return strings.CutPrefix(r.FailReason, shedPrefix)
+}
 
 // Generated returns the number of tokens produced so far.
 func (r *Request) Generated() int { return r.judged.N() }

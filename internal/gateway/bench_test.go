@@ -19,11 +19,11 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := names[i%len(names)]
-		ok, code, reason, _ := gw.tryAdmit(m)
+		ok, code, reason, _ := gw.admitRequest("", m, workload.PriorityNormal, 1, 0)
 		if !ok {
 			b.Fatalf("admission rejected: %d %s", code, reason)
 		}
-		gw.releaseAdmission(m, workload.PriorityNormal)
+		gw.releaseAdmission(m)
 	}
 }
 
@@ -38,8 +38,8 @@ func BenchmarkGatewayAdmissionParallel(b *testing.B) {
 		for pb.Next() {
 			m := names[i%len(names)]
 			i++
-			if ok, _, _, _ := gw.tryAdmit(m); ok {
-				gw.releaseAdmission(m, workload.PriorityNormal)
+			if ok, _, _, _ := gw.admitRequest("", m, workload.PriorityNormal, 1, 0); ok {
+				gw.releaseAdmission(m)
 			}
 		}
 	})
@@ -53,14 +53,18 @@ var (
 // BenchmarkGatewayReject measures the shed path: a saturated gateway must
 // turn requests away cheaply.
 func BenchmarkGatewayReject(b *testing.B) {
-	gw, names := newTestGateway(b, Options{Speedup: 1e-6, MaxInFlight: 1})
+	// Two in flight fill it: at one, the cold-model shed threshold (90%
+	// occupancy) would already turn the first request away.
+	gw, names := newTestGateway(b, Options{Speedup: 1e-6, MaxInFlight: 2})
 	defer gw.drv.Stop()
-	if ok, _, _, _ := gw.tryAdmit(names[0]); !ok {
-		b.Fatal("seed admission failed")
+	for range 2 {
+		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
+			b.Fatalf("seed admission failed: %s", reason)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, code, _, _ := gw.tryAdmit(names[0])
+		_, code, _, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0)
 		sinkStatus = code
 	}
 	_ = fmt.Sprint(sinkStatus)

@@ -13,25 +13,25 @@ import (
 	"aegaeon/internal/overload"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
+	"aegaeon/internal/slo"
 	"aegaeon/internal/workload"
 )
 
 // TestProductionDefaultsPinned holds the overload and prefix-cache tuning
 // every production entry point runs with, read back through the public
-// surfaces: the gateway's /debug/overload, an overload controller stepped
-// through a scripted signal sequence, and a prefix cache filled past both of
-// its residency caps.
+// surfaces: the gateway's /debug/overload retry budget, an overload
+// controller stepped through a scripted signal sequence, and a prefix cache
+// filled past both of its residency caps.
 func TestProductionDefaultsPinned(t *testing.T) {
 	t.Run("debug overload", func(t *testing.T) {
-		gw, _ := newTestGateway(t, Options{Speedup: 50000, Overload: &OverloadOptions{}})
+		gw, _ := newGateway(t, assemble.Spec{}, testCluster{ctl: overload.NewController()}, Options{Speedup: 50000})
 		defer gw.Shutdown(context.Background())
 		w := get(gw.Handler(), "/debug/overload")
 		if w.Code != http.StatusOK {
 			t.Fatalf("/debug/overload: status %d: %s", w.Code, w.Body.String())
 		}
 		var resp struct {
-			Estimator map[string]float64 `json:"estimator"`
-			Budget    map[string]float64 `json:"retry_budget"`
+			Budget map[string]float64 `json:"retry_budget"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decode: %v\n%s", err, w.Body.String())
@@ -40,8 +40,7 @@ func TestProductionDefaultsPinned(t *testing.T) {
 			name      string
 			got, want float64
 		}{
-			{"ttft_target_s", resp.Estimator["ttft_target_s"], 10},
-			{"throughput_tok_per_s", resp.Estimator["throughput_tok_per_s"], 2000},
+			{"ttft target (s)", slo.Default().TTFT.Seconds(), 10},
 			{"burst", resp.Budget["burst"], 32},
 			{"ratio", resp.Budget["ratio"], 0.1},
 		} {

@@ -8,8 +8,4 @@ func (g *Gateway) InFlight() int {
 }
 
 // Admitted returns the total number of requests ever admitted.
-func (g *Gateway) Admitted() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted
-}
+func (g *Gateway) Admitted() uint64 { return g.admitted.Load() }

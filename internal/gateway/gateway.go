@@ -5,14 +5,18 @@
 // clients over SSE as the token-level scheduler emits them, and admission
 // control (bounded per-model queues, a token-bucket rate limit, and
 // saturation backpressure) sheds load with 429/503 instead of letting
-// queues grow without bound. Shutdown drains gracefully: admission stops,
-// in-flight decodes finish (accelerated to full simulation speed), and only
-// then does the event loop stop.
+// queues grow without bound. Overload policy is the scheduler's alone: the
+// handler waits for its admission verdict before writing a status line, so
+// a request shed on arrival gets a 503 naming the scheduler's reason.
+// Shutdown drains gracefully: admission stops, in-flight decodes finish
+// (accelerated to full simulation speed), and only then does the event loop
+// stop.
 package gateway
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -57,17 +61,11 @@ type Options struct {
 	// /debug/slo/alerts, the /debug/dash dashboard, and the per-model SLO
 	// families on /metrics. Nil makes those endpoints answer 404.
 	SLOMon *slomon.Monitor
-	// Overload, when non-nil, enables overload control at the HTTP edge:
-	// predictive admission (estimated TTFT vs target, honest Retry-After),
-	// brownout-level shedding driven by the SLO monitor's burn rates, and a
-	// retry budget. Share its Controller with cluster.Config.Overload so the
-	// edge and the scheduler degrade in lockstep.
-	Overload *OverloadOptions
 	// Decisions, when non-nil, is the decision-provenance journal backing
 	// /debug/decisions, /debug/why/{id}, and the aegaeon_decision_* metric
-	// families. Every edge admission verdict (accept or reject, with the TTFT
-	// estimate and its inputs) is journaled under the request's ID so chains
-	// join the scheduler-side records. Share the same journal with
+	// families. Every edge admission verdict (accept or reject, with its
+	// inputs) is journaled under the request's ID so chains join the
+	// scheduler-side records. Share the same journal with
 	// cluster.Config.Decisions. Nil keeps admission allocation-free and makes
 	// the decision endpoints answer 404.
 	Decisions *decision.Journal
@@ -84,9 +82,6 @@ const (
 	// before a probe. Breakers guard HTTP admission on the wall clock.
 	breakerThreshold = 3
 	breakerCooldown  = 5 * time.Second
-	// switchCostHint seeds predictive admission's per-switch cost until
-	// observed switch records exist.
-	switchCostHint = 300 * time.Millisecond
 	// maxTokensCap caps per-request max_tokens.
 	maxTokensCap = 4096
 	// shedFraction is the occupancy (fraction of MaxInFlight) above which
@@ -94,35 +89,24 @@ const (
 	// no admitted work, whose service would force an extra model switch —
 	// are shed with 503 while warm models keep flowing.
 	shedFraction = 0.9
-	// throughputFloor clamps the overload estimator's prefill-throughput
-	// estimate (tokens/s). The estimate is derived from observed TTFTs,
-	// which include queueing, so it is biased low; the floor keeps that
-	// honest bias from rejecting everything during a backlog spike.
-	throughputFloor = 2000
-	// retryBurst is the overload retry budget's capacity.
+	// retryRatio is the overload retry budget's deposit per fresh request
+	// (retries may be at most ~10% of fresh traffic in steady state), and
+	// retryBurst its capacity.
+	retryRatio = 0.1
 	retryBurst = 32
 )
 
-// OverloadOptions tunes the gateway side of overload control. Predictive
-// admission defends the cluster's own TTFT target.
-type OverloadOptions struct {
-	// RetryRatio is the retry-budget deposit per fresh request (default
-	// 0.1: retries may be at most ~10% of fresh traffic in steady state).
-	RetryRatio float64
-}
-
-func (o *OverloadOptions) defaults() {
-	if o.RetryRatio <= 0 {
-		o.RetryRatio = 0.1
-	}
-}
-
-// overloadReasons are the admission-rejection reasons specific to overload
-// control, pre-seeded so their metric series exist at zero from first scrape.
+// overloadReasons are the admission-rejection reasons of overload control,
+// pre-seeded so their metric series exist at zero from first scrape: the
+// core's arrival sheds and the edge's retry budget.
 var overloadReasons = []string{
-	"admit_none", "shed_low_priority", "frozen_cold_model",
-	"retry_budget", "predicted_ttft_miss",
+	core.ShedAdmitNone, core.ShedLowPriority, core.ShedColdFreeze, core.ShedDoomed,
+	"retry_budget",
 }
+
+// errShedOnArrival is the submission verdict of a request the core's
+// overload gate shed as it arrived.
+var errShedOnArrival = errors.New("shed on arrival")
 
 func (o *Options) defaults() {
 	if o.Speedup <= 0 {
@@ -137,9 +121,6 @@ func (o *Options) defaults() {
 	if o.Burst <= 0 {
 		o.Burst = 16
 	}
-	if o.Overload != nil {
-		o.Overload.defaults()
-	}
 }
 
 // Gateway serves live traffic against a cluster running on a sim.Driver.
@@ -148,14 +129,14 @@ type Gateway struct {
 	cl   *cluster.Cluster
 	opts Options
 
-	nextID atomic.Uint64
-	tokens atomic.Uint64 // tokens streamed to clients
+	nextID   atomic.Uint64
+	admitted atomic.Uint64 // requests past both gates: the edge's and the core's
+	tokens   atomic.Uint64 // tokens streamed to clients
 
 	mu        sync.Mutex
 	draining  bool
 	inflight  int
 	queued    map[string]int // model -> admitted-but-unfinished
-	admitted  uint64
 	completed uint64
 	failed    uint64            // requests that finished Failed (cleanly rejected mid-flight)
 	aborted   uint64            // requests aborted on client disconnect
@@ -166,16 +147,11 @@ type Gateway struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	// Overload-control state (all but ctl, ttftTarget and brownStop guarded
-	// by mu). ctl is the cluster's brownout controller, shared with the
-	// scheduler so the edge and the core degrade on one level; ttftTarget is
-	// the cluster's TTFT SLO.
+	// Overload-control state (all but ctl and brownStop guarded by mu). ctl
+	// is the cluster's brownout controller, nil when overload control is
+	// off; the core's admission applies its levels, the edge only steps it
+	// on a tick and keeps the retry budget.
 	ctl            *overload.Controller
-	ttftTarget     time.Duration
-	queuedPrio     [workload.NumPriorities]int // indexed by Priority.Rank()
-	tput           float64                     // prefill tokens/s EWMA for the TTFT estimator
-	switchEst      time.Duration               // cached per-switch cost estimate
-	switchEstAt    time.Time                   // last refresh of switchEst
 	retry          retryBudget
 	retryExhausted uint64
 	ovlRejected    map[string]uint64 // overload rejection reason -> count
@@ -215,14 +191,8 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 		ttftHist: metrics.NewHistogram(metrics.ExponentialBounds(0.01, 2, 12)...),
 		tbtHist:  metrics.NewHistogram(metrics.ExponentialBounds(0.0025, 2, 12)...),
 	}
-	if ov := opts.Overload; ov != nil {
-		if g.ctl = cl.Overload(); g.ctl == nil {
-			panic("gateway: edge overload control needs a cluster built with an overload controller")
-		}
-		g.ttftTarget = cl.SLO().TTFT
-		g.tput = throughputFloor
-		g.switchEst = switchCostHint
-		g.retry = newRetryBudget(ov.RetryRatio, retryBurst)
+	if g.ctl = cl.Overload(); g.ctl != nil {
+		g.retry = newRetryBudget(retryRatio, retryBurst)
 		g.ovlRejected = make(map[string]uint64, len(overloadReasons))
 		for _, r := range overloadReasons {
 			g.ovlRejected[r] = 0
@@ -235,7 +205,7 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 // brownout controller loop.
 func (g *Gateway) Start() {
 	g.drv.Start()
-	if g.opts.Overload != nil {
+	if g.ctl != nil {
 		go g.brownoutLoop()
 	}
 }
@@ -287,7 +257,7 @@ func (g *Gateway) debugEndpoints() []debugEndpoint {
 		always      = gate{on: true}
 		collector   = gate{g.opts.Obs != nil, "observability disabled (no collector configured)"}
 		monitor     = gate{g.opts.SLOMon != nil, "SLO monitoring disabled (no monitor configured)"}
-		brownout    = gate{g.opts.Overload != nil, "overload control disabled (no overload options configured)"}
+		brownout    = gate{g.ctl != nil, "overload control disabled (cluster built without an overload controller)"}
 		prefixCache = gate{len(g.cl.PrefixCaches()) > 0, "prefix cache disabled (no deployment configured with one)"}
 		ledger      = gate{g.cl.Fleet() != nil, "fleet accounting disabled (cluster built without a fleet ledger)"}
 		spotMarket  = gate{g.cl.Market() != nil, "spot market disabled (cluster built without a market model)"}
@@ -427,27 +397,21 @@ func (g *Gateway) breakerFor(model string) *fault.Breaker {
 	return br
 }
 
-// tryAdmit is admitRequest for a normal-priority, attempt-zero request with
-// no prompt-length hint — the pre-overload-control admission surface.
-func (g *Gateway) tryAdmit(model string) (ok bool, code int, reason string, retryAfter time.Duration) {
-	return g.admitRequest("", model, workload.PriorityNormal, 1, 0)
-}
-
-// admitRequest runs admission control for one request to model. id is the
-// request's pre-assigned completion ID (empty when the caller has none), the
-// causal key the decision journal chains the verdict under. On success the
-// caller owns one admission slot and must release it via finish (the
-// request ended: served, failed or aborted) or releaseAdmission (submission
-// failure). retryAfter accompanies 503s (graceful degradation:
-// shed load tells clients when to come back — for predictive rejections it
-// is computed from the TTFT estimate, not a constant).
+// admitRequest runs the edge's admission control for one request to model:
+// the HTTP-side gates only (draining, saturation, the model's breaker, cold
+// shedding near saturation, the per-model queue, the rate limit and, with
+// overload control, the retry budget). Overload policy itself is the core's:
+// SubmitLive delivers its verdict. id is the request's pre-assigned
+// completion ID (empty when the caller has none), the causal key the
+// decision journal chains the verdict under. On success the caller owns one
+// admission slot and must release it via finish (the request ended: served,
+// failed, shed or aborted) or releaseAdmission (submission failure).
+// retryAfter accompanies 503s.
 func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, retryAttempt int) (ok bool, code int, reason string, retryAfter time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	shed := int(float64(g.opts.MaxInFlight) * shedFraction)
 	retryAfter = time.Second
-	var estTTFT time.Duration
-	ov := g.opts.Overload
 	switch {
 	case g.draining:
 		code, reason = http.StatusServiceUnavailable, "draining"
@@ -457,23 +421,6 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 		if brOK, ra := g.breakerFor(model).Allow(); !brOK {
 			code, reason, retryAfter = http.StatusServiceUnavailable, "circuit_open", ra
 			break
-		}
-		if ov != nil {
-			// Brownout-level policy first: the controller's word overrides
-			// per-model heuristics.
-			ctl := g.ctl
-			switch {
-			case ctl.AdmitNone():
-				code, reason = http.StatusServiceUnavailable, "admit_none"
-			case ctl.ShedLow() && prio == workload.PriorityLow:
-				code, reason = http.StatusServiceUnavailable, "shed_low_priority"
-			case ctl.FreezeCold() && g.queued[model] == 0:
-				code, reason = http.StatusServiceUnavailable, "frozen_cold_model"
-			}
-			if reason != "" {
-				g.ovlRejected[reason]++
-				break
-			}
 		}
 		switch {
 		case g.inflight >= shed && g.queued[model] == 0:
@@ -485,80 +432,47 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 			code, reason = http.StatusTooManyRequests, "queue_full"
 		case !g.bucket.allow(time.Now()):
 			code, reason = http.StatusTooManyRequests, "rate_limited"
+		case g.ctl != nil && retryAttempt > 0 && !g.retry.spend():
+			code, reason = http.StatusServiceUnavailable, "retry_budget"
+			g.retryExhausted++
+			g.ovlRejected[reason]++
 		default:
-			if ov != nil {
-				// Predictive admission: estimate this request's TTFT from the
-				// queue at its priority or above, the observed switch cost,
-				// and recent prefill throughput. A request that cannot meet
-				// its target is cheaper to reject now, with an honest
-				// Retry-After, than to serve late.
-				depth := 0
-				for rank := prio.Rank(); rank < workload.NumPriorities; rank++ {
-					depth += g.queuedPrio[rank]
-				}
-				est := EstimateTTFT(depth, g.switchEstLocked(time.Now()), g.tput, inTok, core.DefaultMaxGroupSize)
-				estTTFT = est
-				if est > g.ttftTarget {
-					code, reason = http.StatusServiceUnavailable, "predicted_ttft_miss"
-					retryAfter = RetryAfter(est, g.ttftTarget)
-					g.ovlRejected[reason]++
-					break
-				}
-				if retryAttempt > 0 {
-					if !g.retry.spend() {
-						code, reason = http.StatusServiceUnavailable, "retry_budget"
-						g.retryExhausted++
-						g.ovlRejected[reason]++
-						break
-					}
-				} else {
-					g.retry.deposit()
-				}
+			if g.ctl != nil && retryAttempt == 0 {
+				g.retry.deposit()
 			}
 			g.inflight++
 			g.queued[model]++
-			g.queuedPrio[prio.Rank()]++
-			g.admitted++
 			if j := g.opts.Decisions; j != nil {
-				g.journalAdmissionLocked(j, id, model, prio, inTok, "accept", estTTFT)
+				g.journalAdmissionLocked(j, id, model, prio, inTok, "accept")
 			}
 			return true, http.StatusOK, "", 0
 		}
 	}
 	g.rejected[reason]++
 	if j := g.opts.Decisions; j != nil {
-		g.journalAdmissionLocked(j, id, model, prio, inTok, reason, estTTFT)
+		g.journalAdmissionLocked(j, id, model, prio, inTok, reason)
 	}
 	return false, code, reason, retryAfter
 }
 
 // journalAdmissionLocked records the edge admission verdict with the
-// evidence the decision actually weighed: occupancy, the per-priority queue
-// depth ahead of the request, and — when overload control is on — the TTFT
-// estimate with its switch-cost and throughput inputs against the target.
-// The timestamp is the virtual instant the driver is pacing toward, mapped
-// from the wall clock (best effort: edge admissions run off the event loop,
-// so they are excluded from the byte-identical determinism contract); the
-// request's later scheduler records are stamped no earlier. Must be called
-// with g.mu held.
+// evidence the decision actually weighed: occupancy, the model's queue
+// depth, the request's tier and size and, with overload control, the
+// brownout level the core will judge it under. The timestamp is the virtual
+// instant the driver is pacing toward, mapped from the wall clock (best
+// effort: edge admissions run off the event loop, so they are excluded from
+// the byte-identical determinism contract); the request's later scheduler
+// records are stamped no earlier. Must be called with g.mu held.
 func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
-	prio workload.Priority, inTok int, outcome string, estTTFT time.Duration) {
+	prio workload.Priority, inTok int, outcome string) {
 	inputs := []decision.Term{
 		{Name: "inflight", Value: float64(g.inflight)},
 		{Name: "queued_model", Value: float64(g.queued[model])},
 		{Name: "priority", Value: float64(prio)},
 		{Name: "input_tokens", Value: float64(inTok)},
 	}
-	if g.opts.Overload != nil {
-		inputs = append(inputs,
-			decision.NsTerm("switch_est", sim.Time(g.switchEst)),
-			decision.Term{Name: "tput_tokens_per_s", Value: g.tput},
-			decision.NsTerm("ttft_target", sim.Time(g.ttftTarget)),
-			decision.Term{Name: "overload_level", Value: float64(g.ctl.Level())},
-		)
-		if estTTFT > 0 {
-			inputs = append(inputs, decision.NsTerm("ttft_estimate", sim.Time(estTTFT)))
-		}
+	if g.ctl != nil {
+		inputs = append(inputs, decision.Term{Name: "overload_level", Value: float64(g.ctl.Level())})
 	}
 	j.Record(decision.Record{
 		At:      g.drv.VirtualNow(),
@@ -571,63 +485,34 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 	})
 }
 
-// switchEstLocked returns the per-switch cost estimate, refreshed from the
-// observability collector's recent switch records at most once per second.
-// Must be called with g.mu held.
-func (g *Gateway) switchEstLocked(now time.Time) time.Duration {
-	if now.Sub(g.switchEstAt) < time.Second {
-		return g.switchEst
-	}
-	g.switchEstAt = now
-	if g.opts.Obs != nil {
-		if recs, _ := g.opts.Obs.Switches(); len(recs) > 0 {
-			lo := len(recs) - 32
-			if lo < 0 {
-				lo = 0
-			}
-			var sum time.Duration
-			n := 0
-			for _, sr := range recs[lo:] {
-				if sr.Stall > 0 {
-					sum += sr.Stall
-					n++
-				}
-			}
-			if n > 0 {
-				g.switchEst = sum / time.Duration(n)
-			}
-		}
-	}
-	return g.switchEst
-}
-
 // releaseAdmission undoes admitRequest without recording a completion.
-func (g *Gateway) releaseAdmission(model string, prio workload.Priority) {
+func (g *Gateway) releaseAdmission(model string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.releaseSlotLocked(model, prio)
+	g.releaseSlotLocked(model)
 }
 
-// releaseSlotLocked frees one admission slot of model at prio and, when
-// the gateway is draining, signals the last one. Must be called with g.mu
-// held.
-func (g *Gateway) releaseSlotLocked(model string, prio workload.Priority) {
+// releaseSlotLocked frees one admission slot of model and, when the gateway
+// is draining, signals the last one. Must be called with g.mu held.
+func (g *Gateway) releaseSlotLocked(model string) {
 	g.inflight--
 	g.queued[model]--
-	g.queuedPrio[prio.Rank()]--
 	if g.draining && g.inflight == 0 {
 		g.closeDrained()
 	}
 }
 
 // finish records a request that ended and frees its admission slot. Runs
-// on the simulation goroutine. A served or failed request feeds the
-// model's circuit breaker (consecutive failures trip it open so follow-on
-// traffic is shed at admission instead of queueing behind a dead
-// partition) and the latency samples, taken from times, its token times;
-// an aborted one, whose client went away, is only counted.
-func (g *Gateway) finish(model string, r *core.Request, times []sim.Time) {
-	var tputSample float64
+// on the simulation goroutine. arrival says the request ended inside
+// SubmitLive: if overload control shed it there, that is the core's
+// admission verdict and counts as a rejection under the core's reason. A
+// served or failed request feeds the model's circuit breaker (consecutive
+// failures trip it open so follow-on traffic is shed at admission instead
+// of queueing behind a dead partition) and the latency samples, taken from
+// times, its token times. A shed is not a backend failure: breakers answer
+// capacity loss, brownout answers shortfall, so sheds leave the breaker
+// alone. An aborted request, whose client went away, is only counted.
+func (g *Gateway) finish(model string, r *core.Request, times []sim.Time, arrival bool) {
 	if len(times) > 0 && r.Outcome != decision.OutcomeAborted {
 		ttft := times[0] - r.Arrival
 		g.ttft.AddDuration(ttft)
@@ -636,28 +521,25 @@ func (g *Gateway) finish(model string, r *core.Request, times []sim.Time) {
 			g.tbt.AddDuration(times[i] - times[i-1])
 			g.tbtHist.ObserveDuration(times[i] - times[i-1])
 		}
-		if ttft > 0 {
-			// Prefill throughput sample for the admission estimator. TTFT
-			// includes queueing, so this under-reads raw prefill speed; the
-			// floor clamp below bounds that (documented, conservative) bias.
-			tputSample = float64(r.InputTokens) / time.Duration(ttft).Seconds()
-		}
 	}
+	reason, shed := r.ShedReason()
 	g.mu.Lock()
-	if g.opts.Overload != nil && tputSample > 0 {
-		g.tput = max(0.8*g.tput+0.2*tputSample, throughputFloor)
-	}
-	switch r.Outcome {
-	case decision.OutcomeFailed:
+	switch {
+	case shed && arrival:
+		g.rejected[reason]++
+		g.ovlRejected[reason]++
+	case r.Outcome == decision.OutcomeFailed:
 		g.failed++
-		g.breakerFor(model).Failure()
-	case decision.OutcomeAborted:
+		if !shed {
+			g.breakerFor(model).Failure()
+		}
+	case r.Outcome == decision.OutcomeAborted:
 		g.aborted++
 	default:
 		g.completed++
 		g.breakerFor(model).Success()
 	}
-	g.releaseSlotLocked(model, r.Priority)
+	g.releaseSlotLocked(model)
 	g.mu.Unlock()
 }
 
@@ -792,12 +674,6 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		outTok = 64
 	}
 	outTok = min(outTok, maxTokensCap)
-	if g.opts.Overload != nil {
-		// Brownout decode shrinking is applied here, before the stream is
-		// set up, so the client is promised exactly the tokens the core
-		// will produce.
-		outTok = g.ctl.OutputCap(outTok)
-	}
 	inTok := req.InputTokens
 	if inTok <= 0 {
 		// Crude tokenizer stand-in: ~4 bytes per token.
@@ -817,23 +693,21 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("cmpl-%d", g.nextID.Add(1))
 	ok, code, reason, retryAfter := g.admitRequest(id, req.Model, prio, inTok, retryAttempt)
 	if !ok {
-		g.countStatus(code)
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSONError(w, code, "request rejected: %s", reason)
+		g.reject(w, code, reason, retryAfter)
 		return
 	}
 	// The channel holds every token the request can produce, so the
 	// simulation goroutine never blocks on a slow client.
 	tokens := make(chan tokenEvent, outTok)
 	done := make(chan *core.Request, 1)
-	errCh := make(chan error, 1)
-	// cr is written by the submit closure and read by the abort closure —
-	// both run on the event-loop goroutine, and driver posts are FIFO, so
-	// the submit always lands first.
+	// submitted carries the loop's verdict on the submission: nil when the
+	// core admitted the request, errShedOnArrival when its overload gate shed
+	// it, else the submission error.
+	submitted := make(chan error, 1)
+	// cr is written by the submit closure and read by the done and abort
+	// closures — all run on the event-loop goroutine, and driver posts are
+	// FIFO, so the submit always lands first. It is still nil while
+	// SubmitLive runs.
 	var cr *core.Request
 	// A session's prompt content is a deterministic stream keyed by (model,
 	// session): turn n's prompt is a prefix of turn n+1's, which is exactly
@@ -862,23 +736,41 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 				}
 			},
 			func(fin *core.Request) {
-				g.finish(req.Model, fin, times)
+				g.finish(req.Model, fin, times, cr == nil)
 				done <- fin
 				close(done)
 			},
 		)
 		if err != nil {
-			g.releaseAdmission(req.Model, prio)
-			errCh <- err
-			return
+			g.releaseAdmission(req.Model)
+		} else if _, shed := sub.ShedReason(); shed {
+			err = errShedOnArrival
+		} else {
+			g.admitted.Add(1)
 		}
 		cr = sub
+		submitted <- err
 	})
 	if err != nil {
-		g.releaseAdmission(req.Model, prio)
+		g.releaseAdmission(req.Model)
 		g.countStatus(http.StatusServiceUnavailable)
 		w.Header().Set("Retry-After", "1")
 		writeJSONError(w, http.StatusServiceUnavailable, "gateway stopped")
+		return
+	}
+	// Nothing is written until the loop has run SubmitLive, so a request the
+	// core sheds on arrival is answered with its verdict, not a 200.
+	switch err := <-submitted; err {
+	case nil:
+	case errShedOnArrival:
+		// done already holds the request: the shed ended it inside SubmitLive.
+		fin := <-done
+		reason, _ := fin.ShedReason()
+		g.reject(w, http.StatusServiceUnavailable, reason, fin.Overshoot+time.Second)
+		return
+	default:
+		g.countStatus(http.StatusInternalServerError)
+		writeJSONError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
@@ -891,10 +783,20 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream {
-		g.streamCompletion(w, r, id, req.Model, tokens, done, errCh, abort)
+		g.streamCompletion(w, r, id, req.Model, tokens, done, abort)
 		return
 	}
-	g.collectCompletion(w, r, id, req.Model, inTok, outTok, tokens, done, errCh, abort)
+	// The core may have capped the output (brownout shrink): it is the
+	// count the response promises.
+	g.collectCompletion(w, r, id, req.Model, inTok, cr.OutputTokens, tokens, done, abort)
+}
+
+// reject answers a request turned away at admission, by the edge or by the
+// core: code, the reason, and a Retry-After of at least one second.
+func (g *Gateway) reject(w http.ResponseWriter, code int, reason string, retryAfter time.Duration) {
+	g.countStatus(code)
+	w.Header().Set("Retry-After", strconv.Itoa(max(1, int(retryAfter/time.Second))))
+	writeJSONError(w, code, "request rejected: %s", reason)
 }
 
 // streamCompletion serves a completion as SSE, one frame per token.
@@ -905,7 +807,7 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 // chain. Every token is sent on the event loop before done, so the tokens
 // still buffered when done arrives are the rest of the request.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, model string,
-	tokens <-chan tokenEvent, done <-chan *core.Request, errCh <-chan error, abort func()) {
+	tokens <-chan tokenEvent, done <-chan *core.Request, abort func()) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		g.countStatus(http.StatusInternalServerError)
@@ -917,8 +819,9 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 	w.Header().Set("Connection", "keep-alive")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	// The headers leave at admission rather than with the first token, so a
-	// client sees the wait for prefill as time after the response began.
+	// The headers leave at admission (the core's verdict) rather than with
+	// the first token, so a client sees the wait for prefill as time after
+	// the response began.
 	flusher.Flush()
 	g.countStatus(http.StatusOK)
 
@@ -937,9 +840,6 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 		case t := <-tokens:
 			sendToken(t)
 		case fin = <-done:
-		case err := <-errCh:
-			send(frames.errorFrame(err.Error()))
-			return
 		case <-r.Context().Done():
 			// Client went away: abort the simulated request so its KV and
 			// admission slot free now instead of when it would have finished.
@@ -962,7 +862,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 
 // collectCompletion serves a completion as one JSON response.
 func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, model string,
-	inTok, outTok int, tokens <-chan tokenEvent, done <-chan *core.Request, errCh <-chan error, abort func()) {
+	inTok, outTok int, tokens <-chan tokenEvent, done <-chan *core.Request, abort func()) {
 	var first, last sim.Time
 	received := 0
 	var text []byte
@@ -980,10 +880,6 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, 
 		case t := <-tokens:
 			take(t)
 		case fin = <-done:
-		case err := <-errCh:
-			g.countStatus(http.StatusInternalServerError)
-			writeJSONError(w, http.StatusInternalServerError, "%v", err)
-			return
 		case <-r.Context().Done():
 			abort()
 			return

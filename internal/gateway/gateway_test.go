@@ -36,8 +36,8 @@ type testCluster struct {
 	// accelerate runs the driver un-paced from virtual time zero, so token
 	// times depend only on the seed, not on the wall clock.
 	accelerate bool
-	// ctl, when set, is the cluster's brownout controller. With edge
-	// overload on and no controller from spec, the cluster gets a fresh one.
+	// ctl, when set, is the cluster's brownout controller, which turns
+	// overload control on in the core and at the edge.
 	ctl *overload.Controller
 }
 
@@ -78,8 +78,6 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 	parts.Cluster(&cfg)
 	if tc.ctl != nil {
 		cfg.Overload = tc.ctl
-	} else if opts.Overload != nil && cfg.Overload == nil {
-		cfg.Overload = overload.NewController()
 	}
 	cl, err := cluster.New(se, cfg)
 	if err != nil {

@@ -3,14 +3,17 @@ package gateway
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"aegaeon/internal/assemble"
+	"aegaeon/internal/core"
+	"aegaeon/internal/fault"
 	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -18,19 +21,59 @@ import (
 	"aegaeon/internal/workload"
 )
 
-// hourTTFT is a TTFT target no test's estimate reaches, so predictive
-// admission never rejects.
+// hourTTFT is a TTFT target no test's estimate reaches, so the core never
+// sheds a request as doomed.
 var hourTTFT = slo.SLO{TTFT: time.Hour, TBT: 100 * time.Millisecond}
 
-// pinGatewayController returns a controller frozen at level: it escalates at
-// a virtual time far past any test horizon, so the brownout loop's steps,
-// all earlier, can neither escalate nor recover it.
-func pinGatewayController(level overload.Level) *overload.Controller {
-	ctl := overload.NewController()
+// escalate steps ctl up to level at virtual times far past any test horizon,
+// so the brownout loop's steps, all earlier, can neither escalate nor recover
+// it. Call it once per controller.
+func escalate(ctl *overload.Controller, level overload.Level) {
 	for at := sim.Time(1 << 62); ctl.Level() < level; at += time.Minute {
 		ctl.Step(at, overload.Signals{Page: true})
 	}
+}
+
+// pinGatewayController returns a controller frozen at level.
+func pinGatewayController(level overload.Level) *overload.Controller {
+	ctl := overload.NewController()
+	escalate(ctl, level)
 	return ctl
+}
+
+// completion is the body of a completion request for tests.
+func completion(model, prio string, inTok, maxTok int, stream bool) string {
+	return fmt.Sprintf(`{"model":%q,"priority":%q,"input_tokens":%d,"max_tokens":%d,"stream":%v}`,
+		model, prio, inTok, maxTok, stream)
+}
+
+// assertRejected checks that w is the core's or the edge's rejection for
+// reason: a 503 JSON error naming it, a Retry-After of at least minRetry
+// seconds, and nothing else written before it.
+func assertRejected(t *testing.T, w *httptest.ResponseRecorder, reason string, minRetry int) {
+	t.Helper()
+	var body struct {
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Type %q, want a 503 JSON error: %s",
+			w.Code, w.Header().Get("Content-Type"), w.Body.String())
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error.Message != "request rejected: "+reason {
+		t.Fatalf("body %q, want the JSON error for %q", w.Body.String(), reason)
+	}
+	if ra, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || ra < minRetry {
+		t.Fatalf("Retry-After %q, want >= %d", w.Header().Get("Retry-After"), minRetry)
+	}
+}
+
+// counters reads the gateway's shed accounting under its lock.
+func counters(gw *Gateway, model, reason string) (rejected, failed uint64, breaker fault.BreakerState) {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	return gw.ovlRejected[reason], gw.failed, gw.breakerFor(model).State()
 }
 
 // TestTokenBucketColdStart is the regression for the first-call refill bug:
@@ -79,109 +122,156 @@ func TestTokenBucketColdStart(t *testing.T) {
 	}
 }
 
-// TestEstimateTTFTGolden pins the estimator to hand-computed values:
-// est = (depth+1)·prompt/throughput + ceil((depth+1)/group)·switch.
-func TestEstimateTTFTGolden(t *testing.T) {
-	cases := []struct {
-		name   string
-		depth  int
-		sw     time.Duration
-		tput   float64
-		prompt int
-		group  int
-		want   time.Duration
-	}{
-		{"empty queue", 0, 100 * time.Millisecond, 100, 100, 8, 1100 * time.Millisecond},
-		{"full group, one switch", 7, 100 * time.Millisecond, 100, 100, 8, 8100 * time.Millisecond},
-		{"overflow into second group", 8, 100 * time.Millisecond, 100, 100, 8, 9200 * time.Millisecond},
-		{"fast fleet", 15, 200 * time.Millisecond, 2000, 500, 4, 4800 * time.Millisecond},
-		{"free switches", 0, 0, 1000, 1, 1, time.Millisecond},
-		{"all inputs clamped", -5, 100 * time.Millisecond, 0, 0, 0, 1100 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		if got := EstimateTTFT(tc.depth, tc.sw, tc.tput, tc.prompt, tc.group); got != tc.want {
-			t.Errorf("%s: EstimateTTFT = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestEstimatorProperties holds the estimator to its two structural
-// guarantees over randomized inputs: Retry-After is never below one second,
-// and the TTFT estimate is monotone non-decreasing in queue depth (a longer
-// queue can never predict an earlier first token).
-func TestEstimatorProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		sw := time.Duration(rng.Intn(2000)) * time.Millisecond
-		tput := 1 + rng.Float64()*5000
-		prompt := 1 + rng.Intn(4096)
-		group := 1 + rng.Intn(16)
-		target := time.Duration(1+rng.Intn(30)) * time.Second
-
-		prev := time.Duration(-1)
-		for depth := 0; depth <= 64; depth++ {
-			est := EstimateTTFT(depth, sw, tput, prompt, group)
-			if est < prev {
-				t.Fatalf("trial %d: estimate not monotone in depth: depth %d -> %v after %v (sw=%v tput=%.0f prompt=%d group=%d)",
-					trial, depth, est, prev, sw, tput, prompt, group)
-			}
-			prev = est
-			if ra := RetryAfter(est, target); ra < time.Second {
-				t.Fatalf("trial %d: RetryAfter(%v, %v) = %v < 1s", trial, est, target, ra)
-			}
-		}
-	}
-}
-
-// TestAdmissionBrownoutLevels drives admitRequest against pinned controllers
-// and checks each level's policy: admit-none rejects everything, shed-low
-// rejects only the low tier, freeze rejects only cold (unqueued) models —
-// each with the right typed reason and a counted overload rejection.
+// TestAdmissionBrownoutLevels serves completions against pinned controllers
+// and checks each level's policy as the core applies it and the gateway
+// answers it: admit-none rejects everything, shed-low rejects only the low
+// tier, freeze rejects only cold models — each a 503 with the core's typed
+// reason, counted as an overload rejection and never as a failure.
 func TestAdmissionBrownoutLevels(t *testing.T) {
-	newGW := func(ctl *overload.Controller) (*Gateway, []string) {
-		return newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: ctl}, Options{
-			Speedup:  50000,
-			Overload: &OverloadOptions{},
-		})
-	}
-
 	t.Run("admit_none", func(t *testing.T) {
-		gw, names := newGW(pinGatewayController(overload.LevelAdmitNone))
+		gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT,
+			ctl: pinGatewayController(overload.LevelAdmitNone)}, Options{Speedup: 50000})
 		defer gw.Shutdown(context.Background())
-		ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityHigh, 1, 0)
-		if ok || code != http.StatusServiceUnavailable || reason != "admit_none" {
-			t.Fatalf("admit-none: ok=%v code=%d reason=%q", ok, code, reason)
+		assertRejected(t, postCompletion(gw.Handler(), completion(names[0], "high", 1, 1, false)), core.ShedAdmitNone, 1)
+		if rej, failed, _ := counters(gw, names[0], core.ShedAdmitNone); rej != 1 || failed != 0 {
+			t.Fatalf("admit_none rejections %d, failures %d, want 1 and 0", rej, failed)
 		}
 	})
 
 	t.Run("shed_low_priority", func(t *testing.T) {
-		gw, names := newGW(pinGatewayController(overload.LevelShedLow))
+		gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT,
+			ctl: pinGatewayController(overload.LevelShedLow)}, Options{Speedup: 50000})
 		defer gw.Shutdown(context.Background())
-		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityLow, 1, 0); ok || reason != "shed_low_priority" {
-			t.Fatalf("low tier: ok=%v reason=%q, want shed_low_priority rejection", ok, reason)
+		h := gw.Handler()
+		assertRejected(t, postCompletion(h, completion(names[0], "low", 1, 1, false)), core.ShedLowPriority, 1)
+		if w := postCompletion(h, completion(names[0], "normal", 1, 1, false)); w.Code != http.StatusOK {
+			t.Fatalf("normal tier at shed-low: status %d: %s", w.Code, w.Body.String())
 		}
-		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
-			t.Fatalf("normal tier rejected at shed-low: %q", reason)
-		}
-		gw.releaseAdmission(names[0], workload.PriorityNormal)
 	})
 
 	t.Run("frozen_cold_model", func(t *testing.T) {
-		gw, names := newGW(pinGatewayController(overload.LevelFreeze))
+		ctl := overload.NewController()
+		gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: ctl}, Options{Speedup: 50000})
 		defer gw.Shutdown(context.Background())
-		// Warm names[0] by holding one admitted request against it. The
-		// admission itself must predate the freeze, so fake the warmth
-		// directly: queued[model] > 0 is the gateway's warmth signal.
-		gw.mu.Lock()
-		gw.queued[names[0]]++
-		gw.mu.Unlock()
-		if ok, _, reason, _ := gw.admitRequest("", names[1], workload.PriorityNormal, 1, 0); ok || reason != "frozen_cold_model" {
-			t.Fatalf("cold model: ok=%v reason=%q, want frozen_cold_model rejection", ok, reason)
+		h := gw.Handler()
+		// Serving names[0] before the freeze leaves it resident: warm.
+		if w := postCompletion(h, completion(names[0], "normal", 1, 1, false)); w.Code != http.StatusOK {
+			t.Fatalf("warm-up: status %d: %s", w.Code, w.Body.String())
 		}
-		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
-			t.Fatalf("warm model rejected at freeze: %q", reason)
+		if err := gw.drv.Call(func() { escalate(ctl, overload.LevelFreeze) }); err != nil {
+			t.Fatal(err)
 		}
-		gw.releaseAdmission(names[0], workload.PriorityNormal)
+		assertRejected(t, postCompletion(h, completion(names[1], "normal", 1, 1, false)), core.ShedColdFreeze, 1)
+		if w := postCompletion(h, completion(names[0], "normal", 1, 1, false)); w.Code != http.StatusOK {
+			t.Fatalf("warm model at freeze: status %d: %s", w.Code, w.Body.String())
+		}
+	})
+}
+
+// TestShrinkCapsTheStream checks that at the shrink level the client is
+// promised exactly the tokens the core will produce: the core caps the
+// output, the stream delivers that many and then [DONE], and the JSON
+// response counts the same.
+func TestShrinkCapsTheStream(t *testing.T) {
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT,
+		ctl: pinGatewayController(overload.LevelShrink)}, Options{Speedup: 50000})
+	defer gw.Shutdown(context.Background())
+	h := gw.Handler()
+	want := gw.cl.Overload().OutputCap(8)
+	if want >= 8 {
+		t.Fatalf("OutputCap(8) = %d at shrink, want a cap", want)
+	}
+	w := postCompletion(h, completion(names[0], "normal", 4, 8, true))
+	indices, done := parseStream(t, w.Body)
+	if w.Code != http.StatusOK || len(indices) != want || !done {
+		t.Fatalf("status %d, %d tokens, [DONE] %v; want 200, %d tokens, [DONE]", w.Code, len(indices), done, want)
+	}
+	w = postCompletion(h, completion(names[0], "normal", 4, 8, false))
+	var resp struct {
+		Usage map[string]int `json:"usage"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("JSON completion: status %d body %s", w.Code, w.Body.String())
+	}
+	if got := resp.Usage["completion_tokens"]; got != want {
+		t.Fatalf("completion_tokens %d, want %d", got, want)
+	}
+}
+
+// TestOverloadShedsLeaveBreakerAlone holds sheds apart from backend
+// failures. Breakers answer capacity loss and brownout answers shortfall, so
+// a shed — on arrival or from the queue — must never count toward the
+// model's circuit breaker. An arrival shed is a rejection, not a failure.
+func TestOverloadShedsLeaveBreakerAlone(t *testing.T) {
+	t.Run("arrival", func(t *testing.T) {
+		gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT,
+			ctl: pinGatewayController(overload.LevelAdmitNone)}, Options{Speedup: 50000})
+		defer gw.Shutdown(context.Background())
+		h := gw.Handler()
+		// More sheds of one model than the breaker's failure threshold.
+		for i := 0; i <= breakerThreshold; i++ {
+			assertRejected(t, postCompletion(h, completion(names[0], "normal", 16, 8, false)), core.ShedAdmitNone, 1)
+		}
+		assertRejected(t, postCompletion(h, completion(names[0], "normal", 16, 8, true)), core.ShedAdmitNone, 1)
+		rej, failed, br := counters(gw, names[0], core.ShedAdmitNone)
+		if rej != breakerThreshold+2 || failed != 0 || br != fault.BreakerClosed {
+			t.Fatalf("rejections %d, failures %d, breaker %v; want %d, 0, closed", rej, failed, br, breakerThreshold+2)
+		}
+		if body := get(h, "/metrics").Body.String(); !strings.Contains(body, "\naegaeon_gateway_failed_total 0\n") {
+			t.Error("/metrics counts arrival sheds as failures")
+		}
+	})
+
+	t.Run("reaped", func(t *testing.T) {
+		// One prefill instance and a nearly frozen clock: a long prompt to
+		// names[0] holds the instance while low-tier requests to names[1]
+		// wait in its queue. Then the level rises to shed-low and the clock
+		// runs free, and the reaper sheds the queued low-tier requests.
+		ctl := overload.NewController()
+		gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, prefill: 1, ctl: ctl},
+			Options{Speedup: 1e-6})
+		defer gw.Shutdown(context.Background())
+		h := gw.Handler()
+		var admitted uint64
+		serve := func(body string) <-chan *httptest.ResponseRecorder {
+			out := make(chan *httptest.ResponseRecorder, 1)
+			go func() { out <- postCompletion(h, body) }()
+			admitted++
+			deadline := time.Now().Add(10 * time.Second)
+			for gw.Admitted() < admitted {
+				if time.Now().After(deadline) {
+					t.Fatal("request never admitted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return out
+		}
+		long := serve(completion(names[0], "normal", 16384, 2, true))
+		var low []<-chan *httptest.ResponseRecorder
+		for i := 0; i < breakerThreshold; i++ {
+			low = append(low, serve(completion(names[1], "low", 16, 2, true)))
+		}
+		if err := gw.drv.Call(func() { escalate(ctl, overload.LevelShedLow) }); err != nil {
+			t.Fatal(err)
+		}
+		gw.drv.Accelerate()
+		if w := <-long; w.Code != http.StatusOK || !strings.HasSuffix(w.Body.String(), "data: [DONE]\n\n") {
+			t.Fatalf("long request: status %d: %s", w.Code, w.Body.String())
+		}
+		const frame = `data: {"error":"request failed: overload: ` + core.ShedLowPriority + `"}`
+		for _, out := range low {
+			w := <-out
+			if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), frame) || strings.Contains(w.Body.String(), "[DONE]") {
+				t.Fatalf("reaped stream: status %d body %q, want 200 ending in %s", w.Code, w.Body.String(), frame)
+			}
+		}
+		rej, failed, br := counters(gw, names[1], core.ShedLowPriority)
+		if rej != 0 || failed != breakerThreshold || br != fault.BreakerClosed {
+			t.Fatalf("rejections %d, failures %d, breaker %v; want 0, %d, closed", rej, failed, br, breakerThreshold)
+		}
+		if w := postCompletion(h, completion(names[1], "normal", 16, 2, false)); w.Code != http.StatusOK {
+			t.Fatalf("normal tier after the reaped ones: status %d: %s", w.Code, w.Body.String())
+		}
 	})
 }
 
@@ -190,10 +280,7 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 // fleet alert paging but every prefill queue empty, the misses are echoes of
 // past sheds, not current load, so a tick must leave the level at normal.
 func TestBrownoutTickHoldsOnEmptyQueues(t *testing.T) {
-	gw, _ := newGateway(t, assemble.Spec{Overload: true}, testCluster{slo: hourTTFT}, Options{
-		Speedup:  50000,
-		Overload: &OverloadOptions{},
-	})
+	gw, _ := newGateway(t, assemble.Spec{Overload: true}, testCluster{slo: hourTTFT}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 	mon := gw.opts.SLOMon
 	// A minute of tokens, every one past its deadline.
@@ -215,33 +302,23 @@ func TestBrownoutTickHoldsOnEmptyQueues(t *testing.T) {
 	}
 }
 
-// TestPredictiveRejection forces the TTFT estimate over an impossible target
-// and checks the typed rejection plus an honest (≥1s, estimate-derived)
-// Retry-After both at the admission layer and on the HTTP surface.
+// TestPredictiveRejection sets a TTFT target below any model switch, so the
+// core predicts every arrival's first token past its deadline and sheds it.
+// The gateway answers before writing anything else, on the JSON and the SSE
+// path alike: 503, the core's doomed_on_arrival, and a Retry-After of the
+// core's overshoot plus a second — longer for a prompt whose prefill alone
+// takes seconds.
 func TestPredictiveRejection(t *testing.T) {
-	// Any estimate (the switch cost alone is 300ms) is far past a 1ns
-	// target, so every request is predicted to miss.
-	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: slo.SLO{TTFT: time.Nanosecond, TBT: 100 * time.Millisecond}},
-		Options{Speedup: 50000, Overload: &OverloadOptions{}})
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: slo.SLO{TTFT: time.Nanosecond, TBT: 100 * time.Millisecond},
+		ctl: overload.NewController()}, Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
-
-	ok, code, reason, ra := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0)
-	if ok || code != http.StatusServiceUnavailable || reason != "predicted_ttft_miss" {
-		t.Fatalf("ok=%v code=%d reason=%q, want predictive 503", ok, code, reason)
+	h := gw.Handler()
+	for _, stream := range []bool{false, true} {
+		assertRejected(t, postCompletion(h, completion(names[0], "normal", 1, 1, stream)), core.ShedDoomed, 1)
 	}
-	if ra < time.Second {
-		t.Fatalf("Retry-After %v < 1s", ra)
-	}
-
-	w := postCompletion(gw.Handler(), `{"model":"`+names[0]+`","input_tokens":1,"max_tokens":1}`)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("HTTP status %d, want 503", w.Code)
-	}
-	if hdr := w.Header().Get("Retry-After"); hdr == "" || hdr == "0" {
-		t.Fatalf("Retry-After header = %q, want >= 1", hdr)
-	}
-	if !strings.Contains(w.Body.String(), "predicted_ttft_miss") {
-		t.Fatalf("body %q does not name the rejection reason", w.Body.String())
+	assertRejected(t, postCompletion(h, completion(names[0], "normal", 16384, 1, true)), core.ShedDoomed, 2)
+	if rej, failed, _ := counters(gw, names[0], core.ShedDoomed); rej != 3 || failed != 0 {
+		t.Fatalf("doomed rejections %d, failures %d, want 3 and 0", rej, failed)
 	}
 }
 
@@ -249,40 +326,35 @@ func TestPredictiveRejection(t *testing.T) {
 // tokens from a budget that fresh traffic refills fractionally, so once the
 // burst is gone a pure retry storm is rejected outright.
 func TestRetryBudget(t *testing.T) {
-	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
-		Speedup: 50000,
-		// RetryRatio is effectively zero (no fresh traffic in this test
-		// deposits anyway), so the burst allows exactly retryBurst retries.
-		Overload: &OverloadOptions{RetryRatio: 1e-9},
-	})
+	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: overload.NewController()},
+		Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 
 	for i := 0; i < retryBurst; i++ {
 		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, i+1); !ok {
 			t.Fatalf("retry %d rejected within budget: %q", i+1, reason)
 		}
-		gw.releaseAdmission(names[0], workload.PriorityNormal)
+		gw.releaseAdmission(names[0])
 	}
 	ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, retryBurst+1)
 	if ok || code != http.StatusServiceUnavailable || reason != "retry_budget" {
 		t.Fatalf("exhausted budget: ok=%v code=%d reason=%q", ok, code, reason)
 	}
 
-	// Fresh traffic is unaffected and keeps depositing.
+	// Fresh traffic is unaffected, and one fresh request's deposit is a
+	// fraction of a retry.
 	if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
 		t.Fatalf("fresh request rejected after budget exhaustion: %q", reason)
 	}
-	gw.releaseAdmission(names[0], workload.PriorityNormal)
+	gw.releaseAdmission(names[0])
 
 	// The X-Retry-Attempt header routes HTTP requests onto the same path.
 	r := httptest.NewRequest(http.MethodPost, "/v1/completions",
-		strings.NewReader(`{"model":"`+names[0]+`","input_tokens":1,"max_tokens":1}`))
+		strings.NewReader(completion(names[0], "normal", 1, 1, false)))
 	r.Header.Set("X-Retry-Attempt", "7")
 	w := httptest.NewRecorder()
 	gw.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "retry_budget") {
-		t.Fatalf("HTTP retry with empty budget: status %d body %q", w.Code, w.Body.String())
-	}
+	assertRejected(t, w, "retry_budget", 1)
 }
 
 // TestCompletionPriorityValidation checks the HTTP tier field: unknown
@@ -305,28 +377,19 @@ func TestCompletionPriorityValidation(t *testing.T) {
 }
 
 // TestDebugOverloadEndpoint reads /debug/overload back and holds it to its
-// schema: controller snapshot, live estimator inputs, retry budget, and the
-// preseeded rejection counters. Without overload control the path is a 404.
+// schema: controller snapshot, retry budget, and the preseeded rejection
+// counters. Without an overload controller the path is a 404.
 func TestDebugOverloadEndpoint(t *testing.T) {
-	gw, names := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
-		Speedup:  50000,
-		Overload: &OverloadOptions{},
-	})
+	gw, _ := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: overload.NewController()},
+		Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
-	h := gw.Handler()
 
-	// One admitted request so the estimator has live state.
-	if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
-		t.Fatalf("seed admission failed: %q", reason)
-	}
-
-	w := get(h, "/debug/overload")
+	w := get(gw.Handler(), "/debug/overload")
 	if w.Code != http.StatusOK {
 		t.Fatalf("/debug/overload: status %d: %s", w.Code, w.Body.String())
 	}
 	var resp struct {
 		Controller overload.Snapshot  `json:"controller"`
-		Estimator  map[string]float64 `json:"estimator"`
 		Budget     map[string]float64 `json:"retry_budget"`
 		Rejected   map[string]uint64  `json:"rejected"`
 	}
@@ -335,17 +398,6 @@ func TestDebugOverloadEndpoint(t *testing.T) {
 	}
 	if resp.Controller.Level != "normal" {
 		t.Fatalf("controller level = %q, want normal", resp.Controller.Level)
-	}
-	for _, key := range []string{"queue_depth", "throughput_tok_per_s", "switch_cost_s", "group_size", "ttft_target_s", "est_ttft_150tok_s"} {
-		if _, ok := resp.Estimator[key]; !ok {
-			t.Errorf("estimator missing %q", key)
-		}
-	}
-	if resp.Estimator["queue_depth"] != 1 {
-		t.Errorf("queue_depth = %v, want 1", resp.Estimator["queue_depth"])
-	}
-	if resp.Estimator["est_ttft_150tok_s"] <= 0 {
-		t.Errorf("estimate = %v, want > 0", resp.Estimator["est_ttft_150tok_s"])
 	}
 	if resp.Budget["burst"] <= 0 || resp.Budget["tokens"] <= 0 {
 		t.Errorf("retry budget not initialized: %v", resp.Budget)
@@ -356,9 +408,7 @@ func TestDebugOverloadEndpoint(t *testing.T) {
 		}
 	}
 
-	gw.releaseAdmission(names[0], workload.PriorityNormal)
-
-	assertGated404(t, "overload control disabled (no overload options configured)", "/debug/overload")
+	assertGated404(t, "overload control disabled (cluster built without an overload controller)", "/debug/overload")
 }
 
 // TestMetricsOverloadExposition is the exposition-format regression gate for
@@ -366,10 +416,8 @@ func TestDebugOverloadEndpoint(t *testing.T) {
 // _total, every rejection reason renders as a zero-initialized series, and
 // none of the families appear when overload control is off.
 func TestMetricsOverloadExposition(t *testing.T) {
-	gw, _ := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT}, Options{
-		Speedup:  50000,
-		Overload: &OverloadOptions{},
-	})
+	gw, _ := newGateway(t, assemble.Spec{}, testCluster{slo: hourTTFT, ctl: overload.NewController()},
+		Options{Speedup: 50000})
 	defer gw.Shutdown(context.Background())
 
 	w := get(gw.Handler(), "/metrics")

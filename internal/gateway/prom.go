@@ -27,7 +27,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s := g.loopSnapshot()
 	g.mu.Lock()
 	inflight := g.inflight
-	admitted := g.admitted
 	completed := g.completed
 	queued := make(map[string]int, len(g.queued))
 	for m, n := range g.queued {
@@ -47,7 +46,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for m, br := range g.breakers {
 		breakerStates[m] = br.State().String()
 	}
-	overloadOn := g.opts.Overload != nil
+	overloadOn := g.ctl != nil
 	retryExhausted := g.retryExhausted
 	ovlRejected := make(map[string]uint64, len(g.ovlRejected))
 	for reason, n := range g.ovlRejected {
@@ -61,7 +60,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(b, "aegaeon_gateway_requests_total{code=\"%d\"} %d\n", code, statuses[code])
 	}
 	family(b, "counter", "aegaeon_gateway_admitted_total", "Requests past admission control.")
-	fmt.Fprintf(b, "aegaeon_gateway_admitted_total %d\n", admitted)
+	fmt.Fprintf(b, "aegaeon_gateway_admitted_total %d\n", g.admitted.Load())
 	family(b, "counter", "aegaeon_gateway_completions_total", "Requests fully served.")
 	fmt.Fprintf(b, "aegaeon_gateway_completions_total %d\n", completed)
 	family(b, "counter", "aegaeon_gateway_rejected_total", "Requests shed by admission control, by reason.")

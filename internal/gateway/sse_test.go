@@ -7,7 +7,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -198,32 +197,29 @@ func TestStreamGolden(t *testing.T) {
 }
 
 // TestStreamErrorFramesAreJSON feeds error text with control characters
-// and HTML-sensitive bytes through both error paths of a stream — a
-// mid-flight failure's FailReason and a submission error — and checks that
-// every data line is JSON carrying the exact message.
+// and HTML-sensitive bytes through a stream's error path, a mid-flight
+// failure's FailReason, and checks that every data line is JSON carrying the
+// exact message. (A submission error is answered before the stream begins.)
 func TestStreamErrorFramesAreJSON(t *testing.T) {
 	const reason = "partition\x01lost <all> \"replicas\"\u2028\x7f"
 	cases := []struct {
 		name string
-		fill func(tokens chan tokenEvent, done chan *core.Request, errCh chan error)
+		fill func(tokens chan tokenEvent, done chan *core.Request)
 		want string
 	}{
-		{"failed", func(tokens chan tokenEvent, done chan *core.Request, _ chan error) {
+		{"failed", func(tokens chan tokenEvent, done chan *core.Request) {
 			tokens <- tokenEvent{0, time.Millisecond}
 			done <- &core.Request{Outcome: decision.OutcomeFailed, FailReason: reason}
 		}, "request failed: " + reason},
-		{"submit", func(_ chan tokenEvent, _ chan *core.Request, errCh chan error) {
-			errCh <- errors.New(reason)
-		}, reason},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := &Gateway{statuses: map[int]uint64{}}
-			tokens, done, errCh := make(chan tokenEvent, 4), make(chan *core.Request, 1), make(chan error, 1)
-			tc.fill(tokens, done, errCh)
+			tokens, done := make(chan tokenEvent, 4), make(chan *core.Request, 1)
+			tc.fill(tokens, done)
 			w := httptest.NewRecorder()
 			g.streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil),
-				"cmpl-1", "m", tokens, done, errCh, func() {})
+				"cmpl-1", "m", tokens, done, func() {})
 			var gotErr string
 			sc := bufio.NewScanner(w.Body)
 			for sc.Scan() {

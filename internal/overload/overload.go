@@ -7,11 +7,12 @@
 // directions carry hysteresis holds so a noisy burn signal cannot flap the
 // fleet between levels.
 //
-// The controller is passive: it never acts on the system itself. Admission
-// paths (the gateway's tryAdmit, core's arrival check) consult the policy
-// getters and enforce whatever the current level demands. All getters are
-// nil-safe — a nil *Controller behaves as LevelNormal, keeping the default
-// serving path free of overload checks.
+// The controller is passive: it never acts on the system itself. The one
+// admission path that consults it, the core's arrival check, reads the
+// policy getters and enforces whatever the current level demands; the live
+// gateway answers with that check's verdict. All getters are nil-safe — a
+// nil *Controller behaves as LevelNormal, keeping the default serving path
+// free of overload checks.
 package overload
 
 import (
