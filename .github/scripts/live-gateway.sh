@@ -1,7 +1,8 @@
-# Helpers for the CI jobs that scrape a live aegaeon-gateway. Source this
+# Helpers for the CI steps that scrape a live aegaeon-gateway. Build the
+# gateway to bin/aegaeon-gateway (CI builds it with coverage), source this
 # file from the repository root, then:
 #
-#   gateway_start -fleet          # build, launch on :8080, wait for /healthz
+#   gateway_start -fleet          # launch on :8080, wait for /healthz
 #   gateway_complete 4 64 stream  # 4 completions of 64 input tokens, streamed
 #   curl -sf localhost:8080/debug/fleet | grep -q ...   # the job's assertions
 #   gateway_stop
@@ -10,8 +11,7 @@
 # plus whatever flags the job passes, and sets MODEL to the first served id.
 
 gateway_start() {
-	go build -o gateway ./cmd/aegaeon-gateway
-	./gateway -addr :8080 -models 6 -prefill 1 -decode 2 -speedup 500 "$@" &
+	bin/aegaeon-gateway -addr :8080 -models 6 -prefill 1 -decode 2 -speedup 500 "$@" &
 	GW=$!
 	trap 'kill "$GW" 2>/dev/null' EXIT
 	for _ in $(seq 1 50); do
@@ -33,8 +33,11 @@ gateway_complete() {
 	done
 }
 
-# gateway_stop kills the gateway; it fails if the gateway already died.
+# gateway_stop sends the gateway SIGTERM and waits for it to drain and exit,
+# which is when a coverage build writes its counters. It fails if the
+# gateway already died or exits nonzero.
 gateway_stop() {
 	trap - EXIT
 	kill "$GW"
+	wait "$GW"
 }

@@ -38,7 +38,6 @@ import (
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/model"
 	"aegaeon/internal/obs"
-	"aegaeon/internal/overload"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -76,22 +75,12 @@ func ShareGPTOx2() Dataset { return workload.ShareGPTOx2() }
 // Catalog returns the built-in model catalog (Table 1 models and friends).
 func Catalog() []*Model { return model.Catalog() }
 
-// WriteTrace encodes a trace as JSON Lines (one request per line).
-func WriteTrace(w io.Writer, trace []Request) error { return workload.WriteTrace(w, trace) }
-
-// ReadTrace decodes and validates a JSON-Lines trace, sorted by arrival.
-func ReadTrace(r io.Reader) ([]Request, error) { return workload.ReadTrace(r) }
-
 // MarketModels returns n market models in the paper's primary 6–14B range.
 func MarketModels(n int) []*Model { return model.MarketMix(n) }
 
 // SmallModels returns n models in the 6–8B range — the mix that fits every
 // built-in market device class, including the 24 GB consumer tiers.
 func SmallModels(n int) []*Model { return model.SmallMix(n) }
-
-// MarketClassNames lists the built-in device classes accepted by
-// Config.MarketClasses, in capability order.
-func MarketClassNames() []string { return market.ClassNames() }
 
 // Config configures an Aegaeon serving system.
 type Config struct {
@@ -184,7 +173,8 @@ type Config struct {
 	// bytes, per-class $-per-1k-tokens — lands in Report.Market.
 	Market bool
 	// MarketClasses is a comma-separated device-class list cycled across the
-	// pool in build order, e.g. "H800,A10,RTX4090" (see MarketClassNames).
+	// pool in build order, e.g. "H800,A10,RTX4090"; the built-in classes are
+	// H800, H20, A10, RTX4090 and RTX3090.
 	// Empty means a homogeneous H800 fleet. Each instance runs its class's
 	// hardware profile end to end — compute, PCIe, and a VRAM split sized
 	// for the class — so every model must fit the smallest class (the 24 GB
@@ -515,10 +505,6 @@ func (s *System) AssignPriorities(trace []Request, highFrac, lowFrac float64) {
 	workload.AssignPriorities(s.eng.Rand(), trace, highFrac, lowFrac)
 }
 
-// Overload returns the brownout controller, or nil unless the system was
-// built with Config.Overload.
-func (s *System) Overload() *overload.Controller { return s.parts.Overload }
-
 // Monitor returns the live SLO monitor, or nil unless the system was built
 // with Config.SLOMonitor.
 func (s *System) Monitor() *slomon.Monitor { return s.sys.Monitor() }
@@ -526,10 +512,6 @@ func (s *System) Monitor() *slomon.Monitor { return s.sys.Monitor() }
 // Fleet returns the fleet utilization ledger, or nil unless the system was
 // built with Config.FleetAccounting.
 func (s *System) Fleet() *fleetobs.Ledger { return s.parts.Fleet }
-
-// Market returns the live spot-market model, or nil unless the system was
-// built with Config.Market.
-func (s *System) Market() *market.Market { return s.parts.Market }
 
 // Decisions returns the decision-provenance journal, or nil unless the system
 // was built with Config.Decisions.
@@ -648,32 +630,6 @@ func (sysSurface) PartitionStore(sim.Time) error {
 
 func (sysSurface) SlowStore(float64, sim.Time) error {
 	return fmt.Errorf("no metadata store in single-system mode; storeslow faults need the cluster gateway")
-}
-
-// InjectDecodeFailure schedules a crash of decoding instance idx at the
-// given virtual time (before calling Serve). The instance's requests are
-// recovered onto survivors at once: sequences whose KV lives in the unified
-// CPU cache resume; the rest recompute via prefill. Fig. 5's fault
-// tolerance.
-func (s *System) InjectDecodeFailure(at time.Duration, idx int) {
-	s.injectFailure(at, fmt.Sprintf("decode%d", idx))
-}
-
-// InjectPrefillFailure schedules a crash of prefill instance idx at the
-// given virtual time (before calling Serve), recovered at once.
-func (s *System) InjectPrefillFailure(at time.Duration, idx int) {
-	s.injectFailure(at, fmt.Sprintf("prefill%d", idx))
-}
-
-// injectFailure crashes the named instance at the given virtual time and
-// recovers its orphans with no detection delay.
-func (s *System) injectFailure(at time.Duration, name string) {
-	s.eng.At(at, func() {
-		if err := s.sys.CrashInstance(name); err != nil {
-			panic(err)
-		}
-		s.sys.RecoverOrphansOf(name)
-	})
 }
 
 // Baseline identifies a comparison system.

@@ -45,9 +45,9 @@ func Example_baseline() {
 func Example_failover() {
 	sys, _ := aegaeon.New(aegaeon.Config{
 		PrefillGPUs: 1, DecodeGPUs: 3, NumModels: 6, Seed: 3,
+		Faults: "crash@60s:decode1",
 	})
 	trace := sys.GenerateTrace(aegaeon.TraceSpec{RatePerModel: 0.1, Horizon: 2 * time.Minute})
-	sys.InjectDecodeFailure(60*time.Second, 1)
 	rep, _ := sys.Serve(trace)
 	fmt.Printf("all requests completed despite the crash: %v\n",
 		rep.Completed == rep.Requests)

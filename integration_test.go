@@ -1,7 +1,6 @@
 package aegaeon_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,8 +8,8 @@ import (
 )
 
 // TestEndToEndPipeline exercises the full public workflow: generate a
-// trace, persist it, reload it, serve it on Aegaeon and two baselines, and
-// cross-check the reports.
+// trace, serve it on Aegaeon and two baselines, and cross-check the
+// reports.
 func TestEndToEndPipeline(t *testing.T) {
 	build := func() *aegaeon.System {
 		sys, err := aegaeon.New(aegaeon.Config{
@@ -25,29 +24,15 @@ func TestEndToEndPipeline(t *testing.T) {
 		RatePerModel: 0.1, Horizon: 3 * time.Minute, Dataset: aegaeon.ShareGPTOx2(),
 	})
 
-	// Persist and reload.
-	var buf bytes.Buffer
-	if err := aegaeon.WriteTrace(&buf, trace); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := aegaeon.ReadTrace(&buf)
+	aeg, err := build().Serve(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reloaded) != len(trace) {
-		t.Fatalf("trace reload lost requests: %d != %d", len(reloaded), len(trace))
-	}
-
-	// Serve the reloaded trace on all systems.
-	aeg, err := build().Serve(reloaded)
+	sllm, err := build().ServeBaseline(aegaeon.ServerlessLLM, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sllm, err := build().ServeBaseline(aegaeon.ServerlessLLM, reloaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux, err := build().ServeBaseline(aegaeon.MuxServe, reloaded)
+	mux, err := build().ServeBaseline(aegaeon.MuxServe, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +47,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	if aeg.Attainment <= mux.Attainment {
 		t.Errorf("Aegaeon %.3f <= MuxServe %.3f", aeg.Attainment, mux.Attainment)
 	}
-	// Serving the same reloaded trace twice is deterministic.
-	again, err := build().Serve(reloaded)
+	// Serving the same trace twice is deterministic.
+	again, err := build().Serve(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Attainment != aeg.Attainment || again.Completed != aeg.Completed {
-		t.Fatal("reloaded-trace serving not deterministic")
+		t.Fatal("serving the same trace twice is not deterministic")
 	}
 }
 
@@ -77,13 +62,12 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestFailoverUnderLoadPublicAPI(t *testing.T) {
 	sys, err := aegaeon.New(aegaeon.Config{
 		PrefillGPUs: 2, DecodeGPUs: 3, NumModels: 9, Seed: 6,
+		Faults: "crash@60s:decode0,crash@90s:prefill0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := sys.GenerateTrace(aegaeon.TraceSpec{RatePerModel: 0.15, Horizon: 3 * time.Minute})
-	sys.InjectDecodeFailure(60*time.Second, 0)
-	sys.InjectPrefillFailure(90*time.Second, 0)
 	rep, err := sys.Serve(trace)
 	if err != nil {
 		t.Fatal(err)

@@ -434,6 +434,3 @@ func (p *prefillInstance) prefetchNextIfGroupEnding() {
 		p.prefetchNext(1)
 	}
 }
-
-// queueLen returns the number of pending groups (diagnostics).
-func (p *prefillInstance) queueLen() int { return len(p.queue) }

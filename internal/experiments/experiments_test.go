@@ -9,6 +9,8 @@ import (
 
 	"aegaeon/internal/core"
 	"aegaeon/internal/engine"
+	"aegaeon/internal/gpu"
+	"aegaeon/internal/sim"
 	"aegaeon/internal/workload"
 )
 
@@ -278,4 +280,18 @@ func TestMaxModelsAt90(t *testing.T) {
 		}
 	}()
 	MaxModelsAt90(o, "vLLM", 0.05, counts, wlShareGPT())
+}
+
+// utilizationOf returns the mean compute utilization of a
+// finished system over its whole run.
+func utilizationOf(sys *core.System, se *sim.Engine) float64 {
+	engines := sys.Engines()
+	if se.Now() == 0 || len(engines) == 0 {
+		return 0
+	}
+	var busy time.Duration
+	for _, e := range engines {
+		busy += e.Device().BusyTime(gpu.Compute)
+	}
+	return float64(busy) / float64(se.Now()*sim.Time(len(engines)))
 }

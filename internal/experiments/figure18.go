@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"aegaeon/internal/core"
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/latency"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/model"
-	"aegaeon/internal/sim"
 	"aegaeon/internal/workload"
 )
 
@@ -112,18 +110,4 @@ func runUtilization(o Options, models []*model.Model, trace []workload.Request) 
 	se.Run()
 	sys.Finalize(se.Now())
 	return ts.Mean(), ts
-}
-
-// utilizationOf is a helper for tests: the mean compute utilization of a
-// finished system over its whole run.
-func utilizationOf(sys *core.System, se *sim.Engine) float64 {
-	engines := sys.Engines()
-	if se.Now() == 0 || len(engines) == 0 {
-		return 0
-	}
-	var busy time.Duration
-	for _, e := range engines {
-		busy += e.Device().BusyTime(gpu.Compute)
-	}
-	return float64(busy) / float64(se.Now()*sim.Time(len(engines)))
 }

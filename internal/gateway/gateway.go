@@ -423,10 +423,11 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 			break
 		}
 		switch {
-		case g.inflight >= shed && g.queued[model] == 0:
+		case g.inflight > 0 && g.inflight >= shed && g.queued[model] == 0:
 			// Degraded mode: near saturation, admitting a cold model would
 			// force an extra auto-scaling switch; shed it while warm models
-			// keep flowing.
+			// keep flowing. An idle gateway is never near saturation, even
+			// when the threshold rounds down to zero (MaxInFlight 1).
 			code, reason = http.StatusServiceUnavailable, "shed_cold_model"
 		case g.queued[model] >= g.opts.MaxQueuePerModel:
 			code, reason = http.StatusTooManyRequests, "queue_full"

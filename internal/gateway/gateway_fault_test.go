@@ -289,3 +289,39 @@ func TestShedColdModelNearSaturation(t *testing.T) {
 		t.Fatal("warm model shed below MaxInFlight")
 	}
 }
+
+// At MaxInFlight 1 the cold-shed threshold rounds down to zero, yet an idle
+// gateway must still serve: the first request streams, and a second one
+// sent while it is in flight answers saturated.
+func TestSingleSlotGatewayServes(t *testing.T) {
+	gw, names := newTestGateway(t, Options{Speedup: 1e-6, MaxInFlight: 1})
+	defer gw.drv.Stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/completions", strings.NewReader(fmt.Sprintf(
+		`{"model":%q,"input_tokens":8,"max_tokens":8,"stream":true}`, names[0],
+	))).WithContext(ctx)
+	first := httptest.NewRecorder()
+	handlerDone := make(chan struct{})
+	go func() {
+		gw.Handler().ServeHTTP(first, req)
+		close(handlerDone)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for gw.Admitted() < 1 {
+		select {
+		case <-handlerDone:
+			t.Fatalf("first request on an idle gateway answered %d: %s", first.Code, first.Body)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first request never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w := postCompletion(gw.Handler(), fmt.Sprintf(`{"model":%q,"input_tokens":8,"max_tokens":8}`, names[1]))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "request rejected: saturated") {
+		t.Errorf("second request while one is in flight: %d %s, want 503 saturated", w.Code, w.Body)
+	}
+	cancel()
+	<-handlerDone
+}

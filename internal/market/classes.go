@@ -121,8 +121,3 @@ func ParseClasses(spec string) ([]*Class, error) {
 	}
 	return out, nil
 }
-
-// ClassNames lists every built-in class name in capability order.
-func ClassNames() []string {
-	return []string{"H800", "H20", "A10", "RTX4090", "RTX3090"}
-}

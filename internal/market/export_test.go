@@ -86,3 +86,8 @@ func (m *Market) ThrottleFactor(name string) float64 {
 	}
 	return 1
 }
+
+// ClassNames lists every built-in class name in capability order.
+func ClassNames() []string {
+	return []string{"H800", "H20", "A10", "RTX4090", "RTX3090"}
+}

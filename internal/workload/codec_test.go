@@ -1,81 +1,60 @@
 package workload
 
 import (
-	"bytes"
-	"math/rand"
-	"strings"
-	"testing"
-	"time"
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
 )
 
-func TestTraceRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	orig := PoissonTrace(rng, []string{"a", "b"}, 0.5, 5*time.Minute, ShareGPT())
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("round trip lost requests: %d != %d", len(got), len(orig))
-	}
-	for i := range orig {
-		// Arrival round-trips through float seconds: allow sub-microsecond slack.
-		d := got[i].Arrival - orig[i].Arrival
-		if d < 0 {
-			d = -d
-		}
-		if d > time.Microsecond ||
-			got[i].ID != orig[i].ID ||
-			got[i].Model != orig[i].Model ||
-			got[i].InputTokens != orig[i].InputTokens ||
-			got[i].OutputTokens != orig[i].OutputTokens {
-			t.Fatalf("request %d mismatch: %+v vs %+v", i, got[i], orig[i])
-		}
-	}
+// The JSON Lines trace encoding: one Request object per line, arrival in
+// seconds. TestTraceGeneratorDigests pins the session generators' output in
+// these bytes, so they must not change.
+
+type wireRequest struct {
+	ID       string  `json:"id"`
+	Model    string  `json:"model"`
+	ArrivalS float64 `json:"arrival_s"`
+	Input    int     `json:"input_tokens"`
+	Output   int     `json:"output_tokens"`
+	// Priority is "high", "normal", or "low"; absent means normal, so files
+	// written before priorities existed still round-trip.
+	Priority string `json:"priority,omitempty"`
+	// Session fields are absent for single-shot traces, so files written
+	// before multi-turn workloads existed still round-trip.
+	Session  string    `json:"session,omitempty"`
+	Turn     int       `json:"turn,omitempty"`
+	Segments []wireSeg `json:"segments,omitempty"`
 }
 
-func TestReadTraceUnordered(t *testing.T) {
-	in := `{"id":"x","model":"m","arrival_s":5,"input_tokens":10,"output_tokens":3}
-{"id":"","model":"m","arrival_s":1,"input_tokens":10,"output_tokens":3}
-`
-	got, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Arrival != time.Second || got[1].Arrival != 5*time.Second {
-		t.Fatalf("not re-sorted: %+v", got)
-	}
-	if got[0].ID == "" {
-		t.Fatal("missing ID not assigned")
-	}
-	if got[1].ID != "x" {
-		t.Fatal("existing ID not preserved")
-	}
+type wireSeg struct {
+	Seed uint64 `json:"seed"`
+	Len  int    `json:"len"`
 }
 
-func TestReadTraceValidation(t *testing.T) {
-	cases := []string{
-		`{"model":"","arrival_s":1,"input_tokens":1,"output_tokens":1}`,
-		`{"model":"m","arrival_s":-1,"input_tokens":1,"output_tokens":1}`,
-		`{"model":"m","arrival_s":1e10,"input_tokens":1,"output_tokens":1}`,
-		`{"model":"m","arrival_s":1,"input_tokens":-1,"output_tokens":1}`,
-		`{"model":"m","arrival_s":1,"input_tokens":1,"output_tokens":0}`,
-		`not json`,
-	}
-	for _, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("invalid record accepted: %s", c)
+// WriteTrace encodes the trace as JSON Lines.
+func WriteTrace(w io.Writer, trace []Request) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i, r := range trace {
+		wr := wireRequest{
+			ID:       r.ID,
+			Model:    r.Model,
+			ArrivalS: r.Arrival.Seconds(),
+			Input:    r.InputTokens,
+			Output:   r.OutputTokens,
+			Session:  r.SessionID,
+			Turn:     r.Turn,
+		}
+		if r.Priority != PriorityNormal {
+			wr.Priority = r.Priority.String()
+		}
+		for _, s := range r.Segments {
+			wr.Segments = append(wr.Segments, wireSeg{Seed: s.Seed, Len: s.Len})
+		}
+		if err := enc.Encode(wr); err != nil {
+			return fmt.Errorf("workload: encoding request %d: %w", i, err)
 		}
 	}
-}
-
-func TestReadTraceEmpty(t *testing.T) {
-	got, err := ReadTrace(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty trace: %v, %d", err, len(got))
-	}
+	return bw.Flush()
 }

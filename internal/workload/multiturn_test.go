@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 )
@@ -196,51 +194,6 @@ func TestMultiTurnDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gen(), gen()) {
 		t.Fatal("same seed produced different traces")
-	}
-}
-
-// TestSessionTraceRoundTrip: session, turn, and segment fields survive the
-// JSONL codec exactly, and a trace without them emits no session keys.
-func TestSessionTraceRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	orig := MultiTurnTrace(rng, []string{"m0"}, 0.05, 5*time.Minute,
-		ShareGPT(), MultiTurnConfig{SystemPromptTokens: 128})
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("round trip lost requests: %d != %d", len(got), len(orig))
-	}
-	for i := range orig {
-		if got[i].SessionID != orig[i].SessionID || got[i].Turn != orig[i].Turn ||
-			!reflect.DeepEqual(got[i].Segments, orig[i].Segments) {
-			t.Fatalf("request %d session fields mismatch: %+v vs %+v", i, got[i], orig[i])
-		}
-	}
-
-	// Segment validation: lengths must sum to input_tokens.
-	bad := `{"model":"m","arrival_s":1,"input_tokens":10,"output_tokens":1,"segments":[{"seed":1,"len":4}]}`
-	if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
-		t.Error("segment/input mismatch accepted")
-	}
-	bad = `{"model":"m","arrival_s":1,"input_tokens":4,"output_tokens":1,"segments":[{"seed":1,"len":4},{"seed":2,"len":0}]}`
-	if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
-		t.Error("zero-length segment accepted")
-	}
-
-	// Single-shot traces stay clean of session keys on the wire.
-	var single bytes.Buffer
-	plain := PoissonTrace(rand.New(rand.NewSource(3)), []string{"m"}, 0.2, time.Minute, ShareGPT())
-	if err := WriteTrace(&single, plain); err != nil {
-		t.Fatal(err)
-	}
-	if s := single.String(); strings.Contains(s, "session") || strings.Contains(s, "segments") {
-		t.Error("single-shot trace leaked session/segment keys onto the wire")
 	}
 }
 

@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestParsePriority(t *testing.T) {
@@ -28,38 +25,6 @@ func TestParsePriority(t *testing.T) {
 	}
 	if PriorityHigh.Rank() <= PriorityNormal.Rank() || PriorityNormal.Rank() <= PriorityLow.Rank() {
 		t.Fatal("priority ranks must order high > normal > low")
-	}
-}
-
-// TestPriorityCodecRoundTrip checks priorities survive the JSON-Lines codec
-// and that normal priority is omitted from the wire for backward compat.
-func TestPriorityCodecRoundTrip(t *testing.T) {
-	trace := []Request{
-		{ID: "r000000", Model: "m0", Arrival: 0, InputTokens: 8, OutputTokens: 4, Priority: PriorityHigh},
-		{ID: "r000001", Model: "m1", Arrival: time.Second, InputTokens: 8, OutputTokens: 4},
-		{ID: "r000002", Model: "m0", Arrival: 2 * time.Second, InputTokens: 8, OutputTokens: 4, Priority: PriorityLow},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, trace); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.Split(buf.String(), "\n")[1], "priority") {
-		t.Fatalf("normal priority should be omitted from the wire: %s", buf.String())
-	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(trace) {
-		t.Fatalf("round-trip lost requests: %d != %d", len(got), len(trace))
-	}
-	for i := range got {
-		if got[i].Priority != trace[i].Priority {
-			t.Errorf("request %d: priority %v, want %v", i, got[i].Priority, trace[i].Priority)
-		}
-	}
-	if _, err := ReadTrace(strings.NewReader(`{"model":"m","arrival_s":0,"input_tokens":1,"output_tokens":1,"priority":"bogus"}`)); err == nil {
-		t.Fatal("bogus priority must be rejected")
 	}
 }
 
