@@ -14,10 +14,12 @@ import (
 // to within the runtime's own allocations. Each budget is the figure
 // measured under the race detector, whose runtime allocates a little more
 // per request (2.23 KiB and 11.1 objects against 2.00 and 10.2 with
-// observers off), plus 10%. The observers' bounded buffers are allocated once at
-// their bounds, and the five-minute horizon spreads that fixed cost over
-// about 1,200 requests, so it dominates the observers-on budgets: a buffer
-// that regrows or is rebuilt per request shows. With observers off the
+// observers off), plus 10%. The observers record into storage they
+// recycle: their bounded buffers are allocated once, in chunks, and the
+// five-minute horizon spreads that fixed cost over about 1,200 requests,
+// so it dominates the observers-on budgets: a record, switch or timeline
+// buffer that is allocated again per decision or per request shows (one
+// object per request is 7% of the objects budget). With observers off the
 // switch and KV-swap path allocates nothing once warm, so the few objects
 // left per request are the request's own (its record, KV sequence and
 // prefill completion) plus pools growing to their peak: a closure or event
@@ -32,7 +34,7 @@ func TestObserverAllocBudget(t *testing.T) {
 		maxKiB    float64 // heap KiB per request
 		maxAllocs float64 // heap objects per request
 	}{
-		{"observers on", true, 36.37 * 1.1, 74.6 * 1.1},
+		{"observers on", true, 31.59 * 1.1, 15.2 * 1.1},
 		{"observers off", false, 2.23 * 1.1, 11.1 * 1.1},
 	} {
 		sys, err := New(Config{GPU: "H800", PrefillGPUs: 6, DecodeGPUs: 10, NumModels: 40, Seed: 1,

@@ -476,7 +476,7 @@ func (d *decodeInstance) proceed() {
 	d.resident = b
 	b.lastRun = d.eng.Sim().Now()
 	if d.sys.obs != nil {
-		d.sys.obs.TurnStart(d.eng.Name, b.mid, b.lastRun, b.quota, requestTLs(b.reqs))
+		d.sys.obs.TurnStart(d.eng.Name, b.mid, b.lastRun, b.quota, d.sys.requestTLs(b.reqs))
 	}
 	m := b.mid
 	if cur := d.eng.Current(); cur == nil || d.eng.CurrentID() != m {
@@ -484,35 +484,36 @@ func (d *decodeInstance) proceed() {
 		// The batch stalls until the scale-up completes: it is the
 		// switch's victim set.
 		if d.sys.obs != nil {
-			d.sys.obs.SwitchVictims(d.eng.Name, requestIDs(b.reqs))
+			d.sys.obs.SwitchVictims(d.eng.Name, d.sys.requestIDs(b.reqs))
 		}
 		if j := d.sys.dec; j != nil {
 			from := ""
 			if cur != nil {
 				from = cur.Name
 			}
-			cands := make([]decision.Candidate, 0, len(d.workList))
+			jot := &d.sys.jot
+			jot.Reset()
 			for i, wb := range d.workList {
-				cands = append(cands, decision.Candidate{
+				jot.Candidate(decision.Candidate{
 					Name:   d.sys.modelName(wb.mid),
 					Chosen: i == d.turnIdx,
-					Terms: []decision.Term{
+					Terms: jot.Terms(
 						decision.NsTerm("quota", wb.quota),
 						decision.NsTerm("last_run", wb.lastRun),
-						{Name: "batch_size", Value: float64(len(wb.reqs))},
-					},
+						decision.Term{Name: "batch_size", Value: float64(len(wb.reqs))},
+					),
 				})
 			}
 			j.Record(decision.Record{At: b.lastRun, Kind: decision.KindSwitch,
 				Instance: d.eng.Name, Model: d.sys.modelName(m), Outcome: d.sys.modelName(m),
-				Reason:   "decode rotation turn (from " + from + ")",
-				Requests: requestIDs(b.reqs),
-				Inputs: []decision.Term{
+				Reason:   d.sys.reason("decode rotation turn (from ", from, ")"),
+				Requests: d.sys.requestIDs(b.reqs),
+				Inputs: jot.Terms(
 					decision.NsTerm("switch_cost", d.eng.EffectiveSwitchCost(m)),
 					decision.NsTerm("quota", b.quota),
-					{Name: "turn_index", Value: float64(d.turnIdx)},
-				},
-				Candidates: cands,
+					decision.Term{Name: "turn_index", Value: float64(d.turnIdx)},
+				),
+				Candidates: jot.Candidates(),
 			})
 		}
 		return
@@ -597,25 +598,42 @@ func (w *eventWait) fired() {
 	}
 }
 
-// requestTLs collects the collector timelines of a batch's requests
-// (observability only; callers nil-check the collector first).
-func requestTLs(reqs []*Request) []obs.Handle {
-	tls := make([]obs.Handle, len(reqs))
-	for i, r := range reqs {
-		tls[i] = r.tl
+// requestTLs returns the collector timelines of reqs in s.reqTLs, which
+// the next call overwrites (observability only; callers nil-check the
+// collector first, and the collector copies what it keeps).
+func (s *System) requestTLs(reqs []*Request) []obs.Handle {
+	s.reqTLs = s.reqTLs[:0]
+	for _, r := range reqs {
+		s.reqTLs = append(s.reqTLs, r.tl)
 	}
-	return tls
+	return s.reqTLs
 }
 
-// requestIDs collects the ids of the requests (observers and the journal
-// only; callers nil-check theirs first so the disabled path never
-// allocates).
-func requestIDs(reqs []*Request) []string {
-	ids := make([]string, len(reqs))
-	for i, r := range reqs {
-		ids[i] = r.ID
+// requestIDs returns the ids of reqs in s.reqIDs, which the next call
+// overwrites (observers and the journal only; callers nil-check theirs
+// first, and both copy what they keep).
+func (s *System) requestIDs(reqs []*Request) []string {
+	s.reqIDs = s.reqIDs[:0]
+	for _, r := range reqs {
+		s.reqIDs = append(s.reqIDs, r.ID)
 	}
-	return ids
+	return s.reqIDs
+}
+
+// reason returns prefix + name + suffix, a journal reason built from a
+// model name, building each only once: there are only as many as
+// templates times models.
+func (s *System) reason(prefix, name, suffix string) string {
+	key := [3]string{prefix, name, suffix}
+	r, ok := s.reasons[key]
+	if !ok {
+		if s.reasons == nil {
+			s.reasons = map[[3]string]string{}
+		}
+		r = prefix + name + suffix
+		s.reasons[key] = r
+	}
+	return r
 }
 
 // swapOutBatch offloads every GPU-resident sequence of the batch, appending
@@ -737,30 +755,31 @@ func (d *decodeInstance) evictKVFor(cur *dbatch) {
 	if victim != nil {
 		d.sys.obs.Evicted(d.eng.Name, d.sys.modelName(victim.mid), d.eng.Sim().Now())
 		if j := d.sys.dec; j != nil {
-			var cands []decision.Candidate
+			jot := &d.sys.jot
+			jot.Reset()
 			for _, b := range d.workList {
 				if b == cur || !b.hasGPUResidentKV() {
 					continue
 				}
-				cands = append(cands, decision.Candidate{
+				jot.Candidate(decision.Candidate{
 					Name:   d.sys.modelName(b.mid),
 					Score:  float64(b.lastRun),
 					Chosen: b == victim,
-					Terms: []decision.Term{
+					Terms: jot.Terms(
 						decision.NsTerm("last_run", b.lastRun),
-						{Name: "context_tokens", Value: float64(b.contextTokens())},
-					},
+						decision.Term{Name: "context_tokens", Value: float64(b.contextTokens())},
+					),
 				})
 			}
 			j.Record(decision.Record{At: d.eng.Sim().Now(), Kind: decision.KindKVEviction,
 				Instance: d.eng.Name, Model: d.sys.modelName(victim.mid), Outcome: d.sys.modelName(victim.mid),
-				Reason:   "LRU batch evicted for " + d.sys.modelName(cur.mid) + " swap-in",
-				Requests: requestIDs(victim.reqs),
-				Inputs: []decision.Term{
+				Reason:   d.sys.reason("LRU batch evicted for ", d.sys.modelName(cur.mid), " swap-in"),
+				Requests: d.sys.requestIDs(victim.reqs),
+				Inputs: jot.Terms(
 					decision.NsTerm("victim_last_run", victim.lastRun),
-					{Name: "victim_context_tokens", Value: float64(victim.contextTokens())},
-				},
-				Candidates: cands,
+					decision.Term{Name: "victim_context_tokens", Value: float64(victim.contextTokens())},
+				),
+				Candidates: jot.Candidates(),
 			})
 		}
 		d.swapOutBatch(victim)

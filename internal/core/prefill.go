@@ -197,7 +197,7 @@ func (p *prefillInstance) step() {
 		// stage breakdown; we attribute the stall to the waiting group.
 		p.eng.SwitchTo(m, p.switchDone)
 		if p.sys.obs != nil {
-			p.sys.obs.SwitchVictims(p.eng.Name, requestIDs(g.reqs))
+			p.sys.obs.SwitchVictims(p.eng.Name, p.sys.requestIDs(g.reqs))
 		}
 		if j := p.sys.dec; j != nil {
 			// The front group forced the switch; the journal still shows what
@@ -206,27 +206,28 @@ func (p *prefillInstance) step() {
 			if cur != nil {
 				from = cur.Name
 			}
-			cands := make([]decision.Candidate, 0, len(p.queue))
+			jot := &p.sys.jot
+			jot.Reset()
 			for i, qg := range p.queue {
-				cands = append(cands, decision.Candidate{
+				jot.Candidate(decision.Candidate{
 					Name:   p.sys.modelName(qg.mid),
 					Chosen: i == 0,
-					Terms: []decision.Term{
-						{Name: "rank", Value: float64(qg.rank)},
+					Terms: jot.Terms(
+						decision.Term{Name: "rank", Value: float64(qg.rank)},
 						decision.NsTerm("deadline", qg.deadline),
-						{Name: "group_size", Value: float64(len(qg.reqs))},
-					},
+						decision.Term{Name: "group_size", Value: float64(len(qg.reqs))},
+					),
 				})
 			}
 			j.Record(decision.Record{At: p.eng.Sim().Now(), Kind: decision.KindSwitch,
 				Instance: p.eng.Name, Model: p.sys.modelName(m), Outcome: p.sys.modelName(m),
-				Reason:   "prefill front group (from " + from + ")",
-				Requests: requestIDs(g.reqs),
-				Inputs: []decision.Term{
+				Reason:   p.sys.reason("prefill front group (from ", from, ")"),
+				Requests: p.sys.requestIDs(g.reqs),
+				Inputs: jot.Terms(
 					decision.NsTerm("switch_cost", p.eng.CostFor(m).Switch()),
-					{Name: "queued_groups", Value: float64(len(p.queue))},
-				},
-				Candidates: cands,
+					decision.Term{Name: "queued_groups", Value: float64(len(p.queue))},
+				),
+				Candidates: jot.Candidates(),
 			})
 		}
 		return

@@ -123,7 +123,7 @@ func (s *System) evacuatePrefill(p *prefillInstance) {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: p.eng.Name, Outcome: "drain_prefill",
 			Reason:   "re-home queued groups; drop device prefix copies",
-			Requests: requestIDs(owned),
+			Requests: s.requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "rehomed_requests", Value: float64(len(owned))},
 				{Name: "rehomed_prefix_bytes", Value: float64(rehomed)},
@@ -172,7 +172,7 @@ func (s *System) evacuateDecode(d *decodeInstance) {
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: d.eng.Name, Outcome: "drain_decode",
 			Reason:   "offload KV to host tier; re-dispatch as transfers land",
-			Requests: requestIDs(owned),
+			Requests: s.requestIDs(owned),
 			Inputs: []decision.Term{
 				{Name: "owned_requests", Value: float64(len(owned))},
 				{Name: "gpu_resident", Value: float64(gpuResident)},
@@ -300,7 +300,7 @@ func (s *System) revokeInstance(name string) {
 	}
 	mkt.NoteLostKV(name, lost)
 	if j := s.dec; j != nil {
-		ids := requestIDs(stragglers)
+		ids := s.requestIDs(stragglers)
 		j.Record(decision.Record{At: s.eng.Now(), Kind: decision.KindEvacuation,
 			Instance: name, Outcome: "revoked",
 			Reason:   "grace deadline; stragglers recover via crash path",

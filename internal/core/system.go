@@ -277,6 +277,15 @@ type System struct {
 
 	// Per-request decode waiting is derived at finish time.
 	kvSyncPerReq metrics.CDF // Fig. 15 right
+
+	// The observers copy what they are given, so records and batch lists
+	// are built in buffers the system reuses: jot holds a journal record's
+	// terms and candidates, reqIDs and reqTLs a batch's request ids and
+	// timeline handles, and reasons the reasons built from a model name.
+	jot     decision.Scratch
+	reqIDs  []string
+	reqTLs  []obs.Handle
+	reasons map[[3]string]string
 }
 
 // NewSystem builds a system on the simulation engine, with model ids of its
@@ -518,12 +527,12 @@ func (s *System) bestPrefill(r *Request) *prefillInstance {
 		score := time.Duration(float64(load)/capab) + pen
 		b := bid{eng: p.eng, score: float64(score), ok: ok}
 		if s.dec != nil {
-			b.terms = []decision.Term{
+			b.terms = s.jot.Terms(
 				decision.NsTerm("load", load),
-				{Name: "capability", Value: capab},
+				decision.Term{Name: "capability", Value: capab},
 				decision.NsTerm("market_penalty", pen),
 				decision.NsTerm("switch_cost", sw),
-			}
+			)
 		}
 		return b
 	})
@@ -538,7 +547,7 @@ type bid struct {
 	eng   *engine.Engine  // nil when the instance is dead
 	score float64         // lower wins
 	ok    bool            // the market allows placement on the instance
-	terms []decision.Term // the score's journal terms; nil when the journal is off
+	terms []decision.Term // the score's journal terms, in s.jot; nil when the journal is off
 }
 
 // choose is the one placement argmin behind Algorithms 1 and 2: it returns
@@ -548,12 +557,13 @@ type bid struct {
 // journal is on, the decision lands in it as one record of kind, with every
 // live instance as a candidate (excluded ones flagged) and the winner marked.
 func (s *System) choose(r *Request, kind, reason string, waivable bool, n int, score func(i int) bid) int {
-	best, chosen, cands := s.scan(n, score, false, nil)
+	best, chosen := s.scan(n, score, false)
 	if best < 0 && waivable {
 		reason = "market exclusions waived"
-		best, chosen, cands = s.scan(n, score, true, cands[:0])
+		best, chosen = s.scan(n, score, true)
 	}
 	if s.dec != nil {
+		cands := s.jot.Candidates()
 		rec := decision.Record{At: s.eng.Now(), Kind: kind, Request: r.ID, Model: r.Model.Name,
 			Outcome: "none", Reason: reason, Candidates: cands}
 		if best >= 0 {
@@ -565,11 +575,12 @@ func (s *System) choose(r *Request, kind, reason string, waivable bool, n int, s
 	return best
 }
 
-// scan is one pass of choose. It returns the winning index, the winner's
-// position in cands, and cands with this pass's candidates appended (only
-// when the journal is on).
-func (s *System) scan(n int, score func(i int) bid, waive bool, cands []decision.Candidate) (best, chosen int, _ []decision.Candidate) {
+// scan is one pass of choose. It returns the winning index and, when the
+// journal is on, the winner's position among the candidates the pass
+// left in s.jot.
+func (s *System) scan(n int, score func(i int) bid, waive bool) (best, chosen int) {
 	best, chosen = -1, -1
+	s.jot.Reset()
 	var bestScore float64
 	for i := 0; i < n; i++ {
 		b := score(i)
@@ -578,18 +589,19 @@ func (s *System) scan(n int, score func(i int) bid, waive bool, cands []decision
 		}
 		if !b.ok && !waive {
 			if s.dec != nil {
-				cands = append(cands, decision.Candidate{Name: b.eng.Name, Excluded: true})
+				s.jot.Candidate(decision.Candidate{Name: b.eng.Name, Excluded: true})
 			}
 			continue
 		}
+		c := -1
 		if s.dec != nil {
-			cands = append(cands, decision.Candidate{Name: b.eng.Name, Score: b.score, Terms: b.terms})
+			c = s.jot.Candidate(decision.Candidate{Name: b.eng.Name, Score: b.score, Terms: b.terms})
 		}
 		if best < 0 || b.score < bestScore {
-			best, chosen, bestScore = i, len(cands)-1, b.score
+			best, chosen, bestScore = i, c, b.score
 		}
 	}
-	return best, chosen, cands
+	return best, chosen
 }
 
 // marketCapability is the capability divisor aware placement normalizes load
@@ -672,15 +684,15 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 		}
 		b := bid{eng: p.eng, score: float64(score), ok: true}
 		if s.dec != nil {
-			b.terms = []decision.Term{
+			b.terms = s.jot.Terms(
 				decision.NsTerm("load", load),
 				decision.NsTerm("market_penalty", pen),
-				{Name: "matched_tokens", Value: float64(matched)},
-				{Name: "on_device_tokens", Value: float64(onDevice)},
+				decision.Term{Name: "matched_tokens", Value: float64(matched)},
+				decision.Term{Name: "on_device_tokens", Value: float64(onDevice)},
 				decision.NsTerm("prefill_saved", saved),
 				decision.NsTerm("copy_cost", copyCost),
 				decision.NsTerm("prefix_credit", credit),
-			}
+			)
 		}
 		return b
 	})
@@ -744,12 +756,12 @@ func (s *System) bestDecode(r *Request) *decodeInstance {
 		load := float64(d.load())
 		b := bid{eng: d.eng, score: load/capab + pen, ok: ok}
 		if s.dec != nil {
-			b.terms = []decision.Term{
-				{Name: "load", Value: load},
-				{Name: "capability", Value: capab},
-				{Name: "market_penalty", Value: pen},
+			b.terms = s.jot.Terms(
+				decision.Term{Name: "load", Value: load},
+				decision.Term{Name: "capability", Value: capab},
+				decision.Term{Name: "market_penalty", Value: pen},
 				decision.NsTerm("switch_cost", sw),
-			}
+			)
 		}
 		return b
 	})

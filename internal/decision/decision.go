@@ -9,8 +9,10 @@
 // The Journal is the single sink. Like obs.Collector and fleetobs.Ledger it
 // is nil-safe everywhere: a nil *Journal records nothing, and call sites
 // nil-check before building candidate slices, so the serving hot paths pay
-// one pointer comparison when provenance is off (benchmarked at zero
-// allocations).
+// one pointer comparison when provenance is off. With the journal on, each
+// record is copied once into a slot the journal recycles, and call sites
+// build their slices in a Scratch they reuse, so recording is benchmarked
+// at zero allocations either way.
 //
 // Everything retained is bounded: the flat record ring, the per-request
 // chain index, and each chain's length have caps, so a long-running
@@ -27,6 +29,7 @@ import (
 	"sort"
 	"sync"
 
+	"aegaeon/internal/chunk"
 	"aegaeon/internal/sim"
 )
 
@@ -128,28 +131,50 @@ const (
 // Journal receives decision records from every policy site. All methods are
 // safe on a nil receiver (no-ops) and safe for concurrent use: the
 // simulation goroutine writes while debug handlers snapshot.
+//
+// Each record is stored once, in a slot the journal owns: the ring and every
+// chain the record is linked to hold the slot, not a copy. A slot goes back
+// on the free list once the ring has rotated past it and no chain holds it,
+// and the next record to take it reuses its buffers. Chain buffers are
+// recycled the same way, so a warmed journal allocates nothing per record.
 type Journal struct {
-	mu         sync.Mutex
-	seq        uint64
-	ring       []Record // allocated at maxRecords by the first Record
-	next       int
-	total      uint64
-	chains     map[string][]Record
-	chainOrder []string
-	counts     map[string]map[string]uint64 // kind -> outcome -> n
+	mu     sync.Mutex
+	seq    uint64
+	ring   []*slot // grows to maxRecords, then rotates at next
+	next   int
+	total  uint64
+	chains map[string][]*slot
+	// order lists the chained requests oldest first, as a ring: once it
+	// holds maxRequests, the oldest is at orderHead.
+	order     []string
+	orderHead int
+	counts    map[string]map[string]uint64 // kind -> outcome -> n
+
+	slots chunk.Pool[slot]
+	terms chunk.Pool[Term]
+	cands chunk.Pool[Candidate]
+	ids   chunk.Pool[string]
+	links chunk.Pool[*slot] // chain buffers
 }
 
-// New builds a journal.
+// slot is one stored record. terms backs every candidate's Terms. refs
+// counts the ring's hold and each chain link.
+type slot struct {
+	rec   Record
+	terms []Term
+	refs  int
+}
+
+// New builds a journal. It allocates nothing until the first record.
 func New(Options) *Journal {
-	return &Journal{
-		chains: map[string][]Record{},
-		counts: map[string]map[string]uint64{},
-	}
+	return &Journal{}
 }
 
-// Record journals one decision: assigns its sequence number, pushes it into
-// the ring, bumps the kind/outcome counter, and appends it to the chain of
-// every linked request.
+// Record journals one decision: assigns its sequence number, stores a copy
+// in a journal-owned slot, pushes the slot into the ring, bumps the
+// kind/outcome counter, and appends the slot to the chain of every linked
+// request. The journal keeps none of r's slices, so a call site may build
+// them in buffers it reuses.
 func (j *Journal) Record(r Record) {
 	if j == nil {
 		return
@@ -157,17 +182,21 @@ func (j *Journal) Record(r Record) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq++
-	r.Seq = j.seq
-	if j.ring == nil {
-		j.ring = make([]Record, 0, maxRecords)
+	j.total++
+	if len(j.ring) == maxRecords {
+		j.releaseLocked(j.ring[j.next])
 	}
+	s := j.storeLocked(r)
 	if len(j.ring) < maxRecords {
-		j.ring = append(j.ring, r)
+		j.ring = append(j.ring, s)
 	} else {
-		j.ring[j.next] = r
+		j.ring[j.next] = s
 		j.next = (j.next + 1) % maxRecords
 	}
-	j.total++
+	if j.counts == nil {
+		j.counts = map[string]map[string]uint64{}
+		j.chains = map[string][]*slot{}
+	}
 	m := j.counts[r.Kind]
 	if m == nil {
 		m = map[string]uint64{}
@@ -175,12 +204,44 @@ func (j *Journal) Record(r Record) {
 	}
 	m[r.Outcome]++
 	if r.Request != "" {
-		j.linkLocked(r.Request, r)
+		j.linkLocked(r.Request, s)
 	}
 	for _, id := range r.Requests {
 		if id != r.Request {
-			j.linkLocked(id, r)
+			j.linkLocked(id, s)
 		}
+	}
+}
+
+// storeLocked copies r into a free slot, reusing the slot's buffers, and
+// returns it held once (by the ring).
+func (j *Journal) storeLocked(r Record) *slot {
+	s := j.slots.New()
+	old := s.rec
+	s.rec = r
+	s.rec.Seq = j.seq
+	s.rec.Inputs = append(j.terms.Fit(old.Inputs, len(r.Inputs)), r.Inputs...)
+	s.rec.Requests = append(j.ids.Fit(old.Requests, len(r.Requests)), r.Requests...)
+	n := 0
+	for _, c := range r.Candidates {
+		n += len(c.Terms)
+	}
+	s.terms = j.terms.Fit(s.terms, n)
+	s.rec.Candidates = j.cands.Fit(old.Candidates, len(r.Candidates))
+	for _, c := range r.Candidates {
+		at := len(s.terms)
+		s.terms = append(s.terms, c.Terms...)
+		c.Terms = s.terms[at:len(s.terms):len(s.terms)]
+		s.rec.Candidates = append(s.rec.Candidates, c)
+	}
+	s.refs = 1
+	return s
+}
+
+// releaseLocked drops one hold on s, freeing it with the last.
+func (j *Journal) releaseLocked(s *slot) {
+	if s.refs--; s.refs == 0 {
+		j.slots.Free(s)
 	}
 }
 
@@ -189,21 +250,61 @@ func (j *Journal) Record(r Record) {
 // rarely regrow.
 const newChainCap = 8
 
-func (j *Journal) linkLocked(id string, r Record) {
+func (j *Journal) linkLocked(id string, s *slot) {
 	chain, ok := j.chains[id]
 	if !ok {
-		for len(j.chainOrder) >= maxRequests {
-			delete(j.chains, j.chainOrder[0])
-			j.chainOrder = j.chainOrder[1:]
+		if len(j.order) < maxRequests {
+			j.order = append(j.order, id)
+		} else {
+			// Evict the oldest chain whole and recycle its buffer.
+			old := j.order[j.orderHead]
+			for _, held := range j.chains[old] {
+				j.releaseLocked(held)
+			}
+			j.links.Put(j.chains[old])
+			delete(j.chains, old)
+			j.order[j.orderHead] = id
+			j.orderHead = (j.orderHead + 1) % maxRequests
 		}
-		j.chainOrder = append(j.chainOrder, id)
-		chain = make([]Record, 0, min(newChainCap, maxPerChain))
+		chain = j.links.Get(min(newChainCap, maxPerChain))
 	}
 	if len(chain) >= maxPerChain {
 		// Keep the head (admission) and the recent tail.
+		j.releaseLocked(chain[1])
 		chain = append(chain[:1], chain[2:]...)
 	}
-	j.chains[id] = append(chain, r)
+	s.refs++
+	j.chains[id] = j.links.Append(chain, s)
+}
+
+// copyRecord returns r with its own copies of every slice, so the caller
+// holds nothing the journal will reuse.
+func copyRecord(r Record) Record {
+	r.Inputs, r.Requests, r.Candidates = clone(r.Inputs), clone(r.Requests), clone(r.Candidates)
+	for i := range r.Candidates {
+		r.Candidates[i].Terms = clone(r.Candidates[i].Terms)
+	}
+	return r
+}
+
+// clone copies s, nil when it is empty.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
+// copyChainLocked deep-copies one chain. Caller holds j.mu.
+func copyChainLocked(chain []*slot) []Record {
+	if chain == nil {
+		return nil
+	}
+	out := make([]Record, len(chain))
+	for i, s := range chain {
+		out[i] = copyRecord(s.rec)
+	}
+	return out
 }
 
 // Chain returns a copy of one request's decision chain, in record order
@@ -214,7 +315,7 @@ func (j *Journal) Chain(id string) []Record {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Record(nil), j.chains[id]...)
+	return copyChainLocked(j.chains[id])
 }
 
 // Recent returns copies of the most recent retained records in sequence
@@ -225,15 +326,19 @@ func (j *Journal) Recent(n int, kind string) []Record {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Record, 0, len(j.ring))
-	for i := 0; i < len(j.ring); i++ {
-		rec := j.ring[(j.next+i)%len(j.ring)]
-		if kind == "" || rec.Kind == kind {
-			out = append(out, rec)
+	var keep []*slot
+	for i := range j.ring {
+		s := j.ring[(j.next+i)%len(j.ring)]
+		if kind == "" || s.rec.Kind == kind {
+			keep = append(keep, s)
 		}
 	}
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
+	if n > 0 && len(keep) > n {
+		keep = keep[len(keep)-n:]
+	}
+	out := make([]Record, len(keep))
+	for i, s := range keep {
+		out[i] = copyRecord(s.rec)
 	}
 	return out
 }
@@ -255,7 +360,7 @@ func (j *Journal) TrackedRequests() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.chainOrder)
+	return len(j.order)
 }
 
 // KindCount is one (kind, outcome) counter, for metrics exposition.
@@ -296,12 +401,9 @@ func (j *Journal) Chains() []ChainExport {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]ChainExport, 0, len(j.chainOrder))
-	for _, id := range j.chainOrder {
-		out = append(out, ChainExport{
-			Request: id,
-			Records: append([]Record(nil), j.chains[id]...),
-		})
+	out := make([]ChainExport, 0, len(j.order))
+	for _, id := range j.order {
+		out = append(out, ChainExport{Request: id, Records: copyChainLocked(j.chains[id])})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Request < out[k].Request })
 	return out
@@ -467,3 +569,36 @@ func BoolTerm(name string, v bool) Term {
 	}
 	return t
 }
+
+// Scratch holds the terms and candidates of the record a call site is
+// building, in buffers reused from one record to the next. Record keeps
+// none of the slices it is given, so a call site that owns a Scratch
+// journals without allocating once the buffers have grown. The zero
+// Scratch is ready to use; it is not safe for concurrent use.
+type Scratch struct {
+	terms []Term
+	cands []Candidate
+}
+
+// Reset empties the buffers for the next record. What earlier calls
+// returned is overwritten from here on.
+func (s *Scratch) Reset() {
+	s.terms, s.cands = s.terms[:0], s.cands[:0]
+}
+
+// Terms copies ts into the buffer and returns the copy: one candidate's
+// Terms, or a record's Inputs.
+func (s *Scratch) Terms(ts ...Term) []Term {
+	at := len(s.terms)
+	s.terms = append(s.terms, ts...)
+	return s.terms[at:len(s.terms):len(s.terms)]
+}
+
+// Candidate appends c to the candidates and returns its index.
+func (s *Scratch) Candidate(c Candidate) int {
+	s.cands = append(s.cands, c)
+	return len(s.cands) - 1
+}
+
+// Candidates returns the candidates appended since Reset.
+func (s *Scratch) Candidates() []Candidate { return s.cands }

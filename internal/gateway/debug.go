@@ -93,7 +93,7 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	flat := make([]flatEvent, len(events))
 	for i, e := range events {
 		flat[i] = flatEvent{AtS: e.At.Seconds(), Kind: e.Kind.String(),
-			Instance: e.Instance, Subject: e.Subject, Detail: e.Detail}
+			Instance: e.Instance, Subject: e.Subject, Detail: e.Detail()}
 	}
 	switches, switchesTotal := c.Switches()
 	if len(switches) > last {

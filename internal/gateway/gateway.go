@@ -144,6 +144,7 @@ type Gateway struct {
 	statuses  map[int]uint64    // HTTP code -> responses
 	breakers  map[string]*fault.Breaker
 	bucket    tokenBucket
+	jot       decision.Scratch // an admission record's inputs
 	drained   chan struct{}
 	drainOnce sync.Once
 
@@ -466,15 +467,19 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 // records are stamped no earlier. Must be called with g.mu held.
 func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 	prio workload.Priority, inTok int, outcome string) {
-	inputs := []decision.Term{
+	in := [...]decision.Term{
 		{Name: "inflight", Value: float64(g.inflight)},
 		{Name: "queued_model", Value: float64(g.queued[model])},
 		{Name: "priority", Value: float64(prio)},
 		{Name: "input_tokens", Value: float64(inTok)},
+		{Name: "overload_level"},
 	}
+	n := len(in) - 1
 	if g.ctl != nil {
-		inputs = append(inputs, decision.Term{Name: "overload_level", Value: float64(g.ctl.Level())})
+		in[n].Value = float64(g.ctl.Level())
+		n++
 	}
+	g.jot.Reset()
 	j.Record(decision.Record{
 		At:      g.drv.VirtualNow(),
 		Kind:    decision.KindAdmission,
@@ -482,7 +487,7 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		Model:   model,
 		Outcome: outcome,
 		Reason:  "gateway edge admission",
-		Inputs:  inputs,
+		Inputs:  g.jot.Terms(in[:n]...),
 	})
 }
 

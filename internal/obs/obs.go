@@ -9,21 +9,25 @@
 // *Collector records nothing and allocates nothing, so the serving hot paths
 // pay one pointer comparison when observability is off. Flat events live in
 // one bounded Ring (ring.go): every collector method that corresponds to a
-// scheduler event also emits the matching Event into it. Faults, recoveries
-// and retries are also kept in a separate small ring, so token-batch traffic
-// never pushes them out of the Perfetto export.
+// scheduler event also emits the matching Event into it, and an event's
+// detail text is formatted when it is read, not when it is emitted. Faults,
+// recoveries and retries are also kept in a separate small ring, so
+// token-batch traffic never pushes them out of the Perfetto export.
 //
 // Everything the collector retains is bounded: request timelines, per-engine
 // op rings, switch records, and per-request token stamps all have caps, so a
-// long-running gateway's memory stays flat.
+// long-running gateway's memory stays flat. Timelines and switch records are
+// recycled in their slots with their buffers, which are taken in chunks, so
+// a warmed collector allocates nothing per token, per turn or per switch
+// (benchmarked at zero allocations).
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"aegaeon/internal/chunk"
 	"aegaeon/internal/gpu"
 	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
@@ -247,7 +251,26 @@ type Collector struct {
 	swTotal  uint64
 	open     map[string]*SwitchRecord // instance -> in-flight switch
 	turnSet  map[string][]Handle      // instance -> timelines of current turn
+
+	// Recycled storage. A timeline slot and a switch ring slot each keep
+	// their buffers for their next occupant; these pools carve new ones in
+	// chunks and take back those a buffer outgrew.
+	timelines chunk.Pool[RequestTimeline]
+	stamps    chunk.Pool[sim.Time]
+	spans     chunk.Pool[Span]
+	records   chunk.Pool[SwitchRecord]
+	stages    chunk.Pool[SwitchStage]
+	victims   chunk.Pool[string]
 }
+
+// The buffers a new timeline or switch record starts with: a timeline's
+// token stamps at their cap, and about what most timelines and switches
+// need of the rest.
+const (
+	newTimelineSpans = 16
+	newSwitchStages  = 4
+	newSwitchVictims = 4
+)
 
 // New builds a collector.
 func New(Options) *Collector {
@@ -372,7 +395,7 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 	if c == nil {
 		return Handle{}
 	}
-	c.ring.Emit(Event{At: at, Kind: KindArrival, Subject: id, Detail: model})
+	c.ring.Emit(Event{At: at, Kind: KindArrival, Subject: id, detail: model})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if slot, ok := c.reqs[id]; ok {
@@ -384,10 +407,14 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 		c.freeSlot = c.freeSlot[:n-1]
 	} else {
 		slot = int32(len(c.slots))
-		c.slots = append(c.slots, tlSlot{gen: 1, t: &RequestTimeline{}})
+		c.slots = append(c.slots, tlSlot{gen: 1, t: c.timelines.New()})
 	}
 	t := c.slots[slot].t
-	*t = RequestTimeline{ID: id, Model: model, Arrival: at, Spans: t.Spans[:0], Tokens: t.Tokens[:0]}
+	spans, tokens := t.Spans[:0], t.Tokens[:0]
+	if tokens == nil { // a new slot
+		spans, tokens = c.spans.Get(newTimelineSpans), c.stamps.Get(maxTokensPerRequest)
+	}
+	*t = RequestTimeline{ID: id, Model: model, Arrival: at, Spans: spans, Tokens: tokens}
 	t.openSpan(spanQueueWait, at)
 	c.reqs[id] = slot
 	c.reqOrder = append(c.reqOrder, slot)
@@ -405,13 +432,13 @@ func (t *RequestTimeline) openSpan(k spanKind, at sim.Time) {
 	}
 }
 
-// closeSpan closes the span of kind k if open (caller holds c.mu).
-func (t *RequestTimeline) closeSpan(k spanKind, at sim.Time) {
+// closeSpan closes t's span of kind k if open (caller holds c.mu).
+func (c *Collector) closeSpan(t *RequestTimeline, k spanKind, at sim.Time) {
 	if t.openMask&(1<<k) == 0 {
 		return
 	}
 	t.openMask &^= 1 << k
-	t.Spans = append(t.Spans, Span{Name: spanNames[k], Start: t.open[k], End: at})
+	t.Spans = c.spans.Append(t.Spans, Span{Name: spanNames[k], Start: t.open[k], End: at})
 }
 
 // PrefillStart closes the queue-wait span and opens the prefill span of the
@@ -424,7 +451,7 @@ func (c *Collector) PrefillStart(instance, id string, h Handle, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.resolve(h); t != nil {
-		t.closeSpan(spanQueueWait, at)
+		c.closeSpan(t, spanQueueWait, at)
 		t.openSpan(spanPrefill, at)
 	}
 }
@@ -439,11 +466,11 @@ func (c *Collector) RequestSpan(instance, id, name, detail string, start, end si
 		return
 	}
 	c.ring.Emit(Event{At: end, Kind: KindPrefix, Instance: instance, Subject: id,
-		Detail: name + " " + detail})
+		detail: name + " " + detail})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.timeline(id); t != nil {
-		t.Spans = append(t.Spans, Span{Name: name, Detail: detail, Start: start, End: end})
+		t.Spans = c.spans.Append(t.Spans, Span{Name: name, Detail: detail, Start: start, End: end})
 	}
 }
 
@@ -457,7 +484,7 @@ func (c *Collector) PrefillDone(instance, id string, h Handle, at sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.resolve(h); t != nil {
-		t.closeSpan(spanPrefill, at)
+		c.closeSpan(t, spanPrefill, at)
 		t.openSpan(spanDecodeWait, at)
 	}
 }
@@ -468,15 +495,14 @@ func (c *Collector) TurnStart(instance string, model model.ID, at sim.Time, quot
 	if c == nil {
 		return
 	}
-	detail := fmt.Sprintf("%d reqs, quota %.2fs", len(reqs), quota.Seconds())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ring.Emit(Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: c.models.Name(model),
-		Detail: detail})
+		form: detailTurn, n: int32(len(reqs)), quota: quota})
 	c.turnSet[instance] = append(c.turnSet[instance][:0], reqs...)
 	for _, h := range reqs {
 		if t := c.resolve(h); t != nil {
-			t.closeSpan(spanDecodeWait, at)
+			c.closeSpan(t, spanDecodeWait, at)
 			t.openSpan(spanDecodeTurn, at)
 		}
 	}
@@ -493,31 +519,13 @@ func (c *Collector) TurnEnd(instance string, model model.ID, at sim.Time) {
 	c.ring.Emit(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: c.models.Name(model)})
 	for _, h := range c.turnSet[instance] {
 		if t := c.resolve(h); t != nil {
-			t.closeSpan(spanDecodeTurn, at)
+			c.closeSpan(t, spanDecodeTurn, at)
 			if !t.Done {
 				t.openSpan(spanDecodeWait, at)
 			}
 		}
 	}
 	c.turnSet[instance] = c.turnSet[instance][:0]
-}
-
-// tokenBatchDetails holds the token-batch detail text for batch sizes below
-// its length, so a decode step formats nothing.
-var tokenBatchDetails = func() (d [256]string) {
-	for n := range d {
-		d[n] = tokenBatchDetailf(n)
-	}
-	return d
-}()
-
-func tokenBatchDetailf(n int) string { return fmt.Sprintf("%d tokens", n) }
-
-func tokenBatchDetail(n int) string {
-	if n < len(tokenBatchDetails) {
-		return tokenBatchDetails[n]
-	}
-	return tokenBatchDetailf(n)
 }
 
 // TokenBatch records one decode step of model producing a token for each
@@ -529,7 +537,7 @@ func (c *Collector) TokenBatch(instance string, model model.ID, at sim.Time, req
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ring.Emit(Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: c.models.Name(model),
-		Detail: tokenBatchDetail(len(reqs))})
+		form: detailTokens, n: int32(len(reqs))})
 	for _, h := range reqs {
 		c.tokenLocked(h, at)
 	}
@@ -578,7 +586,7 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 		return
 	}
 	for k := spanKind(0); k < numSpanKinds; k++ {
-		t.closeSpan(k, at)
+		c.closeSpan(t, k, at)
 	}
 	t.Done = true
 	t.Finished = at
@@ -587,13 +595,13 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 // Fault records an injected or detected failure (instance crash, transfer
 // error window, fetch failure, store partition, rejected request).
 func (c *Collector) Fault(instance, kind, detail string, at sim.Time) {
-	c.fault(Event{At: at, Kind: KindFailure, Instance: instance, Subject: kind, Detail: detail})
+	c.fault(Event{At: at, Kind: KindFailure, Instance: instance, Subject: kind, detail: detail})
 }
 
 // Recovery records a completed recovery action (failover, orphan
 // re-dispatch, breaker close).
 func (c *Collector) Recovery(instance, detail string, at sim.Time) {
-	c.fault(Event{At: at, Kind: KindRecovery, Instance: instance, Detail: detail})
+	c.fault(Event{At: at, Kind: KindRecovery, Instance: instance, detail: detail})
 }
 
 // Retry records one backoff retry (fetch, transfer, or metastore op).
@@ -617,17 +625,29 @@ func (c *Collector) BeginSwitch(instance, from, to string, at sim.Time, reinitAv
 	if c == nil {
 		return
 	}
-	c.ring.Emit(Event{At: at, Kind: KindSwitchStart, Instance: instance, Subject: to, Detail: "from " + from})
+	c.ring.Emit(Event{At: at, Kind: KindSwitchStart, Instance: instance, Subject: to, form: detailFrom, detail: from})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec := &SwitchRecord{Instance: instance, From: from, To: to, Start: at, ReinitAvoided: reinitAvoided}
-	c.open[instance] = rec
+	var rec *SwitchRecord
 	if len(c.switches) < maxSwitches {
+		rec = c.records.New()
 		c.switches = append(c.switches, rec)
 	} else {
-		c.switches[c.swNext] = rec
+		// Reuse the oldest record in place, unless its switch is somehow
+		// still in flight: that one keeps its record.
+		if rec = c.switches[c.swNext]; c.open[rec.Instance] == rec {
+			rec = c.records.New()
+			c.switches[c.swNext] = rec
+		}
 		c.swNext = (c.swNext + 1) % maxSwitches
 	}
+	stages, victims := rec.Stages[:0], rec.Victims[:0]
+	if stages == nil { // a new record
+		stages, victims = c.stages.Get(newSwitchStages), c.victims.Get(newSwitchVictims)
+	}
+	*rec = SwitchRecord{Instance: instance, From: from, To: to, Start: at, ReinitAvoided: reinitAvoided,
+		Stages: stages, Victims: victims}
+	c.open[instance] = rec
 	c.swTotal++
 }
 
@@ -644,7 +664,7 @@ func (c *Collector) SwitchStage(instance, stage string, start, end sim.Time) {
 		rec = c.lastSwitchLocked(instance)
 	}
 	if rec != nil {
-		rec.Stages = append(rec.Stages, SwitchStage{Name: stage, Start: start, End: end})
+		rec.Stages = c.stages.Append(rec.Stages, SwitchStage{Name: stage, Start: start, End: end})
 	}
 }
 
@@ -661,7 +681,7 @@ func (c *Collector) SwitchVictims(instance string, reqIDs []string) {
 	if rec == nil || rec.done {
 		return
 	}
-	rec.Victims = append(rec.Victims, reqIDs...)
+	rec.Victims = c.victims.Append(rec.Victims, reqIDs...)
 }
 
 // EndSwitch closes the instance's in-flight switch, settles its stall, and
@@ -685,7 +705,7 @@ func (c *Collector) EndSwitch(instance string, at sim.Time) {
 	for _, id := range rec.Victims {
 		if t := c.timeline(id); t != nil {
 			t.SwitchStall += rec.Stall
-			t.Spans = append(t.Spans, Span{Name: "switch-stall", Detail: rec.DominantStage, Start: rec.Start, End: at})
+			t.Spans = c.spans.Append(t.Spans, Span{Name: "switch-stall", Detail: rec.DominantStage, Start: rec.Start, End: at})
 		}
 	}
 }

@@ -82,8 +82,8 @@ func TestRequestSpanLifecycle(t *testing.T) {
 	}
 }
 
-// TestTokenBatchDetail: the token-batch ring event keeps its "%d tokens"
-// text on both sides of the precomputed table, and a decode step of
+// TestTokenBatchDetail: the token-batch ring event reads back its "%d
+// tokens" text, which Detail formats when read, and a decode step of
 // untracked requests emits without allocating.
 func TestTokenBatchDetail(t *testing.T) {
 	c := New(Options{})
@@ -96,8 +96,8 @@ func TestTokenBatchDetail(t *testing.T) {
 		t.Fatalf("ring holds %d events, want %d", len(events), len(sizes))
 	}
 	for i, n := range sizes {
-		if want := fmt.Sprintf("%d tokens", n); events[i].Detail != want {
-			t.Errorf("detail for %d tokens = %q, want %q", n, events[i].Detail, want)
+		if want := fmt.Sprintf("%d tokens", n); events[i].Detail() != want {
+			t.Errorf("detail for %d tokens = %q, want %q", n, events[i].Detail(), want)
 		}
 	}
 	hs := make([]Handle, 3)

@@ -234,13 +234,13 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 			Name: name, Ph: "i", Cat: "fault", S: "g",
 			Ts: usec(ev.At), Pid: pidFaults, Tid: tid,
 		}
-		if ev.Instance != "" || ev.Detail != "" {
+		if detail := ev.Detail(); ev.Instance != "" || detail != "" {
 			fe.Args = map[string]any{}
 			if ev.Instance != "" {
 				fe.Args["instance"] = ev.Instance
 			}
-			if ev.Detail != "" {
-				fe.Args["detail"] = ev.Detail
+			if detail != "" {
+				fe.Args["detail"] = detail
 			}
 		}
 		events = append(events, fe)

@@ -44,13 +44,41 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one flat event record.
+// Event is one flat event record. Its detail text is formatted when read,
+// by Detail, not when the event is emitted.
 type Event struct {
 	At       time.Duration // virtual time
 	Kind     Kind
+	form     detailForm // how Detail renders detail, n and quota
+	n        int32
 	Instance string // instance name ("" for system-level events)
 	Subject  string // request id or model name
-	Detail   string // free-form; keep short
+	detail   string
+	quota    time.Duration
+}
+
+// detailForm is how an event's Detail is rendered from what its emitter
+// stored.
+type detailForm uint8
+
+const (
+	detailText   detailForm = iota // detail as is
+	detailFrom                     // "from <detail>": a switch's old model
+	detailTokens                   // "<n> tokens": a token batch
+	detailTurn                     // "<n> reqs, quota <quota>s": a decode turn
+)
+
+// Detail returns the event's free-form detail ("" if none).
+func (e Event) Detail() string {
+	switch e.form {
+	case detailFrom:
+		return "from " + e.detail
+	case detailTokens:
+		return fmt.Sprintf("%d tokens", e.n)
+	case detailTurn:
+		return fmt.Sprintf("%d reqs, quota %.2fs", e.n, e.quota.Seconds())
+	}
+	return e.detail
 }
 
 func (e Event) String() string {
@@ -62,8 +90,8 @@ func (e Event) String() string {
 	if e.Subject != "" {
 		fmt.Fprintf(&b, " %s", e.Subject)
 	}
-	if e.Detail != "" {
-		fmt.Fprintf(&b, " (%s)", e.Detail)
+	if d := e.Detail(); d != "" {
+		fmt.Fprintf(&b, " (%s)", d)
 	}
 	return b.String()
 }
@@ -76,11 +104,12 @@ func (e Event) String() string {
 // mutex (uncontended in batch simulations, where everything runs on one
 // goroutine).
 type Ring struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   int
-	total  uint64
-	counts [numKinds]uint64
+	mu       sync.Mutex
+	buf      []Event // allocated at capacity by the first Emit
+	capacity int
+	next     int
+	total    uint64
+	counts   [numKinds]uint64
 }
 
 // newRing returns a ring retaining the most recent capacity events.
@@ -88,7 +117,7 @@ func newRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("obs: non-positive ring capacity")
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Emit records an event. Nil-safe.
@@ -102,12 +131,15 @@ func (r *Ring) Emit(e Event) {
 	if int(e.Kind) < len(r.counts) {
 		r.counts[e.Kind]++
 	}
-	if len(r.buf) < cap(r.buf) {
+	if r.buf == nil {
+		r.buf = make([]Event, 0, r.capacity)
+	}
+	if len(r.buf) < r.capacity {
 		r.buf = append(r.buf, e)
 		return
 	}
 	r.buf[r.next] = e
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % r.capacity
 }
 
 // Total returns the number of events ever emitted (including evicted ones).

@@ -41,7 +41,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestRingSummary(t *testing.T) {
 	r := newRing(8)
-	r.Emit(Event{At: 1500 * time.Millisecond, Kind: KindTurnStart, Instance: "decode0", Subject: "Qwen-7B", Detail: "3 reqs"})
+	r.Emit(Event{At: 1500 * time.Millisecond, Kind: KindTurnStart, Instance: "decode0", Subject: "Qwen-7B", detail: "3 reqs"})
 	if !strings.Contains(r.Summary(), "turn-start=1") {
 		t.Errorf("summary = %q", r.Summary())
 	}

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"aegaeon/internal/chunk"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/kvcache"
 	"aegaeon/internal/memory"
@@ -111,34 +112,6 @@ type devTier struct {
 	victims victimHeap // unpinned device leaves on this tier
 }
 
-// arenaChunk is how many entries, copies or copy slots one arena refill
-// allocates.
-const arenaChunk = 256
-
-// recycler hands out objects from a free list, refilled from arena chunks,
-// so a cache at steady state allocates nothing. Callers zero what they put
-// back or overwrite what they get.
-type recycler[T any] struct {
-	free  []*T
-	arena []T
-}
-
-func (r *recycler[T]) get() *T {
-	if n := len(r.free); n > 0 {
-		x := r.free[n-1]
-		r.free = r.free[:n-1]
-		return x
-	}
-	if len(r.arena) == 0 {
-		r.arena = make([]T, arenaChunk)
-	}
-	x := &r.arena[0]
-	r.arena = r.arena[1:]
-	return x
-}
-
-func (r *recycler[T]) put(x *T) { r.free = append(r.free, x) }
-
 // Cache is the global prefix cache. All methods are safe for concurrent use:
 // the simulator core runs single-threaded, but gateway scrape handlers and
 // race tests touch the cache from other goroutines.
@@ -162,12 +135,13 @@ type Cache struct {
 	hostVictims victimHeap
 
 	// Recycled storage: host-evicted entries, evicted or dropped device
-	// copies, and the unused tail of the arena that entries' copy slots are
-	// carved from. scratch holds the chain of the current walk or insert.
-	entries   recycler[entry]
-	copies    recycler[devCopy]
-	slotArena []*devCopy
-	scratch   []*entry
+	// copies, and entries' copy slots. scratch holds the chain of the
+	// current walk or insert.
+	entries chunk.Pool[entry]
+	copies  chunk.Pool[devCopy]
+	slots   chunk.Pool[*devCopy]
+	scratch []*entry
+	jot     decision.Scratch // an eviction record's inputs
 
 	st       stats
 	perModel map[string]*ModelStats
@@ -316,21 +290,16 @@ func (c *Cache) tierIndex(instance string) int {
 // freeCopy zeroes and recycles a device copy that has left its heap.
 func (c *Cache) freeCopy(d *devCopy) {
 	*d = devCopy{}
-	c.copies.put(d)
+	c.copies.Free(d)
 }
 
 // setCopy records d as e's copy on tier t, first giving e one slot per
-// attached tier if it has fewer. Slots are carved from an arena, and a
-// recycled entry keeps its own.
+// attached tier if it has fewer. A recycled entry keeps its slots.
 func (c *Cache) setCopy(e *entry, t int, d *devCopy) {
 	if t >= len(e.dev) {
-		n := len(c.tiers)
-		if len(c.slotArena) < n {
-			c.slotArena = make([]*devCopy, max(arenaChunk, n))
-		}
-		slots := c.slotArena[:n:n]
-		c.slotArena = c.slotArena[n:]
+		slots := c.slots.Get(len(c.tiers))[:len(c.tiers)]
 		copy(slots, e.dev)
+		c.slots.Put(e.dev)
 		e.dev = slots
 	}
 	e.dev[t] = d
@@ -526,7 +495,7 @@ func (c *Cache) promote(e *entry, t int, now sim.Time) bool {
 		// rather than fight the serving path for VRAM.
 		return false
 	}
-	d := c.copies.get()
+	d := c.copies.New()
 	*d = devCopy{block: b, slot: heapSlot{e: e}}
 	c.setCopy(e, t, d)
 	tier.bytes += e.blockBytes
@@ -606,7 +575,7 @@ func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens in
 			}
 		}
 		// A recycled entry keeps its copy slots, all nil since its removal.
-		e := c.entries.get()
+		e := c.entries.New()
 		*e = entry{model: m, hash: hsh, depth: k + 1, parent: parent, refs: 1, lastUse: now,
 			blockBytes: ci.blockBytes, hostBlock: b, dev: e.dev}
 		e.host.e = e
@@ -656,16 +625,17 @@ func (c *Cache) journalEviction(tier, instance string, v *entry) {
 	if c.cfg.Clock != nil {
 		at = c.cfg.Clock()
 	}
+	c.jot.Reset()
 	j.Record(decision.Record{At: at, Kind: decision.KindPrefixEviction,
 		Instance: instance, Model: v.model,
 		Outcome: tier,
 		Reason:  fmt.Sprintf("lru victim %x@%d", v.hash, v.depth),
-		Inputs: []decision.Term{
-			{Name: "depth", Value: float64(v.depth)},
-			{Name: "hits", Value: float64(v.hits)},
+		Inputs: c.jot.Terms(
+			decision.Term{Name: "depth", Value: float64(v.depth)},
+			decision.Term{Name: "hits", Value: float64(v.hits)},
 			decision.NsTerm("last_use", v.lastUse),
-			{Name: "block_bytes", Value: float64(v.blockBytes)},
-		}})
+			decision.Term{Name: "block_bytes", Value: float64(v.blockBytes)},
+		)})
 }
 
 // hostVictim reports whether e may be evicted from the host tier: it is an
@@ -723,7 +693,7 @@ func (c *Cache) removeEntry(e *entry) {
 	// orphan the map and lose the entries inserted after the eviction.
 	delete(c.index[e.model], e.hash)
 	*e = entry{dev: e.dev}
-	c.entries.put(e)
+	c.entries.Free(e)
 }
 
 // ensureDeviceRoom evicts tier-local device copies until bb more bytes fit

@@ -48,6 +48,9 @@ var unreachedByEntryPoints = map[string]string{
 	"prefixcache.Cache.evictHostOne": "TestEvictionNeverReclaimsPinned: the host tier's cap " +
 		"is a share of the CPU KV pool, which no CLI or bench run fills (host_evictions 0)",
 	"prefixcache.Cache.removeEntry": "TestEvictionNeverReclaimsPinned: host-tier eviction, as above",
+	"decision.Journal.releaseLocked": "TestJournalSteadyStateAllocs: a record's slot is released " +
+		"only when the 16,384-record ring rotates past it or its chain is evicted (past 4,096 " +
+		"chains) or overflows (past 256 records), which no CLI run fills",
 }
 
 // TestReach fails on every non-test function declared in the root package
