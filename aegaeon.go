@@ -581,7 +581,7 @@ func (s *System) WritePerfetto(w io.Writer) error {
 			}
 		}
 	}
-	return c.WritePerfettoAnnotated(w, ann)
+	return c.PerfettoTrace().Write(w, ann)
 }
 
 // crashDetectionDelay emulates the proxy's health-lease detection window

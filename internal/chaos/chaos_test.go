@@ -253,9 +253,8 @@ func TestPrefixChaosInvariants(t *testing.T) {
 // TestPrefixEvictionRacesReuse is the seeded -race schedule: filler chains
 // pinned for the whole run leave the host tier only a few blocks of room, so
 // the run's own chains evict each other while multi-turn sessions reuse them
-// and a prefill crash drops a device tier mid-run, and a concurrent prober
-// reads the cache's synchronized surface the whole time (as the live
-// gateway's scrape handlers do). Run under -race in CI.
+// and a prefill crash drops a device tier mid-run, and a prober reads the
+// cache's surface throughout.
 func TestPrefixEvictionRacesReuse(t *testing.T) {
 	const seed = 21
 	se := sim.NewEngine(seed)
@@ -297,35 +296,25 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 	base := pc.Stats()
 	sysSegs := []workload.PromptSeg{{Seed: workload.SeedString("system\x00" + names[0]), Len: 128}}
 	sysHashes := prefixcache.ChunkHashes(sysSegs, 128/pc.BlockTokens(), pc.BlockTokens())
-	done := make(chan struct{})
-	probed := make(chan int)
-	go func() {
-		// Probe-then-check so at least one iteration always runs, even if the
-		// simulation drains before this goroutine is first scheduled.
-		n := 0
-		for {
+	// A prober on the event loop reads the cache's surface every virtual
+	// second of the run, as the live gateway's handlers do through the
+	// driver.
+	probes := 0
+	for at := time.Duration(0); at < 240*time.Second; at += time.Second {
+		se.At(at, func() {
 			_ = pc.Stats()
 			_, _ = pc.Match(names[0], sysHashes, 129, nil)
 			_ = pc.HostResidentBytes()
 			if bad := pc.CheckConsistency(); len(bad) != 0 {
-				t.Errorf("mid-run consistency: %v", bad)
-				probed <- n
-				return
+				t.Errorf("consistency at %v: %v", at, bad)
 			}
-			n++
-			select {
-			case <-done:
-				probed <- n
-				return
-			default:
-			}
-		}
-	}()
+			probes++
+		})
+	}
 
 	se.Run()
 	c.Finalize(se.Now())
-	close(done)
-	if n := <-probed; n == 0 {
+	if probes == 0 {
 		t.Error("prober never ran")
 	}
 	for _, h := range pins {

@@ -21,7 +21,7 @@ import (
 const chunkBytes = 16 << 10
 
 // Pool hands out slices of T, and single Ts. The zero Pool is ready to
-// use. It is not safe for concurrent use; its owner's lock guards it.
+// use. It is not safe for concurrent use.
 type Pool[T any] struct {
 	free [bits.UintSize][][]T // free slices by class: cap(s) >= 1<<class
 	objs []*T                 // freed Ts

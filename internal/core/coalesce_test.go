@@ -190,7 +190,7 @@ func coalesceCase(t *testing.T, seed int64, observed bool) caseResult {
 	res.report, res.events = b.String(), se.Processed()
 	if observed {
 		var buf bytes.Buffer
-		if err := cfg.Obs.WritePerfetto(&buf); err != nil {
+		if err := cfg.Obs.PerfettoTrace().Write(&buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		res.perfetto = buf.String()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -57,7 +58,7 @@ func observedDigest(t *testing.T, models []*model.Model, trace []workload.Reques
 	if err := enc.Encode(cfg.SLOMon.Snapshot(se.Now())); err != nil {
 		t.Error(err)
 	}
-	if err := cfg.Obs.WritePerfetto(&b); err != nil {
+	if err := cfg.Obs.PerfettoTrace().Write(&b, nil); err != nil {
 		t.Error(err)
 	}
 	if err := cfg.Decisions.WriteJSON(&b); err != nil {
@@ -108,37 +109,37 @@ func TestSharedModelSliceSystemsRunInParallel(t *testing.T) {
 	}
 }
 
+// observedStep returns one decode step of eight requests on a system with
+// every observer on, as settleStep takes it: stampStep's token batch, token
+// feed and flush, then the step's KV sample. Each call is a millisecond
+// after the last, and every token meets its deadline.
+func observedStep() (step func(), sys *System, now *sim.Time) {
+	models := model.MarketMix(1)
+	se := sim.NewEngine(1)
+	sys = NewSystem(se, observedConfig(se, models))
+	d := sys.decodes[0]
+	id, _ := sys.ModelID(models[0].Name)
+	d.turn = &dbatch{mid: id}
+	d.runReqs = make([]*Request, 8)
+	for i := range d.runReqs {
+		r := &Request{ID: fmt.Sprintf("r%d", i), Model: models[0], mid: id, OutputTokens: math.MaxInt32}
+		r.tl = sys.obs.RequestArrived(r.ID, r.Model.Name, 0)
+		d.runReqs[i] = r
+	}
+	now = new(sim.Time)
+	return func() {
+		*now += time.Millisecond
+		d.stampStep(*now-time.Millisecond, *now)
+		d.eng.KV().NoteKV()
+	}, sys, now
+}
+
 // TestDecodeStepObserverFeedAllocs: with every observer on, one warmed
 // decode step's feed — the collector's token batch, the fleet ledger's
 // token credit and KV sample, and the monitor's judgements of tokens that
 // meet their deadlines — allocates nothing.
 func TestDecodeStepObserverFeedAllocs(t *testing.T) {
-	models := model.MarketMix(1)
-	se := sim.NewEngine(1)
-	sys := NewSystem(se, observedConfig(se, models))
-	d := sys.decodes[0]
-	id, _ := sys.ModelID(models[0].Name)
-	const steps = 4096
-	reqs := make([]*Request, 8)
-	tls := make([]obs.Handle, len(reqs))
-	for i := range reqs {
-		r := &Request{ID: fmt.Sprintf("r%d", i), Model: models[0], mid: id, OutputTokens: steps}
-		r.tl = sys.obs.RequestArrived(r.ID, r.Model.Name, 0)
-		reqs[i] = r
-	}
-	var now sim.Time
-	step := func() {
-		now += time.Millisecond
-		for i, r := range reqs {
-			tls[i] = r.tl
-		}
-		sys.obs.TokenBatch(d.eng.Name, id, now, tls)
-		for _, r := range reqs {
-			d.feed.record(sys, d.eng.Name, r, now)
-		}
-		d.feed.flush(sys, id)
-		d.eng.KV().NoteKV()
-	}
+	step, sys, now := observedStep()
 	// Warm past the token-stamp cap and the TBT reservoir's size; the
 	// measured steps cross a window-bucket rotation.
 	for i := 0; i < 2950; i++ {
@@ -147,7 +148,22 @@ func TestDecodeStepObserverFeedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Fatalf("a decode step's observer feed allocates %.1f times, want 0", n)
 	}
-	if snap := sys.mon.Snapshot(now); snap.Fleet.TokensMissed != 0 || snap.Fleet.TokensMet == 0 {
+	if snap := sys.mon.Snapshot(*now); snap.Fleet.TokensMissed != 0 || snap.Fleet.TokensMet == 0 {
 		t.Fatalf("%d tokens met, %d missed; the gate covers met tokens only", snap.Fleet.TokensMet, snap.Fleet.TokensMissed)
+	}
+}
+
+// BenchmarkSettleStepObserved is one settled decode step of eight requests
+// with all four observers on, warmed as TestDecodeStepObserverFeedAllocs
+// warms it.
+func BenchmarkSettleStepObserved(b *testing.B) {
+	step, _, _ := observedStep()
+	for i := 0; i < 2950; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

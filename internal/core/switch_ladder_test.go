@@ -100,7 +100,7 @@ func runLadder(t *testing.T, opts engine.Options, cold bool) (ladderDigests, map
 	d.switches = sha(b)
 
 	var pf bytes.Buffer
-	if err := col.WritePerfetto(&pf); err != nil {
+	if err := col.PerfettoTrace().Write(&pf, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.perfetto = sha(pf.Bytes())

@@ -805,16 +805,11 @@ func (f *tokenFeed) record(s *System, instance string, r *Request, at sim.Time) 
 	if s.mon == nil {
 		return
 	}
-	f.judged = append(f.judged, slomon.TokenObs{
-		Model:    r.mid,
-		Request:  r.ID,
-		Instance: instance,
-		Index:    n,
-		Arrival:  r.Arrival,
-		Deadline: s.sloFor(r.mid).Deadline(r.Arrival, n),
-		At:       at,
-		Prev:     prev,
-	})
+	// Filled in place: a record is too large to build and copy in.
+	f.judged = append(f.judged, slomon.TokenObs{})
+	o := &f.judged[len(f.judged)-1]
+	o.Model, o.Request, o.Instance, o.Index = r.mid, r.ID, instance, n
+	o.Arrival, o.Deadline, o.At, o.Prev = r.Arrival, s.sloFor(r.mid).Deadline(r.Arrival, n), at, prev
 }
 
 // flush feeds the step's tokens, all of model m and produced on the

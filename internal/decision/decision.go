@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"aegaeon/internal/chunk"
 	"aegaeon/internal/sim"
@@ -129,8 +128,7 @@ const (
 )
 
 // Journal receives decision records from every policy site. All methods are
-// safe on a nil receiver (no-ops) and safe for concurrent use: the
-// simulation goroutine writes while debug handlers snapshot.
+// safe on a nil receiver (no-ops).
 //
 // Each record is stored once, in a slot the journal owns: the ring and every
 // chain the record is linked to hold the slot, not a copy. A slot goes back
@@ -138,7 +136,6 @@ const (
 // and the next record to take it reuses its buffers. Chain buffers are
 // recycled the same way, so a warmed journal allocates nothing per record.
 type Journal struct {
-	mu     sync.Mutex
 	seq    uint64
 	ring   []*slot // grows to maxRecords, then rotates at next
 	next   int
@@ -179,14 +176,12 @@ func (j *Journal) Record(r Record) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.seq++
 	j.total++
 	if len(j.ring) == maxRecords {
-		j.releaseLocked(j.ring[j.next])
+		j.release(j.ring[j.next])
 	}
-	s := j.storeLocked(r)
+	s := j.store(r)
 	if len(j.ring) < maxRecords {
 		j.ring = append(j.ring, s)
 	} else {
@@ -204,18 +199,18 @@ func (j *Journal) Record(r Record) {
 	}
 	m[r.Outcome]++
 	if r.Request != "" {
-		j.linkLocked(r.Request, s)
+		j.link(r.Request, s)
 	}
 	for _, id := range r.Requests {
 		if id != r.Request {
-			j.linkLocked(id, s)
+			j.link(id, s)
 		}
 	}
 }
 
-// storeLocked copies r into a free slot, reusing the slot's buffers, and
+// store copies r into a free slot, reusing the slot's buffers, and
 // returns it held once (by the ring).
-func (j *Journal) storeLocked(r Record) *slot {
+func (j *Journal) store(r Record) *slot {
 	s := j.slots.New()
 	old := s.rec
 	s.rec = r
@@ -238,8 +233,8 @@ func (j *Journal) storeLocked(r Record) *slot {
 	return s
 }
 
-// releaseLocked drops one hold on s, freeing it with the last.
-func (j *Journal) releaseLocked(s *slot) {
+// release drops one hold on s, freeing it with the last.
+func (j *Journal) release(s *slot) {
 	if s.refs--; s.refs == 0 {
 		j.slots.Free(s)
 	}
@@ -250,7 +245,7 @@ func (j *Journal) releaseLocked(s *slot) {
 // rarely regrow.
 const newChainCap = 8
 
-func (j *Journal) linkLocked(id string, s *slot) {
+func (j *Journal) link(id string, s *slot) {
 	chain, ok := j.chains[id]
 	if !ok {
 		if len(j.order) < maxRequests {
@@ -259,7 +254,7 @@ func (j *Journal) linkLocked(id string, s *slot) {
 			// Evict the oldest chain whole and recycle its buffer.
 			old := j.order[j.orderHead]
 			for _, held := range j.chains[old] {
-				j.releaseLocked(held)
+				j.release(held)
 			}
 			j.links.Put(j.chains[old])
 			delete(j.chains, old)
@@ -270,7 +265,7 @@ func (j *Journal) linkLocked(id string, s *slot) {
 	}
 	if len(chain) >= maxPerChain {
 		// Keep the head (admission) and the recent tail.
-		j.releaseLocked(chain[1])
+		j.release(chain[1])
 		chain = append(chain[:1], chain[2:]...)
 	}
 	s.refs++
@@ -295,8 +290,8 @@ func clone[T any](s []T) []T {
 	return append([]T(nil), s...)
 }
 
-// copyChainLocked deep-copies one chain. Caller holds j.mu.
-func copyChainLocked(chain []*slot) []Record {
+// copyChain deep-copies one chain.
+func copyChain(chain []*slot) []Record {
 	if chain == nil {
 		return nil
 	}
@@ -313,9 +308,7 @@ func (j *Journal) Chain(id string) []Record {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return copyChainLocked(j.chains[id])
+	return copyChain(j.chains[id])
 }
 
 // Recent returns copies of the most recent retained records in sequence
@@ -324,8 +317,6 @@ func (j *Journal) Recent(n int, kind string) []Record {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var keep []*slot
 	for i := range j.ring {
 		s := j.ring[(j.next+i)%len(j.ring)]
@@ -348,8 +339,6 @@ func (j *Journal) Total() uint64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.total
 }
 
@@ -358,8 +347,6 @@ func (j *Journal) TrackedRequests() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return len(j.order)
 }
 
@@ -376,8 +363,6 @@ func (j *Journal) Counts() []KindCount {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var out []KindCount
 	for kind, m := range j.counts {
 		for outcome, n := range m {
@@ -399,11 +384,9 @@ func (j *Journal) Chains() []ChainExport {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	out := make([]ChainExport, 0, len(j.order))
 	for _, id := range j.order {
-		out = append(out, ChainExport{Request: id, Records: copyChainLocked(j.chains[id])})
+		out = append(out, ChainExport{Request: id, Records: copyChain(j.chains[id])})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Request < out[k].Request })
 	return out
@@ -432,16 +415,11 @@ func (j *Journal) Snapshot() Export {
 	if j == nil {
 		return Export{SchemaVersion: SchemaVersion}
 	}
-	recs := j.Recent(0, "")
-	chains := j.Chains()
-	j.mu.Lock()
-	total := j.total
-	j.mu.Unlock()
 	return Export{
 		SchemaVersion: SchemaVersion,
-		Total:         total,
-		Records:       recs,
-		Chains:        chains,
+		Total:         j.total,
+		Records:       j.Recent(0, ""),
+		Chains:        j.Chains(),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -270,36 +269,6 @@ func TestNilJournalSafe(t *testing.T) {
 	var buf bytes.Buffer
 	if err := j.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	j := New(Options{})
-	// Together the writers wrap the ring; each reads back every 1024 records.
-	const perWriter = maxRecords/4 + 256
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				rec := Record{Kind: KindSwitch, Outcome: "m"}
-				if i%64 == 0 {
-					rec.Request = "r"
-				}
-				j.Record(rec)
-				if i%1024 == 0 {
-					_ = j.Recent(8, "")
-					_ = j.Chain("r")
-					_ = j.Counts()
-					_ = j.Snapshot()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if j.Total() != 4*perWriter {
-		t.Fatalf("total = %d, want %d", j.Total(), 4*perWriter)
 	}
 }
 

@@ -5,8 +5,6 @@ func (l *Ledger) Devices() []string {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return append([]string(nil), l.order...)
 }
 
@@ -16,7 +14,5 @@ func (l *Ledger) Register(name string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.register(name)
 }

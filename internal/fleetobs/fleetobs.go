@@ -32,7 +32,6 @@ package fleetobs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"aegaeon/internal/gpu"
@@ -219,7 +218,6 @@ func (d *devLedger) costAt(now sim.Time) float64 {
 // register devices as they are built, feed it edges; nil is a valid no-op
 // receiver throughout.
 type Ledger struct {
-	mu      sync.Mutex
 	eng     *sim.Engine
 	models  model.Names
 	devices map[string]*devLedger
@@ -238,8 +236,6 @@ func (l *Ledger) Ref(device string) DeviceRef {
 	if l == nil {
 		return DeviceRef{}
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return DeviceRef{l.devices[device]}
 }
 
@@ -250,8 +246,6 @@ func (l *Ledger) NameModel(id model.ID, name string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.models.Set(id, name)
 }
 
@@ -261,7 +255,7 @@ func New(eng *sim.Engine) *Ledger {
 }
 
 // edgeTime returns the instant of an edge being charged now and records it
-// as the latest. Callers hold l.mu.
+// as the latest.
 func (l *Ledger) edgeTime() sim.Time {
 	l.last = l.eng.Now()
 	return l.last
@@ -269,7 +263,7 @@ func (l *Ledger) edgeTime() sim.Time {
 
 // renderAt returns the instant a reader asking for now renders at: never
 // earlier than the last edge charged, which a reader holding a stale clock
-// reading would otherwise see as negative time. Callers hold l.mu.
+// reading would otherwise see as negative time.
 func (l *Ledger) renderAt(now sim.Time) sim.Time {
 	if now < l.last {
 		return l.last
@@ -302,9 +296,7 @@ func (l *Ledger) ObserveDevice(dev *gpu.Device) {
 	if l == nil || dev == nil {
 		return
 	}
-	l.mu.Lock()
 	d := l.register(dev.Name)
-	l.mu.Unlock()
 	dev.ObserveBusy(func(_ *gpu.Device, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
 		l.noteOp(d, k, info, busy)
 	})
@@ -360,8 +352,6 @@ func (d *devLedger) retop(now sim.Time) {
 
 // noteOp handles one engine occupancy edge on device d.
 func (l *Ledger) noteOp(d *devLedger, k gpu.EngineKind, info gpu.OpInfo, busy bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	now := l.edgeTime()
 	ek := int(k)
 	if busy {
@@ -396,8 +386,6 @@ func (l *Ledger) Enter(device string, s State, m model.ID) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil {
 		return
@@ -414,8 +402,6 @@ func (l *Ledger) Exit(device string, s State) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil {
 		return
@@ -438,8 +424,6 @@ func (l *Ledger) Fault(device string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil || d.faulted {
 		return
@@ -454,8 +438,6 @@ func (l *Ledger) AddTokens(dev DeviceRef, m model.ID, n int) {
 	if l == nil || n <= 0 || dev.d == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := dev.d
 	d.tokens = model.Grow(d.tokens, m)
 	d.tokens[m] += uint64(n)
@@ -467,8 +449,6 @@ func (l *Ledger) NoteKV(dev DeviceRef, usedBytes, capacityBytes int64) {
 	if l == nil || dev.d == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := dev.d
 	d.kvUsed, d.kvCap = usedBytes, capacityBytes
 	if usedBytes > d.kvPeak {
@@ -484,8 +464,6 @@ func (l *Ledger) SetRate(device string, dollarsPerHour float64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil {
 		return
@@ -497,7 +475,7 @@ func (l *Ledger) SetRate(device string, dollarsPerHour float64) {
 }
 
 // wall and partition of one device at instant now, including the open
-// segment. Callers hold l.mu.
+// segment.
 func (d *devLedger) partition(now sim.Time) (wall time.Duration, states [numStates]time.Duration) {
 	states = d.integral
 	states[d.cur] += now - d.curSince
@@ -521,14 +499,11 @@ func (l *Ledger) CheckConservation(now sim.Time) []string {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.checkLocked(l.renderAt(now))
+	return l.check(l.renderAt(now))
 }
 
-// checkLocked is CheckConservation at an instant already rendered, with l.mu
-// held.
-func (l *Ledger) checkLocked(now sim.Time) []string {
+// check is CheckConservation at an instant already rendered.
+func (l *Ledger) check(now sim.Time) []string {
 	var errs []string
 	for _, name := range l.order {
 		d := l.devices[name]
@@ -564,8 +539,6 @@ func (l *Ledger) RawBusy(device string, k gpu.EngineKind, now sim.Time) time.Dur
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil {
 		return 0
@@ -580,8 +553,6 @@ func (l *Ledger) StateSeconds(device string, s State, now sim.Time) float64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.devices[device]
 	if d == nil {
 		return 0

@@ -102,10 +102,8 @@ func (l *Ledger) Snapshot(now sim.Time) *Snapshot {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	now = l.renderAt(now)
-	errs := l.checkLocked(now)
+	errs := l.check(now)
 	snap := &Snapshot{
 		SchemaVersion:      SchemaVersion,
 		NowSeconds:         time.Duration(now).Seconds(),

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aegaeon/internal/sim"
-	"aegaeon/internal/workload"
 )
 
 // BenchmarkGatewayAdmission measures the admission-control hot path — the
@@ -19,7 +18,7 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := names[i%len(names)]
-		ok, code, reason, _ := gw.admitRequest("", m, workload.PriorityNormal, 1, 0)
+		ok, code, reason, _ := gw.admit(m, 0)
 		if !ok {
 			b.Fatalf("admission rejected: %d %s", code, reason)
 		}
@@ -38,7 +37,7 @@ func BenchmarkGatewayAdmissionParallel(b *testing.B) {
 		for pb.Next() {
 			m := names[i%len(names)]
 			i++
-			if ok, _, _, _ := gw.admitRequest("", m, workload.PriorityNormal, 1, 0); ok {
+			if ok, _, _, _ := gw.admit(m, 0); ok {
 				gw.releaseAdmission(m)
 			}
 		}
@@ -55,12 +54,12 @@ var (
 func BenchmarkGatewayReject(b *testing.B) {
 	gw, names := newTestGateway(b, Options{Speedup: 1e-6, MaxInFlight: 1})
 	defer gw.drv.Stop()
-	if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
+	if ok, _, reason, _ := gw.admit(names[0], 0); !ok {
 		b.Fatalf("seed admission failed: %s", reason)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, code, _, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0)
+		_, code, _, _ := gw.admit(names[0], 0)
 		sinkStatus = code
 	}
 	_ = fmt.Sprint(sinkStatus)

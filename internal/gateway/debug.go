@@ -8,64 +8,48 @@ import (
 	"time"
 
 	"aegaeon/internal/cluster"
-	"aegaeon/internal/fault"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
 	"aegaeon/internal/metastore"
+	"aegaeon/internal/obs"
 	"aegaeon/internal/prefixcache"
+	"aegaeon/internal/sim"
 )
 
 // The /debug endpoints are registered from the debugEndpoints table, which
-// also gates each on its subsystem. Observer snapshots (collector, monitor,
-// ledger, market, journal) are internally synchronized; only state the event
-// loop owns goes through loopSnapshot.
+// also gates each on its subsystem. The event loop owns the cluster and
+// every observer, so each handler takes its copies in one read and encodes
+// them after it.
 
-// loopState is the event-loop-owned state the operator surfaces read.
-type loopState struct {
-	virtual   time.Duration
-	switches  uint64
-	store     metastore.ControlView // op counters and availability
-	faults    fault.Stats
-	failovers int
-	gpus      []cluster.GPUInfo
-	prefix    map[string]prefixcache.Stats // by deployment; nil without a cache
-}
-
-// loopSnapshot collects the loop-owned state in one driver Call and caches
-// it. Once the driver has stopped it returns the cached copy, which Shutdown
-// refreshes just before the stop, so counters never go backwards. Callers
-// must not mutate the returned maps and slices: they are shared.
-func (g *Gateway) loopSnapshot() loopState {
-	var s loopState
-	err := g.drv.Call(func() {
-		s.virtual = g.cl.VirtualNow()
-		s.switches = g.cl.Switches()
-		s.store = g.cl.Store().View()
-		s.faults = g.cl.FaultStats()
-		s.failovers = g.cl.Failovers()
-		s.gpus = g.cl.GPUInfos()
-		if caches := g.cl.PrefixCaches(); len(caches) > 0 {
-			s.prefix = make(map[string]prefixcache.Stats, len(caches))
-			for name, pc := range caches {
-				s.prefix[name] = pc.Stats()
-			}
-		}
-	})
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err != nil {
-		return g.loop
-	}
-	g.loop = s
-	return s
+// read runs fn on the event loop, passing the loop's clock: the one way a
+// handler reads loop-owned state. fn takes copies, and the handler encodes
+// them once read returns, so no encoding runs on the loop. After the driver
+// has stopped, fn runs on the handler's goroutine instead, one read at a
+// time (sim.Driver.Call), so the surfaces keep serving the final state.
+func (g *Gateway) read(fn func(now sim.Time)) {
+	_ = g.drv.Call(func() { fn(g.cl.VirtualNow()) })
 }
 
 // fleetAt snapshots the cluster's fleet ledger and spot market at virtual
 // time now, the market joined against the ledger for class economics. Each
-// is nil when the cluster has none.
-func (g *Gateway) fleetAt(now time.Duration) (*fleetobs.Snapshot, *market.Snapshot) {
+// is nil when the cluster has none. Loop only.
+func (g *Gateway) fleetAt(now sim.Time) (*fleetobs.Snapshot, *market.Snapshot) {
 	fleet := g.cl.Fleet().Snapshot(now)
 	return fleet, g.cl.Market().Snapshot(now, fleet)
+}
+
+// prefixStats copies each deployment's prefix-cache statistics, nil without
+// a cache. Loop only.
+func (g *Gateway) prefixStats() map[string]prefixcache.Stats {
+	caches := g.cl.PrefixCaches()
+	if len(caches) == 0 {
+		return nil
+	}
+	out := make(map[string]prefixcache.Stats, len(caches))
+	for name, pc := range caches {
+		out[name] = pc.Stats()
+	}
+	return out
 }
 
 func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
@@ -79,7 +63,17 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		last = n
 	}
 	c := g.opts.Obs
-	events := c.Ring().Events()
+	var (
+		events               []obs.Event
+		total, switchesTotal uint64
+		switches             []obs.SwitchRecord
+		requests             []obs.RequestTimeline
+	)
+	g.read(func(sim.Time) {
+		events, total = c.Ring().Events(), c.Ring().Total()
+		switches, switchesTotal = c.Switches()
+		requests = c.Requests(last)
+	})
 	if len(events) > last {
 		events = events[len(events)-last:]
 	}
@@ -95,15 +89,14 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		flat[i] = flatEvent{AtS: e.At.Seconds(), Kind: e.Kind.String(),
 			Instance: e.Instance, Subject: e.Subject, Detail: e.Detail()}
 	}
-	switches, switchesTotal := c.Switches()
 	if len(switches) > last {
 		switches = switches[len(switches)-last:]
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"events_total":   c.Ring().Total(),
+		"events_total":   total,
 		"events":         flat,
-		"requests":       c.Requests(last),
+		"requests":       requests,
 		"switches":       switches,
 		"switches_total": switchesTotal,
 	})
@@ -115,7 +108,9 @@ func (g *Gateway) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "usage: /debug/requests/{id}")
 		return
 	}
-	t, ok := g.opts.Obs.Request(id)
+	var t obs.RequestTimeline
+	var ok bool
+	g.read(func(sim.Time) { t, ok = g.opts.Obs.Request(id) })
 	if !ok {
 		writeJSONError(w, http.StatusNotFound, "no timeline for request %q (evicted or never admitted)", id)
 		return
@@ -134,21 +129,32 @@ func (g *Gateway) handleDebugGPUs(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d
 	}
-	s := g.loopSnapshot()
+	var (
+		virtual sim.Time
+		gpus    []cluster.GPUInfo
+		engines []obs.GPUUtilization
+	)
+	g.read(func(now sim.Time) {
+		virtual, gpus, engines = now, g.cl.GPUInfos(), g.opts.Obs.Utilizations(now, window)
+	})
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"virtual_time_s": s.virtual.Seconds(),
+		"virtual_time_s": virtual.Seconds(),
 		"window_s":       window.Seconds(),
-		"instances":      s.gpus,
-		"engines":        g.opts.Obs.Utilizations(s.virtual, window),
+		"instances":      gpus,
+		"engines":        engines,
 	})
 }
 
 func (g *Gateway) handleDebugPerfetto(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="aegaeon-trace.json"`)
-	// Headers are gone once the export starts; an error is best effort.
-	_ = g.opts.Obs.WritePerfetto(w)
+	// The copy is one instant of the collector; the encoding, the heavy part,
+	// runs off the loop. Headers are gone once it starts; an error is best
+	// effort.
+	var trace *obs.PerfettoTrace
+	g.read(func(sim.Time) { trace = g.opts.Obs.PerfettoTrace() })
+	_ = trace.Write(w, nil)
 }
 
 // handleDebugPrefix serves per-deployment prefix-cache statistics: hit
@@ -160,7 +166,8 @@ func (g *Gateway) handleDebugPrefix(w http.ResponseWriter, r *http.Request) {
 		SavedRatio float64 `json:"saved_ratio"`
 		prefixcache.Stats
 	}
-	snaps := g.loopSnapshot().prefix
+	var snaps map[string]prefixcache.Stats
+	g.read(func(sim.Time) { snaps = g.prefixStats() })
 	out := make([]deployment, 0, len(snaps))
 	for _, name := range sortedStringKeys(snaps) {
 		st := snaps[name]
@@ -176,7 +183,8 @@ func (g *Gateway) handleDebugPrefix(w http.ResponseWriter, r *http.Request) {
 // fleet rollups. conservation_errors is non-empty only if the ledger's
 // accounting invariant broke; tests and CI assert it absent.
 func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
-	fleet, _ := g.fleetAt(g.loopSnapshot().virtual)
+	var fleet *fleetobs.Snapshot
+	g.read(func(now sim.Time) { fleet, _ = g.fleetAt(now) })
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(fleet)
 }
@@ -185,7 +193,8 @@ func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
 // (class, current price, eligibility, open notices), the preemption audit
 // trail with evacuated-vs-lost KV byte accounting, and per-class economics.
 func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
-	_, mkt := g.fleetAt(g.loopSnapshot().virtual)
+	var mkt *market.Snapshot
+	g.read(func(now sim.Time) { _, mkt = g.fleetAt(now) })
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(mkt)
 }
@@ -193,6 +202,8 @@ func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
 // handleDebugMetastore serves the metadata store's view: its op counters,
 // watches and availability.
 func (g *Gateway) handleDebugMetastore(w http.ResponseWriter, r *http.Request) {
+	var view metastore.ControlView
+	g.read(func(sim.Time) { view = g.cl.Store().View() })
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(g.loopSnapshot().store)
+	_ = json.NewEncoder(w).Encode(view)
 }

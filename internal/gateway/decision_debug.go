@@ -5,6 +5,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"aegaeon/internal/decision"
+	"aegaeon/internal/obs"
+	"aegaeon/internal/sim"
 )
 
 // The decision-provenance endpoints surface the journal live:
@@ -12,9 +16,6 @@ import (
 //	GET /debug/decisions?kind=shed&last=N   recent records from the ring
 //	GET /debug/why/{id}                     one request's decision chain,
 //	                                        joined with its span timeline
-//
-// The journal is internally synchronized; nothing here touches the event
-// loop.
 
 func (g *Gateway) handleDebugDecisions(w http.ResponseWriter, r *http.Request) {
 	last := 100
@@ -28,21 +29,22 @@ func (g *Gateway) handleDebugDecisions(w http.ResponseWriter, r *http.Request) {
 	}
 	kind := r.URL.Query().Get("kind")
 	j := g.opts.Decisions
-	recs := j.Recent(last, kind)
+	var d decisionCounts
+	var recs []decision.Record
+	g.read(func(sim.Time) { d, recs = decisionCountsOf(j), j.Recent(last, kind) })
 	type countEntry struct {
 		Kind    string `json:"kind"`
 		Outcome string `json:"outcome"`
 		N       uint64 `json:"n"`
 	}
-	counts := j.Counts()
-	outCounts := make([]countEntry, len(counts))
-	for i, c := range counts {
+	outCounts := make([]countEntry, len(d.counts))
+	for i, c := range d.counts {
 		outCounts[i] = countEntry{Kind: c.Kind, Outcome: c.Outcome, N: c.N}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"total":            j.Total(),
-		"tracked_requests": j.TrackedRequests(),
+		"total":            d.total,
+		"tracked_requests": d.tracked,
 		"counts":           outCounts,
 		"records":          recs,
 	})
@@ -59,7 +61,13 @@ func (g *Gateway) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "usage: /debug/why/{id}")
 		return
 	}
-	chain := g.opts.Decisions.Chain(id)
+	var chain []decision.Record
+	var t obs.RequestTimeline
+	var timed bool
+	g.read(func(sim.Time) {
+		chain = g.opts.Decisions.Chain(id)
+		t, timed = g.opts.Obs.Request(id)
+	})
 	if len(chain) == 0 {
 		writeJSONError(w, http.StatusNotFound, "no decision chain for request %q (evicted or never seen)", id)
 		return
@@ -68,11 +76,22 @@ func (g *Gateway) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
 		"request": id,
 		"chain":   chain,
 	}
-	if g.opts.Obs != nil {
-		if t, ok := g.opts.Obs.Request(id); ok {
-			out["timeline"] = t
-		}
+	if timed {
+		out["timeline"] = t
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
+}
+
+// decisionCounts is a copy of the journal's counters, for /debug/decisions
+// and /metrics.
+type decisionCounts struct {
+	counts  []decision.KindCount
+	total   uint64
+	tracked int
+}
+
+// decisionCountsOf copies j's counters. Loop only.
+func decisionCountsOf(j *decision.Journal) decisionCounts {
+	return decisionCounts{counts: j.Counts(), total: j.Total(), tracked: j.TrackedRequests()}
 }

@@ -144,7 +144,7 @@ type Gateway struct {
 	statuses  map[int]uint64    // HTTP code -> responses
 	breakers  map[string]*fault.Breaker
 	bucket    tokenBucket
-	jot       decision.Scratch // an admission record's inputs
+	jot       decision.Scratch // an admission record's inputs; loop only
 	drained   chan struct{}
 	drainOnce sync.Once
 
@@ -158,9 +158,6 @@ type Gateway struct {
 	ovlRejected    map[string]uint64 // overload rejection reason -> count
 	brownStop      chan struct{}
 	brownOnce      sync.Once
-
-	// loop is the last loopSnapshot, served once the driver has stopped.
-	loop loopState
 
 	ttft *metrics.SafeCDF
 	tbt  *metrics.SafeCDF
@@ -213,7 +210,7 @@ func (g *Gateway) Start() {
 
 // brownoutLoop steps the cluster's brownout controller on the wall clock,
 // so the level escalates and recovers even when no admissions arrive to
-// step it. The step runs on the event loop (a Call), keeping controller
+// step it. The step runs on the event loop (a Post), keeping controller
 // hysteresis in the same clock domain as the scheduler's admission-path
 // steps, and under the same signal rule.
 func (g *Gateway) brownoutLoop() {
@@ -224,7 +221,7 @@ func (g *Gateway) brownoutLoop() {
 		case <-g.brownStop:
 			return
 		case <-tick.C:
-			if err := g.drv.Call(g.cl.StepOverload); err != nil {
+			if err := g.drv.Post(g.cl.StepOverload); err != nil {
 				return // driver stopped
 			}
 		}
@@ -377,7 +374,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	g.loopSnapshot() // the final state every surface serves after the stop
 	g.drv.Stop()
 	return err
 }
@@ -398,29 +394,37 @@ func (g *Gateway) breakerFor(model string) *fault.Breaker {
 	return br
 }
 
+// verdict is the edge's admission verdict on one request. inflight and
+// queued are the occupancy and the model's queue depth it weighed, counting
+// the request when admitted: its admission record's evidence.
+type verdict struct {
+	ok               bool
+	code             int
+	reason           string
+	retryAfter       time.Duration // accompanies 503s
+	inflight, queued int
+}
+
 // admitRequest runs the edge's admission control for one request to model:
 // the HTTP-side gates only (draining, saturation, the model's breaker, cold
 // shedding near saturation, the per-model queue, the rate limit and, with
 // overload control, the retry budget). Overload policy itself is the core's:
-// SubmitLive delivers its verdict. id is the request's pre-assigned
-// completion ID (empty when the caller has none), the causal key the
-// decision journal chains the verdict under. On success the caller owns one
+// SubmitLive delivers its verdict. When admitted, the caller owns one
 // admission slot and must release it via finish (the request ended: served,
 // failed, shed or aborted) or releaseAdmission (submission failure).
-// retryAfter accompanies 503s.
-func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, retryAttempt int) (ok bool, code int, reason string, retryAfter time.Duration) {
+func (g *Gateway) admitRequest(model string, retryAttempt int) verdict {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	shed := int(float64(g.opts.MaxInFlight) * shedFraction)
-	retryAfter = time.Second
+	v := verdict{retryAfter: time.Second}
 	switch {
 	case g.draining:
-		code, reason = http.StatusServiceUnavailable, "draining"
+		v.code, v.reason = http.StatusServiceUnavailable, "draining"
 	case g.inflight >= g.opts.MaxInFlight:
-		code, reason = http.StatusServiceUnavailable, "saturated"
+		v.code, v.reason = http.StatusServiceUnavailable, "saturated"
 	default:
 		if brOK, ra := g.breakerFor(model).Allow(); !brOK {
-			code, reason, retryAfter = http.StatusServiceUnavailable, "circuit_open", ra
+			v.code, v.reason, v.retryAfter = http.StatusServiceUnavailable, "circuit_open", ra
 			break
 		}
 		switch {
@@ -429,47 +433,43 @@ func (g *Gateway) admitRequest(id, model string, prio workload.Priority, inTok, 
 			// force an extra auto-scaling switch; shed it while warm models
 			// keep flowing. An idle gateway is never near saturation, even
 			// when the threshold rounds down to zero (MaxInFlight 1).
-			code, reason = http.StatusServiceUnavailable, "shed_cold_model"
+			v.code, v.reason = http.StatusServiceUnavailable, "shed_cold_model"
 		case g.queued[model] >= g.opts.MaxQueuePerModel:
-			code, reason = http.StatusTooManyRequests, "queue_full"
+			v.code, v.reason = http.StatusTooManyRequests, "queue_full"
 		case !g.bucket.allow(time.Now()):
-			code, reason = http.StatusTooManyRequests, "rate_limited"
+			v.code, v.reason = http.StatusTooManyRequests, "rate_limited"
 		case g.ctl != nil && retryAttempt > 0 && !g.retry.spend():
-			code, reason = http.StatusServiceUnavailable, "retry_budget"
+			v.code, v.reason = http.StatusServiceUnavailable, "retry_budget"
 			g.retryExhausted++
-			g.ovlRejected[reason]++
+			g.ovlRejected[v.reason]++
 		default:
 			if g.ctl != nil && retryAttempt == 0 {
 				g.retry.deposit()
 			}
 			g.inflight++
 			g.queued[model]++
-			if j := g.opts.Decisions; j != nil {
-				g.journalAdmissionLocked(j, id, model, prio, inTok, "accept")
-			}
-			return true, http.StatusOK, "", 0
+			return verdict{ok: true, code: http.StatusOK, inflight: g.inflight, queued: g.queued[model]}
 		}
 	}
-	g.rejected[reason]++
-	if j := g.opts.Decisions; j != nil {
-		g.journalAdmissionLocked(j, id, model, prio, inTok, reason)
-	}
-	return false, code, reason, retryAfter
+	g.rejected[v.reason]++
+	v.inflight, v.queued = g.inflight, g.queued[model]
+	return v
 }
 
-// journalAdmissionLocked records the edge admission verdict with the
-// evidence the decision actually weighed: occupancy, the model's queue
-// depth, the request's tier and size and, with overload control, the
-// brownout level the core will judge it under. The timestamp is the virtual
-// instant the driver is pacing toward, mapped from the wall clock (best
-// effort: edge admissions run off the event loop, so they are excluded from
-// the byte-identical determinism contract); the request's later scheduler
-// records are stamped no earlier. Must be called with g.mu held.
-func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
-	prio workload.Priority, inTok int, outcome string) {
+// journalAdmission records the edge admission verdict v on request id with
+// the evidence the decision weighed: occupancy, the model's queue depth, the
+// request's tier and size and, with overload control, the brownout level
+// the core will judge it under. It runs on the event loop and is stamped
+// with the loop's clock, so the request's later scheduler records are
+// stamped no earlier. Without a journal it does nothing.
+func (g *Gateway) journalAdmission(id, model string, prio workload.Priority, inTok int, v verdict) {
+	j := g.opts.Decisions
+	if j == nil {
+		return
+	}
 	in := [...]decision.Term{
-		{Name: "inflight", Value: float64(g.inflight)},
-		{Name: "queued_model", Value: float64(g.queued[model])},
+		{Name: "inflight", Value: float64(v.inflight)},
+		{Name: "queued_model", Value: float64(v.queued)},
 		{Name: "priority", Value: float64(prio)},
 		{Name: "input_tokens", Value: float64(inTok)},
 		{Name: "overload_level"},
@@ -479,9 +479,13 @@ func (g *Gateway) journalAdmissionLocked(j *decision.Journal, id, model string,
 		in[n].Value = float64(g.ctl.Level())
 		n++
 	}
+	outcome := v.reason
+	if v.ok {
+		outcome = "accept"
+	}
 	g.jot.Reset()
 	j.Record(decision.Record{
-		At:      g.drv.VirtualNow(),
+		At:      g.cl.VirtualNow(),
 		Kind:    decision.KindAdmission,
 		Request: id,
 		Model:   model,
@@ -697,9 +701,14 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	// The ID is assigned before admission so a rejection's journal record
 	// carries the same causal key an accepted request's chain would.
 	id := fmt.Sprintf("cmpl-%d", g.nextID.Add(1))
-	ok, code, reason, retryAfter := g.admitRequest(id, req.Model, prio, inTok, retryAttempt)
-	if !ok {
-		g.reject(w, code, reason, retryAfter)
+	v := g.admitRequest(req.Model, retryAttempt)
+	if !v.ok {
+		// Posted before the response, so a read of /debug/why that follows
+		// it runs after the record.
+		if g.opts.Decisions != nil {
+			_ = g.drv.Post(func() { g.journalAdmission(id, req.Model, prio, inTok, v) })
+		}
+		g.reject(w, v.code, v.reason, v.retryAfter)
 		return
 	}
 	// The channel holds every token the request can produce, so the
@@ -725,6 +734,7 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	err := g.drv.Post(func() {
+		g.journalAdmission(id, req.Model, prio, inTok, v)
 		// times keeps the request's token times for finish's latency
 		// samples; the core judges tokens as they land and keeps none.
 		var times []sim.Time

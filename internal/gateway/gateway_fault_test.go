@@ -14,7 +14,6 @@ import (
 	"aegaeon/internal/assemble"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
-	"aegaeon/internal/workload"
 )
 
 // A client that disconnects mid-stream aborts its simulated request: the
@@ -274,18 +273,18 @@ func TestShedColdModelNearSaturation(t *testing.T) {
 	gw, names := newTestGateway(t, Options{Speedup: 1e-6, MaxInFlight: 10})
 	defer gw.drv.Stop()
 	for i := 0; i < 9; i++ {
-		if ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
+		if ok, code, reason, _ := gw.admit(names[0], 0); !ok {
 			t.Fatalf("warm admission %d rejected: %d %s", i, code, reason)
 		}
 	}
-	ok, code, reason, ra := gw.admitRequest("", names[1], workload.PriorityNormal, 1, 0)
+	ok, code, reason, ra := gw.admit(names[1], 0)
 	if ok || code != http.StatusServiceUnavailable || reason != "shed_cold_model" {
 		t.Fatalf("cold model above shed threshold: ok=%v code=%d reason=%s", ok, code, reason)
 	}
 	if ra <= 0 {
 		t.Fatal("shed rejection carries no Retry-After hint")
 	}
-	if ok, _, _, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
+	if ok, _, _, _ := gw.admit(names[0], 0); !ok {
 		t.Fatal("warm model shed below MaxInFlight")
 	}
 }

@@ -3,6 +3,9 @@ package gateway
 import (
 	"encoding/json"
 	"net/http"
+
+	"aegaeon/internal/overload"
+	"aegaeon/internal/sim"
 )
 
 // handleDebugOverload reports the overload-control plane: brownout level and
@@ -21,20 +24,13 @@ func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
 		rejected[k] = v
 	}
 	g.mu.Unlock()
+	var ctl overload.Snapshot
+	g.read(func(sim.Time) { ctl = g.ctl.Snapshot() })
 
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"controller":   g.ctl.Snapshot(),
+		"controller":   ctl,
 		"retry_budget": budget,
 		"rejected":     rejected,
 	})
-}
-
-// overloadLevel returns the controller's numeric level for /metrics (0 when
-// overload control is off).
-func (g *Gateway) overloadLevel() int {
-	if g.ctl == nil {
-		return 0
-	}
-	return int(g.ctl.Level())
 }

@@ -18,7 +18,6 @@ import (
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
 	"aegaeon/internal/slomon"
-	"aegaeon/internal/workload"
 )
 
 // hourTTFT is a TTFT target no test's estimate reaches, so the core never
@@ -331,19 +330,19 @@ func TestRetryBudget(t *testing.T) {
 	defer gw.Shutdown(context.Background())
 
 	for i := 0; i < retryBurst; i++ {
-		if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, i+1); !ok {
+		if ok, _, reason, _ := gw.admit(names[0], i+1); !ok {
 			t.Fatalf("retry %d rejected within budget: %q", i+1, reason)
 		}
 		gw.releaseAdmission(names[0])
 	}
-	ok, code, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, retryBurst+1)
+	ok, code, reason, _ := gw.admit(names[0], retryBurst+1)
 	if ok || code != http.StatusServiceUnavailable || reason != "retry_budget" {
 		t.Fatalf("exhausted budget: ok=%v code=%d reason=%q", ok, code, reason)
 	}
 
 	// Fresh traffic is unaffected, and one fresh request's deposit is a
 	// fraction of a retry.
-	if ok, _, reason, _ := gw.admitRequest("", names[0], workload.PriorityNormal, 1, 0); !ok {
+	if ok, _, reason, _ := gw.admit(names[0], 0); !ok {
 		t.Fatalf("fresh request rejected after budget exhaustion: %q", reason)
 	}
 	gw.releaseAdmission(names[0])

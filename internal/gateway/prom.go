@@ -7,24 +7,51 @@ import (
 	"sort"
 	"strings"
 
-	"aegaeon/internal/decision"
+	"aegaeon/internal/fault"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
 	"aegaeon/internal/metastore"
 	"aegaeon/internal/metrics"
+	"aegaeon/internal/overload"
 	"aegaeon/internal/prefixcache"
+	"aegaeon/internal/sim"
 	"aegaeon/internal/slomon"
 )
 
+// metricsState is what /metrics reads of the loop-owned state, copied in
+// one read.
+type metricsState struct {
+	virtual   sim.Time
+	switches  uint64
+	store     metastore.ControlView // op counters and availability
+	faults    fault.Stats
+	failovers int
+	level     overload.Level
+	slo       *slomon.Snapshot
+	prefix    map[string]prefixcache.Stats
+	fleet     *fleetobs.Snapshot
+	market    *market.Snapshot
+	decisions *decisionCounts // nil without a journal
+}
+
 // handleMetrics renders Prometheus text exposition format (hand-rolled; the
-// repo deliberately has no dependencies). Event-loop state comes from
-// loopSnapshot, so once the driver has stopped the last snapshot is served.
+// repo deliberately has no dependencies).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	s := g.loopSnapshot()
+	var s metricsState
+	g.read(func(now sim.Time) {
+		s = metricsState{virtual: now, switches: g.cl.Switches(), store: g.cl.Store().View(),
+			faults: g.cl.FaultStats(), failovers: g.cl.Failovers(), level: g.ctl.Level(),
+			slo: g.opts.SLOMon.Snapshot(now), prefix: g.prefixStats()}
+		s.fleet, s.market = g.fleetAt(now)
+		if j := g.opts.Decisions; j != nil {
+			d := decisionCountsOf(j)
+			s.decisions = &d
+		}
+	})
 	g.mu.Lock()
 	inflight := g.inflight
 	completed := g.completed
@@ -122,7 +149,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if overloadOn {
 		family(b, "gauge", "aegaeon_overload_level", "Brownout level (0 normal, 1 shed-low, 2 shrink, 3 freeze, 4 admit-none).")
-		fmt.Fprintf(b, "aegaeon_overload_level %d\n", g.overloadLevel())
+		fmt.Fprintf(b, "aegaeon_overload_level %d\n", s.level)
 		family(b, "counter", "aegaeon_admission_rejected_total", "Overload-control admission rejections by reason.")
 		for _, reason := range sortedStringKeys(ovlRejected) {
 			fmt.Fprintf(b, "aegaeon_admission_rejected_total{reason=%q} %d\n", reason, ovlRejected[reason])
@@ -132,13 +159,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Each writer writes nothing for an absent subsystem.
-	writeSLOMetrics(b, g.opts.SLOMon.Snapshot(s.virtual))
+	writeSLOMetrics(b, s.slo)
 	writePrefixMetrics(b, s.prefix)
-	fleet, mkt := g.fleetAt(s.virtual)
-	writeFleetMetrics(b, fleet)
-	writeMarketMetrics(b, mkt)
+	writeFleetMetrics(b, s.fleet)
+	writeMarketMetrics(b, s.market)
 
-	writeDecisionMetrics(b, g.opts.Decisions)
+	writeDecisionMetrics(b, s.decisions)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
@@ -457,18 +483,18 @@ func writeMarketMetrics(b *strings.Builder, snap *market.Snapshot) {
 // Series come from Counts(), already sorted by kind then outcome, so label
 // order is deterministic scrape to scrape; every family carries # HELP and
 // # TYPE. The whole block is absent when the journal is off.
-func writeDecisionMetrics(b *strings.Builder, j *decision.Journal) {
-	if j == nil {
+func writeDecisionMetrics(b *strings.Builder, d *decisionCounts) {
+	if d == nil {
 		return
 	}
 	family(b, "counter", "aegaeon_decision_records_total", "Journaled scheduling decisions by kind and outcome.")
-	for _, c := range j.Counts() {
+	for _, c := range d.counts {
 		fmt.Fprintf(b, "aegaeon_decision_records_total{kind=%q,outcome=%q} %d\n", c.Kind, c.Outcome, c.N)
 	}
 	family(b, "counter", "aegaeon_decision_journaled_total", "Decisions ever journaled (ring rotation does not decrement).")
-	fmt.Fprintf(b, "aegaeon_decision_journaled_total %d\n", j.Total())
+	fmt.Fprintf(b, "aegaeon_decision_journaled_total %d\n", d.total)
 	family(b, "gauge", "aegaeon_decision_tracked_requests", "Requests with a retained decision chain.")
-	fmt.Fprintf(b, "aegaeon_decision_tracked_requests %d\n", j.TrackedRequests())
+	fmt.Fprintf(b, "aegaeon_decision_tracked_requests %d\n", d.tracked)
 }
 
 func b2i(v bool) int {

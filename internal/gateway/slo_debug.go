@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"aegaeon/internal/sim"
 	"aegaeon/internal/slomon"
 )
 
@@ -16,9 +17,11 @@ import (
 //	GET /debug/slo/stream  SSE stream of snapshots (refresh= interval)
 //	GET /debug/dash        dependency-free live HTML dashboard
 
-// sloSnapshot renders the monitor at the current virtual time.
+// sloSnapshot renders the monitor at the loop's clock.
 func (g *Gateway) sloSnapshot() *slomon.Snapshot {
-	return g.opts.SLOMon.Snapshot(g.loopSnapshot().virtual)
+	var snap *slomon.Snapshot
+	g.read(func(now sim.Time) { snap = g.opts.SLOMon.Snapshot(now) })
+	return snap
 }
 
 func (g *Gateway) handleDebugSLO(w http.ResponseWriter, r *http.Request) {

@@ -19,9 +19,9 @@ import (
 )
 
 // surfaceGolden pins the sha256 of each operator-surface body. The decision
-// endpoints are left out: their edge admission records carry the paced
-// driver's wall-clock-derived virtual time. /debug/slo/stream is streaming
-// and /debug/overload is off here.
+// endpoints are left out: their edge admission records carry the loop's
+// clock when the admission's post lands, which wall-clock timing decides.
+// /debug/slo/stream is streaming and /debug/overload is off here.
 var surfaceGolden = map[string]string{
 	"/metrics":               "0ce8243b65f0cc104094c3083e02ee6cea54e9aabbc694ba401bcfe9e3f23a10",
 	"/debug":                 "f3f8720efae2404ddaaf5cc7f89d195f02b795958245633503a302fac30c0cda",
@@ -175,8 +175,8 @@ func TestMetricsHoldAcrossShutdown(t *testing.T) {
 	h := gw.Handler()
 	runSession(t, h, names[0], "sess-drain", 3, 128)
 	before := scrape(t, h)
-	// Scrapers race the drain, so the snapshot cache is read and written
-	// from several goroutines at once.
+	// Scrapers race the drain and the stop, so some reads run on the event
+	// loop and the rest on their own goroutines after it exits.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

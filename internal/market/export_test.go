@@ -10,8 +10,6 @@ func (m *Market) Rate(name string) float64 {
 	if m == nil {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
 		return d.rate
 	}
@@ -23,8 +21,6 @@ func (m *Market) UnderNotice(name string) bool {
 	if m == nil {
 		return false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	return d != nil && d.underNotice
 }
@@ -34,8 +30,6 @@ func (m *Market) Deadline(name string) (sim.Time, bool) {
 	if m == nil {
 		return 0, false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil && d.underNotice {
 		return d.deadline, true
 	}
@@ -48,8 +42,6 @@ func (m *Market) NoteError(name string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return
@@ -66,8 +58,6 @@ func (m *Market) ClassFor(name string) *Class {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
 		return d.class
 	}
@@ -79,8 +69,6 @@ func (m *Market) ThrottleFactor(name string) float64 {
 	if m == nil {
 		return 1
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil && d.throttle > 1 {
 		return d.throttle
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"aegaeon/internal/fleetobs"
@@ -72,7 +71,6 @@ type device struct {
 // register devices as the pool is built; nil is a valid no-op receiver
 // throughout.
 type Market struct {
-	mu      sync.Mutex
 	eng     *sim.Engine
 	cfg     Config
 	fleet   *fleetobs.Ledger
@@ -110,8 +108,6 @@ func (m *Market) Register(name string) *Class {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d, ok := m.devices[name]; ok {
 		return d.class
 	}
@@ -132,19 +128,12 @@ func (m *Market) Start(until sim.Time) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
 	if m.started {
-		m.mu.Unlock()
 		return
 	}
 	m.started = true
-	devs := make([]*device, 0, len(m.order))
 	for _, n := range m.order {
-		devs = append(devs, m.devices[n])
-	}
-	m.mu.Unlock()
-	for _, d := range devs {
-		m.fleet.SetRate(d.name, d.rate)
+		m.fleet.SetRate(n, m.devices[n].rate)
 	}
 	if m.cfg.Spot && until > tickPeriod {
 		m.scheduleTick(m.eng.Now()+tickPeriod, until)
@@ -164,24 +153,14 @@ func (m *Market) scheduleTick(at, until sim.Time) {
 // tick advances every device's price walk one step and feeds the new rate
 // into the fleet ledger (piecewise, thanks to the edge-integrated SetRate).
 func (m *Market) tick() {
-	m.mu.Lock()
-	type upd struct {
-		name string
-		rate float64
-	}
-	var ups []upd
 	for _, n := range m.order {
 		d := m.devices[n]
 		base := d.class.SpotBase
 		d.rate += m.rng.NormFloat64() * d.class.Volatility * base
 		d.rate = math.Max(0.25*base, math.Min(4*base, d.rate))
-		ups = append(ups, upd{d.name, d.rate})
+		m.fleet.SetRate(d.name, d.rate)
 	}
 	m.stats.PriceTicks++
-	m.mu.Unlock()
-	for _, u := range ups {
-		m.fleet.SetRate(u.name, u.rate)
-	}
 }
 
 // Notice records a spot preemption notice for the device: revocation is due
@@ -191,8 +170,6 @@ func (m *Market) Notice(name string, grace sim.Time) error {
 	if m == nil {
 		return fmt.Errorf("market: no market model configured")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return fmt.Errorf("market: unknown device %q", name)
@@ -225,8 +202,6 @@ func (m *Market) Revoked(name string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil || d.revoked {
 		return
@@ -246,8 +221,6 @@ func (m *Market) noteBytes(name string, evac, lost, rehomed int64) {
 	if m == nil || (evac <= 0 && lost <= 0 && rehomed <= 0) {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stats.EvacuatedKVBytes += evac
 	m.stats.LostKVBytes += lost
 	m.stats.RehomedPrefixBytes += rehomed
@@ -273,9 +246,7 @@ func (m *Market) NoteLostKV(name string, bytes int64) {
 	}
 	m.noteBytes(name, 0, bytes, 0)
 	if bytes > 0 {
-		m.mu.Lock()
 		m.stats.DeadlinesMissed++
-		m.mu.Unlock()
 	}
 }
 
@@ -292,8 +263,6 @@ func (m *Market) Throttle(name string, factor float64, until sim.Time) error {
 	if factor < 1 {
 		factor = 1
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return fmt.Errorf("market: unknown device %q", name)
@@ -309,8 +278,6 @@ func (m *Market) ClearThrottle(name string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
 		d.throttle = 1
 	}
@@ -322,8 +289,6 @@ func (m *Market) NoteHeadroom(name string, freeFrac float64) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d := m.devices[name]; d != nil {
 		d.lowHeadroom = freeFrac < minHeadroomFrac
 	}
@@ -336,8 +301,6 @@ func (m *Market) Eligible(name string) bool {
 	if m == nil {
 		return true
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return true
@@ -352,8 +315,6 @@ func (m *Market) CapabilityScore(name string) float64 {
 	if m == nil {
 		return 1
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return 1
@@ -388,8 +349,6 @@ func (m *Market) PlacementPenalty(name string, switchCost sim.Time) (float64, bo
 	if m == nil || !m.cfg.Aware {
 		return 0, true
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devices[name]
 	if d == nil {
 		return 0, true

@@ -95,8 +95,6 @@ func (m *Market) Stats() Stats {
 	if m == nil {
 		return Stats{}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.stats
 }
 
@@ -105,8 +103,6 @@ func (m *Market) Records() []PreemptionRecord {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]PreemptionRecord(nil), m.recs...)
 }
 
@@ -123,8 +119,6 @@ func (m *Market) Snapshot(now sim.Time, fleet *fleetobs.Snapshot) *Snapshot {
 			fleetDev[fleet.Devices[i].Device] = &fleet.Devices[i]
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	snap := &Snapshot{
 		SchemaVersion: SchemaVersion,
 		NowSeconds:    time.Duration(now).Seconds(),

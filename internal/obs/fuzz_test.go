@@ -16,7 +16,7 @@ import (
 // 0-255 µs.
 func FuzzValidatePerfetto(f *testing.F) {
 	var buf bytes.Buffer
-	if err := buildCollector(f).WritePerfetto(&buf); err != nil {
+	if err := buildCollector(f).PerfettoTrace().Write(&buf, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -42,7 +42,7 @@ func FuzzValidatePerfetto(f *testing.F) {
 		}
 		se.Run()
 		var out bytes.Buffer
-		if err := c.WritePerfetto(&out); err != nil {
+		if err := c.PerfettoTrace().Write(&out, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := ValidatePerfetto(&out); err != nil {

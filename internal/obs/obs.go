@@ -24,7 +24,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"aegaeon/internal/chunk"
@@ -232,13 +231,11 @@ const (
 )
 
 // Collector receives observability signals from every layer. All methods are
-// safe on a nil receiver (no-ops) and safe for concurrent use: the
-// simulation goroutine writes while debug handlers snapshot.
+// safe on a nil receiver (no-ops).
 type Collector struct {
 	ring   *Ring
 	faults *Ring // failure, recovery and retry events only
 
-	mu       sync.Mutex
 	models   model.Names
 	slots    []tlSlot         // the timeline table
 	freeSlot []int32          // free slots, reused LIFO
@@ -291,8 +288,6 @@ func (c *Collector) NameModel(id model.ID, name string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.models.Set(id, name)
 }
 
@@ -301,8 +296,6 @@ func (c *Collector) ModelName(id model.ID) string {
 	if c == nil {
 		return ""
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.models.Name(id)
 }
 
@@ -321,27 +314,23 @@ func (c *Collector) ObserveDevice(d *gpu.Device) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	dt, ok := c.devs[d.Name]
 	if !ok {
 		dt = &deviceTimeline{name: d.Name}
 		c.devs[d.Name] = dt
 		c.devOrder = append(c.devOrder, d.Name)
 	}
-	c.mu.Unlock()
 	d.Observe(func(_ *gpu.Device, rec gpu.OpRecord) { c.recordOp(dt, rec) })
 }
 
 func (c *Collector) recordOp(dt *deviceTimeline, rec gpu.OpRecord) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if int(rec.Engine) < len(dt.engines) {
 		dt.engines[rec.Engine].push(rec, maxOpsPerEngine)
 	}
 }
 
 // timeline returns the request's timeline, or nil if the collector holds
-// none (never seen, or evicted). Caller holds c.mu.
+// none (never seen, or evicted).
 func (c *Collector) timeline(id string) *RequestTimeline {
 	slot, ok := c.reqs[id]
 	if !ok {
@@ -351,7 +340,6 @@ func (c *Collector) timeline(id string) *RequestTimeline {
 }
 
 // resolve returns the timeline h names, or nil for a stale or zero handle.
-// Caller holds c.mu.
 func (c *Collector) resolve(h Handle) *RequestTimeline {
 	if h.gen == 0 || int(h.slot) >= len(c.slots) {
 		return nil
@@ -362,12 +350,12 @@ func (c *Collector) resolve(h Handle) *RequestTimeline {
 	return nil
 }
 
-// handleLocked returns the handle of the timeline in slot. Caller holds c.mu.
-func (c *Collector) handleLocked(slot int32) Handle {
+// handle returns the handle of the timeline in slot.
+func (c *Collector) handle(slot int32) Handle {
 	return Handle{slot: slot, gen: c.slots[slot].gen}
 }
 
-func (c *Collector) evictLocked() {
+func (c *Collector) evict() {
 	for len(c.reqOrder) > maxRequests {
 		victim := -1
 		for i, slot := range c.reqOrder {
@@ -396,10 +384,8 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 		return Handle{}
 	}
 	c.ring.Emit(Event{At: at, Kind: KindArrival, Subject: id, detail: model})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if slot, ok := c.reqs[id]; ok {
-		return c.handleLocked(slot) // re-dispatch after failover
+		return c.handle(slot) // re-dispatch after failover
 	}
 	var slot int32
 	if n := len(c.freeSlot); n > 0 {
@@ -418,13 +404,12 @@ func (c *Collector) RequestArrived(id, model string, at sim.Time) Handle {
 	t.openSpan(spanQueueWait, at)
 	c.reqs[id] = slot
 	c.reqOrder = append(c.reqOrder, slot)
-	h := c.handleLocked(slot)
-	c.evictLocked()
+	h := c.handle(slot)
+	c.evict()
 	return h
 }
 
-// openSpan opens a span of kind k on the request unless one is open
-// (caller holds c.mu).
+// openSpan opens a span of kind k on the request unless one is open.
 func (t *RequestTimeline) openSpan(k spanKind, at sim.Time) {
 	if t.openMask&(1<<k) == 0 {
 		t.openMask |= 1 << k
@@ -432,7 +417,7 @@ func (t *RequestTimeline) openSpan(k spanKind, at sim.Time) {
 	}
 }
 
-// closeSpan closes t's span of kind k if open (caller holds c.mu).
+// closeSpan closes t's span of kind k if open.
 func (c *Collector) closeSpan(t *RequestTimeline, k spanKind, at sim.Time) {
 	if t.openMask&(1<<k) == 0 {
 		return
@@ -448,8 +433,6 @@ func (c *Collector) PrefillStart(instance, id string, h Handle, at sim.Time) {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindPrefillStart, Instance: instance, Subject: id})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t := c.resolve(h); t != nil {
 		c.closeSpan(t, spanQueueWait, at)
 		t.openSpan(spanPrefill, at)
@@ -467,8 +450,6 @@ func (c *Collector) RequestSpan(instance, id, name, detail string, start, end si
 	}
 	c.ring.Emit(Event{At: end, Kind: KindPrefix, Instance: instance, Subject: id,
 		detail: name + " " + detail})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t := c.timeline(id); t != nil {
 		t.Spans = c.spans.Append(t.Spans, Span{Name: name, Detail: detail, Start: start, End: end})
 	}
@@ -481,8 +462,6 @@ func (c *Collector) PrefillDone(instance, id string, h Handle, at sim.Time) {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindPrefillDone, Instance: instance, Subject: id})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t := c.resolve(h); t != nil {
 		c.closeSpan(t, spanPrefill, at)
 		t.openSpan(spanDecodeWait, at)
@@ -495,8 +474,6 @@ func (c *Collector) TurnStart(instance string, model model.ID, at sim.Time, quot
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.ring.Emit(Event{At: at, Kind: KindTurnStart, Instance: instance, Subject: c.models.Name(model),
 		form: detailTurn, n: int32(len(reqs)), quota: quota})
 	c.turnSet[instance] = append(c.turnSet[instance][:0], reqs...)
@@ -514,8 +491,6 @@ func (c *Collector) TurnEnd(instance string, model model.ID, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.ring.Emit(Event{At: at, Kind: KindTurnEnd, Instance: instance, Subject: c.models.Name(model)})
 	for _, h := range c.turnSet[instance] {
 		if t := c.resolve(h); t != nil {
@@ -534,12 +509,10 @@ func (c *Collector) TokenBatch(instance string, model model.ID, at sim.Time, req
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.ring.Emit(Event{At: at, Kind: KindTokenBatch, Instance: instance, Subject: c.models.Name(model),
 		form: detailTokens, n: int32(len(reqs))})
 	for _, h := range reqs {
-		c.tokenLocked(h, at)
+		c.addToken(h, at)
 	}
 }
 
@@ -549,12 +522,10 @@ func (c *Collector) Token(h Handle, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tokenLocked(h, at)
+	c.addToken(h, at)
 }
 
-func (c *Collector) tokenLocked(h Handle, at sim.Time) {
+func (c *Collector) addToken(h Handle, at sim.Time) {
 	t := c.resolve(h)
 	if t == nil {
 		return
@@ -579,8 +550,6 @@ func (c *Collector) RequestDone(id string, at sim.Time) {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindRequestDone, Subject: id})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.timeline(id)
 	if t == nil {
 		return
@@ -626,8 +595,6 @@ func (c *Collector) BeginSwitch(instance, from, to string, at sim.Time, reinitAv
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindSwitchStart, Instance: instance, Subject: to, form: detailFrom, detail: from})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var rec *SwitchRecord
 	if len(c.switches) < maxSwitches {
 		rec = c.records.New()
@@ -657,11 +624,9 @@ func (c *Collector) SwitchStage(instance, stage string, start, end sim.Time) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rec := c.open[instance]
 	if rec == nil {
-		rec = c.lastSwitchLocked(instance)
+		rec = c.lastSwitch(instance)
 	}
 	if rec != nil {
 		rec.Stages = c.stages.Append(rec.Stages, SwitchStage{Name: stage, Start: start, End: end})
@@ -675,8 +640,6 @@ func (c *Collector) SwitchVictims(instance string, reqIDs []string) {
 	if c == nil || len(reqIDs) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rec := c.open[instance]
 	if rec == nil || rec.done {
 		return
@@ -691,8 +654,6 @@ func (c *Collector) EndSwitch(instance string, at sim.Time) {
 		return
 	}
 	c.ring.Emit(Event{At: at, Kind: KindSwitchDone, Instance: instance})
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rec := c.open[instance]
 	if rec == nil {
 		return
@@ -722,8 +683,8 @@ func dominantStage(stages []SwitchStage) string {
 	return name
 }
 
-// lastSwitchLocked returns the most recent switch record of the instance.
-func (c *Collector) lastSwitchLocked(instance string) *SwitchRecord {
+// lastSwitch returns the most recent switch record of the instance.
+func (c *Collector) lastSwitch(instance string) *SwitchRecord {
 	for i := 0; i < len(c.switches); i++ {
 		idx := (c.swNext - 1 - i + len(c.switches)) % len(c.switches)
 		if c.switches[idx] != nil && c.switches[idx].Instance == instance {
@@ -740,16 +701,14 @@ func (c *Collector) Request(id string) (RequestTimeline, bool) {
 	if c == nil {
 		return RequestTimeline{}, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.timeline(id)
 	if t == nil {
 		return RequestTimeline{}, false
 	}
-	return t.snapshotLocked(), true
+	return t.snapshot(), true
 }
 
-func (t *RequestTimeline) snapshotLocked() RequestTimeline {
+func (t *RequestTimeline) snapshot() RequestTimeline {
 	out := *t
 	out.open, out.openMask = [numSpanKinds]sim.Time{}, 0
 	out.Spans = append([]Span(nil), t.Spans...)
@@ -767,14 +726,11 @@ func (t *RequestTimeline) snapshotLocked() RequestTimeline {
 
 // VisitSpans calls visit for every span of the request overlapping
 // [from, to], including still-open spans (treated as extending to `to`).
-// It returns false when the request has no retained timeline. The callback
-// runs under the collector's lock and must not call back into it.
+// It returns false when the request has no retained timeline.
 func (c *Collector) VisitSpans(id string, from, to sim.Time, visit func(name, detail string, start, end sim.Time)) bool {
 	if c == nil {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.timeline(id)
 	if t == nil {
 		return false
@@ -798,15 +754,13 @@ func (c *Collector) Requests(n int) []RequestTimeline {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	slots := c.reqOrder
 	if n > 0 && len(slots) > n {
 		slots = slots[len(slots)-n:]
 	}
 	out := make([]RequestTimeline, 0, len(slots))
 	for _, slot := range slots {
-		out = append(out, c.slots[slot].t.snapshotLocked())
+		out = append(out, c.slots[slot].t.snapshot())
 	}
 	return out
 }
@@ -817,8 +771,6 @@ func (c *Collector) Switches() ([]SwitchRecord, uint64) {
 	if c == nil {
 		return nil, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]SwitchRecord, 0, len(c.switches))
 	for i := 0; i < len(c.switches); i++ {
 		idx := (c.swNext + i) % len(c.switches)
@@ -847,8 +799,6 @@ func (c *Collector) DeviceTimelines() []EngineTimeline {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []EngineTimeline
 	for _, name := range c.devOrder {
 		dt := c.devs[name]
@@ -880,8 +830,6 @@ func (c *Collector) Utilizations(now sim.Time, window time.Duration) []GPUUtiliz
 	if c == nil || window <= 0 {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	lo := now - window
 	if lo < 0 {
 		lo = 0

@@ -453,7 +453,7 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 	}
 	// The export of a wrapped ring validates.
 	var buf bytes.Buffer
-	if err := c.WritePerfetto(&buf); err != nil {
+	if err := c.PerfettoTrace().Write(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidatePerfetto(&buf); err != nil {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"aegaeon/internal/model"
 	"aegaeon/internal/sim"
 )
 
@@ -70,27 +71,47 @@ type RequestInstant struct {
 	Args    map[string]any
 }
 
-// WritePerfetto exports the collector's timelines as Chrome trace-event
-// JSON. The output loads directly in ui.perfetto.dev.
-func (c *Collector) WritePerfetto(w io.Writer) error {
-	return c.WritePerfettoAnnotated(w, nil)
+// PerfettoTrace is a copy of everything a Perfetto export draws, taken at
+// one instant: the device op timelines with the model names they carry, the
+// switch records, the request timelines and the fault events. The copy is
+// taken where the collector is written (the event loop), and Write encodes
+// it anywhere.
+type PerfettoTrace struct {
+	devices  []EngineTimeline
+	names    model.Names
+	switches []SwitchRecord
+	requests []RequestTimeline
+	faults   []Event
 }
 
-// WritePerfettoAnnotated is WritePerfetto plus caller-supplied instant events
-// on request tracks (decision provenance annotations).
-func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestInstant) error {
+// PerfettoTrace copies what an export draws (nil on a nil collector).
+func (c *Collector) PerfettoTrace() *PerfettoTrace {
 	if c == nil {
+		return nil
+	}
+	switches, _ := c.Switches()
+	return &PerfettoTrace{
+		devices:  c.DeviceTimelines(),
+		names:    c.models.Clone(),
+		switches: switches,
+		requests: c.Requests(0),
+		faults:   c.faults.Events(),
+	}
+}
+
+// Write encodes the trace as Chrome trace-event JSON, which loads directly
+// in ui.perfetto.dev, plus caller-supplied instant events on request tracks
+// (decision provenance annotations). A nil trace (from a nil collector) has
+// nothing to export.
+func (t *PerfettoTrace) Write(w io.Writer, annotations []RequestInstant) error {
+	if t == nil {
 		return fmt.Errorf("obs: nil collector has nothing to export")
 	}
 	var events []traceEvent
 
 	// Device tracks: one process per device, one thread per engine.
-	timelines := c.DeviceTimelines()
-	c.mu.Lock()
-	names := c.models.Clone()
-	c.mu.Unlock()
 	devPid := map[string]int{}
-	for _, tl := range timelines {
+	for _, tl := range t.devices {
 		pid, ok := devPid[tl.Device]
 		if !ok {
 			pid = pidDeviceLow + len(devPid)
@@ -103,7 +124,7 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 		tid := 1 + int(tl.Engine)
 		events = append(events, metaEvent(pid, tid, "thread_name", tl.Engine.String()))
 		for _, op := range tl.Ops {
-			model := names.Name(op.Info.Model)
+			model := t.names.Name(op.Info.Model)
 			ev := traceEvent{
 				Name: op.Info.Label(model), Ph: "X", Cat: "gpu",
 				Ts: usec(op.Start), Dur: durUsec(op.Start, op.End),
@@ -124,8 +145,7 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 
 	// Switch tracks: one slice per switch on the owning device's process,
 	// stage slices nested inside (same track, contained intervals).
-	switches, _ := c.Switches()
-	for _, sw := range switches {
+	for _, sw := range t.switches {
 		pid, ok := devPid[sw.Instance]
 		if !ok {
 			pid = pidDeviceLow + len(devPid)
@@ -169,10 +189,9 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 	}
 
 	// Request tracks: a shared process with one thread per request.
-	reqs := c.Requests(0)
 	events = append(events, metaEvent(pidRequests, 0, "process_name", "requests"))
-	reqTid := make(map[string]int, len(reqs))
-	for i, rt := range reqs {
+	reqTid := make(map[string]int, len(t.requests))
+	for i, rt := range t.requests {
 		tid := i + 1
 		reqTid[rt.ID] = tid
 		events = append(events, metaEvent(pidRequests, tid, "thread_name",
@@ -217,7 +236,7 @@ func (c *Collector) WritePerfettoAnnotated(w io.Writer, annotations []RequestIns
 		KindRetry:    "retries",
 	}
 	wroteFaultMeta := map[Kind]bool{}
-	for _, ev := range c.faults.Events() {
+	for _, ev := range t.faults {
 		tid := faultTids[ev.Kind]
 		if !wroteFaultMeta[ev.Kind] {
 			if len(wroteFaultMeta) == 0 {

@@ -47,7 +47,7 @@ func buildCollector(t testing.TB) *Collector {
 func TestWritePerfettoValidatesAndHasTracks(t *testing.T) {
 	c := buildCollector(t)
 	var buf bytes.Buffer
-	if err := c.WritePerfetto(&buf); err != nil {
+	if err := c.PerfettoTrace().Write(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidatePerfetto(bytes.NewReader(buf.Bytes())); err != nil {
@@ -116,7 +116,7 @@ func TestWritePerfettoValidatesAndHasTracks(t *testing.T) {
 
 func TestWritePerfettoNilCollector(t *testing.T) {
 	var c *Collector
-	if err := c.WritePerfetto(&bytes.Buffer{}); err == nil {
+	if err := c.PerfettoTrace().Write(&bytes.Buffer{}, nil); err == nil {
 		t.Fatal("nil collector export did not error")
 	}
 }

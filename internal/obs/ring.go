@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -98,13 +97,7 @@ func (e Event) String() string {
 
 // Ring is a fixed-size ring of events with per-kind counters. A nil Ring is
 // a valid no-op sink.
-//
-// A Ring is safe for concurrent use: the simulation goroutine emits while
-// gateway debug handlers snapshot, so the ring serializes access with its own
-// mutex (uncontended in batch simulations, where everything runs on one
-// goroutine).
 type Ring struct {
-	mu       sync.Mutex
 	buf      []Event // allocated at capacity by the first Emit
 	capacity int
 	next     int
@@ -125,8 +118,6 @@ func (r *Ring) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.total++
 	if int(e.Kind) < len(r.counts) {
 		r.counts[e.Kind]++
@@ -147,8 +138,6 @@ func (r *Ring) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.total
 }
 
@@ -157,8 +146,6 @@ func (r *Ring) Count(k Kind) uint64 {
 	if r == nil || int(k) >= len(r.counts) {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.counts[k]
 }
 
@@ -167,8 +154,6 @@ func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
@@ -179,8 +164,6 @@ func (r *Ring) Summary() string {
 	if r == nil {
 		return "trace: disabled"
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d events total", r.total)
 	for k := Kind(0); k < numKinds; k++ {

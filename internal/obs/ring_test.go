@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -80,66 +79,6 @@ func TestNewRingPanicsOnZeroCapacity(t *testing.T) {
 	newRing(0)
 }
 
-// TestConcurrentEmitAndSnapshot drives writers (the simulation goroutine) and
-// readers (debug handlers) at the same time; run under -race it proves the
-// ring's locking is complete, and afterwards the wraparound invariants and
-// per-kind counters must be exact.
-func TestConcurrentEmitAndSnapshot(t *testing.T) {
-	const (
-		capacity   = 64
-		writers    = 4
-		perWriter  = 500
-		readRounds = 200
-	)
-	tr := newRing(capacity)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				k := Kind(i % int(numKinds))
-				tr.Emit(Event{At: time.Duration(i), Kind: k, Instance: "d0"})
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < readRounds; i++ {
-			evs := tr.Events()
-			if len(evs) > capacity {
-				t.Errorf("snapshot holds %d events, cap %d", len(evs), capacity)
-				return
-			}
-			_ = tr.Total()
-			_ = tr.Count(KindArrival)
-			_ = tr.Summary()
-		}
-	}()
-	wg.Wait()
-
-	if got := tr.Total(); got != writers*perWriter {
-		t.Fatalf("total = %d, want %d", got, writers*perWriter)
-	}
-	if evs := tr.Events(); len(evs) != capacity {
-		t.Fatalf("retained %d, want full ring of %d", len(evs), capacity)
-	}
-	// Each writer emits perWriter/numKinds (rounded) events of each kind.
-	var sum uint64
-	for k := Kind(0); k < numKinds; k++ {
-		sum += tr.Count(k)
-	}
-	if sum != uint64(writers*perWriter) {
-		t.Fatalf("per-kind counters sum to %d, want %d", sum, writers*perWriter)
-	}
-	perKind := tr.Count(KindArrival)
-	want := uint64(writers) * uint64((perWriter+int(numKinds)-1)/int(numKinds))
-	if perKind != want {
-		t.Fatalf("KindArrival count = %d, want %d", perKind, want)
-	}
-}
-
 // TestFaultsOutliveRingWrap: a fault recorded before the flat ring wraps
 // still reaches the Perfetto fault track.
 func TestFaultsOutliveRingWrap(t *testing.T) {
@@ -153,7 +92,7 @@ func TestFaultsOutliveRingWrap(t *testing.T) {
 		t.Fatal("flat ring did not record the fault and then wrap past it")
 	}
 	var buf bytes.Buffer
-	if err := c.WritePerfetto(&buf); err != nil {
+	if err := c.PerfettoTrace().Write(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"name":"crash"`, `"name":"fetch"`, `"name":"failures"`, `"name":"retries"`} {

@@ -16,7 +16,6 @@
 package overload
 
 import (
-	"sync"
 	"time"
 
 	"aegaeon/internal/sim"
@@ -104,11 +103,9 @@ type Transition struct {
 // the most recent window, which is what an incident review needs.
 const maxTransitions = 64
 
-// Controller is the brownout state machine. Safe for concurrent use; all
-// methods are nil-safe (a nil controller reads as LevelNormal).
+// Controller is the brownout state machine. All methods are nil-safe (a
+// nil controller reads as LevelNormal).
 type Controller struct {
-	mu sync.Mutex
-
 	level       Level
 	lastChange  sim.Time // when level last changed
 	calm        bool     // a clear (no page/warn) streak is running
@@ -127,8 +124,6 @@ func (c *Controller) Step(now sim.Time, sig Signals) Level {
 	if c == nil {
 		return LevelNormal
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.steps++
 	if sig.Page || sig.Warn {
 		c.calm = false
@@ -141,19 +136,19 @@ func (c *Controller) Step(now sim.Time, sig Signals) Level {
 		// Escalate: immediately out of Normal, then one rung per
 		// escalateHold while the page persists.
 		if c.level == LevelNormal || now-c.lastChange >= escalateHold {
-			c.setLevelLocked(now, c.level+1, sig.FastBurn)
+			c.setLevel(now, c.level+1, sig.FastBurn)
 		}
 	case c.calm && c.level > LevelNormal:
 		// Recover: one rung per recoverHold of sustained clear signal.
 		if now-c.calmSince >= recoverHold && now-c.lastChange >= recoverHold {
-			c.setLevelLocked(now, c.level-1, sig.FastBurn)
+			c.setLevel(now, c.level-1, sig.FastBurn)
 		}
 	}
 	return c.level
 }
 
-// setLevelLocked must be called with c.mu held.
-func (c *Controller) setLevelLocked(now sim.Time, to Level, burn float64) {
+// setLevel moves the controller to level to and records the transition.
+func (c *Controller) setLevel(now sim.Time, to Level, burn float64) {
 	tr := Transition{At: now, From: c.level, To: to,
 		FromName: c.level.String(), ToName: to.String(), Burn: burn}
 	c.level = to
@@ -170,8 +165,6 @@ func (c *Controller) Level() Level {
 	if c == nil {
 		return LevelNormal
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.level
 }
 
@@ -212,8 +205,6 @@ func (c *Controller) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{Level: LevelNormal.String()}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Snapshot{
 		Level:       c.level.String(),
 		LevelValue:  int(c.level),

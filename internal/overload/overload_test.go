@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aegaeon/internal/sim"
 )
 
 func sec(s int) time.Duration { return time.Duration(s) * time.Second }
@@ -127,9 +129,7 @@ func TestPolicyGetters(t *testing.T) {
 		{LevelAdmitNone, true, true, true, 75},
 	}
 	for _, tc := range cases {
-		c.mu.Lock()
 		c.level = tc.level
-		c.mu.Unlock()
 		if c.ShedLow() != tc.shedLow || c.FreezeCold() != tc.freeze || c.AdmitNone() != tc.none {
 			t.Errorf("%v: policy getters = (%v,%v,%v), want (%v,%v,%v)", tc.level,
 				c.ShedLow(), c.FreezeCold(), c.AdmitNone(), tc.shedLow, tc.freeze, tc.none)
@@ -143,24 +143,29 @@ func TestPolicyGetters(t *testing.T) {
 	}
 }
 
-// TestControllerConcurrency exercises Step and the getters under the race
-// detector.
+// TestControllerConcurrency exercises Step and the getters from several
+// goroutines the way the live path does, through a sim.Driver that runs
+// each call on its event loop, under the race detector.
 func TestControllerConcurrency(t *testing.T) {
 	c := NewController()
+	drv := sim.NewDriver(sim.NewEngine(1), 1)
+	drv.Start()
+	defer drv.Stop()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				if w%2 == 0 {
-					c.Step(sec(i), Signals{Page: i%3 == 0})
-				} else {
-					_ = c.Level()
-					_ = c.OutputCap(64)
-					_ = c.Snapshot()
-				}
+				_ = drv.Call(func() {
+					if w%2 == 0 {
+						c.Step(sec(i), Signals{Page: i%3 == 0})
+					} else {
+						_ = c.Level()
+						_ = c.OutputCap(64)
+						_ = c.Snapshot()
+					}
+				})
 			}
 		}()
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"aegaeon/internal/chunk"
 	"aegaeon/internal/decision"
@@ -112,11 +111,8 @@ type devTier struct {
 	victims victimHeap // unpinned device leaves on this tier
 }
 
-// Cache is the global prefix cache. All methods are safe for concurrent use:
-// the simulator core runs single-threaded, but gateway scrape handlers and
-// race tests touch the cache from other goroutines.
+// Cache is the global prefix cache.
 type Cache struct {
-	mu      sync.Mutex
 	cfg     Config
 	host    *kvcache.Cache
 	hostCap int64 // host-tier residency cap
@@ -264,8 +260,6 @@ func (c *Cache) AttachDevice(instance string, dev *kvcache.Cache) int {
 		panic(fmt.Sprintf("prefixcache: device tier %s block tokens %d != host %d",
 			instance, dev.BlockTokens(), c.block))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t, ok := c.tierOf[instance]
 	if !ok {
 		t = len(c.tiers)
@@ -388,8 +382,6 @@ type Hit struct {
 // prompt so at least one token always prefills (the model must produce
 // output, and TTFT stays well-defined).
 func (c *Cache) Acquire(instance, m string, shape model.KVShape, hashes []uint64, tokens int, now sim.Time) *Hit {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 
 	c.st.lookups++
 	c.st.prefillTokens += uint64(tokens)
@@ -449,8 +441,6 @@ func (h *Hit) Release(now sim.Time) {
 	}
 	h.released = true
 	c := h.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Promote root-first so device residency stays contiguous from the
 	// prompt start (a device walk stops at the first non-resident block, so
 	// a gap would strand everything after it). The chain stays pinned until
@@ -475,7 +465,7 @@ func (h *Hit) Release(now sim.Time) {
 	h.chain = nil
 }
 
-// promote gives e a device copy on tier t. Caller holds c.mu.
+// promote gives e a device copy on tier t.
 func (c *Cache) promote(e *entry, t int, now sim.Time) bool {
 	ci, ok := c.classes[e.model]
 	if !ok {
@@ -519,8 +509,6 @@ func (c *Cache) promote(e *entry, t int, now sim.Time) bool {
 // host pool, evicting unpinned leaves as needed. Insertion stops early if
 // the budget cannot be met — the cached chain is still valid, just shorter.
 func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens int, now sim.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 
 	nblocks := tokens / c.block
 	if nblocks <= 0 {
@@ -614,8 +602,8 @@ func (c *Cache) evictHostOne() bool {
 	return true
 }
 
-// journalEviction records one eviction victim choice. Caller holds c.mu; the
-// journal has its own lock and never calls back into the cache.
+// journalEviction records one eviction victim choice. The journal never
+// calls back into the cache.
 func (c *Cache) journalEviction(tier, instance string, v *entry) {
 	j := c.cfg.Journal
 	if j == nil {
@@ -647,7 +635,7 @@ func (e *entry) hostVictim() bool { return e.refs == 0 && e.children == 0 }
 func (e *entry) devVictim(d *devCopy) bool { return e.refs == 0 && d.children == 0 }
 
 // refile brings e's place in every victim heap up to date after a change to
-// its pins, children, device copies or order key. Caller holds c.mu.
+// its pins, children, device copies or order key.
 func (c *Cache) refile(e *entry) {
 	c.hostVictims.file(&e.host, e.hostVictim())
 	for t, d := range e.dev {
@@ -658,7 +646,7 @@ func (c *Cache) refile(e *entry) {
 }
 
 // removeEntry frees an unpinned leaf's host block and device copies,
-// unlinks it and recycles it. Caller holds c.mu.
+// unlinks it and recycles it.
 func (c *Cache) removeEntry(e *entry) {
 	if err := c.host.Pool().Free(e.hostBlock); err != nil {
 		panic(fmt.Sprintf("prefixcache: host free: %v", err))
@@ -737,8 +725,6 @@ func (c *Cache) evictDeviceOne(t int) bool {
 // allocation on an instance hits OOM, core asks the prefix cache to give
 // back up to n bytes of that instance's device copies. Returns bytes freed.
 func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.tierIndex(instance)
 	if t < 0 {
 		return 0
@@ -760,8 +746,6 @@ func (c *Cache) EvictDeviceBytes(instance string, n int64) int64 {
 // instance goes at once, so the per-copy child counts and the tier's victim
 // heap go with them; the tier keeps its index.
 func (c *Cache) DropInstance(instance string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := c.tierIndex(instance)
 	if t < 0 {
 		return
@@ -790,8 +774,6 @@ func (c *Cache) DropInstance(instance string) {
 // allocates nothing. hashes and tokens are as for Acquire. The router's
 // placement score is built from this.
 func (c *Cache) Match(m string, hashes []uint64, tokens int, onDevice []int) (matched int, _ []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	chain := c.walk(m, prefix(hashes, (tokens-1)/c.block))
 	onDevice = slices.Grow(onDevice[:0], len(c.tiers))[:len(c.tiers)]
 	clear(onDevice)
@@ -817,8 +799,6 @@ func (c *Cache) Match(m string, hashes []uint64, tokens int, onDevice []int) (ma
 
 // Stats snapshots the cache.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := Stats{
 		Lookups:               c.st.lookups,
 		Hits:                  c.st.hits,
@@ -862,8 +842,6 @@ func (c *Cache) Stats() Stats {
 // quiescence (no in-flight prefill) it must be zero — the chaos invariants
 // check exactly that.
 func (c *Cache) PinnedEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
 	for _, idx := range c.index {
 		for _, e := range idx {
@@ -877,16 +855,12 @@ func (c *Cache) PinnedEntries() int {
 
 // HostResidentBytes returns bytes of the shared CPU pool held by the cache.
 func (c *Cache) HostResidentBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hostBytes
 }
 
 // DeviceResidentBytes returns bytes of an instance's GPU pool held by the
 // cache's device copies there.
 func (c *Cache) DeviceResidentBytes(instance string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t := c.tierIndex(instance); t >= 0 {
 		return c.tiers[t].bytes
 	}
@@ -901,8 +875,6 @@ func (c *Cache) DeviceResidentBytes(instance string) int64 {
 // tier's eligible entries, each at the position its slot records, in heap
 // order.
 func (c *Cache) CheckConsistency() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var bad []string
 	var hostSum int64
 	devSum := make([]int64, len(c.tiers))

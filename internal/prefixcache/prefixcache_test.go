@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"aegaeon/internal/decision"
@@ -49,10 +48,7 @@ func chunks(segs []workload.PromptSeg) []uint64 {
 // serve, and how many of those are already on the instance's device tier.
 func matchOn(c *Cache, instance, m string, hashes []uint64, tokens int) (matched, onDevice int) {
 	matched, dev := c.Match(m, hashes, tokens, nil)
-	c.mu.Lock()
-	t := c.tierIndex(instance)
-	c.mu.Unlock()
-	if t >= 0 {
+	if t := c.tierIndex(instance); t >= 0 {
 		onDevice = dev[t]
 	}
 	return matched, onDevice
@@ -432,81 +428,6 @@ func TestPromotionDeviceTierAndCrash(t *testing.T) {
 	}
 }
 
-// TestConcurrentLookupInsertEvict hammers the cache from four goroutine
-// families — acquire/release on shared sessions, inserts of fresh prompts,
-// the device pressure valve, and stats/consistency readers — and must pass
-// under -race. Refcounts must return to zero and accounting must balance.
-func TestConcurrentLookupInsertEvict(t *testing.T) {
-	host := hostFor(32)
-	dev := deviceFor("gpu0", 8)
-	c := New(Config{}, host)
-	c.AttachDevice("p0", dev)
-
-	shared := []workload.PromptSeg{seg(0xABCD, 64)}
-	c.Insert("m", testShape, chunks(shared), 64, 0)
-
-	const iters = 400
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				now := sim.Time(w*iters + i)
-				if h := c.Acquire("p0", "m", testShape, chunks(shared), 65, now); h != nil {
-					h.Release(now)
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < iters; i++ {
-			n := (1 + rng.Intn(4)) * testBlkTok
-			c.Insert("m", testShape, chunks([]workload.PromptSeg{seg(rng.Uint64(), n)}), n, sim.Time(i))
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters/4; i++ {
-			c.EvictDeviceBytes("p0", testBlockBytes)
-			_, _ = matchOn(c, "p0", "m", chunks(shared), 65)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters/8; i++ {
-			_ = c.Stats()
-			if bad := c.CheckConsistency(); len(bad) != 0 {
-				t.Errorf("mid-run consistency: %v", bad)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	if got := c.PinnedEntries(); got != 0 {
-		t.Fatalf("pinned = %d after drain", got)
-	}
-	if bad := c.CheckConsistency(); len(bad) != 0 {
-		t.Fatalf("final consistency: %v", bad)
-	}
-	st := c.Stats()
-	if st.HostBytes != c.HostResidentBytes() {
-		t.Fatal("stats/resident divergence")
-	}
-	if host.Pool().UsedBytes() != st.HostBytes {
-		t.Fatalf("host pool used %d != cache accounting %d", host.Pool().UsedBytes(), st.HostBytes)
-	}
-	if dev.Pool().UsedBytes() != st.DeviceBytes {
-		t.Fatalf("device pool used %d != cache accounting %d", dev.Pool().UsedBytes(), st.DeviceBytes)
-	}
-}
-
 // scanVictim is the reference the victim heaps replaced: visit every entry
 // and keep the minimum of the eviction order among those passing ok.
 func scanVictim(c *Cache, ok func(*entry) bool) *entry {
@@ -523,7 +444,6 @@ func scanVictim(c *Cache, ok func(*entry) bool) *entry {
 
 // victimMismatch compares every heap minimum with scanVictim, deriving
 // eligibility from the parent links rather than the cache's child counters.
-// Caller holds c.mu or owns c outright.
 func victimMismatch(c *Cache) string {
 	if got, want := c.hostVictims.min(), scanVictim(c, func(e *entry) bool {
 		return e.refs == 0 && e.children == 0
@@ -560,7 +480,7 @@ func entryName(e *entry) string {
 // seeded mix of acquires, releases, inserts, the device pressure valve and
 // instance crashes, over two models and two device instances with host and
 // device budgets small enough to evict on both tiers. The journal clock runs
-// under the cache lock at every victim choice, before the victim goes, so it
+// inside the cache at every victim choice, before the victim goes, so it
 // checks each heap minimum against the full scan exactly where an eviction
 // reads it; every step also runs the CheckConsistency heap audit.
 func TestVictimHeapsMatchScan(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// ErrDriverStopped is returned by Post and Call after the driver has been
-// stopped: the event loop will never execute the injected function.
+// ErrDriverStopped is returned by Post after the driver has been stopped:
+// the event loop will never execute the injected function.
 var ErrDriverStopped = errors.New("sim: driver stopped")
 
 // Driver replays an Engine's virtual time against the wall clock, turning
@@ -18,7 +18,9 @@ var ErrDriverStopped = errors.New("sim: driver stopped")
 // executes on its loop goroutine. This is the concurrency boundary of the
 // live serving path — HTTP goroutines inject closures, the loop serializes
 // them against the event heap, and nothing inside the simulation ever needs
-// a lock.
+// a lock. Once the loop has exited, Call runs its function on the caller's
+// goroutine instead, one at a time, so state the loop owned stays readable
+// after the stop.
 //
 // Pacing maps virtual time v to wall time start + (v-start_v)/speedup: a
 // speedup of 1 replays in real time, larger values run proportionally
@@ -33,12 +35,14 @@ type Driver struct {
 	pending []func()
 	stopped bool
 
+	after sync.Mutex // serializes the Calls that run after the loop exited
+
 	accel atomic.Bool
 
 	wake chan struct{}
 	done chan struct{}
 
-	anchor atomic.Pointer[anchor] // set by Start
+	anchor anchor // set by Start, before the loop starts
 
 	stopOnce sync.Once
 }
@@ -67,7 +71,7 @@ func NewDriver(eng *Engine, speedup float64) *Driver {
 // Start anchors virtual time to the current wall clock and launches the
 // event loop goroutine. Start must be called at most once.
 func (d *Driver) Start() {
-	d.anchor.Store(&anchor{wall: time.Now(), virt: d.eng.Now()})
+	d.anchor = anchor{wall: time.Now(), virt: d.eng.Now()}
 	go d.loop()
 }
 
@@ -87,16 +91,23 @@ func (d *Driver) Post(fn func()) error {
 	return nil
 }
 
-// Call runs fn on the loop goroutine and waits for it to return — the safe
-// way for an HTTP goroutine to read simulation state (e.g. a metrics
-// snapshot).
+// Call runs fn on the loop goroutine and waits for it to return — the way
+// for an HTTP goroutine to read simulation state (e.g. a metrics snapshot).
+// Once the driver is stopped, Call waits for the loop to exit and runs fn
+// on the caller's goroutine, serialized with every other such Call: reads
+// need not be pure, so two must not overlap. Either way fn runs exactly
+// once and Call returns nil.
 func (d *Driver) Call(fn func()) error {
 	ran := make(chan struct{})
 	if err := d.Post(func() {
 		fn()
 		close(ran)
 	}); err != nil {
-		return err
+		<-d.done
+		d.after.Lock()
+		defer d.after.Unlock()
+		fn()
+		return nil
 	}
 	<-ran
 	return nil
@@ -112,7 +123,8 @@ func (d *Driver) Accelerate() {
 // Stop shuts the loop down: functions already posted still run, then the
 // remaining event queue is executed to completion un-paced, and the loop
 // exits. Stop blocks until the loop goroutine has finished and is
-// idempotent. Post and Call fail with ErrDriverStopped afterwards.
+// idempotent. Post fails with ErrDriverStopped afterwards; Call runs its
+// function on the caller's goroutine.
 func (d *Driver) Stop() {
 	d.stopOnce.Do(func() {
 		d.mu.Lock()
@@ -139,23 +151,17 @@ func (d *Driver) takePending() []func() {
 	return fns
 }
 
-// VirtualNow maps the current wall clock onto virtual time by the pacing
-// the driver replays at: the instant the event loop is paced toward. It is
-// safe to call from any goroutine, and returns 0 before Start. The engine's
-// own clock is never behind it for long while paced, and may run ahead of
-// it once the driver is accelerated.
-func (d *Driver) VirtualNow() Time {
-	a := d.anchor.Load()
-	if a == nil {
-		return 0
-	}
-	return a.virt + Time(float64(time.Since(a.wall))*d.speedup)
+// virtualNow maps the current wall clock onto virtual time by the pacing
+// the driver replays at: the instant the event loop is paced toward. The
+// engine's own clock is never behind it for long while paced, and may run
+// ahead of it once the driver is accelerated. Loop only.
+func (d *Driver) virtualNow() Time {
+	return d.anchor.virt + Time(float64(time.Since(d.anchor.wall))*d.speedup)
 }
 
 // wallFor maps a virtual timestamp back onto the wall clock. Loop only.
 func (d *Driver) wallFor(v Time) time.Time {
-	a := d.anchor.Load()
-	return a.wall.Add(time.Duration(float64(v-a.virt) / d.speedup))
+	return d.anchor.wall.Add(time.Duration(float64(v-d.anchor.virt) / d.speedup))
 }
 
 // advance fires every event due by the present moment. Under pacing the
@@ -167,7 +173,7 @@ func (d *Driver) advance() {
 		d.eng.Run()
 		return
 	}
-	if v := d.VirtualNow(); v > d.eng.Now() {
+	if v := d.virtualNow(); v > d.eng.Now() {
 		d.eng.RunUntil(v)
 	}
 }

@@ -100,7 +100,7 @@ func TestDriverInjectionAdvancesClock(t *testing.T) {
 }
 
 // TestDriverStopRejectsPost verifies the post/stop race is closed: once
-// Stop returns, Post and Call fail rather than silently dropping work.
+// Stop returns, Post fails rather than silently dropping work.
 func TestDriverStopRejectsPost(t *testing.T) {
 	eng := NewEngine(1)
 	d := NewDriver(eng, 1)
@@ -109,8 +109,71 @@ func TestDriverStopRejectsPost(t *testing.T) {
 	if err := d.Post(func() {}); err != ErrDriverStopped {
 		t.Fatalf("Post after Stop = %v, want ErrDriverStopped", err)
 	}
-	if err := d.Call(func() {}); err != ErrDriverStopped {
-		t.Fatalf("Call after Stop = %v, want ErrDriverStopped", err)
+}
+
+// TestCallAfterStop races Calls against Stop. Each runs exactly once and
+// returns nil, and none overlaps the loop's own work or another Call: the
+// ones that miss the loop run on their caller's goroutine, one at a time.
+// Post still fails after the stop, so a ticker that posts until it fails
+// (the gateway's brownout loop) exits.
+func TestCallAfterStop(t *testing.T) {
+	eng := NewEngine(1)
+	d := NewDriver(eng, 1e6)
+	var inside atomic.Int32
+	var shared int // written by every Call and event; -race flags an overlap
+	enter := func() {
+		if inside.Add(1) != 1 {
+			t.Error("a Call overlapped the loop or another Call")
+		}
+		shared++
+		inside.Add(-1)
+	}
+	for i := 0; i < 200; i++ {
+		eng.After(time.Duration(i)*time.Microsecond, enter)
+	}
+	d.Start()
+
+	tickerDone := make(chan struct{})
+	go func() {
+		defer close(tickerDone)
+		for d.Post(enter) == nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	const callers, perCaller = 8, 50
+	var runs [callers * perCaller]atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				slot := &runs[c*perCaller+i]
+				if err := d.Call(func() { enter(); slot.Add(1) }); err != nil {
+					t.Errorf("Call = %v, want nil", err)
+				}
+			}
+		}()
+	}
+	time.Sleep(time.Millisecond)
+	d.Stop()
+	wg.Wait()
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("call %d ran %d times, want 1", i, n)
+		}
+	}
+	if err := d.Post(func() {}); err != ErrDriverStopped {
+		t.Fatalf("Post after Stop = %v, want ErrDriverStopped", err)
+	}
+	select {
+	case <-tickerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a ticker posting to a stopped driver did not exit")
+	}
+	if shared < 200+callers*perCaller {
+		t.Fatalf("%d entries, want at least %d", shared, 200+callers*perCaller)
 	}
 }
 

@@ -6,7 +6,6 @@ package slo
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"aegaeon/internal/metrics"
@@ -124,11 +123,9 @@ func Judge(s SLO, arrival time.Duration, times []time.Duration) Verdict {
 // gateway) hold flat memory.
 const maxTTFTSamples = 8192
 
-// Tracker accumulates token-level attainment across requests. It is safe
-// for concurrent use: the simulation goroutine observes while HTTP debug
-// handlers read attainment live. The zero value is ready to use.
+// Tracker accumulates token-level attainment across requests. The zero value
+// is ready to use.
 type Tracker struct {
-	mu        sync.Mutex
 	tokens    Counts
 	requests  uint64
 	reqAllMet uint64
@@ -136,7 +133,7 @@ type Tracker struct {
 	ttftSum   time.Duration
 	ttftCount uint64
 	ttftMet   uint64
-	ttftCDF   *metrics.SafeCDF
+	ttftCDF   *metrics.Reservoir
 }
 
 // NewTracker returns an empty tracker.
@@ -145,8 +142,6 @@ func NewTracker() *Tracker { return &Tracker{} }
 // Add counts one judged request: its generated tokens, its dropped tokens
 // as missed ones, and its first token's latency.
 func (t *Tracker) Add(v Verdict) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.requests++
 	t.tokens.Met += v.Met
 	t.tokens.Missed += v.Missed + v.Dropped
@@ -159,7 +154,7 @@ func (t *Tracker) Add(v Verdict) {
 	t.ttftSum += v.TTFT
 	t.ttftCount++
 	if t.ttftCDF == nil {
-		t.ttftCDF = metrics.NewSafeCDF(maxTTFTSamples)
+		t.ttftCDF = metrics.NewReservoir(maxTTFTSamples)
 	}
 	t.ttftCDF.AddDuration(v.TTFT)
 	if v.TTFTMet {
@@ -170,16 +165,12 @@ func (t *Tracker) Add(v Verdict) {
 // Attainment returns the fraction of tokens that met their deadlines in
 // [0,1]. With no observations it returns 1.
 func (t *Tracker) Attainment() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.tokens.Attainment()
 }
 
 // RequestAttainment returns the fraction of requests whose verdict is
 // AllMet: every generated token on time. Dropped tokens do not change it.
 func (t *Tracker) RequestAttainment() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.requests == 0 {
 		return 1
 	}
@@ -189,8 +180,6 @@ func (t *Tracker) RequestAttainment() float64 {
 // TTFTAttainment returns the fraction of first tokens within the TTFT
 // target.
 func (t *Tracker) TTFTAttainment() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.ttftCount == 0 {
 		return 1
 	}
@@ -199,8 +188,6 @@ func (t *Tracker) TTFTAttainment() float64 {
 
 // MeanTTFT returns the average time-to-first-token.
 func (t *Tracker) MeanTTFT() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.ttftCount == 0 {
 		return 0
 	}
@@ -211,25 +198,18 @@ func (t *Tracker) MeanTTFT() time.Duration {
 // Beyond maxTTFTSamples observations the quantile is estimated from a
 // uniform reservoir rather than the full sample set.
 func (t *Tracker) TTFTQuantile(q float64) time.Duration {
-	t.mu.Lock()
-	cdf := t.ttftCDF
-	t.mu.Unlock()
-	if cdf == nil || cdf.N() == 0 {
+	if t.ttftCDF == nil || t.ttftCDF.N() == 0 {
 		return 0
 	}
-	return time.Duration(cdf.Quantile(q) * float64(time.Second))
+	return time.Duration(t.ttftCDF.Quantile(q) * float64(time.Second))
 }
 
 // Tokens returns (met, missed) counts.
 func (t *Tracker) Tokens() (met, missed uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.tokens.Met, t.tokens.Missed
 }
 
 // Requests returns the number of requests observed.
 func (t *Tracker) Requests() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.requests
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"aegaeon/internal/sim"
 )
 
 func TestDefaultTargets(t *testing.T) {
@@ -217,28 +219,36 @@ func TestObserveRequestDoesNotRetainTimes(t *testing.T) {
 	}
 }
 
-// TestTrackerConcurrent verifies the Tracker itself under concurrent
-// observation and reads (the live gateway reads attainment while the
-// simulation goroutine observes).
+// TestTrackerConcurrent verifies the Tracker under the live path's
+// concurrency rule: goroutines observe and read it only through a
+// sim.Driver, which runs each call on its event loop, and reads after the
+// stop run on the caller's goroutine.
 func TestTrackerConcurrent(t *testing.T) {
 	tr := NewTracker()
 	s := Default()
+	drv := sim.NewDriver(sim.NewEngine(1), 1)
+	drv.Start()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				tr.Add(Judge(s, 0, []time.Duration{time.Duration(i) * time.Millisecond}))
-				_ = tr.Attainment()
-				_ = tr.TTFTQuantile(0.99)
-				_ = tr.MeanTTFT()
+				_ = drv.Call(func() {
+					tr.Add(Judge(s, 0, []time.Duration{time.Duration(i) * time.Millisecond}))
+					_ = tr.Attainment()
+					_ = tr.TTFTQuantile(0.99)
+					_ = tr.MeanTTFT()
+				})
 			}
 		}()
 	}
 	wg.Wait()
-	if tr.Requests() != 4000 {
-		t.Fatalf("requests = %d, want 4000", tr.Requests())
+	drv.Stop()
+	var n uint64
+	_ = drv.Call(func() { n = tr.Requests() })
+	if n != 4000 {
+		t.Fatalf("requests = %d, want 4000", n)
 	}
 }
 

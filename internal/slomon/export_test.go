@@ -12,9 +12,7 @@ func (m *Monitor) Advance(now sim.Time) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.advanceLocked(now, nil)
+	m.advance(now, nil)
 }
 
 // Causes returns all cause labels in enum order.

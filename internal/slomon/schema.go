@@ -115,9 +115,7 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.advanceLocked(now, nil)
+	m.advance(now, nil)
 	if now < m.now {
 		now = m.now
 	}
@@ -129,7 +127,7 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	for i, d := range windows {
 		out.Windows = append(out.Windows, WindowSpec{Name: windowNames[i], Seconds: d.Seconds()})
 	}
-	out.Fleet = m.scopeSnapshotLocked("", m.fleet, m.fleetCum, now)
+	out.Fleet = m.scopeSnapshot("", m.fleet, m.fleetCum, now)
 	var scopes []*scope
 	for _, s := range m.models {
 		if s != nil {
@@ -142,12 +140,12 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 		if int(s.id) < len(m.cum) {
 			cum = m.cum[s.id]
 		}
-		out.Models = append(out.Models, m.scopeSnapshotLocked(m.names.Name(s.id), s, cum, now))
+		out.Models = append(out.Models, m.scopeSnapshot(m.names.Name(s.id), s, cum, now))
 	}
 	return out
 }
 
-func (m *Monitor) scopeSnapshotLocked(model string, s *scope, cum *slo.Tracker, now sim.Time) ScopeSnapshot {
+func (m *Monitor) scopeSnapshot(model string, s *scope, cum *slo.Tracker, now sim.Time) ScopeSnapshot {
 	out := ScopeSnapshot{
 		Model:        model,
 		TokensMet:    s.met,

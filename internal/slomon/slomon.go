@@ -13,7 +13,6 @@
 package slomon
 
 import (
-	"sync"
 	"time"
 
 	"aegaeon/internal/model"
@@ -104,13 +103,12 @@ func (s *scope) burns(objective float64) (b [numWindows]float64) {
 	return b
 }
 
-// Monitor maintains live SLO state. Safe for concurrent use; the zero
-// value is not usable — call New.
+// Monitor maintains live SLO state. The zero value is not usable — call
+// New.
 type Monitor struct {
 	cfg     Config
 	samples int // reservoir bound of each new scope's sketches; tests shrink it
 
-	mu     sync.Mutex
 	names  model.Names
 	fleet  *scope
 	models []*scope // indexed by model id; nil until the model's first token
@@ -156,19 +154,10 @@ func (m *Monitor) NameModel(id model.ID, name string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.names.Set(id, name)
 }
 
-// modelName resolves id for miss attribution, which runs outside m.mu.
-func (m *Monitor) modelName(id model.ID) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.names.Name(id)
-}
-
-func (m *Monitor) scopeLocked(id model.ID) *scope {
+func (m *Monitor) modelScope(id model.ID) *scope {
 	if int(id) < len(m.models) && m.models[id] != nil {
 		return m.models[id]
 	}
@@ -186,38 +175,27 @@ func (m *Monitor) scopeLocked(id model.ID) *scope {
 }
 
 // ObserveTokens records produced tokens in order, typically the tokens of
-// one decode step, under one lock. The result equals one ObserveToken call
-// per token: each token is judged on its own, and the clock advances after
-// a token only when its time or model differs from the previous token's,
-// since an advance repeating the last one's arguments is a no-op. So alerts
-// still step the moment the first token of a new bucket lands. Nil-safe.
+// one decode step. The result equals one ObserveToken call per token: each
+// token is judged on its own, and the clock advances after a token only
+// when its time or model differs from the previous token's, since an
+// advance repeating the last one's arguments is a no-op. So alerts still
+// step the moment the first token of a new bucket lands. Nil-safe.
 func (m *Monitor) ObserveTokens(obs []TokenObs) {
-	if m == nil || len(obs) == 0 {
+	if m == nil {
 		return
 	}
-	// Attribute misses before locking: the span join takes the collector's
-	// lock and FaultActive is the caller's code. The stack buffer holds a
-	// typical step's misses.
-	var buf [16]Cause
-	causes := buf[:0]
-	for _, o := range obs {
-		if o.At > o.Deadline {
-			causes = append(causes, classify(m.cfg.Source, m.cfg.FaultActive,
-				m.modelName(o.Model), o.Request, o.Instance, o.Arrival, o.Deadline, o.At))
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var ms *scope
-	for i, o := range obs {
+	for i := range obs {
+		o := &obs[i]
 		same := i > 0 && o.Model == obs[i-1].Model
 		if !same {
-			ms = m.scopeLocked(o.Model)
+			ms = m.modelScope(o.Model)
 		}
 		met := o.At <= o.Deadline
 		var cause Cause
 		if !met {
-			cause, causes = causes[0], causes[1:]
+			cause = classify(m.cfg.Source, m.cfg.FaultActive,
+				m.names.Name(o.Model), o.Request, o.Instance, o.Arrival, o.Deadline, o.At)
 		}
 		for _, s := range [2]*scope{m.fleet, ms} {
 			s.ring.observe(o.At, met)
@@ -234,7 +212,7 @@ func (m *Monitor) ObserveTokens(obs []TokenObs) {
 			}
 		}
 		if !same || o.At != obs[i-1].At {
-			m.advanceLocked(o.At, ms)
+			m.advance(o.At, ms)
 		}
 	}
 }
@@ -251,20 +229,18 @@ func (m *Monitor) ObserveDropped(id model.ID, request, instance string, arrival,
 		return
 	}
 	cause := classify(m.cfg.Source, m.cfg.FaultActive,
-		m.modelName(id), request, instance, arrival, deadline, judged)
+		m.names.Name(id), request, instance, arrival, deadline, judged)
 	bucketAt := deadline
 	if judged < bucketAt {
 		bucketAt = judged
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ms := m.scopeLocked(id)
+	ms := m.modelScope(id)
 	for _, s := range [2]*scope{m.fleet, ms} {
 		s.ring.observe(bucketAt, false)
 		s.missed++
 		s.causes[cause]++
 	}
-	m.advanceLocked(judged, ms)
+	m.advance(judged, ms)
 }
 
 // ObserveVerdict folds the verdict of one finished request of model id into
@@ -273,8 +249,6 @@ func (m *Monitor) ObserveVerdict(id model.ID, v slo.Verdict) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.cum = model.Grow(m.cum, id)
 	if m.cum[id] == nil {
 		m.cum[id] = slo.NewTracker()
@@ -283,13 +257,13 @@ func (m *Monitor) ObserveVerdict(id model.ID, v slo.Verdict) {
 	m.fleetCum.Add(v)
 }
 
-// advanceLocked moves the clock to now (never backward). Per call it
+// advance moves the clock to now (never backward). Per call it
 // advances only the fleet ring and touched, the model scope just observed
 // (nil for none): every call leaves every started ring's head in the
 // clock's bucket, so the other model rings have nothing to rotate until the
 // clock crosses into a new bucket. Then every ring advances and every alert
 // machine steps.
-func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
+func (m *Monitor) advance(now sim.Time, touched *scope) {
 	if now < m.now {
 		return
 	}
@@ -308,11 +282,11 @@ func (m *Monitor) advanceLocked(now sim.Time, touched *scope) {
 				s.ring.advance(now)
 			}
 		}
-		m.stepAlertsLocked(now)
+		m.stepAlerts(now)
 	}
 }
 
-func (m *Monitor) stepAlertsLocked(now sim.Time) {
+func (m *Monitor) stepAlerts(now sim.Time) {
 	step := func(s *scope) {
 		b := s.burns(m.cfg.Objective)
 		s.alert.step(now, b[fastWin], b[midWin], b[slowWin])
@@ -330,8 +304,6 @@ func (m *Monitor) FleetAlert() AlertState {
 	if m == nil {
 		return AlertOK
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.fleet.alert.state
 }
 
@@ -343,8 +315,6 @@ func (m *Monitor) FleetBurnRates() (fast, mid, slow float64) {
 	if m == nil {
 		return 0, 0, 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b := m.fleet.burns(m.cfg.Objective)
 	return b[fastWin], b[midWin], b[slowWin]
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -225,68 +224,6 @@ func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 	}
 }
 
-// TestConcurrentObserveAndSnapshot hammers window rotation against snapshot
-// reads; run with -race. Counts must balance exactly at the end.
-func TestConcurrentObserveAndSnapshot(t *testing.T) {
-	m := testMonitor(Config{})
-	const writers = 4
-	const perWriter = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			model := fmt.Sprintf("m%d", w%2)
-			// One token a second: every token rotates the rings, and the
-			// run outlasts the slow window.
-			for i := 0; i < perWriter; i++ {
-				at := time.Duration(i) * time.Second
-				dl := at + time.Millisecond
-				if i%10 == 0 {
-					dl = at - time.Millisecond
-				}
-				m.ObserveToken(TokenObs{Model: mid(model), Request: "r", Index: i,
-					Deadline: dl, At: at, Prev: at - time.Microsecond})
-			}
-		}(w)
-	}
-	var rg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := m.Snapshot(time.Second)
-				if err := Validate(snap); err != nil {
-					t.Error(err)
-					return
-				}
-				m.Advance(time.Second)
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	rg.Wait()
-	snap := m.Snapshot(time.Second)
-	total := snap.Fleet.TokensMet + snap.Fleet.TokensMissed
-	if total != writers*perWriter {
-		t.Fatalf("total tokens = %d, want %d", total, writers*perWriter)
-	}
-	if snap.Fleet.TokensMissed != writers*perWriter/10 {
-		t.Fatalf("missed = %d, want %d", snap.Fleet.TokensMissed, writers*perWriter/10)
-	}
-	if err := Validate(snap); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCumulativeByModel: verdicts land in their model's cumulative block
 // and in the fleet's, and a dropped token is a missed token of its
 // request, never a request of its own.
@@ -345,50 +282,6 @@ func TestSnapshotModelsSorted(t *testing.T) {
 	}
 	if want := []string{"m0", "m1", "m2", "m3"}; !slices.Equal(order, want) {
 		t.Fatalf("model scopes = %v, want sorted %v", order, want)
-	}
-}
-
-// TestConcurrentObserveVerdictAndSnapshot hammers per-model verdicts
-// against snapshot reads; run with -race. The per-model and fleet request
-// totals must balance exactly.
-func TestConcurrentObserveVerdictAndSnapshot(t *testing.T) {
-	m := testMonitor(Config{})
-	s := slo.Default()
-	const writers = 8
-	const perWriter = 500
-	for i := 0; i < 4; i++ {
-		m.ObserveToken(TokenObs{Model: mid(fmt.Sprintf("m%d", i)), At: time.Second, Deadline: time.Second})
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			id := mid(fmt.Sprintf("m%d", w%4))
-			for i := 0; i < perWriter; i++ {
-				m.ObserveVerdict(id, slo.Judge(s, 0, []time.Duration{time.Second}))
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			if err := Validate(m.Snapshot(time.Second)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	snap := m.Snapshot(time.Second)
-	var total uint64
-	for _, sc := range snap.Models {
-		total += sc.Cumulative.Requests
-	}
-	if total != writers*perWriter || snap.Fleet.Cumulative.Requests != writers*perWriter {
-		t.Fatalf("requests: models sum to %d, fleet %d, want %d", total, snap.Fleet.Cumulative.Requests, writers*perWriter)
 	}
 }
 

@@ -177,8 +177,7 @@ func (w *windowRing) sums(i int) (met, missed uint64) {
 // epochSketch keeps bounded TTFT/TBT quantiles over a sliding epoch pair:
 // samples land in the current reservoir, and quantiles merge the current
 // and previous reservoirs, so the estimate always covers between one and
-// two epochs of history with flat memory. The reservoirs are unlocked: the
-// monitor's mutex guards them.
+// two epochs of history with flat memory.
 type epochSketch struct {
 	epoch   time.Duration
 	cur     *metrics.Reservoir
