@@ -170,9 +170,11 @@ func TestPrefixCacheFlow(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	sawSession := false
+	turns := map[string]int{}
 	for _, r := range trace {
-		if r.SessionID != "" && r.Turn > 0 {
-			sawSession = true
+		if r.SessionID != "" {
+			turns[r.SessionID]++
+			sawSession = sawSession || turns[r.SessionID] > 1
 		}
 	}
 	if !sawSession {

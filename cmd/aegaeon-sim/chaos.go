@@ -62,13 +62,16 @@ func chaosConfig(f chaosFlags, set map[string]bool) (chaos.Config, error) {
 
 // runChaos executes -chaos mode: one seeded chaos run (explicit -faults spec
 // or a random schedule), or a sweep of that many consecutive seeds, printing
-// a per-run summary. Exits non-zero if any run breaks a recovery invariant.
+// a per-run summary and every fault that failed to inject. Exits non-zero if
+// any run breaks a recovery invariant, or if a fault of an explicit -faults
+// schedule failed to inject. A random schedule may draw a crash on an
+// instance an earlier fault already took down, so its failures only print.
 func runChaos(base chaos.Config, sweep int) {
 	runs := max(sweep, 1)
 	if sweep > 0 {
 		base.Spec = "" // sweep runs draw random schedules per seed
 	}
-	violations := 0
+	violations, injectErrs := 0, 0
 	for i := 0; i < runs; i++ {
 		cfg := base
 		cfg.Seed = base.Seed + int64(i)
@@ -78,10 +81,14 @@ func runChaos(base chaos.Config, sweep int) {
 			os.Exit(1)
 		}
 		violations += len(res.Violations)
+		injectErrs += len(res.InjectErrs)
 
 		fmt.Printf("chaos seed %-4d   %d/%d completed, %d failed, %d faults, %d failovers\n",
 			cfg.Seed, res.Completed, res.Requests, res.Failed, res.Injected, res.Failovers)
 		fmt.Printf("chaos schedule    %s\n", res.Spec)
+		for _, err := range res.InjectErrs {
+			fmt.Fprintf(os.Stderr, "chaos INJECT FAILED seed %d: %v\n", cfg.Seed, err)
+		}
 		for _, v := range res.Violations {
 			fmt.Fprintf(os.Stderr, "chaos VIOLATION   seed %d: %s\n", cfg.Seed, v)
 		}
@@ -89,6 +96,10 @@ func runChaos(base chaos.Config, sweep int) {
 
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "chaos: %d invariant violations across %d runs\n", violations, runs)
+		os.Exit(1)
+	}
+	if base.Spec != "" && injectErrs > 0 {
+		fmt.Fprintf(os.Stderr, "chaos: %d faults of -faults %q failed to inject\n", injectErrs, base.Spec)
 		os.Exit(1)
 	}
 	fmt.Printf("chaos invariants  clean across %d run(s)\n", runs)

@@ -44,29 +44,16 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 	fields, byName := m.configFields()
 	set := m.setFields(fields, byName)
 
-	mentions := m.testIdents()
-	var unset []string
+	found := map[string]gateItem{}
 	for id, f := range fields {
-		test, listed := configFieldsSetOnlyByTests[id]
-		switch {
-		case set[f.v] && listed:
-			t.Errorf("%s (allowlisted for %s) now has a non-test writer; drop its entry", id, test)
-		case !set[f.v] && !listed:
-			unset = append(unset, id+" ("+m.fset.Position(f.v.Pos()).String()+")")
-		case listed && !mentions[test][f.v.Name()]:
-			t.Errorf("%s is allowlisted for %s, but no test file declaring %s mentions %s",
-				id, test, test, f.v.Name())
-		}
+		found[id] = gateItem{f.v, set[f.v]}
 	}
-	for id, test := range configFieldsSetOnlyByTests {
-		if _, ok := fields[id]; !ok {
-			t.Errorf("allowlisted field %s (set by %s) no longer exists; drop its entry", id, test)
-		}
-	}
-	sort.Strings(unset)
-	for _, u := range unset {
-		t.Errorf("no non-test file sets %s: make it a constant, or allowlist the test that sets it", u)
-	}
+	checkAllowlist(t, m, configFieldsSetOnlyByTests, found, writerGate)
+}
+
+var writerGate = gate{
+	kind: "field", role: "writer", verb: "sets",
+	fix: "make it a constant, or allowlist the test that sets it",
 }
 
 type modulePkg struct {

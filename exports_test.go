@@ -51,8 +51,8 @@ var stdlibMethods = map[string]bool{
 // var and const, and every exported method, declared in a non-test file
 // under internal/ that no non-test file of this module or of the bench
 // module references outside the declaration itself. A type's own methods
-// are part of its declaration. Struct fields are out of scope: encoding
-// reads them by reflection.
+// are part of its declaration. Struct fields are TestFieldsHaveReaders'
+// business.
 //
 // A method is exempt when a module type that selects it, directly or
 // through an embedded field, implements a module interface declaring it
@@ -65,29 +65,59 @@ func TestExportsHaveCallers(t *testing.T) {
 	used := m.exportUses(exports)
 	ifaces, named := m.typeDecls()
 
+	found := map[string]gateItem{}
+	for id, e := range exports {
+		found[id] = gateItem{e.obj, used[e.obj] || e.exempt(ifaces, named)}
+	}
+	checkAllowlist(t, m, exportsUsedOnlyByTests, found, callerGate)
+}
+
+var callerGate = gate{
+	kind: "export", role: "caller", verb: "uses",
+	fix: "delete it, move it into export_test.go, or allowlist the test that needs it",
+}
+
+// gate words one reach gate's failures: the kind of name it scans, the
+// role a use gives its user ("caller"), the verb for a use ("uses"), and
+// how to fix an unused name.
+type gate struct{ kind, role, verb, fix string }
+
+// gateItem is one name a reach gate scanned: its object, and whether some
+// non-test file uses it the way the gate counts.
+type gateItem struct {
+	obj  types.Object
+	used bool
+}
+
+// checkAllowlist holds the rule every reach gate shares: an allowlist maps
+// each name no non-test file uses to a test that needs it. It fails on an
+// unused name that is not listed, a listed name that is now used or no
+// longer exists, and a listed name that no test file declaring its test
+// mentions.
+func checkAllowlist(t *testing.T, m *moduleSrc, allow map[string]string, found map[string]gateItem, g gate) {
+	t.Helper()
 	mentions := m.testIdents()
 	var unused []string
-	for id, e := range exports {
-		test, listed := exportsUsedOnlyByTests[id]
-		hasUse := used[e.obj] || e.exempt(ifaces, named)
+	for id, it := range found {
+		test, listed := allow[id]
 		switch {
-		case hasUse && listed:
-			t.Errorf("%s (allowlisted for %s) now has a non-test caller; drop its entry", id, test)
-		case !hasUse && !listed:
-			unused = append(unused, id+" ("+m.fset.Position(e.obj.Pos()).String()+")")
-		case listed && !mentions[test][e.obj.Name()]:
+		case it.used && listed:
+			t.Errorf("%s (allowlisted for %s) now has a non-test %s; drop its entry", id, test, g.role)
+		case !it.used && !listed:
+			unused = append(unused, id+" ("+m.fset.Position(it.obj.Pos()).String()+")")
+		case listed && !mentions[test][it.obj.Name()]:
 			t.Errorf("%s is allowlisted for %s, but no test file declaring %s mentions %s",
-				id, test, test, e.obj.Name())
+				id, test, test, it.obj.Name())
 		}
 	}
-	for id, test := range exportsUsedOnlyByTests {
-		if _, ok := exports[id]; !ok {
-			t.Errorf("allowlisted export %s (used by %s) no longer exists; drop its entry", id, test)
+	for id, test := range allow {
+		if _, ok := found[id]; !ok {
+			t.Errorf("allowlisted %s %s (for %s) no longer exists; drop its entry", g.kind, id, test)
 		}
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("no non-test file uses %s: delete it, move it into export_test.go, or allowlist the test that needs it", u)
+		t.Errorf("no non-test file %s %s: %s", g.verb, u, g.fix)
 	}
 }
 

@@ -34,7 +34,6 @@ type Server interface {
 
 // request is the baselines' runtime request state.
 type request struct {
-	id           string
 	model        *model.Model
 	arrival      sim.Time
 	inputTokens  int
@@ -80,7 +79,7 @@ func (b *base) submit(models map[string]*model.Model, trace []workload.Request, 
 			return fmt.Errorf("baselines: unknown model %q", wr.Model)
 		}
 		reqs[i] = &request{
-			id: wr.ID, model: m, arrival: wr.Arrival,
+			model: m, arrival: wr.Arrival,
 			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
 		}
 		times[i] = wr.Arrival

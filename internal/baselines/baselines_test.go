@@ -215,7 +215,7 @@ func TestSubmitUnknownModelBaselines(t *testing.T) {
 		recorded func() int
 	}{
 		{"SLLM", sllm, func() int { return len(sllm.requests) }},
-		{"Mux", mux, func() int { return len(mux.requests) + mux.rejected }},
+		{"Mux", mux, func() int { return len(mux.requests) }},
 		{"Unified", unified, func() int { return len(unified.requests) }},
 	} {
 		pending := se.Pending()

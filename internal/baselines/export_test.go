@@ -23,4 +23,12 @@ func (s *Mux) MaxModelsPerGPU() int {
 }
 
 // Rejected returns requests refused because their model was not placed.
-func (s *Mux) Rejected() int { return s.rejected }
+func (s *Mux) Rejected() int {
+	n := 0
+	for _, r := range s.requests {
+		if r.model == nil {
+			n++
+		}
+	}
+	return n
+}

@@ -135,19 +135,19 @@ func FuzzBaselines(f *testing.F) {
 			}
 			runServer(t, se, s, trace)
 			finished := 0
-			for _, r := range b.requests {
+			for ri, r := range b.requests {
 				for i, at := range r.tokenTimes {
 					if at < r.arrival || (i > 0 && at < r.tokenTimes[i-1]) {
-						t.Fatalf("%s: %s's token %d at %v (arrived %v, tokens %v)", system, r.id, i, at, r.arrival, r.tokenTimes)
+						t.Fatalf("%s: %s's token %d at %v (arrived %v, tokens %v)", system, trace[ri].ID, i, at, r.arrival, r.tokenTimes)
 					}
 				}
 				switch {
 				case r.model == nil:
 					if len(r.tokenTimes) != 0 || r.done {
-						t.Fatalf("%s: unplaced %s got %d tokens", system, r.id, len(r.tokenTimes))
+						t.Fatalf("%s: unplaced %s got %d tokens", system, trace[ri].ID, len(r.tokenTimes))
 					}
 				case !r.done || len(r.tokenTimes) != r.outputTokens:
-					t.Fatalf("%s: %s ended with %d of %d tokens (done %v)", system, r.id, len(r.tokenTimes), r.outputTokens, r.done)
+					t.Fatalf("%s: %s ended with %d of %d tokens (done %v)", system, trace[ri].ID, len(r.tokenTimes), r.outputTokens, r.done)
 				default:
 					finished++
 				}

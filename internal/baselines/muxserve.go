@@ -40,7 +40,6 @@ type Mux struct {
 
 	gpus      []*muxGPU
 	placement map[string]*muxModel // model name -> placed runtime (nil if rejected)
-	rejected  int
 }
 
 type muxGPU struct {
@@ -140,13 +139,9 @@ func (s *Mux) Submit(trace []workload.Request) error {
 	var times []sim.Time
 	for _, wr := range trace {
 		mm := s.placement[wr.Model]
-		r := &request{
-			id: wr.ID, model: nil, arrival: wr.Arrival,
-			inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens,
-		}
+		r := &request{arrival: wr.Arrival, inputTokens: wr.InputTokens, outputTokens: wr.OutputTokens}
 		s.requests = append(s.requests, r)
 		if mm == nil {
-			s.rejected++
 			continue // never generates tokens; Finalize marks it violated
 		}
 		r.model = mm.m

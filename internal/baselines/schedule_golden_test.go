@@ -47,12 +47,12 @@ func burstTrace(seed int64, m *model.Model, n int) []workload.Request {
 }
 
 // scheduleDigest hashes every request's id and token timestamps, in trace
-// order.
-func scheduleDigest(reqs []*request) string {
+// order: reqs[i] serves trace[i].
+func scheduleDigest(trace []workload.Request, reqs []*request) string {
 	h := sha256.New()
 	var buf [8]byte
-	for _, r := range reqs {
-		h.Write([]byte(r.id))
+	for i, r := range reqs {
+		h.Write([]byte(trace[i].ID))
 		h.Write([]byte{0})
 		for _, at := range r.tokenTimes {
 			binary.BigEndian.PutUint64(buf[:], uint64(at))
@@ -127,7 +127,7 @@ func TestBaselineScheduleGolden(t *testing.T) {
 				t.Errorf("completed %d requests and %d tokens, want %d and %d",
 					s.Completed(), tokens, c.completed, c.tokens)
 			}
-			if got := scheduleDigest(reqs()); got != c.digest {
+			if got := scheduleDigest(tr.trace, reqs()); got != c.digest {
 				t.Errorf("token-timestamp digest = %s, want %s", got, c.digest)
 			}
 		})

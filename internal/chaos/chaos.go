@@ -19,12 +19,9 @@ import (
 	"aegaeon/internal/fault"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/latency"
-	"aegaeon/internal/market"
 	"aegaeon/internal/model"
-	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
-	"aegaeon/internal/slomon"
 	"aegaeon/internal/workload"
 )
 
@@ -92,38 +89,28 @@ func (c *Config) defaults() {
 
 // Result summarizes a chaos run.
 type Result struct {
-	Spec       string // the schedule that ran, formatted
-	Requests   int
-	Completed  int
-	Failed     int
-	Injected   int
+	Spec      string // the schedule that ran, formatted
+	Requests  int
+	Completed int
+	Failed    int
+	Injected  int
+	// InjectErrs holds every fault the schedule could not inject, such as
+	// a crash naming no instance.
 	InjectErrs []error
 	Failovers  int
-	Attainment float64
-	Stats      fault.Stats
-	// Sheds counts overload-control rejections by reason (Overload runs only).
-	Sheds map[string]int
-	// SLO is the live monitor's snapshot at the drained instant — windowed
-	// attainment, alert states, and missed tokens by cause, faults included
-	// (Overload runs only).
-	SLO *slomon.Snapshot
-	// Prefix snapshots the cache's end state (Prefix runs only).
-	Prefix *prefixcache.Stats
-	// Fleet is the utilization ledger's snapshot at the drained instant:
-	// every GPU-second of the run classified, crashes included.
-	Fleet *fleetobs.Snapshot
-	// Market snapshots the spot-market state at the drained instant:
-	// preemption records, per-device eligibility, per-class economics.
-	Market *market.Snapshot
-	// Decisions is the run's provenance journal: every admission, routing,
-	// switch, shed, eviction, and evacuation decision with its evidence.
-	Decisions *decision.Journal
 	// Violations lists every broken invariant (empty on a clean run).
 	Violations []string
 }
 
 // Run executes one seeded chaos scenario and audits the invariants.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := run(cfg)
+	return res, err
+}
+
+// run is Run, also returning the drained cluster, whose observers the
+// tests snapshot at its final instant.
+func run(cfg Config) (*Result, *cluster.Cluster, error) {
 	cfg.defaults()
 	se := sim.NewEngine(cfg.Seed)
 	models := model.SmallMix(cfg.Models)
@@ -147,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 		Faults:        fault.New(se, cfg.Seed+1),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	clCfg := cluster.Config{
 		Prof: latency.H800(),
@@ -161,7 +148,7 @@ func Run(cfg Config) (*Result, error) {
 	parts.Cluster(&clCfg)
 	c, err := cluster.New(se, clCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The token-order audit reads every request's token log.
 	for _, d := range c.Deployments() {
@@ -183,12 +170,12 @@ func Run(cfg Config) (*Result, error) {
 		workload.AssignPriorities(rng, trace, highFrac, lowFrac)
 	}
 	if err := c.Submit(trace); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	sched, err := schedule(cfg, c, names)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	in := fault.NewInjector(se, c, parts.Faults, sched)
 	in.Arm()
@@ -203,31 +190,17 @@ func Run(cfg Config) (*Result, error) {
 	se.Run()
 	c.Finalize(se.Now())
 
-	sys := c.Deployments()[0].System
 	res := &Result{
 		Spec:       fault.FormatSpec(sched),
 		Requests:   len(trace),
 		Completed:  c.Completed(),
-		Failed:     sys.FailedRequests(),
+		Failed:     c.Deployments()[0].System.FailedRequests(),
 		Injected:   in.Injected(),
 		InjectErrs: in.Errors(),
 		Failovers:  c.Failovers(),
-		Attainment: c.Attainment(),
-		Stats:      c.FaultStats(),
 		Violations: VerifyInvariants(c),
 	}
-	if cfg.Overload {
-		res.Sheds = c.OverloadSheds()
-		res.SLO = c.Monitor().Snapshot(se.Now())
-	}
-	if pc := sys.PrefixCache(); pc != nil {
-		st := pc.Stats()
-		res.Prefix = &st
-	}
-	res.Fleet = c.Fleet().Snapshot(se.Now())
-	res.Market = c.Market().Snapshot(se.Now(), res.Fleet)
-	res.Decisions = c.Decisions()
-	return res, nil
+	return res, c, nil
 }
 
 // schedule resolves the fault schedule for a run: the explicit spec, or a

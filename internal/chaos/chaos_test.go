@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"aegaeon/internal/cluster"
+	"aegaeon/internal/decision"
 	"aegaeon/internal/fault"
 	"aegaeon/internal/latency"
+	"aegaeon/internal/market"
 	"aegaeon/internal/model"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
@@ -75,7 +77,7 @@ func TestSeededFaultSchedules(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.cfg)
+			res, c, err := run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +85,7 @@ func TestSeededFaultSchedules(t *testing.T) {
 				t.Errorf("invariant: %s", viol)
 			}
 			t.Logf("spec=%s requests=%d completed=%d failed=%d injected=%d failovers=%d stats=%+v",
-				res.Spec, res.Requests, res.Completed, res.Failed, res.Injected, res.Failovers, res.Stats)
+				res.Spec, res.Requests, res.Completed, res.Failed, res.Injected, res.Failovers, c.FaultStats())
 			if res.Completed+res.Failed != res.Requests {
 				t.Fatalf("completed %d + failed %d != %d requests",
 					res.Completed, res.Failed, res.Requests)
@@ -107,7 +109,7 @@ func TestSeededFaultSchedules(t *testing.T) {
 // actually have exercised the policy-site families the run drove, or the
 // audit would be passing vacuously.
 func TestDecisionCoverageSwitchHeavy(t *testing.T) {
-	res, err := Run(Config{
+	res, c, err := run(Config{
 		Seed:     7,
 		Models:   8,
 		Rate:     0.6,
@@ -121,15 +123,15 @@ func TestDecisionCoverageSwitchHeavy(t *testing.T) {
 	for _, viol := range res.Violations {
 		t.Errorf("invariant: %s", viol)
 	}
-	j := res.Decisions
+	j := c.Decisions()
 	if j == nil {
 		t.Fatal("chaos run carried no decision journal")
 	}
 	kinds := map[string]uint64{}
-	for _, c := range j.Counts() {
-		kinds[c.Kind] += c.N
+	for _, n := range j.Counts() {
+		kinds[n.Kind] += n.N
 	}
-	t.Logf("decisions=%d chains=%d kinds=%v sheds=%v", j.Total(), j.TrackedRequests(), kinds, res.Sheds)
+	t.Logf("decisions=%d chains=%d kinds=%v sheds=%v", j.Total(), j.TrackedRequests(), kinds, c.Deployments()[0].System.OverloadSheds())
 	for _, want := range []string{"admission", "prefill_routing", "decode_placement", "switch", "terminal", "evacuation"} {
 		if kinds[want] == 0 {
 			t.Errorf("switch-heavy overload+market run journaled no %q decisions", want)
@@ -140,7 +142,7 @@ func TestDecisionCoverageSwitchHeavy(t *testing.T) {
 	}
 	// Every terminal request's chain is live-queryable by ID, ends in its
 	// terminal record, and starts at admission — the /debug/why contract.
-	sys := findDeployment(t, res)
+	sys := findDeployment(t, j)
 	for _, r := range sys {
 		chain := j.Chain(r)
 		if len(chain) == 0 {
@@ -154,9 +156,9 @@ func TestDecisionCoverageSwitchHeavy(t *testing.T) {
 
 // findDeployment returns a sample of terminal request IDs from the run — the
 // journal's chains snapshot already holds every retained request.
-func findDeployment(t *testing.T, res *Result) []string {
+func findDeployment(t *testing.T, j *decision.Journal) []string {
 	t.Helper()
-	chains := res.Decisions.Chains()
+	chains := j.Chains()
 	if len(chains) == 0 {
 		t.Fatal("journal retained no request chains")
 	}
@@ -223,28 +225,30 @@ func TestPrefixChaosInvariants(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.cfg)
+			res, c, err := run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, viol := range res.Violations {
 				t.Errorf("invariant: %s", viol)
 			}
-			if res.Prefix == nil {
-				t.Fatal("prefix run produced no prefix stats")
+			pc := c.Deployments()[0].System.PrefixCache()
+			if pc == nil {
+				t.Fatal("prefix run carried no prefix cache")
 			}
+			st := pc.Stats()
 			t.Logf("spec=%s requests=%d completed=%d failed=%d prefix hits=%d saved=%d drops=%d",
 				res.Spec, res.Requests, res.Completed, res.Failed,
-				res.Prefix.Hits, res.Prefix.TokensSaved, res.Prefix.DeviceDrops)
+				st.Hits, st.TokensSaved, st.DeviceDrops)
 			if res.Completed+res.Failed != res.Requests {
 				t.Fatalf("completed %d + failed %d != %d requests",
 					res.Completed, res.Failed, res.Requests)
 			}
-			if res.Prefix.Hits == 0 {
+			if st.Hits == 0 {
 				t.Error("multi-turn chaos run never reused a prefix")
 			}
-			if res.Prefix.PinnedEntries != 0 {
-				t.Errorf("%d entries pinned after drain", res.Prefix.PinnedEntries)
+			if st.PinnedEntries != 0 {
+				t.Errorf("%d entries pinned after drain", st.PinnedEntries)
 			}
 		})
 	}
@@ -415,21 +419,22 @@ func TestOverloadChaosInvariants(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.cfg)
+			res, c, err := run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, viol := range res.Violations {
 				t.Errorf("invariant: %s", viol)
 			}
+			sheds := c.Deployments()[0].System.OverloadSheds()
 			t.Logf("spec=%s requests=%d completed=%d failed=%d sheds=%v failovers=%d",
-				res.Spec, res.Requests, res.Completed, res.Failed, res.Sheds, res.Failovers)
+				res.Spec, res.Requests, res.Completed, res.Failed, sheds, res.Failovers)
 			if res.Completed+res.Failed != res.Requests {
 				t.Fatalf("completed %d + failed %d != %d requests (sheds %v)",
-					res.Completed, res.Failed, res.Requests, res.Sheds)
+					res.Completed, res.Failed, res.Requests, sheds)
 			}
 			shed := 0
-			for _, n := range res.Sheds {
+			for _, n := range sheds {
 				shed += n
 			}
 			if shed == 0 {
@@ -446,17 +451,14 @@ func TestOverloadChaosInvariants(t *testing.T) {
 // accumulating busy time — no GPU-second is double-counted or lost across
 // the crash edge.
 func TestFleetChaosAccounting(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Spec: "crash@40s:chaos/decode0"})
+	res, c, err := run(Config{Seed: 1, Spec: "crash@40s:chaos/decode0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, viol := range res.Violations {
 		t.Errorf("invariant: %s", viol)
 	}
-	snap := res.Fleet
-	if snap == nil {
-		t.Fatal("chaos run produced no fleet snapshot")
-	}
+	snap := c.Fleet().Snapshot(c.VirtualNow())
 	if len(snap.ConservationErrors) > 0 {
 		t.Fatalf("conservation violated: %v", snap.ConservationErrors)
 	}
@@ -554,17 +556,14 @@ func TestSpotChaosInvariants(t *testing.T) {
 	for i := range cases {
 		tc := &cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.cfg)
+			res, c, err := run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, viol := range res.Violations {
 				t.Errorf("invariant: %s", viol)
 			}
-			if res.Market == nil {
-				t.Fatal("chaos run produced no market snapshot")
-			}
-			st := res.Market.Stats
+			st := marketSnapshot(c).Stats
 			t.Logf("spec=%s requests=%d completed=%d failed=%d failovers=%d market=%+v",
 				res.Spec, res.Requests, res.Completed, res.Failed, res.Failovers, st)
 			if res.Completed+res.Failed != res.Requests {
@@ -590,6 +589,13 @@ func TestSpotChaosInvariants(t *testing.T) {
 	}
 }
 
+// marketSnapshot takes the spot market's snapshot at a drained cluster's
+// final instant.
+func marketSnapshot(c *cluster.Cluster) *market.Snapshot {
+	now := c.VirtualNow()
+	return c.Market().Snapshot(now, c.Fleet().Snapshot(now))
+}
+
 // TestSpotChaosSweep is the random-schedule safety net with the spot market
 // live: heterogeneous classes, price traces ticking, and schedules drawn from
 // the full fault grammar (reclaim and throttle included), in both placement
@@ -601,7 +607,7 @@ func TestSpotChaosSweep(t *testing.T) {
 	for seed := int64(300); seed < 308; seed++ {
 		cfg := Config{Seed: seed, RandomFaults: 6, MarketClasses: "H800,A10", Spot: true,
 			MarketNaive: seed%2 == 1}
-		res, err := Run(cfg)
+		res, c, err := run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -612,7 +618,7 @@ func TestSpotChaosSweep(t *testing.T) {
 			t.Fatalf("seed %d: completed %d + failed %d != %d requests",
 				seed, res.Completed, res.Failed, res.Requests)
 		}
-		if res.Market.Stats.PriceTicks == 0 {
+		if marketSnapshot(c).Stats.PriceTicks == 0 {
 			t.Errorf("seed %d: spot run saw no price ticks", seed)
 		}
 	}
@@ -623,7 +629,7 @@ func TestSpotChaosSweep(t *testing.T) {
 // tokens on the injected faults — its fault predicate has to see the run's
 // fault runtime, or every fault-window miss is misfiled under queueing.
 func TestOverloadChaosAttributesFaults(t *testing.T) {
-	res, err := Run(Config{
+	res, c, err := run(Config{
 		Seed: 7, Rate: 1.2, Horizon: 60 * time.Second, Overload: true,
 		Spec: "fetchfail@10s+30s,xfer@20s+20s:chaos/decode0",
 	})
@@ -633,11 +639,12 @@ func TestOverloadChaosAttributesFaults(t *testing.T) {
 	for _, viol := range res.Violations {
 		t.Errorf("invariant: %s", viol)
 	}
-	if res.SLO == nil {
+	slo := c.Deployments()[0].System.Monitor().Snapshot(c.VirtualNow())
+	if slo == nil {
 		t.Fatal("overload run reported no SLO snapshot")
 	}
-	causes := res.SLO.Fleet.Causes
-	t.Logf("missed=%d causes=%v", res.SLO.Fleet.TokensMissed, causes)
+	causes := slo.Fleet.Causes
+	t.Logf("missed=%d causes=%v", slo.Fleet.TokensMissed, causes)
 	if causes["fault"] == 0 {
 		t.Fatalf("no missed token attributed to fault (causes %v)", causes)
 	}

@@ -41,7 +41,6 @@ type Deployment struct {
 	Name   string
 	TP     int
 	System *core.System
-	models map[string]bool
 }
 
 // Config parameterizes the whole cluster.
@@ -139,13 +138,12 @@ func New(se *sim.Engine, cfg Config) (*Cluster, error) {
 			Market:     cfg.Market,
 			Decisions:  cfg.Decisions,
 		}, ids)
-		dep := &Deployment{Name: dc.Name, TP: dc.TP, System: sys, models: map[string]bool{}}
+		dep := &Deployment{Name: dc.Name, TP: dc.TP, System: sys}
 		for _, m := range dc.Models {
 			if prev, dup := c.route[m.Name]; dup {
 				return nil, fmt.Errorf("cluster: model %q in deployments %q and %q",
 					m.Name, prev.Name, dc.Name)
 			}
-			dep.models[m.Name] = true
 			c.route[m.Name] = dep
 			c.putRoute(m.Name, dc.Name, 0)
 		}
@@ -246,9 +244,6 @@ func (c *Cluster) Abort(r *core.Request) {
 		dep.System.Abort(r)
 	}
 }
-
-// Monitor exposes the live SLO monitor (nil when monitoring is off).
-func (c *Cluster) Monitor() *slomon.Monitor { return c.cfg.SLOMon }
 
 // Fleet exposes the fleet utilization ledger (nil when accounting is off).
 func (c *Cluster) Fleet() *fleetobs.Ledger { return c.cfg.Fleet }
@@ -367,17 +362,6 @@ func (c *Cluster) PrefixCaches() map[string]*prefixcache.Cache {
 	for _, d := range c.deps {
 		if pc := d.System.PrefixCache(); pc != nil {
 			out[d.Name] = pc
-		}
-	}
-	return out
-}
-
-// OverloadSheds merges per-reason overload shed counts across deployments.
-func (c *Cluster) OverloadSheds() map[string]int {
-	out := map[string]int{}
-	for _, d := range c.deps {
-		for reason, n := range d.System.OverloadSheds() {
-			out[reason] += n
 		}
 	}
 	return out

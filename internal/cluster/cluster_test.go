@@ -159,3 +159,40 @@ func TestDeploymentGPUs(t *testing.T) {
 		}
 	}
 }
+
+// StoreSeed has no effect: two clusters that differ only in it journal the
+// same decisions for the same trace. The field stays until its last caller,
+// bench/perf/gateway.go, stops setting it.
+func TestStoreSeedHasNoEffect(t *testing.T) {
+	export := func(seed int64) []byte {
+		dec := decision.New(decision.Options{})
+		se := sim.NewEngine(1)
+		models := model.SmallMix(2)
+		c, err := New(se, Config{
+			Prof: latency.H800(),
+			SLO:  slo.Default(),
+			Deployments: []DeploymentConfig{
+				{Name: "tp1", TP: 1, NumPrefill: 1, NumDecode: 1, Models: models},
+			},
+			Decisions: dec,
+			StoreSeed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		trace := workload.PoissonTrace(rng, []string{models[0].Name, models[1].Name}, 0.2, 30*time.Second, workload.ShareGPT())
+		if err := c.Submit(trace); err != nil {
+			t.Fatal(err)
+		}
+		se.Run()
+		var buf bytes.Buffer
+		if err := dec.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(export(1), export(2)) {
+		t.Fatal("clusters differing only in StoreSeed journaled different decisions")
+	}
+}

@@ -174,8 +174,8 @@ func coalesceCase(t *testing.T, seed int64, observed bool) caseResult {
 		fmt.Fprintf(&b, "%s outcome=%s finished=%d exec=%d tokens=%v\n",
 			r.ID, r.Outcome, r.finished, r.decodeExec, r.TokenTimes)
 	}
-	fmt.Fprintf(&b, "end=%d completed=%d failed=%d aborted=%d orphans=%d attainment=%v\n",
-		se.Now(), sys.Completed(), sys.FailedRequests(), sys.AbortedRequests(), sys.OrphanedRequests(), sys.Attainment())
+	fmt.Fprintf(&b, "end=%d completed=%d failed=%d orphans=%d attainment=%v\n",
+		se.Now(), sys.Completed(), sys.FailedRequests(), sys.OrphanedRequests(), sys.Attainment())
 	for s := metrics.PrefillWaiting; s <= metrics.DataOverhead; s++ {
 		fmt.Fprintf(&b, "%v=%d\n", s, sys.Breakdown().Total(s))
 	}

@@ -147,9 +147,6 @@ func TestAbortReleasesAndSilences(t *testing.T) {
 	if sys.LiveInFlight() != 0 {
 		t.Fatalf("LiveInFlight = %d after abort", sys.LiveInFlight())
 	}
-	if sys.AbortedRequests() != 1 {
-		t.Fatalf("AbortedRequests = %d", sys.AbortedRequests())
-	}
 	// All KV is back: both GPU tiers and the CPU tier are empty.
 	for _, e := range sys.Engines() {
 		if used := e.KV().GPUCache.Pool().UsedBytes(); used != 0 {

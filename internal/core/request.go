@@ -88,11 +88,10 @@ type Request struct {
 	// the tracker only.
 	monitored bool
 
-	// SessionID and Segments carry the conversation identity and the
-	// deterministic prompt content from the workload layer; the prefix cache
-	// matches prompts through them. Empty Segments means opaque content.
-	SessionID string
-	Segments  []workload.PromptSeg
+	// Segments carries the deterministic prompt content from the workload
+	// layer; the prefix cache matches prompts through it. Empty means opaque
+	// content.
+	Segments []workload.PromptSeg
 	// chunkHashes memoizes the prompt's chained chunk hashes (promptHashes).
 	chunkHashes []uint64
 
@@ -128,7 +127,6 @@ func newRequest(wr workload.Request, m *model.Model, id model.ID) *Request {
 		InputTokens:  wr.InputTokens,
 		OutputTokens: wr.OutputTokens,
 		Priority:     wr.Priority,
-		SessionID:    wr.SessionID,
 		Segments:     wr.Segments,
 	}
 }

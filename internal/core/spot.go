@@ -81,7 +81,7 @@ func (s *System) ThrottleInstance(name string, factor float64, d sim.Time) error
 	}
 	e.SetThrottle(factor)
 	if s.cfg.Market.Enabled() {
-		_ = s.cfg.Market.Throttle(name, factor, s.eng.Now()+d)
+		_ = s.cfg.Market.Throttle(name, factor)
 	}
 	s.obs.Fault(name, "throttle", fmt.Sprintf("thermal throttle x%.2f for %v", factor, d), s.eng.Now())
 	s.eng.After(d, func() {

@@ -260,7 +260,6 @@ type System struct {
 	requests    []*Request
 	completed   int
 	failed      int
-	aborted     int
 	liveOpen    int // live-submitted requests not yet finished
 	// logTokens keeps every request's token times in TokenTimes; off, a
 	// request keeps only its verdict, token count and end times.
@@ -955,7 +954,6 @@ func (s *System) Abort(r *Request) {
 	}
 	s.runs.cutFor(r)
 	s.removeFromQueues(r)
-	s.aborted++
 	s.end(r, decision.OutcomeAborted, "client disconnect")
 }
 

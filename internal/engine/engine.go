@@ -115,11 +115,9 @@ type Stats struct {
 	DecodeSteps   uint64      // decoding iterations started
 	DecodeRuns    uint64      // compute ops they ran as: one per run of back-to-back steps
 	SwitchLatency metrics.CDF // exposed scale-up latency per switch (Fig. 15)
-	// Prefix-cache reuse activity (PR 6): copies charged instead of
+	// PrefixReuses counts prefix-cache copies charged instead of
 	// recomputed prefill.
-	PrefixReuses      uint64
-	PrefixHostBytes   int64
-	PrefixDeviceBytes int64
+	PrefixReuses uint64
 }
 
 // Engine is one simulated inference engine.
@@ -825,8 +823,6 @@ func (e *Engine) ReusePrefix(reqID string, hostBytes, deviceBytes int64, done fu
 		panic("engine: ReusePrefix with no model loaded")
 	}
 	e.stats.PrefixReuses++
-	e.stats.PrefixHostBytes += hostBytes
-	e.stats.PrefixDeviceBytes += deviceBytes
 	dur := e.cfg.Prof.PCIeCopy(hostBytes) + e.curCost.OnDeviceCopy(deviceBytes)
 	e.loader.SubmitOp(gpu.H2D, dur,
 		gpu.OpInfo{Kind: gpu.OpPrefixReuse, Model: e.curID, Request: reqID}, done)

@@ -90,7 +90,7 @@ func runUtilization(o Options, models []*model.Model, trace []workload.Request) 
 	sys, se := buildAegaeon(o, models)
 	mustSubmit(sys, trace)
 	const window = 10 * time.Second
-	ts := metrics.NewTimeSeries(window)
+	ts := &metrics.TimeSeries{}
 	engines := sys.Engines()
 	prev := make([]time.Duration, len(engines))
 	var sample func()

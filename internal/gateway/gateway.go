@@ -623,8 +623,6 @@ type completionRequest struct {
 	// later turns hit the prefix cached by earlier ones, and cache-aware
 	// routing steers the session to the instance holding it.
 	SessionID string `json:"session_id"`
-	// Turn is the 0-based turn number within the session (informational).
-	Turn int `json:"turn"`
 }
 
 type completionChoice struct {
@@ -740,7 +738,7 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		var times []sim.Time
 		sub, err := g.cl.SubmitLive(
 			workload.Request{ID: id, Model: req.Model, InputTokens: inTok, OutputTokens: outTok,
-				Priority: prio, SessionID: req.SessionID, Turn: req.Turn, Segments: segs},
+				Priority: prio, SessionID: req.SessionID, Segments: segs},
 			func(i int, at sim.Time) {
 				if times == nil {
 					times = make([]sim.Time, 0, outTok)

@@ -41,7 +41,7 @@ func checkSwapFaults(t *testing.T, data []byte) {
 	mgrs := [2]*Manager{fx.m1, fx.m2}
 	names := [2]string{"gpu0", "gpu1"}
 	for i, m := range mgrs {
-		ledger.ObserveDevice(m.dev)
+		ledger.ObserveDevice(fx.devs[i])
 		m.SetFaults(faults, names[i], nil)
 		m.SetFleet(ledger, names[i])
 	}

@@ -294,7 +294,6 @@ func (s *Sequence) Abandon() {
 // Manager performs KV transfers for one GPU instance.
 type Manager struct {
 	eng  *sim.Engine
-	dev  *gpu.Device
 	prof *latency.Profile
 
 	GPUCache *Cache
@@ -335,7 +334,6 @@ type Stats struct {
 func NewManager(dev *gpu.Device, prof *latency.Profile, gpuCache, cpuCache *Cache) *Manager {
 	m := &Manager{
 		eng:       dev.Sim(),
-		dev:       dev,
 		prof:      prof,
 		GPUCache:  gpuCache,
 		CPUCache:  cpuCache,

@@ -129,7 +129,7 @@ func TestRetriedTransferSamplesFleetKV(t *testing.T) {
 	f := newFixture(t)
 	fts := fault.New(f.eng, 3)
 	ledger := fleetobs.New(f.eng)
-	ledger.ObserveDevice(f.m1.dev)
+	ledger.ObserveDevice(f.devs[0])
 	f.m1.SetFaults(fts, "gpu0", nil)
 	f.m1.SetFleet(ledger, "gpu0")
 	kvUsed := func() int64 { return ledger.Snapshot(f.eng.Now()).Devices[0].KVUsedBytes }

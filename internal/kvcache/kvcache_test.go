@@ -23,7 +23,9 @@ type fixture struct {
 	cpu *Cache
 	m1  *Manager // "prefill" instance
 	m2  *Manager // "decode" instance
-	mod *model.Model
+	// devs are m1's and m2's devices.
+	devs [2]*gpu.Device
+	mod  *model.Model
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -40,11 +42,12 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	return &fixture{
-		eng: eng,
-		cpu: cpu,
-		m1:  NewManager(d1, prof, g1, cpu),
-		m2:  NewManager(d2, prof, g2, cpu),
-		mod: mod,
+		eng:  eng,
+		cpu:  cpu,
+		m1:   NewManager(d1, prof, g1, cpu),
+		m2:   NewManager(d2, prof, g2, cpu),
+		devs: [2]*gpu.Device{d1, d2},
+		mod:  mod,
 	}
 }
 

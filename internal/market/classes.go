@@ -38,9 +38,6 @@ type Class struct {
 	// ReclaimMTBF is the class's mean time between spot reclaims — the
 	// hazard the placement risk model discounts expected lifetime by.
 	ReclaimMTBF time.Duration
-	// Consumer marks the consumer tiers (no datacenter interconnect,
-	// weaker reliability) for reporting.
-	Consumer bool
 }
 
 // consumerProfile derives a consumer-tier profile from a datacenter base:
@@ -84,14 +81,14 @@ func builtinClass(name string) (*Class, error) {
 			Name:         "RTX4090",
 			Prof:         consumerProfile(latency.A10(), "RTX4090-24GB", 1.32, 1.68, 16e9, 24<<30),
 			OnDemandRate: 0.9, SpotBase: 0.34, Volatility: 0.25,
-			ReclaimMTBF: 7 * time.Minute, Consumer: true,
+			ReclaimMTBF: 7 * time.Minute,
 		}, nil
 	case "RTX3090":
 		return &Class{
 			Name:         "RTX3090",
 			Prof:         consumerProfile(latency.A10(), "RTX3090-24GB", 0.57, 1.56, 16e9, 24<<30),
 			OnDemandRate: 0.55, SpotBase: 0.22, Volatility: 0.30,
-			ReclaimMTBF: 5 * time.Minute, Consumer: true,
+			ReclaimMTBF: 5 * time.Minute,
 		}, nil
 	}
 	return nil, fmt.Errorf("market: unknown device class %q", name)

@@ -54,13 +54,11 @@ type device struct {
 	rate  float64 // current $/GPU-hour
 
 	underNotice bool
-	noticeAt    sim.Time
 	deadline    sim.Time
 	revoked     bool
 	rec         int // index into m.recs of this device's preemption record, -1 before notice
 
-	throttle      float64 // compute slowdown factor; 1 = nominal
-	throttleUntil sim.Time
+	throttle float64 // compute slowdown factor; 1 = nominal
 
 	errors       int
 	lowHeadroom  bool
@@ -182,7 +180,6 @@ func (m *Market) Notice(name string, grace sim.Time) error {
 	}
 	now := m.eng.Now()
 	d.underNotice = true
-	d.noticeAt = now
 	d.deadline = now + grace
 	d.rec = len(m.recs)
 	m.recs = append(m.recs, PreemptionRecord{
@@ -254,9 +251,9 @@ func (m *Market) NoteLostKV(name string, bytes int64) {
 // survive in the host tier after the device copies are dropped.
 func (m *Market) NoteRehomedPrefix(name string, bytes int64) { m.noteBytes(name, 0, 0, bytes) }
 
-// Throttle applies a thermal-throttle factor (>1 = slower) until the given
-// instant; placement discounts the device while throttled.
-func (m *Market) Throttle(name string, factor float64, until sim.Time) error {
+// Throttle applies a thermal-throttle factor (>1 = slower) until
+// ClearThrottle; placement discounts the device while throttled.
+func (m *Market) Throttle(name string, factor float64) error {
 	if m == nil {
 		return fmt.Errorf("market: no market model configured")
 	}
@@ -268,7 +265,6 @@ func (m *Market) Throttle(name string, factor float64, until sim.Time) error {
 		return fmt.Errorf("market: unknown device %q", name)
 	}
 	d.throttle = factor
-	d.throttleUntil = until
 	m.stats.Throttles++
 	return nil
 }

@@ -23,9 +23,6 @@ func TestParseClasses(t *testing.T) {
 	if len(cs) != 3 || cs[0].Name != "H800" || cs[1].Name != "A10" || cs[2].Name != "RTX4090" {
 		t.Fatalf("got %+v", cs)
 	}
-	if !cs[2].Consumer {
-		t.Fatal("RTX4090 should be a consumer tier")
-	}
 	if cs[2].Prof.VRAMBytes != 24<<30 {
 		t.Fatalf("RTX4090 VRAM = %d", cs[2].Prof.VRAMBytes)
 	}
@@ -196,7 +193,7 @@ func TestPlacementPenaltyRiskModel(t *testing.T) {
 		t.Fatalf("penalty should grow with switch cost: %g vs %g", pLong, pCon)
 	}
 	// Throttle adds penalty; error eviction excludes.
-	m.Throttle("dc", 3, se.Now()+time.Minute)
+	m.Throttle("dc", 3)
 	pThr, ok := m.PlacementPenalty("dc", 2*time.Second)
 	if !ok || pThr <= pDC {
 		t.Fatalf("throttle penalty %g should exceed nominal %g", pThr, pDC)
@@ -273,7 +270,7 @@ func TestNilMarketSafe(t *testing.T) {
 	if err := m.Notice("x", 0); err == nil {
 		t.Fatal("nil market Notice should error")
 	}
-	if err := m.Throttle("x", 2, 0); err == nil {
+	if err := m.Throttle("x", 2); err == nil {
 		t.Fatal("nil market Throttle should error")
 	}
 }

@@ -23,8 +23,6 @@ type BumpArena struct {
 	capacity  int64
 	offset    int64
 	highWater int64
-	allocs    uint64
-	resets    uint64
 }
 
 // NewBumpArena returns an arena managing capacity bytes. capacity must be
@@ -57,7 +55,6 @@ func (a *BumpArena) Alloc(size, align int64) (int64, error) {
 	if a.offset > a.highWater {
 		a.highWater = a.offset
 	}
-	a.allocs++
 	return off, nil
 }
 
@@ -68,7 +65,6 @@ func (a *BumpArena) ResetTo(mark int64) {
 		panic(fmt.Sprintf("memory: ResetTo(%d) outside [0,%d]", mark, a.offset))
 	}
 	a.offset = mark
-	a.resets++
 }
 
 // Reset frees everything — the O(1) "deallocation by pointer reset" that

@@ -97,16 +97,6 @@ func TestBumpArenaNegativeSize(t *testing.T) {
 	}
 }
 
-func TestBumpArenaCounters(t *testing.T) {
-	a := NewBumpArena(100)
-	_, _ = a.Alloc(10, 0)
-	_, _ = a.Alloc(10, 0)
-	a.Reset()
-	if a.Allocs() != 2 || a.Resets() != 1 {
-		t.Fatalf("counters = %d allocs, %d resets", a.Allocs(), a.Resets())
-	}
-}
-
 // Property: a sequence of allocations never overlaps and never exceeds
 // capacity; offsets strictly increase.
 func TestBumpArenaNoOverlapProperty(t *testing.T) {

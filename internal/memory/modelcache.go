@@ -15,14 +15,11 @@ type ModelCache struct {
 	used     int64
 	lru      *list.List               // front = most recently used
 	entries  map[string]*list.Element // name -> element whose Value is *cacheEntry
-
-	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
-	name   string
-	bytes  int64
-	pinned int // >0 while a load is streaming from this entry
+	name  string
+	bytes int64
 }
 
 // NewModelCache returns a cache holding up to capacity bytes of weights.
@@ -38,20 +35,17 @@ func NewModelCache(capacity int64) *ModelCache {
 }
 
 // Contains reports whether the model's weights are resident, updating LRU
-// order and hit/miss counters.
+// order.
 func (c *ModelCache) Contains(name string) bool {
 	if el, ok := c.entries[name]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
 		return true
 	}
-	c.misses++
 	return false
 }
 
 // Insert adds a model of the given size, evicting least-recently-used
-// unpinned models as needed. It fails if the model cannot fit even after
-// evicting everything evictable.
+// models as needed. It fails only if the model exceeds the whole cache.
 func (c *ModelCache) Insert(name string, bytes int64) error {
 	if bytes <= 0 {
 		return fmt.Errorf("memory: non-positive model size %d for %q", bytes, name)
@@ -65,30 +59,14 @@ func (c *ModelCache) Insert(name string, bytes int64) error {
 		return nil
 	}
 	for c.used+bytes > c.capacity {
-		if !c.evictOne() {
-			return fmt.Errorf("%w: cannot fit model %q (%d bytes): %d in use, all pinned",
-				ErrOutOfMemory, name, bytes, c.used)
-		}
+		e := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.entries, e.name)
+		c.used -= e.bytes
 	}
 	el := c.lru.PushFront(&cacheEntry{name: name, bytes: bytes})
 	c.entries[name] = el
 	c.used += bytes
 	return nil
-}
-
-func (c *ModelCache) evictOne() bool {
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if e.pinned > 0 {
-			continue
-		}
-		c.lru.Remove(el)
-		delete(c.entries, e.name)
-		c.used -= e.bytes
-		c.evictions++
-		return true
-	}
-	return false
 }
 
 // Len returns the number of resident models.

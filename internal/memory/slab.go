@@ -305,11 +305,8 @@ func (p *SlabPool) allocatedBytes() int64 {
 // Fig. 16.
 type ClassStats struct {
 	Label          string
-	BlockBytes     int64
-	UsedBlocks     int
 	UsedBytes      int64
 	AllocatedBytes int64 // slab bytes currently held by the class
-	PeakAllocated  int64
 	// Fragmentation is unused-held memory over peak allocated memory
 	// (Fig. 16's definition: "ratio of unused memory to peak allocated
 	// memory"). Zero when the class never held memory.
@@ -329,11 +326,8 @@ func (p *SlabPool) Stats() []ClassStats {
 		totUsed += used
 		st := ClassStats{
 			Label:          c.label,
-			BlockBytes:     c.blockBytes,
-			UsedBlocks:     c.used,
 			UsedBytes:      used,
 			AllocatedBytes: alloc,
-			PeakAllocated:  c.peakAllocated,
 		}
 		if c.peakAllocated > 0 {
 			st.Fragmentation = float64(alloc-used) / float64(c.peakAllocated)
@@ -344,7 +338,6 @@ func (p *SlabPool) Stats() []ClassStats {
 		Label:          "All",
 		UsedBytes:      totUsed,
 		AllocatedBytes: p.allocatedBytes(),
-		PeakAllocated:  p.peakAllocated,
 	}
 	if p.peakAllocated > 0 {
 		all.Fragmentation = float64(all.AllocatedBytes-all.UsedBytes) / float64(p.peakAllocated)

@@ -13,6 +13,3 @@ func (s *Store) Get(key string, fn func(value string, ok bool)) {
 		fn(v, ok)
 	})
 }
-
-// Version returns the monotone write counter for a key (0 if never set).
-func (s *Store) Version(key string) uint64 { return s.version[key] }

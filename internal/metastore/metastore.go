@@ -23,7 +23,6 @@ type Store struct {
 	eng     *sim.Engine
 	rtt     time.Duration
 	data    map[string]string
-	version map[string]uint64
 	watches []*watch
 
 	// Fault windows, driven by the injection layer. While partitioned every
@@ -50,10 +49,9 @@ type watch struct {
 // operation (0 for synchronous semantics).
 func New(eng *sim.Engine, rtt time.Duration) *Store {
 	return &Store{
-		eng:     eng,
-		rtt:     rtt,
-		data:    map[string]string{},
-		version: map[string]uint64{},
+		eng:  eng,
+		rtt:  rtt,
+		data: map[string]string{},
 	}
 }
 
@@ -99,7 +97,7 @@ func (s *Store) latency() time.Duration {
 // earlier one. Per-op latency alone breaks this when a latency spike expires
 // between two submissions — the slowed op would land after the fast one, so
 // applies (and the watch notifications they fire) would replay in an order
-// that contradicts Version(). Serializing on lastDone pins notification
+// that contradicts submission. Serializing on lastDone pins notification
 // order to submission order.
 func (s *Store) run(op func(err error)) {
 	var err error
@@ -122,7 +120,6 @@ func (s *Store) run(op func(err error)) {
 // applySet commits a write and notifies watchers (already past the RTT).
 func (s *Store) applySet(key, value string) {
 	s.data[key] = value
-	s.version[key]++
 	for _, w := range s.watches {
 		if !w.closed && strings.HasPrefix(key, w.prefix) {
 			w.fn(key, value)
@@ -163,7 +160,7 @@ func (s *Store) GetE(key string, fn func(value string, ok bool, err error)) {
 // value equals old (an absent key compares as ""). The comparison and the
 // write happen in the same event after the RTT, so concurrent claimants
 // serialize: exactly one of two racing CAS("", x) calls wins. A successful
-// swap notifies watchers and bumps the version like Set.
+// swap notifies watchers like Set.
 func (s *Store) CompareAndSwap(key, old, new string, done func(swapped bool, err error)) {
 	s.sets++
 	s.run(func(err error) {
@@ -201,7 +198,6 @@ func (s *Store) Delete(key string, done func(err error)) {
 		if err == nil {
 			if _, ok := s.data[key]; ok {
 				delete(s.data, key)
-				s.version[key]++
 				for _, w := range s.watches {
 					if !w.closed && strings.HasPrefix(key, w.prefix) {
 						w.fn(key, "")

@@ -77,9 +77,6 @@ func TestKeysAndVersion(t *testing.T) {
 		t.Fatalf("keys = %v", keys)
 	}
 	s.Set("a/1", "y2", nil)
-	if s.Version("a/1") != 2 {
-		t.Fatalf("version = %d", s.Version("a/1"))
-	}
 	if v := s.View(); v.Gets != 0 || v.Sets != 4 || v.Deletes != 0 {
 		t.Fatalf("ops = %d/%d/%d", v.Gets, v.Sets, v.Deletes)
 	}
@@ -136,7 +133,7 @@ func TestWatchCancelDuringSweep(t *testing.T) {
 func TestDeleteNotifiesWatchersRegression(t *testing.T) {
 	// Failover leases depend on delete notifications: a proxy watching
 	// lease/ must see the empty-value event when an instance's lease key is
-	// removed, through RTT delay and with correct version bookkeeping.
+	// removed, through RTT delay.
 	eng := sim.NewEngine(1)
 	s := New(eng, time.Millisecond)
 	type ev struct {
@@ -157,9 +154,6 @@ func TestDeleteNotifiesWatchersRegression(t *testing.T) {
 	}
 	if got[1].at != got[0].at+time.Millisecond {
 		t.Fatalf("delete visible at %v, set at %v", got[1].at, got[0].at)
-	}
-	if s.Version("lease/decode0") != 2 {
-		t.Fatalf("version = %d", s.Version("lease/decode0"))
 	}
 }
 
@@ -189,7 +183,7 @@ func TestCompareAndSwap(t *testing.T) {
 		t.Fatalf("value = %q", v)
 	}
 
-	// Successful swap behaves like Set: watchers fire, version bumps.
+	// Successful swap behaves like Set: watchers fire.
 	var notified []string
 	s.Watch("failover/", func(k, v string) { notified = append(notified, v) })
 	var swapped bool
@@ -197,9 +191,6 @@ func TestCompareAndSwap(t *testing.T) {
 	eng.Run()
 	if !swapped || len(notified) != 1 || notified[0] != "proxyC" {
 		t.Fatalf("swap=%v notified=%v", swapped, notified)
-	}
-	if s.Version("failover/decode0") != 2 {
-		t.Fatalf("version = %d", s.Version("failover/decode0"))
 	}
 }
 
@@ -275,7 +266,7 @@ func TestSlowByStretchesRTT(t *testing.T) {
 }
 
 // Regression: the store's watch notifications must fire in
-// submission order — which is Version() order — even when a latency spike
+// submission order — the order writes commit — even when a latency spike
 // expires between two submissions. Before the FIFO fix the slowed op landed
 // after the fast one and the watch replayed history backwards.
 func TestStoreWatchOrderMatchesVersion(t *testing.T) {
@@ -291,9 +282,6 @@ func TestStoreWatchOrderMatchesVersion(t *testing.T) {
 	eng.Run()
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("notification order = %v, want [first second]", order)
-	}
-	if s.Version("k") != 2 {
-		t.Fatalf("version = %d", s.Version("k"))
 	}
 	if v, _ := s.GetNow("k"); v != "second" {
 		t.Fatalf("final value = %q, want the later submission", v)

@@ -211,18 +211,10 @@ func (s *SafeCDF) Quantile(q float64) float64 {
 	return s.r.Quantile(q)
 }
 
-// TimeSeries samples a value at fixed intervals of virtual time.
+// TimeSeries holds a value sampled at fixed intervals of virtual time; the
+// sampler owns the interval.
 type TimeSeries struct {
-	Interval time.Duration
-	Values   []float64
-}
-
-// NewTimeSeries creates a series with the given sampling interval.
-func NewTimeSeries(interval time.Duration) *TimeSeries {
-	if interval <= 0 {
-		panic("metrics: non-positive sampling interval")
-	}
-	return &TimeSeries{Interval: interval}
+	Values []float64
 }
 
 // Append adds the next sample.

@@ -38,7 +38,6 @@ type Model struct {
 	FFN           int // FFN intermediate size m
 	KVHeads       int // number of KV heads (GQA if < attention heads)
 	HeadDim       int
-	MaxSeqLen     int
 }
 
 // WeightBytes returns the total byte size of the model weights.
@@ -87,29 +86,29 @@ func Catalog() []*Model {
 	return []*Model{
 		// Table 1 models.
 		{Name: "Qwen-7B", Params: 7_720 * million, BytesPerParam: 2,
-			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 32, HeadDim: 128, MaxSeqLen: 8192},
+			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 32, HeadDim: 128},
 		{Name: "InternLM2.5-7B-chat", Params: 7_740 * million, BytesPerParam: 2,
-			Layers: 32, Hidden: 4096, FFN: 14336, KVHeads: 8, HeadDim: 128, MaxSeqLen: 32768},
+			Layers: 32, Hidden: 4096, FFN: 14336, KVHeads: 8, HeadDim: 128},
 		{Name: "LLaMA-13B", Params: 13_000 * million, BytesPerParam: 2,
-			Layers: 40, Hidden: 5120, FFN: 13824, KVHeads: 40, HeadDim: 128, MaxSeqLen: 4096},
+			Layers: 40, Hidden: 5120, FFN: 13824, KVHeads: 40, HeadDim: 128},
 		{Name: "Qwen-72B", Params: 72_700 * million, BytesPerParam: 2,
-			Layers: 80, Hidden: 8192, FFN: 24576, KVHeads: 64, HeadDim: 128, MaxSeqLen: 32768},
+			Layers: 80, Hidden: 8192, FFN: 24576, KVHeads: 64, HeadDim: 128},
 		// Additional market models (§7.1: families Qwen, Llama, InternLM, Yi;
 		// sizes 1.8B to 72B; §7.5: 1.8–7B at TP=1 and 32–72B at TP=4).
 		{Name: "Qwen-1.8B", Params: 1_840 * million, BytesPerParam: 2,
-			Layers: 24, Hidden: 2048, FFN: 5504, KVHeads: 16, HeadDim: 128, MaxSeqLen: 8192},
+			Layers: 24, Hidden: 2048, FFN: 5504, KVHeads: 16, HeadDim: 128},
 		{Name: "Yi-6B", Params: 6_060 * million, BytesPerParam: 2,
-			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 4, HeadDim: 128, MaxSeqLen: 4096},
+			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 4, HeadDim: 128},
 		{Name: "Llama-2-7B", Params: 6_740 * million, BytesPerParam: 2,
-			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 32, HeadDim: 128, MaxSeqLen: 4096},
+			Layers: 32, Hidden: 4096, FFN: 11008, KVHeads: 32, HeadDim: 128},
 		{Name: "Yi-9B", Params: 8_830 * million, BytesPerParam: 2,
-			Layers: 48, Hidden: 4096, FFN: 11008, KVHeads: 4, HeadDim: 128, MaxSeqLen: 4096},
+			Layers: 48, Hidden: 4096, FFN: 11008, KVHeads: 4, HeadDim: 128},
 		{Name: "Qwen-14B", Params: 14_200 * million, BytesPerParam: 2,
-			Layers: 40, Hidden: 5120, FFN: 13696, KVHeads: 40, HeadDim: 128, MaxSeqLen: 8192},
+			Layers: 40, Hidden: 5120, FFN: 13696, KVHeads: 40, HeadDim: 128},
 		{Name: "Yi-34B", Params: 34_400 * million, BytesPerParam: 2,
-			Layers: 60, Hidden: 7168, FFN: 20480, KVHeads: 8, HeadDim: 128, MaxSeqLen: 4096},
+			Layers: 60, Hidden: 7168, FFN: 20480, KVHeads: 8, HeadDim: 128},
 		{Name: "Qwen-32B", Params: 32_500 * million, BytesPerParam: 2,
-			Layers: 64, Hidden: 5120, FFN: 27392, KVHeads: 8, HeadDim: 128, MaxSeqLen: 32768},
+			Layers: 64, Hidden: 5120, FFN: 27392, KVHeads: 8, HeadDim: 128},
 	}
 }
 

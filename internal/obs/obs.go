@@ -790,7 +790,6 @@ type EngineTimeline struct {
 	Device string
 	Engine gpu.EngineKind
 	Ops    []gpu.OpRecord
-	Total  uint64
 }
 
 // DeviceTimelines returns every device engine's retained ops in emission
@@ -807,7 +806,6 @@ func (c *Collector) DeviceTimelines() []EngineTimeline {
 				Device: name,
 				Engine: gpu.EngineKind(k),
 				Ops:    dt.engines[k].ordered(gpu.EngineKind(k)),
-				Total:  dt.engines[k].total,
 			})
 		}
 	}

@@ -439,11 +439,15 @@ func TestObserveDeviceRecordsBoundedOps(t *testing.T) {
 			h2d = tl
 		}
 	}
-	if len(compute.Ops) != maxOpsPerEngine || compute.Total != n {
-		t.Fatalf("compute ring = %d retained / %d total, want %d/%d", len(compute.Ops), compute.Total, maxOpsPerEngine, n)
+	totals := map[string]uint64{}
+	for _, u := range c.Utilizations(se.Now(), time.Second) {
+		totals[u.Engine] = u.Ops
 	}
-	if h2d.Total != 1 {
-		t.Fatalf("h2d total = %d", h2d.Total)
+	if len(compute.Ops) != maxOpsPerEngine || totals[gpu.Compute.String()] != n {
+		t.Fatalf("compute ring = %d retained / %d total, want %d/%d", len(compute.Ops), totals[gpu.Compute.String()], maxOpsPerEngine, n)
+	}
+	if totals[gpu.H2D.String()] != 1 || len(h2d.Ops) != 1 {
+		t.Fatalf("h2d total = %d", totals[gpu.H2D.String()])
 	}
 	// Retained ops are in emission order and non-overlapping (FIFO engine).
 	for i := 1; i < len(compute.Ops); i++ {

@@ -145,7 +145,7 @@ type Cache struct {
 
 type stats struct {
 	lookups, hits, tokensSaved, prefillTokens uint64
-	inserts, insertedBlocks                   uint64
+	inserts                                   uint64
 	hostEvictions, deviceEvictions            uint64
 	promotions                                uint64
 	deviceDrops                               uint64
@@ -573,7 +573,6 @@ func (c *Cache) Insert(m string, shape model.KVShape, hashes []uint64, tokens in
 		}
 		idx[hsh] = e
 		c.hostBytes += ci.blockBytes
-		c.st.insertedBlocks++
 		path = append(path, e)
 		parent = e
 	}

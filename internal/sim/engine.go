@@ -56,7 +56,6 @@ func (ev Event) At() Time { return ev.at }
 func (ev Event) Cancel() {
 	if s := ev.live(); s != nil && s.fn != nil {
 		s.fn = nil
-		s.cancelled = true
 	}
 }
 
@@ -76,10 +75,9 @@ func (ev Event) live() *slot {
 // fn is non-nil exactly while an At event is pending, feed exactly while a
 // feed has entries left; gen advances each time the slot is handed out.
 type slot struct {
-	fn        func()
-	feed      *feed
-	gen       uint32
-	cancelled bool
+	fn   func()
+	feed *feed
+	gen  uint32
 }
 
 // feed is a batch of arrivals queued one entry at a time. Index i fires at
@@ -167,7 +165,6 @@ func (e *Engine) At(t Time, fn func()) Event {
 	i := e.takeSlot()
 	s := &e.slots[i]
 	s.fn = fn
-	s.cancelled = false
 	e.push(entry{at: t, seq: e.reserve(1), slot: i})
 	return Event{eng: e, at: t, slot: i, gen: s.gen}
 }

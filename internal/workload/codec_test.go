@@ -36,6 +36,9 @@ type wireSeg struct {
 func WriteTrace(w io.Writer, trace []Request) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
+	// turns counts each session's requests so far: a session's turns
+	// arrive in order, so a turn's number is its place in the trace.
+	turns := map[string]int{}
 	for i, r := range trace {
 		wr := wireRequest{
 			ID:       r.ID,
@@ -44,7 +47,10 @@ func WriteTrace(w io.Writer, trace []Request) error {
 			Input:    r.InputTokens,
 			Output:   r.OutputTokens,
 			Session:  r.SessionID,
-			Turn:     r.Turn,
+		}
+		if r.SessionID != "" {
+			wr.Turn = turns[r.SessionID]
+			turns[r.SessionID]++
 		}
 		if r.Priority != PriorityNormal {
 			wr.Priority = r.Priority.String()

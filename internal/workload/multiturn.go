@@ -78,7 +78,7 @@ func MultiTurnTrace(rng *rand.Rand, models []string, sessionRate float64, horizo
 			streamSeed := rng.Uint64()
 			at := start
 			ctx := 0 // accumulated conversation tokens (prior turns + replies)
-			for turn := 0; ; turn++ {
+			for {
 				uin, o := ds.Sample(rng)
 				in := ctx + uin
 				var segs []PromptSeg
@@ -93,7 +93,6 @@ func MultiTurnTrace(rng *rand.Rand, models []string, sessionRate float64, horizo
 					InputTokens:  in,
 					OutputTokens: o,
 					SessionID:    sid,
-					Turn:         turn,
 					Segments:     segs,
 				})
 				ctx += uin + o
@@ -166,7 +165,7 @@ func AgenticTrace(rng *rand.Rand, models []string, taskRate float64, horizon tim
 			at := start
 			taskIn, _ := ds.Sample(rng)
 			ctx := taskIn
-			for turn := 0; ; turn++ {
+			for {
 				_, o := ds.Sample(rng)
 				out = append(out, Request{
 					Model:        m,
@@ -174,7 +173,6 @@ func AgenticTrace(rng *rand.Rand, models []string, taskRate float64, horizon tim
 					InputTokens:  cfg.SystemPromptTokens + ctx,
 					OutputTokens: o,
 					SessionID:    sid,
-					Turn:         turn,
 					Segments: []PromptSeg{
 						{Seed: sysSeed, Len: cfg.SystemPromptTokens},
 						{Seed: streamSeed, Len: ctx},

@@ -25,11 +25,9 @@ type Request struct {
 	// value (PriorityNormal) matches pre-priority traces.
 	Priority Priority
 	// SessionID groups the turns of one conversation (empty for single-shot
-	// requests). The gateway and router use it to steer a session's next
-	// turn to the instance caching its prefix.
+	// requests). A session's turns arrive in order. Routing follows the
+	// prompt's Segments, not the session.
 	SessionID string
-	// Turn is the 0-based turn number within the session.
-	Turn int
 	// Segments describes the prompt's token content as deterministic
 	// streams, so the prefix cache can tell when two prompts share a prefix.
 	// Empty means opaque content (never matches anything). When present the
@@ -233,12 +231,11 @@ func Merge(traces ...[]Request) []Request {
 
 // Stats summarizes a trace.
 type Stats struct {
-	Requests    int
-	Models      int
-	MeanIn      float64
-	MeanOut     float64
-	TotalRate   float64 // requests/second over the span
-	SpanSeconds float64
+	Requests  int
+	Models    int
+	MeanIn    float64
+	MeanOut   float64
+	TotalRate float64 // requests/second over the span
 }
 
 // Summarize computes trace statistics.
@@ -255,11 +252,10 @@ func Summarize(reqs []Request) Stats {
 	}
 	span := reqs[len(reqs)-1].Arrival.Seconds()
 	st := Stats{
-		Requests:    len(reqs),
-		Models:      len(models),
-		MeanIn:      in / float64(len(reqs)),
-		MeanOut:     out / float64(len(reqs)),
-		SpanSeconds: span,
+		Requests: len(reqs),
+		Models:   len(models),
+		MeanIn:   in / float64(len(reqs)),
+		MeanOut:  out / float64(len(reqs)),
 	}
 	if span > 0 {
 		st.TotalRate = float64(len(reqs)) / span
