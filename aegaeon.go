@@ -206,12 +206,7 @@ type System struct {
 }
 
 // New builds a system.
-func New(cfg Config) (*System, error) { return newSystem(cfg, nil) }
-
-// newSystem builds the system New builds for cfg, with edit, when non-nil,
-// applied to the assembly spec derived from cfg. Tests use it to assemble
-// subsystem combinations the facade does not offer on the same fleet.
-func newSystem(cfg Config, edit func(*assemble.Spec)) (*System, error) {
+func New(cfg Config) (*System, error) {
 	if cfg.GPU == "" {
 		cfg.GPU = "H800"
 	}
@@ -255,7 +250,7 @@ func newSystem(cfg Config, edit func(*assemble.Spec)) (*System, error) {
 		}
 		flt = fault.New(se, cfg.Seed)
 	}
-	spec := assemble.Spec{
+	parts, err := assemble.Build(se, assemble.Spec{
 		Tracing:         cfg.Tracing,
 		SLOMonitor:      cfg.SLOMonitor,
 		Overload:        cfg.Overload,
@@ -270,11 +265,7 @@ func newSystem(cfg Config, edit func(*assemble.Spec)) (*System, error) {
 		Models:          models,
 		TP:              cfg.TP,
 		Faults:          flt,
-	}
-	if edit != nil {
-		edit(&spec)
-	}
-	parts, err := assemble.Build(se, spec)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("aegaeon: %w", err)
 	}
@@ -525,6 +516,18 @@ func (s *System) WriteDecisions(w io.Writer) error {
 		return fmt.Errorf("aegaeon: decision journal disabled; build the system with Config.Decisions")
 	}
 	return s.parts.Decisions.WriteJSON(w)
+}
+
+// Snapshot renders the named snapshot schema at the run's clock: "slo",
+// "fleet", "market" or "why", the reports aegaeon-sim -report names. It
+// returns nil when the system does not carry that subsystem.
+func (s *System) Snapshot(name string) any {
+	for _, sc := range assemble.Schemas {
+		if sc.Name == name && sc.Has(s.parts) {
+			return sc.Snapshot(s.parts, s.eng.Now())
+		}
+	}
+	return nil
 }
 
 // EventsProcessed returns how many discrete events the simulation kernel has

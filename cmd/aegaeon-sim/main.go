@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"aegaeon"
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/fleetobs"
 	"aegaeon/internal/market"
@@ -84,8 +86,8 @@ func secs(v float64) time.Duration {
 
 // printFleetReport renders the fleet utilization ledger's final snapshot:
 // the fleet rollup, each device's state decomposition, and per-model
-// goodput economics. Every printed GPU-second is accounted — the state
-// columns sum to wall time per device.
+// goodput economics. The fleet row's check, run after the print, fails the
+// run on a conservation violation.
 func printFleetReport(s *fleetobs.Snapshot) {
 	fmt.Printf("--- fleet utilization ledger (%d devices, %.1f GPU-s) ---\n",
 		s.Fleet.Devices, s.Fleet.GPUSeconds)
@@ -106,10 +108,6 @@ func printFleetReport(s *fleetobs.Snapshot) {
 	for _, m := range s.Models {
 		fmt.Printf("model  %-16s %8d tokens, %6.1f compute-s (%.1f%% occupancy, %.1f tok/GPU-s)\n",
 			m.Model, m.Tokens, m.ComputeS, 100*m.OccupancyShare, m.TokensPerGPUSecond)
-	}
-	if len(s.ConservationErrors) > 0 {
-		fmt.Printf("fleet CONSERVATION VIOLATED: %d errors, first: %s\n",
-			len(s.ConservationErrors), s.ConservationErrors[0])
 	}
 }
 
@@ -166,69 +164,32 @@ func printWhyReport(j *decision.Journal) {
 	}
 }
 
-// reports are the end-of-run reports -report selects, in print order. Each
-// row turns its subsystem on, prints its summary, and writes its files into
-// -report-dir.
-var reports = []struct {
-	name   string
+// reports turn on and print the snapshot schemas -report selects, by
+// schema name; every schema is one. export, when set, writes the
+// snapshot's JSON through the facade's own exporter. The report loop runs
+// in assemble.Schemas order.
+var reports = map[string]struct {
 	enable func(*aegaeon.Config)
 	print  func(*aegaeon.System, *aegaeon.Report)
-	write  func(dir string, sys *aegaeon.System, rep *aegaeon.Report) error
+	export func(*aegaeon.System, io.Writer) error
 }{
-	{"slo", func(c *aegaeon.Config) { c.SLOMonitor = true },
-		func(_ *aegaeon.System, rep *aegaeon.Report) { printSLOReport(rep.SLO) },
-		func(dir string, _ *aegaeon.System, rep *aegaeon.Report) error {
-			if err := slomon.Validate(rep.SLO); err != nil {
-				return fmt.Errorf("slo snapshot failed validation: %v", err)
-			}
-			path := filepath.Join(dir, "slo.json")
-			if err := writeJSON(path, rep.SLO); err != nil {
-				return err
-			}
-			fmt.Printf("slo snapshot      %s (schema v%d)\n", path, rep.SLO.SchemaVersion)
-			return nil
-		}},
-	// The market's class economics join against the fleet ledger, so its
-	// report prints with the ledger's.
-	{"fleet", func(c *aegaeon.Config) { c.FleetAccounting = true },
-		func(_ *aegaeon.System, rep *aegaeon.Report) {
-			printFleetReport(rep.Fleet)
-			if rep.Market != nil {
-				printMarketReport(rep.Market)
-			}
-		},
-		func(dir string, _ *aegaeon.System, rep *aegaeon.Report) error {
-			path := filepath.Join(dir, "fleet.json")
-			if err := writeJSON(path, rep.Fleet); err != nil {
-				return err
-			}
-			fmt.Printf("fleet snapshot    %s (schema v%d)\n", path, rep.Fleet.SchemaVersion)
-			path = filepath.Join(dir, "fleet.csv")
-			if err := os.WriteFile(path, []byte(rep.Fleet.CSV()), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("fleet csv         %s\n", path)
-			return nil
-		}},
-	{"why", func(c *aegaeon.Config) { c.Decisions = true },
+	"slo": {func(c *aegaeon.Config) { c.SLOMonitor = true },
+		func(_ *aegaeon.System, rep *aegaeon.Report) { printSLOReport(rep.SLO) }, nil},
+	"fleet": {func(c *aegaeon.Config) { c.FleetAccounting = true },
+		func(_ *aegaeon.System, rep *aegaeon.Report) { printFleetReport(rep.Fleet) }, nil},
+	"market": {func(c *aegaeon.Config) { c.Market = true },
+		func(_ *aegaeon.System, rep *aegaeon.Report) { printMarketReport(rep.Market) }, nil},
+	"why": {func(c *aegaeon.Config) { c.Decisions = true },
 		func(sys *aegaeon.System, _ *aegaeon.Report) { printWhyReport(sys.Decisions()) },
-		func(dir string, sys *aegaeon.System, _ *aegaeon.Report) error {
-			path := filepath.Join(dir, "why.json")
-			if err := writeFile(path, sys.WriteDecisions); err != nil {
-				return err
-			}
-			fmt.Printf("decision journal  %s (schema v%d, check with aegaeon-trace -mode why)\n",
-				path, decision.SchemaVersion)
-			return nil
-		}},
+		(*aegaeon.System).WriteDecisions},
 }
 
-// parseReports parses -report's comma-separated names into the set of rows
-// to run.
+// parseReports parses -report's comma-separated names into the set of
+// schemas to report.
 func parseReports(list string) (map[string]bool, error) {
 	var valid []string
-	for _, r := range reports {
-		valid = append(valid, r.name)
+	for _, s := range assemble.Schemas {
+		valid = append(valid, s.Name)
 	}
 	on := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
@@ -243,26 +204,39 @@ func parseReports(list string) (map[string]bool, error) {
 	return on, nil
 }
 
-// writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// checkReport renders a report's snapshot as indented JSON, writes it to
+// dir/<name>.json when dir is set (the fleet report also writes
+// fleet.csv), and checks it: a file that fails is still written.
+func checkReport(dir string, s assemble.Schema, sys *aegaeon.System) error {
+	snap := sys.Snapshot(s.Name)
+	var buf bytes.Buffer
+	var err error
+	if export := reports[s.Name].export; export != nil {
+		err = export(sys, &buf)
+	} else {
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(snap)
+	}
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	data := buf.Bytes()
+	if dir != "" {
+		path := filepath.Join(dir, s.Name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("%-17s %s\n", s.Name+" snapshot", path)
+		if fleet, ok := snap.(*fleetobs.Snapshot); ok {
+			path = filepath.Join(dir, "fleet.csv")
+			if err := os.WriteFile(path, []byte(fleet.CSV()), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("fleet csv         %s\n", path)
+		}
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return s.Check(data)
 }
 
 // kernelMetrics are the simulation kernel's self-metrics for one run — the
@@ -310,7 +284,11 @@ func writeKernelMetrics(path string, sys *aegaeon.System, rep *aegaeon.Report, w
 		km.RequestsPerSec = float64(km.Requests) / wallS
 		km.SpeedupFactor = km.VirtualSeconds / wallS
 	}
-	return writeJSON(path, km)
+	data, err := json.MarshalIndent(km, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // parsePriorityMix parses "high,low" fractions (e.g. "0.2,0.3"). Empty means
@@ -364,8 +342,8 @@ func main() {
 		mktSpot    = flag.Bool("market-spot", false, "activate spot pricing and reclaim risk (with -market)")
 		mktNaive   = flag.Bool("market-naive", false, "disable preemption-aware placement and KV evacuation: the spot-naive baseline (with -market)")
 		smallMix   = flag.Bool("small-models", false, "serve the 6-8B small-model mix instead of the default 6-15B market mix (fits 24 GB market classes like A10/RTX4090)")
-		reportList = flag.String("report", "", "comma-separated end-of-run reports to print (aegaeon system only): slo (live SLO monitor: windowed attainment, alert state, missed-token causes), fleet (fleet utilization ledger's per-device GPU-second accounting; exits non-zero if the conservation invariant breaks), why (decision-provenance journal summary)")
-		reportDir  = flag.String("report-dir", "", "write each selected report's files into this directory: slo.json, fleet.json and fleet.csv (per-device rows comparable against results/figure_8_10.csv exposed switch costs), why.json (checkable with aegaeon-trace -mode why)")
+		reportList = flag.String("report", "", "comma-separated end-of-run reports to print and check, exiting non-zero on a snapshot that fails its schema's check (aegaeon system only): slo (live SLO monitor: windowed attainment, alert state, missed-token causes), fleet (fleet utilization ledger's per-device GPU-second accounting and its conservation invariant), market (spot-market prices, preemptions and class economics), why (decision-provenance journal summary)")
+		reportDir  = flag.String("report-dir", "", "write each selected report's snapshot into this directory as <report>.json (checkable with aegaeon-trace -mode validate-<report>); fleet also writes fleet.csv, per-device rows comparable against results/figure_8_10.csv exposed switch costs")
 		chaosOn    = flag.Bool("chaos", false, "run the chaos harness instead of the plain simulation: inject -faults (or a random schedule), then audit recovery; exits non-zero on any violation")
 		chaosSweep = flag.Int("chaos-sweep", 0, "run N chaos seeds starting at -seed, each with a fresh random fault schedule (with -chaos; overrides -faults)")
 	)
@@ -395,7 +373,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *marketOn {
-		reportOn["fleet"] = true // class economics join against the fleet ledger
+		// Class economics join against the fleet ledger.
+		reportOn["fleet"], reportOn["market"] = true, true
 	}
 	if *reportDir != "" && len(reportOn) == 0 {
 		fmt.Fprintln(os.Stderr, "-report-dir requires -report")
@@ -480,10 +459,8 @@ func main() {
 		MarketNaive:          *mktNaive,
 		Faults:               *faults,
 	}
-	for _, r := range reports {
-		if reportOn[r.name] {
-			r.enable(&cfg)
-		}
+	for name := range reportOn {
+		reports[name].enable(&cfg)
 	}
 	sys, err := aegaeon.New(cfg)
 	if err != nil {
@@ -561,22 +538,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	for _, r := range reports {
-		if !reportOn[r.name] {
+	for _, s := range assemble.Schemas {
+		if !reportOn[s.Name] {
 			continue
 		}
-		r.print(sys, &rep)
-		if *reportDir != "" {
-			if err := r.write(*reportDir, sys, &rep); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if rep.Fleet != nil {
-		if errs := rep.Fleet.Validate(); len(errs) > 0 {
-			for _, e := range errs {
-				fmt.Fprintf(os.Stderr, "fleet conservation violated: %s\n", e)
-			}
+		reports[s.Name].print(sys, &rep)
+		if err := checkReport(*reportDir, s, sys); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
@@ -589,7 +557,11 @@ func main() {
 	}
 
 	if *perfetto != "" {
-		if err := writeFile(*perfetto, sys.WritePerfetto); err != nil {
+		var trace bytes.Buffer
+		if err := sys.WritePerfetto(&trace); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*perfetto, trace.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("perfetto trace    %s (open at https://ui.perfetto.dev)\n", *perfetto)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/chaos"
 )
 
@@ -44,8 +45,9 @@ func TestParsePriorityMix(t *testing.T) {
 	}
 }
 
-// TestParseReports covers the -report grammar: names from the report table,
-// whitespace tolerated, and an unknown name rejected with the valid list.
+// TestParseReports covers the -report grammar: names from the snapshot
+// schema table, each with a report row, whitespace tolerated, and an
+// unknown name rejected with the valid list.
 func TestParseReports(t *testing.T) {
 	on, err := parseReports("")
 	if err != nil || len(on) != 0 {
@@ -56,8 +58,16 @@ func TestParseReports(t *testing.T) {
 		t.Fatalf(`parseReports(" slo,why ") = %v, %v`, on, err)
 	}
 	_, err = parseReports("fleet,bogus")
-	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "slo, fleet, why") {
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "slo, fleet, market, why") {
 		t.Fatalf(`parseReports("fleet,bogus") error = %v, want one naming the report and the valid ones`, err)
+	}
+	for _, s := range assemble.Schemas {
+		if _, ok := reports[s.Name]; !ok {
+			t.Errorf("schema %s has no report row", s.Name)
+		}
+	}
+	if len(reports) != len(assemble.Schemas) {
+		t.Errorf("%d report rows for %d schemas", len(reports), len(assemble.Schemas))
 	}
 }
 

@@ -1,15 +1,17 @@
 // Command aegaeon-trace generates and characterizes market workload traces:
 // the Fig. 1(a) popularity CDF, the Fig. 1(b) burst timeline, and summary
 // statistics of synthesized Poisson traces, optionally emitting the trace
-// as CSV for external tools. It also validates Perfetto execution traces
-// exported by aegaeon-sim (-mode validate -perfetto trace.json), and the
-// files aegaeon-sim -report slo,why -report-dir DIR writes: SLO monitor
-// snapshots (-mode validate-slo -slo DIR/slo.json) and decision journals
-// (-mode why -why DIR/why.json [-request id]), pretty-printing the
-// why-trace after the structural gate passes.
+// as CSV for external tools. It also checks the files the other commands
+// write: Perfetto execution traces from aegaeon-sim -perfetto (-mode
+// validate FILE...), and the snapshots aegaeon-sim -report NAME
+// -report-dir DIR writes, one validate-<name> mode per checked snapshot
+// schema (-mode validate-slo DIR/slo.json). -mode why DIR/why.json
+// [-request id] checks a decision journal, then pretty-prints its
+// why-trace.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,28 +21,71 @@ import (
 	"strings"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/decision"
 	"aegaeon/internal/obs"
-	"aegaeon/internal/slomon"
 	"aegaeon/internal/theory"
 	"aegaeon/internal/workload"
 )
 
+// modes lists every -mode, one validate-<name> mode per checked snapshot
+// schema last; checks maps each of those to its schema's check.
+var modes, checks = func() ([]string, map[string]func([]byte) error) {
+	modes := []string{"market", "burst", "poisson", "validate", "why"}
+	checks := map[string]func([]byte) error{}
+	for _, s := range assemble.Schemas {
+		if s.Checked() {
+			modes = append(modes, "validate-"+s.Name)
+			checks["validate-"+s.Name] = s.Check
+		}
+	}
+	return modes, checks
+}()
+
+// parseArgs parses the flags and returns the positional arguments. Flags
+// may follow them, as in -mode why FILE -request id.
+func parseArgs() []string {
+	var args []string
+	for flag.Parse(); flag.NArg() > 0; flag.CommandLine.Parse(flag.Args()[1:]) {
+		args = append(args, flag.Arg(0))
+	}
+	return args
+}
+
+// validate reads and checks each file, exiting 2 without one and 1 on the
+// first that fails. It returns the last file's bytes.
+func validate(mode string, files []string, check func([]byte) error) []byte {
+	if len(files) == 0 {
+		fmt.Fprintf(os.Stderr, "%s mode needs files to check: -mode %s FILE...\n", mode, mode)
+		os.Exit(2)
+	}
+	var data []byte
+	for _, f := range files {
+		var err error
+		if data, err = os.ReadFile(f); err == nil {
+			err = check(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: invalid: %v\n", f, err)
+			os.Exit(1)
+		}
+		fmt.Printf("%s: valid\n", f)
+	}
+	return data
+}
+
 func main() {
 	var (
-		mode     = flag.String("mode", "market", "market, burst, poisson, validate, validate-slo, why")
-		nModels  = flag.Int("models", 779, "number of models")
-		zipfS    = flag.Float64("zipf", 2.0, "Zipf exponent for market popularity")
-		rps      = flag.Float64("rps", 0.1, "per-model rate for poisson mode")
-		horizon  = flag.Duration("horizon", 10*time.Minute, "trace length")
-		seed     = flag.Int64("seed", 1, "random seed")
-		csv      = flag.Bool("csv", false, "emit the trace as CSV on stdout")
-		perfetto = flag.String("perfetto", "", "Perfetto JSON to check in validate mode")
-		sloFile  = flag.String("slo", "", "SLO snapshot JSON to check in validate-slo mode")
-		whyFile  = flag.String("why", "", "decision journal JSON to check and print in why mode")
-		request  = flag.String("request", "", "print one request's full decision chain in why mode (default: summary + chain digests)")
+		mode    = flag.String("mode", "market", strings.Join(modes, ", ")+"; validate, why and validate-<name> take the files to check as arguments")
+		nModels = flag.Int("models", 779, "number of models")
+		zipfS   = flag.Float64("zipf", 2.0, "Zipf exponent for market popularity")
+		rps     = flag.Float64("rps", 0.1, "per-model rate for poisson mode")
+		horizon = flag.Duration("horizon", 10*time.Minute, "trace length")
+		seed    = flag.Int64("seed", 1, "random seed")
+		csv     = flag.Bool("csv", false, "emit the trace as CSV on stdout")
+		request = flag.String("request", "", "print one request's full decision chain in why mode (default: summary + chain digests)")
 	)
-	flag.Parse()
+	files := parseArgs()
 	rng := rand.New(rand.NewSource(*seed))
 
 	switch *mode {
@@ -98,65 +143,14 @@ func main() {
 		}
 
 	case "validate":
-		if *perfetto == "" {
-			fmt.Fprintln(os.Stderr, "validate mode needs -perfetto trace.json")
-			os.Exit(2)
-		}
-		f, err := os.Open(*perfetto)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := obs.ValidatePerfetto(f); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: invalid: %v\n", *perfetto, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid Chrome trace-event JSON\n", *perfetto)
-
-	case "validate-slo":
-		if *sloFile == "" {
-			fmt.Fprintln(os.Stderr, "validate-slo mode needs -slo snapshot.json")
-			os.Exit(2)
-		}
-		data, err := os.ReadFile(*sloFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var snap slomon.Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: not a JSON SLO snapshot: %v\n", *sloFile, err)
-			os.Exit(1)
-		}
-		if err := slomon.Validate(&snap); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: invalid: %v\n", *sloFile, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid SLO snapshot (schema v%d, %d models, fleet alert %s)\n",
-			*sloFile, snap.SchemaVersion, len(snap.Models), snap.Fleet.Alert.State)
+		validate(*mode, files, func(data []byte) error { return obs.ValidatePerfetto(bytes.NewReader(data)) })
 
 	case "why":
-		if *whyFile == "" {
-			fmt.Fprintln(os.Stderr, "why mode needs -why journal.json")
-			os.Exit(2)
-		}
-		data, err := os.ReadFile(*whyFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		// The check decoded the journal already, so this decode succeeds.
 		var exp decision.Export
-		if err := json.Unmarshal(data, &exp); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: not a JSON decision journal: %v\n", *whyFile, err)
-			os.Exit(1)
-		}
-		if err := decision.Validate(&exp); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: invalid: %v\n", *whyFile, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid decision journal (schema v%d, %d decisions, %d retained, %d chains)\n",
-			*whyFile, exp.SchemaVersion, exp.Total, len(exp.Records), len(exp.Chains))
+		_ = json.Unmarshal(validate(*mode, files, checks["validate-why"]), &exp)
+		fmt.Printf("decision journal: schema v%d, %d decisions, %d retained, %d chains\n",
+			exp.SchemaVersion, exp.Total, len(exp.Records), len(exp.Chains))
 		if *request != "" {
 			for _, c := range exp.Chains {
 				if c.Request == *request {
@@ -164,14 +158,17 @@ func main() {
 					return
 				}
 			}
-			fmt.Fprintf(os.Stderr, "%s: no chain for request %q\n", *whyFile, *request)
+			fmt.Fprintf(os.Stderr, "no chain for request %q\n", *request)
 			os.Exit(1)
 		}
 		printWhySummary(&exp)
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		if checks[*mode] == nil {
+			fmt.Fprintf(os.Stderr, "unknown mode %q (valid: %s)\n", *mode, strings.Join(modes, ", "))
+			os.Exit(2)
+		}
+		validate(*mode, files, checks[*mode])
 	}
 }
 

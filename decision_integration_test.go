@@ -87,7 +87,7 @@ func TestDecisionExportValidates(t *testing.T) {
 	if err := json.Unmarshal(raw, &exp); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	if err := decision.Validate(&exp); err != nil {
+	if err := exp.Validate(); err != nil {
 		t.Fatalf("export fails validation: %v", err)
 	}
 	if exp.SchemaVersion != decision.SchemaVersion {

@@ -2,6 +2,7 @@ package aegaeon
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"strings"
@@ -93,4 +94,105 @@ func wallClockEntry(site string) string {
 		}
 	}
 	return ""
+}
+
+// mapOrderSumAllowed lists the float sums over map order that
+// TestNoFloatSumInMapOrder lets stand, by "file:func", each with its reason.
+var mapOrderSumAllowed = map[string]string{}
+
+// TestNoFloatSumInMapOrder holds float sums to a fixed order: no non-test
+// file under internal/ adds to or subtracts from a float declared outside a
+// range over a map, inside that range. Float addition does not associate,
+// so such a sum's last bits follow map order, which differs between
+// processes. An allowed site with no such sum fails too.
+func TestNoFloatSumInMapOrder(t *testing.T) {
+	m := loadModule(t)
+	used := map[string]bool{}
+	seen := map[token.Pos]bool{}
+	for _, p := range m.order {
+		for _, f := range p.files {
+			file := filepath.ToSlash(m.fset.Position(f.Pos()).Filename)
+			if !strings.HasPrefix(file, "internal/") {
+				continue
+			}
+			for _, d := range f.Decls {
+				site := file
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					site += ":" + fd.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok || !isMap(p.info.TypeOf(rs.X)) {
+						return true
+					}
+					ast.Inspect(rs.Body, func(n ast.Node) bool {
+						as, ok := n.(*ast.AssignStmt)
+						if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) ||
+							seen[as.Pos()] || !isFloat(p.info.TypeOf(as.Lhs[0])) {
+							return true
+						}
+						root := rootIdent(as.Lhs[0])
+						if root == nil {
+							return true
+						}
+						obj := p.info.ObjectOf(root)
+						if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+							return true
+						}
+						seen[as.Pos()] = true
+						if _, ok := mapOrderSumAllowed[site]; ok {
+							used[site] = true
+							return true
+						}
+						t.Errorf("%s: %s %s in map order; range over sorted keys or a fixed order",
+							m.fset.Position(as.Pos()), root.Name, as.Tok)
+						return true
+					})
+					return true
+				})
+			}
+		}
+	}
+	for key, reason := range mapOrderSumAllowed {
+		if !used[key] {
+			t.Errorf("map-order sum entry %s (%s) no longer sums in map order; drop its entry", key, reason)
+		}
+	}
+}
+
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// rootIdent returns the variable an assignment target selects or indexes
+// into, or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

@@ -3,10 +3,12 @@
 // controller, the prefix cache, the fleet ledger, the spot market and the
 // decision journal. Build closes a Spec under the implication table and
 // constructs what it names in dependency order; Core and Cluster thread
-// the handles into a deployment's or a cluster's config.
+// the handles into a deployment's or a cluster's config. Schemas is the
+// one table of the versioned snapshots those subsystems export.
 package assemble
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"aegaeon/internal/cluster"
@@ -18,7 +20,6 @@ import (
 	"aegaeon/internal/model"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/overload"
-	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slomon"
 )
@@ -26,9 +27,10 @@ import (
 // Spec is a flat description of a run's optional subsystems. Build also
 // turns on whatever a requested subsystem needs (see closed).
 type Spec struct {
-	// Which subsystems to build; Tracing is the obs collector.
+	// Which subsystems to build. Tracing is the obs collector;
+	// PrefixRouting is the prefix cache, which always routes by prefix.
 	Tracing, SLOMonitor, Overload bool
-	PrefixCache, PrefixRouting    bool
+	PrefixRouting                 bool
 	FleetAccounting, Market       bool
 	Decisions                     bool
 
@@ -55,8 +57,6 @@ func (s Spec) closed() Spec {
 		{&s.Overload, &s.SLOMonitor},
 		// Miss attribution joins tokens against the collector's spans.
 		{&s.SLOMonitor, &s.Tracing},
-		// Routing steers toward the instance holding a cached prefix.
-		{&s.PrefixRouting, &s.PrefixCache},
 		// Class economics join against the ledger's cost and goodput.
 		{&s.Market, &s.FleetAccounting},
 	} {
@@ -67,13 +67,13 @@ func (s Spec) closed() Spec {
 	return s
 }
 
-// Parts holds the subsystems Build constructed. A nil field is a subsystem
-// the run does not carry.
+// Parts holds the subsystems Build constructed. A nil (false) field is a
+// subsystem the run does not carry.
 type Parts struct {
 	Obs       *obs.Collector
 	SLOMon    *slomon.Monitor
 	Overload  *overload.Controller
-	Prefix    *prefixcache.Config
+	Prefix    bool // the prefix cache, built per deployment
 	Fleet     *fleetobs.Ledger
 	Market    *market.Market
 	Decisions *decision.Journal
@@ -86,7 +86,7 @@ type Parts struct {
 // largest model shard.
 func Build(se *sim.Engine, spec Spec) (*Parts, error) {
 	spec = spec.closed()
-	p := &Parts{Faults: spec.Faults}
+	p := &Parts{Prefix: spec.PrefixRouting, Faults: spec.Faults}
 	if spec.Tracing {
 		p.Obs = obs.New(obs.Options{})
 	}
@@ -101,9 +101,6 @@ func Build(se *sim.Engine, spec Spec) (*Parts, error) {
 	}
 	if spec.Overload {
 		p.Overload = overload.NewController()
-	}
-	if spec.PrefixCache {
-		p.Prefix = &prefixcache.Config{Routing: spec.PrefixRouting}
 	}
 	if spec.FleetAccounting {
 		p.Fleet = fleetobs.New(se)
@@ -146,4 +143,75 @@ func (p *Parts) Core(c *core.Config) {
 func (p *Parts) Cluster(c *cluster.Config) {
 	c.Obs, c.SLOMon, c.Overload, c.Prefix = p.Obs, p.SLOMon, p.Overload, p.Prefix
 	c.Fleet, c.Market, c.Decisions, c.Faults = p.Fleet, p.Market, p.Decisions, p.Faults
+}
+
+// Schema is one row of the snapshot table: a versioned JSON snapshot an
+// optional subsystem exports. The gateway serves it on /debug/<Name>,
+// aegaeon-sim -report checks it and writes it to <Name>.json, and
+// aegaeon-trace -mode validate-<Name> checks such a file.
+type Schema struct {
+	Name string
+	// Debug describes /debug/<Name> on the /debug index; "" when the
+	// snapshot has no route of its own. Off is the 404 message every route
+	// of the subsystem answers when it is absent.
+	Debug, Off string
+	// Has reports whether p carries the subsystem; Snapshot renders it at
+	// now and needs it.
+	Has      func(p *Parts) bool
+	Snapshot func(p *Parts, now sim.Time) any
+	check    func(data []byte) error // nil: the schema has no check
+}
+
+// Schemas is the snapshot table, in report order.
+var Schemas = []Schema{
+	{Name: "slo", Debug: "live SLO attainment, burn rates, error budgets",
+		Off:      "SLO monitoring disabled (no monitor configured)",
+		Has:      func(p *Parts) bool { return p.SLOMon != nil },
+		Snapshot: func(p *Parts, now sim.Time) any { return p.SLOMon.Snapshot(now) },
+		check:    check[slomon.Snapshot]},
+	{Name: "fleet", Debug: "fleet utilization ledger snapshot",
+		Off:      "fleet accounting disabled (cluster built without a fleet ledger)",
+		Has:      func(p *Parts) bool { return p.Fleet != nil },
+		Snapshot: func(p *Parts, now sim.Time) any { return p.Fleet.Snapshot(now) },
+		check:    check[fleetobs.Snapshot]},
+	// Class economics join against the fleet ledger's snapshot.
+	{Name: "market", Debug: "spot-market prices, notices, preemption economics",
+		Off:      "spot market disabled (cluster built without a market model)",
+		Has:      func(p *Parts) bool { return p.Market != nil },
+		Snapshot: func(p *Parts, now sim.Time) any { return p.Market.Snapshot(now, p.Fleet.Snapshot(now)) }},
+	// The journal's chains are served per request, on /debug/why/{id}.
+	{Name: "why", Off: "decision journal disabled (no journal configured)",
+		Has:      func(p *Parts) bool { return p.Decisions != nil },
+		Snapshot: func(p *Parts, _ sim.Time) any { return p.Decisions.Snapshot() },
+		check:    check[decision.Export]},
+}
+
+// validator is a snapshot that checks itself.
+type validator interface{ Validate() error }
+
+// check decodes data as a T and validates it.
+func check[T any, P interface {
+	*T
+	validator
+}](data []byte) error {
+	var s T
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	return P(&s).Validate()
+}
+
+// Checked reports whether the schema has a check.
+func (s Schema) Checked() bool { return s.check != nil }
+
+// Check decodes data as the schema's snapshot and validates it, naming the
+// schema in the error. A schema without a check accepts anything.
+func (s Schema) Check(data []byte) error {
+	if s.check == nil {
+		return nil
+	}
+	if err := s.check(data); err != nil {
+		return fmt.Errorf("%s snapshot: %w", s.Name, err)
+	}
+	return nil
 }

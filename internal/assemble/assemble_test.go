@@ -12,20 +12,19 @@ import (
 
 // built lists which handles a Parts carries, in Spec field order.
 type built struct {
-	obs, mon, ovl, prefix, routing, fleet, mkt, dec, faults bool
+	obs, mon, ovl, prefix, fleet, mkt, dec, faults bool
 }
 
 func handles(p *Parts) built {
 	return built{
-		obs:     p.Obs != nil,
-		mon:     p.SLOMon != nil,
-		ovl:     p.Overload != nil,
-		prefix:  p.Prefix != nil,
-		routing: p.Prefix != nil && p.Prefix.Routing,
-		fleet:   p.Fleet != nil,
-		mkt:     p.Market != nil,
-		dec:     p.Decisions != nil,
-		faults:  p.Faults != nil,
+		obs:    p.Obs != nil,
+		mon:    p.SLOMon != nil,
+		ovl:    p.Overload != nil,
+		prefix: p.Prefix,
+		fleet:  p.Fleet != nil,
+		mkt:    p.Market != nil,
+		dec:    p.Decisions != nil,
+		faults: p.Faults != nil,
 	}
 }
 
@@ -45,9 +44,7 @@ func TestBuild(t *testing.T) {
 			want: built{obs: true, mon: true}},
 		{name: "overload implies monitor and collector", spec: Spec{Overload: true},
 			want: built{obs: true, mon: true, ovl: true}},
-		{name: "prefix cache", spec: Spec{PrefixCache: true}, want: built{prefix: true}},
-		{name: "routing implies prefix cache", spec: Spec{PrefixRouting: true},
-			want: built{prefix: true, routing: true}},
+		{name: "routing implies prefix cache", spec: Spec{PrefixRouting: true}, want: built{prefix: true}},
 		{name: "fleet", spec: Spec{FleetAccounting: true}, want: built{fleet: true}},
 		{name: "market implies fleet", spec: Spec{Market: true, Models: model.MarketMix(8)},
 			want: built{fleet: true, mkt: true}},

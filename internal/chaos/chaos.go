@@ -441,10 +441,10 @@ func verifyFleet(c *cluster.Cluster) []string {
 	}
 	var v []string
 	now := c.VirtualNow()
-	for _, bad := range fl.CheckConservation(now) {
+	snap := fl.Snapshot(now)
+	for _, bad := range snap.ConservationErrors {
 		v = append(v, "fleet ledger: "+bad)
 	}
-	snap := fl.Snapshot(now)
 	byName := map[string]*fleetobs.DeviceSnapshot{}
 	for i := range snap.Devices {
 		byName[snap.Devices[i].Device] = &snap.Devices[i]

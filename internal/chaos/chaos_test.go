@@ -271,7 +271,7 @@ func TestPrefixEvictionRacesReuse(t *testing.T) {
 		Deployments: []cluster.DeploymentConfig{{
 			Name: "chaos", TP: 1, NumPrefill: 2, NumDecode: 2, Models: models,
 		}},
-		Prefix: &prefixcache.Config{Routing: true},
+		Prefix: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,15 +51,16 @@ type Config struct {
 
 	// The optional subsystems, built by assemble.Build and shared by every
 	// deployment: each field means what the same core.Config field means,
-	// and nil keeps the cluster byte-identical to a build without it. At
-	// cluster level, Faults also enables the proxy's retry and recovery
-	// accounting; Prefix gives each deployment its own cache over its own
-	// CPU KV pool (models are disjoint across deployments); and Fleet and
-	// Market key devices by instance name, so they assume the gateway's
-	// single-deployment layout. The gateway reads the ledger, the market and
-	// the brownout controller back through Cluster.Fleet, Cluster.Market and
-	// Cluster.Overload; a controller there turns on overload control in the
-	// scheduler and, with it, the gateway's retry budget and brownout tick.
+	// and nil or false keeps the cluster byte-identical to a build without
+	// it. At cluster level, Faults also enables the proxy's retry and
+	// recovery accounting; Prefix gives each deployment its own cache over
+	// its own CPU KV pool (models are disjoint across deployments); and
+	// Fleet and Market key devices by instance name, so they assume the
+	// gateway's single-deployment layout. The gateway reads the ledger, the
+	// market and the brownout controller back through Cluster.Fleet,
+	// Cluster.Market and Cluster.Overload; a controller there turns on
+	// overload control in the scheduler and, with it, the gateway's retry
+	// budget and brownout tick.
 	Obs       *obs.Collector
 	SLOMon    *slomon.Monitor
 	Faults    *fault.Faults
@@ -67,7 +68,7 @@ type Config struct {
 	Fleet     *fleetobs.Ledger
 	Market    *market.Market
 	Decisions *decision.Journal
-	Prefix    *prefixcache.Config
+	Prefix    bool
 
 	// StoreSeed has no effect: the metadata store draws no randomness.
 	// bench/perf/gateway.go still sets it, so it stays until that caller

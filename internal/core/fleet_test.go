@@ -52,7 +52,7 @@ func TestFleetLedgerMatchesGPUUtilization(t *testing.T) {
 	if switches < 20 {
 		t.Fatalf("only %d switches — not the switch-heavy run this test needs", switches)
 	}
-	if errs := fleet.CheckConservation(now); len(errs) > 0 {
+	if errs := fleet.Snapshot(now).ConservationErrors; len(errs) > 0 {
 		t.Fatalf("conservation violated: %v", errs)
 	}
 

@@ -7,7 +7,6 @@ import (
 	"aegaeon/internal/decision"
 	"aegaeon/internal/engine"
 	"aegaeon/internal/model"
-	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/workload"
 )
@@ -31,14 +30,14 @@ func TestPrefixReuseShortensTTFT(t *testing.T) {
 			SessionID: "s0", Segments: segs,
 		})
 	}
-	run := func(pfx *prefixcache.Config) *System {
+	run := func(pfx bool) *System {
 		cfg := testConfig(models, engine.AllOptimizations(), 1, 1)
 		cfg.Prefix = pfx
 		return runTrace(t, cfg, trace)
 	}
 
-	cold := run(nil)
-	warm := run(&prefixcache.Config{})
+	cold := run(false)
+	warm := run(true)
 	if cold.Completed() != 3 || warm.Completed() != 3 {
 		t.Fatalf("completed cold=%d warm=%d, want 3/3", cold.Completed(), warm.Completed())
 	}
@@ -115,7 +114,7 @@ func TestPrefixRoutingSessionAffinity(t *testing.T) {
 		})
 	}
 	cfg := testConfig(models, engine.AllOptimizations(), 2, 1)
-	cfg.Prefix = &prefixcache.Config{Routing: true}
+	cfg.Prefix = true
 	sys := runTrace(t, cfg, trace)
 	if sys.Completed() != len(trace) {
 		t.Fatalf("completed %d of %d", sys.Completed(), len(trace))
@@ -153,7 +152,7 @@ func TestPrefixCrashDropsDeviceAndReleasesPins(t *testing.T) {
 
 	se := sim.NewEngine(1)
 	cfg := testConfig(models, engine.AllOptimizations(), 2, 1)
-	cfg.Prefix = &prefixcache.Config{Routing: true}
+	cfg.Prefix = true
 	sys := NewSystem(se, cfg)
 	if err := sys.Submit(trace); err != nil {
 		t.Fatal(err)

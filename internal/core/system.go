@@ -85,13 +85,12 @@ type Config struct {
 	// path free of accounting overhead.
 	Fleet *fleetobs.Ledger
 
-	// Prefix, when non-nil, enables the global prefix cache (PR 6): prefill
-	// consults it to skip recomputing cached prompt prefixes, computed
-	// prefixes are inserted for later turns, and — when Prefix.Routing is
-	// set — dispatch steers a conversation's next turn toward the instance
-	// holding its prefix. Nil leaves the serving path byte-identical to a
-	// cache-free build.
-	Prefix *prefixcache.Config
+	// Prefix enables the global prefix cache: prefill consults it to skip
+	// recomputing cached prompt prefixes, computed prefixes are inserted for
+	// later turns, and dispatch steers a conversation's next turn toward the
+	// instance holding its prefix. Off leaves the serving path
+	// byte-identical to a cache-free build.
+	Prefix bool
 
 	// Decisions, when non-nil, is the decision-provenance journal: every
 	// policy site (admission gates, the brownout ladder, shedding, routing
@@ -375,17 +374,12 @@ func NewSystemIn(se *sim.Engine, cfg Config, ids *model.Registry) *System {
 			Faults:             cfg.Faults,
 		}, ids)
 	}
-	if cfg.Prefix != nil {
+	if cfg.Prefix {
 		// The prefix cache's host tier allocates from the same shared CPU KV
 		// pool sequence swap-outs use; its budget keeps the two from starving
 		// each other. The system's decision journal (when on) observes its
 		// eviction victim choices, stamped with virtual time.
-		pfxCfg := *cfg.Prefix
-		if s.dec != nil {
-			pfxCfg.Journal = s.dec
-			pfxCfg.Clock = s.eng.Now
-		}
-		s.prefix = prefixcache.New(pfxCfg, s.cpuKV)
+		s.prefix = prefixcache.New(prefixcache.Config{Journal: s.dec, Clock: s.eng.Now}, s.cpuKV)
 	}
 	for i := 0; i < cfg.NumPrefill; i++ {
 		e := mkEngine(fmt.Sprintf("prefill%d", i))
@@ -480,7 +474,7 @@ func (s *System) dispatchPrefill(r *Request) {
 		return
 	}
 	r.tl = s.obs.RequestArrived(r.ID, r.Model.Name, s.eng.Now())
-	if s.prefix != nil && s.prefix.Routing() && len(r.Segments) > 0 {
+	if s.prefix != nil && len(r.Segments) > 0 {
 		if best := s.routePrefix(r); best != nil {
 			if !best.tryJoinGroup(r) {
 				best.newGroup(r)

@@ -408,14 +408,14 @@ type Export struct {
 	Chains        []ChainExport `json:"chains"`
 }
 
-// Snapshot builds the export. Everything in it is a deterministic function
-// of the journaled records: ring in sequence order, chains sorted by ID, no
-// map-ordered fields.
-func (j *Journal) Snapshot() Export {
+// Snapshot builds the export, nil for a nil journal. Everything in it is a
+// deterministic function of the journaled records: ring in sequence order,
+// chains sorted by ID, no map-ordered fields.
+func (j *Journal) Snapshot() *Export {
 	if j == nil {
-		return Export{SchemaVersion: SchemaVersion}
+		return nil
 	}
-	return Export{
+	return &Export{
 		SchemaVersion: SchemaVersion,
 		Total:         j.total,
 		Records:       j.Recent(0, ""),
@@ -434,9 +434,8 @@ func (j *Journal) WriteJSON(w io.Writer) error {
 
 // Validate checks an exported journal for structural sanity: schema version,
 // monotone record sequence, every record carries a kind and an outcome, and
-// every chain is non-empty with in-order sequence numbers. It is the gate
-// `aegaeon-trace -mode why` applies before printing.
-func Validate(e *Export) error {
+// every chain is non-empty with in-order sequence numbers.
+func (e *Export) Validate() error {
 	if e == nil {
 		return fmt.Errorf("decision: nil export")
 	}

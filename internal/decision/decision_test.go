@@ -208,7 +208,7 @@ func TestExportRoundTripAndValidate(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(&e); err != nil {
+	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Total != 2 || len(e.Records) != 2 || len(e.Chains) != 1 {
@@ -220,13 +220,13 @@ func TestExportRoundTripAndValidate(t *testing.T) {
 
 	bad := e
 	bad.SchemaVersion = 99
-	if Validate(&bad) == nil {
+	if bad.Validate() == nil {
 		t.Fatal("schema mismatch not caught")
 	}
 	bad = e
 	bad.Records = append([]Record(nil), e.Records...)
 	bad.Records[1].Seq = bad.Records[0].Seq
-	if Validate(&bad) == nil {
+	if bad.Validate() == nil {
 		t.Fatal("out-of-order seq not caught")
 	}
 }

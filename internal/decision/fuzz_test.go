@@ -30,7 +30,7 @@ func FuzzValidateDecisions(f *testing.F) {
 	if err := json.Unmarshal(buf.Bytes(), &seed); err != nil {
 		f.Fatal(err)
 	}
-	if err := Validate(seed); err != nil {
+	if err := seed.Validate(); err != nil {
 		f.Fatalf("real export does not validate: %v", err)
 	}
 	f.Add(buf.Bytes())
@@ -43,6 +43,6 @@ func FuzzValidateDecisions(f *testing.F) {
 		if json.Unmarshal(in, &e) != nil {
 			return
 		}
-		_ = Validate(e)
+		_ = e.Validate()
 	})
 }

@@ -491,18 +491,12 @@ func (d *devLedger) rawBusyAt(k int, now sim.Time) time.Duration {
 	return d.rawBusy[k]
 }
 
-// CheckConservation verifies the hard invariant at instant now: for every
-// device, the state integrals (plus the open segment) sum exactly to wall
-// time since registration, and no raw busy integral exceeds wall time.
-// Returns one message per violation; nil means the ledger conserves.
-func (l *Ledger) CheckConservation(now sim.Time) []string {
-	if l == nil {
-		return nil
-	}
-	return l.check(l.renderAt(now))
-}
-
-// check is CheckConservation at an instant already rendered.
+// check verifies the hard invariant at an instant already rendered: for
+// every device, the state integrals (plus the open segment) sum exactly to
+// wall time since registration, no raw busy integral exceeds wall time,
+// and a faulted device is charged to faulted. It returns one message per
+// violation, nil when the ledger conserves; every Snapshot carries them as
+// ConservationErrors.
 func (l *Ledger) check(now sim.Time) []string {
 	var errs []string
 	for _, name := range l.order {

@@ -27,7 +27,7 @@ func newLedgerDevice(t *testing.T) (*sim.Engine, *Ledger, *gpu.Device) {
 
 func requireConserves(t *testing.T, l *Ledger, now sim.Time) {
 	t.Helper()
-	if errs := l.CheckConservation(now); len(errs) > 0 {
+	if errs := l.Snapshot(now).ConservationErrors; len(errs) > 0 {
 		t.Fatalf("conservation violated: %v", errs)
 	}
 }
@@ -183,7 +183,7 @@ func TestNilLedger(t *testing.T) {
 	l.AddTokens(l.Ref("x"), 3, 5)
 	l.NoteKV(l.Ref("x"), 1, 2)
 	l.SetRate("x", 3)
-	if l.Devices() != nil || l.CheckConservation(0) != nil || l.Snapshot(0) != nil {
+	if l.Devices() != nil || l.Snapshot(0) != nil {
 		t.Error("nil ledger returned non-nil data")
 	}
 }
@@ -209,8 +209,8 @@ func TestSnapshotDerivedMetrics(t *testing.T) {
 	if len(snap.ConservationErrors) > 0 {
 		t.Fatalf("conservation: %v", snap.ConservationErrors)
 	}
-	if errs := snap.Validate(); len(errs) > 0 {
-		t.Fatalf("validate: %v", errs)
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	if snap.Fleet.Devices != 2 || snap.Fleet.GPUSeconds != 2.0 {
 		t.Errorf("fleet totals: %+v", snap.Fleet)

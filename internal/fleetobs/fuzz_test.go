@@ -24,8 +24,8 @@ func FuzzValidateFleet(f *testing.F) {
 	eng.RunUntil(sim.Time(time.Second))
 	l.AddTokens(l.Ref("dev0"), 1, 9)
 	snap := l.Snapshot(eng.Now())
-	if errs := snap.Validate(); len(errs) > 0 {
-		f.Fatalf("real snapshot does not validate: %v", errs)
+	if err := snap.Validate(); err != nil {
+		f.Fatalf("real snapshot does not validate: %v", err)
 	}
 	seed, err := json.Marshal(snap)
 	if err != nil {

@@ -1,6 +1,7 @@
 package fleetobs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -259,28 +260,36 @@ func (s *Snapshot) CSV() string {
 
 // Validate re-checks the snapshot's own arithmetic (the float rendering of
 // the invariant, within one microsecond of rounding slack per device) —
-// usable on deserialized snapshots where the integer ledger is gone.
-func (s *Snapshot) Validate() []string {
+// usable on deserialized snapshots where the integer ledger is gone. It
+// joins every violation, the ledger's own conservation errors included.
+func (s *Snapshot) Validate() error {
 	if s == nil {
-		return []string{"nil snapshot"}
+		return errors.New("nil snapshot")
 	}
-	var errs []string
+	var errs []error
 	if s.SchemaVersion != SchemaVersion {
-		errs = append(errs, fmt.Sprintf("schema version %d, want %d", s.SchemaVersion, SchemaVersion))
+		errs = append(errs, fmt.Errorf("schema version %d, want %d", s.SchemaVersion, SchemaVersion))
 	}
 	const slack = 1e-6
 	for _, d := range s.Devices {
+		if len(d.StatesS) != int(numStates) {
+			errs = append(errs, fmt.Errorf("%s: %d states, want %d", d.Device, len(d.StatesS), numStates))
+		}
+		// Summed in state order: a sum in map order varies in its last bits.
 		var sum float64
-		for _, v := range d.StatesS {
+		for _, st := range States() {
+			v := d.StatesS[st.String()]
 			if v < 0 {
-				errs = append(errs, fmt.Sprintf("%s: negative state seconds %v", d.Device, v))
+				errs = append(errs, fmt.Errorf("%s: negative state seconds %v", d.Device, v))
 			}
 			sum += v
 		}
 		if diff := sum - d.WallS; diff > slack || diff < -slack {
-			errs = append(errs, fmt.Sprintf("%s: states sum %.9fs, wall %.9fs", d.Device, sum, d.WallS))
+			errs = append(errs, fmt.Errorf("%s: states sum %.9fs, wall %.9fs", d.Device, sum, d.WallS))
 		}
 	}
-	errs = append(errs, s.ConservationErrors...)
-	return errs
+	for _, e := range s.ConservationErrors {
+		errs = append(errs, errors.New(e))
+	}
+	return errors.Join(errs...)
 }

@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"aegaeon/internal/cluster"
-	"aegaeon/internal/fleetobs"
-	"aegaeon/internal/market"
-	"aegaeon/internal/metastore"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/prefixcache"
 	"aegaeon/internal/sim"
@@ -28,14 +25,6 @@ import (
 // time (sim.Driver.Call), so the surfaces keep serving the final state.
 func (g *Gateway) read(fn func(now sim.Time)) {
 	_ = g.drv.Call(func() { fn(g.cl.VirtualNow()) })
-}
-
-// fleetAt snapshots the cluster's fleet ledger and spot market at virtual
-// time now, the market joined against the ledger for class economics. Each
-// is nil when the cluster has none. Loop only.
-func (g *Gateway) fleetAt(now sim.Time) (*fleetobs.Snapshot, *market.Snapshot) {
-	fleet := g.cl.Fleet().Snapshot(now)
-	return fleet, g.cl.Market().Snapshot(now, fleet)
 }
 
 // prefixStats copies each deployment's prefix-cache statistics, nil without
@@ -177,33 +166,13 @@ func (g *Gateway) handleDebugPrefix(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"deployments": out})
 }
 
-// handleDebugFleet serves the fleet utilization snapshot: per-device state
-// integrals (every GPU-second classified), the recent state-segment timeline
-// behind the dashboard heatmap, per-model goodput and occupancy shares, and
-// fleet rollups. conservation_errors is non-empty only if the ledger's
-// accounting invariant broke; tests and CI assert it absent.
-func (g *Gateway) handleDebugFleet(w http.ResponseWriter, r *http.Request) {
-	var fleet *fleetobs.Snapshot
-	g.read(func(now sim.Time) { fleet, _ = g.fleetAt(now) })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(fleet)
-}
-
-// handleDebugMarket serves the spot-market snapshot: per-device market state
-// (class, current price, eligibility, open notices), the preemption audit
-// trail with evacuated-vs-lost KV byte accounting, and per-class economics.
-func (g *Gateway) handleDebugMarket(w http.ResponseWriter, r *http.Request) {
-	var mkt *market.Snapshot
-	g.read(func(now sim.Time) { _, mkt = g.fleetAt(now) })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(mkt)
-}
-
-// handleDebugMetastore serves the metadata store's view: its op counters,
-// watches and availability.
-func (g *Gateway) handleDebugMetastore(w http.ResponseWriter, r *http.Request) {
-	var view metastore.ControlView
-	g.read(func(sim.Time) { view = g.cl.Store().View() })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(view)
+// handleSnapshot serves the JSON of what snap renders at the loop's clock:
+// a snapshot schema's row, or the metadata store's view.
+func (g *Gateway) handleSnapshot(snap func(now sim.Time) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var v any
+		g.read(func(now sim.Time) { v = snap(now) })
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(v)
+	}
 }

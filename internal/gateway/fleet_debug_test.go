@@ -51,8 +51,8 @@ func TestDebugFleetEndpoint(t *testing.T) {
 	if len(snap.ConservationErrors) > 0 {
 		t.Fatalf("conservation violated: %v", snap.ConservationErrors)
 	}
-	if errs := snap.Validate(); len(errs) > 0 {
-		t.Fatalf("snapshot fails its own validation: %v", errs)
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("snapshot fails its own validation: %v", err)
 	}
 	if snap.Fleet.BusyS <= 0 {
 		t.Error("no busy time after serving completions")

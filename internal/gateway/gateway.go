@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aegaeon/internal/assemble"
 	"aegaeon/internal/cluster"
 	"aegaeon/internal/core"
 	"aegaeon/internal/decision"
@@ -125,9 +126,10 @@ func (o *Options) defaults() {
 
 // Gateway serves live traffic against a cluster running on a sim.Driver.
 type Gateway struct {
-	drv  *sim.Driver
-	cl   *cluster.Cluster
-	opts Options
+	drv   *sim.Driver
+	cl    *cluster.Cluster
+	opts  Options
+	parts assemble.Parts // the snapshot schemas' subsystems, as the gateway sees them
 
 	nextID   atomic.Uint64
 	admitted atomic.Uint64 // requests past both gates: the edge's and the core's
@@ -172,9 +174,11 @@ type Gateway struct {
 func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 	opts.defaults()
 	g := &Gateway{
-		drv:       drv,
-		cl:        cl,
-		opts:      opts,
+		drv:  drv,
+		cl:   cl,
+		opts: opts,
+		parts: assemble.Parts{Obs: opts.Obs, SLOMon: opts.SLOMon, Fleet: cl.Fleet(),
+			Market: cl.Market(), Decisions: opts.Decisions},
 		queued:    map[string]int{},
 		rejected:  map[string]uint64{},
 		statuses:  map[int]uint64{},
@@ -251,32 +255,39 @@ type gate struct {
 // was not configured still register (they answer 404 with a message naming
 // the missing option), so the index enumerates everything the gateway can do.
 func (g *Gateway) debugEndpoints() []debugEndpoint {
+	// The snapshot schemas gate their subsystems' routes and serve their own.
+	gates := map[string]gate{}
+	snapshots := map[string]debugEndpoint{}
+	for _, s := range assemble.Schemas {
+		gates[s.Name] = gate{s.Has(&g.parts), s.Off}
+		snap := func(now sim.Time) any { return s.Snapshot(&g.parts, now) }
+		snapshots[s.Name] = debugEndpoint{"/debug/" + s.Name, s.Debug, gates[s.Name], g.handleSnapshot(snap)}
+	}
 	var (
 		always      = gate{on: true}
 		collector   = gate{g.opts.Obs != nil, "observability disabled (no collector configured)"}
-		monitor     = gate{g.opts.SLOMon != nil, "SLO monitoring disabled (no monitor configured)"}
+		monitor     = gates["slo"]
 		brownout    = gate{g.ctl != nil, "overload control disabled (cluster built without an overload controller)"}
 		prefixCache = gate{len(g.cl.PrefixCaches()) > 0, "prefix cache disabled (no deployment configured with one)"}
-		ledger      = gate{g.cl.Fleet() != nil, "fleet accounting disabled (cluster built without a fleet ledger)"}
-		spotMarket  = gate{g.cl.Market() != nil, "spot market disabled (cluster built without a market model)"}
-		journal     = gate{g.opts.Decisions != nil, "decision journal disabled (no journal configured)"}
+		journal     = gates["why"]
 	)
 	eps := []debugEndpoint{
 		{"/debug/trace", "recent flat events + request span timelines (?last=N)", collector, g.handleDebugTrace},
 		{"/debug/requests/{id}", "one request's full span tree", collector, g.handleDebugRequest},
 		{"/debug/gpus", "per-engine utilization + current occupant model (?window=30s)", collector, g.handleDebugGPUs},
 		{"/debug/perfetto", "Chrome trace-event JSON export (load in ui.perfetto.dev)", collector, g.handleDebugPerfetto},
-		{"/debug/slo", "live SLO attainment, burn rates, error budgets", monitor, g.handleDebugSLO},
+		snapshots["slo"],
 		{"/debug/slo/alerts", "burn-rate alert states", monitor, g.handleDebugSLOAlerts},
 		{"/debug/slo/stream", "SSE stream of SLO snapshots", monitor, g.handleDebugSLOStream},
 		{"/debug/dash", "HTML dashboard (SLO + fleet heatmap)", monitor, g.handleDebugDash},
 		{"/debug/overload", "brownout controller level and signals", brownout, g.handleDebugOverload},
 		{"/debug/prefix", "global prefix cache stats and residency", prefixCache, g.handleDebugPrefix},
-		{"/debug/fleet", "fleet utilization ledger snapshot", ledger, g.handleDebugFleet},
-		{"/debug/market", "spot-market prices, notices, preemption economics", spotMarket, g.handleDebugMarket},
+		snapshots["fleet"],
+		snapshots["market"],
 		{"/debug/decisions", "decision-provenance ring (?kind=shed&last=N)", journal, g.handleDebugDecisions},
 		{"/debug/why/{id}", "one request's decision chain joined with its spans", journal, g.handleDebugWhy},
-		{"/debug/metastore", "control-plane view: store mode, replicas, leader, terms", always, g.handleDebugMetastore},
+		{"/debug/metastore", "control-plane view: store mode, op counters, watches, availability", always,
+			g.handleSnapshot(func(sim.Time) any { return g.cl.Store().View() })},
 	}
 	if g.opts.Pprof {
 		eps = append(eps,

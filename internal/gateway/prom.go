@@ -46,7 +46,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s = metricsState{virtual: now, switches: g.cl.Switches(), store: g.cl.Store().View(),
 			faults: g.cl.FaultStats(), failovers: g.cl.Failovers(), level: g.ctl.Level(),
 			slo: g.opts.SLOMon.Snapshot(now), prefix: g.prefixStats()}
-		s.fleet, s.market = g.fleetAt(now)
+		s.fleet = g.cl.Fleet().Snapshot(now)
+		s.market = g.cl.Market().Snapshot(now, s.fleet)
 		if j := g.opts.Decisions; j != nil {
 			d := decisionCountsOf(j)
 			s.decisions = &d

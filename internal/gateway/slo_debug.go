@@ -24,11 +24,6 @@ func (g *Gateway) sloSnapshot() *slomon.Snapshot {
 	return snap
 }
 
-func (g *Gateway) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(g.sloSnapshot())
-}
-
 // sloAlertView is the condensed /debug/slo/alerts entry for one scope.
 type sloAlertView struct {
 	Scope  string                      `json:"scope"` // "fleet" or the model name

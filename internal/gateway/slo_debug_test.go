@@ -48,7 +48,7 @@ func TestDebugSLOSnapshot(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := slomon.Validate(&snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatalf("snapshot invalid: %v\n%s", err, w.Body.String())
 	}
 	if snap.SchemaVersion != slomon.SchemaVersion {
@@ -160,7 +160,7 @@ func TestDebugSLOStream(t *testing.T) {
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &snap); err != nil {
 			t.Fatalf("frame %d not a snapshot: %v", frames, err)
 		}
-		if err := slomon.Validate(&snap); err != nil {
+		if err := snap.Validate(); err != nil {
 			t.Fatalf("frame %d invalid: %v", frames, err)
 		}
 	}

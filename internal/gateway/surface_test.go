@@ -24,7 +24,7 @@ import (
 // /debug/slo/stream is streaming and /debug/overload is off here.
 var surfaceGolden = map[string]string{
 	"/metrics":               "0ce8243b65f0cc104094c3083e02ee6cea54e9aabbc694ba401bcfe9e3f23a10",
-	"/debug":                 "f3f8720efae2404ddaaf5cc7f89d195f02b795958245633503a302fac30c0cda",
+	"/debug":                 "56deb728dce26dcab1454fa7c8824c6619303cd75a7d82411639b70308416ef0",
 	"/debug/trace":           "edcc458e1e24fde7a8bac87c768dbc647cd391e3a0f7d3fffa77cc7c22023fcf",
 	"/debug/requests/cmpl-1": "71b3711b6cf065e687ef056621ae8b452e33b44a92243d04260fb8bcb0bb979b",
 	"/debug/gpus":            "fe27043eaf08b228b42ad28859300c2fef81b57c6c49a4fc2f405c21f53a3105",
@@ -35,7 +35,7 @@ var surfaceGolden = map[string]string{
 	"/debug/prefix":          "fe8c855fba40971aa243456592048aecb4dcf3b5b56a50afbc381450b21faa36",
 	"/debug/fleet":           "5bb6c5a9c9c7af41896fa6eaf8bc51344bea8aafa7a57ad88c492929d8a08076",
 	"/debug/market":          "021ea123aeb1be9ef25b24e65fcb27450f401708c5fe262e7d83575c509fe13f",
-	"/debug/metastore":       "7e6d491d9d4bbaf9adc380aac2b2908124c10559b2945fc5485cdb95493834ac",
+	"/debug/metastore":       "5387c439e26abe49d37f312351413c381a6cb0237ec869c7c537354e546efd5d",
 }
 
 // TestOperatorSurfaceGolden serves serial completions on an un-paced gateway

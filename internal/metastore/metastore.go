@@ -249,14 +249,11 @@ func (s *Store) Keys(prefix string) []string {
 	return out
 }
 
-// ControlView is the /debug/metastore snapshot. Term, LeaderChanges and
-// CommitIndex are always zero: the keys stay so the endpoint's schema holds.
+// ControlView is the /debug/metastore snapshot, schema 2: the single
+// store's op counters, watches and availability.
 type ControlView struct {
 	SchemaVersion int    `json:"schema_version"`
 	Mode          string `json:"mode"` // always "single"
-	Term          uint64 `json:"term"`
-	LeaderChanges int    `json:"leader_changes"`
-	CommitIndex   uint64 `json:"commit_index"`
 	Gets          uint64 `json:"gets"`
 	Sets          uint64 `json:"sets"`
 	Deletes       uint64 `json:"deletes"`
@@ -268,7 +265,7 @@ type ControlView struct {
 // View snapshots the store for the debug endpoint and metrics.
 func (s *Store) View() ControlView {
 	return ControlView{
-		SchemaVersion: 1,
+		SchemaVersion: 2,
 		Mode:          "single",
 		Gets:          s.gets,
 		Sets:          s.sets,

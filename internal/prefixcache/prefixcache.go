@@ -32,9 +32,6 @@ import (
 
 // Config parameterizes the cache.
 type Config struct {
-	// Routing enables cache-aware placement in the serving layer. The cache
-	// itself only records the flag; internal/core consults it.
-	Routing bool
 	// Journal, when non-nil, receives a decision record for every eviction
 	// victim choice (host and device tiers). Nil keeps eviction
 	// journal-free — the usual zero-overhead off path.
@@ -298,9 +295,6 @@ func (c *Cache) setCopy(e *entry, t int, d *devCopy) {
 	}
 	e.dev[t] = d
 }
-
-// Routing reports whether cache-aware placement is enabled.
-func (c *Cache) Routing() bool { return c.cfg.Routing }
 
 // BlockTokens returns the cache's block granularity.
 func (c *Cache) BlockTokens() int { return c.block }

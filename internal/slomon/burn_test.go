@@ -63,7 +63,7 @@ func TestBurnRateAlertGolden(t *testing.T) {
 	if len(snap.Models) != 1 || snap.Models[0].Alert.State != "ok" {
 		t.Fatalf("model scope state: %+v", snap.Models)
 	}
-	if err := Validate(snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,7 +25,7 @@ func FuzzValidateSLO(f *testing.F) {
 	m.ObserveDropped(mid("m1"), "r2", "g0", 0, time.Second, 7*time.Second)
 	m.ObserveVerdict(mid("m0"), slo.Judge(slo.Default(), 0, []time.Duration{time.Second, 2 * time.Second}))
 	snap := m.Snapshot(8 * time.Second)
-	if err := Validate(snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		f.Fatalf("real snapshot does not validate: %v", err)
 	}
 	seed, err := json.Marshal(snap)
@@ -41,6 +41,6 @@ func FuzzValidateSLO(f *testing.F) {
 		if json.Unmarshal(in, &snap) != nil {
 			return
 		}
-		_ = Validate(snap)
+		_ = snap.Validate()
 	})
 }

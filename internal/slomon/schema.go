@@ -3,6 +3,7 @@ package slomon
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"aegaeon/internal/metrics"
@@ -225,9 +226,8 @@ func clamp01(v float64) float64 {
 // Validate checks a snapshot against the schema's structural invariants:
 // version match, fractions in [0, 1], known alert states, window stats
 // consistent, and — the attribution contract — cause counters summing to
-// the missed-token total in every scope. CI's slo-smoke job runs this on
-// a live /debug/slo capture.
-func Validate(s *Snapshot) error {
+// the missed-token total in every scope.
+func (s *Snapshot) Validate() error {
 	if s == nil {
 		return fmt.Errorf("slomon: nil snapshot")
 	}
@@ -265,14 +265,7 @@ func validateScope(label string, sc ScopeSnapshot) error {
 	}
 	var causeSum uint64
 	for name, n := range sc.Causes {
-		known := false
-		for _, k := range causeNames {
-			if name == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(causeNames[:], name) {
 			return fmt.Errorf("slomon: %s: unknown cause %q", label, name)
 		}
 		causeSum += n

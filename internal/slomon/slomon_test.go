@@ -74,7 +74,7 @@ func TestMonitorCountsAndCauseSum(t *testing.T) {
 	if n := snap.Fleet.Causes["unknown"]; n != 3 {
 		t.Fatalf("unknown causes = %d, want 3 (nil source)", n)
 	}
-	if err := Validate(snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Model scope mirrors the fleet for a single-model stream.
@@ -177,7 +177,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(&back); err != nil {
+	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped snapshot invalid: %v", err)
 	}
 	if back.Fleet.TokensMissed != 1 {
@@ -214,12 +214,12 @@ func TestValidateRejectsBrokenSnapshots(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := good()
 			tc.mutil(s)
-			if err := Validate(s); err == nil {
+			if err := s.Validate(); err == nil {
 				t.Fatal("validation passed on a broken snapshot")
 			}
 		})
 	}
-	if err := Validate(nil); err == nil {
+	if err := (*Snapshot)(nil).Validate(); err == nil {
 		t.Fatal("nil snapshot validated")
 	}
 }
@@ -393,7 +393,7 @@ func driveMonitor(t *testing.T, rng *rand.Rand, m *Monitor, ops int, check func(
 			m.Advance(m.now + span + jitter(span))
 		default:
 			op = "stale snapshot"
-			if err := Validate(m.Snapshot(max(m.now-jitter(span), 0))); err != nil {
+			if err := m.Snapshot(max(m.now-jitter(span), 0)).Validate(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}

@@ -100,7 +100,7 @@ func TestSLOMonitorConvergesToTracker(t *testing.T) {
 	if snap == nil {
 		t.Fatal("SLOMonitor config produced no Report.SLO block")
 	}
-	if err := slomon.Validate(snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatalf("report snapshot invalid: %v", err)
 	}
 	if snap.Fleet.TokensMet == 0 {
@@ -175,7 +175,7 @@ func TestSLOMonitorAttributesEveryMiss(t *testing.T) {
 		t.Skip("overloaded run produced no misses; attribution not exercised")
 	}
 	// Validate enforces sum(causes) == TokensMissed for every scope.
-	if err := slomon.Validate(snap); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Fatalf("attribution invariant broken: %v", err)
 	}
 	var attributed, unknown uint64
