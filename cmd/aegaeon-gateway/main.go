@@ -125,7 +125,6 @@ func main() {
 		gwCol = nil
 	}
 	gw := gateway.New(drv, cl, gateway.Options{
-		Speedup:          *speedup,
 		MaxQueuePerModel: *maxQueue,
 		MaxInFlight:      *maxInflight,
 		RatePerSec:       *rate,

@@ -124,16 +124,15 @@ func printMarketReport(s *market.Snapshot) {
 	}
 	fmt.Printf("--- spot market (%s, %d devices, %d price ticks) ---\n",
 		mode, len(s.Devices), s.Stats.PriceTicks)
-	fmt.Printf("market preemption %d notices, %d revocations, %d deadlines missed, %d throttles, %d disqualifications\n",
-		s.Stats.Preemptions, s.Stats.Revocations, s.Stats.DeadlinesMissed,
-		s.Stats.Throttles, s.Stats.Disqualifications)
+	fmt.Printf("market preemption %d notices, %d revocations, %d deadlines missed, %d throttles\n",
+		s.Stats.Preemptions, s.Stats.Revocations, s.Stats.DeadlinesMissed, s.Stats.Throttles)
 	fmt.Printf("market KV bytes   %.1fMB evacuated, %.1fMB lost, %.1fMB prefix re-homed\n",
 		float64(s.Stats.EvacuatedKVBytes)/(1<<20), float64(s.Stats.LostKVBytes)/(1<<20),
 		float64(s.Stats.RehomedPrefixBytes)/(1<<20))
 	for _, d := range s.Devices {
 		status := ""
 		if !d.Eligible {
-			status = " [disqualified]"
+			status = " [ineligible]"
 		}
 		if d.UnderNotice {
 			status += " [under notice]"

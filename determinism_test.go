@@ -26,9 +26,8 @@ var wallClockReads = map[string]bool{
 // wallClockAllowed lists where internal/ may read the wall clock, by file,
 // package directory or "file:func", each with its reason.
 var wallClockAllowed = map[string]string{
-	"internal/sim/realtime.go":             "the live driver paces virtual time against the wall clock",
-	"internal/gateway":                     "the HTTP side's rate limiter, brownout ticker and response timestamps",
-	"internal/fault/breaker.go:NewBreaker": "the circuit breaker's default clock; tests inject their own",
+	"internal/sim/realtime.go": "the live driver paces virtual time against the wall clock",
+	"internal/gateway":         "the HTTP side's rate limiter, circuit breakers, brownout ticker and response timestamps",
 }
 
 // TestNoGlobalRandOrWallClock holds the simulation to its seeds: no

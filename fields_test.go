@@ -37,9 +37,10 @@ var fieldsReadOnlyByTests = map[string]string{
 	// each turn's prompt extends the last.
 	"workload.Request.SessionID": "TestMultiTurnGrowsPrefixes",
 
-	// Set only by bench/perf/gateway.go's hand wiring; it goes when that
+	// Set only by bench/perf/gateway.go's hand wiring; they go when that
 	// caller moves onto assemble.Build.
 	"cluster.Config.StoreSeed": "TestStoreSeedHasNoEffect",
+	"gateway.Options.Speedup":  "TestSpeedupOptionHasNoEffect",
 }
 
 // TestFieldsHaveReaders fails on every struct field declared in a non-test

@@ -504,7 +504,7 @@ func (s *System) dispatchPrefill(r *Request) {
 
 // bestPrefill returns the surviving prefill instance with the lowest
 // market-adjusted load score. When every survivor is market-excluded (under
-// a reclaim notice, disqualified, or VRAM-starved) the exclusions are waived:
+// a reclaim notice or VRAM-starved) the exclusions are waived:
 // serving on a risky device beats failing the request.
 func (s *System) bestPrefill(r *Request) *prefillInstance {
 	i := s.choose(r, decision.KindPrefillRouting, "", true, len(s.prefills), func(i int) bid {
@@ -614,7 +614,7 @@ func (s *System) marketCapability(name string) float64 {
 
 // marketPenalty refreshes the market's VRAM-headroom view of an instance from
 // its GPU KV pool occupancy (feeding the capability-scoring
-// disqualification), then prices its placement risk in load-score units
+// exclusion), then prices its placement risk in load-score units
 // (one penalty point ≈ one second of queued work); ok=false means aware
 // placement excludes the device. A nil market yields (0, true), keeping
 // dispatch byte-identical to the market-free build.
@@ -655,7 +655,7 @@ func (s *System) routePrefix(r *Request) *prefillInstance {
 		}
 		penS, ok := s.marketPenalty(p.eng, p.eng.CostFor(r.mid).Switch())
 		if !ok {
-			return bid{eng: p.eng} // under notice / disqualified; bestPrefill may waive later
+			return bid{eng: p.eng} // under notice / VRAM-starved; bestPrefill may waive later
 		}
 		pen := time.Duration(penS * float64(time.Second))
 		load := p.load()

@@ -213,52 +213,3 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestBreaker(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(3, 5*time.Second)
-	b.now = func() time.Time { return now }
-
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("closed breaker rejected")
-	}
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("tripped early")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatal("did not trip at threshold")
-	}
-	ok, ra := b.Allow()
-	if ok || ra <= 0 {
-		t.Fatalf("open breaker admitted (ra=%v)", ra)
-	}
-
-	now = now.Add(6 * time.Second)
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("half-open probe rejected")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatal("not half-open")
-	}
-	if ok, _ := b.Allow(); ok {
-		t.Fatal("second concurrent probe admitted")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatal("failed probe did not re-open")
-	}
-	now = now.Add(6 * time.Second)
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("second probe rejected")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatal("successful probe did not close")
-	}
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("closed-again breaker rejected")
-	}
-}

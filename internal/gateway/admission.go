@@ -3,7 +3,7 @@ package gateway
 import "time"
 
 // tokenBucket is a classic refill-on-read rate limiter guarding admission.
-// Callers must hold the gateway mutex; the bucket itself is not locked.
+// Loop only, like every piece of admission state.
 type tokenBucket struct {
 	rate   float64 // tokens per second (0 = unlimited)
 	burst  float64
@@ -43,8 +43,7 @@ func (b *tokenBucket) allow(now time.Time) bool {
 // (attempt-zero) admission deposits a fraction of a token, and each retry
 // spends a whole one. When retries outnumber ratio × fresh traffic the
 // budget empties and further retries are rejected outright, so a retry storm
-// against an overloaded fleet decays instead of compounding. Callers must
-// hold the gateway mutex.
+// against an overloaded fleet decays instead of compounding. Loop only.
 type retryBudget struct {
 	ratio  float64
 	burst  float64
@@ -70,4 +69,69 @@ func (b *retryBudget) spend() bool {
 	}
 	b.tokens--
 	return true
+}
+
+// breakerState is the classic three-state circuit-breaker automaton.
+type breakerState int
+
+const (
+	breakerClosed   breakerState = iota // traffic flows
+	breakerOpen                         // tripping threshold hit; reject with Retry-After
+	breakerHalfOpen                     // cooldown elapsed; its one probe in flight
+)
+
+func (s breakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
+
+// breaker is a model's circuit breaker. breakerThreshold consecutive
+// failures trip it open; after breakerCooldown a single probe request is
+// admitted, and its outcome either closes the breaker or re-opens it. It
+// runs on the wall clock, now (it guards HTTP admission, not simulated
+// work), which tests replace. Loop only.
+type breaker struct {
+	now func() time.Time
+
+	state    breakerState
+	fails    int
+	openedAt time.Time
+}
+
+// allow reports whether a request may proceed. When it returns false,
+// retryAfter is the suggested client wait (the remaining cooldown, floored
+// at one second for header friendliness).
+func (b *breaker) allow() (ok bool, retryAfter time.Duration) {
+	switch b.state {
+	case breakerOpen:
+		elapsed := b.now().Sub(b.openedAt)
+		if elapsed >= breakerCooldown {
+			b.state = breakerHalfOpen
+			return true, 0
+		}
+		return false, max(breakerCooldown-elapsed, time.Second)
+	case breakerHalfOpen:
+		return false, time.Second
+	}
+	return true, 0
+}
+
+// success records a completed request: closes a half-open breaker and
+// resets the consecutive-failure count.
+func (b *breaker) success() {
+	b.fails = 0
+	b.state = breakerClosed
+}
+
+// failure records a failed request. In the closed state it counts toward
+// the trip threshold; in half-open it re-opens immediately.
+func (b *breaker) failure() {
+	switch b.state {
+	case breakerClosed:
+		b.fails++
+		if b.fails >= breakerThreshold {
+			b.state = breakerOpen
+			b.openedAt = b.now()
+		}
+	case breakerHalfOpen, breakerOpen:
+		b.state = breakerOpen
+		b.openedAt = b.now()
+	}
 }

@@ -9,39 +9,28 @@ import (
 )
 
 // BenchmarkGatewayAdmission measures the admission-control hot path — the
-// per-request cost every live request pays before touching the simulation:
-// draining/saturation checks, per-model queue accounting, and the token
-// bucket. This is the gateway-side throughput ceiling.
+// edge verdict every live request takes on the event loop before its
+// submission: draining/saturation checks, per-model queue accounting, and
+// the token bucket. The iterations run inside one Call, so the number is
+// the verdict's own cost, not the handoff to the loop.
 func BenchmarkGatewayAdmission(b *testing.B) {
 	gw, names := newTestGateway(b, Options{Speedup: 1e-6, RatePerSec: 1e12, Burst: 1 << 20})
 	defer gw.drv.Stop()
+	var rej verdict
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := names[i%len(names)]
-		ok, code, reason, _ := gw.admit(m, 0)
-		if !ok {
-			b.Fatalf("admission rejected: %d %s", code, reason)
-		}
-		gw.releaseAdmission(m)
-	}
-}
-
-// BenchmarkGatewayAdmissionParallel is the same path under goroutine
-// contention, the realistic serving regime.
-func BenchmarkGatewayAdmissionParallel(b *testing.B) {
-	gw, names := newTestGateway(b, Options{Speedup: 1e-6, RatePerSec: 1e12, Burst: 1 << 20})
-	defer gw.drv.Stop()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
+	_ = gw.drv.Call(func() {
+		for i := 0; i < b.N && rej.code == 0; i++ {
 			m := names[i%len(names)]
-			i++
-			if ok, _, _, _ := gw.admit(m, 0); ok {
-				gw.releaseAdmission(m)
+			if v := gw.admitRequest(m, 0); v.ok {
+				gw.releaseSlot(m)
+			} else {
+				rej = v
 			}
 		}
 	})
+	if rej.code != 0 {
+		b.Fatalf("admission rejected: %d %s", rej.code, rej.reason)
+	}
 }
 
 var (
@@ -58,10 +47,11 @@ func BenchmarkGatewayReject(b *testing.B) {
 		b.Fatalf("seed admission failed: %s", reason)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, code, _, _ := gw.admit(names[0], 0)
-		sinkStatus = code
-	}
+	_ = gw.drv.Call(func() {
+		for i := 0; i < b.N; i++ {
+			sinkStatus = gw.admitRequest(names[0], 0).code
+		}
+	})
 	_ = fmt.Sprint(sinkStatus)
 }
 

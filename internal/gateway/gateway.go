@@ -1,11 +1,13 @@
 // Package gateway is the live serving front end of Fig. 5's proxy layer:
 // an OpenAI-style HTTP API that bridges wall-clock concurrency to the
-// deterministic simulation core. HTTP goroutines inject requests into the
-// single-threaded event loop through a sim.Driver, tokens stream back to
-// clients over SSE as the token-level scheduler emits them, and admission
-// control (bounded per-model queues, a token-bucket rate limit, and
-// saturation backpressure) sheds load with 429/503 instead of letting
-// queues grow without bound. Overload policy is the scheduler's alone: the
+// deterministic simulation core. Each completion reaches the
+// single-threaded event loop through one sim.Driver Call, which runs the
+// edge's admission control (bounded per-model queues, a token-bucket rate
+// limit, and saturation backpressure, shedding load with 429/503 instead of
+// letting queues grow without bound) and submits what it admits; tokens
+// stream back to clients over SSE as the token-level scheduler emits them.
+// The loop is the only writer of admission state, so the gateway takes no
+// lock. Overload policy is the scheduler's alone: the
 // handler waits for its admission verdict before writing a status line, so
 // a request shed on arrival gets a 503 naming the scheduler's reason.
 // Shutdown drains gracefully: admission stops, in-flight decodes finish
@@ -16,7 +18,6 @@ package gateway
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -30,7 +31,6 @@ import (
 	"aegaeon/internal/cluster"
 	"aegaeon/internal/core"
 	"aegaeon/internal/decision"
-	"aegaeon/internal/fault"
 	"aegaeon/internal/metrics"
 	"aegaeon/internal/obs"
 	"aegaeon/internal/overload"
@@ -41,8 +41,9 @@ import (
 
 // Options tunes the gateway.
 type Options struct {
-	// Speedup is the virtual-per-wall time factor handed to the sim
-	// driver (default 1: real time).
+	// Speedup has no effect: the sim.Driver paces the gateway at the
+	// speedup sim.NewDriver was given. bench/perf/gateway.go still sets it,
+	// so it stays until that caller drops it.
 	Speedup float64
 	// MaxQueuePerModel bounds admitted-but-unfinished requests per model;
 	// beyond it the gateway answers 429 (default 256).
@@ -105,14 +106,7 @@ var overloadReasons = []string{
 	"retry_budget",
 }
 
-// errShedOnArrival is the submission verdict of a request the core's
-// overload gate shed as it arrived.
-var errShedOnArrival = errors.New("shed on arrival")
-
 func (o *Options) defaults() {
-	if o.Speedup <= 0 {
-		o.Speedup = 1
-	}
 	if o.MaxQueuePerModel <= 0 {
 		o.MaxQueuePerModel = 256
 	}
@@ -131,29 +125,29 @@ type Gateway struct {
 	opts  Options
 	parts assemble.Parts // the snapshot schemas' subsystems, as the gateway sees them
 
-	nextID   atomic.Uint64
-	admitted atomic.Uint64 // requests past both gates: the edge's and the core's
-	tokens   atomic.Uint64 // tokens streamed to clients
+	// What HTTP goroutines write is atomic; everything below it is
+	// written only on the event loop.
+	tokens   atomic.Uint64      // tokens streamed to clients
+	statuses [600]atomic.Uint64 // HTTP code -> responses
+	draining atomic.Bool        // set by Shutdown; admission and /healthz read it
 
-	mu        sync.Mutex
-	draining  bool
+	nextID    uint64
+	admitted  uint64 // requests past both gates: the edge's and the core's
 	inflight  int
 	queued    map[string]int // model -> admitted-but-unfinished
 	completed uint64
 	failed    uint64            // requests that finished Failed (cleanly rejected mid-flight)
 	aborted   uint64            // requests aborted on client disconnect
 	rejected  map[string]uint64 // reason -> count
-	statuses  map[int]uint64    // HTTP code -> responses
-	breakers  map[string]*fault.Breaker
+	breakers  map[string]*breaker
 	bucket    tokenBucket
-	jot       decision.Scratch // an admission record's inputs; loop only
+	jot       decision.Scratch // an admission record's inputs
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	// Overload-control state (all but ctl and brownStop guarded by mu). ctl
-	// is the cluster's brownout controller, nil when overload control is
-	// off; the core's admission applies its levels, the edge only steps it
-	// on a tick and keeps the retry budget.
+	// Overload-control state. ctl is the cluster's brownout controller, nil
+	// when overload control is off; the core's admission applies its levels,
+	// the edge only steps it on a tick and keeps the retry budget.
 	ctl            *overload.Controller
 	retry          retryBudget
 	retryExhausted uint64
@@ -161,8 +155,8 @@ type Gateway struct {
 	brownStop      chan struct{}
 	brownOnce      sync.Once
 
-	ttft *metrics.SafeCDF
-	tbt  *metrics.SafeCDF
+	ttft *metrics.Reservoir
+	tbt  *metrics.Reservoir
 	// Exact-count histograms alongside the reservoir quantiles: scrape-based
 	// SLO alerting needs cumulative buckets, not subsampled percentiles.
 	ttftHist *metrics.Histogram
@@ -181,13 +175,12 @@ func New(drv *sim.Driver, cl *cluster.Cluster, opts Options) *Gateway {
 			Market: cl.Market(), Decisions: opts.Decisions},
 		queued:    map[string]int{},
 		rejected:  map[string]uint64{},
-		statuses:  map[int]uint64{},
-		breakers:  map[string]*fault.Breaker{},
+		breakers:  map[string]*breaker{},
 		bucket:    newTokenBucket(opts.RatePerSec, opts.Burst, time.Now()),
 		brownStop: make(chan struct{}),
 		drained:   make(chan struct{}),
-		ttft:      metrics.NewSafeCDF(quantileSamples),
-		tbt:       metrics.NewSafeCDF(quantileSamples),
+		ttft:      metrics.NewReservoir(quantileSamples),
+		tbt:       metrics.NewReservoir(quantileSamples),
 		// 10ms..~41s and 2.5ms..~10s: wide enough to bucket both snappy
 		// token streams and deeply queued overload tails.
 		ttftHist: metrics.NewHistogram(metrics.ExponentialBounds(0.01, 2, 12)...),
@@ -368,16 +361,18 @@ func (g *Gateway) Handler() http.Handler {
 // loop is stopped regardless).
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.brownOnce.Do(func() { close(g.brownStop) })
-	g.mu.Lock()
-	g.draining = true
-	if g.inflight == 0 {
-		g.closeDrained()
-	}
-	g.mu.Unlock()
-	// Health loops self-reschedule; they must stop — synchronously — before
-	// the drain accelerates, or the event loop would chase an unbounded
-	// horizon and never take another injected function.
-	_ = g.drv.Call(g.cl.StopHealth)
+	// Every admission that runs after this store is turned away, so no slot
+	// is taken after the Call below counts them.
+	g.draining.Store(true)
+	_ = g.drv.Call(func() {
+		if g.inflight == 0 {
+			g.closeDrained()
+		}
+		// Health loops self-reschedule; they must stop before the drain
+		// accelerates, or the event loop would chase an unbounded horizon
+		// and never take another injected function.
+		g.cl.StopHealth()
+	})
 	g.drv.Accelerate()
 	var err error
 	select {
@@ -389,17 +384,17 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// closeDrained must be called with g.mu held.
+// closeDrained signals that a draining gateway's last request ended. Loop
+// only.
 func (g *Gateway) closeDrained() {
 	g.drainOnce.Do(func() { close(g.drained) })
 }
 
-// breakerFor returns model's circuit breaker, creating it closed. Must be
-// called with g.mu held.
-func (g *Gateway) breakerFor(model string) *fault.Breaker {
+// breakerFor returns model's circuit breaker, creating it closed. Loop only.
+func (g *Gateway) breakerFor(model string) *breaker {
 	br := g.breakers[model]
 	if br == nil {
-		br = fault.NewBreaker(breakerThreshold, breakerCooldown)
+		br = &breaker{now: time.Now}
 		g.breakers[model] = br
 	}
 	return br
@@ -421,20 +416,18 @@ type verdict struct {
 // shedding near saturation, the per-model queue, the rate limit and, with
 // overload control, the retry budget). Overload policy itself is the core's:
 // SubmitLive delivers its verdict. When admitted, the caller owns one
-// admission slot and must release it via finish (the request ended: served,
-// failed, shed or aborted) or releaseAdmission (submission failure).
+// admission slot and must release it via releaseSlot, which finish calls
+// when the request ends (served, failed, shed or aborted). Loop only.
 func (g *Gateway) admitRequest(model string, retryAttempt int) verdict {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	shed := int(float64(g.opts.MaxInFlight) * shedFraction)
 	v := verdict{retryAfter: time.Second}
 	switch {
-	case g.draining:
+	case g.draining.Load():
 		v.code, v.reason = http.StatusServiceUnavailable, "draining"
 	case g.inflight >= g.opts.MaxInFlight:
 		v.code, v.reason = http.StatusServiceUnavailable, "saturated"
 	default:
-		if brOK, ra := g.breakerFor(model).Allow(); !brOK {
+		if brOK, ra := g.breakerFor(model).allow(); !brOK {
 			v.code, v.reason, v.retryAfter = http.StatusServiceUnavailable, "circuit_open", ra
 			break
 		}
@@ -506,33 +499,26 @@ func (g *Gateway) journalAdmission(id, model string, prio workload.Priority, inT
 	})
 }
 
-// releaseAdmission undoes admitRequest without recording a completion.
-func (g *Gateway) releaseAdmission(model string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.releaseSlotLocked(model)
-}
-
-// releaseSlotLocked frees one admission slot of model and, when the gateway
-// is draining, signals the last one. Must be called with g.mu held.
-func (g *Gateway) releaseSlotLocked(model string) {
+// releaseSlot frees one admission slot of model and, when the gateway is
+// draining, signals the last one. Loop only.
+func (g *Gateway) releaseSlot(model string) {
 	g.inflight--
 	g.queued[model]--
-	if g.draining && g.inflight == 0 {
+	if g.draining.Load() && g.inflight == 0 {
 		g.closeDrained()
 	}
 }
 
-// finish records a request that ended and frees its admission slot. Runs
-// on the simulation goroutine. arrival says the request ended inside
-// SubmitLive: if overload control shed it there, that is the core's
-// admission verdict and counts as a rejection under the core's reason. A
-// served or failed request feeds the model's circuit breaker (consecutive
-// failures trip it open so follow-on traffic is shed at admission instead
-// of queueing behind a dead partition) and the latency samples, taken from
-// times, its token times. A shed is not a backend failure: breakers answer
-// capacity loss, brownout answers shortfall, so sheds leave the breaker
-// alone. An aborted request, whose client went away, is only counted.
+// finish records a request that ended and frees its admission slot. arrival
+// says the request ended inside SubmitLive: if overload control shed it
+// there, that is the core's admission verdict and counts as a rejection
+// under the core's reason. A served or failed request feeds the model's
+// circuit breaker (consecutive failures trip it open so follow-on traffic is
+// shed at admission instead of queueing behind a dead partition) and the
+// latency samples, taken from times, its token times. A shed is not a
+// backend failure: breakers answer capacity loss, brownout answers
+// shortfall, so sheds leave the breaker alone. An aborted request, whose
+// client went away, is only counted. Loop only.
 func (g *Gateway) finish(model string, r *core.Request, times []sim.Time, arrival bool) {
 	if len(times) > 0 && r.Outcome != decision.OutcomeAborted {
 		ttft := times[0] - r.Arrival
@@ -544,7 +530,6 @@ func (g *Gateway) finish(model string, r *core.Request, times []sim.Time, arriva
 		}
 	}
 	reason, shed := r.ShedReason()
-	g.mu.Lock()
 	switch {
 	case shed && arrival:
 		g.rejected[reason]++
@@ -552,23 +537,18 @@ func (g *Gateway) finish(model string, r *core.Request, times []sim.Time, arriva
 	case r.Outcome == decision.OutcomeFailed:
 		g.failed++
 		if !shed {
-			g.breakerFor(model).Failure()
+			g.breakerFor(model).failure()
 		}
 	case r.Outcome == decision.OutcomeAborted:
 		g.aborted++
 	default:
 		g.completed++
-		g.breakerFor(model).Success()
+		g.breakerFor(model).success()
 	}
-	g.releaseSlotLocked(model)
-	g.mu.Unlock()
+	g.releaseSlot(model)
 }
 
-func (g *Gateway) countStatus(code int) {
-	g.mu.Lock()
-	g.statuses[code]++
-	g.mu.Unlock()
-}
+func (g *Gateway) countStatus(code int) { g.statuses[code].Add(1) }
 
 func writeJSONError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -579,10 +559,7 @@ func writeJSONError(w http.ResponseWriter, code int, format string, args ...any)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	draining := g.draining
-	g.mu.Unlock()
-	if draining {
+	if g.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
 		return
@@ -707,32 +684,6 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The ID is assigned before admission so a rejection's journal record
-	// carries the same causal key an accepted request's chain would.
-	id := fmt.Sprintf("cmpl-%d", g.nextID.Add(1))
-	v := g.admitRequest(req.Model, retryAttempt)
-	if !v.ok {
-		// Posted before the response, so a read of /debug/why that follows
-		// it runs after the record.
-		if g.opts.Decisions != nil {
-			_ = g.drv.Post(func() { g.journalAdmission(id, req.Model, prio, inTok, v) })
-		}
-		g.reject(w, v.code, v.reason, v.retryAfter)
-		return
-	}
-	// The channel holds every token the request can produce, so the
-	// simulation goroutine never blocks on a slow client.
-	tokens := make(chan tokenEvent, outTok)
-	done := make(chan *core.Request, 1)
-	// submitted carries the loop's verdict on the submission: nil when the
-	// core admitted the request, errShedOnArrival when its overload gate shed
-	// it, else the submission error.
-	submitted := make(chan error, 1)
-	// cr is written by the submit closure and read by the done and abort
-	// closures — all run on the event-loop goroutine, and driver posts are
-	// FIFO, so the submit always lands first. It is still nil while
-	// SubmitLive runs.
-	var cr *core.Request
 	// A session's prompt content is a deterministic stream keyed by (model,
 	// session): turn n's prompt is a prefix of turn n+1's, which is exactly
 	// the accumulating-context pattern the prefix cache exploits.
@@ -742,13 +693,27 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 			{Seed: workload.SeedString(req.Model + "\x00" + req.SessionID), Len: inTok},
 		}
 	}
-	err := g.drv.Post(func() {
-		g.journalAdmission(id, req.Model, prio, inTok, v)
+	// The channel holds every token the request can produce, so the
+	// simulation goroutine never blocks on a slow client.
+	f := &feed{tokens: make(chan tokenEvent, outTok), done: make(chan *core.Request, 1)}
+	// One Call decides, journals and submits, at one loop instant: the id,
+	// the edge gates, the admission record and, when the edge admits the
+	// request, SubmitLive and the core's verdict. Nothing is written until
+	// it returns, so a request the core sheds on arrival is answered with its
+	// verdict, not a 200.
+	_ = g.drv.Call(func() {
+		g.nextID++
+		f.id = fmt.Sprintf("cmpl-%d", g.nextID)
+		f.v = g.admitRequest(req.Model, retryAttempt)
+		g.journalAdmission(f.id, req.Model, prio, inTok, f.v)
+		if !f.v.ok {
+			return
+		}
 		// times keeps the request's token times for finish's latency
 		// samples; the core judges tokens as they land and keeps none.
 		var times []sim.Time
-		sub, err := g.cl.SubmitLive(
-			workload.Request{ID: id, Model: req.Model, InputTokens: inTok, OutputTokens: outTok,
+		f.req, f.err = g.cl.SubmitLive(
+			workload.Request{ID: f.id, Model: req.Model, InputTokens: inTok, OutputTokens: outTok,
 				Priority: prio, SessionID: req.SessionID, Segments: segs},
 			func(i int, at sim.Time) {
 				if times == nil {
@@ -756,64 +721,47 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 				}
 				times = append(times, at)
 				select {
-				case tokens <- tokenEvent{i, at}:
+				case f.tokens <- tokenEvent{i, at}:
 				default: // never reached: the buffer covers all tokens
 				}
 			},
 			func(fin *core.Request) {
-				g.finish(req.Model, fin, times, cr == nil)
-				done <- fin
-				close(done)
+				// f.req is still nil while SubmitLive runs: the request ended
+				// on arrival.
+				g.finish(req.Model, fin, times, f.req == nil)
+				f.done <- fin
+				close(f.done)
 			},
 		)
-		if err != nil {
-			g.releaseAdmission(req.Model)
-		} else if _, shed := sub.ShedReason(); shed {
-			err = errShedOnArrival
-		} else {
-			g.admitted.Add(1)
+		if f.err != nil {
+			g.releaseSlot(req.Model)
+		} else if _, f.shed = f.req.ShedReason(); !f.shed {
+			g.admitted++
 		}
-		cr = sub
-		submitted <- err
 	})
-	if err != nil {
-		g.releaseAdmission(req.Model)
-		g.countStatus(http.StatusServiceUnavailable)
-		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusServiceUnavailable, "gateway stopped")
+	switch {
+	case !f.v.ok:
+		g.reject(w, f.v.code, f.v.reason, f.v.retryAfter)
 		return
-	}
-	// Nothing is written until the loop has run SubmitLive, so a request the
-	// core sheds on arrival is answered with its verdict, not a 200.
-	switch err := <-submitted; err {
-	case nil:
-	case errShedOnArrival:
+	case f.err != nil:
+		g.countStatus(http.StatusInternalServerError)
+		writeJSONError(w, http.StatusInternalServerError, "%v", f.err)
+		return
+	case f.shed:
 		// done already holds the request: the shed ended it inside SubmitLive.
-		fin := <-done
+		fin := <-f.done
 		reason, _ := fin.ShedReason()
 		g.reject(w, http.StatusServiceUnavailable, reason, fin.Overshoot+time.Second)
 		return
-	default:
-		g.countStatus(http.StatusInternalServerError)
-		writeJSONError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-
-	// abort cancels the simulated request when the client disconnects: the
-	// core releases its KV and queue slots, no further tokens are produced,
-	// and the request ends (through finish) now instead of when it would
-	// have finished. Aborts that race the request's end are no-ops.
-	abort := func() {
-		_ = g.drv.Post(func() { g.cl.Abort(cr) })
 	}
 
 	if req.Stream {
-		g.streamCompletion(w, r, id, req.Model, tokens, done, abort)
+		g.streamCompletion(w, r, req.Model, f)
 		return
 	}
 	// The core may have capped the output (brownout shrink): it is the
 	// count the response promises.
-	g.collectCompletion(w, r, id, req.Model, inTok, cr.OutputTokens, tokens, done, abort)
+	g.collectCompletion(w, r, req.Model, inTok, f.req.OutputTokens, f)
 }
 
 // reject answers a request turned away at admission, by the edge or by the
@@ -824,15 +772,50 @@ func (g *Gateway) reject(w http.ResponseWriter, code int, reason string, retryAf
 	writeJSONError(w, code, "request rejected: %s", reason)
 }
 
+// feed carries one completion from the event loop to the handler serving
+// it: the admission Call's outcome, then an admitted request's tokens and
+// its end.
+type feed struct {
+	id   string
+	v    verdict       // the edge's
+	req  *core.Request // set once SubmitLive returns
+	err  error         // SubmitLive's
+	shed bool          // the core shed req on arrival
+
+	tokens chan tokenEvent
+	done   chan *core.Request
+}
+
+// await passes each of f's tokens to sink until the request ends, and
+// returns the ended request. Both completion paths end on done, not on the
+// last token. The core journals a request's terminal decision record before
+// it calls OnDone, so once a client holds the response, /debug/why already
+// shows the whole chain. Every token is sent on the event loop before done,
+// so the tokens still buffered when done arrives are the rest of the
+// request. If the client goes away first, await aborts the simulated
+// request, so its KV and admission slot free now instead of when it would
+// have finished, and returns nil; an abort that races the request's end is
+// a no-op.
+func (g *Gateway) await(r *http.Request, f *feed, sink func(tokenEvent)) *core.Request {
+	var fin *core.Request
+	for fin == nil {
+		select {
+		case t := <-f.tokens:
+			sink(t)
+		case fin = <-f.done:
+		case <-r.Context().Done():
+			_ = g.drv.Post(func() { g.cl.Abort(f.req) })
+			return nil
+		}
+	}
+	for len(f.tokens) > 0 {
+		sink(<-f.tokens)
+	}
+	return fin
+}
+
 // streamCompletion serves a completion as SSE, one frame per token.
-//
-// Both completion paths end on done, not on the last token. The core
-// journals a request's terminal decision record before it calls OnDone, so
-// once a client holds the response, /debug/why already shows the whole
-// chain. Every token is sent on the event loop before done, so the tokens
-// still buffered when done arrives are the rest of the request.
-func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, model string,
-	tokens <-chan tokenEvent, done <-chan *core.Request, abort func()) {
+func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, model string, f *feed) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		g.countStatus(http.StatusInternalServerError)
@@ -850,68 +833,43 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, id, m
 	flusher.Flush()
 	g.countStatus(http.StatusOK)
 
-	frames := newSSEFrames(id, model)
+	frames := newSSEFrames(f.id, model)
 	send := func(frame []byte) {
 		_, _ = w.Write(frame) // a gone client shows up as r.Context() ending
 		flusher.Flush()
 	}
-	sendToken := func(t tokenEvent) {
+	fin := g.await(r, f, func(t tokenEvent) {
 		send(frames.token(t.i, t.at))
 		g.tokens.Add(1)
-	}
-	var fin *core.Request
-	for fin == nil {
-		select {
-		case t := <-tokens:
-			sendToken(t)
-		case fin = <-done:
-		case <-r.Context().Done():
-			// Client went away: abort the simulated request so its KV and
-			// admission slot free now instead of when it would have finished.
-			abort()
-			return
-		}
-	}
-	for len(tokens) > 0 {
-		sendToken(<-tokens)
-	}
-	if fin.Outcome == decision.OutcomeFailed {
+	})
+	switch {
+	case fin == nil:
+	case fin.Outcome == decision.OutcomeFailed:
 		// Cleanly rejected mid-flight (e.g. the serving partition died with
 		// no survivors): tell the client instead of pretending the stream
 		// just ended.
 		send(frames.errorFrame("request failed: " + fin.FailReason))
-		return
+	default:
+		send(frames.stop())
 	}
-	send(frames.stop())
 }
 
 // collectCompletion serves a completion as one JSON response.
-func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, model string,
-	inTok, outTok int, tokens <-chan tokenEvent, done <-chan *core.Request, abort func()) {
+func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, model string,
+	inTok, outTok int, f *feed) {
 	var first, last sim.Time
 	received := 0
 	var text []byte
-	take := func(t tokenEvent) {
+	fin := g.await(r, f, func(t tokenEvent) {
 		if received == 0 {
 			first = t.at
 		}
 		last = t.at
 		text = appendTokenText(text, t.i)
 		received++
-	}
-	var fin *core.Request
-	for fin == nil {
-		select {
-		case t := <-tokens:
-			take(t)
-		case fin = <-done:
-		case <-r.Context().Done():
-			abort()
-			return
-		}
-	}
-	for len(tokens) > 0 {
-		take(<-tokens)
+	})
+	if fin == nil {
+		return
 	}
 	if fin.Outcome == decision.OutcomeFailed {
 		g.countStatus(http.StatusServiceUnavailable)
@@ -931,7 +889,7 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, id, 
 	g.countStatus(http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"id":      id,
+		"id":      f.id,
 		"object":  "text_completion",
 		"created": time.Now().Unix(),
 		"model":   model,

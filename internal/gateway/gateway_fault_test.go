@@ -53,9 +53,19 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	gw.mu.Lock()
-	aborted := gw.aborted
-	gw.mu.Unlock()
+	var (
+		aborted   uint64
+		id        string
+		state     breakerState
+		ttft, tbt uint64
+	)
+	if err := gw.drv.Call(func() {
+		aborted, id = gw.aborted, fmt.Sprintf("cmpl-%d", gw.nextID)
+		state = gw.breakerFor(names[0]).state
+		ttft, tbt = gw.ttftHist.Snapshot().Count, gw.tbtHist.Snapshot().Count
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if aborted != 1 {
 		t.Fatalf("aborted = %d, want 1", aborted)
 	}
@@ -71,7 +81,6 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 		t.Fatalf("cluster still tracks %d live requests after abort", live)
 	}
 	// The metadata delete lands one store RTT after the abort.
-	id := fmt.Sprintf("cmpl-%d", gw.nextID.Load())
 	for {
 		var keys []string
 		if err := gw.drv.Call(func() { keys = gw.cl.Store().Keys("req/") }); err != nil {
@@ -94,16 +103,13 @@ func TestClientDisconnectAbortsRequest(t *testing.T) {
 			t.Errorf("/metrics lacks %q", line)
 		}
 	}
-	if n := gw.ttftHist.Snapshot().Count; n != 0 {
-		t.Errorf("TTFT histogram counted %d samples from an aborted request", n)
+	if ttft != 0 {
+		t.Errorf("TTFT histogram counted %d samples from an aborted request", ttft)
 	}
-	if n := gw.tbtHist.Snapshot().Count; n != 0 {
-		t.Errorf("TBT histogram counted %d samples from an aborted request", n)
+	if tbt != 0 {
+		t.Errorf("TBT histogram counted %d samples from an aborted request", tbt)
 	}
-	gw.mu.Lock()
-	state := gw.breakerFor(names[0]).State()
-	gw.mu.Unlock()
-	if state != fault.BreakerClosed {
+	if state != breakerClosed {
 		t.Errorf("breaker of %s is %v after an abort, want closed", names[0], state)
 	}
 	chain := gw.cl.Decisions().Chain(id)
@@ -250,10 +256,11 @@ func TestBreakerOpensAfterPartitionLoss(t *testing.T) {
 	}
 	// Other models are unaffected by this model's breaker... but share the
 	// dead decode partition, so just verify admission-side state.
-	gw.mu.Lock()
-	st := gw.breakers[names[0]].State()
-	gw.mu.Unlock()
-	if st != fault.BreakerOpen {
+	var st breakerState
+	if err := gw.drv.Call(func() { st = gw.breakers[names[0]].state }); err != nil {
+		t.Fatal(err)
+	}
+	if st != breakerOpen {
 		t.Fatalf("breaker state = %v, want open", st)
 	}
 	var fs fault.Stats
@@ -323,4 +330,56 @@ func TestSingleSlotGatewayServes(t *testing.T) {
 	}
 	cancel()
 	<-handlerDone
+}
+
+// TestBreaker walks the circuit breaker through its automaton on a fake
+// clock: it trips at breakerThreshold consecutive failures, admits one
+// probe after the cooldown, re-opens on a failed probe and closes on a
+// successful one.
+func TestBreaker(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := &breaker{now: func() time.Time { return now }}
+
+	if ok, _ := b.allow(); !ok {
+		t.Fatal("closed breaker rejected")
+	}
+	b.failure()
+	b.failure()
+	if b.state != breakerClosed {
+		t.Fatal("tripped early")
+	}
+	b.failure()
+	if b.state != breakerOpen {
+		t.Fatal("did not trip at threshold")
+	}
+	ok, ra := b.allow()
+	if ok || ra <= 0 {
+		t.Fatalf("open breaker admitted (ra=%v)", ra)
+	}
+
+	now = now.Add(breakerCooldown + time.Second)
+	if ok, _ := b.allow(); !ok {
+		t.Fatal("half-open probe rejected")
+	}
+	if b.state != breakerHalfOpen {
+		t.Fatal("not half-open")
+	}
+	if ok, _ := b.allow(); ok {
+		t.Fatal("second concurrent probe admitted")
+	}
+	b.failure()
+	if b.state != breakerOpen {
+		t.Fatal("failed probe did not re-open")
+	}
+	now = now.Add(breakerCooldown + time.Second)
+	if ok, _ := b.allow(); !ok {
+		t.Fatal("second probe rejected")
+	}
+	b.success()
+	if b.state != breakerClosed {
+		t.Fatal("successful probe did not close")
+	}
+	if ok, _ := b.allow(); !ok {
+		t.Fatal("closed-again breaker rejected")
+	}
 }

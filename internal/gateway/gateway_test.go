@@ -39,6 +39,9 @@ type testCluster struct {
 	// ctl, when set, is the cluster's brownout controller, which turns
 	// overload control on in the core and at the edge.
 	ctl *overload.Controller
+	// speedup, when nonzero, is the driver's pacing in place of
+	// opts.Speedup.
+	speedup float64
 }
 
 // newGateway starts a gateway over a cluster shaped by tc and carrying the
@@ -84,7 +87,11 @@ func newGateway(t testing.TB, spec assemble.Spec, tc testCluster, opts Options) 
 		t.Fatal(err)
 	}
 	opts.Obs, opts.SLOMon, opts.Decisions = parts.Obs, parts.SLOMon, parts.Decisions
-	gw := New(sim.NewDriver(se, opts.Speedup), cl, opts)
+	speedup := opts.Speedup
+	if tc.speedup != 0 {
+		speedup = tc.speedup
+	}
+	gw := New(sim.NewDriver(se, speedup), cl, opts)
 	if tc.accelerate {
 		gw.drv.Accelerate()
 	}
@@ -412,6 +419,20 @@ func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
+}
+
+// TestSpeedupOptionHasNoEffect holds Options.Speedup to its comment: the
+// driver alone paces the gateway. A gateway told 1e6x over a driver pacing
+// at 1e-6x keeps a virtual clock that has not reached a millisecond.
+func TestSpeedupOptionHasNoEffect(t *testing.T) {
+	gw, _ := newGateway(t, assemble.Spec{}, testCluster{speedup: 1e-6}, Options{Speedup: 1e6})
+	defer gw.drv.Stop()
+	time.Sleep(20 * time.Millisecond)
+	var now sim.Time
+	gw.read(func(v sim.Time) { now = v })
+	if now >= sim.Time(time.Millisecond) {
+		t.Fatalf("virtual clock at %v after 20ms of wall time: the gateway paced at Options.Speedup", now)
+	}
 }
 
 // TestGatewayModelsEndpoint checks the catalog listing.

@@ -113,7 +113,6 @@ func TestMetricsMarketExposition(t *testing.T) {
 		"aegaeon_market_deadlines_missed_total":           "counter",
 		"aegaeon_market_kv_bytes_total":                   "counter",
 		"aegaeon_market_throttles_total":                  "counter",
-		"aegaeon_market_disqualifications_total":          "counter",
 		"aegaeon_market_price_ticks_total":                "counter",
 		"aegaeon_market_class_devices":                    "gauge",
 		"aegaeon_market_class_mean_rate_dollars_per_hour": "gauge",

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 
 	"aegaeon/internal/overload"
@@ -12,20 +13,21 @@ import (
 // transition history, the retry budget, and rejection counts by overload
 // reason.
 func (g *Gateway) handleDebugOverload(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	budget := map[string]any{
-		"tokens":    g.retry.tokens,
-		"burst":     g.retry.burst,
-		"ratio":     g.retry.ratio,
-		"exhausted": g.retryExhausted,
-	}
-	rejected := make(map[string]uint64, len(g.ovlRejected))
-	for k, v := range g.ovlRejected {
-		rejected[k] = v
-	}
-	g.mu.Unlock()
-	var ctl overload.Snapshot
-	g.read(func(sim.Time) { ctl = g.ctl.Snapshot() })
+	var (
+		ctl      overload.Snapshot
+		budget   map[string]any
+		rejected map[string]uint64
+	)
+	g.read(func(sim.Time) {
+		ctl = g.ctl.Snapshot()
+		budget = map[string]any{
+			"tokens":    g.retry.tokens,
+			"burst":     g.retry.burst,
+			"ratio":     g.retry.ratio,
+			"exhausted": g.retryExhausted,
+		}
+		rejected = maps.Clone(g.ovlRejected)
+	})
 
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{

@@ -13,7 +13,6 @@ import (
 
 	"aegaeon/internal/assemble"
 	"aegaeon/internal/core"
-	"aegaeon/internal/fault"
 	"aegaeon/internal/overload"
 	"aegaeon/internal/sim"
 	"aegaeon/internal/slo"
@@ -68,11 +67,12 @@ func assertRejected(t *testing.T, w *httptest.ResponseRecorder, reason string, m
 	}
 }
 
-// counters reads the gateway's shed accounting under its lock.
-func counters(gw *Gateway, model, reason string) (rejected, failed uint64, breaker fault.BreakerState) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return gw.ovlRejected[reason], gw.failed, gw.breakerFor(model).State()
+// counters reads the gateway's shed accounting on the event loop.
+func counters(gw *Gateway, model, reason string) (rejected, failed uint64, state breakerState) {
+	_ = gw.drv.Call(func() {
+		rejected, failed, state = gw.ovlRejected[reason], gw.failed, gw.breakerFor(model).state
+	})
+	return rejected, failed, state
 }
 
 // TestTokenBucketColdStart is the regression for the first-call refill bug:
@@ -213,7 +213,7 @@ func TestOverloadShedsLeaveBreakerAlone(t *testing.T) {
 		}
 		assertRejected(t, postCompletion(h, completion(names[0], "normal", 16, 8, true)), core.ShedAdmitNone, 1)
 		rej, failed, br := counters(gw, names[0], core.ShedAdmitNone)
-		if rej != breakerThreshold+2 || failed != 0 || br != fault.BreakerClosed {
+		if rej != breakerThreshold+2 || failed != 0 || br != breakerClosed {
 			t.Fatalf("rejections %d, failures %d, breaker %v; want %d, 0, closed", rej, failed, br, breakerThreshold+2)
 		}
 		if body := get(h, "/metrics").Body.String(); !strings.Contains(body, "\naegaeon_gateway_failed_total 0\n") {
@@ -265,7 +265,7 @@ func TestOverloadShedsLeaveBreakerAlone(t *testing.T) {
 			}
 		}
 		rej, failed, br := counters(gw, names[1], core.ShedLowPriority)
-		if rej != 0 || failed != breakerThreshold || br != fault.BreakerClosed {
+		if rej != 0 || failed != breakerThreshold || br != breakerClosed {
 			t.Fatalf("rejections %d, failures %d, breaker %v; want 0, %d, closed", rej, failed, br, breakerThreshold)
 		}
 		if w := postCompletion(h, completion(names[1], "normal", 16, 2, false)); w.Code != http.StatusOK {
@@ -333,7 +333,7 @@ func TestRetryBudget(t *testing.T) {
 		if ok, _, reason, _ := gw.admit(names[0], i+1); !ok {
 			t.Fatalf("retry %d rejected within budget: %q", i+1, reason)
 		}
-		gw.releaseAdmission(names[0])
+		gw.release(names[0])
 	}
 	ok, code, reason, _ := gw.admit(names[0], retryBurst+1)
 	if ok || code != http.StatusServiceUnavailable || reason != "retry_budget" {
@@ -345,7 +345,7 @@ func TestRetryBudget(t *testing.T) {
 	if ok, _, reason, _ := gw.admit(names[0], 0); !ok {
 		t.Fatalf("fresh request rejected after budget exhaustion: %q", reason)
 	}
-	gw.releaseAdmission(names[0])
+	gw.release(names[0])
 
 	// The X-Retry-Attempt header routes HTTP requests onto the same path.
 	r := httptest.NewRequest(http.MethodPost, "/v1/completions",

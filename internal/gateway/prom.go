@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -32,6 +33,15 @@ type metricsState struct {
 	fleet     *fleetobs.Snapshot
 	market    *market.Snapshot
 	decisions *decisionCounts // nil without a journal
+
+	// The gateway's own admission counters and latency instruments.
+	admitted, completed, failed, aborted, retryExhausted uint64
+	inflight                                             int
+	queued                                               map[string]int
+	rejected, ovlRejected                                map[string]uint64
+	breakers                                             map[string]string // model -> state
+	ttft, tbt                                            summary
+	ttftHist, tbtHist                                    metrics.HistogramSnapshot
 }
 
 // handleMetrics renders Prometheus text exposition format (hand-rolled; the
@@ -52,77 +62,60 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			d := decisionCountsOf(j)
 			s.decisions = &d
 		}
+		s.admitted, s.completed, s.failed, s.aborted = g.admitted, g.completed, g.failed, g.aborted
+		s.retryExhausted, s.inflight = g.retryExhausted, g.inflight
+		s.queued, s.rejected, s.ovlRejected = maps.Clone(g.queued), maps.Clone(g.rejected), maps.Clone(g.ovlRejected)
+		s.breakers = make(map[string]string, len(g.breakers))
+		for m, br := range g.breakers {
+			s.breakers[m] = br.state.String()
+		}
+		s.ttft, s.tbt = summarize(g.ttft), summarize(g.tbt)
+		s.ttftHist, s.tbtHist = g.ttftHist.Snapshot(), g.tbtHist.Snapshot()
 	})
-	g.mu.Lock()
-	inflight := g.inflight
-	completed := g.completed
-	queued := make(map[string]int, len(g.queued))
-	for m, n := range g.queued {
-		queued[m] = n
-	}
-	rejected := make(map[string]uint64, len(g.rejected))
-	for reason, n := range g.rejected {
-		rejected[reason] = n
-	}
-	statuses := make(map[int]uint64, len(g.statuses))
-	for code, n := range g.statuses {
-		statuses[code] = n
-	}
-	failedReqs := g.failed
-	abortedReqs := g.aborted
-	breakerStates := make(map[string]string, len(g.breakers))
-	for m, br := range g.breakers {
-		breakerStates[m] = br.State().String()
-	}
-	overloadOn := g.ctl != nil
-	retryExhausted := g.retryExhausted
-	ovlRejected := make(map[string]uint64, len(g.ovlRejected))
-	for reason, n := range g.ovlRejected {
-		ovlRejected[reason] = n
-	}
-	g.mu.Unlock()
 
 	b := &strings.Builder{}
 	family(b, "counter", "aegaeon_gateway_requests_total", "HTTP responses by status code.")
-	for _, code := range sortedIntKeys(statuses) {
-		fmt.Fprintf(b, "aegaeon_gateway_requests_total{code=\"%d\"} %d\n", code, statuses[code])
+	for code := range g.statuses {
+		if n := g.statuses[code].Load(); n > 0 {
+			fmt.Fprintf(b, "aegaeon_gateway_requests_total{code=\"%d\"} %d\n", code, n)
+		}
 	}
 	family(b, "counter", "aegaeon_gateway_admitted_total", "Requests past admission control.")
-	fmt.Fprintf(b, "aegaeon_gateway_admitted_total %d\n", g.admitted.Load())
+	fmt.Fprintf(b, "aegaeon_gateway_admitted_total %d\n", s.admitted)
 	family(b, "counter", "aegaeon_gateway_completions_total", "Requests fully served.")
-	fmt.Fprintf(b, "aegaeon_gateway_completions_total %d\n", completed)
+	fmt.Fprintf(b, "aegaeon_gateway_completions_total %d\n", s.completed)
 	family(b, "counter", "aegaeon_gateway_rejected_total", "Requests shed by admission control, by reason.")
-	for _, reason := range sortedStringKeys(rejected) {
-		fmt.Fprintf(b, "aegaeon_gateway_rejected_total{reason=%q} %d\n", reason, rejected[reason])
+	for _, reason := range sortedStringKeys(s.rejected) {
+		fmt.Fprintf(b, "aegaeon_gateway_rejected_total{reason=%q} %d\n", reason, s.rejected[reason])
 	}
 	family(b, "counter", "aegaeon_gateway_tokens_streamed_total", "Tokens delivered to clients.")
 	fmt.Fprintf(b, "aegaeon_gateway_tokens_streamed_total %d\n", g.tokens.Load())
 
 	family(b, "gauge", "aegaeon_gateway_inflight", "Admitted requests not yet finished.")
-	fmt.Fprintf(b, "aegaeon_gateway_inflight %d\n", inflight)
+	fmt.Fprintf(b, "aegaeon_gateway_inflight %d\n", s.inflight)
 	family(b, "gauge", "aegaeon_gateway_queue_depth", "Admitted-but-unfinished requests per model.")
-	for _, m := range sortedStringKeys(queued) {
-		fmt.Fprintf(b, "aegaeon_gateway_queue_depth{model=%q} %d\n", m, queued[m])
+	for _, m := range sortedStringKeys(s.queued) {
+		fmt.Fprintf(b, "aegaeon_gateway_queue_depth{model=%q} %d\n", m, s.queued[m])
 	}
 	family(b, "gauge", "aegaeon_gateway_virtual_time_seconds", "Virtual clock of the serving simulation.")
 	fmt.Fprintf(b, "aegaeon_gateway_virtual_time_seconds %g\n", s.virtual.Seconds())
 
-	writeSummary(b, "aegaeon_gateway_ttft_seconds", "Time to first token (virtual).", g.ttft)
-	writeSummary(b, "aegaeon_gateway_tbt_seconds", "Time between tokens (virtual).", g.tbt)
-	writeHistogram(b, "aegaeon_gateway_ttft_hist_seconds", "Time to first token (virtual), exact bucket counts.", g.ttftHist)
-	writeHistogram(b, "aegaeon_gateway_tbt_hist_seconds", "Time between tokens (virtual), exact bucket counts.", g.tbtHist)
+	writeSummary(b, "aegaeon_gateway_ttft_seconds", "Time to first token (virtual).", s.ttft)
+	writeSummary(b, "aegaeon_gateway_tbt_seconds", "Time between tokens (virtual).", s.tbt)
+	writeHistogram(b, "aegaeon_gateway_ttft_hist_seconds", "Time to first token (virtual), exact bucket counts.", s.ttftHist)
+	writeHistogram(b, "aegaeon_gateway_tbt_hist_seconds", "Time between tokens (virtual), exact bucket counts.", s.tbtHist)
 
 	family(b, "counter", "aegaeon_model_switches_total", "Preemptive auto-scaling model switches across instances.")
 	fmt.Fprintf(b, "aegaeon_model_switches_total %d\n", s.switches)
 	writeStoreMetrics(b, s.store)
 
 	family(b, "counter", "aegaeon_gateway_failed_total", "Admitted requests that finished cleanly rejected.")
-	fmt.Fprintf(b, "aegaeon_gateway_failed_total %d\n", failedReqs)
+	fmt.Fprintf(b, "aegaeon_gateway_failed_total %d\n", s.failed)
 	family(b, "counter", "aegaeon_gateway_aborted_total", "Requests aborted on client disconnect.")
-	fmt.Fprintf(b, "aegaeon_gateway_aborted_total %d\n", abortedReqs)
+	fmt.Fprintf(b, "aegaeon_gateway_aborted_total %d\n", s.aborted)
 	family(b, "gauge", "aegaeon_gateway_breaker_state", "Per-model circuit breaker state (0 closed, 1 open, 2 half-open).")
-	for _, m := range sortedStringKeys(breakerStates) {
-		fmt.Fprintf(b, "aegaeon_gateway_breaker_state{model=%q,state=%q} 1\n", m, breakerStates[m])
+	for _, m := range sortedStringKeys(s.breakers) {
+		fmt.Fprintf(b, "aegaeon_gateway_breaker_state{model=%q,state=%q} 1\n", m, s.breakers[m])
 	}
 
 	family(b, "counter", "aegaeon_fault_events_total", "Fault-injection and recovery activity by kind.")
@@ -148,15 +141,15 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	family(b, "counter", "aegaeon_failovers_total", "Instance failovers claimed and recovered by the proxy.")
 	fmt.Fprintf(b, "aegaeon_failovers_total %d\n", s.failovers)
 
-	if overloadOn {
+	if g.ctl != nil {
 		family(b, "gauge", "aegaeon_overload_level", "Brownout level (0 normal, 1 shed-low, 2 shrink, 3 freeze, 4 admit-none).")
 		fmt.Fprintf(b, "aegaeon_overload_level %d\n", s.level)
 		family(b, "counter", "aegaeon_admission_rejected_total", "Overload-control admission rejections by reason.")
-		for _, reason := range sortedStringKeys(ovlRejected) {
-			fmt.Fprintf(b, "aegaeon_admission_rejected_total{reason=%q} %d\n", reason, ovlRejected[reason])
+		for _, reason := range sortedStringKeys(s.ovlRejected) {
+			fmt.Fprintf(b, "aegaeon_admission_rejected_total{reason=%q} %d\n", reason, s.ovlRejected[reason])
 		}
 		family(b, "counter", "aegaeon_retry_budget_exhausted_total", "Retries rejected because the retry budget was empty.")
-		fmt.Fprintf(b, "aegaeon_retry_budget_exhausted_total %d\n", retryExhausted)
+		fmt.Fprintf(b, "aegaeon_retry_budget_exhausted_total %d\n", s.retryExhausted)
 	}
 
 	// Each writer writes nothing for an absent subsystem.
@@ -425,7 +418,7 @@ func writeMarketMetrics(b *strings.Builder, snap *market.Snapshot) {
 		fmt.Fprintf(b, "aegaeon_market_device_rate_dollars_per_hour{device=%q,class=%q} %g\n",
 			d.Device, d.Class, d.RateDollarsPerHour)
 	}
-	family(b, "gauge", "aegaeon_market_device_eligible", "Whether placement may target the device (not noticed, revoked, disqualified, or VRAM-starved).")
+	family(b, "gauge", "aegaeon_market_device_eligible", "Whether placement may target the device (not noticed, revoked, or VRAM-starved).")
 	for _, d := range snap.Devices {
 		fmt.Fprintf(b, "aegaeon_market_device_eligible{device=%q,class=%q} %d\n",
 			d.Device, d.Class, b2i(d.Eligible))
@@ -453,8 +446,6 @@ func writeMarketMetrics(b *strings.Builder, snap *market.Snapshot) {
 	fmt.Fprintf(b, "aegaeon_market_kv_bytes_total{outcome=\"rehomed_prefix\"} %d\n", st.RehomedPrefixBytes)
 	family(b, "counter", "aegaeon_market_throttles_total", "Thermal-throttle windows applied.")
 	fmt.Fprintf(b, "aegaeon_market_throttles_total %d\n", st.Throttles)
-	family(b, "counter", "aegaeon_market_disqualifications_total", "Devices disqualified by error-rate eviction.")
-	fmt.Fprintf(b, "aegaeon_market_disqualifications_total %d\n", st.Disqualifications)
 	family(b, "counter", "aegaeon_market_price_ticks_total", "Price-trace steps across the fleet.")
 	fmt.Fprintf(b, "aegaeon_market_price_ticks_total %d\n", st.PriceTicks)
 
@@ -513,9 +504,8 @@ func family(b *strings.Builder, typ, name, help string) {
 // writeHistogram renders exact cumulative buckets in the Prometheus
 // histogram convention: `_bucket{le="..."}` lines ascending, a final
 // `le="+Inf"` equal to `_count`, then `_sum` and `_count`.
-func writeHistogram(b *strings.Builder, name, help string, h *metrics.Histogram) {
+func writeHistogram(b *strings.Builder, name, help string, s metrics.HistogramSnapshot) {
 	family(b, "histogram", name, help)
-	s := h.Snapshot()
 	for i, bound := range s.Bounds {
 		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, bound, s.Cumulative[i])
 	}
@@ -524,18 +514,34 @@ func writeHistogram(b *strings.Builder, name, help string, h *metrics.Histogram)
 	fmt.Fprintf(b, "%s_count %d\n", name, s.Count)
 }
 
-// writeSummary renders a SafeCDF as a Prometheus summary.
-func writeSummary(b *strings.Builder, name, help string, c *metrics.SafeCDF) {
+// summaryQuantiles are the quantiles a latency summary exports.
+var summaryQuantiles = [...]float64{0.5, 0.9, 0.99}
+
+// summary is a latency reservoir as a Prometheus summary exports it: its
+// quantiles at summaryQuantiles (NaN without samples) and its sample count.
+type summary struct {
+	q     [len(summaryQuantiles)]float64
+	count uint64
+}
+
+// summarize copies what writeSummary renders of r. Loop only.
+func summarize(r *metrics.Reservoir) summary {
+	s := summary{count: r.Seen()}
+	for i, q := range summaryQuantiles {
+		s.q[i] = r.Quantile(q)
+	}
+	return s
+}
+
+// writeSummary renders a latency summary.
+func writeSummary(b *strings.Builder, name, help string, s summary) {
 	family(b, "summary", name, help)
-	if c.N() > 0 {
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			v := c.Quantile(q)
-			if !math.IsNaN(v) {
-				fmt.Fprintf(b, "%s{quantile=\"%g\"} %g\n", name, q, v)
-			}
+	for i, q := range summaryQuantiles {
+		if !math.IsNaN(s.q[i]) {
+			fmt.Fprintf(b, "%s{quantile=\"%g\"} %g\n", name, q, s.q[i])
 		}
 	}
-	fmt.Fprintf(b, "%s_count %d\n", name, c.Seen())
+	fmt.Fprintf(b, "%s_count %d\n", name, s.count)
 }
 
 func sortedStringKeys[V any](m map[string]V) []string {
@@ -544,14 +550,5 @@ func sortedStringKeys[V any](m map[string]V) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func sortedIntKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
 	return out
 }

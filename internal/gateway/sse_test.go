@@ -214,12 +214,11 @@ func TestStreamErrorFramesAreJSON(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := &Gateway{statuses: map[int]uint64{}}
-			tokens, done := make(chan tokenEvent, 4), make(chan *core.Request, 1)
-			tc.fill(tokens, done)
+			g := &Gateway{}
+			f := &feed{id: "cmpl-1", tokens: make(chan tokenEvent, 4), done: make(chan *core.Request, 1)}
+			tc.fill(f.tokens, f.done)
 			w := httptest.NewRecorder()
-			g.streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil),
-				"cmpl-1", "m", tokens, done, func() {})
+			g.streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil), "m", f)
 			var gotErr string
 			sc := bufio.NewScanner(w.Body)
 			for sc.Scan() {

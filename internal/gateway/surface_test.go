@@ -20,7 +20,7 @@ import (
 
 // surfaceGolden pins the sha256 of each operator-surface body. The decision
 // endpoints are left out: their edge admission records carry the loop's
-// clock when the admission's post lands, which wall-clock timing decides.
+// clock when the admission's Call lands, which wall-clock timing decides.
 // /debug/slo/stream is streaming and /debug/overload is off here.
 var surfaceGolden = map[string]string{
 	"/metrics":               "0ce8243b65f0cc104094c3083e02ee6cea54e9aabbc694ba401bcfe9e3f23a10",
@@ -64,7 +64,7 @@ func TestOperatorSurfaceGolden(t *testing.T) {
 // marketFamiliesGolden and storeFamiliesGolden are the sha256 of the
 // families TestMarketFamiliesGolden and TestStoreFamiliesGolden render.
 const (
-	marketFamiliesGolden = "50e15598a76aa6634072a371c5ded55bdf93f4064a2c580f15fbb00cc7d43615"
+	marketFamiliesGolden = "e8ebf8f3baaf9ea1288c2e325c4e77f22e7a058892ffb13a86a8ae99ae7180c9"
 	storeFamiliesGolden  = "37422afbaae36e9842e28829527fa201065231ef965d175c62ab6f5de7cf3bbd"
 )
 
@@ -214,6 +214,22 @@ func TestMetricsHoldAcrossShutdown(t *testing.T) {
 	}
 	if w := get(h, "/debug/prefix"); w.Code != http.StatusOK {
 		t.Errorf("/debug/prefix after shutdown: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestCompletionAfterShutdownIsDraining posts a completion once Shutdown
+// has returned. Its admission then runs on the handler's goroutine, where
+// the draining gate turns it away: a 503 naming the gate, with Retry-After,
+// counted on /metrics like any other edge rejection.
+func TestCompletionAfterShutdownIsDraining(t *testing.T) {
+	gw, names := newTestGateway(t, Options{Speedup: 50000})
+	if err := gw.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := gw.Handler()
+	assertRejected(t, postCompletion(h, completion(names[0], "normal", 8, 4, false)), "draining", 1)
+	if got := scrape(t, h).values[`aegaeon_gateway_rejected_total{reason="draining"}`]; got != 1 {
+		t.Fatalf(`aegaeon_gateway_rejected_total{reason="draining"} = %g, want 1`, got)
 	}
 }
 

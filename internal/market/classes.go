@@ -1,8 +1,8 @@
 // Package market models the spot GPU marketplace the paper's title serves
 // on: heterogeneous device classes with per-class capability and price,
 // spot-price traces, preemption (reclaim) notices with hard revocation
-// deadlines, capability scoring with disqualification, and the risk model
-// preemption-aware placement weighs against §5 switch cost.
+// deadlines, capability scoring with VRAM-headroom exclusion, and the risk
+// model preemption-aware placement weighs against §5 switch cost.
 //
 // Like obs/fault/fleetobs, the package threads through the stack as an
 // optional pointer: a nil *Market answers every query with "no market" —

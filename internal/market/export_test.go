@@ -36,23 +36,6 @@ func (m *Market) Deadline(name string) (sim.Time, bool) {
 	return 0, false
 }
 
-// NoteError records a device error; at the configured threshold the device
-// is disqualified from placement (error-rate eviction).
-func (m *Market) NoteError(name string) {
-	if m == nil {
-		return
-	}
-	d := m.devices[name]
-	if d == nil {
-		return
-	}
-	d.errors++
-	if d.errors >= errorEvict && !d.disqualified {
-		d.disqualified = true
-		m.stats.Disqualifications++
-	}
-}
-
 // ClassFor returns the registered device's class, or nil if unknown.
 func (m *Market) ClassFor(name string) *Class {
 	if m == nil {

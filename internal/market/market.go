@@ -29,11 +29,9 @@ type Config struct {
 }
 
 const (
-	// minHeadroomFrac disqualifies a device while its free-VRAM fraction
+	// minHeadroomFrac excludes a device while its free-VRAM fraction
 	// in the KV pool is below this floor.
 	minHeadroomFrac = 0.02
-	// errorEvict disqualifies a device after this many recorded errors.
-	errorEvict = 3
 	// riskWeight scales the preemption-risk placement penalty into
 	// queue-depth units.
 	riskWeight = 8
@@ -60,9 +58,7 @@ type device struct {
 
 	throttle float64 // compute slowdown factor; 1 = nominal
 
-	errors       int
-	lowHeadroom  bool
-	disqualified bool
+	lowHeadroom bool
 }
 
 // Market is the live marketplace state for one fleet. Construct with New,
@@ -291,7 +287,7 @@ func (m *Market) NoteHeadroom(name string, freeFrac float64) {
 }
 
 // Eligible reports whether placement may target the device at all: not
-// revoked, not under an open notice, not disqualified, not VRAM-starved.
+// revoked, not under an open notice, not VRAM-starved.
 // (Spot-naive mode ignores notices — see PlacementPenalty.)
 func (m *Market) Eligible(name string) bool {
 	if m == nil {
@@ -301,7 +297,7 @@ func (m *Market) Eligible(name string) bool {
 	if d == nil {
 		return true
 	}
-	return !d.revoked && !d.underNotice && !d.disqualified && !d.lowHeadroom
+	return !d.revoked && !d.underNotice && !d.lowHeadroom
 }
 
 // CapabilityScore is the device's relative capability: class compute versus
@@ -334,8 +330,8 @@ func (m *Market) CapabilityScore(name string) float64 {
 // PlacementPenalty prices the preemption risk of placing work whose switch
 // cost is switchCost onto the device, in queue-depth units comparable to the
 // dispatch load scores. ok=false excludes the device outright (under notice,
-// disqualified, or VRAM-starved — aware mode only; spot-naive placement sees
-// no risk and no exclusions, which is exactly what the bench measures).
+// revoked or VRAM-starved — aware mode only; spot-naive placement sees no
+// risk and no exclusions, which is exactly what the bench measures).
 //
 // The risk model: the probability the device is reclaimed while the switch
 // investment amortizes is 1 - exp(-switchCost/MTBF) (exponential lifetime);
@@ -349,7 +345,7 @@ func (m *Market) PlacementPenalty(name string, switchCost sim.Time) (float64, bo
 	if d == nil {
 		return 0, true
 	}
-	if d.underNotice || d.revoked || d.disqualified || d.lowHeadroom {
+	if d.underNotice || d.revoked || d.lowHeadroom {
 		return 0, false
 	}
 	penalty := 0.0

@@ -192,7 +192,7 @@ func TestPlacementPenaltyRiskModel(t *testing.T) {
 	if pLong <= pCon {
 		t.Fatalf("penalty should grow with switch cost: %g vs %g", pLong, pCon)
 	}
-	// Throttle adds penalty; error eviction excludes.
+	// Throttle adds penalty.
 	m.Throttle("dc", 3)
 	pThr, ok := m.PlacementPenalty("dc", 2*time.Second)
 	if !ok || pThr <= pDC {
@@ -201,18 +201,6 @@ func TestPlacementPenaltyRiskModel(t *testing.T) {
 	m.ClearThrottle("dc")
 	if p, _ := m.PlacementPenalty("dc", 2*time.Second); p != pDC {
 		t.Fatalf("clearing throttle should restore penalty: %g vs %g", p, pDC)
-	}
-	for i := 0; i < 3; i++ {
-		m.NoteError("con")
-	}
-	if _, ok := m.PlacementPenalty("con", time.Second); ok {
-		t.Fatal("error-evicted device should be excluded")
-	}
-	if m.Eligible("con") {
-		t.Fatal("error-evicted device should be ineligible")
-	}
-	if m.Stats().Disqualifications != 1 {
-		t.Fatalf("disqualifications %d", m.Stats().Disqualifications)
 	}
 	// VRAM-headroom starvation excludes until pressure clears.
 	m.NoteHeadroom("dc", 0.001)
@@ -249,7 +237,6 @@ func TestNilMarketSafe(t *testing.T) {
 	m.Register("x")
 	m.Start(time.Minute)
 	m.Revoked("x")
-	m.NoteError("x")
 	m.NoteHeadroom("x", 0)
 	m.NoteEvacuatedKV("x", 1)
 	m.NoteLostKV("x", 1)

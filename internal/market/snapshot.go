@@ -9,7 +9,7 @@ import (
 )
 
 // SchemaVersion identifies the snapshot JSON schema.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Stats are the market's cumulative counters.
 type Stats struct {
@@ -26,11 +26,10 @@ type Stats struct {
 	EvacuatedKVBytes   int64 `json:"evacuated_kv_bytes"`
 	LostKVBytes        int64 `json:"lost_kv_bytes"`
 	RehomedPrefixBytes int64 `json:"rehomed_prefix_bytes"`
-	// Throttles and Disqualifications count capability-scoring events;
-	// PriceTicks counts price-trace steps.
-	Throttles         int `json:"throttles"`
-	Disqualifications int `json:"disqualifications"`
-	PriceTicks        int `json:"price_ticks"`
+	// Throttles counts capability-scoring events; PriceTicks counts
+	// price-trace steps.
+	Throttles  int `json:"throttles"`
+	PriceTicks int `json:"price_ticks"`
 }
 
 // PreemptionRecord is the audit trail of one reclaim notice.
@@ -56,8 +55,6 @@ type DeviceState struct {
 	DeadlineS          float64 `json:"deadline_s,omitempty"`
 	Revoked            bool    `json:"revoked,omitempty"`
 	ThrottleFactor     float64 `json:"throttle_factor,omitempty"`
-	Disqualified       bool    `json:"disqualified,omitempty"`
-	Errors             int     `json:"errors,omitempty"`
 	Eligible           bool    `json:"eligible"`
 	CapabilityScore    float64 `json:"capability_score"`
 }
@@ -142,9 +139,7 @@ func (m *Market) Snapshot(now sim.Time, fleet *fleetobs.Snapshot) *Snapshot {
 			RateDollarsPerHour: d.rate,
 			UnderNotice:        d.underNotice,
 			Revoked:            d.revoked,
-			Disqualified:       d.disqualified,
-			Errors:             d.errors,
-			Eligible:           !d.revoked && !d.underNotice && !d.disqualified && !d.lowHeadroom,
+			Eligible:           !d.revoked && !d.underNotice && !d.lowHeadroom,
 			CapabilityScore:    1,
 		}
 		if d.underNotice {

@@ -155,23 +155,3 @@ func TestExponentialBounds(t *testing.T) {
 		})
 	}
 }
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram(ExponentialBounds(0.001, 2, 10)...)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				h.Observe(float64(i) / 1000)
-				_ = h.Snapshot()
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if s := h.Snapshot(); s.Count != 4000 {
-		t.Fatalf("count = %d, want 4000", s.Count)
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -103,9 +102,8 @@ func (c *CDF) Points(n int) [][2]float64 {
 // Reservoir is a CDF with optional reservoir subsampling (algorithm R), so
 // a long-lived tracker's memory stays bounded. Reservoir slots come from
 // its own fixed-seed PRNG, so the same sample sequence always retains the
-// same samples. It is not synchronized: callers that share one across
-// goroutines hold their own lock (SafeCDF, or a monitor's). The zero value
-// is usable and unbounded.
+// same samples. Like every type here it takes no lock: its owner, the
+// event loop, is its only writer. The zero value is usable and unbounded.
 type Reservoir struct {
 	cdf  CDF
 	max  int
@@ -166,50 +164,6 @@ func (r *Reservoir) Quantile(q float64) float64 { return r.cdf.Quantile(q) }
 // Samples returns a copy of the retained samples, in no particular order —
 // for merging two reservoirs (e.g. rotating epoch sketches) into one CDF.
 func (r *Reservoir) Samples() []float64 { return append([]float64(nil), r.cdf.samples...) }
-
-// SafeCDF is a concurrency-safe quantile tracker for live telemetry (the
-// gateway's TTFT/TBT export): a Reservoir behind a mutex. The zero value is
-// usable and unbounded.
-type SafeCDF struct {
-	mu sync.Mutex
-	r  Reservoir
-}
-
-// NewSafeCDF returns a tracker retaining at most maxSamples via uniform
-// reservoir sampling (maxSamples <= 0 means unbounded).
-func NewSafeCDF(maxSamples int) *SafeCDF { return &SafeCDF{r: Reservoir{max: maxSamples}} }
-
-// Add records a sample.
-func (s *SafeCDF) Add(v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.r.Add(v)
-}
-
-// AddDuration records a duration sample in seconds.
-func (s *SafeCDF) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
-// N returns the number of retained samples.
-func (s *SafeCDF) N() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.N()
-}
-
-// Seen returns the number of samples ever recorded (including subsampled
-// ones).
-func (s *SafeCDF) Seen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Seen()
-}
-
-// Quantile returns the q-th quantile of the retained samples; NaN if empty.
-func (s *SafeCDF) Quantile(q float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Quantile(q)
-}
 
 // TimeSeries holds a value sampled at fixed intervals of virtual time; the
 // sampler owns the interval.
@@ -307,13 +261,12 @@ func (b *Breakdown) Total(s BreakdownStage) time.Duration { return b.total[s] }
 // Stages returns all stage labels in order.
 func Stages() []string { return append([]string(nil), stageNames[:]...) }
 
-// Histogram is a concurrency-safe fixed-bucket histogram in the Prometheus
-// style: cumulative bucket counts over sorted upper bounds plus a +Inf
-// overflow, a running sum, and a total count. Unlike SafeCDF's reservoir it
-// never subsamples, so exported bucket counts are exact — what a scrape-based
-// TTFT/TBT SLO burn-rate alert needs.
+// Histogram is a fixed-bucket histogram in the Prometheus style:
+// cumulative bucket counts over sorted upper bounds plus a +Inf overflow, a
+// running sum, and a total count. Unlike a Reservoir it never subsamples, so
+// exported bucket counts are exact — what a scrape-based TTFT/TBT SLO
+// burn-rate alert needs.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // sorted upper bounds, exclusive of +Inf
 	counts []uint64  // per-bucket (non-cumulative); len(bounds)+1 with overflow
 	sum    float64
@@ -343,8 +296,6 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: le-style buckets
 	h.counts[i]++
 	h.sum += v
@@ -364,8 +315,6 @@ type HistogramSnapshot struct {
 
 // Snapshot returns the cumulative bucket counts, sum, and total count.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := HistogramSnapshot{
 		Bounds:     append([]float64(nil), h.bounds...),
 		Cumulative: make([]uint64, len(h.bounds)),

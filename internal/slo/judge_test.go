@@ -18,7 +18,7 @@ type refTracker struct {
 	requests, reqAllMet     uint64
 	ttftSum                 time.Duration
 	ttftCount, ttftMet      uint64
-	ttftCDF                 *metrics.SafeCDF
+	ttftCDF                 *metrics.Reservoir
 }
 
 func (t *refTracker) ObserveRequest(s SLO, arrival time.Duration, times []time.Duration) {
@@ -37,7 +37,7 @@ func (t *refTracker) ObserveRequest(s SLO, arrival time.Duration, times []time.D
 		t.ttftSum += ttft
 		t.ttftCount++
 		if t.ttftCDF == nil {
-			t.ttftCDF = metrics.NewSafeCDF(maxTTFTSamples)
+			t.ttftCDF = metrics.NewReservoir(maxTTFTSamples)
 		}
 		t.ttftCDF.AddDuration(ttft)
 		if ttft <= s.TTFT {

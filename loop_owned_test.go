@@ -7,15 +7,13 @@ import (
 )
 
 // syncPackages are the internal packages that may import sync or
-// sync/atomic: the driver that owns the event loop, the gateway's
-// HTTP-side state, the wall-clock circuit breaker and the gateway's
-// concurrent quantile trackers. Every other internal package is written
-// only by the event loop, and off-loop code reads it through the driver.
+// sync/atomic: the driver that owns the event loop, and the gateway, whose
+// HTTP goroutines count responses and streamed tokens and read the draining
+// flag. Every other internal package is written only by the event loop, and
+// off-loop code reads it through the driver.
 var syncPackages = map[string]bool{
 	"aegaeon/internal/sim":     true,
 	"aegaeon/internal/gateway": true,
-	"aegaeon/internal/fault":   true,
-	"aegaeon/internal/metrics": true,
 }
 
 // TestLoopOwnedPackagesTakeNoLocks holds DESIGN.md's concurrency rule: no

@@ -34,13 +34,10 @@ var unreachedByEntryPoints = map[string]string{
 
 	// Failure paths no CI run can drive without depending on wall-clock
 	// timing in a live gateway, which would make this list unstable.
-	"fault.Breaker.Failure": "TestBreakerOpensAfterPartitionLoss: a live request fails " +
+	"gateway.breaker.failure": "TestBreakerOpensAfterPartitionLoss: a live request fails " +
 		"only when its instance is lost with no survivor, and no gateway flag injects faults",
 	"gateway.sseFrames.errorFrame": "TestStreamErrorFramesAreJSON: the same lost instance, " +
 		"or an overload reap whose timing follows the wall clock",
-	"gateway.Gateway.releaseAdmission": "TestRetryBudget: the handler validates model and " +
-		"token counts before admitting, so SubmitLive refuses nothing it is given, and Post " +
-		"fails only once the driver has stopped",
 
 	// Capacity paths no CI-length run fills.
 	"memory.RegionAlloc.FreeBytes": "TestColocateEvictsLRU: colocation reads it only when " +
