@@ -2,9 +2,12 @@ package gateway
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"aegaeon/internal/core"
 	"aegaeon/internal/sim"
 )
 
@@ -64,4 +67,27 @@ func BenchmarkSSEChunk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkFrame = f.token(i&4095, sim.Time(i)*7919*time.Microsecond)
 	}
+}
+
+// BenchmarkStreamCompletion streams a completion whose 64 tokens are all
+// buffered when the handler wakes: the SSE path's cost per completion, with
+// its flushes (one per HTTP/2 DATA frame on a real connection) per op. The
+// body is discarded after each op.
+func BenchmarkStreamCompletion(b *testing.B) {
+	const n = 64
+	g := &Gateway{}
+	r := httptest.NewRequest(http.MethodPost, "/v1/completions", nil)
+	w := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Body.Reset()
+		f := &feed{id: "cmpl-123456", tokens: make(chan tokenEvent, n), done: make(chan *core.Request, 1)}
+		for k := 0; k < n; k++ {
+			f.tokens <- tokenEvent{k, sim.Time(k+1) * 7919 * time.Microsecond}
+		}
+		f.done <- &core.Request{}
+		g.streamCompletion(w, r, "Qwen-7B-ft000", f)
+	}
+	b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
 }

@@ -787,18 +787,21 @@ type feed struct {
 }
 
 // await passes each of f's tokens to sink until the request ends, and
-// returns the ended request. Both completion paths end on done, not on the
-// last token. The core journals a request's terminal decision record before
-// it calls OnDone, so once a client holds the response, /debug/why already
-// shows the whole chain. Every token is sent on the event loop before done,
-// so the tokens still buffered when done arrives are the rest of the
-// request. If the client goes away first, await aborts the simulated
-// request, so its KV and admission slot free now instead of when it would
-// have finished, and returns nil; an abort that races the request's end is
-// a no-op.
-func (g *Gateway) await(r *http.Request, f *feed, sink func(tokenEvent)) *core.Request {
-	var fin *core.Request
-	for fin == nil {
+// returns the ended request. Each wakeup sinks every token buffered so far
+// and then, unless the request ended, calls flush if it is not nil: a token
+// is flushed by the wakeup that received it and never waits for a later
+// one. Both completion paths end on done, not on the last token. The core
+// journals a request's terminal decision record before it calls OnDone, so
+// once a client holds the response, /debug/why already shows the whole
+// chain. Every token is sent on the event loop before done, so the tokens
+// still buffered when done arrives are the rest of the request; the caller
+// flushes them with its last frame. If the client goes away first, await
+// aborts the simulated request, so its KV and admission slot free now
+// instead of when it would have finished, and returns nil; an abort that
+// races the request's end is a no-op.
+func (g *Gateway) await(r *http.Request, f *feed, sink func(tokenEvent), flush func()) *core.Request {
+	for {
+		var fin *core.Request
 		select {
 		case t := <-f.tokens:
 			sink(t)
@@ -807,14 +810,20 @@ func (g *Gateway) await(r *http.Request, f *feed, sink func(tokenEvent)) *core.R
 			_ = g.drv.Post(func() { g.cl.Abort(f.req) })
 			return nil
 		}
+		for len(f.tokens) > 0 {
+			sink(<-f.tokens)
+		}
+		if fin != nil {
+			return fin
+		}
+		if flush != nil {
+			flush()
+		}
 	}
-	for len(f.tokens) > 0 {
-		sink(<-f.tokens)
-	}
-	return fin
 }
 
-// streamCompletion serves a completion as SSE, one frame per token.
+// streamCompletion serves a completion as SSE, one frame per token and one
+// flush per wakeup of await.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, model string, f *feed) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -824,7 +833,6 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, model
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	// The headers leave at admission (the core's verdict) rather than with
@@ -834,24 +842,25 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, model
 	g.countStatus(http.StatusOK)
 
 	frames := newSSEFrames(f.id, model)
-	send := func(frame []byte) {
+	write := func(frame []byte) {
 		_, _ = w.Write(frame) // a gone client shows up as r.Context() ending
-		flusher.Flush()
 	}
 	fin := g.await(r, f, func(t tokenEvent) {
-		send(frames.token(t.i, t.at))
+		write(frames.token(t.i, t.at))
 		g.tokens.Add(1)
-	})
+	}, flusher.Flush)
 	switch {
 	case fin == nil:
+		return
 	case fin.Outcome == decision.OutcomeFailed:
 		// Cleanly rejected mid-flight (e.g. the serving partition died with
 		// no survivors): tell the client instead of pretending the stream
 		// just ended.
-		send(frames.errorFrame("request failed: " + fin.FailReason))
+		write(frames.errorFrame("request failed: " + fin.FailReason))
 	default:
-		send(frames.stop())
+		write(frames.stop())
 	}
+	flusher.Flush()
 }
 
 // collectCompletion serves a completion as one JSON response.
@@ -867,7 +876,7 @@ func (g *Gateway) collectCompletion(w http.ResponseWriter, r *http.Request, mode
 		last = t.at
 		text = appendTokenText(text, t.i)
 		received++
-	})
+	}, nil)
 	if fin == nil {
 		return
 	}

@@ -243,6 +243,83 @@ func TestStreamErrorFramesAreJSON(t *testing.T) {
 	}
 }
 
+// flushRecorder is a ResponseRecorder that counts its flushes and, when
+// flushed is not nil, reports each one there.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	flushes int
+	flushed chan struct{}
+}
+
+func (w *flushRecorder) Flush() {
+	w.ResponseRecorder.Flush()
+	w.flushes++
+	if w.flushed != nil {
+		w.flushed <- struct{}{}
+	}
+}
+
+// TestStreamCoalescesBufferedTokens streams a feed whose 64 tokens are all
+// buffered before the handler looks: they leave in one flush between the
+// headers' and the stop frame's, and the body is the frames sseFrames
+// builds one token at a time.
+func TestStreamCoalescesBufferedTokens(t *testing.T) {
+	const n = 64
+	f := &feed{id: "cmpl-1", tokens: make(chan tokenEvent, n), done: make(chan *core.Request, 1)}
+	want := newSSEFrames(f.id, "m")
+	var body []byte
+	for i := 0; i < n; i++ {
+		at := sim.Time(i+1) * time.Millisecond
+		f.tokens <- tokenEvent{i, at}
+		body = append(body, want.token(i, at)...)
+	}
+	body = append(body, want.stop()...)
+	f.done <- &core.Request{}
+	w := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	(&Gateway{}).streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil), "m", f)
+	if w.flushes > 3 {
+		t.Errorf("%d flushes for %d buffered tokens, want at most 3 (headers, tokens, stop)", w.flushes, n)
+	}
+	if !bytes.Equal(w.Body.Bytes(), body) {
+		t.Errorf("body:\n got %q\nwant %q", w.Body.Bytes(), body)
+	}
+}
+
+// TestStreamFlushesEachLoneToken sends each token only after the previous
+// flush was seen, so a handler that holds a token for a later one never
+// gets it: every token must be on the wire, flushed, before the next is
+// sent.
+func TestStreamFlushesEachLoneToken(t *testing.T) {
+	const n = 8
+	f := &feed{id: "cmpl-1", tokens: make(chan tokenEvent, n), done: make(chan *core.Request, 1)}
+	w := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), flushed: make(chan struct{})}
+	go (&Gateway{}).streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil), "m", f)
+	awaitFlush := func(what string) {
+		t.Helper()
+		select {
+		case <-w.flushed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no flush after %s", what)
+		}
+	}
+	awaitFlush("the headers")
+	want := newSSEFrames(f.id, "m")
+	var body []byte
+	for i := 0; i < n; i++ {
+		at := sim.Time(i+1) * time.Millisecond
+		f.tokens <- tokenEvent{i, at}
+		awaitFlush(fmt.Sprintf("token %d", i))
+		if body = append(body, want.token(i, at)...); !bytes.Equal(w.Body.Bytes(), body) {
+			t.Fatalf("after token %d, body:\n got %q\nwant %q", i, w.Body.Bytes(), body)
+		}
+	}
+	f.done <- &core.Request{}
+	awaitFlush("done")
+	if body = append(body, want.stop()...); !bytes.Equal(w.Body.Bytes(), body) {
+		t.Fatalf("final body:\n got %q\nwant %q", w.Body.Bytes(), body)
+	}
+}
+
 // FuzzCompletionRequest posts arbitrary bodies to /v1/completions. Whatever
 // the body, the handler must not panic or answer 500, a non-200 answer must
 // be a JSON error, and a 200 must be valid JSON or SSE whose every data

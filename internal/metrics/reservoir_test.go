@@ -1,7 +1,7 @@
 package metrics
 
-// The TestSafeCDF tests hold the Reservoir behind the gateway's live TTFT
-// and TBT summaries to the contract those summaries export.
+// These tests hold the Reservoir behind the gateway's live TTFT and TBT
+// summaries to the contract those summaries export.
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-func TestSafeCDFEmpty(t *testing.T) {
+func TestReservoirEmpty(t *testing.T) {
 	s := NewReservoir(16)
 	if s.N() != 0 || s.Seen() != 0 {
 		t.Fatalf("empty reservoir: N=%d Seen=%d", s.N(), s.Seen())
@@ -26,7 +26,7 @@ func TestSafeCDFEmpty(t *testing.T) {
 	}
 }
 
-func TestSafeCDFSingleSample(t *testing.T) {
+func TestReservoirSingleSample(t *testing.T) {
 	s := NewReservoir(16)
 	s.AddDuration(250 * time.Millisecond)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -42,7 +42,7 @@ func TestSafeCDFSingleSample(t *testing.T) {
 	}
 }
 
-func TestSafeCDFHeavyDuplicates(t *testing.T) {
+func TestReservoirHeavyDuplicates(t *testing.T) {
 	// 100x the cap, every sample identical: the reservoir must stay at the
 	// cap, remember how many it saw, and report the duplicate exactly at
 	// every quantile (any unbiased subsample of a constant is constant).
@@ -67,7 +67,7 @@ func TestSafeCDFHeavyDuplicates(t *testing.T) {
 	}
 }
 
-func TestSafeCDFReservoirStaysInRange(t *testing.T) {
+func TestReservoirStaysInRange(t *testing.T) {
 	// Feed an increasing ramp through a small reservoir: every retained
 	// sample must be one of the inputs, and the quantiles must stay inside
 	// the observed range.
@@ -85,10 +85,10 @@ func TestSafeCDFReservoirStaysInRange(t *testing.T) {
 	}
 }
 
-// TestSafeCDFReservoirDeterministic: two reservoirs fed the same sequence,
+// TestReservoirDeterministic: two reservoirs fed the same sequence,
 // three times their capacity, retain the same samples, so quantiles
 // reported from a seeded run reproduce exactly.
-func TestSafeCDFReservoirDeterministic(t *testing.T) {
+func TestReservoirDeterministic(t *testing.T) {
 	const cap = 512
 	a, b := NewReservoir(cap), NewReservoir(cap)
 	for i := 0; i < 3*cap; i++ {
@@ -112,7 +112,7 @@ func TestSafeCDFReservoirDeterministic(t *testing.T) {
 	}
 }
 
-func TestSafeCDFSamplesIsACopy(t *testing.T) {
+func TestReservoirSamplesIsACopy(t *testing.T) {
 	s := NewReservoir(8)
 	s.Add(1)
 	got := s.Samples()
@@ -122,7 +122,7 @@ func TestSafeCDFSamplesIsACopy(t *testing.T) {
 	}
 }
 
-func TestSafeCDFUnboundedZeroValue(t *testing.T) {
+func TestReservoirUnboundedZeroValue(t *testing.T) {
 	var s Reservoir
 	for i := 0; i < 100; i++ {
 		s.Add(float64(i))
