@@ -13,20 +13,22 @@ import (
 // per request under budgets. The simulator is deterministic, so both repeat
 // to within the runtime's own allocations. Each budget is the figure
 // measured under the race detector, whose runtime allocates a little more
-// per request (2.23 KiB and 11.1 objects against 2.00 and 10.2 with
-// observers off), plus 10%. The observers record into storage they
-// recycle: their bounded buffers are allocated once, in chunks, and the
-// five-minute horizon spreads that fixed cost over about 1,200 requests,
-// so it dominates the observers-on budgets: a record, switch or timeline
-// buffer that is allocated again per decision or per request shows (one
-// object per request is 7% of the objects budget). With observers off the
-// switch and KV-swap path allocates nothing once warm, so the few objects
-// left per request are the request's own (its record, KV sequence and
-// prefill completion) plus pools growing to their peak: a closure or event
-// allocated again per switch, swap or decode turn fails the objects budget,
-// and storing every token's time again (about 3 KiB per request) fails the
-// bytes budget. Not parallel: the process-wide allocation counters would
-// count other tests' work.
+// per request (2.22 KiB and 7.7 objects against 1.99 and 6.8 with observers
+// off), plus 10%. The observers record into storage they recycle: their
+// bounded buffers are allocated once, in chunks, and the five-minute horizon
+// spreads that fixed cost over about 1,200 requests, so it dominates the
+// observers-on budgets: a record, switch or timeline buffer that is
+// allocated again per decision or per request shows (one object per request
+// is 8% of the objects budget). With observers off the switch and KV-swap
+// path allocates nothing once warm, and slabs carve their block state from
+// one arena per pool, so the few objects left per request are the request's
+// own (its record, KV sequence and block list, and prefill completion), the
+// report's latency samples, and pools growing to their peak (decode batches,
+// KV transfers, slab free lists): a closure or event allocated again per
+// switch, swap or decode turn, or a state slice per slab acquired, fails the
+// objects budget, and storing every token's time again (about 3 KiB per
+// request) fails the bytes budget. Not parallel: the process-wide allocation
+// counters would count other tests' work.
 func TestObserverAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -34,8 +36,8 @@ func TestObserverAllocBudget(t *testing.T) {
 		maxKiB    float64 // heap KiB per request
 		maxAllocs float64 // heap objects per request
 	}{
-		{"observers on", true, 31.59 * 1.1, 15.2 * 1.1},
-		{"observers off", false, 2.23 * 1.1, 11.1 * 1.1},
+		{"observers on", true, 31.59 * 1.1, 11.8 * 1.1},
+		{"observers off", false, 2.22 * 1.1, 7.7 * 1.1},
 	} {
 		sys, err := New(Config{GPU: "H800", PrefillGPUs: 6, DecodeGPUs: 10, NumModels: 40, Seed: 1,
 			Tracing: c.observers, SLOMonitor: c.observers, Decisions: c.observers, FleetAccounting: c.observers})

@@ -376,9 +376,11 @@ func (p *prefillInstance) runPrefill(r *Request, attempt int) {
 				p.step()
 				return
 			}
-			p.sys.obs.RequestSpan(p.eng.Name, r.ID, "prefix-reuse",
-				fmt.Sprintf("%d tokens (%d device)", skip, hit.DeviceTokens),
-				copyStart, p.eng.Sim().Now())
+			if p.sys.obs != nil { // Sprintf allocates even with tracing off
+				p.sys.obs.RequestSpan(p.eng.Name, r.ID, "prefix-reuse",
+					fmt.Sprintf("%d tokens (%d device)", skip, hit.DeviceTokens),
+					copyStart, p.eng.Sim().Now())
+			}
 			p.eng.PrefillFor(r.ID, ctx-skip, done)
 		})
 		return

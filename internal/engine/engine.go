@@ -142,6 +142,7 @@ type Engine struct {
 	curID   model.ID             // current's id
 	curCost *latency.CostModel   // CostFor(curID), set wherever current is
 	costs   []*latency.CostModel // indexed by model id, built on first use
+	table   []latency.CostModel  // uncarved cost models CostFor builds into
 
 	prefetched model.ID  // model.NoID when none
 	prefetchEv gpu.Event // the latest prefetch's event: fired once it has landed
@@ -361,8 +362,23 @@ func (e *Engine) CostFor(id model.ID) *latency.CostModel {
 	if int(id) < len(e.costs) && e.costs[id] != nil {
 		return e.costs[id]
 	}
-	e.costs = model.Grow(e.costs, id)
-	c := latency.NewCostModel(e.cfg.Prof, e.model(id), e.cfg.TP)
+	m := e.model(id)
+	e.costs = model.Grow(e.costs, model.ID(e.models.Len()))
+	if len(e.table) == 0 {
+		// One table for every registered model not yet built. Cost models
+		// are carved from it, never appended, so the pointers handed out
+		// stay put when a later registration starts another table.
+		n := 0
+		for _, c := range e.costs[1:] {
+			if c == nil {
+				n++
+			}
+		}
+		e.table = make([]latency.CostModel, n)
+	}
+	c := &e.table[0]
+	e.table = e.table[1:]
+	c.Init(e.cfg.Prof, m, e.cfg.TP)
 	e.costs[id] = c
 	return c
 }

@@ -618,3 +618,42 @@ func TestCurCostTracksCurrent(t *testing.T) {
 		}
 	}
 }
+
+// CostFor carves the cost models of every registered model from one table
+// and builds each as NewCostModel would. A model registered later gets a
+// table of its own, and the cost models already handed out stay where they
+// are.
+func TestCostForTable(t *testing.T) {
+	h := newHarness()
+	cat := model.Catalog()
+	var e *Engine
+	var ids []model.ID
+	fresh := func() {
+		e = h.engine("gpu0", AllOptimizations())
+		ids = ids[:0]
+		for _, m := range cat[:len(cat)-1] {
+			ids = append(ids, e.Models().Add(m))
+		}
+	}
+	base := testing.AllocsPerRun(1, fresh)
+	// The id table and the cost-model table, not an object per model. The
+	// race detector's build allocates Grow's zeroed tail as a third.
+	if n := testing.AllocsPerRun(1, func() {
+		fresh()
+		for _, id := range ids {
+			e.CostFor(id)
+		}
+	}) - base; n > 3 {
+		t.Errorf("first CostFor of %d models allocated %.0f objects, want at most 3", len(ids), n)
+	}
+	first := e.CostFor(ids[len(ids)-1])
+	ids = append(ids, e.Models().Add(cat[len(cat)-1]))
+	for _, id := range ids {
+		if *e.CostFor(id) != *latency.NewCostModel(e.cfg.Prof, e.Models().Model(id), e.cfg.TP) {
+			t.Errorf("CostFor(%d) differs from NewCostModel", id)
+		}
+	}
+	if e.CostFor(ids[len(ids)-2]) != first {
+		t.Error("a later registration moved a cost model already handed out")
+	}
+}

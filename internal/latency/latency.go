@@ -145,9 +145,9 @@ func (p *Profile) effFLOPS() float64 { return p.PeakFLOPS * p.FLOPSEff }
 func (p *Profile) effHBM() float64   { return p.HBMBytesPS * p.HBMEff }
 
 // CostModel predicts execution latencies for one model running on one GPU
-// SKU under tensor parallelism tp. Build it with NewCostModel and leave its
-// fields, and the profile and model they point to, as they are: it caches
-// Eq. 6's terms from them.
+// SKU under tensor parallelism tp. Build it with NewCostModel or Init and
+// leave its fields, and the profile and model they point to, as they are: it
+// caches Eq. 6's terms from them.
 type CostModel struct {
 	Prof  *Profile
 	Model *model.Model
@@ -162,14 +162,21 @@ type CostModel struct {
 
 // NewCostModel builds a cost model; tp must be >= 1.
 func NewCostModel(p *Profile, m *model.Model, tp int) *CostModel {
+	c := new(CostModel)
+	c.Init(p, m, tp)
+	return c
+}
+
+// Init builds a cost model in place, for tables that hold cost models by
+// value; tp must be >= 1.
+func (c *CostModel) Init(p *Profile, m *model.Model, tp int) {
 	if tp < 1 {
 		panic("latency: tensor parallel degree must be >= 1")
 	}
-	c := &CostModel{Prof: p, Model: m, TP: tp}
+	*c = CostModel{Prof: p, Model: m, TP: tp}
 	h, mm := float64(m.Hidden), float64(m.FFN)
 	c.decodeFixed = c.eq6C4() * (4*h*h + 2*h*mm)
 	c.decodePerToken = c.eq6C5() * 3 * h
-	return c
 }
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

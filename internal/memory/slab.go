@@ -33,6 +33,7 @@ type SlabPool struct {
 	classes   []*slabClass       // by ClassID
 	byLabel   map[string]ClassID // registration only
 	slabs     []slab             // by slab id
+	states    []blockState       // uncarved tail of the block-state arena
 
 	usedBytes     int64 // bytes in live blocks across all classes
 	peakAllocated int64 // high-water mark of slab bytes held by classes
@@ -42,16 +43,22 @@ type slabClass struct {
 	label         string
 	blockBytes    int64
 	blocksPerSlab int
-	slabs         int     // slabs held
-	freeBlocks    []Block // LIFO free list
-	used          int     // blocks in use
-	peakAllocated int64   // high-water of slab bytes held by this class
+	slabs         int   // slabs held
+	used          int   // blocks in use
+	peakAllocated int64 // high-water of slab bytes held by this class
+
+	// freeBlocks is a LIFO list of exactly the blockFree blocks of the
+	// class's slabs: reclaim purges a returned slab's entries, and a blocked
+	// block is listed again only by Unblock. Alloc panics on an entry that
+	// breaks this, and FreeBlocksAvailable counts on it.
+	freeBlocks []Block
 }
 
 // slab is one slab's bookkeeping. state is sized to the owner's
 // blocksPerSlab when the slab is acquired and is all blockFree whenever the
 // slab is back on the free list, so reacquiring it allocates nothing unless
-// the new owner packs more blocks per slab.
+// the new owner packs more blocks per slab. A slab that needs more entries
+// than it holds carves them from the pool's arena (carveStates).
 type slab struct {
 	owner   *slabClass // nil while the slab is free
 	inUse   int        // blocks in blockLive
@@ -153,17 +160,12 @@ func (p *SlabPool) Alloc(id ClassID) (Block, error) {
 	if err != nil {
 		return Block{}, err
 	}
-	for len(c.freeBlocks) > 0 {
-		b := c.freeBlocks[len(c.freeBlocks)-1]
-		c.freeBlocks = c.freeBlocks[:len(c.freeBlocks)-1]
+	if n := len(c.freeBlocks); n > 0 {
+		b := c.freeBlocks[n-1]
+		c.freeBlocks = c.freeBlocks[:n-1]
 		s := p.slabOf(c, b)
-		if s == nil {
-			continue // slab was reclaimed; stale free-list entry
-		}
-		if s.state[b.Index] == blockBlocked {
-			// Block is in a move list (§5.3 rule ❸); skip it for now. It is
-			// re-added to the free list when the transfer completes.
-			continue
+		if s == nil || !s.is(b.Index, blockFree) {
+			panic(fmt.Sprintf("memory: class %q free list holds %+v, which is not a free block of the class", c.label, b))
 		}
 		s.inUse++
 		s.state[b.Index] = blockLive
@@ -182,7 +184,7 @@ func (p *SlabPool) Alloc(id ClassID) (Block, error) {
 	if n := c.blocksPerSlab; cap(s.state) >= n {
 		s.state = s.state[:n]
 	} else {
-		s.state = make([]blockState, n)
+		s.state = p.carveStates(n)
 	}
 	c.slabs++
 	if alloc := c.allocatedBytes(p.slabSize); alloc > c.peakAllocated {
@@ -192,7 +194,9 @@ func (p *SlabPool) Alloc(id ClassID) (Block, error) {
 		p.peakAllocated = total
 	}
 	// Push all blocks except index 0 (which we hand out) onto the free list,
-	// in reverse so they pop in ascending order.
+	// in reverse so they pop in ascending order. The list is empty here, so
+	// one Grow sizes it for the slab instead of append doubling it.
+	c.freeBlocks = slices.Grow(c.freeBlocks, c.blocksPerSlab-1)
 	for i := c.blocksPerSlab - 1; i >= 1; i-- {
 		c.freeBlocks = append(c.freeBlocks, Block{Class: id, Slab: sid, Index: int32(i)})
 	}
@@ -274,6 +278,23 @@ func (p *SlabPool) Unblock(b Block) error {
 	}
 	c.freeBlocks = append(c.freeBlocks, b)
 	return nil
+}
+
+// stateChunk is the smallest chunk of block-state entries the arena starts.
+const stateChunk = 4 << 10
+
+// carveStates returns n blockFree entries cut from the pool's arena, starting
+// a chunk of max(n, stateChunk) entries when the current one is short, so a
+// pool's first touch of its slabs costs a few chunks rather than one slice
+// per slab. The full slice expression caps the carve at n: a slab that later
+// needs more entries carves anew instead of growing into its neighbour's.
+func (p *SlabPool) carveStates(n int) []blockState {
+	if len(p.states) < n {
+		p.states = make([]blockState, max(n, stateChunk))
+	}
+	s := p.states[:n:n]
+	p.states = p.states[n:]
+	return s
 }
 
 // reclaim returns an empty slab (every block free) to the shared pool.
@@ -377,9 +398,7 @@ func (p *SlabPool) BlockBytes(id ClassID) (int64, error) {
 
 // FreeBlocksAvailable returns how many more blocks of the class could be
 // allocated right now (free blocks on its slabs plus blocks in free slabs).
-// O(1): the class free list holds no stale or blocked entries by
-// construction (reclaim purges stale entries; blocked blocks are only
-// re-listed by Unblock).
+// O(1): the class free list holds exactly its free blocks (see freeBlocks).
 func (p *SlabPool) FreeBlocksAvailable(id ClassID) (int, error) {
 	c, err := p.class(id)
 	if err != nil {

@@ -3,6 +3,7 @@ package memory
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -396,37 +397,42 @@ func TestSlabUsedBytesMatchesStatsProperty(t *testing.T) {
 	}
 }
 
-// A slab reclaimed by one shape and reacquired by a denser one gets
+// Slabs reclaimed by one shape and reacquired by a denser one get
 // bookkeeping for every block of the new shape, and forged block ids are
-// rejected instead of indexing out of range.
+// rejected instead of indexing out of range. Two slabs carve their state
+// side by side from the pool's arena, so a carve that let one slab grow into
+// its neighbour's state would hand out a block twice or fail a free here.
 func TestSlabReacquiredByDenserShape(t *testing.T) {
-	// One slab, which holds 4 sparse blocks or 16 dense ones.
-	p := NewSlabPool(1<<16, 1<<16)
+	// Two slabs, each of which holds 4 sparse blocks or 16 dense ones.
+	p := NewSlabPool(2<<16, 1<<16)
 	sparse := mustRegister(t, p, "sparse", 1<<14)
 	dense := mustRegister(t, p, "dense", 1<<12)
 	for round := 0; round < 2; round++ {
 		for _, c := range []struct {
 			id ClassID
 			n  int
-		}{{sparse, 4}, {dense, 16}} {
-			var held []Block
+		}{{sparse, 8}, {dense, 32}} {
+			held := map[Block]bool{}
 			for i := 0; i < c.n; i++ {
 				b, err := p.Alloc(c.id)
 				if err != nil {
 					t.Fatalf("round %d %s block %d: %v", round, p.Label(c.id), i, err)
 				}
-				held = append(held, b)
+				if held[b] {
+					t.Fatalf("round %d %s: block %+v handed out twice", round, p.Label(c.id), b)
+				}
+				held[b] = true
 			}
 			if _, err := p.Alloc(c.id); !errors.Is(err, ErrOutOfMemory) {
-				t.Fatalf("%s: slab overfilled: %v", p.Label(c.id), err)
+				t.Fatalf("%s: slabs overfilled: %v", p.Label(c.id), err)
 			}
-			for _, b := range held {
+			for b := range held {
 				if err := p.Free(b); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if p.FreeSlabCount() != 1 {
-				t.Fatalf("%s: slab not reclaimed", p.Label(c.id))
+			if p.FreeSlabCount() != 2 {
+				t.Fatalf("%s: slabs not reclaimed", p.Label(c.id))
 			}
 		}
 	}
@@ -437,7 +443,8 @@ func TestSlabReacquiredByDenserShape(t *testing.T) {
 	for _, forged := range []Block{
 		{Class: sparse, Slab: b.Slab, Index: 4},
 		{Class: sparse, Slab: b.Slab, Index: -1},
-		{Class: sparse, Slab: 1, Index: 0},
+		{Class: sparse, Slab: 1 - b.Slab, Index: 0},
+		{Class: sparse, Slab: 2, Index: 0},
 		{Class: dense, Slab: b.Slab, Index: 0},
 		{Class: 2, Slab: b.Slab, Index: 0},
 	} {
@@ -450,6 +457,37 @@ func TestSlabReacquiredByDenserShape(t *testing.T) {
 		if err := p.Unblock(forged); err == nil {
 			t.Errorf("Unblock(%+v) accepted a forged block", forged)
 		}
+	}
+}
+
+// The first touch of every slab in a fresh pool carves the slabs' block
+// state from a few arena chunks instead of allocating a slice per slab.
+func TestSlabFirstTouchAllocs(t *testing.T) {
+	const slabs, perSlab = 1024, 16
+	var p *SlabPool
+	var kv ClassID
+	fill := func() {
+		for i := 0; i < slabs*perSlab; i++ {
+			if _, err := p.Alloc(kv); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh := func() {
+		p = NewSlabPool(slabs<<16, 1<<16)
+		kv = mustRegister(t, p, "kv", 1<<16/perSlab)
+	}
+	fresh()
+	base := testing.AllocsPerRun(1, fresh)
+	n := testing.AllocsPerRun(1, func() { fresh(); fill() })
+	// 16 KiB of state is four 4 KiB chunks, and the free list is sized to
+	// one slab's blocks once: 5 objects, where a slice per slab would be
+	// over a thousand.
+	if got := n - base; got > 8 {
+		t.Fatalf("filling %d fresh slabs allocated %.0f objects, want at most 8", slabs, got)
+	}
+	if p.FreeSlabCount() != 0 {
+		t.Fatalf("%d slabs untouched", p.FreeSlabCount())
 	}
 }
 
@@ -532,4 +570,169 @@ func TestRegisterStableIDs(t *testing.T) {
 			t.Errorf("Label(%d) = %q, want empty", bad, p.Label(bad))
 		}
 	}
+}
+
+// FuzzSlabPool runs random Register, Alloc, Free, FreeBlocked and Unblock
+// sequences over three classes of different density on four slabs, with
+// forged block ids among them, against a naive model that keeps every held
+// block's state in a map. No live block is handed out twice, each call
+// fails exactly when and how the model says it must, and UsedBytes,
+// BlockedBlocks, FreeBlocksAvailable and the free slab count stay exact.
+func FuzzSlabPool(f *testing.F) {
+	// Each op is two bytes: a verb (op%7) and its argument.
+	//
+	// Park one of three blocks on a move list, allocate past it, unblock it
+	// and take it again.
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 1, 0, 3, 1, 1, 0, 4, 0, 1, 0, 2, 0})
+	// Register all three classes and fill the pool with the sparsest, park
+	// a block on a move list, free the rest, then let the densest take the
+	// slabs while the parked block pins its own.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3, 0, 2, 0, 2, 0,
+		2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 4, 0, 1, 0, 2, 1, 2, 1})
+	// Forged ids: unknown classes, out-of-range slabs and indices.
+	f.Add([]byte{0, 9, 0, 1, 1, 0, 1, 1, 5, 0x4d, 5, 0x2e, 6, 0xff, 5, 0x01, 1, 3, 4, 1})
+	const slabSize, slabs = 64 << 10, 4
+	sizes := []int64{4 << 10, 16 << 10, 48 << 10} // 16, 4 and 1 blocks per slab
+	perSlab := func(c ClassID) int { return int(slabSize / sizes[c]) }
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		p := NewSlabPool(slabs*slabSize, slabSize)
+		registered := 0
+		// The model: each slab's owner (-1 while free) and the state of
+		// every held block, with the live and blocked ones in order.
+		owner := []ClassID{-1, -1, -1, -1}
+		state := map[Block]blockState{}
+		var live, blocked []Block
+		held := func(sid int) int {
+			n := 0
+			for b := range state {
+				if int(b.Slab) == sid {
+					n++
+				}
+			}
+			return n
+		}
+		free := func(c ClassID) int { // free blocks on the slabs c owns
+			n := 0
+			for sid, o := range owner {
+				if o == c {
+					n += perSlab(c) - held(sid)
+				}
+			}
+			return n
+		}
+		drop := func(list []Block, b Block) []Block {
+			return slices.DeleteFunc(list, func(x Block) bool { return x == b })
+		}
+		release := func(b Block) { // b is free again
+			delete(state, b)
+			if held(int(b.Slab)) == 0 {
+				owner[b.Slab] = -1
+			}
+		}
+		step := func(op, arg byte) {
+			var list []Block
+			switch op % 7 {
+			case 0: // register the next class, or the last one again
+				registered = min(registered+1, len(sizes))
+				c := registered - 1
+				if id, err := p.Register(string(rune('A'+c)), sizes[c]); err != nil || id != ClassID(c) {
+					t.Fatalf("Register(%d) = %d, %v", c, id, err)
+				}
+				return
+			case 1: // alloc, from a registered class or an unknown one
+				c := ClassID(int(arg) % (len(sizes) + 1))
+				b, err := p.Alloc(c)
+				switch {
+				case int(c) >= registered:
+					if err == nil || errors.Is(err, ErrOutOfMemory) {
+						t.Fatalf("Alloc of unregistered class %d = %+v, %v", c, b, err)
+					}
+					return
+				case free(c) == 0 && !slices.Contains(owner, -1):
+					if !errors.Is(err, ErrOutOfMemory) {
+						t.Fatalf("Alloc(%d) on a full pool = %+v, %v; want out of memory", c, b, err)
+					}
+					return
+				case err != nil:
+					t.Fatalf("Alloc(%d): %v", c, err)
+				}
+				if b.Class != c || b.Slab < 0 || b.Slab >= slabs || b.Index < 0 || int(b.Index) >= perSlab(c) {
+					t.Fatalf("Alloc(%d) = %+v, not a block of the class", c, b)
+				}
+				if _, taken := state[b]; taken {
+					t.Fatalf("Alloc(%d) handed out %+v, which is held", c, b)
+				}
+				// A class takes a free slab only when its own are full.
+				if o := owner[b.Slab]; o != c && (o != -1 || free(c) > 0) {
+					t.Fatalf("Alloc(%d) = %+v from a slab owned by %d, with %d free blocks on its own", c, b, o, free(c))
+				}
+				owner[b.Slab] = c
+				state[b] = blockLive
+				live = append(live, b)
+				return
+			case 2, 3: // free or free-blocked a live block
+				list = live
+			case 4: // unblock a blocked block
+				list = blocked
+			default: // one of the three calls on a forged block
+				op = arg%3 + 2
+				list = []Block{{Class: ClassID(arg % 4), Slab: int32(arg>>2%6) - 1, Index: int32(arg>>5) * 3}}
+			}
+			if len(list) == 0 {
+				return
+			}
+			b := list[int(arg)%len(list)]
+			st, known := state[b]
+			var err error
+			switch op % 7 {
+			case 2:
+				if err = p.Free(b); err == nil {
+					live = drop(live, b)
+					release(b)
+				}
+			case 3:
+				if err = p.FreeBlocked(b); err == nil {
+					live = drop(live, b)
+					state[b] = blockBlocked
+					blocked = append(blocked, b)
+				}
+			case 4:
+				if err = p.Unblock(b); err == nil {
+					blocked = drop(blocked, b)
+					release(b)
+				}
+			}
+			want := blockLive
+			if op%7 == 4 {
+				want = blockBlocked
+			}
+			if (err == nil) != (known && st == want) || errors.Is(err, ErrOutOfMemory) {
+				t.Fatalf("verb %d on %+v (held %v, state %d) = %v", op%7, b, known, st, err)
+			}
+		}
+		for k := 0; k+1 < len(ops); k += 2 {
+			step(ops[k], ops[k+1])
+			var used int64
+			for _, b := range live {
+				used += sizes[b.Class]
+			}
+			if p.UsedBytes() != used || p.BlockedBlocks() != len(blocked) {
+				t.Fatalf("op %d: used %d, blocked %d; model %d, %d", k/2, p.UsedBytes(), p.BlockedBlocks(), used, len(blocked))
+			}
+			freeSlabs := 0
+			for _, o := range owner {
+				if o == -1 {
+					freeSlabs++
+				}
+			}
+			if p.FreeSlabCount() != freeSlabs {
+				t.Fatalf("op %d: %d free slabs, model %d", k/2, p.FreeSlabCount(), freeSlabs)
+			}
+			for c := ClassID(0); int(c) < registered; c++ {
+				if n, err := p.FreeBlocksAvailable(c); err != nil || n != free(c)+freeSlabs*perSlab(c) {
+					t.Fatalf("op %d: FreeBlocksAvailable(%d) = %d, %v; model %d", k/2, c, n, err, free(c)+freeSlabs*perSlab(c))
+				}
+			}
+		}
+	})
 }

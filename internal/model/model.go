@@ -246,6 +246,9 @@ func (r *Registry) Model(id ID) *Model {
 	return r.models[id-1]
 }
 
+// Len returns how many models are registered: their ids run 1 through Len.
+func (r *Registry) Len() int { return len(r.models) }
+
 // Grow returns s extended with zero values, if it must be, so that id
 // indexes it. Per-model tables indexed by id make room for a new id with it.
 func Grow[T any](s []T, id ID) []T {
